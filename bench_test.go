@@ -12,12 +12,9 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/experiments"
-	"algossip/internal/gf"
-	"algossip/internal/gossip/algebraic"
 	"algossip/internal/graph"
+	"algossip/internal/harness"
 	"algossip/internal/queueing"
-	"algossip/internal/rlnc"
-	"algossip/internal/sim"
 )
 
 // reportMeanRounds runs fn b.N times and reports the mean stopping time.
@@ -316,29 +313,16 @@ func BenchmarkAblationPacketLoss(b *testing.B) {
 // BenchmarkAblationGenerations (A7): generation-coded gossip with an
 // intermediate generation size vs the paper's single-generation protocol.
 func BenchmarkAblationGenerations(b *testing.B) {
-	g := graph.Complete(32)
-	cfg := rlnc.GenConfig{
-		Inner:   rlnc.Config{Field: gf.MustNew(2), RankOnly: true},
-		K:       32,
-		GenSize: 16,
-	}
-	total := 0.0
+	spec := experiments.GossipSpec{Graph: graph.Complete(32), K: 32, GenSize: 16, Lean: true}
+	total, bits := 0.0, 0
 	for i := 0; i < b.N; i++ {
-		seed := core.SplitSeed(27, uint64(i))
-		p, err := algebraic.NewGen(g, core.Synchronous, sim.NewUniform(g), cfg,
-			core.NewRand(core.SplitSeed(seed, 1)))
+		o, err := harness.Execute(spec, harness.ProtocolUniformAG, core.SplitSeed(27, uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := p.SeedAll(algebraic.RoundRobinAssign(32, g.N()), nil); err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.New(g, core.Synchronous, p, core.SplitSeed(seed, 2)).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += float64(res.Rounds)
+		total += float64(o.Result.Rounds)
+		bits = o.MessageBits
 	}
 	b.ReportMetric(total/float64(b.N), "rounds")
-	b.ReportMetric(float64(cfg.MessageBits()), "bits-per-packet")
+	b.ReportMetric(float64(bits), "bits-per-packet")
 }

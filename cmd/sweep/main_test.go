@@ -79,6 +79,24 @@ func TestSweepGoldenOutput(t *testing.T) {
 	}
 }
 
+// TestSweepOneGenerationIsClassic pins the unification rule at the binary
+// every CI smoke job drives: -generations equal to k is one generation,
+// which is the classic protocol, so the sweep's CSV (rounds column
+// included) equals the same sweep without -generations.
+func TestSweepOneGenerationIsClassic(t *testing.T) {
+	base := []string{"-graph", "ring", "-sizes", "12,16", "-kmode", "const:8", "-trials", "3", "-seed", "5"}
+	var classic, oneGen bytes.Buffer
+	if err := run(base, &classic); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append([]string{"-generations", "8"}, base...), &oneGen); err != nil {
+		t.Fatal(err)
+	}
+	if classic.String() != oneGen.String() {
+		t.Errorf("-generations 8 at k=8 diverged from the classic sweep:\ngot:\n%swant:\n%s", oneGen.String(), classic.String())
+	}
+}
+
 func TestSweepEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "sweep.csv")

@@ -5,12 +5,8 @@ import (
 	"io"
 
 	"algossip/internal/core"
-	"algossip/internal/gf"
-	"algossip/internal/gossip/algebraic"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
-	"algossip/internal/rlnc"
-	"algossip/internal/sim"
 )
 
 // A7Generations is the generation-size ablation: split the k messages into
@@ -18,7 +14,8 @@ import (
 // falls linearly in g while a coupon-collector penalty appears across
 // generations, so total traffic (bits) is minimized at an intermediate g —
 // the trade-off practical RLNC systems tune. The paper's protocol is the
-// single-generation column (g = k).
+// single-generation column (g = k): that column's rounds and packets are
+// exactly the classic run's for the same seeds.
 func A7Generations(w io.Writer, opt Options) error {
 	n := opt.pick(16, 32)
 	g := graph.Complete(n)
@@ -28,41 +25,26 @@ func A7Generations(w io.Writer, opt Options) error {
 		if genSize < 1 || genSize > k {
 			continue
 		}
-		cfg := rlnc.GenConfig{
-			Inner:   rlnc.Config{Field: gf.MustNew(2), RankOnly: true},
-			K:       k,
-			GenSize: genSize,
-		}
-		type sample struct{ rounds, packets float64 }
-		samples, err := harness.ParallelMap(opt.trials(), opt.parallel(),
-			func(i int) (sample, error) {
-				seed := core.SplitSeed(opt.Seed, uint64(950+i))
-				p, err := algebraic.NewGen(g, core.Synchronous, sim.NewUniform(g), cfg,
-					core.NewRand(core.SplitSeed(seed, 1)))
+		spec := GossipSpec{Graph: g, K: k, GenSize: genSize, Lean: true}
+		outs, err := harness.ParallelMap(opt.trials(), opt.parallel(),
+			func(i int) (harness.Outcome, error) {
+				o, err := harness.Execute(spec, harness.ProtocolUniformAG, core.SplitSeed(opt.Seed, uint64(950+i)))
 				if err != nil {
-					return sample{}, fmt.Errorf("A7 g=%d: %w", genSize, err)
+					return o, fmt.Errorf("A7 g=%d: %w", genSize, err)
 				}
-				if err := p.SeedAll(algebraic.RoundRobinAssign(k, g.N()), nil); err != nil {
-					return sample{}, err
-				}
-				res, err := sim.New(g, core.Synchronous, p, core.SplitSeed(seed, 2),
-					sim.WithMaxRounds(1<<20)).Run()
-				if err != nil {
-					return sample{}, fmt.Errorf("A7 g=%d: %w", genSize, err)
-				}
-				return sample{float64(res.Rounds), float64(p.Traffic().Sent)}, nil
+				return o, nil
 			})
 		if err != nil {
 			return err
 		}
 		var rounds, packets float64
-		for _, s := range samples {
-			rounds += s.rounds
-			packets += s.packets
+		for _, o := range outs {
+			rounds += float64(o.Result.Rounds)
+			packets += float64(o.Traffic.Sent)
 		}
 		trials := float64(opt.trials())
-		bits := cfg.MessageBits()
-		tbl.AddRow(genSize, cfg.Generations(), rounds/trials, packets/trials,
+		bits := outs[0].MessageBits
+		tbl.AddRow(genSize, (k+genSize-1)/genSize, rounds/trials, packets/trials,
 			bits, packets/trials*float64(bits)/1e3)
 	}
 	fmt.Fprintf(w, "A7 — ablation: RLNC generation size on %s, k=n=%d\n", g.Name(), k)

@@ -162,7 +162,7 @@ func (p *Protocol) sendByz(from, to core.NodeID, pollute bool) {
 		// coefficient/payload mismatch that verification always detects,
 		// so the receive screen rejects it before looking at widths.
 		p.nodes[from].EmitReplayInto(pkt)
-		pkt.Corrupt = true
+		pkt.Packet.Corrupt = true
 	} else if !p.nodes[from].EmitReplayInto(pkt) {
 		p.recycle(pkt)
 		return // replayer has heard nothing yet: nothing to replay
@@ -182,7 +182,7 @@ func (p *Protocol) sendByz(from, to core.NodeID, pollute bool) {
 }
 
 // verifyAccount charges one packet's worth of receiver-side verification
-// (k + r field operations) when the run models Byzantine nodes. Honest
+// (verifyCost field operations) when the run models Byzantine nodes. Honest
 // runs skip verification entirely — the counters stay zero and the
 // traffic JSON bytes are unchanged.
 func (p *Protocol) verifyAccount() {

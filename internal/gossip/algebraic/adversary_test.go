@@ -161,21 +161,25 @@ func TestAdversarialDeterminism(t *testing.T) {
 
 // TestByzantinePayloadModes exercises replay and pollute through all three
 // RLNC backends with real payloads (GF(2) bit, GF(16) sliced, generic) —
-// the replay path copies matrix rows, which is backend-specific code.
+// the replay path copies matrix rows, which is backend-specific code —
+// and through generation coding, where the replayed row is the first
+// non-empty generation's.
 func TestByzantinePayloadModes(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  rlnc.Config
+		name    string
+		cfg     rlnc.Config
+		genSize int
 	}{
-		{"gf2-bit", rlnc.Config{Field: gf.MustNew(2), K: 8, PayloadLen: 6}},
-		{"gf16-sliced", rlnc.Config{Field: gf.MustNew(16), K: 8, PayloadLen: 6}},
-		{"gf16-generic", rlnc.Config{Field: gf.MustNew(16), K: 8, PayloadLen: 6, ForceGeneric: true}},
+		{"gf2-bit", rlnc.Config{Field: gf.MustNew(2), K: 8, PayloadLen: 6}, 0},
+		{"gf16-sliced", rlnc.Config{Field: gf.MustNew(16), K: 8, PayloadLen: 6}, 0},
+		{"gf16-generic", rlnc.Config{Field: gf.MustNew(16), K: 8, PayloadLen: 6, ForceGeneric: true}, 0},
+		{"gf16-sliced-generations", rlnc.Config{Field: gf.MustNew(16), K: 8, PayloadLen: 6}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 16
 			g := graph.Complete(n)
-			cfg := Config{RLNC: tc.cfg}
+			cfg := Config{RLNC: tc.cfg, GenSize: tc.genSize}
 			traits := makeTraits(n, 3, NodeTraits{Behavior: Replay})
 			traits[3].Behavior = Pollute
 			cfg.Traits = traits
@@ -227,13 +231,6 @@ func TestTraitsValidation(t *testing.T) {
 	if mk(cfg) == nil {
 		t.Error("negative boost accepted")
 	}
-	cfg = rankOnlyCfg(4)
-	cfg.Traits = make([]NodeTraits, 8)
-	cfg.DiscardDuplicatePerRound = true
-	if mk(cfg) == nil {
-		t.Error("traits + DiscardDuplicatePerRound accepted")
-	}
-
 	cfg = rankOnlyCfg(4)
 	cfg.Traits = make([]NodeTraits, 8)
 	p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1))

@@ -3,6 +3,13 @@
 // linear combination of the packets it stores (RLNC), and a node finishes
 // once its equation matrix reaches rank k.
 //
+// There is one state machine. The paper codes over all k messages at
+// once; generation coding (rlnc.GenConfig) runs the same three verbs —
+// emit a random combination, reduce what arrives, count rank — over
+// ⌈k/g⌉ small decoders. Protocol always drives rlnc.GenNode, and the
+// paper's protocol is the one-generation case g = k, whose random stream
+// and trajectory are exactly those of a single whole-k decoder.
+//
 // The protocol is parameterized by the communication model
 // (sim.PartnerSelector): with sim.Uniform it is the *uniform algebraic
 // gossip* of Theorem 1; with sim.Fixed it is the on-tree exchange of TAG's
@@ -27,15 +34,14 @@ import (
 type Config struct {
 	// RLNC is the coding configuration (field, k, payload length, mode).
 	RLNC rlnc.Config
+	// GenSize, when positive, codes the k messages in ⌈k/GenSize⌉
+	// independent generations (rlnc.GenConfig) instead of all at once;
+	// must not exceed RLNC.K (rlnc.GenSizeError otherwise). Zero is the
+	// paper's protocol: one generation of size k.
+	GenSize int
 	// Action is the information-flow direction on contact; the paper's
 	// results are for Exchange, the default when zero.
 	Action core.Action
-	// DiscardDuplicatePerRound enables the simplifying assumption from the
-	// proof of Theorem 1 for the synchronous model: if a node receives two
-	// messages from the same sender in one round, the second is discarded.
-	// The deployed protocol keeps both; enabling this matches the analyzed
-	// (slower or equal) process.
-	DiscardDuplicatePerRound bool
 	// LossRate drops each transmitted packet independently with this
 	// probability (failure injection). Network coding tolerates loss
 	// gracefully: the expected slowdown is about 1/(1-LossRate), because
@@ -58,7 +64,7 @@ type Config struct {
 // counts it as useless.
 type delivery struct {
 	to, from core.NodeID
-	pkt      *rlnc.Packet
+	pkt      *rlnc.GenPacket
 	skip     bool
 }
 
@@ -70,15 +76,14 @@ type Protocol struct {
 	sel   sim.PartnerSelector
 	rng   *rand.Rand
 	cfg   Config
+	gen   rlnc.GenConfig // coding layout; one generation of size k when cfg.GenSize == 0
 
-	nodes   []*rlnc.Node
+	nodes   []*rlnc.GenNode
 	initial [][]rlnc.Message // per-node initial seeds, replayed on churn reset
-	seeded  int              // number of distinct message indices seeded
 
 	staged     []delivery
-	stagedPeak int             // decaying high-water mark of staged length
-	free       []*rlnc.Packet  // recycled packets; backing arrays are reused by EmitInto
-	dupSeen    map[dupKey]bool // reusable per-round dedup set (DiscardDuplicatePerRound)
+	stagedPeak int               // decaying high-water mark of staged length
+	free       []*rlnc.GenPacket // recycled packets; backing arrays are reused by EmitInto
 	traffic    gossip.Traffic
 	doneCount  int
 	doneRound  []int // round at which each node reached rank k, -1 before
@@ -86,8 +91,7 @@ type Protocol struct {
 	slots      int   // async wakeup counter
 	obs        sim.Observer
 
-	shard    *shardCore     // sharded-execution state (nil = classic wake loop)
-	slotPkts []*rlnc.Packet // pooled per-slot packets for sharded staging
+	shard *shardCore // sharded-execution state (nil = classic wake loop)
 
 	// Adversarial/heterogeneous state (nil/zero for classic runs).
 	traits     []NodeTraits       // per-node profiles (nil = all honest)
@@ -95,11 +99,8 @@ type Protocol struct {
 	service    []queueing.Sampler // per-node service samplers (nil entries = unthrottled)
 	busyUntil  []int              // straggler: first round the node may transmit again
 	verify     bool               // any Byzantine node => receivers verify every packet
-	verifyCost int                // modeled field ops per verification: k + r
+	verifyCost int                // modeled field ops per verification: coefficients on the wire + r
 }
-
-// dupKey identifies one (receiver, sender) pair for per-round dedup.
-type dupKey struct{ to, from core.NodeID }
 
 var (
 	_ sim.Protocol        = (*Protocol)(nil)
@@ -116,6 +117,10 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
 		return nil, fmt.Errorf("algebraic: loss rate %v outside [0, 1)", cfg.LossRate)
 	}
+	gen := rlnc.GenConfig{Inner: cfg.RLNC, K: cfg.RLNC.K, GenSize: cfg.GenSize}
+	if cfg.GenSize == 0 {
+		gen.GenSize = gen.K
+	}
 	n := g.N()
 	p := &Protocol{
 		g:         g,
@@ -123,13 +128,14 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 		sel:       sel,
 		rng:       rng,
 		cfg:       cfg,
-		nodes:     make([]*rlnc.Node, n),
+		gen:       gen,
+		nodes:     make([]*rlnc.GenNode, n),
 		initial:   make([][]rlnc.Message, n),
 		doneRound: make([]int, n),
 		obs:       sim.NopObserver{},
 	}
 	for i := range p.nodes {
-		node, err := rlnc.NewNode(cfg.RLNC)
+		node, err := rlnc.NewGenNode(gen)
 		if err != nil {
 			return nil, fmt.Errorf("algebraic: node %d: %w", i, err)
 		}
@@ -144,6 +150,15 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 	return p, nil
 }
 
+// NewGen is New for a generation-coded run described by an rlnc.GenConfig
+// (cfg.Inner.K is ignored, as everywhere): EXCHANGE contacts, no loss,
+// all nodes honest.
+func NewGen(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg rlnc.GenConfig, rng *rand.Rand) (*Protocol, error) {
+	inner := cfg.Inner
+	inner.K = cfg.K
+	return New(g, model, sel, Config{RLNC: inner, GenSize: cfg.GenSize}, rng)
+}
+
 // initTraits validates and installs the adversarial/heterogeneous
 // profiles (no-op when Config.Traits is nil).
 func (p *Protocol) initTraits(cfg Config) error {
@@ -153,9 +168,6 @@ func (p *Protocol) initTraits(cfg Config) error {
 	n := len(p.nodes)
 	if len(cfg.Traits) != n {
 		return fmt.Errorf("algebraic: %d traits for %d nodes", len(cfg.Traits), n)
-	}
-	if cfg.DiscardDuplicatePerRound {
-		return errors.New("algebraic: traits are incompatible with DiscardDuplicatePerRound")
 	}
 	p.traits = cfg.Traits
 	p.service = make([]queueing.Sampler, n)
@@ -174,11 +186,13 @@ func (p *Protocol) initTraits(cfg Config) error {
 			p.verify = true
 		}
 	}
-	p.verifyCost = cfg.RLNC.K + cfg.RLNC.PayloadLen
+	// A verifier checks the coefficients on the wire against the payload:
+	// GenSize + r operations, which is k + r for the paper's one generation.
+	p.verifyCost = p.gen.GenSize + cfg.RLNC.PayloadLen
 	if cfg.RLNC.RankOnly {
 		// Rank-only simulations still model the cost the real verifier
 		// would pay; r = 1 symbol is the minimum payload (as MessageBits).
-		p.verifyCost = cfg.RLNC.K + 1
+		p.verifyCost = p.gen.GenSize + 1
 	}
 	return nil
 }
@@ -192,38 +206,18 @@ func (p *Protocol) SetObserver(obs sim.Observer) { p.obs = obs }
 // topologies — retirement of provably inert nodes. Must be called before
 // the run; the engine must be configured with sim.WithShards. The
 // trajectory is identical for every shard count but differs from the
-// classic serial semantics for the same seed.
+// classic serial semantics for the same seed. Generation coding caps the
+// commit-time reduce cost at O(g²) per packet, which is what lets sharded
+// runs scale to n ≥ 10^5.
 func (p *Protocol) EnableSharded(seed uint64, retire bool) error {
-	if p.cfg.DiscardDuplicatePerRound {
-		return errors.New("algebraic: sharded execution does not support DiscardDuplicatePerRound")
-	}
 	if p.model != core.Synchronous {
 		return errors.New("algebraic: sharded execution requires the synchronous model")
 	}
 	if p.traits != nil {
 		return errors.New("algebraic: sharded execution does not support adversarial/heterogeneous traits")
 	}
-	p.slotPkts = make([]*rlnc.Packet, 2*len(p.nodes))
-	for i := range p.slotPkts {
-		p.slotPkts[i] = &rlnc.Packet{}
-	}
-	p.shard = newShardCore(p, p.sel, p.cfg.Action, p.cfg.LossRate,
-		p.g, seed, retire, &p.traffic)
+	p.shard = newShardCore(p, seed, retire)
 	return nil
-}
-
-// shardOps implementation (see shard.go).
-func (p *Protocol) rank(v core.NodeID) int  { return p.nodes[v].Rank() }
-func (p *Protocol) full(v core.NodeID) bool { return p.nodes[v].CanDecode() }
-func (p *Protocol) emitSlot(from core.NodeID, rng *rand.Rand, slot int) bool {
-	return p.nodes[from].EmitInto(rng, p.slotPkts[slot])
-}
-func (p *Protocol) applySlot(to core.NodeID, slot int) bool {
-	if p.nodes[to].ReceiveOwned(p.slotPkts[slot]) {
-		p.refreshDone(to)
-		return true
-	}
-	return false
 }
 
 // ActiveWords implements sim.ShardedProtocol (nil until EnableSharded).
@@ -248,7 +242,6 @@ func (p *Protocol) CommitRound(round int) {
 func (p *Protocol) Seed(v core.NodeID, msg rlnc.Message) {
 	p.nodes[v].Seed(msg)
 	p.initial[v] = append(p.initial[v], msg)
-	p.seeded++
 	p.refreshDone(v)
 }
 
@@ -256,8 +249,8 @@ func (p *Protocol) Seed(v core.NodeID, msg rlnc.Message) {
 // node assign[i]. msgs[i] provides the payloads; msgs may be nil in
 // rank-only mode, in which case bare indices are seeded.
 func (p *Protocol) SeedAll(assign []core.NodeID, msgs []rlnc.Message) error {
-	if len(assign) != p.cfg.RLNC.K {
-		return errors.New("algebraic: assignment length must equal k")
+	if len(assign) != p.gen.K {
+		return fmt.Errorf("algebraic: assignment length %d != k %d", len(assign), p.gen.K)
 	}
 	for i, v := range assign {
 		msg := rlnc.Message{Index: i}
@@ -274,6 +267,9 @@ func (p *Protocol) SeedAll(assign []core.NodeID, msgs []rlnc.Message) error {
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string {
+	if p.cfg.GenSize > 0 {
+		return fmt.Sprintf("gen-algebraic-gossip(g=%d)", p.cfg.GenSize)
+	}
 	return fmt.Sprintf("algebraic-gossip(%s,%s)", p.sel.Name(), p.cfg.Action)
 }
 
@@ -309,9 +305,6 @@ func (p *Protocol) OnWake(v core.NodeID) {
 // transiently regress on dynamic runs.
 func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	p.g = ev.Graph
-	if p.shard != nil {
-		p.shard.g = ev.Graph
-	}
 	// The event fires at the boundary before BeginRound(ev.Round), so the
 	// clock is still on the previous round; advance it first so resets
 	// that immediately re-complete are stamped with the rejoin round in
@@ -335,7 +328,11 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 // resetNode reinstalls node v as a fresh machine holding only its
 // initial seeds.
 func (p *Protocol) resetNode(v core.NodeID) {
-	p.nodes[v] = rlnc.MustNewNode(p.cfg.RLNC)
+	node, err := rlnc.NewGenNode(p.gen)
+	if err != nil {
+		panic(err) // unreachable: New built every node from this config
+	}
+	p.nodes[v] = node
 	if p.doneRound[v] >= 0 {
 		p.doneRound[v] = -1
 		p.doneCount--
@@ -357,20 +354,27 @@ func (p *Protocol) Tick() {
 }
 
 // getPacket pops a recycled packet (or allocates the first few). Pooled
-// packets keep their backing arrays, which EmitInto refills in place, so
-// the steady-state send path allocates nothing.
-func (p *Protocol) getPacket() *rlnc.Packet {
+// packets keep their backing arrays — EmitInto refills them in place,
+// reslicing or growing per generation — so the steady-state send path
+// allocates nothing.
+func (p *Protocol) getPacket() *rlnc.GenPacket {
 	if n := len(p.free); n > 0 {
 		pkt := p.free[n-1]
 		p.free = p.free[:n-1]
 		return pkt
 	}
-	return &rlnc.Packet{}
+	// Tag and inner packet in one allocation.
+	fresh := &struct {
+		gp  rlnc.GenPacket
+		pkt rlnc.Packet
+	}{}
+	fresh.gp.Packet = &fresh.pkt
+	return &fresh.gp
 }
 
 // recycle returns a packet (whose contents ReceiveOwned may have
 // clobbered) to the freelist for the next EmitInto.
-func (p *Protocol) recycle(pkt *rlnc.Packet) {
+func (p *Protocol) recycle(pkt *rlnc.GenPacket) {
 	p.free = append(p.free, pkt)
 }
 
@@ -404,9 +408,8 @@ func (p *Protocol) send(from, to core.NodeID) {
 	// staging path (flagged skip) so buffer dynamics are identical, and
 	// apply-time accounting records the Useless verdict any real packet
 	// would have received. Rank never decreases within a round, so the
-	// verdict holds at delivery time. DiscardDuplicatePerRound is excluded
-	// because its dedup changes which staged packets reach apply.
-	skip := !p.cfg.DiscardDuplicatePerRound && p.nodes[to].CanDecode()
+	// verdict holds at delivery time.
+	skip := p.nodes[to].CanDecode()
 	pkt := p.getPacket()
 	if skip {
 		if !p.nodes[from].SkipEmit(p.rng) {
@@ -440,9 +443,9 @@ func (p *Protocol) send(from, to core.NodeID) {
 // The packet is pool-owned: ReceiveOwned reduces directly in its backing
 // arrays (clobbering the contents, never retaining them), and the caller
 // recycles it afterwards.
-func (p *Protocol) apply(to core.NodeID, pkt *rlnc.Packet) {
+func (p *Protocol) apply(to core.NodeID, pkt *rlnc.GenPacket) {
 	p.verifyAccount()
-	if p.verify && pkt.Corrupt {
+	if p.verify && pkt.Packet.Corrupt {
 		// Verification caught the pollution; the packet never reaches the
 		// eliminator and counts as neither helpful nor useless.
 		p.traffic.Polluted++
@@ -470,34 +473,17 @@ func (p *Protocol) refreshDone(v core.NodeID) {
 func (p *Protocol) BeginRound(round int) { p.round = round }
 
 // EndRound implements sim.Protocol: applies the staged deliveries and
-// recycles their packets. With DiscardDuplicatePerRound, only the first
-// packet from each (sender, receiver) pair survives the round.
+// recycles their packets.
 func (p *Protocol) EndRound(round int) {
 	p.round = round
-	if p.cfg.DiscardDuplicatePerRound {
-		if p.dupSeen == nil {
-			p.dupSeen = make(map[dupKey]bool, len(p.staged))
+	for _, d := range p.staged {
+		if d.skip {
+			p.verifyAccount()
+			p.traffic.Useless++
 		} else {
-			clear(p.dupSeen)
+			p.apply(d.to, d.pkt)
 		}
-		for _, d := range p.staged {
-			key := dupKey{d.to, d.from}
-			if !p.dupSeen[key] {
-				p.dupSeen[key] = true
-				p.apply(d.to, d.pkt)
-			}
-			p.recycle(d.pkt)
-		}
-	} else {
-		for _, d := range p.staged {
-			if d.skip {
-				p.verifyAccount()
-				p.traffic.Useless++
-			} else {
-				p.apply(d.to, d.pkt)
-			}
-			p.recycle(d.pkt)
-		}
+		p.recycle(d.pkt)
 	}
 	p.resetStaged()
 }
@@ -519,7 +505,7 @@ func (p *Protocol) resetStaged() {
 	if cap(p.staged) > minShrinkCap && cap(p.staged) > 4*p.stagedPeak {
 		p.staged = make([]delivery, 0, 2*p.stagedPeak)
 		if len(p.free) > 2*p.stagedPeak {
-			p.free = append([]*rlnc.Packet(nil), p.free[:2*p.stagedPeak]...)
+			p.free = append([]*rlnc.GenPacket(nil), p.free[:2*p.stagedPeak]...)
 		}
 		return
 	}
@@ -532,14 +518,21 @@ func (p *Protocol) Done() bool { return p.doneCount == len(p.nodes) }
 // Traffic returns the protocol's transmission counters.
 func (p *Protocol) Traffic() gossip.Traffic { return p.traffic }
 
-// MessageBits returns the wire size of one of this protocol's messages.
-func (p *Protocol) MessageBits() int { return gossip.MessageBits(p.cfg.RLNC) }
+// MessageBits returns the wire size of one of this protocol's messages:
+// (k + r) symbols, or with Config.GenSize set (GenSize + r) symbols plus
+// the generation tag.
+func (p *Protocol) MessageBits() int {
+	if p.cfg.GenSize > 0 {
+		return p.gen.MessageBits()
+	}
+	return gossip.MessageBits(p.cfg.RLNC)
+}
 
-// Rank returns node v's current rank.
+// Rank returns node v's current (total) rank.
 func (p *Protocol) Rank(v core.NodeID) int { return p.nodes[v].Rank() }
 
 // Node returns node v's RLNC state (for decoding in tests and examples).
-func (p *Protocol) Node(v core.NodeID) *rlnc.Node { return p.nodes[v] }
+func (p *Protocol) Node(v core.NodeID) *rlnc.GenNode { return p.nodes[v] }
 
 // DoneRounds returns, per node, the round at which it reached rank k
 // (-1 if it has not). The slice is a copy.

@@ -1,6 +1,7 @@
 package algebraic
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -111,83 +112,86 @@ func TestDecodeCorrectness(t *testing.T) {
 	}
 }
 
+// TestPushAndPullActions: one-way contacts complete in both time models,
+// with whole-k and generation coding alike. The synchronous drive pins
+// the direction itself — a one-way contact stages at most one packet per
+// waking node per round — which is the regression check for generation
+// mode, whose wake path used to be hard-wired to EXCHANGE.
 func TestPushAndPullActions(t *testing.T) {
 	g := graph.Ring(12)
 	for _, action := range []core.Action{core.Push, core.Pull} {
-		cfg := rankOnlyCfg(6)
-		cfg.Action = action
-		p, err := New(g, core.Asynchronous, sim.NewUniform(g), cfg, core.NewRand(1))
+		for _, genSize := range []int{0, 4} {
+			cfg := rankOnlyCfg(6)
+			cfg.Action = action
+			cfg.GenSize = genSize
+			mk := func(model core.TimeModel) *Protocol {
+				p, err := New(g, model, sim.NewUniform(g), cfg, core.NewRand(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.SeedAll(RoundRobinAssign(6, 12), nil); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			p := mk(core.Asynchronous)
+			if _, err := sim.New(g, core.Asynchronous, p, 2, sim.WithMaxRounds(1<<16)).Run(); err != nil {
+				t.Fatalf("%v g=%d did not complete: %v", action, genSize, err)
+			}
+			p = mk(core.Synchronous)
+			for round := 0; !p.Done(); round++ {
+				if round > 1<<12 {
+					t.Fatalf("%v g=%d: synchronous run did not complete", action, genSize)
+				}
+				p.BeginRound(round)
+				for v := 0; v < g.N(); v++ {
+					p.OnWake(core.NodeID(v))
+				}
+				if len(p.staged) > g.N() {
+					t.Fatalf("%v g=%d round %d: %d packets staged by %d waking nodes",
+						action, genSize, round, len(p.staged), g.N())
+				}
+				p.EndRound(round)
+			}
+		}
+	}
+}
+
+// TestSeedAllValidation: wrong assignment lengths and messages whose
+// Index disagrees with their position are refused, with whole-k and
+// generation coding alike (the generation path used to skip the index
+// check and silently seed the wrong unknown).
+func TestSeedAllValidation(t *testing.T) {
+	g := graph.Line(4)
+	for _, genSize := range []int{0, 2} {
+		cfg := rankOnlyCfg(3)
+		cfg.GenSize = genSize
+		p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.SeedAll(RoundRobinAssign(6, 12), nil); err != nil {
-			t.Fatal(err)
+		if err := p.SeedAll(make([]core.NodeID, 2), nil); err == nil {
+			t.Errorf("g=%d: wrong assignment length accepted", genSize)
 		}
-		if _, err := sim.New(g, core.Asynchronous, p, 2, sim.WithMaxRounds(1<<16)).Run(); err != nil {
-			t.Fatalf("%v did not complete: %v", action, err)
+		bad := []rlnc.Message{{Index: 1}, {Index: 0}, {Index: 2}}
+		if err := p.SeedAll(RoundRobinAssign(3, 4), bad); err == nil {
+			t.Errorf("g=%d: misindexed messages accepted", genSize)
 		}
 	}
 }
 
-func TestDiscardDuplicatePerRound(t *testing.T) {
-	g := graph.Line(10)
-	cfg := rankOnlyCfg(5)
-	cfg.DiscardDuplicatePerRound = true
-	p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SeedAll(RoundRobinAssign(5, 10), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.New(g, core.Synchronous, p, 4).Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDiscardIsSlowerOrEqual validates the proof's monotonicity claim on
-// average: discarding duplicate-sender packets cannot speed the protocol
-// up. Compared over multiple seeds to avoid flakiness.
-func TestDiscardIsSlowerOrEqual(t *testing.T) {
-	g := graph.Star(12) // star maximizes same-sender duplicates at the hub
-	total := func(discard bool) int {
-		sum := 0
-		for seed := uint64(0); seed < 12; seed++ {
-			cfg := rankOnlyCfg(8)
-			cfg.DiscardDuplicatePerRound = discard
-			p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(core.SplitSeed(seed, 3)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.SeedAll(RoundRobinAssign(8, 12), nil); err != nil {
-				t.Fatal(err)
-			}
-			res, err := sim.New(g, core.Synchronous, p, core.SplitSeed(seed, 4)).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += res.Rounds
-		}
-		return sum
-	}
-	keep, discard := total(false), total(true)
-	if discard < keep*8/10 {
-		t.Errorf("discarding duplicates was much faster (%d vs %d rounds total) — staging bug?", discard, keep)
-	}
-}
-
-func TestSeedAllValidation(t *testing.T) {
+// TestGenSizeValidation: a generation size outside [0, k] is the typed
+// rlnc.GenSizeError.
+func TestGenSizeValidation(t *testing.T) {
 	g := graph.Line(4)
-	p, err := New(g, core.Synchronous, sim.NewUniform(g), rankOnlyCfg(3), core.NewRand(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SeedAll(make([]core.NodeID, 2), nil); err == nil {
-		t.Error("wrong assignment length accepted")
-	}
-	bad := []rlnc.Message{{Index: 1}, {Index: 0}, {Index: 2}}
-	if err := p.SeedAll(RoundRobinAssign(3, 4), bad); err == nil {
-		t.Error("misindexed messages accepted")
+	for _, bad := range []int{-1, 4} {
+		cfg := rankOnlyCfg(3)
+		cfg.GenSize = bad
+		_, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1))
+		var gse *rlnc.GenSizeError
+		if !errors.As(err, &gse) {
+			t.Errorf("GenSize %d: got %v, want a GenSizeError", bad, err)
+		}
 	}
 }
 
@@ -304,58 +308,41 @@ func TestLossRateValidation(t *testing.T) {
 	}
 }
 
-// TestGenProtocolCompletes runs generation-coded gossip end to end on both
-// time models and verifies completion and decode (payload mode).
-func TestGenProtocolCompletes(t *testing.T) {
+// TestGenerationCodedCompletes runs generation-coded gossip end to end on
+// both time models, with and without loss injection, and verifies
+// completion and decode (payload mode).
+func TestGenerationCodedCompletes(t *testing.T) {
 	g := graph.Complete(12)
-	cfg := rlnc.GenConfig{
-		Inner:   rlnc.Config{Field: gf.MustNew(256), PayloadLen: 3},
-		K:       8,
-		GenSize: 3,
-	}
+	cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(256), K: 8, PayloadLen: 3}, GenSize: 3}
 	for _, model := range []core.TimeModel{core.Synchronous, core.Asynchronous} {
-		rng := core.NewRand(33)
-		msgs := make([]rlnc.Message, cfg.K)
-		for i := range msgs {
-			msgs[i] = rlnc.Message{Index: i, Payload: gf.RandBytes(cfg.Inner.Field, 3, rng)}
-		}
-		p, err := NewGen(g, model, sim.NewUniform(g), cfg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.SeedAll(RoundRobinAssign(cfg.K, g.N()), msgs); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.New(g, model, p, 34, sim.WithMaxRounds(1<<17)).Run(); err != nil {
-			t.Fatalf("%s: %v", model, err)
-		}
-		for v := 0; v < g.N(); v++ {
-			got, err := p.Node(core.NodeID(v)).Decode()
+		for _, loss := range []float64{0, 0.25} {
+			cfg.LossRate = loss
+			rng := core.NewRand(33)
+			msgs := RandomMessages(cfg.RLNC, rng)
+			p, err := New(g, model, sim.NewUniform(g), cfg, rng)
 			if err != nil {
-				t.Fatalf("%s node %d: %v", model, v, err)
+				t.Fatal(err)
 			}
-			for i := range msgs {
-				for j := range msgs[i].Payload {
-					if got[i].Payload[j] != msgs[i].Payload[j] {
-						t.Fatalf("%s node %d message %d mismatch", model, v, i)
+			if err := p.SeedAll(RoundRobinAssign(cfg.RLNC.K, g.N()), msgs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.New(g, model, p, 34, sim.WithMaxRounds(1<<17)).Run(); err != nil {
+				t.Fatalf("%s loss=%v: %v", model, loss, err)
+			}
+			for v := 0; v < g.N(); v++ {
+				got, err := p.Node(core.NodeID(v)).Decode()
+				if err != nil {
+					t.Fatalf("%s loss=%v node %d: %v", model, loss, v, err)
+				}
+				for i := range msgs {
+					if string(got[i].Payload) != string(msgs[i].Payload) {
+						t.Fatalf("%s loss=%v node %d message %d mismatch", model, loss, v, i)
 					}
 				}
 			}
+			if tr := p.Traffic(); tr.Sent == 0 || (loss > 0) != (tr.Dropped > 0) {
+				t.Fatalf("%s loss=%v: implausible traffic %+v", model, loss, tr)
+			}
 		}
-		if p.Traffic().Sent == 0 {
-			t.Fatal("no traffic recorded")
-		}
-	}
-}
-
-func TestGenProtocolSeedValidation(t *testing.T) {
-	g := graph.Line(4)
-	cfg := rlnc.GenConfig{Inner: rlnc.Config{Field: gf.MustNew(2), RankOnly: true}, K: 3, GenSize: 2}
-	p, err := NewGen(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SeedAll(make([]core.NodeID, 2), nil); err == nil {
-		t.Error("wrong assignment length accepted")
 	}
 }

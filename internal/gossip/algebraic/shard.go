@@ -6,11 +6,10 @@ import (
 	"sync"
 
 	"algossip/internal/core"
-	"algossip/internal/gossip"
-	"algossip/internal/graph"
+	"algossip/internal/rlnc"
 )
 
-// Sharded execution (sim.ShardedProtocol) for the algebraic protocols.
+// Sharded execution (sim.ShardedProtocol) for the algebraic protocol.
 //
 // The classic wake loop threads one RNG through every wakeup in node
 // order, which is inherently serial. Sharded mode replaces it with a
@@ -50,35 +49,17 @@ type shardSlot struct {
 	to    core.NodeID
 }
 
-// shardOps is the node-state surface shardCore drives. Protocol and
-// GenProtocol implement it over their own packet type and decoder; the
-// core owns scheduling, staging, traffic accounting and retirement.
-type shardOps interface {
-	// rank returns node v's current rank.
-	rank(v core.NodeID) int
-	// full reports whether node v is at full rank.
-	full(v core.NodeID) bool
-	// emitSlot fills slot's pooled packet with a combination from node
-	// `from`, drawing from rng. Reports false when `from` stores nothing.
-	emitSlot(from core.NodeID, rng *rand.Rand, slot int) bool
-	// applySlot delivers slot's packet to node `to`, reporting whether it
-	// was helpful. Implementations update their own completion tracking.
-	applySlot(to core.NodeID, slot int) bool
-}
-
-// shardCore is the sharded executor shared by Protocol and GenProtocol.
+// shardCore is Protocol's sharded executor: it owns scheduling, staging
+// and retirement, and drives the protocol's nodes, selector, action, loss
+// rate and traffic counters directly.
 type shardCore struct {
-	ops      shardOps
-	sel      partnerSelector
-	action   core.Action
-	lossRate float64
-	g        *graph.Graph
-	traffic  *gossip.Traffic
+	p *Protocol
 
-	n     int
-	rngs  []*rand.Rand // per-node streams: rngs[v] = NewRand(SplitSeed(seed, v))
-	locks []sync.Mutex // per-node emit guards (matrix scratch)
-	slots []shardSlot  // 2 per node: [2v] send/pull, [2v+1] exchange reply
+	n        int
+	rngs     []*rand.Rand     // per-node streams: rngs[v] = NewRand(SplitSeed(seed, v))
+	locks    []sync.Mutex     // per-node emit guards (matrix scratch)
+	slots    []shardSlot      // 2 per node: [2v] send/pull, [2v+1] exchange reply
+	slotPkts []rlnc.GenPacket // one pooled packet per slot; inner packets appear on first emit
 
 	// retire enables sparse execution on static topologies: saturated
 	// nodes (full rank, all neighbors full — their contacts can no longer
@@ -94,21 +75,14 @@ type shardCore struct {
 	woke   []uint64 // round-start snapshot commit iterates while mutating active
 }
 
-// partnerSelector is the subset of sim.PartnerSelector the core needs
-// (avoids importing sim here; both selectors in use satisfy it).
-type partnerSelector interface {
-	Partner(v core.NodeID, rng *rand.Rand) core.NodeID
-}
-
-func newShardCore(ops shardOps, sel partnerSelector, action core.Action,
-	lossRate float64, g *graph.Graph, seed uint64, retire bool, traffic *gossip.Traffic) *shardCore {
-	n := g.N()
+func newShardCore(p *Protocol, seed uint64, retire bool) *shardCore {
+	n := len(p.nodes)
 	sc := &shardCore{
-		ops: ops, sel: sel, action: action, lossRate: lossRate,
-		g: g, traffic: traffic, n: n, retire: retire,
-		rngs:  make([]*rand.Rand, n),
-		locks: make([]sync.Mutex, n),
-		slots: make([]shardSlot, 2*n),
+		p: p, n: n, retire: retire,
+		rngs:     make([]*rand.Rand, n),
+		locks:    make([]sync.Mutex, n),
+		slots:    make([]shardSlot, 2*n),
+		slotPkts: make([]rlnc.GenPacket, 2*n),
 	}
 	for v := range sc.rngs {
 		sc.rngs[v] = core.NewRand(core.SplitSeed(seed, uint64(v)))
@@ -140,19 +114,22 @@ func (sc *shardCore) activeWords() []uint64 {
 func (sc *shardCore) set(v core.NodeID)   { sc.active[v/64] |= 1 << (v % 64) }
 func (sc *shardCore) clear(v core.NodeID) { sc.active[v/64] &^= 1 << (v % 64) }
 
+func (sc *shardCore) rank(v core.NodeID) int  { return sc.p.nodes[v].Rank() }
+func (sc *shardCore) full(v core.NodeID) bool { return sc.p.nodes[v].CanDecode() }
+
 // inert reports whether v is dormant or saturated at construction time.
 func (sc *shardCore) inert(v core.NodeID) bool {
 	switch {
-	case sc.ops.rank(v) == 0:
-		for _, u := range sc.g.Neighbors(v) {
-			if sc.ops.rank(u) > 0 {
+	case sc.rank(v) == 0:
+		for _, u := range sc.p.g.Neighbors(v) {
+			if sc.rank(u) > 0 {
 				return false
 			}
 		}
 		return true
-	case sc.ops.full(v):
-		for _, u := range sc.g.Neighbors(v) {
-			if !sc.ops.full(u) {
+	case sc.full(v):
+		for _, u := range sc.p.g.Neighbors(v) {
+			if !sc.full(u) {
 				return false
 			}
 		}
@@ -177,11 +154,11 @@ func (sc *shardCore) wakeRange(lo, hi int) {
 
 func (sc *shardCore) wake(v core.NodeID) {
 	rng := sc.rngs[v]
-	u := sc.sel.Partner(v, rng)
+	u := sc.p.sel.Partner(v, rng)
 	if u == core.NilNode {
 		return
 	}
-	switch sc.action {
+	switch sc.p.cfg.Action {
 	case core.Push:
 		sc.send(v, u, rng, 2*int(v))
 	case core.Pull:
@@ -198,11 +175,11 @@ func (sc *shardCore) wake(v core.NodeID) {
 // deterministic. Ranks are frozen for the whole wake phase, so the
 // rank-0 and full-rank checks are stable snapshots.
 func (sc *shardCore) send(from, to core.NodeID, rng *rand.Rand, slot int) {
-	if sc.ops.rank(from) == 0 {
+	if sc.rank(from) == 0 {
 		return // nothing to say, no randomness drawn
 	}
 	s := &sc.slots[slot]
-	if sc.ops.full(to) {
+	if sc.full(to) {
 		// The verdict is predetermined; unlike the classic path's
 		// SkipEmit there is no randomness parity to maintain (no other
 		// node reads this stream), so no draw happens at all.
@@ -210,12 +187,12 @@ func (sc *shardCore) send(from, to core.NodeID, rng *rand.Rand, slot int) {
 		return
 	}
 	sc.locks[from].Lock()
-	ok := sc.ops.emitSlot(from, rng, slot)
+	ok := sc.p.nodes[from].EmitInto(rng, &sc.slotPkts[slot])
 	sc.locks[from].Unlock()
 	if !ok {
 		return // unreachable: rank checked above
 	}
-	if sc.lossRate > 0 && rng.Float64() < sc.lossRate {
+	if loss := sc.p.cfg.LossRate; loss > 0 && rng.Float64() < loss {
 		s.state = slotDropped
 		return
 	}
@@ -245,27 +222,28 @@ func (sc *shardCore) commitSlot(i int) {
 	case slotEmpty:
 		return
 	case slotUseless:
-		sc.traffic.Sent++
-		sc.traffic.Useless++
+		sc.p.traffic.Sent++
+		sc.p.traffic.Useless++
 	case slotDropped:
-		sc.traffic.Sent++
-		sc.traffic.Dropped++
+		sc.p.traffic.Sent++
+		sc.p.traffic.Dropped++
 	case slotPacket:
-		sc.traffic.Sent++
+		sc.p.traffic.Sent++
 		to := s.to
-		wasZero := sc.retire && sc.ops.rank(to) == 0
-		if sc.ops.applySlot(to, i) {
-			sc.traffic.Helpful++
+		wasZero := sc.retire && sc.rank(to) == 0
+		if sc.p.nodes[to].ReceiveOwned(&sc.slotPkts[i]) {
+			sc.p.traffic.Helpful++
+			sc.p.refreshDone(to)
 			if sc.retire {
 				if wasZero {
 					sc.onRankUp(to)
 				}
-				if sc.ops.full(to) {
+				if sc.full(to) {
 					sc.onFull(to)
 				}
 			}
 		} else {
-			sc.traffic.Useless++
+			sc.p.traffic.Useless++
 		}
 	}
 	s.state = slotEmpty
@@ -276,8 +254,8 @@ func (sc *shardCore) commitSlot(i int) {
 // node) were empty.
 func (sc *shardCore) onRankUp(v core.NodeID) {
 	sc.set(v)
-	for _, u := range sc.g.Neighbors(v) {
-		if sc.ops.rank(u) == 0 {
+	for _, u := range sc.p.g.Neighbors(v) {
+		if sc.rank(u) == 0 {
 			sc.set(u)
 		}
 	}
@@ -287,16 +265,16 @@ func (sc *shardCore) onRankUp(v core.NodeID) {
 // full rank.
 func (sc *shardCore) onFull(v core.NodeID) {
 	sc.maybeRetireFull(v)
-	for _, u := range sc.g.Neighbors(v) {
-		if sc.ops.full(u) {
+	for _, u := range sc.p.g.Neighbors(v) {
+		if sc.full(u) {
 			sc.maybeRetireFull(u)
 		}
 	}
 }
 
 func (sc *shardCore) maybeRetireFull(v core.NodeID) {
-	for _, u := range sc.g.Neighbors(v) {
-		if !sc.ops.full(u) {
+	for _, u := range sc.p.g.Neighbors(v) {
+		if !sc.full(u) {
 			return
 		}
 	}

@@ -5,6 +5,9 @@ package gossip_test
 // arbitrary wakeup tolerance, synchronous staging discipline).
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"algossip/internal/core"
@@ -15,6 +18,7 @@ import (
 	"algossip/internal/gossip/tag"
 	"algossip/internal/gossip/uncoded"
 	"algossip/internal/graph"
+	"algossip/internal/harness"
 	"algossip/internal/rlnc"
 	"algossip/internal/sim"
 	"algossip/internal/sim/simtest"
@@ -207,5 +211,54 @@ func TestPoissonClockAGMatchesSlotted(t *testing.T) {
 	if ratio < 0.7 || ratio > 1.4 {
 		t.Errorf("poisson time %.1f vs slotted rounds %.1f (ratio %.2f), want ~1",
 			poisson, slotted, ratio)
+	}
+}
+
+// TestOneGenerationIsClassic pins the unification rule end to end: the
+// paper's whole-k protocol is generation coding with one generation, so
+// GenSize == K and GenSize == 0 produce the same Outcome — rounds,
+// timeslots, every per-node completion round, every traffic counter —
+// for the same seed, on every backend, time model, engine and coding
+// mode. Only the protocol's reported name and wire size (the generation
+// tag) tell the two apart.
+func TestOneGenerationIsClassic(t *testing.T) {
+	const n, k = 16, 6
+	for _, gname := range []string{"complete", "ring", "randreg"} {
+		g, err := graph.FromName(gname, n, core.NewRand(core.SplitSeed(3, 999)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []int{2, 251, 256} {
+			for _, model := range []core.TimeModel{core.Synchronous, core.Asynchronous} {
+				for _, payload := range []int{0, 3} {
+					for _, loss := range []float64{0, 0.1} {
+						for _, shards := range []int{0, 2} {
+							if shards > 0 && model == core.Asynchronous {
+								continue // sharded execution is synchronous-only
+							}
+							name := fmt.Sprintf("%s/q%d/%s/r%d/loss%v/shards%d", gname, q, model, payload, loss, shards)
+							spec := harness.GossipSpec{Graph: g, Model: model, K: k, Q: q,
+								PayloadLen: payload, LossRate: loss, Shards: shards}
+							run := func(genSize int) []byte {
+								spec.GenSize = genSize
+								o, err := harness.Execute(spec, harness.ProtocolUniformAG, 17)
+								if err != nil {
+									t.Fatalf("%s g=%d: %v", name, genSize, err)
+								}
+								o.Result.Protocol, o.MessageBits = "", 0
+								b, err := json.Marshal(o)
+								if err != nil {
+									t.Fatal(err)
+								}
+								return b
+							}
+							if classic, one := run(0), run(k); !bytes.Equal(classic, one) {
+								t.Errorf("%s: one generation diverged from classic:\n g=0 %s\n g=k %s", name, classic, one)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

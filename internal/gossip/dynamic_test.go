@@ -6,14 +6,18 @@ package gossip_test
 // reseeds churned nodes; broadcast re-informs them).
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"algossip/internal/core"
+	"algossip/internal/gf"
 	"algossip/internal/gossip/algebraic"
 	"algossip/internal/gossip/broadcast"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
+	"algossip/internal/rlnc"
 	"algossip/internal/sim"
 )
 
@@ -41,7 +45,8 @@ func TestDynamicStaticSpecBitIdentical(t *testing.T) {
 }
 
 // TestDynamicSchedulesComplete: every schedule kind completes for both
-// supported protocols under both time models, deterministically.
+// supported protocols (uniform AG with whole-k and generation coding)
+// under both time models, deterministically.
 func TestDynamicSchedulesComplete(t *testing.T) {
 	g := graph.Torus(4, 4)
 	dynamics := []*harness.Dynamics{
@@ -51,25 +56,34 @@ func TestDynamicSchedulesComplete(t *testing.T) {
 		{Kind: "churn", Rate: 0.2, Period: 8},
 		{Kind: "grow", Period: 2},
 	}
+	variants := []struct {
+		proto   harness.Protocol
+		genSize int
+	}{
+		{harness.ProtocolUniformAG, 0},
+		{harness.ProtocolUniformAG, 3},
+		{harness.ProtocolUncoded, 0},
+	}
 	for _, dyn := range dynamics {
-		for _, proto := range []harness.Protocol{harness.ProtocolUniformAG, harness.ProtocolUncoded} {
+		for _, v := range variants {
 			for _, model := range []core.TimeModel{core.Synchronous, core.Asynchronous} {
-				spec := harness.GossipSpec{Graph: g, K: 8, Model: model,
+				spec := harness.GossipSpec{Graph: g, K: 8, Model: model, GenSize: v.genSize,
 					Dynamics: dyn, MaxRounds: 1 << 17}
+				name := fmt.Sprintf("%s/%v/g=%d/%s", dyn, v.proto, v.genSize, model)
 				run := func() harness.Outcome {
-					o, err := harness.Execute(spec, proto, 33)
+					o, err := harness.Execute(spec, v.proto, 33)
 					if err != nil {
-						t.Fatalf("%s/%v/%s: %v", dyn, proto, model, err)
+						t.Fatalf("%s: %v", name, err)
 					}
 					return o
 				}
 				a, b := run(), run()
 				if !a.Result.Completed {
-					t.Fatalf("%s/%v/%s: did not complete", dyn, proto, model)
+					t.Fatalf("%s: did not complete", name)
 				}
 				if a.Result.Rounds != b.Result.Rounds || a.Traffic != b.Traffic {
-					t.Fatalf("%s/%v/%s: nondeterministic (%d vs %d rounds)",
-						dyn, proto, model, a.Result.Rounds, b.Result.Rounds)
+					t.Fatalf("%s: nondeterministic (%d vs %d rounds)",
+						name, a.Result.Rounds, b.Result.Rounds)
 				}
 			}
 		}
@@ -106,44 +120,69 @@ func TestDynamicRejectsTreeProtocols(t *testing.T) {
 
 // TestAlgebraicChurnReset: a reset node restarts from its initial seeds
 // — everything it learned is gone, its own messages are not — and the
-// protocol can still finish afterwards.
+// protocol can still finish afterwards; with payloads, every node (reset
+// ones included) then decodes the seeded messages. Covered for whole-k
+// rank-only coding and for generation coding in payload mode.
 func TestAlgebraicChurnReset(t *testing.T) {
 	g := graph.Complete(8)
 	k := 4
-	p, err := algebraic.New(g, core.Synchronous, sim.NewUniform(g),
-		algebraic.Config{RLNC: rankOnly(k)}, core.NewRand(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SeedAll(algebraic.RoundRobinAssign(k, g.N()), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.New(g, core.Synchronous, p, 4).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Done() {
-		t.Fatal("warm-up run incomplete")
-	}
-	// Node 1 held message 1 initially; node 5 held nothing.
-	p.OnTopologyChange(sim.TopologyEvent{Round: 100, Graph: g, Reset: []core.NodeID{1, 5}})
-	if p.Done() {
-		t.Fatal("Done must regress after resets")
-	}
-	if got := p.Rank(1); got != 1 {
-		t.Errorf("reset seeded node rank = %d, want its initial 1", got)
-	}
-	if got := p.Rank(5); got != 0 {
-		t.Errorf("reset unseeded node rank = %d, want 0", got)
-	}
-	if got := p.Rank(2); got != k {
-		t.Errorf("surviving node lost its subspace: rank %d", got)
-	}
-	// A second engine run re-disseminates to the reset nodes.
-	if _, err := sim.New(g, core.Synchronous, p, 6).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Done() {
-		t.Fatal("protocol did not recover from the reset")
+	payload := rlnc.Config{Field: gf.MustNew(256), K: k, PayloadLen: 5}
+	for _, cfg := range []algebraic.Config{
+		{RLNC: rankOnly(k)},
+		{RLNC: payload, GenSize: 3},
+	} {
+		var msgs []rlnc.Message
+		if !cfg.RLNC.RankOnly {
+			msgs = algebraic.RandomMessages(cfg.RLNC, core.NewRand(9))
+		}
+		p, err := algebraic.New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SeedAll(algebraic.RoundRobinAssign(k, g.N()), msgs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.New(g, core.Synchronous, p, 4).Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !p.Done() {
+			t.Fatal("warm-up run incomplete")
+		}
+		// Node 1 held message 1 initially; node 5 held nothing.
+		p.OnTopologyChange(sim.TopologyEvent{Round: 100, Graph: g, Reset: []core.NodeID{1, 5}})
+		if p.Done() {
+			t.Fatal("Done must regress after resets")
+		}
+		if got := p.Rank(1); got != 1 {
+			t.Errorf("reset seeded node rank = %d, want its initial 1", got)
+		}
+		if got := p.Rank(5); got != 0 {
+			t.Errorf("reset unseeded node rank = %d, want 0", got)
+		}
+		if got := p.Rank(2); got != k {
+			t.Errorf("surviving node lost its subspace: rank %d", got)
+		}
+		// A second engine run re-disseminates to the reset nodes.
+		if _, err := sim.New(g, core.Synchronous, p, 6).Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !p.Done() {
+			t.Fatal("protocol did not recover from the reset")
+		}
+		if msgs == nil {
+			continue
+		}
+		for v := 0; v < g.N(); v++ {
+			got, err := p.Node(core.NodeID(v)).Decode()
+			if err != nil {
+				t.Fatalf("g=%d node %d: %v", cfg.GenSize, v, err)
+			}
+			for i := range msgs {
+				if !bytes.Equal(got[i].Payload, msgs[i].Payload) {
+					t.Fatalf("g=%d node %d decoded message %d wrong after the reset", cfg.GenSize, v, i)
+				}
+			}
+		}
 	}
 }
 

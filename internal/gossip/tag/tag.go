@@ -144,7 +144,7 @@ func (p *Protocol) Done() bool {
 func (p *Protocol) Rank(v core.NodeID) int { return p.ag.Rank(v) }
 
 // Node returns node v's RLNC state.
-func (p *Protocol) Node(v core.NodeID) *rlnc.Node { return p.ag.Node(v) }
+func (p *Protocol) Node(v core.NodeID) *rlnc.GenNode { return p.ag.Node(v) }
 
 // DoneRounds returns per-node completion rounds of the algebraic phase.
 func (p *Protocol) DoneRounds() []int { return p.ag.DoneRounds() }

@@ -138,20 +138,24 @@ func TestExecuteAdversarialConverges(t *testing.T) {
 	g := graph.Complete(20)
 	base := GossipSpec{Graph: g, K: 10}
 	for _, tc := range []struct {
-		name string
-		adv  string
-		cls  string
+		name    string
+		adv     string
+		cls     string
+		genSize int
 	}{
-		{"pollute", "byzantine:frac=0.2,mode=pollute", ""},
-		{"replay", "byzantine:frac=0.2,mode=replay", ""},
-		{"freeride", "byzantine:frac=0.2,mode=freeride", ""},
-		{"mix", "byzantine:frac=0.3,mode=mix", ""},
-		{"straggler", "", "straggler:frac=0.3,slow=4"},
-		{"tiered", "", "tiered:frac=0.25,boost=3"},
-		{"combined", "byzantine:frac=0.15,mode=mix", "straggler:frac=0.2,slow=4"},
+		{"pollute", "byzantine:frac=0.2,mode=pollute", "", 0},
+		{"replay", "byzantine:frac=0.2,mode=replay", "", 0},
+		{"freeride", "byzantine:frac=0.2,mode=freeride", "", 0},
+		{"mix", "byzantine:frac=0.3,mode=mix", "", 0},
+		{"straggler", "", "straggler:frac=0.3,slow=4", 0},
+		{"tiered", "", "tiered:frac=0.25,boost=3", 0},
+		{"combined", "byzantine:frac=0.15,mode=mix", "straggler:frac=0.2,slow=4", 0},
+		{"combined/generations", "byzantine:frac=0.15,mode=mix", "straggler:frac=0.2,slow=4", 4},
+		{"tiered/generations", "", "tiered:frac=0.25,boost=3", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := base
+			spec.GenSize = tc.genSize
 			var err error
 			if spec.Adversary, err = ParseAdversary(tc.adv); err != nil {
 				t.Fatal(err)
@@ -172,6 +176,14 @@ func TestExecuteAdversarialConverges(t *testing.T) {
 			if tc.adv == "" && out.Traffic.Verified != 0 {
 				t.Error("honest heterogeneous run paid verification")
 			}
+			// A verifier checks the coefficients on the wire plus r = 1.
+			wire := spec.K
+			if tc.genSize > 0 {
+				wire = tc.genSize
+			}
+			if want := out.Traffic.Verified * (wire + 1); out.Traffic.VerifyOps != want {
+				t.Errorf("VerifyOps = %d, want Verified*(%d+1) = %d", out.Traffic.VerifyOps, wire, want)
+			}
 			if strings.Contains(tc.adv, "pollute") || strings.Contains(tc.adv, "mix") {
 				if out.Traffic.Polluted == 0 {
 					t.Error("pollution ran undetected")
@@ -190,7 +202,6 @@ func TestExecuteAdversarialValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []GossipSpec{
-		{Graph: g, K: 8, Adversary: adv, GenSize: 4},
 		{Graph: g, K: 8, Adversary: adv, Shards: 2},
 		{Graph: g, K: 8, Adversary: adv, Dynamics: &Dynamics{Kind: "edge", Rate: 0.1}},
 		{Graph: g, K: 8, Adversary: &Adversary{Kind: "romulan", Frac: 0.1}},

@@ -107,14 +107,19 @@ type GossipSpec struct {
 	// exercises the bulk combine kernels end to end. Uniform AG only.
 	PayloadLen int
 	// LossRate drops each transmitted packet with this probability
-	// (failure injection; uniform AG only).
+	// (failure injection; uniform AG only, any coding layout, serial or
+	// sharded).
 	LossRate float64
 	// GenSize, when positive, runs uniform AG with generation-based
 	// coding (rlnc.GenConfig): the k messages are split into ⌈k/GenSize⌉
 	// independently coded generations, capping per-packet coefficient
 	// overhead and decode cost at the generation size — the configuration
 	// that scales to n ≥ 10^5. Must not exceed K (typed error
-	// rlnc.GenSizeError otherwise). Uniform AG, static topology, no loss.
+	// rlnc.GenSizeError otherwise). Zero is the paper's protocol, one
+	// generation of size K; GenSize == K runs that same trajectory and
+	// differs only in the reported protocol name and message size (the
+	// generation tag). Uniform AG only; combines with every other uniform-AG
+	// knob (action, loss, payload, dynamics, adversary, classes, shards).
 	GenSize int
 	// Shards, when positive, runs the trial through the sharded
 	// round-parallel engine (sim.WithShards): node wakeups fan out over
@@ -133,7 +138,8 @@ type GossipSpec struct {
 	// Byzantine set draws from seed stream 13 of the trial seed, and
 	// initial messages are seeded round-robin across honest nodes (a
 	// Byzantine node holding the only copy of a message would never
-	// spread it).
+	// spread it). Receivers verify the coefficients on the wire plus the
+	// payload: K + r symbols per packet, GenSize + r with GenSize set.
 	Adversary *Adversary
 	// Classes declares heterogeneous node capabilities (nil = uniform).
 	// Same support envelope as Adversary; class membership draws from
@@ -251,12 +257,6 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 		if spec.GenSize > spec.K {
 			return Outcome{}, fmt.Errorf("harness: %w", &rlnc.GenSizeError{GenSize: spec.GenSize, K: spec.K})
 		}
-		if !spec.Dynamics.IsStatic() {
-			return Outcome{}, fmt.Errorf("harness: generation mode requires a static topology")
-		}
-		if spec.LossRate != 0 {
-			return Outcome{}, fmt.Errorf("harness: generation mode does not support loss injection")
-		}
 	}
 	if spec.Shards > 0 {
 		switch proto {
@@ -280,9 +280,6 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 		if err := spec.Classes.validate(); err != nil {
 			return Outcome{}, err
 		}
-		if spec.GenSize > 0 {
-			return Outcome{}, fmt.Errorf("harness: adversary/classes do not support generation mode")
-		}
 		if spec.Shards > 0 {
 			return Outcome{}, fmt.Errorf("harness: adversary/classes do not support sharded execution")
 		}
@@ -301,42 +298,9 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 	var engineStream uint64
 	var finish func() // gathers detail after the run
 	switch {
-	case (proto == 0 || proto == ProtocolUniformAG) && spec.GenSize > 0:
-		cfg := rlnc.GenConfig{Inner: spec.RLNCConfig(), K: spec.K, GenSize: spec.GenSize}
-		cfg.Inner.K = 0 // derived per generation
-		p, err := algebraic.NewGen(g, spec.Model, spec.Selector.build(g), cfg,
-			core.NewRand(core.SplitSeed(seed, 1)))
-		if err != nil {
-			return out, err
-		}
-		if spec.Observer != nil {
-			p.SetObserver(spec.Observer)
-		}
-		var msgs []rlnc.Message
-		if spec.PayloadLen > 0 {
-			msgs = algebraic.RandomMessages(spec.RLNCConfig(), core.NewRand(core.SplitSeed(seed, 11)))
-		}
-		if err := p.SeedAll(spec.Assign(), msgs); err != nil {
-			return out, err
-		}
-		if spec.Shards > 0 {
-			// Sharded per-node RNG streams derive from stream 12; the
-			// engine stream (2) is still reserved even though the sharded
-			// synchronous loop never draws from it.
-			if err := p.EnableSharded(core.SplitSeed(seed, 12), true); err != nil {
-				return out, err
-			}
-		}
-		out.MessageBits = cfg.MessageBits()
-		proto2, engineStream = p, 2
-		finish = func() {
-			if !spec.Lean {
-				out.NodeDoneRounds = p.DoneRounds()
-			}
-			out.Traffic = p.Traffic()
-		}
 	case proto == 0 || proto == ProtocolUniformAG:
-		cfg := algebraic.Config{RLNC: spec.RLNCConfig(), Action: spec.Action, LossRate: spec.LossRate}
+		cfg := algebraic.Config{RLNC: spec.RLNCConfig(), GenSize: spec.GenSize,
+			Action: spec.Action, LossRate: spec.LossRate}
 		assign := spec.Assign()
 		if !spec.Adversary.IsNone() || !spec.Classes.IsNone() {
 			// Adversarial/heterogeneous trials draw node profiles from
@@ -376,12 +340,15 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 		}
 		if spec.Shards > 0 {
 			// Stream 12 feeds the per-node RNG streams of sharded
-			// execution; retirement stays off on dynamic topologies,
-			// where inertness is not monotone.
+			// execution (the engine stream, 2, stays reserved even though
+			// the sharded synchronous loop never draws from it);
+			// retirement stays off on dynamic topologies, where inertness
+			// is not monotone.
 			if err := p.EnableSharded(core.SplitSeed(seed, 12), spec.Dynamics.IsStatic()); err != nil {
 				return out, err
 			}
 		}
+		out.MessageBits = p.MessageBits()
 		proto2, engineStream = p, 2
 		finish = func() {
 			if !spec.Lean {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"algossip/internal/core"
 	"algossip/internal/graph"
 	"algossip/internal/rlnc"
 )
@@ -76,28 +77,32 @@ func TestGenSizeValidation(t *testing.T) {
 	})
 }
 
-// TestGenerationModeRestrictions pins the unsupported-configuration
-// rejections: generation mode is uniform AG on a static topology with no
-// loss injection.
-func TestGenerationModeRestrictions(t *testing.T) {
+// TestGenerationModeCombinations pins what generation mode combines with:
+// it is one configuration of the uniform-AG state machine, so loss
+// injection, dynamic topologies and one-way actions all complete (here
+// with real payloads), while tree protocols still refuse it.
+func TestGenerationModeCombinations(t *testing.T) {
 	g := graph.Complete(16)
-	base := GossipSpec{Graph: g, K: 8, GenSize: 4}
+	base := GossipSpec{Graph: g, K: 8, Q: 256, GenSize: 3, PayloadLen: 4}
 
 	if _, err := Execute(base, ProtocolTAGRR, 1); err == nil {
 		t.Error("generation-mode TAG accepted")
-	}
-	lossy := base
-	lossy.LossRate = 0.1
-	if _, err := Execute(lossy, ProtocolUniformAG, 1); err == nil {
-		t.Error("generation mode with loss injection accepted")
 	}
 	dyn, err := ParseDynamics("edge:rate=0.2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dynamic := base
+	lossy, dynamic, push := base, base, base
+	lossy.LossRate = 0.2
 	dynamic.Dynamics = dyn
-	if _, err := Execute(dynamic, ProtocolUniformAG, 1); err == nil {
-		t.Error("generation mode on a dynamic topology accepted")
+	push.Action = core.Push
+	for name, spec := range map[string]GossipSpec{"loss": lossy, "dynamic": dynamic, "push": push} {
+		o, err := Execute(spec, ProtocolUniformAG, 1)
+		if err != nil || !o.Result.Completed {
+			t.Errorf("generations x %s: completed=%v err=%v", name, o.Result.Completed, err)
+		}
+		if name == "loss" && o.Traffic.Dropped == 0 {
+			t.Error("generations x loss dropped nothing")
+		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 // goroutines, but per-node RNG streams, fixed staging slots, and the
 // ordered commit make the partitioning unobservable. The grid covers the
 // dense/sparse/expander topologies, both matrix backends (GF(2) bitset,
-// GF(256) bit-sliced), a dynamic-topology schedule, and generation mode.
+// GF(256) bit-sliced), a dynamic-topology schedule, and generation mode
+// alone, on the dynamic schedule and under loss.
 func TestShardedSerialIdentity(t *testing.T) {
 	mk := func(gname string, n, k, q int) GossipSpec {
 		g, err := graph.FromName(gname, n, core.NewRand(core.SplitSeed(7, 999)))
@@ -33,6 +34,9 @@ func TestShardedSerialIdentity(t *testing.T) {
 	dynSpec.Dynamics = dyn
 	genSpec := mk("randreg", 32, 12, 256)
 	genSpec.GenSize = 4
+	genDynSpec, genLossSpec := genSpec, genSpec
+	genDynSpec.Dynamics = dyn
+	genLossSpec.LossRate = 0.1
 
 	rows := []struct {
 		name string
@@ -46,6 +50,8 @@ func TestShardedSerialIdentity(t *testing.T) {
 		{"randreg/q256", mk("randreg", 32, 10, 256)},
 		{"ring/q2/dynamic", dynSpec},
 		{"randreg/q256/generations", genSpec},
+		{"randreg/q256/generations/dynamic", genDynSpec},
+		{"randreg/q256/generations/loss", genLossSpec},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -87,62 +87,66 @@ func FuzzGenerationPacket(f *testing.F) {
 	f.Add(int64(-1), []byte{})
 	f.Add(int64(1<<40), []byte{7, 7, 7, 7, 7, 7, 7, 7})
 	f.Fuzz(func(t *testing.T, gen int64, raw []byte) {
-		const k, genSize, r = 6, 4, 2
-		// A prime field keeps the sub-decoders on the generic element
-		// backend, so arbitrary-length Coeffs/Payload arrays reach the
-		// inner length screening instead of the backend-shape screen.
-		cfg := GenConfig{Inner: Config{Field: gf.MustNew(251), PayloadLen: r}, K: k, GenSize: genSize}
-		n, err := NewGenNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		split := len(raw) / 2
-		coeffs := make([]gf.Elem, split)
-		for i := range coeffs {
-			coeffs[i] = gf.Elem(raw[i] % 251)
-		}
-		payload := append([]byte(nil), raw[split:]...)
-		for i := range payload {
-			payload[i] %= 251
-		}
-		pkt := &GenPacket{Gen: int(gen), Packet: &Packet{Coeffs: coeffs, Payload: payload}}
-		n.Receive(pkt)
-		if n.Rank() < 0 || n.Rank() > k {
-			t.Fatalf("rank %d out of range after malformed packet", n.Rank())
-		}
-		if n.Receive(nil) {
-			t.Fatal("nil packet reported helpful")
-		}
-		if n.Receive(&GenPacket{Gen: int(gen)}) {
-			t.Fatal("packet with nil inner reported helpful")
-		}
-		// Top up from a full source: the garbage must not have corrupted
-		// any generation's decoder state.
-		rng := core.NewRand(uint64(len(raw)) + 1)
-		src, err := NewGenNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < k; i++ {
-			src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Inner.Field, r, rng)})
-		}
-		for guard := 0; !n.CanDecode() && guard < 5000; guard++ {
-			n.Receive(src.Emit(rng))
-		}
-		if !n.CanDecode() {
-			t.Fatal("node never reached full rank after screening garbage")
-		}
-		if _, err := n.Decode(); err != nil {
-			t.Fatalf("decode at full rank failed: %v", err)
-		}
-		// Backend-shape screen: GF(256) generations run the sliced backend,
-		// so a generic-element packet must bounce even with a valid tag.
-		sliced, err := NewGenNode(GenConfig{Inner: Config{Field: gf.MustNew(256), PayloadLen: r}, K: k, GenSize: genSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sliced.Receive(pkt) {
-			t.Fatal("generic-backend packet reported helpful on a sliced-backend node")
+		const k, r = 6, 2
+		// Two generations of sizes 4 and 2, then the one-generation node every
+		// classic run and live cluster now drives: its only valid tag is 0.
+		for _, genSize := range []int{4, k} {
+			// A prime field keeps the sub-decoders on the generic element
+			// backend, so arbitrary-length Coeffs/Payload arrays reach the
+			// inner length screening instead of the backend-shape screen.
+			cfg := GenConfig{Inner: Config{Field: gf.MustNew(251), PayloadLen: r}, K: k, GenSize: genSize}
+			n, err := NewGenNode(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			split := len(raw) / 2
+			coeffs := make([]gf.Elem, split)
+			for i := range coeffs {
+				coeffs[i] = gf.Elem(raw[i] % 251)
+			}
+			payload := append([]byte(nil), raw[split:]...)
+			for i := range payload {
+				payload[i] %= 251
+			}
+			pkt := &GenPacket{Gen: int(gen), Packet: &Packet{Coeffs: coeffs, Payload: payload}}
+			n.Receive(pkt)
+			if n.Rank() < 0 || n.Rank() > k {
+				t.Fatalf("rank %d out of range after malformed packet", n.Rank())
+			}
+			if n.Receive(nil) {
+				t.Fatal("nil packet reported helpful")
+			}
+			if n.Receive(&GenPacket{Gen: int(gen)}) {
+				t.Fatal("packet with nil inner reported helpful")
+			}
+			// Top up from a full source: the garbage must not have corrupted
+			// any generation's decoder state.
+			rng := core.NewRand(uint64(len(raw)) + 1)
+			src, err := NewGenNode(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Inner.Field, r, rng)})
+			}
+			for guard := 0; !n.CanDecode() && guard < 5000; guard++ {
+				n.Receive(src.Emit(rng))
+			}
+			if !n.CanDecode() {
+				t.Fatal("node never reached full rank after screening garbage")
+			}
+			if _, err := n.Decode(); err != nil {
+				t.Fatalf("decode at full rank failed: %v", err)
+			}
+			// Backend-shape screen: GF(256) generations run the sliced backend,
+			// so a generic-element packet must bounce even with a valid tag.
+			sliced, err := NewGenNode(GenConfig{Inner: Config{Field: gf.MustNew(256), PayloadLen: r}, K: k, GenSize: genSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sliced.Receive(pkt) {
+				t.Fatal("generic-backend packet reported helpful on a sliced-backend node")
+			}
 		}
 	})
 }

@@ -81,8 +81,11 @@ type GenPacket struct {
 	Packet *Packet
 }
 
-// GenNode is per-gossip-node state for generation-based RLNC: one small
-// decoder per generation.
+// GenNode is per-gossip-node RLNC state: one decoder (Node) per
+// generation. It is the type the protocols and the live cluster drive;
+// the paper's whole-k coding is the configuration GenSize == K, one
+// generation, whose random stream and packets are exactly a plain Node's
+// (see pick).
 type GenNode struct {
 	cfg  GenConfig
 	subs []*Node
@@ -121,11 +124,11 @@ func (n *GenNode) Rank() int { return n.rank }
 // CanDecode reports whether every generation is full rank.
 func (n *GenNode) CanDecode() bool { return n.rank == n.cfg.K }
 
-// bumped records a rank change of sub-decoder g in the cached totals.
-func (n *GenNode) bumped(g, before int) {
-	after := n.subs[g].Rank()
-	n.rank += after - before
-	if before == 0 && after > 0 {
+// gained records in the cached totals that sub-decoder g's rank just
+// rose by one (a seed or a helpful packet adds exactly one equation).
+func (n *GenNode) gained(g int) {
+	n.rank++
+	if n.subs[g].Rank() == 1 {
 		n.nonEmpty++
 	}
 }
@@ -141,7 +144,9 @@ func (n *GenNode) Seed(msg Message) {
 	local.Index = msg.Index - lo
 	before := n.subs[g].Rank()
 	n.subs[g].Seed(local)
-	n.bumped(g, before)
+	if n.subs[g].Rank() > before { // a repeated seed adds nothing
+		n.gained(g)
+	}
 }
 
 // Emit picks a uniformly random non-empty generation and emits a random
@@ -166,23 +171,70 @@ func (n *GenNode) EmitInto(rng *rand.Rand, p *GenPacket) bool {
 	if n.nonEmpty == 0 {
 		return false
 	}
+	p.Gen = n.pick(rng)
+	if p.Packet == nil {
+		p.Packet = &Packet{}
+	}
+	return n.subs[p.Gen].EmitInto(rng, p.Packet)
+}
+
+// pick draws the generation the next emission codes over: uniform among
+// the non-empty ones. With exactly one generation there is nothing to
+// pick and nothing is drawn — rand/v2's IntN(1) would still consume a
+// Uint64, and that draw is the whole difference between a one-generation
+// node's random stream and a plain Node's; without it the two coincide,
+// which is what makes classic coding the one-generation case. Callers
+// check nonEmpty > 0 first.
+func (n *GenNode) pick(rng *rand.Rand) int {
+	if len(n.subs) == 1 {
+		return 0
+	}
+	return n.pickAmong(rng)
+}
+
+// pickAmong is pick's draw, kept apart so the one-generation case inlines
+// into the emit paths.
+func (n *GenNode) pickAmong(rng *rand.Rand) int {
 	pick := rng.IntN(n.nonEmpty)
-	g := 0
-	for i, s := range n.subs {
+	for g, s := range n.subs {
 		if s.Rank() == 0 {
 			continue
 		}
 		if pick == 0 {
-			g = i
-			break
+			return g
 		}
 		pick--
 	}
-	p.Gen = g
+	panic("rlnc: nonEmpty out of sync with sub-decoder ranks")
+}
+
+// SkipEmit consumes exactly the randomness EmitInto would draw — the
+// generation pick plus the picked decoder's Node.SkipEmit — without
+// building the packet, for simulators whose packet's fate is already
+// determined. It reports false (drawing nothing) when the node stores
+// nothing yet.
+func (n *GenNode) SkipEmit(rng *rand.Rand) bool {
+	if n.nonEmpty == 0 {
+		return false
+	}
+	return n.subs[n.pick(rng)].SkipEmit(rng)
+}
+
+// EmitReplayInto fills p with a copy of the first stored echelon row of
+// the first non-empty generation (see Node.EmitReplayInto): the fixed,
+// randomness-free packet a Byzantine replayer keeps retransmitting. It
+// reports false when the node stores nothing yet.
+func (n *GenNode) EmitReplayInto(p *GenPacket) bool {
 	if p.Packet == nil {
 		p.Packet = &Packet{}
 	}
-	return n.subs[g].EmitInto(rng, p.Packet)
+	for g, s := range n.subs {
+		if s.Rank() > 0 {
+			p.Gen = g
+			return s.EmitReplayInto(p.Packet)
+		}
+	}
+	return false
 }
 
 // Receive ingests a packet, reporting whether it was helpful. Malformed
@@ -195,10 +247,11 @@ func (n *GenNode) Receive(p *GenPacket) bool {
 	if !n.screen(p) {
 		return false
 	}
-	before := n.subs[p.Gen].Rank()
-	helpful := n.subs[p.Gen].Receive(p.Packet)
-	n.bumped(p.Gen, before)
-	return helpful
+	if !n.subs[p.Gen].Receive(p.Packet) {
+		return false
+	}
+	n.gained(p.Gen)
+	return true
 }
 
 // ReceiveOwned is Receive for callers that own the packet (pooled hot
@@ -209,10 +262,11 @@ func (n *GenNode) ReceiveOwned(p *GenPacket) bool {
 	if !n.screen(p) {
 		return false
 	}
-	before := n.subs[p.Gen].Rank()
-	helpful := n.subs[p.Gen].ReceiveOwned(p.Packet)
-	n.bumped(p.Gen, before)
-	return helpful
+	if !n.subs[p.Gen].ReceiveOwned(p.Packet) {
+		return false
+	}
+	n.gained(p.Gen)
+	return true
 }
 
 // Adapt converts a wire-format packet (one coefficient per symbol,

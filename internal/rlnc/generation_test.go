@@ -207,3 +207,94 @@ func TestGenCouponCollectorEffect(t *testing.T) {
 			single, full)
 	}
 }
+
+// TestOneGenerationStreamParity pins the rule that makes classic coding
+// the one-generation case: a GenNode with GenSize == K and a plain Node
+// fed the same seeds consume protocol randomness identically, so two
+// equally seeded generators stay in lockstep through any interleaving of
+// EmitInto, SkipEmit and ReceiveOwned, on every backend.
+func TestOneGenerationStreamParity(t *testing.T) {
+	const k, r = 9, 3
+	for _, inner := range []Config{
+		{Field: gf.MustNew(2), RankOnly: true},
+		{Field: gf.MustNew(251), PayloadLen: r},
+		{Field: gf.MustNew(256), PayloadLen: r},
+	} {
+		t.Run(inner.Field.Name(), func(t *testing.T) {
+			inner.K = k
+			mk := func() (*GenNode, *Node) {
+				gn, err := NewGenNode(GenConfig{Inner: inner, K: k, GenSize: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return gn, MustNewNode(inner)
+			}
+			srcG, srcN := mk()
+			dstG, dstN := mk()
+			seedRng := core.NewRand(5)
+			for i := 0; i < k; i++ {
+				msg := Message{Index: i}
+				if !inner.RankOnly {
+					msg.Payload = gf.RandBytes(inner.Field, r, seedRng)
+				}
+				srcG.Seed(msg)
+				srcN.Seed(msg)
+			}
+			rngG, rngN := core.NewRand(77), core.NewRand(77)
+			gp, np := &GenPacket{}, &Packet{}
+			for step := 0; step < 4*k; step++ {
+				if step%3 == 2 {
+					if srcG.SkipEmit(rngG) != srcN.SkipEmit(rngN) {
+						t.Fatalf("step %d: SkipEmit verdicts differ", step)
+					}
+				} else {
+					if srcG.EmitInto(rngG, gp) != srcN.EmitInto(rngN, np) {
+						t.Fatalf("step %d: EmitInto verdicts differ", step)
+					}
+					if gp.Gen != 0 {
+						t.Fatalf("step %d: one-generation packet tagged %d", step, gp.Gen)
+					}
+					if dstG.ReceiveOwned(gp) != dstN.ReceiveOwned(np) {
+						t.Fatalf("step %d: helpfulness differs", step)
+					}
+				}
+				if a, b := rngG.Uint64(), rngN.Uint64(); a != b {
+					t.Fatalf("step %d: random streams diverged (%#x vs %#x)", step, a, b)
+				}
+				if dstG.Rank() != dstN.Rank() {
+					t.Fatalf("step %d: ranks %d vs %d", step, dstG.Rank(), dstN.Rank())
+				}
+			}
+			if !dstG.CanDecode() {
+				t.Fatalf("sink stuck at rank %d/%d", dstG.Rank(), k)
+			}
+		})
+	}
+}
+
+// TestGenSkipEmitMatchesEmit: on a multi-generation node SkipEmit advances
+// the random stream exactly as EmitInto does (generation pick included),
+// whatever mix of empty and non-empty generations the node holds.
+func TestGenSkipEmitMatchesEmit(t *testing.T) {
+	cfg := genCfg(10, 4)
+	n, err := NewGenNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rngE, rngS := core.NewRand(3), core.NewRand(3)
+	if n.SkipEmit(rngS) || n.EmitInto(rngE, &GenPacket{}) {
+		t.Fatal("empty node emitted")
+	}
+	seedRng := core.NewRand(4)
+	for _, idx := range []int{9, 0, 1, 5} { // generations 2, 0, 0, 1
+		n.Seed(Message{Index: idx, Payload: gf.RandBytes(cfg.Inner.Field, 4, seedRng)})
+		for i := 0; i < 8; i++ {
+			if !n.EmitInto(rngE, &GenPacket{}) || !n.SkipEmit(rngS) {
+				t.Fatal("non-empty node refused to emit")
+			}
+			if a, b := rngE.Uint64(), rngS.Uint64(); a != b {
+				t.Fatalf("after seeding %d: streams diverged (%#x vs %#x)", idx, a, b)
+			}
+		}
+	}
+}

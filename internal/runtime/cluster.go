@@ -139,93 +139,47 @@ func (c Config) build(opts ...Option) (Config, error) {
 	return c, nil
 }
 
-// rlncConfig derives the inner codec configuration.
-func (c Config) rlncConfig() rlnc.Config {
-	return rlnc.Config{Field: c.Field, K: c.K, PayloadLen: c.PayloadLen, RankOnly: c.PayloadLen == 0}
-}
-
-// codec is the cluster's view of an RLNC decoder: classic whole-k and
-// generation-coded nodes behind one emit/ingest seam that speaks the
-// one-coefficient-per-symbol wire format.
-type codec interface {
-	seed(msg rlnc.Message)
-	rank() int
-	canDecode() bool
-	decode() ([]rlnc.Message, error)
-	// emit fills env with a fresh random combination; false when the node
-	// stores nothing yet.
-	emit(rng *rand.Rand, env *Envelope) bool
-	// ingest adapts a wire envelope to the native backend and receives
-	// it, screening malformed shapes.
-	ingest(env *Envelope)
-}
-
-type classicCodec struct{ n *rlnc.Node }
-
-func (c classicCodec) seed(msg rlnc.Message)           { c.n.Seed(msg) }
-func (c classicCodec) rank() int                       { return c.n.Rank() }
-func (c classicCodec) canDecode() bool                 { return c.n.CanDecode() }
-func (c classicCodec) decode() ([]rlnc.Message, error) { return c.n.Decode() }
-func (c classicCodec) emit(rng *rand.Rand, env *Envelope) bool {
-	pkt := c.n.Emit(rng)
-	if pkt == nil {
-		return false
+// newDecoder builds one node's decoder: GenSize-sized generations, or the
+// whole-k coding of the paper as one generation of size K.
+func (c Config) newDecoder() (*rlnc.GenNode, error) {
+	genSize := c.GenSize
+	if genSize == 0 {
+		genSize = c.K
 	}
-	cfg := c.n.Config()
-	// The wire format is one coefficient per symbol regardless of the
-	// codec's internal representation: bit and sliced packets expand here.
-	env.Coeffs = pkt.ExpandCoeffs(cfg.K)
-	env.Payload = pkt.ExpandPayload(cfg.PayloadLen)
-	return true
-}
-func (c classicCodec) ingest(env *Envelope) {
-	if len(env.Coeffs) == 0 {
-		return
-	}
-	c.n.Receive(c.n.Adapt(&rlnc.Packet{Coeffs: env.Coeffs, Payload: env.Payload}))
+	return rlnc.NewGenNode(rlnc.GenConfig{
+		Inner:   rlnc.Config{Field: c.Field, K: c.K, PayloadLen: c.PayloadLen, RankOnly: c.PayloadLen == 0},
+		K:       c.K,
+		GenSize: genSize,
+	})
 }
 
-type genCodec struct{ n *rlnc.GenNode }
-
-func (c genCodec) seed(msg rlnc.Message)           { c.n.Seed(msg) }
-func (c genCodec) rank() int                       { return c.n.Rank() }
-func (c genCodec) canDecode() bool                 { return c.n.CanDecode() }
-func (c genCodec) decode() ([]rlnc.Message, error) { return c.n.Decode() }
-func (c genCodec) emit(rng *rand.Rand, env *Envelope) bool {
-	gp := c.n.Emit(rng)
+// emit fills env with a fresh random combination from dec in the
+// one-coefficient-per-symbol wire format, whatever the decoder's internal
+// representation (bit and sliced packets expand here); false when the
+// node stores nothing yet.
+func emit(dec *rlnc.GenNode, rng *rand.Rand, env *Envelope) bool {
+	gp := dec.Emit(rng)
 	if gp == nil {
 		return false
 	}
-	cfg := c.n.Config()
+	cfg := dec.Config()
 	env.Gen = gp.Gen
 	env.Coeffs = gp.Packet.ExpandCoeffs(cfg.GenK(gp.Gen))
 	env.Payload = gp.Packet.ExpandPayload(cfg.Inner.PayloadLen)
 	return true
 }
-func (c genCodec) ingest(env *Envelope) {
+
+// ingest adapts a wire envelope to dec's native backend and receives it.
+// The generation tag and the array shapes come from the wire, so Adapt
+// and Receive screen them — a whole-k node has the single valid tag 0.
+func ingest(dec *rlnc.GenNode, env *Envelope) {
 	if len(env.Coeffs) == 0 {
 		return
 	}
-	c.n.Receive(c.n.Adapt(&rlnc.GenPacket{
+	dec.Receive(dec.Adapt(&rlnc.GenPacket{
 		Gen:    env.Gen,
 		Packet: &rlnc.Packet{Coeffs: env.Coeffs, Payload: env.Payload},
 	}))
-}
-
-// newCodec builds the configured codec for one node.
-func (c Config) newCodec() (codec, error) {
-	if c.GenSize > 0 {
-		gn, err := rlnc.NewGenNode(rlnc.GenConfig{Inner: c.rlncConfig(), K: c.K, GenSize: c.GenSize})
-		if err != nil {
-			return nil, err
-		}
-		return genCodec{gn}, nil
-	}
-	n, err := rlnc.NewNode(c.rlncConfig())
-	if err != nil {
-		return nil, err
-	}
-	return classicCodec{n}, nil
 }
 
 // NodeStatus is one local node's progress snapshot.
@@ -266,7 +220,7 @@ type clusterNode struct {
 
 	mu        sync.Mutex
 	neighbors []core.NodeID // guarded by mu: ApplyTopology swaps it mid-run
-	codec     codec
+	dec       *rlnc.GenNode
 	rng       *rand.Rand // guarded by mu; drives packet emission
 	pending   []Envelope // staged envelopes, ingested at the next tick
 	ticks     int
@@ -294,9 +248,9 @@ func NewCluster(transport Transport, g *graph.Graph, k int, opts ...Option) (*Cl
 		startCh:   make(chan struct{}),
 	}
 	for _, v := range cfg.Local {
-		cdc, err := cfg.newCodec()
+		dec, err := cfg.newDecoder()
 		if err != nil {
-			return nil, fmt.Errorf("runtime: node %d codec: %w", v, err)
+			return nil, fmt.Errorf("runtime: node %d decoder: %w", v, err)
 		}
 		inbox, err := transport.Register(v)
 		if err != nil {
@@ -312,7 +266,7 @@ func NewCluster(transport Transport, g *graph.Graph, k int, opts ...Option) (*Cl
 			seed:      seed,
 			observer:  cfg.Observer,
 			k:         cfg.K,
-			codec:     cdc,
+			dec:       dec,
 			rng:       core.NewRand(core.SplitSeed(seed, 1)),
 			doneCh:    c.doneCh,
 		}
@@ -339,7 +293,7 @@ func (c *Cluster) Seed(v core.NodeID, msg rlnc.Message) error {
 		return err
 	}
 	node.mu.Lock()
-	node.codec.seed(msg)
+	node.dec.Seed(msg)
 	just := node.checkDoneLocked()
 	node.mu.Unlock()
 	node.notifyDone(just)
@@ -354,7 +308,7 @@ func (c *Cluster) Rank(v core.NodeID) int {
 	}
 	node.mu.Lock()
 	defer node.mu.Unlock()
-	return node.codec.rank()
+	return node.dec.Rank()
 }
 
 // Decode decodes local node v's messages (payload mode, after completion).
@@ -365,7 +319,7 @@ func (c *Cluster) Decode(v core.NodeID) ([]rlnc.Message, error) {
 	}
 	node.mu.Lock()
 	defer node.mu.Unlock()
-	return node.codec.decode()
+	return node.dec.Decode()
 }
 
 // Status snapshots every local node's progress, in ascending node order.
@@ -376,7 +330,7 @@ func (c *Cluster) Status() []NodeStatus {
 		n.mu.Lock()
 		out = append(out, NodeStatus{
 			ID:       n.id,
-			Rank:     n.codec.rank(),
+			Rank:     n.dec.Rank(),
 			K:        n.k,
 			Done:     n.finished,
 			DoneTick: n.doneTick,
@@ -548,7 +502,7 @@ func (n *clusterNode) tick(ctx context.Context, rng *rand.Rand) {
 	n.mu.Lock()
 	n.ticks++
 	for i := range n.pending {
-		n.codec.ingest(&n.pending[i])
+		ingest(n.dec, &n.pending[i])
 	}
 	n.pending = n.pending[:0]
 	just := n.checkDoneLocked()
@@ -568,13 +522,10 @@ func (n *clusterNode) tick(ctx context.Context, rng *rand.Rand) {
 func (n *clusterNode) sendPacket(ctx context.Context, peer core.NodeID, wantReply bool) {
 	env := Envelope{Kind: EnvelopePacket, From: n.id, WantReply: wantReply}
 	n.mu.Lock()
-	ok := n.codec.emit(n.rng, &env)
+	ok := emit(n.dec, n.rng, &env)
 	n.mu.Unlock()
 	if !ok && !wantReply {
 		return // nothing to say and nobody waiting
-	}
-	if !ok {
-		env.Coeffs, env.Payload = nil, nil
 	}
 	_ = n.transport.Send(ctx, peer, env)
 }
@@ -582,7 +533,7 @@ func (n *clusterNode) sendPacket(ctx context.Context, peer core.NodeID, wantRepl
 // checkDoneLocked marks completion exactly once, reporting whether it
 // just happened. Callers hold n.mu and invoke notifyDone after unlocking.
 func (n *clusterNode) checkDoneLocked() bool {
-	if !n.finished && n.codec.canDecode() {
+	if !n.finished && n.dec.CanDecode() {
 		n.finished = true
 		n.doneTick = n.ticks
 		n.doneCh <- n.id

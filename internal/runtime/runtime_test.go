@@ -526,3 +526,45 @@ func TestClusterGF16SlicedMode(t *testing.T) {
 	}
 	verifyDecode(t, c, msgs, g.N())
 }
+
+// TestClusterScreensGenerationTag: a whole-k node is a one-generation
+// decoder whose only valid tag is 0, so a frame tagged with any other
+// generation — the tag is wire input — is dropped at the next tick without
+// panicking and leaves the rank unchanged, for Cluster and TAGCluster
+// alike. The same coefficients under tag 0 are accepted.
+func TestClusterScreensGenerationTag(t *testing.T) {
+	g := graph.Complete(2)
+	frame := func(gen int) Envelope {
+		return Envelope{Kind: EnvelopePacket, From: 0, Gen: gen,
+			Coeffs: []gf.Elem{0, 1, 0}, Payload: []byte{9, 9}}
+	}
+	ctx := context.Background()
+
+	tr := NewChanTransport()
+	defer func() { _ = tr.Close() }()
+	c, err := NewCluster(tr, g, 3, WithPayload(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.nodes[1]
+	for _, step := range []struct{ gen, wantRank int }{{7, 0}, {-1, 0}, {0, 1}} {
+		n.handle(ctx, frame(step.gen))
+		n.tick(ctx, core.NewRand(1))
+		if got := c.Rank(1); got != step.wantRank {
+			t.Fatalf("Cluster: after a frame tagged gen=%d rank = %d, want %d", step.gen, got, step.wantRank)
+		}
+	}
+
+	ttr := NewChanTransport()
+	defer func() { _ = ttr.Close() }()
+	tc, err := NewTAGCluster(ttr, g, 0, 3, WithPayload(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct{ gen, wantRank int }{{7, 0}, {0, 1}} {
+		tc.nodes[1].handle(ctx, frame(step.gen))
+		if got := tc.Rank(1); got != step.wantRank {
+			t.Fatalf("TAGCluster: after a frame tagged gen=%d rank = %d, want %d", step.gen, got, step.wantRank)
+		}
+	}
+}

@@ -35,7 +35,7 @@ type tagNode struct {
 	isOrigin  bool
 
 	mu       sync.Mutex
-	codec    *rlnc.Node
+	dec      *rlnc.GenNode
 	rng      *rand.Rand
 	informed bool
 	parent   core.NodeID
@@ -72,9 +72,9 @@ func NewTAGCluster(transport Transport, g *graph.Graph, origin core.NodeID, k in
 		doneCh:    make(chan core.NodeID, n),
 	}
 	for v := 0; v < n; v++ {
-		codec, err := rlnc.NewNode(cfg.rlncConfig())
+		dec, err := cfg.newDecoder()
 		if err != nil {
-			return nil, fmt.Errorf("runtime: node %d codec: %w", v, err)
+			return nil, fmt.Errorf("runtime: node %d decoder: %w", v, err)
 		}
 		inbox, err := transport.Register(core.NodeID(v))
 		if err != nil {
@@ -88,7 +88,7 @@ func NewTAGCluster(transport Transport, g *graph.Graph, origin core.NodeID, k in
 			transport: transport,
 			interval:  cfg.Interval,
 			isOrigin:  core.NodeID(v) == origin,
-			codec:     codec,
+			dec:       dec,
 			rng:       core.NewRand(seed),
 			parent:    core.NilNode,
 			doneCh:    c.doneCh,
@@ -112,7 +112,7 @@ func (c *TAGCluster) Seed(v core.NodeID, msg rlnc.Message) error {
 	nd := c.nodes[v]
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	nd.codec.Seed(msg)
+	nd.dec.Seed(msg)
 	nd.checkDoneLocked()
 	return nil
 }
@@ -122,7 +122,7 @@ func (c *TAGCluster) Rank(v core.NodeID) int {
 	nd := c.nodes[v]
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return nd.codec.Rank()
+	return nd.dec.Rank()
 }
 
 // Parent returns node v's spanning-tree parent (NilNode before Phase 1
@@ -159,7 +159,7 @@ func (c *TAGCluster) Decode(v core.NodeID) ([]rlnc.Message, error) {
 	nd := c.nodes[v]
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return nd.codec.Decode()
+	return nd.dec.Decode()
 }
 
 // Run starts all node goroutines and blocks until every node can decode or
@@ -249,12 +249,8 @@ func (n *tagNode) handle(ctx context.Context, env Envelope) {
 		n.mu.Unlock()
 	case EnvelopePacket:
 		n.mu.Lock()
-		if len(env.Coeffs) > 0 {
-			// Wire format is one coefficient per symbol; Adapt re-packs
-			// for bit-mode (GF(2)) and sliced (GF(2^m)) codecs.
-			n.codec.Receive(n.codec.Adapt(&rlnc.Packet{Coeffs: env.Coeffs, Payload: env.Payload}))
-			n.checkDoneLocked()
-		}
+		ingest(n.dec, &env)
+		n.checkDoneLocked()
 		n.mu.Unlock()
 		if env.WantReply {
 			n.sendPacket(ctx, env.From, false)
@@ -263,17 +259,11 @@ func (n *tagNode) handle(ctx context.Context, env Envelope) {
 }
 
 func (n *tagNode) sendPacket(ctx context.Context, peer core.NodeID, wantReply bool) {
-	n.mu.Lock()
-	pkt := n.codec.Emit(n.rng)
-	cfg := n.codec.Config()
-	n.mu.Unlock()
 	env := Envelope{Kind: EnvelopePacket, From: n.id, WantReply: wantReply}
-	if pkt != nil {
-		// Bit and sliced packets expand to the one-coefficient-per-symbol
-		// wire format here, mirroring clusterNode.sendPacket.
-		env.Coeffs = pkt.ExpandCoeffs(cfg.K)
-		env.Payload = pkt.ExpandPayload(cfg.PayloadLen)
-	} else if !wantReply {
+	n.mu.Lock()
+	ok := emit(n.dec, n.rng, &env)
+	n.mu.Unlock()
+	if !ok && !wantReply {
 		return
 	}
 	_ = n.transport.Send(ctx, peer, env)
@@ -281,7 +271,7 @@ func (n *tagNode) sendPacket(ctx context.Context, peer core.NodeID, wantReply bo
 
 // checkDoneLocked signals completion exactly once; callers hold n.mu.
 func (n *tagNode) checkDoneLocked() {
-	if !n.finished && n.codec.CanDecode() {
+	if !n.finished && n.dec.CanDecode() {
 		n.finished = true
 		n.doneCh <- n.id
 	}
