@@ -125,6 +125,28 @@ func BenchmarkAddMulSlicedGF256(b *testing.B) {
 	}
 }
 
+// The wire adapter's pack/unpack pair at the 4 KiB payload row.
+func BenchmarkPackSlicedGF256(b *testing.B) {
+	f, _ := NewGF2m(8)
+	_, src := benchRows(f, 4096)
+	dst := make([]uint64, f.M()*SlicedWords(len(src)))
+	b.SetBytes(int64(len(src)))
+	for i := 0; i < b.N; i++ {
+		f.PackSliced(dst, src)
+	}
+}
+
+func BenchmarkUnpackSlicedGF256(b *testing.B) {
+	f, _ := NewGF2m(8)
+	dst, src := benchRows(f, 4096)
+	planes := make([]uint64, f.M()*SlicedWords(len(src)))
+	f.PackSliced(planes, src)
+	b.SetBytes(int64(len(dst)))
+	for i := 0; i < b.N; i++ {
+		f.UnpackSliced(dst, planes)
+	}
+}
+
 func BenchmarkAddMulSlicedGF16(b *testing.B) {
 	f := MustNew(16).(*GF2m)
 	for _, n := range benchLens {

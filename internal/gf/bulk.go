@@ -23,9 +23,10 @@ import (
 	"unsafe"
 )
 
-// asBytes reinterprets a []Elem as []byte without copying. Elem's underlying
-// type is uint8, so the layouts are identical.
-func asBytes(v []Elem) []byte {
+// AsBytes reinterprets a []Elem as []byte without copying. Elem's underlying
+// type is uint8, so the layouts are identical — which is also what lets a
+// wire adapter hand a coefficient vector to the byte-row codecs as is.
+func AsBytes(v []Elem) []byte {
 	if len(v) == 0 {
 		return nil
 	}

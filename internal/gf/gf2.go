@@ -62,12 +62,12 @@ func (GF2) MulSlice(v []byte, c Elem) {
 
 // AXPY performs dst[i] ^= c & src[i] through the word-wise XOR kernel.
 func (f GF2) AXPY(dst, src []Elem, c Elem) {
-	f.AddMulSlice(asBytes(dst), asBytes(src), c)
+	f.AddMulSlice(AsBytes(dst), AsBytes(src), c)
 }
 
 // Scale zeroes v when c == 0 and leaves it unchanged otherwise.
 func (f GF2) Scale(v []Elem, c Elem) {
-	f.MulSlice(asBytes(v), c)
+	f.MulSlice(AsBytes(v), c)
 }
 
 // DotProduct returns the parity of the AND of a and b.

@@ -108,7 +108,7 @@ func NewGF2m(m int) (*GF2m, error) {
 
 	// Byte-kernel rows, padded to a 256-entry stride.
 	if order == 256 {
-		f.bulkTab = asBytes(f.mulTab)
+		f.bulkTab = AsBytes(f.mulTab)
 	} else {
 		f.bulkTab = make([]byte, order*256)
 		for a := 0; a < order; a++ {
@@ -288,12 +288,12 @@ func (f *GF2m) MulSlice(v []byte, c Elem) {
 // AXPY performs dst[i] ^= c * src[i] through the byte kernel (Elem rows and
 // byte rows share a layout).
 func (f *GF2m) AXPY(dst, src []Elem, c Elem) {
-	f.AddMulSlice(asBytes(dst), asBytes(src), c)
+	f.AddMulSlice(AsBytes(dst), AsBytes(src), c)
 }
 
 // Scale performs v[i] *= c in place through the byte kernel.
 func (f *GF2m) Scale(v []Elem, c Elem) {
-	f.MulSlice(asBytes(v), c)
+	f.MulSlice(AsBytes(v), c)
 }
 
 // DotProduct returns sum_i a[i]*b[i]. It walks the padded 256-stride

@@ -26,7 +26,10 @@ package gf
 // Packing inherently masks every byte to its low m bits, the same
 // semantics the padded bulkTab rows give the byte kernels.
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // SlicedWords returns the number of 64-bit words per bit-plane for a row
 // of n symbols.
@@ -84,35 +87,93 @@ func (f *GF2m) buildMulPlanes() {
 // length m*SlicedWords(len(src)) and is overwritten. Each source byte is
 // masked to its low m bits, mirroring the padded-table semantics of the
 // byte kernels.
+//
+// It works one plane word (64 symbols) at a time: eight 8x8 bit
+// transposes turn each group of eight symbol bytes into one byte per
+// plane, and one 8x8 byte transpose gathers those into the eight plane
+// words. Planes m..7 are computed and dropped, which is the masking.
 func (f *GF2m) PackSliced(dst []uint64, src []byte) {
 	words := SlicedWords(len(src))
 	if len(dst) != f.m*words {
 		panic("gf: sliced pack width mismatch")
 	}
-	clear(dst)
-	for i, s := range src {
-		w, b := i>>6, uint(i)&63
+	var t [8]uint64
+	for w := 0; w < words; w++ {
+		blk := src[64*w:]
+		if len(blk) < 64 {
+			var tail [64]byte
+			copy(tail[:], blk)
+			blk = tail[:]
+		}
+		for g := range t {
+			t[g] = transposeBits8(binary.LittleEndian.Uint64(blk[8*g:]))
+		}
+		transposeBytes8(&t)
 		for j := 0; j < f.m; j++ {
-			dst[j*words+w] |= uint64((s>>uint(j))&1) << b
+			dst[j*words+w] = t[j]
 		}
 	}
 }
 
 // UnpackSliced unpacks a bit-sliced row back into byte-encoded symbols.
-// src must have length m*SlicedWords(len(dst)).
+// src must have length m*SlicedWords(len(dst)). It is PackSliced run
+// backwards (both transposes are involutions).
 func (f *GF2m) UnpackSliced(dst []byte, src []uint64) {
 	words := SlicedWords(len(dst))
 	if len(src) != f.m*words {
 		panic("gf: sliced unpack width mismatch")
 	}
-	for i := range dst {
-		w, b := i>>6, uint(i)&63
-		var s byte
+	var t [8]uint64
+	var tail [64]byte
+	for w := 0; w < words; w++ {
+		clear(t[f.m:])
 		for j := 0; j < f.m; j++ {
-			s |= byte((src[j*words+w]>>b)&1) << uint(j)
+			t[j] = src[j*words+w]
 		}
-		dst[i] = s
+		transposeBytes8(&t)
+		blk := dst[64*w:]
+		out := blk
+		if len(blk) < 64 {
+			out = tail[:]
+		}
+		for g, x := range t {
+			binary.LittleEndian.PutUint64(out[8*g:], transposeBits8(x))
+		}
+		if len(blk) < 64 {
+			copy(blk, out)
+		}
 	}
+}
+
+// transposeBits8 transposes the 8x8 bit matrix whose row i is byte i of x
+// (column j = bit j): three delta swaps of 1-, 2- and 4-bit blocks.
+func transposeBits8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	x ^= t ^ t<<28
+	return x
+}
+
+// transposeBytes8 transposes the 8x8 byte matrix whose row i is t[i]
+// (column j = byte j), swapping 1-, 2- and 4-byte blocks.
+func transposeBytes8(t *[8]uint64) {
+	const m1, m2, m4 = 0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF
+	a0, a1, a2, a3, a4, a5, a6, a7 := t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]
+	a0, a1 = a0&m1|(a1&m1)<<8, (a0>>8)&m1|a1&^m1
+	a2, a3 = a2&m1|(a3&m1)<<8, (a2>>8)&m1|a3&^m1
+	a4, a5 = a4&m1|(a5&m1)<<8, (a4>>8)&m1|a5&^m1
+	a6, a7 = a6&m1|(a7&m1)<<8, (a6>>8)&m1|a7&^m1
+	a0, a2 = a0&m2|(a2&m2)<<16, (a0>>16)&m2|a2&^m2
+	a1, a3 = a1&m2|(a3&m2)<<16, (a1>>16)&m2|a3&^m2
+	a4, a6 = a4&m2|(a6&m2)<<16, (a4>>16)&m2|a6&^m2
+	a5, a7 = a5&m2|(a7&m2)<<16, (a5>>16)&m2|a7&^m2
+	t[0], t[4] = a0&m4|a4<<32, a0>>32|a4&^m4
+	t[1], t[5] = a1&m4|a5<<32, a1>>32|a5&^m4
+	t[2], t[6] = a2&m4|a6<<32, a2>>32|a6&^m4
+	t[3], t[7] = a3&m4|a7<<32, a3>>32|a7&^m4
 }
 
 // SlicedElem extracts symbol i from a bit-sliced row with the given

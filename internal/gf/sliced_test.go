@@ -2,6 +2,7 @@ package gf
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"math/rand/v2"
@@ -64,6 +65,74 @@ func TestPackUnpackSlicedRoundTrip(t *testing.T) {
 			t.Fatalf("%s: pack does not mask to m bits", f.Name())
 		}
 	}
+}
+
+// packSlicedRef and unpackSlicedRef are the original per-symbol, per-plane
+// loops, kept as the oracles for the word-at-a-time PackSliced and
+// UnpackSliced.
+func packSlicedRef(f *GF2m, dst []uint64, src []byte) {
+	words := SlicedWords(len(src))
+	clear(dst)
+	for i, s := range src {
+		w, b := i>>6, uint(i)&63
+		for j := 0; j < f.m; j++ {
+			dst[j*words+w] |= uint64((s>>uint(j))&1) << b
+		}
+	}
+}
+
+func unpackSlicedRef(f *GF2m, dst []byte, src []uint64) {
+	words := SlicedWords(len(dst))
+	for i := range dst {
+		w, b := i>>6, uint(i)&63
+		var s byte
+		for j := 0; j < f.m; j++ {
+			s |= byte((src[j*words+w]>>b)&1) << uint(j)
+		}
+		dst[i] = s
+	}
+}
+
+// FuzzPackUnpackSliced checks both directions of the word-at-a-time
+// codec against the per-symbol oracles for every extension field: packing
+// arbitrary bytes (unmasked, any length) into a dirty buffer, and
+// unpacking arbitrary plane words (stray bits past the last symbol
+// included) into a dirty buffer.
+func FuzzPackUnpackSliced(f *testing.F) {
+	f.Add([]byte("hello sliced world"), uint8(7))
+	f.Add([]byte{}, uint8(3))
+	f.Add(bytes.Repeat([]byte{0xA5, 0x3C, 0xFF}, 67), uint8(0))
+	f.Add(bytes.Repeat([]byte{0x81}, 64), uint8(4))
+	f.Fuzz(func(t *testing.T, raw []byte, sel byte) {
+		fld := slicedField(t, extensionOrders[int(sel)%len(extensionOrders)])
+		n := len(raw)
+		size := fld.M() * SlicedWords(n)
+		want := make([]uint64, size)
+		packSlicedRef(fld, want, raw)
+		got := make([]uint64, size)
+		for i := range got {
+			got[i] = 0xDEADBEEFDEADBEEF // PackSliced overwrites
+		}
+		fld.PackSliced(got, raw)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s PackSliced(n=%d) diverges from the per-symbol loop", fld.Name(), n)
+		}
+
+		// The raw bytes again, now read as plane words.
+		planes := make([]uint64, size)
+		for i := range planes {
+			for b := 0; b < 8 && n > 0; b++ {
+				planes[i] |= uint64(raw[(8*i+b)%n]) << (8 * b)
+			}
+		}
+		wantB := make([]byte, n)
+		unpackSlicedRef(fld, wantB, planes)
+		gotB := bytes.Repeat([]byte{0xEE}, n)
+		fld.UnpackSliced(gotB, planes)
+		if !bytes.Equal(gotB, wantB) {
+			t.Fatalf("%s UnpackSliced(n=%d) diverges from the per-symbol loop", fld.Name(), n)
+		}
+	})
 }
 
 func TestSlicedElem(t *testing.T) {

@@ -11,7 +11,10 @@ import (
 // SlicedVec is a bit-sliced row over GF(2^m): m bit-planes of packed
 // 64-bit words, plane-major (see gf/sliced.go for the layout). The
 // coefficient part of a k-symbol row occupies m * gf.SlicedWords(k)
-// words; plane j is v[j*words : (j+1)*words].
+// words; plane j is v[j*words : (j+1)*words]. A payload row has the same
+// type and the same word count for its r symbols, but its contents are
+// opaque outside the matrix's gf.PayloadCodec (planes or bytes, see
+// gf/payload.go).
 type SlicedVec []uint64
 
 // Clone returns an independent copy of v.
@@ -30,11 +33,13 @@ func (v SlicedVec) IsZero() bool {
 }
 
 // SlicedMatrix maintains rows over GF(2^m), m > 1, in row-echelon form
-// using the bit-sliced layout, optionally carrying a sliced payload row
-// per coefficient row — the GF(2^m) counterpart of BitMatrix. Eliminating
-// a whole row is at most m² word-wise plane XORs through the field's
-// AddMulSliced kernel instead of one table gather per symbol, and the
-// pivot search ORs the m planes instead of scanning k bytes.
+// using the bit-sliced layout, optionally carrying a payload row per
+// coefficient row — the GF(2^m) counterpart of BitMatrix. Eliminating
+// a whole coefficient row is at most m² word-wise plane XORs through the
+// field's AddMulSliced kernel instead of one table gather per symbol, and
+// the pivot search ORs the m planes instead of scanning k bytes. Payload
+// rows are packed, eliminated and unpacked through the field's
+// gf.PayloadCodec, which picks their layout once, here at construction.
 //
 // Memory behavior mirrors BitMatrix: surviving rows live in a
 // matrix-owned single-block arena (at most cols rows can ever be
@@ -53,10 +58,11 @@ func (v SlicedVec) IsZero() bool {
 // The zero value is not usable; construct with NewSlicedMatrix.
 type SlicedMatrix struct {
 	f        *gf.GF2m
+	payc     gf.PayloadCodec
 	cols     int
 	extra    int // payload symbols per row (byte-encoded width)
 	words    int // words per coefficient plane
-	payWords int // words per payload plane
+	payWords int // 64-symbol blocks per payload row
 	stride   int // m * words: coefficient row length in words
 	payStr   int // m * payWords: payload row length in words
 
@@ -98,7 +104,7 @@ func NewSlicedMatrix(f *gf.GF2m, cols, extra int) *SlicedMatrix {
 	words := gf.SlicedWords(cols)
 	payWords := gf.SlicedWords(extra)
 	m := &SlicedMatrix{
-		f: f, cols: cols, extra: extra,
+		f: f, payc: f.PayloadCodec(), cols: cols, extra: extra,
 		words: words, payWords: payWords,
 		stride: f.M() * words, payStr: f.M() * payWords,
 		order: f.Order(),
@@ -113,6 +119,10 @@ func NewSlicedMatrix(f *gf.GF2m, cols, extra int) *SlicedMatrix {
 
 // Field returns the matrix's field.
 func (m *SlicedMatrix) Field() *gf.GF2m { return m.f }
+
+// PayloadCodec returns the codec every payload row given to or taken from
+// this matrix is encoded with.
+func (m *SlicedMatrix) PayloadCodec() gf.PayloadCodec { return m.payc }
 
 // Cols returns the number of coefficient columns.
 func (m *SlicedMatrix) Cols() int { return m.cols }
@@ -139,8 +149,9 @@ func (m *SlicedMatrix) Full() bool { return len(m.rows) == m.cols }
 // internal storage and must not be modified.
 func (m *SlicedMatrix) Row(i int) SlicedVec { return m.rows[i] }
 
-// Payload returns the augmented payload planes of the i-th stored echelon
-// row (nil when extra == 0). Aliases internal storage; must not be modified.
+// Payload returns the augmented payload row of the i-th stored echelon
+// row, in the codec's layout (nil when extra == 0). Aliases internal
+// storage; must not be modified.
 func (m *SlicedMatrix) Payload(i int) SlicedVec {
 	if m.extra == 0 {
 		return nil
@@ -175,7 +186,7 @@ func (m *SlicedMatrix) reduce(row, pay SlicedVec) int {
 		if pay != nil {
 			for i, c := range m.scratchF[:len(m.pivot)] {
 				if c != 0 {
-					f.AddMulSliced(pay, m.pay[i], m.payWords, c)
+					m.payc.AddMul(pay, m.pay[i], m.payWords, c)
 				}
 			}
 		}
@@ -189,7 +200,7 @@ func (m *SlicedMatrix) reduce(row, pay SlicedVec) int {
 		factor := f.MulLog(c, m.pivLog[i])
 		f.AddMulSliced(row, m.rows[i], m.words, factor)
 		if pay != nil {
-			f.AddMulSliced(pay, m.pay[i], m.payWords, factor)
+			m.payc.AddMul(pay, m.pay[i], m.payWords, factor)
 		}
 	}
 	return m.lowestNonzero(row)
@@ -584,7 +595,7 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 		if pay != nil {
 			for j, c := range da {
 				if c != 0 {
-					f.AddMulSliced(pay, m.pay[m.pivPos[j]], m.payWords, c)
+					m.payc.AddMul(pay, m.pay[m.pivPos[j]], m.payWords, c)
 				}
 			}
 		}
@@ -594,7 +605,7 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 		c := gf.Elem(rng.Uint64() & mask)
 		f.AddMulSliced(out, row, m.words, c)
 		if pay != nil {
-			f.AddMulSliced(pay, m.pay[i], m.payWords, c)
+			m.payc.AddMul(pay, m.pay[i], m.payWords, c)
 		}
 	}
 	return true
@@ -863,14 +874,14 @@ func (m *SlicedMatrix) Solve() ([][]byte, error) {
 		if c := f.SlicedElem(m.rows[i], m.words, p); c != 1 {
 			inv := f.Inv(c)
 			f.ScaleSliced(m.rows[i], m.words, inv)
-			f.ScaleSliced(m.pay[i], m.payWords, inv)
+			m.payc.Scale(m.pay[i], m.payWords, inv)
 			m.pivLog[i] = f.Log(f.Neg(1)) // pivot normalized; keep the cache honest
 		}
 		for j := 0; j < i; j++ {
 			if c := f.SlicedElem(m.rows[j], m.words, p); c != 0 {
 				nc := f.Neg(c)
 				f.AddMulSliced(m.rows[j], m.rows[i], m.words, nc)
-				f.AddMulSliced(m.pay[j], m.pay[i], m.payWords, nc)
+				m.payc.AddMul(m.pay[j], m.pay[i], m.payWords, nc)
 			}
 		}
 	}
@@ -885,7 +896,7 @@ func (m *SlicedMatrix) Solve() ([][]byte, error) {
 	out := make([][]byte, m.cols)
 	for i := range out {
 		out[i] = make([]byte, m.extra)
-		f.UnpackSliced(out[i], m.pay[i])
+		m.payc.Unpack(out[i], m.pay[i])
 	}
 	return out, nil
 }

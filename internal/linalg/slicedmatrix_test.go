@@ -30,10 +30,17 @@ func packCoeffs(f *gf.GF2m, coeffs []gf.Elem) SlicedVec {
 	return v
 }
 
-// packBytes packs a []byte payload row into a fresh SlicedVec.
+// packBytes packs a []byte coefficient row into a fresh SlicedVec.
 func packBytes(f *gf.GF2m, row []byte) SlicedVec {
 	v := make(SlicedVec, f.M()*gf.SlicedWords(len(row)))
 	f.PackSliced(v, row)
+	return v
+}
+
+// packPayload encodes a []byte payload row for m through its codec.
+func packPayload(m *SlicedMatrix, row []byte) SlicedVec {
+	v := make(SlicedVec, m.PayStride())
+	m.PayloadCodec().Pack(v, row)
 	return v
 }
 
@@ -41,8 +48,22 @@ func packBytes(f *gf.GF2m, row []byte) SlicedVec {
 // RankMatrix with the same random row stream for m ∈ {2, 4, 8} and
 // requires identical helpfulness verdicts, ranks, WouldHelp answers,
 // random-combination emissions (same RNG consumption), and Solve output.
-// Widths straddle the one-word boundary (cols/extra ≤ 64 and > 64).
+// Widths straddle the one-word boundary (cols/extra ≤ 64 and > 64), and
+// payloads go in and come out through the matrix's codec under both
+// payload layouts.
 func TestSlicedMatchesRankMatrix(t *testing.T) {
+	for _, layout := range []struct {
+		name  string
+		bytes bool
+	}{{"planes", false}, {"bytes", true}} {
+		t.Run(layout.name, func(t *testing.T) {
+			defer gf.ForcePayloadLayout(layout.bytes)()
+			testSlicedMatchesRankMatrix(t)
+		})
+	}
+}
+
+func testSlicedMatchesRankMatrix(t *testing.T) {
 	cases := []struct{ m, cols, extra int }{
 		{2, 9, 5},
 		{4, 33, 70},
@@ -65,7 +86,7 @@ func TestSlicedMatchesRankMatrix(t *testing.T) {
 				}
 				coeffs := gf.RandVector(f, tc.cols, rng)
 				payload := gf.RandBytes(f, tc.extra, rng)
-				sc, sp := packCoeffs(f, coeffs), packBytes(f, payload)
+				sc, sp := packCoeffs(f, coeffs), packPayload(slc, payload)
 
 				if gen.WouldHelp(coeffs) != slc.WouldHelp(sc) {
 					t.Fatalf("step %d: WouldHelp disagrees", step)
@@ -93,7 +114,7 @@ func TestSlicedMatchesRankMatrix(t *testing.T) {
 						}
 					}
 					gotP := make([]byte, tc.extra)
-					f.UnpackSliced(gotP, outP)
+					slc.PayloadCodec().Unpack(gotP, outP)
 					if !bytes.Equal(gotP, wantP) {
 						t.Fatalf("step %d: emitted payload differs", step)
 					}
@@ -159,7 +180,7 @@ func TestSlicedMatrixZeroAllocSteadyState(t *testing.T) {
 		if guard > 100*cols {
 			t.Fatal("never reached full rank")
 		}
-		m.AddOwned(packBytes(f, gf.RandBytes(f, cols, rng)), packBytes(f, gf.RandBytes(f, extra, rng)))
+		m.AddOwned(packBytes(f, gf.RandBytes(f, cols, rng)), packPayload(m, gf.RandBytes(f, extra, rng)))
 	}
 	out := make(SlicedVec, m.Stride())
 	pay := make(SlicedVec, m.PayStride())

@@ -6,6 +6,7 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
+	"algossip/internal/linalg"
 )
 
 // FuzzSplitJoinBytes fuzzes the byte chunking layer: for any input that
@@ -147,6 +148,71 @@ func FuzzGenerationPacket(f *testing.F) {
 			if sliced.Receive(pkt) {
 				t.Fatal("generic-backend packet reported helpful on a sliced-backend node")
 			}
+		}
+	})
+}
+
+// FuzzReceive delivers arbitrary native packets — coefficient and payload
+// rows of any word count and any content — straight to a sliced-mode
+// node's Receive, ReceiveOwned and WouldHelp, under both payload layouts:
+// a row of the wrong word count is screened, nothing panics, the rank
+// stays in range, and a well-formed top-up still decodes.
+func FuzzReceive(f *testing.F) {
+	f.Add(uint8(4), uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, true)
+	f.Add(uint8(8), uint8(16), bytes.Repeat([]byte{0xFF}, 300), false)
+	// Payload rows one word short and one word long of the 16 that r=70
+	// takes at GF(256), in either layout.
+	f.Add(uint8(8), uint8(15), bytes.Repeat([]byte{7}, 64), true)
+	f.Add(uint8(8), uint8(17), bytes.Repeat([]byte{7}, 64), false)
+	f.Add(uint8(8), uint8(0), []byte{1}, true)
+	f.Fuzz(func(t *testing.T, coeffWords, payWords uint8, raw []byte, bytesLayout bool) {
+		const k, r = 5, 70
+		cfg := Config{Field: gf.MustNew(256), K: k, PayloadLen: r}
+		restore := gf.ForcePayloadLayout(bytesLayout)
+		n, src := MustNewNode(cfg), MustNewNode(cfg)
+		restore()
+		words := func(count uint8, skip int) linalg.SlicedVec {
+			if count == 0 {
+				return nil
+			}
+			v := make(linalg.SlicedVec, count%40)
+			for i := range v {
+				for b := 0; b < 8 && len(raw) > 0; b++ {
+					v[i] |= uint64(raw[(skip+8*i+b)%len(raw)]) << (8 * b)
+				}
+			}
+			return v
+		}
+		pkt := func() *Packet { return &Packet{Sliced: words(coeffWords, 0), SlicedPay: words(payWords, 3)} }
+		wellFormed := len(pkt().Sliced) == 8 && len(pkt().SlicedPay) == 16
+		helped := n.WouldHelp(pkt())
+		got := n.Receive(pkt())
+		if got && !wellFormed {
+			t.Fatalf("packet with %d coefficient and %d payload words accepted", len(pkt().Sliced), len(pkt().SlicedPay))
+		}
+		if got && !helped {
+			t.Fatal("Receive accepted a packet WouldHelp turned down")
+		}
+		if n.ReceiveOwned(pkt()) {
+			t.Fatal("the same packet was helpful twice")
+		}
+		if n.Rank() < 0 || n.Rank() > 1 {
+			t.Fatalf("rank %d after one packet", n.Rank())
+		}
+		rng := core.NewRand(uint64(len(raw)))
+		for i := 0; i < k; i++ {
+			src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Field, r, rng)})
+		}
+		tmp := &Packet{}
+		for guard := 0; !n.CanDecode() && guard < 1000; guard++ {
+			src.EmitInto(rng, tmp)
+			n.ReceiveOwned(tmp)
+		}
+		if !n.CanDecode() {
+			t.Fatal("node never reached full rank")
+		}
+		if _, err := n.Decode(); err != nil {
+			t.Fatalf("decode at full rank failed: %v", err)
 		}
 	})
 }

@@ -15,7 +15,9 @@
 // order 2, and a bit-sliced backend for every other binary extension
 // field GF(2^m) — so both binary and multi-bit-symbol simulations get
 // word-wise XOR elimination end to end (the sliced backend turns dst +=
-// c*src into at most m² plane XORs instead of k table gathers).
+// c*src into at most m² plane XORs instead of k table gathers; its
+// payload rows go through gf.PayloadCodec, which keeps them as bytes for
+// the vector byte kernels where that is faster).
 // Helpfulness (and hence every stopping time) depends only on coefficient
 // vectors, and all backends consume protocol randomness identically, so
 // backend selection never changes fixed-seed trajectories.
@@ -122,14 +124,21 @@ type Packet struct {
 	// Payload is the combined payload row, combined with the field's bulk
 	// kernels (nil in rank-only and sliced modes).
 	Payload []byte
-	// SlicedPay is the bit-sliced payload row (sliced mode with payloads):
-	// m planes of SlicedWords(r) packed words. Nil otherwise.
+	// SlicedPay is the payload row of a sliced-mode packet with payloads:
+	// m*SlicedWords(r) words holding the r symbols in the layout of the
+	// emitting node's payload codec (planes or bytes) — opaque words to
+	// everything but that codec. Nil otherwise.
 	SlicedPay linalg.SlicedVec
 	// Corrupt marks a packet whose payload no longer matches its coefficient
 	// vector — the detectable-pollution model for Byzantine senders. The
 	// receive screens reject such packets (after the verification work the
 	// protocol layer accounts for); honest emit paths always clear it.
 	Corrupt bool
+
+	// codec is the payload codec (and through it the field) Sliced and
+	// SlicedPay are encoded with, stamped by the node that filled them
+	// (EmitInto, EmitReplayInto, Adapt) for ExpandCoeffs/ExpandPayload.
+	codec gf.PayloadCodec
 }
 
 // IsZero reports whether the packet's coefficient vector is all-zero (such
@@ -147,7 +156,8 @@ func (p *Packet) IsZero() bool {
 // ExpandCoeffs returns the packet's coefficient vector in generic []Elem
 // form, expanding packed bits or sliced planes when needed — the
 // wire-format bridge for transports that serialize one coefficient per
-// symbol. It allocates for bit and sliced packets; boundary code only.
+// symbol. It allocates for bit and sliced packets (which must come from a
+// node's emit or Adapt); boundary code only.
 func (p *Packet) ExpandCoeffs(k int) []gf.Elem {
 	if p.Bits != nil {
 		out := make([]gf.Elem, k)
@@ -159,22 +169,19 @@ func (p *Packet) ExpandCoeffs(k int) []gf.Elem {
 		return out
 	}
 	if p.Sliced != nil {
-		b := expandSliced(p.Sliced, k)
 		out := make([]gf.Elem, k)
-		for i, x := range b {
-			out[i] = gf.Elem(x)
-		}
+		p.codec.Field().UnpackSliced(gf.AsBytes(out), p.Sliced)
 		return out
 	}
 	return p.Coeffs
 }
 
 // ExpandPayload returns the packet's payload row in byte-encoded wire
-// form for a payload width of r symbols, unpacking sliced planes when
-// needed. A non-positive width returns nil even for a payload-carrying
-// sliced packet (a rank-only peer requesting zero symbols — the
-// cross-backend Adapt path). It allocates for sliced packets; boundary
-// code only.
+// form for a payload width of r symbols, decoding a sliced packet's row
+// through the codec it was emitted with. A non-positive width returns nil
+// even for a payload-carrying sliced packet (a rank-only peer requesting
+// zero symbols — the cross-backend Adapt path). It allocates for sliced
+// packets; boundary code only.
 func (p *Packet) ExpandPayload(r int) []byte {
 	if p.SlicedPay == nil {
 		return p.Payload
@@ -182,24 +189,8 @@ func (p *Packet) ExpandPayload(r int) []byte {
 	if r <= 0 {
 		return nil
 	}
-	return expandSliced(p.SlicedPay, r)
-}
-
-// expandSliced unpacks a plane-major sliced row of n symbols into bytes,
-// inferring m from the slice length (the field is not needed: the layout
-// alone determines the symbols).
-func expandSliced(v linalg.SlicedVec, n int) []byte {
-	out := make([]byte, n)
-	words := gf.SlicedWords(n)
-	m := len(v) / words
-	for i := range out {
-		w, b := i/64, uint(i)%64
-		var s byte
-		for j := 0; j < m; j++ {
-			s |= byte((v[j*words+w]>>b)&1) << uint(j)
-		}
-		out[i] = s
-	}
+	out := make([]byte, r)
+	p.codec.Unpack(out, p.SlicedPay)
 	return out
 }
 
@@ -322,13 +313,13 @@ func (n *Node) Seed(msg Message) {
 	}
 	if n.slc != nil {
 		// The unit vector e_Index has the single symbol value 1: only bit
-		// plane 0 carries a bit. The payload packs through the field.
+		// plane 0 carries a bit. The payload packs through the codec.
 		v := make(linalg.SlicedVec, n.slc.Stride())
 		v[msg.Index/64] |= 1 << (uint(msg.Index) % 64)
 		var pay linalg.SlicedVec
 		if n.slc.PayStride() > 0 {
 			pay = make(linalg.SlicedVec, n.slc.PayStride())
-			n.cfg.slicedField().PackSliced(pay, payload)
+			n.slc.PayloadCodec().Pack(pay, payload)
 		}
 		n.slc.AddOwned(v, pay)
 		return
@@ -360,6 +351,7 @@ func (n *Node) EmitInto(rng *rand.Rand, p *Packet) bool {
 	p.Corrupt = false
 	if n.slc != nil {
 		p.Coeffs, p.Bits, p.Payload = nil, nil, nil
+		p.codec = n.slc.PayloadCodec()
 		stride := n.slc.Stride()
 		if cap(p.Sliced) >= stride {
 			p.Sliced = p.Sliced[:stride]
@@ -446,6 +438,7 @@ func (n *Node) EmitReplayInto(p *Packet) bool {
 	p.Corrupt = false
 	if n.slc != nil {
 		p.Coeffs, p.Bits, p.Payload = nil, nil, nil
+		p.codec = n.slc.PayloadCodec()
 		p.Sliced = append(p.Sliced[:0], n.slc.Row(0)...)
 		if n.slc.PayStride() > 0 {
 			p.SlicedPay = append(p.SlicedPay[:0], n.slc.Payload(0)...)
@@ -676,10 +669,11 @@ func (n *Node) validSliced(v linalg.SlicedVec) bool {
 // representation: a generic-coefficient packet arriving at a bit-mode
 // node is packed (rejecting vectors with non-GF(2) symbols by returning
 // nil), one arriving at a sliced-mode node is bit-sliced (symbols are
-// masked to m bits, the padded-table semantics of the byte kernels), a
-// bit or sliced packet arriving at a generic node is expanded, and a
-// packet already in native form is returned unchanged. Transports that
-// pin a one-coefficient-per-symbol wire format call this before Receive.
+// masked to m bits, the padded-table semantics of the byte kernels) into
+// a fresh packet the caller owns, a bit or sliced packet arriving at a
+// generic node is expanded, and a packet already in native form is
+// returned unchanged. Transports that pin a one-coefficient-per-symbol
+// wire format call this before Receive.
 func (n *Node) Adapt(p *Packet) *Packet {
 	if p == nil {
 		return nil
@@ -691,19 +685,16 @@ func (n *Node) Adapt(p *Packet) *Packet {
 		if p.Bits != nil || len(p.Coeffs) != n.cfg.K {
 			return nil // a bit-mode packet can only come from a mismatched field
 		}
-		f := n.cfg.slicedField()
-		out := &Packet{Sliced: make(linalg.SlicedVec, n.slc.Stride()), Corrupt: p.Corrupt}
-		raw := make([]byte, n.cfg.K)
-		for i, c := range p.Coeffs {
-			raw[i] = byte(c)
+		extra := n.cfg.extra()
+		if extra > 0 && len(p.Payload) != extra {
+			return nil // screened before any row is allocated or packed
 		}
-		f.PackSliced(out.Sliced, raw)
-		if extra := n.cfg.extra(); extra > 0 {
-			if len(p.Payload) != extra {
-				return nil
-			}
+		codec := n.slc.PayloadCodec()
+		out := &Packet{Sliced: make(linalg.SlicedVec, n.slc.Stride()), Corrupt: p.Corrupt, codec: codec}
+		codec.Field().PackSliced(out.Sliced, gf.AsBytes(p.Coeffs))
+		if extra > 0 {
 			out.SlicedPay = make(linalg.SlicedVec, n.slc.PayStride())
-			f.PackSliced(out.SlicedPay, p.Payload)
+			codec.Pack(out.SlicedPay, p.Payload)
 		}
 		return out
 	}

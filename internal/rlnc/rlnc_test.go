@@ -240,13 +240,8 @@ func TestReceiveMalformedSliced(t *testing.T) {
 		{Sliced: linalg.SlicedVec{1}},              // too few words
 		{Sliced: make(linalg.SlicedVec, 2*stride)}, // too many words
 		{Sliced: stray},                            // stray high column
-		{Sliced: func() linalg.SlicedVec { // good coeffs, short payload: only rejected when payload mode
-			v := make(linalg.SlicedVec, stride)
-			v[0] = 1 << 1
-			return v
-		}()},
 	}
-	for i, p := range cases[:3] {
+	for i, p := range cases {
 		if n.Receive(p) || n.WouldHelp(p) {
 			t.Errorf("malformed sliced packet %d accepted", i)
 		}
@@ -254,14 +249,38 @@ func TestReceiveMalformedSliced(t *testing.T) {
 	if n.Rank() != 1 {
 		t.Fatalf("rank = %d after malformed sliced packets, want 1", n.Rank())
 	}
-	// Payload mode also screens the payload width.
-	np := MustNewNode(Config{Field: gf.MustNew(16), K: 5, PayloadLen: 8})
-	np.Seed(Message{Index: 1, Payload: make([]byte, 8)})
-	if np.Receive(cases[3]) {
-		t.Error("packet with missing sliced payload accepted")
-	}
-	if np.ReceiveOwned(&Packet{Sliced: cases[3].Sliced, SlicedPay: linalg.SlicedVec{1}}) {
-		t.Error("packet with short sliced payload accepted")
+	// Payload mode also screens the payload row's word count, whichever
+	// layout the row is in (at GF(256) the two layouts fill the same words).
+	for _, q := range []int{16, 256} {
+		for _, bytesLayout := range []bool{false, true} {
+			restore := gf.ForcePayloadLayout(bytesLayout)
+			np := MustNewNode(Config{Field: gf.MustNew(q), K: 5, PayloadLen: 70})
+			restore()
+			np.Seed(Message{Index: 1, Payload: make([]byte, 70)})
+			good := np.Emit(core.NewRand(1))
+			// Two 64-symbol blocks: m planes of 2 words, or 8 symbols a word.
+			want := len(good.SlicedPay)
+			unit := func() linalg.SlicedVec { // e_3: column 3 of plane 0
+				v := make(linalg.SlicedVec, len(good.Sliced))
+				v[0] = 1 << 3
+				return v
+			}
+			for _, words := range []int{0, 1, want - 1, want + 1, 2 * want} {
+				p := &Packet{Sliced: unit()}
+				if words > 0 {
+					p.SlicedPay = make(linalg.SlicedVec, words)
+				}
+				if np.Receive(p) || np.ReceiveOwned(p) {
+					t.Errorf("gf=%d bytes=%v: payload row of %d words accepted, want %d", q, bytesLayout, words, want)
+				}
+			}
+			if np.Rank() != 1 {
+				t.Fatalf("gf=%d bytes=%v: rank = %d after malformed payload rows, want 1", q, bytesLayout, np.Rank())
+			}
+			if !np.ReceiveOwned(&Packet{Sliced: unit(), SlicedPay: make(linalg.SlicedVec, want)}) {
+				t.Errorf("gf=%d bytes=%v: well-formed packet rejected", q, bytesLayout)
+			}
+		}
 	}
 }
 

@@ -156,27 +156,34 @@ func (c Config) newDecoder() (*rlnc.GenNode, error) {
 // emit fills env with a fresh random combination from dec in the
 // one-coefficient-per-symbol wire format, whatever the decoder's internal
 // representation (bit and sliced packets expand here); false when the
-// node stores nothing yet.
-func emit(dec *rlnc.GenNode, rng *rand.Rand, env *Envelope) bool {
-	gp := dec.Emit(rng)
-	if gp == nil {
+// node stores nothing yet. The combination is built in gp, the node's
+// reusable native packet; only the wire arrays, which the envelope
+// carries away, are allocated per frame.
+func emit(dec *rlnc.GenNode, rng *rand.Rand, gp *rlnc.GenPacket, env *Envelope) bool {
+	if !dec.EmitInto(rng, gp) {
 		return false
 	}
 	cfg := dec.Config()
 	env.Gen = gp.Gen
 	env.Coeffs = gp.Packet.ExpandCoeffs(cfg.GenK(gp.Gen))
 	env.Payload = gp.Packet.ExpandPayload(cfg.Inner.PayloadLen)
+	// A generic or bit packet is already in wire form and expands to its
+	// own arrays: the envelope keeps them, the next emit grows new ones.
+	gp.Packet.Coeffs, gp.Packet.Payload = nil, nil
 	return true
 }
 
 // ingest adapts a wire envelope to dec's native backend and receives it.
 // The generation tag and the array shapes come from the wire, so Adapt
-// and Receive screen them — a whole-k node has the single valid tag 0.
+// and ReceiveOwned screen them — a whole-k node has the single valid tag
+// 0. The receive reduces in place: the adapted packet is either freshly
+// built by Adapt or wraps the delivered envelope's arrays, which nobody
+// reads again once it is ingested.
 func ingest(dec *rlnc.GenNode, env *Envelope) {
 	if len(env.Coeffs) == 0 {
 		return
 	}
-	dec.Receive(dec.Adapt(&rlnc.GenPacket{
+	dec.ReceiveOwned(dec.Adapt(&rlnc.GenPacket{
 		Gen:    env.Gen,
 		Packet: &rlnc.Packet{Coeffs: env.Coeffs, Payload: env.Payload},
 	}))
@@ -221,8 +228,9 @@ type clusterNode struct {
 	mu        sync.Mutex
 	neighbors []core.NodeID // guarded by mu: ApplyTopology swaps it mid-run
 	dec       *rlnc.GenNode
-	rng       *rand.Rand // guarded by mu; drives packet emission
-	pending   []Envelope // staged envelopes, ingested at the next tick
+	rng       *rand.Rand     // guarded by mu; drives packet emission
+	pkt       rlnc.GenPacket // guarded by mu; emit's reusable native packet
+	pending   []Envelope     // staged envelopes, ingested at the next tick
 	ticks     int
 	doneTick  int
 	finished  bool
@@ -522,7 +530,7 @@ func (n *clusterNode) tick(ctx context.Context, rng *rand.Rand) {
 func (n *clusterNode) sendPacket(ctx context.Context, peer core.NodeID, wantReply bool) {
 	env := Envelope{Kind: EnvelopePacket, From: n.id, WantReply: wantReply}
 	n.mu.Lock()
-	ok := emit(n.dec, n.rng, &env)
+	ok := emit(n.dec, n.rng, &n.pkt, &env)
 	n.mu.Unlock()
 	if !ok && !wantReply {
 		return // nothing to say and nobody waiting

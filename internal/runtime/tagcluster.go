@@ -37,6 +37,7 @@ type tagNode struct {
 	mu       sync.Mutex
 	dec      *rlnc.GenNode
 	rng      *rand.Rand
+	pkt      rlnc.GenPacket // emit's reusable native packet
 	informed bool
 	parent   core.NodeID
 	rrCursor int
@@ -261,7 +262,7 @@ func (n *tagNode) handle(ctx context.Context, env Envelope) {
 func (n *tagNode) sendPacket(ctx context.Context, peer core.NodeID, wantReply bool) {
 	env := Envelope{Kind: EnvelopePacket, From: n.id, WantReply: wantReply}
 	n.mu.Lock()
-	ok := emit(n.dec, n.rng, &env)
+	ok := emit(n.dec, n.rng, &n.pkt, &env)
 	n.mu.Unlock()
 	if !ok && !wantReply {
 		return
