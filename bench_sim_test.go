@@ -124,7 +124,7 @@ func BenchmarkSimGenerationAG(b *testing.B) {
 // generation-coded configuration. shards=1 isolates the staging/commit
 // overhead of sharded semantics against the classic serial engine (same
 // trajectory family, different bookkeeping); shards=4 shows the speedup
-// left after the serial commit phase (Amdahl-bound). The counts are
+// of fanning out both the wake phase and the commit. The counts are
 // pinned — not GOMAXPROCS — because the benchmark name feeds the
 // benchdelta baseline, which fails on entries missing from a run; the
 // trajectory is identical for any positive count, so oversharding a

@@ -202,8 +202,9 @@ func (p *Protocol) SetObserver(obs sim.Observer) { p.obs = obs }
 
 // EnableSharded switches the protocol to sharded-execution semantics (see
 // shard.go and sim.ShardedProtocol): per-node RNG streams derived from
-// seed, per-node staging slots, ordered commit, and — on static
-// topologies — retirement of provably inert nodes. Must be called before
+// seed, per-node staging slots, a commit ordered per receiver (and as
+// parallel as the round's wake phase was), and — on static topologies —
+// retirement of provably inert nodes. Must be called before
 // the run; the engine must be configured with sim.WithShards. The
 // trajectory is identical for every shard count but differs from the
 // classic serial semantics for the same seed. Generation coding caps the

@@ -75,6 +75,53 @@ func TestAllocsSteadyStateRound(t *testing.T) {
 	}
 }
 
+// TestAllocsSteadyStateShardedRound pins zero allocations for a sharded
+// round as the engine drives it at two shards — two WakeShard calls, so
+// CommitRound runs two workers, one of them on its own goroutine — once
+// ranks have saturated. The commit's worker scratch (counters, event
+// lists, the goroutine bodies) lives on the shardCore and the run to
+// saturation below has already grown it, so neither the fan-out nor the
+// merge may allocate. Retirement is off: with it a saturated graph wakes
+// nobody and the round would be empty.
+func TestAllocsSteadyStateShardedRound(t *testing.T) {
+	g := graph.Ring(256) // four bitmap words
+	cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(2), K: 8, RankOnly: true}, GenSize: 4}
+	p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(core.SplitSeed(3, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SeedAll(RoundRobinAssign(8, g.N()), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableSharded(core.SplitSeed(3, 12), false); err != nil {
+		t.Fatal(err)
+	}
+	words := len(p.ActiveWords())
+	round := 0
+	step := func() {
+		round++
+		p.BeginRound(round)
+		p.WakeShard(0, words/2)
+		p.WakeShard(words/2, words)
+		p.CommitRound(round)
+	}
+	for !p.Done() {
+		step()
+	}
+	if len(p.shard.workers) != 2 || cap(p.shard.merged) == 0 {
+		t.Fatalf("warm-up did not commit on two workers: %d workers, merged cap %d",
+			len(p.shard.workers), cap(p.shard.merged))
+	}
+	step() // every send is now a counter-only slot
+	sent := p.Traffic().Sent
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("steady-state sharded round allocated %.1f times, want 0", allocs)
+	}
+	if p.Traffic().Sent == sent {
+		t.Fatal("steady-state rounds sent nothing")
+	}
+}
+
 // TestStagedBufferShrinks locks the bounded-shrink fix: a burst round
 // that stages far more deliveries than the following rounds must not pin
 // its peak capacity forever — the decaying high-water mark releases it

@@ -3,9 +3,12 @@ package algebraic
 import (
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"algossip/internal/core"
+	"algossip/internal/gossip"
 	"algossip/internal/rlnc"
 )
 
@@ -23,8 +26,8 @@ import (
 //   - Staging: node v's wakeup writes only slots 2v (v's send, or the
 //     pull it requests) and 2v+1 (the exchange reply), so no append
 //     order exists to race on.
-//   - Commit: after all workers return, slots are applied in ascending
-//     node order on one goroutine — the deterministic merge.
+//   - Commit: after all workers return, every receiver sees its own
+//     packets in ascending slot order — the deterministic merge.
 //
 // Within a synchronous round all decoder state is frozen (applies happen
 // only at commit), so concurrent wakeups read a consistent snapshot; the
@@ -35,6 +38,62 @@ import (
 // Because the per-node streams are new, a sharded trajectory differs
 // from the classic serial one for the same seed; it is byte-identical
 // across shard counts, which is the contract tests pin.
+//
+// # The commit is partitioned by receiver
+//
+// The reference semantics is the serial one: walk the slots in ascending
+// order and, per delivered packet, reduce it into the receiver, count it,
+// stamp the receiver's completion, and update the wake bitmap. Only the
+// first of those is expensive, and it touches nothing but the receiver:
+// a GenNode reads and writes its own decoders and the packet it is
+// handed. So commit runs in two steps.
+//
+// Step 1, parallel: w workers each walk the round's woke snapshot in
+// ascending slot order. A worker applies the slotPacket slots whose
+// receiver it owns — receivers are dealt out in 64-node blocks,
+// (to>>6) % w, so a spatial frontier on a ring or grid spreads over all
+// workers and adjacent nodes (allocated together) stay with one — which
+// gives every receiver exactly the packets, in exactly the order, of the
+// serial walk. Counter-only slots (slotUseless, slotDropped) have no
+// receiver state to order against and are counted by the owner of the
+// *waker's* block. A worker writes only its own counters and event list:
+// never p.traffic, doneRound/doneCount, the observer or the bitmap.
+//
+// Step 2, serial and short: sum the counters, merge the event lists by
+// slot, and replay them — first every completion (refreshDone, in slot
+// order, so NodeDone callbacks and doneRound stamps are the serial ones),
+// then every onRankUp, then every onFull.
+//
+// Why deferring retirement to end-of-round state changes nothing. Ranks
+// only rise inside a commit, so "rank 0" and "full" are monotone
+// predicates of commit time. Write t(e) for the serial time of event e.
+//
+//   - The nodes set are the same. Interleaved, a rise of v at time t
+//     sets v and every neighbour u with rank 0 at t; deferred, v and
+//     every u with rank 0 at the end. Rank 0 at the end implies rank 0
+//     at t; and a u with rank 0 at t but not at the end rose in this
+//     round itself, so its own rise sets it either way.
+//   - The nodes cleared are the same. Both versions clear x exactly when
+//     some v in x's closed neighbourhood N[x] filled this round, x is
+//     full and all of N[x] is full — judged at t(v) or at the end.
+//     Interleaved implies deferred by monotonicity. Conversely, if all of
+//     N[x] is full at the end and some member filled this round, take
+//     the last member y to fill: at t(y) the serial walk runs onFull(y),
+//     which examines x (x is y, or a neighbour of y that is already
+//     full) and finds all of N[x] full, so it clears x then.
+//   - Per node, every set precedes every clear in the serial walk: a
+//     node is set only while it or the rising neighbour still has rank
+//     0 (onRankUp runs before onFull when k = 1 does both in one slot),
+//     and cleared only once it is full. All sets then all clears — the
+//     deferred order — therefore leaves every bit as the serial walk
+//     does: 0 if the node was cleared, else 1 if it was set, else
+//     unchanged.
+//
+// w is the number of WakeShard calls the engine made this round: the
+// commit is as wide as the wake phase was, with nothing to configure.
+// Shards=1, and a bitmap of one word (which the engine never splits),
+// give w = 1, and w = 1 runs step 1 on the calling goroutine — it is the
+// same code, not a second path.
 
 // Slot states, written during the wake phase and consumed at commit.
 const (
@@ -44,9 +103,36 @@ const (
 	slotDropped       // lost in flight (LossRate)
 )
 
+// shardSlot is one staged transmission. wake resets both of a node's
+// slots before staging, and commit reads only the slots of nodes that
+// woke, so commit never writes a slot. to is meaningful for slotPacket
+// only: send leaves it stale on slotDropped and commit never reads it for
+// a counter-only state (those are attributed to the waker, slot>>1).
+// Every commit worker scans every woke slot, so a slot is kept to 8 bytes.
 type shardSlot struct {
 	state uint8
-	to    core.NodeID
+	to    int32
+}
+
+// commitEvent is a delivery the serial epilogue must act on: the receiver
+// of slot left rank 0 (rose) and/or reached full rank (full).
+type commitEvent struct {
+	slot       int32
+	rose, full bool
+}
+
+// receiver returns the node e's packet was delivered to (commit leaves
+// slots intact, so the slot still names it).
+func (sc *shardCore) receiver(e commitEvent) core.NodeID {
+	return core.NodeID(sc.slots[e.slot].to)
+}
+
+// commitWorker is one worker's step-1 output, reused across rounds. Each
+// is its own 64-byte heap object, so no two share a cache line.
+type commitWorker struct {
+	traffic gossip.Traffic
+	events  []commitEvent
+	run     func() // this worker's step 1, built once so `go w.run()` allocates nothing
 }
 
 // shardCore is Protocol's sharded executor: it owns scheduling, staging
@@ -73,6 +159,12 @@ type shardCore struct {
 	retire bool
 	active []uint64 // wake bitmap, bit v of word v/64
 	woke   []uint64 // round-start snapshot commit iterates while mutating active
+
+	wakeCalls atomic.Int32    // WakeShard calls since the last commit: the commit's width
+	width     int             // workers of the commit in flight
+	workers   []*commitWorker // grown to the widest commit seen
+	merged    []commitEvent   // the workers' events in slot order (width > 1)
+	wg        sync.WaitGroup
 }
 
 func newShardCore(p *Protocol, seed uint64, retire bool) *shardCore {
@@ -141,6 +233,7 @@ func (sc *shardCore) inert(v core.NodeID) bool {
 // wakeRange performs the wakeups of every active node in the bitmap word
 // range [lo, hi). Safe to call concurrently for disjoint ranges.
 func (sc *shardCore) wakeRange(lo, hi int) {
+	sc.wakeCalls.Add(1)
 	for w := lo; w < hi; w++ {
 		word := sc.active[w]
 		base := w * 64
@@ -153,6 +246,7 @@ func (sc *shardCore) wakeRange(lo, hi int) {
 }
 
 func (sc *shardCore) wake(v core.NodeID) {
+	sc.slots[2*v].state, sc.slots[2*v+1].state = slotEmpty, slotEmpty
 	rng := sc.rngs[v]
 	u := sc.p.sel.Partner(v, rng)
 	if u == core.NilNode {
@@ -183,7 +277,7 @@ func (sc *shardCore) send(from, to core.NodeID, rng *rand.Rand, slot int) {
 		// The verdict is predetermined; unlike the classic path's
 		// SkipEmit there is no randomness parity to maintain (no other
 		// node reads this stream), so no draw happens at all.
-		s.state, s.to = slotUseless, to
+		s.state, s.to = slotUseless, int32(to)
 		return
 	}
 	sc.locks[from].Lock()
@@ -193,60 +287,119 @@ func (sc *shardCore) send(from, to core.NodeID, rng *rand.Rand, slot int) {
 		return // unreachable: rank checked above
 	}
 	if loss := sc.p.cfg.LossRate; loss > 0 && rng.Float64() < loss {
-		s.state = slotDropped
+		s.state = slotDropped // s.to stays stale; commit counts this slot by its waker
 		return
 	}
-	s.state, s.to = slotPacket, to
+	s.state, s.to = slotPacket, int32(to)
 }
 
-// commit applies every staged slot in ascending node order and updates
-// the wake bitmap for the next round. It iterates a snapshot of the
-// round's bitmap because retirement clears bits mid-pass and every node
-// that woke must have its slots drained.
+// commit applies the round's staged slots — step 1 on as many workers as
+// the round had WakeShard calls, step 2 here — and updates the wake
+// bitmap for the next round. It iterates a snapshot of the round's bitmap
+// because retirement clears bits and every node that woke must have its
+// slots applied. It trusts that snapshot: the round's wakeRange calls must
+// have covered every word of the bitmap, because only wake resets a
+// node's slots — an active node that was not woken this round would have
+// the packets of its last wake applied again.
 func (sc *shardCore) commit() {
 	copy(sc.woke, sc.active)
+	w := max(int(sc.wakeCalls.Swap(0)), 1)
+	for j := len(sc.workers); j < w; j++ {
+		cw := &commitWorker{}
+		cw.run = func() {
+			defer sc.wg.Done()
+			sc.apply(cw, j)
+		}
+		sc.workers = append(sc.workers, cw)
+	}
+	sc.width = w
+	sc.wg.Add(w - 1)
+	for _, cw := range sc.workers[1:w] {
+		go cw.run()
+	}
+	sc.apply(sc.workers[0], 0)
+	sc.wg.Wait()
+
+	events := sc.workers[0].events
+	if w > 1 {
+		sc.merged = sc.merged[:0]
+		for _, cw := range sc.workers[:w] {
+			sc.merged = append(sc.merged, cw.events...)
+		}
+		slices.SortFunc(sc.merged, func(a, b commitEvent) int { return int(a.slot - b.slot) })
+		events = sc.merged
+	}
+	for _, cw := range sc.workers[:w] {
+		sc.p.traffic.Add(cw.traffic)
+	}
+	for _, e := range events {
+		if e.full {
+			sc.p.refreshDone(sc.receiver(e))
+		}
+	}
+	if !sc.retire {
+		return
+	}
+	for _, e := range events {
+		if e.rose {
+			sc.onRankUp(sc.receiver(e))
+		}
+	}
+	for _, e := range events {
+		if e.full {
+			sc.onFull(sc.receiver(e))
+		}
+	}
+}
+
+// apply is step 1 for worker j of sc.width: one pass over the woke
+// snapshot in ascending slot order, taking the packets whose receiver j
+// owns and the counter-only slots whose waker j owns.
+func (sc *shardCore) apply(cw *commitWorker, j int) {
+	cw.traffic = gossip.Traffic{}
+	cw.events = cw.events[:0]
+	width := sc.width
 	for w, word := range sc.woke {
+		wakerMine := w%width == j
 		base := w * 64
 		for word != 0 {
 			v := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			sc.commitSlot(2 * v)
-			sc.commitSlot(2*v + 1)
+			for i := 2 * v; i <= 2*v+1; i++ {
+				switch s := &sc.slots[i]; s.state {
+				case slotUseless:
+					if wakerMine {
+						cw.traffic.Sent++
+						cw.traffic.Useless++
+					}
+				case slotDropped:
+					if wakerMine {
+						cw.traffic.Sent++
+						cw.traffic.Dropped++
+					}
+				case slotPacket:
+					if int(s.to>>6)%width == j {
+						sc.deliver(cw, i, core.NodeID(s.to))
+					}
+				}
+			}
 		}
 	}
 }
 
-func (sc *shardCore) commitSlot(i int) {
-	s := &sc.slots[i]
-	switch s.state {
-	case slotEmpty:
+// deliver reduces slot i's packet into its receiver and records what the
+// epilogue needs to know about it.
+func (sc *shardCore) deliver(cw *commitWorker, i int, to core.NodeID) {
+	cw.traffic.Sent++
+	rose := sc.retire && sc.rank(to) == 0
+	if !sc.p.nodes[to].ReceiveOwned(&sc.slotPkts[i]) {
+		cw.traffic.Useless++
 		return
-	case slotUseless:
-		sc.p.traffic.Sent++
-		sc.p.traffic.Useless++
-	case slotDropped:
-		sc.p.traffic.Sent++
-		sc.p.traffic.Dropped++
-	case slotPacket:
-		sc.p.traffic.Sent++
-		to := s.to
-		wasZero := sc.retire && sc.rank(to) == 0
-		if sc.p.nodes[to].ReceiveOwned(&sc.slotPkts[i]) {
-			sc.p.traffic.Helpful++
-			sc.p.refreshDone(to)
-			if sc.retire {
-				if wasZero {
-					sc.onRankUp(to)
-				}
-				if sc.full(to) {
-					sc.onFull(to)
-				}
-			}
-		} else {
-			sc.p.traffic.Useless++
-		}
 	}
-	s.state = slotEmpty
+	cw.traffic.Helpful++
+	if full := sc.full(to); rose || full {
+		cw.events = append(cw.events, commitEvent{slot: int32(i), rose: rose, full: full})
+	}
 }
 
 // onRankUp re-activates a node that just left rank 0, plus any neighbor

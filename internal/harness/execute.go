@@ -123,9 +123,10 @@ type GossipSpec struct {
 	GenSize int
 	// Shards, when positive, runs the trial through the sharded
 	// round-parallel engine (sim.WithShards): node wakeups fan out over
-	// this many workers inside one round, with per-node RNG streams and
-	// an ordered commit keeping the trajectory byte-identical for every
-	// positive shard count. The sharded trajectory differs from the
+	// this many workers inside one round (and so does the commit, by
+	// receiver), with per-node RNG streams and a per-receiver delivery
+	// order keeping the trajectory byte-identical for every positive
+	// shard count. The sharded trajectory differs from the
 	// classic serial one (Shards == 0) for the same seed. Uniform AG,
 	// synchronous model only.
 	Shards int

@@ -194,9 +194,10 @@ func (e *Engine) runSync() (rounds int, done bool) {
 // runShardedSync executes synchronous rounds through the sharded
 // protocol surface: the active-node bitmap is split into contiguous word
 // ranges, one per shard, whose wakeups run concurrently; the protocol
-// then commits every staged send in ascending node order on this
-// goroutine. The per-round structure (Done poll, topology step,
-// BeginRound) matches runSync; EndRound is replaced by CommitRound.
+// then commits every staged send (CommitRound, which may fan out again
+// by receiver — it sees how many WakeShard calls the round made). The
+// per-round structure (Done poll, topology step, BeginRound) matches
+// runSync; EndRound is replaced by CommitRound.
 func (e *Engine) runShardedSync(sp ShardedProtocol) (rounds int, done bool) {
 	for round := 0; round < e.maxRounds; round++ {
 		if e.proto.Done() {

@@ -49,17 +49,16 @@ type Protocol interface {
 // ShardedProtocol is an optional Protocol extension for sharded
 // round-parallel execution (Engine WithShards): the engine partitions the
 // node set into contiguous 64-node bitmap-word ranges and drives each
-// range's wakeups on its own worker, then commits every staged send in a
-// single deterministic pass.
+// range's wakeups on its own worker, then has the protocol commit every
+// staged send deterministically.
 //
 // The determinism contract mirrors the harness's byte-identity guarantee
 // across -parallel values, pushed down into the engine: a protocol's
 // sharded trajectory must be identical for every shard count. The
 // protocol owns what makes that possible — per-node RNG streams (the
 // finest-grained "per-shard" derivation, so the word partition cannot
-// influence any draw), fixed per-node staging slots, and a commit that
-// walks nodes in ascending ID order regardless of which worker staged
-// what.
+// influence any draw), fixed per-node staging slots, and a commit whose
+// result does not depend on which worker staged or applied what.
 type ShardedProtocol interface {
 	Protocol
 	// ActiveWords returns the bitmap (bit v of word v/64 = node v wakes
@@ -73,12 +72,24 @@ type ShardedProtocol interface {
 	// [lo, hi), staging all sends. Calls for disjoint ranges run
 	// concurrently; implementations must confine mutation to
 	// node-owned state (per-node RNGs, per-node slots) or guard shared
-	// scratch with per-node locks that cannot affect drawn values.
+	// scratch with per-node locks that cannot affect drawn values. The
+	// ranges of one round's calls must together cover every word of
+	// ActiveWords: a wakeup is also what discards the node's stage from
+	// its previous round, so CommitRound may assume every active node
+	// was woken.
 	WakeShard(lo, hi int)
-	// CommitRound applies every staged send in ascending node order and
-	// clears the stage. It runs on the engine's goroutine, after all
-	// WakeShard calls of the round returned. It replaces EndRound, which
-	// is never invoked in sharded execution.
+	// CommitRound applies every staged send, after all WakeShard calls
+	// of the round — covering every word — returned. The contract is per
+	// receiver: a node sees the deliveries addressed to it in ascending
+	// slot order (the waker's ID, the send before the exchange reply), and
+	// receivers are independent of one another, so an implementation may
+	// apply different receivers' deliveries concurrently, on goroutines of
+	// its own. What is shared — traffic counters, completion stamps, the
+	// Observer, the ActiveWords bitmap — is updated only by the calling
+	// goroutine, in slot order, before CommitRound returns; Observer
+	// callbacks therefore arrive exactly as from a serial walk of the
+	// slots. It replaces EndRound, which is never invoked in sharded
+	// execution.
 	CommitRound(round int)
 }
 
