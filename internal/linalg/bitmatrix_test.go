@@ -168,3 +168,21 @@ func BenchmarkRankMatrixAddGF256(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRankMatrixEmitGF256 is RandomCombinationInto at rank k/2 of a
+// k=128 GF(256) byte-row matrix — the emit half of a sweep_rank GF(256)
+// node, the byte-row twin of BenchmarkSlicedEmitK128.
+func BenchmarkRankMatrixEmitGF256(b *testing.B) {
+	f := gf.MustNew(256)
+	rng := core.NewRand(1)
+	m := NewRankMatrix(f, 128, 0)
+	for m.Rank() < 64 {
+		m.Add(gf.RandVector(f, 128, rng), nil)
+	}
+	out := make([]gf.Elem, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RandomCombinationInto(rng, out, nil)
+	}
+}

@@ -29,19 +29,25 @@ var ErrNotFullRank = errors.New("linalg: matrix is not full rank")
 // a whole row costs one table walk (or word-wise XOR) instead of a
 // per-symbol scalar loop.
 //
-// Memory behavior: surviving rows are copied into a matrix-owned arena
-// allocated in bulk chunks (at most cols rows can ever be retained), and
-// elimination scratch is reused across calls, so the steady-state
-// Add/AddOwned/WouldHelp path performs no allocations and never retains
-// caller memory.
+// Memory behavior: surviving rows are copied into a matrix-owned arena,
+// and the arena, the row bookkeeping and the elimination scratch are all
+// sized once, at the first insert (at most cols rows can ever be
+// retained), so the steady-state Add/AddOwned/WouldHelp/
+// RandomCombinationInto path performs no allocations and never retains
+// caller memory. A rank-only matrix (extra == 0) keeps no payload
+// bookkeeping at all.
 //
 // The zero value is not usable; construct with NewRankMatrix.
 type RankMatrix struct {
-	f      gf.Field
+	f gf.Field
+	// f2m is f when it is a binary extension field, resolved once so the
+	// per-row loops of reduce and emit call its kernels directly instead
+	// of through the interface; nil for every other field.
+	f2m    *gf.GF2m
 	cols   int
 	extra  int
 	rows   [][]gf.Elem // coefficient parts, pivot columns strictly increasing
-	pay    [][]byte    // augmented payload parts, parallel to rows (nil entries when extra == 0)
+	pay    [][]byte    // augmented payload parts, parallel to rows (nil when extra == 0)
 	pivot  []int       // pivot[i] is the pivot column of rows[i]
 	pivFac []gf.Elem   // -1/rows[i][pivot[i]], cached at insert time
 
@@ -50,11 +56,6 @@ type RankMatrix struct {
 	scratchC []gf.Elem // reusable reduce buffer (coefficients)
 	scratchP []byte    // reusable reduce buffer (payload)
 }
-
-// arenaChunkRows bounds how many rows one arena chunk holds, so huge
-// matrices grow incrementally instead of committing cols² memory up
-// front while small ones still allocate once.
-const arenaChunkRows = 64
 
 // NewRankMatrix returns an empty matrix over field f with cols coefficient
 // columns and extra augmented payload bytes per row.
@@ -65,7 +66,8 @@ func NewRankMatrix(f gf.Field, cols, extra int) *RankMatrix {
 	if extra < 0 {
 		panic("linalg: extra must be non-negative")
 	}
-	return &RankMatrix{f: f, cols: cols, extra: extra}
+	f2m, _ := f.(*gf.GF2m)
+	return &RankMatrix{f: f, f2m: f2m, cols: cols, extra: extra}
 }
 
 // Cols returns the number of coefficient columns (the number of unknowns).
@@ -91,26 +93,46 @@ func (m *RankMatrix) Row(i int) []gf.Elem { return m.rows[i] }
 // Payload returns the augmented payload of the i-th stored echelon row (nil
 // when extra == 0). The returned slice aliases internal storage and must
 // not be modified.
-func (m *RankMatrix) Payload(i int) []byte { return m.pay[i] }
+func (m *RankMatrix) Payload(i int) []byte {
+	if m.extra == 0 {
+		return nil
+	}
+	return m.pay[i]
+}
 
 // reduce eliminates the row (coeffs, pay) against the stored echelon rows in
 // place and returns the pivot column, or -1 if the coefficient part reduced
 // to zero. A nil pay skips payload elimination (used by coefficient-only
 // queries).
 func (m *RankMatrix) reduce(coeffs []gf.Elem, pay []byte) int {
-	f := m.f
-	for i, p := range m.pivot {
-		c := coeffs[p]
-		if c == 0 {
-			continue
+	// row -= (c / rows[i][p]) * rows[i]; the pivot's negated inverse is
+	// cached at insert time, so each elimination step costs one Mul
+	// instead of a Div+Neg pair.
+	if f := m.f2m; f != nil {
+		cb := gf.AsBytes(coeffs)
+		for i, p := range m.pivot {
+			c := coeffs[p]
+			if c == 0 {
+				continue
+			}
+			factor := f.Mul(c, m.pivFac[i])
+			f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), factor)
+			if pay != nil {
+				f.AddMulSlice(pay, m.pay[i], factor)
+			}
 		}
-		// row -= (c / rows[i][p]) * rows[i]; the pivot's negated inverse is
-		// cached at insert time, so each elimination step costs one Mul
-		// instead of a Div+Neg pair.
-		factor := f.Mul(c, m.pivFac[i])
-		f.AXPY(coeffs, m.rows[i], factor)
-		if pay != nil {
-			f.AddMulSlice(pay, m.pay[i], factor)
+	} else {
+		f := m.f
+		for i, p := range m.pivot {
+			c := coeffs[p]
+			if c == 0 {
+				continue
+			}
+			factor := f.Mul(c, m.pivFac[i])
+			f.AXPY(coeffs, m.rows[i], factor)
+			if pay != nil {
+				f.AddMulSlice(pay, m.pay[i], factor)
+			}
 		}
 	}
 	for j := 0; j < m.cols; j++ {
@@ -190,36 +212,25 @@ func (m *RankMatrix) ensureScratch() {
 	}
 }
 
-// allocRow carves one coefficient row (and payload row when extra > 0)
-// off the arena, growing it chunk-wise. Retained rows end up contiguous
-// in memory, which the reduce loop walks in order.
-func (m *RankMatrix) allocRow() ([]gf.Elem, []byte) {
-	if len(m.arenaC) < m.cols {
-		rows := m.cols - len(m.rows) // rows that can still be retained
-		if rows > arenaChunkRows {
-			rows = arenaChunkRows
-		}
-		m.arenaC = make([]gf.Elem, rows*m.cols)
+// insert copies an already-reduced row with pivot column p into the
+// arena, keeping pivots strictly increasing. Rank can only reach cols,
+// so the first insert sizes the arena and the bookkeeping for good: rows
+// are carved off the arena's front in insertion order and inserts never
+// regrow anything.
+func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, p int) {
+	if m.rows == nil {
+		m.rows = make([][]gf.Elem, 0, m.cols)
+		m.pivot = make([]int, 0, m.cols)
+		m.pivFac = make([]gf.Elem, 0, m.cols)
+		m.arenaC = make([]gf.Elem, m.cols*m.cols)
 		if m.extra > 0 {
-			m.arenaP = make([]byte, rows*m.extra)
+			m.pay = make([][]byte, 0, m.cols)
+			m.arenaP = make([]byte, m.cols*m.extra)
 		}
 	}
 	rowC := m.arenaC[:m.cols:m.cols]
 	m.arenaC = m.arenaC[m.cols:]
-	var rowP []byte
-	if m.extra > 0 {
-		rowP = m.arenaP[:m.extra:m.extra]
-		m.arenaP = m.arenaP[m.extra:]
-	}
-	return rowC, rowP
-}
-
-// insert copies an already-reduced row with pivot column p into the
-// arena, keeping pivots strictly increasing.
-func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, p int) {
-	rowC, rowP := m.allocRow()
 	copy(rowC, coeffs)
-	copy(rowP, pay)
 	at := len(m.rows)
 	for i, q := range m.pivot {
 		if q > p {
@@ -228,17 +239,22 @@ func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, p int) {
 		}
 	}
 	m.rows = append(m.rows, nil)
-	m.pay = append(m.pay, nil)
 	m.pivot = append(m.pivot, 0)
 	m.pivFac = append(m.pivFac, 0)
 	copy(m.rows[at+1:], m.rows[at:])
-	copy(m.pay[at+1:], m.pay[at:])
 	copy(m.pivot[at+1:], m.pivot[at:])
 	copy(m.pivFac[at+1:], m.pivFac[at:])
 	m.rows[at] = rowC
-	m.pay[at] = rowP
 	m.pivot[at] = p
 	m.pivFac[at] = m.f.Neg(m.f.Inv(rowC[p]))
+	if m.extra > 0 {
+		rowP := m.arenaP[:m.extra:m.extra]
+		m.arenaP = m.arenaP[m.extra:]
+		copy(rowP, pay)
+		m.pay = append(m.pay, nil)
+		copy(m.pay[at+1:], m.pay[at:])
+		m.pay[at] = rowP
+	}
 }
 
 // WouldHelp reports whether the given coefficient vector (length Cols) is
@@ -287,6 +303,22 @@ func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay
 	m.checkWidths(coeffs, pay)
 	clear(coeffs)
 	clear(pay)
+	if m.extra == 0 {
+		pay = nil
+	}
+	if f := m.f2m; f != nil {
+		// One masked Uint64 per row is exactly gf.Rand's IntN for a
+		// power-of-two order (the identity SlicedMatrix relies on too).
+		cb, mask := gf.AsBytes(coeffs), uint64(f.Order()-1)
+		for i, row := range m.rows {
+			c := gf.Elem(rng.Uint64() & mask)
+			f.AddMulSlice(cb, gf.AsBytes(row), c)
+			if pay != nil {
+				f.AddMulSlice(pay, m.pay[i], c)
+			}
+		}
+		return true
+	}
 	for i, row := range m.rows {
 		c := gf.Rand(m.f, rng)
 		m.f.AXPY(coeffs, row, c)
@@ -303,6 +335,9 @@ func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay
 // are reduced in place (which preserves the row space, so further Adds
 // remain correct).
 func (m *RankMatrix) Solve() ([][]byte, error) {
+	if m.extra == 0 {
+		return nil, errors.New("linalg: RankMatrix has no payload to solve for")
+	}
 	if !m.Full() {
 		return nil, ErrNotFullRank
 	}
@@ -336,22 +371,9 @@ func (m *RankMatrix) Solve() ([][]byte, error) {
 
 // Clone returns a deep copy of the matrix.
 func (m *RankMatrix) Clone() *RankMatrix {
-	cp := &RankMatrix{
-		f:      m.f,
-		cols:   m.cols,
-		extra:  m.extra,
-		rows:   make([][]gf.Elem, len(m.rows)),
-		pay:    make([][]byte, len(m.pay)),
-		pivot:  append([]int(nil), m.pivot...),
-		pivFac: append([]gf.Elem(nil), m.pivFac...),
-	}
-	for i, r := range m.rows {
-		cp.rows[i] = append([]gf.Elem(nil), r...)
-	}
-	for i, r := range m.pay {
-		if r != nil {
-			cp.pay[i] = append([]byte(nil), r...)
-		}
+	cp := NewRankMatrix(m.f, m.cols, m.extra)
+	for i, row := range m.rows {
+		cp.insert(row, m.Payload(i), m.pivot[i])
 	}
 	return cp
 }

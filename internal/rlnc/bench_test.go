@@ -102,24 +102,28 @@ func BenchmarkDecode(b *testing.B) {
 // the width/zero/corrupt screens in Receive are what a Byzantine flood
 // makes every honest node pay per packet, so rejection must stay cheap
 // relative to an accepted reduction. Sub-benchmarks cover the three
-// screen layers on the sliced GF(256) backend: the Corrupt flag (a
-// pollution verdict already attached by the verifier), an all-zero
-// coefficient vector (non-innovative by construction), and a
+// screen layers on the GF(256) backend this host selects: the Corrupt
+// flag (a pollution verdict already attached by the verifier), an
+// all-zero coefficient vector (non-innovative by construction), and a
 // wrong-width coefficient row (malformed network input).
 func BenchmarkScreenFlood(b *testing.B) {
 	src, _ := benchNode(b, 32, 64)
 	rng := core.NewRand(7)
 	good := src.Emit(rng)
-	if good == nil || !src.SlicedMode() {
-		b.Fatal("bench setup: expected a sliced-mode emission")
+	if good == nil {
+		b.Fatal("bench setup: expected an emission")
 	}
 	corrupt := *good
 	corrupt.Corrupt = true
 	zero := *good
-	zero.Sliced = make(linalg.SlicedVec, len(good.Sliced))
-	zero.SlicedPay = append(linalg.SlicedVec(nil), good.SlicedPay...)
 	width := *good
-	width.Sliced = good.Sliced[:len(good.Sliced)-1]
+	if src.SlicedMode() {
+		zero.Sliced = make(linalg.SlicedVec, len(good.Sliced))
+		width.Sliced = good.Sliced[:len(good.Sliced)-1]
+	} else {
+		zero.Coeffs = make([]gf.Elem, len(good.Coeffs))
+		width.Coeffs = good.Coeffs[:len(good.Coeffs)-1]
+	}
 
 	cases := []struct {
 		name string

@@ -139,9 +139,12 @@ func FuzzGenerationPacket(f *testing.F) {
 			if _, err := n.Decode(); err != nil {
 				t.Fatalf("decode at full rank failed: %v", err)
 			}
-			// Backend-shape screen: GF(256) generations run the sliced backend,
-			// so a generic-element packet must bounce even with a valid tag.
-			sliced, err := NewGenNode(GenConfig{Inner: Config{Field: gf.MustNew(256), PayloadLen: r}, K: k, GenSize: genSize})
+			// Backend-shape screen: on the sliced backend a generic-element
+			// packet must bounce even with a valid tag.
+			var sliced *GenNode
+			buildSliced(t, func() {
+				sliced, err = NewGenNode(GenConfig{Inner: Config{Field: gf.MustNew(256), PayloadLen: r}, K: k, GenSize: genSize})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,11 +155,14 @@ func FuzzGenerationPacket(f *testing.F) {
 	})
 }
 
-// FuzzReceive delivers arbitrary native packets — coefficient and payload
-// rows of any word count and any content — straight to a sliced-mode
-// node's Receive, ReceiveOwned and WouldHelp, under both payload layouts:
-// a row of the wrong word count is screened, nothing panics, the rank
-// stays in range, and a well-formed top-up still decodes.
+// FuzzReceive delivers arbitrary packets straight to Receive,
+// ReceiveOwned and WouldHelp, in two forms. Native sliced packets —
+// coefficient and payload rows of any word count and any content — go to
+// a sliced-mode node under both payload layouts: a row of the wrong word
+// count is screened. The same bytes as a wire packet (one symbol per
+// byte) go, raw and through Adapt, to a node of every field kind on every
+// backend: a byte that is no field symbol is screened. Nothing panics,
+// the rank stays in range, and a well-formed top-up still decodes.
 func FuzzReceive(f *testing.F) {
 	f.Add(uint8(4), uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, true)
 	f.Add(uint8(8), uint8(16), bytes.Repeat([]byte{0xFF}, 300), false)
@@ -165,11 +171,18 @@ func FuzzReceive(f *testing.F) {
 	f.Add(uint8(8), uint8(15), bytes.Repeat([]byte{7}, 64), true)
 	f.Add(uint8(8), uint8(17), bytes.Repeat([]byte{7}, 64), false)
 	f.Add(uint8(8), uint8(0), []byte{1}, true)
+	// Wire rows with bytes that are no field symbol: the coefficient row
+	// that indexed past GF(7)'s inverse table and generic GF(16)'s
+	// multiplication table, the lone 16 the sliced adapter used to mask to
+	// zero, and a clean coefficient row over a dirty payload.
+	f.Add(uint8(0), uint8(0), []byte{0xFF, 0x1F, 0x31, 7, 1, 1}, false)
+	f.Add(uint8(0), uint8(0), []byte{16, 0, 0, 0, 0, 0}, false)
+	f.Add(uint8(0), uint8(0), []byte{1, 2, 3, 1, 0xFF, 0x10}, true)
 	f.Fuzz(func(t *testing.T, coeffWords, payWords uint8, raw []byte, bytesLayout bool) {
 		const k, r = 5, 70
 		cfg := Config{Field: gf.MustNew(256), K: k, PayloadLen: r}
 		restore := gf.ForcePayloadLayout(bytesLayout)
-		n, src := MustNewNode(cfg), MustNewNode(cfg)
+		n, src := slicedNode(t, cfg), slicedNode(t, cfg)
 		restore()
 		words := func(count uint8, skip int) linalg.SlicedVec {
 			if count == 0 {
@@ -199,22 +212,93 @@ func FuzzReceive(f *testing.F) {
 		if n.Rank() < 0 || n.Rank() > 1 {
 			t.Fatalf("rank %d after one packet", n.Rank())
 		}
-		rng := core.NewRand(uint64(len(raw)))
-		for i := 0; i < k; i++ {
-			src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Field, r, rng)})
-		}
-		tmp := &Packet{}
-		for guard := 0; !n.CanDecode() && guard < 1000; guard++ {
-			src.EmitInto(rng, tmp)
-			n.ReceiveOwned(tmp)
-		}
-		if !n.CanDecode() {
-			t.Fatal("node never reached full rank")
-		}
-		if _, err := n.Decode(); err != nil {
-			t.Fatalf("decode at full rank failed: %v", err)
-		}
+		topUp(t, n, src, uint64(len(raw)))
+
+		fuzzWireSymbols(t, raw)
 	})
+}
+
+// topUp fills n from a freshly seeded full-rank src and decodes it: what
+// came before must not have corrupted the decoder.
+func topUp(t *testing.T, n, src *Node, seed uint64) {
+	t.Helper()
+	cfg := src.Config()
+	rng := core.NewRand(seed)
+	for i := 0; i < cfg.K; i++ {
+		src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Field, cfg.PayloadLen, rng)})
+	}
+	tmp := &Packet{}
+	for guard := 0; !n.CanDecode() && guard < 1000; guard++ {
+		src.EmitInto(rng, tmp)
+		n.ReceiveOwned(tmp)
+	}
+	if !n.CanDecode() {
+		t.Fatal("node never reached full rank")
+	}
+	if _, err := n.Decode(); err != nil {
+		t.Fatalf("decode at full rank failed: %v", err)
+	}
+}
+
+// symbolNodes builds one empty node per backend a field can run on: the
+// generic one (ForceGeneric), the one the rule picks on the pure-Go tiers
+// (sliced for GF(2^m)) and the one it picks on this host.
+func symbolNodes(t testing.TB, cfg Config) map[string]*Node {
+	forced := cfg
+	forced.ForceGeneric = true
+	nodes := map[string]*Node{"generic": MustNewNode(forced), "host": MustNewNode(cfg)}
+	buildSliced(t, func() { nodes["portable"] = MustNewNode(cfg) })
+	return nodes
+}
+
+// fuzzWireSymbols reads raw as a wire packet — four coefficients, two
+// payload symbols, one per byte — and delivers it to every backend of a
+// GF(2), a prime field, two small extension fields and GF(256), directly
+// and through Adapt: a byte >= q anywhere makes it malformed, whichever
+// backend the node runs on.
+func fuzzWireSymbols(t *testing.T, raw []byte) {
+	const k, r = 4, 2
+	if len(raw) == 0 {
+		return
+	}
+	row := make([]byte, k+r)
+	for i := range row {
+		row[i] = raw[i%len(raw)]
+	}
+	wire := func() *Packet {
+		return &Packet{Coeffs: bytesToElems(row[:k]), Payload: append([]byte(nil), row[k:]...)}
+	}
+	for _, q := range []int{2, 7, 4, 16, 256} {
+		malformed := false
+		for _, s := range row {
+			malformed = malformed || int(s) >= q
+		}
+		cfg := Config{Field: gf.MustNew(q), K: k, PayloadLen: r}
+		src := symbolNodes(t, cfg)
+		for name, n := range symbolNodes(t, cfg) {
+			var helped, got bool
+			if native := n.Adapt(wire()); native != nil {
+				helped = n.WouldHelp(native)
+				got = n.Receive(native)
+			}
+			if got && (malformed || !helped) {
+				t.Fatalf("GF(%d) %s: adapted row %v accepted (malformed %v, WouldHelp %v)", q, name, row, malformed, helped)
+			}
+			if !n.SlicedMode() && !n.BitMode() {
+				// The wire form is this backend's native form: it can also
+				// arrive without Adapt, and must meet the same screen
+				// (WouldHelp reads the coefficient half only).
+				n.WouldHelp(wire())
+				if n.Receive(wire()) || n.ReceiveOwned(wire()) {
+					t.Fatalf("GF(%d) %s: raw row %v helpful after the adapted one (malformed %v)", q, name, row, malformed)
+				}
+			}
+			if n.Rank() < 0 || n.Rank() > 1 || (malformed && n.Rank() != 0) {
+				t.Fatalf("GF(%d) %s: rank %d after row %v", q, name, n.Rank(), row)
+			}
+			topUp(t, n, src[name], uint64(q))
+		}
+	}
 }
 
 func bytesToElems(b []byte) []gf.Elem {

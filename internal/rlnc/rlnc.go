@@ -10,14 +10,14 @@
 // once its coefficient matrix reaches rank k it solves the linear system
 // and recovers all k initial messages.
 //
-// Three backends share one API: a generic finite-field backend carrying
-// payloads, a packed GF(2) bitset backend used whenever the field has
-// order 2, and a bit-sliced backend for every other binary extension
-// field GF(2^m) — so both binary and multi-bit-symbol simulations get
-// word-wise XOR elimination end to end (the sliced backend turns dst +=
-// c*src into at most m² plane XORs instead of k table gathers; its
-// payload rows go through gf.PayloadCodec, which keeps them as bytes for
-// the vector byte kernels where that is faster).
+// Three backends share one API: a generic byte-row backend (one symbol
+// per byte, any field), a packed GF(2) bitset backend used whenever the
+// field has order 2, and a bit-sliced backend for the other binary
+// extension fields GF(2^m). The field and the kernel tier active at
+// construction pick one (Config.backend): a GF(2^m) decoder is byte rows
+// where the tier has vector byte kernels (avx2, gfni) — the smaller
+// footprint wins a trial there — and bit-sliced on the pure-Go tiers,
+// where dst += c*src as at most m² plane XORs beats k table gathers.
 // Helpfulness (and hence every stopping time) depends only on coefficient
 // vectors, and all backends consume protocol randomness identically, so
 // backend selection never changes fixed-seed trajectories.
@@ -31,6 +31,7 @@
 package rlnc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -55,9 +56,9 @@ type Config struct {
 	PayloadLen int
 	// RankOnly drops payloads and tracks only coefficient vectors.
 	RankOnly bool
-	// ForceGeneric disables the packed GF(2) and bit-sliced GF(2^m)
-	// backends (testing and cross-validation only — the backends are
-	// trajectory-identical, the generic one is just slower).
+	// ForceGeneric selects the generic byte-row backend whatever the
+	// field and tier (testing and cross-validation only — the backends
+	// are trajectory-identical).
 	ForceGeneric bool
 }
 
@@ -74,23 +75,42 @@ func (c Config) validate() error {
 	return nil
 }
 
-// bitMode reports whether the packed GF(2) backend applies. Since the
-// bit backend learned to carry payload rows, every order-2 configuration
-// qualifies — rank-only or not.
-func (c Config) bitMode() bool { return c.Field.Order() == 2 && !c.ForceGeneric }
+// backend names the decoder a node runs on.
+type backend uint8
 
-// slicedField returns the field when the bit-sliced GF(2^m) backend
-// applies (any binary extension field of order > 2, unless ForceGeneric),
-// nil otherwise. GF(2) stays on the dedicated bit backend.
-func (c Config) slicedField() *gf.GF2m {
-	if c.ForceGeneric || c.bitMode() {
-		return nil
+const (
+	backendGeneric backend = iota // linalg.RankMatrix: byte rows, any field
+	backendBit                    // linalg.BitMatrix: packed GF(2)
+	backendSliced                 // linalg.SlicedMatrix: bit-sliced GF(2^m), m > 1
+)
+
+func (b backend) String() string {
+	return [...]string{"generic", "bit", "sliced"}[b]
+}
+
+// backend is the whole selection rule, a function of the field and the
+// kernel tier active when the node is constructed — later tier changes
+// move a node's kernels, never its layout (the rule gf.PayloadCodec
+// applies to payload rows, here for the whole row). Order 2 is the packed
+// bit backend, rank-only or not. A binary extension field is byte rows
+// when the tier has vector byte kernels and bit-sliced otherwise: hot,
+// the two are at parity on avx2/gfni, but a sliced k=128 GF(256) decoder
+// is 80 KiB of planes and subset tables against 16 KiB of byte rows, and
+// a trial is footprint-bound (n=1024: byte rows 2.7× faster); on the
+// pure-Go tiers the byte kernels are table gathers and sliced wins 1.9×.
+// No k or q threshold: byte rows won or tied every measured (q, k) in a
+// trial (DESIGN.md "Row layouts"). Everything else is byte rows.
+func (c Config) backend(tier gf.Tier) backend {
+	if c.ForceGeneric {
+		return backendGeneric
 	}
-	f, ok := c.Field.(*gf.GF2m)
-	if !ok || f.Order() == 2 {
-		return nil
+	if c.Field.Order() == 2 {
+		return backendBit
 	}
-	return f
+	if _, ok := c.Field.(*gf.GF2m); ok && tier < gf.TierAVX2 {
+		return backendSliced
+	}
+	return backendGeneric
 }
 
 // extra returns the augmented payload width in bytes (0 in rank-only mode).
@@ -215,6 +235,7 @@ func PackCoeffs(coeffs []gf.Elem) (linalg.BitVec, bool) {
 // It is not safe for concurrent use; the concurrent runtime wraps it.
 type Node struct {
 	cfg Config
+	q   int                  // field order, cached for the symbol screen and SkipEmit
 	mat *linalg.RankMatrix   // generic backend
 	bit *linalg.BitMatrix    // bit backend (with payload rows when configured)
 	slc *linalg.SlicedMatrix // bit-sliced GF(2^m) backend
@@ -228,12 +249,12 @@ func NewNode(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &Node{cfg: cfg}
-	switch {
-	case cfg.bitMode():
+	n := &Node{cfg: cfg, q: cfg.Field.Order()}
+	switch cfg.backend(gf.ActiveTier()) {
+	case backendBit:
 		n.bit = linalg.NewBitMatrixPayload(cfg.K, cfg.extra())
-	case cfg.slicedField() != nil:
-		n.slc = linalg.NewSlicedMatrix(cfg.slicedField(), cfg.K, cfg.extra())
+	case backendSliced:
+		n.slc = linalg.NewSlicedMatrix(cfg.Field.(*gf.GF2m), cfg.K, cfg.extra())
 	default:
 		n.mat = linalg.NewRankMatrix(cfg.Field, cfg.K, cfg.extra())
 	}
@@ -261,16 +282,16 @@ func (n *Node) BitMode() bool { return n.bit != nil }
 func (n *Node) SlicedMode() bool { return n.slc != nil }
 
 // Backend returns the selected backend plus the kernel tier its inner
-// loops dispatch to, e.g. "sliced/GF(256) gf-tier=gfni" — the string
+// loops dispatch to, e.g. "generic/GF(256) gf-tier=gfni" — the string
 // surfaced by status endpoints so perf numbers are attributable to both
 // selection layers.
 func (n *Node) Backend() string {
-	kind := "generic"
+	kind := backendGeneric
 	switch {
 	case n.bit != nil:
-		kind = "bit"
+		kind = backendBit
 	case n.slc != nil:
-		kind = "sliced"
+		kind = backendSliced
 	}
 	return fmt.Sprintf("%s/%s gf-tier=%s", kind, n.cfg.Field.Name(), gf.ActiveTier())
 }
@@ -409,9 +430,9 @@ func (n *Node) SkipEmit(rng *rand.Rand) bool {
 	if rank == 0 {
 		return false
 	}
-	if n.bit != nil || n.slc != nil {
-		// Both packed backends draw one Uint64 per stored row (IntN of a
-		// power-of-two order is exactly one masked Uint64).
+	if n.q&(n.q-1) == 0 {
+		// Every backend draws one Uint64 per stored row over GF(2^m) (IntN
+		// of a power-of-two order is exactly one masked Uint64).
 		for i := 0; i < rank; i++ {
 			rng.Uint64()
 		}
@@ -508,30 +529,42 @@ func (n *Node) Receive(p *Packet) bool {
 		copy(n.scratchBits, p.Bits)
 		pay := n.copyPayloadScratch(p.Payload)
 		if pay == nil && n.cfg.extra() > 0 {
-			return false // malformed payload width
+			return false // malformed payload width or symbol
 		}
 		return n.bit.AddPayload(n.scratchBits, pay)
 	}
 	if p.Coeffs == nil {
 		panic("rlnc: bit packet delivered to generic-mode node")
 	}
-	// Malformed packets (wrong coefficient or payload width) can arrive from
-	// the network; reject them instead of letting the eliminator panic.
-	if len(p.Coeffs) != n.cfg.K {
+	// Malformed packets (wrong coefficient or payload width, a byte that
+	// is no field symbol) can arrive from the network; reject them instead
+	// of letting the eliminator panic.
+	payload, ok := n.screenGeneric(p)
+	if !ok {
 		return false
-	}
-	var payload []byte
-	if !n.cfg.RankOnly {
-		if len(p.Payload) != n.cfg.PayloadLen {
-			return false
-		}
-		payload = p.Payload
 	}
 	return n.mat.Add(p.Coeffs, payload)
 }
 
+// screenGeneric is the generic backend's malformed-packet screen: exact
+// coefficient and payload widths and every byte a field symbol. It
+// returns the payload row to eliminate (nil in rank-only mode).
+func (n *Node) screenGeneric(p *Packet) (payload []byte, ok bool) {
+	if len(p.Coeffs) != n.cfg.K || !n.validSymbols(gf.AsBytes(p.Coeffs)) {
+		return nil, false
+	}
+	if n.cfg.RankOnly {
+		return nil, true
+	}
+	if len(p.Payload) != n.cfg.PayloadLen || !n.validSymbols(p.Payload) {
+		return nil, false
+	}
+	return p.Payload, true
+}
+
 // copyPayloadScratch copies a payload into the node's reusable payload
-// scratch and returns it. It returns nil both on width mismatch and for
+// scratch and returns it. It returns nil both on a malformed payload
+// (width mismatch, a byte that is no field symbol) and for
 // rank-only nodes (extra == 0, nothing to copy) — which is why the
 // caller must disambiguate nil with an extra() > 0 check before treating
 // it as malformed.
@@ -540,7 +573,7 @@ func (n *Node) copyPayloadScratch(payload []byte) []byte {
 	if extra == 0 {
 		return nil
 	}
-	if len(payload) != extra {
+	if len(payload) != extra || !n.validSymbols(payload) {
 		return nil
 	}
 	if n.scratchPay == nil {
@@ -583,7 +616,7 @@ func (n *Node) ReceiveOwned(p *Packet) bool {
 			return false
 		}
 		extra := n.cfg.extra()
-		if extra > 0 && len(p.Payload) != extra {
+		if extra > 0 && (len(p.Payload) != extra || !n.validSymbols(p.Payload)) {
 			return false
 		}
 		var pay []byte
@@ -595,15 +628,9 @@ func (n *Node) ReceiveOwned(p *Packet) bool {
 	if p.Coeffs == nil {
 		panic("rlnc: bit packet delivered to generic-mode node")
 	}
-	if len(p.Coeffs) != n.cfg.K {
+	payload, ok := n.screenGeneric(p)
+	if !ok {
 		return false
-	}
-	var payload []byte
-	if !n.cfg.RankOnly {
-		if len(p.Payload) != n.cfg.PayloadLen {
-			return false
-		}
-		payload = p.Payload
 	}
 	return n.mat.AddOwned(p.Coeffs, payload)
 }
@@ -627,7 +654,7 @@ func (n *Node) WouldHelp(p *Packet) bool {
 		}
 		return n.bit.WouldHelp(p.Bits)
 	}
-	if len(p.Coeffs) != n.cfg.K {
+	if len(p.Coeffs) != n.cfg.K || !n.validSymbols(gf.AsBytes(p.Coeffs)) {
 		return false
 	}
 	return n.mat.WouldHelp(p.Coeffs)
@@ -645,6 +672,39 @@ func (n *Node) validBits(v linalg.BitVec) bool {
 		return false
 	}
 	return true
+}
+
+// validSymbols is the same screen for byte rows, one rule on every
+// backend: a coefficient or payload byte that is no field symbol (>= q)
+// makes the packet malformed — Adapt returns nil and the receive paths
+// report it unhelpful — just as validBits rejects stray bits instead of
+// masking them. The eliminators index q-sized tables with these bytes,
+// so an unscreened one panics. GF(256) skips the scan (every byte is a
+// symbol), and native sliced rows need none (m planes cannot hold more
+// than m bits).
+func (n *Node) validSymbols(row []byte) bool {
+	q := n.q
+	if q == 256 {
+		return true
+	}
+	if q&(q-1) != 0 {
+		for _, s := range row {
+			if int(s) >= q {
+				return false
+			}
+		}
+		return true
+	}
+	// Power-of-two order: the symbols are all below q exactly when no byte
+	// has a bit at or above log2(q), so OR-fold eight bytes at a time.
+	var acc uint64
+	for ; len(row) >= 8; row = row[8:] {
+		acc |= binary.LittleEndian.Uint64(row)
+	}
+	for _, s := range row {
+		acc |= uint64(s)
+	}
+	return acc&(uint64(0xFF&^(q-1))*0x0101010101010101) == 0
 }
 
 // validSliced is the sliced-mode malformed-packet screen: the vector must
@@ -667,15 +727,19 @@ func (n *Node) validSliced(v linalg.SlicedVec) bool {
 
 // Adapt converts a wire-format packet into this node's native
 // representation: a generic-coefficient packet arriving at a bit-mode
-// node is packed (rejecting vectors with non-GF(2) symbols by returning
-// nil), one arriving at a sliced-mode node is bit-sliced (symbols are
-// masked to m bits, the padded-table semantics of the byte kernels) into
+// node is packed, one arriving at a sliced-mode node is bit-sliced into
 // a fresh packet the caller owns, a bit or sliced packet arriving at a
 // generic node is expanded, and a packet already in native form is
-// returned unchanged. Transports that pin a one-coefficient-per-symbol
-// wire format call this before Receive.
+// returned unchanged — on a generic node the wire form is the native
+// one. A wire packet carrying a byte that is no field symbol is
+// malformed on every backend (validSymbols) and adapts to nil.
+// Transports that pin a one-coefficient-per-symbol wire format call this
+// before Receive.
 func (n *Node) Adapt(p *Packet) *Packet {
 	if p == nil {
+		return nil
+	}
+	if p.Coeffs != nil && !(n.validSymbols(gf.AsBytes(p.Coeffs)) && n.validSymbols(p.Payload)) {
 		return nil
 	}
 	if n.slc != nil {

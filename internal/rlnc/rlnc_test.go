@@ -16,7 +16,8 @@ func genericCfg(q, k, r int) Config {
 }
 
 // TestBackendReporting pins the backend-selection string: one value per
-// backend kind, always carrying the active kernel tier.
+// backend kind, always carrying the active kernel tier. The nodes are
+// built on the portable tier, where GF(256) selects the sliced backend.
 func TestBackendReporting(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
@@ -27,7 +28,9 @@ func TestBackendReporting(t *testing.T) {
 		{Config{Field: gf.MustNew(256), K: 4, PayloadLen: 2, ForceGeneric: true}, "generic/GF(256)"},
 		{Config{Field: gf.MustNew(7), K: 4, PayloadLen: 2}, "generic/F_7"},
 	} {
-		got := MustNewNode(tc.cfg).Backend()
+		var n *Node
+		buildSliced(t, func() { n = MustNewNode(tc.cfg) })
+		got := n.Backend()
 		want := tc.want + " gf-tier=" + gf.ActiveTier().String()
 		if got != want {
 			t.Errorf("Backend() = %q, want %q", got, want)
@@ -224,14 +227,59 @@ func TestReceiveMalformedBits(t *testing.T) {
 	}
 }
 
+// TestReceiveMalformedSymbols: a wire byte that is no field symbol (>= q)
+// is malformed on every backend — Adapt returns nil, the receive paths
+// report it unhelpful, the rank does not move and nothing panics. The
+// coefficient row is the one that indexed past GF(7)'s inverse table
+// (RankMatrix.insert) and generic GF(16)'s multiplication table on the
+// wire-facing path; at GF(256) every byte is a symbol and it is helpful.
+func TestReceiveMalformedSymbols(t *testing.T) {
+	for _, q := range []int{3, 7, 4, 16, 256} {
+		cfg := Config{Field: gf.MustNew(q), K: 4, PayloadLen: 2}
+		for name, n := range symbolNodes(t, cfg) {
+			rows := []struct {
+				name            string
+				coeffs, payload []byte
+			}{
+				{"coefficients", []byte{0xFF, 0x1F, 0x31, 7}, []byte{1, 1}},
+				{"payload", []byte{1, 2, 1, 0}, []byte{1, 0xFF}},
+			}
+			for _, row := range rows {
+				wire := func() *Packet {
+					return &Packet{Coeffs: bytesToElems(row.coeffs), Payload: append([]byte(nil), row.payload...)}
+				}
+				native := n.Adapt(wire())
+				if q == 256 {
+					if native == nil || !n.Receive(native) {
+						t.Errorf("GF(256) %s: %s row rejected, every byte is a symbol", name, row.name)
+					}
+					continue
+				}
+				if native != nil {
+					t.Errorf("GF(%d) %s: Adapt accepted a %s row with a byte >= q", q, name, row.name)
+				}
+				if n.SlicedMode() {
+					continue // the wire form reaches a sliced node through Adapt only
+				}
+				if row.name == "coefficients" && n.WouldHelp(wire()) {
+					t.Errorf("GF(%d) %s: WouldHelp accepted a coefficient >= q", q, name)
+				}
+				if n.Receive(wire()) || n.ReceiveOwned(wire()) {
+					t.Errorf("GF(%d) %s: Receive accepted a %s row with a byte >= q", q, name, row.name)
+				}
+			}
+			if want := map[bool]int{false: 0, true: 2}[q == 256]; n.Rank() != want {
+				t.Errorf("GF(%d) %s: rank %d after malformed rows, want %d", q, name, n.Rank(), want)
+			}
+		}
+	}
+}
+
 // TestReceiveMalformedSliced: the sliced backend applies the same screen —
 // a sliced vector with the wrong word count or stray bits past column k-1
 // in any plane is rejected, never panics, and never inflates the rank.
 func TestReceiveMalformedSliced(t *testing.T) {
-	n := MustNewNode(Config{Field: gf.MustNew(16), K: 5, RankOnly: true})
-	if !n.SlicedMode() {
-		t.Fatal("GF(16) node must select the sliced backend")
-	}
+	n := slicedNode(t, Config{Field: gf.MustNew(16), K: 5, RankOnly: true})
 	n.Seed(Message{Index: 0})
 	stride := 4 * 1 // m=4 planes, 1 word each for k=5
 	stray := make(linalg.SlicedVec, stride)
@@ -254,7 +302,7 @@ func TestReceiveMalformedSliced(t *testing.T) {
 	for _, q := range []int{16, 256} {
 		for _, bytesLayout := range []bool{false, true} {
 			restore := gf.ForcePayloadLayout(bytesLayout)
-			np := MustNewNode(Config{Field: gf.MustNew(q), K: 5, PayloadLen: 70})
+			np := slicedNode(t, Config{Field: gf.MustNew(q), K: 5, PayloadLen: 70})
 			restore()
 			np.Seed(Message{Index: 1, Payload: make([]byte, 70)})
 			good := np.Emit(core.NewRand(1))

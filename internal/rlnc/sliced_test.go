@@ -10,6 +10,72 @@ import (
 	"algossip/internal/gf"
 )
 
+// buildSliced runs build with the kernel tier pinned to portable — the
+// side of the backend rule on which a GF(2^m) node is bit-sliced — and
+// restores the tier after, so the nodes build constructs are sliced yet
+// run against the host's best plane kernels (and the CI legs' forced
+// tiers). The layout is chosen at construction; nothing else needs the
+// pin.
+func buildSliced(t testing.TB, build func()) {
+	t.Helper()
+	prev := gf.ActiveTier()
+	if err := gf.SetTier(gf.TierPortable); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := gf.SetTier(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	build()
+}
+
+// slicedNode is MustNewNode on the sliced side of the backend rule.
+func slicedNode(t testing.TB, cfg Config) *Node {
+	t.Helper()
+	var n *Node
+	buildSliced(t, func() { n = MustNewNode(cfg) })
+	if !n.SlicedMode() {
+		t.Fatalf("%s node built on the portable tier is not sliced", cfg.Field.Name())
+	}
+	return n
+}
+
+// TestBackendRule is the selection rule itself, (field, tier) → backend:
+// order 2 is always packed bits, a binary extension field is byte rows
+// on the vector tiers and bit-sliced on the pure-Go ones, a prime field
+// is always byte rows, and ForceGeneric overrides all of it.
+func TestBackendRule(t *testing.T) {
+	tiers := []gf.Tier{gf.TierScalar, gf.TierPortable, gf.TierAVX2, gf.TierGFNI}
+	for _, q := range []int{2, 3, 4, 16, 256} {
+		cfg := Config{Field: gf.MustNew(q), K: 4, RankOnly: true}
+		for _, tier := range tiers {
+			want := backendGeneric
+			switch {
+			case q == 2:
+				want = backendBit
+			case q != 3 && tier < gf.TierAVX2:
+				want = backendSliced
+			}
+			if got := cfg.backend(tier); got != want {
+				t.Errorf("GF(%d) on %s: backend %s, want %s", q, tier, got, want)
+			}
+			forced := cfg
+			forced.ForceGeneric = true
+			if got := forced.backend(tier); got != backendGeneric {
+				t.Errorf("GF(%d) on %s with ForceGeneric: backend %s", q, tier, got)
+			}
+		}
+	}
+	// NewNode applies the rule at the tier active at construction, and the
+	// layout then survives a tier change.
+	cfg := Config{Field: gf.MustNew(16), K: 4, RankOnly: true}
+	slicedNode(t, cfg)
+	if got, want := MustNewNode(cfg).SlicedMode(), gf.ActiveTier() < gf.TierAVX2; got != want {
+		t.Errorf("GF(16) node on %s: sliced = %v, want %v", gf.ActiveTier(), got, want)
+	}
+}
+
 // TestSlicedGenericEquivalence locks the backend-selection determinism
 // contract for the bit-sliced backend: a GF(2^m) payload-carrying node on
 // the sliced backend and one on the generic backend (ForceGeneric)
@@ -30,9 +96,9 @@ func TestSlicedGenericEquivalence(t *testing.T) {
 			for i := range msgs {
 				msgs[i] = Message{Index: i, Payload: gf.RandBytes(f, r, seedRNG)}
 			}
-			slcSrc, genSrc := MustNewNode(slcCfg), MustNewNode(genCfg)
-			slcDst, genDst := MustNewNode(slcCfg), MustNewNode(genCfg)
-			if !slcSrc.SlicedMode() || genSrc.SlicedMode() || slcSrc.BitMode() {
+			slcSrc, genSrc := slicedNode(t, slcCfg), MustNewNode(genCfg)
+			slcDst, genDst := slicedNode(t, slcCfg), MustNewNode(genCfg)
+			if genSrc.SlicedMode() || slcSrc.BitMode() {
 				t.Fatal("backend selection wrong")
 			}
 			for _, m := range msgs {
@@ -86,7 +152,7 @@ func TestSlicedGenericEquivalence(t *testing.T) {
 // the sliced backend plus its malformed-input rejections.
 func TestSlicedAdaptRoundTrip(t *testing.T) {
 	f := gf.MustNew(16)
-	slcNode := MustNewNode(Config{Field: f, K: 5, PayloadLen: 3})
+	slcNode := slicedNode(t, Config{Field: f, K: 5, PayloadLen: 3})
 	genNode := MustNewNode(Config{Field: f, K: 5, PayloadLen: 3, ForceGeneric: true})
 	seed := Message{Index: 2, Payload: []byte{1, 2, 3}}
 	slcNode.Seed(seed)
@@ -120,11 +186,13 @@ func TestSlicedAdaptRoundTrip(t *testing.T) {
 	if slcNode.Adapt(nil) != nil {
 		t.Fatal("nil packet must adapt to nil")
 	}
-	// Out-of-field symbols mask to m bits (the padded-table semantics):
-	// 16 & 0xF == 0, so a lone symbol 16 packs to the zero vector.
-	masked := slcNode.Adapt(&Packet{Coeffs: []gf.Elem{16, 0, 0, 0, 0}, Payload: []byte{0, 0, 0}})
-	if masked == nil || !masked.IsZero() {
-		t.Fatal("out-of-field symbol must mask to zero")
+	// A byte that is no field symbol is malformed, in either half, as on
+	// every backend (TestReceiveMalformedSymbols) — never masked to m bits.
+	if slcNode.Adapt(&Packet{Coeffs: []gf.Elem{16, 0, 0, 0, 0}, Payload: []byte{0, 0, 0}}) != nil {
+		t.Fatal("out-of-field coefficient must not slice")
+	}
+	if slcNode.Adapt(&Packet{Coeffs: []gf.Elem{1, 0, 0, 0, 0}, Payload: []byte{0, 0x1F, 0}}) != nil {
+		t.Fatal("out-of-field payload symbol must not slice")
 	}
 }
 
@@ -133,7 +201,7 @@ func TestSlicedAdaptRoundTrip(t *testing.T) {
 // payload dropped (regression: ExpandPayload(0) used to divide by zero).
 func TestAdaptSlicedToRankOnlyGeneric(t *testing.T) {
 	f := gf.MustNew(256)
-	src := MustNewNode(Config{Field: f, K: 4, PayloadLen: 3})
+	src := slicedNode(t, Config{Field: f, K: 4, PayloadLen: 3})
 	for i := 0; i < 4; i++ {
 		src.Seed(Message{Index: i, Payload: []byte{byte(i), 1, 2}})
 	}
@@ -188,7 +256,7 @@ func traceLayoutRun(t *testing.T, bytesLayout bool, f gf.Field, k, g, r int) lay
 	}
 	inner := Config{Field: f, K: k, PayloadLen: r}
 	if g == k {
-		src, dst := MustNewNode(inner), MustNewNode(inner)
+		src, dst := slicedNode(t, inner), slicedNode(t, inner)
 		for _, m := range msgs {
 			src.Seed(m)
 		}
@@ -211,11 +279,14 @@ func traceLayoutRun(t *testing.T, bytesLayout bool, f gf.Field, k, g, r int) lay
 		return tr
 	}
 	cfg := GenConfig{Inner: inner, K: k, GenSize: g}
-	src, err := NewGenNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, _ := NewGenNode(cfg)
+	var src, dst *GenNode
+	var err error
+	buildSliced(t, func() {
+		if src, err = NewGenNode(cfg); err != nil {
+			t.Fatal(err)
+		}
+		dst, _ = NewGenNode(cfg)
+	})
 	for _, m := range msgs {
 		src.Seed(m)
 	}
