@@ -87,24 +87,31 @@ func (v BitVec) LowestSet() int {
 // XOR path end to end. A rank update costs O(rank * cols / 64) word
 // operations plus O(rank * extra) XOR-ed payload bytes.
 //
-// Memory behavior: surviving rows live in a matrix-owned arena allocated
-// in bulk (at most cols rows can ever be retained), and elimination
-// scratch is reused across calls, so the steady-state Add/WouldHelp path
-// performs no allocations and never retains caller memory.
+// Memory behavior: the coefficient rows are one flat block in pivot
+// order — row i is flat[i*words:(i+1)*words], its pivot column pivot[i]
+// — so reduce and emit stream rank*words consecutive words with no
+// per-row header to load, and a 16-column matrix is 128 B of rows plus
+// 64 B of pivots. The block and the pivot array are allocated at the
+// first insert with room for cols rows (rank never exceeds cols); an
+// insert shifts the rows behind the new pivot up by one (at most
+// cols*words words, cols times in a matrix's life). Payload rows are
+// too wide to shift: they are carved off a matrix-owned arena in
+// insertion order and only their headers move. Elimination scratch is
+// reused across calls, so the steady-state Add/WouldHelp path performs
+// no allocations and never retains caller memory.
 //
 // The zero value is not usable; construct with NewBitMatrix or
 // NewBitMatrixPayload.
 type BitMatrix struct {
 	cols  int
 	extra int
-	words int // words per packed row
-	rows  []BitVec
-	pay   [][]byte // payload parts, parallel to rows (nil when extra == 0)
-	pivot []int
+	words int      // words per packed row
+	flat  []uint64 // the stored rows, pivot-ordered, words each
+	pivot []int32  // pivot[i] is the pivot column of row i, strictly increasing
+	pay   [][]byte // payload parts, parallel to the rows (nil when extra == 0)
 
-	arenaC   []uint64 // coefficient arena; rows are carved off its front
-	arenaP   []byte   // payload arena
-	scratchC BitVec   // reusable reduce buffer (coefficients)
+	arenaP   []byte // payload arena; rows are carved off its front
+	scratchC BitVec // reusable reduce buffer (coefficients)
 }
 
 // NewBitMatrix returns an empty GF(2) matrix with the given number of
@@ -135,10 +142,15 @@ func (m *BitMatrix) Extra() int { return m.extra }
 func (m *BitMatrix) Words() int { return m.words }
 
 // Rank returns the number of independent rows stored.
-func (m *BitMatrix) Rank() int { return len(m.rows) }
+func (m *BitMatrix) Rank() int { return len(m.pivot) }
 
 // Full reports whether rank equals cols.
-func (m *BitMatrix) Full() bool { return len(m.rows) == m.cols }
+func (m *BitMatrix) Full() bool { return len(m.pivot) == m.cols }
+
+// row returns the i-th stored row as a view into the block.
+func (m *BitMatrix) row(i int) BitVec {
+	return m.flat[i*m.words : (i+1)*m.words : (i+1)*m.words]
+}
 
 // reduce eliminates (row, pay) in place against the echelon rows and
 // returns the pivot bit, or -1 if the row reduced to zero. A nil pay
@@ -154,102 +166,84 @@ func (m *BitMatrix) reduce(row BitVec, pay []byte) int {
 		switch m.words {
 		case 1:
 			r0 := row[0]
+			flat := m.flat[:len(m.pivot)]
 			for i, p := range m.pivot {
 				mask := -((r0 >> uint(p)) & 1)
-				r0 ^= m.rows[i][0] & mask
+				r0 ^= flat[i] & mask
 			}
 			row[0] = r0
 		case 2:
 			r0, r1 := row[0], row[1]
+			flat := m.flat[:2*len(m.pivot)]
 			for i, p := range m.pivot {
 				w := r0
 				if p >= 64 {
 					w = r1
 				}
 				mask := -((w >> (uint(p) % 64)) & 1)
-				er := m.rows[i]
+				er := flat[2*i : 2*i+2]
 				r0 ^= er[0] & mask
 				r1 ^= er[1] & mask
 			}
 			row[0], row[1] = r0, r1
 		default:
 			for i, p := range m.pivot {
-				if row.Get(p) {
-					row.Xor(m.rows[i])
+				if row.Get(int(p)) {
+					row.Xor(m.row(i))
 				}
 			}
 		}
 		return row.LowestSet()
 	}
 	for i, p := range m.pivot {
-		if row.Get(p) {
-			row.Xor(m.rows[i])
+		if row.Get(int(p)) {
+			row.Xor(m.row(i))
 			subtle.XORBytes(pay, pay, m.pay[i])
 		}
 	}
 	return row.LowestSet()
 }
 
-// allocRow carves one coefficient row (and payload row when extra > 0)
-// off the arena, growing it in bulk on first use. At most cols rows are
-// ever retained, so the arena is sized once and rows stay contiguous —
-// the reduce loop walks them in allocation-order memory.
-func (m *BitMatrix) allocRow() (BitVec, []byte) {
-	if len(m.arenaC) < m.words {
-		m.arenaC = make([]uint64, m.cols*m.words)
-	}
-	row := BitVec(m.arenaC[:m.words:m.words])
-	m.arenaC = m.arenaC[m.words:]
-	var pay []byte
-	if m.extra > 0 {
-		if len(m.arenaP) < m.extra {
-			m.arenaP = make([]byte, m.cols*m.extra)
-		}
-		pay = m.arenaP[:m.extra:m.extra]
-		m.arenaP = m.arenaP[m.extra:]
-	}
-	return row, pay
-}
-
 // insert places an already-reduced row with pivot bit p, keeping pivots
-// strictly increasing. The row (and payload) are copied into the arena;
-// the caller keeps ownership of its buffers.
+// strictly increasing: the rows behind position at move up one slot and
+// the row is copied into the gap (the payload into the arena); the
+// caller keeps ownership of its buffers.
 func (m *BitMatrix) insert(row BitVec, pay []byte, p int) {
-	if m.rows == nil {
-		// Rank can only reach cols: size the bookkeeping once so inserts
-		// never regrow (and the GC never rescans a growing pointer slice).
-		m.rows = make([]BitVec, 0, m.cols)
-		m.pivot = make([]int, 0, m.cols)
+	if m.flat == nil {
+		// Rank can only reach cols: size the block once so inserts never
+		// regrow.
+		m.flat = make([]uint64, 0, m.cols*m.words)
+		m.pivot = make([]int32, 0, m.cols)
 		if m.extra > 0 {
 			m.pay = make([][]byte, 0, m.cols)
+			m.arenaP = make([]byte, m.cols*m.extra)
 		}
 	}
-	rowC, rowP := m.allocRow()
-	copy(rowC, row)
-	at := len(m.rows)
-	for i, q := range m.pivot {
-		if q > p {
-			at = i
-			break
-		}
+	// Pivots fill roughly in increasing order, so the slot is near the end.
+	n, w := len(m.pivot), m.words
+	at := n
+	for at > 0 && int(m.pivot[at-1]) > p {
+		at--
 	}
-	m.rows = append(m.rows, nil)
-	m.pivot = append(m.pivot, 0)
-	copy(m.rows[at+1:], m.rows[at:])
-	copy(m.pivot[at+1:], m.pivot[at:])
-	m.rows[at] = rowC
-	m.pivot[at] = p
+	m.flat = m.flat[:(n+1)*w]
+	copy(m.flat[(at+1)*w:], m.flat[at*w:n*w])
+	copy(m.flat[at*w:(at+1)*w], row)
+	m.pivot = m.pivot[:n+1]
+	copy(m.pivot[at+1:], m.pivot[at:n])
+	m.pivot[at] = int32(p)
 	if m.extra > 0 {
+		rowP := m.arenaP[:m.extra:m.extra]
+		m.arenaP = m.arenaP[m.extra:]
 		copy(rowP, pay)
-		m.pay = append(m.pay, nil)
-		copy(m.pay[at+1:], m.pay[at:])
+		m.pay = m.pay[:n+1]
+		copy(m.pay[at+1:], m.pay[at:n])
 		m.pay[at] = rowP
 	}
 }
 
 // Add inserts the row if independent, reporting whether the rank
 // increased. The input is consumed (reduced in place, then copied into
-// the matrix arena on success); pass a copy if the caller needs it again.
+// the matrix on success); pass a copy if the caller needs it again.
 // Payload-carrying matrices require AddPayload.
 func (m *BitMatrix) Add(row BitVec) bool {
 	if m.extra > 0 {
@@ -261,8 +255,8 @@ func (m *BitMatrix) Add(row BitVec) bool {
 // AddPayload inserts the row plus its extra-length payload if the
 // coefficient part is independent, reporting whether the rank increased.
 // Both inputs are consumed (reduced in place); on success the surviving
-// row is copied into the matrix arena, so the caller keeps ownership of
-// its (now clobbered) buffers either way.
+// row is copied into the matrix, so the caller keeps ownership of its
+// (now clobbered) buffers either way.
 func (m *BitMatrix) AddPayload(row BitVec, pay []byte) bool {
 	if len(pay) != m.extra {
 		panic("linalg: payload width mismatch")
@@ -297,12 +291,14 @@ func (m *BitMatrix) WouldHelp(row BitVec) bool {
 
 // Basis returns a copy of the i-th stored echelon row, 0 <= i < Rank().
 func (m *BitMatrix) Basis(i int) BitVec {
-	return m.rows[i].Clone()
+	return m.row(i).Clone()
 }
 
-// Row returns the i-th stored echelon row. The returned slice aliases
-// internal storage and must not be modified.
-func (m *BitMatrix) Row(i int) BitVec { return m.rows[i] }
+// Row returns the i-th stored echelon row. The returned slice aliases the
+// row block: it must not be modified, and it is valid only until the next
+// insert, which shifts the rows behind the new pivot (copy it, as Basis
+// does, to keep it longer).
+func (m *BitMatrix) Row(i int) BitVec { return m.row(i) }
 
 // Payload returns the augmented payload of the i-th stored echelon row
 // (nil when extra == 0). Aliases internal storage; must not be modified.
@@ -319,7 +315,7 @@ func (m *BitMatrix) Payload(i int) []byte {
 // combine payloads too via RandomCombinationInto; this convenience
 // wrapper returns only the coefficient part.
 func (m *BitMatrix) RandomCombination(rng *rand.Rand) BitVec {
-	if len(m.rows) == 0 {
+	if len(m.pivot) == 0 {
 		return nil
 	}
 	out := make(BitVec, m.words)
@@ -335,11 +331,11 @@ func (m *BitMatrix) RandomCombination(rng *rand.Rand) BitVec {
 // nil when extra == 0) with a uniformly random combination of the stored
 // rows, reusing the caller's buffers — the zero-allocation emit path. It
 // reports false without drawing randomness when the matrix is empty.
-// The random stream consumption (one Uint64 per stored row) is identical
-// to the generic backend's gf.Rand-per-row draw over GF(2), so swapping
-// backends preserves fixed-seed trajectories.
+// The random stream consumption (one Uint64 per stored row, in pivot
+// order) is identical to the generic backend's gf.Rand-per-row draw over
+// GF(2), so swapping backends preserves fixed-seed trajectories.
 func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte) bool {
-	if len(m.rows) == 0 {
+	if len(m.pivot) == 0 {
 		return false
 	}
 	if len(out) != m.words {
@@ -349,39 +345,35 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 		panic("linalg: combination payload width mismatch")
 	}
 	if m.extra == 0 {
-		pay = nil
-	}
-	out.Zero()
-	for i := range pay {
-		pay[i] = 0
-	}
-	if m.extra == 0 {
 		// Branchless accumulation for the common packed widths: the coin
 		// flip becomes a mask, so the emit loop has no data-dependent
 		// branches (one draw per row, exactly as the generic contract).
 		switch m.words {
 		case 1:
 			var a0 uint64
-			for _, row := range m.rows {
+			for _, r0 := range m.flat {
 				mask := -(rng.Uint64() & 1)
-				a0 ^= row[0] & mask
+				a0 ^= r0 & mask
 			}
 			out[0] = a0
 			return true
 		case 2:
 			var a0, a1 uint64
-			for _, row := range m.rows {
+			for flat := m.flat; len(flat) >= 2; flat = flat[2:] {
 				mask := -(rng.Uint64() & 1)
-				a0 ^= row[0] & mask
-				a1 ^= row[1] & mask
+				a0 ^= flat[0] & mask
+				a1 ^= flat[1] & mask
 			}
 			out[0], out[1] = a0, a1
 			return true
 		}
+		pay = nil
 	}
-	for i, row := range m.rows {
+	out.Zero()
+	clear(pay)
+	for i := range m.pivot {
 		if rng.Uint64()&1 == 1 {
-			out.Xor(row)
+			out.Xor(m.row(i))
 			if pay != nil {
 				subtle.XORBytes(pay, pay, m.pay[i])
 			}
@@ -393,8 +385,8 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 // Solve performs full back-substitution and returns the decoded
 // payloads: a cols x extra byte matrix whose i-th row is the payload of
 // unknown i. It returns ErrNotFullRank when Rank() < Cols. The stored
-// rows are reduced in place (which preserves the row space, so further
-// Adds remain correct).
+// rows are reduced in place (which preserves the row space and every
+// row's pivot, so further Adds remain correct).
 func (m *BitMatrix) Solve() ([][]byte, error) {
 	if m.extra == 0 {
 		return nil, errors.New("linalg: BitMatrix has no payload to solve for")
@@ -405,10 +397,10 @@ func (m *BitMatrix) Solve() ([][]byte, error) {
 	// Pivots are already 1 over GF(2); eliminate above, bottom-up. With
 	// full rank, pivot[i] == i for all i.
 	for i := m.cols - 1; i >= 0; i-- {
-		p := m.pivot[i]
+		p, ri := int(m.pivot[i]), m.row(i)
 		for j := 0; j < i; j++ {
-			if m.rows[j].Get(p) {
-				m.rows[j].Xor(m.rows[i])
+			if rj := m.row(j); rj.Get(p) {
+				rj.Xor(ri)
 				subtle.XORBytes(m.pay[j], m.pay[j], m.pay[i])
 			}
 		}

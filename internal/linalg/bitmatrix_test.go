@@ -1,6 +1,9 @@
 package linalg
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +119,126 @@ func TestBitMatrixAgreesWithRankMatrix(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// countingSource counts the Uint64 draws taken from a seeded PCG.
+type countingSource struct {
+	src   *rand.PCG
+	draws int
+}
+
+func (c *countingSource) Uint64() uint64 {
+	c.draws++
+	return c.src.Uint64()
+}
+
+// TestBitMatrixFlatMatchesRankMatrix is the property test of the flat
+// pivot-ordered row block against RankMatrix over GF(2) as the oracle.
+// Rows with a chosen leading column arrive in random column order, mixed
+// with dense random rows, so new pivots land before, between and after
+// the stored ones and every insert shifts a different tail. Widths cover
+// the one- and two-word branchless paths and the general one, with and
+// without payload. After every insert the two matrices must agree on the
+// verdict, the rank, every stored row and payload, WouldHelp on a fresh
+// probe, and the emitted combination — which must draw exactly Rank()
+// values — and at full rank on Solve.
+func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
+	f := gf.MustNew(2)
+	for _, cols := range []int{1, 16, 63, 64, 65, 128, 129, 300} {
+		for _, extra := range []int{0, 5} {
+			t.Run(fmt.Sprintf("cols=%d/extra=%d", cols, extra), func(t *testing.T) {
+				rng := core.NewRand(uint64(cols*10 + extra))
+				bm, rm := NewBitMatrixPayload(cols, extra), NewRankMatrix(f, cols, extra)
+				randomRow := func(lead int) (BitVec, []gf.Elem) {
+					bv, ev := NewBitVec(cols), make([]gf.Elem, cols)
+					for j := lead; j < cols; j++ {
+						if j == lead || rng.Uint64()&1 == 1 {
+							bv.Set(j)
+							ev[j] = 1
+						}
+					}
+					return bv, ev
+				}
+				var payload func() []byte
+				if extra > 0 {
+					payload = func() []byte { return gf.RandBytes(f, extra, rng) }
+				} else {
+					payload = func() []byte { return nil }
+				}
+				compare := func(step int) {
+					t.Helper()
+					if bm.Rank() != rm.Rank() {
+						t.Fatalf("step %d: rank %d, oracle %d", step, bm.Rank(), rm.Rank())
+					}
+					for i := 0; i < bm.Rank(); i++ {
+						row, basis := bm.Row(i), bm.Basis(i)
+						for j := 0; j < cols; j++ {
+							if want := rm.Row(i)[j] == 1; row.Get(j) != want || basis.Get(j) != want {
+								t.Fatalf("step %d: row %d column %d differs from the oracle", step, i, j)
+							}
+						}
+						if !bytes.Equal(bm.Payload(i), rm.Payload(i)) {
+							t.Fatalf("step %d: payload %d = %v, oracle %v", step, i, bm.Payload(i), rm.Payload(i))
+						}
+					}
+					probeB, probeE := randomRow(rng.IntN(cols))
+					if got, want := bm.WouldHelp(probeB), rm.WouldHelp(probeE); got != want {
+						t.Fatalf("step %d: WouldHelp = %v, oracle %v", step, got, want)
+					}
+					if bm.Rank() == 0 {
+						return
+					}
+					seed := rng.Uint64()
+					counted := &countingSource{src: rand.NewPCG(seed, 1)}
+					outB, payB := NewBitVec(cols), make([]byte, extra)
+					outE, payE := make([]gf.Elem, cols), make([]byte, extra)
+					bm.RandomCombinationInto(rand.New(counted), outB, payB)
+					rm.RandomCombinationInto(rand.New(rand.NewPCG(seed, 1)), outE, payE)
+					if counted.draws != bm.Rank() {
+						t.Fatalf("step %d: emit drew %d values at rank %d", step, counted.draws, bm.Rank())
+					}
+					for j := 0; j < cols; j++ {
+						if outB.Get(j) != (outE[j] == 1) {
+							t.Fatalf("step %d: combination differs from the oracle at column %d", step, j)
+						}
+					}
+					if !bytes.Equal(payB, payE) {
+						t.Fatalf("step %d: combined payload %v, oracle %v", step, payB, payE)
+					}
+				}
+				leads := rng.Perm(cols)
+				for step := 0; !bm.Full(); step++ {
+					lead := rng.IntN(cols) // dense rows: mostly dependent late in the fill
+					if step%2 == 0 && step/2 < cols {
+						lead = leads[step/2]
+					}
+					bv, ev := randomRow(lead)
+					pay := payload()
+					if got, want := bm.AddPayload(bv, append([]byte(nil), pay...)), rm.Add(ev, pay); got != want {
+						t.Fatalf("step %d: Add = %v, oracle %v", step, got, want)
+					}
+					compare(step)
+				}
+				if extra == 0 {
+					return
+				}
+				gotSol, err := bm.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSol, err := rm.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range wantSol {
+					if !bytes.Equal(gotSol[i], wantSol[i]) {
+						t.Fatalf("solved payload %d = %v, oracle %v", i, gotSol[i], wantSol[i])
+					}
+				}
+				compare(-1) // Solve reduces the stored rows in place on both sides
+			})
+		}
 	}
 }
 
