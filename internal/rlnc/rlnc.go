@@ -235,7 +235,6 @@ func PackCoeffs(coeffs []gf.Elem) (linalg.BitVec, bool) {
 // It is not safe for concurrent use; the concurrent runtime wraps it.
 type Node struct {
 	cfg Config
-	q   int                  // field order, cached for the symbol screen and SkipEmit
 	mat *linalg.RankMatrix   // generic backend
 	bit *linalg.BitMatrix    // bit backend (with payload rows when configured)
 	slc *linalg.SlicedMatrix // bit-sliced GF(2^m) backend
@@ -249,7 +248,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &Node{cfg: cfg, q: cfg.Field.Order()}
+	n := &Node{cfg: cfg}
 	switch cfg.backend(gf.ActiveTier()) {
 	case backendBit:
 		n.bit = linalg.NewBitMatrixPayload(cfg.K, cfg.extra())
@@ -430,7 +429,7 @@ func (n *Node) SkipEmit(rng *rand.Rand) bool {
 	if rank == 0 {
 		return false
 	}
-	if n.q&(n.q-1) == 0 {
+	if q := n.cfg.Field.Order(); q&(q-1) == 0 {
 		// Every backend draws one Uint64 per stored row over GF(2^m) (IntN
 		// of a power-of-two order is exactly one masked Uint64).
 		for i := 0; i < rank; i++ {
@@ -683,7 +682,7 @@ func (n *Node) validBits(v linalg.BitVec) bool {
 // symbol), and native sliced rows need none (m planes cannot hold more
 // than m bits).
 func (n *Node) validSymbols(row []byte) bool {
-	q := n.q
+	q := n.cfg.Field.Order()
 	if q == 256 {
 		return true
 	}
