@@ -13,10 +13,11 @@ package algossip_test
 //
 // The grid follows the experiment sweeps: complete/ring/random-regular at
 // n ∈ {64, 256, 1024} over GF(2) (bit-packed backend), GF(16) and
-// GF(256) (bit-sliced backend), k = min(n/2, 128) so the O(rank·k)
-// elimination cost stays bounded at n=1024. Payload and dynamic-topology
-// variants cover the other hot configurations: the GF(2) XOR payload
-// path, the sliced payload path, and the per-round topology stepping.
+// GF(256) (byte rows on the avx2/gfni kernel tiers, bit-sliced on the
+// pure-Go ones), k = min(n/2, 128) so the O(rank·k) elimination cost
+// stays bounded at n=1024. Payload and dynamic-topology variants cover
+// the other hot configurations: the GF(2) XOR payload path, the GF(2^m)
+// payload path, and the per-round topology stepping.
 
 import (
 	"fmt"
@@ -86,7 +87,8 @@ func BenchmarkSimUniformAG(b *testing.B) {
 
 // BenchmarkSimPayloadAG carries real payloads so the combine kernels run
 // end to end: GF(2) exercises the word-wise XOR payload path of the
-// bit-packed backend, GF(16) and GF(256) the bit-sliced plane kernels.
+// bit-packed backend, GF(16) and GF(256) the byte kernels (the plane
+// kernels under ALGOSSIP_GF_TIER=portable|scalar).
 func BenchmarkSimPayloadAG(b *testing.B) {
 	for _, q := range []int{2, 16, 256} {
 		b.Run(fmt.Sprintf("complete/n=256/gf=%d/r=1024", q), func(b *testing.B) {

@@ -295,6 +295,15 @@ func TestIsZeroVector(t *testing.T) {
 	if IsZeroVector([]Elem{0, 1, 0}) {
 		t.Error("nonzero vector reported zero")
 	}
+	// One nonzero entry at every position of a row spanning whole words
+	// and a tail.
+	for i := 0; i < 19; i++ {
+		v := make([]Elem, 19)
+		v[i] = 0x80
+		if IsZeroVector(v) {
+			t.Errorf("nonzero entry at %d of 19 missed", i)
+		}
+	}
 }
 
 func TestDefaultIsGF256(t *testing.T) {

@@ -160,7 +160,8 @@ func TestAdversarialDeterminism(t *testing.T) {
 }
 
 // TestByzantinePayloadModes exercises replay and pollute through all three
-// RLNC backends with real payloads (GF(2) bit, GF(16) sliced, generic) —
+// RLNC backends with real payloads (GF(2) bit, GF(16) sliced — on the
+// pure-Go kernel tiers, byte rows elsewhere — and generic) —
 // the replay path copies matrix rows, which is backend-specific code —
 // and through generation coding, where the replayed row is the first
 // non-empty generation's.

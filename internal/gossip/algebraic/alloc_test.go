@@ -39,7 +39,8 @@ func steadyProtocolCfg(t testing.TB, rcfg rlnc.Config) *Protocol {
 // ranks have saturated: the packet freelist, the staged buffer, and the
 // matrix scratch are all warm, so nothing on the send/receive path may
 // allocate — for the bit-packed GF(2), bit-sliced GF(2^m), and generic
-// backends alike.
+// backends alike (the "-sliced" rows are bit-sliced on the pure-Go kernel
+// tiers, which CI's forced-tier legs run, and byte rows on avx2/gfni).
 func TestAllocsSteadyStateRound(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -230,7 +231,9 @@ func TestPacketPoolRecyclesOnLossAndDynamics(t *testing.T) {
 // contract at whole-simulation scale: a fixed-seed uniform-AG run over
 // GF(2^m) produces the identical stopping time and per-node completion
 // rounds whether the codec uses the bit-sliced backend or the generic one
-// (ForceGeneric) — backend selection never moves a trajectory.
+// (ForceGeneric) — backend selection never moves a trajectory. The native
+// side is bit-sliced on the pure-Go kernel tiers (CI's forced-tier legs);
+// harness.TestBackendIdentity is the same check across tiers on one host.
 func TestSimTrajectorySlicedVsGeneric(t *testing.T) {
 	for _, q := range []int{4, 16, 256} {
 		g := graph.Complete(24)

@@ -17,11 +17,12 @@ import (
 // positive shard count. The shard count partitions the wake phase across
 // goroutines, but per-node RNG streams, fixed staging slots, and the
 // per-receiver commit make the partitioning unobservable. The grid covers
-// the dense/sparse/expander topologies, both matrix backends (GF(2)
-// bitset, GF(256) bit-sliced), a dynamic-topology schedule, and
-// generation mode alone, on the dynamic schedule and under loss. Every
-// graph here fits one bitmap word, which the engine never splits: these
-// rows pin the semantics, TestShardedMultiWordIdentity the concurrency.
+// the dense/sparse/expander topologies, GF(2) (bitset backend) and
+// GF(256) (byte rows or bit-sliced, by kernel tier), a dynamic-topology
+// schedule, and generation mode alone, on the dynamic schedule and under
+// loss. Every graph here fits one bitmap word, which the engine never
+// splits: these rows pin the semantics, TestShardedMultiWordIdentity the
+// concurrency.
 func TestShardedSerialIdentity(t *testing.T) {
 	mk := func(gname string, n, k, q int) GossipSpec {
 		g, err := graph.FromName(gname, n, core.NewRand(core.SplitSeed(7, 999)))

@@ -187,17 +187,19 @@ func (m *BitMatrix) reduce(row BitVec, pay []byte) int {
 			}
 			row[0], row[1] = r0, r1
 		default:
+			flat, w := m.flat, m.words
 			for i, p := range m.pivot {
 				if row.Get(int(p)) {
-					row.Xor(m.row(i))
+					row.Xor(flat[i*w : (i+1)*w])
 				}
 			}
 		}
 		return row.LowestSet()
 	}
+	flat, w := m.flat, m.words
 	for i, p := range m.pivot {
 		if row.Get(int(p)) {
-			row.Xor(m.row(i))
+			row.Xor(flat[i*w : (i+1)*w])
 			subtle.XORBytes(pay, pay, m.pay[i])
 		}
 	}
@@ -371,9 +373,10 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 	}
 	out.Zero()
 	clear(pay)
+	flat, w := m.flat, m.words
 	for i := range m.pivot {
 		if rng.Uint64()&1 == 1 {
-			out.Xor(m.row(i))
+			out.Xor(flat[i*w : (i+1)*w])
 			if pay != nil {
 				subtle.XORBytes(pay, pay, m.pay[i])
 			}

@@ -231,12 +231,10 @@ func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, p int) {
 	rowC := m.arenaC[:m.cols:m.cols]
 	m.arenaC = m.arenaC[m.cols:]
 	copy(rowC, coeffs)
+	// Pivots fill roughly in increasing order, so the slot is near the end.
 	at := len(m.rows)
-	for i, q := range m.pivot {
-		if q > p {
-			at = i
-			break
-		}
+	for at > 0 && m.pivot[at-1] > p {
+		at--
 	}
 	m.rows = append(m.rows, nil)
 	m.pivot = append(m.pivot, 0)

@@ -90,16 +90,15 @@ func (b backend) String() string {
 
 // backend is the whole selection rule, a function of the field and the
 // kernel tier active when the node is constructed — later tier changes
-// move a node's kernels, never its layout (the rule gf.PayloadCodec
-// applies to payload rows, here for the whole row). Order 2 is the packed
-// bit backend, rank-only or not. A binary extension field is byte rows
-// when the tier has vector byte kernels and bit-sliced otherwise: hot,
-// the two are at parity on avx2/gfni, but a sliced k=128 GF(256) decoder
-// is 80 KiB of planes and subset tables against 16 KiB of byte rows, and
-// a trial is footprint-bound (n=1024: byte rows 2.7× faster); on the
-// pure-Go tiers the byte kernels are table gathers and sliced wins 1.9×.
-// No k or q threshold: byte rows won or tied every measured (q, k) in a
-// trial (DESIGN.md "Row layouts"). Everything else is byte rows.
+// move a node's kernels, never its layout (what gf.PayloadCodec does for
+// payload rows, here for the whole row). Order 2 is the packed bit
+// backend. A binary extension field is byte rows where the tier has
+// vector byte kernels: hot, the two layouts are close there, but a sliced
+// k=128 GF(256) decoder is 80 KiB against 16 KiB of byte rows and a trial
+// is footprint-bound. On the pure-Go tiers a byte row costs k table gathers
+// and sliced wins. No k or q threshold: byte rows won or tied every
+// (q, k) measured in a trial (DESIGN.md "Row layouts"). Everything else
+// is byte rows.
 func (c Config) backend(tier gf.Tier) backend {
 	if c.ForceGeneric {
 		return backendGeneric

@@ -504,13 +504,23 @@ func seedMessagesField(t *testing.T, c *Cluster, field gf.Field, k, r, n int) []
 // end: the codecs use the bit-sliced backend internally while the wire
 // format still carries one coefficient per symbol, so the Adapt /
 // ExpandCoeffs / ExpandPayload boundary is exercised in both directions
-// for a sub-byte symbol width, including full decode at every node.
+// for a sub-byte symbol width, including full decode at every node. The
+// decoders are built inside NewCluster, on the portable tier: that is
+// where GF(16) selects the sliced backend (a vector-tier node stores the
+// wire form itself), and the layout is fixed at construction.
 func TestClusterGF16SlicedMode(t *testing.T) {
 	g := graph.Grid(3, 3)
 	tr := NewChanTransport()
 	defer func() { _ = tr.Close() }()
+	host := gf.ActiveTier()
+	if err := gf.SetTier(gf.TierPortable); err != nil {
+		t.Fatal(err)
+	}
 	c, err := NewCluster(tr, g, 5, WithPayload(8), WithField(gf.MustNew(16)),
 		WithInterval(200*time.Microsecond), WithSeed(11))
+	if rerr := gf.SetTier(host); rerr != nil {
+		t.Fatal(rerr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
