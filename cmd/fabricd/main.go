@@ -19,6 +19,10 @@
 //	fabricd status -coordinator http://127.0.0.1:9100
 //	fabricd query -store results.jsonl -graph ring -n 128
 //	fabricd query -store results.jsonl -cells
+//	fabricd query -store results.jsonl -graph ring -regime model=asynchronous
+//
+// The coordinator takes sweep's experiment words (harness.Spec.BindFlags),
+// so any regime sweep runs locally launches here unchanged.
 package main
 
 import (
@@ -33,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"algossip/internal/core"
 	"algossip/internal/fabric"
 	"algossip/internal/harness"
 	"algossip/internal/resultstore"
@@ -67,19 +70,15 @@ func main() {
 // CSV when the last trial lands.
 func runCoordinator(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("coordinator", flag.ContinueOnError)
+	// The Spec is sweep's, word for word, so the merged CSV can be checked
+	// against `sweep -parallel 1` on the same command line.
+	spec := &harness.Spec{
+		Name: "sweep", Graph: "barbell", Sizes: []int{16, 32, 64}, KMode: "half",
+		Q: 2, Trials: 3, Seed: 1, Lean: true,
+	}
+	spec.BindFlags(fs)
+	spec.BindGridFlags(fs)
 	var (
-		graphName  = fs.String("graph", "barbell", "topology family (see gossipsim)")
-		protoName  = fs.String("protocol", "ag", "protocol: ag|tag|tag-uniform|tag-is|uncoded")
-		modelName  = fs.String("model", "sync", "time model: sync|async")
-		sizesCSV   = fs.String("sizes", "16,32,64", "comma-separated node counts")
-		kmode      = fs.String("kmode", "half", "k per size: half|n|sqrt|const:<v>")
-		q          = fs.Int("q", 2, "field order")
-		dynamics   = fs.String("dynamics", "", "time-varying topology: kind[:key=val,...]")
-		gens       = fs.Int("generations", 0, "generation size g for generation-coded AG")
-		shards     = fs.Int("shards", 0, "sharded engine shard count (0 = classic serial)")
-		trials     = fs.Int("trials", 3, "trials per size")
-		single     = fs.Bool("single-source", false, "seed all messages at node 0")
-		seed       = fs.Uint64("seed", 1, "root seed")
 		session    = fs.String("session", "", "fabric session label, recorded in the checkpoint fingerprint")
 		listen     = fs.String("listen", "127.0.0.1:9100", "coordinator listen address")
 		checkpoint = fs.String("checkpoint", "", "record accepted trials to this file")
@@ -94,11 +93,7 @@ func runCoordinator(args []string, stdout io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := buildSpec(*graphName, *protoName, *modelName, *sizesCSV, *kmode,
-		*dynamics, *q, *gens, *shards, *trials, *single, *seed, *session)
-	if err != nil {
-		return err
-	}
+	spec.Fabric = *session
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
@@ -171,46 +166,6 @@ func runCoordinator(args []string, stdout io.Writer) (err error) {
 	fmt.Fprintf(os.Stderr, "fabricd: %d trials (%d executed by workers, %d resumed) in %v\n",
 		len(rs.Trials), rs.Executed, resumed, rs.Elapsed.Round(time.Millisecond))
 	return nil
-}
-
-// buildSpec assembles the sweep-identical Spec from CLI flags — the
-// flags mirror cmd/sweep so `fabricd coordinator` and `sweep` describe
-// the same grid with the same words.
-func buildSpec(graphName, protoName, modelName, sizesCSV, kmode, dynamics string,
-	q, gens, shards, trials int, single bool, seed uint64, session string) (*harness.Spec, error) {
-	proto, err := harness.ParseProtocol(protoName)
-	if err != nil {
-		return nil, err
-	}
-	model, err := core.ParseTimeModel(modelName)
-	if err != nil {
-		return nil, err
-	}
-	sizes, err := harness.ParseSizes(sizesCSV)
-	if err != nil {
-		return nil, err
-	}
-	dyn, err := harness.ParseDynamics(dynamics)
-	if err != nil {
-		return nil, err
-	}
-	return &harness.Spec{
-		Name:         "sweep",
-		Graph:        graphName,
-		Sizes:        sizes,
-		KMode:        kmode,
-		Protocol:     proto,
-		Model:        model,
-		Q:            q,
-		Dynamics:     dyn,
-		GenSize:      gens,
-		Shards:       shards,
-		SingleSource: single,
-		Trials:       trials,
-		Seed:         seed,
-		Fabric:       session,
-		Lean:         true,
-	}, nil
 }
 
 // runWorker pulls leases from a coordinator until the run completes.
@@ -287,6 +242,7 @@ func runQuery(args []string, stdout io.Writer) error {
 		dynamics  = fs.String("dynamics", "", "filter: dynamics kind")
 		gens      = fs.Int("generations", 0, "filter: generation size")
 		rate      = fs.Float64("rate", -1, "filter: loss/failure rate (-1 = any)")
+		regime    = fs.String("regime", "any", "filter: regime as -cells prints it, e.g. model=asynchronous/action=PUSH ('' = the default regime)")
 		cells     = fs.Bool("cells", false, "list every stored cell with trial counts instead of querying")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -314,6 +270,9 @@ func runQuery(args []string, stdout io.Writer) error {
 			if c.GenSize != 0 {
 				fmt.Fprintf(stdout, " gens=%d", c.GenSize)
 			}
+			if c.Regime != "" {
+				fmt.Fprintf(stdout, " regime=%s", c.Regime)
+			}
 			fmt.Fprintf(stdout, " trials=%d\n", cc.Trials)
 		}
 		return nil
@@ -325,6 +284,9 @@ func runQuery(args []string, stdout io.Writer) error {
 	}
 	if *rate >= 0 {
 		f.Rate, f.HasRate = *rate, true
+	}
+	if *regime != "any" {
+		f.Regime, f.HasRegime = *regime, true
 	}
 	ts, err := store.Tail(f)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"net"
 	"net/http"
@@ -10,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"algossip/internal/harness"
+	"algossip/internal/harness/harnesstest"
 )
 
 // goldenCSV is the pinned `sweep -graph line -protocol ag -sizes 8,12
@@ -49,78 +53,139 @@ func waitServing(t *testing.T, base string) {
 	t.Fatalf("coordinator at %s never started serving", base)
 }
 
-func TestFabricdEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	addr := freeAddr(t)
-	out := filepath.Join(dir, "fab.csv")
-	storePath := filepath.Join(dir, "results.jsonl")
-	ckpt := filepath.Join(dir, "fab.ckpt")
-
-	coordDone := make(chan error, 1)
-	go func() {
-		coordDone <- runCoordinator([]string{
-			"-graph", "line", "-protocol", "ag", "-sizes", "8,12",
-			"-trials", "2", "-seed", "5", "-session", "ci",
-			"-listen", addr, "-checkpoint", ckpt,
-			"-store", storePath, "-out", out, "-lease-chunk", "2",
-		}, io.Discard)
-	}()
-	waitServing(t, "http://"+addr)
-
-	var wbuf bytes.Buffer
-	if err := runWorker([]string{
-		"-coordinator", "http://" + addr, "-parallel", "2", "-name", "w0",
-	}, &wbuf); err != nil {
-		t.Fatalf("worker: %v", err)
+// localPoolCSV is what `sweep -parallel 1` writes for the same experiment
+// words: sweep's defaults, the shared binding, the local pool.
+func localPoolCSV(t *testing.T, words []string) string {
+	t.Helper()
+	spec := harness.Spec{Name: "sweep", Graph: "barbell", Sizes: []int{16, 32, 64}, KMode: "half",
+		Q: 2, Trials: 3, Seed: 1, Lean: true}
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	spec.BindFlags(fs)
+	spec.BindGridFlags(fs)
+	if err := fs.Parse(words); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(wbuf.String(), "executed 4 trials") {
-		t.Fatalf("worker summary = %q", wbuf.String())
-	}
-
-	// The coordinator lingers after completion; status must report the
-	// finished counters while it does.
-	var sbuf bytes.Buffer
-	if err := runStatus([]string{"-coordinator", "http://" + addr}, &sbuf); err != nil {
-		t.Fatalf("status: %v", err)
-	}
-	if !strings.Contains(sbuf.String(), `"done":4`) {
-		t.Fatalf("status = %q", sbuf.String())
-	}
-
-	if err := <-coordDone; err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	data, err := os.ReadFile(out)
+	rs, err := harness.Runner{Parallel: 1}.Run(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != goldenCSV {
-		t.Fatalf("fabric CSV differs from the sweep golden:\ngot:\n%swant:\n%s", data, goldenCSV)
+	var buf bytes.Buffer
+	if err := harness.WriteCSV(&buf, rs); err != nil {
+		t.Fatal(err)
 	}
+	return buf.String()
+}
 
-	// The store answers the tail query without touching the CSV.
-	var qbuf bytes.Buffer
-	if err := runQuery([]string{
-		"-store", storePath, "-spec", "sweep", "-graph", "line", "-n", "8",
-	}, &qbuf); err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	if q := qbuf.String(); !strings.Contains(q, "trials=2") || !strings.Contains(q, "p99=20.0") {
-		t.Fatalf("query output = %q", q)
-	}
-	var cbuf bytes.Buffer
-	if err := runQuery([]string{"-store", storePath, "-cells"}, &cbuf); err != nil {
-		t.Fatalf("query -cells: %v", err)
-	}
-	if lines := strings.Count(cbuf.String(), "\n"); lines != 2 {
-		t.Fatalf("query -cells printed %d cells, want 2:\n%s", lines, cbuf.String())
+func TestFabricdEndToEnd(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		words  []string
+		want   string // merged CSV; empty = the local pool's on the same words
+		query  []string
+		tail   []string
+		regime string // what -cells prints for both cells
+	}{
+		{
+			name:  "golden",
+			words: []string{"-graph", "line", "-protocol", "ag", "-sizes", "8,12", "-trials", "2", "-seed", "5"},
+			want:  goldenCSV,
+			query: []string{"-spec", "sweep", "-graph", "line", "-n", "8"},
+			tail:  []string{"trials=2", "p99=20.0"},
+		},
+		{
+			// A regime launched from fabricd's own command line: these
+			// words used to be "flag provided but not defined" here.
+			name: "adversarial-push",
+			words: []string{"-graph", "complete", "-sizes", "24,32", "-trials", "2", "-seed", "9",
+				"-adversary", "byzantine:frac=0.1,mode=pollute", "-classes", "straggler:frac=0.2,slow=4", "-action", "push"},
+			query:  []string{"-graph", "complete", "-n", "24", "-regime", "action=PUSH/adv=byzantine:frac=0.1,mode=pollute/classes=straggler:frac=0.2,slow=4"},
+			tail:   []string{"trials=2"},
+			regime: "regime=action=PUSH/adv=byzantine:frac=0.1,mode=pollute/classes=straggler:frac=0.2,slow=4",
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			addr := freeAddr(t)
+			out := filepath.Join(dir, "fab.csv")
+			storePath := filepath.Join(dir, "results.jsonl")
+
+			coordDone := make(chan error, 1)
+			go func() {
+				coordDone <- runCoordinator(append([]string{
+					"-session", "ci", "-listen", addr, "-checkpoint", filepath.Join(dir, "fab.ckpt"),
+					"-store", storePath, "-out", out, "-lease-chunk", "2",
+				}, c.words...), io.Discard)
+			}()
+			waitServing(t, "http://"+addr)
+
+			var wbuf bytes.Buffer
+			if err := runWorker([]string{
+				"-coordinator", "http://" + addr, "-parallel", "2", "-name", "w0",
+			}, &wbuf); err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+			if !strings.Contains(wbuf.String(), "executed 4 trials") {
+				t.Fatalf("worker summary = %q", wbuf.String())
+			}
+
+			// The coordinator lingers after completion; status must report
+			// the finished counters while it does.
+			var sbuf bytes.Buffer
+			if err := runStatus([]string{"-coordinator", "http://" + addr}, &sbuf); err != nil {
+				t.Fatalf("status: %v", err)
+			}
+			if !strings.Contains(sbuf.String(), `"done":4`) {
+				t.Fatalf("status = %q", sbuf.String())
+			}
+
+			if err := <-coordDone; err != nil {
+				t.Fatalf("coordinator: %v", err)
+			}
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := c.want
+			if want == "" {
+				want = localPoolCSV(t, c.words)
+			}
+			if string(data) != want {
+				t.Fatalf("fabric CSV differs from sweep's:\ngot:\n%swant:\n%s", data, want)
+			}
+
+			// The store answers the tail query without touching the CSV.
+			var qbuf bytes.Buffer
+			if err := runQuery(append([]string{"-store", storePath}, c.query...), &qbuf); err != nil {
+				t.Fatalf("query: %v", err)
+			}
+			for _, frag := range c.tail {
+				if !strings.Contains(qbuf.String(), frag) {
+					t.Fatalf("query output = %q, want %q in it", qbuf.String(), frag)
+				}
+			}
+			var cbuf bytes.Buffer
+			if err := runQuery([]string{"-store", storePath, "-cells"}, &cbuf); err != nil {
+				t.Fatalf("query -cells: %v", err)
+			}
+			cells := cbuf.String()
+			if strings.Count(cells, "\n") != 2 || strings.Count(cells, c.regime+" trials=") != 2 ||
+				strings.Contains(cells, "regime=") != (c.regime != "") {
+				t.Fatalf("query -cells: want 2 cells, each with %q:\n%s", c.regime, cells)
+			}
+			// The default regime holds exactly the rows that declared none.
+			var dbuf bytes.Buffer
+			if err := runQuery([]string{"-store", storePath, "-regime", ""}, &dbuf); err != nil {
+				t.Fatalf("query -regime '': %v", err)
+			}
+			if inDefault := strings.Contains(dbuf.String(), "trials=4"); inDefault != (c.regime == "") {
+				t.Fatalf("default-regime query = %q with cells%s", dbuf.String(), c.regime)
+			}
+		})
 	}
 }
 
 func TestFabricdRejectsBadFlags(t *testing.T) {
-	if err := runCoordinator([]string{"-protocol", "bogus"}, io.Discard); err == nil {
-		t.Error("bogus protocol accepted")
-	}
+	harnesstest.RejectsBadSpecWords(t, runCoordinator)
 	if err := runCoordinator([]string{"-resume"}, io.Discard); err == nil {
 		t.Error("-resume without -checkpoint accepted")
 	}

@@ -40,23 +40,15 @@ func main() {
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("gossipsim", flag.ContinueOnError)
+	spec := harness.Spec{
+		Name: "gossipsim", Graph: "grid", Protocol: harness.ProtocolUniformAG,
+		Model: core.Synchronous, Q: 2, Action: core.Exchange, Trials: 3, Seed: 1,
+	}
+	spec.BindFlags(fs)
 	var (
-		graphName  = fs.String("graph", "grid", "topology family")
 		n          = fs.Int("n", 64, "number of nodes (approximate for grid/bintree)")
 		k          = fs.Int("k", 0, "number of messages (default n/2)")
-		protoName  = fs.String("protocol", "ag", "protocol: ag|tag|tag-uniform|tag-is|uncoded")
-		modelName  = fs.String("model", "sync", "time model: sync|async")
-		q          = fs.Int("q", 2, "field order")
-		action     = fs.String("action", "exchange", "action: push|pull|exchange")
-		dynamics   = fs.String("dynamics", "", "time-varying topology: kind[:key=val,...], e.g. edge:rate=0.2 | churn:rate=0.1,period=16")
-		adversary  = fs.String("adversary", "", "Byzantine node population: byzantine:frac=<f>[,mode=pollute|replay|freeride|mix] (uniform AG only)")
-		classes    = fs.String("classes", "", "heterogeneous node capabilities: straggler:frac=<f>[,slow=<s>] | tiered:frac=<f>[,boost=<b>] (uniform AG only)")
-		gens       = fs.Int("generations", 0, "generation size g for generation-coded AG (0 = full-span coding)")
-		shards     = fs.Int("shards", 0, "run each trial on this many shards (0 = classic serial engine; any positive count gives the same trajectory)")
-		seed       = fs.Uint64("seed", 1, "root seed")
-		trials     = fs.Int("trials", 3, "number of trials")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent trials (0 = all cores, 1 = sequential)")
-		single     = fs.Bool("single-source", false, "seed all messages at node 0")
 		detail     = fs.Bool("detail", false, "print traffic counters and completion quantiles")
 		traceCSV   = fs.String("tracecsv", "", "write per-node completion rounds to this CSV file")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -77,36 +69,12 @@ func run(args []string, stdout io.Writer) (err error) {
 			err = perr
 		}
 	}()
-	g, err := graph.FromName(*graphName, *n, core.NewRand(core.SplitSeed(*seed, 999)))
+	g, err := graph.FromName(spec.Graph, *n, core.NewRand(core.SplitSeed(spec.Seed, 999)))
 	if err != nil {
 		return err
 	}
 	if *k == 0 {
 		*k = g.N() / 2
-	}
-	proto, err := harness.ParseProtocol(*protoName)
-	if err != nil {
-		return err
-	}
-	model, err := core.ParseTimeModel(*modelName)
-	if err != nil {
-		return err
-	}
-	act, err := core.ParseAction(*action)
-	if err != nil {
-		return err
-	}
-	dyn, err := harness.ParseDynamics(*dynamics)
-	if err != nil {
-		return err
-	}
-	adv, err := harness.ParseAdversary(*adversary)
-	if err != nil {
-		return err
-	}
-	cls, err := harness.ParseClasses(*classes)
-	if err != nil {
-		return err
 	}
 
 	// All writes go through the fail-fast writer: a broken pipe or full
@@ -116,43 +84,27 @@ func run(args []string, stdout io.Writer) (err error) {
 	diam := g.Diameter()
 	delta := g.MaxDegree()
 	fmt.Fprintf(w, "graph=%s n=%d m=%d D=%d Δ=%d | protocol=%v model=%v k=%d q=%d action=%v",
-		g.Name(), g.N(), g.M(), diam, delta, proto, model, *k, *q, act)
-	if !dyn.IsStatic() {
-		fmt.Fprintf(w, " dynamics=%s", dyn)
+		g.Name(), g.N(), g.M(), diam, delta, spec.Protocol, spec.Model, *k, spec.Q, spec.Action)
+	if !spec.Dynamics.IsStatic() {
+		fmt.Fprintf(w, " dynamics=%s", spec.Dynamics)
 	}
-	if adv != nil {
-		fmt.Fprintf(w, " adversary=%s", adv)
+	if spec.Adversary != nil {
+		fmt.Fprintf(w, " adversary=%s", spec.Adversary)
 	}
-	if cls != nil {
-		fmt.Fprintf(w, " classes=%s", cls)
+	if spec.Classes != nil {
+		fmt.Fprintf(w, " classes=%s", spec.Classes)
 	}
-	if *gens > 0 {
-		fmt.Fprintf(w, " generations=%d", *gens)
+	if spec.GenSize > 0 {
+		fmt.Fprintf(w, " generations=%d", spec.GenSize)
 	}
 	fmt.Fprintln(w)
 
-	// One harness Spec: a single (graph, k) cell, -trials trials, with the
-	// historical per-trial seed layout SplitSeed(seed, trial).
-	rootSeed := *seed
-	spec := harness.Spec{
-		Name:         "gossipsim",
-		Graphs:       []*graph.Graph{g},
-		Ks:           []int{*k},
-		Protocol:     proto,
-		Model:        model,
-		Q:            *q,
-		Action:       act,
-		Dynamics:     dyn,
-		Adversary:    adv,
-		Classes:      cls,
-		GenSize:      *gens,
-		Shards:       *shards,
-		SingleSource: *single,
-		Trials:       *trials,
-		Seed:         rootSeed,
-		TrialSeed: func(size, trial int) uint64 {
-			return core.SplitSeed(rootSeed, uint64(trial))
-		},
+	// One (graph, k) cell, with the historical per-trial seed layout
+	// SplitSeed(seed, trial).
+	spec.Graphs, spec.Ks = []*graph.Graph{g}, []int{*k}
+	rootSeed := spec.Seed
+	spec.TrialSeed = func(size, trial int) uint64 {
+		return core.SplitSeed(rootSeed, uint64(trial))
 	}
 	rs, err := harness.Runner{Parallel: *parallel}.Run(&spec)
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"algossip/internal/harness/harnesstest"
 )
 
 func TestGossipsimEndToEnd(t *testing.T) {
@@ -22,6 +24,36 @@ func TestGossipsimEndToEnd(t *testing.T) {
 	for _, a := range args {
 		if err := run(a, os.Stdout); err != nil {
 			t.Errorf("run(%v): %v", a, err)
+		}
+	}
+}
+
+// TestGossipsimHeaderAndRounds pins report lines recorded from the last
+// commit whose gossipsim parsed its experiment words by hand: the shared
+// binding has to print the same header and replay the same trials.
+func TestGossipsimHeaderAndRounds(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trials", "1"},
+			"graph=grid-8x8 n=64 m=112 D=14 Δ=4 | protocol=uniform-ag model=synchronous k=32 q=2 action=EXCHANGE\n"},
+		{[]string{"-graph", "complete", "-n", "16", "-k", "8", "-trials", "2", "-seed", "4", "-action", "push",
+			"-adversary", "byzantine:frac=0.1,mode=replay", "-classes", "tiered:frac=0.5", "-generations", "4"},
+			"graph=complete-16 n=16 m=120 D=1 Δ=15 | protocol=uniform-ag model=synchronous k=8 q=2 action=PUSH" +
+				" adversary=byzantine:frac=0.1,mode=replay classes=tiered:frac=0.5,boost=2 generations=4\n" +
+				"  trial 0: 23 rounds\n  trial 1: 23 rounds\n"},
+		{[]string{"-graph", "torus", "-n", "16", "-trials", "1", "-seed", "4", "-model", "async", "-q", "16",
+			"-dynamics", "churn:rate=0.1", "-protocol", "uncoded"},
+			"graph=torus-4x4 n=16 m=32 D=4 Δ=4 | protocol=uncoded model=asynchronous k=8 q=16 action=EXCHANGE" +
+				" dynamics=churn:rate=0.1,period=16\n  trial 0: 61 rounds\n"},
+	} {
+		var buf bytes.Buffer
+		if err := run(c.args, &buf); err != nil {
+			t.Fatalf("run(%v): %v", c.args, err)
+		}
+		if !strings.HasPrefix(buf.String(), c.want) {
+			t.Errorf("run(%v) report changed:\ngot:\n%swant prefix:\n%s", c.args, buf.String(), c.want)
 		}
 	}
 }
@@ -101,6 +133,7 @@ func TestGossipsimRejectsBadFlags(t *testing.T) {
 			t.Errorf("run(%v) accepted", a)
 		}
 	}
+	harnesstest.RejectsBadSpecWords(t, run)
 }
 
 // failWriter rejects every write.

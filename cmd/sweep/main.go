@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"time"
 
-	"algossip/internal/core"
 	"algossip/internal/gf"
 	"algossip/internal/harness"
 	"algossip/internal/resultstore"
@@ -46,21 +45,16 @@ func main() {
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	spec := harness.Spec{
+		Name: "sweep", Graph: "barbell", Sizes: []int{16, 32, 64}, KMode: "half",
+		Q: 2, Trials: 3, Seed: 1,
+		// The CSV only reads Rounds; skip per-node detail so huge sweeps
+		// stay lean in memory and in the checkpoint file.
+		Lean: true,
+	}
+	spec.BindFlags(fs)
+	spec.BindGridFlags(fs)
 	var (
-		graphName  = fs.String("graph", "barbell", "topology family (see gossipsim)")
-		protoName  = fs.String("protocol", "ag", "protocol: ag|tag|tag-uniform|tag-is|uncoded")
-		modelName  = fs.String("model", "sync", "time model: sync|async")
-		sizesCSV   = fs.String("sizes", "16,32,64", "comma-separated node counts")
-		kmode      = fs.String("kmode", "half", "k per size: half|n|sqrt|const:<v>")
-		q          = fs.Int("q", 2, "field order")
-		dynamics   = fs.String("dynamics", "", "time-varying topology: kind[:key=val,...], e.g. edge:rate=0.2 | churn:rate=0.1,period=16 | rewire:rate=0.3,period=32 | burst:rate=0.5,period=64,burst=8 | grow:period=4")
-		adversary  = fs.String("adversary", "", "Byzantine node population: byzantine:frac=<f>[,mode=pollute|replay|freeride|mix] (uniform AG only)")
-		classes    = fs.String("classes", "", "heterogeneous node capabilities: straggler:frac=<f>[,slow=<s>] | tiered:frac=<f>[,boost=<b>] (uniform AG only)")
-		gens       = fs.Int("generations", 0, "generation size g for generation-coded AG (0 = full-span coding)")
-		shards     = fs.Int("shards", 0, "run each trial on this many shards (0 = classic serial engine; any positive count gives the same trajectory)")
-		trials     = fs.Int("trials", 3, "trials per size")
-		single     = fs.Bool("single-source", false, "seed all messages at node 0")
-		seed       = fs.Uint64("seed", 1, "root seed")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent trials (0 = all cores, 1 = sequential)")
 		timeout    = fs.Duration("timeout", 0, "per-trial timeout (0 = none)")
 		checkpoint = fs.String("checkpoint", "", "record finished trials to this file")
@@ -87,53 +81,8 @@ func run(args []string, stdout io.Writer) (err error) {
 			err = perr
 		}
 	}()
-	proto, err := harness.ParseProtocol(*protoName)
-	if err != nil {
-		return err
-	}
-	model, err := core.ParseTimeModel(*modelName)
-	if err != nil {
-		return err
-	}
-	sizes, err := harness.ParseSizes(*sizesCSV)
-	if err != nil {
-		return err
-	}
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	dyn, err := harness.ParseDynamics(*dynamics)
-	if err != nil {
-		return err
-	}
-	adv, err := harness.ParseAdversary(*adversary)
-	if err != nil {
-		return err
-	}
-	cls, err := harness.ParseClasses(*classes)
-	if err != nil {
-		return err
-	}
-
-	spec := harness.Spec{
-		Name:         "sweep",
-		Graph:        *graphName,
-		Sizes:        sizes,
-		KMode:        *kmode,
-		Protocol:     proto,
-		Model:        model,
-		Q:            *q,
-		Dynamics:     dyn,
-		Adversary:    adv,
-		Classes:      cls,
-		GenSize:      *gens,
-		Shards:       *shards,
-		SingleSource: *single,
-		Trials:       *trials,
-		Seed:         *seed,
-		// The CSV only reads Rounds; skip per-node detail so huge sweeps
-		// stay lean in memory and in the checkpoint file.
-		Lean: true,
 	}
 	runner := harness.Runner{
 		Parallel:   *parallel,

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"algossip/internal/core"
+	"algossip/internal/harness"
+	"algossip/internal/harness/harnesstest"
 	"algossip/internal/resultstore"
 )
 
@@ -61,6 +64,17 @@ var goldenSweeps = []struct {
 			"grid-4x4,uncoded,asynchronous,16,4,0,18\n" +
 			"grid-4x4,uncoded,asynchronous,16,4,1,18\n" +
 			"grid-4x4,uncoded,asynchronous,16,4,2,15\n",
+	},
+	// Recorded from the last commit whose sweep parsed these words by
+	// hand; parentAdversaryCkpt below is that run's checkpoint.
+	{
+		args: []string{"-graph", "complete", "-sizes", "16,24", "-trials", "2", "-seed", "7", "-generations", "4",
+			"-adversary", "byzantine:frac=0.2", "-classes", "straggler:frac=0.25,slow=3"},
+		want: "graph,protocol,model,n,k,trial,rounds\n" +
+			"complete-16,uniform-ag,synchronous,16,8,0,25\n" +
+			"complete-16,uniform-ag,synchronous,16,8,1,50\n" +
+			"complete-24,uniform-ag,synchronous,24,12,0,82\n" +
+			"complete-24,uniform-ag,synchronous,24,12,1,57\n",
 	},
 }
 
@@ -171,6 +185,56 @@ func TestSweepResumeFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSweepResumesParentCheckpoint: a checkpoint written before the Spec
+// bound its own flags (header + the first two trials of the adversarial
+// golden above) is still recognised — same fingerprint from the same
+// words — and resumes to the same bytes.
+func TestSweepResumesParentCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent_adversary.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "parent.ckpt")
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := goldenSweeps[len(goldenSweeps)-1]
+	var resumed bytes.Buffer
+	if err := run(append([]string{"-checkpoint", ckpt, "-resume"}, g.args...), &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.String() != g.want {
+		t.Errorf("resume from the parent's checkpoint differs:\ngot:\n%swant:\n%s", resumed.String(), g.want)
+	}
+}
+
+// TestSweepActionFlag: -action reaches the Spec (it used to exist on
+// gossipsim only), so the CSV equals the library run of the same Spec.
+func TestSweepActionFlag(t *testing.T) {
+	var got bytes.Buffer
+	if err := run([]string{"-graph", "ring", "-sizes", "12", "-trials", "3", "-seed", "3", "-action", "push"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	spec := harness.Spec{Name: "sweep", Graph: "ring", Sizes: []int{12}, Q: 2, Action: core.Push, Trials: 3, Seed: 3}
+	rs, err := harness.Runner{Parallel: 1}.Run(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, exchange bytes.Buffer
+	if err := harness.WriteCSV(&want, rs); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("-action push:\ngot:\n%swant:\n%s", got.String(), want.String())
+	}
+	if err := run([]string{"-graph", "ring", "-sizes", "12", "-trials", "3", "-seed", "3"}, &exchange); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == exchange.String() {
+		t.Error("-action push ran the EXCHANGE trajectory")
+	}
+}
+
 // TestSweepDynamicsResume: a dynamics sweep killed mid-run resumes to
 // the identical output bytes.
 func TestSweepDynamicsResume(t *testing.T) {
@@ -227,6 +291,12 @@ func TestSweepRejectsBadFlags(t *testing.T) {
 			t.Errorf("run(%v) accepted", args)
 		}
 	}
+	harnesstest.RejectsBadSpecWords(t, run)
+	// A refused combination fails before the pool starts.
+	if err := run([]string{"-protocol", "tag", "-generations", "4"}, os.Stdout); err == nil ||
+		!strings.Contains(err.Error(), "cell n=") {
+		t.Errorf("tag x generations: %v, want Expand's per-cell refusal", err)
+	}
 }
 
 // TestSweepStoreIngest: -store mirrors the CSV rows into the result
@@ -253,6 +323,57 @@ func TestSweepStoreIngest(t *testing.T) {
 	}
 	if cells := store.Cells(); len(cells) != 2 {
 		t.Fatalf("store has %d cells, want 2", len(cells))
+	}
+}
+
+// TestSweepStoreKeepsRegimesApart: runs of one (graph, n, k, q) cell that
+// differ only in time model, action, adversary or classes sample
+// different distributions, so each lands in its own store cell — they
+// used to merge into one cell and one tail summary.
+func TestSweepStoreKeepsRegimesApart(t *testing.T) {
+	storePath := filepath.Join(t.TempDir(), "results.jsonl")
+	base := []string{"-graph", "complete", "-sizes", "16", "-trials", "4", "-seed", "2", "-store", storePath}
+	regimes := [][]string{
+		nil,
+		{"-model", "async"},
+		{"-action", "push"},
+		{"-adversary", "byzantine:frac=0.2"},
+		{"-classes", "straggler:frac=0.2"},
+	}
+	for _, r := range regimes {
+		if err := run(append(append([]string{}, base...), r...), new(bytes.Buffer)); err != nil {
+			t.Fatalf("run(%v): %v", r, err)
+		}
+	}
+	store, err := resultstore.Open(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cells := store.Cells()
+	if len(cells) != len(regimes) {
+		t.Fatalf("store has %d cells for %d regimes: %+v", len(cells), len(regimes), cells)
+	}
+	for _, c := range cells {
+		if c.Trials != 4 {
+			t.Errorf("cell %+v holds %d trials, want its own 4", c.Cell, c.Trials)
+		}
+	}
+	for regime, want := range map[string]int{
+		"":                                    4,
+		"model=asynchronous":                  4,
+		"action=PUSH":                         4,
+		"adv=byzantine:frac=0.2,mode=pollute": 4,
+		"classes=straggler:frac=0.2,slow=4":   4,
+		"action=PULL":                         0,
+	} {
+		ts, err := store.Tail(resultstore.Filter{Graph: "complete", N: 16, Regime: regime, HasRegime: true})
+		if err != nil || ts.Trials != want {
+			t.Errorf("regime %q: %d trials (err=%v), want %d", regime, ts.Trials, err, want)
+		}
+	}
+	if ts, _ := store.Tail(resultstore.Filter{Graph: "complete", N: 16}); ts.Trials != 20 {
+		t.Errorf("regime wildcard matched %d trials, want all 20", ts.Trials)
 	}
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"algossip/internal/core"
 	"algossip/internal/gossip/algebraic"
@@ -89,31 +88,21 @@ func (a Adversary) behaviors() []algebraic.Behavior {
 // with keys frac and mode, e.g. "byzantine:frac=0.1,mode=pollute". An
 // empty string means no adversary.
 func ParseAdversary(s string) (*Adversary, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	kind, rest, _ := strings.Cut(s, ":")
-	a := &Adversary{Kind: kind}
-	if rest != "" {
-		for _, kv := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("harness: adversary option %q is not key=value", kv)
-			}
-			switch key {
-			case "frac":
-				f, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("harness: bad adversary frac %q", val)
-				}
-				a.Frac = f
-			case "mode":
-				a.Mode = val
-			default:
-				return nil, fmt.Errorf("harness: unknown adversary option %q (known: frac, mode)", key)
-			}
+	a := &Adversary{}
+	var err error
+	a.Kind, err = parseDecl("adversary", s, "frac, mode", func(key, val string) (err error) {
+		switch key {
+		case "frac":
+			a.Frac, err = strconv.ParseFloat(val, 64)
+		case "mode":
+			a.Mode = val
+		default:
+			err = errUnknownKey
 		}
+		return err
+	})
+	if err != nil || a.Kind == "" {
+		return nil, err
 	}
 	if err := a.validate(); err != nil {
 		return nil, err
@@ -210,33 +199,23 @@ func (c *Classes) validate() error {
 // keys frac, slow and boost, e.g. "straggler:frac=0.2,slow=4" or
 // "tiered:frac=0.25,boost=3". An empty string means uniform capability.
 func ParseClasses(s string) (*Classes, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	kind, rest, _ := strings.Cut(s, ":")
-	c := &Classes{Kind: kind}
-	if rest != "" {
-		for _, kv := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("harness: classes option %q is not key=value", kv)
-			}
-			var err error
-			switch key {
-			case "frac":
-				c.Frac, err = strconv.ParseFloat(val, 64)
-			case "slow":
-				c.Slow, err = strconv.Atoi(val)
-			case "boost":
-				c.Boost, err = strconv.Atoi(val)
-			default:
-				return nil, fmt.Errorf("harness: unknown classes option %q (known: frac, slow, boost)", key)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("harness: bad classes %s %q", key, val)
-			}
+	c := &Classes{}
+	var err error
+	c.Kind, err = parseDecl("classes", s, "frac, slow, boost", func(key, val string) (err error) {
+		switch key {
+		case "frac":
+			c.Frac, err = strconv.ParseFloat(val, 64)
+		case "slow":
+			c.Slow, err = strconv.Atoi(val)
+		case "boost":
+			c.Boost, err = strconv.Atoi(val)
+		default:
+			err = errUnknownKey
 		}
+		return err
+	})
+	if err != nil || c.Kind == "" {
+		return nil, err
 	}
 	if err := c.validate(); err != nil {
 		return nil, err

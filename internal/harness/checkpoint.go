@@ -9,6 +9,8 @@ import (
 	"os"
 	"strings"
 	"sync"
+
+	"algossip/internal/core"
 )
 
 // checkpointVersion guards the on-disk format.
@@ -44,35 +46,20 @@ func (s *Spec) Fingerprint() string {
 	fmt.Fprintf(&sb, "kmode=%s|ks=%v|proto=%d|model=%d|q=%d|action=%d|sel=%d|single=%t|loss=%g|maxrounds=%d|trials=%d|seed=%d",
 		s.KMode, s.Ks, s.Protocol, s.Model, s.Q, s.Action, s.Selector,
 		s.SingleSource, s.LossRate, s.MaxRounds, s.Trials, s.Seed)
-	// Appended only for dynamic specs, so every pre-dynamics checkpoint
-	// fingerprint is unchanged.
+	// Everything below is append-only: a tag appears only when its regime
+	// is in force, so a checkpoint written before the field existed still
+	// resumes. The fabric session label binds a coordinator's checkpoint
+	// and its workers to one distributed run.
 	if !s.Dynamics.IsStatic() {
 		fmt.Fprintf(&sb, "|dyn=%s", s.Dynamics.String())
 	}
-	// Same backward-compat idiom for the generation/sharded fields: tags
-	// appear only when the mode is in force, so checkpoints written
-	// before these fields existed still resume. The sharded tag records
-	// only that the sharded trajectory semantics apply — the shard count
-	// itself is a pure execution knob (any positive count replays the
-	// same trajectory), exactly like Runner.Parallel.
 	if s.GenSize > 0 {
 		fmt.Fprintf(&sb, "|gens=%d", s.GenSize)
 	}
-	if s.Shards > 0 {
-		fmt.Fprintf(&sb, "|sharded=1")
+	_, shared := s.regimeTags()
+	for _, tag := range shared {
+		sb.WriteString("|" + tag)
 	}
-	// Adversarial and heterogeneous-class declarations, same append-only
-	// idiom: the canonical String() forms appear only when the regimes are
-	// in force, so every pre-adversary checkpoint still resumes.
-	if !s.Adversary.IsNone() {
-		fmt.Fprintf(&sb, "|adv=%s", s.Adversary.String())
-	}
-	if !s.Classes.IsNone() {
-		fmt.Fprintf(&sb, "|classes=%s", s.Classes.String())
-	}
-	// The fabric session label binds a coordinator's checkpoint and its
-	// workers to one distributed run; same append-only idiom, so
-	// non-fabric checkpoints keep their historical fingerprints.
 	if s.Fabric != "" {
 		fmt.Fprintf(&sb, "|fabric=%s", s.Fabric)
 	}
@@ -80,21 +67,58 @@ func (s *Spec) Fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// checkpoint is an open checkpoint file: previously completed outcomes
-// plus an append handle for new ones. Appends from concurrent workers
-// serialize on the checkpoint's own lock, keeping per-line fsync latency
-// off the pool's result path.
-type checkpoint struct {
+// regimeTags renders the trajectory-deciding fields a result-store cell
+// has no column for, each only when it departs from the default: own are
+// Regime's alone (the fingerprint's fixed part already has them), shared
+// are also the fingerprint's append-only tail, in its order. The sharded
+// tag records only that the sharded trajectory semantics apply: the
+// shard count is an execution knob (any positive count replays the same
+// trajectory), exactly like Runner.Parallel.
+func (s *Spec) regimeTags() (own, shared []string) {
+	add := func(dst *[]string, on bool, tag string) {
+		if on {
+			*dst = append(*dst, tag)
+		}
+	}
+	add(&own, s.Model == core.Asynchronous, "model="+s.Model.String())
+	add(&own, s.Action == core.Push || s.Action == core.Pull, "action="+s.Action.String())
+	add(&own, s.Selector == SelRoundRobin, "sel="+s.Selector.String())
+	add(&own, s.SingleSource, "single-source")
+	add(&shared, s.Shards > 0, "sharded=1")
+	add(&shared, !s.Adversary.IsNone(), "adv="+s.Adversary.String())
+	add(&shared, !s.Classes.IsNone(), "classes="+s.Classes.String())
+	return own, shared
+}
+
+// Regime is the canonical rendering of regimeTags, the empty string at
+// the defaults, e.g. "model=asynchronous/action=PUSH/adv=byzantine:frac=0.2,mode=pollute".
+// Two specs that differ in it sample different distributions, so a stored
+// stopping time belongs to (cell, Regime), not to the cell alone.
+func (s *Spec) Regime() string {
+	own, shared := s.regimeTags()
+	return strings.Join(append(own, shared...), "/")
+}
+
+// CheckpointFile is an open checkpoint: previously completed outcomes
+// plus an append handle for new ones. The local Runner and out-of-process
+// coordinators (internal/fabric) share it — the same header validation,
+// fsync-per-line appends and torn-tail recovery — so a fabric
+// coordinator's on-disk state is an ordinary checkpoint: resumable,
+// foreign-spec-rejecting, kill-tolerant. Appends from concurrent workers
+// serialize on the file's own lock, keeping per-line fsync latency off
+// the pool's result path.
+type CheckpointFile struct {
 	mu     sync.Mutex
 	f      *os.File
 	loaded map[int]Outcome
 }
 
-// openCheckpoint opens (and, when resuming, replays) the checkpoint at
-// path. Without resume an existing file is truncated and restarted; with
+// OpenCheckpointFile opens (and, when resuming, replays) the checkpoint
+// at path for the spec's expanded work-list of the given total size.
+// Without resume an existing file is truncated and restarted; with
 // resume a partial trailing line from a kill mid-append is discarded so
 // new entries stay line-aligned.
-func openCheckpoint(path string, spec *Spec, total int, resume bool) (*checkpoint, error) {
+func OpenCheckpointFile(path string, spec *Spec, total int, resume bool) (*CheckpointFile, error) {
 	loaded := map[int]Outcome{}
 	valid := int64(0)
 	if resume {
@@ -116,7 +140,7 @@ func openCheckpoint(path string, spec *Spec, total int, resume bool) (*checkpoin
 		f.Close()
 		return nil, err
 	}
-	ck := &checkpoint{f: f, loaded: loaded}
+	ck := &CheckpointFile{f: f, loaded: loaded}
 	if valid == 0 {
 		if err := ck.writeLine(ckHeader{V: checkpointVersion, Name: spec.Name,
 			Fingerprint: spec.Fingerprint(), Total: total}); err != nil {
@@ -129,7 +153,7 @@ func openCheckpoint(path string, spec *Spec, total int, resume bool) (*checkpoin
 
 // writeLine marshals v and appends it with a trailing newline, syncing so
 // a kill loses at most the trial in flight.
-func (ck *checkpoint) writeLine(v any) error {
+func (ck *CheckpointFile) writeLine(v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -140,43 +164,18 @@ func (ck *checkpoint) writeLine(v any) error {
 	return ck.f.Sync()
 }
 
-func (ck *checkpoint) append(i int, o Outcome) error {
+// Loaded is the set of trial outcomes replayed from disk on open.
+func (ck *CheckpointFile) Loaded() map[int]Outcome { return ck.loaded }
+
+// Append durably records one completed trial (safe for concurrent use).
+func (ck *CheckpointFile) Append(i int, o Outcome) error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	return ck.writeLine(ckEntry{I: i, O: o})
 }
 
-func (ck *checkpoint) close() error { return ck.f.Close() }
-
-// CheckpointFile is the exported handle over the checkpoint substrate
-// for out-of-process coordinators (internal/fabric): the same header
-// validation, fsync-per-line appends, and torn-tail recovery the local
-// Runner uses, so a fabric coordinator's on-disk state is an ordinary
-// checkpoint — resumable, foreign-spec-rejecting, kill-tolerant.
-type CheckpointFile struct {
-	ck     *checkpoint
-	loaded map[int]Outcome
-}
-
-// OpenCheckpointFile opens (resuming if asked) a checkpoint for the
-// spec's expanded work-list of the given total size. Loaded returns the
-// outcomes replayed from disk.
-func OpenCheckpointFile(path string, spec *Spec, total int, resume bool) (*CheckpointFile, error) {
-	ck, err := openCheckpoint(path, spec, total, resume)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointFile{ck: ck, loaded: ck.loaded}, nil
-}
-
-// Loaded is the set of trial outcomes replayed from disk on open.
-func (c *CheckpointFile) Loaded() map[int]Outcome { return c.loaded }
-
-// Append durably records one completed trial (safe for concurrent use).
-func (c *CheckpointFile) Append(i int, o Outcome) error { return c.ck.append(i, o) }
-
 // Close closes the underlying file.
-func (c *CheckpointFile) Close() error { return c.ck.close() }
+func (ck *CheckpointFile) Close() error { return ck.f.Close() }
 
 // readCheckpoint replays a checkpoint file, validating the header against
 // the spec. It returns the completed outcomes and the byte offset of the

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"algossip/internal/core"
 )
 
 func runToCSV(t *testing.T, r Runner, spec Spec) string {
@@ -197,6 +199,47 @@ func TestFingerprintSensitivity(t *testing.T) {
 		if fp(s) == fp(base) {
 			t.Errorf("mutation %d did not change fingerprint", i)
 		}
+	}
+
+	// The trajectory-deciding fields a store cell has no column for must
+	// move the regime key too, and the defaults, however spelled, render
+	// as the empty regime.
+	regimes := []func(*Spec){
+		func(s *Spec) { s.Model = core.Asynchronous },
+		func(s *Spec) { s.Action = core.Push },
+		func(s *Spec) { s.Action = core.Pull },
+		func(s *Spec) { s.Selector = SelRoundRobin },
+		func(s *Spec) { s.SingleSource = true },
+		func(s *Spec) { s.Shards = 2 },
+		func(s *Spec) { s.Adversary = &Adversary{Kind: "byzantine", Frac: 0.2} },
+		func(s *Spec) { s.Adversary = &Adversary{Kind: "byzantine", Frac: 0.2, Mode: "replay"} },
+		func(s *Spec) { s.Classes = &Classes{Kind: "straggler", Frac: 0.2} },
+	}
+	seen := map[string]int{}
+	for i, mut := range regimes {
+		s := lineSpec()
+		mut(&s)
+		if fp(s) == fp(base) {
+			t.Errorf("regime mutation %d did not change fingerprint", i)
+		}
+		if j, dup := seen[s.Regime()]; dup || s.Regime() == "" {
+			t.Errorf("regime mutation %d renders %q, colliding with %d", i, s.Regime(), j)
+		}
+		seen[s.Regime()] = i
+	}
+	defaults := lineSpec()
+	defaults.Model, defaults.Action, defaults.Selector = core.Synchronous, core.Exchange, SelUniform
+	defaults.Adversary, defaults.Classes = &Adversary{Kind: "byzantine"}, &Classes{}
+	if r := defaults.Regime(); r != "" || base.Regime() != "" {
+		t.Errorf("default regime renders %q / %q, want empty", r, base.Regime())
+	}
+	all := lineSpec()
+	for _, mut := range []int{0, 1, 3, 4, 5, 6, 8} {
+		regimes[mut](&all)
+	}
+	const want = "model=asynchronous/action=PUSH/sel=round-robin/single-source/sharded=1/adv=byzantine:frac=0.2,mode=pollute/classes=straggler:frac=0.2,slow=4"
+	if got := all.Regime(); got != want {
+		t.Errorf("Regime() = %q\nwant %q", got, want)
 	}
 }
 

@@ -134,41 +134,30 @@ func (d *Dynamics) Build(g *graph.Graph, seed uint64) (graph.Dynamic, error) {
 // with keys rate, period and burst, e.g. "edge:rate=0.2" or
 // "churn:rate=0.1,period=16". An empty string means static.
 func ParseDynamics(s string) (*Dynamics, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	kind, rest, _ := strings.Cut(s, ":")
-	d := &Dynamics{Kind: kind}
-	if rest != "" {
-		for _, kv := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("harness: dynamics option %q is not key=value", kv)
-			}
-			switch key {
-			case "rate":
-				f, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("harness: bad dynamics rate %q", val)
-				}
-				d.Rate = f
-			case "period":
-				v, err := strconv.Atoi(val)
-				if err != nil || v < 1 {
-					return nil, fmt.Errorf("harness: bad dynamics period %q", val)
-				}
-				d.Period = v
-			case "burst":
-				v, err := strconv.Atoi(val)
-				if err != nil || v < 1 {
-					return nil, fmt.Errorf("harness: bad dynamics burst %q", val)
-				}
-				d.Burst = v
-			default:
-				return nil, fmt.Errorf("harness: unknown dynamics option %q (known: rate, period, burst)", key)
-			}
+	d := &Dynamics{}
+	var err error
+	positive := func(val string) (int, error) {
+		v, err := strconv.Atoi(val)
+		if err == nil && v < 1 {
+			err = strconv.ErrRange
 		}
+		return v, err
+	}
+	d.Kind, err = parseDecl("dynamics", s, "rate, period, burst", func(key, val string) (err error) {
+		switch key {
+		case "rate":
+			d.Rate, err = strconv.ParseFloat(val, 64)
+		case "period":
+			d.Period, err = positive(val)
+		case "burst":
+			d.Burst, err = positive(val)
+		default:
+			err = errUnknownKey
+		}
+		return err
+	})
+	if err != nil || d.Kind == "" {
+		return nil, err
 	}
 	// Validate the kind (and cross-field constraints) eagerly so flag
 	// errors surface before any compute is spent.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
@@ -216,6 +217,70 @@ type Outcome struct {
 	TreeDiameter int `json:"tree_diameter"`
 }
 
+// feature is one optional capability of a trial: when it is in force and
+// which protocols take it. DESIGN.md "What combines with what" is
+// features and refusedPairs in prose, with the reasons;
+// TestDesignCombinationTable holds the two together cell by cell.
+type feature struct {
+	name    string
+	inForce func(GossipSpec) bool
+	takes   []Protocol // nil: every protocol
+}
+
+var (
+	onlyAG = []Protocol{ProtocolUniformAG}
+
+	featGenerations = feature{"generations", func(s GossipSpec) bool { return s.GenSize > 0 }, onlyAG}
+	featLoss        = feature{"loss", func(s GossipSpec) bool { return s.LossRate > 0 }, onlyAG}
+	featDynamics    = feature{"dynamics", func(s GossipSpec) bool { return !s.Dynamics.IsStatic() }, []Protocol{ProtocolUniformAG, ProtocolUncoded}}
+	featAdversary   = feature{"adversary / classes", func(s GossipSpec) bool { return !s.Adversary.IsNone() || !s.Classes.IsNone() }, onlyAG}
+	featShards      = feature{"shards", func(s GossipSpec) bool { return s.Shards > 0 }, onlyAG}
+	featPayload     = feature{"payload", func(s GossipSpec) bool { return s.PayloadLen > 0 }, onlyAG}
+	featAsync       = feature{"asynchronous", func(s GossipSpec) bool { return s.Model == core.Asynchronous }, nil}
+
+	features = []*feature{&featGenerations, &featLoss, &featDynamics, &featAdversary, &featShards, &featPayload, &featAsync}
+
+	// refusedPairs do not run together under any protocol.
+	refusedPairs = []struct {
+		a, b *feature
+		why  string
+	}{
+		{&featShards, &featAsync, "sharding fans out the wake phase of a synchronous round; the asynchronous model has one wakeup per timeslot"},
+		{&featAdversary, &featShards, "the sharded send path implements only the honest emit and the class RNG is one serial stream"},
+		{&featAdversary, &featDynamics, "straggler service state and honest-only seeding are undefined across a churn reset"},
+	}
+)
+
+// validate is the one refusal table. Execute calls it per trial and
+// Spec.Expand per cell, so a combination that cannot run is reported
+// before the pool starts. A zero proto means uniform AG. The spec goes by
+// value through the predicates so that Execute's copy stays off the heap.
+func (s GossipSpec) validate(proto Protocol) error {
+	if s.GenSize < 0 || s.GenSize > s.K {
+		return fmt.Errorf("harness: %w", &rlnc.GenSizeError{GenSize: s.GenSize, K: s.K})
+	}
+	if err := s.Adversary.validate(); err != nil {
+		return err
+	}
+	if err := s.Classes.validate(); err != nil {
+		return err
+	}
+	if proto == 0 {
+		proto = ProtocolUniformAG
+	}
+	for _, f := range features {
+		if f.takes != nil && !slices.Contains(f.takes, proto) && f.inForce(s) {
+			return fmt.Errorf("harness: %s unsupported for protocol %v (takes it: %v)", f.name, proto, f.takes)
+		}
+	}
+	for _, p := range refusedPairs {
+		if p.a.inForce(s) && p.b.inForce(s) {
+			return fmt.Errorf("harness: %s and %s do not combine (%s)", p.a.name, p.b.name, p.why)
+		}
+	}
+	return nil
+}
+
 // Execute runs one trial of the given protocol and collects its Outcome.
 // It is THE single dispatch point: the root package's Run/RunDetailed,
 // the experiment runners, and the worker pool all funnel through it, so
@@ -231,62 +296,8 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 	if spec.K <= 0 {
 		return Outcome{}, fmt.Errorf("harness: k must be positive, got %d", spec.K)
 	}
-	if !spec.Dynamics.IsStatic() {
-		switch proto {
-		case 0, ProtocolUniformAG, ProtocolUncoded:
-		default:
-			return Outcome{}, fmt.Errorf("harness: dynamics %q unsupported for protocol %v (tree-based protocols need a static topology)",
-				spec.Dynamics.Kind, proto)
-		}
-	}
-	if spec.PayloadLen > 0 {
-		switch proto {
-		case 0, ProtocolUniformAG:
-		default:
-			return Outcome{}, fmt.Errorf("harness: payload mode unsupported for protocol %v (uniform AG only)", proto)
-		}
-	}
-	if spec.GenSize < 0 {
-		return Outcome{}, fmt.Errorf("harness: %w", &rlnc.GenSizeError{GenSize: spec.GenSize, K: spec.K})
-	}
-	if spec.GenSize > 0 {
-		switch proto {
-		case 0, ProtocolUniformAG:
-		default:
-			return Outcome{}, fmt.Errorf("harness: generation mode unsupported for protocol %v (uniform AG only)", proto)
-		}
-		if spec.GenSize > spec.K {
-			return Outcome{}, fmt.Errorf("harness: %w", &rlnc.GenSizeError{GenSize: spec.GenSize, K: spec.K})
-		}
-	}
-	if spec.Shards > 0 {
-		switch proto {
-		case 0, ProtocolUniformAG:
-		default:
-			return Outcome{}, fmt.Errorf("harness: sharded execution unsupported for protocol %v (uniform AG only)", proto)
-		}
-		if spec.Model == core.Asynchronous {
-			return Outcome{}, fmt.Errorf("harness: sharded execution requires the synchronous model")
-		}
-	}
-	if !spec.Adversary.IsNone() || !spec.Classes.IsNone() {
-		switch proto {
-		case 0, ProtocolUniformAG:
-		default:
-			return Outcome{}, fmt.Errorf("harness: adversary/classes unsupported for protocol %v (uniform AG only)", proto)
-		}
-		if err := spec.Adversary.validate(); err != nil {
-			return Outcome{}, err
-		}
-		if err := spec.Classes.validate(); err != nil {
-			return Outcome{}, err
-		}
-		if spec.Shards > 0 {
-			return Outcome{}, fmt.Errorf("harness: adversary/classes do not support sharded execution")
-		}
-		if !spec.Dynamics.IsStatic() {
-			return Outcome{}, fmt.Errorf("harness: adversary/classes require a static topology")
-		}
+	if err := spec.validate(proto); err != nil {
+		return Outcome{}, err
 	}
 	spec = spec.Normalize()
 	g := spec.Graph

@@ -45,14 +45,14 @@ func FuzzReadCheckpoint(f *testing.F) {
 			}
 		}
 		// Whatever was accepted must survive a resume round trip through
-		// openCheckpoint (which truncates to the valid prefix).
-		ck, err := openCheckpoint(path, spec, total, true)
+		// OpenCheckpointFile (which truncates to the valid prefix).
+		ck, err := OpenCheckpointFile(path, spec, total, true)
 		if err != nil {
-			t.Fatalf("openCheckpoint rejected what readCheckpoint accepted: %v", err)
+			t.Fatalf("OpenCheckpointFile rejected what readCheckpoint accepted: %v", err)
 		}
-		defer ck.close()
-		if len(ck.loaded) != len(loaded) {
-			t.Fatalf("resume replayed %d entries, read %d", len(ck.loaded), len(loaded))
+		defer ck.Close()
+		if len(ck.Loaded()) != len(loaded) {
+			t.Fatalf("resume replayed %d entries, read %d", len(ck.Loaded()), len(loaded))
 		}
 	})
 }

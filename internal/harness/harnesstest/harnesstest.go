@@ -1,0 +1,28 @@
+// Package harnesstest holds the checks shared by the tests of every
+// binary that binds a harness.Spec to its command line, so sweep,
+// gossipsim and fabricd are held to one table rather than three.
+package harnesstest
+
+import (
+	"io"
+	"testing"
+)
+
+// RejectsBadSpecWords runs the malformed experiment words against a
+// binary's run function; every binary must refuse every one of them
+// before it does any work.
+func RejectsBadSpecWords(t *testing.T, run func(args []string, stdout io.Writer) error) {
+	t.Helper()
+	for _, args := range [][]string{
+		{"-protocol", "bogus"},
+		{"-model", "bogus"},
+		{"-action", "sideways"},
+		{"-dynamics", "edge:rate=1.5"},
+		{"-adversary", "byzantine:frac=2"},
+		{"-classes", "nope"},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("run(%v) accepted", args)
+		}
+	}
+}

@@ -91,14 +91,14 @@ func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 	outcomes := make([]Outcome, len(trials))
 	done := make([]bool, len(trials))
 
-	var ck *checkpoint
+	var ck *CheckpointFile
 	if r.Checkpoint != "" {
-		ck, err = openCheckpoint(r.Checkpoint, spec, len(trials), r.Resume)
+		ck, err = OpenCheckpointFile(r.Checkpoint, spec, len(trials), r.Resume)
 		if err != nil {
 			return nil, err
 		}
-		defer ck.close()
-		for i, o := range ck.loaded {
+		defer ck.Close()
+		for i, o := range ck.Loaded() {
 			outcomes[i] = o
 			done[i] = true
 		}
@@ -128,7 +128,7 @@ func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 		// own lock so slow disks never stall the result mutex.
 		outcomes[i] = o
 		if ck != nil {
-			if err := ck.append(i, o); err != nil {
+			if err := ck.Append(i, o); err != nil {
 				return err
 			}
 		}

@@ -7,7 +7,6 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/graph"
-	"algossip/internal/rlnc"
 )
 
 // Spec declares a full experiment grid: one protocol over one topology
@@ -203,18 +202,14 @@ func (s *Spec) Expand() ([]Cell, []Trial, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if s.GenSize < 0 {
-		return nil, nil, fmt.Errorf("harness: %w", &rlnc.GenSizeError{GenSize: s.GenSize, K: 0})
-	}
-	if s.GenSize > 0 {
-		// Validate against every cell's k up front: a generation larger
-		// than a cell's message count would otherwise surface only when
-		// that cell's first trial runs, possibly hours into a sweep.
-		for _, c := range cells {
-			if s.GenSize > c.K {
-				return nil, nil, fmt.Errorf("harness: cell n=%d: %w", c.Size,
-					&rlnc.GenSizeError{GenSize: s.GenSize, K: c.K})
-			}
+	// Refuse what cannot run against every cell up front: a bad
+	// combination or a generation larger than one cell's k would otherwise
+	// surface only when that cell's first trial runs, possibly hours into
+	// a sweep.
+	for _, c := range cells {
+		gs := s.gossipSpec(Trial{Graph: c.Graph, K: c.K})
+		if err := gs.validate(s.Protocol); err != nil {
+			return nil, nil, fmt.Errorf("cell n=%d: %w", c.Size, err)
 		}
 	}
 	trials := make([]Trial, 0, len(cells)*s.Trials)

@@ -13,9 +13,10 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 
 // Matrix is a dense rows x cols matrix over a finite field. RLNC decoding
 // is inversion of the coefficient matrix; this type makes that structure
-// explicit and testable (decode == multiply by the inverse), and serves as
-// the reference implementation the incremental RankMatrix is validated
-// against.
+// explicit and testable (decode == multiply by the inverse). It is a test
+// oracle only — TestDecodeIsInversion validates the incremental
+// RankMatrix.Solve against it — so it lives in a _test file and the
+// package does not export it.
 type Matrix struct {
 	f    gf.Field
 	rows int

@@ -1,7 +1,7 @@
 // Package resultstore is the queryable on-disk home of sweep results: an
 // append-only JSONL data file paired with a sidecar offset index keyed by
 // experiment cell (topology × n × k × field × rate × dynamics ×
-// generation size), so million-trial sweeps answer "which cell
+// generation size × regime), so million-trial sweeps answer "which cell
 // regressed, and what are its P99/P99.9 stopping times" by reading only
 // that cell's lines — no CSV re-parsing, no full-file scan.
 //
@@ -27,11 +27,21 @@ import (
 // storeVersion guards the on-disk format of both files.
 const storeVersion = 1
 
-// Record is one trial's result row. The cell-identifying fields
-// (everything except Trial, Seed and Rounds) key the index.
+// Record is one trial's result row: the cell it belongs to, which keys
+// the index, and the measurement. The cell's fields are inlined in the
+// JSON line.
 type Record struct {
 	// Spec labels the sweep that produced the row.
 	Spec string `json:"spec,omitempty"`
+	Cell
+	// Trial, Seed and Rounds are the measurement itself.
+	Trial  int    `json:"trial"`
+	Seed   uint64 `json:"seed"`
+	Rounds int    `json:"rounds"`
+}
+
+// Cell identifies one experiment grid cell in the index.
+type Cell struct {
 	// Graph, N, K and Q identify the topology × message-count × field
 	// cell.
 	Graph string `json:"graph"`
@@ -46,32 +56,16 @@ type Record struct {
 	Dynamics string `json:"dyn,omitempty"`
 	// GenSize is the generation size (0 for full-span coding).
 	GenSize int `json:"gens,omitempty"`
-	// Trial, Seed and Rounds are the measurement itself.
-	Trial  int    `json:"trial"`
-	Seed   uint64 `json:"seed"`
-	Rounds int    `json:"rounds"`
+	// Regime is harness.Spec.Regime: every other trajectory-deciding
+	// field (time model, action, selector, single source, sharded
+	// semantics, adversary, classes), "" at the defaults — so files
+	// written before the field existed keep their cell keys.
+	Regime string `json:"regime,omitempty"`
 }
 
-// cellOf strips a record to its index cell.
-func cellOf(r Record) Cell {
-	return Cell{Graph: r.Graph, N: r.N, K: r.K, Q: r.Q, Protocol: r.Protocol,
-		Rate: r.Rate, Dynamics: r.Dynamics, GenSize: r.GenSize}
-}
-
-// Cell identifies one experiment grid cell in the index.
-type Cell struct {
-	Graph    string  `json:"graph"`
-	N        int     `json:"n"`
-	K        int     `json:"k"`
-	Q        int     `json:"q"`
-	Protocol string  `json:"protocol"`
-	Rate     float64 `json:"rate,omitempty"`
-	Dynamics string  `json:"dyn,omitempty"`
-	GenSize  int     `json:"gens,omitempty"`
-}
-
-// Filter selects cells. Zero-valued fields are wildcards, except Rate,
-// which only participates when HasRate is set (0 is a meaningful rate).
+// Filter selects cells. Zero-valued fields are wildcards, except Rate
+// and Regime, which only participate when HasRate/HasRegime is set (0 is
+// a meaningful rate, and "" is the default regime).
 type Filter struct {
 	Spec     string
 	Graph    string
@@ -83,6 +77,9 @@ type Filter struct {
 	GenSize  int
 	Rate     float64
 	HasRate  bool
+
+	Regime    string
+	HasRegime bool
 }
 
 // matches reports whether the filter's non-wildcard fields all equal the
@@ -96,7 +93,8 @@ func (f Filter) matches(c Cell) bool {
 		f.Protocol != "" && f.Protocol != c.Protocol,
 		f.Dynamics != "" && f.Dynamics != c.Dynamics,
 		f.GenSize != 0 && f.GenSize != c.GenSize,
-		f.HasRate && f.Rate != c.Rate:
+		f.HasRate && f.Rate != c.Rate,
+		f.HasRegime && f.Regime != c.Regime:
 		return false
 	}
 	return true
@@ -255,7 +253,7 @@ func (s *Store) loadSidecar() (*idxFile, error) {
 
 // indexLocked adds one record's offset to the in-memory index.
 func (s *Store) indexLocked(r Record, offset int64) {
-	c := cellOf(r)
+	c := r.Cell
 	ic, ok := s.cells[c]
 	if !ok {
 		ic = &idxCell{Cell: c}
@@ -436,6 +434,7 @@ func FromResultSet(rs *harness.ResultSet) []Record {
 	if !rs.Spec.Dynamics.IsStatic() {
 		dyn = rs.Spec.Dynamics.String()
 	}
+	regime := rs.Spec.Regime()
 	out := make([]Record, 0, len(rs.Trials))
 	for i, t := range rs.Trials {
 		// Cells key on the family name ("ring"), not the generator label
@@ -446,10 +445,11 @@ func FromResultSet(rs *harness.ResultSet) []Record {
 			family = t.Graph.Name()
 		}
 		out = append(out, Record{
-			Spec: rs.Spec.Name, Graph: family, N: t.Graph.N(), K: t.K, Q: q,
-			Protocol: rs.Spec.Protocol.String(), Rate: rs.Spec.LossRate, Dynamics: dyn,
-			GenSize: rs.Spec.GenSize, Trial: t.Num, Seed: t.Seed,
-			Rounds: rs.Outcomes[i].Result.Rounds,
+			Spec: rs.Spec.Name,
+			Cell: Cell{Graph: family, N: t.Graph.N(), K: t.K, Q: q,
+				Protocol: rs.Spec.Protocol.String(), Rate: rs.Spec.LossRate, Dynamics: dyn,
+				GenSize: rs.Spec.GenSize, Regime: regime},
+			Trial: t.Num, Seed: t.Seed, Rounds: rs.Outcomes[i].Result.Rounds,
 		})
 	}
 	return out

@@ -4,14 +4,17 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"algossip/internal/core"
+	"algossip/internal/graph"
 	"algossip/internal/harness"
 )
 
 func rec(graph string, n, k, trial, rounds int) Record {
-	return Record{Spec: "t", Graph: graph, N: n, K: k, Q: 2,
-		Protocol: "uniform-ag", Trial: trial, Seed: uint64(trial), Rounds: rounds}
+	return Record{Spec: "t", Cell: Cell{Graph: graph, N: n, K: k, Q: 2, Protocol: "uniform-ag"},
+		Trial: trial, Seed: uint64(trial), Rounds: rounds}
 }
 
 func mustOpen(t *testing.T, path string) *Store {
@@ -160,5 +163,120 @@ func TestStoreFromResultSet(t *testing.T) {
 	ts, err := s.Tail(Filter{Spec: "rs", Graph: "ring", N: 8, K: 2, Q: 2})
 	if err != nil || ts.Trials != 3 {
 		t.Fatalf("cell tail = %+v, err=%v", ts, err)
+	}
+}
+
+// TestStoreOpensParentFile: a store written before Record had a regime
+// (testdata/parent_store.jsonl, with the sidecar that commit flushed)
+// opens through the sidecar and through a full rescan alike, with the
+// cell keys that commit indexed and the numbers its `fabricd query`
+// printed; new rows of the default regime extend those same cells.
+func TestStoreOpensParentFile(t *testing.T) {
+	want := []CellCount{
+		{Cell{Graph: "ring", N: 12, K: 6, Q: 2, Protocol: "uniform-ag"}, 3},
+		{Cell{Graph: "ring", N: 16, K: 8, Q: 2, Protocol: "uniform-ag"}, 3},
+		{Cell{Graph: "torus", N: 16, K: 8, Q: 16, Protocol: "uniform-ag", Dynamics: "edge:rate=0.2,period=1", GenSize: 4}, 3},
+	}
+	for _, withSidecar := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "store.jsonl")
+		for _, ext := range []string{"", ".idx"} {
+			data, err := os.ReadFile(filepath.Join("testdata", "parent_store.jsonl"+ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ext == "" || withSidecar {
+				if err := os.WriteFile(path+ext, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		s := mustOpen(t, path)
+		if got := s.Cells(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sidecar=%v: cells = %+v, want %+v", withSidecar, got, want)
+		}
+		ts, err := s.Tail(Filter{Graph: "ring", N: 16})
+		if err != nil || ts.String() != "trials=3 mean=23.0 p50=24.0 p90=24.0 p99=24.0 p99.9=24.0 max=24" {
+			t.Fatalf("sidecar=%v: ring/16 tail = %v, err=%v", withSidecar, ts, err)
+		}
+		all, err := s.Tail(Filter{Regime: "", HasRegime: true})
+		if err != nil || all.String() != "trials=9 mean=16.1 p50=14.0 p90=24.0 p99=24.0 p99.9=24.0 max=24" {
+			t.Fatalf("sidecar=%v: default-regime tail = %v, err=%v", withSidecar, all, err)
+		}
+		if err := s.Append(Record{Spec: "sweep", Cell: want[1].Cell, Trial: 3, Rounds: 22}); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Cells(); len(got) != 3 || got[1].Trials != 4 {
+			t.Fatalf("sidecar=%v: a default-regime row did not extend the old cell: %+v", withSidecar, got)
+		}
+		_ = s.Close()
+	}
+}
+
+// identityMutations flips each harness.Spec field that decides the
+// distribution a stored stopping time is drawn from. Every one of them
+// must move the (cell, regime) key — and the checkpoint fingerprint —
+// or two different experiments share a cell and a tail summary.
+var identityMutations = map[string]func(*harness.Spec){
+	"Graph":        func(s *harness.Spec) { s.Graph = "complete" },
+	"Sizes":        func(s *harness.Spec) { s.Sizes = []int{12} },
+	"Graphs":       func(s *harness.Spec) { s.Graphs = []*graph.Graph{graph.Barbell(10)} },
+	"KMode":        func(s *harness.Spec) { s.KMode = "n" },
+	"Ks":           func(s *harness.Spec) { s.Ks = []int{3} },
+	"Protocol":     func(s *harness.Spec) { s.Protocol = harness.ProtocolUncoded },
+	"Model":        func(s *harness.Spec) { s.Model = core.Asynchronous },
+	"Q":            func(s *harness.Spec) { s.Q = 16 },
+	"Action":       func(s *harness.Spec) { s.Action = core.Push },
+	"Selector":     func(s *harness.Spec) { s.Selector = harness.SelRoundRobin },
+	"SingleSource": func(s *harness.Spec) { s.SingleSource = true },
+	"LossRate":     func(s *harness.Spec) { s.LossRate = 0.1 },
+	"Dynamics":     func(s *harness.Spec) { s.Dynamics = &harness.Dynamics{Kind: "edge", Rate: 0.2} },
+	"GenSize":      func(s *harness.Spec) { s.GenSize = 2 },
+	"Shards":       func(s *harness.Spec) { s.Shards = 2 },
+	"Adversary":    func(s *harness.Spec) { s.Adversary = &harness.Adversary{Kind: "byzantine", Frac: 0.2} },
+	"Classes":      func(s *harness.Spec) { s.Classes = &harness.Classes{Kind: "straggler", Frac: 0.2} },
+}
+
+// notInCell are the Spec fields a cell rightly ignores: labels and
+// budgets (rows of one cell may come from differently named sweeps with
+// different seeds and trial counts) and the execution fields.
+var notInCell = map[string]bool{
+	"Name": true, "Fabric": true, "Trials": true, "Seed": true, "MaxRounds": true,
+	"Lean": true, "TrialSeed": true,
+}
+
+func TestCellAndRegimeCarrySpecIdentity(t *testing.T) {
+	key := func(s harness.Spec) (Cell, string) {
+		t.Helper()
+		cells, trials, err := s.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := &harness.ResultSet{Spec: &s, Cells: cells, Trials: trials, Outcomes: make([]harness.Outcome, len(trials))}
+		return FromResultSet(rs)[0].Cell, s.Fingerprint()
+	}
+	base := harness.Spec{Name: "id", Graph: "ring", Sizes: []int{8}, Trials: 1, Seed: 5}
+	baseCell, baseFP := key(base)
+	if baseCell.Regime != "" {
+		t.Errorf("default spec has regime %q", baseCell.Regime)
+	}
+	typ := reflect.TypeOf(harness.Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		mut := identityMutations[name]
+		if (mut == nil) == !notInCell[name] {
+			t.Errorf("Spec.%s must be in exactly one of identityMutations and notInCell", name)
+		}
+		if mut == nil {
+			continue
+		}
+		s := base
+		mut(&s)
+		cell, fp := key(s)
+		if cell == baseCell {
+			t.Errorf("flipping Spec.%s leaves the store cell and regime unchanged: %+v", name, cell)
+		}
+		if fp == baseFP {
+			t.Errorf("flipping Spec.%s leaves the fingerprint unchanged", name)
+		}
 	}
 }

@@ -492,7 +492,20 @@ func (n *Node) EmitReplayInto(p *Packet) bool {
 // discarded, exactly as in the paper. The packet is neither modified nor
 // retained (reduction happens in node-owned scratch); callers that own
 // the packet and want to skip that defensive copy use ReceiveOwned.
-func (n *Node) Receive(p *Packet) bool {
+func (n *Node) Receive(p *Packet) bool { return n.receive(p, false) }
+
+// ReceiveOwned is Receive for callers that own the packet (pooled hot
+// path): reduction happens directly in the packet's backing arrays,
+// clobbering their contents, but the arrays are never retained — the
+// caller recycles the packet afterwards. Helpfulness, rank evolution and
+// randomness are identical to Receive.
+func (n *Node) ReceiveOwned(p *Packet) bool { return n.receive(p, true) }
+
+// receive screens p — malformed packets (wrong coefficient or payload
+// width, a byte that is no field symbol) can arrive from the network and
+// are rejected instead of letting the eliminator panic — and hands it to
+// the backend, which may clobber the packet's arrays only when owned.
+func (n *Node) receive(p *Packet, owned bool) bool {
 	if p == nil || p.Corrupt || p.IsZero() {
 		return false
 	}
@@ -510,8 +523,10 @@ func (n *Node) Receive(p *Packet) bool {
 			}
 			pay = p.SlicedPay
 		}
-		// SlicedMatrix.Add reduces in matrix-owned scratch: the packet is
-		// neither modified nor retained.
+		if owned {
+			return n.slc.AddOwned(p.Sliced, pay)
+		}
+		// SlicedMatrix.Add reduces in matrix-owned scratch.
 		return n.slc.Add(p.Sliced, pay)
 	}
 	if n.bit != nil {
@@ -521,25 +536,33 @@ func (n *Node) Receive(p *Packet) bool {
 		if !n.validBits(p.Bits) {
 			return false
 		}
-		if n.scratchBits == nil {
-			n.scratchBits = make(linalg.BitVec, n.bit.Words())
+		extra := n.cfg.extra()
+		if extra > 0 && (len(p.Payload) != extra || !n.validSymbols(p.Payload)) {
+			return false
 		}
-		copy(n.scratchBits, p.Bits)
-		pay := n.copyPayloadScratch(p.Payload)
-		if pay == nil && n.cfg.extra() > 0 {
-			return false // malformed payload width or symbol
+		bits, pay := p.Bits, p.Payload[:extra]
+		if !owned {
+			// BitMatrix reduces its arguments in place: give it node-owned
+			// copies.
+			if n.scratchBits == nil {
+				n.scratchBits = make(linalg.BitVec, n.bit.Words())
+				n.scratchPay = make([]byte, extra)
+			}
+			bits, pay = n.scratchBits, n.scratchPay
+			copy(bits, p.Bits)
+			copy(pay, p.Payload)
 		}
-		return n.bit.AddPayload(n.scratchBits, pay)
+		return n.bit.AddPayload(bits, pay)
 	}
 	if p.Coeffs == nil {
 		panic("rlnc: bit packet delivered to generic-mode node")
 	}
-	// Malformed packets (wrong coefficient or payload width, a byte that
-	// is no field symbol) can arrive from the network; reject them instead
-	// of letting the eliminator panic.
 	payload, ok := n.screenGeneric(p)
 	if !ok {
 		return false
+	}
+	if owned {
+		return n.mat.AddOwned(p.Coeffs, payload)
 	}
 	return n.mat.Add(p.Coeffs, payload)
 }
@@ -558,79 +581,6 @@ func (n *Node) screenGeneric(p *Packet) (payload []byte, ok bool) {
 		return nil, false
 	}
 	return p.Payload, true
-}
-
-// copyPayloadScratch copies a payload into the node's reusable payload
-// scratch and returns it. It returns nil both on a malformed payload
-// (width mismatch, a byte that is no field symbol) and for
-// rank-only nodes (extra == 0, nothing to copy) — which is why the
-// caller must disambiguate nil with an extra() > 0 check before treating
-// it as malformed.
-func (n *Node) copyPayloadScratch(payload []byte) []byte {
-	extra := n.cfg.extra()
-	if extra == 0 {
-		return nil
-	}
-	if len(payload) != extra || !n.validSymbols(payload) {
-		return nil
-	}
-	if n.scratchPay == nil {
-		n.scratchPay = make([]byte, extra)
-	}
-	copy(n.scratchPay, payload)
-	return n.scratchPay
-}
-
-// ReceiveOwned is Receive for callers that own the packet (pooled hot
-// path): reduction happens directly in the packet's backing arrays,
-// clobbering their contents, but the arrays are never retained — the
-// caller recycles the packet afterwards. Helpfulness, rank evolution and
-// randomness are identical to Receive.
-func (n *Node) ReceiveOwned(p *Packet) bool {
-	if p == nil || p.Corrupt || p.IsZero() {
-		return false
-	}
-	if n.slc != nil {
-		if p.Sliced == nil {
-			panic("rlnc: non-sliced packet delivered to sliced-mode node (use Adapt at wire boundaries)")
-		}
-		if !n.validSliced(p.Sliced) {
-			return false
-		}
-		var pay linalg.SlicedVec
-		if ps := n.slc.PayStride(); ps > 0 {
-			if len(p.SlicedPay) != ps {
-				return false
-			}
-			pay = p.SlicedPay
-		}
-		return n.slc.AddOwned(p.Sliced, pay)
-	}
-	if n.bit != nil {
-		if p.Bits == nil {
-			panic("rlnc: generic packet delivered to bit-mode node")
-		}
-		if !n.validBits(p.Bits) {
-			return false
-		}
-		extra := n.cfg.extra()
-		if extra > 0 && (len(p.Payload) != extra || !n.validSymbols(p.Payload)) {
-			return false
-		}
-		var pay []byte
-		if extra > 0 {
-			pay = p.Payload
-		}
-		return n.bit.AddPayload(p.Bits, pay)
-	}
-	if p.Coeffs == nil {
-		panic("rlnc: bit packet delivered to generic-mode node")
-	}
-	payload, ok := n.screenGeneric(p)
-	if !ok {
-		return false
-	}
-	return n.mat.AddOwned(p.Coeffs, payload)
 }
 
 // WouldHelp reports whether the packet would increase this node's rank,
