@@ -106,9 +106,11 @@ func ParseTimeModel(s string) (TimeModel, error) {
 
 // NewRand returns a deterministic PCG-backed generator for the given seed.
 // Two generators created from the same seed produce identical streams, which
-// is what makes whole simulations replayable.
+// is what makes whole simulations replayable. The stream is that of
+// rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), drawn from a *PCG
+// that Generator hands back to the hot loops.
 func NewRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	return rand.New(&PCG{hi: seed, lo: seed ^ 0x9e3779b97f4a7c15})
 }
 
 // SplitSeed derives an independent child seed from a parent seed and a

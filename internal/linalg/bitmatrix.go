@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 
+	"algossip/internal/core"
 	"algossip/internal/gf"
 )
 
@@ -346,6 +347,11 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 	if len(pay) != m.extra {
 		panic("linalg: combination payload width mismatch")
 	}
+	// Every loop below exists twice, differing only in where the draw
+	// comes from: g, the generator of a core.NewRand stream, whose Uint64
+	// inlines into the loop, or rng itself for any other source. The
+	// source's type selects the loop once, here; the draws are the same.
+	g := core.Generator(rng)
 	if m.extra == 0 {
 		// Branchless accumulation for the common packed widths: the coin
 		// flip becomes a mask, so the emit loop has no data-dependent
@@ -353,18 +359,31 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 		switch m.words {
 		case 1:
 			var a0 uint64
-			for _, r0 := range m.flat {
-				mask := -(rng.Uint64() & 1)
-				a0 ^= r0 & mask
+			if g != nil {
+				for _, r0 := range m.flat {
+					a0 ^= r0 & -(g.Uint64() & 1)
+				}
+			} else {
+				for _, r0 := range m.flat {
+					a0 ^= r0 & -(rng.Uint64() & 1)
+				}
 			}
 			out[0] = a0
 			return true
 		case 2:
 			var a0, a1 uint64
-			for flat := m.flat; len(flat) >= 2; flat = flat[2:] {
-				mask := -(rng.Uint64() & 1)
-				a0 ^= flat[0] & mask
-				a1 ^= flat[1] & mask
+			if g != nil {
+				for flat := m.flat; len(flat) >= 2; flat = flat[2:] {
+					mask := -(g.Uint64() & 1)
+					a0 ^= flat[0] & mask
+					a1 ^= flat[1] & mask
+				}
+			} else {
+				for flat := m.flat; len(flat) >= 2; flat = flat[2:] {
+					mask := -(rng.Uint64() & 1)
+					a0 ^= flat[0] & mask
+					a1 ^= flat[1] & mask
+				}
 			}
 			out[0], out[1] = a0, a1
 			return true
@@ -373,16 +392,29 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 	}
 	out.Zero()
 	clear(pay)
-	flat, w := m.flat, m.words
-	for i := range m.pivot {
-		if rng.Uint64()&1 == 1 {
-			out.Xor(flat[i*w : (i+1)*w])
-			if pay != nil {
-				subtle.XORBytes(pay, pay, m.pay[i])
+	if g != nil {
+		for i := range m.pivot {
+			if g.Uint64()&1 == 1 {
+				m.xorRowInto(i, out, pay)
+			}
+		}
+	} else {
+		for i := range m.pivot {
+			if rng.Uint64()&1 == 1 {
+				m.xorRowInto(i, out, pay)
 			}
 		}
 	}
 	return true
+}
+
+// xorRowInto adds stored row i, and its payload unless pay is nil, into
+// the combination being built.
+func (m *BitMatrix) xorRowInto(i int, out BitVec, pay []byte) {
+	out.Xor(m.row(i))
+	if pay != nil {
+		subtle.XORBytes(pay, pay, m.pay[i])
+	}
 }
 
 // Solve performs full back-substitution and returns the decoded

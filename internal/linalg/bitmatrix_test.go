@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"algossip/internal/core"
+	"algossip/internal/core/coretest"
 	"algossip/internal/gf"
 )
 
@@ -142,7 +143,8 @@ func (c *countingSource) Uint64() uint64 {
 // without payload. After every insert the two matrices must agree on the
 // verdict, the rank, every stored row and payload, WouldHelp on a fresh
 // probe, and the emitted combination — which must draw exactly Rank()
-// values — and at full rank on Solve.
+// values, and on a core.NewRand stream be the same combination from the
+// same draws (coretest.BothSides) — and at full rank on Solve.
 func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 	f := gf.MustNew(2)
 	for _, cols := range []int{1, 16, 63, 64, 65, 128, 129, 300} {
@@ -206,6 +208,13 @@ func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 					if !bytes.Equal(payB, payE) {
 						t.Fatalf("step %d: combined payload %v, oracle %v", step, payB, payE)
 					}
+					// That was the loop any source takes. A core.NewRand stream
+					// takes the other one: same combination, same draws.
+					coretest.BothSides(t, seed, func(r *rand.Rand) any {
+						out, pay := NewBitVec(cols), make([]byte, extra)
+						bm.RandomCombinationInto(r, out, pay)
+						return []any{out, pay}
+					})
 				}
 				leads := rng.Perm(cols)
 				for step := 0; !bm.Full(); step++ {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"math/rand/v2"
 
+	"algossip/internal/core"
 	"algossip/internal/gf"
 )
 
@@ -307,12 +308,16 @@ func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay
 	if f := m.f2m; f != nil {
 		// One masked Uint64 per row is exactly gf.Rand's IntN for a
 		// power-of-two order (the identity SlicedMatrix relies on too).
+		// It is taken from g, inlined, on a core.NewRand stream and from
+		// rng on any other source (see BitMatrix.RandomCombinationInto).
 		cb, mask := gf.AsBytes(coeffs), uint64(f.Order()-1)
-		for i, row := range m.rows {
-			c := gf.Elem(rng.Uint64() & mask)
-			f.AddMulSlice(cb, gf.AsBytes(row), c)
-			if pay != nil {
-				f.AddMulSlice(pay, m.pay[i], c)
+		if g := core.Generator(rng); g != nil {
+			for i := range m.rows {
+				m.addMulRowInto(f, i, cb, pay, gf.Elem(g.Uint64()&mask))
+			}
+		} else {
+			for i := range m.rows {
+				m.addMulRowInto(f, i, cb, pay, gf.Elem(rng.Uint64()&mask))
 			}
 		}
 		return true
@@ -325,6 +330,15 @@ func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay
 		}
 	}
 	return true
+}
+
+// addMulRowInto adds c times stored row i, and its payload unless pay is
+// nil, into the GF(2^m) combination being built in (cb, pay).
+func (m *RankMatrix) addMulRowInto(f *gf.GF2m, i int, cb, pay []byte, c gf.Elem) {
+	f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), c)
+	if pay != nil {
+		f.AddMulSlice(pay, m.pay[i], c)
+	}
 }
 
 // Solve performs full back-substitution (RREF) and returns the decoded

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 
+	"algossip/internal/core"
 	"algossip/internal/gf"
 )
 
@@ -575,9 +576,10 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 	// The draw is exactly gf.Rand's rng.IntN(order): for the power-of-two
 	// orders of GF(2^m), rand/v2's IntN is one Uint64 masked to the low
 	// bits — the same identity the bit backend's Uint64()&1 draw relies
-	// on, pinned by the sliced-vs-generic equivalence tests.
-	f := m.f
-	mask := uint64(m.order - 1)
+	// on, pinned by the sliced-vs-generic equivalence tests. It is taken
+	// from g, inlined, on a core.NewRand stream and from rng on any other
+	// source (see BitMatrix.RandomCombinationInto).
+	g, mask := core.Generator(rng), uint64(m.order-1)
 	if m.tabStride > 0 {
 		// One gf.Rand-equivalent draw per stored row in pivot order (the
 		// stream contract), stored straight into arena order through the
@@ -588,8 +590,14 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 			m.scratchA = make([]gf.Elem, m.cols)
 		}
 		da := m.scratchA[:len(m.rows)]
-		for _, o := range m.ord {
-			da[o] = gf.Elem(rng.Uint64() & mask)
+		if g != nil {
+			for _, o := range m.ord {
+				da[o] = gf.Elem(g.Uint64() & mask)
+			}
+		} else {
+			for _, o := range m.ord {
+				da[o] = gf.Elem(rng.Uint64() & mask)
+			}
 		}
 		m.combineTabbed(out, da)
 		if pay != nil {
@@ -601,14 +609,25 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 		}
 		return true
 	}
-	for i, row := range m.rows {
-		c := gf.Elem(rng.Uint64() & mask)
-		f.AddMulSliced(out, row, m.words, c)
-		if pay != nil {
-			m.payc.AddMul(pay, m.pay[i], m.payWords, c)
+	if g != nil {
+		for i := range m.rows {
+			m.addMulRowInto(i, out, pay, gf.Elem(g.Uint64()&mask))
+		}
+	} else {
+		for i := range m.rows {
+			m.addMulRowInto(i, out, pay, gf.Elem(rng.Uint64()&mask))
 		}
 	}
 	return true
+}
+
+// addMulRowInto adds c times stored row i, and its payload unless pay is
+// nil, into the combination being built.
+func (m *SlicedMatrix) addMulRowInto(i int, out, pay SlicedVec, c gf.Elem) {
+	m.f.AddMulSliced(out, m.rows[i], m.words, c)
+	if pay != nil {
+		m.payc.AddMul(pay, m.pay[i], m.payWords, c)
+	}
 }
 
 // combineTabbed accumulates out = sum da[j] * rows[arena j] block-wise

@@ -6,6 +6,7 @@ import (
 
 	"math/rand/v2"
 
+	"algossip/internal/core/coretest"
 	"algossip/internal/gf"
 )
 
@@ -47,7 +48,8 @@ func packPayload(m *SlicedMatrix, row []byte) SlicedVec {
 // TestSlicedMatchesRankMatrix drives a SlicedMatrix and a generic
 // RankMatrix with the same random row stream for m ∈ {2, 4, 8} and
 // requires identical helpfulness verdicts, ranks, WouldHelp answers,
-// random-combination emissions (same RNG consumption), and Solve output.
+// random-combination emissions (same RNG consumption, on a core.NewRand
+// stream and on a foreign source alike), and Solve output.
 // Widths straddle the one-word boundary (cols/extra ≤ 64 and > 64), and
 // payloads go in and come out through the matrix's codec under both
 // payload layouts.
@@ -118,6 +120,18 @@ func testSlicedMatchesRankMatrix(t *testing.T) {
 					if !bytes.Equal(gotP, wantP) {
 						t.Fatalf("step %d: emitted payload differs", step)
 					}
+					// Those were foreign sources. Each backend must emit the
+					// same from the same draws on a core.NewRand stream.
+					seed := rng.Uint64()
+					coretest.BothSides(t, seed, func(r *rand.Rand) any {
+						c, p := gen.RandomCombination(r)
+						return []any{c, p}
+					})
+					coretest.BothSides(t, seed, func(r *rand.Rand) any {
+						c, p := make(SlicedVec, slc.Stride()), make(SlicedVec, slc.PayStride())
+						slc.RandomCombinationInto(r, c, p)
+						return []any{c, p}
+					})
 				}
 			}
 

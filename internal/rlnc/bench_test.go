@@ -98,6 +98,51 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkSkipEmit is what a sender pays toward a full receiver: the
+// randomness of one emit, consumed without building the packet. A full
+// rank-only GF(2) node of k columns skips k draws — on a core.NewRand
+// stream one jump of the generator, whatever k is. k=16 is a
+// fabric_sweep node, k=128 a sweep_rank one.
+func BenchmarkSkipEmit(b *testing.B) {
+	for _, k := range []int{16, 128} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			n := MustNewNode(Config{Field: gf.MustNew(2), K: k, RankOnly: true})
+			for i := 0; i < k; i++ {
+				n.Seed(Message{Index: i})
+			}
+			rng := core.NewRand(5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !n.SkipEmit(rng) {
+					b.Fatal("nothing skipped")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGenSkipEmit is the same through a generation-coded node in the
+// scale_sharded shape (k=64 in generations of 16): the generation pick is
+// still drawn, the picked decoder's 16 draws are skipped.
+func BenchmarkGenSkipEmit(b *testing.B) {
+	n, err := NewGenNode(GenConfig{Inner: Config{Field: gf.MustNew(2), RankOnly: true}, K: 64, GenSize: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		n.Seed(Message{Index: i})
+	}
+	rng := core.NewRand(5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !n.SkipEmit(rng) {
+			b.Fatal("nothing skipped")
+		}
+	}
+}
+
 // BenchmarkScreenFlood measures the cost of *rejecting* hostile packets:
 // the width/zero/corrupt screens in Receive are what a Byzantine flood
 // makes every honest node pay per packet, so rejection must stay cheap

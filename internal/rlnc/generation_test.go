@@ -2,9 +2,11 @@ package rlnc
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"algossip/internal/core"
+	"algossip/internal/core/coretest"
 	"algossip/internal/gf"
 )
 
@@ -274,7 +276,8 @@ func TestOneGenerationStreamParity(t *testing.T) {
 
 // TestGenSkipEmitMatchesEmit: on a multi-generation node SkipEmit advances
 // the random stream exactly as EmitInto does (generation pick included),
-// whatever mix of empty and non-empty generations the node holds.
+// whatever mix of empty and non-empty generations the node holds, and
+// whichever way the stream is drawn.
 func TestGenSkipEmitMatchesEmit(t *testing.T) {
 	cfg := genCfg(10, 4)
 	n, err := NewGenNode(cfg)
@@ -295,6 +298,49 @@ func TestGenSkipEmitMatchesEmit(t *testing.T) {
 			if a, b := rngE.Uint64(), rngS.Uint64(); a != b {
 				t.Fatalf("after seeding %d: streams diverged (%#x vs %#x)", idx, a, b)
 			}
+		}
+	}
+
+	// Both sides of core.Generator's selection. On a core.NewRand stream a
+	// skip over GF(2^m) is one jump of the generator and the emit draws
+	// through it inlined; on any other source both draw one value at a
+	// time. Either way the skip must leave the stream where the emit does
+	// and where the other side's skip does. Two generations of k columns,
+	// one full and one half full, so the pick and both ranks are drawn; k
+	// covers the one-word, two-word and general GF(2) emits, and at 300 a
+	// skip longer than the generator's table. The prime field keeps
+	// drawing on both sides (its IntN rejects).
+	for _, q := range []int{2, 256, 251} {
+		for _, k := range []int{16, 128, 200, 300} {
+			t.Run(fmt.Sprintf("gf=%d/k=%d", q, k), func(t *testing.T) {
+				n, err := NewGenNode(GenConfig{Inner: Config{Field: gf.MustNew(q), RankOnly: true}, K: 2 * k, GenSize: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for idx := 0; idx < k+k/2; idx++ {
+					n.Seed(Message{Index: idx})
+				}
+				for seed := uint64(0); seed < 16; seed++ {
+					rngE := core.NewRand(seed)
+					if !n.EmitInto(rngE, &GenPacket{}) {
+						t.Fatal("non-empty node refused to emit")
+					}
+					after := rngE.Uint64()
+					coretest.BothSides(t, seed, func(r *rand.Rand) any {
+						if !n.SkipEmit(r) || r.Uint64() != after {
+							t.Fatalf("seed %d: SkipEmit did not leave the stream where EmitInto does", seed)
+						}
+						return nil
+					})
+					coretest.BothSides(t, seed, func(r *rand.Rand) any {
+						p := &GenPacket{}
+						if !n.EmitInto(r, p) || r.Uint64() != after {
+							t.Fatalf("seed %d: EmitInto did not leave the stream where it did before", seed)
+						}
+						return p
+					})
+				}
+			})
 		}
 	}
 }

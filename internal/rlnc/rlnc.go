@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"algossip/internal/core"
 	"algossip/internal/gf"
 	"algossip/internal/linalg"
 )
@@ -430,7 +431,13 @@ func (n *Node) SkipEmit(rng *rand.Rand) bool {
 	}
 	if q := n.cfg.Field.Order(); q&(q-1) == 0 {
 		// Every backend draws one Uint64 per stored row over GF(2^m) (IntN
-		// of a power-of-two order is exactly one masked Uint64).
+		// of a power-of-two order is exactly one masked Uint64): on a
+		// core.NewRand stream that is one O(1) jump, on any other source
+		// the draws themselves.
+		if g := core.Generator(rng); g != nil {
+			g.Skip(rank)
+			return true
+		}
 		for i := 0; i < rank; i++ {
 			rng.Uint64()
 		}

@@ -320,6 +320,41 @@ func TestTCPTransportPeersRoute(t *testing.T) {
 	}
 }
 
+// TestTCPRedialJitterIsSeeded: the backoff jitter of a sender is a stream
+// of its own, a function of the transport's first registered node and the
+// destination — the same on every run, different for every (dialer, peer)
+// pair — and not the process-global generator.
+func TestTCPRedialJitterIsSeeded(t *testing.T) {
+	draws := func(home, to core.NodeID) [4]float64 {
+		tr := NewTCPTransport()
+		defer func() { _ = tr.Close() }()
+		if _, err := tr.Register(home); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Register(home + 1); err != nil { // a later node does not re-seed
+			t.Fatal(err)
+		}
+		tr.mu.Lock()
+		s := tr.newSender(to)
+		tr.mu.Unlock()
+		var d [4]float64
+		for i := range d {
+			d[i] = s.jitter.Float64()
+		}
+		return d
+	}
+	base := draws(3, 9)
+	if again := draws(3, 9); again != base {
+		t.Errorf("same dialer and peer drew %v then %v", base, again)
+	}
+	if other := draws(5, 9); other == base {
+		t.Error("two dialers re-finding one peer share a jitter stream")
+	}
+	if other := draws(3, 8); other == base {
+		t.Error("one dialer's senders share a jitter stream")
+	}
+}
+
 // TestTCPTransportUnreachablePeerDoesNotStall pins the singleflight dial
 // fix: Sends toward a dead peer must return immediately (queued or
 // backpressured) while Sends to healthy peers proceed — the dial happens

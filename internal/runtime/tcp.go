@@ -64,6 +64,7 @@ type TCPTransport struct {
 	inbound   map[net.Conn]struct{}
 	boxes     map[core.NodeID]chan Envelope
 	senders   map[core.NodeID]*tcpSender
+	home      core.NodeID // first node registered here (NilNode: none yet); seeds the redial jitter
 	closed    bool
 
 	stop   chan struct{}
@@ -75,6 +76,11 @@ type TCPTransport struct {
 type tcpSender struct {
 	to    core.NodeID
 	queue chan Envelope
+	// jitter is the sender goroutine's own stream for redial backoff,
+	// seeded from (the transport's home node, to): redial timing is a
+	// function of who dials whom, not of a process-global generator, and
+	// two processes re-finding one restarted peer still draw apart.
+	jitter *rand.Rand
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -96,6 +102,7 @@ func NewTCPTransportOpts(opts TCPOptions) *TCPTransport {
 		inbound:   make(map[net.Conn]struct{}),
 		boxes:     make(map[core.NodeID]chan Envelope),
 		senders:   make(map[core.NodeID]*tcpSender),
+		home:      core.NilNode,
 		stop:      make(chan struct{}),
 		stats:     newCounters(),
 	}
@@ -141,6 +148,9 @@ func (t *TCPTransport) Register(id core.NodeID) (<-chan Envelope, error) {
 	t.listeners[id] = ln
 	t.addrs[id] = ln.Addr().String()
 	t.boxes[id] = ch
+	if t.home == core.NilNode {
+		t.home = id
+	}
 
 	t.wg.Add(1)
 	go t.acceptLoop(ln)
@@ -247,7 +257,7 @@ func (t *TCPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 				return fmt.Errorf("%w: %d", ErrUnknownNode, to)
 			}
 		}
-		s = &tcpSender{to: to, queue: make(chan Envelope, t.opts.QueueSize)}
+		s = t.newSender(to)
 		t.senders[to] = s
 		t.sendWg.Add(1)
 		go t.runSender(s)
@@ -260,6 +270,15 @@ func (t *TCPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 	default:
 		t.stats.dropped(to)
 		return fmt.Errorf("%w: send queue for node %d full", ErrBackpressure, to)
+	}
+}
+
+// newSender builds the sender for one destination; t.mu is held.
+func (t *TCPTransport) newSender(to core.NodeID) *tcpSender {
+	return &tcpSender{
+		to:     to,
+		queue:  make(chan Envelope, t.opts.QueueSize),
+		jitter: core.NewRand(core.SplitSeed(uint64(t.home), uint64(to))),
 	}
 }
 
@@ -286,7 +305,7 @@ func (t *TCPTransport) runSender(s *tcpSender) {
 		case env = <-s.queue:
 		}
 		if conn == nil {
-			conn = t.dialBurst(s.to, &dialedOnce)
+			conn = t.dialBurst(s, &dialedOnce)
 			if conn == nil {
 				t.stats.dropped(s.to)
 				continue
@@ -307,8 +326,8 @@ func (t *TCPTransport) runSender(s *tcpSender) {
 // dialBurst tries DialAttempts dials with exponential backoff + jitter,
 // returning nil if the peer stayed unreachable. Every attempt after the
 // destination's first-ever dial counts as a redial.
-func (t *TCPTransport) dialBurst(to core.NodeID, dialedOnce *bool) net.Conn {
-	backoff := t.opts.DialBackoff
+func (t *TCPTransport) dialBurst(s *tcpSender, dialedOnce *bool) net.Conn {
+	to, backoff := s.to, t.opts.DialBackoff
 	for attempt := 0; attempt < t.opts.DialAttempts; attempt++ {
 		addr, ok := t.addrOf(to)
 		if !ok {
@@ -325,7 +344,7 @@ func (t *TCPTransport) dialBurst(to core.NodeID, dialedOnce *bool) net.Conn {
 		// Jittered exponential backoff: sleep in [0.5, 1.5)·backoff, then
 		// double. Jitter decorrelates the redial storms of many senders
 		// re-finding one restarted peer.
-		sleep := time.Duration((0.5 + rand.Float64()) * float64(backoff))
+		sleep := time.Duration((0.5 + s.jitter.Float64()) * float64(backoff))
 		select {
 		case <-t.stop:
 			return nil
