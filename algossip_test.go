@@ -2,9 +2,12 @@ package algossip_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"algossip"
+	"algossip/internal/harness"
 )
 
 func TestRunAllProtocols(t *testing.T) {
@@ -187,5 +190,65 @@ func TestRunDetailedValidation(t *testing.T) {
 	}
 	if _, _, err := algossip.RunDetailed(algossip.Spec{Graph: algossip.Line(3), K: 2, Protocol: 99}, 1); err == nil {
 		t.Error("unknown protocol accepted")
+	}
+}
+
+// TestRunCopiesEverySpecField guards the root hop of the knob chain,
+// algossip.Spec → harness.GossipSpec, which Run and RunDetailed each copy
+// by hand: every Spec field but Protocol (Execute takes it as an
+// argument) has a GossipSpec field of the same name and type, and with
+// that one field moved off its default both return what harness.Execute
+// returns for the GossipSpec with the same field moved. Each value is
+// chosen to change the outcome, so a field the copy drops shows.
+func TestRunCopiesEverySpecField(t *testing.T) {
+	const seed = 11
+	base := algossip.Spec{Graph: algossip.Barbell(12), K: 6}
+	baseline, err := algossip.Run(base, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := map[string]any{
+		"Graph":        algossip.Ring(9),
+		"K":            4,
+		"Protocol":     algossip.ProtocolTAGRR,
+		"Model":        algossip.Asynchronous,
+		"Q":            16,
+		"Action":       algossip.Push,
+		"SingleSource": true,
+		"MaxRounds":    3,
+	}
+	st := reflect.TypeOf(base)
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		val, ok := moved[f.Name]
+		if !ok {
+			t.Errorf("Spec.%s has no non-default value here; add one to moved", f.Name)
+			continue
+		}
+		spec, proto := base, base.Protocol
+		gs := harness.GossipSpec{Graph: base.Graph, K: base.K}
+		reflect.ValueOf(&spec).Elem().Field(i).Set(reflect.ValueOf(val))
+		if f.Name == "Protocol" {
+			proto = spec.Protocol
+		} else {
+			dst := reflect.ValueOf(&gs).Elem().FieldByName(f.Name)
+			if !dst.IsValid() || dst.Type() != f.Type {
+				t.Errorf("Spec.%s (%s) has no GossipSpec field of that name and type", f.Name, f.Type)
+				continue
+			}
+			dst.Set(reflect.ValueOf(val))
+		}
+		// MaxRounds = 3 runs out of budget: Execute's error is part of what
+		// Run must hand back.
+		want, wantErr := harness.Execute(gs, proto, seed)
+		if want.Result == baseline {
+			t.Errorf("%s = %v does not change the outcome; the comparison below proves nothing", f.Name, val)
+		}
+		if got, err := algossip.Run(spec, seed); got != want.Result || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: Run = %+v, %v; Execute gives %+v, %v", f.Name, got, err, want.Result, wantErr)
+		}
+		if got, _, err := algossip.RunDetailed(spec, seed); got != want.Result || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: RunDetailed = %+v, %v; Execute gives %+v, %v", f.Name, got, err, want.Result, wantErr)
+		}
 	}
 }

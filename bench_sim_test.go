@@ -88,7 +88,7 @@ func BenchmarkSimUniformAG(b *testing.B) {
 // BenchmarkSimPayloadAG carries real payloads so the combine kernels run
 // end to end: GF(2) exercises the word-wise XOR payload path of the
 // bit-packed backend, GF(16) and GF(256) the byte kernels (the plane
-// kernels under ALGOSSIP_GF_TIER=portable|scalar).
+// kernels under ALGOSSIP_GF_TIER=scalar).
 func BenchmarkSimPayloadAG(b *testing.B) {
 	for _, q := range []int{2, 16, 256} {
 		b.Run(fmt.Sprintf("complete/n=256/gf=%d/r=1024", q), func(b *testing.B) {

@@ -161,8 +161,8 @@ func BenchmarkAddMulSlicedGF16(b *testing.B) {
 	}
 }
 
-// Forced-tier variants pin the two tiers every machine has, so the
-// benchdelta gate tracks them on any runner regardless of CPU features.
+// The forced-tier variant pins the one tier every machine has, so the
+// benchdelta gate tracks it on any runner regardless of CPU features.
 // (The avx2/gfni numbers live in the default benchmarks above on hosts
 // that auto-select them; CI forces ALGOSSIP_GF_TIER=avx2 there for
 // cross-runner determinism.)
@@ -184,37 +184,6 @@ func BenchmarkAddMulSliceGF256TierScalar(b *testing.B) {
 			benchWithTier(b, TierScalar, func() {
 				for i := 0; i < b.N; i++ {
 					f.AddMulSlice(dst, src, 0x53)
-				}
-			})
-		})
-	}
-}
-
-func BenchmarkAddMulSliceGF256TierPortable(b *testing.B) {
-	f := MustNew(256)
-	for _, n := range []int{1024, 4096} {
-		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
-			dst, src := benchRows(f, n)
-			b.SetBytes(int64(n))
-			benchWithTier(b, TierPortable, func() {
-				for i := 0; i < b.N; i++ {
-					f.AddMulSlice(dst, src, 0x53)
-				}
-			})
-		})
-	}
-}
-
-func BenchmarkAddMulSlicedGF256TierPortable(b *testing.B) {
-	f := MustNew(256).(*GF2m)
-	for _, n := range []int{1024, 4096} {
-		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
-			dst, src := benchSlicedRows(f, n)
-			words := SlicedWords(n)
-			b.SetBytes(int64(n))
-			benchWithTier(b, TierPortable, func() {
-				for i := 0; i < b.N; i++ {
-					f.AddMulSliced(dst, src, words, 0x53)
 				}
 			})
 		})

@@ -33,6 +33,23 @@ func AsBytes(v []Elem) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v))
 }
 
+// u64Bytes reinterprets a []uint64 as its underlying bytes without
+// copying (little-endian layout is irrelevant: callers only XOR).
+func u64Bytes(v []uint64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
+}
+
+// XorWords performs dst[i] ^= src[i] over packed words via
+// subtle.XORBytes, which the standard library vectorizes where it can.
+// len(dst) must be at least len(src). Exported so the packed GF(2)
+// backends in linalg share it for whole-row XORs.
+func XorWords(dst, src []uint64) {
+	xorSlice(u64Bytes(dst), u64Bytes(src))
+}
+
 // xorSlice performs dst[i] ^= src[i] for every index of src, word-wise.
 // len(dst) must be at least len(src).
 func xorSlice(dst, src []byte) {

@@ -2,6 +2,7 @@ package gf
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"math/rand/v2"
@@ -147,6 +148,36 @@ func TestAddMulSliceLinearity(t *testing.T) {
 			if !bytes.Equal(dst, orig) {
 				t.Fatalf("%s: dst + c*src - c*src != dst (c=%d, n=%d)", f.Name(), c, n)
 			}
+		}
+	}
+}
+
+// TestXorWordsMatchesWordLoop pins XorWords against the word loop it
+// replaces, over lengths around the vector widths subtle.XORBytes
+// switches on, with a longer dst whose tail must stay untouched, and
+// with dst == src.
+func TestXorWordsMatchesWordLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(64, 19))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 64, 129} {
+		src := make([]uint64, n)
+		dst := make([]uint64, n+2)
+		for i := range src {
+			src[i] = rng.Uint64()
+		}
+		for i := range dst {
+			dst[i] = rng.Uint64()
+		}
+		want := slices.Clone(dst)
+		for i, s := range src {
+			want[i] ^= s
+		}
+		XorWords(dst, src)
+		if !slices.Equal(dst, want) {
+			t.Fatalf("XorWords diverges from the word loop at %d words", n)
+		}
+		XorWords(src, src)
+		if slices.ContainsFunc(src, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("XorWords(v, v) left a nonzero word at %d words", n)
 		}
 	}
 }

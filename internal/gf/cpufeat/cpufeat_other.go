@@ -3,4 +3,4 @@
 package cpufeat
 
 // Non-amd64 builds keep every X86 feature false: the dispatcher then
-// settles on the portable tier, whose kernels are plain Go.
+// settles on the scalar tier, whose kernels are plain Go.

@@ -242,8 +242,6 @@ func (f *GF2m) AddMulSlice(dst, src []byte, c Elem) {
 			dst, src = dst[n:], src[n:]
 		}
 		mulTableSlice(dst, src, f.bulkRow(c))
-	case TierPortable:
-		mulTableSlicePortable(dst, src, f.bulkRow(c))
 	default:
 		mulTableSlice(dst, src, f.bulkRow(c))
 	}
@@ -278,8 +276,6 @@ func (f *GF2m) MulSlice(v []byte, c Elem) {
 			v = v[n:]
 		}
 		scaleTableSlice(v, f.bulkRow(c))
-	case TierPortable:
-		scaleTableSlicePortable(v, f.bulkRow(c))
 	default:
 		scaleTableSlice(v, f.bulkRow(c))
 	}

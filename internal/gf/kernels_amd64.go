@@ -1,11 +1,11 @@
 package gf
 
 // amd64 assembly kernel entry points (kernels_amd64.s). All of them
-// process whole 32-byte (byte path) or 4-column (sliced path) blocks;
-// the Go dispatch sites run the scalar reference over any remainder, so
-// short and unaligned rows are always correct. dst and src may be the
-// exact same slice (read-before-write per block) but must not partially
-// overlap — the same contract the scalar loops already rely on.
+// process whole 32-byte blocks of a byte row; the Go dispatch sites run
+// the scalar reference over any remainder, so short and unaligned rows
+// are always correct. dst and src may be the exact same slice
+// (read-before-write per block) but must not partially overlap — the
+// same contract the scalar loops already rely on.
 
 //go:noescape
 func addMulNibAsm(dst, src *byte, n int, tab *byte)
@@ -18,9 +18,3 @@ func addMulGFNIAsm(dst, src *byte, n int, mat uint64)
 
 //go:noescape
 func mulGFNIAsm(v *byte, n int, mat uint64)
-
-//go:noescape
-func addMulPlanes8Asm(dst, src *uint64, words, cols int, sel uint64)
-
-//go:noescape
-func addMulPlanes4Asm(dst, src *uint64, words, cols int, sel uint64)

@@ -1,6 +1,5 @@
-// amd64 kernels for the avx2/gfni tiers. Callers guarantee:
-//   - byte kernels: n > 0 and n%32 == 0
-//   - plane kernels: cols > 0 and cols%4 == 0, cols <= words
+// amd64 byte-row kernels for the avx2/gfni tiers. Callers guarantee:
+//   - n > 0 and n%32 == 0
 //   - dst/src either identical or non-overlapping
 // Remainders never reach these functions; the Go wrappers finish them
 // with the scalar reference loops.
@@ -182,309 +181,5 @@ gfniscale:
 	ADDQ            $32, DI
 	SUBQ            $32, CX
 	JNZ             gfniscale
-	VZEROUPPER
-	RET
-
-// func addMulPlanes8Asm(dst, src *uint64, words, cols int, sel uint64)
-//
-// Bit-sliced GF(2^8) multiply-add over 4 word-columns (32 bytes of each
-// of the 8 planes) per iteration: build the two four-Russians subset-XOR
-// tables of the source planes on the stack as 32-byte vectors, then each
-// destination plane is two table loads and two XORs, selected by its
-// byte of sel (= MulRowsPacked(c)). Mirrors addMul8 in sliced.go with
-// the word loop replaced by 256-bit columns.
-//
-// Frame: ta = 16 entries * 32 bytes at tbl-1024(SP),
-//        tb = 16 entries * 32 bytes at tbl-512(SP).
-TEXT ·addMulPlanes8Asm(SB), $1024-40
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ words+16(FP), DX
-	SHLQ $3, DX             // plane stride in bytes
-	MOVQ cols+24(FP), CX
-	MOVQ sel+32(FP), BX
-	LEAQ (DX)(DX*2), R8     // 3*stride
-	LEAQ (DX)(DX*4), R9     // 5*stride
-	LEAQ (R8)(DX*4), R10    // 7*stride
-	LEAQ tbl-1024(SP), R12  // ta base
-	LEAQ 512(R12), R13      // tb base
-
-planes8:
-	// Source planes 0..7 for this 4-column group.
-	VMOVDQU (SI), Y0
-	VMOVDQU (SI)(DX*1), Y1
-	VMOVDQU (SI)(DX*2), Y2
-	VMOVDQU (SI)(R8*1), Y3
-	VMOVDQU (SI)(DX*4), Y4
-	VMOVDQU (SI)(R9*1), Y5
-	VMOVDQU (SI)(R8*2), Y6
-	VMOVDQU (SI)(R10*1), Y7
-
-	// ta: all 16 subset XORs of planes 0..3.
-	VPXOR   Y8, Y8, Y8
-	VMOVDQU Y8, (R12)
-	VMOVDQU Y0, 32(R12)
-	VMOVDQU Y1, 64(R12)
-	VPXOR   Y0, Y1, Y9
-	VMOVDQU Y9, 96(R12)
-	VMOVDQU Y2, 128(R12)
-	VPXOR   Y0, Y2, Y10
-	VMOVDQU Y10, 160(R12)
-	VPXOR   Y1, Y2, Y11
-	VMOVDQU Y11, 192(R12)
-	VPXOR   Y9, Y2, Y12
-	VMOVDQU Y12, 224(R12)
-	VMOVDQU Y3, 256(R12)
-	VPXOR   Y0, Y3, Y13
-	VMOVDQU Y13, 288(R12)
-	VPXOR   Y1, Y3, Y14
-	VMOVDQU Y14, 320(R12)
-	VPXOR   Y9, Y3, Y15
-	VMOVDQU Y15, 352(R12)
-	VPXOR   Y2, Y3, Y13
-	VMOVDQU Y13, 384(R12)
-	VPXOR   Y10, Y3, Y14
-	VMOVDQU Y14, 416(R12)
-	VPXOR   Y11, Y3, Y15
-	VMOVDQU Y15, 448(R12)
-	VPXOR   Y12, Y3, Y13
-	VMOVDQU Y13, 480(R12)
-
-	// tb: all 16 subset XORs of planes 4..7.
-	VMOVDQU Y8, (R13)
-	VMOVDQU Y4, 32(R13)
-	VMOVDQU Y5, 64(R13)
-	VPXOR   Y4, Y5, Y9
-	VMOVDQU Y9, 96(R13)
-	VMOVDQU Y6, 128(R13)
-	VPXOR   Y4, Y6, Y10
-	VMOVDQU Y10, 160(R13)
-	VPXOR   Y5, Y6, Y11
-	VMOVDQU Y11, 192(R13)
-	VPXOR   Y9, Y6, Y12
-	VMOVDQU Y12, 224(R13)
-	VMOVDQU Y7, 256(R13)
-	VPXOR   Y4, Y7, Y13
-	VMOVDQU Y13, 288(R13)
-	VPXOR   Y5, Y7, Y14
-	VMOVDQU Y14, 320(R13)
-	VPXOR   Y9, Y7, Y15
-	VMOVDQU Y15, 352(R13)
-	VPXOR   Y6, Y7, Y13
-	VMOVDQU Y13, 384(R13)
-	VPXOR   Y10, Y7, Y14
-	VMOVDQU Y14, 416(R13)
-	VPXOR   Y11, Y7, Y15
-	VMOVDQU Y15, 448(R13)
-	VPXOR   Y12, Y7, Y13
-	VMOVDQU Y13, 480(R13)
-
-	// Destination plane i ^= ta[sel.byte(i)&15] ^ tb[sel.byte(i)>>4].
-	// plane 0
-	MOVQ    BX, AX
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	MOVQ    BX, R11
-	SHRQ    $4, R11
-	ANDQ    $15, R11
-	SHLQ    $5, R11
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (R13)(R11*1), Y0, Y0
-	VPXOR   (DI), Y0, Y0
-	VMOVDQU Y0, (DI)
-
-	// plane 1
-	MOVQ    BX, AX
-	SHRQ    $8, AX
-	MOVQ    AX, R11
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	SHRQ    $4, R11
-	ANDQ    $15, R11
-	SHLQ    $5, R11
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (R13)(R11*1), Y0, Y0
-	VPXOR   (DI)(DX*1), Y0, Y0
-	VMOVDQU Y0, (DI)(DX*1)
-
-	// plane 2
-	MOVQ    BX, AX
-	SHRQ    $16, AX
-	MOVQ    AX, R11
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	SHRQ    $4, R11
-	ANDQ    $15, R11
-	SHLQ    $5, R11
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (R13)(R11*1), Y0, Y0
-	VPXOR   (DI)(DX*2), Y0, Y0
-	VMOVDQU Y0, (DI)(DX*2)
-
-	// plane 3
-	MOVQ    BX, AX
-	SHRQ    $24, AX
-	MOVQ    AX, R11
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	SHRQ    $4, R11
-	ANDQ    $15, R11
-	SHLQ    $5, R11
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (R13)(R11*1), Y0, Y0
-	VPXOR   (DI)(R8*1), Y0, Y0
-	VMOVDQU Y0, (DI)(R8*1)
-
-	// plane 4
-	MOVQ    BX, AX
-	SHRQ    $32, AX
-	MOVQ    AX, R11
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	SHRQ    $4, R11
-	ANDQ    $15, R11
-	SHLQ    $5, R11
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (R13)(R11*1), Y0, Y0
-	VPXOR   (DI)(DX*4), Y0, Y0
-	VMOVDQU Y0, (DI)(DX*4)
-
-	// plane 5
-	MOVQ    BX, AX
-	SHRQ    $40, AX
-	MOVQ    AX, R11
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	SHRQ    $4, R11
-	ANDQ    $15, R11
-	SHLQ    $5, R11
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (R13)(R11*1), Y0, Y0
-	VPXOR   (DI)(R9*1), Y0, Y0
-	VMOVDQU Y0, (DI)(R9*1)
-
-	// plane 6
-	MOVQ    BX, AX
-	SHRQ    $48, AX
-	MOVQ    AX, R11
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	SHRQ    $4, R11
-	ANDQ    $15, R11
-	SHLQ    $5, R11
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (R13)(R11*1), Y0, Y0
-	VPXOR   (DI)(R8*2), Y0, Y0
-	VMOVDQU Y0, (DI)(R8*2)
-
-	// plane 7
-	MOVQ    BX, AX
-	SHRQ    $56, AX
-	MOVQ    AX, R11
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	SHRQ    $4, R11
-	ANDQ    $15, R11
-	SHLQ    $5, R11
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (R13)(R11*1), Y0, Y0
-	VPXOR   (DI)(R10*1), Y0, Y0
-	VMOVDQU Y0, (DI)(R10*1)
-
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, CX
-	JNZ  planes8
-	VZEROUPPER
-	RET
-
-// func addMulPlanes4Asm(dst, src *uint64, words, cols int, sel uint64)
-//
-// GF(16) variant: 4 planes, one 16-entry subset table, selector nibbles
-// come from the low 4 bytes of sel (one byte per plane, value < 16).
-TEXT ·addMulPlanes4Asm(SB), $512-40
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ words+16(FP), DX
-	SHLQ $3, DX
-	MOVQ cols+24(FP), CX
-	MOVQ sel+32(FP), BX
-	LEAQ (DX)(DX*2), R8    // 3*stride
-	LEAQ tbl-512(SP), R12
-
-planes4:
-	VMOVDQU (SI), Y0
-	VMOVDQU (SI)(DX*1), Y1
-	VMOVDQU (SI)(DX*2), Y2
-	VMOVDQU (SI)(R8*1), Y3
-
-	VPXOR   Y8, Y8, Y8
-	VMOVDQU Y8, (R12)
-	VMOVDQU Y0, 32(R12)
-	VMOVDQU Y1, 64(R12)
-	VPXOR   Y0, Y1, Y9
-	VMOVDQU Y9, 96(R12)
-	VMOVDQU Y2, 128(R12)
-	VPXOR   Y0, Y2, Y10
-	VMOVDQU Y10, 160(R12)
-	VPXOR   Y1, Y2, Y11
-	VMOVDQU Y11, 192(R12)
-	VPXOR   Y9, Y2, Y12
-	VMOVDQU Y12, 224(R12)
-	VMOVDQU Y3, 256(R12)
-	VPXOR   Y0, Y3, Y13
-	VMOVDQU Y13, 288(R12)
-	VPXOR   Y1, Y3, Y14
-	VMOVDQU Y14, 320(R12)
-	VPXOR   Y9, Y3, Y15
-	VMOVDQU Y15, 352(R12)
-	VPXOR   Y2, Y3, Y13
-	VMOVDQU Y13, 384(R12)
-	VPXOR   Y10, Y3, Y14
-	VMOVDQU Y14, 416(R12)
-	VPXOR   Y11, Y3, Y15
-	VMOVDQU Y15, 448(R12)
-	VPXOR   Y12, Y3, Y13
-	VMOVDQU Y13, 480(R12)
-
-	// plane 0
-	MOVQ    BX, AX
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (DI), Y0, Y0
-	VMOVDQU Y0, (DI)
-
-	// plane 1
-	MOVQ    BX, AX
-	SHRQ    $8, AX
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (DI)(DX*1), Y0, Y0
-	VMOVDQU Y0, (DI)(DX*1)
-
-	// plane 2
-	MOVQ    BX, AX
-	SHRQ    $16, AX
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (DI)(DX*2), Y0, Y0
-	VMOVDQU Y0, (DI)(DX*2)
-
-	// plane 3
-	MOVQ    BX, AX
-	SHRQ    $24, AX
-	ANDQ    $15, AX
-	SHLQ    $5, AX
-	VMOVDQU (R12)(AX*1), Y0
-	VPXOR   (DI)(R8*1), Y0, Y0
-	VMOVDQU Y0, (DI)(R8*1)
-
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, CX
-	JNZ  planes4
 	VZEROUPPER
 	RET

@@ -10,9 +10,3 @@ func addMulNibAsm(dst, src *byte, n int, tab *byte)   { panic("gf: no asm kernel
 func mulNibAsm(v *byte, n int, tab *byte)             { panic("gf: no asm kernel on this GOARCH") }
 func addMulGFNIAsm(dst, src *byte, n int, mat uint64) { panic("gf: no asm kernel on this GOARCH") }
 func mulGFNIAsm(v *byte, n int, mat uint64)           { panic("gf: no asm kernel on this GOARCH") }
-func addMulPlanes8Asm(dst, src *uint64, words, cols int, sel uint64) {
-	panic("gf: no asm kernel on this GOARCH")
-}
-func addMulPlanes4Asm(dst, src *uint64, words, cols int, sel uint64) {
-	panic("gf: no asm kernel on this GOARCH")
-}

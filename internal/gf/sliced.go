@@ -239,38 +239,10 @@ func (f *GF2m) AddMulSliced(dst, src []uint64, words int, c Elem) {
 	}
 	switch f.m {
 	case 8:
-		switch activeTier {
-		case TierAVX2, TierGFNI:
-			if cols := words &^ 3; cols > 0 {
-				addMulPlanes8Asm(&dst[0], &src[0], words, cols, f.mulRowsU[c])
-				if cols < words {
-					f.addMul8Range(dst, src, words, cols, c)
-				}
-				return
-			}
-			f.addMul8(dst, src, words, c)
-		case TierPortable:
-			f.addMul8Portable(dst, src, words, c)
-		default:
-			f.addMul8(dst, src, words, c)
-		}
+		f.addMul8(dst, src, words, c)
 		return
 	case 4:
-		switch activeTier {
-		case TierAVX2, TierGFNI:
-			if cols := words &^ 3; cols > 0 {
-				addMulPlanes4Asm(&dst[0], &src[0], words, cols, f.mulRowsU[c])
-				if cols < words {
-					f.addMul4Range(dst, src, words, cols, c)
-				}
-				return
-			}
-			f.addMul4(dst, src, words, c)
-		case TierPortable:
-			f.addMul4Portable(dst, src, words, c)
-		default:
-			f.addMul4(dst, src, words, c)
-		}
+		f.addMul4(dst, src, words, c)
 		return
 	}
 	tab := &f.mulPlanes[c]

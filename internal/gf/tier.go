@@ -1,23 +1,24 @@
 package gf
 
-// Kernel tier dispatch: every streaming GF kernel (byte-row lookup
-// multiply-add, in-place scale, bit-sliced plane multiply-add) exists in
-// up to four implementations, selected once at package init from the CPU
-// features cpufeat detects:
+// Kernel tier dispatch: the byte-row kernels (lookup multiply-add,
+// in-place scale) exist in up to three implementations, selected once at
+// package init from the CPU features cpufeat detects:
 //
-//	scalar    the original reference loops, kept verbatim — the fuzz and
-//	          equivalence oracle every other tier is checked against.
-//	portable  unrolled pure-Go forms of the same loops (all GOARCH).
-//	avx2      amd64 assembly: 32-byte PSHUFB split-nibble lookup for the
-//	          byte-row path, 4-column four-Russians subset tables for the
-//	          bit-sliced path.
-//	gfni      avx2 plus VGF2P8AFFINEQB for the byte-row path — one
-//	          instruction computes c*x for 32 bytes via the 8x8 GF(2)
-//	          matrix of "multiply by c".
+//	scalar  the original pure-Go reference loops, kept verbatim (all
+//	        GOARCH) — what a host without a vector tier runs, and the
+//	        fuzz and equivalence oracle the other tiers are checked
+//	        against.
+//	avx2    amd64 assembly: 32-byte PSHUFB split-nibble lookup.
+//	gfni    avx2 plus VGF2P8AFFINEQB — one instruction computes c*x for
+//	        32 bytes via the 8x8 GF(2) matrix of "multiply by c".
 //
-// The environment variable ALGOSSIP_GF_TIER ∈ {auto, gfni, avx2,
-// portable, scalar} overrides auto-selection; a request above what the
-// host supports clamps down to the best supported tier, so forcing
+// The bit-sliced plane kernels (sliced.go) are one pure-Go
+// implementation on every tier: rlnc only builds a sliced decoder below
+// avx2, where nothing else could run them.
+//
+// The environment variable ALGOSSIP_GF_TIER ∈ {auto, gfni, avx2, scalar}
+// overrides auto-selection; a request above what the host supports
+// clamps down to the best supported tier, so forcing
 // "gfni" in a heterogeneous fleet degrades gracefully instead of
 // faulting. All tiers are bit-identical (pinned by TestTierEquivalence
 // and the fuzz targets), so tier selection never moves a fixed-seed
@@ -35,11 +36,10 @@ import (
 type Tier uint8
 
 const (
-	// TierScalar is the original reference code — the equivalence oracle.
+	// TierScalar is the pure-Go reference code (every GOARCH) — the
+	// equivalence oracle.
 	TierScalar Tier = iota
-	// TierPortable is the unrolled pure-Go tier (every GOARCH).
-	TierPortable
-	// TierAVX2 is the amd64 PSHUFB/plane-XOR assembly tier.
+	// TierAVX2 is the amd64 PSHUFB assembly tier.
 	TierAVX2
 	// TierGFNI is TierAVX2 with VGF2P8AFFINEQB byte-row kernels.
 	TierGFNI
@@ -50,8 +50,6 @@ func (t Tier) String() string {
 	switch t {
 	case TierScalar:
 		return "scalar"
-	case TierPortable:
-		return "portable"
 	case TierAVX2:
 		return "avx2"
 	case TierGFNI:
@@ -91,7 +89,7 @@ func bestTier() Tier {
 	case cpufeat.X86.HasAVX2:
 		return TierAVX2
 	default:
-		return TierPortable
+		return TierScalar
 	}
 }
 
@@ -103,14 +101,12 @@ func ParseTier(s string) (Tier, error) {
 		return bestTier(), nil
 	case "scalar":
 		return TierScalar, nil
-	case "portable":
-		return TierPortable, nil
 	case "avx2":
 		return TierAVX2, nil
 	case "gfni":
 		return TierGFNI, nil
 	}
-	return TierScalar, fmt.Errorf("gf: unknown ALGOSSIP_GF_TIER %q (want auto|gfni|avx2|portable|scalar)", s)
+	return TierScalar, fmt.Errorf("gf: unknown ALGOSSIP_GF_TIER %q (want auto|gfni|avx2|scalar)", s)
 }
 
 // ActiveTier returns the tier the kernels currently dispatch to.
@@ -122,7 +118,7 @@ func TierSupported(t Tier) bool { return t <= bestTier() }
 // AvailableTiers lists every tier the host supports, lowest first —
 // the set the forced-tier equivalence tests and fuzz targets sweep.
 func AvailableTiers() []Tier {
-	out := []Tier{TierScalar, TierPortable}
+	out := []Tier{TierScalar}
 	if TierSupported(TierAVX2) {
 		out = append(out, TierAVX2)
 	}

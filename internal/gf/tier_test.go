@@ -42,7 +42,7 @@ func TestTierParseAndClamp(t *testing.T) {
 		ok   bool
 	}{
 		{"scalar", TierScalar, true},
-		{"portable", TierPortable, true},
+		{"portable", TierScalar, false},
 		{"avx2", TierAVX2, true},
 		{"gfni", TierGFNI, true},
 		{"auto", bestTier(), true},
@@ -55,8 +55,9 @@ func TestTierParseAndClamp(t *testing.T) {
 		}
 	}
 	avail := AvailableTiers()
-	if len(avail) < 2 || avail[0] != TierScalar || avail[1] != TierPortable {
-		t.Fatalf("AvailableTiers() = %v; want scalar, portable prefix", avail)
+	want := []Tier{TierScalar, TierAVX2, TierGFNI}[:1+int(bestTier())]
+	if !slices.Equal(avail, want) {
+		t.Fatalf("AvailableTiers() = %v; want %v", avail, want)
 	}
 	for _, tier := range avail {
 		if !TierSupported(tier) {
@@ -125,10 +126,11 @@ func TestTierEquivalenceBytes(t *testing.T) {
 	}
 }
 
-// TestTierEquivalenceSliced checks AddMulSliced of every available tier
-// against the scalar oracle across plane word counts around the
-// 4-column asm block width, for every m with a sliced fast path and a
-// couple of generic-m widths.
+// TestTierEquivalenceSliced checks AddMulSliced under every available
+// tier against the scalar tier across plane word counts, for every m
+// with a sliced fast path and a couple of generic-m widths. The plane
+// kernels are one pure-Go implementation; this pins that they stay
+// tier-independent.
 func TestTierEquivalenceSliced(t *testing.T) {
 	for _, order := range []int{4, 8, 16, 64, 256} {
 		f := mustGF2m(t, order)

@@ -17,7 +17,7 @@ import (
 
 // TestBackendIdentity pins the decoder-backend half of the determinism
 // contract end to end: rlnc picks a GF(2^m) node's backend from the kernel
-// tier active when the node is built — bit-sliced on the pure-Go tiers,
+// tier active when the node is built — bit-sliced on the pure-Go tier,
 // byte rows on the vector ones — and the choice must never show. The same
 // GossipSpec and seed executed once on each side of that rule gives a
 // byte-identical Outcome (stopping time, per-node completion, traffic),
@@ -65,7 +65,7 @@ func TestBackendIdentity(t *testing.T) {
 					}
 					return out
 				}
-				sliced, rows := run(gf.TierPortable), run(host)
+				sliced, rows := run(gf.TierScalar), run(host)
 				if !bytes.Equal(sliced, rows) {
 					t.Errorf("outcome differs across backends:\n  sliced %s\nbyte rows %s", sliced, rows)
 				}

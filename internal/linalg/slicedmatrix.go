@@ -12,10 +12,8 @@ import (
 // SlicedVec is a bit-sliced row over GF(2^m): m bit-planes of packed
 // 64-bit words, plane-major (see gf/sliced.go for the layout). The
 // coefficient part of a k-symbol row occupies m * gf.SlicedWords(k)
-// words; plane j is v[j*words : (j+1)*words]. A payload row has the same
-// type and the same word count for its r symbols, but its contents are
-// opaque outside the matrix's gf.PayloadCodec (planes or bytes, see
-// gf/payload.go).
+// words; plane j is v[j*words : (j+1)*words]. A payload row is the same
+// layout over its r symbols.
 type SlicedVec []uint64
 
 // Clone returns an independent copy of v.
@@ -39,8 +37,7 @@ func (v SlicedVec) IsZero() bool {
 // a whole coefficient row is at most m² word-wise plane XORs through the
 // field's AddMulSliced kernel instead of one table gather per symbol, and
 // the pivot search ORs the m planes instead of scanning k bytes. Payload
-// rows are packed, eliminated and unpacked through the field's
-// gf.PayloadCodec, which picks their layout once, here at construction.
+// rows go through the same plane kernels.
 //
 // Memory behavior mirrors BitMatrix: surviving rows live in a
 // matrix-owned single-block arena (at most cols rows can ever be
@@ -59,7 +56,6 @@ func (v SlicedVec) IsZero() bool {
 // The zero value is not usable; construct with NewSlicedMatrix.
 type SlicedMatrix struct {
 	f        *gf.GF2m
-	payc     gf.PayloadCodec
 	cols     int
 	extra    int // payload symbols per row (byte-encoded width)
 	words    int // words per coefficient plane
@@ -105,7 +101,7 @@ func NewSlicedMatrix(f *gf.GF2m, cols, extra int) *SlicedMatrix {
 	words := gf.SlicedWords(cols)
 	payWords := gf.SlicedWords(extra)
 	m := &SlicedMatrix{
-		f: f, payc: f.PayloadCodec(), cols: cols, extra: extra,
+		f: f, cols: cols, extra: extra,
 		words: words, payWords: payWords,
 		stride: f.M() * words, payStr: f.M() * payWords,
 		order: f.Order(),
@@ -120,10 +116,6 @@ func NewSlicedMatrix(f *gf.GF2m, cols, extra int) *SlicedMatrix {
 
 // Field returns the matrix's field.
 func (m *SlicedMatrix) Field() *gf.GF2m { return m.f }
-
-// PayloadCodec returns the codec every payload row given to or taken from
-// this matrix is encoded with.
-func (m *SlicedMatrix) PayloadCodec() gf.PayloadCodec { return m.payc }
 
 // Cols returns the number of coefficient columns.
 func (m *SlicedMatrix) Cols() int { return m.cols }
@@ -187,7 +179,7 @@ func (m *SlicedMatrix) reduce(row, pay SlicedVec) int {
 		if pay != nil {
 			for i, c := range m.scratchF[:len(m.pivot)] {
 				if c != 0 {
-					m.payc.AddMul(pay, m.pay[i], m.payWords, c)
+					f.AddMulSliced(pay, m.pay[i], m.payWords, c)
 				}
 			}
 		}
@@ -201,7 +193,7 @@ func (m *SlicedMatrix) reduce(row, pay SlicedVec) int {
 		factor := f.MulLog(c, m.pivLog[i])
 		f.AddMulSliced(row, m.rows[i], m.words, factor)
 		if pay != nil {
-			m.payc.AddMul(pay, m.pay[i], m.payWords, factor)
+			f.AddMulSliced(pay, m.pay[i], m.payWords, factor)
 		}
 	}
 	return m.lowestNonzero(row)
@@ -603,7 +595,7 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 		if pay != nil {
 			for j, c := range da {
 				if c != 0 {
-					m.payc.AddMul(pay, m.pay[m.pivPos[j]], m.payWords, c)
+					m.f.AddMulSliced(pay, m.pay[m.pivPos[j]], m.payWords, c)
 				}
 			}
 		}
@@ -626,7 +618,7 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 func (m *SlicedMatrix) addMulRowInto(i int, out, pay SlicedVec, c gf.Elem) {
 	m.f.AddMulSliced(out, m.rows[i], m.words, c)
 	if pay != nil {
-		m.payc.AddMul(pay, m.pay[i], m.payWords, c)
+		m.f.AddMulSliced(pay, m.pay[i], m.payWords, c)
 	}
 }
 
@@ -893,14 +885,14 @@ func (m *SlicedMatrix) Solve() ([][]byte, error) {
 		if c := f.SlicedElem(m.rows[i], m.words, p); c != 1 {
 			inv := f.Inv(c)
 			f.ScaleSliced(m.rows[i], m.words, inv)
-			m.payc.Scale(m.pay[i], m.payWords, inv)
+			f.ScaleSliced(m.pay[i], m.payWords, inv)
 			m.pivLog[i] = f.Log(f.Neg(1)) // pivot normalized; keep the cache honest
 		}
 		for j := 0; j < i; j++ {
 			if c := f.SlicedElem(m.rows[j], m.words, p); c != 0 {
 				nc := f.Neg(c)
 				f.AddMulSliced(m.rows[j], m.rows[i], m.words, nc)
-				m.payc.AddMul(m.pay[j], m.pay[i], m.payWords, nc)
+				f.AddMulSliced(m.pay[j], m.pay[i], m.payWords, nc)
 			}
 		}
 	}
@@ -915,7 +907,7 @@ func (m *SlicedMatrix) Solve() ([][]byte, error) {
 	out := make([][]byte, m.cols)
 	for i := range out {
 		out[i] = make([]byte, m.extra)
-		m.payc.Unpack(out[i], m.pay[i])
+		f.UnpackSliced(out[i], m.pay[i])
 	}
 	return out, nil
 }

@@ -38,31 +38,15 @@ func packBytes(f *gf.GF2m, row []byte) SlicedVec {
 	return v
 }
 
-// packPayload encodes a []byte payload row for m through its codec.
-func packPayload(m *SlicedMatrix, row []byte) SlicedVec {
-	v := make(SlicedVec, m.PayStride())
-	m.PayloadCodec().Pack(v, row)
-	return v
-}
-
 // TestSlicedMatchesRankMatrix drives a SlicedMatrix and a generic
 // RankMatrix with the same random row stream for m ∈ {2, 4, 8} and
 // requires identical helpfulness verdicts, ranks, WouldHelp answers,
 // random-combination emissions (same RNG consumption, on a core.NewRand
 // stream and on a foreign source alike), and Solve output.
 // Widths straddle the one-word boundary (cols/extra ≤ 64 and > 64), and
-// payloads go in and come out through the matrix's codec under both
-// payload layouts.
+// payloads go in and come out as bit-planes.
 func TestSlicedMatchesRankMatrix(t *testing.T) {
-	for _, layout := range []struct {
-		name  string
-		bytes bool
-	}{{"planes", false}, {"bytes", true}} {
-		t.Run(layout.name, func(t *testing.T) {
-			defer gf.ForcePayloadLayout(layout.bytes)()
-			testSlicedMatchesRankMatrix(t)
-		})
-	}
+	t.Run("planes", testSlicedMatchesRankMatrix)
 }
 
 func testSlicedMatchesRankMatrix(t *testing.T) {
@@ -88,7 +72,7 @@ func testSlicedMatchesRankMatrix(t *testing.T) {
 				}
 				coeffs := gf.RandVector(f, tc.cols, rng)
 				payload := gf.RandBytes(f, tc.extra, rng)
-				sc, sp := packCoeffs(f, coeffs), packPayload(slc, payload)
+				sc, sp := packCoeffs(f, coeffs), packBytes(f, payload)
 
 				if gen.WouldHelp(coeffs) != slc.WouldHelp(sc) {
 					t.Fatalf("step %d: WouldHelp disagrees", step)
@@ -116,7 +100,7 @@ func testSlicedMatchesRankMatrix(t *testing.T) {
 						}
 					}
 					gotP := make([]byte, tc.extra)
-					slc.PayloadCodec().Unpack(gotP, outP)
+					f.UnpackSliced(gotP, outP)
 					if !bytes.Equal(gotP, wantP) {
 						t.Fatalf("step %d: emitted payload differs", step)
 					}
@@ -194,7 +178,7 @@ func TestSlicedMatrixZeroAllocSteadyState(t *testing.T) {
 		if guard > 100*cols {
 			t.Fatal("never reached full rank")
 		}
-		m.AddOwned(packBytes(f, gf.RandBytes(f, cols, rng)), packPayload(m, gf.RandBytes(f, extra, rng)))
+		m.AddOwned(packBytes(f, gf.RandBytes(f, cols, rng)), packBytes(f, gf.RandBytes(f, extra, rng)))
 	}
 	out := make(SlicedVec, m.Stride())
 	pay := make(SlicedVec, m.PayStride())

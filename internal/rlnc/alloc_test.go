@@ -120,33 +120,27 @@ func TestAdaptRoundTrip(t *testing.T) {
 // of every simulation's tail), an EmitInto → ReceiveOwned → WouldHelp
 // cycle through a recycled packet performs zero allocations per packet,
 // on every backend — the "auto" rows are whatever the rule picks on this
-// host, byte rows on a vector tier — and, for sliced payload rows, under
-// either layout (layout "" leaves the choice to the tier).
+// host, byte rows on a vector tier.
 func TestAllocsSteadyStateSendReceive(t *testing.T) {
 	cases := []struct {
 		name   string
 		cfg    Config
 		sliced bool
-		layout string
 	}{
-		{"gf2-rankonly-bit", Config{Field: gf.MustNew(2), K: 96, RankOnly: true}, false, ""},
-		{"gf2-payload-bit", Config{Field: gf.MustNew(2), K: 96, PayloadLen: 256}, false, ""},
-		{"gf16-rankonly-sliced", Config{Field: gf.MustNew(16), K: 96, RankOnly: true}, true, ""},
-		{"gf256-rankonly-sliced", Config{Field: gf.MustNew(256), K: 96, RankOnly: true}, true, ""},
-		{"gf256-payload-sliced-bytes", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256}, true, "bytes"},
-		{"gf256-payload-sliced-planes", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256}, true, "planes"},
-		{"gf256-rankonly-generic", Config{Field: gf.MustNew(256), K: 96, RankOnly: true, ForceGeneric: true}, false, ""},
-		{"gf256-payload-generic", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256, ForceGeneric: true}, false, ""},
-		{"gf16-rankonly-auto", Config{Field: gf.MustNew(16), K: 96, RankOnly: true}, false, ""},
-		{"gf256-rankonly-auto", Config{Field: gf.MustNew(256), K: 96, RankOnly: true}, false, ""},
-		{"gf256-payload-auto", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256}, false, ""},
+		{"gf2-rankonly-bit", Config{Field: gf.MustNew(2), K: 96, RankOnly: true}, false},
+		{"gf2-payload-bit", Config{Field: gf.MustNew(2), K: 96, PayloadLen: 256}, false},
+		{"gf16-rankonly-sliced", Config{Field: gf.MustNew(16), K: 96, RankOnly: true}, true},
+		{"gf256-rankonly-sliced", Config{Field: gf.MustNew(256), K: 96, RankOnly: true}, true},
+		{"gf256-payload-sliced-planes", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256}, true},
+		{"gf256-rankonly-generic", Config{Field: gf.MustNew(256), K: 96, RankOnly: true, ForceGeneric: true}, false},
+		{"gf256-payload-generic", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256, ForceGeneric: true}, false},
+		{"gf16-rankonly-auto", Config{Field: gf.MustNew(16), K: 96, RankOnly: true}, false},
+		{"gf256-rankonly-auto", Config{Field: gf.MustNew(256), K: 96, RankOnly: true}, false},
+		{"gf256-payload-auto", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := core.NewRand(9)
-			if tc.layout != "" {
-				defer gf.ForcePayloadLayout(tc.layout == "bytes")()
-			}
 			build := MustNewNode
 			if tc.sliced {
 				build = func(cfg Config) *Node { return slicedNode(t, cfg) }

@@ -158,32 +158,30 @@ func FuzzGenerationPacket(f *testing.F) {
 // FuzzReceive delivers arbitrary packets straight to Receive,
 // ReceiveOwned and WouldHelp, in two forms. Native sliced packets —
 // coefficient and payload rows of any word count and any content — go to
-// a sliced-mode node under both payload layouts: a row of the wrong word
-// count is screened. The same bytes as a wire packet (one symbol per
-// byte) go, raw and through Adapt, to a node of every field kind on every
-// backend: a byte that is no field symbol is screened. Nothing panics,
-// the rank stays in range, and a well-formed top-up still decodes.
+// a sliced-mode node: a row of the wrong word count is screened. The
+// same bytes as a wire packet (one symbol per byte) go, raw and through
+// Adapt, to a node of every field kind on every backend: a byte that is
+// no field symbol is screened. Nothing panics, the rank stays in range,
+// and a well-formed top-up still decodes.
 func FuzzReceive(f *testing.F) {
-	f.Add(uint8(4), uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, true)
-	f.Add(uint8(8), uint8(16), bytes.Repeat([]byte{0xFF}, 300), false)
+	f.Add(uint8(4), uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(8), uint8(16), bytes.Repeat([]byte{0xFF}, 300))
 	// Payload rows one word short and one word long of the 16 that r=70
-	// takes at GF(256), in either layout.
-	f.Add(uint8(8), uint8(15), bytes.Repeat([]byte{7}, 64), true)
-	f.Add(uint8(8), uint8(17), bytes.Repeat([]byte{7}, 64), false)
-	f.Add(uint8(8), uint8(0), []byte{1}, true)
+	// takes at GF(256).
+	f.Add(uint8(8), uint8(15), bytes.Repeat([]byte{7}, 64))
+	f.Add(uint8(8), uint8(17), bytes.Repeat([]byte{7}, 64))
+	f.Add(uint8(8), uint8(0), []byte{1})
 	// Wire rows with bytes that are no field symbol: the coefficient row
 	// that indexed past GF(7)'s inverse table and generic GF(16)'s
 	// multiplication table, the lone 16 the sliced adapter used to mask to
 	// zero, and a clean coefficient row over a dirty payload.
-	f.Add(uint8(0), uint8(0), []byte{0xFF, 0x1F, 0x31, 7, 1, 1}, false)
-	f.Add(uint8(0), uint8(0), []byte{16, 0, 0, 0, 0, 0}, false)
-	f.Add(uint8(0), uint8(0), []byte{1, 2, 3, 1, 0xFF, 0x10}, true)
-	f.Fuzz(func(t *testing.T, coeffWords, payWords uint8, raw []byte, bytesLayout bool) {
+	f.Add(uint8(0), uint8(0), []byte{0xFF, 0x1F, 0x31, 7, 1, 1})
+	f.Add(uint8(0), uint8(0), []byte{16, 0, 0, 0, 0, 0})
+	f.Add(uint8(0), uint8(0), []byte{1, 2, 3, 1, 0xFF, 0x10})
+	f.Fuzz(func(t *testing.T, coeffWords, payWords uint8, raw []byte) {
 		const k, r = 5, 70
 		cfg := Config{Field: gf.MustNew(256), K: k, PayloadLen: r}
-		restore := gf.ForcePayloadLayout(bytesLayout)
 		n, src := slicedNode(t, cfg), slicedNode(t, cfg)
-		restore()
 		words := func(count uint8, skip int) linalg.SlicedVec {
 			if count == 0 {
 				return nil
@@ -241,13 +239,13 @@ func topUp(t *testing.T, n, src *Node, seed uint64) {
 }
 
 // symbolNodes builds one empty node per backend a field can run on: the
-// generic one (ForceGeneric), the one the rule picks on the pure-Go tiers
+// generic one (ForceGeneric), the one the rule picks on the pure-Go tier
 // (sliced for GF(2^m)) and the one it picks on this host.
 func symbolNodes(t testing.TB, cfg Config) map[string]*Node {
 	forced := cfg
 	forced.ForceGeneric = true
 	nodes := map[string]*Node{"generic": MustNewNode(forced), "host": MustNewNode(cfg)}
-	buildSliced(t, func() { nodes["portable"] = MustNewNode(cfg) })
+	buildSliced(t, func() { nodes["scalar"] = MustNewNode(cfg) })
 	return nodes
 }
 

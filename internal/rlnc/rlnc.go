@@ -16,8 +16,9 @@
 // extension fields GF(2^m). The field and the kernel tier active at
 // construction pick one (Config.backend): a GF(2^m) decoder is byte rows
 // where the tier has vector byte kernels (avx2, gfni) — the smaller
-// footprint wins a trial there — and bit-sliced on the pure-Go tiers,
-// where dst += c*src as at most m² plane XORs beats k table gathers.
+// footprint wins a trial there — and bit-sliced on the pure-Go tier
+// (scalar), where dst += c*src as at most m² plane XORs beats k table
+// gathers.
 // Helpfulness (and hence every stopping time) depends only on coefficient
 // vectors, and all backends consume protocol randomness identically, so
 // backend selection never changes fixed-seed trajectories.
@@ -91,12 +92,11 @@ func (b backend) String() string {
 
 // backend is the whole selection rule, a function of the field and the
 // kernel tier active when the node is constructed — later tier changes
-// move a node's kernels, never its layout (what gf.PayloadCodec does for
-// payload rows, here for the whole row). Order 2 is the packed bit
+// move a node's kernels, never its layout. Order 2 is the packed bit
 // backend. A binary extension field is byte rows where the tier has
 // vector byte kernels: hot, the two layouts are close there, but a sliced
 // k=128 GF(256) decoder is 80 KiB against 16 KiB of byte rows and a trial
-// is footprint-bound. On the pure-Go tiers a byte row costs k table gathers
+// is footprint-bound. On the pure-Go tier a byte row costs k table gathers
 // and sliced wins. No k or q threshold: byte rows won or tied every
 // (q, k) measured in a trial (DESIGN.md "Row layouts"). Everything else
 // is byte rows.
@@ -145,9 +145,7 @@ type Packet struct {
 	// kernels (nil in rank-only and sliced modes).
 	Payload []byte
 	// SlicedPay is the payload row of a sliced-mode packet with payloads:
-	// m*SlicedWords(r) words holding the r symbols in the layout of the
-	// emitting node's payload codec (planes or bytes) — opaque words to
-	// everything but that codec. Nil otherwise.
+	// m planes of SlicedWords(r) packed words. Nil otherwise.
 	SlicedPay linalg.SlicedVec
 	// Corrupt marks a packet whose payload no longer matches its coefficient
 	// vector — the detectable-pollution model for Byzantine senders. The
@@ -155,10 +153,10 @@ type Packet struct {
 	// protocol layer accounts for); honest emit paths always clear it.
 	Corrupt bool
 
-	// codec is the payload codec (and through it the field) Sliced and
-	// SlicedPay are encoded with, stamped by the node that filled them
-	// (EmitInto, EmitReplayInto, Adapt) for ExpandCoeffs/ExpandPayload.
-	codec gf.PayloadCodec
+	// field is the field Sliced and SlicedPay are sliced over, stamped by
+	// the node that filled them (EmitInto, EmitReplayInto, Adapt) for
+	// ExpandCoeffs/ExpandPayload.
+	field *gf.GF2m
 }
 
 // IsZero reports whether the packet's coefficient vector is all-zero (such
@@ -190,18 +188,18 @@ func (p *Packet) ExpandCoeffs(k int) []gf.Elem {
 	}
 	if p.Sliced != nil {
 		out := make([]gf.Elem, k)
-		p.codec.Field().UnpackSliced(gf.AsBytes(out), p.Sliced)
+		p.field.UnpackSliced(gf.AsBytes(out), p.Sliced)
 		return out
 	}
 	return p.Coeffs
 }
 
 // ExpandPayload returns the packet's payload row in byte-encoded wire
-// form for a payload width of r symbols, decoding a sliced packet's row
-// through the codec it was emitted with. A non-positive width returns nil
-// even for a payload-carrying sliced packet (a rank-only peer requesting
-// zero symbols — the cross-backend Adapt path). It allocates for sliced
-// packets; boundary code only.
+// form for a payload width of r symbols, unpacking a sliced packet's
+// planes. A non-positive width returns nil even for a payload-carrying
+// sliced packet (a rank-only peer requesting zero symbols — the
+// cross-backend Adapt path). It allocates for sliced packets; boundary
+// code only.
 func (p *Packet) ExpandPayload(r int) []byte {
 	if p.SlicedPay == nil {
 		return p.Payload
@@ -210,7 +208,7 @@ func (p *Packet) ExpandPayload(r int) []byte {
 		return nil
 	}
 	out := make([]byte, r)
-	p.codec.Unpack(out, p.SlicedPay)
+	p.field.UnpackSliced(out, p.SlicedPay)
 	return out
 }
 
@@ -333,13 +331,13 @@ func (n *Node) Seed(msg Message) {
 	}
 	if n.slc != nil {
 		// The unit vector e_Index has the single symbol value 1: only bit
-		// plane 0 carries a bit. The payload packs through the codec.
+		// plane 0 carries a bit.
 		v := make(linalg.SlicedVec, n.slc.Stride())
 		v[msg.Index/64] |= 1 << (uint(msg.Index) % 64)
 		var pay linalg.SlicedVec
 		if n.slc.PayStride() > 0 {
 			pay = make(linalg.SlicedVec, n.slc.PayStride())
-			n.slc.PayloadCodec().Pack(pay, payload)
+			n.slc.Field().PackSliced(pay, payload)
 		}
 		n.slc.AddOwned(v, pay)
 		return
@@ -371,7 +369,7 @@ func (n *Node) EmitInto(rng *rand.Rand, p *Packet) bool {
 	p.Corrupt = false
 	if n.slc != nil {
 		p.Coeffs, p.Bits, p.Payload = nil, nil, nil
-		p.codec = n.slc.PayloadCodec()
+		p.field = n.slc.Field()
 		stride := n.slc.Stride()
 		if cap(p.Sliced) >= stride {
 			p.Sliced = p.Sliced[:stride]
@@ -464,7 +462,7 @@ func (n *Node) EmitReplayInto(p *Packet) bool {
 	p.Corrupt = false
 	if n.slc != nil {
 		p.Coeffs, p.Bits, p.Payload = nil, nil, nil
-		p.codec = n.slc.PayloadCodec()
+		p.field = n.slc.Field()
 		p.Sliced = append(p.Sliced[:0], n.slc.Row(0)...)
 		if n.slc.PayStride() > 0 {
 			p.SlicedPay = append(p.SlicedPay[:0], n.slc.Payload(0)...)
@@ -708,12 +706,12 @@ func (n *Node) Adapt(p *Packet) *Packet {
 		if extra > 0 && len(p.Payload) != extra {
 			return nil // screened before any row is allocated or packed
 		}
-		codec := n.slc.PayloadCodec()
-		out := &Packet{Sliced: make(linalg.SlicedVec, n.slc.Stride()), Corrupt: p.Corrupt, codec: codec}
-		codec.Field().PackSliced(out.Sliced, gf.AsBytes(p.Coeffs))
+		f := n.slc.Field()
+		out := &Packet{Sliced: make(linalg.SlicedVec, n.slc.Stride()), Corrupt: p.Corrupt, field: f}
+		f.PackSliced(out.Sliced, gf.AsBytes(p.Coeffs))
 		if extra > 0 {
 			out.SlicedPay = make(linalg.SlicedVec, n.slc.PayStride())
-			codec.Pack(out.SlicedPay, p.Payload)
+			f.PackSliced(out.SlicedPay, p.Payload)
 		}
 		return out
 	}

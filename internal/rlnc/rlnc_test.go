@@ -17,7 +17,7 @@ func genericCfg(q, k, r int) Config {
 
 // TestBackendReporting pins the backend-selection string: one value per
 // backend kind, always carrying the active kernel tier. The nodes are
-// built on the portable tier, where GF(256) selects the sliced backend.
+// built on the scalar tier, where GF(256) selects the sliced backend.
 func TestBackendReporting(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
@@ -301,37 +301,32 @@ func TestReceiveMalformedSliced(t *testing.T) {
 	if n.Rank() != 1 {
 		t.Fatalf("rank = %d after malformed sliced packets, want 1", n.Rank())
 	}
-	// Payload mode also screens the payload row's word count, whichever
-	// layout the row is in (at GF(256) the two layouts fill the same words).
+	// Payload mode also screens the payload row's word count.
 	for _, q := range []int{16, 256} {
-		for _, bytesLayout := range []bool{false, true} {
-			restore := gf.ForcePayloadLayout(bytesLayout)
-			np := slicedNode(t, Config{Field: gf.MustNew(q), K: 5, PayloadLen: 70})
-			restore()
-			np.Seed(Message{Index: 1, Payload: make([]byte, 70)})
-			good := np.Emit(core.NewRand(1))
-			// Two 64-symbol blocks: m planes of 2 words, or 8 symbols a word.
-			want := len(good.SlicedPay)
-			unit := func() linalg.SlicedVec { // e_3: column 3 of plane 0
-				v := make(linalg.SlicedVec, len(good.Sliced))
-				v[0] = 1 << 3
-				return v
+		np := slicedNode(t, Config{Field: gf.MustNew(q), K: 5, PayloadLen: 70})
+		np.Seed(Message{Index: 1, Payload: make([]byte, 70)})
+		good := np.Emit(core.NewRand(1))
+		// Two 64-symbol blocks: m planes of 2 words.
+		want := len(good.SlicedPay)
+		unit := func() linalg.SlicedVec { // e_3: column 3 of plane 0
+			v := make(linalg.SlicedVec, len(good.Sliced))
+			v[0] = 1 << 3
+			return v
+		}
+		for _, words := range []int{0, 1, want - 1, want + 1, 2 * want} {
+			p := &Packet{Sliced: unit()}
+			if words > 0 {
+				p.SlicedPay = make(linalg.SlicedVec, words)
 			}
-			for _, words := range []int{0, 1, want - 1, want + 1, 2 * want} {
-				p := &Packet{Sliced: unit()}
-				if words > 0 {
-					p.SlicedPay = make(linalg.SlicedVec, words)
-				}
-				if np.Receive(p) || np.ReceiveOwned(p) {
-					t.Errorf("gf=%d bytes=%v: payload row of %d words accepted, want %d", q, bytesLayout, words, want)
-				}
+			if np.Receive(p) || np.ReceiveOwned(p) {
+				t.Errorf("gf=%d: payload row of %d words accepted, want %d", q, words, want)
 			}
-			if np.Rank() != 1 {
-				t.Fatalf("gf=%d bytes=%v: rank = %d after malformed payload rows, want 1", q, bytesLayout, np.Rank())
-			}
-			if !np.ReceiveOwned(&Packet{Sliced: unit(), SlicedPay: make(linalg.SlicedVec, want)}) {
-				t.Errorf("gf=%d bytes=%v: well-formed packet rejected", q, bytesLayout)
-			}
+		}
+		if np.Rank() != 1 {
+			t.Fatalf("gf=%d: rank = %d after malformed payload rows, want 1", q, np.Rank())
+		}
+		if !np.ReceiveOwned(&Packet{Sliced: unit(), SlicedPay: make(linalg.SlicedVec, want)}) {
+			t.Errorf("gf=%d: well-formed packet rejected", q)
 		}
 	}
 }

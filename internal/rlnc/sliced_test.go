@@ -3,23 +3,21 @@ package rlnc
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"testing"
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
 )
 
-// buildSliced runs build with the kernel tier pinned to portable — the
+// buildSliced runs build with the kernel tier pinned to scalar — the
 // side of the backend rule on which a GF(2^m) node is bit-sliced — and
-// restores the tier after, so the nodes build constructs are sliced yet
-// run against the host's best plane kernels (and the CI legs' forced
-// tiers). The layout is chosen at construction; nothing else needs the
-// pin.
+// restores the tier after, so the nodes build constructs are sliced on
+// any host (and under the CI legs' forced tiers). The layout is chosen
+// at construction; nothing else needs the pin.
 func buildSliced(t testing.TB, build func()) {
 	t.Helper()
 	prev := gf.ActiveTier()
-	if err := gf.SetTier(gf.TierPortable); err != nil {
+	if err := gf.SetTier(gf.TierScalar); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -36,17 +34,17 @@ func slicedNode(t testing.TB, cfg Config) *Node {
 	var n *Node
 	buildSliced(t, func() { n = MustNewNode(cfg) })
 	if !n.SlicedMode() {
-		t.Fatalf("%s node built on the portable tier is not sliced", cfg.Field.Name())
+		t.Fatalf("%s node built on the scalar tier is not sliced", cfg.Field.Name())
 	}
 	return n
 }
 
 // TestBackendRule is the selection rule itself, (field, tier) → backend:
 // order 2 is always packed bits, a binary extension field is byte rows
-// on the vector tiers and bit-sliced on the pure-Go ones, a prime field
+// on the vector tiers and bit-sliced on the pure-Go one, a prime field
 // is always byte rows, and ForceGeneric overrides all of it.
 func TestBackendRule(t *testing.T) {
-	tiers := []gf.Tier{gf.TierScalar, gf.TierPortable, gf.TierAVX2, gf.TierGFNI}
+	tiers := []gf.Tier{gf.TierScalar, gf.TierAVX2, gf.TierGFNI}
 	for _, q := range []int{2, 3, 4, 16, 256} {
 		cfg := Config{Field: gf.MustNew(q), K: 4, RankOnly: true}
 		for _, tier := range tiers {
@@ -219,139 +217,5 @@ func TestAdaptSlicedToRankOnlyGeneric(t *testing.T) {
 	}
 	if !rankOnly.Receive(adapted) {
 		t.Fatal("adapted packet should be helpful to an empty node")
-	}
-}
-
-// layoutTrace is everything a seeded source/sink run shows the outside:
-// each emitted packet in wire form, each receive verdict, the decode —
-// plus, to prove the hook took, the first packet's payload row as stored.
-type layoutTrace struct {
-	firstRow []uint64
-	coeffs   [][]gf.Elem
-	payloads [][]byte
-	helpful  []bool
-	decoded  []Message
-}
-
-// traceLayoutRun builds a source/sink pair of generation size g under the
-// given payload layout (g == k is the whole-k Node, anything smaller a
-// GenNode) and drives it to a decode from fixed seeds. Receives alternate
-// between the copying and the owned path.
-func traceLayoutRun(t *testing.T, bytesLayout bool, f gf.Field, k, g, r int) layoutTrace {
-	t.Helper()
-	defer gf.ForcePayloadLayout(bytesLayout)()
-	seedRNG, rng := core.NewRand(5), core.NewRand(77)
-	msgs := make([]Message, k)
-	for i := range msgs {
-		msgs[i] = Message{Index: i, Payload: gf.RandBytes(f, r, seedRNG)}
-	}
-	var tr layoutTrace
-	record := func(step int, p *Packet, kk int, receive func(owned bool) bool) {
-		if step == 0 {
-			tr.firstRow = p.SlicedPay.Clone()
-		}
-		tr.coeffs = append(tr.coeffs, p.ExpandCoeffs(kk))
-		tr.payloads = append(tr.payloads, p.ExpandPayload(r))
-		tr.helpful = append(tr.helpful, receive(step%2 == 1))
-	}
-	inner := Config{Field: f, K: k, PayloadLen: r}
-	if g == k {
-		src, dst := slicedNode(t, inner), slicedNode(t, inner)
-		for _, m := range msgs {
-			src.Seed(m)
-		}
-		for step := 0; !dst.CanDecode(); step++ {
-			if step > 50*k {
-				t.Fatal("sink never reached full rank")
-			}
-			p := src.Emit(rng)
-			record(step, p, k, func(owned bool) bool {
-				if owned {
-					return dst.ReceiveOwned(p)
-				}
-				return dst.Receive(p)
-			})
-		}
-		var err error
-		if tr.decoded, err = dst.Decode(); err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	cfg := GenConfig{Inner: inner, K: k, GenSize: g}
-	var src, dst *GenNode
-	var err error
-	buildSliced(t, func() {
-		if src, err = NewGenNode(cfg); err != nil {
-			t.Fatal(err)
-		}
-		dst, _ = NewGenNode(cfg)
-	})
-	for _, m := range msgs {
-		src.Seed(m)
-	}
-	for step := 0; !dst.CanDecode(); step++ {
-		if step > 50*k {
-			t.Fatal("sink never reached full rank")
-		}
-		p := src.Emit(rng)
-		record(step, p.Packet, cfg.GenK(p.Gen), func(owned bool) bool {
-			if owned {
-				return dst.ReceiveOwned(p)
-			}
-			return dst.Receive(p)
-		})
-	}
-	if tr.decoded, err = dst.Decode(); err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-// TestPayloadLayoutEquivalence: the payload layout is invisible. The same
-// seeded source/sink pair built once per layout emits the same wire
-// packets, reaches the same receive verdicts and decodes the same (and
-// the original) messages, for GF(256) — where the layouts differ — and
-// GF(16) — where the byte layout does not apply and the hook must change
-// nothing — at payload widths around the 64-symbol block and at the
-// benchmark's 4 KiB, on whole-k nodes and generation-coded ones.
-func TestPayloadLayoutEquivalence(t *testing.T) {
-	const k = 40
-	for _, q := range []int{256, 16} {
-		for _, r := range []int{1, 63, 64, 65, 4096} {
-			for _, g := range []int{k, 16} {
-				t.Run(fmt.Sprintf("gf=%d/r=%d/g=%d", q, r, g), func(t *testing.T) {
-					f := gf.MustNew(q)
-					planes := traceLayoutRun(t, false, f, k, g, r)
-					byts := traceLayoutRun(t, true, f, k, g, r)
-					// The stored rows differ exactly where a byte layout exists
-					// (one symbol can encode alike both ways; 63 cannot).
-					if r > 1 && slices.Equal(planes.firstRow, byts.firstRow) != (q != 256) {
-						t.Fatalf("stored payload rows equal across layouts, want equal = %v", q != 256)
-					}
-					if len(planes.helpful) != len(byts.helpful) {
-						t.Fatalf("runs differ in length: %d packets vs %d", len(planes.helpful), len(byts.helpful))
-					}
-					for i := range planes.helpful {
-						if !bytes.Equal(elemsToBytes(planes.coeffs[i]), elemsToBytes(byts.coeffs[i])) {
-							t.Fatalf("packet %d: coefficients differ across layouts", i)
-						}
-						if !bytes.Equal(planes.payloads[i], byts.payloads[i]) {
-							t.Fatalf("packet %d: payloads differ across layouts", i)
-						}
-						if planes.helpful[i] != byts.helpful[i] {
-							t.Fatalf("packet %d: receive verdicts differ across layouts", i)
-						}
-					}
-					seedRNG := core.NewRand(5)
-					for i := 0; i < k; i++ {
-						want := gf.RandBytes(f, r, seedRNG)
-						if !bytes.Equal(planes.decoded[i].Payload, want) || !bytes.Equal(byts.decoded[i].Payload, want) {
-							t.Fatalf("message %d decoded wrong", i)
-						}
-					}
-				})
-			}
-		}
 	}
 }

@@ -540,7 +540,7 @@ func seedMessagesField(t *testing.T, c *Cluster, field gf.Field, k, r, n int) []
 // format still carries one coefficient per symbol, so the Adapt /
 // ExpandCoeffs / ExpandPayload boundary is exercised in both directions
 // for a sub-byte symbol width, including full decode at every node. The
-// decoders are built inside NewCluster, on the portable tier: that is
+// decoders are built inside NewCluster, on the scalar tier: that is
 // where GF(16) selects the sliced backend (a vector-tier node stores the
 // wire form itself), and the layout is fixed at construction.
 func TestClusterGF16SlicedMode(t *testing.T) {
@@ -548,7 +548,7 @@ func TestClusterGF16SlicedMode(t *testing.T) {
 	tr := NewChanTransport()
 	defer func() { _ = tr.Close() }()
 	host := gf.ActiveTier()
-	if err := gf.SetTier(gf.TierPortable); err != nil {
+	if err := gf.SetTier(gf.TierScalar); err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewCluster(tr, g, 5, WithPayload(8), WithField(gf.MustNew(16)),
