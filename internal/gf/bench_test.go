@@ -45,6 +45,48 @@ func BenchmarkAddMulSliceGF256(b *testing.B) {
 	}
 }
 
+// The fused multi-row kernel against the single-row loop it replaces, at
+// the three working sets a payload decoder sees: rows is the number of
+// 4 KiB stored rows resident behind the combine — 8 fit L1, 128 (one
+// node's arena at k = 128) fit L2, 4096 (32 such nodes) stream from L3.
+// One op combines min(rows, 128) rows into a 4 KiB dst, walking the arena
+// window by window so the largest case never re-reads a warm row.
+func BenchmarkAddMulSlicesGF256(b *testing.B) {
+	const rowLen, window = 4096, 128
+	f := MustNew(256).(*GF2m)
+	for _, rows := range []int{8, 128, 4096} {
+		rng := rand.New(rand.NewPCG(5, uint64(rows)))
+		arena := RandBytes(f, rows*rowLen, rng)
+		srcs := make([][]byte, rows)
+		for j := range srcs {
+			srcs[j] = arena[j*rowLen : (j+1)*rowLen : (j+1)*rowLen]
+		}
+		cs := RandVector(f, min(rows, window), rng)
+		for j := range cs {
+			cs[j] |= 2 // neither skipped nor the XOR path
+		}
+		dst := make([]byte, rowLen)
+		run := func(name string, combine func(win [][]byte)) {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, name), func(b *testing.B) {
+				b.SetBytes(int64(len(cs) * rowLen))
+				at := 0
+				for i := 0; i < b.N; i++ {
+					combine(srcs[at : at+len(cs)])
+					if at += len(cs); at == rows {
+						at = 0
+					}
+				}
+			})
+		}
+		run("fused", func(win [][]byte) { f.AddMulSlices(dst, win, cs) })
+		run("loop", func(win [][]byte) {
+			for j, src := range win {
+				f.AddMulSlice(dst, src, cs[j])
+			}
+		})
+	}
+}
+
 // c == 1 takes the word-wise XOR fast path shared with GF(2).
 func BenchmarkAddMulSliceGF256C1(b *testing.B) {
 	f := MustNew(256)

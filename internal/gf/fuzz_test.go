@@ -63,6 +63,48 @@ func FuzzAddMulSlice(f *testing.F) {
 	})
 }
 
+// FuzzAddMulSlices cross-checks the fused multi-row kernel against the
+// element-wise Mul/Add sum on every tier and every binary extension
+// field: the raw bytes are cut into rows of the fuzzed width, the first
+// byte of each row is its coefficient (so zeros and ones occur).
+func FuzzAddMulSlices(f *testing.F) {
+	f.Add(bytes.Repeat([]byte("abcdefg"), 100), uint8(65), byte(7))
+	f.Add(bytes.Repeat([]byte{0, 1, 0xFE}, 300), uint8(128), byte(3))
+	f.Add([]byte{1, 2, 3}, uint8(0), byte(1))
+	f.Add([]byte{}, uint8(9), byte(5))
+	f.Fuzz(func(t *testing.T, raw []byte, width uint8, sel byte) {
+		fld, ok := pickField(sel).(*GF2m)
+		if !ok {
+			return
+		}
+		n := int(width)
+		raw = reduceRow(fld, raw)
+		dst := make([]byte, n)
+		var srcs [][]byte
+		var cs []Elem
+		for len(raw) >= n+1 {
+			cs = append(cs, Elem(raw[0]))
+			srcs = append(srcs, raw[1:n+1])
+			raw = raw[n+1:]
+		}
+		copy(dst, raw) // what is left seeds dst
+		want := append([]byte(nil), dst...)
+		for j, src := range srcs {
+			for i := range want {
+				want[i] = byte(fld.Add(Elem(want[i]), fld.Mul(cs[j], Elem(src[i]))))
+			}
+		}
+		for _, tier := range AvailableTiers() {
+			got := append([]byte(nil), dst...)
+			withFuzzTier(t, tier, func() { fld.AddMulSlices(got, srcs, cs) })
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s AddMulSlices(rows=%d, n=%d) tier %v diverges from the element-wise sum",
+					fld.Name(), len(srcs), n, tier)
+			}
+		}
+	})
+}
+
 // FuzzMulSlice cross-checks the in-place v *= c kernel against the
 // scalar Mul path for every supported field.
 func FuzzMulSlice(f *testing.F) {

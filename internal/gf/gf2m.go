@@ -215,10 +215,15 @@ func (f *GF2m) bulkRow(c Elem) *[256]byte {
 // kernel of the active tier — whole 32-byte blocks go through the asm
 // kernels on the avx2/gfni tiers, with the scalar loop finishing any
 // remainder, so every tier is bit-identical on every length.
+//
+// It panics when dst is shorter than src — on every tier, before any
+// kernel runs: the asm receives bare pointers and a length, and an
+// unchecked short dst would be written past its end.
 func (f *GF2m) AddMulSlice(dst, src []byte, c Elem) {
 	if c == 0 || len(src) == 0 {
 		return
 	}
+	_ = dst[len(src)-1]
 	if c == 1 {
 		xorSlice(dst, src)
 		return
@@ -244,6 +249,66 @@ func (f *GF2m) AddMulSlice(dst, src []byte, c Elem) {
 		mulTableSlice(dst, src, f.bulkRow(c))
 	default:
 		mulTableSlice(dst, src, f.bulkRow(c))
+	}
+}
+
+// AddMulSlices performs dst ^= Σ cs[j]·srcs[j] over len(dst) bytes: the
+// AddMulSlice loop over the rows, in order, as one call. On the gfni tier
+// four rows at a time go through one fused pass over dst (64-byte blocks;
+// the tail, and any dst shorter than a block, finishes row by row), so
+// dst is loaded and stored once per four rows instead of once per row and
+// the four source streams are fetched side by side — what a combination
+// of rows that arrive from L3 is bound by. The other tiers run the loop.
+// Rows with a zero coefficient are skipped and may be nil.
+//
+// dst may be exactly srcs[0] (each block is read before it is written,
+// the AddMulSlice contract) and must overlap no other row. It panics,
+// before any kernel runs, when len(cs) != len(srcs) or a row with a
+// non-zero coefficient is shorter than dst.
+func (f *GF2m) AddMulSlices(dst []byte, srcs [][]byte, cs []Elem) {
+	if len(cs) != len(srcs) {
+		panic("gf: AddMulSlices: coefficient count does not match row count")
+	}
+	n := len(dst)
+	for j, c := range cs {
+		if c != 0 && len(srcs[j]) < n {
+			panic("gf: AddMulSlices: source row shorter than dst")
+		}
+	}
+	done := 0
+	if activeTier == TierGFNI && n >= 64 {
+		done = n &^ 63
+		var (
+			rows [4]*byte
+			mats [4]uint64
+			g    int
+		)
+		for j, c := range cs {
+			if c == 0 {
+				continue
+			}
+			rows[g], mats[g] = &srcs[j][0], f.gfniTab[c]
+			if g++; g == 4 {
+				addMulGFNI4Asm(&dst[0], done, &rows, &mats)
+				g = 0
+			}
+		}
+		if g > 0 {
+			// A short last group is padded with zero matrices over a row
+			// already in it: c = 0 contributes nothing.
+			for ; g < 4; g++ {
+				rows[g], mats[g] = rows[0], 0
+			}
+			addMulGFNI4Asm(&dst[0], done, &rows, &mats)
+		}
+	}
+	if done == n {
+		return
+	}
+	for j, c := range cs {
+		if c != 0 {
+			f.AddMulSlice(dst[done:], srcs[j][done:n], c)
+		}
 	}
 }
 

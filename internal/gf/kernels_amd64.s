@@ -162,6 +162,65 @@ gfniloop:
 	VZEROUPPER
 	RET
 
+// func addMulGFNI4Asm(dst *byte, n int, srcs *[4]*byte, mats *[4]uint64)
+//
+// dst[i] ^= mats[0]*srcs[0][i] ^ ... ^ mats[3]*srcs[3][i] over n bytes,
+// n > 0 and n%64 == 0: four source rows folded into one pass over dst,
+// 64 bytes per iteration as two 32-byte chains. One dst load/store pair
+// serves four rows, and eight independent source loads are in flight per
+// iteration — on rows that arrive from L3 the single-row loop is bound
+// by exactly those two things. Every source block is read before the dst
+// block is written, so dst may be exactly one of the sources.
+TEXT ·addMulGFNI4Asm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ srcs+16(FP), AX
+	MOVQ mats+24(FP), BX
+
+	MOVQ         0(AX), R8
+	MOVQ         8(AX), R9
+	MOVQ         16(AX), R10
+	MOVQ         24(AX), R11
+	VPBROADCASTQ 0(BX), Y8
+	VPBROADCASTQ 8(BX), Y9
+	VPBROADCASTQ 16(BX), Y10
+	VPBROADCASTQ 24(BX), Y11
+	XORQ         DX, DX
+
+	PCALIGN $32
+gfni4loop:
+	VMOVDQU         (R8)(DX*1), Y0
+	VMOVDQU         32(R8)(DX*1), Y1
+	VMOVDQU         (R9)(DX*1), Y2
+	VMOVDQU         32(R9)(DX*1), Y3
+	VMOVDQU         (R10)(DX*1), Y4
+	VMOVDQU         32(R10)(DX*1), Y5
+	VMOVDQU         (R11)(DX*1), Y6
+	VMOVDQU         32(R11)(DX*1), Y7
+	VGF2P8AFFINEQB  $0, Y8, Y0, Y0
+	VGF2P8AFFINEQB  $0, Y8, Y1, Y1
+	VGF2P8AFFINEQB  $0, Y9, Y2, Y2
+	VGF2P8AFFINEQB  $0, Y9, Y3, Y3
+	VGF2P8AFFINEQB  $0, Y10, Y4, Y4
+	VGF2P8AFFINEQB  $0, Y10, Y5, Y5
+	VGF2P8AFFINEQB  $0, Y11, Y6, Y6
+	VGF2P8AFFINEQB  $0, Y11, Y7, Y7
+	VPXOR           Y2, Y0, Y0
+	VPXOR           Y3, Y1, Y1
+	VPXOR           Y6, Y4, Y4
+	VPXOR           Y7, Y5, Y5
+	VPXOR           Y4, Y0, Y0
+	VPXOR           Y5, Y1, Y1
+	VPXOR           (DI)(DX*1), Y0, Y0
+	VPXOR           32(DI)(DX*1), Y1, Y1
+	VMOVDQU         Y0, (DI)(DX*1)
+	VMOVDQU         Y1, 32(DI)(DX*1)
+	ADDQ            $64, DX
+	CMPQ            DX, CX
+	JB              gfni4loop
+	VZEROUPPER
+	RET
+
 // func mulGFNIAsm(v *byte, n int, mat uint64)
 //
 // In-place v[i] = c*v[i] via VGF2P8AFFINEQB.

@@ -10,3 +10,6 @@ func addMulNibAsm(dst, src *byte, n int, tab *byte)   { panic("gf: no asm kernel
 func mulNibAsm(v *byte, n int, tab *byte)             { panic("gf: no asm kernel on this GOARCH") }
 func addMulGFNIAsm(dst, src *byte, n int, mat uint64) { panic("gf: no asm kernel on this GOARCH") }
 func mulGFNIAsm(v *byte, n int, mat uint64)           { panic("gf: no asm kernel on this GOARCH") }
+func addMulGFNI4Asm(dst *byte, n int, srcs *[4]*byte, mats *[4]uint64) {
+	panic("gf: no asm kernel on this GOARCH")
+}

@@ -74,10 +74,10 @@ func TestTierParseAndClamp(t *testing.T) {
 // leave both a vector part and a scalar tail.
 var tierEdgeLens = []int{0, 1, 2, 3, 7, 8, 15, 16, 31, 32, 33, 47, 63, 64, 65, 95, 96, 97, 100, 255, 256, 257, 1000, 1024}
 
-// TestTierEquivalenceBytes checks AddMulSlice and MulSlice of every
-// available tier against the scalar oracle for every extension field,
-// every edge-case length, every scalar, including dst == src aliasing
-// and the dst-tail-untouched contract.
+// TestTierEquivalenceBytes checks AddMulSlice, MulSlice and AddMulSlices
+// of every available tier against the scalar oracle for every extension
+// field, every edge-case length, every scalar, including dst == src
+// aliasing and the dst-tail-untouched contract.
 func TestTierEquivalenceBytes(t *testing.T) {
 	for _, order := range []int{4, 16, 32, 256} {
 		f := mustGF2m(t, order)
@@ -119,6 +119,16 @@ func TestTierEquivalenceBytes(t *testing.T) {
 						if !bytes.Equal(gotA, wantA) {
 							t.Fatalf("AddMulSlice aliased len=%d c=%d: tier %v diverges", n, c, tier)
 						}
+					}
+					// The fused multi-row kernel, five rows (one full group
+					// of four and a padded one) against the scalar loop.
+					srcs, cs := randRows(rng, order, 5, n)
+					cs[1], cs[3] = 0, 1
+					want := loopAddMulSlices(t, f, base, srcs, cs)
+					got := slices.Clone(base)
+					withTier(t, tier, func() { f.AddMulSlices(got[:n], srcs, cs) })
+					if !bytes.Equal(got, want) {
+						t.Fatalf("AddMulSlices len=%d: tier %v diverges from the scalar loop", n, tier)
 					}
 				}
 			})
@@ -203,6 +213,126 @@ func TestTierEquivalenceElem(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("AXPY: tier %v diverges from scalar", tier)
 		}
+	}
+}
+
+// randRows returns rows source rows of n symbols below order, with one
+// coefficient each.
+func randRows(rng *rand.Rand, order, rows, n int) ([][]byte, []Elem) {
+	srcs := make([][]byte, rows)
+	cs := make([]Elem, rows)
+	for j := range srcs {
+		srcs[j] = make([]byte, n)
+		for i := range srcs[j] {
+			srcs[j][i] = byte(rng.Intn(order))
+		}
+		cs[j] = Elem(rng.Intn(order))
+	}
+	return srcs, cs
+}
+
+// loopAddMulSlices is AddMulSlices' oracle: the scalar-tier AddMulSlice
+// loop over the rows, in order, into a fresh copy of dst. A row that is
+// dst itself (same backing array) is taken from the copy, so aliasing
+// follows the copy as it follows dst in the real call.
+func loopAddMulSlices(t *testing.T, f *GF2m, dst []byte, srcs [][]byte, cs []Elem) []byte {
+	t.Helper()
+	want := slices.Clone(dst)
+	withTier(t, TierScalar, func() {
+		for j, src := range srcs {
+			if len(src) > 0 && len(dst) > 0 && &src[0] == &dst[0] {
+				src = want[:len(src)]
+			}
+			f.AddMulSlice(want, src, cs[j])
+		}
+	})
+	return want
+}
+
+// TestAddMulSlicesMatchesLoop pins the fused multi-row kernel to the
+// AddMulSlice loop it replaces, on every tier: lengths on both sides of
+// the 64-byte block and of the 32-byte single-row block, row counts on
+// both sides of the four-row group, coefficients 0 and 1 among the
+// random ones, the dst tail untouched, and dst aliasing srcs[0].
+func TestAddMulSlicesMatchesLoop(t *testing.T) {
+	for _, order := range []int{4, 16, 256} {
+		f := mustGF2m(t, order)
+		rng := rand.New(rand.NewSource(int64(order)))
+		for _, tier := range AvailableTiers() {
+			t.Run(fmt.Sprintf("%s/%v", f.Name(), tier), func(t *testing.T) {
+				for _, n := range []int{1, 31, 63, 64, 65, 100, 4096, 4100} {
+					for _, rows := range []int{0, 1, 3, 4, 5, 8, 11, 128} {
+						srcs, cs := randRows(rng, order, rows, n)
+						if rows >= 3 {
+							cs[rng.Intn(rows)] = 0
+							cs[rng.Intn(rows)] = 1
+						}
+						base := make([]byte, n+5) // 5 tail bytes must stay untouched
+						for i := range base {
+							base[i] = byte(rng.Intn(order))
+						}
+						want := loopAddMulSlices(t, f, base, srcs, cs)
+						got := slices.Clone(base)
+						withTier(t, tier, func() { f.AddMulSlices(got[:n], srcs, cs) })
+						if !bytes.Equal(got, want) {
+							t.Fatalf("len=%d rows=%d: diverges from the AddMulSlice loop", n, rows)
+						}
+						if rows == 0 {
+							continue
+						}
+						// dst is srcs[0]: dst ^= cs[0]*dst ^ Σ the rest.
+						alias := slices.Clone(srcs[0])
+						srcs[0] = alias
+						wantA := loopAddMulSlices(t, f, alias, srcs, cs)
+						withTier(t, tier, func() { f.AddMulSlices(alias, srcs, cs) })
+						if !bytes.Equal(alias, wantA) {
+							t.Fatalf("len=%d rows=%d: aliased dst diverges from the AddMulSlice loop", n, rows)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestAddMulSliceShortDstPanics: a dst (or, for AddMulSlices, a source
+// row) shorter than the length the kernel is asked to cover must panic on
+// every tier — the asm tiers used to write past the end of a short dst
+// where the scalar loop panicked. The short row is a reslice with the
+// capacity to be extended, and nothing may be written before the panic.
+func TestAddMulSliceShortDstPanics(t *testing.T) {
+	f := mustGF2m(t, 256)
+	panics := func(fn func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		fn()
+		return false
+	}
+	for _, tier := range AvailableTiers() {
+		t.Run(tier.String(), func(t *testing.T) {
+			for _, n := range []int{1, 40, 64, 200} {
+				src := bytes.Repeat([]byte{7}, n)
+				for _, c := range []Elem{1, 0x53} {
+					backing := make([]byte, n+64)
+					withTier(t, tier, func() {
+						if !panics(func() { f.AddMulSlice(backing[:n-1], src, c) }) {
+							t.Errorf("AddMulSlice(len(dst)=%d, len(src)=%d, c=%d) did not panic", n-1, n, c)
+						}
+						short := [][]byte{src, src[:n-1], src, src, src}
+						if !panics(func() { f.AddMulSlices(backing[:n], short, []Elem{c, c, c, c, c}) }) {
+							t.Errorf("AddMulSlices(len(dst)=%d) with a row of %d did not panic", n, n-1)
+						}
+					})
+					if !bytes.Equal(backing, make([]byte, n+64)) {
+						t.Fatalf("n=%d c=%d: bytes were written before the panic", n, c)
+					}
+				}
+			}
+			withTier(t, tier, func() {
+				if !panics(func() { f.AddMulSlices(make([]byte, 64), [][]byte{make([]byte, 64)}, nil) }) {
+					t.Error("AddMulSlices with fewer coefficients than rows did not panic")
+				}
+			})
+		})
 	}
 }
 

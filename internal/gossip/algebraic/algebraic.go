@@ -58,14 +58,39 @@ type Config struct {
 	TraitSeed uint64
 }
 
-// delivery is one staged packet transfer (synchronous model). skip marks
-// a delivery whose verdict was predetermined at send time (receiver
-// already at full rank): the packet was never filled and apply only
-// counts it as useless.
+// delivery is one staged packet transfer (synchronous model). fac says
+// what the packet still awaits: a length of skipped marks a delivery whose
+// verdict was predetermined at send time (receiver already at full rank)
+// — the packet was never filled and EndRound only counts it as useless; a
+// positive length marks a packet whose payload is still to be filled
+// (Protocol.fill), from that many factors at that offset of the slab.
+// The struct keeps the shape it had before payloads were deferred — 32
+// bytes, four fields, which is as many as the compiler will still build
+// in registers and store field by field; a fifth makes every staging
+// append a temporary plus a bulk write barrier, which cost sub-millisecond
+// rank-only trials 3–7% (DESIGN.md "Payload rounds are ordered by cache").
 type delivery struct {
 	to, from core.NodeID
 	pkt      *rlnc.GenPacket
-	skip     bool
+	fac      facSpan
+}
+
+// facSpan is a run of the factor slab; len is skipped for a packet that
+// was never built.
+type facSpan struct{ off, len int32 }
+
+const skipped = -1
+
+// deferredFill is the state of a protocol that fills payloads at the end
+// of the round: the slab holding the round's factors (used of it so far),
+// the sender-grouped index and group counters of the fill pass, and the
+// buffer the receiver-grouped deliveries are written to, which then
+// trades places with Protocol.staged.
+type deferredFill struct {
+	slab          []gf.Elem
+	used          int
+	order, bucket []int32
+	regrouped     []delivery
 }
 
 // Protocol is the algebraic gossip state machine. It implements
@@ -90,6 +115,13 @@ type Protocol struct {
 	round      int   // current round (sync: from BeginRound; async: slots/n)
 	slots      int   // async wakeup counter
 	obs        sim.Observer
+
+	// fill is non-nil for a synchronous protocol that carries payloads: it
+	// stages a packet after the coefficient half of its emit and fills the
+	// payloads in EndRound, sender by sender (see orderByCache). A
+	// rank-only protocol has no payload half and the asynchronous model no
+	// round to defer to.
+	fill *deferredFill
 
 	shard *shardCore // sharded-execution state (nil = classic wake loop)
 
@@ -133,6 +165,9 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 		initial:   make([][]rlnc.Message, n),
 		doneRound: make([]int, n),
 		obs:       sim.NopObserver{},
+	}
+	if model == core.Synchronous && !cfg.RLNC.RankOnly {
+		p.fill = &deferredFill{bucket: make([]int32, n+1)}
 	}
 	for i := range p.nodes {
 		node, err := rlnc.NewGenNode(gen)
@@ -312,6 +347,9 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	// both time models.
 	p.round = ev.Round
 	ev.Retarget(p.sel)
+	if p.fill != nil {
+		p.fillStaged() // before a reset can replace a sender's decoder
+	}
 	kept := p.staged[:0]
 	for _, d := range p.staged {
 		if ev.Deliverable(d.from, d.to) {
@@ -412,23 +450,37 @@ func (p *Protocol) send(from, to core.NodeID) {
 	// verdict holds at delivery time.
 	skip := p.nodes[to].CanDecode()
 	pkt := p.getPacket()
+	var fac facSpan
+	var ok bool
 	if skip {
-		if !p.nodes[from].SkipEmit(p.rng) {
-			p.recycle(pkt)
-			return // rank-0 sender: nothing to say, no randomness drawn
+		fac.len = skipped
+		ok = p.nodes[from].SkipEmit(p.rng)
+	} else {
+		// The two halves of EmitInto, called apart: the payload half runs
+		// here and now unless the round's end will run it.
+		var facs []gf.Elem
+		facs, ok = p.nodes[from].EmitCoeffsInto(p.rng, pkt, p.factorRoom())
+		if f := p.fill; f != nil {
+			// A packet lost in flight below leaves its factors in the slab
+			// until the round ends.
+			fac = facSpan{int32(f.used), int32(len(facs))}
+			f.used += len(facs)
+		} else if ok {
+			p.nodes[from].FillPayload(pkt, facs)
 		}
-	} else if !p.nodes[from].EmitInto(p.rng, pkt) {
+	}
+	if !ok {
 		p.recycle(pkt)
-		return
+		return // rank-0 sender: nothing to say, no randomness drawn
 	}
 	p.traffic.Sent++
 	if p.cfg.LossRate > 0 && p.rng.Float64() < p.cfg.LossRate {
 		p.traffic.Dropped++
 		p.recycle(pkt)
-		return // lost in flight
+		return // lost in flight (and, when deferred, never filled)
 	}
 	if p.model == core.Synchronous {
-		p.staged = append(p.staged, delivery{to: to, from: from, pkt: pkt, skip: skip})
+		p.staged = append(p.staged, delivery{to: to, from: from, pkt: pkt, fac: fac})
 		return
 	}
 	if skip {
@@ -438,6 +490,29 @@ func (p *Protocol) send(from, to core.NodeID) {
 		p.apply(to, pkt)
 	}
 	p.recycle(pkt)
+}
+
+// factorRoom returns where the next emit records its factors: nil — the
+// decoder's own scratch, for a payload filled at once — unless payloads
+// are filled at the round's end, and then the slab behind what the round
+// has taken so far.
+func (p *Protocol) factorRoom() []gf.Elem {
+	f := p.fill
+	if f == nil {
+		return nil
+	}
+	if f.used+p.gen.GenSize > len(f.slab) {
+		f.grow(p.gen.GenSize)
+	}
+	return f.slab[f.used:]
+}
+
+// grow makes room in the slab for stride more factors, keeping the
+// round's.
+func (f *deferredFill) grow(stride int) {
+	grown := make([]gf.Elem, max(2*len(f.slab), 16*stride))
+	copy(grown, f.slab[:f.used])
+	f.slab = grown
 }
 
 // apply lets node `to` receive the packet and updates completion tracking.
@@ -474,11 +549,15 @@ func (p *Protocol) refreshDone(v core.NodeID) {
 func (p *Protocol) BeginRound(round int) { p.round = round }
 
 // EndRound implements sim.Protocol: applies the staged deliveries and
-// recycles their packets.
+// recycles their packets — in staging order, or, when payloads were
+// deferred, in the order orderByCache leaves them in.
 func (p *Protocol) EndRound(round int) {
 	p.round = round
+	if p.fill != nil {
+		p.orderByCache()
+	}
 	for _, d := range p.staged {
-		if d.skip {
+		if d.fac.len == skipped {
 			p.verifyAccount()
 			p.traffic.Useless++
 		} else {
@@ -487,6 +566,77 @@ func (p *Protocol) EndRound(round int) {
 		p.recycle(d.pkt)
 	}
 	p.resetStaged()
+}
+
+// orderByCache prepares the commit of a protocol that carries payloads,
+// where a round is bound by streaming stored payload rows (k·r bytes a
+// node, every emit and every receive) and not by bookkeeping: it orders
+// the two halves of the commit by whose rows they stream. First every
+// deferred payload is filled, grouped by sender: a node's rows come from
+// the outer cache for its first emit of the round and from the inner one
+// for the rest. Then the staged deliveries are regrouped by receiver, for
+// the same reason, stably: each receiver still sees its packets in
+// staging order, and no node's decoder depends on another's, so ranks,
+// verdicts, counters and completion rounds are those of the
+// staging-order walk; NodeDone callbacks within the round arrive in
+// receiver order. The fills go through an index and leave the staged
+// list as it is — regrouping a list already sorted by sender would hand a
+// receiver its packets in sender order.
+//
+// Nothing is stored between a packet's emit and its fill — the wake phase
+// only stages, and every fill precedes every delivery — which is what
+// the recorded factors rest on (rlnc.Node.FillPayload).
+func (p *Protocol) orderByCache() {
+	p.fillStaged()
+	f := p.fill
+	start := f.groupStarts(p.staged, func(d *delivery) core.NodeID { return d.to })
+	if cap(f.regrouped) < len(p.staged) {
+		f.regrouped = make([]delivery, len(p.staged), cap(p.staged))
+	}
+	out := f.regrouped[:len(p.staged)]
+	for _, d := range p.staged {
+		out[start[d.to]] = d
+		start[d.to]++
+	}
+	p.staged, f.regrouped = out, p.staged[:0]
+}
+
+// fillStaged completes the payload of every staged packet that still
+// awaits it, sender by sender, and releases the round's factors.
+func (p *Protocol) fillStaged() {
+	f := p.fill
+	start := f.groupStarts(p.staged, func(d *delivery) core.NodeID { return d.from })
+	if cap(f.order) < len(p.staged) {
+		f.order = make([]int32, len(p.staged), cap(p.staged))
+	}
+	f.order = f.order[:len(p.staged)]
+	for i := range p.staged {
+		v := p.staged[i].from
+		f.order[start[v]] = int32(i)
+		start[v]++
+	}
+	for _, i := range f.order {
+		if d := &p.staged[i]; d.fac.len > 0 {
+			p.nodes[d.from].FillPayload(d.pkt, f.slab[d.fac.off:d.fac.off+d.fac.len])
+			d.fac.len = 0
+		}
+	}
+	f.used = 0
+}
+
+// groupStarts is the counting half of a stable counting sort of staged by
+// key (a node): it returns, per node, where that node's group starts — in
+// reused scratch, O(n + staged), valid until the next call.
+func (f *deferredFill) groupStarts(staged []delivery, key func(*delivery) core.NodeID) []int32 {
+	start := f.bucket
+	clear(start)
+	for i := range staged {
+		start[key(&staged[i])+1]++
+	}
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	return start
 }
 
 // resetStaged empties the staged buffer for reuse next round, shrinking

@@ -34,6 +34,38 @@ func steadyProtocolCfg(t testing.TB, rcfg rlnc.Config) *Protocol {
 	return p
 }
 
+// unsaturatedPayloadProtocol returns a GF(256) protocol carrying real
+// payloads in which message 7 of 8 was never seeded: ranks settle
+// at 7 and nobody can ever decode, so every send of every later round is
+// a real emit — coefficient half at wake, deferred payload fill, grouped
+// commit, a full (useless) elimination at the receiver — and never the
+// counter-only skip a saturated receiver gets.
+func unsaturatedPayloadProtocol(t testing.TB) *Protocol {
+	t.Helper()
+	g := graph.Complete(16)
+	rcfg := rlnc.Config{Field: gf.MustNew(256), K: 8, PayloadLen: 200}
+	p, err := New(g, core.Synchronous, sim.NewUniform(g), Config{RLNC: rcfg}, core.NewRand(core.SplitSeed(3, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range RandomMessages(rcfg, core.NewRand(4))[:7] {
+		p.Seed(core.NodeID(msg.Index), msg)
+	}
+	for round := 0; round < 64; round++ {
+		p.BeginRound(round)
+		for v := 0; v < g.N(); v++ {
+			p.OnWake(core.NodeID(v))
+		}
+		p.EndRound(round)
+	}
+	for v := 0; v < g.N(); v++ {
+		if p.Rank(core.NodeID(v)) != 7 {
+			t.Fatalf("node %d has rank %d after the warm-up, want 7", v, p.Rank(core.NodeID(v)))
+		}
+	}
+	return p
+}
+
 // TestAllocsSteadyStateRound pins zero allocations for a whole
 // synchronous protocol round (every node wakes, stages, applies) once
 // ranks have saturated: the packet freelist, the staged buffer, and the
@@ -41,18 +73,25 @@ func steadyProtocolCfg(t testing.TB, rcfg rlnc.Config) *Protocol {
 // allocate — for the bit-packed GF(2), bit-sliced GF(2^m), and generic
 // backends alike (the "-sliced" rows are bit-sliced on the pure-Go kernel
 // tiers, which CI's forced-tier legs run, and byte rows on avx2/gfni).
+// The last row never saturates (unsaturatedPayloadProtocol): it holds the
+// deferred-fill path — factor slab, grouping scratch, fused payload
+// kernel — to the same zero.
 func TestAllocsSteadyStateRound(t *testing.T) {
+	saturated := func(cfg rlnc.Config) func(testing.TB) *Protocol {
+		return func(t testing.TB) *Protocol { return steadyProtocolCfg(t, cfg) }
+	}
 	for _, tc := range []struct {
-		name string
-		cfg  rlnc.Config
+		name  string
+		build func(testing.TB) *Protocol
 	}{
-		{"gf2-bit", rlnc.Config{Field: gf.MustNew(2), K: 8, RankOnly: true}},
-		{"gf16-sliced", rlnc.Config{Field: gf.MustNew(16), K: 8, RankOnly: true}},
-		{"gf256-sliced", rlnc.Config{Field: gf.MustNew(256), K: 8, RankOnly: true}},
-		{"gf256-generic", rlnc.Config{Field: gf.MustNew(256), K: 8, RankOnly: true, ForceGeneric: true}},
+		{"gf2-bit", saturated(rlnc.Config{Field: gf.MustNew(2), K: 8, RankOnly: true})},
+		{"gf16-sliced", saturated(rlnc.Config{Field: gf.MustNew(16), K: 8, RankOnly: true})},
+		{"gf256-sliced", saturated(rlnc.Config{Field: gf.MustNew(256), K: 8, RankOnly: true})},
+		{"gf256-generic", saturated(rlnc.Config{Field: gf.MustNew(256), K: 8, RankOnly: true, ForceGeneric: true})},
+		{"gf256-payload", unsaturatedPayloadProtocol},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := steadyProtocolCfg(t, tc.cfg)
+			p := tc.build(t)
 			n := 16
 			round := 1 << 20 // past any real round; only the clock label
 			// Warm one round so staged/freelist reach their steady capacity.
@@ -61,6 +100,7 @@ func TestAllocsSteadyStateRound(t *testing.T) {
 				p.OnWake(core.NodeID(v))
 			}
 			p.EndRound(round)
+			useless := p.Traffic().Useless
 			allocs := testing.AllocsPerRun(50, func() {
 				round++
 				p.BeginRound(round)
@@ -71,6 +111,9 @@ func TestAllocsSteadyStateRound(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state round allocated %.1f times, want 0", allocs)
+			}
+			if p.Traffic().Useless == useless {
+				t.Fatal("steady-state rounds delivered nothing")
 			}
 		})
 	}

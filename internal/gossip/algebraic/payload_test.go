@@ -1,0 +1,185 @@
+package algebraic
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"algossip/internal/core"
+	"algossip/internal/gf"
+	"algossip/internal/gossip"
+	"algossip/internal/graph"
+	"algossip/internal/rlnc"
+	"algossip/internal/sim"
+)
+
+// payloadRun is one payload-carrying trial, n = 16, k = 12, r = 100 (a
+// fused 64-byte block and a tail), built the way algossip.Disseminate
+// builds its protocol.
+type payloadRun struct {
+	name    string
+	graph   string // "randreg" or "barbell"
+	q       int
+	genSize int
+	action  core.Action
+	loss    float64
+	model   core.TimeModel
+	churn   bool
+
+	// Recorded from the commit before the payload path was reordered
+	// (coefficient-first elimination, deferred fills, the cache-ordered
+	// commit): per-node completion rounds, the traffic counters, and a
+	// SHA-256 over every node's decoded messages in node order.
+	doneRounds string
+	traffic    gossip.Traffic
+	decoded    string
+}
+
+var payloadRuns = []payloadRun{
+	{name: "randreg/gf256/exchange", graph: "randreg", q: 256,
+		doneRounds: "[6 7 6 7 9 6 5 7 7 6 6 6 6 6 5 6]",
+		traffic:    gossip.Traffic{Sent: 312, Helpful: 180, Useless: 132},
+		decoded:    "149aa41255752956"},
+	{name: "barbell/gf256/exchange", graph: "barbell", q: 256,
+		doneRounds: "[8 7 7 6 6 6 7 6 16 18 18 19 18 19 17 17]",
+		traffic:    gossip.Traffic{Sent: 632, Helpful: 180, Useless: 452},
+		decoded:    "149aa41255752956"},
+	{name: "randreg/gf16/exchange", graph: "randreg", q: 16,
+		doneRounds: "[6 5 7 6 7 7 7 7 6 7 6 5 5 8 8 7]",
+		traffic:    gossip.Traffic{Sent: 280, Helpful: 180, Useless: 100},
+		decoded:    "29ae0c94dc89fcc5"},
+	{name: "barbell/gf16/push", graph: "barbell", q: 16, action: core.Push,
+		doneRounds: "[23 25 25 25 24 26 28 21 37 43 39 39 42 40 38 41]",
+		traffic:    gossip.Traffic{Sent: 697, Helpful: 180, Useless: 517},
+		decoded:    "29ae0c94dc89fcc5"},
+	{name: "randreg/gf256/push/loss", graph: "randreg", q: 256, action: core.Push, loss: 0.2,
+		doneRounds: "[11 12 18 23 10 12 12 19 17 16 15 12 15 11 17 18]",
+		traffic:    gossip.Traffic{Sent: 379, Helpful: 180, Useless: 125, Dropped: 74},
+		decoded:    "149aa41255752956"},
+	{name: "barbell/gf256/exchange/loss", graph: "barbell", q: 256, loss: 0.2,
+		doneRounds: "[11 12 11 13 12 11 11 9 30 32 33 32 34 35 32 31]",
+		traffic:    gossip.Traffic{Sent: 1143, Helpful: 180, Useless: 727, Dropped: 236},
+		decoded:    "149aa41255752956"},
+	{name: "randreg/gf256/async", graph: "randreg", q: 256, model: core.Asynchronous,
+		doneRounds: "[5 9 4 7 7 5 5 4 7 4 7 5 5 7 7 5]",
+		traffic:    gossip.Traffic{Sent: 304, Helpful: 180, Useless: 124},
+		decoded:    "149aa41255752956"},
+	{name: "randreg/gf256/churn", graph: "randreg", q: 256, churn: true,
+		doneRounds: "[128 198 197 209 187 199 173 201 202 151 210 194 189 204 174 174]",
+		traffic:    gossip.Traffic{Sent: 5533, Helpful: 1366, Useless: 4167},
+		decoded:    "149aa41255752956"},
+	{name: "randreg/gf16/gen4/loss", graph: "randreg", q: 16, genSize: 4, loss: 0.2,
+		doneRounds: "[12 14 19 14 21 18 13 10 17 11 16 12 11 16 15 15]",
+		traffic:    gossip.Traffic{Sent: 693, Helpful: 180, Useless: 362, Dropped: 151},
+		decoded:    "29ae0c94dc89fcc5"},
+}
+
+// TestPayloadTrajectoryPinned holds the payload path to the trajectory
+// and the bytes it produced before its reads were reordered: nothing
+// about when a payload row is streamed — coefficients eliminated first,
+// fills deferred to the round's end and grouped by sender, deliveries
+// grouped by receiver — may move a completion round, a counter or a
+// decoded byte. Every row runs on whichever backend the active tier picks
+// (CI's forced scalar leg runs the sliced one); the pins are the same.
+func TestPayloadTrajectoryPinned(t *testing.T) {
+	const n, k, r, seed = 16, 12, 100, 7
+	for _, tc := range payloadRuns {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.Barbell(n)
+			if tc.graph == "randreg" {
+				g = graph.RandomRegular(n, 4, core.NewRand(core.SplitSeed(seed, 3)))
+			}
+			if tc.model == 0 {
+				tc.model = core.Synchronous
+			}
+			cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(tc.q), K: k, PayloadLen: r},
+				GenSize: tc.genSize, Action: tc.action, LossRate: tc.loss}
+			msgs := RandomMessages(cfg.RLNC, core.NewRand(core.SplitSeed(seed, 11)))
+			p, err := New(g, tc.model, sim.NewUniform(g), cfg, core.NewRand(core.SplitSeed(seed, 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.SeedAll(RoundRobinAssign(k, n), msgs); err != nil {
+				t.Fatal(err)
+			}
+			var dyn graph.Dynamic = graph.Static(g)
+			if tc.churn {
+				dyn = graph.NewChurn(g, 0.2, 4, core.SplitSeed(seed, 4))
+			}
+			if _, err := sim.NewDynamic(dyn, tc.model, p, core.SplitSeed(seed, 2)).Run(); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for v := 0; v < n; v++ {
+				got, err := p.Node(core.NodeID(v)).Decode()
+				if err != nil {
+					t.Fatalf("node %d: %v", v, err)
+				}
+				for i, m := range got {
+					if m.Index != i || !bytes.Equal(m.Payload, msgs[i].Payload) {
+						t.Fatalf("node %d decoded message %d wrong", v, i)
+					}
+					h.Write(m.Payload)
+				}
+			}
+			doneRounds, decoded := fmt.Sprint(p.DoneRounds()), fmt.Sprintf("%x", h.Sum(nil)[:8])
+			if doneRounds != tc.doneRounds || p.Traffic() != tc.traffic || decoded != tc.decoded {
+				t.Errorf("trajectory moved:\n\t\tdoneRounds: %q,\n\t\ttraffic:    %#v,\n\t\tdecoded:    %q},",
+					doneRounds, p.Traffic(), decoded)
+			}
+		})
+	}
+}
+
+// TestCommitKeepsReceiverOrder: two senders stage to one receiver in
+// descending sender order, holding the same one-dimensional space — the
+// first packet delivered is stored, the second is useless, so which row
+// the receiver ends up with is the order it saw them in. The cache-ordered
+// commit must leave the row the staging-order walk leaves (the same
+// protocol with the deferral switched off), which the receiver's next
+// emit shows. Grouping the fills by permuting the staged list itself, and
+// then grouping that stably by receiver, delivers node 1's packet first
+// and fails here.
+func TestCommitKeepsReceiverOrder(t *testing.T) {
+	const k, r = 2, 80
+	cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(256), K: k, PayloadLen: r}}
+	msg := rlnc.Message{Index: 0, Payload: gf.RandBytes(cfg.RLNC.Field, r, core.NewRand(2))}
+	emitAfterRound := func(deferFill bool) (*Protocol, *rlnc.GenPacket) {
+		g := graph.Complete(3)
+		p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.fill == nil {
+			t.Fatal("a synchronous protocol with payloads does not defer its fills")
+		}
+		if !deferFill {
+			p.fill = nil
+		}
+		p.Seed(1, msg)
+		p.Seed(2, msg)
+		p.BeginRound(0)
+		p.send(2, 0)
+		p.send(1, 0)
+		if a, b := p.staged[0].pkt.Packet, p.staged[1].pkt.Packet; fmt.Sprint(a.ExpandCoeffs(k)) == fmt.Sprint(b.ExpandCoeffs(k)) {
+			t.Fatal("the two senders drew the same factor; the order would not show")
+		}
+		p.EndRound(0)
+		out := &rlnc.GenPacket{}
+		if !p.nodes[0].EmitInto(core.NewRand(9), out) {
+			t.Fatal("receiver stored nothing")
+		}
+		return p, out
+	}
+	got, gotPkt := emitAfterRound(true)
+	want, wantPkt := emitAfterRound(false)
+	if got.Traffic() != want.Traffic() || got.Traffic().Helpful != 1 || got.Traffic().Useless != 1 {
+		t.Fatalf("traffic %+v, staging-order walk %+v; want one helpful, one useless", got.Traffic(), want.Traffic())
+	}
+	a := fmt.Sprint(gotPkt.Packet.ExpandCoeffs(k), gotPkt.Packet.ExpandPayload(r))
+	b := fmt.Sprint(wantPkt.Packet.ExpandCoeffs(k), wantPkt.Packet.ExpandPayload(r))
+	if a != b {
+		t.Fatalf("receiver stored a different row than the staging-order walk:\n%s\n%s", a, b)
+	}
+}

@@ -25,10 +25,15 @@ var ErrNotFullRank = errors.New("linalg: matrix is not full rank")
 // RankMatrix maintains a set of rows over a finite field in row-echelon
 // form. Each row has a cols-length coefficient part ([]gf.Elem, one symbol
 // per unknown) and an extra-length augmented part (a []byte payload row).
-// Elimination is driven by the coefficient part only; the payload part is
-// carried along with the bulk AddMulSlice/MulSlice kernels, so eliminating
-// a whole row costs one table walk (or word-wise XOR) instead of a
-// per-symbol scalar loop.
+// Elimination is driven by the coefficient part only, and runs on it
+// first: the factor each stored row contributes is recorded, and the
+// payload — kilobytes per row where a coefficient row is k bytes — is
+// combined afterwards in one pass over the stored payload rows (the fused
+// gf.AddMulSlices kernel), and only for a row that turned out to have a
+// pivot. A random combination is built the same way: the draws and the
+// coefficient half (RandomCoeffsInto), then the payload half from the
+// recorded factors (CombinePayloadInto), which a caller may run later as
+// long as no row is inserted in between.
 //
 // Memory behavior: surviving rows are copied into a matrix-owned arena,
 // and the arena, the row bookkeeping and the elimination scratch are all
@@ -55,7 +60,9 @@ type RankMatrix struct {
 	arenaC   []gf.Elem // coefficient arena; rows are carved off its front
 	arenaP   []byte    // payload arena
 	scratchC []gf.Elem // reusable reduce buffer (coefficients)
-	scratchP []byte    // reusable reduce buffer (payload)
+	// facs[i] is the factor stored row i contributes to the row being
+	// reduced or combined (nil when extra == 0: nothing to defer).
+	facs []gf.Elem
 }
 
 // NewRankMatrix returns an empty matrix over field f with cols coefficient
@@ -101,14 +108,16 @@ func (m *RankMatrix) Payload(i int) []byte {
 	return m.pay[i]
 }
 
-// reduce eliminates the row (coeffs, pay) against the stored echelon rows in
-// place and returns the pivot column, or -1 if the coefficient part reduced
-// to zero. A nil pay skips payload elimination (used by coefficient-only
-// queries).
-func (m *RankMatrix) reduce(coeffs []gf.Elem, pay []byte) int {
+// reduce eliminates coeffs against the stored echelon rows in place and
+// returns the pivot column, or -1 if it reduced to zero. A non-nil facs
+// (length Rank()) receives the factor each stored row contributed, for
+// the payload to be eliminated from afterwards — only the coefficients
+// decide whether there is anything to eliminate.
+func (m *RankMatrix) reduce(coeffs, facs []gf.Elem) int {
 	// row -= (c / rows[i][p]) * rows[i]; the pivot's negated inverse is
 	// cached at insert time, so each elimination step costs one Mul
 	// instead of a Div+Neg pair.
+	clear(facs)
 	if f := m.f2m; f != nil {
 		cb := gf.AsBytes(coeffs)
 		for i, p := range m.pivot {
@@ -118,8 +127,8 @@ func (m *RankMatrix) reduce(coeffs []gf.Elem, pay []byte) int {
 			}
 			factor := f.Mul(c, m.pivFac[i])
 			f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), factor)
-			if pay != nil {
-				f.AddMulSlice(pay, m.pay[i], factor)
+			if facs != nil {
+				facs[i] = factor
 			}
 		}
 	} else {
@@ -131,8 +140,8 @@ func (m *RankMatrix) reduce(coeffs []gf.Elem, pay []byte) int {
 			}
 			factor := f.Mul(c, m.pivFac[i])
 			f.AXPY(coeffs, m.rows[i], factor)
-			if pay != nil {
-				f.AddMulSlice(pay, m.pay[i], factor)
+			if facs != nil {
+				facs[i] = factor
 			}
 		}
 	}
@@ -142,6 +151,18 @@ func (m *RankMatrix) reduce(coeffs []gf.Elem, pay []byte) int {
 		}
 	}
 	return -1
+}
+
+// addMulPayloads performs pay += Σ facs[i]·(stored payload row i): every
+// stored row streamed once, four to a pass over pay on a GF(2^m) matrix.
+func (m *RankMatrix) addMulPayloads(pay []byte, facs []gf.Elem) {
+	if m.f2m != nil {
+		m.f2m.AddMulSlices(pay, m.pay[:len(facs)], facs)
+		return
+	}
+	for i, c := range facs {
+		m.f.AddMulSlice(pay, m.pay[i], c)
+	}
 }
 
 // checkWidths panics on a caller-side width bug (the network-facing
@@ -159,8 +180,8 @@ func (m *RankMatrix) checkWidths(coeffs []gf.Elem, payload []byte) {
 // (nil when extra == 0) — if it is linearly independent of the stored rows,
 // keeping echelon form. It reports whether the rank increased, i.e. whether
 // the row was a *helpful message*. The inputs are neither modified nor
-// retained (reduction happens in reusable scratch); the caller keeps
-// ownership.
+// retained (the coefficients are reduced in reusable scratch, the payload
+// in the arena row it is copied to); the caller keeps ownership.
 func (m *RankMatrix) Add(coeffs []gf.Elem, payload []byte) bool {
 	m.checkWidths(coeffs, payload)
 	if m.Full() {
@@ -168,57 +189,53 @@ func (m *RankMatrix) Add(coeffs []gf.Elem, payload []byte) bool {
 	}
 	m.ensureScratch()
 	copy(m.scratchC, coeffs)
-	var workP []byte
-	if m.extra > 0 {
-		copy(m.scratchP, payload)
-		workP = m.scratchP
-	}
-	p := m.reduce(m.scratchC, workP)
-	if p < 0 {
-		return false
-	}
-	m.insert(m.scratchC, workP, p)
-	return true
+	return m.add(m.scratchC, payload)
 }
 
-// AddOwned is the move-semantics insert: it reduces directly in the
-// caller's buffers (clobbering them) instead of copying into scratch
-// first, then copies the surviving row into the matrix arena. The caller
-// must treat the contents as consumed but keeps the buffers themselves —
-// the packet-pool recycling contract of the coded hot path.
+// AddOwned is the move-semantics insert: it reduces the coefficients
+// directly in the caller's buffer (clobbering it) instead of copying into
+// scratch first. The caller must treat the contents as consumed but keeps
+// the buffers themselves — the packet-pool recycling contract of the
+// coded hot path. The payload is only ever read, and only when the row
+// is stored.
 func (m *RankMatrix) AddOwned(coeffs []gf.Elem, payload []byte) bool {
 	m.checkWidths(coeffs, payload)
 	if m.Full() {
 		return false
 	}
-	var workP []byte
+	return m.add(coeffs, payload)
+}
+
+// add reduces coeffs in place and, if a pivot survives, stores the row:
+// the payload is not looked at before that is known.
+func (m *RankMatrix) add(coeffs []gf.Elem, payload []byte) bool {
+	var facs []gf.Elem
 	if m.extra > 0 {
-		workP = payload
+		facs = m.facs[:len(m.rows)]
 	}
-	p := m.reduce(coeffs, workP)
+	p := m.reduce(coeffs, facs)
 	if p < 0 {
 		return false
 	}
-	m.insert(coeffs, workP, p)
+	m.insert(coeffs, payload, facs, p)
 	return true
 }
 
-// ensureScratch sizes the reusable reduce buffers once.
+// ensureScratch sizes the reusable reduce buffer once.
 func (m *RankMatrix) ensureScratch() {
 	if m.scratchC == nil {
 		m.scratchC = make([]gf.Elem, m.cols)
 	}
-	if m.extra > 0 && m.scratchP == nil {
-		m.scratchP = make([]byte, m.extra)
-	}
 }
 
-// insert copies an already-reduced row with pivot column p into the
-// arena, keeping pivots strictly increasing. Rank can only reach cols,
-// so the first insert sizes the arena and the bookkeeping for good: rows
-// are carved off the arena's front in insertion order and inserts never
-// regrow anything.
-func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, p int) {
+// insert copies a row whose coefficients are reduced, with pivot column
+// p, into the arena, keeping pivots strictly increasing; its payload is
+// copied as given and then eliminated in place with facs, the factors
+// reduce recorded (nil for a payload that is already reduced). Rank can
+// only reach cols, so the first insert sizes the arena and the
+// bookkeeping for good: rows are carved off the arena's front in
+// insertion order and inserts never regrow anything.
+func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, facs []gf.Elem, p int) {
 	if m.rows == nil {
 		m.rows = make([][]gf.Elem, 0, m.cols)
 		m.pivot = make([]int, 0, m.cols)
@@ -227,6 +244,7 @@ func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, p int) {
 		if m.extra > 0 {
 			m.pay = make([][]byte, 0, m.cols)
 			m.arenaP = make([]byte, m.cols*m.extra)
+			m.facs = make([]gf.Elem, m.cols)
 		}
 	}
 	rowC := m.arenaC[:m.cols:m.cols]
@@ -237,6 +255,17 @@ func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, p int) {
 	for at > 0 && m.pivot[at-1] > p {
 		at--
 	}
+	if m.extra > 0 {
+		rowP := m.arenaP[:m.extra:m.extra]
+		m.arenaP = m.arenaP[m.extra:]
+		copy(rowP, pay)
+		// The factors index the rows as they stand before this one is
+		// linked in.
+		m.addMulPayloads(rowP, facs)
+		m.pay = append(m.pay, nil)
+		copy(m.pay[at+1:], m.pay[at:])
+		m.pay[at] = rowP
+	}
 	m.rows = append(m.rows, nil)
 	m.pivot = append(m.pivot, 0)
 	m.pivFac = append(m.pivFac, 0)
@@ -246,14 +275,6 @@ func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, p int) {
 	m.rows[at] = rowC
 	m.pivot[at] = p
 	m.pivFac[at] = m.f.Neg(m.f.Inv(rowC[p]))
-	if m.extra > 0 {
-		rowP := m.arenaP[:m.extra:m.extra]
-		m.arenaP = m.arenaP[m.extra:]
-		copy(rowP, pay)
-		m.pay = append(m.pay, nil)
-		copy(m.pay[at+1:], m.pay[at:])
-		m.pay[at] = rowP
-	}
 }
 
 // WouldHelp reports whether the given coefficient vector (length Cols) is
@@ -294,17 +315,43 @@ func (m *RankMatrix) RandomCombination(rng *rand.Rand) ([]gf.Elem, []byte) {
 // RandomCombinationInto fills coeffs (length Cols) and pay (length Extra;
 // nil when extra == 0) with a uniformly random combination of the stored
 // rows, reusing the caller's buffers — the zero-allocation emit path. It
-// reports false without drawing randomness when the matrix is empty.
+// reports false without drawing randomness when the matrix is empty. It
+// is RandomCoeffsInto then CombinePayloadInto, over matrix-owned factors.
 func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay []byte) bool {
 	if len(m.rows) == 0 {
 		return false
 	}
 	m.checkWidths(coeffs, pay)
-	clear(coeffs)
-	clear(pay)
-	if m.extra == 0 {
-		pay = nil
+	facs, _ := m.RandomCoeffsInto(rng, coeffs, nil)
+	if m.extra > 0 {
+		m.CombinePayloadInto(facs, pay)
 	}
+	return true
+}
+
+// RandomCoeffsInto is the first half of a random combination: it draws
+// one uniform factor per stored row — the only randomness a combination
+// consumes — and fills coeffs (length Cols) with that combination of the
+// stored coefficient rows. It reports false, drawing nothing, when the
+// matrix is empty. A matrix that carries payloads also records the
+// factors, one per stored row, and returns them for CombinePayloadInto to
+// finish the payload from: in buf (at least Rank() long), or in the
+// matrix's own scratch when buf is nil, where they last until its next
+// emit or insert.
+func (m *RankMatrix) RandomCoeffsInto(rng *rand.Rand, coeffs, buf []gf.Elem) (facs []gf.Elem, ok bool) {
+	if len(m.rows) == 0 {
+		return nil, false
+	}
+	if len(coeffs) != m.cols {
+		panic("linalg: coefficient width mismatch")
+	}
+	if m.extra > 0 {
+		if buf == nil {
+			buf = m.facs
+		}
+		facs = buf[:len(m.rows)]
+	}
+	clear(coeffs)
 	if f := m.f2m; f != nil {
 		// One masked Uint64 per row is exactly gf.Rand's IntN for a
 		// power-of-two order (the identity SlicedMatrix relies on too).
@@ -313,32 +360,50 @@ func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay
 		cb, mask := gf.AsBytes(coeffs), uint64(f.Order()-1)
 		if g := core.Generator(rng); g != nil {
 			for i := range m.rows {
-				m.addMulRowInto(f, i, cb, pay, gf.Elem(g.Uint64()&mask))
+				m.addMulRowInto(f, i, cb, facs, gf.Elem(g.Uint64()&mask))
 			}
 		} else {
 			for i := range m.rows {
-				m.addMulRowInto(f, i, cb, pay, gf.Elem(rng.Uint64()&mask))
+				m.addMulRowInto(f, i, cb, facs, gf.Elem(rng.Uint64()&mask))
 			}
 		}
-		return true
+		return facs, true
 	}
 	for i, row := range m.rows {
 		c := gf.Rand(m.f, rng)
 		m.f.AXPY(coeffs, row, c)
-		if pay != nil {
-			m.f.AddMulSlice(pay, m.pay[i], c)
+		if facs != nil {
+			facs[i] = c
 		}
 	}
-	return true
+	return facs, true
 }
 
-// addMulRowInto adds c times stored row i, and its payload unless pay is
-// nil, into the GF(2^m) combination being built in (cb, pay).
-func (m *RankMatrix) addMulRowInto(f *gf.GF2m, i int, cb, pay []byte, c gf.Elem) {
+// addMulRowInto adds c times stored coefficient row i into the GF(2^m)
+// combination being built in cb, recording the factor unless facs is nil.
+func (m *RankMatrix) addMulRowInto(f *gf.GF2m, i int, cb []byte, facs []gf.Elem, c gf.Elem) {
 	f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), c)
-	if pay != nil {
-		f.AddMulSlice(pay, m.pay[i], c)
+	if facs != nil {
+		facs[i] = c
 	}
+}
+
+// CombinePayloadInto is the second half of a random combination: it
+// overwrites pay (length Extra) with Σ facs[i]·(stored payload row i), facs
+// being what RandomCoeffsInto recorded. The halves need not be adjacent —
+// a round-based caller draws every packet of a round first and fills the
+// payloads afterwards, sender by sender — but the factors index the
+// stored rows, so no row may be inserted in between: a factor count that
+// is not the current rank panics.
+func (m *RankMatrix) CombinePayloadInto(facs []gf.Elem, pay []byte) {
+	if len(facs) != len(m.rows) {
+		panic("linalg: factor count does not match the rank (row inserted between the halves of a combination?)")
+	}
+	if m.extra == 0 || len(pay) != m.extra {
+		panic("linalg: payload width mismatch")
+	}
+	clear(pay)
+	m.addMulPayloads(pay, facs)
 }
 
 // Solve performs full back-substitution (RREF) and returns the decoded
@@ -385,7 +450,7 @@ func (m *RankMatrix) Solve() ([][]byte, error) {
 func (m *RankMatrix) Clone() *RankMatrix {
 	cp := NewRankMatrix(m.f, m.cols, m.extra)
 	for i, row := range m.rows {
-		cp.insert(row, m.Payload(i), m.pivot[i])
+		cp.insert(row, m.Payload(i), nil, m.pivot[i])
 	}
 	return cp
 }

@@ -1,11 +1,16 @@
 package linalg
 
 import (
+	"bytes"
 	"errors"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"algossip/internal/core"
+	"algossip/internal/core/coretest"
 	"algossip/internal/gf"
 )
 
@@ -262,5 +267,219 @@ func TestSolveIdempotent(t *testing.T) {
 				t.Fatalf("decode mismatch at (%d,%d)", i, j)
 			}
 		}
+	}
+}
+
+// payloadMatrix returns a cols x extra byte-row matrix over GF(q) holding
+// rank random rows, and the generator it drew them from.
+func payloadMatrix(q, cols, extra, rank int, seed uint64) (*RankMatrix, *rand.Rand) {
+	f := gf.MustNew(q)
+	rng := core.NewRand(seed)
+	m := NewRankMatrix(f, cols, extra)
+	for m.Rank() < rank {
+		m.Add(gf.RandVector(f, cols, rng), gf.RandBytes(f, extra, rng))
+	}
+	return m, rng
+}
+
+// TestSplitEmitMatchesRandomCombination: RandomCoeffsInto followed by
+// CombinePayloadInto is RandomCombinationInto — the same bytes from the
+// same draws, and the generator left in the same state — on both sides of
+// core.Generator's selection. The payload width covers a fused 64-byte
+// block and a tail; 251 is the field with no fused kernel.
+func TestSplitEmitMatchesRandomCombination(t *testing.T) {
+	for _, q := range []int{4, 256, 251} {
+		m, _ := payloadMatrix(q, 12, 100, 9, uint64(q))
+		whole := func(r *rand.Rand) any {
+			c, p := make([]gf.Elem, m.Cols()), make([]byte, m.Extra())
+			if !m.RandomCombinationInto(r, c, p) {
+				t.Fatal("non-empty matrix refused to emit")
+			}
+			return []any{c, p, r.Uint64()}
+		}
+		split := func(r *rand.Rand) any {
+			c, p := make([]gf.Elem, m.Cols()), bytes.Repeat([]byte{0xEE}, m.Extra())
+			facs, ok := m.RandomCoeffsInto(r, c, make([]gf.Elem, m.Cols()))
+			if !ok || len(facs) != m.Rank() {
+				t.Fatalf("RandomCoeffsInto returned %d factors, %v, at rank %d", len(facs), ok, m.Rank())
+			}
+			next := r.Uint64() // every draw belongs to the first half
+			m.CombinePayloadInto(facs, p)
+			return []any{c, p, next}
+		}
+		for seed := uint64(0); seed < 8; seed++ {
+			coretest.BothSides(t, seed, whole)
+			coretest.BothSides(t, seed, split)
+			if a, b := whole(core.NewRand(seed)), split(core.NewRand(seed)); !reflect.DeepEqual(a, b) {
+				t.Fatalf("GF(%d) seed %d: whole emit %v\nsplit emit %v", q, seed, a, b)
+			}
+		}
+	}
+}
+
+// TestCombinePayloadAfterInsertPanics pins the invariant a deferred fill
+// rests on: the factors index the stored rows, so a row stored between
+// the halves — which shifts them — must be refused, not combined wrongly.
+func TestCombinePayloadAfterInsertPanics(t *testing.T) {
+	m, rng := payloadMatrix(256, 8, 64, 4, 1)
+	c, p := make([]gf.Elem, 8), make([]byte, 64)
+	facs, _ := m.RandomCoeffsInto(rng, c, make([]gf.Elem, 8))
+	for rank := m.Rank(); m.Rank() == rank; {
+		m.Add(gf.RandVector(gf.MustNew(256), 8, rng), make([]byte, 64))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CombinePayloadInto accepted factors drawn before an insert")
+		}
+	}()
+	m.CombinePayloadInto(facs, p)
+}
+
+// interleavedReduce is the elimination RankMatrix ran before it split the
+// halves — each stored row's factor applied to coefficients and payload
+// together, row by row, through the field's scalar operations — kept as
+// the oracle for the coefficient-first one.
+func interleavedReduce(f gf.Field, m *RankMatrix, coeffs []gf.Elem, pay []byte) {
+	for i := 0; i < m.Rank(); i++ {
+		row, p := m.Row(i), 0
+		for row[p] == 0 {
+			p++
+		}
+		if coeffs[p] == 0 {
+			continue
+		}
+		factor := f.Neg(f.Div(coeffs[p], row[p]))
+		for j := range coeffs {
+			coeffs[j] = f.Add(coeffs[j], f.Mul(factor, row[j]))
+		}
+		for j, s := range m.Payload(i) {
+			pay[j] = byte(f.Add(gf.Elem(pay[j]), f.Mul(factor, gf.Elem(s))))
+		}
+	}
+}
+
+// TestAddReducesPayloadOnlyWhenHelpful: a row that reduces to zero never
+// has its payload looked at — the argument (poison that is no combination
+// of anything stored) and every stored row come back untouched — and a
+// helpful row is stored exactly as the interleaved elimination leaves it,
+// for Add and AddOwned alike.
+func TestAddReducesPayloadOnlyWhenHelpful(t *testing.T) {
+	const cols, extra = 10, 100
+	for _, q := range []int{4, 16, 256, 251} {
+		f := gf.MustNew(q)
+		rng := core.NewRand(uint64(q))
+		m := NewRankMatrix(f, cols, extra)
+		for step := 0; !m.Full(); step++ {
+			// Useless: a combination of the stored coefficient rows.
+			if m.Rank() > 0 {
+				c := make([]gf.Elem, cols)
+				for i := 0; i < m.Rank(); i++ {
+					f.AXPY(c, m.Row(i), gf.Rand(f, rng))
+				}
+				poison := bytes.Repeat([]byte{byte(q - 1)}, extra)
+				stored := make([][]byte, m.Rank())
+				for i := range stored {
+					stored[i] = bytes.Clone(m.Payload(i))
+				}
+				if m.AddOwned(c, poison) {
+					t.Fatalf("GF(%d) step %d: a combination of stored rows was helpful", q, step)
+				}
+				if !bytes.Equal(poison, bytes.Repeat([]byte{byte(q - 1)}, extra)) {
+					t.Fatalf("GF(%d) step %d: a useless AddOwned wrote its payload argument", q, step)
+				}
+				for i := range stored {
+					if !bytes.Equal(stored[i], m.Payload(i)) {
+						t.Fatalf("GF(%d) step %d: a useless AddOwned changed stored row %d", q, step, i)
+					}
+				}
+			}
+			c, p := gf.RandVector(f, cols, rng), gf.RandBytes(f, extra, rng)
+			wantC, wantP := slices.Clone(c), bytes.Clone(p)
+			interleavedReduce(f, m, wantC, wantP)
+			var helped bool
+			if step%2 == 0 {
+				helped = m.AddOwned(c, p)
+			} else {
+				helped = m.Add(c, p)
+			}
+			if helped != !gf.IsZeroVector(wantC) {
+				t.Fatalf("GF(%d) step %d: helpful = %v against the oracle", q, step, helped)
+			}
+			if !helped {
+				continue
+			}
+			at := slices.IndexFunc(m.rows, func(row []gf.Elem) bool { return slices.Equal(row, wantC) })
+			if at < 0 || !bytes.Equal(m.Payload(at), wantP) {
+				t.Fatalf("GF(%d) step %d: stored row differs from the interleaved elimination", q, step)
+			}
+		}
+	}
+}
+
+// The payload benchmarks cycle 32 matrices of k = 128, r = 4096 — 16 MiB
+// of stored rows, the payload_gf256 working set — so every insert and
+// every emit streams its rows from the outer cache as a trial does, not
+// from wherever the previous iteration left them.
+const (
+	benchPayK, benchPayR, benchPayNodes = 128, 4096, 32
+)
+
+func benchPayloadMatrices(b *testing.B, rank int) []*RankMatrix {
+	ms := make([]*RankMatrix, benchPayNodes)
+	for i := range ms {
+		ms[i], _ = payloadMatrix(256, benchPayK, benchPayR, rank, uint64(i))
+	}
+	return ms
+}
+
+// BenchmarkRankMatrixEmitPayloadGF256 is RandomCombinationInto at full
+// rank: 128 stored rows combined into one packet.
+func BenchmarkRankMatrixEmitPayloadGF256(b *testing.B) {
+	ms := benchPayloadMatrices(b, benchPayK)
+	rng := core.NewRand(1)
+	c, p := make([]gf.Elem, benchPayK), make([]byte, benchPayR)
+	b.SetBytes(benchPayK * benchPayR)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms[i%len(ms)].RandomCombinationInto(rng, c, p)
+	}
+}
+
+// BenchmarkRankMatrixAddPayloadGF256 is a helpful AddOwned against 127
+// stored rows: the coefficient elimination, the row's copy into the arena
+// and its payload's elimination there. Every stored row is zero in the
+// last column, so an offered row always finds its pivot there and lands
+// last; the benchmark then takes it off again — un-carving the arenas and
+// truncating the bookkeeping, which only a test inside the package can —
+// so the matrices are the same for any b.N.
+func BenchmarkRankMatrixAddPayloadGF256(b *testing.B) {
+	const rank = benchPayK - 1
+	f := gf.MustNew(256)
+	rng := core.NewRand(1)
+	ms := make([]*RankMatrix, benchPayNodes)
+	for i := range ms {
+		ms[i] = NewRankMatrix(f, benchPayK, benchPayR)
+		for ms[i].Rank() < rank {
+			c := gf.RandVector(f, benchPayK, rng)
+			c[rank] = 0
+			ms[i].Add(c, gf.RandBytes(f, benchPayR, rng))
+		}
+	}
+	c, p := make([]gf.Elem, benchPayK), gf.RandBytes(f, benchPayR, rng)
+	b.SetBytes(rank * benchPayR)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range c {
+			c[j] = gf.Elem(rng.Uint64()) | 1
+		}
+		m := ms[i%len(ms)]
+		arenaC, arenaP := m.arenaC, m.arenaP
+		if !m.AddOwned(c, p) {
+			b.Fatal("a row with a new pivot column was not helpful")
+		}
+		m.arenaC, m.arenaP = arenaC, arenaP
+		m.rows, m.pay, m.pivot, m.pivFac = m.rows[:rank], m.pay[:rank], m.pivot[:rank], m.pivFac[:rank]
 	}
 }

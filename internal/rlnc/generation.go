@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+
+	"algossip/internal/gf"
 )
 
 // GenConfig configures generation-based RLNC: the k messages are split
@@ -163,19 +165,39 @@ func (n *GenNode) Emit(rng *rand.Rand) *GenPacket {
 
 // EmitInto fills p with a random combination from a uniformly random
 // non-empty generation, reusing p's backing arrays across generations of
-// different sizes (the inner EmitInto reslices or grows them as needed).
+// different sizes (the inner emit reslices or grows them as needed).
 // It reports false — drawing no randomness — when the node stores
 // nothing yet, mirroring Node.EmitInto. The emitted trajectory is
-// identical to Emit's.
+// identical to Emit's. It is EmitCoeffsInto then FillPayload.
 func (n *GenNode) EmitInto(rng *rand.Rand, p *GenPacket) bool {
+	facs, ok := n.EmitCoeffsInto(rng, p, nil)
+	if ok {
+		n.FillPayload(p, facs)
+	}
+	return ok
+}
+
+// EmitCoeffsInto is the first half of EmitInto — the generation pick and
+// the picked decoder's Node.EmitCoeffsInto, which see: every draw, the
+// coefficient vector, and the factors (in buf, at least GenSize long, or
+// the decoder's own buffer when nil) that FillPayload finishes the
+// payload from.
+func (n *GenNode) EmitCoeffsInto(rng *rand.Rand, p *GenPacket, buf []gf.Elem) (facs []gf.Elem, ok bool) {
 	if n.nonEmpty == 0 {
-		return false
+		return nil, false
 	}
 	p.Gen = n.pick(rng)
 	if p.Packet == nil {
 		p.Packet = &Packet{}
 	}
-	return n.subs[p.Gen].EmitInto(rng, p.Packet)
+	return n.subs[p.Gen].EmitCoeffsInto(rng, p.Packet, buf)
+}
+
+// FillPayload is the second half of EmitInto: p's generation's
+// Node.FillPayload. The decoder must not have stored a packet since
+// EmitCoeffsInto returned facs.
+func (n *GenNode) FillPayload(p *GenPacket, facs []gf.Elem) {
+	n.subs[p.Gen].FillPayload(p.Packet, facs)
 }
 
 // pick draws the generation the next emission codes over: uniform among

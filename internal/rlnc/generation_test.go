@@ -3,6 +3,7 @@ package rlnc
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"algossip/internal/core"
@@ -343,4 +344,83 @@ func TestGenSkipEmitMatchesEmit(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSplitEmitMatchesEmitInto: EmitCoeffsInto followed by FillPayload —
+// with other emits of the same node in between, as a round stages them —
+// produces EmitInto's packet from the same draws and leaves the generator
+// where EmitInto does, on both sides of core.Generator's selection. Two
+// generations of a payload-carrying node, one full and one half full, so
+// the pick, both ranks and a decoder's own factor buffer (the nil-buffer
+// emit in the middle) are all in play; whichever backend the active tier
+// selects for the field is the one compared.
+func TestSplitEmitMatchesEmitInto(t *testing.T) {
+	const k, r = 8, 100
+	for _, q := range []int{4, 256, 251} {
+		t.Run(fmt.Sprintf("gf=%d", q), func(t *testing.T) {
+			f := gf.MustNew(q)
+			n, err := NewGenNode(GenConfig{Inner: Config{Field: f, PayloadLen: r}, K: 2 * k, GenSize: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := core.NewRand(uint64(q))
+			for idx := 0; idx < k+k/2; idx++ {
+				n.Seed(Message{Index: idx, Payload: gf.RandBytes(f, r, rng)})
+			}
+			wire := func(p *GenPacket) any {
+				return []any{p.Gen, p.Packet.ExpandCoeffs(k), p.Packet.ExpandPayload(r)}
+			}
+			whole := func(rg *rand.Rand) any {
+				a, b := &GenPacket{}, &GenPacket{}
+				if !n.EmitInto(rg, a) || !n.EmitInto(rg, b) {
+					t.Fatal("non-empty node refused to emit")
+				}
+				return []any{wire(a), wire(b), rg.Uint64()}
+			}
+			split := func(rg *rand.Rand) any {
+				a, b := &GenPacket{}, &GenPacket{}
+				fa, okA := n.EmitCoeffsInto(rg, a, make([]gf.Elem, k))
+				fb, okB := n.EmitCoeffsInto(rg, b, make([]gf.Elem, k))
+				if !okA || !okB {
+					t.Fatal("non-empty node refused to emit")
+				}
+				next := rg.Uint64() // every draw belongs to the first half
+				n.EmitInto(core.NewRand(99), &GenPacket{})
+				n.FillPayload(b, fb)
+				n.FillPayload(a, fa)
+				return []any{wire(a), wire(b), next}
+			}
+			for seed := uint64(0); seed < 8; seed++ {
+				coretest.BothSides(t, seed, whole)
+				coretest.BothSides(t, seed, split)
+				if a, b := whole(core.NewRand(seed)), split(core.NewRand(seed)); !reflect.DeepEqual(a, b) {
+					t.Fatalf("seed %d: EmitInto %v\nsplit emit %v", seed, a, b)
+				}
+			}
+		})
+	}
+}
+
+// TestFillPayloadAfterReceivePanics pins the invariant a deferred fill
+// rests on: the factors name the sender's stored rows, so a packet stored
+// between EmitCoeffsInto and FillPayload must make the fill panic instead
+// of combining the wrong rows. Byte rows are forced: the packed backends
+// defer nothing.
+func TestFillPayloadAfterReceivePanics(t *testing.T) {
+	cfg := genericCfg(256, 4, 80)
+	cfg.ForceGeneric = true
+	n, src := MustNewNode(cfg), MustNewNode(cfg)
+	rng := core.NewRand(5)
+	for i := 0; i < cfg.K; i++ {
+		src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Field, cfg.PayloadLen, rng)})
+	}
+	n.Seed(Message{Index: 0, Payload: make([]byte, cfg.PayloadLen)})
+	p := &Packet{}
+	facs, ok := n.EmitCoeffsInto(rng, p, make([]gf.Elem, cfg.K))
+	if !ok || len(facs) != 1 {
+		t.Fatalf("EmitCoeffsInto = %v, %v; want one factor", facs, ok)
+	}
+	for !n.Receive(src.Emit(rng)) {
+	}
+	assertPanics(t, func() { n.FillPayload(p, facs) })
 }

@@ -364,8 +364,33 @@ func (n *Node) Emit(rng *rand.Rand) *Packet {
 // It reports false — drawing no randomness — when the node stores
 // nothing yet; p's fields may already have been resized or re-pointed by
 // then, so a false return leaves the packet's contents unspecified. The
-// emitted trajectory is identical to Emit's.
+// emitted trajectory is identical to Emit's. It is EmitCoeffsInto then
+// FillPayload.
 func (n *Node) EmitInto(rng *rand.Rand, p *Packet) bool {
+	facs, ok := n.EmitCoeffsInto(rng, p, nil)
+	if ok {
+		n.FillPayload(p, facs)
+	}
+	return ok
+}
+
+// EmitCoeffsInto is the first half of EmitInto: it sizes p's arrays,
+// draws the combination — all the randomness an emit consumes — and
+// builds its coefficient vector. A byte-row node that carries payloads
+// leaves p.Payload sized but unwritten and returns the factors FillPayload
+// finishes it from, one per stored row, written into buf (at least K
+// long; nil borrows the decoder's own scratch, valid until its next emit
+// or receive).
+// Every other node has nothing worth deferring — no payload, or a packed
+// decoder whose combination is one pass over both halves — and returns
+// the packet complete, with no factors.
+//
+// The halves need not be adjacent: a round-based simulator emits the
+// coefficients of every packet of a round first and fills the payloads
+// afterwards, sender by sender, so that a sender's stored rows are
+// streamed while they are still in cache. The node must not store a
+// packet in between (FillPayload panics if its rank moved).
+func (n *Node) EmitCoeffsInto(rng *rand.Rand, p *Packet, buf []gf.Elem) ([]gf.Elem, bool) {
 	p.Corrupt = false
 	if n.slc != nil {
 		p.Coeffs, p.Bits, p.Payload = nil, nil, nil
@@ -385,7 +410,7 @@ func (n *Node) EmitInto(rng *rand.Rand, p *Packet) bool {
 		} else {
 			p.SlicedPay = nil
 		}
-		return n.slc.RandomCombinationInto(rng, p.Sliced, p.SlicedPay)
+		return nil, n.slc.RandomCombinationInto(rng, p.Sliced, p.SlicedPay)
 	}
 	p.Sliced, p.SlicedPay = nil, nil
 	extra := n.cfg.extra()
@@ -404,7 +429,7 @@ func (n *Node) EmitInto(rng *rand.Rand, p *Packet) bool {
 		} else {
 			p.Bits = make(linalg.BitVec, words)
 		}
-		return n.bit.RandomCombinationInto(rng, p.Bits, p.Payload)
+		return nil, n.bit.RandomCombinationInto(rng, p.Bits, p.Payload)
 	}
 	p.Bits = nil
 	if cap(p.Coeffs) >= n.cfg.K {
@@ -412,7 +437,18 @@ func (n *Node) EmitInto(rng *rand.Rand, p *Packet) bool {
 	} else {
 		p.Coeffs = make([]gf.Elem, n.cfg.K)
 	}
-	return n.mat.RandomCombinationInto(rng, p.Coeffs, p.Payload)
+	return n.mat.RandomCoeffsInto(rng, p.Coeffs, buf)
+}
+
+// FillPayload is the second half of EmitInto: it writes p's payload from
+// the factors EmitCoeffsInto returned for p. With no factors the packet
+// was complete already and nothing happens. It panics when the node's
+// rank is no longer the factor count — a packet was stored between the
+// halves, and the factors no longer name the rows they were drawn for.
+func (n *Node) FillPayload(p *Packet, facs []gf.Elem) {
+	if len(facs) > 0 {
+		n.mat.CombinePayloadInto(facs, p.Payload)
+	}
 }
 
 // SkipEmit consumes exactly the randomness EmitInto would draw — one
