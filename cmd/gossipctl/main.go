@@ -29,19 +29,19 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
 	"algossip/internal/core"
+	"algossip/internal/daemon"
 	"algossip/internal/livectl"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "gossipctl: usage: gossipctl {run|status|metrics|seed|start|topology|kill|drain} [flags]")
+		fmt.Fprintln(os.Stderr, "gossipctl: usage: gossipctl {run|status|metrics|seed|start|topology|kill|chaos|drain} [flags]")
 		os.Exit(2)
 	}
 	var err error
@@ -63,27 +63,19 @@ func main() {
 // drain — exit 0 only if every process converged and drained cleanly.
 func runDeployment(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	opts := livectl.Options{
+		Options: daemon.Options{GraphName: "ring", GraphN: 8, GraphSeed: 1, K: 4, Seed: 1},
+		Procs:   2,
+	}
+	opts.BindFlags(fs)
+	fs.IntVar(&opts.Procs, "procs", opts.Procs, "daemon process count")
+	fs.IntVar(&opts.ByzantineProcs, "byzantine", 0, "number of Byzantine processes (corrupt every outbound frame)")
+	fs.StringVar(&opts.Bin, "bin", "", "pre-built gossipd binary (default: go build)")
 	var (
-		procs     = fs.Int("procs", 2, "daemon process count")
-		transport = fs.String("transport", "tcp", "gossip transport: tcp or udp")
-		graphName = fs.String("graph", "ring", "topology family")
-		graphN    = fs.Int("n", 8, "topology node count")
-		graphSeed = fs.Uint64("graph-seed", 1, "topology rng seed")
-		k         = fs.Int("k", 4, "number of initial messages")
-		q         = fs.Int("q", 256, "field order")
-		payload   = fs.Int("payload", 0, "payload symbols per message (0 = rank-only)")
-		gen       = fs.Int("gen", 0, "generation size")
-		interval  = fs.Duration("interval", time.Millisecond, "per-node gossip period")
-		seed      = fs.Uint64("seed", 1, "protocol randomness seed")
-		loss      = fs.Float64("loss", 0, "injected packet-loss probability")
-		byz       = fs.Int("byzantine", 0, "number of Byzantine processes (corrupt every outbound frame)")
-		chaosLat  = fs.Duration("chaos-latency", 0, "injected per-frame latency on every process")
-		chaosJit  = fs.Duration("chaos-jitter", 0, "extra uniform random latency in [0, jitter)")
 		partAfter = fs.Duration("partition-after", 0, "partition a node subset this long after start (0 = never)")
 		healAfter = fs.Duration("heal-after", 0, "heal the partition this long after it opens (0 = 2x partition-after)")
 		partFrac  = fs.Float64("partition-frac", 0.25, "fraction of nodes cut off by the scheduled partition")
 		timeout   = fs.Duration("timeout", 120*time.Second, "overall deadline")
-		bin       = fs.String("bin", "", "pre-built gossipd binary (default: go build)")
 	)
 	_ = fs.Parse(args)
 
@@ -91,14 +83,7 @@ func runDeployment(args []string) error {
 	defer cancel()
 
 	start := time.Now()
-	c, err := livectl.Launch(ctx, livectl.Options{
-		Bin: *bin, Procs: *procs, Transport: *transport,
-		GraphName: *graphName, GraphN: *graphN, GraphSeed: *graphSeed,
-		K: *k, Q: *q, PayloadLen: *payload, GenSize: *gen,
-		Interval: *interval, Seed: *seed, LossRate: *loss,
-		ChaosLatency: *chaosLat, ChaosJitter: *chaosJit,
-		ByzantineProcs: *byz,
-	})
+	c, err := livectl.Launch(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -110,13 +95,17 @@ func runDeployment(args []string) error {
 		c.Procs(), c.N(), time.Since(start).Round(time.Millisecond))
 
 	var payloads [][]byte
-	if *payload > 0 {
-		rng := core.NewRand(core.SplitSeed(*seed, 50))
-		payloads = make([][]byte, *k)
+	if opts.PayloadLen > 0 {
+		rng := core.NewRand(core.SplitSeed(opts.Seed, 50))
+		payloads = make([][]byte, opts.K)
 		for i := range payloads {
-			payloads[i] = make([]byte, *payload)
+			payloads[i] = make([]byte, opts.PayloadLen)
 			for j := range payloads[i] {
-				payloads[i][j] = byte(rng.Uint64())
+				sym := rng.Uint64()
+				if opts.Q > 0 { // every byte is a symbol of the default field
+					sym %= uint64(opts.Q)
+				}
+				payloads[i][j] = byte(sym)
 			}
 		}
 	}
@@ -126,8 +115,8 @@ func runDeployment(args []string) error {
 	if err := c.Start(ctx); err != nil {
 		return err
 	}
-	if *byz > 0 {
-		fmt.Printf("gossipctl: %d Byzantine process(es) corrupting every outbound frame\n", *byz)
+	if opts.ByzantineProcs > 0 {
+		fmt.Printf("gossipctl: %d Byzantine process(es) corrupting every outbound frame\n", opts.ByzantineProcs)
 	}
 
 	// Scheduled mid-run degradation: cut the tail of the node range (the
@@ -184,7 +173,8 @@ func runDeployment(args []string) error {
 	return nil
 }
 
-// runSingle sends one control-plane request to one daemon.
+// runSingle sends one control-plane request to one daemon: a call on the
+// one-process cluster attached at -ctl.
 func runSingle(sub string, args []string) error {
 	fs := flag.NewFlagSet(sub, flag.ExitOnError)
 	var (
@@ -195,108 +185,81 @@ func runSingle(sub string, args []string) error {
 		graphName = fs.String("graph", "ring", "topology family (topology)")
 		graphN    = fs.Int("n", 0, "topology node count (topology)")
 		graphSeed = fs.Uint64("graph-seed", 1, "topology rng seed (topology)")
-		latency   = fs.Duration("latency", -1, "chaos: injected per-frame latency (chaos)")
-		jitter    = fs.Duration("jitter", -1, "chaos: extra uniform random latency (chaos)")
-		corrupt   = fs.Float64("corrupt", -1, "chaos: per-frame corruption probability (chaos)")
 		partition = fs.String("partition", "", "chaos: comma-separated node ids to cut off (chaos)")
-		heal      = fs.Bool("heal", false, "chaos: lift every partition (chaos)")
 	)
+	var req daemon.ChaosRequest
+	ms := func(dst **float64) func(string) error {
+		return func(v string) error {
+			d, err := time.ParseDuration(v)
+			f := float64(d) / float64(time.Millisecond)
+			*dst = &f
+			return err
+		}
+	}
+	fs.Func("latency", "chaos: injected per-frame latency (chaos)", ms(&req.LatencyMS))
+	fs.Func("jitter", "chaos: extra uniform random latency (chaos)", ms(&req.JitterMS))
+	fs.Func("corrupt", "chaos: per-frame corruption probability (chaos)", func(v string) error {
+		f, err := strconv.ParseFloat(v, 64)
+		req.CorruptRate = &f
+		return err
+	})
+	fs.BoolVar(&req.Heal, "heal", false, "chaos: lift every partition (chaos)")
 	_ = fs.Parse(args)
 	if *ctl == "" {
 		return fmt.Errorf("%s: -ctl is required", sub)
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
-	base := "http://" + *ctl
-
-	do := func(method, path string, body any) (string, error) {
-		var rd io.Reader
-		if body != nil {
-			b, err := json.Marshal(body)
-			if err != nil {
-				return "", err
-			}
-			rd = strings.NewReader(string(b))
-		}
-		req, err := http.NewRequest(method, base+path, rd)
-		if err != nil {
-			return "", err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return "", err
-		}
-		defer func() { _ = resp.Body.Close() }()
-		out, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return "", err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(out)))
-		}
-		return string(out), nil
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c, err := livectl.Attach(ctx, *ctl)
+	if err != nil {
+		return err
 	}
 
-	var out string
-	var err error
+	var out any = sub + ": ok"
 	switch sub {
 	case "status":
-		out, err = do(http.MethodGet, "/status", nil)
+		var st []daemon.StatusResponse
+		if st, err = c.Status(ctx); err == nil {
+			out = st[0]
+		}
 	case "metrics":
-		out, err = do(http.MethodGet, "/metrics", nil)
+		out, err = c.Metrics(ctx, 0)
 	case "start":
-		out, err = do(http.MethodPost, "/start", nil)
+		err = c.Start(ctx)
 	case "drain":
-		out, err = do(http.MethodPost, "/drain", nil)
+		err = c.Drain(ctx)
 	case "kill":
-		out, err = do(http.MethodPost, "/kill", map[string]any{"node": *node})
+		err = c.Kill(ctx, core.NodeID(*node))
 	case "topology":
-		out, err = do(http.MethodPost, "/topology",
-			map[string]any{"family": *graphName, "n": *graphN, "seed": *graphSeed})
+		err = c.ApplyTopology(ctx, *graphName, *graphN, *graphSeed)
 	case "chaos":
-		body := map[string]any{}
-		if *latency >= 0 {
-			body["latency_ms"] = float64(*latency) / float64(time.Millisecond)
-		}
-		if *jitter >= 0 {
-			body["jitter_ms"] = float64(*jitter) / float64(time.Millisecond)
-		}
-		if *corrupt >= 0 {
-			body["corrupt_rate"] = *corrupt
-		}
+		// With no knob set the request changes nothing and reads the state.
 		if *partition != "" {
-			var ids []int
-			for _, part := range strings.Split(*partition, ",") {
-				var id int
-				if _, perr := fmt.Sscanf(strings.TrimSpace(part), "%d", &id); perr != nil {
-					return fmt.Errorf("chaos: bad -partition id %q", part)
-				}
-				ids = append(ids, id)
+			nodes, perr := daemon.ParseNodeList(*partition)
+			if perr != nil {
+				return fmt.Errorf("chaos: -partition: %w", perr)
 			}
-			body["partition"] = ids
+			for _, v := range nodes {
+				req.Partition = append(req.Partition, int(v))
+			}
 		}
-		if *heal {
-			body["heal"] = true
-		}
-		if len(body) == 0 {
-			// No knobs: report the current chaos state.
-			out, err = do(http.MethodGet, "/chaos", nil)
-		} else {
-			out, err = do(http.MethodPost, "/chaos", body)
+		var st []daemon.ChaosState
+		if st, err = c.Chaos(ctx, req); err == nil {
+			out = st[0]
 		}
 	case "seed":
-		body := map[string]any{"node": *node, "index": *index}
-		if *payload != "" {
-			raw, derr := hex.DecodeString(*payload)
-			if derr != nil {
-				return fmt.Errorf("seed: bad -payload hex: %w", derr)
-			}
-			body["payload"] = raw
+		raw, derr := hex.DecodeString(*payload)
+		if derr != nil {
+			return fmt.Errorf("seed: bad -payload hex: %w", derr)
 		}
-		out, err = do(http.MethodPost, "/seed", body)
+		err = c.Seed(ctx, core.NodeID(*node), *index, raw)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Print(out)
-	return nil
+	if text, ok := out.(string); ok {
+		fmt.Println(strings.TrimRight(text, "\n"))
+		return nil
+	}
+	return json.NewEncoder(os.Stdout).Encode(out)
 }

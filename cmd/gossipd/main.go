@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"algossip/internal/daemon"
 )
@@ -34,66 +33,27 @@ func main() {
 }
 
 func run() error {
-	var (
-		httpAddr  = flag.String("http", "127.0.0.1:0", "control/metrics listen address")
-		transport = flag.String("transport", "tcp", "gossip transport: tcp or udp")
-		nodes     = flag.String("nodes", "", "comma-separated local node ids (required)")
-		peers     = flag.String("peers", "", "node address map: id=host:port,... (all nodes of the deployment)")
-		graphName = flag.String("graph", "ring", "topology family (see graph.FromName)")
-		graphN    = flag.Int("n", 0, "topology node count (required)")
-		graphSeed = flag.Uint64("graph-seed", 1, "rng seed for random topology families")
-		k         = flag.Int("k", 0, "number of initial messages (required)")
-		q         = flag.Int("q", 256, "field order")
-		payload   = flag.Int("payload", 0, "payload symbols per message (0 = rank-only)")
-		gen       = flag.Int("gen", 0, "generation size (0 = classic whole-k coding)")
-		interval  = flag.Duration("interval", time.Millisecond, "per-node gossip period")
-		seed      = flag.Uint64("seed", 1, "protocol randomness seed (shared across processes)")
-		loss      = flag.Float64("loss", 0, "injected i.i.d. packet-loss probability")
-		lossSeed  = flag.Uint64("loss-seed", 7, "loss injection seed")
-		chaosLat  = flag.Duration("chaos-latency", 0, "injected per-frame delivery latency")
-		chaosJit  = flag.Duration("chaos-jitter", 0, "extra uniform random latency in [0, jitter)")
-		chaosCor  = flag.Float64("chaos-corrupt", 0, "probability of structurally corrupting each outbound frame (1 = Byzantine process)")
-		chaosSeed = flag.Uint64("chaos-seed", 13, "chaos injection seed")
-		shutdown  = flag.Duration("shutdown-timeout", 0, "drain bound for in-flight control requests (0 = 5s default)")
-	)
+	opts := daemon.Options{GraphName: "ring", GraphSeed: 1, Seed: 1, ChaosSeed: 13}
+	opts.BindFlags(flag.CommandLine)
+	flag.StringVar(&opts.HTTPAddr, "http", "", "control/metrics listen address (default: an ephemeral loopback port)")
+	flag.DurationVar(&opts.ShutdownTimeout, "shutdown-timeout", 0, "drain bound for in-flight control requests (0 = 5s default)")
+	nodes := flag.String("nodes", "", "comma-separated local node ids (required)")
+	peers := flag.String("peers", "", "node address map: id=host:port,... (all nodes of the deployment)")
 	flag.Parse()
 
-	local, err := daemon.ParseNodeList(*nodes)
-	if err != nil {
+	var err error
+	if opts.Local, err = daemon.ParseNodeList(*nodes); err != nil {
 		return err
 	}
-	peerMap, err := daemon.ParsePeerMap(*peers)
-	if err != nil {
+	if opts.Peers, err = daemon.ParsePeerMap(*peers); err != nil {
 		return err
 	}
-
-	d, err := daemon.New(daemon.Options{
-		HTTPAddr:        *httpAddr,
-		Transport:       *transport,
-		Local:           local,
-		Peers:           peerMap,
-		GraphName:       *graphName,
-		GraphN:          *graphN,
-		GraphSeed:       *graphSeed,
-		K:               *k,
-		Q:               *q,
-		PayloadLen:      *payload,
-		GenSize:         *gen,
-		Interval:        *interval,
-		Seed:            *seed,
-		LossRate:        *loss,
-		LossSeed:        *lossSeed,
-		ChaosLatency:    *chaosLat,
-		ChaosJitter:     *chaosJit,
-		ChaosCorrupt:    *chaosCor,
-		ChaosSeed:       *chaosSeed,
-		ShutdownTimeout: *shutdown,
-	})
+	d, err := daemon.New(opts)
 	if err != nil {
 		return err
 	}
 	// The control address line is the process's handshake with its
-	// controller (livectl scrapes it when -http was :0).
+	// controller (livectl reads it: the port is ephemeral).
 	fmt.Printf("gossipd: control http://%s nodes %s\n", d.ControlAddr(), *nodes)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)

@@ -9,8 +9,8 @@ package daemon
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -27,14 +27,18 @@ import (
 	"algossip/internal/runtime"
 )
 
-// Options configures one daemon process. The graph-shaped fields must be
-// identical across every process of a deployment (each process rebuilds
-// the same topology from the same family, size and seed).
+// Options configures one daemon process, and is the one declaration of a
+// deployment: gossipd binds it to its command line, gossipctl and livectl
+// bind the same words and render each child's argv from them. The
+// graph-shaped fields must be identical across every process of a
+// deployment (each process rebuilds the same topology from the same
+// family, size and seed). Zero Q and Interval pick the runtime's defaults.
 type Options struct {
-	// HTTPAddr is the control/metrics listen address ("127.0.0.1:0" picks
-	// an ephemeral port; read it back from Daemon.ControlAddr).
+	// HTTPAddr is the control/metrics listen address; empty, the default,
+	// picks an ephemeral loopback port (read it back from ControlAddr).
 	HTTPAddr string
-	// Transport picks the wire transport: "tcp" (default) or "udp".
+	// Transport picks the wire transport: "tcp" (also "", the default) or
+	// "udp".
 	Transport string
 	// Local are the graph nodes hosted by this process.
 	Local []core.NodeID
@@ -46,26 +50,24 @@ type Options struct {
 	GraphName string
 	GraphN    int
 	GraphSeed uint64
-	// K is the number of initial messages; Q the field order (default 256).
+	// K is the number of initial messages; Q the field order.
 	K int
 	Q int
 	// PayloadLen is symbols per message (0 = rank-only).
 	PayloadLen int
 	// GenSize, when positive, enables generation coding.
 	GenSize int
-	// Interval is the per-node gossip period (default 1ms).
+	// Interval is the per-node gossip period.
 	Interval time.Duration
 	// Seed roots the deployment's protocol randomness (shared by all
 	// processes; per-node streams are split from it).
 	Seed uint64
-	// LossRate, when positive, wraps the transport with i.i.d. drop
-	// injection seeded by LossSeed.
-	LossRate float64
-	LossSeed uint64
-	// ChaosLatency/ChaosJitter/ChaosCorrupt set the initial degradation of
-	// the chaos layer (see runtime.ChaosTransport). The layer itself is
-	// always present — with all knobs zero it is a transparent pass-through
-	// — so POST /chaos can degrade a healthy deployment mid-run.
+	// LossRate/ChaosLatency/ChaosJitter/ChaosCorrupt set the initial
+	// degradation of the fault layer (see runtime.ChaosTransport), all
+	// drawn from one stream seeded by ChaosSeed. The layer itself is always
+	// present — with all knobs zero it is a transparent pass-through — so
+	// POST /chaos can degrade a healthy deployment mid-run.
+	LossRate     float64
 	ChaosLatency time.Duration
 	ChaosJitter  time.Duration
 	ChaosCorrupt float64
@@ -77,19 +79,62 @@ type Options struct {
 	ShutdownTimeout time.Duration
 }
 
+// BindFlags registers the words every process of a deployment shares, one
+// flag per field, parsed straight into the field with its current value as
+// the default. A binary fills an Options with its own defaults, binds it,
+// and declares only its process-local flags itself (gossipd: -http,
+// -nodes, -peers, -shutdown-timeout; gossipctl run: -procs, -timeout, ...).
+// livectl renders a child's command line by visiting the same binding, so
+// a word added here reaches every gossipd a controller spawns.
+func (o *Options) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.Transport, "transport", o.Transport, "gossip transport: tcp (the default) or udp")
+	fs.StringVar(&o.GraphName, "graph", o.GraphName, "topology family (see graph.FromName)")
+	fs.IntVar(&o.GraphN, "n", o.GraphN, "topology node count")
+	fs.Uint64Var(&o.GraphSeed, "graph-seed", o.GraphSeed, "rng seed for random topology families")
+	fs.IntVar(&o.K, "k", o.K, "number of initial messages")
+	fs.IntVar(&o.Q, "q", o.Q, "field order (0 = the runtime's default field)")
+	fs.IntVar(&o.PayloadLen, "payload", o.PayloadLen, "payload symbols per message (0 = rank-only)")
+	fs.IntVar(&o.GenSize, "gen", o.GenSize, "generation size (0 = classic whole-k coding)")
+	fs.DurationVar(&o.Interval, "interval", o.Interval, "per-node gossip period (0 = the runtime's default)")
+	fs.Uint64Var(&o.Seed, "seed", o.Seed, "protocol randomness seed (shared across processes)")
+	fs.Float64Var(&o.LossRate, "loss", o.LossRate, "injected i.i.d. packet-loss probability")
+	fs.DurationVar(&o.ChaosLatency, "chaos-latency", o.ChaosLatency, "injected per-frame delivery latency")
+	fs.DurationVar(&o.ChaosJitter, "chaos-jitter", o.ChaosJitter, "extra uniform random latency in [0, jitter)")
+	fs.Float64Var(&o.ChaosCorrupt, "chaos-corrupt", o.ChaosCorrupt, "probability of structurally corrupting each outbound frame (1 = Byzantine process)")
+	fs.Uint64Var(&o.ChaosSeed, "chaos-seed", o.ChaosSeed, "fault injection seed (loss, jitter, corruption)")
+}
+
 // defaultShutdownTimeout is the historical hardcoded drain bound.
 const defaultShutdownTimeout = 5 * time.Second
 
+// socketTransport is what the daemon needs of its wire transport beyond
+// runtime.Transport: the routing table every transport embeds.
+type socketTransport interface {
+	runtime.Transport
+	SetPeers(peers map[core.NodeID]string)
+	Addr(id core.NodeID) (string, bool)
+}
+
+// newTransport builds the named wire transport.
+func newTransport(name string) (socketTransport, error) {
+	switch name {
+	case "", "tcp":
+		return runtime.NewTCPTransport(), nil
+	case "udp":
+		return runtime.NewUDPTransport()
+	}
+	return nil, fmt.Errorf("unknown transport %q (tcp or udp)", name)
+}
+
 // Daemon hosts a cluster slice plus its HTTP control plane.
 type Daemon struct {
-	opts      Options
-	graph     *graph.Graph
-	base      runtime.Transport // the raw socket transport (gossip addresses)
-	chaos     *runtime.ChaosTransport
-	transport runtime.Transport // the full stack the cluster sends through
-	cluster   *runtime.Cluster
-	httpLn    net.Listener
-	server    *http.Server
+	opts    Options
+	graph   *graph.Graph
+	base    socketTransport         // the raw socket transport (gossip addresses)
+	chaos   *runtime.ChaosTransport // base behind the fault layer: what the cluster sends through
+	cluster *runtime.Cluster
+	httpLn  net.Listener
+	server  *http.Server
 
 	drainOnce sync.Once
 	drainCh   chan struct{}
@@ -100,96 +145,71 @@ type Daemon struct {
 // as soon as New returns; gossiping starts when Run (and then Start, or
 // POST /start) is called.
 func New(opts Options) (*Daemon, error) {
-	if opts.Q == 0 {
-		opts.Q = 256
-	}
-	field, err := gf.New(opts.Q)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: field: %w", err)
-	}
-	if opts.HTTPAddr == "" {
-		opts.HTTPAddr = "127.0.0.1:0"
-	}
 	g, err := graph.FromName(opts.GraphName, opts.GraphN, core.NewRand(opts.GraphSeed))
 	if err != nil {
 		return nil, fmt.Errorf("daemon: graph: %w", err)
 	}
-
-	var transport runtime.Transport
-	switch opts.Transport {
-	case "", "tcp":
-		t := runtime.NewTCPTransport()
-		t.SetPeers(opts.Peers)
-		transport = t
-	case "udp":
-		t, err := runtime.NewUDPTransport()
-		if err != nil {
-			return nil, fmt.Errorf("daemon: %w", err)
-		}
-		t.SetPeers(opts.Peers)
-		transport = t
-	default:
-		return nil, fmt.Errorf("daemon: unknown transport %q (tcp or udp)", opts.Transport)
+	base, err := newTransport(opts.Transport)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: %w", err)
 	}
-	base := transport
-	if opts.LossRate > 0 {
-		transport, err = runtime.NewLossyTransport(transport, opts.LossRate, opts.LossSeed)
-		if err != nil {
-			return nil, fmt.Errorf("daemon: %w", err)
-		}
-	}
-	// The chaos layer wraps outermost unconditionally: with zero knobs it
-	// is transparent, and its presence is what makes POST /chaos able to
+	base.SetPeers(opts.Peers)
+	// The fault layer wraps unconditionally: with zero knobs it is
+	// transparent, and its presence is what makes POST /chaos able to
 	// degrade (and heal) a live deployment without a restart.
-	chaos, err := runtime.NewChaosTransport(transport, runtime.ChaosConfig{
+	chaos, err := runtime.NewChaosTransport(base, runtime.ChaosConfig{
+		DropRate:    opts.LossRate,
 		Latency:     opts.ChaosLatency,
 		Jitter:      opts.ChaosJitter,
 		CorruptRate: opts.ChaosCorrupt,
 		Seed:        opts.ChaosSeed,
 	})
 	if err != nil {
-		_ = transport.Close()
+		_ = base.Close()
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
-	transport = chaos
 
 	clusterOpts := []runtime.Option{
-		runtime.WithField(field),
 		runtime.WithSeed(opts.Seed),
 		runtime.WithLocalNodes(opts.Local...),
 		runtime.WithStartGate(),
 		runtime.WithServeAfterDone(),
+		runtime.WithPayload(opts.PayloadLen),
+		runtime.WithGenerations(opts.GenSize),
+		runtime.WithInterval(opts.Interval),
 	}
-	if opts.PayloadLen > 0 {
-		clusterOpts = append(clusterOpts, runtime.WithPayload(opts.PayloadLen))
+	if opts.Q != 0 {
+		field, err := gf.New(opts.Q)
+		if err != nil {
+			_ = chaos.Close()
+			return nil, fmt.Errorf("daemon: field: %w", err)
+		}
+		clusterOpts = append(clusterOpts, runtime.WithField(field))
 	}
-	if opts.GenSize > 0 {
-		clusterOpts = append(clusterOpts, runtime.WithGenerations(opts.GenSize))
-	}
-	if opts.Interval > 0 {
-		clusterOpts = append(clusterOpts, runtime.WithInterval(opts.Interval))
-	}
-	cluster, err := runtime.NewCluster(transport, g, opts.K, clusterOpts...)
+	cluster, err := runtime.NewCluster(chaos, g, opts.K, clusterOpts...)
 	if err != nil {
-		_ = transport.Close()
+		_ = chaos.Close()
 		return nil, fmt.Errorf("daemon: cluster: %w", err)
 	}
 
-	ln, err := net.Listen("tcp", opts.HTTPAddr)
+	httpAddr := opts.HTTPAddr
+	if httpAddr == "" {
+		httpAddr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", httpAddr)
 	if err != nil {
-		_ = transport.Close()
+		_ = chaos.Close()
 		return nil, fmt.Errorf("daemon: control listen: %w", err)
 	}
 
 	d := &Daemon{
-		opts:      opts,
-		graph:     g,
-		base:      base,
-		chaos:     chaos,
-		transport: transport,
-		cluster:   cluster,
-		httpLn:    ln,
-		drainCh:   make(chan struct{}),
+		opts:    opts,
+		graph:   g,
+		base:    base,
+		chaos:   chaos,
+		cluster: cluster,
+		httpLn:  ln,
+		drainCh: make(chan struct{}),
 	}
 	d.server = &http.Server{Handler: d.mux(), ReadHeaderTimeout: 5 * time.Second}
 	return d, nil
@@ -199,15 +219,7 @@ func New(opts Options) (*Daemon, error) {
 func (d *Daemon) ControlAddr() string { return d.httpLn.Addr().String() }
 
 // GossipAddr returns the bound gossip address of a local node.
-func (d *Daemon) GossipAddr(id core.NodeID) (string, bool) {
-	switch t := d.base.(type) {
-	case *runtime.TCPTransport:
-		return t.Addr(id)
-	case *runtime.UDPTransport:
-		return t.Addr(id)
-	}
-	return "", false
-}
+func (d *Daemon) GossipAddr(id core.NodeID) (string, bool) { return d.base.Addr(id) }
 
 // Run serves gossip and the control plane until ctx is cancelled or a
 // drain is requested, then shuts both down. Interruption by ctx or drain
@@ -252,7 +264,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	if httpErr != nil {
 		<-httpErr // http.ErrServerClosed after Shutdown
 	}
-	if cerr := d.transport.Close(); cerr != nil && err == nil {
+	if cerr := d.chaos.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("daemon: transport close: %w", cerr)
 	}
 	return err
@@ -269,68 +281,60 @@ func (d *Daemon) shutdownTimeout() time.Duration {
 	return defaultShutdownTimeout
 }
 
-// nodeStatusJSON is the wire form of runtime.NodeStatus.
-type nodeStatusJSON struct {
-	ID       int  `json:"id"`
-	Rank     int  `json:"rank"`
-	K        int  `json:"k"`
-	Done     bool `json:"done"`
-	DoneTick int  `json:"doneTick"`
-	Ticks    int  `json:"ticks"`
-}
+// The control-plane schema: one struct per route body, shared by this
+// server and its clients (internal/livectl, cmd/gossipctl).
 
-// statusJSON is the GET /status response.
-type statusJSON struct {
-	Nodes []nodeStatusJSON `json:"nodes"`
-	Done  bool             `json:"done"`
+// NodeStatus is one local node's progress, as GET /status reports it.
+type NodeStatus = runtime.NodeStatus
+
+// StatusResponse is the GET /status response.
+type StatusResponse struct {
+	Nodes []NodeStatus `json:"nodes"`
+	// Done reports every local node at full rank.
+	Done bool `json:"done"`
 	// GFTier is the active kernel dispatch tier plus detected CPU
 	// features ("gfni (avx2 gfni ssse3)"), so a fleet operator can audit
 	// which kernel level each box actually runs.
 	GFTier string `json:"gf_tier"`
 }
 
-func (d *Daemon) statusSnapshot() statusJSON {
-	st := d.cluster.Status()
-	out := statusJSON{Nodes: make([]nodeStatusJSON, 0, len(st)), Done: true, GFTier: gf.TierInfo()}
-	for _, s := range st {
-		out.Nodes = append(out.Nodes, nodeStatusJSON{
-			ID: int(s.ID), Rank: s.Rank, K: s.K,
-			Done: s.Done, DoneTick: s.DoneTick, Ticks: s.Ticks,
-		})
-		if !s.Done {
-			out.Done = false
-		}
+func (d *Daemon) statusSnapshot() StatusResponse {
+	out := StatusResponse{Nodes: d.cluster.Status(), Done: true, GFTier: gf.TierInfo()}
+	for _, s := range out.Nodes {
+		out.Done = out.Done && s.Done
 	}
 	return out
 }
 
-// seedRequest is the POST /seed body. Payload is base64-encoded symbols
-// (empty in rank-only mode).
-type seedRequest struct {
+// SeedRequest is the POST /seed body. Payload is the message's symbols
+// (base64 on the wire, as encoding/json writes bytes; empty in rank-only
+// mode).
+type SeedRequest struct {
 	Node    int    `json:"node"`
 	Index   int    `json:"index"`
-	Payload string `json:"payload,omitempty"`
+	Payload []byte `json:"payload,omitempty"`
 }
 
-// topologyRequest is the POST /topology body; the new graph must have the
+// TopologyRequest is the POST /topology body; the new graph must have the
 // same node count and be built identically by every process.
-type topologyRequest struct {
+type TopologyRequest struct {
 	Family string `json:"family"`
 	N      int    `json:"n"`
 	Seed   uint64 `json:"seed"`
 }
 
-// killRequest is the POST /kill body.
-type killRequest struct {
+// KillRequest is the POST /kill body.
+type KillRequest struct {
 	Node int `json:"node"`
 }
 
-// chaosRequest is the POST /chaos body. Every field is optional; only the
+// ChaosRequest is the POST /chaos body. Every field is optional; only the
 // fields present change state, so a controller can partition without
-// touching the latency profile and vice versa. Heal applies first, which
-// makes {"heal":true,"latency_ms":5} a single-request "lift the partition
-// but keep the link slow".
-type chaosRequest struct {
+// touching the latency profile and vice versa (and an empty request just
+// reads the state back). Heal applies first, which makes
+// {"heal":true,"latency_ms":5} a single-request "lift the partition but
+// keep the link slow".
+type ChaosRequest struct {
 	LatencyMS   *float64 `json:"latency_ms,omitempty"`
 	JitterMS    *float64 `json:"jitter_ms,omitempty"`
 	CorruptRate *float64 `json:"corrupt_rate,omitempty"`
@@ -338,8 +342,8 @@ type chaosRequest struct {
 	Heal        bool     `json:"heal,omitempty"`
 }
 
-// chaosState is the GET /chaos (and POST /chaos) response.
-type chaosState struct {
+// ChaosState is the GET /chaos (and POST /chaos) response.
+type ChaosState struct {
 	LatencyMS   float64 `json:"latency_ms"`
 	JitterMS    float64 `json:"jitter_ms"`
 	CorruptRate float64 `json:"corrupt_rate"`
@@ -348,9 +352,9 @@ type chaosState struct {
 	Corrupted   uint64  `json:"corrupted"`
 }
 
-func (d *Daemon) chaosSnapshot() chaosState {
+func (d *Daemon) chaosSnapshot() ChaosState {
 	base, jitter := d.chaos.Latency()
-	st := chaosState{
+	st := ChaosState{
 		LatencyMS:   float64(base) / float64(time.Millisecond),
 		JitterMS:    float64(jitter) / float64(time.Millisecond),
 		CorruptRate: d.chaos.CorruptRate(),
@@ -365,7 +369,7 @@ func (d *Daemon) chaosSnapshot() chaosState {
 }
 
 // applyChaos mutates the chaos layer per one request.
-func (d *Daemon) applyChaos(req chaosRequest) error {
+func (d *Daemon) applyChaos(req ChaosRequest) error {
 	if req.Heal {
 		d.chaos.Heal()
 	}
@@ -399,6 +403,29 @@ func (d *Daemon) applyChaos(req chaosRequest) error {
 	return nil
 }
 
+// route mounts a POST route whose JSON body is a Req: a body that does not
+// parse as one, or that apply refuses, answers 400 with the reason; a nil
+// reply answers with the plain word ok, anything else as JSON.
+func route[Req any](mux *http.ServeMux, path, ok string, apply func(Req) (reply any, err error)) {
+	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		err := json.NewDecoder(r.Body).Decode(&req)
+		var reply any
+		if err == nil {
+			reply, err = apply(req)
+		}
+		switch {
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		case reply == nil:
+			fmt.Fprintln(w, ok)
+		default:
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(reply)
+		}
+	})
+}
+
 func (d *Daemon) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -412,78 +439,32 @@ func (d *Daemon) mux() *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(d.statusSnapshot())
 	})
-	mux.HandleFunc("POST /seed", func(w http.ResponseWriter, r *http.Request) {
-		var req seedRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var payload []byte
-		if req.Payload != "" {
-			var err error
-			payload, err = base64.StdEncoding.DecodeString(req.Payload)
-			if err != nil {
-				http.Error(w, "payload: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		if req.Index < 0 || req.Index >= d.opts.K {
-			http.Error(w, fmt.Sprintf("index %d outside [0,%d)", req.Index, d.opts.K), http.StatusBadRequest)
-			return
-		}
-		err := d.cluster.Seed(core.NodeID(req.Node), rlnc.Message{Index: req.Index, Payload: payload})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fmt.Fprintln(w, "seeded")
-	})
-	mux.HandleFunc("POST /start", func(w http.ResponseWriter, r *http.Request) {
-		d.cluster.Start()
-		fmt.Fprintln(w, "started")
-	})
-	mux.HandleFunc("POST /topology", func(w http.ResponseWriter, r *http.Request) {
-		var req topologyRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		g, err := graph.FromName(req.Family, req.N, core.NewRand(req.Seed))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := d.cluster.ApplyTopology(g); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fmt.Fprintln(w, "applied")
-	})
-	mux.HandleFunc("POST /kill", func(w http.ResponseWriter, r *http.Request) {
-		var req killRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		d.cluster.Kill(core.NodeID(req.Node))
-		fmt.Fprintln(w, "killed")
-	})
 	mux.HandleFunc("GET /chaos", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(d.chaosSnapshot())
 	})
-	mux.HandleFunc("POST /chaos", func(w http.ResponseWriter, r *http.Request) {
-		var req chaosRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	route(mux, "/seed", "seeded", func(req SeedRequest) (any, error) {
+		return nil, d.cluster.Seed(core.NodeID(req.Node), rlnc.Message{Index: req.Index, Payload: req.Payload})
+	})
+	route(mux, "/topology", "applied", func(req TopologyRequest) (any, error) {
+		g, err := graph.FromName(req.Family, req.N, core.NewRand(req.Seed))
+		if err != nil {
+			return nil, err
 		}
+		return nil, d.cluster.ApplyTopology(g)
+	})
+	route(mux, "/kill", "killed", func(req KillRequest) (any, error) {
+		return nil, d.cluster.Kill(core.NodeID(req.Node))
+	})
+	route(mux, "/chaos", "", func(req ChaosRequest) (any, error) {
 		if err := d.applyChaos(req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return nil, err
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.chaosSnapshot())
+		return d.chaosSnapshot(), nil
+	})
+	mux.HandleFunc("POST /start", func(w http.ResponseWriter, r *http.Request) {
+		d.cluster.Start()
+		fmt.Fprintln(w, "started")
 	})
 	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "draining")
@@ -496,11 +477,11 @@ func (d *Daemon) mux() *http.ServeMux {
 // (sends, drops, redials — totals and per destination) and per-node
 // protocol progress (rank, done, ticks ≈ rounds).
 func (d *Daemon) writeMetrics(w http.ResponseWriter) {
-	s := d.transport.Stats()
+	s := d.chaos.Stats()
 	fmt.Fprintln(w, "# HELP algossip_sends_total Envelopes handed to the medium.")
 	fmt.Fprintln(w, "# TYPE algossip_sends_total counter")
 	fmt.Fprintf(w, "algossip_sends_total %d\n", s.Total.Sent)
-	fmt.Fprintln(w, "# HELP algossip_drops_total Envelopes dropped (backpressure, loss, dead peers).")
+	fmt.Fprintln(w, "# HELP algossip_drops_total Envelopes dropped (backpressure, injected loss, partition cuts, dead peers).")
 	fmt.Fprintln(w, "# TYPE algossip_drops_total counter")
 	fmt.Fprintf(w, "algossip_drops_total %d\n", s.Total.Dropped)
 	fmt.Fprintln(w, "# HELP algossip_redials_total Connection re-establishment attempts.")

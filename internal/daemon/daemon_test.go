@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -86,7 +87,7 @@ func TestDaemonConvergeAndDrain(t *testing.T) {
 			Local: local, Peers: peers,
 			GraphName: "ring", GraphN: n, GraphSeed: 1,
 			K: k, Interval: 2 * time.Millisecond, Seed: 7,
-			LossRate: 0.05, LossSeed: 3,
+			LossRate: 0.05, ChaosSeed: 3,
 		})
 		if err != nil {
 			t.Fatalf("daemon: %v", err)
@@ -412,5 +413,132 @@ func checkNoRuntimeGoroutines(t *testing.T) {
 				len(leaked), strings.Join(leaked, "\n\n"))
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// runSolo runs one daemon hosting every node of an n-ring (gossip ports
+// are ephemeral: nothing is remote) and drains it when the test ends.
+func runSolo(t *testing.T, n int, opts Options) *Daemon {
+	t.Helper()
+	opts.GraphName, opts.GraphN = "ring", n
+	for v := 0; v < n; v++ {
+		opts.Local = append(opts.Local, core.NodeID(v))
+	}
+	d, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() { errCh <- d.Run(ctx) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-errCh; err != nil {
+			t.Errorf("drain was not clean: %v", err)
+		}
+		checkNoRuntimeGoroutines(t)
+	})
+	return d
+}
+
+// quick is a client that fails a request a wedged daemon never answers.
+var quick = http.Client{Timeout: 5 * time.Second}
+
+// TestDaemonBadSeedLeavesNodeUsable: a seed whose payload has the wrong
+// length used to panic inside rlnc with the node's mutex held; net/http
+// recovered the panic and the node, /status and /metrics hung forever. It
+// is a 400 now, and the daemon goes on serving.
+func TestDaemonBadSeedLeavesNodeUsable(t *testing.T) {
+	d := runSolo(t, 2, Options{K: 2, PayloadLen: 4, Q: 16, Interval: 2 * time.Millisecond})
+	url := "http://" + d.ControlAddr()
+	for _, body := range []string{
+		`{"node":0,"index":0,"payload":"AQI="}`,     // two symbols, want four
+		`{"node":0,"index":0,"payload":"AQIDBAU="}`, // five
+		`{"node":0,"index":0,"payload":"AQIQBA=="}`, // 0x10 is no element of GF(16)
+		`{"node":0,"index":2,"payload":"AQIDBA=="}`, // index out of range
+	} {
+		resp, err := quick.Post(url+"/seed", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /seed %s: %v", body, err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /seed %s: %s, want 400", body, resp.Status)
+		}
+	}
+	resp, err := quick.Get(url + "/status")
+	if err != nil {
+		t.Fatalf("GET /status after a bad seed: %v", err)
+	}
+	var st StatusResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || len(st.Nodes) != 2 {
+		t.Fatalf("GET /status after a bad seed: %+v, %v", st, err)
+	}
+	_ = resp.Body.Close()
+	post(t, d.ControlAddr(), "/seed", SeedRequest{Node: 0, Index: 0, Payload: []byte{1, 2, 3, 4}})
+}
+
+// counter sums the samples of one metric family in a Prometheus text body.
+func counter(t *testing.T, text, name string) (sum uint64) {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, name); ok && rest != "" && (rest[0] == ' ' || rest[0] == '{') {
+			v, err := strconv.ParseUint(rest[strings.LastIndexByte(rest, ' ')+1:], 10, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			sum += v
+		}
+	}
+	return sum
+}
+
+// TestDaemonMetricsCountEveryDrop: algossip_drops_total used to be the
+// chaos layer's partition cuts only — injected loss and full TCP queues
+// were invisible. Every frame a node offers is now counted once, sent or
+// dropped, whichever layer decided.
+func TestDaemonMetricsCountEveryDrop(t *testing.T) {
+	const n = 4
+	d := runSolo(t, n, Options{K: 2, Interval: time.Millisecond, LossRate: 0.3, ChaosSeed: 9})
+	ctl := d.ControlAddr()
+	scrape := func() string {
+		resp, err := quick.Get("http://" + ctl + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		return buf.String()
+	}
+	// One of two messages seeded: the nodes gossip but never finish, so
+	// Run still honours a kill.
+	post(t, ctl, "/seed", SeedRequest{Node: 0, Index: 0})
+	post(t, ctl, "/start", nil)
+	for counter(t, scrape(), "algossip_node_rounds") < 400 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Stop every node, then let the TCP send queues run dry: the counters
+	// are final once two scrapes agree.
+	for v := 0; v < n; v++ {
+		post(t, ctl, "/kill", KillRequest{Node: v})
+	}
+	last := ""
+	for text := scrape(); text != last; text = scrape() {
+		last = text
+		time.Sleep(20 * time.Millisecond)
+	}
+	sent, dropped := counter(t, last, "algossip_sends_total"), counter(t, last, "algossip_drops_total")
+	offered := counter(t, last, "algossip_node_rounds") // one EXCHANGE opened per tick; replies come on top
+	if dropped == 0 {
+		t.Errorf("30%% injected loss, but algossip_drops_total is 0")
+	}
+	// A kill can land between a tick's count and its send: one frame of
+	// slack per node.
+	if sent+dropped+n < offered {
+		t.Errorf("%d sent + %d dropped does not account for the %d frames offered", sent, dropped, offered)
+	}
+	if perPeer := counter(t, last, "algossip_peer_drops_total"); perPeer != dropped {
+		t.Errorf("per-peer drops sum to %d, total says %d", perPeer, dropped)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"algossip/internal/core"
+	"algossip/internal/daemon"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
 	"algossip/internal/livectl"
@@ -68,17 +69,19 @@ func e17Predict(p e17Params, seed uint64, parallel int) (stats.Summary, *graph.G
 func e17Live(ctx context.Context, bin string, p e17Params, seed uint64) (int, error) {
 	var errBuf bytes.Buffer
 	c, err := livectl.Launch(ctx, livectl.Options{
-		Bin:       bin,
-		Procs:     p.procs,
-		GraphName: "ring",
-		GraphN:    p.n,
-		GraphSeed: core.SplitSeed(seed, 999),
-		K:         p.k,
-		Q:         256,
-		Interval:  p.interval,
-		Seed:      seed,
-		LossRate:  p.loss,
-		Stderr:    &errBuf,
+		Options: daemon.Options{
+			GraphName: "ring",
+			GraphN:    p.n,
+			GraphSeed: core.SplitSeed(seed, 999),
+			K:         p.k,
+			Q:         256,
+			Interval:  p.interval,
+			Seed:      seed,
+			LossRate:  p.loss,
+		},
+		Bin:    bin,
+		Procs:  p.procs,
+		Stderr: &errBuf,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("launch: %w\n%s", err, errBuf.String())

@@ -10,8 +10,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -20,42 +20,26 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"algossip/internal/core"
+	"algossip/internal/daemon"
 	"algossip/internal/graph"
 )
 
-// Options configures a deployment. The zero value is not runnable: Procs,
-// GraphName, GraphN and K are required.
+// Options configures a deployment: the daemon options every process
+// shares, plus how to spawn them. Launch fills the per-process fields
+// itself — Local and Peers from the node split, ChaosSeed split per
+// process, HTTPAddr and ShutdownTimeout left at gossipd's defaults. The
+// zero value is not runnable: Procs, GraphName, GraphN and K are required.
 type Options struct {
+	daemon.Options
 	// Bin is the gossipd binary; empty builds it into a temp dir first.
 	Bin string
 	// Procs is the number of daemon processes; the topology's nodes are
 	// split across them in contiguous blocks.
 	Procs int
-	// Transport is the wire transport ("tcp" default, or "udp").
-	Transport string
-	// GraphName, GraphN, GraphSeed describe the shared topology, rebuilt
-	// identically by every process (see graph.FromName).
-	GraphName string
-	GraphN    int
-	GraphSeed uint64
-	// K, Q, PayloadLen, GenSize, Interval, Seed, LossRate mirror the
-	// daemon options.
-	K          int
-	Q          int
-	PayloadLen int
-	GenSize    int
-	Interval   time.Duration
-	Seed       uint64
-	LossRate   float64
-	// ChaosLatency/ChaosJitter/ChaosCorrupt set every process's initial
-	// chaos-layer degradation (see runtime.ChaosTransport); the layer is
-	// always present, so Chaos/Partition/Heal can degrade mid-run too.
-	ChaosLatency time.Duration
-	ChaosJitter  time.Duration
-	ChaosCorrupt float64
 	// ByzantineProcs launches the LAST this-many processes with
 	// -chaos-corrupt 1: every frame they send is structurally corrupt, the
 	// live-deployment twin of the simulator's polluting adversary. Their
@@ -68,22 +52,22 @@ type Options struct {
 	Stderr io.Writer
 }
 
-// Cluster is a running multi-process deployment.
+// Cluster is a multi-process deployment under control: spawned by Launch,
+// or already running and joined by Attach.
 type Cluster struct {
 	n      int
 	k      int
 	procs  []*proc
 	home   map[core.NodeID]int
-	client *http.Client
+	client http.Client
 	tmpDir string // owned build dir, removed on Stop
 }
 
 type proc struct {
-	cmd    *exec.Cmd
-	ctl    string // control-plane base address host:port
-	nodes  []core.NodeID
-	byz    bool // launched with -chaos-corrupt 1
-	waitCh chan error
+	ctl    string     // control-plane base address host:port
+	byz    bool       // corrupts every outbound frame
+	cmd    *exec.Cmd  // nil for an attached process
+	waitCh chan error // cmd's exit status
 }
 
 // BuildGossipd compiles cmd/gossipd into dir and returns the binary path.
@@ -148,6 +132,7 @@ func launchOnce(ctx context.Context, opts Options) (*Cluster, error) {
 	if opts.Stderr == nil {
 		opts.Stderr = os.Stderr
 	}
+	stderr := &sharedWriter{w: opts.Stderr}
 	// Build the topology locally to learn the realized node count (some
 	// families round the requested size).
 	g, err := graph.FromName(opts.GraphName, opts.GraphN, core.NewRand(opts.GraphSeed))
@@ -159,18 +144,11 @@ func launchOnce(ctx context.Context, opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("livectl: %d processes for %d nodes", opts.Procs, n)
 	}
 	if opts.ByzantineProcs < 0 || opts.ByzantineProcs >= opts.Procs {
-		if opts.ByzantineProcs != 0 {
-			return nil, fmt.Errorf("livectl: %d Byzantine of %d processes (need at least one honest)",
-				opts.ByzantineProcs, opts.Procs)
-		}
+		return nil, fmt.Errorf("livectl: %d Byzantine of %d processes (need at least one honest)",
+			opts.ByzantineProcs, opts.Procs)
 	}
 
-	c := &Cluster{
-		n:      n,
-		k:      opts.K,
-		home:   make(map[core.NodeID]int, n),
-		client: &http.Client{Timeout: 10 * time.Second},
-	}
+	c := &Cluster{}
 	bin := opts.Bin
 	if bin == "" {
 		dir, err := os.MkdirTemp("", "livectl-*")
@@ -191,99 +169,110 @@ func launchOnce(ctx context.Context, opts Options) (*Cluster, error) {
 		c.Stop()
 		return nil, fmt.Errorf("livectl: reserve ports: %w", err)
 	}
-	peerParts := make([]string, n)
-	for v := 0; v < n; v++ {
-		peerParts[v] = fmt.Sprintf("%d=%s", v, addrs[v])
-	}
-	peers := strings.Join(peerParts, ",")
 	release()
-
+	child := opts.Options
+	child.Peers = make(map[core.NodeID]string, n)
+	for v, addr := range addrs {
+		child.Peers[core.NodeID(v)] = addr
+	}
 	for p := 0; p < opts.Procs; p++ {
 		lo, hi := p*n/opts.Procs, (p+1)*n/opts.Procs
-		byz := p >= opts.Procs-opts.ByzantineProcs
-		nodes := make([]core.NodeID, 0, hi-lo)
-		nodeParts := make([]string, 0, hi-lo)
-		for v := lo; v < hi; v++ {
-			nodes = append(nodes, core.NodeID(v))
-			nodeParts = append(nodeParts, fmt.Sprint(v))
-			c.home[core.NodeID(v)] = p
+		child.Local = make([]core.NodeID, hi-lo)
+		for i := range child.Local {
+			child.Local[i] = core.NodeID(lo + i)
 		}
-		args := []string{
-			"-http", "127.0.0.1:0",
-			"-transport", orDefault(opts.Transport, "tcp"),
-			"-nodes", strings.Join(nodeParts, ","),
-			"-peers", peers,
-			"-graph", opts.GraphName,
-			"-n", fmt.Sprint(opts.GraphN),
-			"-graph-seed", fmt.Sprint(opts.GraphSeed),
-			"-k", fmt.Sprint(opts.K),
-			"-q", fmt.Sprint(orDefaultInt(opts.Q, 256)),
-			"-payload", fmt.Sprint(opts.PayloadLen),
-			"-gen", fmt.Sprint(opts.GenSize),
-			"-interval", orDefaultDur(opts.Interval, time.Millisecond).String(),
-			"-seed", fmt.Sprint(opts.Seed),
-			"-loss", fmt.Sprint(opts.LossRate),
-			"-loss-seed", fmt.Sprint(core.SplitSeed(opts.Seed, uint64(1000+p))),
-			"-chaos-seed", fmt.Sprint(core.SplitSeed(opts.Seed, uint64(2000+p))),
+		// Each process draws its faults from its own stream, so two
+		// processes never drop or corrupt in lockstep.
+		child.ChaosSeed = core.SplitSeed(core.SplitSeed(opts.Seed, opts.ChaosSeed), uint64(p))
+		if p >= opts.Procs-opts.ByzantineProcs {
+			child.ChaosCorrupt = 1
 		}
-		if opts.ChaosLatency > 0 {
-			args = append(args, "-chaos-latency", opts.ChaosLatency.String())
-		}
-		if opts.ChaosJitter > 0 {
-			args = append(args, "-chaos-jitter", opts.ChaosJitter.String())
-		}
-		corrupt := opts.ChaosCorrupt
-		if byz {
-			corrupt = 1
-		}
-		if corrupt > 0 {
-			args = append(args, "-chaos-corrupt", fmt.Sprint(corrupt))
-		}
-		cmd := exec.Command(bin, args...)
-		cmd.Stderr = opts.Stderr
-		stdout, err := cmd.StdoutPipe()
+		pr, err := spawn(ctx, bin, childArgs(child), stderr)
 		if err != nil {
 			c.Stop()
-			return nil, fmt.Errorf("livectl: %w", err)
+			return nil, fmt.Errorf("livectl: gossipd %d: %w", p, err)
 		}
-		if err := cmd.Start(); err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("livectl: start gossipd: %w", err)
-		}
-		pr := &proc{cmd: cmd, nodes: nodes, byz: byz, waitCh: make(chan error, 1)}
 		c.procs = append(c.procs, pr)
-
-		// The first stdout line announces the control address.
-		ctlCh := make(chan string, 1)
-		go func() {
-			sc := bufio.NewScanner(stdout)
-			for sc.Scan() {
-				line := sc.Text()
-				if a, ok := parseControlLine(line); ok {
-					select {
-					case ctlCh <- a:
-					default:
-					}
-				}
-			}
-		}()
-		go func() { pr.waitCh <- cmd.Wait() }()
-
-		select {
-		case pr.ctl = <-ctlCh:
-		case err := <-pr.waitCh:
-			pr.waitCh <- err
-			c.Stop()
-			return nil, fmt.Errorf("livectl: gossipd %d exited before announcing control address: %v", p, err)
-		case <-time.After(30 * time.Second):
-			c.Stop()
-			return nil, fmt.Errorf("livectl: gossipd %d never announced its control address", p)
-		case <-ctx.Done():
-			c.Stop()
-			return nil, ctx.Err()
-		}
+	}
+	if err := c.attach(ctx); err != nil {
+		c.Stop()
+		return nil, err
 	}
 	return c, nil
+}
+
+// sharedWriter serialises every child's stderr copier onto the one writer
+// the caller gave: os/exec runs a copier per process.
+type sharedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *sharedWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
+// childArgs renders one gossipd command line from its Options: every
+// shared word as BindFlags declares it, then the process-local ones
+// (-http stays at gossipd's default, an ephemeral port).
+func childArgs(o daemon.Options) []string {
+	fs := flag.NewFlagSet("gossipd", flag.ContinueOnError)
+	o.BindFlags(fs)
+	var args []string
+	fs.VisitAll(func(f *flag.Flag) { args = append(args, "-"+f.Name+"="+f.Value.String()) })
+	nodes := make([]string, len(o.Local))
+	for i, v := range o.Local {
+		nodes[i] = fmt.Sprint(v)
+	}
+	peers := make([]string, 0, len(o.Peers))
+	for v, addr := range o.Peers {
+		peers = append(peers, fmt.Sprintf("%d=%s", v, addr))
+	}
+	return append(args, "-nodes="+strings.Join(nodes, ","), "-peers="+strings.Join(peers, ","))
+}
+
+// spawn starts one gossipd and waits for the stdout line announcing its
+// control address; a process that never announces one is killed.
+func spawn(ctx context.Context, bin string, args []string, stderr io.Writer) (*proc, error) {
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("start: %w", err)
+	}
+	pr := &proc{cmd: cmd, waitCh: make(chan error, 1)}
+	ctlCh := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			if a, ok := parseControlLine(sc.Text()); ok {
+				select {
+				case ctlCh <- a:
+				default:
+				}
+			}
+		}
+	}()
+	go func() { pr.waitCh <- cmd.Wait() }()
+
+	select {
+	case pr.ctl = <-ctlCh:
+		return pr, nil
+	case err = <-pr.waitCh:
+		return nil, fmt.Errorf("exited before announcing its control address: %v", err)
+	case <-time.After(30 * time.Second):
+		err = fmt.Errorf("never announced its control address")
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	_ = cmd.Process.Kill()
+	<-pr.waitCh
+	return nil, err
 }
 
 func parseControlLine(line string) (string, bool) {
@@ -299,50 +288,59 @@ func parseControlLine(line string) (string, bool) {
 	return rest, true
 }
 
-func orDefault(s, d string) string {
-	if s == "" {
-		return d
+// Attach joins a deployment that is already running, given every
+// process's control address: it learns the node placement, k, and which
+// processes are Byzantine (corrupt every frame) from the control planes
+// themselves. Drain on an attached cluster asks the processes to exit but
+// cannot wait for them.
+func Attach(ctx context.Context, ctl ...string) (*Cluster, error) {
+	c := &Cluster{}
+	for _, a := range ctl {
+		c.procs = append(c.procs, &proc{ctl: a})
 	}
-	return s
+	return c, c.attach(ctx)
 }
 
-func orDefaultInt(v, d int) int {
-	if v == 0 {
-		return d
+// attach fills the cluster's picture of the deployment from its
+// processes' status and chaos state (an empty chaos request only reads).
+func (c *Cluster) attach(ctx context.Context) error {
+	c.client.Timeout = 10 * time.Second
+	status, err := c.Status(ctx)
+	if err != nil {
+		return err
 	}
-	return v
-}
-
-func orDefaultDur(v, d time.Duration) time.Duration {
-	if v == 0 {
-		return d
+	chaos, err := c.Chaos(ctx, daemon.ChaosRequest{})
+	if err != nil {
+		return err
 	}
-	return v
+	c.home = make(map[core.NodeID]int)
+	for i, p := range c.procs {
+		p.byz = chaos[i].CorruptRate >= 1
+		for _, node := range status[i].Nodes {
+			c.home[node.ID], c.k = i, node.K
+		}
+	}
+	c.n = len(c.home)
+	return nil
 }
 
 // N is the realized node count; Procs the process count.
 func (c *Cluster) N() int     { return c.n }
 func (c *Cluster) Procs() int { return len(c.procs) }
 
-// ControlAddrs lists every process's control address.
-func (c *Cluster) ControlAddrs() []string {
-	out := make([]string, len(c.procs))
-	for i, p := range c.procs {
-		out[i] = p.ctl
-	}
-	return out
-}
-
-func (c *Cluster) post(ctx context.Context, ctl, path string, body any) error {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
+// do is the control-plane client: one request to one process, the body
+// (when in is non-nil) and the reply (when out is) as JSON. Any status
+// but 200 is an error carrying the daemon's reason.
+func (c *Cluster) do(ctx context.Context, method, ctl, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		rd = bytes.NewReader(b)
+		body = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+ctl+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+ctl+path, body)
 	if err != nil {
 		return err
 	}
@@ -353,37 +351,45 @@ func (c *Cluster) post(ctx context.Context, ctl, path string, body any) error {
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("livectl: POST %s on %s: %s: %s", path, ctl, resp.Status, strings.TrimSpace(string(msg)))
+		return fmt.Errorf("livectl: %s %s on %s: %s: %s", method, path, ctl, resp.Status, strings.TrimSpace(string(msg)))
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
+	switch out := out.(type) {
+	case nil:
+		_, err = io.Copy(io.Discard, resp.Body)
+	case *string:
+		var b []byte
+		b, err = io.ReadAll(resp.Body)
+		*out = string(b)
+	default:
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	return err
+}
+
+// each posts one body to every process.
+func (c *Cluster) each(ctx context.Context, path string, in any) error {
+	for _, p := range c.procs {
+		if err := c.do(ctx, http.MethodPost, p.ctl, path, in, nil); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-func (c *Cluster) get(ctx context.Context, ctl, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+ctl+path, nil)
-	if err != nil {
-		return err
+// at posts one body to node v's home process.
+func (c *Cluster) at(ctx context.Context, v core.NodeID, path string, in any) error {
+	p, ok := c.home[v]
+	if !ok {
+		return fmt.Errorf("livectl: node %d not in deployment", v)
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("livectl: GET %s on %s: %s", path, ctl, resp.Status)
-	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return c.do(ctx, http.MethodPost, c.procs[p].ctl, path, in, nil)
 }
 
 // WaitHealthy blocks until every process answers /healthz.
 func (c *Cluster) WaitHealthy(ctx context.Context) error {
 	for _, p := range c.procs {
 		for {
-			if err := c.get(ctx, p.ctl, "/healthz", nil); err == nil {
+			if err := c.do(ctx, http.MethodGet, p.ctl, "/healthz", nil, nil); err == nil {
 				break
 			}
 			select {
@@ -398,15 +404,7 @@ func (c *Cluster) WaitHealthy(ctx context.Context) error {
 
 // Seed places message index at node v (payload nil in rank-only mode).
 func (c *Cluster) Seed(ctx context.Context, v core.NodeID, index int, payload []byte) error {
-	p, ok := c.home[v]
-	if !ok {
-		return fmt.Errorf("livectl: node %d not in deployment", v)
-	}
-	body := map[string]any{"node": int(v), "index": index}
-	if len(payload) > 0 {
-		body["payload"] = base64.StdEncoding.EncodeToString(payload)
-	}
-	return c.post(ctx, c.procs[p].ctl, "/seed", body)
+	return c.at(ctx, v, "/seed", daemon.SeedRequest{Node: int(v), Index: index, Payload: payload})
 }
 
 // HonestNodes lists the nodes hosted by non-Byzantine processes, in id
@@ -445,39 +443,15 @@ func (c *Cluster) SeedRoundRobin(ctx context.Context, payloads [][]byte) error {
 
 // Start releases every process's start gate; gossiping (and tick
 // counting) begins now, after all seeding finished.
-func (c *Cluster) Start(ctx context.Context) error {
-	for _, p := range c.procs {
-		if err := c.post(ctx, p.ctl, "/start", nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (c *Cluster) Start(ctx context.Context) error { return c.each(ctx, "/start", nil) }
 
-// NodeStatus mirrors the daemon's per-node status JSON.
-type NodeStatus struct {
-	ID       int  `json:"id"`
-	Rank     int  `json:"rank"`
-	K        int  `json:"k"`
-	Done     bool `json:"done"`
-	DoneTick int  `json:"doneTick"`
-	Ticks    int  `json:"ticks"`
-}
-
-type statusResponse struct {
-	Nodes []NodeStatus `json:"nodes"`
-	Done  bool         `json:"done"`
-}
-
-// Status fetches every node's progress across all processes.
-func (c *Cluster) Status(ctx context.Context) ([]NodeStatus, error) {
-	var all []NodeStatus
-	for _, p := range c.procs {
-		var st statusResponse
-		if err := c.get(ctx, p.ctl, "/status", &st); err != nil {
+// Status fetches every process's status, in process order.
+func (c *Cluster) Status(ctx context.Context) ([]daemon.StatusResponse, error) {
+	all := make([]daemon.StatusResponse, len(c.procs))
+	for i, p := range c.procs {
+		if err := c.do(ctx, http.MethodGet, p.ctl, "/status", nil, &all[i]); err != nil {
 			return nil, err
 		}
-		all = append(all, st.Nodes...)
 	}
 	return all, nil
 }
@@ -492,13 +466,10 @@ func (c *Cluster) WaitConverged(ctx context.Context) (int, error) {
 			return 0, err
 		}
 		done, maxTick := true, 0
-		for _, n := range all {
-			if !n.Done {
-				done = false
-				break
-			}
-			if n.DoneTick > maxTick {
-				maxTick = n.DoneTick
+		for _, st := range all {
+			done = done && st.Done
+			for _, n := range st.Nodes {
+				maxTick = max(maxTick, n.DoneTick)
 			}
 		}
 		if done {
@@ -514,41 +485,20 @@ func (c *Cluster) WaitConverged(ctx context.Context) (int, error) {
 
 // ApplyTopology swaps every process's communication topology.
 func (c *Cluster) ApplyTopology(ctx context.Context, family string, n int, seed uint64) error {
-	for _, p := range c.procs {
-		err := c.post(ctx, p.ctl, "/topology", map[string]any{"family": family, "n": n, "seed": seed})
-		if err != nil {
-			return err
+	return c.each(ctx, "/topology", daemon.TopologyRequest{Family: family, N: n, Seed: seed})
+}
+
+// Chaos applies one degradation request to every process's chaos layer
+// and returns each process's resulting state (an empty request only reads
+// it).
+func (c *Cluster) Chaos(ctx context.Context, req daemon.ChaosRequest) ([]daemon.ChaosState, error) {
+	states := make([]daemon.ChaosState, len(c.procs))
+	for i, p := range c.procs {
+		if err := c.do(ctx, http.MethodPost, p.ctl, "/chaos", req, &states[i]); err != nil {
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// ChaosRequest mirrors the daemon's POST /chaos body: only the fields
-// present change state (nil pointer = leave alone).
-type ChaosRequest struct {
-	LatencyMS   *float64 `json:"latency_ms,omitempty"`
-	JitterMS    *float64 `json:"jitter_ms,omitempty"`
-	CorruptRate *float64 `json:"corrupt_rate,omitempty"`
-	Partition   []int    `json:"partition,omitempty"`
-	Heal        bool     `json:"heal,omitempty"`
-}
-
-// Chaos applies one degradation request to every process's chaos layer.
-func (c *Cluster) Chaos(ctx context.Context, req ChaosRequest) error {
-	for _, p := range c.procs {
-		if err := c.post(ctx, p.ctl, "/chaos", req); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ChaosProc applies one degradation request to a single process.
-func (c *Cluster) ChaosProc(ctx context.Context, procIndex int, req ChaosRequest) error {
-	if procIndex < 0 || procIndex >= len(c.procs) {
-		return fmt.Errorf("livectl: no process %d", procIndex)
-	}
-	return c.post(ctx, c.procs[procIndex].ctl, "/chaos", req)
+	return states, nil
 }
 
 // Partition symmetrically cuts the given nodes off from the deployment:
@@ -560,23 +510,21 @@ func (c *Cluster) Partition(ctx context.Context, nodes []core.NodeID) error {
 	for i, v := range nodes {
 		ids[i] = int(v)
 	}
-	return c.Chaos(ctx, ChaosRequest{Partition: ids})
+	_, err := c.Chaos(ctx, daemon.ChaosRequest{Partition: ids})
+	return err
 }
 
 // Heal lifts every partition on every process. Byzantine processes keep
 // their corrupt-rate (healing reconnects the network, it does not reform
 // the adversary).
 func (c *Cluster) Heal(ctx context.Context) error {
-	return c.Chaos(ctx, ChaosRequest{Heal: true})
+	_, err := c.Chaos(ctx, daemon.ChaosRequest{Heal: true})
+	return err
 }
 
 // Kill crashes one node (on its home process).
 func (c *Cluster) Kill(ctx context.Context, v core.NodeID) error {
-	p, ok := c.home[v]
-	if !ok {
-		return fmt.Errorf("livectl: node %d not in deployment", v)
-	}
-	return c.post(ctx, c.procs[p].ctl, "/kill", map[string]any{"node": int(v)})
+	return c.at(ctx, v, "/kill", daemon.KillRequest{Node: int(v)})
 }
 
 // Metrics fetches one process's Prometheus text exposition.
@@ -584,30 +532,22 @@ func (c *Cluster) Metrics(ctx context.Context, procIndex int) (string, error) {
 	if procIndex < 0 || procIndex >= len(c.procs) {
 		return "", fmt.Errorf("livectl: no process %d", procIndex)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+c.procs[procIndex].ctl+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
+	var text string
+	err := c.do(ctx, http.MethodGet, c.procs[procIndex].ctl, "/metrics", nil, &text)
+	return text, err
 }
 
-// Drain asks every process to shut down gracefully and waits for all of
-// them to exit, reporting any non-zero exit status.
+// Drain asks every process to shut down gracefully and waits for the ones
+// this cluster spawned to exit, reporting any non-zero exit status.
 func (c *Cluster) Drain(ctx context.Context) error {
-	for _, p := range c.procs {
-		if err := c.post(ctx, p.ctl, "/drain", nil); err != nil {
-			return err
-		}
+	if err := c.each(ctx, "/drain", nil); err != nil {
+		return err
 	}
 	var firstErr error
 	for i, p := range c.procs {
+		if p.cmd == nil {
+			continue
+		}
 		select {
 		case err := <-p.waitCh:
 			p.waitCh <- err // keep Stop's Wait observation valid
@@ -621,10 +561,13 @@ func (c *Cluster) Drain(ctx context.Context) error {
 	return firstErr
 }
 
-// Stop force-terminates any still-running process and removes the owned
-// build directory. It is safe after Drain and as a deferred cleanup.
+// Stop force-terminates any spawned process still running and removes the
+// owned build directory. It is safe after Drain and as a deferred cleanup.
 func (c *Cluster) Stop() {
 	for _, p := range c.procs {
+		if p.cmd == nil {
+			continue
+		}
 		select {
 		case err := <-p.waitCh:
 			p.waitCh <- err // already exited

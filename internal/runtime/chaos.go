@@ -30,6 +30,11 @@ type PartitionWindow struct {
 // Every knob can also be changed mid-run through the Set* methods (the
 // daemon's /chaos endpoint does exactly that).
 type ChaosConfig struct {
+	// DropRate drops each envelope independently with this probability in
+	// [0, 1) before anything else happens to it — i.i.d. packet loss.
+	// Every surviving combination is still helpful with probability at
+	// least 1-1/q, so loss only dilates time.
+	DropRate float64
 	// Latency delays every delivered envelope by at least this much.
 	Latency time.Duration
 	// Jitter adds a uniform random extra delay in [0, Jitter).
@@ -40,7 +45,7 @@ type ChaosConfig struct {
 	// the packet fails the receiver's width screen — the transport-level
 	// analogue of a polluting relay.
 	CorruptRate float64
-	// Seed roots the jitter and corruption randomness.
+	// Seed roots the drop, jitter and corruption randomness.
 	Seed uint64
 	// Partitions optionally schedules partitions in advance.
 	Partitions []PartitionWindow
@@ -54,11 +59,11 @@ type delayed struct {
 }
 
 // ChaosTransport wraps another Transport with controllable degradation:
-// per-envelope latency with jitter, scheduled or interactive partitions,
-// and structural frame corruption. It is the failure-injection layer for
-// validating that coded gossip converges when the network misbehaves —
-// latency only dilates time, partitions heal, and corrupt packets die at
-// the receiver's screens.
+// i.i.d. drops, per-envelope latency with jitter, scheduled or interactive
+// partitions, and structural frame corruption. It is the one
+// failure-injection layer, for validating that coded gossip converges when
+// the network misbehaves — loss and latency only dilate time, partitions
+// heal, and corrupt packets die at the receiver's screens.
 //
 // Partition semantics: the transport sees only the destination of a Send,
 // so a partition isolates its nodes on the inbound side — everything
@@ -72,6 +77,7 @@ type ChaosTransport struct {
 
 	mu      sync.Mutex
 	rng     *rand.Rand
+	drop    float64
 	latency time.Duration
 	jitter  time.Duration
 	corrupt float64
@@ -80,13 +86,16 @@ type ChaosTransport struct {
 	nCut    uint64
 	nMangle uint64
 
-	stats *counters
+	drops *counters // what this layer dropped itself: loss and partition cuts
 }
 
 var _ Transport = (*ChaosTransport)(nil)
 
 // NewChaosTransport wraps inner with the given degradation profile.
 func NewChaosTransport(inner Transport, cfg ChaosConfig) (*ChaosTransport, error) {
+	if cfg.DropRate < 0 || cfg.DropRate >= 1 {
+		return nil, fmt.Errorf("runtime: loss rate %v outside [0, 1)", cfg.DropRate)
+	}
 	if cfg.CorruptRate < 0 || cfg.CorruptRate > 1 {
 		return nil, fmt.Errorf("runtime: corrupt rate %v outside [0, 1]", cfg.CorruptRate)
 	}
@@ -97,13 +106,20 @@ func NewChaosTransport(inner Transport, cfg ChaosConfig) (*ChaosTransport, error
 		inner:   inner,
 		epoch:   time.Now(),
 		rng:     core.NewRand(cfg.Seed),
+		drop:    cfg.DropRate,
 		latency: cfg.Latency,
 		jitter:  cfg.Jitter,
 		corrupt: cfg.CorruptRate,
 		windows: cfg.Partitions,
 		parts:   make(map[core.NodeID]bool),
-		stats:   newCounters(),
+		drops:   newCounters(),
 	}, nil
+}
+
+// NewLossyTransport wraps inner with i.i.d. drop probability rate in
+// [0, 1): the chaos layer with only its drop rate set.
+func NewLossyTransport(inner Transport, rate float64, seed uint64) (*ChaosTransport, error) {
+	return NewChaosTransport(inner, ChaosConfig{DropRate: rate, Seed: seed})
 }
 
 // Register implements Transport. The inner inbox is re-plumbed through a
@@ -149,34 +165,35 @@ func (t *ChaosTransport) delay() time.Duration {
 	return d
 }
 
-// Send implements Transport. Envelopes addressed into an active partition
-// are dropped silently (counted, reported as success — a cut link, not an
-// error); surviving envelopes are structurally corrupted with the
-// configured probability before being handed to the inner transport.
+// Send implements Transport. An envelope lost to the drop rate or
+// addressed into an active partition is dropped silently (counted,
+// reported as success — a lossy or cut link, not an error); surviving
+// envelopes are structurally corrupted with the configured probability
+// before being handed to the inner transport.
 func (t *ChaosTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	cut := t.cutLocked(to)
-	mangle := !cut && t.corrupt > 0 && t.rng.Float64() < t.corrupt
+	if cut {
+		t.nCut++
+	}
+	lost := cut || (t.drop > 0 && t.rng.Float64() < t.drop)
+	mangle := !lost && t.corrupt > 0 && t.rng.Float64() < t.corrupt
 	var mr uint64
 	if mangle {
 		mr = t.rng.Uint64()
 		t.nMangle++
 	}
-	if cut {
-		t.nCut++
-	}
 	t.mu.Unlock()
-	if cut {
-		t.stats.dropped(to)
+	if lost {
+		t.drops.dropped(to)
 		return nil
 	}
 	if mangle {
 		env = corruptEnvelope(env, mr)
 	}
-	t.stats.sent(to)
 	return t.inner.Send(ctx, to, env)
 }
 
@@ -289,17 +306,16 @@ func (t *ChaosTransport) Corrupted() uint64 {
 // Close implements Transport.
 func (t *ChaosTransport) Close() error { return t.inner.Close() }
 
-// Stats implements Transport: this layer's counters (Sent = passed
-// through, Dropped = partition cuts) merged with the inner transport's
-// redial counts, the same layering LossyTransport uses.
+// Stats implements Transport: the inner transport's counters plus the
+// drops this layer injected (loss and partition cuts). An envelope is
+// counted exactly once, as sent by the medium or dropped by some layer.
 func (t *ChaosTransport) Stats() TransportStats {
-	s := t.stats.snapshot()
-	inner := t.inner.Stats()
-	s.Total.Redials = inner.Total.Redials
-	for id, ins := range inner.PerNode {
+	s := t.inner.Stats()
+	for id, in := range t.drops.snapshot().PerNode {
 		ns := s.PerNode[id]
-		ns.Redials = ins.Redials
+		ns.Dropped += in.Dropped
 		s.PerNode[id] = ns
+		s.Total.Dropped += in.Dropped
 	}
 	return s
 }

@@ -36,11 +36,11 @@ type Config struct {
 	// (no payloads, no Decode — the stopping-time measurement mode).
 	PayloadLen int
 	// GenSize, when positive, codes the k messages in generations of this
-	// size (classic whole-k coding otherwise). TAG clusters reject it.
+	// size (classic whole-k coding otherwise).
 	GenSize int
 	// Interval is each node's gossip period (default 1ms). Every tick the
-	// node ingests staged traffic and initiates one EXCHANGE with a
-	// uniformly random neighbor.
+	// node ingests staged traffic and contacts one partner: a uniformly
+	// random neighbor, or on a tree cluster what TAG's phase prescribes.
 	Interval time.Duration
 	// Seed roots per-node randomness.
 	Seed uint64
@@ -189,24 +189,31 @@ func ingest(dec *rlnc.GenNode, env *Envelope) {
 	}))
 }
 
-// NodeStatus is one local node's progress snapshot.
+// NodeStatus is one local node's progress snapshot, and its wire form on
+// the daemon's GET /status.
 type NodeStatus struct {
 	// ID is the node.
-	ID core.NodeID
+	ID core.NodeID `json:"id"`
 	// Rank and K are the decoder's current and target rank.
-	Rank, K int
+	Rank int `json:"rank"`
+	K    int `json:"k"`
 	// Done reports full rank; DoneTick is the tick at which it happened
 	// (0 for nodes seeded to completion before ticking began).
-	Done     bool
-	DoneTick int
+	Done     bool `json:"done"`
+	DoneTick int  `json:"doneTick"`
 	// Ticks counts gossip periods elapsed at this node.
-	Ticks int
+	Ticks int `json:"ticks"`
 }
 
-// Cluster is a running set of gossip nodes over a Transport.
+// Cluster is a running set of gossip nodes over a Transport. Every node
+// runs the same loop — stage, ingest, emit, complete — and the deployment's
+// communication model is the one thing that varies: whom a node contacts
+// each tick. A uniform cluster (NewCluster) picks a random neighbor; a tree
+// cluster (NewTAGCluster) runs the paper's TAG, growing a spanning tree
+// from origin and exchanging with the tree parent.
 type Cluster struct {
 	cfg       Config
-	transport Transport
+	origin    core.NodeID // the tree's root; NilNode on a uniform cluster
 	nodes     map[core.NodeID]*clusterNode
 	order     []core.NodeID
 	doneCh    chan core.NodeID
@@ -224,6 +231,7 @@ type clusterNode struct {
 	seed      uint64
 	observer  Observer
 	k         int
+	tree      bool // a TAG node: contact follows the spanning tree
 
 	mu        sync.Mutex
 	neighbors []core.NodeID // guarded by mu: ApplyTopology swaps it mid-run
@@ -234,6 +242,13 @@ type clusterNode struct {
 	ticks     int
 	doneTick  int
 	finished  bool
+	// Tree state (tree nodes only): a node joins the tree when the first
+	// announcement reaches it, adopting the sender as its parent — the
+	// broadcast-as-STP construction of Section 4.1. The origin starts
+	// informed and keeps parent NilNode.
+	informed bool
+	parent   core.NodeID
+	cursor   int // next neighbor to announce to, round-robin from a seeded start
 
 	doneCh chan<- core.NodeID
 }
@@ -242,18 +257,34 @@ type clusterNode struct {
 // given transport and topology. Seed initial messages with Seed before
 // calling Run (or before Start when the start gate is on).
 func NewCluster(transport Transport, g *graph.Graph, k int, opts ...Option) (*Cluster, error) {
+	return newCluster(transport, g, core.NilNode, k, opts)
+}
+
+// NewTAGCluster deploys the TAG protocol (paper Section 4): on odd ticks
+// (Phase 1) each tree node announces the tree round-robin to its
+// neighbors, on even ticks (Phase 2) it exchanges coded packets with its
+// spanning-tree parent. The tree grows from origin. Everything else —
+// options, seeding, completion, Kill, Status — is NewCluster's.
+func NewTAGCluster(transport Transport, g *graph.Graph, origin core.NodeID, k int, opts ...Option) (*Cluster, error) {
+	if g != nil && (int(origin) < 0 || int(origin) >= g.N()) {
+		return nil, fmt.Errorf("runtime: origin %d out of range", origin)
+	}
+	return newCluster(transport, g, origin, k, opts)
+}
+
+func newCluster(transport Transport, g *graph.Graph, origin core.NodeID, k int, opts []Option) (*Cluster, error) {
 	cfg, err := Config{Graph: g, K: k}.build(opts...)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		transport: transport,
-		nodes:     make(map[core.NodeID]*clusterNode, len(cfg.Local)),
-		order:     cfg.Local,
-		doneCh:    make(chan core.NodeID, len(cfg.Local)),
-		killCh:    make(chan core.NodeID, len(cfg.Local)),
-		startCh:   make(chan struct{}),
+		cfg:     cfg,
+		origin:  origin,
+		nodes:   make(map[core.NodeID]*clusterNode, len(cfg.Local)),
+		order:   cfg.Local,
+		doneCh:  make(chan core.NodeID, len(cfg.Local)),
+		killCh:  make(chan core.NodeID, len(cfg.Local)),
+		startCh: make(chan struct{}),
 	}
 	for _, v := range cfg.Local {
 		dec, err := cfg.newDecoder()
@@ -265,7 +296,7 @@ func NewCluster(transport Transport, g *graph.Graph, k int, opts ...Option) (*Cl
 			return nil, fmt.Errorf("runtime: node %d register: %w", v, err)
 		}
 		seed := core.SplitSeed(cfg.Seed, uint64(v))
-		c.nodes[v] = &clusterNode{
+		n := &clusterNode{
 			id:        v,
 			neighbors: cfg.Graph.Neighbors(v),
 			inbox:     inbox,
@@ -274,10 +305,17 @@ func NewCluster(transport Transport, g *graph.Graph, k int, opts ...Option) (*Cl
 			seed:      seed,
 			observer:  cfg.Observer,
 			k:         cfg.K,
+			tree:      origin != core.NilNode,
 			dec:       dec,
 			rng:       core.NewRand(core.SplitSeed(seed, 1)),
+			informed:  v == origin,
+			parent:    core.NilNode,
 			doneCh:    c.doneCh,
 		}
+		if len(n.neighbors) > 0 {
+			n.cursor = int(seed % uint64(len(n.neighbors)))
+		}
+		c.nodes[v] = n
 	}
 	return c, nil
 }
@@ -294,18 +332,39 @@ func (c *Cluster) node(v core.NodeID) (*clusterNode, error) {
 	return n, nil
 }
 
-// Seed places an initial message at local node v.
+// Seed places an initial message at local node v. The message may come
+// from a control-plane request, so it is screened here — index, payload
+// length, every symbol a field element — and a bad one is an error, never
+// a panic under the node lock.
 func (c *Cluster) Seed(v core.NodeID, msg rlnc.Message) error {
 	node, err := c.node(v)
 	if err != nil {
 		return err
 	}
-	node.mu.Lock()
-	node.dec.Seed(msg)
-	just := node.checkDoneLocked()
-	node.mu.Unlock()
-	node.notifyDone(just)
+	if msg.Index < 0 || msg.Index >= c.cfg.K {
+		return fmt.Errorf("runtime: seed index %d outside [0,%d)", msg.Index, c.cfg.K)
+	}
+	if len(msg.Payload) != c.cfg.PayloadLen {
+		return fmt.Errorf("runtime: seed payload of %d symbols, want %d", len(msg.Payload), c.cfg.PayloadLen)
+	}
+	if q := c.cfg.Field.Order(); q < 256 {
+		for i, sym := range msg.Payload {
+			if int(sym) >= q {
+				return fmt.Errorf("runtime: seed payload symbol %d is %d, not an element of GF(%d)", i, sym, q)
+			}
+		}
+	}
+	node.notifyDone(node.seedMessage(msg))
 	return nil
+}
+
+// seedMessage stores a screened message, reporting whether that completed
+// the node; the deferred unlock holds whatever the decoder does.
+func (n *clusterNode) seedMessage(msg rlnc.Message) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.dec.Seed(msg)
+	return n.checkDoneLocked()
 }
 
 // Rank returns local node v's current rank (-1 for non-local nodes).
@@ -328,6 +387,39 @@ func (c *Cluster) Decode(v core.NodeID) ([]rlnc.Message, error) {
 	node.mu.Lock()
 	defer node.mu.Unlock()
 	return node.dec.Decode()
+}
+
+// Parent returns local node v's spanning-tree parent: NilNode before
+// Phase 1 reaches it, for the origin, for a node that is not local, and on
+// a uniform cluster.
+func (c *Cluster) Parent(v core.NodeID) core.NodeID {
+	node, err := c.node(v)
+	if err != nil {
+		return core.NilNode
+	}
+	node.mu.Lock()
+	defer node.mu.Unlock()
+	return node.parent
+}
+
+// Tree returns the spanning tree once every node has joined it. Only a
+// tree cluster hosting the whole graph can report one; a process of a
+// multi-process deployment knows its own nodes' Parent and no more.
+func (c *Cluster) Tree() (*graph.Tree, bool) {
+	if c.origin == core.NilNode || len(c.nodes) != c.cfg.Graph.N() {
+		return nil, false
+	}
+	parent := make([]core.NodeID, len(c.nodes))
+	for v, n := range c.nodes {
+		n.mu.Lock()
+		informed := n.informed
+		parent[v] = n.parent
+		n.mu.Unlock()
+		if !informed {
+			return nil, false
+		}
+	}
+	return &graph.Tree{Root: c.origin, Parent: parent}, true
 }
 
 // Status snapshots every local node's progress, in ascending node order.
@@ -357,7 +449,13 @@ func (c *Cluster) Status() []NodeStatus {
 // tick; packets already in flight still deliver (the transport is not
 // re-wired), mirroring the simulator's drop-undeliverable-sends rule
 // only approximately — real networks drain in-flight traffic too.
+//
+// A tree cluster refuses: a parent pointer is void on a new graph, and
+// TAG has no rule for re-growing the tree mid-run.
 func (c *Cluster) ApplyTopology(g *graph.Graph) error {
+	if c.origin != core.NilNode {
+		return fmt.Errorf("runtime: a tree cluster cannot change topology: its parent pointers are void on a new graph")
+	}
 	if g.N() != c.cfg.Graph.N() {
 		return fmt.Errorf("runtime: topology has %d nodes, cluster graph has %d", g.N(), c.cfg.Graph.N())
 	}
@@ -373,11 +471,15 @@ func (c *Cluster) ApplyTopology(g *graph.Graph) error {
 // cluster no longer waits for it to complete (churn / failure injection).
 // Any information held only by v is lost unless it already spread. Kill
 // is asynchronous and only takes effect while Run is active.
-func (c *Cluster) Kill(v core.NodeID) {
+func (c *Cluster) Kill(v core.NodeID) error {
+	if _, err := c.node(v); err != nil {
+		return err
+	}
 	select {
 	case c.killCh <- v:
 	default: // a node can only die once; drop redundant kills
 	}
+	return nil
 }
 
 // Start releases the start gate (idempotent). Without WithStartGate, Run
@@ -427,12 +529,8 @@ func (c *Cluster) Run(ctx context.Context) (int, error) {
 			if dead[v] {
 				continue
 			}
-			cancelNode, ok := nodeCancels[v]
-			if !ok {
-				continue // not local
-			}
 			dead[v] = true
-			cancelNode()
+			nodeCancels[v]()
 			if !completed[v] {
 				target--
 			}
@@ -452,11 +550,11 @@ func (c *Cluster) Run(ctx context.Context) (int, error) {
 }
 
 // run is the node's event loop: stage incoming packets, and on every tick
-// ingest the staged batch then initiate an EXCHANGE with a random
-// neighbor. Staged ingestion makes one tick behave like one synchronous
-// simulator round — information received during a tick interval becomes
-// usable at the next tick, not instantly — which is what lets live
-// stopping ticks be gated against simulator round predictions (E17).
+// ingest the staged batch then contact one partner. Staged ingestion makes
+// one tick behave like one synchronous simulator round — information
+// received during a tick interval becomes usable at the next tick, not
+// instantly — which is what lets live stopping ticks be gated against
+// simulator round predictions (E17).
 func (n *clusterNode) run(ctx context.Context, start <-chan struct{}) {
 	rng := core.NewRand(n.seed)
 	// Gated phase: serve inbound traffic (staging + replies) but do not
@@ -493,8 +591,17 @@ func (n *clusterNode) run(ctx context.Context, start <-chan struct{}) {
 
 // handle stages an incoming packet for the next tick and serves the
 // EXCHANGE reply leg immediately — the reply is drawn from pre-ingest
-// state, exactly like the simulator's simultaneous exchange.
+// state, exactly like the simulator's simultaneous exchange. A tree node
+// adopts its first announcer as parent.
 func (n *clusterNode) handle(ctx context.Context, env Envelope) {
+	if env.Kind == EnvelopeAnnounce {
+		n.mu.Lock()
+		if n.tree && !n.informed {
+			n.informed, n.parent = true, env.From
+		}
+		n.mu.Unlock()
+		return
+	}
 	if env.Kind == EnvelopePacket && len(env.Coeffs) > 0 {
 		n.mu.Lock()
 		n.pending = append(n.pending, env)
@@ -505,7 +612,7 @@ func (n *clusterNode) handle(ctx context.Context, env Envelope) {
 	}
 }
 
-// tick ingests the staged batch and initiates one EXCHANGE.
+// tick ingests the staged batch and makes this tick's contact.
 func (n *clusterNode) tick(ctx context.Context, rng *rand.Rand) {
 	n.mu.Lock()
 	n.ticks++
@@ -514,14 +621,41 @@ func (n *clusterNode) tick(ctx context.Context, rng *rand.Rand) {
 	}
 	n.pending = n.pending[:0]
 	just := n.checkDoneLocked()
-	nbrs := n.neighbors
+	peer, announce := n.contactLocked(rng)
 	n.mu.Unlock()
 	n.notifyDone(just)
-	if len(nbrs) == 0 {
-		return
+	switch {
+	case peer == core.NilNode:
+	case announce:
+		_ = n.transport.Send(ctx, peer, Envelope{Kind: EnvelopeAnnounce, From: n.id})
+	default:
+		n.sendPacket(ctx, peer, true)
 	}
-	peer := nbrs[rng.IntN(len(nbrs))]
-	n.sendPacket(ctx, peer, true)
+}
+
+// contactLocked answers the one question the communication model asks:
+// whom does this node contact this tick (NilNode: nobody), and is it a
+// tree announcement rather than an EXCHANGE? It is the live counterpart of
+// sim.PartnerSelector and the only place a uniform and a tree node differ
+// on the sending side. A uniform node exchanges with a random neighbor. A
+// tree node follows the paper's wakeup parity: odd ticks are Phase 1 (an
+// informed node announces the tree to its next neighbor, round-robin),
+// even ticks are Phase 2 (EXCHANGE with the parent).
+func (n *clusterNode) contactLocked(rng *rand.Rand) (peer core.NodeID, announce bool) {
+	switch {
+	case !n.tree:
+		if len(n.neighbors) == 0 {
+			return core.NilNode, false
+		}
+		return n.neighbors[rng.IntN(len(n.neighbors))], false
+	case n.ticks%2 == 0:
+		return n.parent, false
+	case !n.informed || len(n.neighbors) == 0:
+		return core.NilNode, false
+	}
+	peer = n.neighbors[n.cursor]
+	n.cursor = (n.cursor + 1) % len(n.neighbors)
+	return peer, true
 }
 
 // sendPacket emits one random combination toward peer. Transport errors

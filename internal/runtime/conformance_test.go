@@ -9,6 +9,7 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
+	"algossip/internal/graph"
 )
 
 // transportCase builds a fresh instance of one Transport implementation.
@@ -31,8 +32,8 @@ func transportCases() []transportCase {
 			return tr
 		}},
 		{"lossy", func(t *testing.T) Transport {
-			// Rate 0 exercises the wrapper's plumbing deterministically;
-			// drop injection itself is covered by TestClusterUnderPacketLoss.
+			// Rate 0 exercises the constructor's plumbing deterministically;
+			// drop injection itself is covered by TestClusterConformance.
 			tr, err := NewLossyTransport(NewChanTransport(), 0, 7)
 			if err != nil {
 				t.Fatalf("lossy transport: %v", err)
@@ -271,5 +272,47 @@ func TestTransportConformance(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestClusterConformance runs both communication models over every
+// transport of the matrix above, plus the chaos layer dropping a fifth of
+// all envelopes: each must converge, decode the seeded bytes at every
+// node, and (tree model) leave a valid spanning tree of the graph.
+func TestClusterConformance(t *testing.T) {
+	const k, r = 4, 4
+	g := graph.CliqueChain(2, 4)
+	cases := append(transportCases(), transportCase{"drop", func(t *testing.T) Transport {
+		tr, err := NewChaosTransport(NewChanTransport(), ChaosConfig{DropRate: 0.2, Seed: 5})
+		if err != nil {
+			t.Fatalf("chaos transport: %v", err)
+		}
+		return tr
+	}})
+	for _, tc := range cases {
+		for _, model := range clusterModels() {
+			t.Run(tc.name+"/"+model.name, func(t *testing.T) {
+				tr := tc.new(t)
+				defer func() { _ = tr.Close() }()
+				c, err := model.new(tr, g, k, WithPayload(r), WithInterval(500*time.Microsecond), WithSeed(6))
+				if err != nil {
+					t.Fatal(err)
+				}
+				msgs := seedMessages(t, c, k, r, g.N())
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				if done, err := c.Run(ctx); err != nil || done != g.N() {
+					t.Fatalf("run: %d/%d done, %v", done, g.N(), err)
+				}
+				verifyDecode(t, c, msgs, g.N())
+				tree, ok := c.Tree()
+				if ok != (model.name == "tree") {
+					t.Fatalf("Tree() ok = %v on the %s model", ok, model.name)
+				}
+				if ok {
+					validateTree(t, g, tree)
+				}
+			})
+		}
 	}
 }

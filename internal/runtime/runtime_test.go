@@ -30,15 +30,20 @@ func seedMessages(t *testing.T, c *Cluster, k, r, n int) []rlnc.Message {
 func verifyDecode(t *testing.T, c *Cluster, msgs []rlnc.Message, n int) {
 	t.Helper()
 	for v := 0; v < n; v++ {
-		got, err := c.Decode(core.NodeID(v))
-		if err != nil {
-			t.Fatalf("node %d: %v", v, err)
-		}
-		for i := range msgs {
-			for j := range msgs[i].Payload {
-				if got[i].Payload[j] != msgs[i].Payload[j] {
-					t.Fatalf("node %d message %d symbol %d mismatch", v, i, j)
-				}
+		verifyNode(t, c, core.NodeID(v), msgs)
+	}
+}
+
+func verifyNode(t *testing.T, c *Cluster, v core.NodeID, msgs []rlnc.Message) {
+	t.Helper()
+	got, err := c.Decode(v)
+	if err != nil {
+		t.Fatalf("node %d: %v", v, err)
+	}
+	for i := range msgs {
+		for j := range msgs[i].Payload {
+			if got[i].Payload[j] != msgs[i].Payload[j] {
+				t.Fatalf("node %d message %d symbol %d mismatch", v, i, j)
 			}
 		}
 	}
@@ -575,7 +580,7 @@ func TestClusterGF16SlicedMode(t *testing.T) {
 // TestClusterScreensGenerationTag: a whole-k node is a one-generation
 // decoder whose only valid tag is 0, so a frame tagged with any other
 // generation — the tag is wire input — is dropped at the next tick without
-// panicking and leaves the rank unchanged, for Cluster and TAGCluster
+// panicking and leaves the rank unchanged, on a uniform and a tree cluster
 // alike. The same coefficients under tag 0 are accepted.
 func TestClusterScreensGenerationTag(t *testing.T) {
 	g := graph.Complete(2)
@@ -584,32 +589,20 @@ func TestClusterScreensGenerationTag(t *testing.T) {
 			Coeffs: []gf.Elem{0, 1, 0}, Payload: []byte{9, 9}}
 	}
 	ctx := context.Background()
-
-	tr := NewChanTransport()
-	defer func() { _ = tr.Close() }()
-	c, err := NewCluster(tr, g, 3, WithPayload(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := c.nodes[1]
-	for _, step := range []struct{ gen, wantRank int }{{7, 0}, {-1, 0}, {0, 1}} {
-		n.handle(ctx, frame(step.gen))
-		n.tick(ctx, core.NewRand(1))
-		if got := c.Rank(1); got != step.wantRank {
-			t.Fatalf("Cluster: after a frame tagged gen=%d rank = %d, want %d", step.gen, got, step.wantRank)
+	for _, model := range clusterModels() {
+		tr := NewChanTransport()
+		defer func() { _ = tr.Close() }()
+		c, err := model.new(tr, g, 3, WithPayload(2))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	ttr := NewChanTransport()
-	defer func() { _ = ttr.Close() }()
-	tc, err := NewTAGCluster(ttr, g, 0, 3, WithPayload(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, step := range []struct{ gen, wantRank int }{{7, 0}, {0, 1}} {
-		tc.nodes[1].handle(ctx, frame(step.gen))
-		if got := tc.Rank(1); got != step.wantRank {
-			t.Fatalf("TAGCluster: after a frame tagged gen=%d rank = %d, want %d", step.gen, got, step.wantRank)
+		n := c.nodes[1]
+		for _, step := range []struct{ gen, wantRank int }{{7, 0}, {-1, 0}, {0, 1}} {
+			n.handle(ctx, frame(step.gen))
+			n.tick(ctx, core.NewRand(1))
+			if got := c.Rank(1); got != step.wantRank {
+				t.Fatalf("%s: after a frame tagged gen=%d rank = %d, want %d", model.name, step.gen, got, step.wantRank)
+			}
 		}
 	}
 }

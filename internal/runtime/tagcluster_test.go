@@ -99,11 +99,8 @@ func TestTAGClusterValidation(t *testing.T) {
 	if _, err := NewTAGCluster(tr, graph.Line(3), 5, 2, WithPayload(2)); err == nil {
 		t.Error("out-of-range origin accepted")
 	}
-	if _, err := NewTAGCluster(tr, graph.Line(3), 0, 4, WithGenerations(2)); err == nil {
-		t.Error("generation coding accepted by TAG")
-	}
-	if _, err := NewTAGCluster(tr, graph.Line(3), 0, 2, WithLocalNodes(0, 1)); err == nil {
-		t.Error("local subset accepted by TAG")
+	if _, err := NewTAGCluster(tr, graph.Line(3), core.NilNode, 2, WithPayload(2)); err == nil {
+		t.Error("NilNode origin accepted")
 	}
 }
 

@@ -55,20 +55,15 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // (and concurrent Sends to the same peer coalesce onto the one dial, the
 // singleflight this layer needs).
 type TCPTransport struct {
-	opts TCPOptions
+	router // the routing table; its mu guards every map below too
+	opts   TCPOptions
 
-	mu        sync.Mutex
-	peers     map[core.NodeID]string // declared remote addresses
-	addrs     map[core.NodeID]string // bound addresses of local listeners
 	listeners map[core.NodeID]net.Listener
 	inbound   map[net.Conn]struct{}
-	boxes     map[core.NodeID]chan Envelope
 	senders   map[core.NodeID]*tcpSender
 	home      core.NodeID // first node registered here (NilNode: none yet); seeds the redial jitter
-	closed    bool
 
 	stop   chan struct{}
-	stats  *counters
 	wg     sync.WaitGroup // accept + read loops
 	sendWg sync.WaitGroup // sender loops
 }
@@ -95,66 +90,32 @@ func NewTCPTransport() *TCPTransport {
 // NewTCPTransportOpts returns a TCP transport with explicit options.
 func NewTCPTransportOpts(opts TCPOptions) *TCPTransport {
 	return &TCPTransport{
+		router:    newRouter(),
 		opts:      opts.withDefaults(),
-		peers:     make(map[core.NodeID]string),
-		addrs:     make(map[core.NodeID]string),
 		listeners: make(map[core.NodeID]net.Listener),
 		inbound:   make(map[net.Conn]struct{}),
-		boxes:     make(map[core.NodeID]chan Envelope),
 		senders:   make(map[core.NodeID]*tcpSender),
 		home:      core.NilNode,
 		stop:      make(chan struct{}),
-		stats:     newCounters(),
 	}
-}
-
-// SetPeers declares node → address routes: Sends to an unregistered node
-// dial the declared address (multi-process clusters), and a subsequent
-// local Register of a declared node binds that address instead of an
-// ephemeral port.
-func (t *TCPTransport) SetPeers(peers map[core.NodeID]string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id, addr := range peers {
-		t.peers[id] = addr
-	}
-}
-
-// AddPeer declares a single node → address route.
-func (t *TCPTransport) AddPeer(id core.NodeID, addr string) {
-	t.SetPeers(map[core.NodeID]string{id: addr})
 }
 
 // Register implements Transport: it starts a listener for the node and an
 // accept loop funneling decoded frames into local inboxes.
 func (t *TCPTransport) Register(id core.NodeID) (<-chan Envelope, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, ErrTransportClosed
-	}
-	if _, ok := t.boxes[id]; ok {
-		return nil, fmt.Errorf("runtime: node %d already registered", id)
-	}
-	bind := "127.0.0.1:0"
-	if a, ok := t.peers[id]; ok {
-		bind = a
-	}
-	ln, err := net.Listen("tcp", bind)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: listen for node %d: %w", id, err)
-	}
-	ch := make(chan Envelope, t.opts.QueueSize)
-	t.listeners[id] = ln
-	t.addrs[id] = ln.Addr().String()
-	t.boxes[id] = ch
-	if t.home == core.NilNode {
-		t.home = id
-	}
-
-	t.wg.Add(1)
-	go t.acceptLoop(ln)
-	return ch, nil
+	return t.register(id, func(bind string) (string, error) {
+		ln, err := net.Listen("tcp", bind)
+		if err != nil {
+			return "", err
+		}
+		t.listeners[id] = ln
+		if t.home == core.NilNode {
+			t.home = id
+		}
+		t.wg.Add(1)
+		go t.acceptLoop(ln)
+		return ln.Addr().String(), nil
+	})
 }
 
 func (t *TCPTransport) acceptLoop(ln net.Listener) {
@@ -192,48 +153,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	r := wire.NewReader(conn)
 	for {
 		to, env, err := r.ReadFrame()
-		if err != nil {
+		if err != nil || !t.receive(to, env) {
 			return
 		}
-		t.mu.Lock()
-		ch, ok := t.boxes[to]
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
-			return
-		}
-		if !ok {
-			t.stats.dropped(to) // misrouted: not a local node
-			continue
-		}
-		select {
-		case ch <- env:
-		default:
-			t.stats.dropped(to)
-		}
 	}
-}
-
-// Addr returns the listen address of a registered node (for diagnostics
-// and peer-map construction).
-func (t *TCPTransport) Addr(id core.NodeID) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	a, ok := t.addrs[id]
-	return a, ok
-}
-
-// addrOf resolves a destination at dial time — local listener first, then
-// declared peers — so peers declared after the sender spun up still take
-// effect on the next dial.
-func (t *TCPTransport) addrOf(to core.NodeID) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if a, ok := t.addrs[to]; ok {
-		return a, true
-	}
-	a, ok := t.peers[to]
-	return a, ok
 }
 
 // Send implements Transport: it enqueues the frame on the destination's
@@ -251,11 +174,9 @@ func (t *TCPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 	}
 	s, ok := t.senders[to]
 	if !ok {
-		if _, local := t.addrs[to]; !local {
-			if _, peer := t.peers[to]; !peer {
-				t.mu.Unlock()
-				return fmt.Errorf("%w: %d", ErrUnknownNode, to)
-			}
+		if _, ok := t.route(to); !ok {
+			t.mu.Unlock()
+			return fmt.Errorf("%w: %d", ErrUnknownNode, to)
 		}
 		s = t.newSender(to)
 		t.senders[to] = s
@@ -329,7 +250,9 @@ func (t *TCPTransport) runSender(s *tcpSender) {
 func (t *TCPTransport) dialBurst(s *tcpSender, dialedOnce *bool) net.Conn {
 	to, backoff := s.to, t.opts.DialBackoff
 	for attempt := 0; attempt < t.opts.DialAttempts; attempt++ {
-		addr, ok := t.addrOf(to)
+		t.mu.Lock()
+		addr, ok := t.route(to)
+		t.mu.Unlock()
 		if !ok {
 			return nil
 		}
@@ -355,17 +278,13 @@ func (t *TCPTransport) dialBurst(s *tcpSender, dialedOnce *bool) net.Conn {
 	return nil
 }
 
-// Stats implements Transport.
-func (t *TCPTransport) Stats() TransportStats { return t.stats.snapshot() }
-
 // Close implements Transport.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if !t.shut() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
 	close(t.stop)
 	for _, ln := range t.listeners {
 		_ = ln.Close()
@@ -373,13 +292,10 @@ func (t *TCPTransport) Close() error {
 	for conn := range t.inbound {
 		_ = conn.Close()
 	}
-	boxes := t.boxes
 	t.mu.Unlock()
 
 	t.sendWg.Wait()
 	t.wg.Wait()
-	for _, ch := range boxes {
-		close(ch)
-	}
+	t.closeBoxes()
 	return nil
 }

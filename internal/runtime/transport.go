@@ -5,10 +5,11 @@
 // package runs the same RLNC exchange over channels or real sockets, with
 // payloads, decoding, and graceful shutdown.
 //
-// Four transports ship with the package: ChanTransport (in-process, used
-// by examples and tests), TCPTransport and UDPTransport (wire-framed
-// frames over loopback or a real network, see internal/wire), and
-// LossyTransport (i.i.d. drop injection wrapping any of the others).
+// Three transports ship with the package, over one routing table:
+// ChanTransport (in-process, used by examples and tests), TCPTransport and
+// UDPTransport (wire-framed frames over loopback or a real network, see
+// internal/wire). ChaosTransport wraps any of them with fault injection:
+// i.i.d. drops, latency, partitions and frame corruption.
 package runtime
 
 import (
@@ -142,80 +143,204 @@ func (c *counters) snapshot() TransportStats {
 // but we prefer backpressure-free small buffers.
 const inboxSize = 256
 
-// ChanTransport is an in-process Transport backed by buffered channels.
-// The zero value is not usable; construct with NewChanTransport.
-type ChanTransport struct {
-	mu     sync.RWMutex
+// router is the routing table under every transport: where each node
+// lives (a declared peer address, or the address a local listener bound)
+// and which inbox serves each local node. ChanTransport, TCPTransport and
+// UDPTransport embed it, so the three share one SetPeers/AddPeer/Addr, one
+// bind-address rule and one delivery path, and mu is the transport's own
+// mutex: a socket transport keeps its listeners and senders under it too.
+type router struct {
+	mu     sync.Mutex
+	peers  map[core.NodeID]string // declared node → address routes
+	addrs  map[core.NodeID]string // bound addresses of local listeners
 	boxes  map[core.NodeID]chan Envelope
 	closed bool
 	stats  *counters
 }
 
-var _ Transport = (*ChanTransport)(nil)
-
-// NewChanTransport returns an empty in-process transport.
-func NewChanTransport() *ChanTransport {
-	return &ChanTransport{
+func newRouter() router {
+	return router{
+		peers: make(map[core.NodeID]string),
+		addrs: make(map[core.NodeID]string),
 		boxes: make(map[core.NodeID]chan Envelope),
 		stats: newCounters(),
 	}
 }
 
-// Register implements Transport.
-func (t *ChanTransport) Register(id core.NodeID) (<-chan Envelope, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
+// SetPeers declares node → address routes: Sends to an unregistered node
+// go to the declared address (multi-process clusters), and a subsequent
+// local Register of a declared node binds that address instead of an
+// ephemeral loopback port.
+func (r *router) SetPeers(peers map[core.NodeID]string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for id, addr := range peers {
+		r.peers[id] = addr
+	}
+}
+
+// AddPeer declares a single node → address route.
+func (r *router) AddPeer(id core.NodeID, addr string) {
+	r.SetPeers(map[core.NodeID]string{id: addr})
+}
+
+// Addr returns the bound address of a registered node (for diagnostics
+// and peer-map construction); an in-process node has none.
+func (r *router) Addr(id core.NodeID) (string, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a, ok := r.addrs[id]
+	return a, ok
+}
+
+// route resolves a destination — local listener first, then declared
+// peers — so a peer declared after a sender spun up still takes effect on
+// the next lookup. Callers hold r.mu.
+func (r *router) route(to core.NodeID) (string, bool) {
+	if a, ok := r.addrs[to]; ok {
+		return a, true
+	}
+	a, ok := r.peers[to]
+	return a, ok
+}
+
+// register allocates node id's inbox. A socket transport passes listen,
+// which binds the node's declared address (or an ephemeral loopback port)
+// and reports the address it got; it runs under r.mu, so it may record the
+// listener in the transport's own tables.
+func (r *router) register(id core.NodeID, listen func(bind string) (string, error)) (<-chan Envelope, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return nil, ErrTransportClosed
 	}
-	if _, ok := t.boxes[id]; ok {
+	if _, ok := r.boxes[id]; ok {
 		return nil, fmt.Errorf("runtime: node %d already registered", id)
 	}
+	if listen != nil {
+		bind, ok := r.peers[id]
+		if !ok {
+			bind = "127.0.0.1:0"
+		}
+		addr, err := listen(bind)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: listen for node %d: %w", id, err)
+		}
+		r.addrs[id] = addr
+	}
 	ch := make(chan Envelope, inboxSize)
-	t.boxes[id] = ch
+	r.boxes[id] = ch
 	return ch, nil
 }
 
-// Send implements Transport. When the receiver's inbox is full the
-// envelope is dropped, the drop is counted, and ErrBackpressure is
-// returned — gossip is loss-tolerant by design, and unhelpful packets are
-// redundant anyway.
-func (t *ChanTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// inbox looks up local node to's inbox. The errors come back bare (this is
+// every frame's path; a caller with a user to tell wraps them). Callers
+// hold r.mu.
+func (r *router) inbox(to core.NodeID) (chan<- Envelope, error) {
+	if r.closed {
+		return nil, ErrTransportClosed
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return ErrTransportClosed
-	}
-	ch, ok := t.boxes[to]
+	ch, ok := r.boxes[to]
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
+		return nil, ErrUnknownNode
 	}
+	return ch, nil
+}
+
+// offer hands env to an inbox without blocking: a full inbox drops the
+// envelope, counts the drop and reports ErrBackpressure — gossip is
+// loss-tolerant by design, and unhelpful packets are redundant anyway.
+func (r *router) offer(ch chan<- Envelope, to core.NodeID, env Envelope) error {
 	select {
 	case ch <- env:
-		t.stats.sent(to)
 		return nil
 	default:
-		t.stats.dropped(to)
-		return fmt.Errorf("%w: inbox of node %d full", ErrBackpressure, to)
+		r.stats.dropped(to)
+		return ErrBackpressure
+	}
+}
+
+// receive is a socket read loop's delivery: a frame for a node that is
+// not local is a counted drop, and false tells the loop the transport
+// closed. The inbox is offered to outside the lock: a socket transport
+// closes its inboxes only after its read loops have returned.
+func (r *router) receive(to core.NodeID, env Envelope) bool {
+	r.mu.Lock()
+	ch, err := r.inbox(to)
+	r.mu.Unlock()
+	switch err {
+	case nil:
+		_ = r.offer(ch, to, env) // a full inbox is a counted drop
+	case ErrUnknownNode:
+		r.stats.dropped(to) // misrouted
+	}
+	return err != ErrTransportClosed
+}
+
+// shut marks the router closed and reports whether this call did it.
+// Callers hold r.mu.
+func (r *router) shut() bool {
+	was := r.closed
+	r.closed = true
+	return !was
+}
+
+// closeBoxes closes every inbox, ending the node loops that range over
+// them, once nothing can offer to one: under the lock for a transport that
+// offers under it, after its read loops returned for one that does not.
+func (r *router) closeBoxes() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ch := range r.boxes {
+		close(ch)
 	}
 }
 
 // Stats implements Transport.
-func (t *ChanTransport) Stats() TransportStats { return t.stats.snapshot() }
+func (r *router) Stats() TransportStats { return r.stats.snapshot() }
+
+// ChanTransport is an in-process Transport backed by buffered channels.
+// The zero value is not usable; construct with NewChanTransport.
+type ChanTransport struct{ router }
+
+var _ Transport = (*ChanTransport)(nil)
+
+// NewChanTransport returns an empty in-process transport.
+func NewChanTransport() *ChanTransport { return &ChanTransport{newRouter()} }
+
+// Register implements Transport.
+func (t *ChanTransport) Register(id core.NodeID) (<-chan Envelope, error) {
+	return t.register(id, nil)
+}
+
+// Send implements Transport. When the receiver's inbox is full the
+// envelope is dropped, the drop is counted, and ErrBackpressure is
+// returned. The offer happens under the lock, which is what lets Close
+// close the inboxes with senders still about.
+func (t *ChanTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ch, err := t.inbox(to)
+	if err == nil {
+		err = t.offer(ch, to, env)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: inbox of node %d", err, to)
+	}
+	t.stats.sent(to)
+	return nil
+}
 
 // Close implements Transport.
 func (t *ChanTransport) Close() error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	for _, ch := range t.boxes {
-		close(ch)
+	first := t.shut()
+	t.mu.Unlock()
+	if first {
+		t.closeBoxes()
 	}
 	return nil
 }
