@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"algossip/internal/ctlhttp"
 	"algossip/internal/fabric"
 	"algossip/internal/harness"
 	"algossip/internal/resultstore"
@@ -209,21 +210,12 @@ func runStatus(args []string, stdout io.Writer) error {
 	if *coord == "" {
 		return fmt.Errorf("status: -coordinator is required")
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(*coord + "/status")
-	if err != nil {
-		return err
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := (ctlhttp.Client{Base: *coord}).Do(ctx, http.MethodGet, "/status", nil, stdout); err != nil {
+		return fmt.Errorf("status: %w", err)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status: %s: %s", resp.Status, body)
-	}
-	_, err = stdout.Write(body)
-	return err
+	return nil
 }
 
 // runQuery answers "which cell regressed" from the result store without

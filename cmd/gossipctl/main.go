@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -49,7 +50,7 @@ func main() {
 	case "run":
 		err = runDeployment(os.Args[2:])
 	case "status", "metrics", "seed", "start", "topology", "kill", "drain", "chaos":
-		err = runSingle(os.Args[1], os.Args[2:])
+		err = runSingle(os.Args[1], os.Args[2:], os.Stdout)
 	default:
 		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
 	}
@@ -174,8 +175,8 @@ func runDeployment(args []string) error {
 }
 
 // runSingle sends one control-plane request to one daemon: a call on the
-// one-process cluster attached at -ctl.
-func runSingle(sub string, args []string) error {
+// one-process cluster attached at -ctl, the answer printed to stdout.
+func runSingle(sub string, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet(sub, flag.ExitOnError)
 	var (
 		ctl       = fs.String("ctl", "", "daemon control address host:port (required)")
@@ -258,8 +259,8 @@ func runSingle(sub string, args []string) error {
 		return err
 	}
 	if text, ok := out.(string); ok {
-		fmt.Println(strings.TrimRight(text, "\n"))
+		fmt.Fprintln(stdout, strings.TrimRight(text, "\n"))
 		return nil
 	}
-	return json.NewEncoder(os.Stdout).Encode(out)
+	return json.NewEncoder(stdout).Encode(out)
 }

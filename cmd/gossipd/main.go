@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -26,20 +27,27 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gossipd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run hosts the daemon the command line describes until ctx ends or a
+// controller drains it.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gossipd", flag.ContinueOnError)
 	opts := daemon.Options{GraphName: "ring", GraphSeed: 1, Seed: 1, ChaosSeed: 13}
-	opts.BindFlags(flag.CommandLine)
-	flag.StringVar(&opts.HTTPAddr, "http", "", "control/metrics listen address (default: an ephemeral loopback port)")
-	flag.DurationVar(&opts.ShutdownTimeout, "shutdown-timeout", 0, "drain bound for in-flight control requests (0 = 5s default)")
-	nodes := flag.String("nodes", "", "comma-separated local node ids (required)")
-	peers := flag.String("peers", "", "node address map: id=host:port,... (all nodes of the deployment)")
-	flag.Parse()
+	opts.BindFlags(fs)
+	fs.StringVar(&opts.HTTPAddr, "http", "", "control/metrics listen address (default: an ephemeral loopback port)")
+	fs.DurationVar(&opts.ShutdownTimeout, "shutdown-timeout", 0, "drain bound for in-flight control requests (0 = 5s default)")
+	nodes := fs.String("nodes", "", "comma-separated local node ids (required)")
+	peers := fs.String("peers", "", "node address map: id=host:port,... (all nodes of the deployment)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var err error
 	if opts.Local, err = daemon.ParseNodeList(*nodes); err != nil {
@@ -54,9 +62,6 @@ func run() error {
 	}
 	// The control address line is the process's handshake with its
 	// controller (livectl reads it: the port is ephemeral).
-	fmt.Printf("gossipd: control http://%s nodes %s\n", d.ControlAddr(), *nodes)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
+	fmt.Fprintf(stdout, "gossipd: control http://%s nodes %s\n", d.ControlAddr(), *nodes)
 	return d.Run(ctx)
 }

@@ -9,7 +9,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -20,6 +19,7 @@ import (
 	"time"
 
 	"algossip/internal/core"
+	"algossip/internal/ctlhttp"
 	"algossip/internal/gf"
 	"algossip/internal/gf/cpufeat"
 	"algossip/internal/graph"
@@ -112,7 +112,6 @@ const defaultShutdownTimeout = 5 * time.Second
 type socketTransport interface {
 	runtime.Transport
 	SetPeers(peers map[core.NodeID]string)
-	Addr(id core.NodeID) (string, bool)
 }
 
 // newTransport builds the named wire transport.
@@ -217,9 +216,6 @@ func New(opts Options) (*Daemon, error) {
 
 // ControlAddr is the bound HTTP control address.
 func (d *Daemon) ControlAddr() string { return d.httpLn.Addr().String() }
-
-// GossipAddr returns the bound gossip address of a local node.
-func (d *Daemon) GossipAddr(id core.NodeID) (string, bool) { return d.base.Addr(id) }
 
 // Run serves gossip and the control plane until ctx is cancelled or a
 // drain is requested, then shuts both down. Interruption by ctx or drain
@@ -403,72 +399,46 @@ func (d *Daemon) applyChaos(req ChaosRequest) error {
 	return nil
 }
 
-// route mounts a POST route whose JSON body is a Req: a body that does not
-// parse as one, or that apply refuses, answers 400 with the reason; a nil
-// reply answers with the plain word ok, anything else as JSON.
-func route[Req any](mux *http.ServeMux, path, ok string, apply func(Req) (reply any, err error)) {
-	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
-		var req Req
-		err := json.NewDecoder(r.Body).Decode(&req)
-		var reply any
-		if err == nil {
-			reply, err = apply(req)
-		}
-		switch {
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		case reply == nil:
-			fmt.Fprintln(w, ok)
-		default:
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(reply)
-		}
-	})
-}
-
 func (d *Daemon) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
+	ctlhttp.HandleBare(mux, "GET /healthz", "ok", func() (any, error) { return nil, nil })
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		d.writeMetrics(w)
 	})
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.statusSnapshot())
-	})
-	mux.HandleFunc("GET /chaos", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.chaosSnapshot())
-	})
-	route(mux, "/seed", "seeded", func(req SeedRequest) (any, error) {
+	ctlhttp.HandleBare(mux, "GET /status", "", func() (any, error) { return d.statusSnapshot(), nil })
+	ctlhttp.HandleBare(mux, "GET /chaos", "", func() (any, error) { return d.chaosSnapshot(), nil })
+	ctlhttp.Handle(mux, "POST /seed", "seeded", func(req SeedRequest) (any, error) {
 		return nil, d.cluster.Seed(core.NodeID(req.Node), rlnc.Message{Index: req.Index, Payload: req.Payload})
 	})
-	route(mux, "/topology", "applied", func(req TopologyRequest) (any, error) {
+	ctlhttp.Handle(mux, "POST /topology", "applied", func(req TopologyRequest) (any, error) {
+		// No family realizes more than twice the size it is asked for,
+		// so a larger one cannot fit — and is not worth building to see.
+		if n := d.graph.N(); req.N > 2*n+4 {
+			return nil, fmt.Errorf("topology of %d nodes for a deployment of %d", req.N, n)
+		}
 		g, err := graph.FromName(req.Family, req.N, core.NewRand(req.Seed))
 		if err != nil {
 			return nil, err
 		}
 		return nil, d.cluster.ApplyTopology(g)
 	})
-	route(mux, "/kill", "killed", func(req KillRequest) (any, error) {
+	ctlhttp.Handle(mux, "POST /kill", "killed", func(req KillRequest) (any, error) {
 		return nil, d.cluster.Kill(core.NodeID(req.Node))
 	})
-	route(mux, "/chaos", "", func(req ChaosRequest) (any, error) {
+	ctlhttp.Handle(mux, "POST /chaos", "", func(req ChaosRequest) (any, error) {
 		if err := d.applyChaos(req); err != nil {
 			return nil, err
 		}
 		return d.chaosSnapshot(), nil
 	})
-	mux.HandleFunc("POST /start", func(w http.ResponseWriter, r *http.Request) {
+	ctlhttp.HandleBare(mux, "POST /start", "started", func() (any, error) {
 		d.cluster.Start()
-		fmt.Fprintln(w, "started")
+		return nil, nil
 	})
-	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "draining")
+	ctlhttp.HandleBare(mux, "POST /drain", "draining", func() (any, error) {
 		d.drain()
+		return nil, nil
 	})
 	return mux
 }

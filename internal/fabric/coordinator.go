@@ -1,15 +1,17 @@
 package fabric
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
 	"time"
 
+	"algossip/internal/ctlhttp"
 	"algossip/internal/harness"
 	"algossip/internal/resultstore"
 )
@@ -45,20 +47,15 @@ type CoordinatorOptions struct {
 	now func() time.Time
 }
 
-// Coordinator owns a run's work-list and serves it to workers.
+// Coordinator owns a run's work-list and serves it to workers: the
+// harness Ledger keeps the books (what is done, durably, and what it came
+// to), the LeaseTable says who is working on what, and this type is the
+// HTTP between them and the workers.
 type Coordinator struct {
 	opts        CoordinatorOptions
-	spec        *harness.Spec
 	fingerprint string
-	cells       []harness.Cell
-	trials      []harness.Trial
+	ledger      *harness.Ledger
 	table       *harness.LeaseTable
-
-	mu       sync.Mutex
-	outcomes []harness.Outcome
-	have     []bool
-	resumed  int
-	ck       *harness.CheckpointFile
 
 	ln     net.Listener
 	server *http.Server
@@ -66,9 +63,10 @@ type Coordinator struct {
 	done   sync.Once
 }
 
-// NewCoordinator validates the options, expands the work-list, replays
-// the checkpoint (when resuming), and binds the listener — workers can
-// connect as soon as it returns; serving starts with Run.
+// NewCoordinator validates the options, opens the ledger (expanding the
+// work-list and, when resuming, replaying the checkpoint), and binds the
+// listener — workers can connect as soon as it returns; serving starts
+// with Run.
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.Spec == nil {
 		return nil, fmt.Errorf("fabric: nil spec")
@@ -91,45 +89,29 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.Linger <= 0 {
 		opts.Linger = defaultDoneLinger
 	}
-	cells, trials, err := opts.Spec.Expand()
-	if err != nil {
-		return nil, err
+	var progress func(done, total int, t harness.Trial, o harness.Outcome)
+	if opts.Progress != nil {
+		progress = func(done, total int, _ harness.Trial, _ harness.Outcome) { opts.Progress(done, total) }
 	}
-	table, err := harness.NewLeaseTable(len(trials), opts.LeaseChunk, opts.LeaseTTL, opts.now)
+	ledger, err := harness.OpenLedger(opts.Spec, opts.Checkpoint, opts.Resume, progress)
 	if err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
-		opts: opts, spec: opts.Spec, fingerprint: opts.Spec.Fingerprint(),
-		cells: cells, trials: trials, table: table,
-		outcomes: make([]harness.Outcome, len(trials)),
-		have:     make([]bool, len(trials)),
-		doneCh:   make(chan struct{}),
+		opts: opts, fingerprint: opts.Spec.Fingerprint(),
+		ledger: ledger, doneCh: make(chan struct{}),
 	}
-	if opts.Checkpoint != "" {
-		ck, err := harness.OpenCheckpointFile(opts.Checkpoint, opts.Spec, len(trials), opts.Resume)
-		if err != nil {
-			return nil, err
-		}
-		c.ck = ck
-		for i, o := range ck.Loaded() {
-			c.outcomes[i] = o
-			c.have[i] = true
-			c.table.MarkDone(i)
-			c.resumed++
+	if c.table, err = harness.NewLeaseTable(len(ledger.Trials), opts.LeaseChunk, opts.LeaseTTL, opts.now); err == nil {
+		if c.ln, err = net.Listen("tcp", opts.Listen); err != nil {
+			err = fmt.Errorf("fabric: listen: %w", err)
 		}
 	}
-	if c.table.Done() {
-		c.done.Do(func() { close(c.doneCh) })
-	}
-	ln, err := net.Listen("tcp", opts.Listen)
 	if err != nil {
-		if c.ck != nil {
-			_ = c.ck.Close()
-		}
-		return nil, fmt.Errorf("fabric: listen: %w", err)
+		_ = ledger.Close()
+		return nil, err
 	}
-	c.ln = ln
+	c.table.MarkDone(ledger.Resumed()...)
+	c.finishIfDone()
 	c.server = &http.Server{Handler: c.mux(), ReadHeaderTimeout: 5 * time.Second}
 	return c, nil
 }
@@ -158,10 +140,7 @@ func (c *Coordinator) Run(ctx context.Context) (*harness.ResultSet, error) {
 	case <-c.doneCh:
 		// Keep answering Done for a beat so polling workers learn the
 		// run finished instead of hitting a closed port.
-		select {
-		case <-ctx.Done():
-		case <-time.After(c.opts.Linger):
-		}
+		_ = ctlhttp.Wait(ctx, c.opts.Linger)
 	case err := <-serveErr:
 		serveErr = nil
 		runErr = fmt.Errorf("fabric: serve: %w", err)
@@ -173,22 +152,15 @@ func (c *Coordinator) Run(ctx context.Context) (*harness.ResultSet, error) {
 	if serveErr != nil {
 		<-serveErr // http.ErrServerClosed after Shutdown
 	}
-	if c.ck != nil {
-		if err := c.ck.Close(); err != nil && runErr == nil {
-			runErr = err
-		}
+	if err := c.ledger.Close(); err != nil && runErr == nil {
+		runErr = err
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
 
-	c.mu.Lock()
-	rs := &harness.ResultSet{
-		Spec: c.spec, Cells: c.cells, Trials: c.trials,
-		Outcomes: append([]harness.Outcome(nil), c.outcomes...),
-		Elapsed:  time.Since(start), Executed: len(c.trials) - c.resumed,
-	}
-	c.mu.Unlock()
+	rs := c.ledger.ResultSet()
+	rs.Elapsed = time.Since(start)
 	if c.opts.Store != nil {
 		if err := c.opts.Store.Append(resultstore.FromResultSet(rs)...); err != nil {
 			return nil, fmt.Errorf("fabric: store ingest: %w", err)
@@ -200,20 +172,22 @@ func (c *Coordinator) Run(ctx context.Context) (*harness.ResultSet, error) {
 	return rs, nil
 }
 
+// finishIfDone releases Run once every trial has completed.
+func (c *Coordinator) finishIfDone() bool {
+	done := c.table.Done()
+	if done {
+		c.done.Do(func() { close(c.doneCh) })
+	}
+	return done
+}
+
 func (c *Coordinator) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /spec", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(specEnvelope{
-			Spec: c.spec, Fingerprint: c.fingerprint, Total: len(c.trials),
-		})
+	total := len(c.ledger.Trials)
+	ctlhttp.HandleBare(mux, "GET /spec", "", func() (any, error) {
+		return specEnvelope{Spec: c.opts.Spec, Fingerprint: c.fingerprint, Total: total}, nil
 	})
-	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
-		var req leaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	ctlhttp.Handle(mux, "POST /lease", "", func(req leaseRequest) (any, error) {
 		resp := leaseResponse{RetryMillis: defaultPollInterval.Milliseconds()}
 		if c.table.Done() {
 			resp.Done = true
@@ -221,82 +195,70 @@ func (c *Coordinator) mux() *http.ServeMux {
 			resp.Lease = &l
 			resp.RenewMillis = (c.opts.LeaseTTL / 3).Milliseconds()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		return resp, nil
 	})
-	mux.HandleFunc("POST /renew", func(w http.ResponseWriter, r *http.Request) {
-		var req renewRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	ctlhttp.Handle(mux, "POST /renew", "renewed", func(req renewRequest) (any, error) {
 		if !c.table.Renew(req.Lease) {
-			http.Error(w, "unknown or expired lease", http.StatusGone)
-			return
+			return nil, &ctlhttp.StatusError{Code: http.StatusGone, Body: "unknown or expired lease"}
 		}
-		fmt.Fprintln(w, "renewed")
+		return nil, nil
 	})
-	mux.HandleFunc("POST /results", c.handleResults)
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
+	ctlhttp.HandleBody(mux, "POST /results", "", c.results)
+	ctlhttp.HandleBare(mux, "GET /status", "", func() (any, error) {
 		done, leased, free := c.table.Counts()
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(statusResponse{
-			Name: c.spec.Name, Total: len(c.trials),
-			Done: done, Leased: leased, Free: free,
-		})
+		return statusResponse{Name: c.opts.Spec.Name, Total: total, Done: done, Leased: leased, Free: free}, nil
 	})
 	return mux
 }
 
-// handleResults validates a fingerprinted JSONL result stream in full
-// before committing any of it: a garbage or foreign-spec body is
-// rejected with 400 and neither the checkpoint nor the in-memory merge
+// results validates a fingerprinted JSONL result stream in full before
+// committing any of it: a garbage, foreign-spec or oversized body is
+// rejected with a 4xx and neither the checkpoint nor the in-memory merge
 // sees a single entry from it. Duplicates (a late report racing the
 // re-leased range) are idempotently ignored — both copies carry the same
 // deterministic outcome.
-func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		http.Error(w, "empty results stream", http.StatusBadRequest)
-		return
+func (c *Coordinator) results(body io.Reader) (any, error) {
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return nil, fmt.Errorf("results stream: %w", err)
+	}
+	line, rest, _ := bytes.Cut(data, []byte("\n"))
+	if len(line) == 0 {
+		return nil, fmt.Errorf("empty results stream")
 	}
 	var hdr resultsHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		http.Error(w, "results header: "+err.Error(), http.StatusBadRequest)
-		return
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return nil, fmt.Errorf("results header: %w", err)
 	}
 	if hdr.Fingerprint != c.fingerprint {
-		http.Error(w, "results from a different spec (fingerprint mismatch)", http.StatusBadRequest)
-		return
+		return nil, fmt.Errorf("results from a different spec (fingerprint mismatch)")
 	}
+	total := len(c.ledger.Trials)
 	var entries []resultEntry
-	for sc.Scan() {
+	for len(rest) > 0 {
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
 		var e resultEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			http.Error(w, fmt.Sprintf("results entry %d: %v", len(entries), err), http.StatusBadRequest)
-			return
+		if err := json.Unmarshal(line, &e); err != nil {
+			return nil, fmt.Errorf("results entry %d: %w", len(entries), err)
 		}
-		if e.I < 0 || e.I >= len(c.trials) {
-			http.Error(w, fmt.Sprintf("results entry index %d outside [0,%d)", e.I, len(c.trials)), http.StatusBadRequest)
-			return
+		if e.I < 0 || e.I >= total {
+			return nil, fmt.Errorf("results entry index %d outside [0,%d)", e.I, total)
+		}
+		if len(entries) == total {
+			return nil, fmt.Errorf("more results entries than the work-list's %d trials", total)
 		}
 		entries = append(entries, e)
-	}
-	if err := sc.Err(); err != nil {
-		http.Error(w, "results stream: "+err.Error(), http.StatusBadRequest)
-		return
 	}
 
 	accepted := 0
 	for _, e := range entries {
-		fresh, err := c.commit(e)
+		fresh, err := c.ledger.Commit(e.I, e.O)
 		if err != nil {
 			// A checkpoint write failure is the coordinator's problem,
 			// not the worker's: 500 so the worker retries later.
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return nil, &ctlhttp.StatusError{Code: http.StatusInternalServerError, Body: err.Error()}
 		}
+		c.table.Complete(e.I)
 		if fresh {
 			accepted++
 		}
@@ -304,36 +266,5 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	if hdr.Lease != 0 {
 		c.table.Renew(hdr.Lease)
 	}
-	if c.table.Done() {
-		c.done.Do(func() { close(c.doneCh) })
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resultsResponse{Accepted: accepted, Done: c.table.Done()})
-}
-
-// commit durably records one validated entry (checkpoint first, merge
-// second) and marks it complete. Returns whether the trial was new.
-func (c *Coordinator) commit(e resultEntry) (bool, error) {
-	c.mu.Lock()
-	if c.have[e.I] {
-		c.mu.Unlock()
-		c.table.Complete(e.I)
-		return false, nil
-	}
-	if c.ck != nil {
-		if err := c.ck.Append(e.I, e.O); err != nil {
-			c.mu.Unlock()
-			return false, err
-		}
-	}
-	c.outcomes[e.I] = e.O
-	c.have[e.I] = true
-	c.table.Complete(e.I)
-	if c.opts.Progress != nil {
-		// Still under c.mu, so Progress callbacks are serial.
-		done, _, _ := c.table.Counts()
-		c.opts.Progress(done, len(c.trials))
-	}
-	c.mu.Unlock()
-	return true, nil
+	return resultsResponse{Accepted: accepted, Done: c.finishIfDone()}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"algossip/internal/ctlhttp"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
 	"algossip/internal/resultstore"
@@ -216,7 +218,7 @@ func TestFabricCoordinatorRestartResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lr leaseResponse
-	if err := w.postJSON(context.Background(), "/lease", leaseRequest{Worker: "partial"}, &lr); err != nil {
+	if err := w.client.Do(context.Background(), http.MethodPost, "/lease", leaseRequest{Worker: "partial"}, &lr); err != nil {
 		t.Fatal(err)
 	}
 	if lr.Lease == nil {
@@ -320,6 +322,28 @@ func TestFabricGarbageResultsRejected(t *testing.T) {
 		_ = resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	// Bounded, too: a stream with more entries than the work-list has
+	// trials is refused before any is committed, and so is a body over the
+	// control plane's size bound.
+	entry := `{"i":0,"o":{"result":{"rounds":1}}}` + "\n"
+	padded := `{"i":0,` + strings.Repeat(" ", ctlhttp.MaxBody/7) + `"o":{}}` + "\n"
+	for name, tc := range map[string]struct {
+		body string
+		code int
+	}{
+		"more entries than trials": {string(goodHdr) + "\n" + strings.Repeat(entry, 9), http.StatusBadRequest},
+		"oversized body":           {string(goodHdr) + "\n" + strings.Repeat(padded, 8), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(c.URL()+"/results", "application/jsonl", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Fatalf("%s: status %d, want %d (%s)", name, resp.StatusCode, tc.code, msg)
 		}
 	}
 	after, err := os.ReadFile(ckpath)

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
+	"algossip/internal/ctlhttp"
 	"algossip/internal/harness"
 )
 
@@ -30,11 +31,23 @@ type WorkerOptions struct {
 // Worker pulls leases from a coordinator and runs them.
 type Worker struct {
 	opts        WorkerOptions
-	client      *http.Client
+	client      ctlhttp.Client
 	spec        *harness.Spec
 	fingerprint string
 	trials      []harness.Trial
 }
+
+// A worker rides out a coordinator restart: a transport error asking for
+// a lease is retried a few times (an answer, whatever its status, is
+// final), and a finished batch is offered until the coordinator takes it
+// or ctx ends — only a 4xx, a protocol violation, gives it up.
+var (
+	leaseRetry  = ctlhttp.Retry{First: 100 * time.Millisecond, Limit: 2 * time.Second, Tries: 5, Fatal: ctlhttp.IsStatus}
+	uploadRetry = ctlhttp.Retry{First: 100 * time.Millisecond, Limit: 2 * time.Second, Fatal: func(err error) bool {
+		var se *ctlhttp.StatusError
+		return errors.As(err, &se) && se.Code >= 400 && se.Code < 500
+	}}
+)
 
 // RunWorker is the one-call worker loop: fetch and verify the spec, then
 // lease, execute, and stream results until the coordinator reports the
@@ -59,14 +72,10 @@ func NewWorker(ctx context.Context, opts WorkerOptions) (*Worker, error) {
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = defaultPollInterval
 	}
-	client := opts.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	w := &Worker{opts: opts, client: client}
+	w := &Worker{opts: opts, client: ctlhttp.Client{Base: opts.Coordinator, HTTP: opts.Client}}
 
 	var env specEnvelope
-	if err := w.getJSON(ctx, "/spec", &env); err != nil {
+	if err := w.client.Do(ctx, http.MethodGet, "/spec", nil, &env); err != nil {
 		return nil, fmt.Errorf("fabric: fetch spec: %w", err)
 	}
 	if env.Spec == nil {
@@ -94,7 +103,9 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			return executed, err
 		}
 		var resp leaseResponse
-		err := w.leaseWithRetry(ctx, &resp)
+		err := leaseRetry.Do(ctx, func() error {
+			return w.client.Do(ctx, http.MethodPost, "/lease", leaseRequest{Worker: w.opts.Name}, &resp)
+		})
 		if err != nil {
 			return executed, fmt.Errorf("fabric: lease: %w", err)
 		}
@@ -106,10 +117,8 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			if resp.RetryMillis > 0 {
 				wait = time.Duration(resp.RetryMillis) * time.Millisecond
 			}
-			select {
-			case <-ctx.Done():
-				return executed, ctx.Err()
-			case <-time.After(wait):
+			if err := ctlhttp.Wait(ctx, wait); err != nil {
+				return executed, err
 			}
 		default:
 			n, done, err := w.runLease(ctx, *resp.Lease, resp.RenewMillis)
@@ -124,31 +133,8 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 	}
 }
 
-// leaseWithRetry asks for a lease, retrying transient transport errors
-// (a coordinator mid-restart) with backoff before giving up.
-func (w *Worker) leaseWithRetry(ctx context.Context, resp *leaseResponse) error {
-	backoff := 100 * time.Millisecond
-	for attempt := 0; ; attempt++ {
-		err := w.postJSON(ctx, "/lease", leaseRequest{Worker: w.opts.Name}, resp)
-		if err == nil {
-			return nil
-		}
-		var se *statusError
-		if asStatusError(err, &se) || attempt >= 4 {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
-}
-
 // runLease executes one lease's trials across the local pool, renewing
-// the lease while it works, then streams the batch back, retrying
-// transient coordinator failures (a restart mid-upload) until ctx ends.
+// the lease while it works, then streams the batch back (uploadRetry).
 // The returned done flag mirrors the coordinator's: true when this batch
 // completed the run, so the worker can exit without another poll.
 func (w *Worker) runLease(ctx context.Context, l harness.Lease, renewMillis int64) (int, bool, error) {
@@ -157,17 +143,10 @@ func (w *Worker) runLease(ctx context.Context, l harness.Lease, renewMillis int6
 	// re-leased and the duplicate results are ignored.
 	renewCtx, stopRenew := context.WithCancel(ctx)
 	defer stopRenew()
-	if renewMillis > 0 {
+	if every := time.Duration(renewMillis) * time.Millisecond; every > 0 {
 		go func() {
-			tick := time.NewTicker(time.Duration(renewMillis) * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-renewCtx.Done():
-					return
-				case <-tick.C:
-					_ = w.postJSON(renewCtx, "/renew", renewRequest{Lease: l.ID}, nil)
-				}
+			for ctlhttp.Wait(renewCtx, every) == nil {
+				_ = w.client.Do(renewCtx, http.MethodPost, "/renew", renewRequest{Lease: l.ID}, nil)
 			}
 		}()
 	}
@@ -191,89 +170,15 @@ func (w *Worker) runLease(ctx context.Context, l harness.Lease, renewMillis int6
 		}
 	}
 
-	// Stream the batch back. Transient errors (coordinator restarting)
-	// retry with backoff; a 4xx is a protocol violation and fatal.
-	backoff := 100 * time.Millisecond
-	for {
-		var resp resultsResponse
-		err := w.postBytes(ctx, "/results", body.Bytes(), &resp)
-		if err == nil {
-			return len(outcomes), resp.Done, nil
-		}
-		var se *statusError
-		if ok := asStatusError(err, &se); ok && se.code >= 400 && se.code < 500 {
-			return 0, false, fmt.Errorf("fabric: results rejected: %w", err)
-		}
-		select {
-		case <-ctx.Done():
-			return 0, false, ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
+	var resp resultsResponse
+	err = uploadRetry.Do(ctx, func() error {
+		return w.client.Do(ctx, http.MethodPost, "/results", body.Bytes(), &resp)
+	})
+	switch {
+	case ctlhttp.IsStatus(err):
+		return 0, false, fmt.Errorf("fabric: results rejected: %w", err)
+	case err != nil:
+		return 0, false, err
 	}
-}
-
-// statusError carries a non-2xx response.
-type statusError struct {
-	code int
-	body string
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("%d: %s", e.code, e.body) }
-
-func asStatusError(err error, out **statusError) bool {
-	se, ok := err.(*statusError)
-	if ok {
-		*out = se
-	}
-	return ok
-}
-
-func (w *Worker) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.opts.Coordinator+path, nil)
-	if err != nil {
-		return err
-	}
-	return w.do(req, out)
-}
-
-func (w *Worker) postJSON(ctx context.Context, path string, body, out any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.Coordinator+path, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return w.do(req, out)
-}
-
-func (w *Worker) postBytes(ctx context.Context, path string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/jsonl")
-	return w.do(req, out)
-}
-
-func (w *Worker) do(req *http.Request, out any) error {
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return len(outcomes), resp.Done, nil
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,6 +10,7 @@ import (
 	"sync"
 
 	"algossip/internal/core"
+	"algossip/internal/jsonl"
 )
 
 // checkpointVersion guards the on-disk format.
@@ -100,148 +100,83 @@ func (s *Spec) Regime() string {
 }
 
 // CheckpointFile is an open checkpoint: previously completed outcomes
-// plus an append handle for new ones. The local Runner and out-of-process
-// coordinators (internal/fabric) share it — the same header validation,
-// fsync-per-line appends and torn-tail recovery — so a fabric
-// coordinator's on-disk state is an ordinary checkpoint: resumable,
-// foreign-spec-rejecting, kill-tolerant. Appends from concurrent workers
-// serialize on the file's own lock, keeping per-line fsync latency off
-// the pool's result path.
+// plus an append handle for new ones. The trial Ledger — and through it the
+// local Runner and out-of-process coordinators (internal/fabric) — records
+// here, on a jsonl.Log: the same header validation, fsync-per-line appends
+// and torn-tail recovery, so a fabric coordinator's on-disk state is an
+// ordinary checkpoint: resumable, foreign-spec-rejecting, kill-tolerant.
 type CheckpointFile struct {
 	mu     sync.Mutex
-	f      *os.File
+	log    *jsonl.Log
 	loaded map[int]Outcome
 }
 
 // OpenCheckpointFile opens (and, when resuming, replays) the checkpoint
 // at path for the spec's expanded work-list of the given total size.
-// Without resume an existing file is truncated and restarted; with
-// resume a partial trailing line from a kill mid-append is discarded so
-// new entries stay line-aligned.
+// Without resume an existing file is emptied and restarted; with resume
+// a missing file is an empty checkpoint, a header written by another spec
+// is refused, and a torn tail from a kill mid-append is dropped (jsonl's
+// rule) so new entries stay line-aligned.
 func OpenCheckpointFile(path string, spec *Spec, total int, resume bool) (*CheckpointFile, error) {
-	loaded := map[int]Outcome{}
-	valid := int64(0)
-	if resume {
-		var err error
-		loaded, valid, err = readCheckpoint(path, spec, total)
-		if err != nil {
+	if !resume {
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
 			return nil, err
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	ck := &CheckpointFile{loaded: map[int]Outcome{}}
+	want := ckHeader{V: checkpointVersion, Name: spec.Name, Fingerprint: spec.Fingerprint(), Total: total}
+	var err error
+	ck.log, err = jsonl.Open(path, want, true, func(off int64, line []byte) error {
+		if off == 0 {
+			return want.check(path, line)
+		}
+		var e ckEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
+		}
+		if e.I < 0 || e.I >= total {
+			return fmt.Errorf("entry index %d out of range [0,%d)", e.I, total)
+		}
+		ck.loaded[e.I] = e.O
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(valid, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	ck := &CheckpointFile{f: f, loaded: loaded}
-	if valid == 0 {
-		if err := ck.writeLine(ckHeader{V: checkpointVersion, Name: spec.Name,
-			Fingerprint: spec.Fingerprint(), Total: total}); err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	return ck, nil
 }
 
-// writeLine marshals v and appends it with a trailing newline, syncing so
-// a kill loses at most the trial in flight.
-func (ck *CheckpointFile) writeLine(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
+// check validates a checkpoint's header line against the header this spec
+// would write.
+func (want ckHeader) check(path string, line []byte) error {
+	var h ckHeader
+	if err := json.Unmarshal(line, &h); err != nil {
+		return fmt.Errorf("harness: corrupt checkpoint header in %s: %w", path, err)
 	}
-	if _, err := ck.f.Write(append(data, '\n')); err != nil {
-		return err
+	if h.V != want.V {
+		return fmt.Errorf("harness: checkpoint %s has version %d, want %d", path, h.V, want.V)
 	}
-	return ck.f.Sync()
+	if h.Fingerprint != want.Fingerprint {
+		return fmt.Errorf("harness: checkpoint %s was written by a different spec (fingerprint mismatch)", path)
+	}
+	if h.Total != want.Total {
+		return fmt.Errorf("harness: checkpoint %s expects %d trials, spec expands to %d", path, h.Total, want.Total)
+	}
+	return nil
 }
 
 // Loaded is the set of trial outcomes replayed from disk on open.
 func (ck *CheckpointFile) Loaded() map[int]Outcome { return ck.loaded }
 
-// Append durably records one completed trial (safe for concurrent use).
+// Append durably records one completed trial (safe for concurrent use):
+// written and synced before it returns, so a kill loses at most the trial
+// in flight.
 func (ck *CheckpointFile) Append(i int, o Outcome) error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	return ck.writeLine(ckEntry{I: i, O: o})
+	_, err := ck.log.Append(ckEntry{I: i, O: o})
+	return err
 }
 
 // Close closes the underlying file.
-func (ck *CheckpointFile) Close() error { return ck.f.Close() }
-
-// readCheckpoint replays a checkpoint file, validating the header against
-// the spec. It returns the completed outcomes and the byte offset of the
-// last fully written line. A missing file is an empty checkpoint; a
-// truncated final line (kill mid-append) is ignored and everything
-// before it counts.
-func readCheckpoint(path string, spec *Spec, total int) (map[int]Outcome, int64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return map[int]Outcome{}, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	size := int64(0)
-	if st, err := f.Stat(); err == nil {
-		size = st.Size()
-	}
-
-	loaded := map[int]Outcome{}
-	var offset, valid int64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		offset += int64(len(line)) + 1
-		if first {
-			first = false
-			var h ckHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return nil, 0, fmt.Errorf("harness: corrupt checkpoint header in %s: %w", path, err)
-			}
-			if h.V != checkpointVersion {
-				return nil, 0, fmt.Errorf("harness: checkpoint %s has version %d, want %d", path, h.V, checkpointVersion)
-			}
-			if h.Fingerprint != spec.Fingerprint() {
-				return nil, 0, fmt.Errorf("harness: checkpoint %s was written by a different spec (fingerprint mismatch)", path)
-			}
-			if h.Total != total {
-				return nil, 0, fmt.Errorf("harness: checkpoint %s expects %d trials, spec expands to %d", path, h.Total, total)
-			}
-			valid = offset
-			continue
-		}
-		var e ckEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			// A partial trailing line from an interrupted append: stop
-			// replaying here and redo the rest of the work-list.
-			break
-		}
-		if e.I < 0 || e.I >= total {
-			return nil, 0, fmt.Errorf("harness: checkpoint %s entry index %d out of range [0,%d)", path, e.I, total)
-		}
-		loaded[e.I] = e.O
-		valid = offset
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, err
-	}
-	if valid > size {
-		// The final accepted line had no trailing newline; rewrite it on
-		// resume rather than appending onto it.
-		valid = 0
-		loaded = map[int]Outcome{}
-	}
-	return loaded, valid, nil
-}
+func (ck *CheckpointFile) Close() error { return ck.log.Close() }

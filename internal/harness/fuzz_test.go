@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzReadCheckpoint throws arbitrary bytes at the checkpoint parser: a
-// torn or corrupt JSONL file must never panic — it either resumes the
+// FuzzReadCheckpoint throws arbitrary bytes at a resuming checkpoint open:
+// a torn or corrupt JSONL file must never panic — it either resumes the
 // valid prefix or reports an error. This is the recovery path a killed
 // sweep depends on, so graceful degradation is load-bearing.
 func FuzzReadCheckpoint(f *testing.F) {
@@ -32,27 +32,36 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		loaded, valid, err := readCheckpoint(path, spec, total)
+		ck, err := OpenCheckpointFile(path, spec, total, true)
 		if err != nil {
 			return // rejecting corrupt input is fine; panicking is not
 		}
-		if valid < 0 || valid > int64(len(data)) {
-			t.Fatalf("valid offset %d outside [0, %d]", valid, len(data))
-		}
-		for i := range loaded {
+		loaded := len(ck.Loaded())
+		for i := range ck.Loaded() {
 			if i < 0 || i >= total {
 				t.Fatalf("accepted out-of-range trial index %d", i)
 			}
 		}
-		// Whatever was accepted must survive a resume round trip through
-		// OpenCheckpointFile (which truncates to the valid prefix).
-		ck, err := OpenCheckpointFile(path, spec, total, true)
+		// Whatever was kept is line-aligned: an entry appended after it
+		// and everything before it survive a second resume.
+		_, had := ck.Loaded()[0]
+		if err := ck.Append(0, Outcome{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ck, err = OpenCheckpointFile(path, spec, total, true)
 		if err != nil {
-			t.Fatalf("OpenCheckpointFile rejected what readCheckpoint accepted: %v", err)
+			t.Fatalf("second resume rejected what the first accepted: %v", err)
 		}
 		defer ck.Close()
-		if len(ck.Loaded()) != len(loaded) {
-			t.Fatalf("resume replayed %d entries, read %d", len(ck.Loaded()), len(loaded))
+		want := loaded
+		if !had {
+			want++
+		}
+		if len(ck.Loaded()) != want {
+			t.Fatalf("second resume replayed %d entries, want %d", len(ck.Loaded()), want)
 		}
 	})
 }

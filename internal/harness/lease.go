@@ -29,16 +29,30 @@ type Lease struct {
 // accepted (and a duplicate from the re-leased worker ignored) without
 // affecting the merged output.
 type LeaseTable struct {
-	mu     sync.Mutex
-	total  int
-	chunk  int
-	ttl    time.Duration
-	now    func() time.Time
-	done   []bool
+	mu    sync.Mutex
+	chunk int
+	ttl   time.Duration
+	now   func() time.Time
+	// owner says where each trial is: ownerFree, ownerDone, or the id of
+	// the live lease holding it (ids start at 1).
+	owner  []int64
 	nDone  int
-	free   []int // ascending indices neither done nor leased
-	leases map[int64]*Lease
+	free   []int // ascending; a trial completed while it waited here stays until Lease skips it
+	leases map[int64]*liveLease
 	nextID int64
+}
+
+const (
+	ownerFree int64 = 0
+	ownerDone int64 = -1
+)
+
+// liveLease is the table's side of a Lease: the indices it was issued and
+// how many of them it still holds.
+type liveLease struct {
+	indices []int
+	left    int
+	expires time.Time
 }
 
 // NewLeaseTable builds a table over total trials, handing out at most
@@ -58,13 +72,13 @@ func NewLeaseTable(total, chunk int, ttl time.Duration, now func() time.Time) (*
 		now = time.Now
 	}
 	lt := &LeaseTable{
-		total: total, chunk: chunk, ttl: ttl, now: now,
-		done:   make([]bool, total),
-		free:   make([]int, 0, total),
-		leases: make(map[int64]*Lease),
+		chunk: chunk, ttl: ttl, now: now,
+		owner:  make([]int64, total),
+		free:   make([]int, total),
+		leases: make(map[int64]*liveLease),
 	}
-	for i := 0; i < total; i++ {
-		lt.free = append(lt.free, i)
+	for i := range lt.free {
+		lt.free[i] = i
 	}
 	return lt, nil
 }
@@ -88,26 +102,24 @@ func (lt *LeaseTable) Lease(worker string) (Lease, bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	lt.expireLocked()
-	if len(lt.free) == 0 {
+	id := lt.nextID + 1
+	var indices []int
+	for len(lt.free) > 0 && len(indices) < lt.chunk {
+		i := lt.free[0]
+		lt.free = lt.free[1:]
+		if lt.owner[i] == ownerFree {
+			lt.owner[i] = id
+			indices = append(indices, i)
+		}
+	}
+	if len(indices) == 0 {
 		return Lease{}, false
 	}
-	n := lt.chunk
-	if n > len(lt.free) {
-		n = len(lt.free)
-	}
-	lt.nextID++
-	l := &Lease{
-		ID: lt.nextID, Worker: worker,
-		Indices: append([]int(nil), lt.free[:n]...),
-		Expires: lt.now().Add(lt.ttl),
-	}
-	lt.free = lt.free[n:]
-	lt.leases[l.ID] = l
-	// The caller's copy must not alias the internal index list, which
-	// shrinks as completions land.
-	out := *l
-	out.Indices = append([]int(nil), l.Indices...)
-	return out, true
+	lt.nextID = id
+	l := &liveLease{indices: indices, left: len(indices), expires: lt.now().Add(lt.ttl)}
+	lt.leases[id] = l
+	// The caller's copy must not alias the table's index list.
+	return Lease{ID: id, Worker: worker, Indices: append([]int(nil), indices...), Expires: l.expires}, true
 }
 
 // Renew extends a live lease's expiry (a worker streaming partial
@@ -121,7 +133,7 @@ func (lt *LeaseTable) Renew(id int64) bool {
 	if !ok {
 		return false
 	}
-	l.Expires = lt.now().Add(lt.ttl)
+	l.expires = lt.now().Add(lt.ttl)
 	return true
 }
 
@@ -135,52 +147,50 @@ func (lt *LeaseTable) Complete(i int) bool {
 }
 
 func (lt *LeaseTable) completeLocked(i int) bool {
-	if i < 0 || i >= lt.total {
+	if i < 0 || i >= len(lt.owner) {
 		return false
 	}
-	if !lt.done[i] {
-		lt.done[i] = true
-		lt.nDone++
-		// Drop it from the free pool if an expiry already requeued it.
-		for fi, v := range lt.free {
-			if v == i {
-				lt.free = append(lt.free[:fi], lt.free[fi+1:]...)
-				break
-			}
-		}
+	id := lt.owner[i]
+	if id == ownerDone {
+		return true
 	}
-	for id, l := range lt.leases {
-		for li, v := range l.Indices {
-			if v == i {
-				l.Indices = append(l.Indices[:li], l.Indices[li+1:]...)
-				break
-			}
-		}
-		if len(l.Indices) == 0 {
+	lt.owner[i] = ownerDone
+	lt.nDone++
+	if l := lt.leases[id]; l != nil { // nil for a free trial: no lease has id 0
+		if l.left--; l.left == 0 {
 			delete(lt.leases, id)
 		}
 	}
 	return true
 }
 
-// expireLocked requeues the incomplete indices of every expired lease.
+// expireLocked requeues the trials every expired lease still holds.
 func (lt *LeaseTable) expireLocked() {
 	now := lt.now()
+	requeued := false
 	for id, l := range lt.leases {
-		if now.Before(l.Expires) {
+		if now.Before(l.expires) {
 			continue
 		}
-		lt.free = append(lt.free, l.Indices...)
+		for _, i := range l.indices {
+			if lt.owner[i] == id {
+				lt.owner[i] = ownerFree
+				lt.free = append(lt.free, i)
+				requeued = true
+			}
+		}
 		delete(lt.leases, id)
 	}
-	sort.Ints(lt.free)
+	if requeued {
+		sort.Ints(lt.free)
+	}
 }
 
 // Done reports whether every trial has completed.
 func (lt *LeaseTable) Done() bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	return lt.nDone == lt.total
+	return lt.nDone == len(lt.owner)
 }
 
 // Counts returns (done, live-leased, free) trial counts, expiring stale
@@ -190,7 +200,7 @@ func (lt *LeaseTable) Counts() (done, leased, free int) {
 	defer lt.mu.Unlock()
 	lt.expireLocked()
 	for _, l := range lt.leases {
-		leased += len(l.Indices)
+		leased += l.left
 	}
-	return lt.nDone, leased, len(lt.free)
+	return lt.nDone, leased, len(lt.owner) - lt.nDone - leased
 }

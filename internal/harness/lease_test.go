@@ -138,3 +138,37 @@ func TestLeaseTableMarkDoneFromCheckpoint(t *testing.T) {
 		t.Fatalf("lease after MarkDone = %v, want [1 3]", l.Indices)
 	}
 }
+
+// TestLeaseTableLateCompletionLeavesFreeList: a trial an expiry put back
+// in the free pool and a late report then completed is not handed out
+// again — the pool drops it when Lease gets to it.
+func TestLeaseTableLateCompletionLeavesFreeList(t *testing.T) {
+	clock := newFakeClock()
+	lt, err := NewLeaseTable(4, 4, time.Minute, clock.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _ := lt.Lease("slow")
+	clock.advance(2 * time.Minute)
+	if done, leased, free := lt.Counts(); done != 0 || leased != 0 || free != 4 {
+		t.Fatalf("counts after expiry = (%d, %d, %d), want (0, 0, 4)", done, leased, free)
+	}
+	lt.Complete(l.Indices[1])
+	lt.Complete(l.Indices[2])
+	if done, leased, free := lt.Counts(); done != 2 || leased != 0 || free != 2 {
+		t.Fatalf("counts after late completions = (%d, %d, %d), want (2, 0, 2)", done, leased, free)
+	}
+	l2, ok := lt.Lease("other")
+	if !ok || len(l2.Indices) != 2 || l2.Indices[0] != l.Indices[0] || l2.Indices[1] != l.Indices[3] {
+		t.Fatalf("lease after late completions = %v (ok=%v), want [%d %d]", l2.Indices, ok, l.Indices[0], l.Indices[3])
+	}
+	if _, ok := lt.Lease("third"); ok {
+		t.Fatal("completed trials leased out again")
+	}
+	for _, i := range l2.Indices {
+		lt.Complete(i)
+	}
+	if !lt.Done() {
+		t.Fatal("not done after every trial completed")
+	}
+}

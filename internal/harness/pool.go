@@ -78,37 +78,17 @@ func (rs *ResultSet) MeanRounds(ci int) float64 {
 	return sum / float64(len(xs))
 }
 
-// Run expands the spec, consults the checkpoint, fans the remaining
-// trials out over the pool, and returns the ordered results. The
-// returned ResultSet is identical for any Parallel value and for any
-// interrupt/resume history.
+// Run opens the spec's Ledger (expanding it and replaying the checkpoint),
+// fans the pending trials out over the pool, and returns the ordered
+// results. The returned ResultSet is identical for any Parallel value and
+// for any interrupt/resume history.
 func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 	start := time.Now()
-	cells, trials, err := spec.Expand()
+	ledger, err := OpenLedger(spec, r.Checkpoint, r.Resume, r.Progress)
 	if err != nil {
 		return nil, err
 	}
-	outcomes := make([]Outcome, len(trials))
-	done := make([]bool, len(trials))
-
-	var ck *CheckpointFile
-	if r.Checkpoint != "" {
-		ck, err = OpenCheckpointFile(r.Checkpoint, spec, len(trials), r.Resume)
-		if err != nil {
-			return nil, err
-		}
-		defer ck.Close()
-		for i, o := range ck.Loaded() {
-			outcomes[i] = o
-			done[i] = true
-		}
-	}
-	pending := make([]int, 0, len(trials))
-	for i := range trials {
-		if !done[i] {
-			pending = append(pending, i)
-		}
-	}
+	defer ledger.Close()
 
 	exec := r.execute
 	if exec == nil {
@@ -116,37 +96,20 @@ func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 			return s.ExecuteTrial(t)
 		}
 	}
-	completed := len(trials) - len(pending)
-	var mu sync.Mutex
-	err = forEachIndex(pending, r.Parallel, func(i int) error {
-		o, err := r.runOne(exec, spec, trials[i])
+	err = forEachIndex(ledger.Pending(), r.Parallel, func(i int) error {
+		o, err := r.runOne(exec, spec, ledger.Trials[i])
 		if err != nil {
 			return err
 		}
-		// Each index is owned by exactly one worker, so the slice write
-		// needs no lock; the checkpoint serializes (and fsyncs) under its
-		// own lock so slow disks never stall the result mutex.
-		outcomes[i] = o
-		if ck != nil {
-			if err := ck.Append(i, o); err != nil {
-				return err
-			}
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		completed++
-		if r.Progress != nil {
-			r.Progress(completed, len(trials), trials[i], o)
-		}
-		return nil
+		_, err = ledger.Commit(i, o)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ResultSet{
-		Spec: spec, Cells: cells, Trials: trials, Outcomes: outcomes,
-		Elapsed: time.Since(start), Executed: len(pending),
-	}, nil
+	rs := ledger.ResultSet()
+	rs.Elapsed = time.Since(start)
+	return rs, nil
 }
 
 // runOne executes one trial, enforcing the per-trial timeout.

@@ -8,9 +8,8 @@ package livectl
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,6 +23,7 @@ import (
 	"time"
 
 	"algossip/internal/core"
+	"algossip/internal/ctlhttp"
 	"algossip/internal/daemon"
 	"algossip/internal/graph"
 )
@@ -332,36 +332,9 @@ func (c *Cluster) Procs() int { return len(c.procs) }
 // (when in is non-nil) and the reply (when out is) as JSON. Any status
 // but 200 is an error carrying the daemon's reason.
 func (c *Cluster) do(ctx context.Context, method, ctl, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+ctl+path, body)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("livectl: %s %s on %s: %s: %s", method, path, ctl, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	switch out := out.(type) {
-	case nil:
-		_, err = io.Copy(io.Discard, resp.Body)
-	case *string:
-		var b []byte
-		b, err = io.ReadAll(resp.Body)
-		*out = string(b)
-	default:
-		err = json.NewDecoder(resp.Body).Decode(out)
+	err := ctlhttp.Client{Base: "http://" + ctl, HTTP: &c.client}.Do(ctx, method, path, in, out)
+	if ctlhttp.IsStatus(err) {
+		return fmt.Errorf("livectl: %s %s on %s: %w", method, path, ctl, err)
 	}
 	return err
 }
@@ -376,6 +349,18 @@ func (c *Cluster) each(ctx context.Context, path string, in any) error {
 	return nil
 }
 
+// gather sends one request to every process and collects the JSON
+// replies, in process order.
+func gather[T any](ctx context.Context, c *Cluster, method, path string, in any) ([]T, error) {
+	all := make([]T, len(c.procs))
+	for i, p := range c.procs {
+		if err := c.do(ctx, method, p.ctl, path, in, &all[i]); err != nil {
+			return nil, err
+		}
+	}
+	return all, nil
+}
+
 // at posts one body to node v's home process.
 func (c *Cluster) at(ctx context.Context, v core.NodeID, path string, in any) error {
 	p, ok := c.home[v]
@@ -387,16 +372,11 @@ func (c *Cluster) at(ctx context.Context, v core.NodeID, path string, in any) er
 
 // WaitHealthy blocks until every process answers /healthz.
 func (c *Cluster) WaitHealthy(ctx context.Context) error {
+	poll := ctlhttp.Retry{First: 50 * time.Millisecond}
 	for _, p := range c.procs {
-		for {
-			if err := c.do(ctx, http.MethodGet, p.ctl, "/healthz", nil, nil); err == nil {
-				break
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("livectl: %s never became healthy: %w", p.ctl, ctx.Err())
-			case <-time.After(50 * time.Millisecond):
-			}
+		err := poll.Do(ctx, func() error { return c.do(ctx, http.MethodGet, p.ctl, "/healthz", nil, nil) })
+		if err != nil {
+			return fmt.Errorf("livectl: %s never became healthy: %w", p.ctl, err)
 		}
 	}
 	return nil
@@ -447,41 +427,38 @@ func (c *Cluster) Start(ctx context.Context) error { return c.each(ctx, "/start"
 
 // Status fetches every process's status, in process order.
 func (c *Cluster) Status(ctx context.Context) ([]daemon.StatusResponse, error) {
-	all := make([]daemon.StatusResponse, len(c.procs))
-	for i, p := range c.procs {
-		if err := c.do(ctx, http.MethodGet, p.ctl, "/status", nil, &all[i]); err != nil {
-			return nil, err
-		}
-	}
-	return all, nil
+	return gather[daemon.StatusResponse](ctx, c, http.MethodGet, "/status", nil)
 }
 
 // WaitConverged polls until every node of every process reports full
 // rank, returning the deployment's stopping time: the maximum DoneTick
 // over all nodes (one tick approximates one synchronous round).
 func (c *Cluster) WaitConverged(ctx context.Context) (int, error) {
-	for {
+	maxTick := 0
+	poll := ctlhttp.Retry{First: 250 * time.Millisecond, Fatal: func(err error) bool { return err != errConverging }}
+	err := poll.Do(ctx, func() error {
 		all, err := c.Status(ctx)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		done, maxTick := true, 0
 		for _, st := range all {
-			done = done && st.Done
+			if !st.Done {
+				return errConverging
+			}
 			for _, n := range st.Nodes {
 				maxTick = max(maxTick, n.DoneTick)
 			}
 		}
-		if done {
-			return maxTick, nil
-		}
-		select {
-		case <-ctx.Done():
-			return 0, fmt.Errorf("livectl: convergence: %w", ctx.Err())
-		case <-time.After(250 * time.Millisecond):
-		}
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("livectl: convergence: %w", err)
 	}
+	return maxTick, nil
 }
+
+// errConverging is WaitConverged's "not yet".
+var errConverging = errors.New("livectl: still converging")
 
 // ApplyTopology swaps every process's communication topology.
 func (c *Cluster) ApplyTopology(ctx context.Context, family string, n int, seed uint64) error {
@@ -492,13 +469,7 @@ func (c *Cluster) ApplyTopology(ctx context.Context, family string, n int, seed 
 // and returns each process's resulting state (an empty request only reads
 // it).
 func (c *Cluster) Chaos(ctx context.Context, req daemon.ChaosRequest) ([]daemon.ChaosState, error) {
-	states := make([]daemon.ChaosState, len(c.procs))
-	for i, p := range c.procs {
-		if err := c.do(ctx, http.MethodPost, p.ctl, "/chaos", req, &states[i]); err != nil {
-			return nil, err
-		}
-	}
-	return states, nil
+	return gather[daemon.ChaosState](ctx, c, http.MethodPost, "/chaos", req)
 }
 
 // Partition symmetrically cuts the given nodes off from the deployment:
@@ -532,9 +503,9 @@ func (c *Cluster) Metrics(ctx context.Context, procIndex int) (string, error) {
 	if procIndex < 0 || procIndex >= len(c.procs) {
 		return "", fmt.Errorf("livectl: no process %d", procIndex)
 	}
-	var text string
+	var text strings.Builder
 	err := c.do(ctx, http.MethodGet, c.procs[procIndex].ctl, "/metrics", nil, &text)
-	return text, err
+	return text.String(), err
 }
 
 // Drain asks every process to shut down gracefully and waits for the ones

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"algossip/internal/core"
+	"algossip/internal/ctlhttp"
 	"algossip/internal/daemon"
 )
 
@@ -210,16 +211,21 @@ func TestMalformedBodies(t *testing.T) {
 			`{"partition":"0"}`, `{"corrupt_rate":2}`, `{"latency_ms":-1}`, `{"jitter_ms":"1"}`,
 		},
 	}
+	// A body over the control plane's bound is refused unread, whatever
+	// it would have said.
+	for path := range bad {
+		bad[path] = append(bad[path], `{"pad":"`+strings.Repeat("a", ctlhttp.MaxBody)+`"}`)
+	}
 	ctl := c.procs[0].ctl // hosts nodes 0 and 1
 	for path, bodies := range bad {
 		for _, body := range bodies {
 			resp, err := c.client.Post("http://"+ctl+path, "application/json", strings.NewReader(body))
 			if err != nil {
-				t.Fatalf("POST %s %s: %v", path, body, err)
+				t.Fatalf("POST %s %.80s: %v", path, body, err)
 			}
 			_ = resp.Body.Close()
 			if resp.StatusCode < 400 || resp.StatusCode >= 500 {
-				t.Errorf("POST %s %s: %s, want a 4xx", path, body, resp.Status)
+				t.Errorf("POST %s %.80s: %s, want a 4xx", path, body, resp.Status)
 			}
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"algossip/internal/harness"
+	"algossip/internal/jsonl"
 	"algossip/internal/stats"
 )
 
@@ -125,114 +126,55 @@ type idxFile struct {
 type Store struct {
 	mu    sync.Mutex
 	path  string
-	f     *os.File
-	size  int64
+	log   *jsonl.Log // the data file
 	cells map[Cell]*idxCell
 	order []Cell // insertion order, for deterministic Cells/queries
 	dirty bool
 }
 
 // Open opens (creating if needed) the store at path and loads or
-// rebuilds its index.
+// rebuilds its index: a sidecar that covers the data file to its last
+// byte is taken at its word, anything else is rebuilt by replaying the
+// data lines, dropping a torn tail (jsonl's rule).
 func Open(path string) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
+	s := &Store{path: path, cells: map[Cell]*idxCell{}}
+	replay := s.replay
+	if st, err := os.Stat(path); err == nil && st.Size() > 0 {
+		if idx, err := s.loadSidecar(); err == nil && idx.Size == st.Size() {
+			for _, c := range idx.Cells {
+				s.cells[c.Cell] = &idxCell{Cell: c.Cell, Offsets: c.Offsets}
+				s.order = append(s.order, c.Cell)
+			}
+			replay = nil
+		}
+	}
+	var err error
+	// The header carries nothing worth a sync of its own: the first
+	// Append's covers it.
+	if s.log, err = jsonl.Open(path, dataHeader{V: storeVersion}, false, replay); err != nil {
 		return nil, err
 	}
-	s := &Store{path: path, f: f, cells: map[Cell]*idxCell{}}
-	if err := s.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s.dirty = replay != nil
 	return s, nil
 }
 
-// load validates the data file, truncating a torn tail, and loads the
-// sidecar index when fresh or rebuilds it from the data lines.
-func (s *Store) load() error {
-	st, err := s.f.Stat()
-	if err != nil {
-		return err
-	}
-	if st.Size() == 0 {
-		// Fresh store: write the header.
-		data, _ := json.Marshal(dataHeader{V: storeVersion})
-		n, err := s.f.Write(append(data, '\n'))
-		if err != nil {
-			return err
+// replay checks the data file's header and indexes one of its records.
+func (s *Store) replay(off int64, line []byte) error {
+	if off == 0 {
+		var h dataHeader
+		if err := json.Unmarshal(line, &h); err != nil {
+			return fmt.Errorf("resultstore: corrupt header in %s: %w", s.path, err)
 		}
-		s.size = int64(n)
-		s.dirty = true
-		return nil
-	}
-
-	// Try the sidecar first; a fresh one saves the full scan.
-	if idx, err := s.loadSidecar(); err == nil && idx.Size == st.Size() {
-		s.size = idx.Size
-		for i := range idx.Cells {
-			c := idx.Cells[i]
-			s.cells[c.Cell] = &idxCell{Cell: c.Cell, Offsets: c.Offsets}
-			s.order = append(s.order, c.Cell)
-		}
-		if _, err := s.f.Seek(s.size, io.SeekStart); err != nil {
-			return err
+		if h.V != storeVersion {
+			return fmt.Errorf("resultstore: %s has version %d, want %d", s.path, h.V, storeVersion)
 		}
 		return nil
 	}
-
-	// Stale or missing index: rebuild by scanning the data file.
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+	var r Record
+	if err := json.Unmarshal(line, &r); err != nil {
 		return err
 	}
-	sc := bufio.NewScanner(s.f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	var offset, valid int64
-	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		lineStart := offset
-		end := lineStart + int64(len(line))
-		// A final line with no trailing newline is a torn append: never
-		// index it, and truncate so the next append stays line-aligned.
-		hasNL := end < st.Size()
-		offset = end
-		if hasNL {
-			offset++
-		}
-		if first {
-			first = false
-			var h dataHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return fmt.Errorf("resultstore: corrupt header in %s: %w", s.path, err)
-			}
-			if h.V != storeVersion {
-				return fmt.Errorf("resultstore: %s has version %d, want %d", s.path, h.V, storeVersion)
-			}
-			if !hasNL {
-				break
-			}
-			valid = offset
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil || !hasNL {
-			// Torn tail from a kill mid-append: keep everything before it.
-			break
-		}
-		s.indexLocked(r, lineStart)
-		valid = offset
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if err := s.f.Truncate(valid); err != nil {
-		return err
-	}
-	if _, err := s.f.Seek(valid, io.SeekStart); err != nil {
-		return err
-	}
-	s.size = valid
-	s.dirty = true
+	s.indexLocked(r, off)
 	return nil
 }
 
@@ -263,24 +205,24 @@ func (s *Store) indexLocked(r Record, offset int64) {
 	ic.Offsets = append(ic.Offsets, offset)
 }
 
-// Append durably adds records to the store and indexes them.
+// Append durably adds records to the store and indexes them: one write
+// and one sync for the whole call.
 func (s *Store) Append(recs ...Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range recs {
-		data, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		n, err := s.f.Write(append(data, '\n'))
-		if err != nil {
-			return err
-		}
-		s.indexLocked(r, s.size)
-		s.size += int64(n)
+	lines := make([]any, len(recs))
+	for i := range recs {
+		lines[i] = &recs[i]
+	}
+	offs, err := s.log.Append(lines...)
+	if err != nil {
+		return err
+	}
+	for i, off := range offs {
+		s.indexLocked(recs[i], off)
 	}
 	s.dirty = true
-	return s.f.Sync()
+	return nil
 }
 
 // Cells lists every indexed cell with its trial count, in first-seen
@@ -318,10 +260,7 @@ func (s *Store) Query(f Filter) ([]Record, error) {
 	out := make([]Record, 0, len(offsets))
 	rd := bufio.NewReader(nil)
 	for _, off := range offsets {
-		if _, err := s.f.Seek(off, io.SeekStart); err != nil {
-			return nil, err
-		}
-		rd.Reset(s.f)
+		rd.Reset(io.NewSectionReader(s.log, off, s.log.Size()-off))
 		line, err := rd.ReadBytes('\n')
 		if err != nil && err != io.EOF {
 			return nil, err
@@ -334,10 +273,6 @@ func (s *Store) Query(f Filter) ([]Record, error) {
 			continue
 		}
 		out = append(out, r)
-	}
-	// Restore the append position.
-	if _, err := s.f.Seek(s.size, io.SeekStart); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -392,7 +327,7 @@ func (s *Store) flushLocked() error {
 	if !s.dirty {
 		return nil
 	}
-	idx := idxFile{V: storeVersion, Size: s.size}
+	idx := idxFile{V: storeVersion, Size: s.log.Size()}
 	for _, c := range s.order {
 		idx.Cells = append(idx.Cells, *s.cells[c])
 	}
@@ -416,7 +351,7 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ferr := s.flushLocked()
-	cerr := s.f.Close()
+	cerr := s.log.Close()
 	if ferr != nil {
 		return ferr
 	}
