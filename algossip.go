@@ -182,9 +182,11 @@ type Spec struct {
 	Protocol Protocol
 	// Model is the time model (default Synchronous).
 	Model TimeModel
-	// Q is the field order (default 2).
+	// Q is the field order (default 2): 2, 4, 8, ..., 256 or a prime up
+	// to 251; anything else is an error from Run.
 	Q int
-	// Action is the contact action (default Exchange; uniform AG only).
+	// Action is the contact action (default Exchange). Push and Pull are
+	// for uniform AG and the uncoded baseline; the TAG protocols refuse them.
 	Action Action
 	// SingleSource seeds all messages at node 0 instead of round-robin.
 	SingleSource bool
@@ -193,24 +195,11 @@ type Spec struct {
 }
 
 // Run simulates the spec with the given seed and returns the stopping time
-// in rounds. Identical (Spec, seed) pairs produce identical results.
+// in rounds: RunDetailed minus the detail. Identical (Spec, seed) pairs
+// produce identical results.
 func Run(spec Spec, seed uint64) (Result, error) {
-	if spec.Graph == nil {
-		return Result{}, fmt.Errorf("algossip: nil graph")
-	}
-	if spec.K <= 0 {
-		return Result{}, fmt.Errorf("algossip: k must be positive, got %d", spec.K)
-	}
-	o, err := harness.Execute(harness.GossipSpec{
-		Graph:        spec.Graph,
-		Model:        spec.Model,
-		K:            spec.K,
-		Q:            spec.Q,
-		Action:       spec.Action,
-		SingleSource: spec.SingleSource,
-		MaxRounds:    spec.MaxRounds,
-	}, spec.Protocol, seed)
-	return o.Result, err
+	res, _, err := RunDetailed(spec, seed)
+	return res, err
 }
 
 // Disseminate runs payload-mode uniform algebraic gossip over the graph

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"algossip"
@@ -39,6 +40,16 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := algossip.Run(algossip.Spec{Graph: algossip.Line(4), K: 2, Protocol: 99}, 1); err == nil {
 		t.Error("unknown protocol accepted")
+	}
+	// An order gf cannot build is an error to the caller, not a panic.
+	for _, q := range []int{1, 6} {
+		if _, err := algossip.Run(algossip.Spec{Graph: algossip.Line(4), K: 2, Q: q}, 1); err == nil ||
+			!strings.Contains(err.Error(), "supported: 2, 4, 8") {
+			t.Errorf("Q=%d: %v, want an error naming the supported orders", q, err)
+		}
+	}
+	if _, err := algossip.Run(algossip.Spec{Graph: algossip.Line(4), K: 2, Protocol: algossip.ProtocolTAGRR, Action: algossip.Push}, 1); err == nil {
+		t.Error("TAG x PUSH accepted")
 	}
 }
 

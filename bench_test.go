@@ -1,7 +1,8 @@
 package algossip_test
 
 // One benchmark per paper artifact, matching the experiment index in
-// DESIGN.md (E1-E12, A1-A4). Each benchmark runs the core measurement of
+// DESIGN.md (E1-E18, A1-A7; the sweep-shaped E13-E18 have no benchmark
+// here). Each benchmark runs the core measurement of
 // its experiment at a fixed representative size and reports the stopping
 // time via the custom "rounds" metric (and "speedup"/"ratio" where the
 // artifact is a comparison), so `go test -bench=.` regenerates the paper's
@@ -11,11 +12,17 @@ import (
 	"testing"
 
 	"algossip/internal/core"
-	"algossip/internal/experiments"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
 	"algossip/internal/queueing"
 )
+
+// rounds runs one trial through harness.Execute, the way every artifact
+// does, and returns its stopping time.
+func rounds(spec harness.GossipSpec, proto harness.Protocol, seed uint64) (int, error) {
+	o, err := harness.Execute(spec, proto, seed)
+	return o.Result.Rounds, err
+}
 
 // reportMeanRounds runs fn b.N times and reports the mean stopping time.
 func reportMeanRounds(b *testing.B, fn func(seed uint64) (int, error)) {
@@ -36,8 +43,7 @@ func reportMeanRounds(b *testing.B, fn func(seed uint64) (int, error)) {
 func BenchmarkTable1UniformAGAnyGraph(b *testing.B) {
 	g := graph.Barbell(64)
 	reportMeanRounds(b, func(seed uint64) (int, error) {
-		res, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32}, seed)
-		return res.Rounds, err
+		return rounds(harness.GossipSpec{Graph: g, K: 32}, harness.ProtocolUniformAG, seed)
 	})
 }
 
@@ -47,8 +53,7 @@ func BenchmarkTable1ConstDegreeOptimal(b *testing.B) {
 	g := graph.Line(128)
 	b.ReportMetric(float64(64+g.Diameter()), "k+D")
 	reportMeanRounds(b, func(seed uint64) (int, error) {
-		res, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 64}, seed)
-		return res.Rounds, err
+		return rounds(harness.GossipSpec{Graph: g, K: 64}, harness.ProtocolUniformAG, seed)
 	})
 }
 
@@ -57,9 +62,7 @@ func BenchmarkTable1ConstDegreeOptimal(b *testing.B) {
 func BenchmarkTable1TAGGeneral(b *testing.B) {
 	g := graph.Barbell(64)
 	reportMeanRounds(b, func(seed uint64) (int, error) {
-		res, err := experiments.TAG(experiments.GossipSpec{Graph: g, K: 64},
-			experiments.TreeUniformB, seed)
-		return res.Rounds, err
+		return rounds(harness.GossipSpec{Graph: g, K: 64}, harness.ProtocolTAGUniform, seed)
 	})
 }
 
@@ -68,9 +71,7 @@ func BenchmarkTable1TAGGeneral(b *testing.B) {
 func BenchmarkTable1TAGRoundRobin(b *testing.B) {
 	g := graph.Barbell(96)
 	reportMeanRounds(b, func(seed uint64) (int, error) {
-		res, err := experiments.TAG(experiments.GossipSpec{Graph: g, K: 96},
-			experiments.TreeBRR, seed)
-		return res.Rounds, err
+		return rounds(harness.GossipSpec{Graph: g, K: 96}, harness.ProtocolTAGRR, seed)
 	})
 }
 
@@ -79,9 +80,7 @@ func BenchmarkTable1TAGRoundRobin(b *testing.B) {
 func BenchmarkTable1TAGIS(b *testing.B) {
 	g := graph.CliqueChain(4, 24)
 	reportMeanRounds(b, func(seed uint64) (int, error) {
-		res, err := experiments.TAG(experiments.GossipSpec{Graph: g, K: 2 * g.N()},
-			experiments.TreeIS, seed)
-		return res.Rounds, err
+		return rounds(harness.GossipSpec{Graph: g, K: 2 * g.N()}, harness.ProtocolTAGIS, seed)
 	})
 }
 
@@ -90,8 +89,7 @@ func BenchmarkTable1TAGIS(b *testing.B) {
 func BenchmarkTable2Line(b *testing.B) {
 	g := graph.Line(128)
 	reportMeanRounds(b, func(seed uint64) (int, error) {
-		res, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 64}, seed)
-		return res.Rounds, err
+		return rounds(harness.GossipSpec{Graph: g, K: 64}, harness.ProtocolUniformAG, seed)
 	})
 }
 
@@ -99,8 +97,7 @@ func BenchmarkTable2Line(b *testing.B) {
 func BenchmarkTable2Grid(b *testing.B) {
 	g := graph.Grid(12, 12)
 	reportMeanRounds(b, func(seed uint64) (int, error) {
-		res, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 72}, seed)
-		return res.Rounds, err
+		return rounds(harness.GossipSpec{Graph: g, K: 72}, harness.ProtocolUniformAG, seed)
 	})
 }
 
@@ -109,8 +106,7 @@ func BenchmarkTable2Grid(b *testing.B) {
 func BenchmarkTable2BinaryTree(b *testing.B) {
 	g := graph.BinaryTree(127)
 	reportMeanRounds(b, func(seed uint64) (int, error) {
-		res, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 64}, seed)
-		return res.Rounds, err
+		return rounds(harness.GossipSpec{Graph: g, K: 64}, harness.ProtocolUniformAG, seed)
 	})
 }
 
@@ -133,17 +129,16 @@ func BenchmarkBarbellSpeedup(b *testing.B) {
 	var agSum, tagSum float64
 	for i := 0; i < b.N; i++ {
 		seed := core.SplitSeed(11, uint64(i))
-		ag, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 64}, seed)
+		ag, err := rounds(harness.GossipSpec{Graph: g, K: 64}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tag, err := experiments.TAG(experiments.GossipSpec{Graph: g, K: 64},
-			experiments.TreeBRR, seed)
+		tag, err := rounds(harness.GossipSpec{Graph: g, K: 64}, harness.ProtocolTAGRR, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		agSum += float64(ag.Rounds)
-		tagSum += float64(tag.Rounds)
+		agSum += float64(ag)
+		tagSum += float64(tag)
 	}
 	b.ReportMetric(agSum/float64(b.N), "uniform-rounds")
 	b.ReportMetric(tagSum/float64(b.N), "tag-rounds")
@@ -158,12 +153,12 @@ func BenchmarkLowerBoundFloor(b *testing.B) {
 	floor := float64(64*(g.N()-1)) / float64(2*g.N())
 	total := 0.0
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 64},
+		res, err := rounds(harness.GossipSpec{Graph: g, K: 64}, harness.ProtocolUniformAG,
 			core.SplitSeed(13, uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		total += float64(res.Rounds)
+		total += float64(res)
 	}
 	b.ReportMetric(total/float64(b.N), "rounds")
 	b.ReportMetric(total/float64(b.N)/floor, "rounds-over-floor")
@@ -175,12 +170,12 @@ func BenchmarkCompleteGraphAG(b *testing.B) {
 	g := graph.Complete(128)
 	total := 0.0
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 128},
+		res, err := rounds(harness.GossipSpec{Graph: g, K: 128}, harness.ProtocolUniformAG,
 			core.SplitSeed(15, uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		total += float64(res.Rounds)
+		total += float64(res)
 	}
 	b.ReportMetric(total/float64(b.N), "rounds")
 	b.ReportMetric(total/float64(b.N)/128, "rounds-per-k")
@@ -193,16 +188,16 @@ func BenchmarkAblationFieldSize(b *testing.B) {
 	var q2, q256 float64
 	for i := 0; i < b.N; i++ {
 		seed := core.SplitSeed(17, uint64(i))
-		a, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32, Q: 2}, seed)
+		a, err := rounds(harness.GossipSpec{Graph: g, K: 32, Q: 2}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32, Q: 256}, seed)
+		c, err := rounds(harness.GossipSpec{Graph: g, K: 32, Q: 256}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		q2 += float64(a.Rounds)
-		q256 += float64(c.Rounds)
+		q2 += float64(a)
+		q256 += float64(c)
 	}
 	b.ReportMetric(q2/float64(b.N), "rounds-q2")
 	b.ReportMetric(q256/float64(b.N), "rounds-q256")
@@ -215,16 +210,16 @@ func BenchmarkAblationAction(b *testing.B) {
 	var xchg, push float64
 	for i := 0; i < b.N; i++ {
 		seed := core.SplitSeed(19, uint64(i))
-		x, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32, Action: core.Exchange}, seed)
+		x, err := rounds(harness.GossipSpec{Graph: g, K: 32, Action: core.Exchange}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32, Action: core.Push}, seed)
+		p, err := rounds(harness.GossipSpec{Graph: g, K: 32, Action: core.Push}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		xchg += float64(x.Rounds)
-		push += float64(p.Rounds)
+		xchg += float64(x)
+		push += float64(p)
 	}
 	b.ReportMetric(xchg/float64(b.N), "rounds-exchange")
 	b.ReportMetric(push/float64(b.N), "rounds-push")
@@ -237,16 +232,16 @@ func BenchmarkAblationUncoded(b *testing.B) {
 	var coded, plain float64
 	for i := 0; i < b.N; i++ {
 		seed := core.SplitSeed(21, uint64(i))
-		c, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 64}, seed)
+		c, err := rounds(harness.GossipSpec{Graph: g, K: 64}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		u, err := experiments.Uncoded(experiments.GossipSpec{Graph: g, K: 64}, seed)
+		u, err := rounds(harness.GossipSpec{Graph: g, K: 64}, harness.ProtocolUncoded, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		coded += float64(c.Rounds)
-		plain += float64(u.Rounds)
+		coded += float64(c)
+		plain += float64(u)
 	}
 	b.ReportMetric(coded/float64(b.N), "rounds-rlnc")
 	b.ReportMetric(plain/float64(b.N), "rounds-uncoded")
@@ -260,8 +255,7 @@ func BenchmarkAblationUncoded(b *testing.B) {
 func BenchmarkAblationRankOnly(b *testing.B) {
 	g := graph.Grid(8, 8)
 	reportMeanRounds(b, func(seed uint64) (int, error) {
-		res, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32, Q: 256}, seed)
-		return res.Rounds, err
+		return rounds(harness.GossipSpec{Graph: g, K: 32, Q: 256}, harness.ProtocolUniformAG, seed)
 	})
 }
 
@@ -272,16 +266,16 @@ func BenchmarkAblationSyncVsAsync(b *testing.B) {
 	var syncR, asyncR float64
 	for i := 0; i < b.N; i++ {
 		seed := core.SplitSeed(23, uint64(i))
-		s, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32, Model: core.Synchronous}, seed)
+		s, err := rounds(harness.GossipSpec{Graph: g, K: 32, Model: core.Synchronous}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32, Model: core.Asynchronous}, seed)
+		a, err := rounds(harness.GossipSpec{Graph: g, K: 32, Model: core.Asynchronous}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		syncR += float64(s.Rounds)
-		asyncR += float64(a.Rounds)
+		syncR += float64(s)
+		asyncR += float64(a)
 	}
 	b.ReportMetric(syncR/float64(b.N), "rounds-sync")
 	b.ReportMetric(asyncR/float64(b.N), "rounds-async")
@@ -294,16 +288,16 @@ func BenchmarkAblationPacketLoss(b *testing.B) {
 	var clean, lossy float64
 	for i := 0; i < b.N; i++ {
 		seed := core.SplitSeed(25, uint64(i))
-		c, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32}, seed)
+		c, err := rounds(harness.GossipSpec{Graph: g, K: 32}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		l, err := experiments.UniformAG(experiments.GossipSpec{Graph: g, K: 32, LossRate: 0.3}, seed)
+		l, err := rounds(harness.GossipSpec{Graph: g, K: 32, LossRate: 0.3}, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		clean += float64(c.Rounds)
-		lossy += float64(l.Rounds)
+		clean += float64(c)
+		lossy += float64(l)
 	}
 	b.ReportMetric(clean/float64(b.N), "rounds-clean")
 	b.ReportMetric(lossy/float64(b.N), "rounds-lossy")
@@ -313,7 +307,7 @@ func BenchmarkAblationPacketLoss(b *testing.B) {
 // BenchmarkAblationGenerations (A7): generation-coded gossip with an
 // intermediate generation size vs the paper's single-generation protocol.
 func BenchmarkAblationGenerations(b *testing.B) {
-	spec := experiments.GossipSpec{Graph: graph.Complete(32), K: 32, GenSize: 16, Lean: true}
+	spec := harness.GossipSpec{Graph: graph.Complete(32), K: 32, GenSize: 16, Lean: true}
 	total, bits := 0.0, 0
 	for i := 0; i < b.N; i++ {
 		o, err := harness.Execute(spec, harness.ProtocolUniformAG, core.SplitSeed(27, uint64(i)))

@@ -189,6 +189,18 @@ func TestFabricdRejectsBadFlags(t *testing.T) {
 	if err := runCoordinator([]string{"-resume"}, io.Discard); err == nil {
 		t.Error("-resume without -checkpoint accepted")
 	}
+	// An unbuildable field used to start the coordinator and kill its first
+	// worker; now the spec is refused before the listener: on a port that is
+	// taken, the answer is still the field order, not "address in use".
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	err = runCoordinator([]string{"-q", "6", "-sizes", "16", "-listen", ln.Addr().String()}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "supported: 2, 4, 8") {
+		t.Errorf("coordinator -q 6: %v, want a refusal naming the supported orders", err)
+	}
 	if err := runWorker([]string{}, io.Discard); err == nil {
 		t.Error("worker without -coordinator accepted")
 	}

@@ -297,6 +297,19 @@ func TestSweepRejectsBadFlags(t *testing.T) {
 		!strings.Contains(err.Error(), "cell n=") {
 		t.Errorf("tag x generations: %v, want Expand's per-cell refusal", err)
 	}
+	// -action on a tree protocol used to be accepted, run EXCHANGE, and
+	// file the rows under regime=action=PUSH; now nothing reaches the store.
+	storePath := filepath.Join(t.TempDir(), "results.jsonl")
+	err := run([]string{"-protocol", "tag", "-action", "push", "-sizes", "16", "-store", storePath}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "EXCHANGE with the tree parent") {
+		t.Errorf("tag x push: %v, want the model's reason", err)
+	}
+	if _, serr := os.Stat(storePath); !os.IsNotExist(serr) {
+		t.Errorf("refused sweep left a store behind: %v", serr)
+	}
+	if err := run([]string{"-q", "300", "-sizes", "16"}, os.Stdout); err == nil || !strings.Contains(err.Error(), "supported: 2, 4, 8") {
+		t.Errorf("-q 300: %v, want the supported orders", err)
+	}
 }
 
 // TestSweepStoreIngest: -store mirrors the CSV rows into the result

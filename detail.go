@@ -1,8 +1,6 @@
 package algossip
 
 import (
-	"fmt"
-
 	"algossip/internal/gf"
 	"algossip/internal/gossip"
 	"algossip/internal/harness"
@@ -27,16 +25,10 @@ type Detail struct {
 }
 
 // RunDetailed is Run plus a Detail record: per-node completion rounds,
-// traffic counters, and message sizing. It shares harness.Execute with
-// Run, so identical (Spec, seed) pairs produce identical results and
-// RunDetailed agrees with Run round-for-round at the same seed.
+// traffic counters, and message sizing. It is one harness.Execute, whose
+// screen refuses a spec that cannot run (nil graph, k < 1, an unsupported
+// field order, a protocol that does not take the action) with an error.
 func RunDetailed(spec Spec, seed uint64) (Result, Detail, error) {
-	if spec.Graph == nil {
-		return Result{}, Detail{}, fmt.Errorf("algossip: nil graph")
-	}
-	if spec.K <= 0 {
-		return Result{}, Detail{}, fmt.Errorf("algossip: k must be positive, got %d", spec.K)
-	}
 	o, err := harness.Execute(harness.GossipSpec{
 		Graph:        spec.Graph,
 		Model:        spec.Model,

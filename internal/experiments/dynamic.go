@@ -6,6 +6,7 @@ import (
 
 	"algossip/internal/graph"
 	"algossip/internal/harness"
+	"algossip/internal/stats"
 )
 
 // E15DynamicTopology sweeps stopping time against topology dynamics:
@@ -21,23 +22,19 @@ func E15DynamicTopology(w io.Writer, opt Options) error {
 	side := opt.pick(4, 6)
 	g := graph.Torus(side, side)
 	k := g.N() / 2
+	// E15 was recorded on the sweep's default seed layout, not runCell's
+	// stream, so it keeps its own Spec literal.
 	row := func(dyn *harness.Dynamics, proto harness.Protocol) (float64, error) {
 		spec := harness.Spec{
-			Name:      "E15-" + dyn.String(),
-			Graphs:    []*graph.Graph{g},
-			Ks:        []int{k},
-			Protocol:  proto,
-			Trials:    opt.trials(),
-			Seed:      opt.Seed,
-			Dynamics:  dyn,
-			MaxRounds: 1 << 16,
-			Lean:      true,
+			Graphs: []*graph.Graph{g}, Ks: []int{k}, Protocol: proto,
+			Trials: opt.trials(), Seed: opt.Seed,
+			Dynamics: dyn, MaxRounds: 1 << 16, Lean: true,
 		}
 		rs, err := harness.Runner{Parallel: opt.parallel()}.Run(&spec)
 		if err != nil {
 			return 0, err
 		}
-		return rs.MeanRounds(0), nil
+		return stats.Mean(rs.CellRounds(0)), nil
 	}
 
 	dynamics := []*harness.Dynamics{

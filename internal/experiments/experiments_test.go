@@ -1,16 +1,23 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"algossip/internal/core"
 	"algossip/internal/graph"
+	"algossip/internal/harness"
 )
 
 // TestAllExperimentsQuick runs the entire experiment registry in Quick mode
 // — the full-stack integration test for the harness: every protocol, every
-// topology family, every table renderer.
+// topology family, every table renderer. Each deterministic artifact must
+// also print, byte for byte, what the commit before the artifacts moved
+// onto harness.Runner printed (testdata/parent_quick_seed42, recorded from
+// 8f03e3f); E17's live half runs on the wall clock and has no fixture.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep skipped in -short mode")
@@ -29,6 +36,16 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if strings.Contains(out, "VIOLATION") || strings.Contains(out, "WARNING") {
 				t.Errorf("%s flagged a violation:\n%s", e.ID, out)
 			}
+			if e.ID == "E17" {
+				return
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "parent_quick_seed42", e.ID+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(want) {
+				t.Errorf("%s moved off the parent's output:\ngot:\n%swant:\n%s", e.ID, out, want)
+			}
 		})
 	}
 }
@@ -43,20 +60,52 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// TestSpecDefaults: a cell with no mutator is the paper's canonical
+// configuration on the artifacts' seed layout — opt.trials() trials, trial
+// i being harness.Execute on stream 100+i of the root seed.
 func TestSpecDefaults(t *testing.T) {
-	s := GossipSpec{Graph: graph.Line(4), K: 2}.Normalize()
-	if s.Model != core.Synchronous || s.Q != 2 || s.Action != core.Exchange ||
-		s.Selector != SelUniform || s.MaxRounds == 0 {
-		t.Fatalf("defaults wrong: %+v", s)
+	opt := Options{Quick: true, Seed: 42}
+	g := graph.Line(8)
+	rs, err := runCell(opt, g, 4, harness.ProtocolUniformAG, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Outcomes) != opt.trials() {
+		t.Fatalf("%d trials, want %d", len(rs.Outcomes), opt.trials())
+	}
+	for i, got := range rs.Outcomes {
+		want, err := harness.Execute(harness.GossipSpec{Graph: g, K: 4, Lean: true},
+			harness.ProtocolUniformAG, core.SplitSeed(opt.Seed, uint64(100+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("trial %d: cell %+v, Execute %+v", i, got, want)
+		}
 	}
 }
 
-func TestKindStrings(t *testing.T) {
-	if TreeBRR.String() != "BRR" || TreeIS.String() != "IS" || TreeUniformB.String() != "uniform-B" {
-		t.Fatal("TreeKind strings wrong")
+// TestSingleSourceSpec exercises the mutator: what set moves on the Spec
+// reaches the trial (here the single-source seeding path).
+func TestSingleSourceSpec(t *testing.T) {
+	g := graph.Complete(12)
+	rs, err := runCell(Options{Seed: 5, Trials: 1}, g, 6, harness.ProtocolUniformAG,
+		func(s *harness.Spec) { s.SingleSource = true })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if SelUniform.String() != "uniform" || SelRoundRobin.String() != "round-robin" {
-		t.Fatal("SelectorKind strings wrong")
+	spec := harness.GossipSpec{Graph: g, K: 6, SingleSource: true, Lean: true}
+	want, err := harness.Execute(spec, harness.ProtocolUniformAG, core.SplitSeed(5, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.SingleSource = false
+	spread, err := harness.Execute(spec, harness.ProtocolUniformAG, core.SplitSeed(5, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.Outcomes[0]; !reflect.DeepEqual(got, want) || reflect.DeepEqual(got, spread) {
+		t.Errorf("cell %+v, single-source Execute %+v, round-robin Execute %+v", got, want, spread)
 	}
 }
 
@@ -73,16 +122,5 @@ func TestTableRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestSingleSourceSpec exercises the single-source seeding path.
-func TestSingleSourceSpec(t *testing.T) {
-	res, err := UniformAG(GossipSpec{Graph: graph.Complete(12), K: 6, SingleSource: true}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds <= 0 {
-		t.Fatal("no rounds")
 	}
 }

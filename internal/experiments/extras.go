@@ -7,7 +7,6 @@ import (
 	"algossip/internal/core"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
-	"algossip/internal/sim"
 	"algossip/internal/stats"
 )
 
@@ -24,16 +23,11 @@ func E10BarbellSpeedup(w io.Writer, opt Options) error {
 	var xs, yAG, yTAG []float64
 	for _, n := range sizes {
 		g := graph.Barbell(n)
-		agMean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-			return UniformAG(GossipSpec{Graph: g, K: n}, s)
-		})
+		agMean, err := meanRounds(opt, g, n, harness.ProtocolUniformAG, nil)
 		if err != nil {
 			return fmt.Errorf("E10 AG n=%d: %w", n, err)
 		}
-		tagMean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-			res, err := TAG(GossipSpec{Graph: g, K: n}, TreeBRR, s)
-			return res.Result, err
-		})
+		tagMean, err := meanRounds(opt, g, n, harness.ProtocolTAGRR, nil)
 		if err != nil {
 			return fmt.Errorf("E10 TAG n=%d: %w", n, err)
 		}
@@ -62,9 +56,7 @@ func E11LowerBoundFloor(w io.Writer, opt Options) error {
 	tbl := NewTable("graph", "k", "rounds", "floor k(n-1)/2n", "rounds/floor")
 	for _, g := range graphs {
 		for _, k := range []int{g.N() / 2, g.N()} {
-			mean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-				return UniformAG(GossipSpec{Graph: g, K: k}, s)
-			})
+			mean, err := meanRounds(opt, g, k, harness.ProtocolUniformAG, nil)
 			if err != nil {
 				return fmt.Errorf("E11 %s k=%d: %w", g.Name(), k, err)
 			}
@@ -94,9 +86,8 @@ func E12CompleteGraph(w io.Writer, opt Options) error {
 	for _, n := range sizes {
 		g := graph.Complete(n)
 		for _, action := range []core.Action{core.Exchange, core.Push, core.Pull} {
-			mean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-				return UniformAG(GossipSpec{Graph: g, K: n, Action: action}, s)
-			})
+			mean, err := meanRounds(opt, g, n, harness.ProtocolUniformAG,
+				func(s *harness.Spec) { s.Action = action })
 			if err != nil {
 				return fmt.Errorf("E12 n=%d %v: %w", n, action, err)
 			}
@@ -119,9 +110,8 @@ func A1FieldSize(w io.Writer, opt Options) error {
 	tbl := NewTable("q", "rounds", "vs q=2")
 	var base float64
 	for _, q := range []int{2, 4, 16, 256} {
-		mean, err := MeanRounds(opt, func(sd uint64) (sim.Result, error) {
-			return UniformAG(GossipSpec{Graph: g, K: k, Q: q}, sd)
-		})
+		mean, err := meanRounds(opt, g, k, harness.ProtocolUniformAG,
+			func(s *harness.Spec) { s.Q = q })
 		if err != nil {
 			return fmt.Errorf("A1 q=%d: %w", q, err)
 		}
@@ -145,9 +135,8 @@ func A2Action(w io.Writer, opt Options) error {
 		k := g.N() / 2
 		row := []any{g.Name()}
 		for _, action := range []core.Action{core.Exchange, core.Push, core.Pull} {
-			mean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-				return UniformAG(GossipSpec{Graph: g, K: k, Action: action}, s)
-			})
+			mean, err := meanRounds(opt, g, k, harness.ProtocolUniformAG,
+				func(s *harness.Spec) { s.Action = action })
 			if err != nil {
 				return fmt.Errorf("A2 %s/%v: %w", g.Name(), action, err)
 			}
@@ -171,15 +160,11 @@ func A3Uncoded(w io.Writer, opt Options) error {
 	tbl := NewTable("n=k", "RLNC", "uncoded", "uncoded/RLNC")
 	for _, n := range sizes {
 		g := graph.Complete(n)
-		coded, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-			return UniformAG(GossipSpec{Graph: g, K: n}, s)
-		})
+		coded, err := meanRounds(opt, g, n, harness.ProtocolUniformAG, nil)
 		if err != nil {
 			return fmt.Errorf("A3 coded n=%d: %w", n, err)
 		}
-		plain, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-			return Uncoded(GossipSpec{Graph: g, K: n}, s)
-		})
+		plain, err := meanRounds(opt, g, n, harness.ProtocolUncoded, nil)
 		if err != nil {
 			return fmt.Errorf("A3 uncoded n=%d: %w", n, err)
 		}
@@ -193,7 +178,8 @@ func A3Uncoded(w io.Writer, opt Options) error {
 // A4RankOnly verifies the rank-only fast path is measurement-equivalent:
 // with the same seeds and q=256, payload-mode and rank-only runs take
 // exactly the same number of rounds (payloads never influence rank
-// evolution).
+// evolution). One seed drives the two runs of a pair, which a grid cell
+// cannot say, so the pairs fan out over ParallelMap.
 func A4RankOnly(w io.Writer, opt Options) error {
 	n := opt.pick(16, 36)
 	s := isqrt(n)
@@ -203,15 +189,17 @@ func A4RankOnly(w io.Writer, opt Options) error {
 	type pair struct{ ro, pl int }
 	pairs, err := harness.ParallelMap(opt.trials(), opt.parallel(), func(i int) (pair, error) {
 		seed := core.SplitSeed(opt.Seed, uint64(900+i))
-		ro, err := UniformAG(GossipSpec{Graph: g, K: k, Q: 256}, seed)
+		spec := harness.GossipSpec{Graph: g, K: k, Q: 256, Lean: true}
+		ro, err := harness.Execute(spec, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			return pair{}, fmt.Errorf("A4 rank-only: %w", err)
 		}
-		pl, err := uniformAGPayload(g, k, seed)
+		spec.PayloadLen = 4
+		pl, err := harness.Execute(spec, harness.ProtocolUniformAG, seed)
 		if err != nil {
 			return pair{}, fmt.Errorf("A4 payload: %w", err)
 		}
-		return pair{ro.Rounds, pl.Rounds}, nil
+		return pair{ro.Result.Rounds, pl.Result.Rounds}, nil
 	})
 	if err != nil {
 		return err

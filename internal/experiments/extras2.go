@@ -6,7 +6,7 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/graph"
-	"algossip/internal/sim"
+	"algossip/internal/harness"
 )
 
 // A5SyncVsAsync compares the two time models the paper analyzes side by
@@ -24,15 +24,12 @@ func A5SyncVsAsync(w io.Writer, opt Options) error {
 	tbl := NewTable("graph", "k", "sync rounds", "async rounds", "async/sync")
 	for _, g := range graphs {
 		k := g.N() / 2
-		syncMean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-			return UniformAG(GossipSpec{Graph: g, K: k, Model: core.Synchronous}, s)
-		})
+		syncMean, err := meanRounds(opt, g, k, harness.ProtocolUniformAG, nil)
 		if err != nil {
 			return fmt.Errorf("A5 sync %s: %w", g.Name(), err)
 		}
-		asyncMean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-			return UniformAG(GossipSpec{Graph: g, K: k, Model: core.Asynchronous}, s)
-		})
+		asyncMean, err := meanRounds(opt, g, k, harness.ProtocolUniformAG,
+			func(s *harness.Spec) { s.Model = core.Asynchronous })
 		if err != nil {
 			return fmt.Errorf("A5 async %s: %w", g.Name(), err)
 		}
@@ -56,9 +53,8 @@ func A6LossRobustness(w io.Writer, opt Options) error {
 	tbl := NewTable("loss p", "rounds", "slowdown", "1/(1-p) ref")
 	var base float64
 	for _, p := range []float64{0, 0.1, 0.3, 0.5} {
-		mean, err := MeanRounds(opt, func(sd uint64) (sim.Result, error) {
-			return UniformAG(GossipSpec{Graph: g, K: k, LossRate: p}, sd)
-		})
+		mean, err := meanRounds(opt, g, k, harness.ProtocolUniformAG,
+			func(s *harness.Spec) { s.LossRate = p })
 		if err != nil {
 			return fmt.Errorf("A6 p=%v: %w", p, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"algossip/internal/core"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
 )
@@ -25,18 +24,13 @@ func A7Generations(w io.Writer, opt Options) error {
 		if genSize < 1 || genSize > k {
 			continue
 		}
-		spec := GossipSpec{Graph: g, K: k, GenSize: genSize, Lean: true}
-		outs, err := harness.ParallelMap(opt.trials(), opt.parallel(),
-			func(i int) (harness.Outcome, error) {
-				o, err := harness.Execute(spec, harness.ProtocolUniformAG, core.SplitSeed(opt.Seed, uint64(950+i)))
-				if err != nil {
-					return o, fmt.Errorf("A7 g=%d: %w", genSize, err)
-				}
-				return o, nil
-			})
+		rs, err := runCell(opt, g, k, harness.ProtocolUniformAG, func(s *harness.Spec) {
+			s.GenSize, s.TrialSeed = genSize, opt.stream(950)
+		})
 		if err != nil {
-			return err
+			return fmt.Errorf("A7 g=%d: %w", genSize, err)
 		}
+		outs := rs.Outcomes
 		var rounds, packets float64
 		for _, o := range outs {
 			rounds += float64(o.Result.Rounds)

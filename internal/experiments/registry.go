@@ -1,3 +1,11 @@
+// Package experiments is the registry that regenerates every table and
+// figure of the paper's evaluation (see EXPERIMENTS.md, "The paper's
+// artifacts"). An artifact is cells plus a renderer: each simulated cell
+// is a harness.Spec literal run by harness.Runner (runCell), so it is
+// launched by harness.Execute and screened by the harness refusal table
+// like every sweep, and it is byte-identical for any worker count. Both
+// the CLI (cmd/tables) and the benchmark suite (bench_test.go) drive the
+// same harness paths, so the printed rows and the benchmark metrics agree.
 package experiments
 
 import (
@@ -5,16 +13,15 @@ import (
 	"io"
 
 	"algossip/internal/core"
-	"algossip/internal/gossip/algebraic"
 	"algossip/internal/graph"
-	"algossip/internal/rlnc"
-	"algossip/internal/sim"
+	"algossip/internal/harness"
+	"algossip/internal/stats"
 )
 
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
-	// ID is the index key used in DESIGN.md and EXPERIMENTS.md (E1..E12,
-	// A1..A4).
+	// ID is the index key used in DESIGN.md and EXPERIMENTS.md (E1..E18,
+	// A1..A7).
 	ID string
 	// Artifact names the paper table/figure/theorem it regenerates.
 	Artifact string
@@ -63,22 +70,35 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// uniformAGPayload runs payload-mode (q=256) uniform algebraic gossip with
-// the exact same seed layout as UniformAG, so that A4 can compare round
-// counts one-to-one against the rank-only fast path.
-func uniformAGPayload(g *graph.Graph, k int, seed uint64) (sim.Result, error) {
-	cfg := rlnc.Config{Field: mustGF256(), K: k, PayloadLen: 4}
-	p, err := algebraic.New(g, core.Synchronous, sim.NewUniform(g),
-		algebraic.Config{RLNC: cfg}, core.NewRand(core.SplitSeed(seed, 1)))
+// runCell runs one cell of an artifact — proto on g with k messages, over
+// opt.trials() seeds — through the harness pool. Trial i draws stream
+// 100+i of the root seed, the layout most artifacts were recorded on; set,
+// when non-nil, moves whatever else the cell varies (a Spec field, or
+// TrialSeed for an artifact with a stream of its own). Going through
+// Spec.Expand, every cell passes the refusal screen before its first trial.
+func runCell(opt Options, g *graph.Graph, k int, proto harness.Protocol, set func(*harness.Spec)) (*harness.ResultSet, error) {
+	spec := harness.Spec{
+		Graphs: []*graph.Graph{g}, Ks: []int{k}, Protocol: proto,
+		Trials: opt.trials(), Seed: opt.Seed, TrialSeed: opt.stream(100),
+		Lean: true,
+	}
+	if set != nil {
+		set(&spec)
+	}
+	return harness.Runner{Parallel: opt.parallel()}.Run(&spec)
+}
+
+// meanRounds is runCell read back as the cell's mean stopping time.
+func meanRounds(opt Options, g *graph.Graph, k int, proto harness.Protocol, set func(*harness.Spec)) (float64, error) {
+	rs, err := runCell(opt, g, k, proto, set)
 	if err != nil {
-		return sim.Result{}, err
+		return 0, err
 	}
-	// Payload randomness comes from an independent stream so the protocol
-	// RNG consumption matches the rank-only run exactly.
-	msgs := algebraic.RandomMessages(cfg, core.NewRand(core.SplitSeed(seed, 50)))
-	if err := p.SeedAll(algebraic.RoundRobinAssign(k, g.N()), msgs); err != nil {
-		return sim.Result{}, err
-	}
-	return sim.New(g, core.Synchronous, p, core.SplitSeed(seed, 2),
-		sim.WithMaxRounds(1<<21)).Run()
+	return stats.Mean(rs.CellRounds(0)), nil
+}
+
+// stream is a per-trial seed layout: trial i runs on stream base+i of the
+// root seed, whatever the cell.
+func (o Options) stream(base uint64) func(size, trial int) uint64 {
+	return func(_, trial int) uint64 { return core.SplitSeed(o.Seed, base+uint64(trial)) }
 }

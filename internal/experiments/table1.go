@@ -10,7 +10,6 @@ import (
 	"algossip/internal/gossip/ispread"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
-	"algossip/internal/sim"
 	"algossip/internal/stats"
 )
 
@@ -77,9 +76,8 @@ func E1UniformAGAnyGraph(w io.Writer, opt Options) error {
 	for _, g := range graphs {
 		k := g.N() / 2
 		for _, model := range []core.TimeModel{core.Synchronous, core.Asynchronous} {
-			mean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-				return UniformAG(GossipSpec{Graph: g, Model: model, K: k}, s)
-			})
+			mean, err := meanRounds(opt, g, k, harness.ProtocolUniformAG,
+				func(s *harness.Spec) { s.Model = model })
 			if err != nil {
 				return fmt.Errorf("E1 %s/%s: %w", g.Name(), model, err)
 			}
@@ -117,9 +115,7 @@ func E2ConstDegreeOptimal(w io.Writer, opt Options) error {
 			g := fam.make(n)
 			k := g.N() / 2
 			d := g.Diameter()
-			mean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-				return UniformAG(GossipSpec{Graph: g, K: k}, s)
-			})
+			mean, err := meanRounds(opt, g, k, harness.ProtocolUniformAG, nil)
 			if err != nil {
 				return fmt.Errorf("E2 %s n=%d: %w", fam.name, n, err)
 			}
@@ -148,33 +144,34 @@ func E2ConstDegreeOptimal(w io.Writer, opt Options) error {
 func E3TAGGeneral(w io.Writer, opt Options) error {
 	n := opt.pick(24, 64)
 	graphs := []*graph.Graph{graph.Barbell(n), graph.Grid(isqrt(n), isqrt(n)), graph.Line(n)}
-	kinds := []TreeKind{TreeBRR, TreeUniformB, TreeIS}
+	trees := []struct {
+		name  string
+		proto harness.Protocol
+	}{{"BRR", harness.ProtocolTAGRR}, {"uniform-B", harness.ProtocolTAGUniform}, {"IS", harness.ProtocolTAGIS}}
 	tbl := NewTable("graph", "tree S", "k", "rounds", "t(S)", "d(S)", "k+logn+d+t", "ratio")
 	for _, g := range graphs {
 		k := g.N()
-		for _, kind := range kinds {
-			results, err := harness.ParallelMap(opt.trials(), opt.parallel(),
-				func(i int) (TAGResult, error) {
-					return TAG(GossipSpec{Graph: g, K: k}, kind, core.SplitSeed(opt.Seed, uint64(300+i)))
-				})
+		for _, tree := range trees {
+			rs, err := runCell(opt, g, k, tree.proto,
+				func(s *harness.Spec) { s.TrialSeed = opt.stream(300) })
 			if err != nil {
-				return fmt.Errorf("E3 %s/%s: %w", g.Name(), kind, err)
+				return fmt.Errorf("E3 %s/%s: %w", g.Name(), tree.name, err)
 			}
 			var sumRounds, sumBound float64
 			var lastT, lastD int
-			for _, res := range results {
-				tS := res.TreeRounds
+			for _, o := range rs.Outcomes {
+				tS := o.TreeRounds
 				if tS < 0 {
-					tS = res.Rounds
+					tS = o.Result.Rounds
 				}
-				dS := res.TreeDiameter
-				sumRounds += float64(res.Rounds)
+				dS := o.TreeDiameter
+				sumRounds += float64(o.Result.Rounds)
 				sumBound += float64(k) + log2(g.N()) + float64(dS) + float64(tS)
 				lastT, lastD = tS, dS
 			}
-			meanRounds := sumRounds / float64(opt.trials())
+			mean := sumRounds / float64(opt.trials())
 			meanBound := sumBound / float64(opt.trials())
-			tbl.AddRow(g.Name(), kind.String(), k, meanRounds, lastT, lastD, meanBound, meanRounds/meanBound)
+			tbl.AddRow(g.Name(), tree.name, k, mean, lastT, lastD, meanBound, mean/meanBound)
 		}
 	}
 	fmt.Fprintln(w, "E3 — Theorem 4 / Table 1 row 3: TAG = O(k + log n + d(S) + t(S))")
@@ -205,7 +202,7 @@ func E4TAGRoundRobin(w io.Writer, opt Options) error {
 		rows := make([][]any, 0, len(sizes))
 		for _, n := range sizes {
 			g := fam.make(n)
-			bres, _, err := Broadcast(g, core.Synchronous, SelRoundRobin, core.SplitSeed(opt.Seed, uint64(n)))
+			bres, _, err := harness.Broadcast(g, core.Synchronous, harness.SelRoundRobin, core.SplitSeed(opt.Seed, uint64(n)))
 			if err != nil {
 				return fmt.Errorf("E4 broadcast %s n=%d: %w", fam.name, n, err)
 			}
@@ -213,10 +210,7 @@ func E4TAGRoundRobin(w io.Writer, opt Options) error {
 			if bres.Rounds > 3*g.N() {
 				ok = "NO"
 			}
-			mean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-				res, err := TAG(GossipSpec{Graph: g, K: g.N()}, TreeBRR, s)
-				return res.Result, err
-			})
+			mean, err := meanRounds(opt, g, g.N(), harness.ProtocolTAGRR, nil)
 			if err != nil {
 				return fmt.Errorf("E4 TAG %s n=%d: %w", fam.name, n, err)
 			}
@@ -251,16 +245,13 @@ func E5TAGIS(w io.Writer, opt Options) error {
 	}
 	tbl := NewTable("graph", "t(IS) rounds", "polylog ref log²n", "k", "TAG+IS rounds", "rounds/k")
 	for _, g := range graphs {
-		ires, _, err := ISpread(g, core.Synchronous, ispread.TreeMode, core.SplitSeed(opt.Seed, 55))
+		ires, _, err := harness.ISpread(g, core.Synchronous, ispread.TreeMode, core.SplitSeed(opt.Seed, 55))
 		if err != nil {
 			return fmt.Errorf("E5 IS %s: %w", g.Name(), err)
 		}
 		ref := log2(g.N()) * log2(g.N())
 		for _, k := range []int{g.N() / 2, g.N(), 2 * g.N()} {
-			mean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-				res, err := TAG(GossipSpec{Graph: g, K: k}, TreeIS, s)
-				return res.Result, err
-			})
+			mean, err := meanRounds(opt, g, k, harness.ProtocolTAGIS, nil)
 			if err != nil {
 				return fmt.Errorf("E5 TAG+IS %s k=%d: %w", g.Name(), k, err)
 			}
@@ -276,10 +267,8 @@ func E5TAGIS(w io.Writer, opt Options) error {
 	async := NewTable("graph", "k", "async rounds", "rounds/k")
 	for _, g := range graphs {
 		k := 2 * g.N()
-		mean, err := MeanRounds(opt, func(s uint64) (sim.Result, error) {
-			res, err := TAG(GossipSpec{Graph: g, K: k, Model: core.Asynchronous}, TreeIS, s)
-			return res.Result, err
-		})
+		mean, err := meanRounds(opt, g, k, harness.ProtocolTAGIS,
+			func(s *harness.Spec) { s.Model = core.Asynchronous })
 		if err != nil {
 			return fmt.Errorf("E5 async %s: %w", g.Name(), err)
 		}

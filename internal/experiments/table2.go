@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"algossip/internal/core"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
 	"algossip/internal/stats"
@@ -50,30 +49,6 @@ func table2Families() []table2Family {
 	}
 }
 
-// table2Row runs the measurement for one family at one size. It is the
-// Spec-literal pattern new scenarios should follow: declare the cell,
-// hand it to the harness pool, read the aggregate back. TrialSeed pins
-// the historical MeanRounds stream layout so regenerated rows match the
-// pre-harness output bit for bit.
-func table2Row(fam table2Family, n, k int, opt Options) (mean float64, err error) {
-	spec := harness.Spec{
-		Name:     "table2-" + fam.name,
-		Graphs:   []*graph.Graph{fam.make(n)},
-		Ks:       []int{k},
-		Protocol: harness.ProtocolUniformAG,
-		Trials:   opt.trials(),
-		Seed:     opt.Seed,
-		TrialSeed: func(size, trial int) uint64 {
-			return core.SplitSeed(opt.Seed, uint64(100+trial))
-		},
-	}
-	rs, err := harness.Runner{Parallel: opt.parallel()}.Run(&spec)
-	if err != nil {
-		return 0, err
-	}
-	return rs.MeanRounds(0), nil
-}
-
 // runTable2 regenerates one row family of Table 2: measured uniform-AG
 // stopping times across sizes, the two analytic bounds, and a fit of the
 // measured data against this paper's bound expression (expected: linear,
@@ -88,7 +63,7 @@ func runTable2(w io.Writer, opt Options, fam table2Family, title string) error {
 	for _, n := range sizes {
 		g := fam.make(n)
 		k := g.N() / 2
-		mean, err := table2Row(fam, n, k, opt)
+		mean, err := meanRounds(opt, g, k, harness.ProtocolUniformAG, nil)
 		if err != nil {
 			return fmt.Errorf("table2 %s n=%d: %w", fam.name, n, err)
 		}

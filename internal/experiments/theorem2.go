@@ -43,7 +43,7 @@ func E9QueueChain(w io.Writer, opt Options) error {
 
 	// The three systems of the dominance chain are independent simulations
 	// with their own seed streams, so they fan out over the harness pool.
-	chain, err := harness.ParallelFloats(3, opt.parallel(), func(i int) (float64, error) {
+	chain, err := harness.ParallelMap(3, opt.parallel(), func(i int) (float64, error) {
 		switch i {
 		case 0:
 			return queueing.MeanDrainTime(trials, core.SplitSeed(opt.Seed, 1), func(rng *rand.Rand) float64 {
@@ -82,7 +82,7 @@ func E9QueueChain(w io.Writer, opt Options) error {
 			cells = append(cells, cell{lm, k})
 		}
 	}
-	means, err := harness.ParallelFloats(len(cells), opt.parallel(), func(i int) (float64, error) {
+	means, err := harness.ParallelMap(len(cells), opt.parallel(), func(i int) (float64, error) {
 		c := cells[i]
 		return queueing.MeanDrainTime(trials, core.SplitSeed(opt.Seed, uint64(c.lm*1000+c.k)),
 			func(rng *rand.Rand) float64 {

@@ -22,8 +22,6 @@ func E13Traffic(w io.Writer, opt Options) error {
 	n := opt.pick(24, 64)
 	g := graph.Barbell(n)
 	k := g.N()
-	spec := GossipSpec{Graph: g, K: k}.Normalize()
-	bits := gossip.MessageBits(spec.RLNCConfig())
 	tbl := NewTable("protocol", "rounds", "packets sent", "helpful", "efficiency", "~Mbit total")
 
 	runs := []struct {
@@ -34,17 +32,21 @@ func E13Traffic(w io.Writer, opt Options) error {
 		{"TAG+BRR", harness.ProtocolTAGRR},
 		{"uncoded", harness.ProtocolUncoded},
 	}
-	for _, r := range runs {
-		outcomes, err := harness.ParallelMap(opt.trials(), opt.parallel(),
-			func(i int) (harness.Outcome, error) {
-				return harness.Execute(spec, r.proto, core.SplitSeed(opt.Seed, uint64(700+i)))
-			})
+	// Every row is priced at the coded message size, (k+r)·log₂q bits —
+	// what the first row's protocol reports.
+	var bits int
+	for i, r := range runs {
+		rs, err := runCell(opt, g, k, r.proto,
+			func(s *harness.Spec) { s.TrialSeed = opt.stream(700) })
 		if err != nil {
 			return fmt.Errorf("E13 %s: %w", r.name, err)
 		}
+		if i == 0 {
+			bits = rs.Outcomes[0].MessageBits
+		}
 		var rounds float64
 		var tr gossip.Traffic
-		for _, o := range outcomes {
+		for _, o := range rs.Outcomes {
 			rounds += float64(o.Result.Rounds)
 			tr.Add(o.Traffic)
 		}
@@ -60,7 +62,8 @@ func E13Traffic(w io.Writer, opt Options) error {
 }
 
 // E14DisseminationCurve records per-node completion rounds (the trace
-// subsystem, wired in through GossipSpec.Observer) and prints the
+// subsystem, wired in through GossipSpec.Observer — a fresh recorder per
+// trial, which a grid cell cannot carry, hence ParallelMap) and prints the
 // dissemination CDF quantiles on the barbell. The distributional story
 // behind E10: under uniform AG *every* node's completion is gated by the
 // trickle of rank across the bridge, so the whole CDF — median included —
@@ -78,7 +81,7 @@ func E14DisseminationCurve(w io.Writer, opt Options) error {
 		summaries, err := harness.ParallelMap(opt.trials(), opt.parallel(),
 			func(i int) (stats.Summary, error) {
 				rec := trace.NewRecorder()
-				spec := GossipSpec{Graph: g, K: k, Observer: rec}
+				spec := harness.GossipSpec{Graph: g, K: k, Observer: rec}
 				if _, err := harness.Execute(spec, r.proto, core.SplitSeed(opt.Seed, uint64(800+i))); err != nil {
 					return stats.Summary{}, err
 				}

@@ -14,6 +14,7 @@ package gf
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -70,11 +71,6 @@ func Rand(f Field, rng *rand.Rand) Elem {
 	return Elem(rng.IntN(f.Order()))
 }
 
-// RandNonZero returns a nonzero element of f drawn uniformly at random.
-func RandNonZero(f Field, rng *rand.Rand) Elem {
-	return Elem(1 + rng.IntN(f.Order()-1))
-}
-
 // RandVector fills a fresh length-n vector with uniform random elements of f.
 func RandVector(f Field, n int, rng *rand.Rand) []Elem {
 	v := make([]Elem, n)
@@ -112,26 +108,29 @@ func IsZeroVector(v []Elem) bool {
 	return true
 }
 
-// New returns the field with the given order. Supported orders are 2, 4, 8,
-// 16, 32, 64, 128 and 256 (binary extension fields) and small primes up to
-// 251.
+// CheckOrder reports whether New accepts the order — 2, 4, 8, 16, 32, 64,
+// 128 and 256 (binary extension fields) and the primes up to 251 — without
+// building a field: the one owner of "which orders exist", cheap enough for
+// a per-trial screen.
+func CheckOrder(order int) error {
+	if order >= 2 && order <= 256 && (order&(order-1) == 0 || isPrime(order)) {
+		return nil
+	}
+	return fmt.Errorf("gf: unsupported field order %d (supported: 2, 4, 8, 16, 32, 64, 128, 256 and the primes up to 251)", order)
+}
+
+// New returns the field with the given order; CheckOrder names the
+// supported ones.
 func New(order int) (Field, error) {
-	switch order {
-	case 2:
+	if err := CheckOrder(order); err != nil {
+		return nil, err
+	}
+	switch {
+	case order == 2:
 		return GF2{}, nil
-	case 4, 8, 16, 32, 64, 128, 256:
-		m := 0
-		for v := order; v > 1; v >>= 1 {
-			m++
-		}
-		return NewGF2m(m)
+	case order&(order-1) == 0:
+		return NewGF2m(bits.TrailingZeros(uint(order)))
 	default:
-		if order > 256 {
-			return nil, fmt.Errorf("gf: order %d exceeds byte representation", order)
-		}
-		if !isPrime(order) {
-			return nil, fmt.Errorf("gf: unsupported field order %d (not a power of two or a prime)", order)
-		}
 		return NewPrime(order)
 	}
 }
@@ -144,12 +143,6 @@ func MustNew(order int) Field {
 		panic(err)
 	}
 	return f
-}
-
-// Default returns the field used by the paper's canonical configuration,
-// GF(256): one coefficient per byte and helpfulness probability 255/256.
-func Default() Field {
-	return MustNew(256)
 }
 
 // FieldOrders lists every order New accepts: the binary extension fields

@@ -1,6 +1,7 @@
 package gf
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -24,9 +25,17 @@ func allFields(t *testing.T) []Field {
 }
 
 func TestNewUnsupportedOrders(t *testing.T) {
-	for _, q := range []int{0, 1, 6, 9, 10, 12, 100, 255, 257, 1024} {
+	for _, q := range []int{-2, 0, 1, 6, 9, 10, 12, 100, 255, 257, 512, 1024} {
 		if _, err := New(q); err == nil {
 			t.Errorf("New(%d): expected error, got nil", q)
+		}
+		if err := CheckOrder(q); err == nil || !strings.Contains(err.Error(), "supported: 2, 4") {
+			t.Errorf("CheckOrder(%d) = %v, want an error naming the supported orders", q, err)
+		}
+	}
+	for _, q := range FieldOrders() {
+		if err := CheckOrder(q); err != nil {
+			t.Errorf("CheckOrder(%d): %v", q, err)
 		}
 	}
 }
@@ -271,10 +280,6 @@ func TestRandHelpers(t *testing.T) {
 			t.Fatalf("Rand out of range: %d", e)
 		}
 		seen[e] = true
-		nz := RandNonZero(f, rng)
-		if nz == 0 || int(nz) >= 16 {
-			t.Fatalf("RandNonZero out of range: %d", nz)
-		}
 	}
 	if len(seen) != 16 {
 		t.Errorf("Rand did not cover the field after 2000 draws: %d/16", len(seen))
@@ -303,12 +308,6 @@ func TestIsZeroVector(t *testing.T) {
 		if IsZeroVector(v) {
 			t.Errorf("nonzero entry at %d of 19 missed", i)
 		}
-	}
-}
-
-func TestDefaultIsGF256(t *testing.T) {
-	if got := Default().Order(); got != 256 {
-		t.Fatalf("Default().Order() = %d, want 256", got)
 	}
 }
 

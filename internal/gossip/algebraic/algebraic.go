@@ -710,15 +710,6 @@ func SingleAssign(k int, origin core.NodeID) []core.NodeID {
 	return out
 }
 
-// RandomAssign places each message at an independently uniform node.
-func RandomAssign(k, n int, rng *rand.Rand) []core.NodeID {
-	out := make([]core.NodeID, k)
-	for i := range out {
-		out[i] = core.NodeID(rng.IntN(n))
-	}
-	return out
-}
-
 // RandomMessages builds k messages with uniform random payloads of length r
 // for payload-mode runs.
 func RandomMessages(cfg rlnc.Config, rng *rand.Rand) []rlnc.Message {

@@ -254,12 +254,6 @@ func TestAssignHelpers(t *testing.T) {
 			t.Fatal("SingleAssign wrong")
 		}
 	}
-	rnd := RandomAssign(100, 7, core.NewRand(1))
-	for _, v := range rnd {
-		if v < 0 || v >= 7 {
-			t.Fatal("RandomAssign out of range")
-		}
-	}
 }
 
 // TestLossRateCompletesAndSlows injects packet loss and verifies that the

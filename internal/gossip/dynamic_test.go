@@ -223,10 +223,10 @@ func TestCompleteGraphPaperBound(t *testing.T) {
 	const n, trials = 32, 200
 	g := graph.Complete(n)
 	k := n / 2
-	rounds, err := harness.ParallelFloats(trials, 0, func(i int) (float64, error) {
-		res, err := harness.UniformAG(harness.GossipSpec{Graph: g, K: k},
-			core.SplitSeed(12345, uint64(i)))
-		return float64(res.Rounds), err
+	rounds, err := harness.ParallelMap(trials, 0, func(i int) (float64, error) {
+		o, err := harness.Execute(harness.GossipSpec{Graph: g, K: k, Lean: true},
+			harness.ProtocolUniformAG, core.SplitSeed(12345, uint64(i)))
+		return float64(o.Result.Rounds), err
 	})
 	if err != nil {
 		t.Fatal(err)

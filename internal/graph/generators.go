@@ -216,7 +216,7 @@ func stitchConnected(g *Graph, rng *rand.Rand) *Graph {
 		if len(unreached) == 0 {
 			return g
 		}
-		b2 := NewBuilderFrom(g.Name(), g)
+		b2 := newBuilderFrom(g.Name(), g)
 		b2.AddEdge(unreached[rng.IntN(len(unreached))], reached[rng.IntN(len(reached))])
 		g = b2.Build()
 	}
@@ -312,40 +312,6 @@ func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *Graph {
 	return b2.Build()
 }
 
-// CompleteBipartite returns K_{a,b}: every left node connected to every
-// right node. Diameter 2, Δ = max(a,b).
-func CompleteBipartite(a, b int) *Graph {
-	g := NewBuilder(fmt.Sprintf("bipartite-%dx%d", a, b), a+b)
-	for i := 0; i < a; i++ {
-		for j := 0; j < b; j++ {
-			g.AddEdge(core.NodeID(i), core.NodeID(a+j))
-		}
-	}
-	return g.Build()
-}
-
-// Grid3D returns the x·y·z three-dimensional grid (Δ = 6).
-func Grid3D(x, y, z int) *Graph {
-	b := NewBuilder(fmt.Sprintf("grid3d-%dx%dx%d", x, y, z), x*y*z)
-	id := func(i, j, k int) core.NodeID { return core.NodeID((i*y+j)*z + k) }
-	for i := 0; i < x; i++ {
-		for j := 0; j < y; j++ {
-			for k := 0; k < z; k++ {
-				if i+1 < x {
-					b.AddEdge(id(i, j, k), id(i+1, j, k))
-				}
-				if j+1 < y {
-					b.AddEdge(id(i, j, k), id(i, j+1, k))
-				}
-				if k+1 < z {
-					b.AddEdge(id(i, j, k), id(i, j, k+1))
-				}
-			}
-		}
-	}
-	return b.Build()
-}
-
 // RandomGeometric returns a connected random geometric graph: n points
 // drawn uniformly in the unit square, with an edge between every pair at
 // Euclidean distance at most radius — the standard model for wireless /
@@ -387,7 +353,7 @@ func PreferentialAttachment(n, m int, rng *rand.Rand) *Graph {
 	}
 	if n <= m+1 {
 		g := Complete(n)
-		return NewBuilderFrom(fmt.Sprintf("pa-%d-m%d", n, m), g).Build()
+		return newBuilderFrom(fmt.Sprintf("pa-%d-m%d", n, m), g).Build()
 	}
 	b := NewBuilder(fmt.Sprintf("pa-%d-m%d", n, m), n)
 	m0 := m + 1
@@ -441,30 +407,13 @@ func paTargets(n, m int, rng *rand.Rand) [][]core.NodeID {
 	return out
 }
 
-// NewBuilderFrom returns a Builder pre-loaded with g's edges under a new
+// newBuilderFrom returns a Builder pre-loaded with g's edges under a new
 // name — the copy-and-modify entry point the dynamic schedules and
 // renaming generators share.
-func NewBuilderFrom(name string, g *Graph) *Builder {
+func newBuilderFrom(name string, g *Graph) *Builder {
 	b := NewBuilder(name, g.N())
 	for _, e := range g.Edges() {
 		b.AddEdge(e[0], e[1])
 	}
 	return b
-}
-
-// Caterpillar returns a spine path of spine nodes with legs leaf nodes
-// hanging off each spine node — a constant-degree tree with linear
-// diameter, another Theorem 3 regime.
-func Caterpillar(spine, legs int) *Graph {
-	n := spine * (1 + legs)
-	b := NewBuilder(fmt.Sprintf("caterpillar-%dx%d", spine, legs), n)
-	for i := 0; i < spine; i++ {
-		if i+1 < spine {
-			b.AddEdge(core.NodeID(i), core.NodeID(i+1))
-		}
-		for l := 0; l < legs; l++ {
-			b.AddEdge(core.NodeID(i), core.NodeID(spine+i*legs+l))
-		}
-	}
-	return b.Build()
 }

@@ -313,41 +313,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewGenerators(t *testing.T) {
-	tests := []struct {
-		g        *Graph
-		wantN    int
-		wantM    int
-		wantDeg  int
-		wantDiam int
-	}{
-		{CompleteBipartite(3, 4), 7, 12, 4, 2},
-		{CompleteBipartite(1, 5), 6, 5, 5, 2},
-		{Grid3D(2, 3, 4), 24, 46, 5, 6},
-		{Grid3D(2, 2, 2), 8, 12, 3, 3},
-		{Caterpillar(4, 2), 12, 11, 4, 5},
-		{Caterpillar(1, 3), 4, 3, 3, 2},
-	}
-	for _, tt := range tests {
-		name := tt.g.Name()
-		if got := tt.g.N(); got != tt.wantN {
-			t.Errorf("%s: N = %d, want %d", name, got, tt.wantN)
-		}
-		if got := tt.g.M(); got != tt.wantM {
-			t.Errorf("%s: M = %d, want %d", name, got, tt.wantM)
-		}
-		if got := tt.g.MaxDegree(); got != tt.wantDeg {
-			t.Errorf("%s: MaxDegree = %d, want %d", name, got, tt.wantDeg)
-		}
-		if got := tt.g.Diameter(); got != tt.wantDiam {
-			t.Errorf("%s: Diameter = %d, want %d", name, got, tt.wantDiam)
-		}
-		if !tt.g.IsConnected() {
-			t.Errorf("%s: not connected", name)
-		}
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	g := Barbell(10) // left clique 0..4
 	sub := g.Subgraph([]core.NodeID{0, 1, 2, 3, 4})
@@ -409,7 +374,6 @@ func TestMinCutKnownValues(t *testing.T) {
 		{Hypercube(4), 4},   // vertex degree d
 		{Star(7), 1},        // any leaf edge
 		{CliqueChain(3, 5), 1},
-		{CompleteBipartite(3, 5), 3},
 	}
 	for _, tt := range tests {
 		if got := tt.g.MinCut(); got != tt.want {

@@ -42,46 +42,6 @@ func (s SelectorKind) build(g *graph.Graph) sim.PartnerSelector {
 	return sim.NewUniform(g)
 }
 
-// TreeKind names a spanning-tree protocol for TAG's Phase 1.
-type TreeKind int
-
-const (
-	// TreeBRR is the round-robin broadcast B_RR of Theorem 5.
-	TreeBRR TreeKind = iota + 1
-	// TreeUniformB is the uniform push broadcast.
-	TreeUniformB
-	// TreeIS is the information-spreading protocol of Section 6.
-	TreeIS
-)
-
-// String returns the tree-protocol name.
-func (t TreeKind) String() string {
-	switch t {
-	case TreeBRR:
-		return "BRR"
-	case TreeUniformB:
-		return "uniform-B"
-	case TreeIS:
-		return "IS"
-	default:
-		return fmt.Sprintf("TreeKind(%d)", int(t))
-	}
-}
-
-// protocol maps a Phase 1 tree protocol to the TAG Protocol that uses it.
-func (t TreeKind) protocol() (Protocol, error) {
-	switch t {
-	case TreeBRR:
-		return ProtocolTAGRR, nil
-	case TreeUniformB:
-		return ProtocolTAGUniform, nil
-	case TreeIS:
-		return ProtocolTAGIS, nil
-	default:
-		return 0, fmt.Errorf("harness: unknown tree kind %d", int(t))
-	}
-}
-
 // GossipSpec declares one gossip measurement: the topology plus every
 // protocol knob. Zero fields default to the paper's canonical
 // configuration (synchronous time, EXCHANGE, GF(2), uniform selector).
@@ -95,9 +55,13 @@ type GossipSpec struct {
 	// Q is the field order (default 2, which selects the fast bitset
 	// backend; stopping-time behaviour only improves with larger q).
 	Q int
-	// Action is the contact direction (default Exchange).
+	// Action is the contact direction (default Exchange). PUSH and PULL
+	// are for uniform AG and the uncoded baseline; TAG's Phase 2 is an
+	// EXCHANGE with the tree parent.
 	Action core.Action
-	// Selector is the communication model (default uniform).
+	// Selector is the communication model (default uniform). Round-robin
+	// is for uniform AG and the uncoded baseline; a tree protocol's Phase 1
+	// is its communication model.
 	Selector SelectorKind
 	// SingleSource, when true, seeds all k messages at node 0 instead of
 	// round-robin across nodes.
@@ -182,12 +146,11 @@ func (s GossipSpec) Normalize() GossipSpec {
 }
 
 // RLNCConfig returns the codec configuration for the spec: rank-only by
-// default, payload-carrying when PayloadLen is set.
+// default, payload-carrying when PayloadLen is set. It builds the field,
+// so it wants a spec validate has passed (an unsupported Q panics here).
 func (s GossipSpec) RLNCConfig() rlnc.Config {
-	if s.PayloadLen > 0 {
-		return rlnc.Config{Field: gf.MustNew(s.Q), K: s.K, PayloadLen: s.PayloadLen}
-	}
-	return rlnc.Config{Field: gf.MustNew(s.Q), K: s.K, RankOnly: true}
+	return rlnc.Config{Field: gf.MustNew(s.Q), K: s.K,
+		PayloadLen: max(s.PayloadLen, 0), RankOnly: s.PayloadLen <= 0}
 }
 
 // Assign returns the initial message placement.
@@ -217,28 +180,38 @@ type Outcome struct {
 	TreeDiameter int `json:"tree_diameter"`
 }
 
-// feature is one optional capability of a trial: when it is in force and
-// which protocols take it. DESIGN.md "What combines with what" is
-// features and refusedPairs in prose, with the reasons;
-// TestDesignCombinationTable holds the two together cell by cell.
+// feature is one optional capability of a trial: when it is in force,
+// which protocols take it, and what the others answer. DESIGN.md "What
+// combines with what" is features and refusedPairs in prose, with the
+// reasons; TestDesignCombinationTable holds the two together cell by cell.
 type feature struct {
 	name    string
 	inForce func(GossipSpec) bool
 	takes   []Protocol // nil: every protocol
+	why     string     // the refusal's reason, for a protocol outside takes
 }
 
+const (
+	whyOnlyAG = "TAG's algebraic phase and the uncoded baseline are measured rank-only at whole-k coding, lossless, honest and serial (Theorem 4)"
+	whyTree   = "the tree protocols fix who talks to whom and how: Phase 1's protocol is the communication model and Phase 2 is an EXCHANGE with the tree parent (Section 4)"
+)
+
 var (
-	onlyAG = []Protocol{ProtocolUniformAG}
+	onlyAG       = []Protocol{ProtocolUniformAG}
+	agAndUncoded = []Protocol{ProtocolUniformAG, ProtocolUncoded}
 
-	featGenerations = feature{"generations", func(s GossipSpec) bool { return s.GenSize > 0 }, onlyAG}
-	featLoss        = feature{"loss", func(s GossipSpec) bool { return s.LossRate > 0 }, onlyAG}
-	featDynamics    = feature{"dynamics", func(s GossipSpec) bool { return !s.Dynamics.IsStatic() }, []Protocol{ProtocolUniformAG, ProtocolUncoded}}
-	featAdversary   = feature{"adversary / classes", func(s GossipSpec) bool { return !s.Adversary.IsNone() || !s.Classes.IsNone() }, onlyAG}
-	featShards      = feature{"shards", func(s GossipSpec) bool { return s.Shards > 0 }, onlyAG}
-	featPayload     = feature{"payload", func(s GossipSpec) bool { return s.PayloadLen > 0 }, onlyAG}
-	featAsync       = feature{"asynchronous", func(s GossipSpec) bool { return s.Model == core.Asynchronous }, nil}
+	featGenerations = feature{"generations", func(s GossipSpec) bool { return s.GenSize > 0 }, onlyAG, whyOnlyAG}
+	featLoss        = feature{"loss", func(s GossipSpec) bool { return s.LossRate > 0 }, onlyAG, whyOnlyAG}
+	featDynamics    = feature{"dynamics", func(s GossipSpec) bool { return !s.Dynamics.IsStatic() }, agAndUncoded,
+		"the spanning tree of Phase 1 is only meaningful on the graph it was built on"}
+	featAdversary = feature{"adversary / classes", func(s GossipSpec) bool { return !s.Adversary.IsNone() || !s.Classes.IsNone() }, onlyAG, whyOnlyAG}
+	featShards    = feature{"shards", func(s GossipSpec) bool { return s.Shards > 0 }, onlyAG, whyOnlyAG}
+	featPayload   = feature{"payload", func(s GossipSpec) bool { return s.PayloadLen > 0 }, onlyAG, whyOnlyAG}
+	featAsync     = feature{"asynchronous", func(s GossipSpec) bool { return s.Model == core.Asynchronous }, nil, ""}
+	featAction    = feature{"action", func(s GossipSpec) bool { return s.Action == core.Push || s.Action == core.Pull }, agAndUncoded, whyTree}
+	featSelector  = feature{"round-robin selector", func(s GossipSpec) bool { return s.Selector == SelRoundRobin }, agAndUncoded, whyTree}
 
-	features = []*feature{&featGenerations, &featLoss, &featDynamics, &featAdversary, &featShards, &featPayload, &featAsync}
+	features = []*feature{&featGenerations, &featLoss, &featDynamics, &featAdversary, &featShards, &featPayload, &featAsync, &featAction, &featSelector}
 
 	// refusedPairs do not run together under any protocol.
 	refusedPairs = []struct {
@@ -251,11 +224,25 @@ var (
 	}
 )
 
-// validate is the one refusal table. Execute calls it per trial and
-// Spec.Expand per cell, so a combination that cannot run is reported
-// before the pool starts. A zero proto means uniform AG. The spec goes by
-// value through the predicates so that Execute's copy stays off the heap.
+// validate is the one refusal screen: everything a command line, a /spec
+// body or a library caller can set that cannot run is refused here and
+// nowhere else. Execute calls it per trial and Spec.Expand per cell, so a
+// spec that cannot run is reported before the pool or a listener starts.
+// A zero proto means uniform AG. The spec goes by value through the
+// predicates so that Execute's copy stays off the heap, and the field
+// order is checked without building a field.
 func (s GossipSpec) validate(proto Protocol) error {
+	if s.Graph == nil {
+		return fmt.Errorf("harness: nil graph")
+	}
+	if s.K <= 0 {
+		return fmt.Errorf("harness: k must be positive, got %d", s.K)
+	}
+	if s.Q != 0 {
+		if err := gf.CheckOrder(s.Q); err != nil {
+			return fmt.Errorf("harness: %w", err)
+		}
+	}
 	if s.GenSize < 0 || s.GenSize > s.K {
 		return fmt.Errorf("harness: %w", &rlnc.GenSizeError{GenSize: s.GenSize, K: s.K})
 	}
@@ -270,7 +257,7 @@ func (s GossipSpec) validate(proto Protocol) error {
 	}
 	for _, f := range features {
 		if f.takes != nil && !slices.Contains(f.takes, proto) && f.inForce(s) {
-			return fmt.Errorf("harness: %s unsupported for protocol %v (takes it: %v)", f.name, proto, f.takes)
+			return fmt.Errorf("harness: %s unsupported for protocol %v (takes it: %v): %s", f.name, proto, f.takes, f.why)
 		}
 	}
 	for _, p := range refusedPairs {
@@ -282,36 +269,41 @@ func (s GossipSpec) validate(proto Protocol) error {
 }
 
 // Execute runs one trial of the given protocol and collects its Outcome.
-// It is THE single dispatch point: the root package's Run/RunDetailed,
-// the experiment runners, and the worker pool all funnel through it, so
-// a (GossipSpec, Protocol, seed) triple replays one fixed trajectory
-// everywhere. The seed-stream layout (protocol RNG, tree RNG, engine
-// RNG; stream 10 feeds the dynamic-topology schedule, streams 13–15 the
-// adversarial and heterogeneous-class draws) is pinned by the conformance
-// suite — do not renumber.
+// It is THE single launch path: the root package's Run/RunDetailed, every
+// experiment artifact, the worker pool and the fabric workers all go
+// through it, so a (GossipSpec, Protocol, seed) triple replays one fixed
+// trajectory everywhere. The seed-stream layout (protocol RNG, tree RNG,
+// engine RNG; stream 10 feeds the dynamic-topology schedule, streams
+// 13–15 the adversarial and heterogeneous-class draws) is pinned by the
+// conformance suite — do not renumber.
 func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
-	if spec.Graph == nil {
-		return Outcome{}, fmt.Errorf("harness: nil graph")
-	}
-	if spec.K <= 0 {
-		return Outcome{}, fmt.Errorf("harness: k must be positive, got %d", spec.K)
-	}
 	if err := spec.validate(proto); err != nil {
 		return Outcome{}, err
 	}
 	spec = spec.Normalize()
 	g := spec.Graph
+	codec := spec.RLNCConfig()
 	out := Outcome{
-		MessageBits: gossip.MessageBits(spec.RLNCConfig()),
+		MessageBits: gossip.MessageBits(codec),
 		TreeRounds:  -1, TreeDepth: -1, TreeDiameter: -1,
 	}
 
-	var proto2 sim.Protocol
+	// run is the protocol under the engine and detail the same value as
+	// what is read back after the run, plus tagRun's tree for the TAG arm.
+	// Each arm converts its concrete protocol to both. One interface
+	// embedding sim.Protocol would hand the engine the result of an
+	// interface-to-interface conversion instead; that form measured 2%
+	// slower on bench's sweep_rank (13 of 16 alternating pairs).
+	var run sim.Protocol
+	var detail interface {
+		DoneRounds() []int
+		Traffic() gossip.Traffic
+	}
+	var tagRun *tag.Protocol
 	var engineStream uint64
-	var finish func() // gathers detail after the run
 	switch {
 	case proto == 0 || proto == ProtocolUniformAG:
-		cfg := algebraic.Config{RLNC: spec.RLNCConfig(), GenSize: spec.GenSize,
+		cfg := algebraic.Config{RLNC: codec, GenSize: spec.GenSize,
 			Action: spec.Action, LossRate: spec.LossRate}
 		assign := spec.Assign()
 		if !spec.Adversary.IsNone() || !spec.Classes.IsNone() {
@@ -345,7 +337,7 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 		// trajectories are untouched when PayloadLen is zero.
 		var msgs []rlnc.Message
 		if spec.PayloadLen > 0 {
-			msgs = algebraic.RandomMessages(spec.RLNCConfig(), core.NewRand(core.SplitSeed(seed, 11)))
+			msgs = algebraic.RandomMessages(codec, core.NewRand(core.SplitSeed(seed, 11)))
 		}
 		if err := p.SeedAll(assign, msgs); err != nil {
 			return out, err
@@ -361,13 +353,7 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 			}
 		}
 		out.MessageBits = p.MessageBits()
-		proto2, engineStream = p, 2
-		finish = func() {
-			if !spec.Lean {
-				out.NodeDoneRounds = p.DoneRounds()
-			}
-			out.Traffic = p.Traffic()
-		}
+		run, detail, engineStream = p, p, 2
 	case proto == ProtocolTAGRR || proto == ProtocolTAGUniform || proto == ProtocolTAGIS:
 		var stp tag.SpanningTree
 		switch proto {
@@ -381,7 +367,7 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 			stp = ispread.New(g, spec.Model, ispread.Config{Root: 0},
 				core.NewRand(core.SplitSeed(seed, 3)))
 		}
-		p, err := tag.New(g, spec.Model, stp, spec.RLNCConfig(),
+		p, err := tag.New(g, spec.Model, stp, codec,
 			core.NewRand(core.SplitSeed(seed, 4)))
 		if err != nil {
 			return out, err
@@ -392,31 +378,14 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 		if err := p.SeedAll(spec.Assign(), nil); err != nil {
 			return out, err
 		}
-		proto2, engineStream = p, 5
-		finish = func() {
-			if !spec.Lean {
-				out.NodeDoneRounds = p.DoneRounds()
-			}
-			out.Traffic = p.Traffic()
-			out.TreeRounds = p.TreeRound()
-			if tree, ok := stp.Tree(); ok {
-				out.TreeDepth = tree.Depth()
-				out.TreeDiameter = tree.Diameter()
-			}
-		}
+		run, detail, tagRun, engineStream = p, p, p, 5
 	case proto == ProtocolUncoded:
 		p := uncoded.New(g, spec.Model, spec.Selector.build(g),
 			uncoded.Config{K: spec.K, Action: spec.Action},
 			core.NewRand(core.SplitSeed(seed, 1)))
 		p.SeedAll(spec.Assign())
-		proto2, engineStream = p, 2
-		finish = func() {
-			if !spec.Lean {
-				out.NodeDoneRounds = p.DoneRounds()
-			}
-			out.Traffic = p.Traffic()
-			out.MessageBits = gossip.UncodedMessageBits(spec.K, 1, spec.Q)
-		}
+		out.MessageBits = gossip.UncodedMessageBits(spec.K, 1, spec.Q)
+		run, detail, engineStream = p, p, 2
 	default:
 		return out, fmt.Errorf("harness: unknown protocol %v", proto)
 	}
@@ -427,14 +396,14 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 	}
 	var eng *sim.Engine
 	if spec.Dynamics.IsStatic() {
-		eng = sim.New(g, spec.Model, proto2,
+		eng = sim.New(g, spec.Model, run,
 			core.SplitSeed(seed, engineStream), opts...)
 	} else {
 		dyn, err := spec.Dynamics.Build(g, core.SplitSeed(seed, 10))
 		if err != nil {
 			return out, err
 		}
-		eng = sim.NewDynamic(dyn, spec.Model, proto2,
+		eng = sim.NewDynamic(dyn, spec.Model, run,
 			core.SplitSeed(seed, engineStream), opts...)
 	}
 	res, err := eng.Run()
@@ -442,43 +411,18 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 	if err != nil {
 		return out, err
 	}
-	finish()
-	return out, nil
-}
-
-// UniformAG runs one algebraic-gossip trial and returns the stopping time.
-func UniformAG(spec GossipSpec, seed uint64) (sim.Result, error) {
-	o, err := Execute(spec, ProtocolUniformAG, seed)
-	return o.Result, err
-}
-
-// TAGResult extends a sim.Result with Phase 1 observables.
-type TAGResult struct {
-	sim.Result
-	// TreeRounds is t(S): the synchronous round at which the spanning tree
-	// completed (-1 if untracked, asynchronous model).
-	TreeRounds int
-	// TreeDepth and TreeDiameter describe the tree S built.
-	TreeDepth, TreeDiameter int
-}
-
-// TAG runs one TAG trial with the given Phase 1 protocol.
-func TAG(spec GossipSpec, kind TreeKind, seed uint64) (TAGResult, error) {
-	proto, err := kind.protocol()
-	if err != nil {
-		return TAGResult{}, err
+	if !spec.Lean {
+		out.NodeDoneRounds = detail.DoneRounds()
 	}
-	o, err := Execute(spec, proto, seed)
-	return TAGResult{
-		Result:     o.Result,
-		TreeRounds: o.TreeRounds, TreeDepth: o.TreeDepth, TreeDiameter: o.TreeDiameter,
-	}, err
-}
-
-// Uncoded runs one store-and-forward baseline trial.
-func Uncoded(spec GossipSpec, seed uint64) (sim.Result, error) {
-	o, err := Execute(spec, ProtocolUncoded, seed)
-	return o.Result, err
+	out.Traffic = detail.Traffic()
+	if tagRun != nil {
+		out.TreeRounds = tagRun.TreeRound()
+		if tree, ok := tagRun.TreeProtocol().Tree(); ok {
+			out.TreeDepth = tree.Depth()
+			out.TreeDiameter = tree.Diameter()
+		}
+	}
+	return out, nil
 }
 
 // Broadcast runs one broadcast trial and returns the stopping time and the

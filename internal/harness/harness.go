@@ -12,9 +12,11 @@
 // function of (Spec, seed) — the worker count, per-trial timing, and
 // checkpoint/resume history are all invisible in the output bytes.
 //
-// The package sits below internal/experiments (which re-exports the
-// single-trial runners and layers the paper's table renderers on top)
-// and below the root algossip package (whose Run/RunDetailed delegate to
-// Execute), so all entry points replay the exact same fixed-seed
-// trajectories.
+// One way into a trial: Execute launches it, GossipSpec.validate screens
+// it (the only place a spec is refused — per cell in Spec.Expand, so
+// before a pool or a listener starts, and per trial in Execute), Runner
+// fans a Spec's trials out. internal/experiments (the paper's artifacts,
+// as Spec literals plus renderers), the binaries and the root algossip
+// package (Run/RunDetailed) all come in that way, so every entry point
+// replays the same fixed-seed trajectories and refuses the same specs.
 package harness

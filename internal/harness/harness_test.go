@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,34 +142,48 @@ func TestByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestExecuteMatchesRunners pins Execute as the single dispatch point:
-// the convenience runners replay the same trajectories.
+// TestExecuteMatchesRunners pins Execute as the single launch path: a
+// trial the Runner fans out of a Spec is the trial Execute runs for the
+// same (GossipSpec, Protocol, seed), tree detail included.
 func TestExecuteMatchesRunners(t *testing.T) {
 	g := graph.Barbell(10)
-	spec := GossipSpec{Graph: g, K: 10}
-	for seed := uint64(1); seed <= 3; seed++ {
-		o, err := Execute(spec, ProtocolTAGRR, seed)
+	spec := Spec{Graphs: []*graph.Graph{g}, Ks: []int{10}, Protocol: ProtocolTAGRR, Trials: 3,
+		TrialSeed: func(_, trial int) uint64 { return uint64(trial + 1) }}
+	rs, err := Runner{Parallel: 2}.Run(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range rs.Trials {
+		o, err := Execute(GossipSpec{Graph: g, K: 10}, ProtocolTAGRR, tr.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := TAG(spec, TreeBRR, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o.Result.Rounds != res.Rounds || o.TreeRounds != res.TreeRounds {
-			t.Fatalf("seed %d: Execute %d/%d vs TAG %d/%d",
-				seed, o.Result.Rounds, o.TreeRounds, res.Rounds, res.TreeRounds)
+		if !reflect.DeepEqual(o, rs.Outcomes[i]) {
+			t.Fatalf("seed %d: Execute %+v vs Runner %+v", tr.Seed, o, rs.Outcomes[i])
 		}
 		if o.TreeRounds < 0 || o.TreeDepth < 0 {
-			t.Fatalf("seed %d: TAG outcome missing tree detail: %+v", seed, o)
+			t.Fatalf("seed %d: TAG outcome missing tree detail: %+v", tr.Seed, o)
 		}
 	}
-	o, err := Execute(spec, ProtocolUniformAG, 1)
+	o, err := Execute(GossipSpec{Graph: g, K: 10}, ProtocolUniformAG, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(o.NodeDoneRounds) != g.N() || o.Traffic.Sent == 0 {
 		t.Fatalf("AG outcome missing detail: %+v", o)
+	}
+}
+
+// TestSpecDefaults: a bare GossipSpec normalizes to the paper's canonical
+// configuration, and the selector names are the ones reports print.
+func TestSpecDefaults(t *testing.T) {
+	s := GossipSpec{Graph: graph.Line(4), K: 2}.Normalize()
+	if s.Model != core.Synchronous || s.Q != 2 || s.Action != core.Exchange ||
+		s.Selector != SelUniform || s.MaxRounds == 0 {
+		t.Fatalf("defaults wrong: %+v", s)
+	}
+	if SelUniform.String() != "uniform" || SelRoundRobin.String() != "round-robin" {
+		t.Fatal("SelectorKind strings wrong")
 	}
 }
 

@@ -20,6 +20,10 @@ func RejectsBadSpecWords(t *testing.T, run func(args []string, stdout io.Writer)
 		{"-dynamics", "edge:rate=1.5"},
 		{"-adversary", "byzantine:frac=2"},
 		{"-classes", "nope"},
+		{"-q", "6"},                             // no such field: refused, not a gf.MustNew panic in the pool
+		{"-q", "300"},                           // over the byte representation
+		{"-protocol", "tag", "-action", "push"}, // TAG's Phase 2 is an EXCHANGE
+		{"-protocol", "tag-is", "-action", "pull"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) accepted", args)

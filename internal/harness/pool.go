@@ -68,16 +68,6 @@ func (rs *ResultSet) CellRounds(ci int) []float64 {
 	return out
 }
 
-// MeanRounds averages the stopping time over one grid cell's trials.
-func (rs *ResultSet) MeanRounds(ci int) float64 {
-	xs := rs.CellRounds(ci)
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Run opens the spec's Ledger (expanding it and replaying the checkpoint),
 // fans the pending trials out over the pool, and returns the ordered
 // results. The returned ResultSet is identical for any Parallel value and
@@ -211,10 +201,4 @@ func ParallelMap[T any](n, parallel int, fn func(i int) (T, error)) ([]T, error)
 		return nil, err
 	}
 	return out, nil
-}
-
-// ParallelFloats is ParallelMap specialized to the scalar samples the
-// experiment runners aggregate.
-func ParallelFloats(n, parallel int, fn func(i int) (float64, error)) ([]float64, error) {
-	return ParallelMap(n, parallel, fn)
 }

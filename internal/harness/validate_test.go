@@ -12,13 +12,15 @@ import (
 // enable turns each feature of the refusal table on, by the name the
 // table and DESIGN.md share.
 var enable = map[string]func(*GossipSpec){
-	"generations":         func(s *GossipSpec) { s.GenSize = 4 },
-	"loss":                func(s *GossipSpec) { s.LossRate = 0.1 },
-	"dynamics":            func(s *GossipSpec) { s.Dynamics = &Dynamics{Kind: "edge", Rate: 0.1} },
-	"adversary / classes": func(s *GossipSpec) { s.Adversary = &Adversary{Kind: "byzantine", Frac: 0.1} },
-	"shards":              func(s *GossipSpec) { s.Shards = 2 },
-	"payload":             func(s *GossipSpec) { s.PayloadLen = 4 },
-	"asynchronous":        func(s *GossipSpec) { s.Model = core.Asynchronous },
+	"generations":          func(s *GossipSpec) { s.GenSize = 4 },
+	"loss":                 func(s *GossipSpec) { s.LossRate = 0.1 },
+	"dynamics":             func(s *GossipSpec) { s.Dynamics = &Dynamics{Kind: "edge", Rate: 0.1} },
+	"adversary / classes":  func(s *GossipSpec) { s.Adversary = &Adversary{Kind: "byzantine", Frac: 0.1} },
+	"shards":               func(s *GossipSpec) { s.Shards = 2 },
+	"payload":              func(s *GossipSpec) { s.PayloadLen = 4 },
+	"asynchronous":         func(s *GossipSpec) { s.Model = core.Asynchronous },
+	"action":               func(s *GossipSpec) { s.Action = core.Push },
+	"round-robin selector": func(s *GossipSpec) { s.Selector = SelRoundRobin },
 }
 
 // designTables returns the markdown tables of DESIGN.md's "What combines
@@ -71,7 +73,7 @@ func TestDesignCombinationTable(t *testing.T) {
 			t.Errorf("feature %q has no enabler in this test", f.name)
 		}
 		on := GossipSpec{K: 8}
-		if f.inForce(on) {
+		if f.inForce(on) || f.inForce(on.Normalize()) {
 			t.Errorf("feature %q is in force on a bare spec", f.name)
 		}
 		enable[f.name](&on)
@@ -160,5 +162,39 @@ func TestExpandRefusesBeforeAnyTrial(t *testing.T) {
 		if _, _, err := s.Expand(); err == nil {
 			t.Errorf("%s: Expand accepted it", name)
 		}
+	}
+}
+
+// TestFieldOrderIsRefusedNotPanicked: a field order gf cannot build is an
+// error naming the supported orders from every way into a trial — the
+// screen, the grid expansion (so before a pool or a listener starts) and
+// Execute — never the panic of gf.MustNew on a pool goroutine.
+func TestFieldOrderIsRefusedNotPanicked(t *testing.T) {
+	g := graph.Ring(8)
+	for _, q := range []int{0, 1, 6, 9, 255, 300, -4} {
+		wantErr := q != 0 // zero is "the default", GF(2)
+		gs := GossipSpec{Graph: g, K: 4, Q: q}
+		_, _, expandErr := (&Spec{Graphs: []*graph.Graph{g}, Ks: []int{4}, Q: q, Trials: 1}).Expand()
+		_, execErr := Execute(gs, ProtocolUniformAG, 1)
+		for via, err := range map[string]error{"validate": gs.validate(0), "Expand": expandErr, "Execute": execErr} {
+			switch {
+			case !wantErr && err != nil:
+				t.Errorf("q=%d via %s: %v", q, via, err)
+			case wantErr && (err == nil || !strings.Contains(err.Error(), "supported: 2, 4, 8")):
+				t.Errorf("q=%d via %s: err = %v, want one naming the supported orders", q, via, err)
+			}
+		}
+	}
+}
+
+// TestScreenOwnsGraphAndK: the nil-graph and k checks live in the screen,
+// ahead of the generation-size check that used to answer for a bad k.
+func TestScreenOwnsGraphAndK(t *testing.T) {
+	if _, err := Execute(GossipSpec{K: 3}, 0, 1); err == nil || !strings.Contains(err.Error(), "nil graph") {
+		t.Errorf("nil graph: %v", err)
+	}
+	s := Spec{Graph: "ring", Sizes: []int{8}, Ks: []int{-5}, Trials: 1}
+	if _, _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), "k must be positive, got -5") {
+		t.Errorf("k=-5 through Expand: %v", err)
 	}
 }

@@ -212,10 +212,10 @@ func (p *Packet) ExpandPayload(r int) []byte {
 	return out
 }
 
-// PackCoeffs packs a generic GF(2) coefficient vector into a BitVec. It
+// packCoeffs packs a generic GF(2) coefficient vector into a BitVec. It
 // reports false when any coefficient is not 0 or 1 (the vector is not a
 // valid GF(2) row). Boundary code only; the hot path stays packed.
-func PackCoeffs(coeffs []gf.Elem) (linalg.BitVec, bool) {
+func packCoeffs(coeffs []gf.Elem) (linalg.BitVec, bool) {
 	v := linalg.NewBitVec(len(coeffs))
 	for i, c := range coeffs {
 		switch c {
@@ -755,7 +755,7 @@ func (n *Node) Adapt(p *Packet) *Packet {
 		if p.Sliced != nil || len(p.Coeffs) != n.cfg.K {
 			return nil
 		}
-		bits, ok := PackCoeffs(p.Coeffs)
+		bits, ok := packCoeffs(p.Coeffs)
 		if !ok {
 			return nil
 		}

@@ -366,7 +366,7 @@ func TestTCPRedialJitterIsSeeded(t *testing.T) {
 // in the destination's sender goroutine, not under the transport lock.
 func TestTCPTransportUnreachablePeerDoesNotStall(t *testing.T) {
 	ctx := context.Background()
-	tr := NewTCPTransportOpts(TCPOptions{QueueSize: 4, DialAttempts: 2, DialBackoff: time.Millisecond})
+	tr := NewTCPTransport()
 	defer func() { _ = tr.Close() }()
 	inbox, err := tr.Register(0)
 	if err != nil {
@@ -374,7 +374,7 @@ func TestTCPTransportUnreachablePeerDoesNotStall(t *testing.T) {
 	}
 	tr.AddPeer(1, "127.0.0.1:1") // reserved port: connection refused
 
-	// Drain node 0's inbox as envelopes arrive (it is only QueueSize deep).
+	// Drain node 0's inbox as envelopes arrive.
 	var arrived atomic.Int64
 	drained := make(chan struct{})
 	go func() {
@@ -384,12 +384,28 @@ func TestTCPTransportUnreachablePeerDoesNotStall(t *testing.T) {
 		}
 	}()
 
+	// Overfill the dead peer's send queue in one burst (a dial burst takes
+	// tens of milliseconds per frame, so the sender cannot keep up): the
+	// surplus must come back as ErrBackpressure, at once.
 	start := time.Now()
+	backpressured := 0
+	for i := 0; i < inboxSize*2; i++ {
+		switch err := tr.Send(ctx, 1, Envelope{From: 0}); {
+		case err == nil:
+		case errors.Is(err, ErrBackpressure):
+			backpressured++
+		default:
+			t.Fatalf("send to dead peer failed: %v", err)
+		}
+	}
+	if backpressured < inboxSize/2 {
+		t.Fatalf("%d of %d sends to a dead peer backpressured, want >= %d", backpressured, inboxSize*2, inboxSize/2)
+	}
+
 	healthy := 0
 	for i := 0; i < 32; i++ {
-		_ = tr.Send(ctx, 1, Envelope{From: 0}) // dead peer: queue then drop
-		// Healthy sends may backpressure while the sender is still
-		// dialing (the queue is tiny), but must never block or fail
+		_ = tr.Send(ctx, 1, Envelope{From: 0}) // dead peer: queued, or dropped on the full queue
+		// Healthy sends may backpressure, but must never block or fail
 		// otherwise.
 		err := tr.Send(ctx, 0, Envelope{From: 1})
 		switch {

@@ -12,39 +12,20 @@ import (
 	"algossip/internal/wire"
 )
 
-// TCPOptions tunes TCPTransport's connection management. The zero value
-// selects the defaults below.
-type TCPOptions struct {
-	// QueueSize bounds each destination's send queue (default 256). A
-	// full queue drops the frame with ErrBackpressure — senders are never
-	// stalled by one slow peer.
-	QueueSize int
-	// DialAttempts is how many times one frame's dial burst retries an
-	// unreachable peer before dropping the frame (default 5). Later
-	// frames start fresh bursts, so a restarting peer is re-found.
-	DialAttempts int
-	// DialBackoff is the first retry delay; it doubles per attempt with
-	// ±50% jitter (default 5ms).
-	DialBackoff time.Duration
-	// SendTimeout bounds each dial and each frame write (default 2s).
-	SendTimeout time.Duration
-}
-
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.QueueSize <= 0 {
-		o.QueueSize = inboxSize
-	}
-	if o.DialAttempts <= 0 {
-		o.DialAttempts = 5
-	}
-	if o.DialBackoff <= 0 {
-		o.DialBackoff = 5 * time.Millisecond
-	}
-	if o.SendTimeout <= 0 {
-		o.SendTimeout = 2 * time.Second
-	}
-	return o
-}
+// TCPTransport's connection management. Each destination's send queue
+// holds inboxSize frames; a full queue drops the frame with
+// ErrBackpressure, so senders are never stalled by one slow peer.
+const (
+	// tcpDialAttempts is how many times one frame's dial burst retries an
+	// unreachable peer before dropping the frame. Later frames start fresh
+	// bursts, so a restarting peer is re-found.
+	tcpDialAttempts = 5
+	// tcpDialBackoff is the first retry delay; it doubles per attempt with
+	// ±50% jitter.
+	tcpDialBackoff = 5 * time.Millisecond
+	// tcpSendTimeout bounds each dial and each frame write.
+	tcpSendTimeout = 2 * time.Second
+)
 
 // TCPTransport carries wire-framed envelopes over TCP. Each registered
 // node gets its own listener (inbound frames are demuxed by the frame's
@@ -56,7 +37,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // singleflight this layer needs).
 type TCPTransport struct {
 	router // the routing table; its mu guards every map below too
-	opts   TCPOptions
 
 	listeners map[core.NodeID]net.Listener
 	inbound   map[net.Conn]struct{}
@@ -80,18 +60,11 @@ type tcpSender struct {
 
 var _ Transport = (*TCPTransport)(nil)
 
-// NewTCPTransport returns a TCP transport with default options; nodes
-// listen on loopback ports assigned by the kernel unless SetPeers
-// declared an address for them.
+// NewTCPTransport returns a TCP transport; nodes listen on loopback ports
+// assigned by the kernel unless SetPeers declared an address for them.
 func NewTCPTransport() *TCPTransport {
-	return NewTCPTransportOpts(TCPOptions{})
-}
-
-// NewTCPTransportOpts returns a TCP transport with explicit options.
-func NewTCPTransportOpts(opts TCPOptions) *TCPTransport {
 	return &TCPTransport{
 		router:    newRouter(),
-		opts:      opts.withDefaults(),
 		listeners: make(map[core.NodeID]net.Listener),
 		inbound:   make(map[net.Conn]struct{}),
 		senders:   make(map[core.NodeID]*tcpSender),
@@ -198,7 +171,7 @@ func (t *TCPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 func (t *TCPTransport) newSender(to core.NodeID) *tcpSender {
 	return &tcpSender{
 		to:     to,
-		queue:  make(chan Envelope, t.opts.QueueSize),
+		queue:  make(chan Envelope, inboxSize),
 		jitter: core.NewRand(core.SplitSeed(uint64(t.home), uint64(to))),
 	}
 }
@@ -233,7 +206,7 @@ func (t *TCPTransport) runSender(s *tcpSender) {
 			}
 			w = wire.NewWriter(conn)
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(t.opts.SendTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(tcpSendTimeout))
 		if err := w.WriteFrame(s.to, &env); err != nil {
 			_ = conn.Close()
 			conn, w = nil, nil
@@ -244,12 +217,12 @@ func (t *TCPTransport) runSender(s *tcpSender) {
 	}
 }
 
-// dialBurst tries DialAttempts dials with exponential backoff + jitter,
+// dialBurst tries tcpDialAttempts dials with exponential backoff + jitter,
 // returning nil if the peer stayed unreachable. Every attempt after the
 // destination's first-ever dial counts as a redial.
 func (t *TCPTransport) dialBurst(s *tcpSender, dialedOnce *bool) net.Conn {
-	to, backoff := s.to, t.opts.DialBackoff
-	for attempt := 0; attempt < t.opts.DialAttempts; attempt++ {
+	to, backoff := s.to, tcpDialBackoff
+	for attempt := 0; attempt < tcpDialAttempts; attempt++ {
 		t.mu.Lock()
 		addr, ok := t.route(to)
 		t.mu.Unlock()
@@ -260,7 +233,7 @@ func (t *TCPTransport) dialBurst(s *tcpSender, dialedOnce *bool) net.Conn {
 			t.stats.redial(to)
 		}
 		*dialedOnce = true
-		conn, err := net.DialTimeout("tcp", addr, t.opts.SendTimeout)
+		conn, err := net.DialTimeout("tcp", addr, tcpSendTimeout)
 		if err == nil {
 			return conn
 		}

@@ -96,41 +96,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// tCrit95 holds the two-sided 95% Student-t critical values for
-// degrees of freedom 1..30 (index df-1). Beyond df=30 the t distribution
-// is within 2% of the normal and the z approximation takes over.
-var tCrit95 = [30]float64{
-	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-}
-
-// CritValue95 returns the two-sided 95% critical value for a mean
-// estimated from n samples: the Student-t value for n <= 31 (df <= 30),
-// the normal approximation z = 1.96 above. The experiment gates run
-// 20–200 trials; at n=20 the z value under-covers by ~7%.
-func CritValue95(n int) float64 {
-	df := n - 1
-	switch {
-	case df < 1:
-		return math.NaN()
-	case df <= len(tCrit95):
-		return tCrit95[df-1]
-	default:
-		return 1.96
-	}
-}
-
-// CI95 returns the half-width of the 95% confidence interval for the
-// mean of xs, using the Student-t critical value for small samples and
-// the normal approximation above n≈30 (see CritValue95).
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return CritValue95(len(xs)) * StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // TailQuantiles returns the requested quantiles of xs (unsorted; a copy
 // is sorted internally), e.g. TailQuantiles(xs, 0.99, 0.999) for the
 // P99/P99.9 stopping times of a result-store cell. Empty samples yield

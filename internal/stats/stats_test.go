@@ -121,60 +121,6 @@ func TestMeanQuantileEmptyAndSingleton(t *testing.T) {
 	}
 }
 
-// TestCI95CriticalValues pins both regimes of the small-sample fix: the
-// Student-t critical value for n <= 31 and the z = 1.96 normal
-// approximation above. Before the fix every n used 1.96, which
-// under-covers the 20–200-trial experiment gates.
-func TestCI95CriticalValues(t *testing.T) {
-	tests := []struct {
-		n    int
-		want float64
-	}{
-		{2, 12.706}, // df=1: the worst small-sample case
-		{5, 2.776},  // df=4
-		{20, 2.093}, // df=19: E15/E17-gate territory
-		{31, 2.042}, // df=30: last table entry
-		{32, 1.96},  // df=31: normal approximation takes over
-		{200, 1.96},
-	}
-	for _, tt := range tests {
-		if got := CritValue95(tt.n); !almost(got, tt.want, 1e-9) {
-			t.Errorf("CritValue95(%d) = %v, want %v", tt.n, got, tt.want)
-		}
-		// CI95 must be exactly crit * sd / sqrt(n).
-		xs := make([]float64, tt.n)
-		for i := range xs {
-			xs[i] = float64(i % 5)
-		}
-		want := tt.want * StdDev(xs) / math.Sqrt(float64(tt.n))
-		if got := CI95(xs); !almost(got, want, 1e-12) {
-			t.Errorf("CI95(n=%d) = %v, want %v", tt.n, got, want)
-		}
-	}
-	if v := CritValue95(1); !math.IsNaN(v) {
-		t.Errorf("CritValue95(1) = %v, want NaN (no df)", v)
-	}
-	if CI95([]float64{4}) != 0 {
-		t.Error("CI95 of a singleton must be 0")
-	}
-}
-
-func TestCI95ShrinksWithN(t *testing.T) {
-	rng := core.NewRand(7)
-	sample := func(n int) []float64 {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		return xs
-	}
-	small := CI95(sample(20))
-	large := CI95(sample(2000))
-	if large >= small {
-		t.Errorf("CI did not shrink: n=20 -> %v, n=2000 -> %v", small, large)
-	}
-}
-
 // Property: mean is within [min, max], and quantiles are monotone in q.
 func TestQuantileMonotoneQuick(t *testing.T) {
 	check := func(seed uint64) bool {
