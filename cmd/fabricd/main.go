@@ -231,8 +231,8 @@ func runQuery(args []string, stdout io.Writer) error {
 		k         = fs.Int("k", 0, "filter: message count")
 		q         = fs.Int("q", 0, "filter: field order")
 		protoName = fs.String("protocol", "", "filter: protocol name as stored, e.g. uniform-ag")
-		dynamics  = fs.String("dynamics", "", "filter: dynamics kind")
-		gens      = fs.Int("generations", 0, "filter: generation size")
+		dynamics  = fs.String("dynamics", "", "filter: dynamics schedule as -cells prints it, or its kind, e.g. edge ('' = static topologies only; not passed = any)")
+		gens      = fs.Int("generations", 0, "filter: generation size (0 = whole-k coding only; not passed = any)")
 		rate      = fs.Float64("rate", -1, "filter: loss/failure rate (-1 = any)")
 		regime    = fs.String("regime", "any", "filter: regime as -cells prints it, e.g. model=asynchronous/action=PUSH ('' = the default regime)")
 		cells     = fs.Bool("cells", false, "list every stored cell with trial counts instead of querying")
@@ -270,9 +270,14 @@ func runQuery(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	// -dynamics and -generations default to values cells store (static,
+	// whole-k), so they filter when passed and are wildcards when not.
+	passed := map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { passed[fl.Name] = true })
 	f := resultstore.Filter{
-		Spec: *specName, Graph: *graphName, N: *n, K: *k, Q: *q,
-		Protocol: *protoName, Dynamics: *dynamics, GenSize: *gens,
+		Spec: *specName, Graph: *graphName, N: *n, K: *k, Q: *q, Protocol: *protoName,
+		Dynamics: *dynamics, HasDynamics: passed["dynamics"],
+		GenSize: *gens, HasGenSize: passed["generations"],
 	}
 	if *rate >= 0 {
 		f.Rate, f.HasRate = *rate, true

@@ -58,6 +58,19 @@ func TestGossipsimHeaderAndRounds(t *testing.T) {
 	}
 }
 
+// TestGossipsimAsyncTAGReportsTreeRound: t(S) is there in the asynchronous
+// model too (Theorem 4 is stated for both).
+func TestGossipsimAsyncTAGReportsTreeRound(t *testing.T) {
+	var buf bytes.Buffer
+	args := []string{"-graph", "barbell", "-n", "12", "-protocol", "tag", "-model", "async", "-trials", "1", "-detail"}
+	if err := run(args, &buf); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	if !strings.Contains(buf.String(), "    spanning tree complete at round ") {
+		t.Errorf("run(%v) printed no tree round:\n%s", args, buf.String())
+	}
+}
+
 // TestGossipsimDynamicsRejected: bad dynamics flags and unsupported
 // protocol combinations fail fast.
 func TestGossipsimDynamicsRejected(t *testing.T) {

@@ -51,6 +51,14 @@ func (a Action) String() string {
 	}
 }
 
+// Legs reports which transfers a contact makes that v initiated with u:
+// out is v→u (PUSH, EXCHANGE), back is u→v (PULL, EXCHANGE). Every
+// protocol makes the out leg first. (Two flags and not a list of legs to
+// range over: that loop cost small trials 5%.)
+func (a Action) Legs() (out, back bool) {
+	return a == Push || a == Exchange, a == Pull || a == Exchange
+}
+
 // ParseAction converts a string such as "push" or "EXCHANGE" to an Action.
 func ParseAction(s string) (Action, error) {
 	switch s {

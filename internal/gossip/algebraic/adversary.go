@@ -144,10 +144,10 @@ func (p *Protocol) serviceReady(from core.NodeID) bool {
 	if s == nil {
 		return true
 	}
-	if p.round < p.busyUntil[from] {
+	if p.Round < p.busyUntil[from] {
 		return false
 	}
-	p.busyUntil[from] = p.round + int(s(p.classRng))
+	p.busyUntil[from] = p.Round + int(s(p.classRng))
 	return true
 }
 
@@ -167,13 +167,13 @@ func (p *Protocol) sendByz(from, to core.NodeID, pollute bool) {
 		p.recycle(pkt)
 		return // replayer has heard nothing yet: nothing to replay
 	}
-	p.traffic.Sent++
+	p.Counts.Sent++
 	if p.cfg.LossRate > 0 && p.rng.Float64() < p.cfg.LossRate {
-		p.traffic.Dropped++
+		p.Counts.Dropped++
 		p.recycle(pkt)
 		return
 	}
-	if p.model == core.Synchronous {
+	if p.Model == core.Synchronous {
 		p.staged = append(p.staged, delivery{to: to, from: from, pkt: pkt})
 		return
 	}
@@ -187,7 +187,7 @@ func (p *Protocol) sendByz(from, to core.NodeID, pollute bool) {
 // traffic JSON bytes are unchanged.
 func (p *Protocol) verifyAccount() {
 	if p.verify {
-		p.traffic.Verified++
-		p.traffic.VerifyOps += p.verifyCost
+		p.Counts.Verified++
+		p.Counts.VerifyOps += p.verifyCost
 	}
 }

@@ -12,8 +12,9 @@
 //
 // The protocol is parameterized by the communication model
 // (sim.PartnerSelector): with sim.Uniform it is the *uniform algebraic
-// gossip* of Theorem 1; with sim.Fixed it is the on-tree exchange of TAG's
-// Phase 2 (Lemma 1); with sim.RoundRobin it is a quasirandom variant.
+// gossip* of Theorem 1; with sim.RoundRobin it is a quasirandom variant;
+// with tag.Protocol, which answers a node's tree parent on its even
+// wakeups, it is TAG's Phase 2 (Lemma 1).
 package algebraic
 
 import (
@@ -94,14 +95,15 @@ type deferredFill struct {
 }
 
 // Protocol is the algebraic gossip state machine. It implements
-// sim.Protocol. Not safe for concurrent use.
+// sim.Protocol; a node is done (gossip.Progress) once it has rank k. Not
+// safe for concurrent use.
 type Protocol struct {
-	g     *graph.Graph
-	model core.TimeModel
-	sel   sim.PartnerSelector
-	rng   *rand.Rand
-	cfg   Config
-	gen   rlnc.GenConfig // coding layout; one generation of size k when cfg.GenSize == 0
+	gossip.Progress
+	g   *graph.Graph
+	sel sim.PartnerSelector
+	rng *rand.Rand
+	cfg Config
+	gen rlnc.GenConfig // coding layout; one generation of size k when cfg.GenSize == 0
 
 	nodes   []*rlnc.GenNode
 	initial [][]rlnc.Message // per-node initial seeds, replayed on churn reset
@@ -109,12 +111,6 @@ type Protocol struct {
 	staged     []delivery
 	stagedPeak int               // decaying high-water mark of staged length
 	free       []*rlnc.GenPacket // recycled packets; backing arrays are reused by EmitInto
-	traffic    gossip.Traffic
-	doneCount  int
-	doneRound  []int // round at which each node reached rank k, -1 before
-	round      int   // current round (sync: from BeginRound; async: slots/n)
-	slots      int   // async wakeup counter
-	obs        sim.Observer
 
 	// fill is non-nil for a synchronous protocol that carries payloads: it
 	// stages a packet after the coefficient half of its emit and fills the
@@ -155,16 +151,14 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 	}
 	n := g.N()
 	p := &Protocol{
-		g:         g,
-		model:     model,
-		sel:       sel,
-		rng:       rng,
-		cfg:       cfg,
-		gen:       gen,
-		nodes:     make([]*rlnc.GenNode, n),
-		initial:   make([][]rlnc.Message, n),
-		doneRound: make([]int, n),
-		obs:       sim.NopObserver{},
+		Progress: gossip.NewProgress(n, model),
+		g:        g,
+		sel:      sel,
+		rng:      rng,
+		cfg:      cfg,
+		gen:      gen,
+		nodes:    make([]*rlnc.GenNode, n),
+		initial:  make([][]rlnc.Message, n),
 	}
 	if model == core.Synchronous && !cfg.RLNC.RankOnly {
 		p.fill = &deferredFill{bucket: make([]int32, n+1)}
@@ -175,9 +169,6 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 			return nil, fmt.Errorf("algebraic: node %d: %w", i, err)
 		}
 		p.nodes[i] = node
-	}
-	for i := range p.doneRound {
-		p.doneRound[i] = -1
 	}
 	if err := p.initTraits(cfg); err != nil {
 		return nil, err
@@ -232,9 +223,6 @@ func (p *Protocol) initTraits(cfg Config) error {
 	return nil
 }
 
-// SetObserver installs a progress observer (must be called before running).
-func (p *Protocol) SetObserver(obs sim.Observer) { p.obs = obs }
-
 // EnableSharded switches the protocol to sharded-execution semantics (see
 // shard.go and sim.ShardedProtocol): per-node RNG streams derived from
 // seed, per-node staging slots, a commit ordered per receiver (and as
@@ -246,7 +234,7 @@ func (p *Protocol) SetObserver(obs sim.Observer) { p.obs = obs }
 // commit-time reduce cost at O(g²) per packet, which is what lets sharded
 // runs scale to n ≥ 10^5.
 func (p *Protocol) EnableSharded(seed uint64, retire bool) error {
-	if p.model != core.Synchronous {
+	if p.Model != core.Synchronous {
 		return errors.New("algebraic: sharded execution requires the synchronous model")
 	}
 	if p.traits != nil {
@@ -268,10 +256,7 @@ func (p *Protocol) ActiveWords() []uint64 {
 func (p *Protocol) WakeShard(lo, hi int) { p.shard.wakeRange(lo, hi) }
 
 // CommitRound implements sim.ShardedProtocol.
-func (p *Protocol) CommitRound(round int) {
-	p.round = round
-	p.shard.commit()
-}
+func (p *Protocol) CommitRound(int) { p.shard.commit() }
 
 // Seed places message msg at node v (a node can hold more than one initial
 // message). In rank-only mode the payload may be nil.
@@ -312,21 +297,16 @@ func (p *Protocol) Name() string {
 // OnWake implements sim.Protocol: node v contacts sel.Partner(v) and
 // transfers packets according to the configured action.
 func (p *Protocol) OnWake(v core.NodeID) {
-	if p.model == core.Asynchronous {
-		p.slots++
-		p.round = p.slots / p.g.N()
-	}
+	p.Wake()
 	u := p.sel.Partner(v, p.rng)
 	if u == core.NilNode {
 		return
 	}
-	switch p.cfg.Action {
-	case core.Push:
+	out, back := p.cfg.Action.Legs()
+	if out {
 		p.sendLeg(v, u)
-	case core.Pull:
-		p.sendLeg(u, v)
-	case core.Exchange:
-		p.sendLeg(v, u)
+	}
+	if back {
 		p.sendLeg(u, v)
 	}
 }
@@ -345,7 +325,7 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	// clock is still on the previous round; advance it first so resets
 	// that immediately re-complete are stamped with the rejoin round in
 	// both time models.
-	p.round = ev.Round
+	p.Round = ev.Round
 	ev.Retarget(p.sel)
 	if p.fill != nil {
 		p.fillStaged() // before a reset can replace a sender's decoder
@@ -372,24 +352,11 @@ func (p *Protocol) resetNode(v core.NodeID) {
 		panic(err) // unreachable: New built every node from this config
 	}
 	p.nodes[v] = node
-	if p.doneRound[v] >= 0 {
-		p.doneRound[v] = -1
-		p.doneCount--
-	}
+	p.Unmark(v)
 	for _, msg := range p.initial[v] {
 		p.nodes[v].Seed(msg)
 	}
 	p.refreshDone(v)
-}
-
-// Tick advances the protocol's internal asynchronous clock without any
-// communication. Wrapper protocols (TAG) call it on wakeups they spend on
-// another phase, so per-node completion rounds stay calibrated.
-func (p *Protocol) Tick() {
-	if p.model == core.Asynchronous {
-		p.slots++
-		p.round = p.slots / p.g.N()
-	}
 }
 
 // getPacket pops a recycled packet (or allocates the first few). Pooled
@@ -473,19 +440,19 @@ func (p *Protocol) send(from, to core.NodeID) {
 		p.recycle(pkt)
 		return // rank-0 sender: nothing to say, no randomness drawn
 	}
-	p.traffic.Sent++
+	p.Counts.Sent++
 	if p.cfg.LossRate > 0 && p.rng.Float64() < p.cfg.LossRate {
-		p.traffic.Dropped++
+		p.Counts.Dropped++
 		p.recycle(pkt)
 		return // lost in flight (and, when deferred, never filled)
 	}
-	if p.model == core.Synchronous {
+	if p.Model == core.Synchronous {
 		p.staged = append(p.staged, delivery{to: to, from: from, pkt: pkt, fac: fac})
 		return
 	}
 	if skip {
 		p.verifyAccount()
-		p.traffic.Useless++
+		p.Counts.Useless++
 	} else {
 		p.apply(to, pkt)
 	}
@@ -524,42 +491,36 @@ func (p *Protocol) apply(to core.NodeID, pkt *rlnc.GenPacket) {
 	if p.verify && pkt.Packet.Corrupt {
 		// Verification caught the pollution; the packet never reaches the
 		// eliminator and counts as neither helpful nor useless.
-		p.traffic.Polluted++
+		p.Counts.Polluted++
 		return
 	}
 	if p.nodes[to].ReceiveOwned(pkt) {
-		p.traffic.Helpful++
+		p.Counts.Helpful++
 		p.refreshDone(to)
 	} else {
-		p.traffic.Useless++
+		p.Counts.Useless++
 	}
 }
 
 // refreshDone records the completion round for node v if it just reached
 // full rank.
 func (p *Protocol) refreshDone(v core.NodeID) {
-	if p.doneRound[v] < 0 && p.nodes[v].CanDecode() {
-		p.doneRound[v] = p.round
-		p.doneCount++
-		p.obs.NodeDone(v, p.round)
+	if !p.IsDone(v) && p.nodes[v].CanDecode() {
+		p.MarkDone(v)
 	}
 }
-
-// BeginRound implements sim.Protocol.
-func (p *Protocol) BeginRound(round int) { p.round = round }
 
 // EndRound implements sim.Protocol: applies the staged deliveries and
 // recycles their packets — in staging order, or, when payloads were
 // deferred, in the order orderByCache leaves them in.
-func (p *Protocol) EndRound(round int) {
-	p.round = round
+func (p *Protocol) EndRound(int) {
 	if p.fill != nil {
 		p.orderByCache()
 	}
 	for _, d := range p.staged {
 		if d.fac.len == skipped {
 			p.verifyAccount()
-			p.traffic.Useless++
+			p.Counts.Useless++
 		} else {
 			p.apply(d.to, d.pkt)
 		}
@@ -663,12 +624,6 @@ func (p *Protocol) resetStaged() {
 	p.staged = p.staged[:0]
 }
 
-// Done implements sim.Protocol: true once every node has rank k.
-func (p *Protocol) Done() bool { return p.doneCount == len(p.nodes) }
-
-// Traffic returns the protocol's transmission counters.
-func (p *Protocol) Traffic() gossip.Traffic { return p.traffic }
-
 // MessageBits returns the wire size of one of this protocol's messages:
 // (k + r) symbols, or with Config.GenSize set (GenSize + r) symbols plus
 // the generation tag.
@@ -684,12 +639,6 @@ func (p *Protocol) Rank(v core.NodeID) int { return p.nodes[v].Rank() }
 
 // Node returns node v's RLNC state (for decoding in tests and examples).
 func (p *Protocol) Node(v core.NodeID) *rlnc.GenNode { return p.nodes[v] }
-
-// DoneRounds returns, per node, the round at which it reached rank k
-// (-1 if it has not). The slice is a copy.
-func (p *Protocol) DoneRounds() []int {
-	return append([]int(nil), p.doneRound...)
-}
 
 // RoundRobinAssign places message i at node i mod n — the all-to-all
 // pattern when k == n, and an even spread otherwise.

@@ -57,11 +57,12 @@ import (
 // serial walk. Counter-only slots (slotUseless, slotDropped) have no
 // receiver state to order against and are counted by the owner of the
 // *waker's* block. A worker writes only its own counters and event list:
-// never p.traffic, doneRound/doneCount, the observer or the bitmap.
+// never the protocol's ledger (counters, done stamps, observer) or the
+// bitmap.
 //
 // Step 2, serial and short: sum the counters, merge the event lists by
 // slot, and replay them — first every completion (refreshDone, in slot
-// order, so NodeDone callbacks and doneRound stamps are the serial ones),
+// order, so NodeDone callbacks and done stamps are the serial ones),
 // then every onRankUp, then every onFull.
 //
 // Why deferring retirement to end-of-round state changes nothing. Ranks
@@ -330,7 +331,7 @@ func (sc *shardCore) commit() {
 		events = sc.merged
 	}
 	for _, cw := range sc.workers[:w] {
-		sc.p.traffic.Add(cw.traffic)
+		sc.p.Counts.Add(cw.traffic)
 	}
 	for _, e := range events {
 		if e.full {

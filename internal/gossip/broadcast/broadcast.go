@@ -36,25 +36,19 @@ type inform struct {
 	to, from core.NodeID
 }
 
-// Protocol is a gossip broadcast state machine implementing sim.Protocol.
-// Pair it with sim.NewUniform for uniform broadcast or sim.NewRoundRobin
-// for B_RR.
+// Protocol is a gossip broadcast state machine implementing sim.Protocol;
+// a node is done (gossip.Progress) once it is informed, the origin from
+// round 0. Pair it with sim.NewUniform for uniform broadcast or
+// sim.NewRoundRobin for B_RR.
 type Protocol struct {
-	g     *graph.Graph
-	model core.TimeModel
-	sel   sim.PartnerSelector
-	rng   *rand.Rand
-	cfg   Config
+	gossip.Progress
+	g   *graph.Graph
+	sel sim.PartnerSelector
+	rng *rand.Rand
+	cfg Config
 
-	informed      []bool
-	parent        []core.NodeID
-	informedRound []int
-	informedCount int
-	staged        []inform
-	traffic       gossip.Traffic
-	round         int
-	slots         int
-	obs           sim.Observer
+	parent []core.NodeID
+	staged []inform
 }
 
 var (
@@ -68,30 +62,20 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 	if cfg.Action == 0 {
 		cfg.Action = core.Push
 	}
-	n := g.N()
 	p := &Protocol{
-		g:             g,
-		model:         model,
-		sel:           sel,
-		rng:           rng,
-		cfg:           cfg,
-		informed:      make([]bool, n),
-		parent:        make([]core.NodeID, n),
-		informedRound: make([]int, n),
-		obs:           sim.NopObserver{},
+		Progress: gossip.NewProgress(g.N(), model),
+		g:        g,
+		sel:      sel,
+		rng:      rng,
+		cfg:      cfg,
+		parent:   make([]core.NodeID, g.N()),
 	}
 	for i := range p.parent {
 		p.parent[i] = core.NilNode
-		p.informedRound[i] = -1
 	}
-	p.informed[cfg.Origin] = true
-	p.informedRound[cfg.Origin] = 0
-	p.informedCount = 1
+	p.MarkDone(cfg.Origin)
 	return p
 }
-
-// SetObserver installs a progress observer (must be called before running).
-func (p *Protocol) SetObserver(obs sim.Observer) { p.obs = obs }
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string {
@@ -100,21 +84,16 @@ func (p *Protocol) Name() string {
 
 // OnWake implements sim.Protocol.
 func (p *Protocol) OnWake(v core.NodeID) {
-	if p.model == core.Asynchronous {
-		p.slots++
-		p.round = p.slots / p.g.N()
-	}
+	p.Wake()
 	u := p.sel.Partner(v, p.rng)
 	if u == core.NilNode {
 		return
 	}
-	switch p.cfg.Action {
-	case core.Push:
+	out, back := p.cfg.Action.Legs()
+	if out {
 		p.transfer(v, u)
-	case core.Pull:
-		p.transfer(u, v)
-	case core.Exchange:
-		p.transfer(v, u)
+	}
+	if back {
 		p.transfer(u, v)
 	}
 }
@@ -129,7 +108,7 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	p.g = ev.Graph
 	// Advance the clock first (the event precedes BeginRound(ev.Round)),
 	// so re-informs after a reset are stamped with the rejoin round.
-	p.round = ev.Round
+	p.Round = ev.Round
 	ev.Retarget(p.sel)
 	kept := p.staged[:0]
 	for _, in := range p.staged {
@@ -139,13 +118,10 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	}
 	p.staged = kept
 	for _, v := range ev.Reset {
-		if v == p.cfg.Origin || !p.informed[v] {
-			continue
+		if v != p.cfg.Origin {
+			p.Unmark(v)
+			p.parent[v] = core.NilNode
 		}
-		p.informed[v] = false
-		p.parent[v] = core.NilNode
-		p.informedRound[v] = -1
-		p.informedCount--
 	}
 }
 
@@ -153,15 +129,15 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 // (start-of-round state in the synchronous model, where informs are staged).
 // Every transmission is counted, including ones the receiver discards.
 func (p *Protocol) transfer(from, to core.NodeID) {
-	if !p.informed[from] {
+	if !p.IsDone(from) {
 		return // nothing to send yet
 	}
-	p.traffic.Sent++
-	if p.informed[to] {
-		p.traffic.Useless++
+	p.Counts.Sent++
+	if p.IsDone(to) {
+		p.Counts.Useless++
 		return
 	}
-	if p.model == core.Synchronous {
+	if p.Model == core.Synchronous {
 		p.staged = append(p.staged, inform{to: to, from: from})
 		return
 	}
@@ -170,49 +146,27 @@ func (p *Protocol) transfer(from, to core.NodeID) {
 
 // apply marks `to` informed with parent `from` (first informer wins).
 func (p *Protocol) apply(to, from core.NodeID) {
-	if p.informed[to] {
-		p.traffic.Useless++
+	if p.IsDone(to) {
+		p.Counts.Useless++
 		return
 	}
-	p.traffic.Helpful++
-	p.informed[to] = true
+	p.Counts.Helpful++
 	p.parent[to] = from
-	p.informedRound[to] = p.round
-	p.informedCount++
-	p.obs.NodeDone(to, p.round)
+	p.MarkDone(to)
 }
-
-// BeginRound implements sim.Protocol.
-func (p *Protocol) BeginRound(round int) { p.round = round }
 
 // EndRound implements sim.Protocol. Informs become visible at the end of
 // the round; a node informed this round starts sending next round.
-func (p *Protocol) EndRound(round int) {
-	p.round = round
+func (p *Protocol) EndRound(int) {
 	for _, in := range p.staged {
 		p.apply(in.to, in.from)
 	}
 	p.staged = p.staged[:0]
 }
 
-// Traffic returns the protocol's transmission counters.
-func (p *Protocol) Traffic() gossip.Traffic { return p.traffic }
-
-// Done implements sim.Protocol: true once every node is informed.
-func (p *Protocol) Done() bool { return p.informedCount == p.g.N() }
-
-// Informed reports whether v has received the broadcast.
-func (p *Protocol) Informed(v core.NodeID) bool { return p.informed[v] }
-
 // Parent returns v's parent in the induced spanning tree (NilNode until v
 // is informed, and for the origin).
 func (p *Protocol) Parent(v core.NodeID) core.NodeID { return p.parent[v] }
-
-// InformedRounds returns, per node, the round at which it was informed
-// (-1 if not yet; 0 for the origin). The slice is a copy.
-func (p *Protocol) InformedRounds() []int {
-	return append([]int(nil), p.informedRound...)
-}
 
 // Tree returns the induced spanning tree once the broadcast is complete.
 // The boolean is false while any node is uninformed.

@@ -114,7 +114,7 @@ func TestInformedRoundsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := p.InformedRounds()
+	rounds := p.DoneRounds()
 	if rounds[0] != 0 {
 		t.Fatalf("origin informed at %d, want 0", rounds[0])
 	}
@@ -137,7 +137,7 @@ func TestTreeUnavailableBeforeDone(t *testing.T) {
 	if _, ok := p.Tree(); ok {
 		t.Fatal("tree must be unavailable before completion")
 	}
-	if !p.Informed(0) || p.Informed(5) {
+	if !p.IsDone(0) || p.IsDone(5) {
 		t.Fatal("initial informed state wrong")
 	}
 }

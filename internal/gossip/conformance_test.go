@@ -95,7 +95,7 @@ func TestConformanceTAGBRR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.SeedAll(algebraic.RoundRobinAssign(k, g.N()), nil); err != nil {
+		if err := p.Algebraic().SeedAll(algebraic.RoundRobinAssign(k, g.N()), nil); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -111,7 +111,7 @@ func TestConformanceTAGIS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.SeedAll(algebraic.RoundRobinAssign(k, g.N()), nil); err != nil {
+		if err := p.Algebraic().SeedAll(algebraic.RoundRobinAssign(k, g.N()), nil); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -199,7 +199,7 @@ func TestPoissonClockAGMatchesSlotted(t *testing.T) {
 			t.Fatal(err)
 		}
 		slotted += float64(res.Rounds)
-		pres, err := sim.RunPoisson(g, mk(3), core.SplitSeed(seed, 4), 0)
+		pres, err := simtest.RunPoisson(g, mk(3), core.SplitSeed(seed, 4), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,10 +196,10 @@ func TestBroadcastChurnReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.OnTopologyChange(sim.TopologyEvent{Round: 50, Graph: g, Reset: []core.NodeID{0, 4}})
-	if !p.Informed(0) {
+	if !p.IsDone(0) {
 		t.Fatal("origin must survive a reset informed")
 	}
-	if p.Informed(4) {
+	if p.IsDone(4) {
 		t.Fatal("reset node must be uninformed")
 	}
 	if p.Done() {
@@ -208,7 +208,7 @@ func TestBroadcastChurnReset(t *testing.T) {
 	if _, err := sim.New(g, core.Synchronous, p, 7).Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Informed(4) || !p.Done() {
+	if !p.IsDone(4) || !p.Done() {
 		t.Fatal("broadcast did not re-complete")
 	}
 }

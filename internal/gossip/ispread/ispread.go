@@ -56,25 +56,22 @@ type union struct {
 	bits     linalg.BitVec
 }
 
-// Protocol is the IS state machine implementing sim.Protocol.
+// Protocol is the IS state machine implementing sim.Protocol; a node is
+// done (gossip.Progress) once it has heard from the root, the root from
+// round 0.
 type Protocol struct {
-	g     *graph.Graph
-	model core.TimeModel
-	rng   *rand.Rand
-	cfg   Config
+	gossip.Progress
+	g   *graph.Graph
+	rng *rand.Rand
+	cfg Config
 
 	bits     []linalg.BitVec // heard-from sets, one n-bit string per node
 	parent   []core.NodeID
 	steps    []int // per-node step counter for the random/deterministic alternation
 	cursor   []int // per-node round-robin cursor for deterministic steps
 	staged   []union
-	traffic  gossip.Traffic
 	heardCnt []int // popcount cache per node
-	rootCnt  int   // number of nodes that heard from the root
 	fullCnt  int   // number of nodes with an all-ones string
-	round    int
-	slots    int
-	obs      sim.Observer
 }
 
 var _ sim.Protocol = (*Protocol)(nil)
@@ -86,8 +83,8 @@ func New(g *graph.Graph, model core.TimeModel, cfg Config, rng *rand.Rand) *Prot
 	}
 	n := g.N()
 	p := &Protocol{
+		Progress: gossip.NewProgress(n, model),
 		g:        g,
-		model:    model,
 		rng:      rng,
 		cfg:      cfg,
 		bits:     make([]linalg.BitVec, n),
@@ -96,7 +93,6 @@ func New(g *graph.Graph, model core.TimeModel, cfg Config, rng *rand.Rand) *Prot
 		cursor:   make([]int, n),
 		heardCnt: make([]int, n),
 	}
-	p.obs = sim.NopObserver{}
 	for v := 0; v < n; v++ {
 		p.bits[v] = linalg.NewBitVec(n)
 		p.bits[v].Set(v)
@@ -104,15 +100,12 @@ func New(g *graph.Graph, model core.TimeModel, cfg Config, rng *rand.Rand) *Prot
 		p.parent[v] = core.NilNode
 		p.cursor[v] = rng.IntN(maxInt(1, g.Degree(core.NodeID(v))))
 	}
-	p.rootCnt = 1 // the root has heard from itself
+	p.MarkDone(cfg.Root) // the root has heard from itself
 	if n == 1 {
 		p.fullCnt = 1
 	}
 	return p
 }
-
-// SetObserver installs a progress observer (must be called before running).
-func (p *Protocol) SetObserver(obs sim.Observer) { p.obs = obs }
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return fmt.Sprintf("ispread(root=%d)", p.cfg.Root) }
@@ -122,10 +115,7 @@ func (p *Protocol) Name() string { return fmt.Sprintf("ispread(root=%d)", p.cfg.
 // unheard neighbor (falling back to round-robin when all neighbors have
 // been heard). Contact is EXCHANGE: both strings are unioned.
 func (p *Protocol) OnWake(v core.NodeID) {
-	if p.model == core.Asynchronous {
-		p.slots++
-		p.round = p.slots / p.g.N()
-	}
+	p.Wake()
 	nb := p.g.Neighbors(v)
 	if len(nb) == 0 {
 		return
@@ -159,8 +149,8 @@ func (p *Protocol) deterministicPartner(v core.NodeID, nb []core.NodeID) core.No
 // exchange transfers both strings (EXCHANGE). In the synchronous model the
 // incoming strings are snapshots staged until EndRound.
 func (p *Protocol) exchange(v, u core.NodeID) {
-	p.traffic.Sent += 2 // EXCHANGE: one string each way
-	if p.model == core.Synchronous {
+	p.Counts.Sent += 2 // EXCHANGE: one string each way
+	if p.Model == core.Synchronous {
 		p.staged = append(p.staged,
 			union{to: u, from: v, bits: p.bits[v].Clone()},
 			union{to: v, from: u, bits: p.bits[u].Clone()},
@@ -178,27 +168,22 @@ func (p *Protocol) apply(to, from core.NodeID, bits linalg.BitVec) {
 	p.bits[to].Or(bits)
 	newCount := p.bits[to].OnesCount()
 	if newCount == p.heardCnt[to] {
-		p.traffic.Useless++
+		p.Counts.Useless++
 		return
 	}
-	p.traffic.Helpful++
+	p.Counts.Helpful++
 	p.heardCnt[to] = newCount
 	if !hadRoot && p.bits[to].Get(int(p.cfg.Root)) {
 		p.parent[to] = from
-		p.rootCnt++
-		p.obs.NodeDone(to, p.round)
+		p.MarkDone(to)
 	}
 	if newCount == p.g.N() {
 		p.fullCnt++
 	}
 }
 
-// BeginRound implements sim.Protocol.
-func (p *Protocol) BeginRound(round int) { p.round = round }
-
 // EndRound implements sim.Protocol.
-func (p *Protocol) EndRound(round int) {
-	p.round = round
+func (p *Protocol) EndRound(int) {
 	for _, s := range p.staged {
 		p.apply(s.to, s.from, s.bits)
 	}
@@ -210,11 +195,8 @@ func (p *Protocol) Done() bool {
 	if p.cfg.Mode == FullSpreadMode {
 		return p.fullCnt == p.g.N()
 	}
-	return p.rootCnt == p.g.N()
+	return p.Progress.Done()
 }
-
-// Traffic returns the protocol's transmission counters.
-func (p *Protocol) Traffic() gossip.Traffic { return p.traffic }
 
 // Parent returns v's parent in the induced tree (NilNode until v hears
 // from the root, and for the root itself).
@@ -226,7 +208,7 @@ func (p *Protocol) HeardCount(v core.NodeID) int { return p.heardCnt[v] }
 // Tree returns the induced spanning tree once every node has heard from
 // the root; the boolean reports availability.
 func (p *Protocol) Tree() (*graph.Tree, bool) {
-	if p.rootCnt != p.g.N() {
+	if !p.Progress.Done() {
 		return nil, false
 	}
 	return &graph.Tree{

@@ -7,6 +7,8 @@
 //   - Phase 2 (even wakeups): once a node has a parent, perform EXCHANGE
 //     algebraic gossip with that fixed partner.
 //
+// Phase 2 is algebraic.Protocol itself under a different partner choice.
+//
 // Theorem 4 bounds the stopping time by O(k + log n + d(S) + t(S)) in both
 // time models; with the round-robin broadcast B_RR as S this is Θ(n) for
 // k = Ω(n) on any graph (Theorem 5), and with the IS protocol as S it is
@@ -26,10 +28,15 @@ import (
 )
 
 // SpanningTree is the contract TAG requires from its Phase 1 protocol S:
-// a sim.Protocol that assigns each node a parent. Both
+// a sim.Protocol on a round ledger that assigns each node a parent. Both
 // broadcast.Protocol and ispread.Protocol satisfy it.
 type SpanningTree interface {
 	sim.Protocol
+	// Wake counts a wakeup S was not given (gossip.Progress), so S's done
+	// stamps stay in rounds of the run in the asynchronous model.
+	Wake()
+	// Traffic returns S's transmission counters.
+	Traffic() gossip.Traffic
 	// Parent returns v's parent, or core.NilNode while v has not joined
 	// the tree (and for the root).
 	Parent(v core.NodeID) core.NodeID
@@ -38,81 +45,66 @@ type SpanningTree interface {
 	Tree() (*graph.Tree, bool)
 }
 
-// Protocol is the TAG state machine implementing sim.Protocol.
+// Protocol is TAG under the engine, and it is the communication model
+// (sim.PartnerSelector) of the algebraic protocol it drives: that is all
+// Phase 2 differs in from uniform algebraic gossip.
 type Protocol struct {
-	g     *graph.Graph
-	model core.TimeModel
-	stp   SpanningTree
-	ag    *algebraic.Protocol
-	fixed *sim.Fixed
+	stp SpanningTree
+	ag  *algebraic.Protocol
 
 	wakeups   []int // per-node wakeup counter; first wakeup is #1 (odd)
-	treeDone  bool
-	treeRound int // round at which Phase 1 completed (-1 while running)
+	treeRound int   // round at which Phase 1 completed (-1 while running)
 }
 
-var _ sim.Protocol = (*Protocol)(nil)
+var (
+	_ sim.Protocol        = (*Protocol)(nil)
+	_ sim.PartnerSelector = (*Protocol)(nil)
+)
 
 // New constructs TAG over g with spanning-tree protocol stp and RLNC
 // configuration rcfg. rng drives the algebraic phase's coding randomness;
 // the spanning-tree protocol owns its own randomness.
 func New(g *graph.Graph, model core.TimeModel, stp SpanningTree, rcfg rlnc.Config, rng *rand.Rand) (*Protocol, error) {
-	fixed := sim.NewFixed(g.N())
-	ag, err := algebraic.New(g, model, fixed, algebraic.Config{
+	p := &Protocol{stp: stp, wakeups: make([]int, g.N()), treeRound: -1}
+	ag, err := algebraic.New(g, model, p, algebraic.Config{
 		RLNC:   rcfg,
 		Action: core.Exchange,
 	}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("tag: %w", err)
 	}
-	return &Protocol{
-		g:         g,
-		model:     model,
-		stp:       stp,
-		ag:        ag,
-		fixed:     fixed,
-		wakeups:   make([]int, g.N()),
-		treeRound: -1,
-	}, nil
+	p.ag = ag
+	return p, nil
 }
 
-// SetObserver installs a progress observer on the algebraic phase
-// (per-node completion tracking; must be called before running).
-func (p *Protocol) SetObserver(obs sim.Observer) { p.ag.SetObserver(obs) }
+// Algebraic returns the Phase 2 protocol: messages are seeded into it, and
+// ranks, decoders and per-node completion rounds read back from it.
+func (p *Protocol) Algebraic() *algebraic.Protocol { return p.ag }
 
-// Seed places message msg at node v (delegates to the algebraic phase).
-func (p *Protocol) Seed(v core.NodeID, msg rlnc.Message) { p.ag.Seed(v, msg) }
-
-// SeedAll distributes all k messages; see algebraic.Protocol.SeedAll.
-func (p *Protocol) SeedAll(assign []core.NodeID, msgs []rlnc.Message) error {
-	return p.ag.SeedAll(assign, msgs)
-}
-
-// Name implements sim.Protocol.
+// Name implements sim.Protocol and sim.PartnerSelector.
 func (p *Protocol) Name() string {
 	return fmt.Sprintf("TAG(%s)", p.stp.Name())
 }
 
-// OnWake implements sim.Protocol: odd wakeups run Phase 1 (the spanning
-// tree protocol), even wakeups run Phase 2 (algebraic gossip with the
-// parent, once one exists).
+// OnWake implements sim.Protocol: it numbers v's wakeup and hands it to the
+// algebraic protocol, which counts it on its clock and asks Partner whom v
+// contacts.
 func (p *Protocol) OnWake(v core.NodeID) {
 	p.wakeups[v]++
-	if p.wakeups[v]%2 == 1 {
-		// Phase 1. Keep the algebraic phase's async clock ticking so its
-		// per-node completion rounds stay in wall-clock units.
-		p.stp.OnWake(v)
-		p.ag.Tick()
-		return
-	}
-	parent := p.stp.Parent(v)
-	if parent == core.NilNode {
-		// Idle until Phase 1 delivers a parent.
-		p.ag.Tick()
-		return
-	}
-	p.fixed.Set(v, parent)
 	p.ag.OnWake(v)
+}
+
+// Partner implements sim.PartnerSelector: an odd wakeup is Phase 1's (S
+// takes its step and v contacts nobody), an even one Phase 2's (v contacts
+// its tree parent, nobody until Phase 1 delivers one). It draws nothing
+// from the algebraic protocol's stream.
+func (p *Protocol) Partner(v core.NodeID, _ *rand.Rand) core.NodeID {
+	if p.wakeups[v]%2 == 1 {
+		p.stp.OnWake(v)
+		return core.NilNode
+	}
+	p.stp.Wake()
+	return p.stp.Parent(v)
 }
 
 // BeginRound implements sim.Protocol.
@@ -125,43 +117,30 @@ func (p *Protocol) BeginRound(round int) {
 func (p *Protocol) EndRound(round int) {
 	p.stp.EndRound(round)
 	p.ag.EndRound(round)
-	if !p.treeDone && p.stp.Done() {
-		p.treeDone = true
-		p.treeRound = round
-	}
 }
 
 // Done implements sim.Protocol: the k-dissemination task is complete when
-// every node reaches rank k.
+// every node reaches rank k. The engine polls it after every synchronous
+// round and every asynchronous timeslot, so the first poll that finds S
+// done is in the round S finished in: that round is t(S).
 func (p *Protocol) Done() bool {
-	if !p.treeDone && p.stp.Done() {
-		p.treeDone = true
+	if p.treeRound < 0 && p.stp.Done() {
+		p.treeRound = p.ag.Round
 	}
 	return p.ag.Done()
 }
 
-// Rank returns node v's rank in the algebraic phase.
-func (p *Protocol) Rank(v core.NodeID) int { return p.ag.Rank(v) }
-
-// Node returns node v's RLNC state.
-func (p *Protocol) Node(v core.NodeID) *rlnc.GenNode { return p.ag.Node(v) }
-
-// DoneRounds returns per-node completion rounds of the algebraic phase.
-func (p *Protocol) DoneRounds() []int { return p.ag.DoneRounds() }
-
 // Traffic returns combined transmission counters: the algebraic phase's
-// packets plus the spanning-tree protocol's messages (when S exposes them).
+// packets plus the spanning-tree protocol's messages.
 func (p *Protocol) Traffic() gossip.Traffic {
 	t := p.ag.Traffic()
-	if tp, ok := p.stp.(interface{ Traffic() gossip.Traffic }); ok {
-		t.Add(tp.Traffic())
-	}
+	t.Add(p.stp.Traffic())
 	return t
 }
 
 // TreeProtocol returns the Phase 1 protocol, for inspecting t(S) and d(S).
 func (p *Protocol) TreeProtocol() SpanningTree { return p.stp }
 
-// TreeRound returns the synchronous round at which Phase 1 completed, or
-// -1 (only tracked in the synchronous model).
+// TreeRound returns t(S), the round at which Phase 1 completed, or -1
+// while it has not.
 func (p *Protocol) TreeRound() int { return p.treeRound }

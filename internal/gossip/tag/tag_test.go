@@ -1,6 +1,7 @@
 package tag
 
 import (
+	"slices"
 	"testing"
 
 	"algossip/internal/core"
@@ -32,7 +33,7 @@ func runTAG(t *testing.T, g *graph.Graph, model core.TimeModel, stp SpanningTree
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SeedAll(algebraic.RoundRobinAssign(k, g.N()), nil); err != nil {
+	if err := p.Algebraic().SeedAll(algebraic.RoundRobinAssign(k, g.N()), nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sim.New(g, model, p, core.SplitSeed(seed, 13), sim.WithMaxRounds(1<<18)).Run()
@@ -67,7 +68,7 @@ func TestTAGCompletesEverywhere(t *testing.T) {
 					t.Errorf("%s/%s/%s: nonpositive rounds", g.Name(), model, mk.name)
 				}
 				for v := 0; v < g.N(); v++ {
-					if !p.Node(core.NodeID(v)).CanDecode() {
+					if !p.Algebraic().Node(core.NodeID(v)).CanDecode() {
 						t.Fatalf("%s/%s/%s: node %d incomplete", g.Name(), model, mk.name, v)
 					}
 				}
@@ -77,8 +78,7 @@ func TestTAGCompletesEverywhere(t *testing.T) {
 }
 
 // TestTAGTheorem4Bound asserts the O(k + log n + d(S) + t(S)) bound with a
-// generous constant, using the measured t(S) and d(S) of the run itself
-// (synchronous model, where TreeRound is tracked).
+// generous constant, using the measured t(S) and d(S) of the run itself.
 func TestTAGTheorem4Bound(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Barbell(40), graph.Line(40), graph.Grid(6, 6)} {
 		k := g.N()
@@ -88,9 +88,6 @@ func TestTAGTheorem4Bound(t *testing.T) {
 			t.Fatalf("%s: no tree after completion", g.Name())
 		}
 		tS := p.TreeRound()
-		if tS < 0 {
-			tS = res.Rounds // tree finished in the final round
-		}
 		dS := tree.Diameter()
 		logn := 0
 		for v := 1; v < g.N(); v *= 2 {
@@ -100,6 +97,27 @@ func TestTAGTheorem4Bound(t *testing.T) {
 		if res.Rounds > bound {
 			t.Errorf("%s: TAG took %d rounds, Theorem 4 bound (C=20) gives %d (t(S)=%d, d(S)=%d)",
 				g.Name(), res.Rounds, bound, tS, dS)
+		}
+	}
+}
+
+// TestTAGTreeRoundAsync: t(S) is read off the ledger's clock, so it is
+// there in the asynchronous model too (the engine calls no EndRound to
+// latch it in), and S's own stamps are in rounds of the run although S is
+// handed only every other wakeup.
+func TestTAGTreeRoundAsync(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Grid(5, 4), graph.Barbell(20), graph.Line(20)} {
+		for name, mk := range map[string]func(*graph.Graph, core.TimeModel, uint64) SpanningTree{"BRR": newBRR, "IS": newIS} {
+			stp := mk(g, core.Asynchronous, 7)
+			p, res := runTAG(t, g, core.Asynchronous, stp, g.N()/2, 7)
+			tS := p.TreeRound()
+			if tS < 0 || tS > res.Rounds {
+				t.Errorf("%s/%s: t(S) = %d, want within [0, %d]", g.Name(), name, tS, res.Rounds)
+			}
+			last := slices.Max(stp.(interface{ DoneRounds() []int }).DoneRounds())
+			if tS < last || tS > last+1 {
+				t.Errorf("%s/%s: t(S) = %d, S's last node joined at round %d", g.Name(), name, tS, last)
+			}
 		}
 	}
 }
@@ -141,14 +159,14 @@ func TestTAGDecodeCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SeedAll(algebraic.RoundRobinAssign(8, 16), msgs); err != nil {
+	if err := p.Algebraic().SeedAll(algebraic.RoundRobinAssign(8, 16), msgs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.New(g, core.Synchronous, p, 22).Run(); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
-		got, err := p.Node(core.NodeID(v)).Decode()
+		got, err := p.Algebraic().Node(core.NodeID(v)).Decode()
 		if err != nil {
 			t.Fatalf("node %d: %v", v, err)
 		}
@@ -166,12 +184,12 @@ func TestTAGDecodeCorrectness(t *testing.T) {
 // tree protocol sees exactly the odd wakeups.
 func TestPhaseInterleaving(t *testing.T) {
 	g := graph.Line(6)
-	probe := &stpProbe{inner: newBRR(g, core.Synchronous, 9)}
+	probe := &stpProbe{SpanningTree: newBRR(g, core.Synchronous, 9)}
 	p, err := New(g, core.Synchronous, probe, rankOnly(3), core.NewRand(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SeedAll(algebraic.RoundRobinAssign(3, 6), nil); err != nil {
+	if err := p.Algebraic().SeedAll(algebraic.RoundRobinAssign(3, 6), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Wake node 2 four times: STP must see wakeups 1 and 3 only.
@@ -183,16 +201,10 @@ func TestPhaseInterleaving(t *testing.T) {
 	}
 }
 
-// stpProbe wraps a SpanningTree and counts OnWake calls per node.
+// stpProbe is a SpanningTree that counts its OnWake calls per node.
 type stpProbe struct {
-	inner SpanningTree
+	SpanningTree
 	wakes [64]int
 }
 
-func (s *stpProbe) Name() string                     { return "probe:" + s.inner.Name() }
-func (s *stpProbe) OnWake(v core.NodeID)             { s.wakes[v]++; s.inner.OnWake(v) }
-func (s *stpProbe) BeginRound(r int)                 { s.inner.BeginRound(r) }
-func (s *stpProbe) EndRound(r int)                   { s.inner.EndRound(r) }
-func (s *stpProbe) Done() bool                       { return s.inner.Done() }
-func (s *stpProbe) Parent(v core.NodeID) core.NodeID { return s.inner.Parent(v) }
-func (s *stpProbe) Tree() (*graph.Tree, bool)        { return s.inner.Tree() }
+func (s *stpProbe) OnWake(v core.NodeID) { s.wakes[v]++; s.SpanningTree.OnWake(v) }

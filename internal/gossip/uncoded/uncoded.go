@@ -35,23 +35,19 @@ type delivery struct {
 	msg      int
 }
 
-// Protocol is the store-and-forward gossip state machine.
+// Protocol is the store-and-forward gossip state machine; a node is done
+// (gossip.Progress) once it knows all K messages.
 type Protocol struct {
-	g     *graph.Graph
-	model core.TimeModel
-	sel   sim.PartnerSelector
-	rng   *rand.Rand
-	cfg   Config
+	gossip.Progress
+	g   *graph.Graph
+	sel sim.PartnerSelector
+	rng *rand.Rand
+	cfg Config
 
-	known     []linalg.BitVec // per node, bitset of known message indices
-	knownCnt  []int
-	initial   [][]int // per-node initial message indices, replayed on churn reset
-	staged    []delivery
-	traffic   gossip.Traffic
-	doneCount int
-	doneRound []int
-	round     int
-	slots     int
+	known    []linalg.BitVec // per node, bitset of known message indices
+	knownCnt []int
+	initial  [][]int // per-node initial message indices, replayed on churn reset
+	staged   []delivery
 }
 
 var (
@@ -66,19 +62,17 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 	}
 	n := g.N()
 	p := &Protocol{
-		g:         g,
-		model:     model,
-		sel:       sel,
-		rng:       rng,
-		cfg:       cfg,
-		known:     make([]linalg.BitVec, n),
-		knownCnt:  make([]int, n),
-		initial:   make([][]int, n),
-		doneRound: make([]int, n),
+		Progress: gossip.NewProgress(n, model),
+		g:        g,
+		sel:      sel,
+		rng:      rng,
+		cfg:      cfg,
+		known:    make([]linalg.BitVec, n),
+		knownCnt: make([]int, n),
+		initial:  make([][]int, n),
 	}
 	for v := 0; v < n; v++ {
 		p.known[v] = linalg.NewBitVec(cfg.K)
-		p.doneRound[v] = -1
 	}
 	return p
 }
@@ -106,21 +100,16 @@ func (p *Protocol) Name() string {
 
 // OnWake implements sim.Protocol.
 func (p *Protocol) OnWake(v core.NodeID) {
-	if p.model == core.Asynchronous {
-		p.slots++
-		p.round = p.slots / p.g.N()
-	}
+	p.Wake()
 	u := p.sel.Partner(v, p.rng)
 	if u == core.NilNode {
 		return
 	}
-	switch p.cfg.Action {
-	case core.Push:
+	out, back := p.cfg.Action.Legs()
+	if out {
 		p.send(v, u)
-	case core.Pull:
-		p.send(u, v)
-	case core.Exchange:
-		p.send(v, u)
+	}
+	if back {
 		p.send(u, v)
 	}
 }
@@ -131,8 +120,8 @@ func (p *Protocol) send(from, to core.NodeID) {
 		return
 	}
 	msg := p.randomKnown(from)
-	p.traffic.Sent++
-	if p.model == core.Synchronous {
+	p.Counts.Sent++
+	if p.Model == core.Synchronous {
 		p.staged = append(p.staged, delivery{to: to, from: from, msg: msg})
 		return
 	}
@@ -148,7 +137,7 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	p.g = ev.Graph
 	// Advance the clock first (the event precedes BeginRound(ev.Round)),
 	// so reset bookkeeping stamps the rejoin round in both time models.
-	p.round = ev.Round
+	p.Round = ev.Round
 	ev.Retarget(p.sel)
 	kept := p.staged[:0]
 	for _, d := range p.staged {
@@ -160,10 +149,7 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	for _, v := range ev.Reset {
 		p.known[v] = linalg.NewBitVec(p.cfg.K)
 		p.knownCnt[v] = 0
-		if p.doneRound[v] >= 0 {
-			p.doneRound[v] = -1
-			p.doneCount--
-		}
+		p.Unmark(v)
 		for _, msg := range p.initial[v] {
 			p.set(v, msg)
 		}
@@ -188,10 +174,10 @@ func (p *Protocol) randomKnown(from core.NodeID) int {
 // learn ingests a received message, counting it against traffic.
 func (p *Protocol) learn(to core.NodeID, msg int) {
 	if p.known[to].Get(msg) {
-		p.traffic.Useless++
+		p.Counts.Useless++
 		return
 	}
-	p.traffic.Helpful++
+	p.Counts.Helpful++
 	p.set(to, msg)
 }
 
@@ -202,32 +188,15 @@ func (p *Protocol) set(to core.NodeID, msg int) {
 	}
 	p.known[to].Set(msg)
 	p.knownCnt[to]++
-	if p.knownCnt[to] == p.cfg.K && p.doneRound[to] < 0 {
-		p.doneRound[to] = p.round
-		p.doneCount++
+	if p.knownCnt[to] == p.cfg.K {
+		p.MarkDone(to)
 	}
 }
 
-// BeginRound implements sim.Protocol.
-func (p *Protocol) BeginRound(round int) { p.round = round }
-
 // EndRound implements sim.Protocol.
-func (p *Protocol) EndRound(round int) {
-	p.round = round
+func (p *Protocol) EndRound(int) {
 	for _, d := range p.staged {
 		p.learn(d.to, d.msg)
 	}
 	p.staged = p.staged[:0]
 }
-
-// Done implements sim.Protocol.
-func (p *Protocol) Done() bool { return p.doneCount == p.g.N() }
-
-// Traffic returns the protocol's transmission counters.
-func (p *Protocol) Traffic() gossip.Traffic { return p.traffic }
-
-// KnownCount returns how many distinct messages v holds.
-func (p *Protocol) KnownCount(v core.NodeID) int { return p.knownCnt[v] }
-
-// DoneRounds returns per-node completion rounds (-1 where incomplete).
-func (p *Protocol) DoneRounds() []int { return append([]int(nil), p.doneRound...) }

@@ -22,8 +22,8 @@ func TestUncodedCompletes(t *testing.T) {
 				t.Fatalf("%s/%s: %v", g.Name(), model, err)
 			}
 			for v := 0; v < g.N(); v++ {
-				if p.KnownCount(core.NodeID(v)) != 8 {
-					t.Fatalf("%s/%s: node %d knows %d/8", g.Name(), model, v, p.KnownCount(core.NodeID(v)))
+				if p.knownCnt[v] != 8 {
+					t.Fatalf("%s/%s: node %d knows %d/8", g.Name(), model, v, p.knownCnt[v])
 				}
 			}
 			for _, r := range p.DoneRounds() {

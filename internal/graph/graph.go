@@ -167,21 +167,3 @@ func (g *Graph) Subgraph(nodes []core.NodeID) *Graph {
 	}
 	return b.Build()
 }
-
-// DegreeHistogram returns a map from degree to the number of nodes with
-// that degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	hist := make(map[int]int)
-	for _, nb := range g.adj {
-		hist[len(nb)]++
-	}
-	return hist
-}
-
-// AvgDegree returns the mean degree 2m/n.
-func (g *Graph) AvgDegree() float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return 2 * float64(g.M()) / float64(g.N())
-}

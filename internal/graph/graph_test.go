@@ -333,17 +333,6 @@ func TestSubgraph(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogramAndAvgDegree(t *testing.T) {
-	g := Star(5)
-	hist := g.DegreeHistogram()
-	if hist[4] != 1 || hist[1] != 4 {
-		t.Fatalf("histogram = %v", hist)
-	}
-	if got := g.AvgDegree(); got != 1.6 {
-		t.Fatalf("AvgDegree = %v, want 1.6", got)
-	}
-}
-
 func BenchmarkBFSGrid(b *testing.B) {
 	g := Grid(32, 32)
 	b.ReportAllocs()

@@ -114,7 +114,8 @@ type GossipSpec struct {
 	// MaxRounds overrides the engine's round budget (default generous).
 	MaxRounds int
 	// Observer, when set, receives per-node completion events during the
-	// run (algebraic and TAG protocols only). Observers must be safe for
+	// run, from whichever protocol it is (for TAG: a node reaching rank k,
+	// not its joining the tree). Observers must be safe for
 	// the single simulation goroutine that invokes them; a fresh observer
 	// per trial keeps parallel pools race-free.
 	Observer sim.Observer
@@ -288,17 +289,13 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 		TreeRounds:  -1, TreeDepth: -1, TreeDiameter: -1,
 	}
 
-	// run is the protocol under the engine and detail the same value as
-	// what is read back after the run, plus tagRun's tree for the TAG arm.
-	// Each arm converts its concrete protocol to both. One interface
-	// embedding sim.Protocol would hand the engine the result of an
-	// interface-to-interface conversion instead; that form measured 2%
-	// slower on bench's sweep_rank (13 of 16 alternating pairs).
+	// run is the protocol under the engine and ledger the round ledger it
+	// counts into, read back after the run (for TAG the algebraic phase's,
+	// plus tagRun's tree and summed traffic). The observer goes on the
+	// ledger before seeding: a node whose seeds complete it is done at
+	// round 0.
 	var run sim.Protocol
-	var detail interface {
-		DoneRounds() []int
-		Traffic() gossip.Traffic
-	}
+	var ledger *gossip.Progress
 	var tagRun *tag.Protocol
 	var engineStream uint64
 	switch {
@@ -330,9 +327,7 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 		if err != nil {
 			return out, err
 		}
-		if spec.Observer != nil {
-			p.SetObserver(spec.Observer)
-		}
+		p.SetObserver(spec.Observer)
 		// Payload contents draw from their own stream (11) so rank-only
 		// trajectories are untouched when PayloadLen is zero.
 		var msgs []rlnc.Message
@@ -353,7 +348,7 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 			}
 		}
 		out.MessageBits = p.MessageBits()
-		run, detail, engineStream = p, p, 2
+		run, ledger, engineStream = p, &p.Progress, 2
 	case proto == ProtocolTAGRR || proto == ProtocolTAGUniform || proto == ProtocolTAGIS:
 		var stp tag.SpanningTree
 		switch proto {
@@ -372,20 +367,20 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 		if err != nil {
 			return out, err
 		}
-		if spec.Observer != nil {
-			p.SetObserver(spec.Observer)
-		}
-		if err := p.SeedAll(spec.Assign(), nil); err != nil {
+		ag := p.Algebraic()
+		ag.SetObserver(spec.Observer)
+		if err := ag.SeedAll(spec.Assign(), nil); err != nil {
 			return out, err
 		}
-		run, detail, tagRun, engineStream = p, p, p, 5
+		run, ledger, tagRun, engineStream = p, &ag.Progress, p, 5
 	case proto == ProtocolUncoded:
 		p := uncoded.New(g, spec.Model, spec.Selector.build(g),
 			uncoded.Config{K: spec.K, Action: spec.Action},
 			core.NewRand(core.SplitSeed(seed, 1)))
+		p.SetObserver(spec.Observer)
 		p.SeedAll(spec.Assign())
 		out.MessageBits = gossip.UncodedMessageBits(spec.K, 1, spec.Q)
-		run, detail, engineStream = p, p, 2
+		run, ledger, engineStream = p, &p.Progress, 2
 	default:
 		return out, fmt.Errorf("harness: unknown protocol %v", proto)
 	}
@@ -412,10 +407,11 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 		return out, err
 	}
 	if !spec.Lean {
-		out.NodeDoneRounds = detail.DoneRounds()
+		out.NodeDoneRounds = ledger.DoneRounds()
 	}
-	out.Traffic = detail.Traffic()
+	out.Traffic = ledger.Traffic()
 	if tagRun != nil {
+		out.Traffic = tagRun.Traffic()
 		out.TreeRounds = tagRun.TreeRound()
 		if tree, ok := tagRun.TreeProtocol().Tree(); ok {
 			out.TreeDepth = tree.Depth()

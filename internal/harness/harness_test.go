@@ -176,6 +176,31 @@ func TestExecuteMatchesRunners(t *testing.T) {
 
 // TestSpecDefaults: a bare GossipSpec normalizes to the paper's canonical
 // configuration, and the selector names are the ones reports print.
+// TestObserverHearsEveryProtocol: the observer sits on the round ledger, so
+// every protocol reports each node's completion once, at the round the
+// Outcome records for it, in both time models.
+func TestObserverHearsEveryProtocol(t *testing.T) {
+	g := graph.Barbell(12)
+	for _, proto := range []Protocol{ProtocolUniformAG, ProtocolUncoded, ProtocolTAGRR, ProtocolTAGUniform, ProtocolTAGIS} {
+		for _, model := range []core.TimeModel{core.Synchronous, core.Asynchronous} {
+			log := &doneLog{}
+			out, err := Execute(GossipSpec{Graph: g, K: 6, Model: model, Observer: log}, proto, 3)
+			if err != nil {
+				t.Fatalf("%v/%v: %v", proto, model, err)
+			}
+			if len(log.events) != g.N() {
+				t.Errorf("%v/%v: %d NodeDone events for %d nodes", proto, model, len(log.events), g.N())
+			}
+			for _, e := range log.events {
+				if out.NodeDoneRounds[e[0]] != e[1] {
+					t.Errorf("%v/%v: node %d reported done at round %d, Outcome says %d",
+						proto, model, e[0], e[1], out.NodeDoneRounds[e[0]])
+				}
+			}
+		}
+	}
+}
+
 func TestSpecDefaults(t *testing.T) {
 	s := GossipSpec{Graph: graph.Line(4), K: 2}.Normalize()
 	if s.Model != core.Synchronous || s.Q != 2 || s.Action != core.Exchange ||

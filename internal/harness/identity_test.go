@@ -2,8 +2,10 @@ package harness
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"algossip/internal/gossip/algebraic"
 	"algossip/internal/graph"
 )
 
@@ -116,6 +118,64 @@ func TestGossipSpecCopiesEverySpecField(t *testing.T) {
 	}
 	if got := s.gossipSpec(tr).K; got != tr.K {
 		t.Errorf("gossipSpec K = %d, want the trial's %d", got, tr.K)
+	}
+}
+
+// TestCodecConfigsComeFromGossipSpec: Execute fills algebraic.Config and
+// rlnc.Config by hand. Every field of either is accounted for here — the
+// GossipSpec field it is copied from, or why it has none — so a knob added
+// to one of the three structs cannot be forgotten in the others.
+func TestCodecConfigsComeFromGossipSpec(t *testing.T) {
+	const derived = "derived: "
+	rlncFrom := map[string]string{
+		"Field":        "Q",
+		"K":            "K",
+		"PayloadLen":   "PayloadLen",
+		"RankOnly":     derived + "PayloadLen <= 0",
+		"ForceGeneric": derived + "cross-validation in tests only; the backends are trajectory-identical",
+	}
+	algebraicFrom := map[string]string{
+		"RLNC":      derived + "RLNCConfig(), above",
+		"GenSize":   "GenSize",
+		"Action":    "Action",
+		"LossRate":  "LossRate",
+		"Traits":    derived + "drawn from Adversary and Classes on seed streams 13 and 14",
+		"TraitSeed": derived + "seed stream 15",
+	}
+	var spec GossipSpec
+	sv := reflect.ValueOf(&spec).Elem()
+	for _, src := range rlncFrom {
+		if f := sv.FieldByName(src); f.IsValid() {
+			fill(t, f)
+		}
+	}
+	for _, c := range []struct {
+		cfg    reflect.Value
+		from   map[string]string
+		filled bool // cfg was built from spec: a copied field is non-zero
+	}{
+		{reflect.ValueOf(spec.RLNCConfig()), rlncFrom, true},
+		{reflect.ValueOf(algebraic.Config{}), algebraicFrom, false},
+	} {
+		typ := c.cfg.Type()
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			src, ok := c.from[name]
+			switch {
+			case !ok:
+				t.Errorf("%v.%s: say which GossipSpec field Execute fills it from, or why it is derived", typ, name)
+			case strings.HasPrefix(src, derived):
+			case !sv.FieldByName(src).IsValid():
+				t.Errorf("%v.%s is said to come from GossipSpec.%s, which does not exist", typ, name, src)
+			case c.filled && c.cfg.Field(i).IsZero():
+				t.Errorf("%v.%s is zero although GossipSpec.%s is set", typ, name, src)
+			}
+		}
+		for name := range c.from {
+			if _, ok := typ.FieldByName(name); !ok {
+				t.Errorf("%v has no field %s", typ, name)
+			}
+		}
 	}
 }
 

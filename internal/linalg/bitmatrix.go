@@ -292,15 +292,10 @@ func (m *BitMatrix) WouldHelp(row BitVec) bool {
 	return m.reduce(m.scratchC, nil) >= 0
 }
 
-// Basis returns a copy of the i-th stored echelon row, 0 <= i < Rank().
-func (m *BitMatrix) Basis(i int) BitVec {
-	return m.row(i).Clone()
-}
-
 // Row returns the i-th stored echelon row. The returned slice aliases the
 // row block: it must not be modified, and it is valid only until the next
-// insert, which shifts the rows behind the new pivot (copy it, as Basis
-// does, to keep it longer).
+// insert, which shifts the rows behind the new pivot (Clone it to keep it
+// longer).
 func (m *BitMatrix) Row(i int) BitVec { return m.row(i) }
 
 // Payload returns the augmented payload of the i-th stored echelon row
@@ -312,27 +307,10 @@ func (m *BitMatrix) Payload(i int) []byte {
 	return m.pay[i]
 }
 
-// RandomCombination returns a uniformly random GF(2) combination of the
-// stored rows (each row included independently with probability 1/2).
-// It returns nil when the matrix is empty. Payload-carrying matrices
-// combine payloads too via RandomCombinationInto; this convenience
-// wrapper returns only the coefficient part.
-func (m *BitMatrix) RandomCombination(rng *rand.Rand) BitVec {
-	if len(m.pivot) == 0 {
-		return nil
-	}
-	out := make(BitVec, m.words)
-	var pay []byte
-	if m.extra > 0 {
-		pay = make([]byte, m.extra)
-	}
-	m.RandomCombinationInto(rng, out, pay)
-	return out
-}
-
 // RandomCombinationInto fills out (length Words) and pay (length Extra;
-// nil when extra == 0) with a uniformly random combination of the stored
-// rows, reusing the caller's buffers — the zero-allocation emit path. It
+// nil when extra == 0) with a uniformly random GF(2) combination of the
+// stored rows (each row included independently with probability 1/2),
+// reusing the caller's buffers — the zero-allocation emit path. It
 // reports false without drawing randomness when the matrix is empty.
 // The random stream consumption (one Uint64 per stored row, in pivot
 // order) is identical to the generic backend's gf.Rand-per-row draw over

@@ -174,9 +174,9 @@ func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 						t.Fatalf("step %d: rank %d, oracle %d", step, bm.Rank(), rm.Rank())
 					}
 					for i := 0; i < bm.Rank(); i++ {
-						row, basis := bm.Row(i), bm.Basis(i)
+						row := bm.Row(i)
 						for j := 0; j < cols; j++ {
-							if want := rm.Row(i)[j] == 1; row.Get(j) != want || basis.Get(j) != want {
+							if want := rm.Row(i)[j] == 1; row.Get(j) != want {
 								t.Fatalf("step %d: row %d column %d differs from the oracle", step, i, j)
 							}
 						}
@@ -254,8 +254,9 @@ func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 func TestBitMatrixRandomCombination(t *testing.T) {
 	rng := core.NewRand(21)
 	m := NewBitMatrix(32)
-	if m.RandomCombination(rng) != nil {
-		t.Fatal("empty matrix must emit nil")
+	combo := NewBitVec(32)
+	if m.RandomCombinationInto(rng, combo, nil) {
+		t.Fatal("empty matrix must emit nothing")
 	}
 	for i := 0; i < 10; i++ {
 		v := NewBitVec(32)
@@ -267,8 +268,7 @@ func TestBitMatrixRandomCombination(t *testing.T) {
 		m.Add(v)
 	}
 	for trial := 0; trial < 100; trial++ {
-		combo := m.RandomCombination(rng)
-		if m.WouldHelp(combo) {
+		if !m.RandomCombinationInto(rng, combo, nil) || m.WouldHelp(combo) {
 			t.Fatal("own combination can never be helpful to the emitter")
 		}
 	}

@@ -84,9 +84,6 @@ func (m *RankMatrix) Cols() int { return m.cols }
 // Extra returns the number of augmented payload bytes per row.
 func (m *RankMatrix) Extra() int { return m.extra }
 
-// Width returns the total row width, cols + extra.
-func (m *RankMatrix) Width() int { return m.cols + m.extra }
-
 // Rank returns the number of linearly independent rows stored.
 func (m *RankMatrix) Rank() int { return len(m.rows) }
 
@@ -294,27 +291,10 @@ func (m *RankMatrix) WouldHelp(coeffs []gf.Elem) bool {
 	return m.reduce(m.scratchC, nil) >= 0
 }
 
-// RandomCombination returns a fresh uniformly random linear combination of
-// the stored rows — exactly the message an algebraic-gossip node transmits
-// — as a coefficient vector and payload row (nil payload when extra == 0).
-// It returns (nil, nil) when the matrix is empty (the node knows nothing
-// yet).
-func (m *RankMatrix) RandomCombination(rng *rand.Rand) ([]gf.Elem, []byte) {
-	if len(m.rows) == 0 {
-		return nil, nil
-	}
-	coeffs := make([]gf.Elem, m.cols)
-	var pay []byte
-	if m.extra > 0 {
-		pay = make([]byte, m.extra)
-	}
-	m.RandomCombinationInto(rng, coeffs, pay)
-	return coeffs, pay
-}
-
 // RandomCombinationInto fills coeffs (length Cols) and pay (length Extra;
 // nil when extra == 0) with a uniformly random combination of the stored
-// rows, reusing the caller's buffers — the zero-allocation emit path. It
+// rows — exactly the message an algebraic-gossip node transmits —
+// reusing the caller's buffers: the zero-allocation emit path. It
 // reports false without drawing randomness when the matrix is empty. It
 // is RandomCoeffsInto then CombinePayloadInto, over matrix-owned factors.
 func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay []byte) bool {
@@ -453,17 +433,4 @@ func (m *RankMatrix) Clone() *RankMatrix {
 		cp.insert(row, m.Payload(i), nil, m.pivot[i])
 	}
 	return cp
-}
-
-// Rank computes the rank of an arbitrary set of rows (coefficient part
-// only) over field f without retaining them.
-func Rank(f gf.Field, rows [][]gf.Elem, cols int) int {
-	m := NewRankMatrix(f, cols, 0)
-	for _, r := range rows {
-		if len(r) < cols {
-			panic("linalg: row shorter than cols")
-		}
-		m.Add(r[:cols], nil)
-	}
-	return m.Rank()
 }

@@ -129,13 +129,10 @@ func TestRandomCombinationStaysInRowSpace(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Add(gf.RandVector(f, 6, rng), gf.RandBytes(f, 3, rng))
 	}
+	coeffs, pay := make([]gf.Elem, 6), make([]byte, 3)
 	for trial := 0; trial < 200; trial++ {
-		coeffs, pay := m.RandomCombination(rng)
-		if coeffs == nil {
-			t.Fatal("combination from non-empty matrix is nil")
-		}
-		if len(pay) != 3 {
-			t.Fatalf("combination payload length = %d, want 3", len(pay))
+		if !m.RandomCombinationInto(rng, coeffs, pay) {
+			t.Fatal("non-empty matrix emitted nothing")
 		}
 		if m.WouldHelp(coeffs) {
 			t.Fatal("a node's own combination can never be helpful to itself")
@@ -146,8 +143,8 @@ func TestRandomCombinationStaysInRowSpace(t *testing.T) {
 func TestRandomCombinationEmpty(t *testing.T) {
 	f := gf.MustNew(4)
 	m := NewRankMatrix(f, 3, 0)
-	if coeffs, pay := m.RandomCombination(core.NewRand(1)); coeffs != nil || pay != nil {
-		t.Fatal("empty matrix must emit nil")
+	if m.RandomCombinationInto(core.NewRand(1), make([]gf.Elem, 3), nil) {
+		t.Fatal("empty matrix must emit nothing")
 	}
 }
 
@@ -170,25 +167,13 @@ func TestRankInvariantQuick(t *testing.T) {
 		}
 		// Adding a combination of existing rows must never change the rank.
 		before := m.Rank()
-		if coeffs, pay := m.RandomCombination(rng); coeffs != nil {
-			m.Add(coeffs, pay)
+		if coeffs := make([]gf.Elem, cols); m.RandomCombinationInto(rng, coeffs, nil) {
+			m.Add(coeffs, nil)
 		}
 		return m.Rank() == before
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRankFunction(t *testing.T) {
-	f := gf.MustNew(2)
-	rows := [][]gf.Elem{
-		{1, 0, 1},
-		{0, 1, 1},
-		{1, 1, 0}, // sum of the first two
-	}
-	if got := Rank(f, rows, 3); got != 2 {
-		t.Fatalf("Rank = %d, want 2", got)
 	}
 }
 

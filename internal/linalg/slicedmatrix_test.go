@@ -88,7 +88,8 @@ func testSlicedMatchesRankMatrix(t *testing.T) {
 				// Stored rows must be value-identical: emitting with equally
 				// seeded RNGs draws the same coefficients over the same rows.
 				if gen.Rank() > 0 {
-					wantC, wantP := gen.RandomCombination(emitA)
+					wantC, wantP := make([]gf.Elem, tc.cols), make([]byte, tc.extra)
+					gen.RandomCombinationInto(emitA, wantC, wantP)
 					outC := make(SlicedVec, slc.Stride())
 					outP := make(SlicedVec, slc.PayStride())
 					slc.RandomCombinationInto(emitB, outC, outP)
@@ -108,7 +109,8 @@ func testSlicedMatchesRankMatrix(t *testing.T) {
 					// same from the same draws on a core.NewRand stream.
 					seed := rng.Uint64()
 					coretest.BothSides(t, seed, func(r *rand.Rand) any {
-						c, p := gen.RandomCombination(r)
+						c, p := make([]gf.Elem, tc.cols), make([]byte, tc.extra)
+						gen.RandomCombinationInto(r, c, p)
 						return []any{c, p}
 					})
 					coretest.BothSides(t, seed, func(r *rand.Rand) any {

@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 
 	"algossip/internal/harness"
@@ -64,9 +65,11 @@ type Cell struct {
 	Regime string `json:"regime,omitempty"`
 }
 
-// Filter selects cells. Zero-valued fields are wildcards, except Rate
-// and Regime, which only participate when HasRate/HasRegime is set (0 is
-// a meaningful rate, and "" is the default regime).
+// Filter selects cells. Zero-valued fields are wildcards. Dynamics,
+// GenSize, Rate and Regime, whose zero values are stored values (a static
+// topology, whole-k coding, no loss, the default regime), participate only
+// when their Has* field is set. Dynamics matches a cell's schedule string
+// ("edge:rate=0.2,period=1") or its kind ("edge").
 type Filter struct {
 	Spec     string
 	Graph    string
@@ -74,26 +77,29 @@ type Filter struct {
 	K        int
 	Q        int
 	Protocol string
-	Dynamics string
-	GenSize  int
-	Rate     float64
-	HasRate  bool
 
-	Regime    string
-	HasRegime bool
+	Dynamics    string
+	HasDynamics bool
+	GenSize     int
+	HasGenSize  bool
+	Rate        float64
+	HasRate     bool
+	Regime      string
+	HasRegime   bool
 }
 
 // matches reports whether the filter's non-wildcard fields all equal the
 // cell's.
 func (f Filter) matches(c Cell) bool {
+	kind, _, _ := strings.Cut(c.Dynamics, ":")
 	switch {
 	case f.Graph != "" && f.Graph != c.Graph,
 		f.N != 0 && f.N != c.N,
 		f.K != 0 && f.K != c.K,
 		f.Q != 0 && f.Q != c.Q,
 		f.Protocol != "" && f.Protocol != c.Protocol,
-		f.Dynamics != "" && f.Dynamics != c.Dynamics,
-		f.GenSize != 0 && f.GenSize != c.GenSize,
+		f.HasDynamics && f.Dynamics != c.Dynamics && f.Dynamics != kind,
+		f.HasGenSize && f.GenSize != c.GenSize,
 		f.HasRate && f.Rate != c.Rate,
 		f.HasRegime && f.Regime != c.Regime:
 		return false

@@ -134,6 +134,32 @@ func TestStoreReopenUsesIndexAndSurvivesStaleness(t *testing.T) {
 	_ = s.Close()
 }
 
+// TestFilterMatches: a Has* field makes the zero value a value to match,
+// and Dynamics matches a schedule by its string or its kind.
+func TestFilterMatches(t *testing.T) {
+	static := Cell{Graph: "ring", N: 16}
+	edge := Cell{Graph: "ring", N: 16, Dynamics: "edge:rate=0.2,period=1"}
+	gens := Cell{Graph: "ring", N: 16, GenSize: 4}
+	for _, c := range []struct {
+		f                  Filter
+		static, edge, gens bool
+	}{
+		{Filter{N: 16}, true, true, true},
+		{Filter{Dynamics: "edge", GenSize: 4}, true, true, true}, // no Has*: wildcards
+		{Filter{HasDynamics: true}, true, false, true},
+		{Filter{HasGenSize: true}, true, true, false},
+		{Filter{HasDynamics: true, HasGenSize: true}, true, false, false},
+		{Filter{Dynamics: "edge", HasDynamics: true}, false, true, false},
+		{Filter{Dynamics: "edge:rate=0.2,period=1", HasDynamics: true}, false, true, false},
+		{Filter{Dynamics: "edge:rate=0.3,period=1", HasDynamics: true}, false, false, false},
+		{Filter{GenSize: 4, HasGenSize: true}, false, false, true},
+	} {
+		if got := [3]bool{c.f.matches(static), c.f.matches(edge), c.f.matches(gens)}; got != [3]bool{c.static, c.edge, c.gens} {
+			t.Errorf("%+v matches (static, edge, gens) = %v", c.f, got)
+		}
+	}
+}
+
 func TestStoreFromResultSet(t *testing.T) {
 	spec := harness.Spec{
 		Name: "rs", Graph: "ring", Sizes: []int{8}, KMode: "const:2",

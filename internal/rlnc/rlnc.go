@@ -86,10 +86,6 @@ const (
 	backendSliced                 // linalg.SlicedMatrix: bit-sliced GF(2^m), m > 1
 )
 
-func (b backend) String() string {
-	return [...]string{"generic", "bit", "sliced"}[b]
-}
-
 // backend is the whole selection rule, a function of the field and the
 // kernel tier active when the node is constructed — later tier changes
 // move a node's kernels, never its layout. Order 2 is the packed bit
@@ -277,21 +273,6 @@ func (n *Node) BitMode() bool { return n.bit != nil }
 // SlicedMode reports whether this node uses the bit-sliced GF(2^m)
 // backend (its packets carry Sliced/SlicedPay instead of Coeffs/Payload).
 func (n *Node) SlicedMode() bool { return n.slc != nil }
-
-// Backend returns the selected backend plus the kernel tier its inner
-// loops dispatch to, e.g. "generic/GF(256) gf-tier=gfni" — the string
-// surfaced by status endpoints so perf numbers are attributable to both
-// selection layers.
-func (n *Node) Backend() string {
-	kind := backendGeneric
-	switch {
-	case n.bit != nil:
-		kind = backendBit
-	case n.slc != nil:
-		kind = backendSliced
-	}
-	return fmt.Sprintf("%s/%s gf-tier=%s", kind, n.cfg.Field.Name(), gf.ActiveTier())
-}
 
 // Rank returns the dimension of the node's equation space.
 func (n *Node) Rank() int {

@@ -15,29 +15,6 @@ func genericCfg(q, k, r int) Config {
 	return Config{Field: gf.MustNew(q), K: k, PayloadLen: r}
 }
 
-// TestBackendReporting pins the backend-selection string: one value per
-// backend kind, always carrying the active kernel tier. The nodes are
-// built on the scalar tier, where GF(256) selects the sliced backend.
-func TestBackendReporting(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{Field: gf.MustNew(2), K: 4, PayloadLen: 2}, "bit/GF(2)"},
-		{Config{Field: gf.MustNew(256), K: 4, PayloadLen: 2}, "sliced/GF(256)"},
-		{Config{Field: gf.MustNew(256), K: 4, PayloadLen: 2, ForceGeneric: true}, "generic/GF(256)"},
-		{Config{Field: gf.MustNew(7), K: 4, PayloadLen: 2}, "generic/F_7"},
-	} {
-		var n *Node
-		buildSliced(t, func() { n = MustNewNode(tc.cfg) })
-		got := n.Backend()
-		want := tc.want + " gf-tier=" + gf.ActiveTier().String()
-		if got != want {
-			t.Errorf("Backend() = %q, want %q", got, want)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	tests := []struct {
 		name string

@@ -56,12 +56,12 @@ func TestBackendRule(t *testing.T) {
 				want = backendSliced
 			}
 			if got := cfg.backend(tier); got != want {
-				t.Errorf("GF(%d) on %s: backend %s, want %s", q, tier, got, want)
+				t.Errorf("GF(%d) on %s: backend %d, want %d", q, tier, got, want)
 			}
 			forced := cfg
 			forced.ForceGeneric = true
 			if got := forced.backend(tier); got != backendGeneric {
-				t.Errorf("GF(%d) on %s with ForceGeneric: backend %s", q, tier, got)
+				t.Errorf("GF(%d) on %s with ForceGeneric: backend %d", q, tier, got)
 			}
 		}
 	}

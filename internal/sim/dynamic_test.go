@@ -155,10 +155,7 @@ func TestSelectorSetGraph(t *testing.T) {
 		t.Fatalf("round-robin cycle after SetGraph uneven: %v", seen)
 	}
 
-	// Both selectors satisfy the dynamic interface; Fixed does not.
+	// Both selectors satisfy the dynamic interface.
 	var _ DynamicSelector = u
 	var _ DynamicSelector = r
-	if _, ok := interface{}(NewFixed(3)).(DynamicSelector); ok {
-		t.Fatal("Fixed must not claim dynamic retargeting")
-	}
 }

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"errors"
@@ -7,12 +7,30 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/graph"
+	"algossip/internal/sim"
+	"algossip/internal/sim/simtest"
 )
+
+// wakeProbe is a protocol that is done after a number of wakeups.
+type wakeProbe struct {
+	wakeCount map[core.NodeID]int
+	left      int
+}
+
+func newProbe(doneAfter int) *wakeProbe {
+	return &wakeProbe{wakeCount: make(map[core.NodeID]int), left: doneAfter}
+}
+
+func (p *wakeProbe) Name() string         { return "probe" }
+func (p *wakeProbe) OnWake(v core.NodeID) { p.wakeCount[v]++; p.left-- }
+func (p *wakeProbe) BeginRound(int)       {}
+func (p *wakeProbe) EndRound(int)         {}
+func (p *wakeProbe) Done() bool           { return p.left <= 0 }
 
 func TestPoissonCompletesAndCountsWakeups(t *testing.T) {
 	g := graph.Complete(8)
 	p := newProbe(4000)
-	res, err := RunPoisson(g, p, 7, 0)
+	res, err := simtest.RunPoisson(g, p, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +52,8 @@ func TestPoissonCompletesAndCountsWakeups(t *testing.T) {
 func TestPoissonTimeout(t *testing.T) {
 	g := graph.Line(3)
 	p := newProbe(1 << 30)
-	res, err := RunPoisson(g, p, 1, 5)
-	if !errors.Is(err, ErrRoundLimit) {
+	res, err := simtest.RunPoisson(g, p, 1, 5)
+	if !errors.Is(err, sim.ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
 	if res.Completed {
@@ -47,7 +65,7 @@ func TestPoissonDeterminism(t *testing.T) {
 	g := graph.Grid(3, 3)
 	run := func() float64 {
 		p := newProbe(500)
-		res, err := RunPoisson(g, p, 42, 0)
+		res, err := simtest.RunPoisson(g, p, 42, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +89,14 @@ func TestPoissonMatchesSlottedModel(t *testing.T) {
 	var slottedRounds, poissonTime float64
 	for seed := uint64(0); seed < trials; seed++ {
 		ps := newProbe(target)
-		res, err := New(g, core.Asynchronous, ps, core.SplitSeed(seed, 1)).Run()
+		res, err := sim.New(g, core.Asynchronous, ps, core.SplitSeed(seed, 1)).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		slottedRounds += float64(res.Rounds)
 
 		pp := newProbe(target)
-		pres, err := RunPoisson(g, pp, core.SplitSeed(seed, 2), 0)
+		pres, err := simtest.RunPoisson(g, pp, core.SplitSeed(seed, 2), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

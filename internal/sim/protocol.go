@@ -11,8 +11,8 @@
 //     one round. Deliveries apply immediately.
 //
 // Partner selection is factored out into PartnerSelector (the paper's
-// "gossip communication model"): uniform gossip, round-robin (quasirandom)
-// gossip, and the fixed-parent selection used by TAG's Phase 2.
+// "gossip communication model"): uniform gossip and round-robin
+// (quasirandom) gossip here, the tree parent of TAG's Phase 2 in gossip/tag.
 package sim
 
 import (
@@ -143,20 +143,12 @@ type TopologyAware interface {
 	OnTopologyChange(ev TopologyEvent)
 }
 
-// Observer receives progress callbacks from protocols that support
-// per-node completion tracking. All callbacks are synchronous and must not
-// retain the arguments.
+// Observer receives a protocol's per-node completion events (every
+// protocol reports them, through its gossip.Progress). All callbacks are
+// synchronous and must not retain the arguments.
 type Observer interface {
 	// NodeDone fires once per node, when that node completes the task
 	// (reaches full rank / becomes informed), with the round number in the
 	// protocol's time model.
 	NodeDone(v core.NodeID, round int)
 }
-
-// NopObserver is an Observer that ignores all callbacks.
-type NopObserver struct{}
-
-var _ Observer = NopObserver{}
-
-// NodeDone implements Observer.
-func (NopObserver) NodeDone(core.NodeID, int) {}

@@ -19,8 +19,9 @@ type PartnerSelector interface {
 
 // DynamicSelector is a PartnerSelector that can re-target to a new graph
 // mid-run (dynamic topologies). Uniform and RoundRobin implement it;
-// Fixed deliberately does not — a fixed spanning tree has no meaningful
-// retarget, which is why tree-based protocols require static topologies.
+// TAG's selector (tag.Protocol) deliberately does not — a spanning tree
+// has no meaningful retarget, which is why tree-based protocols require
+// static topologies.
 type DynamicSelector interface {
 	PartnerSelector
 	// SetGraph switches partner selection to g. Per-node selector state
@@ -110,35 +111,3 @@ func (r *RoundRobin) SetGraph(g *graph.Graph) {
 		}
 	}
 }
-
-// Fixed selects a fixed partner per node — TAG's Phase 2 communication
-// model, where every node exchanges only with its spanning-tree parent.
-// Nodes mapped to core.NilNode (e.g. the root) never initiate.
-type Fixed struct {
-	partner []core.NodeID
-}
-
-var _ PartnerSelector = (*Fixed)(nil)
-
-// NewFixed returns a fixed selector with all partners unset (NilNode).
-func NewFixed(n int) *Fixed {
-	p := make([]core.NodeID, n)
-	for i := range p {
-		p[i] = core.NilNode
-	}
-	return &Fixed{partner: p}
-}
-
-// Set assigns v's fixed partner.
-func (f *Fixed) Set(v, partner core.NodeID) { f.partner[v] = partner }
-
-// Get returns v's fixed partner (NilNode if unset).
-func (f *Fixed) Get(v core.NodeID) core.NodeID { return f.partner[v] }
-
-// Partner implements PartnerSelector.
-func (f *Fixed) Partner(v core.NodeID, _ *rand.Rand) core.NodeID {
-	return f.partner[v]
-}
-
-// Name implements PartnerSelector.
-func (f *Fixed) Name() string { return "fixed" }

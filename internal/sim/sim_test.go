@@ -236,26 +236,10 @@ func TestRoundRobinRandomInitialOffset(t *testing.T) {
 	}
 }
 
-func TestFixedSelector(t *testing.T) {
-	sel := NewFixed(4)
-	rng := core.NewRand(1)
-	if sel.Partner(2, rng) != core.NilNode {
-		t.Fatal("unset partner must be NilNode")
-	}
-	sel.Set(2, 0)
-	if sel.Partner(2, rng) != 0 {
-		t.Fatal("fixed partner not returned")
-	}
-	if sel.Get(2) != 0 || sel.Get(1) != core.NilNode {
-		t.Fatal("Get wrong")
-	}
-}
-
 func TestSelectorNames(t *testing.T) {
 	g := graph.Line(3)
 	if NewUniform(g).Name() != "uniform" ||
-		NewRoundRobin(g).Name() != "round-robin" ||
-		NewFixed(3).Name() != "fixed" {
+		NewRoundRobin(g).Name() != "round-robin" {
 		t.Fatal("selector names wrong")
 	}
 }

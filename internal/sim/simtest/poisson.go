@@ -1,15 +1,16 @@
-package sim
+package simtest
 
 import (
 	"container/heap"
 	"fmt"
 
 	"algossip/internal/core"
+	"algossip/internal/sim"
 )
 
 // PoissonResult extends Result with the continuous stopping time.
 type PoissonResult struct {
-	Result
+	sim.Result
 	// Time is the continuous stopping time; with n rate-1 clocks, one unit
 	// of time corresponds to one expected round (n expected wakeups).
 	Time float64
@@ -19,18 +20,18 @@ type PoissonResult struct {
 // of the asynchronous model: every node has an independent rate-1 Poisson
 // clock and wakes at its ticks, so n expected ticks elapse per unit time
 // ("there is a total [of] n clock ticks per round"). The discrete
-// uniform-timeslot scheduler in Engine.Run is the embedded jump chain of
-// this process; RunPoisson exists to validate that equivalence and to
-// report stopping times in continuous units.
+// uniform-timeslot scheduler in sim.Engine.Run is the embedded jump chain
+// of this process; RunPoisson exists for the tests that validate that
+// equivalence, which is why it lives here and not in sim.
 //
 // The protocol must have been constructed with core.Asynchronous semantics
 // (immediate delivery). maxTime caps the simulated time.
 func RunPoisson(g interface {
 	N() int
 	Name() string
-}, proto Protocol, schedSeed uint64, maxTime float64) (PoissonResult, error) {
+}, proto sim.Protocol, schedSeed uint64, maxTime float64) (PoissonResult, error) {
 	if maxTime <= 0 {
-		maxTime = float64(DefaultMaxRounds)
+		maxTime = float64(sim.DefaultMaxRounds)
 	}
 	n := g.N()
 	rng := core.NewRand(schedSeed)
@@ -42,7 +43,7 @@ func RunPoisson(g interface {
 		heap.Push(ticks, tick{at: rng.ExpFloat64(), node: core.NodeID(v)})
 	}
 
-	res := PoissonResult{Result: Result{
+	res := PoissonResult{Result: sim.Result{
 		Protocol: proto.Name(),
 		Graph:    g.Name(),
 		Model:    core.Asynchronous,
@@ -57,7 +58,7 @@ func RunPoisson(g interface {
 			res.Rounds = int(maxTime)
 			res.Timeslots = wakeups
 			return res, fmt.Errorf("sim: poisson run on %s at time %.0f: %w",
-				res.Graph, maxTime, ErrRoundLimit)
+				res.Graph, maxTime, sim.ErrRoundLimit)
 		}
 		proto.OnWake(t.node)
 		wakeups++
