@@ -92,8 +92,6 @@ var (
 	ErdosRenyi = graph.ErdosRenyi
 	// RandomRegular returns a near-d-regular connected graph.
 	RandomRegular = graph.RandomRegular
-	// WattsStrogatz returns a small-world graph.
-	WattsStrogatz = graph.WattsStrogatz
 )
 
 // Byte helpers for payload applications.

@@ -139,7 +139,6 @@ func TestTopologyConstructorsExported(t *testing.T) {
 		algossip.BinaryTree(7), algossip.KAryTree(7, 3), algossip.Barbell(6),
 		algossip.Lollipop(4, 2), algossip.CliqueChain(2, 3), algossip.Hypercube(3),
 		algossip.ErdosRenyi(10, 0.4, rng), algossip.RandomRegular(10, 3, rng),
-		algossip.WattsStrogatz(10, 4, 0.1, rng),
 	}
 	for _, g := range graphs {
 		if !g.IsConnected() {

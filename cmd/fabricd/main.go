@@ -176,7 +176,6 @@ func runWorker(args []string, stdout io.Writer) error {
 		coord    = fs.String("coordinator", "", "coordinator base URL, e.g. http://host:9100 (required)")
 		name     = fs.String("name", "", "worker label (default host:pid)")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent trials")
-		poll     = fs.Duration("poll", 0, "idle poll interval (0 = coordinator's hint)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -191,7 +190,7 @@ func runWorker(args []string, stdout io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	n, err := fabric.RunWorker(ctx, fabric.WorkerOptions{
-		Coordinator: *coord, Name: *name, Parallel: *parallel, PollInterval: *poll,
+		Coordinator: *coord, Name: *name, Parallel: *parallel,
 	})
 	if err != nil {
 		return err

@@ -162,11 +162,15 @@ func runDeployment(args []string) error {
 		}()
 	}
 
-	tick, err := c.WaitConverged(ctx)
+	conv, err := c.WaitConverged(ctx)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("gossipctl: converged at tick %d (%v wall)\n", tick, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("gossipctl: converged at tick %d (%v wall)\n", conv.Tick, time.Since(start).Round(time.Millisecond))
+	if conv.ByzantineNodes > 0 {
+		fmt.Printf("gossipctl: that is the honest processes' stopping tick; Byzantine-hosted nodes at full rank: %d/%d\n",
+			conv.ByzantineDone, conv.ByzantineNodes)
+	}
 	if err := c.Drain(ctx); err != nil {
 		return err
 	}

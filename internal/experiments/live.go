@@ -99,14 +99,14 @@ func e17Live(ctx context.Context, bin string, p e17Params, seed uint64) (int, er
 	if err := c.Start(ctx); err != nil {
 		return fail("start", err)
 	}
-	tick, err := c.WaitConverged(ctx)
+	conv, err := c.WaitConverged(ctx)
 	if err != nil {
 		return fail("converge", err)
 	}
 	if err := c.Drain(ctx); err != nil {
 		return fail("drain", err)
 	}
-	return tick, nil
+	return conv.Tick, nil
 }
 
 // E17LiveCluster is the network-runtime conformance experiment: a real

@@ -188,7 +188,7 @@ func (c *Coordinator) mux() *http.ServeMux {
 		return specEnvelope{Spec: c.opts.Spec, Fingerprint: c.fingerprint, Total: total}, nil
 	})
 	ctlhttp.Handle(mux, "POST /lease", "", func(req leaseRequest) (any, error) {
-		resp := leaseResponse{RetryMillis: defaultPollInterval.Milliseconds()}
+		resp := leaseResponse{RetryMillis: idleRetry.Milliseconds()}
 		if c.table.Done() {
 			resp.Done = true
 		} else if l, ok := c.table.Lease(req.Worker); ok {

@@ -90,9 +90,12 @@ type statusResponse struct {
 }
 
 const (
-	defaultLeaseChunk   = 32
-	defaultLeaseTTL     = 30 * time.Second
-	defaultPollInterval = 200 * time.Millisecond
+	defaultLeaseChunk = 32
+	defaultLeaseTTL   = 30 * time.Second
+	// idleRetry is the wait the coordinator hands a worker when every free
+	// trial is out on a live lease (and the worker's own, should a lease
+	// response carry no hint).
+	idleRetry = 200 * time.Millisecond
 	// defaultDoneLinger is how long a finished coordinator keeps serving
 	// Done responses so polling workers observe completion instead of a
 	// refused connection. Covers several poll intervals.

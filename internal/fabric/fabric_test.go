@@ -88,10 +88,9 @@ func runFabric(t *testing.T, opts CoordinatorOptions, workers int) (*harness.Res
 		go func(i int) {
 			defer ww.Done()
 			counts[i], errs[i] = RunWorker(ctx, WorkerOptions{
-				Coordinator:  c.URL(),
-				Name:         fmt.Sprintf("w%d", i),
-				Parallel:     1,
-				PollInterval: 10 * time.Millisecond,
+				Coordinator: c.URL(),
+				Name:        fmt.Sprintf("w%d", i),
+				Parallel:    1,
 			})
 		}(i)
 	}
@@ -176,7 +175,6 @@ func TestFabricWorkerKilledMidRange(t *testing.T) {
 	// the TTL expires, then picks it up and finishes.
 	n, err := RunWorker(ctx, WorkerOptions{
 		Coordinator: c.URL(), Name: "survivor", Parallel: 1,
-		PollInterval: 20 * time.Millisecond,
 	})
 	wg.Wait()
 	if err != nil {
@@ -253,7 +251,6 @@ func TestFabricCoordinatorRestartResumesFromCheckpoint(t *testing.T) {
 	go func() { defer wg.Done(); rs, runEr = c2.Run(ctx2) }()
 	n, err := RunWorker(ctx2, WorkerOptions{
 		Coordinator: c2.URL(), Name: "finisher", Parallel: 1,
-		PollInterval: 10 * time.Millisecond,
 	})
 	wg.Wait()
 	if err != nil {
@@ -357,7 +354,6 @@ func TestFabricGarbageResultsRejected(t *testing.T) {
 	// A clean worker still completes the run and the store serves tails.
 	if _, err := RunWorker(ctx, WorkerOptions{
 		Coordinator: c.URL(), Name: "clean", Parallel: 1,
-		PollInterval: 10 * time.Millisecond,
 	}); err != nil {
 		t.Fatalf("clean worker: %v", err)
 	}

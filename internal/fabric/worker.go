@@ -21,9 +21,6 @@ type WorkerOptions struct {
 	Name string
 	// Parallel bounds concurrent trials within a lease (<=0: all cores).
 	Parallel int
-	// PollInterval is the idle wait when every free trial is out on a
-	// live lease (default 200ms, overridden by the coordinator's hint).
-	PollInterval time.Duration
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
 }
@@ -69,9 +66,6 @@ func NewWorker(ctx context.Context, opts WorkerOptions) (*Worker, error) {
 	if opts.Coordinator == "" {
 		return nil, fmt.Errorf("fabric: no coordinator URL")
 	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = defaultPollInterval
-	}
 	w := &Worker{opts: opts, client: ctlhttp.Client{Base: opts.Coordinator, HTTP: opts.Client}}
 
 	var env specEnvelope
@@ -113,7 +107,9 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 		case resp.Done:
 			return executed, nil
 		case resp.Lease == nil:
-			wait := w.opts.PollInterval
+			// Every free trial is out on a live lease: idle for as long as
+			// the coordinator says.
+			wait := idleRetry
 			if resp.RetryMillis > 0 {
 				wait = time.Duration(resp.RetryMillis) * time.Millisecond
 			}

@@ -231,22 +231,3 @@ func BenchmarkAddMulSliceGF256TierScalar(b *testing.B) {
 		})
 	}
 }
-
-// Coefficient-only inner products (WouldHelp-style queries) walk bulkTab
-// rows; this pins the gather restructure.
-func BenchmarkDotProductGF256(b *testing.B) {
-	f := MustNew(256)
-	for _, n := range benchLens {
-		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewPCG(3, 4))
-			x := RandVector(f, n, rng)
-			y := RandVector(f, n, rng)
-			b.SetBytes(int64(n))
-			var sink Elem
-			for i := 0; i < b.N; i++ {
-				sink ^= f.DotProduct(x, y)
-			}
-			_ = sink
-		})
-	}
-}

@@ -53,9 +53,6 @@ type Field interface {
 	AXPY(dst, src []Elem, c Elem)
 	// Scale performs v[i] *= c for every index of v.
 	Scale(v []Elem, c Elem)
-	// DotProduct returns the inner product of a and b, which must have
-	// equal length.
-	DotProduct(a, b []Elem) Elem
 
 	// AddMulSlice performs dst[i] += c * src[i] over byte-encoded field
 	// elements for every index of src — the bulk combine kernel of RLNC

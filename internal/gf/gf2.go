@@ -69,12 +69,3 @@ func (f GF2) AXPY(dst, src []Elem, c Elem) {
 func (f GF2) Scale(v []Elem, c Elem) {
 	f.MulSlice(AsBytes(v), c)
 }
-
-// DotProduct returns the parity of the AND of a and b.
-func (GF2) DotProduct(a, b []Elem) Elem {
-	var acc Elem
-	for i := range a {
-		acc ^= a[i] & b[i] & 1
-	}
-	return acc
-}

@@ -356,28 +356,3 @@ func (f *GF2m) AXPY(dst, src []Elem, c Elem) {
 func (f *GF2m) Scale(v []Elem, c Elem) {
 	f.MulSlice(AsBytes(v), c)
 }
-
-// DotProduct returns sum_i a[i]*b[i]. It walks the padded 256-stride
-// bulkTab rows — index (a[i]<<8 | b[i]) — so each element costs one
-// shift/or and one load instead of a multiply-scaled mulTab gather, and
-// the four-way unroll keeps independent loads in flight.
-func (f *GF2m) DotProduct(a, b []Elem) Elem {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	_ = b[n-1]
-	tab := f.bulkTab
-	var acc byte
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		acc ^= tab[int(a[i])<<8|int(b[i])] ^
-			tab[int(a[i+1])<<8|int(b[i+1])] ^
-			tab[int(a[i+2])<<8|int(b[i+2])] ^
-			tab[int(a[i+3])<<8|int(b[i+3])]
-	}
-	for ; i < n; i++ {
-		acc ^= tab[int(a[i])<<8|int(b[i])]
-	}
-	return Elem(acc)
-}

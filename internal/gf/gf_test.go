@@ -229,6 +229,20 @@ func TestScale(t *testing.T) {
 	}
 }
 
+// dot is the inner product Σ a[i]·b[i] by the scalar Mul and Add: what the
+// field's bulk operations are checked against (the Field interface itself
+// has no inner product; nothing outside tests ever took one).
+func dot(f Field, a, b []Elem) Elem {
+	var acc Elem
+	for i := range a {
+		acc = f.Add(acc, f.Mul(a[i], b[i]))
+	}
+	return acc
+}
+
+// TestDotProduct: the inner product is symmetric and bilinear over the
+// vectors the bulk operations build — (a + c·x)·b = a·b + c·(x·b) with the
+// left side formed by AXPY, (c·a)·b = c·(a·b) with it formed by Scale.
 func TestDotProduct(t *testing.T) {
 	for _, f := range allFields(t) {
 		f := f
@@ -236,14 +250,21 @@ func TestDotProduct(t *testing.T) {
 			rng := core.NewRand(11)
 			for trial := 0; trial < 50; trial++ {
 				n := 1 + rng.IntN(40)
-				a := RandVector(f, n, rng)
-				b := RandVector(f, n, rng)
-				var want Elem
-				for i := range a {
-					want = f.Add(want, f.Mul(a[i], b[i]))
+				a, b, x := RandVector(f, n, rng), RandVector(f, n, rng), RandVector(f, n, rng)
+				c := Rand(f, rng)
+				ab, xb := dot(f, a, b), dot(f, x, b)
+				if ba := dot(f, b, a); ba != ab {
+					t.Fatalf("a·b = %d but b·a = %d", ab, ba)
 				}
-				if got := f.DotProduct(a, b); got != want {
-					t.Fatalf("DotProduct = %d, want %d", got, want)
+				sum := append([]Elem(nil), a...)
+				f.AXPY(sum, x, c)
+				if got, want := dot(f, sum, b), f.Add(ab, f.Mul(c, xb)); got != want {
+					t.Fatalf("(a + %d·x)·b = %d, want %d", c, got, want)
+				}
+				scaled := append([]Elem(nil), a...)
+				f.Scale(scaled, c)
+				if got, want := dot(f, scaled, b), f.Mul(c, ab); got != want {
+					t.Fatalf("(%d·a)·b = %d, want %d", c, got, want)
 				}
 			}
 		})

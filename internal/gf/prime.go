@@ -126,12 +126,3 @@ func (f *Prime) MulSlice(v []byte, c Elem) {
 		v[i] = byte(ci * int(s) % f.p)
 	}
 }
-
-// DotProduct returns sum_i a[i]*b[i] mod p.
-func (f *Prime) DotProduct(a, b []Elem) Elem {
-	acc := 0
-	for i := range a {
-		acc = (acc + int(a[i])*int(b[i])) % f.p
-	}
-	return Elem(acc)
-}

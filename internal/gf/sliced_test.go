@@ -247,24 +247,3 @@ func FuzzAddMulSliced(f *testing.F) {
 		}
 	})
 }
-
-// TestDotProductMatchesScalar pins the bulkTab-row DotProduct against the
-// per-element Mul/Add reference for every field (the generic interface
-// contract — prime fields keep their scalar loop).
-func TestDotProductMatchesScalar(t *testing.T) {
-	for _, q := range allOrders {
-		f := MustNew(q)
-		rng := rand.New(rand.NewPCG(uint64(q), 13))
-		for _, n := range []int{0, 1, 3, 4, 5, 17, 128, 257} {
-			a := RandVector(f, n, rng)
-			b := RandVector(f, n, rng)
-			var want Elem
-			for i := range a {
-				want = f.Add(want, f.Mul(a[i], b[i]))
-			}
-			if got := f.DotProduct(a, b); got != want {
-				t.Fatalf("%s: DotProduct(n=%d) = %d, want %d", f.Name(), n, got, want)
-			}
-		}
-	}
-}

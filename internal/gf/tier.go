@@ -112,18 +112,12 @@ func ParseTier(s string) (Tier, error) {
 // ActiveTier returns the tier the kernels currently dispatch to.
 func ActiveTier() Tier { return activeTier }
 
-// TierSupported reports whether the host can run the given tier.
-func TierSupported(t Tier) bool { return t <= bestTier() }
-
 // AvailableTiers lists every tier the host supports, lowest first —
 // the set the forced-tier equivalence tests and fuzz targets sweep.
 func AvailableTiers() []Tier {
-	out := []Tier{TierScalar}
-	if TierSupported(TierAVX2) {
-		out = append(out, TierAVX2)
-	}
-	if TierSupported(TierGFNI) {
-		out = append(out, TierGFNI)
+	var out []Tier
+	for t := TierScalar; t <= bestTier(); t++ {
+		out = append(out, t)
 	}
 	return out
 }
@@ -133,7 +127,7 @@ func AvailableTiers() []Tier {
 // must serialize it against concurrent kernel use and restore the
 // previous tier afterwards.
 func SetTier(t Tier) error {
-	if !TierSupported(t) {
+	if t > bestTier() {
 		return fmt.Errorf("gf: tier %q unsupported on this CPU (%s)", t, cpufeat.Summary())
 	}
 	activeTier = t

@@ -59,13 +59,15 @@ func TestTierParseAndClamp(t *testing.T) {
 	if !slices.Equal(avail, want) {
 		t.Fatalf("AvailableTiers() = %v; want %v", avail, want)
 	}
+	host := ActiveTier()
+	defer func() { _ = SetTier(host) }()
 	for _, tier := range avail {
-		if !TierSupported(tier) {
-			t.Errorf("available tier %v not supported", tier)
+		if err := SetTier(tier); err != nil {
+			t.Errorf("available tier %v refused: %v", tier, err)
 		}
 	}
-	if TierSupported(bestTier() + 1) {
-		t.Errorf("tier above bestTier()=%v reported supported", bestTier())
+	if err := SetTier(bestTier() + 1); err == nil {
+		t.Errorf("tier above bestTier()=%v accepted", bestTier())
 	}
 }
 

@@ -312,8 +312,7 @@ func (p *Protocol) OnWake(v core.NodeID) {
 }
 
 // OnTopologyChange implements sim.TopologyAware: partner selection
-// re-targets to the new graph, staged deliveries the new topology can no
-// longer carry are dropped, and churned-out nodes restart from their
+// re-targets to the new graph and churned-out nodes restart from their
 // initial seeds. Surviving nodes keep their subspace — received
 // equations stay valid on any topology — which is what makes network
 // coding robust under churn. A reset node's completion round is cleared
@@ -327,18 +326,6 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	// both time models.
 	p.Round = ev.Round
 	ev.Retarget(p.sel)
-	if p.fill != nil {
-		p.fillStaged() // before a reset can replace a sender's decoder
-	}
-	kept := p.staged[:0]
-	for _, d := range p.staged {
-		if ev.Deliverable(d.from, d.to) {
-			kept = append(kept, d)
-		} else {
-			p.recycle(d.pkt)
-		}
-	}
-	p.staged = kept
 	for _, v := range ev.Reset {
 		p.resetNode(v)
 	}
@@ -633,9 +620,6 @@ func (p *Protocol) MessageBits() int {
 	}
 	return gossip.MessageBits(p.cfg.RLNC)
 }
-
-// Rank returns node v's current (total) rank.
-func (p *Protocol) Rank(v core.NodeID) int { return p.nodes[v].Rank() }
 
 // Node returns node v's RLNC state (for decoding in tests and examples).
 func (p *Protocol) Node(v core.NodeID) *rlnc.GenNode { return p.nodes[v] }

@@ -231,7 +231,7 @@ func TestRankNeverDecreases(t *testing.T) {
 	for step := 0; step < 2000 && !p.Done(); step++ {
 		p.OnWake(core.NodeID(step % 8))
 		for v := 0; v < 8; v++ {
-			r := p.Rank(core.NodeID(v))
+			r := p.Node(core.NodeID(v)).Rank()
 			if r < prev[v] {
 				t.Fatalf("rank of %d decreased %d -> %d", v, prev[v], r)
 			}

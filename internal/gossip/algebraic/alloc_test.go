@@ -59,8 +59,8 @@ func unsaturatedPayloadProtocol(t testing.TB) *Protocol {
 		p.EndRound(round)
 	}
 	for v := 0; v < g.N(); v++ {
-		if p.Rank(core.NodeID(v)) != 7 {
-			t.Fatalf("node %d has rank %d after the warm-up, want 7", v, p.Rank(core.NodeID(v)))
+		if p.Node(core.NodeID(v)).Rank() != 7 {
+			t.Fatalf("node %d has rank %d after the warm-up, want 7", v, p.Node(core.NodeID(v)).Rank())
 		}
 	}
 	return p
@@ -216,9 +216,10 @@ func TestStagedBufferShrinks(t *testing.T) {
 }
 
 // TestPacketPoolRecyclesOnLossAndDynamics checks the freelist keeps
-// packets on every exit path: emitted-then-lost packets and staged
-// deliveries dropped by a topology change return to the pool instead of
-// leaking to the GC.
+// packets on every exit path: emitted-then-lost packets return to the pool
+// instead of leaking to the GC, and after a churn reset — which arrives
+// between rounds, with nothing staged — the next round's deliveries all
+// land back in it at EndRound.
 func TestPacketPoolRecyclesOnLossAndDynamics(t *testing.T) {
 	g := graph.Complete(8)
 	cfg := Config{
@@ -232,41 +233,40 @@ func TestPacketPoolRecyclesOnLossAndDynamics(t *testing.T) {
 	if err := p.SeedAll(RoundRobinAssign(4, g.N()), nil); err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < 20; r++ {
+	round := func(r int) (staged int) {
 		p.BeginRound(r)
 		for v := 0; v < g.N(); v++ {
 			p.OnWake(core.NodeID(v))
 		}
+		staged = len(p.staged)
 		p.EndRound(r)
+		return staged
 	}
-	live := len(p.free)
-	if live == 0 {
+	for r := 0; r < 20; r++ {
+		round(r)
+	}
+	if len(p.free) == 0 {
 		t.Fatal("freelist empty after lossy rounds")
 	}
 	// By now every node is complete and sends to full-rank receivers skip
 	// the pool entirely; churn-reset every node so the next round stages
 	// real deliveries again.
-	for v := 0; v < g.N(); v++ {
-		p.resetNode(core.NodeID(v))
+	all := make([]core.NodeID, g.N())
+	for v := range all {
+		all[v] = core.NodeID(v)
 	}
-	// Stage deliveries, then drop them all via a topology change to the
-	// empty graph: every staged packet must land back in the pool.
-	p.BeginRound(20)
-	for v := 0; v < g.N(); v++ {
-		p.OnWake(core.NodeID(v))
-	}
-	staged := len(p.staged)
+	p.OnTopologyChange(sim.TopologyEvent{Round: 20, Graph: g, Reset: all})
+	before := len(p.free)
+	staged := round(20)
 	if staged == 0 {
 		t.Fatal("nothing staged")
 	}
-	before := len(p.free)
-	empty := graph.NewBuilder("empty", g.N()).Build()
-	p.OnTopologyChange(sim.TopologyEvent{Round: 21, Graph: empty})
 	if len(p.staged) != 0 {
-		t.Fatalf("%d staged deliveries survived an empty topology", len(p.staged))
+		t.Fatalf("%d staged deliveries survived EndRound", len(p.staged))
 	}
-	if len(p.free) != before+staged {
-		t.Fatalf("freelist %d after drop, want %d", len(p.free), before+staged)
+	if want := max(before, staged); len(p.free) < want {
+		t.Fatalf("freelist %d after the round, want at least %d (%d pooled before, %d staged)",
+			len(p.free), want, before, staged)
 	}
 }
 

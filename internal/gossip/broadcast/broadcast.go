@@ -42,7 +42,6 @@ type inform struct {
 // sim.NewRoundRobin for B_RR.
 type Protocol struct {
 	gossip.Progress
-	g   *graph.Graph
 	sel sim.PartnerSelector
 	rng *rand.Rand
 	cfg Config
@@ -51,10 +50,7 @@ type Protocol struct {
 	staged []inform
 }
 
-var (
-	_ sim.Protocol      = (*Protocol)(nil)
-	_ sim.TopologyAware = (*Protocol)(nil)
-)
+var _ sim.Protocol = (*Protocol)(nil)
 
 // New constructs a broadcast protocol over g with the message at
 // cfg.Origin.
@@ -64,7 +60,6 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 	}
 	p := &Protocol{
 		Progress: gossip.NewProgress(g.N(), model),
-		g:        g,
 		sel:      sel,
 		rng:      rng,
 		cfg:      cfg,
@@ -95,33 +90,6 @@ func (p *Protocol) OnWake(v core.NodeID) {
 	}
 	if back {
 		p.transfer(u, v)
-	}
-}
-
-// OnTopologyChange implements sim.TopologyAware: partner selection
-// re-targets to the new graph, staged informs the new topology cannot
-// deliver are dropped, and churned-out nodes become uninformed again
-// (their spanning-tree parent pointer is void). The origin survives a
-// reset still informed — it is the source of the rumor — so the
-// broadcast can always re-complete.
-func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
-	p.g = ev.Graph
-	// Advance the clock first (the event precedes BeginRound(ev.Round)),
-	// so re-informs after a reset are stamped with the rejoin round.
-	p.Round = ev.Round
-	ev.Retarget(p.sel)
-	kept := p.staged[:0]
-	for _, in := range p.staged {
-		if ev.Deliverable(in.from, in.to) {
-			kept = append(kept, in)
-		}
-	}
-	p.staged = kept
-	for _, v := range ev.Reset {
-		if v != p.cfg.Origin {
-			p.Unmark(v)
-			p.parent[v] = core.NilNode
-		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
+	"algossip/internal/gossip"
 	"algossip/internal/gossip/algebraic"
 	"algossip/internal/gossip/broadcast"
 	"algossip/internal/gossip/ispread"
@@ -28,8 +29,102 @@ func rankOnly(k int) rlnc.Config {
 	return rlnc.Config{Field: gf.MustNew(2), K: k, RankOnly: true}
 }
 
+// conserved is the first clause of the traffic invariant: a packet counted
+// as sent has met exactly one verdict. It holds whenever nothing is staged
+// — after any EndRound or CommitRound, and at every instant of an
+// asynchronous run — by construction: a topology changes only between
+// rounds (sim.TopologyAware), so nothing but a verdict takes a staged
+// packet away.
+func conserved(t *testing.T, name string, tr gossip.Traffic) {
+	t.Helper()
+	if tr.Sent != tr.Helpful+tr.Useless+tr.Dropped+tr.Polluted {
+		t.Errorf("%s: sent %d != helpful %d + useless %d + dropped %d + polluted %d",
+			name, tr.Sent, tr.Helpful, tr.Useless, tr.Dropped, tr.Polluted)
+	}
+}
+
+// runConformance is simtest.Run with the traffic invariant asserted on
+// every protocol instance the battery builds, once its check is over (each
+// check ends on a round boundary or runs asynchronously).
+func runConformance(t *testing.T, name string, factory simtest.Factory) {
+	simtest.Run(t, name, func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+		p := factory(g, model, seed)
+		t.Cleanup(func() {
+			conserved(t, fmt.Sprintf("%s/%s/%s/seed=%d", name, g.Name(), model, seed),
+				p.(interface{ Traffic() gossip.Traffic }).Traffic())
+		})
+		return p
+	})
+}
+
+// TestTrafficConservation asserts the same identity at the end of whole
+// trials through harness.Execute: all five protocols, both time models,
+// static and dynamic topologies, and the regimes that add a verdict or an
+// executor — loss (Dropped), a mixed Byzantine population (Polluted), the
+// sharded engine and generation coding.
+func TestTrafficConservation(t *testing.T) {
+	g := graph.Torus(4, 4)
+	type cell struct {
+		name  string
+		proto harness.Protocol
+		spec  harness.GossipSpec
+	}
+	var cells []cell
+	dynamics := map[string]*harness.Dynamics{
+		"static": nil,
+		"edge":   {Kind: "edge", Rate: 0.25},
+		"churn":  {Kind: "churn", Rate: 0.2, Period: 8},
+	}
+	for _, proto := range []harness.Protocol{harness.ProtocolUniformAG, harness.ProtocolUncoded,
+		harness.ProtocolTAGRR, harness.ProtocolTAGUniform, harness.ProtocolTAGIS} {
+		for _, model := range []core.TimeModel{core.Synchronous, core.Asynchronous} {
+			for dname, dyn := range dynamics {
+				if dyn != nil && proto != harness.ProtocolUniformAG && proto != harness.ProtocolUncoded {
+					continue // a tree protocol needs a static topology (TestDynamicRejectsTreeProtocols)
+				}
+				cells = append(cells, cell{fmt.Sprintf("%v/%s/%s", proto, model, dname), proto,
+					harness.GossipSpec{Graph: g, K: 8, Model: model, Dynamics: dyn}})
+			}
+		}
+	}
+	mix := &harness.Adversary{Kind: "byzantine", Frac: 0.2, Mode: "mix"}
+	for _, model := range []core.TimeModel{core.Synchronous, core.Asynchronous} {
+		cells = append(cells,
+			cell{fmt.Sprintf("loss/%s", model), harness.ProtocolUniformAG,
+				harness.GossipSpec{Graph: g, K: 8, Model: model, LossRate: 0.2}},
+			cell{fmt.Sprintf("adversary/%s", model), harness.ProtocolUniformAG,
+				harness.GossipSpec{Graph: g, K: 8, Model: model, Adversary: mix}},
+			cell{fmt.Sprintf("adversary+loss/%s", model), harness.ProtocolUniformAG,
+				harness.GossipSpec{Graph: g, K: 8, Model: model, Adversary: mix, LossRate: 0.1}},
+			cell{fmt.Sprintf("generations+payload/%s", model), harness.ProtocolUniformAG,
+				harness.GossipSpec{Graph: g, K: 8, Q: 256, Model: model, GenSize: 3, PayloadLen: 4, LossRate: 0.1}})
+	}
+	for _, shards := range []int{1, 2} {
+		cells = append(cells, cell{fmt.Sprintf("shards=%d+generations+edge", shards), harness.ProtocolUniformAG,
+			harness.GossipSpec{Graph: g, K: 8, GenSize: 4, Shards: shards, LossRate: 0.1, Dynamics: dynamics["edge"]}})
+	}
+	var all gossip.Traffic
+	for _, c := range cells {
+		c.spec.MaxRounds = 1 << 17
+		for seed := uint64(1); seed <= 3; seed++ {
+			o, err := harness.Execute(c.spec, c.proto, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, seed, err)
+			}
+			if o.Traffic.Sent == 0 {
+				t.Fatalf("%s seed %d: nothing was sent", c.name, seed)
+			}
+			conserved(t, fmt.Sprintf("%s seed %d", c.name, seed), o.Traffic)
+			all.Add(o.Traffic)
+		}
+	}
+	if all.Helpful == 0 || all.Useless == 0 || all.Dropped == 0 || all.Polluted == 0 {
+		t.Fatalf("a verdict never occurred over the whole table: %+v", all)
+	}
+}
+
 func TestConformanceUniformAG(t *testing.T) {
-	simtest.Run(t, "uniform-ag", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+	runConformance(t, "uniform-ag", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
 		k := g.N() / 2
 		p, err := algebraic.New(g, model, sim.NewUniform(g),
 			algebraic.Config{RLNC: rankOnly(k)}, core.NewRand(core.SplitSeed(seed, 1)))
@@ -44,7 +139,7 @@ func TestConformanceUniformAG(t *testing.T) {
 }
 
 func TestConformanceRoundRobinAG(t *testing.T) {
-	simtest.Run(t, "rr-ag", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+	runConformance(t, "rr-ag", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
 		k := g.N() / 2
 		p, err := algebraic.New(g, model, sim.NewRoundRobin(g),
 			algebraic.Config{RLNC: rankOnly(k)}, core.NewRand(core.SplitSeed(seed, 1)))
@@ -59,35 +154,35 @@ func TestConformanceRoundRobinAG(t *testing.T) {
 }
 
 func TestConformanceBroadcastUniform(t *testing.T) {
-	simtest.Run(t, "broadcast-uniform", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+	runConformance(t, "broadcast-uniform", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
 		return broadcast.New(g, model, sim.NewUniform(g),
 			broadcast.Config{Origin: 0}, core.NewRand(core.SplitSeed(seed, 2)))
 	})
 }
 
 func TestConformanceBroadcastRR(t *testing.T) {
-	simtest.Run(t, "broadcast-rr", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+	runConformance(t, "broadcast-rr", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
 		return broadcast.New(g, model, sim.NewRoundRobin(g),
 			broadcast.Config{Origin: 0}, core.NewRand(core.SplitSeed(seed, 2)))
 	})
 }
 
 func TestConformanceISpread(t *testing.T) {
-	simtest.Run(t, "ispread", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+	runConformance(t, "ispread", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
 		return ispread.New(g, model, ispread.Config{Root: 0},
 			core.NewRand(core.SplitSeed(seed, 3)))
 	})
 }
 
 func TestConformanceISpreadFull(t *testing.T) {
-	simtest.Run(t, "ispread-full", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+	runConformance(t, "ispread-full", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
 		return ispread.New(g, model, ispread.Config{Root: 0, Mode: ispread.FullSpreadMode},
 			core.NewRand(core.SplitSeed(seed, 3)))
 	})
 }
 
 func TestConformanceTAGBRR(t *testing.T) {
-	simtest.Run(t, "tag-brr", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+	runConformance(t, "tag-brr", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
 		k := g.N() / 2
 		stp := broadcast.New(g, model, sim.NewRoundRobin(g),
 			broadcast.Config{Origin: 0}, core.NewRand(core.SplitSeed(seed, 4)))
@@ -103,7 +198,7 @@ func TestConformanceTAGBRR(t *testing.T) {
 }
 
 func TestConformanceTAGIS(t *testing.T) {
-	simtest.Run(t, "tag-is", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+	runConformance(t, "tag-is", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
 		k := g.N() / 2
 		stp := ispread.New(g, model, ispread.Config{Root: 0},
 			core.NewRand(core.SplitSeed(seed, 4)))
@@ -119,7 +214,7 @@ func TestConformanceTAGIS(t *testing.T) {
 }
 
 func TestConformanceUncoded(t *testing.T) {
-	simtest.Run(t, "uncoded", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
+	runConformance(t, "uncoded", func(g *graph.Graph, model core.TimeModel, seed uint64) sim.Protocol {
 		k := g.N() / 2
 		p := uncoded.New(g, model, sim.NewUniform(g),
 			uncoded.Config{K: k}, core.NewRand(core.SplitSeed(seed, 1)))

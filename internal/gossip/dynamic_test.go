@@ -3,7 +3,7 @@ package gossip_test
 // Dynamic-topology battery: the engine's dynamic run path over the real
 // protocols, the static-schedule bit-identity guarantee, and the
 // OnTopologyChange reset semantics (algebraic keeps subspaces and
-// reseeds churned nodes; broadcast re-informs them).
+// reseeds churned nodes).
 
 import (
 	"bytes"
@@ -14,7 +14,6 @@ import (
 	"algossip/internal/core"
 	"algossip/internal/gf"
 	"algossip/internal/gossip/algebraic"
-	"algossip/internal/gossip/broadcast"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
 	"algossip/internal/rlnc"
@@ -153,13 +152,13 @@ func TestAlgebraicChurnReset(t *testing.T) {
 		if p.Done() {
 			t.Fatal("Done must regress after resets")
 		}
-		if got := p.Rank(1); got != 1 {
+		if got := p.Node(1).Rank(); got != 1 {
 			t.Errorf("reset seeded node rank = %d, want its initial 1", got)
 		}
-		if got := p.Rank(5); got != 0 {
+		if got := p.Node(5).Rank(); got != 0 {
 			t.Errorf("reset unseeded node rank = %d, want 0", got)
 		}
-		if got := p.Rank(2); got != k {
+		if got := p.Node(2).Rank(); got != k {
 			t.Errorf("surviving node lost its subspace: rank %d", got)
 		}
 		// A second engine run re-disseminates to the reset nodes.
@@ -183,33 +182,6 @@ func TestAlgebraicChurnReset(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBroadcastChurnReset: reset nodes are re-informed; the origin keeps
-// the rumor through a reset.
-func TestBroadcastChurnReset(t *testing.T) {
-	g := graph.Grid(3, 3)
-	p := broadcast.New(g, core.Synchronous, sim.NewUniform(g),
-		broadcast.Config{Origin: 0}, core.NewRand(5))
-	if _, err := sim.New(g, core.Synchronous, p, 6).Run(); err != nil {
-		t.Fatal(err)
-	}
-	p.OnTopologyChange(sim.TopologyEvent{Round: 50, Graph: g, Reset: []core.NodeID{0, 4}})
-	if !p.IsDone(0) {
-		t.Fatal("origin must survive a reset informed")
-	}
-	if p.IsDone(4) {
-		t.Fatal("reset node must be uninformed")
-	}
-	if p.Done() {
-		t.Fatal("Done must regress after the reset")
-	}
-	if _, err := sim.New(g, core.Synchronous, p, 7).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.IsDone(4) || !p.Done() {
-		t.Fatal("broadcast did not re-complete")
 	}
 }
 

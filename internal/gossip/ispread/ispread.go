@@ -202,9 +202,6 @@ func (p *Protocol) Done() bool {
 // from the root, and for the root itself).
 func (p *Protocol) Parent(v core.NodeID) core.NodeID { return p.parent[v] }
 
-// HeardCount returns the number of nodes v has heard from.
-func (p *Protocol) HeardCount(v core.NodeID) int { return p.heardCnt[v] }
-
 // Tree returns the induced spanning tree once every node has heard from
 // the root; the boolean reports availability.
 func (p *Protocol) Tree() (*graph.Tree, bool) {

@@ -83,8 +83,8 @@ func TestFullSpreadMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
-		if p.HeardCount(core.NodeID(v)) != g.N() {
-			t.Fatalf("node %d heard only %d/%d", v, p.HeardCount(core.NodeID(v)), g.N())
+		if p.heardCnt[v] != g.N() {
+			t.Fatalf("node %d heard only %d/%d", v, p.heardCnt[v], g.N())
 		}
 	}
 }
@@ -115,17 +115,17 @@ func TestDeterministicStepPrefersUnheard(t *testing.T) {
 	for _, leaf := range []core.NodeID{1, 2, 3} {
 		p.OnWake(leaf)
 	}
-	if p.HeardCount(0) != 4 { // self + 3 leaves
-		t.Fatalf("hub heard %d, want 4", p.HeardCount(0))
+	if p.heardCnt[0] != 4 { // self + 3 leaves
+		t.Fatalf("hub heard %d, want 4", p.heardCnt[0])
 	}
 	// Hub's first wakeup is a random step; its second is deterministic and
 	// must contact leaf 4, the only unheard neighbor.
 	p.OnWake(0) // random step
-	before := p.HeardCount(0)
+	before := p.heardCnt[0]
 	p.OnWake(0) // deterministic step
 	if !p.bits[0].Get(4) {
 		t.Fatalf("deterministic step did not contact the unheard leaf (heard %d -> %d)",
-			before, p.HeardCount(0))
+			before, p.heardCnt[0])
 	}
 }
 

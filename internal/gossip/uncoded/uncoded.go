@@ -31,15 +31,14 @@ type Config struct {
 
 // delivery is one staged message transfer (synchronous model).
 type delivery struct {
-	to, from core.NodeID
-	msg      int
+	to  core.NodeID
+	msg int
 }
 
 // Protocol is the store-and-forward gossip state machine; a node is done
 // (gossip.Progress) once it knows all K messages.
 type Protocol struct {
 	gossip.Progress
-	g   *graph.Graph
 	sel sim.PartnerSelector
 	rng *rand.Rand
 	cfg Config
@@ -63,7 +62,6 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 	n := g.N()
 	p := &Protocol{
 		Progress: gossip.NewProgress(n, model),
-		g:        g,
 		sel:      sel,
 		rng:      rng,
 		cfg:      cfg,
@@ -122,30 +120,22 @@ func (p *Protocol) send(from, to core.NodeID) {
 	msg := p.randomKnown(from)
 	p.Counts.Sent++
 	if p.Model == core.Synchronous {
-		p.staged = append(p.staged, delivery{to: to, from: from, msg: msg})
+		p.staged = append(p.staged, delivery{to: to, msg: msg})
 		return
 	}
 	p.learn(to, msg)
 }
 
 // OnTopologyChange implements sim.TopologyAware: partner selection
-// re-targets to the new graph, staged sends the new topology cannot
-// deliver are dropped, and churned-out nodes forget everything except
-// their initial seeds — store-and-forward has no subspace to keep, which
-// is exactly the fragility the dynamic experiments measure against RLNC.
+// re-targets to the new graph, and churned-out nodes forget everything
+// except their initial seeds — store-and-forward has no subspace to keep,
+// which is exactly the fragility the dynamic experiments measure against
+// RLNC.
 func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
-	p.g = ev.Graph
 	// Advance the clock first (the event precedes BeginRound(ev.Round)),
 	// so reset bookkeeping stamps the rejoin round in both time models.
 	p.Round = ev.Round
 	ev.Retarget(p.sel)
-	kept := p.staged[:0]
-	for _, d := range p.staged {
-		if ev.Deliverable(d.from, d.to) {
-			kept = append(kept, d)
-		}
-	}
-	p.staged = kept
 	for _, v := range ev.Reset {
 		p.known[v] = linalg.NewBitVec(p.cfg.K)
 		p.knownCnt[v] = 0

@@ -8,10 +8,10 @@ package graph
 //
 // Determinism contract (relied on by internal/sim and internal/harness):
 //
-//   - N() is constant for the lifetime of the schedule: every At(round)
-//     graph has exactly N() nodes. Nodes that are "down" (churned out,
-//     not yet joined) stay present but isolated, so node IDs and protocol
-//     state arrays never resize.
+//   - The node count is constant for the lifetime of the schedule: every
+//     At(round) graph has exactly At(0).N() nodes. Nodes that are "down"
+//     (churned out, not yet joined) stay present but isolated, so node
+//     IDs and protocol state arrays never resize.
 //   - At is a pure function of the round: the same round always yields
 //     the same topology, and consecutive rounds with an unchanged
 //     topology yield the SAME *Graph pointer — the engine detects
@@ -32,8 +32,6 @@ import (
 type Dynamic interface {
 	// Name identifies the schedule, e.g. "ring-64+edgefail-p0.20".
 	Name() string
-	// N is the constant node count of every At(round) graph.
-	N() int
 	// At returns the topology in force during the given round (pure; see
 	// the package contract above).
 	At(round int) *Graph
@@ -60,9 +58,6 @@ func Static(g *Graph) *StaticSchedule { return &StaticSchedule{g: g} }
 
 // Name implements Dynamic.
 func (s *StaticSchedule) Name() string { return s.g.Name() }
-
-// N implements Dynamic.
-func (s *StaticSchedule) N() int { return s.g.N() }
 
 // At implements Dynamic: always the wrapped graph, same pointer.
 func (s *StaticSchedule) At(int) *Graph { return s.g }
@@ -109,9 +104,6 @@ func NewEdgeFailures(base *Graph, rate float64, seed uint64) *EdgeFailureSchedul
 func (s *EdgeFailureSchedule) Name() string {
 	return fmt.Sprintf("%s+edgefail-p%.2f", s.base.Name(), s.rate)
 }
-
-// N implements Dynamic.
-func (s *EdgeFailureSchedule) N() int { return s.base.N() }
 
 // At implements Dynamic: the surviving subgraph for the given round.
 func (s *EdgeFailureSchedule) At(round int) *Graph {
@@ -166,9 +158,6 @@ func (s *BurstFailureSchedule) Name() string {
 	return fmt.Sprintf("%s+burst-p%.2f-t%d/%d", s.base.Name(), s.rate, s.burstLen, s.period)
 }
 
-// N implements Dynamic.
-func (s *BurstFailureSchedule) N() int { return s.base.N() }
-
 // At implements Dynamic.
 func (s *BurstFailureSchedule) At(round int) *Graph {
 	if round < s.period || round%s.period >= s.burstLen {
@@ -220,9 +209,6 @@ func NewRewire(base *Graph, fraction float64, period int, seed uint64) *RewireSc
 func (s *RewireSchedule) Name() string {
 	return fmt.Sprintf("%s+rewire-f%.2f-t%d", s.base.Name(), s.fraction, s.period)
 }
-
-// N implements Dynamic.
-func (s *RewireSchedule) N() int { return s.base.N() }
 
 // At implements Dynamic.
 func (s *RewireSchedule) At(round int) *Graph {
@@ -284,9 +270,6 @@ func NewChurn(base *Graph, rate float64, blockLen int, seed uint64) *ChurnSchedu
 func (s *ChurnSchedule) Name() string {
 	return fmt.Sprintf("%s+churn-p%.2f-t%d", s.base.Name(), s.rate, s.blockLen)
 }
-
-// N implements Dynamic.
-func (s *ChurnSchedule) N() int { return s.base.N() }
 
 // down reports whether node v is churned out during the given block.
 // Block 0 starts with every node up.
@@ -369,9 +352,6 @@ func NewGrow(n, m, period int, seed uint64) *GrowSchedule {
 func (s *GrowSchedule) Name() string {
 	return fmt.Sprintf("grow-pa-%d-m%d-t%d", s.n, s.m, s.period)
 }
-
-// N implements Dynamic.
-func (s *GrowSchedule) N() int { return s.n }
 
 // Joined returns how many nodes are part of the topology at the given
 // round (the remaining n-Joined nodes are still isolated).

@@ -273,45 +273,6 @@ func tryPairing(n, d int, rng *rand.Rand) (*Graph, bool) {
 	return b.Build(), true
 }
 
-// WattsStrogatz returns a small-world ring lattice: each node connected to
-// its k/2 nearest neighbors on each side, with each edge rewired to a random
-// endpoint with probability beta. Connectivity is restored by stitching as
-// in ErdosRenyi if rewiring disconnects the graph.
-func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *Graph {
-	if k%2 != 0 || k >= n {
-		panic("graph: WattsStrogatz requires even k < n")
-	}
-	type edge struct{ u, v core.NodeID }
-	var edges []edge
-	for i := 0; i < n; i++ {
-		for j := 1; j <= k/2; j++ {
-			edges = append(edges, edge{core.NodeID(i), core.NodeID((i + j) % n)})
-		}
-	}
-	for i := range edges {
-		if rng.Float64() < beta {
-			edges[i].v = core.NodeID(rng.IntN(n))
-		}
-	}
-	b := NewBuilder(fmt.Sprintf("ws-%d-k%d-b%.2f", n, k, beta), n)
-	for _, e := range edges {
-		b.AddEdge(e.u, e.v)
-	}
-	g := b.Build()
-	if g.IsConnected() {
-		return g
-	}
-	// Reuse the ER stitcher by adding ring edges until connected.
-	b2 := NewBuilder(g.Name(), n)
-	for _, e := range g.Edges() {
-		b2.AddEdge(e[0], e[1])
-	}
-	for i := 0; i < n; i++ {
-		b2.AddEdge(core.NodeID(i), core.NodeID((i+1)%n))
-	}
-	return b2.Build()
-}
-
 // RandomGeometric returns a connected random geometric graph: n points
 // drawn uniformly in the unit square, with an edge between every pair at
 // Euclidean distance at most radius — the standard model for wireless /

@@ -88,17 +88,6 @@ func (t *Tree) Depth() int {
 	return max
 }
 
-// Children returns, for every node, the list of its children.
-func (t *Tree) Children() [][]core.NodeID {
-	out := make([][]core.NodeID, t.N())
-	for v, p := range t.Parent {
-		if p != core.NilNode {
-			out[p] = append(out[p], core.NodeID(v))
-		}
-	}
-	return out
-}
-
 // Diameter returns the diameter d(S) of the tree viewed as an undirected
 // graph (longest path between any two nodes, in edges).
 func (t *Tree) Diameter() int {
@@ -114,14 +103,4 @@ func (t *Tree) AsGraph() *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// PathToRoot returns the node sequence v, parent(v), ..., Root.
-func (t *Tree) PathToRoot(v core.NodeID) []core.NodeID {
-	path := []core.NodeID{v}
-	for v != t.Root {
-		v = t.Parent[v]
-		path = append(path, v)
-	}
-	return path
 }

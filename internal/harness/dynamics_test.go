@@ -80,11 +80,8 @@ func TestDynamicsBuildKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%s): %v", d, err)
 		}
-		if dyn.N() != g.N() {
-			t.Errorf("%s: schedule has %d nodes, want %d", d, dyn.N(), g.N())
-		}
-		if dyn.At(0) == nil {
-			t.Errorf("%s: nil round-0 graph", d)
+		if g0 := dyn.At(0); g0 == nil || g0.N() != g.N() {
+			t.Errorf("%s: round-0 graph %v, want %d nodes", d, g0, g.N())
 		}
 	}
 	if _, err := (&Dynamics{Kind: "grow"}).Build(graph.Line(3), 1); err == nil {

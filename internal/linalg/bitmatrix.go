@@ -21,9 +21,6 @@ func NewBitVec(nbits int) BitVec {
 // Set sets bit i to 1.
 func (v BitVec) Set(i int) { v[i/64] |= 1 << (uint(i) % 64) }
 
-// Clear sets bit i to 0.
-func (v BitVec) Clear(i int) { v[i/64] &^= 1 << (uint(i) % 64) }
-
 // Get reports whether bit i is 1.
 func (v BitVec) Get(i int) bool { return v[i/64]&(1<<(uint(i)%64)) != 0 }
 
@@ -132,12 +129,6 @@ func NewBitMatrixPayload(cols, extra int) *BitMatrix {
 	}
 	return &BitMatrix{cols: cols, extra: extra, words: (cols + 63) / 64}
 }
-
-// Cols returns the number of columns.
-func (m *BitMatrix) Cols() int { return m.cols }
-
-// Extra returns the number of augmented payload bytes per row.
-func (m *BitMatrix) Extra() int { return m.extra }
 
 // Words returns the number of 64-bit words per packed row.
 func (m *BitMatrix) Words() int { return m.words }

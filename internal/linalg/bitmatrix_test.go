@@ -29,7 +29,7 @@ func TestBitVecOps(t *testing.T) {
 	if v.LowestSet() != 0 {
 		t.Fatalf("LowestSet = %d, want 0", v.LowestSet())
 	}
-	v.Clear(0)
+	v[0] = 0
 	if v.LowestSet() != 64 {
 		t.Fatalf("LowestSet = %d, want 64", v.LowestSet())
 	}

@@ -127,7 +127,9 @@ func (m *Matrix) MulVec(v []gf.Elem) []gf.Elem {
 	}
 	out := make([]gf.Elem, m.rows)
 	for i := 0; i < m.rows; i++ {
-		out[i] = m.f.DotProduct(m.Row(i), v)
+		for j, x := range m.Row(i) {
+			out[i] = m.f.Add(out[i], m.f.Mul(x, v[j]))
+		}
 	}
 	return out
 }

@@ -78,12 +78,6 @@ func NewRankMatrix(f gf.Field, cols, extra int) *RankMatrix {
 	return &RankMatrix{f: f, f2m: f2m, cols: cols, extra: extra}
 }
 
-// Cols returns the number of coefficient columns (the number of unknowns).
-func (m *RankMatrix) Cols() int { return m.cols }
-
-// Extra returns the number of augmented payload bytes per row.
-func (m *RankMatrix) Extra() int { return m.extra }
-
 // Rank returns the number of linearly independent rows stored.
 func (m *RankMatrix) Rank() int { return len(m.rows) }
 
@@ -424,13 +418,4 @@ func (m *RankMatrix) Solve() ([][]byte, error) {
 		out[i] = append([]byte(nil), m.pay[i]...)
 	}
 	return out, nil
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *RankMatrix) Clone() *RankMatrix {
-	cp := NewRankMatrix(m.f, m.cols, m.extra)
-	for i, row := range m.rows {
-		cp.insert(row, m.Payload(i), nil, m.pivot[i])
-	}
-	return cp
 }

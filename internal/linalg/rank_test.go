@@ -177,17 +177,6 @@ func TestRankInvariantQuick(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	f := gf.MustNew(256)
-	m := NewRankMatrix(f, 4, 2)
-	m.Add([]gf.Elem{1, 2, 3, 4}, []byte{5, 6})
-	cp := m.Clone()
-	cp.Add([]gf.Elem{0, 1, 0, 0}, []byte{7, 8})
-	if m.Rank() != 1 || cp.Rank() != 2 {
-		t.Fatalf("clone not independent: ranks %d, %d", m.Rank(), cp.Rank())
-	}
-}
-
 func TestAddPanicsOnWidthMismatch(t *testing.T) {
 	f := gf.MustNew(2)
 	m := NewRankMatrix(f, 3, 1)
@@ -276,15 +265,15 @@ func TestSplitEmitMatchesRandomCombination(t *testing.T) {
 	for _, q := range []int{4, 256, 251} {
 		m, _ := payloadMatrix(q, 12, 100, 9, uint64(q))
 		whole := func(r *rand.Rand) any {
-			c, p := make([]gf.Elem, m.Cols()), make([]byte, m.Extra())
+			c, p := make([]gf.Elem, m.cols), make([]byte, m.extra)
 			if !m.RandomCombinationInto(r, c, p) {
 				t.Fatal("non-empty matrix refused to emit")
 			}
 			return []any{c, p, r.Uint64()}
 		}
 		split := func(r *rand.Rand) any {
-			c, p := make([]gf.Elem, m.Cols()), bytes.Repeat([]byte{0xEE}, m.Extra())
-			facs, ok := m.RandomCoeffsInto(r, c, make([]gf.Elem, m.Cols()))
+			c, p := make([]gf.Elem, m.cols), bytes.Repeat([]byte{0xEE}, m.extra)
+			facs, ok := m.RandomCoeffsInto(r, c, make([]gf.Elem, m.cols))
 			if !ok || len(facs) != m.Rank() {
 				t.Fatalf("RandomCoeffsInto returned %d factors, %v, at rank %d", len(facs), ok, m.Rank())
 			}

@@ -16,11 +16,6 @@ import (
 // layout over its r symbols.
 type SlicedVec []uint64
 
-// Clone returns an independent copy of v.
-func (v SlicedVec) Clone() SlicedVec {
-	return append(SlicedVec(nil), v...)
-}
-
 // IsZero reports whether every word (hence every symbol) is zero.
 func (v SlicedVec) IsZero() bool {
 	for _, x := range v {
@@ -116,12 +111,6 @@ func NewSlicedMatrix(f *gf.GF2m, cols, extra int) *SlicedMatrix {
 
 // Field returns the matrix's field.
 func (m *SlicedMatrix) Field() *gf.GF2m { return m.f }
-
-// Cols returns the number of coefficient columns.
-func (m *SlicedMatrix) Cols() int { return m.cols }
-
-// Extra returns the number of payload symbols per row.
-func (m *SlicedMatrix) Extra() int { return m.extra }
 
 // Words returns the number of words per coefficient plane.
 func (m *SlicedMatrix) Words() int { return m.words }

@@ -137,7 +137,7 @@ func testSlicedMatchesRankMatrix(t *testing.T) {
 			// Solve preserves the row space: a combination of old rows is
 			// still unhelpful, a fresh unit row outside the space is caught
 			// consistently.
-			if slc.WouldHelp(slc.Row(0).Clone()) {
+			if slc.WouldHelp(append(SlicedVec(nil), slc.Row(0)...)) {
 				t.Fatal("row space changed by Solve")
 			}
 		})
@@ -152,7 +152,7 @@ func TestSlicedMatrixRejectsDependentRows(t *testing.T) {
 	row := make([]byte, 10)
 	row[3] = 7
 	v := packBytes(f, row)
-	if !m.AddOwned(v.Clone(), nil) {
+	if !m.AddOwned(append(SlicedVec(nil), v...), nil) {
 		t.Fatal("first row must be helpful")
 	}
 	// Any scalar multiple reduces to zero.

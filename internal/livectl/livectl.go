@@ -41,12 +41,15 @@ type Options struct {
 	// split across them in contiguous blocks.
 	Procs int
 	// ByzantineProcs launches the LAST this-many processes with
-	// -chaos-corrupt 1: every frame they send is structurally corrupt, the
-	// live-deployment twin of the simulator's polluting adversary. Their
-	// nodes still receive honestly (inbound is untouched), so the whole
-	// deployment — Byzantine nodes included — can converge as long as
-	// every message is seeded at an honest process (SeedRoundRobin does
-	// this automatically).
+	// -chaos-corrupt 1: every frame they send is structurally corrupt and
+	// dies at the receiver's screens, the live-deployment twin of the
+	// simulator's polluting adversary. Their nodes still receive honestly
+	// (inbound is untouched), so a Byzantine-hosted node with an honest
+	// neighbour completes too — but one whose neighbours all sit on
+	// Byzantine processes never hears a usable frame. The honest nodes
+	// converge as long as every message is seeded at an honest process
+	// (SeedRoundRobin does this automatically) and the honest nodes stay
+	// connected through honest nodes; WaitConverged waits for them alone.
 	ByzantineProcs int
 	// Stderr receives every daemon's stderr (default os.Stderr).
 	Stderr io.Writer
@@ -430,31 +433,53 @@ func (c *Cluster) Status(ctx context.Context) ([]daemon.StatusResponse, error) {
 	return gather[daemon.StatusResponse](ctx, c, http.MethodGet, "/status", nil)
 }
 
-// WaitConverged polls until every node of every process reports full
-// rank, returning the deployment's stopping time: the maximum DoneTick
-// over all nodes (one tick approximates one synchronous round).
-func (c *Cluster) WaitConverged(ctx context.Context) (int, error) {
-	maxTick := 0
+// Convergence is what WaitConverged observed when it returned.
+type Convergence struct {
+	// Tick is the deployment's stopping time: the maximum DoneTick over the
+	// nodes hosted by honest processes (one tick approximates one
+	// synchronous round) — what the simulator's E18 measures for an
+	// adversarial population.
+	Tick int
+	// ByzantineDone of the ByzantineNodes hosted by Byzantine processes
+	// were at full rank at that moment. They are reported, not waited for:
+	// such a node hears nothing usable from its own process, so one whose
+	// neighbours are all hosted there never completes.
+	ByzantineDone, ByzantineNodes int
+}
+
+// WaitConverged polls until every node hosted by an honest process reports
+// full rank, and returns the stopping time beside the state of the
+// Byzantine-hosted nodes.
+func (c *Cluster) WaitConverged(ctx context.Context) (Convergence, error) {
+	var conv Convergence
 	poll := ctlhttp.Retry{First: 250 * time.Millisecond, Fatal: func(err error) bool { return err != errConverging }}
 	err := poll.Do(ctx, func() error {
 		all, err := c.Status(ctx)
 		if err != nil {
 			return err
 		}
-		for _, st := range all {
-			if !st.Done {
-				return errConverging
-			}
+		conv = Convergence{}
+		for i, st := range all {
 			for _, n := range st.Nodes {
-				maxTick = max(maxTick, n.DoneTick)
+				switch {
+				case c.procs[i].byz:
+					conv.ByzantineNodes++
+					if n.Done {
+						conv.ByzantineDone++
+					}
+				case !n.Done:
+					return errConverging
+				default:
+					conv.Tick = max(conv.Tick, n.DoneTick)
+				}
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, fmt.Errorf("livectl: convergence: %w", err)
+		return Convergence{}, fmt.Errorf("livectl: convergence: %w", err)
 	}
-	return maxTick, nil
+	return conv, nil
 }
 
 // errConverging is WaitConverged's "not yet".

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,9 +83,10 @@ func TestAttachDrivesDeployment(t *testing.T) {
 	if err := c.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tick, err := c.WaitConverged(ctx)
-	if err != nil || tick < 1 {
-		t.Fatalf("converged at tick %d, %v", tick, err)
+	conv, err := c.WaitConverged(ctx)
+	tick := conv.Tick
+	if err != nil || tick < 1 || conv.ByzantineNodes != 0 {
+		t.Fatalf("converged at %+v, %v", conv, err)
 	}
 	status, err := c.Status(ctx)
 	if err != nil {
@@ -179,12 +181,65 @@ func TestSeedRoundRobinSkipsByzantine(t *testing.T) {
 			}
 		}
 	}
-	// The Byzantine half still receives honestly, so everyone converges.
+	// The honest half converges on its own; of the Byzantine half, nodes
+	// 3 and 5 have an honest ring neighbour and can complete, node 4 hears
+	// only corrupted frames and never does.
 	if err := c.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitConverged(ctx); err != nil {
+	conv, err := c.WaitConverged(ctx)
+	if err != nil || conv.Tick < 1 || conv.ByzantineNodes != 3 || conv.ByzantineDone > 2 {
+		t.Fatalf("converged at %+v, %v", conv, err)
+	}
+	text, err := c.Metrics(ctx, 1)
+	if err != nil || !strings.Contains(text, `algossip_node_rank{node="4"} 0`+"\n") {
+		t.Fatalf("node 4 hears only Byzantine neighbours and was seeded nothing, yet (%v):\n%s", err, text)
+	}
+}
+
+// TestWaitConvergedIgnoresByzantineHosts: the stopping time is the last
+// honest-hosted node's DoneTick, and a Byzantine process whose nodes never
+// complete does not hold WaitConverged up — it is reported beside the tick.
+func TestWaitConvergedIgnoresByzantineHosts(t *testing.T) {
+	fake := func(corrupt float64, nodes ...daemon.NodeStatus) string {
+		mux := http.NewServeMux()
+		ctlhttp.HandleBare(mux, "GET /status", "", func() (any, error) {
+			return daemon.StatusResponse{Nodes: nodes}, nil
+		})
+		ctlhttp.Handle(mux, "POST /chaos", "", func(daemon.ChaosRequest) (any, error) {
+			return daemon.ChaosState{CorruptRate: corrupt}, nil
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return strings.TrimPrefix(srv.URL, "http://")
+	}
+	honest := fake(0,
+		daemon.NodeStatus{ID: 0, K: 3, Rank: 3, Done: true, DoneTick: 7},
+		daemon.NodeStatus{ID: 1, K: 3, Rank: 3, Done: true, DoneTick: 12})
+	byzantine := fake(1,
+		daemon.NodeStatus{ID: 2, K: 3, Rank: 3, Done: true, DoneTick: 40},
+		daemon.NodeStatus{ID: 3, K: 3, Rank: 0})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := Attach(ctx, honest, byzantine)
+	if err != nil {
 		t.Fatal(err)
+	}
+	conv, err := c.WaitConverged(ctx)
+	if want := (Convergence{Tick: 12, ByzantineDone: 1, ByzantineNodes: 2}); err != nil || conv != want {
+		t.Fatalf("WaitConverged = %+v, %v; want %+v", conv, err, want)
+	}
+
+	// An honest node still short of full rank is waited for.
+	lagging := fake(0, daemon.NodeStatus{ID: 4, K: 3, Rank: 2})
+	c, err = Attach(ctx, honest, lagging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, stop := context.WithTimeout(ctx, 600*time.Millisecond)
+	defer stop()
+	if conv, err := c.WaitConverged(short); err == nil {
+		t.Fatalf("WaitConverged returned %+v with an honest node at rank 2 of 3", conv)
 	}
 }
 

@@ -367,10 +367,8 @@ func (s *Store) Close() error {
 // FromResultSet converts a finished harness run into store records — the
 // ingest path shared by cmd/sweep (-store) and the fabric coordinator.
 func FromResultSet(rs *harness.ResultSet) []Record {
-	q := rs.Spec.Q
-	if q == 0 {
-		q = 2 // GossipSpec.Normalize's default field
-	}
+	// The field the trials ran over: the spec's, through the one default.
+	q := harness.GossipSpec{Q: rs.Spec.Q}.Normalize().Q
 	dyn := ""
 	if !rs.Spec.Dynamics.IsStatic() {
 		dyn = rs.Spec.Dynamics.String()

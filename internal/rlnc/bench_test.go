@@ -178,7 +178,7 @@ func BenchmarkScreenFlood(b *testing.B) {
 		{"rlnc-zero", &zero},
 		{"rlnc-width", &width},
 	}
-	sink := MustNewNode(src.Config())
+	sink := MustNewNode(src.cfg)
 	for _, c := range cases {
 		c := c
 		b.Run(c.name, func(b *testing.B) {

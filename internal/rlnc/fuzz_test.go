@@ -220,7 +220,7 @@ func FuzzReceive(f *testing.F) {
 // came before must not have corrupted the decoder.
 func topUp(t *testing.T, n, src *Node, seed uint64) {
 	t.Helper()
-	cfg := src.Config()
+	cfg := src.cfg
 	rng := core.NewRand(seed)
 	for i := 0; i < cfg.K; i++ {
 		src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Field, cfg.PayloadLen, rng)})

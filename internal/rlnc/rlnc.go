@@ -263,9 +263,6 @@ func MustNewNode(cfg Config) *Node {
 	return n
 }
 
-// Config returns the node's configuration.
-func (n *Node) Config() Config { return n.cfg }
-
 // BitMode reports whether this node uses the packed GF(2) backend (its
 // packets carry Bits instead of Coeffs).
 func (n *Node) BitMode() bool { return n.bit != nil }
@@ -524,9 +521,10 @@ func (n *Node) Receive(p *Packet) bool { return n.receive(p, false) }
 func (n *Node) ReceiveOwned(p *Packet) bool { return n.receive(p, true) }
 
 // receive screens p — malformed packets (wrong coefficient or payload
-// width, a byte that is no field symbol) can arrive from the network and
-// are rejected instead of letting the eliminator panic — and hands it to
-// the backend, which may clobber the packet's arrays only when owned.
+// width, payload symbols at a rank-only node, a byte that is no field
+// symbol) can arrive from the network and are rejected instead of letting
+// the eliminator panic — and hands it to the backend, which may clobber
+// the packet's arrays only when owned.
 func (n *Node) receive(p *Packet, owned bool) bool {
 	if p == nil || p.Corrupt || p.IsZero() {
 		return false
@@ -538,11 +536,12 @@ func (n *Node) receive(p *Packet, owned bool) bool {
 		if !n.validSliced(p.Sliced) {
 			return false
 		}
+		ps := n.slc.PayStride()
+		if len(p.SlicedPay) != ps {
+			return false // malformed payload width (a rank-only node takes none)
+		}
 		var pay linalg.SlicedVec
-		if ps := n.slc.PayStride(); ps > 0 {
-			if len(p.SlicedPay) != ps {
-				return false // malformed payload width
-			}
+		if ps > 0 {
 			pay = p.SlicedPay
 		}
 		if owned {
@@ -559,8 +558,8 @@ func (n *Node) receive(p *Packet, owned bool) bool {
 			return false
 		}
 		extra := n.cfg.extra()
-		if extra > 0 && (len(p.Payload) != extra || !n.validSymbols(p.Payload)) {
-			return false
+		if len(p.Payload) != extra || extra > 0 && !n.validSymbols(p.Payload) {
+			return false // rank-only: extra is 0 and a packet carrying payload is malformed
 		}
 		bits, pay := p.Bits, p.Payload[:extra]
 		if !owned {
@@ -591,13 +590,14 @@ func (n *Node) receive(p *Packet, owned bool) bool {
 
 // screenGeneric is the generic backend's malformed-packet screen: exact
 // coefficient and payload widths and every byte a field symbol. It
-// returns the payload row to eliminate (nil in rank-only mode).
+// returns the payload row to eliminate (nil in rank-only mode, whose
+// payload width is 0: a packet that carries payload symbols is malformed).
 func (n *Node) screenGeneric(p *Packet) (payload []byte, ok bool) {
 	if len(p.Coeffs) != n.cfg.K || !n.validSymbols(gf.AsBytes(p.Coeffs)) {
 		return nil, false
 	}
 	if n.cfg.RankOnly {
-		return nil, true
+		return nil, len(p.Payload) == 0
 	}
 	if len(p.Payload) != n.cfg.PayloadLen || !n.validSymbols(p.Payload) {
 		return nil, false
@@ -720,7 +720,7 @@ func (n *Node) Adapt(p *Packet) *Packet {
 			return nil // a bit-mode packet can only come from a mismatched field
 		}
 		extra := n.cfg.extra()
-		if extra > 0 && len(p.Payload) != extra {
+		if len(p.Payload) != extra {
 			return nil // screened before any row is allocated or packed
 		}
 		f := n.slc.Field()

@@ -12,20 +12,6 @@ import (
 	"algossip/internal/gf"
 )
 
-// PartitionWindow schedules one network partition in advance: from Start
-// to Stop (measured from the transport's construction), every envelope
-// addressed to one of Nodes is silently dropped. Windows let a test or a
-// chaos recipe script "partition at t=2s, heal at t=5s" without an
-// orchestrator in the loop; for interactive control use SetPartition/Heal.
-type PartitionWindow struct {
-	// Start is the window's opening edge, relative to construction.
-	Start time.Duration
-	// Stop is the closing edge (exclusive); Stop <= Start never fires.
-	Stop time.Duration
-	// Nodes are the destinations cut off during the window.
-	Nodes []core.NodeID
-}
-
 // ChaosConfig sets the initial degradation injected by a ChaosTransport.
 // Every knob can also be changed mid-run through the Set* methods (the
 // daemon's /chaos endpoint does exactly that).
@@ -47,8 +33,6 @@ type ChaosConfig struct {
 	CorruptRate float64
 	// Seed roots the drop, jitter and corruption randomness.
 	Seed uint64
-	// Partitions optionally schedules partitions in advance.
-	Partitions []PartitionWindow
 }
 
 // delayed is one envelope in flight through the latency stage, stamped
@@ -59,11 +43,11 @@ type delayed struct {
 }
 
 // ChaosTransport wraps another Transport with controllable degradation:
-// i.i.d. drops, per-envelope latency with jitter, scheduled or interactive
-// partitions, and structural frame corruption. It is the one
-// failure-injection layer, for validating that coded gossip converges when
-// the network misbehaves — loss and latency only dilate time, partitions
-// heal, and corrupt packets die at the receiver's screens.
+// i.i.d. drops, per-envelope latency with jitter, interactive partitions,
+// and structural frame corruption. It is the one failure-injection layer,
+// for validating that coded gossip converges when the network misbehaves —
+// loss and latency only dilate time, partitions heal, and corrupt packets
+// die at the receiver's screens.
 //
 // Partition semantics: the transport sees only the destination of a Send,
 // so a partition isolates its nodes on the inbound side — everything
@@ -73,7 +57,6 @@ type delayed struct {
 // is what gossipctl's partition orchestration does.
 type ChaosTransport struct {
 	inner Transport
-	epoch time.Time
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -81,7 +64,6 @@ type ChaosTransport struct {
 	latency time.Duration
 	jitter  time.Duration
 	corrupt float64
-	windows []PartitionWindow
 	parts   map[core.NodeID]bool
 	nCut    uint64
 	nMangle uint64
@@ -104,13 +86,11 @@ func NewChaosTransport(inner Transport, cfg ChaosConfig) (*ChaosTransport, error
 	}
 	return &ChaosTransport{
 		inner:   inner,
-		epoch:   time.Now(),
 		rng:     core.NewRand(cfg.Seed),
 		drop:    cfg.DropRate,
 		latency: cfg.Latency,
 		jitter:  cfg.Jitter,
 		corrupt: cfg.CorruptRate,
-		windows: cfg.Partitions,
 		parts:   make(map[core.NodeID]bool),
 		drops:   newCounters(),
 	}, nil
@@ -175,7 +155,7 @@ func (t *ChaosTransport) Send(ctx context.Context, to core.NodeID, env Envelope)
 		return err
 	}
 	t.mu.Lock()
-	cut := t.cutLocked(to)
+	cut := t.parts[to]
 	if cut {
 		t.nCut++
 	}
@@ -195,30 +175,6 @@ func (t *ChaosTransport) Send(ctx context.Context, to core.NodeID, env Envelope)
 		env = corruptEnvelope(env, mr)
 	}
 	return t.inner.Send(ctx, to, env)
-}
-
-// cutLocked reports whether destination to is currently partitioned,
-// either interactively (SetPartition) or by a scheduled window. Callers
-// hold t.mu.
-func (t *ChaosTransport) cutLocked(to core.NodeID) bool {
-	if t.parts[to] {
-		return true
-	}
-	if len(t.windows) == 0 {
-		return false
-	}
-	elapsed := time.Since(t.epoch)
-	for _, w := range t.windows {
-		if elapsed < w.Start || elapsed >= w.Stop {
-			continue
-		}
-		for _, id := range w.Nodes {
-			if id == to {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // SetLatency replaces the latency profile for envelopes stamped from now
@@ -254,12 +210,10 @@ func (t *ChaosTransport) SetPartition(nodes []core.NodeID) {
 	t.mu.Unlock()
 }
 
-// Heal lifts every partition: the interactive set and all scheduled
-// windows (a healed partition does not reopen).
+// Heal lifts every partition.
 func (t *ChaosTransport) Heal() {
 	t.mu.Lock()
 	t.parts = make(map[core.NodeID]bool)
-	t.windows = nil
 	t.mu.Unlock()
 }
 
@@ -277,7 +231,7 @@ func (t *ChaosTransport) CorruptRate() float64 {
 	return t.corrupt
 }
 
-// Partitioned returns the interactively partitioned destinations, sorted.
+// Partitioned returns the partitioned destinations, sorted.
 func (t *ChaosTransport) Partitioned() []core.NodeID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -324,9 +278,11 @@ func (t *ChaosTransport) Stats() TransportStats {
 // coefficient or payload symbol truncated or appended, chosen by r. The
 // slices are copied first — the caller's envelope may alias live protocol
 // state. Length mutations (never value flips) guarantee the receiver's
-// width screens reject the packet: a flipped symbol would still be a
-// valid, possibly even innovative, combination, which is camouflage, not
-// corruption.
+// width screens reject the packet — a rank-only receiver's payload width
+// is 0, so a payload byte appended to its frames is as wrong as one cut
+// from a payload frame (TestCorruptedFramesNeverHelp): a flipped symbol
+// would still be a valid, possibly even innovative, combination, which is
+// camouflage, not corruption.
 func corruptEnvelope(env Envelope, r uint64) Envelope {
 	env.Coeffs = append([]gf.Elem(nil), env.Coeffs...)
 	env.Payload = append([]byte(nil), env.Payload...)

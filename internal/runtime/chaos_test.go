@@ -2,11 +2,14 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"algossip/internal/core"
+	"algossip/internal/gf"
 	"algossip/internal/graph"
+	"algossip/internal/rlnc"
 )
 
 // TestChaosLatencyDelays: with a pure latency profile every envelope
@@ -109,42 +112,6 @@ func TestChaosPartitionAndHeal(t *testing.T) {
 	}
 }
 
-// TestChaosScheduledPartition: a pre-scheduled window cuts traffic only
-// while it is open, with no orchestrator in the loop.
-func TestChaosScheduledPartition(t *testing.T) {
-	tr, err := NewChaosTransport(NewChanTransport(), ChaosConfig{
-		Partitions: []PartitionWindow{{Start: 0, Stop: 80 * time.Millisecond, Nodes: []core.NodeID{1}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	inbox, err := tr.Register(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Send(context.Background(), 1, sampleEnvelope()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case env := <-inbox:
-		t.Fatalf("envelope %+v crossed an open partition window", env)
-	case <-time.After(20 * time.Millisecond):
-	}
-	time.Sleep(100 * time.Millisecond) // window closes on its own
-	if err := tr.Send(context.Background(), 1, sampleEnvelope()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inbox:
-	case <-time.After(5 * time.Second):
-		t.Fatal("envelope never arrived after the window closed")
-	}
-	if got := tr.Cut(); got != 1 {
-		t.Fatalf("Cut() = %d, want 1", got)
-	}
-}
-
 // TestChaosCorruptionIsStructural: at rate 1 every delivered envelope has
 // a coefficient or payload length that differs from the original — the
 // exact property the receiver's width screens reject on — and the
@@ -181,6 +148,76 @@ func TestChaosCorruptionIsStructural(t *testing.T) {
 	}
 	if got := tr.Corrupted(); got != sends {
 		t.Fatalf("Corrupted() = %d, want %d", got, sends)
+	}
+}
+
+// TestCorruptedFramesNeverHelp: whatever corruptEnvelope does to a frame,
+// no decoder accepts it — rank-only or payload, whole-k or generations, on
+// the vector tiers' byte rows and the scalar tier's bit-sliced ones. The
+// sender holds everything and each receiver nothing, so the same frame
+// uncorrupted always helps: the control counts that, and the four arms
+// must leave the rank at 0.
+func TestCorruptedFramesNeverHelp(t *testing.T) {
+	host := gf.ActiveTier()
+	defer func() { _ = gf.SetTier(host) }()
+	const k = 6
+	for _, tier := range []gf.Tier{host, gf.TierScalar} {
+		for _, q := range []int{2, 16, 256} {
+			for _, payload := range []int{0, 5} {
+				for _, genSize := range []int{0, 3} {
+					cfg := Config{Field: gf.MustNew(q), K: k, PayloadLen: payload, GenSize: genSize}
+					// The decoder's row layout is chosen from the tier at
+					// construction.
+					if err := gf.SetTier(tier); err != nil {
+						t.Fatal(err)
+					}
+					sender, err := cfg.newDecoder()
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("tier=%v/q=%d/payload=%d/gen=%d", tier, q, payload, genSize)
+					rng := core.NewRand(uint64(q + payload))
+					for i := 0; i < k; i++ {
+						msg := rlnc.Message{Index: i}
+						if payload > 0 {
+							msg.Payload = gf.RandBytes(cfg.Field, payload, rng)
+						}
+						sender.Seed(msg)
+					}
+					helped := 0
+					for trial := 0; trial < 40; trial++ {
+						var env Envelope
+						if !emit(sender, rng, &rlnc.GenPacket{}, &env) {
+							t.Fatalf("%s: full-rank sender emitted nothing", name)
+						}
+						for arm := uint64(0); arm < 5; arm++ {
+							recv, err := cfg.newDecoder()
+							if err != nil {
+								t.Fatal(err)
+							}
+							frame := env
+							if arm < 4 {
+								frame = corruptEnvelope(env, arm)
+							} else { // the control: ingest clobbers, so it gets a copy too
+								frame.Coeffs = append([]gf.Elem(nil), env.Coeffs...)
+								frame.Payload = append([]byte(nil), env.Payload...)
+							}
+							ingest(recv, &frame)
+							switch rank := recv.Rank(); {
+							case arm < 4 && rank != 0:
+								t.Fatalf("%s: corruption arm %d was accepted (rank %d): coeffs %d, payload %d symbols",
+									name, arm, rank, len(frame.Coeffs), len(frame.Payload))
+							case arm == 4:
+								helped += rank
+							}
+						}
+					}
+					if helped == 0 {
+						t.Fatalf("%s: the uncorrupted control never helped; the test proves nothing", name)
+					}
+				}
+			}
+		}
 	}
 }
 

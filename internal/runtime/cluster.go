@@ -320,9 +320,6 @@ func newCluster(transport Transport, g *graph.Graph, origin core.NodeID, k int, 
 	return c, nil
 }
 
-// Config returns the validated deployment configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // node fetches a local node or fails.
 func (c *Cluster) node(v core.NodeID) (*clusterNode, error) {
 	n, ok := c.nodes[v]

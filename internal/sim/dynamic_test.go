@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"math/bits"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"algossip/internal/core"
@@ -17,7 +21,6 @@ type flipSchedule struct {
 }
 
 func (s *flipSchedule) Name() string { return "flip" }
-func (s *flipSchedule) N() int       { return s.a.N() }
 func (s *flipSchedule) At(round int) *graph.Graph {
 	if round < s.flipAt {
 		return s.a
@@ -78,6 +81,91 @@ func TestDynamicEngineAsyncEventAtRoundBoundary(t *testing.T) {
 	if len(p.events) != 2 || p.events[0].Round != 0 || p.events[0].Graph != a ||
 		p.events[1].Round != 2 || p.events[1].Graph != b {
 		t.Fatalf("async events = %+v, want round-0 alignment then a flip at round 2", p.events)
+	}
+}
+
+// boundaryProbe holds the engine to TopologyAware's contract: it notes
+// whether a round is open — BeginRound seen, EndRound or CommitRound not
+// yet — and how many wakeups there were, and reports any event that
+// arrives inside a round or, which also covers the asynchronous model, off
+// a wakeup count that starts one.
+type boundaryProbe struct {
+	n         int
+	open      bool
+	wakes     atomic.Int64
+	words     []uint64
+	events    int
+	violation string
+}
+
+func (p *boundaryProbe) Name() string          { return "boundary-probe" }
+func (p *boundaryProbe) OnWake(core.NodeID)    { p.wakes.Add(1) }
+func (p *boundaryProbe) BeginRound(int)        { p.open = true }
+func (p *boundaryProbe) EndRound(int)          { p.open = false }
+func (p *boundaryProbe) CommitRound(int)       { p.open = false }
+func (p *boundaryProbe) Done() bool            { return false }
+func (p *boundaryProbe) ActiveWords() []uint64 { return p.words }
+func (p *boundaryProbe) WakeShard(lo, hi int) {
+	for w := lo; w < hi; w++ {
+		p.wakes.Add(int64(bits.OnesCount64(p.words[w])))
+	}
+}
+
+func (p *boundaryProbe) OnTopologyChange(ev TopologyEvent) {
+	p.events++
+	wakes := int(p.wakes.Load())
+	switch {
+	case p.open:
+		p.violation = fmt.Sprintf("event for round %d arrived inside an open round", ev.Round)
+	case wakes != ev.Round*p.n:
+		p.violation = fmt.Sprintf("event for round %d arrived after %d wakeups, want %d·%d", ev.Round, wakes, ev.Round, p.n)
+	}
+}
+
+// TestTopologyEventsOnlyBetweenRounds: over every schedule kind, both time
+// models and the sharded executor, a topology event reaches the protocol
+// only at a round boundary — never between BeginRound and the EndRound or
+// CommitRound that applies the round's staged deliveries, and in the
+// asynchronous model only on a slot that starts a round. Protocols rely on
+// this (sim.TopologyAware) instead of filtering what they staged.
+func TestTopologyEventsOnlyBetweenRounds(t *testing.T) {
+	base := graph.Torus(12, 12) // 144 nodes: three bitmap words to shard
+	n := base.N()
+	schedules := map[string]func() graph.Dynamic{
+		"edge":   func() graph.Dynamic { return graph.NewEdgeFailures(base, 0.3, 5) },
+		"burst":  func() graph.Dynamic { return graph.NewBurstFailures(base, 0.6, 8, 3, 5) },
+		"rewire": func() graph.Dynamic { return graph.NewRewire(base, 0.25, 4, 5) },
+		"churn":  func() graph.Dynamic { return graph.NewChurn(base, 0.2, 4, 5) },
+		"grow":   func() graph.Dynamic { return graph.NewGrow(n, 2, 1, 5) },
+		"flip": func() graph.Dynamic {
+			return &flipSchedule{a: base, b: graph.Ring(n), flipAt: 7, resets: map[int][]core.NodeID{9: {1, 2}}}
+		},
+	}
+	type mode struct {
+		model  core.TimeModel
+		shards int
+	}
+	for kind, build := range schedules {
+		for _, m := range []mode{{core.Synchronous, 0}, {core.Synchronous, 2}, {core.Asynchronous, 0}} {
+			p := &boundaryProbe{n: n}
+			if m.shards > 0 {
+				p.words = make([]uint64, (n+63)/64)
+				for v := 0; v < n; v++ {
+					p.words[v/64] |= 1 << (v % 64)
+				}
+			}
+			_, err := NewDynamic(build(), m.model, p, 3, WithMaxRounds(24), WithShards(m.shards)).Run()
+			if !errors.Is(err, ErrRoundLimit) {
+				t.Fatalf("%s/%s/shards=%d: %v, want the round limit", kind, m.model, m.shards, err)
+			}
+			if p.violation != "" {
+				t.Errorf("%s/%s/shards=%d: %s", kind, m.model, m.shards, p.violation)
+			}
+			if p.events < 2 {
+				t.Errorf("%s/%s/shards=%d: %d topology events in 24 rounds; the schedule never changed",
+					kind, m.model, m.shards, p.events)
+			}
+		}
 	}
 }
 

@@ -93,12 +93,7 @@ type ShardedProtocol interface {
 	CommitRound(round int)
 }
 
-// TopologyEvent describes one topology transition of a dynamic run. The
-// engine delivers it at a round boundary (before BeginRound in the
-// synchronous model; at a slot that starts a round in the asynchronous
-// model), where no staged deliveries are normally in flight; protocols
-// still filter their staged sends through Deliverable so that direct or
-// mid-round invocations of the hook stay safe.
+// TopologyEvent describes one topology transition of a dynamic run.
 type TopologyEvent struct {
 	// Round is the first round the new topology is in force.
 	Round int
@@ -117,28 +112,22 @@ func (ev TopologyEvent) Retarget(sel PartnerSelector) {
 	}
 }
 
-// Deliverable reports whether a staged send from->to survives the
-// transition: the edge still exists and neither endpoint was reset.
-// Every protocol's staged-delivery filter shares this rule.
-func (ev TopologyEvent) Deliverable(from, to core.NodeID) bool {
-	if !ev.Graph.HasEdge(from, to) {
-		return false
-	}
-	for _, v := range ev.Reset {
-		if v == from || v == to {
-			return false
-		}
-	}
-	return true
-}
-
 // TopologyAware is an optional Protocol extension for dynamic-topology
 // runs: the engine calls OnTopologyChange whenever the schedule's graph
 // changes or churned nodes rejoin. Protocols that implement it must
-// re-target their partner selection to the event's graph and drop any
-// staged sends the new topology can no longer carry; coded protocols
-// keep every surviving node's subspace (a smaller graph never invalidates
-// received equations).
+// re-target their partner selection to the event's graph and restart the
+// reset nodes; coded protocols keep every surviving node's subspace (a
+// smaller graph never invalidates received equations).
+//
+// A topology changes between rounds; nothing is staged. The engine
+// delivers an event once before round 0 and then only at a round boundary
+// — before BeginRound in the synchronous model, after the previous round's
+// EndRound or CommitRound applied every staged delivery; at a slot that
+// starts a round in the asynchronous model, where deliveries apply at once
+// — so an implementation has no in-flight packet to reconcile with the
+// new graph, and a packet counted as sent always meets its verdict. The
+// engine holds this contract (TestTopologyEventsOnlyBetweenRounds);
+// protocols do not re-check it.
 type TopologyAware interface {
 	OnTopologyChange(ev TopologyEvent)
 }

@@ -1,14 +1,11 @@
 // Package trace records per-node protocol progress for post-hoc analysis:
-// which node completed at which round, the completion CDF, and CSV export
-// for plotting the paper's per-node dissemination curves.
+// which node completed at which round, condensed into the quantiles of the
+// paper's per-node dissemination curves (experiment E14).
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"sync"
 
 	"algossip/internal/core"
@@ -51,13 +48,6 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // CompletionRounds returns the sorted completion rounds.
 func (r *Recorder) CompletionRounds() []float64 {
 	events := r.Events()
@@ -77,43 +67,4 @@ func (r *Recorder) Summary() (stats.Summary, error) {
 		return stats.Summary{}, fmt.Errorf("trace: no events recorded")
 	}
 	return stats.Summarize(rounds), nil
-}
-
-// CDF returns (round, fraction-complete) pairs: after `round` rounds,
-// `fraction` of the nodes had completed. Useful for plotting dissemination
-// curves.
-func (r *Recorder) CDF() []struct {
-	Round    int
-	Fraction float64
-} {
-	rounds := r.CompletionRounds()
-	type point = struct {
-		Round    int
-		Fraction float64
-	}
-	var out []point
-	n := len(rounds)
-	for i, rd := range rounds {
-		if len(out) > 0 && out[len(out)-1].Round == int(rd) {
-			out[len(out)-1].Fraction = float64(i+1) / float64(n)
-			continue
-		}
-		out = append(out, point{Round: int(rd), Fraction: float64(i+1) / float64(n)})
-	}
-	return out
-}
-
-// WriteCSV writes "node,round" rows in arrival order.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"node", "round"}); err != nil {
-		return err
-	}
-	for _, e := range r.Events() {
-		if err := cw.Write([]string{strconv.Itoa(int(e.Node)), strconv.Itoa(e.Round)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

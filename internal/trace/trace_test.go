@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -15,14 +14,14 @@ import (
 
 func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder()
-	if r.Len() != 0 {
+	if len(r.Events()) != 0 {
 		t.Fatal("fresh recorder not empty")
 	}
 	r.NodeDone(3, 5)
 	r.NodeDone(1, 2)
 	r.NodeDone(2, 5)
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
+	if got := len(r.Events()); got != 3 {
+		t.Fatalf("%d events recorded, want 3", got)
 	}
 	rounds := r.CompletionRounds()
 	want := []float64{2, 5, 5}
@@ -46,36 +45,6 @@ func TestSummaryEmpty(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	r := NewRecorder()
-	r.NodeDone(0, 1)
-	r.NodeDone(1, 1)
-	r.NodeDone(2, 4)
-	cdf := r.CDF()
-	if len(cdf) != 2 {
-		t.Fatalf("CDF = %+v", cdf)
-	}
-	if cdf[0].Round != 1 || cdf[0].Fraction < 0.66 || cdf[0].Fraction > 0.67 {
-		t.Fatalf("CDF[0] = %+v", cdf[0])
-	}
-	if cdf[1].Round != 4 || cdf[1].Fraction != 1 {
-		t.Fatalf("CDF[1] = %+v", cdf[1])
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	r := NewRecorder()
-	r.NodeDone(7, 3)
-	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "node,round") || !strings.Contains(out, "7,3") {
-		t.Fatalf("CSV output:\n%s", out)
-	}
-}
-
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRecorder()
 	var wg sync.WaitGroup
@@ -87,8 +56,8 @@ func TestConcurrentRecording(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if r.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", r.Len())
+	if got := len(r.Events()); got != 50 {
+		t.Fatalf("%d events recorded, want 50", got)
 	}
 }
 
@@ -111,8 +80,8 @@ func TestRecorderWiredIntoProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() != g.N() {
-		t.Fatalf("recorded %d completions, want %d", rec.Len(), g.N())
+	if got := len(rec.Events()); got != g.N() {
+		t.Fatalf("recorded %d completions, want %d", got, g.N())
 	}
 	s, err := rec.Summary()
 	if err != nil {
@@ -123,15 +92,4 @@ func TestRecorderWiredIntoProtocol(t *testing.T) {
 	if int(s.Max) > res.Rounds {
 		t.Fatalf("last completion at round %v, engine reported %d", s.Max, res.Rounds)
 	}
-	cdf := r0cdf(rec)
-	if cdf[len(cdf)-1].Fraction != 1 {
-		t.Fatal("CDF must end at 1")
-	}
-}
-
-func r0cdf(r *Recorder) []struct {
-	Round    int
-	Fraction float64
-} {
-	return r.CDF()
 }
