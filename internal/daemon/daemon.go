@@ -445,7 +445,7 @@ func (d *Daemon) mux() *http.ServeMux {
 
 // writeMetrics renders the Prometheus text exposition: transport counters
 // (sends, drops, redials — totals and per destination) and per-node
-// protocol progress (rank, done, ticks ≈ rounds).
+// protocol progress (rank, done, ticks — one round each).
 func (d *Daemon) writeMetrics(w http.ResponseWriter) {
 	s := d.chaos.Stats()
 	fmt.Fprintln(w, "# HELP algossip_sends_total Envelopes handed to the medium.")

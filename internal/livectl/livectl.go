@@ -436,9 +436,10 @@ func (c *Cluster) Status(ctx context.Context) ([]daemon.StatusResponse, error) {
 // Convergence is what WaitConverged observed when it returned.
 type Convergence struct {
 	// Tick is the deployment's stopping time: the maximum DoneTick over the
-	// nodes hosted by honest processes (one tick approximates one
-	// synchronous round) — what the simulator's E18 measures for an
-	// adversarial population.
+	// nodes hosted by honest processes, in rounds (a tick is one
+	// synchronous round and DoneTick is stamped in the simulator's units;
+	// the processes' clocks are not aligned) — what the simulator's E18
+	// measures for an adversarial population.
 	Tick int
 	// ByzantineDone of the ByzantineNodes hosted by Byzantine processes
 	// were at full rank at that moment. They are reported, not waited for:

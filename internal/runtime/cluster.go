@@ -17,8 +17,10 @@ import (
 
 // Observer receives completion callbacks from a running cluster; it is
 // the simulator's observer contract (internal/sim) applied to live
-// deployments, with the node's tick count in the round slot — the staged
-// tick loop below makes one tick comparable to one synchronous round.
+// deployments, with the node's DoneTick in the round slot — a tick is one
+// synchronous round, so that is the simulator's round. Completions during
+// a tick are reported from the tick loop, in node order; a node seeded to
+// full rank is reported from Seed's caller.
 type Observer = sim.Observer
 
 // Config describes a concurrent gossip deployment — the one validated
@@ -38,9 +40,10 @@ type Config struct {
 	// GenSize, when positive, codes the k messages in generations of this
 	// size (classic whole-k coding otherwise).
 	GenSize int
-	// Interval is each node's gossip period (default 1ms). Every tick the
-	// node ingests staged traffic and contacts one partner: a uniformly
-	// random neighbor, or on a tree cluster what TAG's phase prescribes.
+	// Interval is the period of the cluster's one clock (default 1ms).
+	// Each tick is one round: every local node ingests what was staged
+	// for it, then every node contacts one partner — a uniformly random
+	// neighbor, or on a tree cluster what TAG's phase prescribes.
 	Interval time.Duration
 	// Seed roots per-node randomness.
 	Seed uint64
@@ -51,14 +54,14 @@ type Config struct {
 	// Observer, when set, receives NodeDone(v, tick) as local nodes reach
 	// full rank.
 	Observer Observer
-	// ServeAfterDone keeps node goroutines gossiping after Run's local
+	// ServeAfterDone keeps the cluster gossiping after Run's local
 	// completion target is met, until the Run context is cancelled —
 	// required in multi-process deployments where remote nodes still need
 	// this process's packets.
 	ServeAfterDone bool
-	// StartGated holds every node's tick loop until Start is called
-	// (inbound traffic is still served), so a controller can seed all
-	// processes before any of them begins counting ticks.
+	// StartGated holds the cluster's clock until Start is called (inbound
+	// traffic is still served), so a controller can seed all processes
+	// before any of them begins counting ticks.
 	StartGated bool
 }
 
@@ -78,7 +81,7 @@ func WithObserver(obs Observer) Option { return func(c *Config) { c.Observer = o
 // WithField selects the coefficient field (default GF(256)).
 func WithField(f gf.Field) Option { return func(c *Config) { c.Field = f } }
 
-// WithInterval sets the per-node gossip period.
+// WithInterval sets the period of the cluster's clock: one round a tick.
 func WithInterval(d time.Duration) Option { return func(c *Config) { c.Interval = d } }
 
 // WithSeed roots the deployment's randomness.
@@ -92,7 +95,8 @@ func WithLocalNodes(ids ...core.NodeID) Option {
 // WithServeAfterDone keeps nodes serving peers after local completion.
 func WithServeAfterDone() Option { return func(c *Config) { c.ServeAfterDone = true } }
 
-// WithStartGate defers tick loops until Start is called.
+// WithStartGate holds the cluster's clock until Start is called; the
+// nodes answer inbound traffic meanwhile.
 func WithStartGate() Option { return func(c *Config) { c.StartGated = true } }
 
 // build applies defaults and options and validates the result.
@@ -197,51 +201,50 @@ type NodeStatus struct {
 	// Rank and K are the decoder's current and target rank.
 	Rank int `json:"rank"`
 	K    int `json:"k"`
-	// Done reports full rank; DoneTick is the tick at which it happened
-	// (0 for nodes seeded to completion before ticking began).
+	// Done reports full rank; DoneTick is the round in which it happened,
+	// in the simulator's units: tick t commits what round t−1 delivered,
+	// so a node completed by tick t has DoneTick t−1 (0 for a node seeded
+	// to full rank).
 	Done     bool `json:"done"`
 	DoneTick int  `json:"doneTick"`
-	// Ticks counts gossip periods elapsed at this node.
+	// Ticks counts the ticks of the cluster's clock this node took part in.
 	Ticks int `json:"ticks"`
 }
 
-// Cluster is a running set of gossip nodes over a Transport. Every node
-// runs the same loop — stage, ingest, emit, complete — and the deployment's
-// communication model is the one thing that varies: whom a node contacts
-// each tick. A uniform cluster (NewCluster) picks a random neighbor; a tree
-// cluster (NewTAGCluster) runs the paper's TAG, growing a spanning tree
-// from origin and exchanging with the tree parent.
+// Cluster is a set of gossip nodes over a Transport, run by one clock.
+// Each tick is one synchronous round: first every live local node ingests
+// what was staged for it since the last tick, then every live node
+// contacts one partner, in node order. Each node's goroutine only serves
+// its inbox. The communication model is the one thing that varies: whom a
+// node contacts each round. A uniform cluster (NewCluster) picks a random
+// neighbor; a tree cluster (NewTAGCluster) runs the paper's TAG, growing
+// a spanning tree from origin and exchanging with the tree parent.
 type Cluster struct {
 	cfg       Config
 	origin    core.NodeID // the tree's root; NilNode on a uniform cluster
+	transport Transport
 	nodes     map[core.NodeID]*clusterNode
-	order     []core.NodeID
-	doneCh    chan core.NodeID
-	killCh    chan core.NodeID
 	startCh   chan struct{}
 	startOnce sync.Once
 }
 
-// clusterNode is the per-goroutine state.
+// clusterNode is one local node's state. The tick loop, the node's inbox
+// goroutine, the accessors and ApplyTopology share it under mu.
 type clusterNode struct {
-	id        core.NodeID
-	inbox     <-chan Envelope
-	transport Transport
-	interval  time.Duration
-	seed      uint64
-	observer  Observer
-	k         int
-	tree      bool // a TAG node: contact follows the spanning tree
+	id    core.NodeID
+	inbox <-chan Envelope
 
 	mu        sync.Mutex
-	neighbors []core.NodeID // guarded by mu: ApplyTopology swaps it mid-run
+	neighbors []core.NodeID
 	dec       *rlnc.GenNode
-	rng       *rand.Rand     // guarded by mu; drives packet emission
-	pkt       rlnc.GenPacket // guarded by mu; emit's reusable native packet
+	pick      *rand.Rand     // drives partner choice
+	rng       *rand.Rand     // drives packet emission
+	pkt       rlnc.GenPacket // emit's reusable native packet
 	pending   []Envelope     // staged envelopes, ingested at the next tick
 	ticks     int
 	doneTick  int
 	finished  bool
+	dead      bool // killed: no tick, no completion, no answer
 	// Tree state (tree nodes only): a node joins the tree when the first
 	// announcement reaches it, adopting the sender as its parent — the
 	// broadcast-as-STP construction of Section 4.1. The origin starts
@@ -249,8 +252,6 @@ type clusterNode struct {
 	informed bool
 	parent   core.NodeID
 	cursor   int // next neighbor to announce to, round-robin from a seeded start
-
-	doneCh chan<- core.NodeID
 }
 
 // NewCluster builds a cluster of k-message algebraic gossip over the
@@ -278,13 +279,11 @@ func newCluster(transport Transport, g *graph.Graph, origin core.NodeID, k int, 
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		origin:  origin,
-		nodes:   make(map[core.NodeID]*clusterNode, len(cfg.Local)),
-		order:   cfg.Local,
-		doneCh:  make(chan core.NodeID, len(cfg.Local)),
-		killCh:  make(chan core.NodeID, len(cfg.Local)),
-		startCh: make(chan struct{}),
+		cfg:       cfg,
+		origin:    origin,
+		transport: transport,
+		nodes:     make(map[core.NodeID]*clusterNode, len(cfg.Local)),
+		startCh:   make(chan struct{}),
 	}
 	for _, v := range cfg.Local {
 		dec, err := cfg.newDecoder()
@@ -298,19 +297,13 @@ func newCluster(transport Transport, g *graph.Graph, origin core.NodeID, k int, 
 		seed := core.SplitSeed(cfg.Seed, uint64(v))
 		n := &clusterNode{
 			id:        v,
-			neighbors: cfg.Graph.Neighbors(v),
 			inbox:     inbox,
-			transport: transport,
-			interval:  cfg.Interval,
-			seed:      seed,
-			observer:  cfg.Observer,
-			k:         cfg.K,
-			tree:      origin != core.NilNode,
+			neighbors: cfg.Graph.Neighbors(v),
 			dec:       dec,
+			pick:      core.NewRand(seed),
 			rng:       core.NewRand(core.SplitSeed(seed, 1)),
 			informed:  v == origin,
 			parent:    core.NilNode,
-			doneCh:    c.doneCh,
 		}
 		if len(n.neighbors) > 0 {
 			n.cursor = int(seed % uint64(len(n.neighbors)))
@@ -351,7 +344,9 @@ func (c *Cluster) Seed(v core.NodeID, msg rlnc.Message) error {
 			}
 		}
 	}
-	node.notifyDone(node.seedMessage(msg))
+	if node.seedMessage(msg) {
+		c.notifyDone(node)
+	}
 	return nil
 }
 
@@ -421,14 +416,14 @@ func (c *Cluster) Tree() (*graph.Tree, bool) {
 
 // Status snapshots every local node's progress, in ascending node order.
 func (c *Cluster) Status() []NodeStatus {
-	out := make([]NodeStatus, 0, len(c.order))
-	for _, v := range c.order {
+	out := make([]NodeStatus, 0, len(c.cfg.Local))
+	for _, v := range c.cfg.Local {
 		n := c.nodes[v]
 		n.mu.Lock()
 		out = append(out, NodeStatus{
 			ID:       n.id,
 			Rank:     n.dec.Rank(),
-			K:        n.k,
+			K:        c.cfg.K,
 			Done:     n.finished,
 			DoneTick: n.doneTick,
 			Ticks:    n.ticks,
@@ -464,113 +459,94 @@ func (c *Cluster) ApplyTopology(g *graph.Graph) error {
 	return nil
 }
 
-// Kill crashes local node v: its goroutine stops gossiping and the
-// cluster no longer waits for it to complete (churn / failure injection).
-// Any information held only by v is lost unless it already spread. Kill
-// is asynchronous and only takes effect while Run is active.
+// Kill crashes local node v (churn / failure injection): from now on it
+// does not tick, does not complete and does not answer, and Run stops
+// waiting for it unless it had completed already. Any information held
+// only by v is lost unless it already spread. Killing twice is harmless.
 func (c *Cluster) Kill(v core.NodeID) error {
-	if _, err := c.node(v); err != nil {
+	n, err := c.node(v)
+	if err != nil {
 		return err
 	}
-	select {
-	case c.killCh <- v:
-	default: // a node can only die once; drop redundant kills
-	}
+	n.mu.Lock()
+	n.dead = true
+	n.mu.Unlock()
 	return nil
 }
 
-// Start releases the start gate (idempotent). Without WithStartGate, Run
-// calls it automatically.
+// Start releases the start gate, which starts the cluster's clock
+// (idempotent). Without WithStartGate, Run calls it automatically.
 func (c *Cluster) Start() {
 	c.startOnce.Do(func() { close(c.startCh) })
 }
 
-// Run starts all local node goroutines and blocks until every live local
-// node can decode or ctx is cancelled. Nodes keep gossiping until every
-// local node has finished (early finishers still serve their neighbors);
-// with ServeAfterDone they keep serving until ctx is cancelled, and a
-// post-completion cancellation is a clean drain, not an error. It returns
-// the number of local nodes that completed.
+// Run serves every local node's inbox on a goroutine of its own, ticks the
+// cluster's clock from Start on, and blocks until every live local node
+// can decode or ctx is cancelled. Early finishers keep taking part in
+// rounds until every local node has finished; with ServeAfterDone the
+// rounds go on until ctx is cancelled, and a post-completion cancellation
+// is a clean drain, not an error. It returns the number of local nodes
+// that completed.
 func (c *Cluster) Run(ctx context.Context) (int, error) {
 	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var wg sync.WaitGroup
-	nodeCancels := make(map[core.NodeID]context.CancelFunc, len(c.nodes))
-	for _, v := range c.order {
-		nodeCtx, nodeCancel := context.WithCancel(runCtx)
-		nodeCancels[v] = nodeCancel
+	defer wg.Wait()
+	defer cancel() // first: the inbox goroutines stop, then Run waits for them
+	for _, v := range c.cfg.Local {
+		n := c.nodes[v]
 		wg.Add(1)
-		go func(n *clusterNode) {
+		go func() {
 			defer wg.Done()
-			n.run(nodeCtx, c.startCh)
-		}(c.nodes[v])
+			c.serve(runCtx, n)
+		}()
 	}
 	if !c.cfg.StartGated {
 		c.Start()
 	}
-
-	finished := 0
-	target := len(c.nodes)
-	completed := make(map[core.NodeID]bool, target)
-	dead := make(map[core.NodeID]bool)
-	for finished < target {
+	ticker := time.NewTicker(c.cfg.Interval)
+	defer ticker.Stop()
+	var clock <-chan time.Time // nil, never ready, until Start
+	start := c.startCh
+	for {
+		finished, target := c.progress()
+		if finished == target && !c.cfg.ServeAfterDone {
+			return finished, nil
+		}
 		select {
-		case v := <-c.doneCh:
-			if dead[v] {
-				continue // its completion was already written off
-			}
-			completed[v] = true
-			finished++
-		case v := <-c.killCh:
-			if dead[v] {
-				continue
-			}
-			dead[v] = true
-			nodeCancels[v]()
-			if !completed[v] {
-				target--
-			}
 		case <-ctx.Done():
-			cancel()
-			wg.Wait()
+			if finished == target {
+				return finished, nil
+			}
 			return finished, fmt.Errorf("runtime: cluster interrupted with %d/%d nodes complete: %w",
 				finished, target, ctx.Err())
+		case <-start:
+			ticker.Reset(c.cfg.Interval)
+			clock, start = ticker.C, nil
+		case <-clock:
+			c.tick(runCtx)
 		}
 	}
-	if c.cfg.ServeAfterDone {
-		<-ctx.Done()
-	}
-	cancel()
-	wg.Wait()
-	return finished, nil
 }
 
-// run is the node's event loop: stage incoming packets, and on every tick
-// ingest the staged batch then contact one partner. Staged ingestion makes
-// one tick behave like one synchronous simulator round — information
-// received during a tick interval becomes usable at the next tick, not
-// instantly — which is what lets live stopping ticks be gated against
-// simulator round predictions (E17).
-func (n *clusterNode) run(ctx context.Context, start <-chan struct{}) {
-	rng := core.NewRand(n.seed)
-	// Gated phase: serve inbound traffic (staging + replies) but do not
-	// tick, so a controller can seed every process before time starts.
-	for gated := true; gated; {
-		select {
-		case <-ctx.Done():
-			return
-		case env, ok := <-n.inbox:
-			if !ok {
-				return
-			}
-			n.handle(ctx, env)
-		case <-start:
-			gated = false
+// progress counts the local nodes that completed, against the target:
+// the nodes that completed or are still alive.
+func (c *Cluster) progress() (finished, target int) {
+	for _, n := range c.nodes {
+		n.mu.Lock()
+		if n.finished {
+			finished++
 		}
+		if n.finished || !n.dead {
+			target++
+		}
+		n.mu.Unlock()
 	}
-	ticker := time.NewTicker(n.interval)
-	defer ticker.Stop()
+	return finished, target
+}
+
+// serve is node n's goroutine: it hands each inbound envelope to handle
+// until the run ends or the transport closes the inbox.
+func (c *Cluster) serve(ctx context.Context, n *clusterNode) {
 	for {
 		select {
 		case <-ctx.Done():
@@ -579,111 +555,126 @@ func (n *clusterNode) run(ctx context.Context, start <-chan struct{}) {
 			if !ok {
 				return
 			}
-			n.handle(ctx, env)
-		case <-ticker.C:
-			n.tick(ctx, rng)
+			c.handle(ctx, n, env)
 		}
 	}
 }
 
-// handle stages an incoming packet for the next tick and serves the
-// EXCHANGE reply leg immediately — the reply is drawn from pre-ingest
-// state, exactly like the simulator's simultaneous exchange. A tree node
-// adopts its first announcer as parent.
-func (n *clusterNode) handle(ctx context.Context, env Envelope) {
-	if env.Kind == EnvelopeAnnounce {
-		n.mu.Lock()
-		if n.tree && !n.informed {
-			n.informed, n.parent = true, env.From
+// tick is one synchronous round. Every live node first commits what was
+// staged for it — what the previous round delivered — and only then does
+// any node contact a partner, so each request of this round is answered
+// from a state no delivery of this round can change.
+func (c *Cluster) tick(ctx context.Context) {
+	for _, v := range c.cfg.Local {
+		if n := c.nodes[v]; n.commit() {
+			c.notifyDone(n)
 		}
-		n.mu.Unlock()
-		return
 	}
-	if env.Kind == EnvelopePacket && len(env.Coeffs) > 0 {
-		n.mu.Lock()
-		n.pending = append(n.pending, env)
-		n.mu.Unlock()
-	}
-	if env.WantReply {
-		n.sendPacket(ctx, env.From, false)
+	for _, v := range c.cfg.Local {
+		c.contact(ctx, c.nodes[v])
 	}
 }
 
-// tick ingests the staged batch and makes this tick's contact.
-func (n *clusterNode) tick(ctx context.Context, rng *rand.Rand) {
+// commit ingests the staged batch, reporting whether that completed the
+// node.
+func (n *clusterNode) commit() bool {
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.dead {
+		return false
+	}
 	n.ticks++
 	for i := range n.pending {
 		ingest(n.dec, &n.pending[i])
 	}
 	n.pending = n.pending[:0]
-	just := n.checkDoneLocked()
-	peer, announce := n.contactLocked(rng)
-	n.mu.Unlock()
-	n.notifyDone(just)
-	switch {
-	case peer == core.NilNode:
-	case announce:
-		_ = n.transport.Send(ctx, peer, Envelope{Kind: EnvelopeAnnounce, From: n.id})
-	default:
-		n.sendPacket(ctx, peer, true)
-	}
+	return n.checkDoneLocked()
 }
 
-// contactLocked answers the one question the communication model asks:
-// whom does this node contact this tick (NilNode: nobody), and is it a
-// tree announcement rather than an EXCHANGE? It is the live counterpart of
-// sim.PartnerSelector and the only place a uniform and a tree node differ
-// on the sending side. A uniform node exchanges with a random neighbor. A
-// tree node follows the paper's wakeup parity: odd ticks are Phase 1 (an
-// informed node announces the tree to its next neighbor, round-robin),
-// even ticks are Phase 2 (EXCHANGE with the parent).
-func (n *clusterNode) contactLocked(rng *rand.Rand) (peer core.NodeID, announce bool) {
-	switch {
-	case !n.tree:
-		if len(n.neighbors) == 0 {
-			return core.NilNode, false
-		}
-		return n.neighbors[rng.IntN(len(n.neighbors))], false
-	case n.ticks%2 == 0:
-		return n.parent, false
-	case !n.informed || len(n.neighbors) == 0:
-		return core.NilNode, false
-	}
-	peer = n.neighbors[n.cursor]
-	n.cursor = (n.cursor + 1) % len(n.neighbors)
-	return peer, true
-}
-
-// sendPacket emits one random combination toward peer. Transport errors
-// (backpressure included) are ignored: gossip is redundant and the next
-// tick retries elsewhere.
-func (n *clusterNode) sendPacket(ctx context.Context, peer core.NodeID, wantReply bool) {
-	env := Envelope{Kind: EnvelopePacket, From: n.id, WantReply: wantReply}
+// contact makes node n's move of the round: a tree announcement, or the
+// request leg of an EXCHANGE — empty when n stores nothing, since it
+// still asks for the reply. Transport errors (backpressure included) are
+// ignored: gossip is redundant and the next round retries elsewhere.
+func (c *Cluster) contact(ctx context.Context, n *clusterNode) {
 	n.mu.Lock()
-	ok := emit(n.dec, n.rng, &n.pkt, &env)
-	n.mu.Unlock()
-	if !ok && !wantReply {
-		return // nothing to say and nobody waiting
+	peer, kind := c.partnerLocked(n)
+	env := Envelope{Kind: kind, From: n.id, WantReply: kind == EnvelopePacket}
+	if peer != core.NilNode && env.WantReply {
+		emit(n.dec, n.rng, &n.pkt, &env)
 	}
-	_ = n.transport.Send(ctx, peer, env)
+	n.mu.Unlock()
+	if peer != core.NilNode {
+		_ = c.transport.Send(ctx, peer, env)
+	}
+}
+
+// partnerLocked answers the one question the communication model asks:
+// whom does node n contact this round (NilNode: nobody), with a tree
+// announcement or an EXCHANGE packet? It is the live counterpart of
+// sim.PartnerSelector and the only place a uniform and a tree cluster
+// differ on the sending side. A uniform node exchanges with a random
+// neighbor. A tree node follows the paper's wakeup parity: odd ticks are
+// Phase 1 (an informed node announces the tree to its next neighbor,
+// round-robin), even ticks are Phase 2 (EXCHANGE with the parent).
+func (c *Cluster) partnerLocked(n *clusterNode) (core.NodeID, EnvelopeKind) {
+	switch {
+	case n.dead:
+		return core.NilNode, EnvelopePacket
+	case c.origin == core.NilNode:
+		if len(n.neighbors) == 0 {
+			return core.NilNode, EnvelopePacket
+		}
+		return n.neighbors[n.pick.IntN(len(n.neighbors))], EnvelopePacket
+	case n.ticks%2 == 0:
+		return n.parent, EnvelopePacket
+	case !n.informed || len(n.neighbors) == 0:
+		return core.NilNode, EnvelopePacket
+	}
+	peer := n.neighbors[n.cursor]
+	n.cursor = (n.cursor + 1) % len(n.neighbors)
+	return peer, EnvelopeAnnounce
+}
+
+// handle serves one inbound envelope at node n: it stages a packet for the
+// next tick's commit, adopts a first announcer as tree parent, and answers
+// an EXCHANGE request from the state the last tick committed — the
+// simulator's simultaneous exchange. A dead node does none of it.
+func (c *Cluster) handle(ctx context.Context, n *clusterNode, env Envelope) {
+	reply := Envelope{Kind: EnvelopePacket, From: n.id}
+	answer := false
+	n.mu.Lock()
+	switch {
+	case n.dead:
+	case env.Kind == EnvelopeAnnounce:
+		if c.origin != core.NilNode && !n.informed {
+			n.informed, n.parent = true, env.From
+		}
+	default: // an empty request is staged too; ingest skips it
+		n.pending = append(n.pending, env)
+		answer = env.WantReply && emit(n.dec, n.rng, &n.pkt, &reply)
+	}
+	n.mu.Unlock()
+	if answer {
+		_ = c.transport.Send(ctx, env.From, reply)
+	}
 }
 
 // checkDoneLocked marks completion exactly once, reporting whether it
-// just happened. Callers hold n.mu and invoke notifyDone after unlocking.
+// just happened. Tick t commits round t−1, so that is the round stamped.
+// Callers hold n.mu and invoke notifyDone after unlocking.
 func (n *clusterNode) checkDoneLocked() bool {
-	if !n.finished && n.dec.CanDecode() {
-		n.finished = true
-		n.doneTick = n.ticks
-		n.doneCh <- n.id
-		return true
+	if n.finished || n.dead || !n.dec.CanDecode() {
+		return false
 	}
-	return false
+	n.finished = true
+	n.doneTick = max(n.ticks-1, 0)
+	return true
 }
 
-// notifyDone delivers the observer callback outside the node lock.
-func (n *clusterNode) notifyDone(just bool) {
-	if just && n.observer != nil {
-		n.observer.NodeDone(n.id, n.doneTick)
+// notifyDone reports n's completion to the observer, outside the node
+// lock.
+func (c *Cluster) notifyDone(n *clusterNode) {
+	if c.cfg.Observer != nil {
+		c.cfg.Observer.NodeDone(n.id, n.doneTick)
 	}
 }

@@ -247,8 +247,7 @@ func TestClusterFeatureMatrix(t *testing.T) {
 
 			t.Run("Kill", func(t *testing.T) {
 				// A leaf of the star holds nothing the rest needs and is
-				// nobody's tree parent. The kill is queued before Run, so Run
-				// takes it before any node can complete.
+				// nobody's tree parent. Killed before Run, it never ticks.
 				g := graph.Star(6)
 				c := build(t, g)
 				seedMessages(t, c, k, r, 1)

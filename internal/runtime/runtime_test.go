@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -462,56 +463,172 @@ func TestClusterSingleSourceAllMessagesAtOneNode(t *testing.T) {
 	verifyDecode(t, c, msgs, g.N())
 }
 
-// TestClusterChurn kills a node mid-run (one that holds no unique
-// information) and verifies the surviving nodes still all decode — gossip's
-// redundancy makes single-node crashes harmless.
+// driveRound runs one round of c by hand: c.tick, then every envelope
+// waiting in a local inbox goes to c.handle, round-robin in node order,
+// until none is left. Over ChanTransport, whose Send is synchronous, that
+// is a deterministic in-process cluster — no goroutine, no clock.
+func driveRound(ctx context.Context, c *Cluster) {
+	c.tick(ctx)
+	for handled := true; handled; {
+		handled = false
+		for _, v := range c.cfg.Local {
+			n := c.nodes[v]
+			select {
+			case env := <-n.inbox:
+				c.handle(ctx, n, env)
+				handled = true
+			default:
+			}
+		}
+	}
+}
+
+// hookTransport calls at on every Send before passing it on.
+type hookTransport struct {
+	Transport
+	at func(env Envelope)
+}
+
+func (h *hookTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
+	h.at(env)
+	return h.Transport.Send(ctx, to, env)
+}
+
+// TestTickIsARound: a tick is the simulator's synchronous round. On a
+// two-node complete graph with the one message at node 0, node 1 hears the
+// packet in round 1 and may use it from the next round only: after the
+// first tick and its deliveries node 1 is still at rank 0, the second tick
+// commits it, and node 1 is done in round 1, as in the simulator. Every
+// contact sees every node already committed this tick: the ingest sweep
+// comes first.
+func TestTickIsARound(t *testing.T) {
+	ctx := context.Background()
+	var c *Cluster
+	contacts := 0
+	tr := &hookTransport{Transport: NewChanTransport(), at: func(env Envelope) {
+		if !env.WantReply {
+			return // a reply, not a contact
+		}
+		contacts++
+		st := c.Status()
+		if st[0].Ticks != st[1].Ticks {
+			t.Errorf("node %d contacted with the ticks at %d and %d: an ingest came after a contact", env.From, st[0].Ticks, st[1].Ticks)
+		}
+	}}
+	defer func() { _ = tr.Close() }()
+	log := &doneLog{}
+	c, err := NewCluster(tr, graph.Complete(2), 1, WithObserver(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Seed(0, rlnc.Message{Index: 0}); err != nil {
+		t.Fatal(err)
+	}
+	driveRound(ctx, c)
+	if got := c.Rank(1); got != 0 {
+		t.Fatalf("rank %d at node 1 after the round that delivered it, want 0", got)
+	}
+	driveRound(ctx, c)
+	if st := c.Status()[1]; !st.Done || st.DoneTick != 1 {
+		t.Fatalf("node 1 after two ticks: %+v, want done in round 1", st)
+	}
+	if got := log.ticks[1]; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("observer heard node 1 at %v, want [1]", got)
+	}
+	if contacts != 4 {
+		t.Fatalf("%d contacts in two rounds of two nodes, want 4", contacts)
+	}
+}
+
+// TestClusterChurn kills a node between two rounds (one that holds no
+// unique information): it does not tick, does not complete and does not
+// answer, the survivors all decode — gossip's redundancy makes single-node
+// crashes harmless — and Run stops waiting for it.
 func TestClusterChurn(t *testing.T) {
 	g := graph.Grid(3, 3) // killing corner node 8 keeps the rest connected
-	const k, r = 4, 4
-	tr := NewChanTransport()
+	const k, r, victim = 4, 4, core.NodeID(8)
+	ctx := context.Background()
+	killed, answered := false, 0
+	tr := &hookTransport{Transport: NewChanTransport(), at: func(env Envelope) {
+		if killed && env.From == victim {
+			answered++
+		}
+	}}
 	defer func() { _ = tr.Close() }()
-	c, err := NewCluster(tr, g, k, WithPayload(r), WithInterval(200*time.Microsecond), WithSeed(12))
+	c, err := NewCluster(tr, g, k, WithPayload(r), WithSeed(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := core.NewRand(9)
-	field := gf.MustNew(256)
-	msgs := make([]rlnc.Message, k)
-	for i := range msgs {
-		msgs[i] = rlnc.Message{Index: i, Payload: gf.RandBytes(field, r, rng)}
-		if err := c.Seed(core.NodeID(i), msgs[i]); err != nil { // seeds at nodes 0..3, far from node 8
+	msgs := seedMessages(t, c, k, r, k) // seeds at nodes 0..3, far from node 8
+	driveRound(ctx, c)
+	driveRound(ctx, c)
+	killed = true
+	c.Kill(victim)
+	c.Kill(victim) // redundant kill must be harmless
+	before := c.Status()[victim]
+	for rounds := 0; ; rounds++ {
+		survivors := 0
+		for _, st := range c.Status() {
+			if st.Done {
+				survivors++
+			}
+		}
+		if survivors == g.N()-1 {
+			break
+		}
+		if rounds == 500 {
+			t.Fatalf("%d of %d survivors done after %d rounds", survivors, g.N()-1, rounds)
+		}
+		driveRound(ctx, c)
+	}
+	if after := c.Status()[victim]; after != before || after.Done {
+		t.Fatalf("killed node went on: %+v, then %+v", before, after)
+	}
+	if answered != 0 {
+		t.Fatalf("killed node sent %d envelopes", answered)
+	}
+	runCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if done, err := c.Run(runCtx); err != nil || done != g.N()-1 {
+		t.Fatalf("run: %d done, %v; want %d survivors", done, err, g.N()-1)
+	}
+	for v := range g.N() - 1 {
+		verifyNode(t, c, core.NodeID(v), msgs)
+	}
+}
+
+// TestClusterReplaysFromSeed: driven by hand, a cluster is a function of
+// its seed — two runs give the same rank vector round by round, on a
+// uniform and a tree cluster.
+func TestClusterReplaysFromSeed(t *testing.T) {
+	g := graph.Grid(3, 3)
+	const k, r = 4, 2
+	ctx := context.Background()
+	trajectory := func(model clusterModel) [][]int {
+		tr := NewChanTransport()
+		defer func() { _ = tr.Close() }()
+		c, err := model.new(tr, g, k, WithPayload(r), WithSeed(31))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		c.Kill(8)
-		c.Kill(8) // redundant kill must be harmless
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	done, err := c.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Either node 8 finished before the kill landed (fast run) or the
-	// cluster completed with 8 survivors; both are valid outcomes.
-	if done < g.N()-1 {
-		t.Fatalf("completed %d nodes, want >= %d", done, g.N()-1)
-	}
-	// Every survivor decodes correctly.
-	for v := 0; v < g.N()-1; v++ {
-		got, err := c.Decode(core.NodeID(v))
-		if err != nil {
-			t.Fatalf("survivor %d: %v", v, err)
-		}
-		for i := range msgs {
-			for j := range msgs[i].Payload {
-				if got[i].Payload[j] != msgs[i].Payload[j] {
-					t.Fatalf("survivor %d message %d mismatch", v, i)
-				}
+		seedMessages(t, c, k, r, g.N())
+		var ranks [][]int
+		for !allDone(c) {
+			if len(ranks) == 500 {
+				t.Fatalf("%s: not done after %d rounds", model.name, len(ranks))
 			}
+			driveRound(ctx, c)
+			row := make([]int, 0, g.N())
+			for _, st := range c.Status() {
+				row = append(row, st.Rank)
+			}
+			ranks = append(ranks, row)
+		}
+		return ranks
+	}
+	for _, model := range clusterModels() {
+		if a, b := trajectory(model), trajectory(model); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: one seed, two trajectories:\n%v\n%v", model.name, a, b)
 		}
 	}
 }
@@ -614,8 +731,8 @@ func TestClusterScreensGenerationTag(t *testing.T) {
 		}
 		n := c.nodes[1]
 		for _, step := range []struct{ gen, wantRank int }{{7, 0}, {-1, 0}, {0, 1}} {
-			n.handle(ctx, frame(step.gen))
-			n.tick(ctx, core.NewRand(1))
+			c.handle(ctx, n, frame(step.gen))
+			c.tick(ctx)
 			if got := c.Rank(1); got != step.wantRank {
 				t.Fatalf("%s: after a frame tagged gen=%d rank = %d, want %d", model.name, step.gen, got, step.wantRank)
 			}

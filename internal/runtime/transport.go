@@ -1,9 +1,16 @@
 // Package runtime deploys the gossip protocols as real concurrent
-// processes: one goroutine per node, communicating through a pluggable
-// Transport. This is the "production" face of the library — the simulator
-// (internal/sim) measures round complexity deterministically, while this
-// package runs the same RLNC exchange over channels or real sockets, with
-// payloads, decoding, and graceful shutdown.
+// processes communicating through a pluggable Transport. This is the
+// "production" face of the library — the simulator (internal/sim)
+// measures round complexity deterministically, while this package runs
+// the same RLNC exchange over channels or real sockets, with payloads,
+// decoding, and graceful shutdown.
+//
+// A Cluster has one clock, and each tick is the simulator's synchronous
+// round: first every live local node ingests what was delivered to it
+// since the last tick, then every live node contacts one partner. Each
+// node's goroutine only serves its inbox — it stages packets for the next
+// tick and answers EXCHANGE requests from the state the tick committed —
+// so a node's DoneTick is a round in the simulator's units.
 //
 // Three transports ship with the package, over one routing table:
 // ChanTransport (in-process, used by examples and tests), TCPTransport and
@@ -285,8 +292,8 @@ func (r *router) shut() bool {
 	return !was
 }
 
-// closeBoxes closes every inbox, ending the node loops that range over
-// them, once nothing can offer to one: under the lock for a transport that
+// closeBoxes closes every inbox, ending the goroutines that serve them,
+// once nothing can offer to one: under the lock for a transport that
 // offers under it, after its read loops returned for one that does not.
 func (r *router) closeBoxes() {
 	r.mu.Lock()

@@ -11,7 +11,7 @@
 //	magic   uint16  0xA160
 //	version uint8   1
 //	kind    uint8   Kind
-//	flags   uint8   bit0 = WantReply
+//	flags   uint8   bit0 = WantReply; every other bit must be 0
 //	from    uint32  sending node id
 //	to      uint32  destination node id (transport demux)
 //	gen     uint32  generation tag (0 for classic RLNC)
@@ -20,8 +20,8 @@
 //	coeffs  k bytes, one field symbol per byte
 //	payload rlen bytes
 //
-// Decoding screens every malformed shape — wrong magic, unknown version or
-// kind, lengths that disagree, frames above MaxFrame — with typed errors
+// Decoding screens every malformed shape — wrong magic, unknown version,
+// kind or flag bits, lengths that disagree, frames above MaxFrame — with typed errors
 // and never panics (FuzzWireDecode pins this), mirroring the
 // malformed-packet screens the rlnc receive paths apply one layer up: a
 // hostile or torn byte stream must cost the receiver a closed connection
@@ -98,6 +98,8 @@ var (
 	ErrBadVersion = errors.New("wire: unsupported version")
 	// ErrBadKind reports an out-of-range envelope kind.
 	ErrBadKind = errors.New("wire: unknown envelope kind")
+	// ErrBadFlags reports a flags byte with an undefined bit set.
+	ErrBadFlags = errors.New("wire: undefined flag bits")
 	// ErrFrameTooBig reports a length prefix above MaxFrame (or an
 	// encode-side envelope that would exceed it).
 	ErrFrameTooBig = errors.New("wire: frame exceeds MaxFrame")
@@ -181,6 +183,9 @@ func DecodeFrame(b []byte) (to core.NodeID, env Envelope, n int, err error) {
 		return 0, env, 0, fmt.Errorf("%w: %d", ErrBadKind, kind)
 	}
 	flags := f[4]
+	if flags&^flagWantReply != 0 {
+		return 0, env, 0, fmt.Errorf("%w: 0x%02x", ErrBadFlags, flags)
+	}
 	from := binary.BigEndian.Uint32(f[5:])
 	toU := binary.BigEndian.Uint32(f[9:])
 	gen := binary.BigEndian.Uint32(f[13:])

@@ -118,6 +118,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"bad magic", mutate(func(b []byte) { b[4] ^= 0xFF }), ErrBadMagic},
 		{"bad version", mutate(func(b []byte) { b[6] = 99 }), ErrBadVersion},
 		{"bad kind", mutate(func(b []byte) { b[7] = 200 }), ErrBadKind},
+		{"undefined flag bits", mutate(func(b []byte) { b[8] |= 0x30 }), ErrBadFlags},
 		{"huge prefix", mutate(func(b []byte) { b[0] = 0xFF; b[1] = 0xFF }), ErrFrameTooBig},
 		{"tiny prefix", mutate(func(b []byte) { b[0], b[1], b[2], b[3] = 0, 0, 0, 1 }), ErrLengthMismatch},
 		{"k overshoots", mutate(func(b []byte) { b[24] = 200 }), ErrLengthMismatch},
