@@ -87,6 +87,20 @@ func TestDisseminateEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDisseminateRefusesBadInput: caller input the protocol cannot seed is
+// an error from Disseminate, not a panic inside it.
+func TestDisseminateRefusesBadInput(t *testing.T) {
+	g := algossip.Complete(8)
+	short := algossip.RandomMessages(4, 16, 1)
+	short[2].Payload = short[2].Payload[:8]
+	if _, _, err := algossip.Disseminate(g, short, nil, 1); err == nil {
+		t.Error("a payload shorter than the first was accepted")
+	}
+	if _, _, err := algossip.Disseminate(g, algossip.RandomMessages(4, 16, 1), []algossip.NodeID{0, 1, 2, 99}, 1); err == nil {
+		t.Error("an assignment to node 99 of 8 was accepted")
+	}
+}
+
 func TestSplitJoinThroughFacade(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog")
 	msgs, err := algossip.SplitBytes(data, 6, 12)

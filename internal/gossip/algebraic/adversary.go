@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"algossip/internal/core"
+	"algossip/internal/gossip"
 )
 
 // Behavior is a node's sending behavior. The zero value is honest.
@@ -177,17 +178,19 @@ func (p *Protocol) sendByz(from, to core.NodeID, pollute bool) {
 		p.staged = append(p.staged, delivery{to: to, from: from, pkt: pkt})
 		return
 	}
-	p.apply(to, pkt)
+	if p.apply(&p.Counts, to, pkt) {
+		p.refreshDone(to)
+	}
 	p.recycle(pkt)
 }
 
 // verifyAccount charges one packet's worth of receiver-side verification
-// (verifyCost field operations) when the run models Byzantine nodes. Honest
-// runs skip verification entirely — the counters stay zero and the
+// (verifyCost field operations) to t when the run models Byzantine nodes.
+// Honest runs skip verification entirely — the counters stay zero and the
 // traffic JSON bytes are unchanged.
-func (p *Protocol) verifyAccount() {
+func (p *Protocol) verifyAccount(t *gossip.Traffic) {
 	if p.verify {
-		p.Counts.Verified++
-		p.Counts.VerifyOps += p.verifyCost
+		t.Verified++
+		t.VerifyOps += p.verifyCost
 	}
 }

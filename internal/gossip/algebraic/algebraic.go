@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
@@ -60,10 +61,10 @@ type Config struct {
 }
 
 // delivery is one staged packet transfer (synchronous model). fac says
-// what the packet still awaits: a length of skipped marks a delivery whose
+// how the packet is built: a length of skipped marks a delivery whose
 // verdict was predetermined at send time (receiver already at full rank)
-// — the packet was never filled and EndRound only counts it as useless; a
-// positive length marks a packet whose payload is still to be filled
+// — the packet was never built and EndRound only counts it as useless; a
+// positive length marks a packet filled at the round's end
 // (Protocol.fill), from that many factors at that offset of the slab.
 // The struct keeps the shape it had before payloads were deferred — 32
 // bytes, four fields, which is as many as the compiler will still build
@@ -82,16 +83,42 @@ type facSpan struct{ off, len int32 }
 
 const skipped = -1
 
+// commitGrain is the payload bytes a round's fills must stream for each
+// worker a commit pass runs on (deferredFill.width). One more worker
+// costs a goroutine start and a join. Measured on the reference box (2
+// vCPUs, gfni tier): after 100 µs of serial work — a wake phase — a
+// two-worker pass of empty parts takes ≈2.5 µs against 0.09 µs on the
+// caller alone, the second thread having gone to sleep, while the fused
+// kernel streams 256 KiB of stored rows from L3 in ≈10 µs (25 GB/s). A
+// worker with less than a grain would wait a quarter of its share or
+// more.
+const commitGrain = 256 << 10
+
 // deferredFill is the state of a protocol that fills payloads at the end
 // of the round: the slab holding the round's factors (used of it so far),
-// the sender-grouped index and group counters of the fill pass, and the
+// the sender-grouped index and group counters of the fill pass, the
 // buffer the receiver-grouped deliveries are written to, which then
-// trades places with Protocol.staged.
+// trades places with Protocol.staged, and what the commit's two passes
+// run on.
 type deferredFill struct {
 	slab          []gf.Elem
 	used          int
 	order, bucket []int32
 	regrouped     []delivery
+
+	crew     crew[*Protocol]
+	procs    int          // GOMAXPROCS when the protocol was built: the widest a pass runs
+	grain    int          // commitGrain; zero lifts the floor (the width tests)
+	streamed int          // payload bytes the round's fills stream
+	parts    []commitPart // the pass in flight, one per worker; procs long once used
+}
+
+// commitPart is one worker's share of a commit pass: the positions of the
+// pass's list from the previous part's end (0 for the first) up to end,
+// and, in the delivery pass, what the worker counted.
+type commitPart struct {
+	end     int
+	traffic gossip.Traffic
 }
 
 // Protocol is the algebraic gossip state machine. It implements
@@ -113,10 +140,9 @@ type Protocol struct {
 	free       []*rlnc.GenPacket // recycled packets; backing arrays are reused by EmitInto
 
 	// fill is non-nil for a synchronous protocol that carries payloads: it
-	// stages a packet after the coefficient half of its emit and fills the
-	// payloads in EndRound, sender by sender (see orderByCache). A
-	// rank-only protocol has no payload half and the asynchronous model no
-	// round to defer to.
+	// stages a packet after the draws of its emit and fills the packets in
+	// EndRound, sender by sender (see commitByCache). A rank-only protocol
+	// has no payload half and the asynchronous model no round to defer to.
 	fill *deferredFill
 
 	shard *shardCore // sharded-execution state (nil = classic wake loop)
@@ -161,7 +187,18 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 		initial:  make([][]rlnc.Message, n),
 	}
 	if model == core.Synchronous && !cfg.RLNC.RankOnly {
-		p.fill = &deferredFill{bucket: make([]int32, n+1)}
+		p.fill = &deferredFill{
+			bucket: make([]int32, n+1),
+			procs:  runtime.GOMAXPROCS(0),
+			grain:  commitGrain,
+		}
+		// Like the factor slab (keep), the staged list — and the commit's
+		// index and regrouping buffer, which follow its capacity — and
+		// the packet freelist, which mirrors it, start with room for a
+		// round in which every node exchanges, instead of doubling up to
+		// it.
+		p.staged = make([]delivery, 0, 2*n)
+		p.free = make([]*rlnc.GenPacket, 0, 2*n)
 	}
 	for i := range p.nodes {
 		node, err := rlnc.NewGenNode(gen)
@@ -268,18 +305,35 @@ func (p *Protocol) Seed(v core.NodeID, msg rlnc.Message) {
 
 // SeedAll distributes messages according to assign: message i is placed at
 // node assign[i]. msgs[i] provides the payloads; msgs may be nil in
-// rank-only mode, in which case bare indices are seeded.
+// rank-only mode, in which case bare indices are seeded. Input that Seed
+// would panic on — a node outside the graph, a message out of place or,
+// in payload mode, of the wrong length — is an error, and nothing is
+// seeded.
 func (p *Protocol) SeedAll(assign []core.NodeID, msgs []rlnc.Message) error {
 	if len(assign) != p.gen.K {
 		return fmt.Errorf("algebraic: assignment length %d != k %d", len(assign), p.gen.K)
+	}
+	if msgs != nil && len(msgs) != len(assign) {
+		return fmt.Errorf("algebraic: %d messages for k %d", len(msgs), p.gen.K)
+	}
+	for i, v := range assign {
+		if v < 0 || int(v) >= len(p.nodes) {
+			return fmt.Errorf("algebraic: message %d assigned to node %d of %d", i, v, len(p.nodes))
+		}
+		if msgs == nil {
+			continue
+		}
+		if msgs[i].Index != i {
+			return fmt.Errorf("algebraic: message %d has index %d", i, msgs[i].Index)
+		}
+		if r := p.cfg.RLNC.PayloadLen; !p.cfg.RLNC.RankOnly && len(msgs[i].Payload) != r {
+			return fmt.Errorf("algebraic: message %d has %d payload symbols, want %d", i, len(msgs[i].Payload), r)
+		}
 	}
 	for i, v := range assign {
 		msg := rlnc.Message{Index: i}
 		if msgs != nil {
 			msg = msgs[i]
-			if msg.Index != i {
-				return fmt.Errorf("algebraic: message %d has index %d", i, msg.Index)
-			}
 		}
 		p.Seed(v, msg)
 	}
@@ -410,17 +464,16 @@ func (p *Protocol) send(from, to core.NodeID) {
 		fac.len = skipped
 		ok = p.nodes[from].SkipEmit(p.rng)
 	} else {
-		// The two halves of EmitInto, called apart: the payload half runs
-		// here and now unless the round's end will run it.
+		// The two halves of EmitInto, called apart: the packet is built
+		// here and now unless the round's end will build it.
 		var facs []gf.Elem
-		facs, ok = p.nodes[from].EmitCoeffsInto(p.rng, pkt, p.factorRoom())
-		if f := p.fill; f != nil {
+		facs, ok = p.nodes[from].DrawInto(p.rng, pkt)
+		if p.fill != nil {
 			// A packet lost in flight below leaves its factors in the slab
 			// until the round ends.
-			fac = facSpan{int32(f.used), int32(len(facs))}
-			f.used += len(facs)
+			fac = p.keep(facs)
 		} else if ok {
-			p.nodes[from].FillPayload(pkt, facs)
+			p.nodes[from].Fill(pkt, facs)
 		}
 	}
 	if !ok {
@@ -438,55 +491,51 @@ func (p *Protocol) send(from, to core.NodeID) {
 		return
 	}
 	if skip {
-		p.verifyAccount()
+		p.verifyAccount(&p.Counts)
 		p.Counts.Useless++
-	} else {
-		p.apply(to, pkt)
+	} else if p.apply(&p.Counts, to, pkt) {
+		p.refreshDone(to)
 	}
 	p.recycle(pkt)
 }
 
-// factorRoom returns where the next emit records its factors: nil — the
-// decoder's own scratch, for a payload filled at once — unless payloads
-// are filled at the round's end, and then the slab behind what the round
-// has taken so far.
-func (p *Protocol) factorRoom() []gf.Elem {
+// keep copies an emit's factors — those the decoder left in its own
+// scratch, valid until its next emit or receive — to the round's slab and
+// returns where they are. Only byte-row decoders with payloads defer
+// anything, so the slab is first allocated when one of them emits, with
+// room for a round in which every node sends two packets of GenSize
+// factors, and doubles when a round needs more.
+func (p *Protocol) keep(facs []gf.Elem) facSpan {
 	f := p.fill
-	if f == nil {
-		return nil
+	at := facSpan{int32(f.used), int32(len(facs))}
+	if f.used+len(facs) > len(f.slab) {
+		grown := make([]gf.Elem, max(2*len(f.slab), 2*len(p.nodes)*p.gen.GenSize))
+		copy(grown, f.slab[:f.used])
+		f.slab = grown
 	}
-	if f.used+p.gen.GenSize > len(f.slab) {
-		f.grow(p.gen.GenSize)
-	}
-	return f.slab[f.used:]
+	f.used += copy(f.slab[f.used:], facs)
+	return at
 }
 
-// grow makes room in the slab for stride more factors, keeping the
-// round's.
-func (f *deferredFill) grow(stride int) {
-	grown := make([]gf.Elem, max(2*len(f.slab), 16*stride))
-	copy(grown, f.slab[:f.used])
-	f.slab = grown
-}
-
-// apply lets node `to` receive the packet and updates completion tracking.
-// The packet is pool-owned: ReceiveOwned reduces directly in its backing
-// arrays (clobbering the contents, never retaining them), and the caller
-// recycles it afterwards.
-func (p *Protocol) apply(to core.NodeID, pkt *rlnc.GenPacket) {
-	p.verifyAccount()
+// apply lets node `to` receive the packet, counts the verdict into t and
+// reports whether the node's rank rose; the caller records a completion
+// (refreshDone). The packet is pool-owned: ReceiveOwned reduces directly
+// in its backing arrays (clobbering the contents, never retaining them),
+// and the caller recycles it afterwards.
+func (p *Protocol) apply(t *gossip.Traffic, to core.NodeID, pkt *rlnc.GenPacket) bool {
+	p.verifyAccount(t)
 	if p.verify && pkt.Packet.Corrupt {
 		// Verification caught the pollution; the packet never reaches the
 		// eliminator and counts as neither helpful nor useless.
-		p.Counts.Polluted++
-		return
+		t.Polluted++
+		return false
 	}
 	if p.nodes[to].ReceiveOwned(pkt) {
-		p.Counts.Helpful++
-		p.refreshDone(to)
-	} else {
-		p.Counts.Useless++
+		t.Helpful++
+		return true
 	}
+	t.Useless++
+	return false
 }
 
 // refreshDone records the completion round for node v if it just reached
@@ -497,47 +546,57 @@ func (p *Protocol) refreshDone(v core.NodeID) {
 	}
 }
 
-// EndRound implements sim.Protocol: applies the staged deliveries and
-// recycles their packets — in staging order, or, when payloads were
-// deferred, in the order orderByCache leaves them in.
+// EndRound implements sim.Protocol: applies the staged deliveries in
+// staging order and recycles their packets, or, when packets were
+// deferred, commits by cache (commitByCache).
 func (p *Protocol) EndRound(int) {
 	if p.fill != nil {
-		p.orderByCache()
+		p.commitByCache()
+		p.resetStaged()
+		return
 	}
 	for _, d := range p.staged {
 		if d.fac.len == skipped {
-			p.verifyAccount()
+			p.verifyAccount(&p.Counts)
 			p.Counts.Useless++
-		} else {
-			p.apply(d.to, d.pkt)
+		} else if p.apply(&p.Counts, d.to, d.pkt) {
+			p.refreshDone(d.to)
 		}
 		p.recycle(d.pkt)
 	}
 	p.resetStaged()
 }
 
-// orderByCache prepares the commit of a protocol that carries payloads,
-// where a round is bound by streaming stored payload rows (k·r bytes a
-// node, every emit and every receive) and not by bookkeeping: it orders
-// the two halves of the commit by whose rows they stream. First every
-// deferred payload is filled, grouped by sender: a node's rows come from
-// the outer cache for its first emit of the round and from the inner one
-// for the rest. Then the staged deliveries are regrouped by receiver, for
-// the same reason, stably: each receiver still sees its packets in
-// staging order, and no node's decoder depends on another's, so ranks,
-// verdicts, counters and completion rounds are those of the
-// staging-order walk; NodeDone callbacks within the round arrive in
-// receiver order. The fills go through an index and leave the staged
-// list as it is — regrouping a list already sorted by sender would hand a
-// receiver its packets in sender order.
+// commitByCache is the commit of a protocol that carries payloads, where
+// a round is bound by streaming stored payload rows (k·r bytes a node,
+// every emit and every receive) and not by bookkeeping: it orders the two
+// halves of the commit by whose rows they stream, and runs each on as
+// many workers as the round's bytes pay for (width).
 //
-// Nothing is stored between a packet's emit and its fill — the wake phase
-// only stages, and every fill precedes every delivery — which is what
-// the recorded factors rest on (rlnc.Node.FillPayload).
-func (p *Protocol) orderByCache() {
+// First every deferred packet is filled, grouped by sender: a node's rows
+// come from the outer cache for its first emit of the round and from the
+// inner one for the rest. Then the staged deliveries are regrouped by
+// receiver, for the same reason, stably: each receiver still sees its
+// packets in staging order. The fills go through an index and leave the
+// staged list as it is — regrouping a list already sorted by sender would
+// hand a receiver its packets in sender order.
+//
+// Both passes are cut at group boundaries, so a node's decoder is touched
+// by one worker of a pass, and no node's decoder depends on another's
+// within a commit: ranks, verdicts and counters are those of the
+// staging-order walk for any width. The deliveries count into one
+// gossip.Traffic per worker, summed after the join; completions are then
+// recorded serially, receiver by receiver in list order, so done stamps
+// are the staging-order walk's and NodeDone callbacks within the round
+// arrive in receiver order.
+//
+// Nothing is stored between a packet's draws and its fill — the wake
+// phase only draws and stages, and every fill precedes every delivery —
+// which is what the recorded factors rest on (rlnc.Node.Fill).
+func (p *Protocol) commitByCache() {
 	p.fillStaged()
 	f := p.fill
-	start := f.groupStarts(p.staged, func(d *delivery) core.NodeID { return d.to })
+	start, groups := f.groupStarts(p.staged, func(d *delivery) core.NodeID { return d.to })
 	if cap(f.regrouped) < len(p.staged) {
 		f.regrouped = make([]delivery, len(p.staged), cap(p.staged))
 	}
@@ -547,44 +606,139 @@ func (p *Protocol) orderByCache() {
 		start[d.to]++
 	}
 	p.staged, f.regrouped = out, p.staged[:0]
+
+	w := f.width(groups)
+	f.cut(w, len(out), func(i int) core.NodeID { return out[i].to }, func(i int) int {
+		if out[i].fac.len == skipped {
+			return 0 // counted, never reduced
+		}
+		return 1
+	})
+	f.crew.run(w, p, (*Protocol).deliverPart)
+	for _, part := range f.parts[:w] {
+		p.Counts.Add(part.traffic)
+	}
+	for i, d := range out {
+		if i == 0 || d.to != out[i-1].to {
+			p.refreshDone(d.to)
+		}
+		p.recycle(d.pkt)
+	}
 }
 
-// fillStaged completes the payload of every staged packet that still
-// awaits it, sender by sender, and releases the round's factors.
+// fillStaged builds every staged packet that awaits its fill, sender by
+// sender, and releases the round's factors.
 func (p *Protocol) fillStaged() {
 	f := p.fill
-	start := f.groupStarts(p.staged, func(d *delivery) core.NodeID { return d.from })
+	start, groups := f.groupStarts(p.staged, func(d *delivery) core.NodeID { return d.from })
 	if cap(f.order) < len(p.staged) {
 		f.order = make([]int32, len(p.staged), cap(p.staged))
 	}
 	f.order = f.order[:len(p.staged)]
-	for i := range p.staged {
-		v := p.staged[i].from
-		f.order[start[v]] = int32(i)
-		start[v]++
+	f.streamed = 0
+	for i, d := range p.staged {
+		f.order[start[d.from]] = int32(i)
+		start[d.from]++
+		f.streamed += max(int(d.fac.len), 0) * p.cfg.RLNC.PayloadLen
 	}
-	for _, i := range f.order {
+	w := f.width(groups)
+	f.cut(w, len(f.order), func(i int) core.NodeID { return p.staged[f.order[i]].from }, func(i int) int {
+		return max(int(p.staged[f.order[i]].fac.len), 0)
+	})
+	f.crew.run(w, p, (*Protocol).fillPart)
+	f.used = 0
+}
+
+// fillPart is part j of the fill pass: the packets of its run of senders.
+func (p *Protocol) fillPart(j int) {
+	f := p.fill
+	lo, hi := f.span(j)
+	for _, i := range f.order[lo:hi] {
 		if d := &p.staged[i]; d.fac.len > 0 {
-			p.nodes[d.from].FillPayload(d.pkt, f.slab[d.fac.off:d.fac.off+d.fac.len])
-			d.fac.len = 0
+			p.nodes[d.from].Fill(d.pkt, f.slab[d.fac.off:d.fac.off+d.fac.len])
 		}
 	}
-	f.used = 0
+}
+
+// deliverPart is part j of the delivery pass: the packets of its run of
+// receivers, counted into the part's own traffic.
+func (p *Protocol) deliverPart(j int) {
+	f := p.fill
+	lo, hi := f.span(j)
+	var t gossip.Traffic
+	for _, d := range p.staged[lo:hi] {
+		if d.fac.len == skipped {
+			p.verifyAccount(&t)
+			t.Useless++
+		} else {
+			p.apply(&t, d.to, d.pkt)
+		}
+	}
+	f.parts[j].traffic = t
+}
+
+// width is how many workers a commit pass over groups groups runs on:
+// min(GOMAXPROCS, the round's streamed bytes ÷ commitGrain, groups), and
+// at least one.
+func (f *deferredFill) width(groups int) int {
+	w := min(f.procs, groups)
+	if f.grain > 0 {
+		w = min(w, f.streamed/f.grain)
+	}
+	return max(w, 1)
+}
+
+// cut ends the w parts of a pass over n grouped positions at group
+// boundaries, each part holding about an equal share of the weight (a
+// part may be empty). node(i) is position i's group and weight(i) its
+// share of the work.
+func (f *deferredFill) cut(w, n int, node func(int) core.NodeID, weight func(int) int) {
+	if len(f.parts) < w {
+		f.parts = make([]commitPart, f.procs)
+	}
+	total := 0
+	for i := range n {
+		total += weight(i)
+	}
+	j, acc := 0, 0
+	for i := 0; i+1 < n && j+1 < w; i++ {
+		acc += weight(i)
+		if node(i+1) != node(i) && acc*w >= (j+1)*total {
+			f.parts[j].end = i + 1
+			j++
+		}
+	}
+	for ; j < w; j++ {
+		f.parts[j].end = n
+	}
+}
+
+// span is the positions part j of the pass in flight covers.
+func (f *deferredFill) span(j int) (lo, hi int) {
+	if j > 0 {
+		lo = f.parts[j-1].end
+	}
+	return lo, f.parts[j].end
 }
 
 // groupStarts is the counting half of a stable counting sort of staged by
 // key (a node): it returns, per node, where that node's group starts — in
-// reused scratch, O(n + staged), valid until the next call.
-func (f *deferredFill) groupStarts(staged []delivery, key func(*delivery) core.NodeID) []int32 {
-	start := f.bucket
+// reused scratch, O(n + staged), valid until the next call — and how
+// many nodes have a group.
+func (f *deferredFill) groupStarts(staged []delivery, key func(*delivery) core.NodeID) (start []int32, groups int) {
+	start = f.bucket
 	clear(start)
 	for i := range staged {
-		start[key(&staged[i])+1]++
+		k := key(&staged[i]) + 1
+		if start[k] == 0 {
+			groups++
+		}
+		start[k]++
 	}
 	for v := 1; v < len(start); v++ {
 		start[v] += start[v-1]
 	}
-	return start
+	return start, groups
 }
 
 // resetStaged empties the staged buffer for reuse next round, shrinking

@@ -157,25 +157,53 @@ func TestPushAndPullActions(t *testing.T) {
 	}
 }
 
-// TestSeedAllValidation: wrong assignment lengths and messages whose
-// Index disagrees with their position are refused, with whole-k and
+// TestSeedAllValidation: wrong assignment lengths, messages whose Index
+// disagrees with their position, a node outside the graph and, in payload
+// mode, a payload of the wrong length are refused — with whole-k and
 // generation coding alike (the generation path used to skip the index
-// check and silently seed the wrong unknown).
+// check and silently seed the wrong unknown; the last two used to panic
+// in Seed) — and a refused call seeds nothing.
 func TestSeedAllValidation(t *testing.T) {
 	g := graph.Line(4)
-	for _, genSize := range []int{0, 2} {
-		cfg := rankOnlyCfg(3)
-		cfg.GenSize = genSize
-		p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1))
-		if err != nil {
-			t.Fatal(err)
+	payloads := func(lens ...int) []rlnc.Message {
+		msgs := make([]rlnc.Message, len(lens))
+		for i, l := range lens {
+			msgs[i] = rlnc.Message{Index: i, Payload: make([]byte, l)}
 		}
-		if err := p.SeedAll(make([]core.NodeID, 2), nil); err == nil {
-			t.Errorf("g=%d: wrong assignment length accepted", genSize)
-		}
-		bad := []rlnc.Message{{Index: 1}, {Index: 0}, {Index: 2}}
-		if err := p.SeedAll(RoundRobinAssign(3, 4), bad); err == nil {
-			t.Errorf("g=%d: misindexed messages accepted", genSize)
+		return msgs
+	}
+	for _, tc := range []struct {
+		name    string
+		payload int // PayloadLen; 0 is rank-only
+		assign  []core.NodeID
+		msgs    []rlnc.Message
+	}{
+		{"wrong assignment length", 0, make([]core.NodeID, 2), nil},
+		{"misindexed messages", 0, RoundRobinAssign(3, 4), []rlnc.Message{{Index: 1}, {Index: 0}, {Index: 2}}},
+		{"too few messages", 0, RoundRobinAssign(3, 4), []rlnc.Message{{Index: 0}}},
+		{"node outside the graph", 0, []core.NodeID{0, 1, 99}, nil},
+		{"negative node", 0, []core.NodeID{0, -1, 2}, nil},
+		{"short payload", 16, RoundRobinAssign(3, 4), payloads(16, 8, 16)},
+		{"long payload", 16, RoundRobinAssign(3, 4), payloads(16, 16, 17)},
+	} {
+		for _, genSize := range []int{0, 2} {
+			cfg := rankOnlyCfg(3)
+			if tc.payload > 0 {
+				cfg.RLNC = rlnc.Config{Field: gf.MustNew(256), K: 3, PayloadLen: tc.payload}
+			}
+			cfg.GenSize = genSize
+			p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.SeedAll(tc.assign, tc.msgs); err == nil {
+				t.Errorf("%s, g=%d: accepted", tc.name, genSize)
+			}
+			for v := range g.N() {
+				if r := p.Node(core.NodeID(v)).Rank(); r != 0 {
+					t.Errorf("%s, g=%d: node %d seeded to rank %d before the refusal", tc.name, genSize, v, r)
+				}
+			}
 		}
 	}
 }

@@ -34,20 +34,21 @@ func steadyProtocolCfg(t testing.TB, rcfg rlnc.Config) *Protocol {
 	return p
 }
 
-// unsaturatedPayloadProtocol returns a GF(256) protocol carrying real
-// payloads in which message 7 of 8 was never seeded: ranks settle
+// unsaturatedPayloadProtocol returns a GF(256) protocol carrying payloads
+// (rcfg, k = 8) in which message 7 of 8 was never seeded: ranks settle
 // at 7 and nobody can ever decode, so every send of every later round is
-// a real emit — coefficient half at wake, deferred payload fill, grouped
-// commit, a full (useless) elimination at the receiver — and never the
-// counter-only skip a saturated receiver gets.
-func unsaturatedPayloadProtocol(t testing.TB) *Protocol {
+// a real emit — draws at wake, deferred fill, grouped commit, a full
+// (useless) elimination at the receiver — and never the counter-only skip
+// a saturated receiver gets. Its commit passes run on at most procs
+// workers.
+func unsaturatedPayloadProtocol(t testing.TB, rcfg rlnc.Config, procs int) *Protocol {
 	t.Helper()
 	g := graph.Complete(16)
-	rcfg := rlnc.Config{Field: gf.MustNew(256), K: 8, PayloadLen: 200}
 	p, err := New(g, core.Synchronous, sim.NewUniform(g), Config{RLNC: rcfg}, core.NewRand(core.SplitSeed(3, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.fill.procs = procs
 	for _, msg := range RandomMessages(rcfg, core.NewRand(4))[:7] {
 		p.Seed(core.NodeID(msg.Index), msg)
 	}
@@ -73,12 +74,17 @@ func unsaturatedPayloadProtocol(t testing.TB) *Protocol {
 // allocate — for the bit-packed GF(2), bit-sliced GF(2^m), and generic
 // backends alike (the "-sliced" rows are bit-sliced on the pure-Go kernel
 // tiers, which CI's forced-tier legs run, and byte rows on avx2/gfni).
-// The last row never saturates (unsaturatedPayloadProtocol): it holds the
-// deferred-fill path — factor slab, grouping scratch, fused payload
-// kernel — to the same zero.
+// The last two rows never saturate (unsaturatedPayloadProtocol): they
+// hold the deferred-fill path — factor slab, grouping scratch, fused
+// payload kernel — to the same zero, on one worker and, with 4 KiB byte
+// rows on every tier (3.5 commit grains a round), split over three: the
+// crew's goroutines, the parts and their counters are reused too.
 func TestAllocsSteadyStateRound(t *testing.T) {
 	saturated := func(cfg rlnc.Config) func(testing.TB) *Protocol {
 		return func(t testing.TB) *Protocol { return steadyProtocolCfg(t, cfg) }
+	}
+	unsaturated := func(cfg rlnc.Config, procs int) func(testing.TB) *Protocol {
+		return func(t testing.TB) *Protocol { return unsaturatedPayloadProtocol(t, cfg, procs) }
 	}
 	for _, tc := range []struct {
 		name  string
@@ -88,7 +94,8 @@ func TestAllocsSteadyStateRound(t *testing.T) {
 		{"gf16-sliced", saturated(rlnc.Config{Field: gf.MustNew(16), K: 8, RankOnly: true})},
 		{"gf256-sliced", saturated(rlnc.Config{Field: gf.MustNew(256), K: 8, RankOnly: true})},
 		{"gf256-generic", saturated(rlnc.Config{Field: gf.MustNew(256), K: 8, RankOnly: true, ForceGeneric: true})},
-		{"gf256-payload", unsaturatedPayloadProtocol},
+		{"gf256-payload", unsaturated(rlnc.Config{Field: gf.MustNew(256), K: 8, PayloadLen: 200}, 1)},
+		{"gf256-payload-split", unsaturated(rlnc.Config{Field: gf.MustNew(256), K: 8, PayloadLen: 4096, ForceGeneric: true}, 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.build(t)
@@ -111,6 +118,9 @@ func TestAllocsSteadyStateRound(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state round allocated %.1f times, want 0", allocs)
+			}
+			if f := p.fill; f != nil && f.procs > 1 && f.width(16) < 2 {
+				t.Fatalf("a round streaming %d bytes ran its commit on one worker", f.streamed)
 			}
 			if p.Traffic().Useless == useless {
 				t.Fatal("steady-state rounds delivered nothing")

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"algossip/internal/core"
@@ -26,6 +28,7 @@ type payloadRun struct {
 	loss    float64
 	model   core.TimeModel
 	churn   bool
+	pollute bool // three polluting Byzantine senders; the seeds sit with the honest nodes
 
 	// Recorded from the commit before the payload path was reordered
 	// (coefficient-first elimination, deferred fills, the cache-ordered
@@ -75,6 +78,98 @@ var payloadRuns = []payloadRun{
 		decoded:    "29ae0c94dc89fcc5"},
 }
 
+// payloadTrial is what a payload run leaves behind: per-node completion
+// rounds, the traffic, every NodeDone the observer heard in order, and a
+// digest of every node's decoded messages.
+type payloadTrial struct {
+	doneRounds string
+	traffic    gossip.Traffic
+	heard      string
+	decoded    string
+}
+
+// heardLog is an observer that writes down each NodeDone as "node@round"
+// and notes the first one that breaks receiver order: a lower node than
+// the previous one, done in the same round.
+type heardLog struct {
+	strings.Builder
+	last       [2]int // node, round of the previous NodeDone
+	outOfOrder string
+}
+
+func (h *heardLog) NodeDone(v core.NodeID, round int) {
+	if h.Len() > 0 && round == h.last[1] && int(v) < h.last[0] && h.outOfOrder == "" {
+		h.outOfOrder = fmt.Sprintf("node %d after node %d in round %d", v, h.last[0], round)
+	}
+	h.last = [2]int{int(v), round}
+	fmt.Fprintf(h, "%d@%d ", v, round)
+}
+
+// run plays tc to completion, n = 16, k = 12, r = 100, seed 7. A positive
+// width runs every commit pass of a synchronous payload round on that
+// many workers wherever a round has that many groups, however few bytes
+// it streams; zero leaves the host's rule.
+func (tc payloadRun) run(t *testing.T, width int) payloadTrial {
+	t.Helper()
+	const n, k, r, seed = 16, 12, 100, 7
+	g := graph.Barbell(n)
+	if tc.graph == "randreg" {
+		g = graph.RandomRegular(n, 4, core.NewRand(core.SplitSeed(seed, 3)))
+	}
+	if tc.model == 0 {
+		tc.model = core.Synchronous
+	}
+	cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(tc.q), K: k, PayloadLen: r},
+		GenSize: tc.genSize, Action: tc.action, LossRate: tc.loss}
+	assign := RoundRobinAssign(k, n)
+	if tc.pollute {
+		cfg.Traits = makeTraits(n, 3, NodeTraits{Behavior: Pollute})
+		assign = RoundRobinAssignOver(k, HonestNodes(cfg.Traits))
+	}
+	msgs := RandomMessages(cfg.RLNC, core.NewRand(core.SplitSeed(seed, 11)))
+	p, err := New(g, tc.model, sim.NewUniform(g), cfg, core.NewRand(core.SplitSeed(seed, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if width > 0 && p.fill != nil {
+		p.fill.procs, p.fill.grain = width, 0
+	}
+	heard := &heardLog{}
+	p.SetObserver(heard)
+	if err := p.SeedAll(assign, msgs); err != nil {
+		t.Fatal(err)
+	}
+	var dyn graph.Dynamic = graph.Static(g)
+	if tc.churn {
+		dyn = graph.NewChurn(g, 0.2, 4, core.SplitSeed(seed, 4))
+	}
+	if _, err := sim.NewDynamic(dyn, tc.model, p, core.SplitSeed(seed, 2)).Run(); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for v := 0; v < n; v++ {
+		got, err := p.Node(core.NodeID(v)).Decode()
+		if err != nil {
+			t.Fatalf("node %d: %v", v, err)
+		}
+		for i, m := range got {
+			if m.Index != i || !bytes.Equal(m.Payload, msgs[i].Payload) {
+				t.Fatalf("node %d decoded message %d wrong", v, i)
+			}
+			h.Write(m.Payload)
+		}
+	}
+	if heard.outOfOrder != "" && tc.model == core.Synchronous {
+		t.Errorf("NodeDone out of receiver order: %s", heard.outOfOrder)
+	}
+	return payloadTrial{
+		doneRounds: fmt.Sprint(p.DoneRounds()),
+		traffic:    p.Traffic(),
+		heard:      heard.String(),
+		decoded:    fmt.Sprintf("%x", h.Sum(nil)[:8]),
+	}
+}
+
 // TestPayloadTrajectoryPinned holds the payload path to the trajectory
 // and the bytes it produced before its reads were reordered: nothing
 // about when a payload row is streamed — coefficients eliminated first,
@@ -83,50 +178,35 @@ var payloadRuns = []payloadRun{
 // decoded byte. Every row runs on whichever backend the active tier picks
 // (CI's forced scalar leg runs the sliced one); the pins are the same.
 func TestPayloadTrajectoryPinned(t *testing.T) {
-	const n, k, r, seed = 16, 12, 100, 7
 	for _, tc := range payloadRuns {
 		t.Run(tc.name, func(t *testing.T) {
-			g := graph.Barbell(n)
-			if tc.graph == "randreg" {
-				g = graph.RandomRegular(n, 4, core.NewRand(core.SplitSeed(seed, 3)))
-			}
-			if tc.model == 0 {
-				tc.model = core.Synchronous
-			}
-			cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(tc.q), K: k, PayloadLen: r},
-				GenSize: tc.genSize, Action: tc.action, LossRate: tc.loss}
-			msgs := RandomMessages(cfg.RLNC, core.NewRand(core.SplitSeed(seed, 11)))
-			p, err := New(g, tc.model, sim.NewUniform(g), cfg, core.NewRand(core.SplitSeed(seed, 1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.SeedAll(RoundRobinAssign(k, n), msgs); err != nil {
-				t.Fatal(err)
-			}
-			var dyn graph.Dynamic = graph.Static(g)
-			if tc.churn {
-				dyn = graph.NewChurn(g, 0.2, 4, core.SplitSeed(seed, 4))
-			}
-			if _, err := sim.NewDynamic(dyn, tc.model, p, core.SplitSeed(seed, 2)).Run(); err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			for v := 0; v < n; v++ {
-				got, err := p.Node(core.NodeID(v)).Decode()
-				if err != nil {
-					t.Fatalf("node %d: %v", v, err)
-				}
-				for i, m := range got {
-					if m.Index != i || !bytes.Equal(m.Payload, msgs[i].Payload) {
-						t.Fatalf("node %d decoded message %d wrong", v, i)
-					}
-					h.Write(m.Payload)
-				}
-			}
-			doneRounds, decoded := fmt.Sprint(p.DoneRounds()), fmt.Sprintf("%x", h.Sum(nil)[:8])
-			if doneRounds != tc.doneRounds || p.Traffic() != tc.traffic || decoded != tc.decoded {
+			got := tc.run(t, 0)
+			if got.doneRounds != tc.doneRounds || got.traffic != tc.traffic || got.decoded != tc.decoded {
 				t.Errorf("trajectory moved:\n\t\tdoneRounds: %q,\n\t\ttraffic:    %#v,\n\t\tdecoded:    %q},",
-					doneRounds, p.Traffic(), decoded)
+					got.doneRounds, got.traffic, got.decoded)
+			}
+		})
+	}
+}
+
+// TestCommitWidthChangesNothing runs the pinned payload runs, a run with
+// polluting Byzantine senders and a lossy PUSH run with generations with
+// every commit pass split over 1, 2, 3 and 8 workers: completion rounds,
+// traffic, the observer's NodeDone sequence — in receiver order within a
+// synchronous round — and the decoded bytes must be those of one worker.
+// On the sliced backend (CI's forced scalar leg) no packet waits for a
+// fill and only the delivery pass has work to split.
+func TestCommitWidthChangesNothing(t *testing.T) {
+	runs := append(slices.Clone(payloadRuns),
+		payloadRun{name: "randreg/gf256/exchange/pollute", graph: "randreg", q: 256, pollute: true},
+		payloadRun{name: "barbell/gf256/push/gen3/loss", graph: "barbell", q: 256, action: core.Push, genSize: 3, loss: 0.3})
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.run(t, 1)
+			for _, w := range []int{2, 3, 8} {
+				if got := tc.run(t, w); got != want {
+					t.Errorf("width %d:\n%+v\nwidth 1:\n%+v", w, got, want)
+				}
 			}
 		})
 	}
@@ -162,7 +242,15 @@ func TestCommitKeepsReceiverOrder(t *testing.T) {
 		p.BeginRound(0)
 		p.send(2, 0)
 		p.send(1, 0)
-		if a, b := p.staged[0].pkt.Packet, p.staged[1].pkt.Packet; fmt.Sprint(a.ExpandCoeffs(k)) == fmt.Sprint(b.ExpandCoeffs(k)) {
+		// The wake only draws: a packet that awaits its fill has no
+		// coefficients yet, so it shows the factors recorded for it.
+		drawn := func(d delivery) string {
+			if d.fac.len > 0 {
+				return fmt.Sprint(p.fill.slab[d.fac.off : d.fac.off+d.fac.len])
+			}
+			return fmt.Sprint(d.pkt.Packet.ExpandCoeffs(k))
+		}
+		if drawn(p.staged[0]) == drawn(p.staged[1]) {
 			t.Fatal("the two senders drew the same factor; the order would not show")
 		}
 		p.EndRound(0)

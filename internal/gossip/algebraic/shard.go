@@ -128,12 +128,11 @@ func (sc *shardCore) receiver(e commitEvent) core.NodeID {
 	return core.NodeID(sc.slots[e.slot].to)
 }
 
-// commitWorker is one worker's step-1 output, reused across rounds. Each
-// is its own 64-byte heap object, so no two share a cache line.
+// commitWorker is one worker's step-1 output, reused across rounds, one
+// heap object each.
 type commitWorker struct {
 	traffic gossip.Traffic
 	events  []commitEvent
-	run     func() // this worker's step 1, built once so `go w.run()` allocates nothing
 }
 
 // shardCore is Protocol's sharded executor: it owns scheduling, staging
@@ -165,7 +164,7 @@ type shardCore struct {
 	width     int             // workers of the commit in flight
 	workers   []*commitWorker // grown to the widest commit seen
 	merged    []commitEvent   // the workers' events in slot order (width > 1)
-	wg        sync.WaitGroup
+	crew      crew[*shardCore]
 }
 
 func newShardCore(p *Protocol, seed uint64, retire bool) *shardCore {
@@ -305,21 +304,11 @@ func (sc *shardCore) send(from, to core.NodeID, rng *rand.Rand, slot int) {
 func (sc *shardCore) commit() {
 	copy(sc.woke, sc.active)
 	w := max(int(sc.wakeCalls.Swap(0)), 1)
-	for j := len(sc.workers); j < w; j++ {
-		cw := &commitWorker{}
-		cw.run = func() {
-			defer sc.wg.Done()
-			sc.apply(cw, j)
-		}
-		sc.workers = append(sc.workers, cw)
+	for len(sc.workers) < w {
+		sc.workers = append(sc.workers, &commitWorker{})
 	}
 	sc.width = w
-	sc.wg.Add(w - 1)
-	for _, cw := range sc.workers[1:w] {
-		go cw.run()
-	}
-	sc.apply(sc.workers[0], 0)
-	sc.wg.Wait()
+	sc.crew.run(w, sc, (*shardCore).apply)
 
 	events := sc.workers[0].events
 	if w > 1 {
@@ -356,7 +345,8 @@ func (sc *shardCore) commit() {
 // apply is step 1 for worker j of sc.width: one pass over the woke
 // snapshot in ascending slot order, taking the packets whose receiver j
 // owns and the counter-only slots whose waker j owns.
-func (sc *shardCore) apply(cw *commitWorker, j int) {
+func (sc *shardCore) apply(j int) {
+	cw := sc.workers[j]
 	cw.traffic = gossip.Traffic{}
 	cw.events = cw.events[:0]
 	width := sc.width

@@ -30,10 +30,11 @@ var ErrNotFullRank = errors.New("linalg: matrix is not full rank")
 // payload — kilobytes per row where a coefficient row is k bytes — is
 // combined afterwards in one pass over the stored payload rows (the fused
 // gf.AddMulSlices kernel), and only for a row that turned out to have a
-// pivot. A random combination is built the same way: the draws and the
-// coefficient half (RandomCoeffsInto), then the payload half from the
-// recorded factors (CombinePayloadInto), which a caller may run later as
-// long as no row is inserted in between.
+// pivot. A random combination is built the same way: the draws
+// (RandomFactorsInto), then coefficients and payload from the recorded
+// factors (CombineInto), which a caller may run later — and, for several
+// combinations of one matrix, concurrently — as long as no row is
+// inserted in between.
 //
 // Memory behavior: surviving rows are copied into a matrix-owned arena,
 // and the arena, the row bookkeeping and the elimination scratch are all
@@ -290,29 +291,29 @@ func (m *RankMatrix) WouldHelp(coeffs []gf.Elem) bool {
 // rows — exactly the message an algebraic-gossip node transmits —
 // reusing the caller's buffers: the zero-allocation emit path. It
 // reports false without drawing randomness when the matrix is empty. It
-// is RandomCoeffsInto then CombinePayloadInto, over matrix-owned factors.
+// is RandomFactorsInto then CombineInto.
 func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay []byte) bool {
 	if len(m.rows) == 0 {
 		return false
 	}
 	m.checkWidths(coeffs, pay)
-	facs, _ := m.RandomCoeffsInto(rng, coeffs, nil)
+	facs, _ := m.RandomFactorsInto(rng, coeffs)
 	if m.extra > 0 {
-		m.CombinePayloadInto(facs, pay)
+		m.CombineInto(facs, coeffs, pay)
 	}
 	return true
 }
 
-// RandomCoeffsInto is the first half of a random combination: it draws
+// RandomFactorsInto is the first half of a random combination: it draws
 // one uniform factor per stored row — the only randomness a combination
-// consumes — and fills coeffs (length Cols) with that combination of the
-// stored coefficient rows. It reports false, drawing nothing, when the
-// matrix is empty. A matrix that carries payloads also records the
-// factors, one per stored row, and returns them for CombinePayloadInto to
-// finish the payload from: in buf (at least Rank() long), or in the
-// matrix's own scratch when buf is nil, where they last until its next
-// emit or insert.
-func (m *RankMatrix) RandomCoeffsInto(rng *rand.Rand, coeffs, buf []gf.Elem) (facs []gf.Elem, ok bool) {
+// consumes. It reports false, drawing nothing, when the matrix is empty.
+// A matrix without payloads has nothing worth deferring: it combines the
+// stored coefficient rows into coeffs (length Cols) at once and returns
+// no factors. A matrix that carries payloads only records the factors,
+// one per stored row, in the matrix's own scratch, where they last until
+// its next emit or insert, and returns them for CombineInto to build the
+// coefficients and the payload from; coeffs is not written.
+func (m *RankMatrix) RandomFactorsInto(rng *rand.Rand, coeffs []gf.Elem) (facs []gf.Elem, ok bool) {
 	if len(m.rows) == 0 {
 		return nil, false
 	}
@@ -320,10 +321,9 @@ func (m *RankMatrix) RandomCoeffsInto(rng *rand.Rand, coeffs, buf []gf.Elem) (fa
 		panic("linalg: coefficient width mismatch")
 	}
 	if m.extra > 0 {
-		if buf == nil {
-			buf = m.facs
-		}
-		facs = buf[:len(m.rows)]
+		facs = m.facs[:len(m.rows)]
+		m.drawFactors(rng, facs)
+		return facs, true
 	}
 	clear(coeffs)
 	if f := m.f2m; f != nil {
@@ -334,47 +334,72 @@ func (m *RankMatrix) RandomCoeffsInto(rng *rand.Rand, coeffs, buf []gf.Elem) (fa
 		cb, mask := gf.AsBytes(coeffs), uint64(f.Order()-1)
 		if g := core.Generator(rng); g != nil {
 			for i := range m.rows {
-				m.addMulRowInto(f, i, cb, facs, gf.Elem(g.Uint64()&mask))
+				f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), gf.Elem(g.Uint64()&mask))
 			}
 		} else {
 			for i := range m.rows {
-				m.addMulRowInto(f, i, cb, facs, gf.Elem(rng.Uint64()&mask))
+				f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), gf.Elem(rng.Uint64()&mask))
 			}
 		}
-		return facs, true
+		return nil, true
 	}
-	for i, row := range m.rows {
-		c := gf.Rand(m.f, rng)
-		m.f.AXPY(coeffs, row, c)
-		if facs != nil {
-			facs[i] = c
+	for _, row := range m.rows {
+		m.f.AXPY(coeffs, row, gf.Rand(m.f, rng))
+	}
+	return nil, true
+}
+
+// drawFactors fills facs with uniform field elements, drawn as the
+// coefficient loops of RandomFactorsInto draw them.
+func (m *RankMatrix) drawFactors(rng *rand.Rand, facs []gf.Elem) {
+	if f := m.f2m; f != nil {
+		mask := uint64(f.Order() - 1)
+		if g := core.Generator(rng); g != nil {
+			for i := range facs {
+				facs[i] = gf.Elem(g.Uint64() & mask)
+			}
+		} else {
+			for i := range facs {
+				facs[i] = gf.Elem(rng.Uint64() & mask)
+			}
 		}
+		return
 	}
-	return facs, true
-}
-
-// addMulRowInto adds c times stored coefficient row i into the GF(2^m)
-// combination being built in cb, recording the factor unless facs is nil.
-func (m *RankMatrix) addMulRowInto(f *gf.GF2m, i int, cb []byte, facs []gf.Elem, c gf.Elem) {
-	f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), c)
-	if facs != nil {
-		facs[i] = c
+	for i := range facs {
+		facs[i] = gf.Rand(m.f, rng)
 	}
 }
 
-// CombinePayloadInto is the second half of a random combination: it
-// overwrites pay (length Extra) with Σ facs[i]·(stored payload row i), facs
-// being what RandomCoeffsInto recorded. The halves need not be adjacent —
-// a round-based caller draws every packet of a round first and fills the
-// payloads afterwards, sender by sender — but the factors index the
-// stored rows, so no row may be inserted in between: a factor count that
-// is not the current rank panics.
-func (m *RankMatrix) CombinePayloadInto(facs []gf.Elem, pay []byte) {
+// CombineInto is the second half of a random combination over a matrix
+// that carries payloads: it overwrites coeffs (length Cols) with
+// Σ facs[i]·(stored coefficient row i) and pay (length Extra) with
+// Σ facs[i]·(stored payload row i), facs being what RandomFactorsInto
+// recorded. It only reads the matrix, so combinations of one matrix may be
+// built concurrently. The halves need not be adjacent — a round-based
+// caller draws every packet of a round first and builds them afterwards,
+// sender by sender — but the factors index the stored rows, so no row may
+// be inserted in between: a factor count that is not the current rank
+// panics.
+func (m *RankMatrix) CombineInto(facs, coeffs []gf.Elem, pay []byte) {
 	if len(facs) != len(m.rows) {
 		panic("linalg: factor count does not match the rank (row inserted between the halves of a combination?)")
 	}
+	if len(coeffs) != m.cols {
+		panic("linalg: coefficient width mismatch")
+	}
 	if m.extra == 0 || len(pay) != m.extra {
 		panic("linalg: payload width mismatch")
+	}
+	clear(coeffs)
+	if f := m.f2m; f != nil {
+		cb := gf.AsBytes(coeffs)
+		for i, c := range facs {
+			f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), c)
+		}
+	} else {
+		for i, c := range facs {
+			m.f.AXPY(coeffs, m.rows[i], c)
+		}
 	}
 	clear(pay)
 	m.addMulPayloads(pay, facs)

@@ -256,9 +256,9 @@ func payloadMatrix(q, cols, extra, rank int, seed uint64) (*RankMatrix, *rand.Ra
 	return m, rng
 }
 
-// TestSplitEmitMatchesRandomCombination: RandomCoeffsInto followed by
-// CombinePayloadInto is RandomCombinationInto — the same bytes from the
-// same draws, and the generator left in the same state — on both sides of
+// TestSplitEmitMatchesRandomCombination: RandomFactorsInto followed by
+// CombineInto is RandomCombinationInto — the same bytes from the same
+// draws, and the generator left in the same state — on both sides of
 // core.Generator's selection. The payload width covers a fused 64-byte
 // block and a tail; 251 is the field with no fused kernel.
 func TestSplitEmitMatchesRandomCombination(t *testing.T) {
@@ -272,13 +272,13 @@ func TestSplitEmitMatchesRandomCombination(t *testing.T) {
 			return []any{c, p, r.Uint64()}
 		}
 		split := func(r *rand.Rand) any {
-			c, p := make([]gf.Elem, m.cols), bytes.Repeat([]byte{0xEE}, m.extra)
-			facs, ok := m.RandomCoeffsInto(r, c, make([]gf.Elem, m.cols))
+			c, p := slices.Repeat([]gf.Elem{0xEE}, m.cols), bytes.Repeat([]byte{0xEE}, m.extra)
+			facs, ok := m.RandomFactorsInto(r, c)
 			if !ok || len(facs) != m.Rank() {
-				t.Fatalf("RandomCoeffsInto returned %d factors, %v, at rank %d", len(facs), ok, m.Rank())
+				t.Fatalf("RandomFactorsInto returned %d factors, %v, at rank %d", len(facs), ok, m.Rank())
 			}
 			next := r.Uint64() // every draw belongs to the first half
-			m.CombinePayloadInto(facs, p)
+			m.CombineInto(facs, c, p)
 			return []any{c, p, next}
 		}
 		for seed := uint64(0); seed < 8; seed++ {
@@ -297,16 +297,17 @@ func TestSplitEmitMatchesRandomCombination(t *testing.T) {
 func TestCombinePayloadAfterInsertPanics(t *testing.T) {
 	m, rng := payloadMatrix(256, 8, 64, 4, 1)
 	c, p := make([]gf.Elem, 8), make([]byte, 64)
-	facs, _ := m.RandomCoeffsInto(rng, c, make([]gf.Elem, 8))
+	facs, _ := m.RandomFactorsInto(rng, c)
+	facs = slices.Clone(facs) // the insert below reduces in the matrix's scratch
 	for rank := m.Rank(); m.Rank() == rank; {
 		m.Add(gf.RandVector(gf.MustNew(256), 8, rng), make([]byte, 64))
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("CombinePayloadInto accepted factors drawn before an insert")
+			t.Fatal("CombineInto accepted factors drawn before an insert")
 		}
 	}()
-	m.CombinePayloadInto(facs, p)
+	m.CombineInto(facs, c, p)
 }
 
 // interleavedReduce is the elimination RankMatrix ran before it split the

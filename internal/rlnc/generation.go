@@ -168,21 +168,19 @@ func (n *GenNode) Emit(rng *rand.Rand) *GenPacket {
 // different sizes (the inner emit reslices or grows them as needed).
 // It reports false — drawing no randomness — when the node stores
 // nothing yet, mirroring Node.EmitInto. The emitted trajectory is
-// identical to Emit's. It is EmitCoeffsInto then FillPayload.
+// identical to Emit's. It is DrawInto then Fill.
 func (n *GenNode) EmitInto(rng *rand.Rand, p *GenPacket) bool {
-	facs, ok := n.EmitCoeffsInto(rng, p, nil)
+	facs, ok := n.DrawInto(rng, p)
 	if ok {
-		n.FillPayload(p, facs)
+		n.Fill(p, facs)
 	}
 	return ok
 }
 
-// EmitCoeffsInto is the first half of EmitInto — the generation pick and
-// the picked decoder's Node.EmitCoeffsInto, which see: every draw, the
-// coefficient vector, and the factors (in buf, at least GenSize long, or
-// the decoder's own buffer when nil) that FillPayload finishes the
-// payload from.
-func (n *GenNode) EmitCoeffsInto(rng *rand.Rand, p *GenPacket, buf []gf.Elem) (facs []gf.Elem, ok bool) {
+// DrawInto is the first half of EmitInto — the generation pick and the
+// picked decoder's Node.DrawInto, which see: every draw, and the factors
+// (in the decoder's own scratch) that Fill builds the packet from.
+func (n *GenNode) DrawInto(rng *rand.Rand, p *GenPacket) (facs []gf.Elem, ok bool) {
 	if n.nonEmpty == 0 {
 		return nil, false
 	}
@@ -190,14 +188,14 @@ func (n *GenNode) EmitCoeffsInto(rng *rand.Rand, p *GenPacket, buf []gf.Elem) (f
 	if p.Packet == nil {
 		p.Packet = &Packet{}
 	}
-	return n.subs[p.Gen].EmitCoeffsInto(rng, p.Packet, buf)
+	return n.subs[p.Gen].DrawInto(rng, p.Packet)
 }
 
-// FillPayload is the second half of EmitInto: p's generation's
-// Node.FillPayload. The decoder must not have stored a packet since
-// EmitCoeffsInto returned facs.
-func (n *GenNode) FillPayload(p *GenPacket, facs []gf.Elem) {
-	n.subs[p.Gen].FillPayload(p.Packet, facs)
+// Fill is the second half of EmitInto: p's generation's Node.Fill. The
+// decoder must not have stored a packet since DrawInto returned facs;
+// packets of one node may be filled concurrently.
+func (n *GenNode) Fill(p *GenPacket, facs []gf.Elem) {
+	n.subs[p.Gen].Fill(p.Packet, facs)
 }
 
 // pick draws the generation the next emission codes over: uniform among

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"algossip/internal/core"
@@ -346,7 +347,7 @@ func TestGenSkipEmitMatchesEmit(t *testing.T) {
 	}
 }
 
-// TestSplitEmitMatchesEmitInto: EmitCoeffsInto followed by FillPayload —
+// TestSplitEmitMatchesEmitInto: DrawInto followed by Fill —
 // with other emits of the same node in between, as a round stages them —
 // produces EmitInto's packet from the same draws and leaves the generator
 // where EmitInto does, on both sides of core.Generator's selection. Two
@@ -379,15 +380,19 @@ func TestSplitEmitMatchesEmitInto(t *testing.T) {
 			}
 			split := func(rg *rand.Rand) any {
 				a, b := &GenPacket{}, &GenPacket{}
-				fa, okA := n.EmitCoeffsInto(rg, a, make([]gf.Elem, k))
-				fb, okB := n.EmitCoeffsInto(rg, b, make([]gf.Elem, k))
+				// The factors live in the decoder's scratch until its next
+				// emit: copied out, as a round that stages them does.
+				fa, okA := n.DrawInto(rg, a)
+				fa = slices.Clone(fa)
+				fb, okB := n.DrawInto(rg, b)
+				fb = slices.Clone(fb)
 				if !okA || !okB {
 					t.Fatal("non-empty node refused to emit")
 				}
 				next := rg.Uint64() // every draw belongs to the first half
 				n.EmitInto(core.NewRand(99), &GenPacket{})
-				n.FillPayload(b, fb)
-				n.FillPayload(a, fa)
+				n.Fill(b, fb)
+				n.Fill(a, fa)
 				return []any{wire(a), wire(b), next}
 			}
 			for seed := uint64(0); seed < 8; seed++ {
@@ -403,9 +408,9 @@ func TestSplitEmitMatchesEmitInto(t *testing.T) {
 
 // TestFillPayloadAfterReceivePanics pins the invariant a deferred fill
 // rests on: the factors name the sender's stored rows, so a packet stored
-// between EmitCoeffsInto and FillPayload must make the fill panic instead
-// of combining the wrong rows. Byte rows are forced: the packed backends
-// defer nothing.
+// between DrawInto and Fill must make the fill panic instead of combining
+// the wrong rows. Byte rows are forced: the packed backends defer
+// nothing.
 func TestFillPayloadAfterReceivePanics(t *testing.T) {
 	cfg := genericCfg(256, 4, 80)
 	cfg.ForceGeneric = true
@@ -416,11 +421,12 @@ func TestFillPayloadAfterReceivePanics(t *testing.T) {
 	}
 	n.Seed(Message{Index: 0, Payload: make([]byte, cfg.PayloadLen)})
 	p := &Packet{}
-	facs, ok := n.EmitCoeffsInto(rng, p, make([]gf.Elem, cfg.K))
+	facs, ok := n.DrawInto(rng, p)
 	if !ok || len(facs) != 1 {
-		t.Fatalf("EmitCoeffsInto = %v, %v; want one factor", facs, ok)
+		t.Fatalf("DrawInto = %v, %v; want one factor", facs, ok)
 	}
+	facs = slices.Clone(facs)
 	for !n.Receive(src.Emit(rng)) {
 	}
-	assertPanics(t, func() { n.FillPayload(p, facs) })
+	assertPanics(t, func() { n.Fill(p, facs) })
 }

@@ -342,33 +342,31 @@ func (n *Node) Emit(rng *rand.Rand) *Packet {
 // It reports false — drawing no randomness — when the node stores
 // nothing yet; p's fields may already have been resized or re-pointed by
 // then, so a false return leaves the packet's contents unspecified. The
-// emitted trajectory is identical to Emit's. It is EmitCoeffsInto then
-// FillPayload.
+// emitted trajectory is identical to Emit's. It is DrawInto then Fill.
 func (n *Node) EmitInto(rng *rand.Rand, p *Packet) bool {
-	facs, ok := n.EmitCoeffsInto(rng, p, nil)
+	facs, ok := n.DrawInto(rng, p)
 	if ok {
-		n.FillPayload(p, facs)
+		n.Fill(p, facs)
 	}
 	return ok
 }
 
-// EmitCoeffsInto is the first half of EmitInto: it sizes p's arrays,
-// draws the combination — all the randomness an emit consumes — and
-// builds its coefficient vector. A byte-row node that carries payloads
-// leaves p.Payload sized but unwritten and returns the factors FillPayload
-// finishes it from, one per stored row, written into buf (at least K
-// long; nil borrows the decoder's own scratch, valid until its next emit
-// or receive).
+// DrawInto is the first half of EmitInto: it sizes p's arrays and draws
+// the combination — all the randomness an emit consumes. A byte-row node
+// that carries payloads writes nothing else: it leaves p.Coeffs and
+// p.Payload sized but unwritten and returns the factors Fill builds both
+// from, one per stored row, in the decoder's own scratch, valid until its
+// next emit or receive.
 // Every other node has nothing worth deferring — no payload, or a packed
 // decoder whose combination is one pass over both halves — and returns
 // the packet complete, with no factors.
 //
-// The halves need not be adjacent: a round-based simulator emits the
-// coefficients of every packet of a round first and fills the payloads
+// The halves need not be adjacent: a round-based simulator draws every
+// packet of a round first, copying the factors out, and fills them
 // afterwards, sender by sender, so that a sender's stored rows are
 // streamed while they are still in cache. The node must not store a
-// packet in between (FillPayload panics if its rank moved).
-func (n *Node) EmitCoeffsInto(rng *rand.Rand, p *Packet, buf []gf.Elem) ([]gf.Elem, bool) {
+// packet in between (Fill panics if its rank moved).
+func (n *Node) DrawInto(rng *rand.Rand, p *Packet) ([]gf.Elem, bool) {
 	p.Corrupt = false
 	if n.slc != nil {
 		p.Coeffs, p.Bits, p.Payload = nil, nil, nil
@@ -415,17 +413,19 @@ func (n *Node) EmitCoeffsInto(rng *rand.Rand, p *Packet, buf []gf.Elem) ([]gf.El
 	} else {
 		p.Coeffs = make([]gf.Elem, n.cfg.K)
 	}
-	return n.mat.RandomCoeffsInto(rng, p.Coeffs, buf)
+	return n.mat.RandomFactorsInto(rng, p.Coeffs)
 }
 
-// FillPayload is the second half of EmitInto: it writes p's payload from
-// the factors EmitCoeffsInto returned for p. With no factors the packet
-// was complete already and nothing happens. It panics when the node's
-// rank is no longer the factor count — a packet was stored between the
-// halves, and the factors no longer name the rows they were drawn for.
-func (n *Node) FillPayload(p *Packet, facs []gf.Elem) {
+// Fill is the second half of EmitInto: it writes p's coefficients and
+// payload from the factors DrawInto returned for p. With no factors the
+// packet was complete already and nothing happens. It only reads the
+// node, so packets of one node may be filled concurrently, but it panics
+// when the node's rank is no longer the factor count — a packet was
+// stored between the halves, and the factors no longer name the rows they
+// were drawn for.
+func (n *Node) Fill(p *Packet, facs []gf.Elem) {
 	if len(facs) > 0 {
-		n.mat.CombinePayloadInto(facs, p.Payload)
+		n.mat.CombineInto(facs, p.Coeffs, p.Payload)
 	}
 }
 
