@@ -129,7 +129,9 @@ var (
 	WithObserver = runtime.WithObserver
 	// WithField selects the coefficient field (default GF(256)).
 	WithField = runtime.WithField
-	// WithInterval sets the per-node gossip period.
+	// WithInterval sets the cluster's clock: the loss deadline of a
+	// cluster hosting every node, whose rounds end when their last frame
+	// lands, and the round period of one hosting part of the graph.
 	WithInterval = runtime.WithInterval
 	// WithSeed roots the deployment's randomness.
 	WithSeed = runtime.WithSeed

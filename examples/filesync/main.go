@@ -68,7 +68,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d/%d nodes reached full rank in %v\n", done, g.N(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("%d/%d nodes reached full rank in %v\n", done, g.N(), time.Since(start).Round(time.Microsecond))
 
 	// Every node reconstructs the identical file.
 	for v := 0; v < g.N(); v++ {

@@ -82,7 +82,7 @@ func run() error {
 	if err := verify(c1, msgs, 9); err != nil {
 		return err
 	}
-	fmt.Printf("clean run:        9/9 nodes decoded in %v\n", cleanTime.Round(time.Millisecond))
+	fmt.Printf("clean run:        9/9 nodes decoded in %v\n", cleanTime.Round(time.Microsecond))
 
 	// Scenario 2: 30% of all packets dropped.
 	lossy, err := runtime.NewLossyTransport(runtime.NewChanTransport(), 0.3, 99)
@@ -104,7 +104,7 @@ func run() error {
 	}
 	stats := lossy.Stats()
 	fmt.Printf("30%% packet loss:  9/9 nodes decoded in %v (%d delivered, %d dropped — no retransmissions)\n",
-		lossTime.Round(time.Millisecond), stats.Total.Sent, stats.Total.Dropped)
+		lossTime.Round(time.Microsecond), stats.Total.Sent, stats.Total.Dropped)
 
 	// Scenario 3: crash a corner node mid-run.
 	churn := algossip.NewChanTransport()
@@ -126,7 +126,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("node 8 crashed:   %d nodes decoded in %v (crash absorbed by redundancy)\n",
-		done, time.Since(start).Round(time.Millisecond))
+		done, time.Since(start).Round(time.Microsecond))
 	return nil
 }
 

@@ -57,7 +57,9 @@ type Options struct {
 	PayloadLen int
 	// GenSize, when positive, enables generation coding.
 	GenSize int
-	// Interval is the per-node gossip period.
+	// Interval is the cluster's clock: the round period of a process
+	// hosting part of the graph, the loss deadline of one hosting all of
+	// it (see runtime.Config.Interval).
 	Interval time.Duration
 	// Seed roots the deployment's protocol randomness (shared by all
 	// processes; per-node streams are split from it).
@@ -95,7 +97,7 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Q, "q", o.Q, "field order (0 = the runtime's default field)")
 	fs.IntVar(&o.PayloadLen, "payload", o.PayloadLen, "payload symbols per message (0 = rank-only)")
 	fs.IntVar(&o.GenSize, "gen", o.GenSize, "generation size (0 = classic whole-k coding)")
-	fs.DurationVar(&o.Interval, "interval", o.Interval, "per-node gossip period (0 = the runtime's default)")
+	fs.DurationVar(&o.Interval, "interval", o.Interval, "round period, or loss deadline when one process hosts every node (0 = the runtime's default)")
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "protocol randomness seed (shared across processes)")
 	fs.Float64Var(&o.LossRate, "loss", o.LossRate, "injected i.i.d. packet-loss probability")
 	fs.DurationVar(&o.ChaosLatency, "chaos-latency", o.ChaosLatency, "injected per-frame delivery latency")
@@ -444,8 +446,8 @@ func (d *Daemon) mux() *http.ServeMux {
 }
 
 // writeMetrics renders the Prometheus text exposition: transport counters
-// (sends, drops, redials — totals and per destination) and per-node
-// protocol progress (rank, done, ticks — one round each).
+// (sends, drops, redials — totals and per destination), per-node protocol
+// progress (rank, done, ticks — one round each) and how rounds ended.
 func (d *Daemon) writeMetrics(w http.ResponseWriter) {
 	s := d.chaos.Stats()
 	fmt.Fprintln(w, "# HELP algossip_sends_total Envelopes handed to the medium.")
@@ -503,11 +505,20 @@ func (d *Daemon) writeMetrics(w http.ResponseWriter) {
 		}
 		fmt.Fprintf(w, "algossip_node_done{node=%q} %d\n", fmt.Sprint(n.ID), done)
 	}
-	fmt.Fprintln(w, "# HELP algossip_node_rounds Gossip ticks elapsed at a local node (one tick approximates one synchronous round).")
+	fmt.Fprintln(w, "# HELP algossip_node_rounds Synchronous rounds a local node took part in (one tick is one round).")
 	fmt.Fprintln(w, "# TYPE algossip_node_rounds counter")
 	for _, n := range st {
 		fmt.Fprintf(w, "algossip_node_rounds{node=%q} %d\n", fmt.Sprint(n.ID), n.Ticks)
 	}
+
+	rs := d.cluster.Rounds()
+	fmt.Fprintln(w, "# HELP algossip_rounds_total Rounds this process ended: by count when the round's last frame landed (a process hosting the whole graph), else by the deadline of its clock.")
+	fmt.Fprintln(w, "# TYPE algossip_rounds_total counter")
+	fmt.Fprintf(w, "algossip_rounds_total{closed_by=\"count\"} %d\n", rs.ByCount)
+	fmt.Fprintf(w, "algossip_rounds_total{closed_by=\"deadline\"} %d\n", rs.ByDeadline)
+	fmt.Fprintln(w, "# HELP algossip_frames_presumed_lost_total Frames still in flight when the deadline ended their round (a process hosting the whole graph only).")
+	fmt.Fprintln(w, "# TYPE algossip_frames_presumed_lost_total counter")
+	fmt.Fprintf(w, "algossip_frames_presumed_lost_total %d\n", rs.PresumedLost)
 }
 
 // ParseNodeList parses "0,3,17" into node ids.

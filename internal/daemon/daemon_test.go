@@ -146,6 +146,12 @@ func TestDaemonConvergeAndDrain(t *testing.T) {
 			t.Errorf("metrics missing %s:\n%s", want, metrics.String())
 		}
 	}
+	// Half the graph cannot count the frames of a round: the clock ends
+	// every round.
+	if c, dl := counter(t, metrics.String(), `algossip_rounds_total{closed_by="count"}`),
+		counter(t, metrics.String(), `algossip_rounds_total{closed_by="deadline"}`); c != 0 || dl == 0 {
+		t.Errorf("a daemon hosting half the graph ended %d rounds by count and %d by deadline", c, dl)
+	}
 
 	// Drain: post-convergence cancellation must be clean on both daemons.
 	cancel()
@@ -518,13 +524,21 @@ func TestDaemonMetricsCountEveryDrop(t *testing.T) {
 	for counter(t, scrape(), "algossip_node_rounds") < 400 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Stop every node, then let the TCP send queues run dry: the counters
-	// are final once two scrapes agree.
+	// Stop every node, then let the TCP send queues run dry: the traffic
+	// counters are final once two scrapes agree on them. (The process's
+	// clock ticks on, so algossip_rounds_total does not settle.)
 	for v := 0; v < n; v++ {
 		post(t, ctl, "/kill", KillRequest{Node: v})
 	}
+	traffic := func(text string) [4]uint64 {
+		var out [4]uint64
+		for i, name := range []string{"algossip_sends_total", "algossip_drops_total", "algossip_peer_drops_total", "algossip_node_rounds"} {
+			out[i] = counter(t, text, name)
+		}
+		return out
+	}
 	last := ""
-	for text := scrape(); text != last; text = scrape() {
+	for text := scrape(); last == "" || traffic(text) != traffic(last); text = scrape() {
 		last = text
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -540,5 +554,48 @@ func TestDaemonMetricsCountEveryDrop(t *testing.T) {
 	}
 	if perPeer := counter(t, last, "algossip_peer_drops_total"); perPeer != dropped {
 		t.Errorf("per-peer drops sum to %d, total says %d", perPeer, dropped)
+	}
+	// A lost frame never lands: its round ends on the deadline.
+	if counter(t, last, `algossip_rounds_total{closed_by="deadline"}`) == 0 || counter(t, last, "algossip_frames_presumed_lost_total") == 0 {
+		t.Errorf("30%% injected loss, but no round ended on the deadline with a frame presumed lost")
+	}
+}
+
+// TestDaemonMetricsRoundClosure: a daemon hosting every node ends a round
+// when its last frame lands, and /metrics says so; with an hour-long
+// interval a lossless deployment converges on count alone. A daemon
+// hosting part of the graph ends every round on its clock.
+func TestDaemonMetricsRoundClosure(t *testing.T) {
+	d := runSolo(t, 4, Options{K: 2, Interval: time.Hour})
+	ctl := d.ControlAddr()
+	for i := 0; i < 2; i++ {
+		post(t, ctl, "/seed", SeedRequest{Node: i, Index: i})
+	}
+	post(t, ctl, "/start", nil)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var st StatusResponse
+		getJSON(t, ctl, "/status", &st)
+		if st.Done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("an all-local deployment never converged under an hour-long interval")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	resp, err := quick.Get("http://" + ctl + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	_, _ = buf.ReadFrom(resp.Body)
+	_ = resp.Body.Close()
+	text := buf.String()
+	byCount := counter(t, text, `algossip_rounds_total{closed_by="count"}`)
+	byDeadline := counter(t, text, `algossip_rounds_total{closed_by="deadline"}`)
+	lost := counter(t, text, "algossip_frames_presumed_lost_total")
+	if byCount == 0 || byDeadline != 0 || lost != 0 {
+		t.Errorf("rounds by count %d, by deadline %d, frames presumed lost %d: want only count", byCount, byDeadline, lost)
 	}
 }

@@ -40,10 +40,17 @@ type Config struct {
 	// GenSize, when positive, codes the k messages in generations of this
 	// size (classic whole-k coding otherwise).
 	GenSize int
-	// Interval is the period of the cluster's one clock (default 1ms).
-	// Each tick is one round: every local node ingests what was staged
-	// for it, then every node contacts one partner — a uniformly random
-	// neighbor, or on a tree cluster what TAG's phase prescribes.
+	// Interval is the cluster's clock (default 1ms). Each tick is one
+	// round: every local node ingests what was staged for it, then every
+	// node contacts one partner — a uniformly random neighbor, or on a
+	// tree cluster what TAG's phase prescribes. A cluster hosting the
+	// whole graph counts its own frames and starts the next round as soon
+	// as the last frame of this one has landed; there Interval is a loss
+	// deadline, the longest a round may go without any frame landing
+	// before the frames still in flight are presumed lost. A process
+	// hosting part of the graph cannot count frames it was never told
+	// about, and ticks once an Interval; so does a ServeAfterDone cluster
+	// once every local node is done.
 	Interval time.Duration
 	// Seed roots per-node randomness.
 	Seed uint64
@@ -81,7 +88,9 @@ func WithObserver(obs Observer) Option { return func(c *Config) { c.Observer = o
 // WithField selects the coefficient field (default GF(256)).
 func WithField(f gf.Field) Option { return func(c *Config) { c.Field = f } }
 
-// WithInterval sets the period of the cluster's clock: one round a tick.
+// WithInterval sets the cluster's clock: the round period of a process
+// hosting part of the graph, and the loss deadline of one hosting all of
+// it, whose rounds end when their last frame lands (see Config.Interval).
 func WithInterval(d time.Duration) Option { return func(c *Config) { c.Interval = d } }
 
 // WithSeed roots the deployment's randomness.
@@ -211,14 +220,16 @@ type NodeStatus struct {
 	Ticks int `json:"ticks"`
 }
 
-// Cluster is a set of gossip nodes over a Transport, run by one clock.
+// Cluster is a set of gossip nodes over a Transport, run by one tick loop.
 // Each tick is one synchronous round: first every live local node ingests
 // what was staged for it since the last tick, then every live node
 // contacts one partner, in node order. Each node's goroutine only serves
-// its inbox. The communication model is the one thing that varies: whom a
-// node contacts each round. A uniform cluster (NewCluster) picks a random
-// neighbor; a tree cluster (NewTAGCluster) runs the paper's TAG, growing
-// a spanning tree from origin and exchanging with the tree parent.
+// its inbox. A round ends when its last frame lands (a cluster hosting the
+// whole graph) or on the clock (see Config.Interval). The communication
+// model is the one thing that varies: whom a node contacts each round. A
+// uniform cluster (NewCluster) picks a random neighbor; a tree cluster
+// (NewTAGCluster) runs the paper's TAG, growing a spanning tree from
+// origin and exchanging with the tree parent.
 type Cluster struct {
 	cfg       Config
 	origin    core.NodeID // the tree's root; NilNode on a uniform cluster
@@ -226,6 +237,124 @@ type Cluster struct {
 	nodes     map[core.NodeID]*clusterNode
 	startCh   chan struct{}
 	startOnce sync.Once
+	count     frameCount
+}
+
+// RoundStats counts how a cluster's rounds ended. Every tick but an
+// all-local cluster's first ends the round before it.
+type RoundStats struct {
+	// ByCount counts the rounds that ended when their last frame landed
+	// (only a cluster hosting the whole graph counts its frames).
+	ByCount uint64
+	// ByDeadline counts the rounds the clock ended: every round of a
+	// process hosting part of the graph, and a round of an all-local one
+	// that went an Interval without a frame landing, or was paced after
+	// completion under ServeAfterDone.
+	ByDeadline uint64
+	// PresumedLost counts the frames an all-local cluster still had in
+	// flight when the clock ended their round.
+	PresumedLost uint64
+}
+
+// frameCount is how a cluster hosting the whole graph knows a round is
+// over: every frame it sends lands at one of its own nodes, so it counts
+// the frames of the current round in flight. Every Send adds one first
+// (send), and a Send that fails settles at once; handle sends its reply
+// before it settles the frame it handled. The tick holds the count up
+// for its whole contact phase, so it cannot drain while contacts are
+// still being sent. When it drains, every frame of the round is staged.
+type frameCount struct {
+	exact bool // every graph node is local: the count sees every frame
+
+	mu         sync.Mutex
+	inFlight   int           // frames of this round sent and not yet handled
+	contacting bool          // the tick's hold
+	lastLanded time.Time     // when a frame last settled, or the round began
+	drained    chan struct{} // one slot: wakes the tick loop when the count drains
+	stats      RoundStats
+}
+
+// add counts one frame about to be sent.
+func (f *frameCount) add() {
+	f.mu.Lock()
+	f.inFlight++
+	f.mu.Unlock()
+}
+
+// settle counts one frame handled, or one whose Send failed. A frame of
+// an earlier round (see begin) finds the count at zero and leaves it
+// there.
+func (f *frameCount) settle() {
+	f.mu.Lock()
+	f.lastLanded = time.Now()
+	if f.inFlight > 0 {
+		f.inFlight--
+		f.drainedLocked()
+	}
+	f.mu.Unlock()
+}
+
+// drainedLocked wakes the tick loop if the round's last frame has landed
+// and the contact phase is over.
+func (f *frameCount) drainedLocked() {
+	if f.inFlight == 0 && !f.contacting {
+		select {
+		case f.drained <- struct{}{}:
+		default: // already awake
+		}
+	}
+}
+
+// begin resets the count for a new round and takes the tick's hold.
+//
+// A frame still in flight when its round ended on the deadline is not
+// awaited any more, but it may land later: it is staged as any frame is,
+// so the next commit ingests it — counted one round late, as the clock
+// alone would count it. Its settle can cost the round it lands in one
+// count; that round then ends with one of its own frames in flight, which
+// lands one round late in turn. A settle never takes the count below zero
+// and never raises it, so a late frame can neither make it negative nor
+// stall a round past the deadline. The wake-up of a round already over is
+// discarded here, so it cannot end this one.
+func (f *frameCount) begin() {
+	f.mu.Lock()
+	f.inFlight, f.contacting, f.lastLanded = 0, true, time.Now()
+	select {
+	case <-f.drained:
+	default:
+	}
+	f.mu.Unlock()
+}
+
+// release drops the tick's hold once every contact has been sent.
+func (f *frameCount) release() {
+	f.mu.Lock()
+	f.contacting = false
+	f.drainedLocked()
+	f.mu.Unlock()
+}
+
+// idle is how long the round has gone without a frame landing: a round
+// still landing frames is slow, not lost.
+func (f *frameCount) idle() time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return time.Since(f.lastLanded)
+}
+
+// close records how the current round ended; on the deadline, an exact
+// count presumes the frames still in flight lost.
+func (f *frameCount) close(byCount bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if byCount {
+		f.stats.ByCount++
+		return
+	}
+	f.stats.ByDeadline++
+	if f.exact {
+		f.stats.PresumedLost += uint64(f.inFlight)
+	}
 }
 
 // clusterNode is one local node's state. The tick loop, the node's inbox
@@ -284,6 +413,7 @@ func newCluster(transport Transport, g *graph.Graph, origin core.NodeID, k int, 
 		transport: transport,
 		nodes:     make(map[core.NodeID]*clusterNode, len(cfg.Local)),
 		startCh:   make(chan struct{}),
+		count:     frameCount{exact: len(cfg.Local) == g.N(), drained: make(chan struct{}, 1)},
 	}
 	for _, v := range cfg.Local {
 		dec, err := cfg.newDecoder()
@@ -474,19 +604,30 @@ func (c *Cluster) Kill(v core.NodeID) error {
 	return nil
 }
 
-// Start releases the start gate, which starts the cluster's clock
+// Start releases the start gate, which starts the cluster's rounds
 // (idempotent). Without WithStartGate, Run calls it automatically.
 func (c *Cluster) Start() {
 	c.startOnce.Do(func() { close(c.startCh) })
 }
 
-// Run serves every local node's inbox on a goroutine of its own, ticks the
-// cluster's clock from Start on, and blocks until every live local node
-// can decode or ctx is cancelled. Early finishers keep taking part in
-// rounds until every local node has finished; with ServeAfterDone the
-// rounds go on until ctx is cancelled, and a post-completion cancellation
-// is a clean drain, not an error. It returns the number of local nodes
-// that completed.
+// Rounds snapshots how the cluster's rounds have ended so far.
+func (c *Cluster) Rounds() RoundStats {
+	c.count.mu.Lock()
+	defer c.count.mu.Unlock()
+	return c.count.stats
+}
+
+// Run serves every local node's inbox on a goroutine of its own, runs the
+// cluster's rounds from Start on, and blocks until every live local node
+// can decode or ctx is cancelled. A cluster hosting the whole graph starts
+// its first round at Start and each next one when the last frame of the
+// round before has landed, or after an Interval in which none landed; a
+// process hosting part of the graph ticks once an Interval, the first an
+// Interval after Start. Early finishers keep taking part in rounds until
+// every local node has finished; with ServeAfterDone the rounds go on,
+// once an Interval, until ctx is cancelled, and a post-completion
+// cancellation is a clean drain, not an error. It returns the number of
+// local nodes that completed.
 func (c *Cluster) Run(ctx context.Context) (int, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
@@ -512,6 +653,13 @@ func (c *Cluster) Run(ctx context.Context) (int, error) {
 		if finished == target && !c.cfg.ServeAfterDone {
 			return finished, nil
 		}
+		// Rounds end by count while there is a node to finish; serving on
+		// after that, the clock paces them, so the loop does not spin.
+		counted := c.count.exact && finished < target
+		var drained <-chan struct{} // nil, never ready, until Start
+		if counted && clock != nil {
+			drained = c.count.drained
+		}
 		select {
 		case <-ctx.Done():
 			if finished == target {
@@ -520,10 +668,23 @@ func (c *Cluster) Run(ctx context.Context) (int, error) {
 			return finished, fmt.Errorf("runtime: cluster interrupted with %d/%d nodes complete: %w",
 				finished, target, ctx.Err())
 		case <-start:
-			ticker.Reset(c.cfg.Interval)
 			clock, start = ticker.C, nil
+			if !counted {
+				ticker.Reset(c.cfg.Interval)
+				continue
+			}
+		case <-drained:
+			c.count.close(true)
 		case <-clock:
-			c.tick(runCtx)
+			if idle := c.count.idle(); counted && idle < c.cfg.Interval {
+				ticker.Reset(c.cfg.Interval - idle) // slow but still landing frames: nothing is lost yet
+				continue
+			}
+			c.count.close(false)
+		}
+		c.tick(runCtx)
+		if counted {
+			ticker.Reset(c.cfg.Interval) // the deadline runs from the round's start
 		}
 	}
 }
@@ -563,8 +724,10 @@ func (c *Cluster) serve(ctx context.Context, n *clusterNode) {
 // tick is one synchronous round. Every live node first commits what was
 // staged for it — what the previous round delivered — and only then does
 // any node contact a partner, so each request of this round is answered
-// from a state no delivery of this round can change.
+// from a state no delivery of this round can change. The frame count
+// starts over with the round and is held up until every contact is sent.
 func (c *Cluster) tick(ctx context.Context) {
+	c.count.begin()
 	for _, v := range c.cfg.Local {
 		if n := c.nodes[v]; n.commit() {
 			c.notifyDone(n)
@@ -573,6 +736,7 @@ func (c *Cluster) tick(ctx context.Context) {
 	for _, v := range c.cfg.Local {
 		c.contact(ctx, c.nodes[v])
 	}
+	c.count.release()
 }
 
 // commit ingests the staged batch, reporting whether that completed the
@@ -593,8 +757,9 @@ func (n *clusterNode) commit() bool {
 
 // contact makes node n's move of the round: a tree announcement, or the
 // request leg of an EXCHANGE — empty when n stores nothing, since it
-// still asks for the reply. Transport errors (backpressure included) are
-// ignored: gossip is redundant and the next round retries elsewhere.
+// still asks for the reply. A transport error (backpressure included)
+// only settles the frame: gossip is redundant and the next round retries
+// elsewhere.
 func (c *Cluster) contact(ctx context.Context, n *clusterNode) {
 	n.mu.Lock()
 	peer, kind := c.partnerLocked(n)
@@ -604,7 +769,16 @@ func (c *Cluster) contact(ctx context.Context, n *clusterNode) {
 	}
 	n.mu.Unlock()
 	if peer != core.NilNode {
-		_ = c.transport.Send(ctx, peer, env)
+		c.send(ctx, peer, env)
+	}
+}
+
+// send puts one counted frame on the transport; a frame the transport
+// refuses will never land, so it settles at once.
+func (c *Cluster) send(ctx context.Context, to core.NodeID, env Envelope) {
+	c.count.add()
+	if err := c.transport.Send(ctx, to, env); err != nil {
+		c.count.settle()
 	}
 }
 
@@ -638,7 +812,9 @@ func (c *Cluster) partnerLocked(n *clusterNode) (core.NodeID, EnvelopeKind) {
 // handle serves one inbound envelope at node n: it stages a packet for the
 // next tick's commit, adopts a first announcer as tree parent, and answers
 // an EXCHANGE request from the state the last tick committed — the
-// simulator's simultaneous exchange. A dead node does none of it.
+// simulator's simultaneous exchange. A dead node does none of it. The
+// handled frame settles last, after its reply is counted, so the round
+// cannot drain between the two.
 func (c *Cluster) handle(ctx context.Context, n *clusterNode, env Envelope) {
 	reply := Envelope{Kind: EnvelopePacket, From: n.id}
 	answer := false
@@ -655,8 +831,9 @@ func (c *Cluster) handle(ctx context.Context, n *clusterNode, env Envelope) {
 	}
 	n.mu.Unlock()
 	if answer {
-		_ = c.transport.Send(ctx, env.From, reply)
+		c.send(ctx, env.From, reply)
 	}
+	c.count.settle()
 }
 
 // checkDoneLocked marks completion exactly once, reporting whether it

@@ -540,6 +540,171 @@ func TestTickIsARound(t *testing.T) {
 	}
 }
 
+// runToDone runs c to completion within a minute, failing the test on an
+// error or a node left behind.
+func runToDone(t *testing.T, c *Cluster, want int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if done, err := c.Run(ctx); err != nil || done != want {
+		t.Fatalf("run: %d/%d done, %v", done, want, err)
+	}
+}
+
+// TestRoundsEndByCount: a cluster hosting the whole graph ends each round
+// when its last frame lands. Under an hour-long interval a lossless
+// cluster can only converge in seconds that way: over channels and over
+// TCP, uniform and tree, the ticks taken are max DoneTick + 1, every round
+// but the last ended by count, and none on the deadline. A process hosting
+// part of the graph cannot count, and does not tick before its clock.
+func TestRoundsEndByCount(t *testing.T) {
+	g := graph.Grid(3, 3)
+	const k, r = 4, 4
+	for _, model := range clusterModels() {
+		for _, tc := range []struct {
+			name string
+			tr   func() Transport
+		}{
+			{"chan", func() Transport { return NewChanTransport() }},
+			{"tcp", func() Transport { return NewTCPTransport() }},
+		} {
+			t.Run(model.name+"/"+tc.name, func(t *testing.T) {
+				tr := tc.tr()
+				defer func() { _ = tr.Close() }()
+				c, err := model.new(tr, g, k, WithPayload(r), WithInterval(time.Hour), WithSeed(17))
+				if err != nil {
+					t.Fatal(err)
+				}
+				msgs := seedMessages(t, c, k, r, g.N())
+				runToDone(t, c, g.N())
+				verifyDecode(t, c, msgs, g.N())
+				last := 0
+				for _, st := range c.Status() {
+					last = max(last, st.DoneTick)
+				}
+				ticks := c.Status()[0].Ticks
+				if ticks != last+1 {
+					t.Errorf("%d ticks for a last DoneTick of %d, want %d", ticks, last, last+1)
+				}
+				if got, want := c.Rounds(), (RoundStats{ByCount: uint64(ticks - 1)}); got != want {
+					t.Errorf("round closures %+v, want %+v", got, want)
+				}
+			})
+		}
+	}
+	t.Run("partial", func(t *testing.T) {
+		tr := NewChanTransport()
+		defer func() { _ = tr.Close() }()
+		c, err := NewCluster(tr, g, k, WithPayload(r), WithLocalNodes(0, 1, 2), WithInterval(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedMessages(t, c, k, r, 3)
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		if _, err := c.Run(ctx); err == nil {
+			t.Fatal("a third of the graph converged alone")
+		}
+		for _, st := range c.Status() {
+			if st.Ticks != 0 {
+				t.Fatalf("node %d ticked %d times before an hour-long clock fired", st.ID, st.Ticks)
+			}
+		}
+		if got := c.Rounds(); got != (RoundStats{}) {
+			t.Fatalf("round closures %+v with no tick", got)
+		}
+	})
+}
+
+// TestRoundCountSurvivesLossKillAndServe: what the count cannot see must
+// not stop a cluster. Lost frames end their rounds on the deadline (10%
+// i.i.d. loss), frames delayed past it land in a later round (jitter of
+// three intervals), a node killed mid-round still settles what reaches it
+// (under an hour-long interval, so a stalled count would time out), and a
+// ServeAfterDone cluster paces its rounds by the clock once done.
+func TestRoundCountSurvivesLossKillAndServe(t *testing.T) {
+	g := graph.Grid(3, 3)
+	const k, r = 4, 4
+	t.Run("loss", func(t *testing.T) {
+		tr, err := NewLossyTransport(NewChanTransport(), 0.1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = tr.Close() }()
+		c, err := NewCluster(tr, g, k, WithPayload(r), WithInterval(time.Millisecond), WithSeed(18))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := seedMessages(t, c, k, r, g.N())
+		runToDone(t, c, g.N())
+		verifyDecode(t, c, msgs, g.N())
+		if st := c.Rounds(); st.ByDeadline == 0 || st.PresumedLost == 0 {
+			t.Errorf("round closures %+v under 10%% loss: no round ended on the deadline", st)
+		}
+	})
+	t.Run("jitter", func(t *testing.T) {
+		tr, err := NewChaosTransport(NewChanTransport(), ChaosConfig{Jitter: 3 * time.Millisecond, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = tr.Close() }()
+		c, err := NewCluster(tr, g, k, WithPayload(r), WithInterval(time.Millisecond), WithSeed(19))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := seedMessages(t, c, k, r, g.N())
+		runToDone(t, c, g.N())
+		verifyDecode(t, c, msgs, g.N())
+	})
+	t.Run("kill", func(t *testing.T) {
+		const victim = core.NodeID(8) // holds nothing unique, as in TestClusterChurn
+		var c *Cluster
+		var sends atomic.Int64
+		tr := &hookTransport{Transport: NewChanTransport(), at: func(Envelope) {
+			if sends.Add(1) == int64(3*g.N()) { // in the second round's traffic
+				_ = c.Kill(victim)
+			}
+		}}
+		defer func() { _ = tr.Close() }()
+		c, err := NewCluster(tr, g, k, WithPayload(r), WithInterval(time.Hour), WithSeed(12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := seedMessages(t, c, k, r, k)
+		runToDone(t, c, g.N()-1)
+		for v := range g.N() - 1 {
+			verifyNode(t, c, core.NodeID(v), msgs)
+		}
+		if st := c.Rounds(); st.ByDeadline != 0 {
+			t.Errorf("round closures %+v: a lossless round waited for the hour-long deadline", st)
+		}
+	})
+	t.Run("serve", func(t *testing.T) {
+		const interval = 5 * time.Millisecond
+		tr := NewChanTransport()
+		defer func() { _ = tr.Close() }()
+		c, err := NewCluster(tr, g, k, WithPayload(r), WithInterval(interval), WithServeAfterDone(), WithSeed(20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedMessages(t, c, k, r, g.N())
+		ctx, stop := context.WithCancel(context.Background())
+		res := make(chan error, 1)
+		go func() { _, err := c.Run(ctx); res <- err }()
+		waitFor(t, "every node to complete", func() bool { return allDone(c) })
+		t0, from := c.Status()[0].Ticks, time.Now()
+		time.Sleep(20 * interval) // the window measured
+		t1, window := c.Status()[0].Ticks, time.Since(from)
+		stop()
+		if err := <-res; err != nil {
+			t.Fatalf("post-completion cancel was not a clean drain: %v", err)
+		}
+		if most := int(window/interval) + 1; t1-t0 > most {
+			t.Fatalf("%d ticks in %v after completion, want at most %d: the rounds spin", t1-t0, window, most)
+		}
+	})
+}
+
 // TestClusterChurn kills a node between two rounds (one that holds no
 // unique information): it does not tick, does not complete and does not
 // answer, the survivors all decode — gossip's redundancy makes single-node

@@ -5,12 +5,14 @@
 // the same RLNC exchange over channels or real sockets, with payloads,
 // decoding, and graceful shutdown.
 //
-// A Cluster has one clock, and each tick is the simulator's synchronous
-// round: first every live local node ingests what was delivered to it
-// since the last tick, then every live node contacts one partner. Each
-// node's goroutine only serves its inbox — it stages packets for the next
-// tick and answers EXCHANGE requests from the state the tick committed —
-// so a node's DoneTick is a round in the simulator's units.
+// A Cluster has one tick loop, and each tick is the simulator's
+// synchronous round: first every live local node ingests what was
+// delivered to it since the last tick, then every live node contacts one
+// partner. Each node's goroutine only serves its inbox — it stages packets
+// for the next tick and answers EXCHANGE requests from the state the tick
+// committed — so a node's DoneTick is a round in the simulator's units. A
+// cluster hosting the whole graph ends a round when its last frame lands;
+// a process hosting part of it ends rounds on its clock.
 //
 // Three transports ship with the package, over one routing table:
 // ChanTransport (in-process, used by examples and tests), TCPTransport and
