@@ -192,7 +192,7 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 			procs:  runtime.GOMAXPROCS(0),
 			grain:  commitGrain,
 		}
-		// Like the factor slab (keep), the staged list — and the commit's
+		// Like the factor slab (room), the staged list — and the commit's
 		// index and regrouping buffer, which follow its capacity — and
 		// the packet freelist, which mirrors it, start with room for a
 		// round in which every node exchanges, instead of doubling up to
@@ -463,18 +463,15 @@ func (p *Protocol) send(from, to core.NodeID) {
 	if skip {
 		fac.len = skipped
 		ok = p.nodes[from].SkipEmit(p.rng)
+	} else if p.fill == nil {
+		ok = p.nodes[from].EmitInto(p.rng, pkt)
 	} else {
-		// The two halves of EmitInto, called apart: the packet is built
-		// here and now unless the round's end will build it.
+		// The first half of EmitInto, into the round's slab: the round's
+		// end builds the packet. A packet lost in flight below leaves its
+		// factors in the slab until then.
 		var facs []gf.Elem
-		facs, ok = p.nodes[from].DrawInto(p.rng, pkt)
-		if p.fill != nil {
-			// A packet lost in flight below leaves its factors in the slab
-			// until the round ends.
-			fac = p.keep(facs)
-		} else if ok {
-			p.nodes[from].Fill(pkt, facs)
-		}
+		facs, ok = p.nodes[from].DrawInto(p.rng, pkt, p.room())
+		fac = p.keep(facs)
 	}
 	if !ok {
 		p.recycle(pkt)
@@ -499,21 +496,28 @@ func (p *Protocol) send(from, to core.NodeID) {
 	p.recycle(pkt)
 }
 
-// keep copies an emit's factors — those the decoder left in its own
-// scratch, valid until its next emit or receive — to the round's slab and
-// returns where they are. Only byte-row decoders with payloads defer
-// anything, so the slab is first allocated when one of them emits, with
-// room for a round in which every node sends two packets of GenSize
-// factors, and doubles when a round needs more.
-func (p *Protocol) keep(facs []gf.Elem) facSpan {
+// room returns the free end of the round's factor slab, GenSize long:
+// the buffer an emit's DrawInto draws its factors into. The slab is first
+// allocated on the first emit, with room for a round in which every node
+// sends two packets of GenSize factors, and doubles when a round needs
+// more.
+func (p *Protocol) room() []gf.Elem {
 	f := p.fill
-	at := facSpan{int32(f.used), int32(len(facs))}
-	if f.used+len(facs) > len(f.slab) {
+	if f.used+p.gen.GenSize > len(f.slab) {
 		grown := make([]gf.Elem, max(2*len(f.slab), 2*len(p.nodes)*p.gen.GenSize))
 		copy(grown, f.slab[:f.used])
 		f.slab = grown
 	}
-	f.used += copy(f.slab[f.used:], facs)
+	return f.slab[f.used : f.used+p.gen.GenSize]
+}
+
+// keep claims the factors an emit drew into room — none when its decoder
+// built the packet whole (only byte rows with payloads defer anything) —
+// for the rest of the round and returns where they are in the slab.
+func (p *Protocol) keep(facs []gf.Elem) facSpan {
+	f := p.fill
+	at := facSpan{int32(f.used), int32(len(facs))}
+	f.used += len(facs)
 	return at
 }
 

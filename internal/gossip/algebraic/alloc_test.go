@@ -132,47 +132,75 @@ func TestAllocsSteadyStateRound(t *testing.T) {
 // TestAllocsSteadyStateShardedRound pins zero allocations for a sharded
 // round as the engine drives it at two shards — two WakeShard calls, so
 // CommitRound runs two workers, one of them on its own goroutine — once
-// ranks have saturated. The commit's worker scratch (counters, event
-// lists, the goroutine bodies) lives on the shardCore and the run to
-// saturation below has already grown it, so neither the fan-out nor the
-// merge may allocate. Retirement is off: with it a saturated graph wakes
-// nobody and the round would be empty.
+// ranks have settled. The commit's worker scratch (counters, event
+// lists, the goroutine bodies) lives on the shardCore and the warm-up
+// below has already grown it, so neither the fan-out nor the merge may
+// allocate. Retirement is off: with it a saturated graph wakes nobody and
+// the round would be empty. The GF(2) row seeds all eight messages, so
+// every send of a settled round is a counter-only slot; the GF(256)
+// payload row seeds seven, so ranks settle at 7 for good and every send
+// is a real emit from a source two workers share — draws and payload
+// combine into the slot's packet, on the emitting worker's stack — and a
+// useless reduce at commit.
 func TestAllocsSteadyStateShardedRound(t *testing.T) {
-	g := graph.Ring(256) // four bitmap words
-	cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(2), K: 8, RankOnly: true}, GenSize: 4}
-	p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(core.SplitSeed(3, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SeedAll(RoundRobinAssign(8, g.N()), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.EnableSharded(core.SplitSeed(3, 12), false); err != nil {
-		t.Fatal(err)
-	}
-	words := len(p.ActiveWords())
-	round := 0
-	step := func() {
-		round++
-		p.BeginRound(round)
-		p.WakeShard(0, words/2)
-		p.WakeShard(words/2, words)
-		p.CommitRound(round)
-	}
-	for !p.Done() {
-		step()
-	}
-	if len(p.shard.workers) != 2 || cap(p.shard.merged) == 0 {
-		t.Fatalf("warm-up did not commit on two workers: %d workers, merged cap %d",
-			len(p.shard.workers), cap(p.shard.merged))
-	}
-	step() // every send is now a counter-only slot
-	sent := p.Traffic().Sent
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state sharded round allocated %.1f times, want 0", allocs)
-	}
-	if p.Traffic().Sent == sent {
-		t.Fatal("steady-state rounds sent nothing")
+	for _, tc := range []struct {
+		name   string
+		rcfg   rlnc.Config
+		seeded int
+	}{
+		{"gf2", rlnc.Config{Field: gf.MustNew(2), K: 8, RankOnly: true}, 8},
+		{"gf256-payload", rlnc.Config{Field: gf.MustNew(256), K: 8, PayloadLen: 64}, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.Ring(256) // four bitmap words
+			p, err := New(g, core.Synchronous, sim.NewUniform(g), Config{RLNC: tc.rcfg, GenSize: 4}, core.NewRand(core.SplitSeed(3, 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, msg := range RandomMessages(tc.rcfg, core.NewRand(4))[:tc.seeded] {
+				p.Seed(core.NodeID(msg.Index), msg)
+			}
+			if err := p.EnableSharded(core.SplitSeed(3, 12), false); err != nil {
+				t.Fatal(err)
+			}
+			words := len(p.ActiveWords())
+			round := 0
+			step := func() {
+				round++
+				p.BeginRound(round)
+				p.WakeShard(0, words/2)
+				p.WakeShard(words/2, words)
+				p.CommitRound(round)
+			}
+			settled := func() bool {
+				for v := range g.N() {
+					if p.Node(core.NodeID(v)).Rank() < tc.seeded {
+						return false
+					}
+				}
+				return true
+			}
+			for !settled() {
+				if round > 10*g.N() {
+					t.Fatalf("ranks did not settle at %d in %d rounds", tc.seeded, round)
+				}
+				step()
+			}
+			// A node that never completes raises no commit event, so only
+			// the saturating row has merged any.
+			if len(p.shard.workers) != 2 || tc.seeded == tc.rcfg.K && cap(p.shard.merged) == 0 {
+				t.Fatalf("warm-up did not commit on two workers: %d workers, merged cap %d",
+					len(p.shard.workers), cap(p.shard.merged))
+			}
+			step() // every slot's packet has met its largest generation
+			sent := p.Traffic().Sent
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Fatalf("steady-state sharded round allocated %.1f times, want 0", allocs)
+			}
+			if p.Traffic().Sent == sent {
+				t.Fatal("steady-state rounds sent nothing")
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"algossip/internal/core"
@@ -30,10 +29,10 @@ import (
 //     packets in ascending slot order — the deterministic merge.
 //
 // Within a synchronous round all decoder state is frozen (applies happen
-// only at commit), so concurrent wakeups read a consistent snapshot; the
-// only shared mutable memory is the emit scratch inside a source node's
-// matrix, guarded by a per-node lock that serializes emits *from* the
-// same node without affecting any drawn value.
+// only at commit), so concurrent wakeups read a consistent snapshot, and
+// the wake phase shares no mutable memory: an emit only reads its source's
+// decoder and writes the waker's stream and slot packet (rlnc's memory
+// contract), so two workers may emit from one source at once.
 //
 // Because the per-node streams are new, a sharded trajectory differs
 // from the classic serial one for the same seed; it is byte-identical
@@ -143,7 +142,6 @@ type shardCore struct {
 
 	n        int
 	rngs     []*rand.Rand     // per-node streams: rngs[v] = NewRand(SplitSeed(seed, v))
-	locks    []sync.Mutex     // per-node emit guards (matrix scratch)
 	slots    []shardSlot      // 2 per node: [2v] send/pull, [2v+1] exchange reply
 	slotPkts []rlnc.GenPacket // one pooled packet per slot; inner packets appear on first emit
 
@@ -172,7 +170,6 @@ func newShardCore(p *Protocol, seed uint64, retire bool) *shardCore {
 	sc := &shardCore{
 		p: p, n: n, retire: retire,
 		rngs:     make([]*rand.Rand, n),
-		locks:    make([]sync.Mutex, n),
 		slots:    make([]shardSlot, 2*n),
 		slotPkts: make([]rlnc.GenPacket, 2*n),
 	}
@@ -280,10 +277,7 @@ func (sc *shardCore) send(from, to core.NodeID, rng *rand.Rand, slot int) {
 		s.state, s.to = slotUseless, int32(to)
 		return
 	}
-	sc.locks[from].Lock()
-	ok := sc.p.nodes[from].EmitInto(rng, &sc.slotPkts[slot])
-	sc.locks[from].Unlock()
-	if !ok {
+	if !sc.p.nodes[from].EmitInto(rng, &sc.slotPkts[slot]) {
 		return // unreachable: rank checked above
 	}
 	if loss := sc.p.cfg.LossRate; loss > 0 && rng.Float64() < loss {

@@ -95,14 +95,19 @@ func TestShardedSerialIdentity(t *testing.T) {
 // receiver partition and deferred retirement can get wrong: every action,
 // k=1 (a node leaves rank 0 *and* fills in one round, set-then-clear),
 // single-source seeding (most of the graph starts dormant), loss
-// (counter-only slots), GF(256), generations, a partial last word, and
-// dynamic schedules (retirement off; churn resets completed nodes).
+// (counter-only slots), GF(256), generations, a partial last word,
+// dynamic schedules (retirement off; churn resets completed nodes), and
+// payloads: the last three rows are the only place two WakeShard
+// goroutines emit payload rows from one source at once (GF(2) packed
+// bits; GF(256) byte rows on a vector tier, bit-sliced on the scalar one).
 //
 // Cross-shard identity alone would not catch a wrong equivalence argument
 // — shards=1 runs the same deferred-retirement epilogue — so each row
 // also carries the sha256 (first 8 bytes) of its marshalled Outcome as
 // produced by the serial, interleaved-retirement commit of commit fe96955,
-// the last one that had it. A mismatch means the trajectory moved.
+// the last one that had it; the payload rows were recorded at 5758f21,
+// which still serialized the emits from one source with a per-node lock.
+// A mismatch means the trajectory moved.
 func TestShardedMultiWordIdentity(t *testing.T) {
 	dynamics := func(s string) *Dynamics {
 		d, err := ParseDynamics(s)
@@ -130,6 +135,9 @@ func TestShardedMultiWordIdentity(t *testing.T) {
 		{"grid/generations/loss", "grid", 400, GossipSpec{K: 12, GenSize: 3, LossRate: 0.2, SingleSource: true}, "3dbf7703cf6e4e61"},
 		{"barbell/exchange", "barbell", 256, GossipSpec{K: 4}, "f3fb8565b91f95a8"},
 		{"barbell/push/single-source", "barbell", 256, GossipSpec{K: 2, Action: core.Push, SingleSource: true}, "19500da203dff383"},
+		{"randreg/payload", "randreg", 256, GossipSpec{K: 8, PayloadLen: 32}, "e5d46bfc8d48884c"},
+		{"randreg/q256/payload", "randreg", 320, GossipSpec{K: 10, Q: 256, PayloadLen: 64}, "b956241ee26b554c"},
+		{"randreg/generations/payload", "randreg", 512, GossipSpec{K: 12, Q: 256, GenSize: 4, PayloadLen: 64, SingleSource: true}, "fb303919663f4f5a"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -31,10 +31,14 @@ var ErrNotFullRank = errors.New("linalg: matrix is not full rank")
 // combined afterwards in one pass over the stored payload rows (the fused
 // gf.AddMulSlices kernel), and only for a row that turned out to have a
 // pivot. A random combination is built the same way: the draws
-// (RandomFactorsInto), then coefficients and payload from the recorded
-// factors (CombineInto), which a caller may run later — and, for several
-// combinations of one matrix, concurrently — as long as no row is
-// inserted in between.
+// (RandomFactorsInto, into the caller's buffer), then coefficients and
+// payload from those factors (CombineInto), which a caller may run later
+// as long as no row is inserted in between.
+//
+// An emit only reads the matrix: RandomCombinationInto, RandomFactorsInto
+// and CombineInto write nothing but the caller's buffers (and advance the
+// caller's stream), so any number of goroutines may emit from one matrix
+// at once, each into buffers of its own, while nobody inserts.
 //
 // Memory behavior: surviving rows are copied into a matrix-owned arena,
 // and the arena, the row bookkeeping and the elimination scratch are all
@@ -62,9 +66,14 @@ type RankMatrix struct {
 	arenaP   []byte    // payload arena
 	scratchC []gf.Elem // reusable reduce buffer (coefficients)
 	// facs[i] is the factor stored row i contributes to the row being
-	// reduced or combined (nil when extra == 0: nothing to defer).
+	// reduced, for its payload (nil when extra == 0: nothing to defer).
 	facs []gf.Elem
 }
+
+// emitBlock is how many factors RandomCombinationInto draws, on its own
+// stack, before it combines the rows they belong to: a multiple of the
+// four rows the fused payload kernel streams a pass.
+const emitBlock = 64
 
 // NewRankMatrix returns an empty matrix over field f with cols coefficient
 // columns and extra augmented payload bytes per row.
@@ -145,15 +154,15 @@ func (m *RankMatrix) reduce(coeffs, facs []gf.Elem) int {
 	return -1
 }
 
-// addMulPayloads performs pay += Σ facs[i]·(stored payload row i): every
-// stored row streamed once, four to a pass over pay on a GF(2^m) matrix.
-func (m *RankMatrix) addMulPayloads(pay []byte, facs []gf.Elem) {
+// addMulPayloads performs pay += Σ facs[i]·rows[i] over stored payload
+// rows: each streamed once, four to a pass over pay on a GF(2^m) matrix.
+func (m *RankMatrix) addMulPayloads(pay []byte, rows [][]byte, facs []gf.Elem) {
 	if m.f2m != nil {
-		m.f2m.AddMulSlices(pay, m.pay[:len(facs)], facs)
+		m.f2m.AddMulSlices(pay, rows, facs)
 		return
 	}
 	for i, c := range facs {
-		m.f.AddMulSlice(pay, m.pay[i], c)
+		m.f.AddMulSlice(pay, rows[i], c)
 	}
 }
 
@@ -253,7 +262,7 @@ func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, facs []gf.Elem, p int)
 		copy(rowP, pay)
 		// The factors index the rows as they stand before this one is
 		// linked in.
-		m.addMulPayloads(rowP, facs)
+		m.addMulPayloads(rowP, m.pay[:len(facs)], facs)
 		m.pay = append(m.pay, nil)
 		copy(m.pay[at+1:], m.pay[at:])
 		m.pay[at] = rowP
@@ -291,41 +300,26 @@ func (m *RankMatrix) WouldHelp(coeffs []gf.Elem) bool {
 // rows — exactly the message an algebraic-gossip node transmits —
 // reusing the caller's buffers: the zero-allocation emit path. It
 // reports false without drawing randomness when the matrix is empty. It
-// is RandomFactorsInto then CombineInto.
+// only reads the matrix. Over a matrix with payloads its draws and its
+// bytes are RandomFactorsInto's then CombineInto's, taken emitBlock rows
+// at a time with the factors on its own stack; a rank-only matrix has
+// nothing to keep and combines each row as its factor is drawn.
 func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay []byte) bool {
 	if len(m.rows) == 0 {
 		return false
 	}
 	m.checkWidths(coeffs, pay)
-	facs, _ := m.RandomFactorsInto(rng, coeffs)
-	if m.extra > 0 {
-		m.CombineInto(facs, coeffs, pay)
-	}
-	return true
-}
-
-// RandomFactorsInto is the first half of a random combination: it draws
-// one uniform factor per stored row — the only randomness a combination
-// consumes. It reports false, drawing nothing, when the matrix is empty.
-// A matrix without payloads has nothing worth deferring: it combines the
-// stored coefficient rows into coeffs (length Cols) at once and returns
-// no factors. A matrix that carries payloads only records the factors,
-// one per stored row, in the matrix's own scratch, where they last until
-// its next emit or insert, and returns them for CombineInto to build the
-// coefficients and the payload from; coeffs is not written.
-func (m *RankMatrix) RandomFactorsInto(rng *rand.Rand, coeffs []gf.Elem) (facs []gf.Elem, ok bool) {
-	if len(m.rows) == 0 {
-		return nil, false
-	}
-	if len(coeffs) != m.cols {
-		panic("linalg: coefficient width mismatch")
-	}
-	if m.extra > 0 {
-		facs = m.facs[:len(m.rows)]
-		m.drawFactors(rng, facs)
-		return facs, true
-	}
 	clear(coeffs)
+	if m.extra > 0 {
+		clear(pay)
+		var block [emitBlock]gf.Elem
+		for lo := 0; lo < len(m.rows); lo += emitBlock {
+			facs := block[:min(emitBlock, len(m.rows)-lo)]
+			m.drawFactors(rng, facs)
+			m.addMulRows(lo, facs, coeffs, pay)
+		}
+		return true
+	}
 	if f := m.f2m; f != nil {
 		// One masked Uint64 per row is exactly gf.Rand's IntN for a
 		// power-of-two order (the identity SlicedMatrix relies on too).
@@ -341,16 +335,35 @@ func (m *RankMatrix) RandomFactorsInto(rng *rand.Rand, coeffs []gf.Elem) (facs [
 				f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), gf.Elem(rng.Uint64()&mask))
 			}
 		}
-		return nil, true
+		return true
 	}
 	for _, row := range m.rows {
 		m.f.AXPY(coeffs, row, gf.Rand(m.f, rng))
 	}
-	return nil, true
+	return true
+}
+
+// RandomFactorsInto is the first half of a random combination: it draws
+// one uniform factor per stored row — the only randomness a combination
+// consumes — into facs, the caller's buffer, which needs room for Rank()
+// of them (Cols always suffices), and returns facs[:Rank()] for
+// CombineInto to build the coefficients and the payload from. It reports
+// false, drawing nothing, when the matrix is empty. It only reads the
+// matrix.
+func (m *RankMatrix) RandomFactorsInto(rng *rand.Rand, facs []gf.Elem) ([]gf.Elem, bool) {
+	if len(m.rows) == 0 {
+		return nil, false
+	}
+	if len(facs) < len(m.rows) {
+		panic("linalg: factor buffer shorter than the rank")
+	}
+	facs = facs[:len(m.rows)]
+	m.drawFactors(rng, facs)
+	return facs, true
 }
 
 // drawFactors fills facs with uniform field elements, drawn as the
-// coefficient loops of RandomFactorsInto draw them.
+// rank-only loops of RandomCombinationInto draw them.
 func (m *RankMatrix) drawFactors(rng *rand.Rand, facs []gf.Elem) {
 	if f := m.f2m; f != nil {
 		mask := uint64(f.Order() - 1)
@@ -374,12 +387,11 @@ func (m *RankMatrix) drawFactors(rng *rand.Rand, facs []gf.Elem) {
 // that carries payloads: it overwrites coeffs (length Cols) with
 // Σ facs[i]·(stored coefficient row i) and pay (length Extra) with
 // Σ facs[i]·(stored payload row i), facs being what RandomFactorsInto
-// recorded. It only reads the matrix, so combinations of one matrix may be
-// built concurrently. The halves need not be adjacent — a round-based
-// caller draws every packet of a round first and builds them afterwards,
-// sender by sender — but the factors index the stored rows, so no row may
-// be inserted in between: a factor count that is not the current rank
-// panics.
+// drew. It only reads the matrix and facs. The halves need not be
+// adjacent — a round-based caller draws every packet of a round first and
+// builds them afterwards, sender by sender — but the factors index the
+// stored rows, so no row may be inserted in between: a factor count that
+// is not the current rank panics.
 func (m *RankMatrix) CombineInto(facs, coeffs []gf.Elem, pay []byte) {
 	if len(facs) != len(m.rows) {
 		panic("linalg: factor count does not match the rank (row inserted between the halves of a combination?)")
@@ -391,18 +403,25 @@ func (m *RankMatrix) CombineInto(facs, coeffs []gf.Elem, pay []byte) {
 		panic("linalg: payload width mismatch")
 	}
 	clear(coeffs)
+	clear(pay)
+	m.addMulRows(0, facs, coeffs, pay)
+}
+
+// addMulRows adds Σ facs[i]·(stored row lo+i) to coeffs and the same
+// combination of the stored payload rows to pay.
+func (m *RankMatrix) addMulRows(lo int, facs, coeffs []gf.Elem, pay []byte) {
+	rows := m.rows[lo : lo+len(facs)]
 	if f := m.f2m; f != nil {
 		cb := gf.AsBytes(coeffs)
 		for i, c := range facs {
-			f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), c)
+			f.AddMulSlice(cb, gf.AsBytes(rows[i]), c)
 		}
 	} else {
 		for i, c := range facs {
-			m.f.AXPY(coeffs, m.rows[i], c)
+			m.f.AXPY(coeffs, rows[i], c)
 		}
 	}
-	clear(pay)
-	m.addMulPayloads(pay, facs)
+	m.addMulPayloads(pay, m.pay[lo:lo+len(facs)], facs)
 }
 
 // Solve performs full back-substitution (RREF) and returns the decoded

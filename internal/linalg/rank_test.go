@@ -260,10 +260,12 @@ func payloadMatrix(q, cols, extra, rank int, seed uint64) (*RankMatrix, *rand.Ra
 // CombineInto is RandomCombinationInto — the same bytes from the same
 // draws, and the generator left in the same state — on both sides of
 // core.Generator's selection. The payload width covers a fused 64-byte
-// block and a tail; 251 is the field with no fused kernel.
+// block and a tail; 251 is the field with no fused kernel; rank 130 takes
+// RandomCombinationInto through two whole blocks of draws and a part.
 func TestSplitEmitMatchesRandomCombination(t *testing.T) {
-	for _, q := range []int{4, 256, 251} {
-		m, _ := payloadMatrix(q, 12, 100, 9, uint64(q))
+	for _, tc := range []struct{ q, cols, rank int }{{4, 12, 9}, {256, 12, 9}, {251, 12, 9}, {256, 150, 130}, {251, 150, 130}} {
+		q := tc.q
+		m, _ := payloadMatrix(q, tc.cols, 100, tc.rank, uint64(q))
 		whole := func(r *rand.Rand) any {
 			c, p := make([]gf.Elem, m.cols), make([]byte, m.extra)
 			if !m.RandomCombinationInto(r, c, p) {
@@ -273,7 +275,7 @@ func TestSplitEmitMatchesRandomCombination(t *testing.T) {
 		}
 		split := func(r *rand.Rand) any {
 			c, p := slices.Repeat([]gf.Elem{0xEE}, m.cols), bytes.Repeat([]byte{0xEE}, m.extra)
-			facs, ok := m.RandomFactorsInto(r, c)
+			facs, ok := m.RandomFactorsInto(r, make([]gf.Elem, m.cols))
 			if !ok || len(facs) != m.Rank() {
 				t.Fatalf("RandomFactorsInto returned %d factors, %v, at rank %d", len(facs), ok, m.Rank())
 			}
@@ -297,8 +299,7 @@ func TestSplitEmitMatchesRandomCombination(t *testing.T) {
 func TestCombinePayloadAfterInsertPanics(t *testing.T) {
 	m, rng := payloadMatrix(256, 8, 64, 4, 1)
 	c, p := make([]gf.Elem, 8), make([]byte, 64)
-	facs, _ := m.RandomFactorsInto(rng, c)
-	facs = slices.Clone(facs) // the insert below reduces in the matrix's scratch
+	facs, _ := m.RandomFactorsInto(rng, make([]gf.Elem, 8))
 	for rank := m.Rank(); m.Rank() == rank; {
 		m.Add(gf.RandVector(gf.MustNew(256), 8, rng), make([]byte, 64))
 	}

@@ -79,10 +79,15 @@ type SlicedMatrix struct {
 	hiIns    []int32  // arena indices of rows with pivot >= 64 (words == 2)
 	scratchC SlicedVec
 	scratchP SlicedVec
-	scratchF []gf.Elem // per-row factors/draws, pivot-ordered
+	scratchF []gf.Elem // per-row reduce factors, pivot-ordered
 	scratchA []gf.Elem // arena-ordered scatter of scratchF for streaming
 	order    int       // cached field order for the emit draw loop
 }
+
+// tabMaxWords is the widest plane, in words, that gets subset tables: a
+// tabbed matrix has at most 64·tabMaxWords columns, so its emit keeps one
+// row's draws on its own stack.
+const tabMaxWords = 4
 
 // NewSlicedMatrix returns an empty bit-sliced matrix over f with cols
 // coefficient columns and extra payload symbols per row.
@@ -103,7 +108,7 @@ func NewSlicedMatrix(f *gf.GF2m, cols, extra int) *SlicedMatrix {
 	}
 	// Precomputed tables cost 2-4x the row itself; cap them at 4 words per
 	// plane (k <= 256) so a node never commits more than cols KiB.
-	if ts := f.SlicedTabWords(words); ts > 0 && words <= 4 {
+	if ts := f.SlicedTabWords(words); ts > 0 && words <= tabMaxWords {
 		m.tabStride = ts
 	}
 	return m
@@ -541,7 +546,9 @@ func (m *SlicedMatrix) WouldHelp(row SlicedVec) bool {
 // emit path. It reports false without drawing randomness when the matrix
 // is empty. The random stream consumption — one gf.Rand per stored row —
 // is identical to the generic backend's draw, so swapping backends
-// preserves fixed-seed trajectories.
+// preserves fixed-seed trajectories. It only reads the matrix, so several
+// goroutines may emit from one matrix at once, each into buffers of its
+// own.
 func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec) bool {
 	if len(m.rows) == 0 {
 		return false
@@ -565,12 +572,10 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 		// One gf.Rand-equivalent draw per stored row in pivot order (the
 		// stream contract), stored straight into arena order through the
 		// inverse permutation so the accumulation pass streams the table
-		// arena sequentially.
-		if m.scratchF == nil {
-			m.scratchF = make([]gf.Elem, m.cols)
-			m.scratchA = make([]gf.Elem, m.cols)
-		}
-		da := m.scratchA[:len(m.rows)]
+		// arena sequentially. The draws live on this frame, not in the
+		// matrix.
+		var draws [64 * tabMaxWords]gf.Elem
+		da := draws[:len(m.rows)]
 		if g != nil {
 			for _, o := range m.ord {
 				da[o] = gf.Elem(g.Uint64() & mask)

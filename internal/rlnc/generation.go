@@ -168,19 +168,18 @@ func (n *GenNode) Emit(rng *rand.Rand) *GenPacket {
 // different sizes (the inner emit reslices or grows them as needed).
 // It reports false — drawing no randomness — when the node stores
 // nothing yet, mirroring Node.EmitInto. The emitted trajectory is
-// identical to Emit's. It is DrawInto then Fill.
+// identical to Emit's. Like Node.EmitInto it only reads the node, and it
+// is DrawInto with no factor buffer.
 func (n *GenNode) EmitInto(rng *rand.Rand, p *GenPacket) bool {
-	facs, ok := n.DrawInto(rng, p)
-	if ok {
-		n.Fill(p, facs)
-	}
+	_, ok := n.DrawInto(rng, p, nil)
 	return ok
 }
 
 // DrawInto is the first half of EmitInto — the generation pick and the
 // picked decoder's Node.DrawInto, which see: every draw, and the factors
-// (in the decoder's own scratch) that Fill builds the packet from.
-func (n *GenNode) DrawInto(rng *rand.Rand, p *GenPacket) (facs []gf.Elem, ok bool) {
+// Fill builds the packet from, drawn into facs, the caller's buffer,
+// which needs room for GenSize of them.
+func (n *GenNode) DrawInto(rng *rand.Rand, p *GenPacket, facs []gf.Elem) ([]gf.Elem, bool) {
 	if n.nonEmpty == 0 {
 		return nil, false
 	}
@@ -188,12 +187,13 @@ func (n *GenNode) DrawInto(rng *rand.Rand, p *GenPacket) (facs []gf.Elem, ok boo
 	if p.Packet == nil {
 		p.Packet = &Packet{}
 	}
-	return n.subs[p.Gen].DrawInto(rng, p.Packet)
+	return n.subs[p.Gen].DrawInto(rng, p.Packet, facs)
 }
 
-// Fill is the second half of EmitInto: p's generation's Node.Fill. The
-// decoder must not have stored a packet since DrawInto returned facs;
-// packets of one node may be filled concurrently.
+// Fill is the second half of EmitInto: p's generation's Node.Fill, from
+// the factors DrawInto drew into the caller's buffer. The decoder must
+// not have stored a packet since; it is only read, so packets of one
+// node may be filled concurrently.
 func (n *GenNode) Fill(p *GenPacket, facs []gf.Elem) {
 	n.subs[p.Gen].Fill(p.Packet, facs)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
-	"slices"
 	"testing"
 
 	"algossip/internal/core"
@@ -352,9 +351,9 @@ func TestGenSkipEmitMatchesEmit(t *testing.T) {
 // produces EmitInto's packet from the same draws and leaves the generator
 // where EmitInto does, on both sides of core.Generator's selection. Two
 // generations of a payload-carrying node, one full and one half full, so
-// the pick, both ranks and a decoder's own factor buffer (the nil-buffer
-// emit in the middle) are all in play; whichever backend the active tier
-// selects for the field is the one compared.
+// the pick, both ranks and an emit that builds its packet whole (the
+// nil-buffer emit in the middle) are all in play; whichever backend the
+// active tier selects for the field is the one compared.
 func TestSplitEmitMatchesEmitInto(t *testing.T) {
 	const k, r = 8, 100
 	for _, q := range []int{4, 256, 251} {
@@ -380,12 +379,10 @@ func TestSplitEmitMatchesEmitInto(t *testing.T) {
 			}
 			split := func(rg *rand.Rand) any {
 				a, b := &GenPacket{}, &GenPacket{}
-				// The factors live in the decoder's scratch until its next
-				// emit: copied out, as a round that stages them does.
-				fa, okA := n.DrawInto(rg, a)
-				fa = slices.Clone(fa)
-				fb, okB := n.DrawInto(rg, b)
-				fb = slices.Clone(fb)
+				// The factors live in the caller's buffers, one per packet,
+				// as a round's slab keeps them.
+				fa, okA := n.DrawInto(rg, a, make([]gf.Elem, k))
+				fb, okB := n.DrawInto(rg, b, make([]gf.Elem, k))
 				if !okA || !okB {
 					t.Fatal("non-empty node refused to emit")
 				}
@@ -421,11 +418,10 @@ func TestFillPayloadAfterReceivePanics(t *testing.T) {
 	}
 	n.Seed(Message{Index: 0, Payload: make([]byte, cfg.PayloadLen)})
 	p := &Packet{}
-	facs, ok := n.DrawInto(rng, p)
+	facs, ok := n.DrawInto(rng, p, make([]gf.Elem, cfg.K))
 	if !ok || len(facs) != 1 {
 		t.Fatalf("DrawInto = %v, %v; want one factor", facs, ok)
 	}
-	facs = slices.Clone(facs)
 	for !n.Receive(src.Emit(rng)) {
 	}
 	assertPanics(t, func() { n.Fill(p, facs) })

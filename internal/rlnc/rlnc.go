@@ -29,6 +29,12 @@
 // WouldHelp reduces in matrix scratch. A protocol that recycles packets
 // through a freelist therefore runs the steady-state send/receive cycle
 // with zero allocations.
+//
+// An emit only reads its decoder: EmitInto, DrawInto and Fill write the
+// caller's packet, factor buffer and stream and nothing the node owns, so
+// concurrent emits from one node into distinct packets are safe as long
+// as nothing is received meanwhile. Receive, ReceiveOwned and WouldHelp
+// write the decoder and are not.
 package rlnc
 
 import (
@@ -226,7 +232,9 @@ func packCoeffs(coeffs []gf.Elem) (linalg.BitVec, bool) {
 }
 
 // Node is the per-gossip-node RLNC state: the matrix of stored equations.
-// It is not safe for concurrent use; the concurrent runtime wraps it.
+// Emits may run concurrently with one another (see the package's memory
+// contract); nothing else is safe for concurrent use, and the concurrent
+// runtime wraps it.
 type Node struct {
 	cfg Config
 	mat *linalg.RankMatrix   // generic backend
@@ -342,31 +350,30 @@ func (n *Node) Emit(rng *rand.Rand) *Packet {
 // It reports false — drawing no randomness — when the node stores
 // nothing yet; p's fields may already have been resized or re-pointed by
 // then, so a false return leaves the packet's contents unspecified. The
-// emitted trajectory is identical to Emit's. It is DrawInto then Fill.
+// emitted trajectory is identical to Emit's. It is DrawInto with no
+// factor buffer, which leaves nothing for Fill to do.
 func (n *Node) EmitInto(rng *rand.Rand, p *Packet) bool {
-	facs, ok := n.DrawInto(rng, p)
-	if ok {
-		n.Fill(p, facs)
-	}
+	_, ok := n.DrawInto(rng, p, nil)
 	return ok
 }
 
 // DrawInto is the first half of EmitInto: it sizes p's arrays and draws
 // the combination — all the randomness an emit consumes. A byte-row node
-// that carries payloads writes nothing else: it leaves p.Coeffs and
-// p.Payload sized but unwritten and returns the factors Fill builds both
-// from, one per stored row, in the decoder's own scratch, valid until its
-// next emit or receive.
-// Every other node has nothing worth deferring — no payload, or a packed
-// decoder whose combination is one pass over both halves — and returns
-// the packet complete, with no factors.
+// that carries payloads, given facs — the caller's buffer, with room for
+// K factors — draws its factors, one per stored row, into it and writes
+// nothing else: it leaves p.Coeffs and p.Payload sized but unwritten and
+// returns facs[:Rank()] for Fill to build both from. Every other node,
+// and this one given no buffer, has nothing worth deferring — no
+// payload, a packed decoder whose combination is one pass over both
+// halves, or nowhere to keep the factors — and returns the packet
+// complete, with no factors.
 //
 // The halves need not be adjacent: a round-based simulator draws every
-// packet of a round first, copying the factors out, and fills them
-// afterwards, sender by sender, so that a sender's stored rows are
-// streamed while they are still in cache. The node must not store a
-// packet in between (Fill panics if its rank moved).
-func (n *Node) DrawInto(rng *rand.Rand, p *Packet) ([]gf.Elem, bool) {
+// packet of a round into one buffer first and fills them afterwards,
+// sender by sender, so that a sender's stored rows are streamed while
+// they are still in cache. The node must not store a packet in between
+// (Fill panics if its rank moved).
+func (n *Node) DrawInto(rng *rand.Rand, p *Packet, facs []gf.Elem) ([]gf.Elem, bool) {
 	p.Corrupt = false
 	if n.slc != nil {
 		p.Coeffs, p.Bits, p.Payload = nil, nil, nil
@@ -413,16 +420,18 @@ func (n *Node) DrawInto(rng *rand.Rand, p *Packet) ([]gf.Elem, bool) {
 	} else {
 		p.Coeffs = make([]gf.Elem, n.cfg.K)
 	}
-	return n.mat.RandomFactorsInto(rng, p.Coeffs)
+	if facs == nil || extra == 0 {
+		return nil, n.mat.RandomCombinationInto(rng, p.Coeffs, p.Payload)
+	}
+	return n.mat.RandomFactorsInto(rng, facs)
 }
 
 // Fill is the second half of EmitInto: it writes p's coefficients and
 // payload from the factors DrawInto returned for p. With no factors the
-// packet was complete already and nothing happens. It only reads the
-// node, so packets of one node may be filled concurrently, but it panics
-// when the node's rank is no longer the factor count — a packet was
-// stored between the halves, and the factors no longer name the rows they
-// were drawn for.
+// packet was complete already and nothing happens. It panics when the
+// node's rank is no longer the factor count — a packet was stored
+// between the halves, and the factors no longer name the rows they were
+// drawn for.
 func (n *Node) Fill(p *Packet, facs []gf.Elem) {
 	if len(facs) > 0 {
 		n.mat.CombineInto(facs, p.Coeffs, p.Payload)

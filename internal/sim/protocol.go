@@ -71,8 +71,8 @@ type ShardedProtocol interface {
 	// WakeShard performs the wakeups of every set bit in the word range
 	// [lo, hi), staging all sends. Calls for disjoint ranges run
 	// concurrently; implementations must confine mutation to
-	// node-owned state (per-node RNGs, per-node slots) or guard shared
-	// scratch with per-node locks that cannot affect drawn values. The
+	// node-owned state (per-node RNGs, per-node slots) and only read
+	// what several wakeups share, such as a node both ranges contact. The
 	// ranges of one round's calls must together cover every word of
 	// ActiveWords: a wakeup is also what discards the node's stage from
 	// its previous round, so CommitRound may assume every active node
