@@ -33,6 +33,17 @@ func AsBytes(v []Elem) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v))
 }
 
+// AsByteRows reinterprets a [][]Elem as [][]byte without copying, so rows
+// of symbols go to the multi-row byte kernels (AddMulSlices) as they are.
+// A slice header's layout does not depend on its element type, and the
+// elements are AsBytes-compatible, so every row views the same bytes.
+func AsByteRows(v [][]Elem) [][]byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*[]byte)(unsafe.Pointer(&v[0])), len(v))
+}
+
 // u64Bytes reinterprets a []uint64 as its underlying bytes without
 // copying (little-endian layout is irrelevant: callers only XOR).
 func u64Bytes(v []uint64) []byte {

@@ -139,15 +139,15 @@ func (c *countingSource) Uint64() uint64 {
 // Rows with a chosen leading column arrive in random column order, mixed
 // with dense random rows, so new pivots land before, between and after
 // the stored ones and every insert shifts a different tail. Widths cover
-// the one- and two-word branchless paths and the general one, with and
-// without payload. After every insert the two matrices must agree on the
+// the one- to four-word branchless paths, full and with a partial last
+// word, and the general one, with and without payload. After every insert the two matrices must agree on the
 // verdict, the rank, every stored row and payload, WouldHelp on a fresh
 // probe, and the emitted combination — which must draw exactly Rank()
 // values, and on a core.NewRand stream be the same combination from the
 // same draws (coretest.BothSides) — and at full rank on Solve.
 func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 	f := gf.MustNew(2)
-	for _, cols := range []int{1, 16, 63, 64, 65, 128, 129, 300} {
+	for _, cols := range []int{1, 16, 63, 64, 65, 128, 129, 192, 193, 256, 300} {
 		for _, extra := range []int{0, 5} {
 			t.Run(fmt.Sprintf("cols=%d/extra=%d", cols, extra), func(t *testing.T) {
 				rng := core.NewRand(uint64(cols*10 + extra))
@@ -274,13 +274,17 @@ func TestBitMatrixRandomCombination(t *testing.T) {
 	}
 }
 
-func BenchmarkBitMatrixAdd256(b *testing.B) {
+// benchBitAdd fills a fresh rank-only cols-column matrix to full rank
+// with random rows, once per op: a whole decoder's reduce/insert life.
+// At 128, 192 and 256 columns it times the two-, three- and four-word
+// register paths of reduce.
+func benchBitAdd(b *testing.B, cols int) {
 	rng := core.NewRand(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := NewBitMatrix(256)
+		m := NewBitMatrix(cols)
 		for !m.Full() {
-			v := NewBitVec(256)
+			v := NewBitVec(cols)
 			for w := range v {
 				v[w] = rng.Uint64()
 			}
@@ -288,6 +292,35 @@ func BenchmarkBitMatrixAdd256(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkBitMatrixAdd128(b *testing.B) { benchBitAdd(b, 128) }
+func BenchmarkBitMatrixAdd192(b *testing.B) { benchBitAdd(b, 192) }
+func BenchmarkBitMatrixAdd256(b *testing.B) { benchBitAdd(b, 256) }
+
+// benchBitEmit is RandomCombinationInto at rank cols/2 of a rank-only
+// cols-column matrix, drawing from a core.NewRand stream: the emit half
+// of a sweep_rank GF(2) node.
+func benchBitEmit(b *testing.B, cols int) {
+	rng := core.NewRand(1)
+	m := NewBitMatrix(cols)
+	for m.Rank() < cols/2 {
+		v := NewBitVec(cols)
+		for w := range v {
+			v[w] = rng.Uint64()
+		}
+		m.Add(v)
+	}
+	out := NewBitVec(cols)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RandomCombinationInto(rng, out, nil)
+	}
+}
+
+func BenchmarkBitMatrixEmit128(b *testing.B) { benchBitEmit(b, 128) }
+func BenchmarkBitMatrixEmit192(b *testing.B) { benchBitEmit(b, 192) }
+func BenchmarkBitMatrixEmit256(b *testing.B) { benchBitEmit(b, 256) }
 
 func BenchmarkRankMatrixAddGF256(b *testing.B) {
 	f := gf.MustNew(256)

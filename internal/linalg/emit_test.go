@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -142,73 +143,77 @@ func emitSequence(s emitSubject, seed uint64, n int) [][]byte {
 // caller's buffers, so two goroutines may emit from one matrix at once.
 // Every backend — packed bits, byte rows, bit-sliced with its table
 // kernels — runs rank-only and with payloads, at a whole-k width and at a
-// generation's g = 4. Each goroutine draws from its own stream into its
-// own buffers: its packets must be the ones a serial run from the same
-// seed emits, and the matrix must come out unchanged — its rank, every
-// row and payload, and a Solve that agrees with an identical matrix
-// nobody emitted from. Under -race a write to matrix-owned scratch is a
-// reported race even where the bytes happen to agree.
+// generation's g = 4; rank-only, packed bits also at three and four words
+// a row and byte rows at k = 128, where their emits take their own loops.
+// Each goroutine draws from its own stream into its own buffers: its
+// packets must be the ones a serial run from the same seed emits, and the
+// matrix must come out unchanged — its rank, every row and payload, and a
+// Solve that agrees with an identical matrix nobody emitted from. Under
+// -race a write to matrix-owned scratch is a reported race even where the
+// bytes happen to agree.
 func TestEmitIsReadOnly(t *testing.T) {
 	const perGoroutine = 64
+	type shape struct{ cols, extra int }
+	common := []shape{{100, 0}, {100, 70}, {4, 0}, {4, 70}}
 	backends := []struct {
 		name  string
 		build func(cols, extra int, seed uint64) emitSubject
+		wide  []shape // rank-only widths besides the common ones
 	}{
-		{"bit", buildBitSubject},
-		{"byte-rows", buildByteSubject},
-		{"sliced", buildSlicedSubject},
+		{"bit", buildBitSubject, []shape{{160, 0}, {256, 0}}},
+		{"byte-rows", buildByteSubject, []shape{{128, 0}}},
+		{"sliced", buildSlicedSubject, nil},
 	}
 	for _, b := range backends {
-		for _, cols := range []int{100, 4} {
-			for _, extra := range []int{0, 70} {
-				t.Run(fmt.Sprintf("%s/k=%d/extra=%d", b.name, cols, extra), func(t *testing.T) {
-					seed := uint64(cols*1000 + extra)
-					s, twin := b.build(cols, extra, seed), b.build(cols, extra, seed)
-					before := s.state()
-					seeds := []uint64{seed + 1, seed + 2}
-					want := make([][][]byte, len(seeds))
-					for i, sd := range seeds {
-						want[i] = emitSequence(s, sd, perGoroutine)
-					}
-					got := make([][][]byte, len(seeds))
-					var start, done sync.WaitGroup
-					start.Add(1)
-					for i, sd := range seeds {
-						done.Add(1)
-						go func() {
-							defer done.Done()
-							start.Wait()
-							got[i] = emitSequence(s, sd, perGoroutine)
-						}()
-					}
-					start.Done()
-					done.Wait()
-					for i := range seeds {
-						for j := range want[i] {
-							if !reflect.DeepEqual(got[i][j], want[i][j]) {
-								t.Fatalf("goroutine %d, emit %d: concurrent packet differs from the serial one", i, j)
-							}
+		for _, sh := range slices.Concat(common, b.wide) {
+			cols, extra := sh.cols, sh.extra
+			t.Run(fmt.Sprintf("%s/k=%d/extra=%d", b.name, cols, extra), func(t *testing.T) {
+				seed := uint64(cols*1000 + extra)
+				s, twin := b.build(cols, extra, seed), b.build(cols, extra, seed)
+				before := s.state()
+				seeds := []uint64{seed + 1, seed + 2}
+				want := make([][][]byte, len(seeds))
+				for i, sd := range seeds {
+					want[i] = emitSequence(s, sd, perGoroutine)
+				}
+				got := make([][][]byte, len(seeds))
+				var start, done sync.WaitGroup
+				start.Add(1)
+				for i, sd := range seeds {
+					done.Add(1)
+					go func() {
+						defer done.Done()
+						start.Wait()
+						got[i] = emitSequence(s, sd, perGoroutine)
+					}()
+				}
+				start.Done()
+				done.Wait()
+				for i := range seeds {
+					for j := range want[i] {
+						if !reflect.DeepEqual(got[i][j], want[i][j]) {
+							t.Fatalf("goroutine %d, emit %d: concurrent packet differs from the serial one", i, j)
 						}
 					}
-					if after := s.state(); !reflect.DeepEqual(after, before) || !reflect.DeepEqual(after, twin.state()) {
-						t.Fatal("emitting changed the matrix")
-					}
-					if s.solve == nil {
-						return
-					}
-					gotSolve, err := s.solve()
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantSolve, err := twin.solve()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(gotSolve, wantSolve) {
-						t.Fatal("Solve after the emits differs from an untouched matrix's")
-					}
-				})
-			}
+				}
+				if after := s.state(); !reflect.DeepEqual(after, before) || !reflect.DeepEqual(after, twin.state()) {
+					t.Fatal("emitting changed the matrix")
+				}
+				if s.solve == nil {
+					return
+				}
+				gotSolve, err := s.solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSolve, err := twin.solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotSolve, wantSolve) {
+					t.Fatal("Solve after the emits differs from an untouched matrix's")
+				}
+			})
 		}
 	}
 }

@@ -33,7 +33,9 @@ var ErrNotFullRank = errors.New("linalg: matrix is not full rank")
 // pivot. A random combination is built the same way: the draws
 // (RandomFactorsInto, into the caller's buffer), then coefficients and
 // payload from those factors (CombineInto), which a caller may run later
-// as long as no row is inserted in between.
+// as long as no row is inserted in between; a rank-only matrix draws and
+// combines the same way, without the payload. Over GF(2^m) the
+// coefficient rows of a combination go through the fused kernel as well.
 //
 // An emit only reads the matrix: RandomCombinationInto, RandomFactorsInto
 // and CombineInto write nothing but the caller's buffers (and advance the
@@ -300,45 +302,21 @@ func (m *RankMatrix) WouldHelp(coeffs []gf.Elem) bool {
 // rows — exactly the message an algebraic-gossip node transmits —
 // reusing the caller's buffers: the zero-allocation emit path. It
 // reports false without drawing randomness when the matrix is empty. It
-// only reads the matrix. Over a matrix with payloads its draws and its
-// bytes are RandomFactorsInto's then CombineInto's, taken emitBlock rows
-// at a time with the factors on its own stack; a rank-only matrix has
-// nothing to keep and combines each row as its factor is drawn.
+// only reads the matrix. Its draws and its bytes are RandomFactorsInto's
+// then CombineInto's (the coefficients alone on a rank-only matrix),
+// taken emitBlock rows at a time with the factors on its own stack.
 func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay []byte) bool {
 	if len(m.rows) == 0 {
 		return false
 	}
 	m.checkWidths(coeffs, pay)
 	clear(coeffs)
-	if m.extra > 0 {
-		clear(pay)
-		var block [emitBlock]gf.Elem
-		for lo := 0; lo < len(m.rows); lo += emitBlock {
-			facs := block[:min(emitBlock, len(m.rows)-lo)]
-			m.drawFactors(rng, facs)
-			m.addMulRows(lo, facs, coeffs, pay)
-		}
-		return true
-	}
-	if f := m.f2m; f != nil {
-		// One masked Uint64 per row is exactly gf.Rand's IntN for a
-		// power-of-two order (the identity SlicedMatrix relies on too).
-		// It is taken from g, inlined, on a core.NewRand stream and from
-		// rng on any other source (see BitMatrix.RandomCombinationInto).
-		cb, mask := gf.AsBytes(coeffs), uint64(f.Order()-1)
-		if g := core.Generator(rng); g != nil {
-			for i := range m.rows {
-				f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), gf.Elem(g.Uint64()&mask))
-			}
-		} else {
-			for i := range m.rows {
-				f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), gf.Elem(rng.Uint64()&mask))
-			}
-		}
-		return true
-	}
-	for _, row := range m.rows {
-		m.f.AXPY(coeffs, row, gf.Rand(m.f, rng))
+	clear(pay)
+	var block [emitBlock]gf.Elem
+	for lo := 0; lo < len(m.rows); lo += emitBlock {
+		facs := block[:min(emitBlock, len(m.rows)-lo)]
+		m.drawFactors(rng, facs)
+		m.addMulRows(lo, facs, coeffs, pay)
 	}
 	return true
 }
@@ -362,10 +340,13 @@ func (m *RankMatrix) RandomFactorsInto(rng *rand.Rand, facs []gf.Elem) ([]gf.Ele
 	return facs, true
 }
 
-// drawFactors fills facs with uniform field elements, drawn as the
-// rank-only loops of RandomCombinationInto draw them.
+// drawFactors fills facs with uniform field elements, gf.Rand's draws.
 func (m *RankMatrix) drawFactors(rng *rand.Rand, facs []gf.Elem) {
 	if f := m.f2m; f != nil {
+		// One masked Uint64 per factor is exactly gf.Rand's IntN for a
+		// power-of-two order (the identity SlicedMatrix relies on too).
+		// It is taken from g, inlined, on a core.NewRand stream and from
+		// rng on any other source (see BitMatrix.RandomCombinationInto).
 		mask := uint64(f.Order() - 1)
 		if g := core.Generator(rng); g != nil {
 			for i := range facs {
@@ -407,21 +388,21 @@ func (m *RankMatrix) CombineInto(facs, coeffs []gf.Elem, pay []byte) {
 	m.addMulRows(0, facs, coeffs, pay)
 }
 
-// addMulRows adds Σ facs[i]·(stored row lo+i) to coeffs and the same
-// combination of the stored payload rows to pay.
+// addMulRows adds Σ facs[i]·(stored row lo+i) to coeffs and, over a
+// matrix with payloads, the same combination of the stored payload rows
+// to pay. A GF(2^m) coefficient part goes through the fused kernel too.
 func (m *RankMatrix) addMulRows(lo int, facs, coeffs []gf.Elem, pay []byte) {
-	rows := m.rows[lo : lo+len(facs)]
+	hi := lo + len(facs)
 	if f := m.f2m; f != nil {
-		cb := gf.AsBytes(coeffs)
-		for i, c := range facs {
-			f.AddMulSlice(cb, gf.AsBytes(rows[i]), c)
-		}
+		f.AddMulSlices(gf.AsBytes(coeffs), gf.AsByteRows(m.rows[lo:hi]), facs)
 	} else {
 		for i, c := range facs {
-			m.f.AXPY(coeffs, rows[i], c)
+			m.f.AXPY(coeffs, m.rows[lo+i], c)
 		}
 	}
-	m.addMulPayloads(pay, m.pay[lo:lo+len(facs)], facs)
+	if m.extra > 0 {
+		m.addMulPayloads(pay, m.pay[lo:hi], facs)
+	}
 }
 
 // Solve performs full back-substitution (RREF) and returns the decoded

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -60,97 +61,105 @@ func emitSequence(src *GenNode, seed uint64, n int) [][]any {
 // backend runs rank-only and with payloads, whole-k and at g = 4: packed
 // bits (GF(2)), byte rows (GF(256) built on the host tier with
 // ForceGeneric, so byte rows on every host) and bit-sliced (GF(256) built
-// on the scalar tier, with its table kernels). Under -race a write to
-// decoder-owned scratch is a reported race even where the bytes agree.
+// on the scalar tier, with its table kernels). Rank-only and whole-k,
+// packed bits also run at three and four words a row (k = 160, 256) and
+// byte rows at k = 128, where their emits take their own loops. Under
+// -race a write to decoder-owned scratch is a reported race even where
+// the bytes agree.
 func TestEmitIsReadOnly(t *testing.T) {
-	const k, r, perGoroutine = 70, 40, 64
+	const r, perGoroutine = 40, 64
+	type shape struct {
+		k, genSize int
+		rankOnly   bool
+	}
+	common := []shape{{70, 70, true}, {70, 70, false}, {70, 4, true}, {70, 4, false}}
 	backends := []struct {
 		name  string
 		cfg   Config
 		build func(t testing.TB, cfg GenConfig) *GenNode
+		wide  []shape // rank-only whole-k widths besides the common ones
 	}{
-		{"bit", Config{Field: gf.MustNew(2)}, mustGenNode},
-		{"byte-rows", Config{Field: gf.MustNew(256), ForceGeneric: true}, mustGenNode},
+		{"bit", Config{Field: gf.MustNew(2)}, mustGenNode, []shape{{160, 160, true}, {256, 256, true}}},
+		{"byte-rows", Config{Field: gf.MustNew(256), ForceGeneric: true}, mustGenNode, []shape{{128, 128, true}}},
 		{"sliced", Config{Field: gf.MustNew(256)}, func(t testing.TB, cfg GenConfig) *GenNode {
 			var n *GenNode
 			buildSliced(t, func() { n = mustGenNode(t, cfg) })
 			return n
-		}},
+		}, nil},
 	}
 	for _, b := range backends {
-		for _, genSize := range []int{k, 4} {
-			for _, rankOnly := range []bool{true, false} {
-				inner, mode := b.cfg, "rank-only"
-				inner.RankOnly = rankOnly
-				if !rankOnly {
-					inner.PayloadLen, mode = r, "payload"
-				}
-				t.Run(fmt.Sprintf("%s/g=%d/%s", b.name, genSize, mode), func(t *testing.T) {
-					cfg := GenConfig{Inner: inner, K: k, GenSize: genSize}
-					rng := core.NewRand(uint64(genSize))
-					msgs := make([]Message, k)
-					for i := range msgs {
-						msgs[i] = Message{Index: i}
-						if !rankOnly {
-							msgs[i].Payload = gf.RandBytes(inner.Field, r, rng)
-						}
-					}
-					// The node under test and its twin hear the same packets
-					// from a seeded source until they decode.
-					src := b.build(t, cfg)
-					for _, m := range msgs {
-						src.Seed(m)
-					}
-					n, twin := b.build(t, cfg), b.build(t, cfg)
-					if b.name == "sliced" && !n.subs[0].SlicedMode() {
-						t.Fatal("node built on the scalar tier is not sliced")
-					}
-					for !n.CanDecode() {
-						p := src.Emit(rng)
-						n.Receive(p)
-						twin.Receive(p)
-					}
-					before := decoderState(n)
-					seeds := []uint64{11, 12}
-					want := make([][][]any, len(seeds))
-					for i, sd := range seeds {
-						want[i] = emitSequence(n, sd, perGoroutine)
-					}
-					got := make([][][]any, len(seeds))
-					var start, done sync.WaitGroup
-					start.Add(1)
-					for i, sd := range seeds {
-						done.Add(1)
-						go func() {
-							defer done.Done()
-							start.Wait()
-							got[i] = emitSequence(n, sd, perGoroutine)
-						}()
-					}
-					start.Done()
-					done.Wait()
-					for i := range seeds {
-						for j := range want[i] {
-							if !reflect.DeepEqual(got[i][j], want[i][j]) {
-								t.Fatalf("goroutine %d, emit %d: concurrent packet differs from the serial one", i, j)
-							}
-						}
-					}
-					if after := decoderState(n); !reflect.DeepEqual(after, before) || !reflect.DeepEqual(after, decoderState(twin)) {
-						t.Fatal("emitting changed the decoders")
-					}
-					if rankOnly {
-						return
-					}
-					decoded, err := n.Decode()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(decoded, msgs) {
-						t.Fatal("decoded messages differ from the seeded ones")
-					}
-				})
+		for _, sh := range slices.Concat(common, b.wide) {
+			k, genSize, rankOnly := sh.k, sh.genSize, sh.rankOnly
+			inner, mode := b.cfg, "rank-only"
+			inner.RankOnly = rankOnly
+			if !rankOnly {
+				inner.PayloadLen, mode = r, "payload"
 			}
+			t.Run(fmt.Sprintf("%s/g=%d/%s", b.name, genSize, mode), func(t *testing.T) {
+				cfg := GenConfig{Inner: inner, K: k, GenSize: genSize}
+				rng := core.NewRand(uint64(genSize))
+				msgs := make([]Message, k)
+				for i := range msgs {
+					msgs[i] = Message{Index: i}
+					if !rankOnly {
+						msgs[i].Payload = gf.RandBytes(inner.Field, r, rng)
+					}
+				}
+				// The node under test and its twin hear the same packets
+				// from a seeded source until they decode.
+				src := b.build(t, cfg)
+				for _, m := range msgs {
+					src.Seed(m)
+				}
+				n, twin := b.build(t, cfg), b.build(t, cfg)
+				if b.name == "sliced" && !n.subs[0].SlicedMode() {
+					t.Fatal("node built on the scalar tier is not sliced")
+				}
+				for !n.CanDecode() {
+					p := src.Emit(rng)
+					n.Receive(p)
+					twin.Receive(p)
+				}
+				before := decoderState(n)
+				seeds := []uint64{11, 12}
+				want := make([][][]any, len(seeds))
+				for i, sd := range seeds {
+					want[i] = emitSequence(n, sd, perGoroutine)
+				}
+				got := make([][][]any, len(seeds))
+				var start, done sync.WaitGroup
+				start.Add(1)
+				for i, sd := range seeds {
+					done.Add(1)
+					go func() {
+						defer done.Done()
+						start.Wait()
+						got[i] = emitSequence(n, sd, perGoroutine)
+					}()
+				}
+				start.Done()
+				done.Wait()
+				for i := range seeds {
+					for j := range want[i] {
+						if !reflect.DeepEqual(got[i][j], want[i][j]) {
+							t.Fatalf("goroutine %d, emit %d: concurrent packet differs from the serial one", i, j)
+						}
+					}
+				}
+				if after := decoderState(n); !reflect.DeepEqual(after, before) || !reflect.DeepEqual(after, decoderState(twin)) {
+					t.Fatal("emitting changed the decoders")
+				}
+				if rankOnly {
+					return
+				}
+				decoded, err := n.Decode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(decoded, msgs) {
+					t.Fatal("decoded messages differ from the seeded ones")
+				}
+			})
 		}
 	}
 }
