@@ -149,12 +149,13 @@ func (m *BitMatrix) row(i int) BitVec {
 // returns the pivot bit, or -1 if the row reduced to zero. A nil pay
 // skips payload elimination (coefficient-only queries).
 //
-// The coefficient-only one- to four-word cases (k <= 256, the common
-// simulation sizes) keep the row in registers and run branchless: the
-// pivot-bit test becomes an all-ones/all-zeros mask, so the 50%-taken
-// row-XOR branch — a guaranteed mispredict on random coded traffic —
-// disappears from the inner loop. The word holding the pivot bit is
-// picked by comparing p with 64, 128 and 192 (conditional moves).
+// The coefficient-only one-, two- and four-word cases (k <= 128 and
+// 193 <= k <= 256, the simulated sizes) keep the row in registers and run
+// branchless: the pivot-bit test becomes an all-ones/all-zeros mask, so
+// the 50%-taken row-XOR branch — a guaranteed mispredict on random coded
+// traffic — disappears from the inner loop. The word holding the pivot
+// bit is picked by comparing p with 64, 128 and 192 (conditional moves).
+// Three-word rows take the general path: no workload runs them.
 func (m *BitMatrix) reduce(row BitVec, pay []byte) int {
 	if pay == nil {
 		switch m.words {
@@ -180,8 +181,8 @@ func (m *BitMatrix) reduce(row BitVec, pay []byte) int {
 				r1 ^= er[1] & mask
 			}
 			row[0], row[1] = r0, r1
-		case 3, 4:
-			m.reduceWide(row)
+		case 4:
+			m.reduce4(row)
 		default:
 			flat, w := m.flat, m.words
 			for i, p := range m.pivot {
@@ -202,53 +203,31 @@ func (m *BitMatrix) reduce(row BitVec, pay []byte) int {
 	return row.LowestSet()
 }
 
-// reduceWide is reduce's coefficient-only three- and four-word case. It
-// is out of line, like combineWide, so that the one- and two-word cases
-// keep the stack frame they need: a sharded round runs them on
-// goroutines started that round.
-func (m *BitMatrix) reduceWide(row BitVec) {
-	switch m.words {
-	case 3:
-		r0, r1, r2 := row[0], row[1], row[2]
-		flat := m.flat[:3*len(m.pivot)]
-		for i, p := range m.pivot {
-			w := r0
-			if p >= 64 {
-				w = r1
-			}
-			if p >= 128 {
-				w = r2
-			}
-			mask := -((w >> (uint(p) % 64)) & 1)
-			er := flat[3*i : 3*i+3]
-			r0 ^= er[0] & mask
-			r1 ^= er[1] & mask
-			r2 ^= er[2] & mask
+// reduce4 is reduce's coefficient-only four-word case. It is out of
+// line, like combine4, so that the one- and two-word cases compile as
+// they did before it existed.
+func (m *BitMatrix) reduce4(row BitVec) {
+	r0, r1, r2, r3 := row[0], row[1], row[2], row[3]
+	flat := m.flat[:4*len(m.pivot)]
+	for i, p := range m.pivot {
+		w := r0
+		if p >= 64 {
+			w = r1
 		}
-		row[0], row[1], row[2] = r0, r1, r2
-	case 4:
-		r0, r1, r2, r3 := row[0], row[1], row[2], row[3]
-		flat := m.flat[:4*len(m.pivot)]
-		for i, p := range m.pivot {
-			w := r0
-			if p >= 64 {
-				w = r1
-			}
-			if p >= 128 {
-				w = r2
-			}
-			if p >= 192 {
-				w = r3
-			}
-			mask := -((w >> (uint(p) % 64)) & 1)
-			er := flat[4*i : 4*i+4]
-			r0 ^= er[0] & mask
-			r1 ^= er[1] & mask
-			r2 ^= er[2] & mask
-			r3 ^= er[3] & mask
+		if p >= 128 {
+			w = r2
 		}
-		row[0], row[1], row[2], row[3] = r0, r1, r2, r3
+		if p >= 192 {
+			w = r3
+		}
+		mask := -((w >> (uint(p) % 64)) & 1)
+		er := flat[4*i : 4*i+4]
+		r0 ^= er[0] & mask
+		r1 ^= er[1] & mask
+		r2 ^= er[2] & mask
+		r3 ^= er[3] & mask
 	}
+	row[0], row[1], row[2], row[3] = r0, r1, r2, r3
 }
 
 // insert places an already-reduced row with pivot bit p, keeping pivots
@@ -409,8 +388,8 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 			}
 			out[0], out[1] = a0, a1
 			return true
-		case 3, 4:
-			m.combineWide(g, rng, out)
+		case 4:
+			m.combine4(g, rng, out)
 			return true
 		}
 		pay = nil
@@ -433,52 +412,28 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 	return true
 }
 
-// combineWide is RandomCombinationInto's rank-only three- and four-word
-// case. It is out of line so that the one- and two-word cases keep the
-// stack frame they need: a sharded wake runs them on goroutines started
-// that round, and four accumulators kept live through both draw loops
-// would grow the frame every one of those calls pays for.
-func (m *BitMatrix) combineWide(g *core.PCG, rng *rand.Rand, out BitVec) {
-	switch m.words {
-	case 3:
-		var a0, a1, a2 uint64
-		if g != nil {
-			for flat := m.flat; len(flat) >= 3; flat = flat[3:] {
-				mask := -(g.Uint64() & 1)
-				a0 ^= flat[0] & mask
-				a1 ^= flat[1] & mask
-				a2 ^= flat[2] & mask
-			}
-		} else {
-			for flat := m.flat; len(flat) >= 3; flat = flat[3:] {
-				mask := -(rng.Uint64() & 1)
-				a0 ^= flat[0] & mask
-				a1 ^= flat[1] & mask
-				a2 ^= flat[2] & mask
-			}
+// combine4 is RandomCombinationInto's rank-only four-word case, out of
+// line like reduce4.
+func (m *BitMatrix) combine4(g *core.PCG, rng *rand.Rand, out BitVec) {
+	var a0, a1, a2, a3 uint64
+	if g != nil {
+		for flat := m.flat; len(flat) >= 4; flat = flat[4:] {
+			mask := -(g.Uint64() & 1)
+			a0 ^= flat[0] & mask
+			a1 ^= flat[1] & mask
+			a2 ^= flat[2] & mask
+			a3 ^= flat[3] & mask
 		}
-		out[0], out[1], out[2] = a0, a1, a2
-	case 4:
-		var a0, a1, a2, a3 uint64
-		if g != nil {
-			for flat := m.flat; len(flat) >= 4; flat = flat[4:] {
-				mask := -(g.Uint64() & 1)
-				a0 ^= flat[0] & mask
-				a1 ^= flat[1] & mask
-				a2 ^= flat[2] & mask
-				a3 ^= flat[3] & mask
-			}
-		} else {
-			for flat := m.flat; len(flat) >= 4; flat = flat[4:] {
-				mask := -(rng.Uint64() & 1)
-				a0 ^= flat[0] & mask
-				a1 ^= flat[1] & mask
-				a2 ^= flat[2] & mask
-				a3 ^= flat[3] & mask
-			}
+	} else {
+		for flat := m.flat; len(flat) >= 4; flat = flat[4:] {
+			mask := -(rng.Uint64() & 1)
+			a0 ^= flat[0] & mask
+			a1 ^= flat[1] & mask
+			a2 ^= flat[2] & mask
+			a3 ^= flat[3] & mask
 		}
-		out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 	}
+	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 }
 
 // xorRowInto adds stored row i, and its payload unless pay is nil, into

@@ -139,8 +139,9 @@ func (c *countingSource) Uint64() uint64 {
 // Rows with a chosen leading column arrive in random column order, mixed
 // with dense random rows, so new pivots land before, between and after
 // the stored ones and every insert shifts a different tail. Widths cover
-// the one- to four-word branchless paths, full and with a partial last
-// word, and the general one, with and without payload. After every insert the two matrices must agree on the
+// the one-, two- and four-word branchless paths, full and with a partial
+// last word, and the general one (three words and past four), with and
+// without payload. After every insert the two matrices must agree on the
 // verdict, the rank, every stored row and payload, WouldHelp on a fresh
 // probe, and the emitted combination — which must draw exactly Rank()
 // values, and on a core.NewRand stream be the same combination from the
@@ -276,8 +277,8 @@ func TestBitMatrixRandomCombination(t *testing.T) {
 
 // benchBitAdd fills a fresh rank-only cols-column matrix to full rank
 // with random rows, once per op: a whole decoder's reduce/insert life.
-// At 128, 192 and 256 columns it times the two-, three- and four-word
-// register paths of reduce.
+// At 128 and 256 columns it times the two- and four-word register paths
+// of reduce.
 func benchBitAdd(b *testing.B, cols int) {
 	rng := core.NewRand(1)
 	b.ReportAllocs()
@@ -294,7 +295,6 @@ func benchBitAdd(b *testing.B, cols int) {
 }
 
 func BenchmarkBitMatrixAdd128(b *testing.B) { benchBitAdd(b, 128) }
-func BenchmarkBitMatrixAdd192(b *testing.B) { benchBitAdd(b, 192) }
 func BenchmarkBitMatrixAdd256(b *testing.B) { benchBitAdd(b, 256) }
 
 // benchBitEmit is RandomCombinationInto at rank cols/2 of a rank-only
@@ -319,7 +319,6 @@ func benchBitEmit(b *testing.B, cols int) {
 }
 
 func BenchmarkBitMatrixEmit128(b *testing.B) { benchBitEmit(b, 128) }
-func BenchmarkBitMatrixEmit192(b *testing.B) { benchBitEmit(b, 192) }
 func BenchmarkBitMatrixEmit256(b *testing.B) { benchBitEmit(b, 256) }
 
 func BenchmarkRankMatrixAddGF256(b *testing.B) {

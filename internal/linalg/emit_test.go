@@ -143,8 +143,8 @@ func emitSequence(s emitSubject, seed uint64, n int) [][]byte {
 // caller's buffers, so two goroutines may emit from one matrix at once.
 // Every backend — packed bits, byte rows, bit-sliced with its table
 // kernels — runs rank-only and with payloads, at a whole-k width and at a
-// generation's g = 4; rank-only, packed bits also at three and four words
-// a row and byte rows at k = 128, where their emits take their own loops.
+// generation's g = 4; rank-only, packed bits also at three words a row
+// (the general loop) and four (its own loop), and byte rows at k = 128.
 // Each goroutine draws from its own stream into its own buffers: its
 // packets must be the ones a serial run from the same seed emits, and the
 // matrix must come out unchanged — its rank, every row and payload, and a

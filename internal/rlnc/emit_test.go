@@ -62,8 +62,8 @@ func emitSequence(src *GenNode, seed uint64, n int) [][]any {
 // bits (GF(2)), byte rows (GF(256) built on the host tier with
 // ForceGeneric, so byte rows on every host) and bit-sliced (GF(256) built
 // on the scalar tier, with its table kernels). Rank-only and whole-k,
-// packed bits also run at three and four words a row (k = 160, 256) and
-// byte rows at k = 128, where their emits take their own loops. Under
+// packed bits also run at three words a row (k = 160, the general loop)
+// and four (k = 256, its own loop), and byte rows at k = 128. Under
 // -race a write to decoder-owned scratch is a reported race even where
 // the bytes agree.
 func TestEmitIsReadOnly(t *testing.T) {

@@ -308,8 +308,9 @@ func TestGenSkipEmitMatchesEmit(t *testing.T) {
 	// time. Either way the skip must leave the stream where the emit does
 	// and where the other side's skip does. Two generations of k columns,
 	// one full and one half full, so the pick and both ranks are drawn; k
-	// covers the one- to four-word GF(2) emits (16, 128, 160, 200) and the
-	// general one, and at 300 a skip longer than the generator's table.
+	// covers the one-, two- and four-word GF(2) emits (16, 128, 200) and
+	// the general one (160, 300), and at 300 a skip longer than the
+	// generator's table.
 	// The prime field keeps drawing on both sides (its IntN rejects).
 	for _, q := range []int{2, 256, 251} {
 		for _, k := range []int{16, 128, 160, 200, 300} {
