@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"algossip/internal/core"
 	"algossip/internal/gossip"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
 	"algossip/internal/stats"
-	"algossip/internal/trace"
 )
 
 // E13Traffic compares total traffic (packets and bits on the wire) across
@@ -61,9 +59,8 @@ func E13Traffic(w io.Writer, opt Options) error {
 	return tbl.Write(w)
 }
 
-// E14DisseminationCurve records per-node completion rounds (the trace
-// subsystem, wired in through GossipSpec.Observer — a fresh recorder per
-// trial, which a grid cell cannot carry, hence ParallelMap) and prints the
+// E14DisseminationCurve reads per-node completion rounds off each trial's
+// Outcome (NodeDoneRounds: the cell runs without Lean) and prints the
 // dissemination CDF quantiles on the barbell. The distributional story
 // behind E10: under uniform AG *every* node's completion is gated by the
 // trickle of rank across the bridge, so the whole CDF — median included —
@@ -78,20 +75,18 @@ func E14DisseminationCurve(w io.Writer, opt Options) error {
 		name  string
 		proto harness.Protocol
 	}{{"uniform AG", harness.ProtocolUniformAG}, {"TAG+BRR", harness.ProtocolTAGRR}} {
-		summaries, err := harness.ParallelMap(opt.trials(), opt.parallel(),
-			func(i int) (stats.Summary, error) {
-				rec := trace.NewRecorder()
-				spec := harness.GossipSpec{Graph: g, K: k, Observer: rec}
-				if _, err := harness.Execute(spec, r.proto, core.SplitSeed(opt.Seed, uint64(800+i))); err != nil {
-					return stats.Summary{}, err
-				}
-				return rec.Summary()
-			})
+		rs, err := runCell(opt, g, k, r.proto,
+			func(s *harness.Spec) { s.TrialSeed, s.Lean = opt.stream(800), false })
 		if err != nil {
 			return fmt.Errorf("E14 %s: %w", r.name, err)
 		}
 		var meds, p90s, maxs []float64
-		for _, s := range summaries {
+		for _, o := range rs.Outcomes {
+			done := make([]float64, len(o.NodeDoneRounds))
+			for v, round := range o.NodeDoneRounds {
+				done[v] = float64(round)
+			}
+			s := stats.Summarize(done)
 			meds = append(meds, s.Median)
 			p90s = append(p90s, s.P90)
 			maxs = append(maxs, s.Max)

@@ -155,7 +155,7 @@ func (p *Protocol) serviceReady(from core.NodeID) bool {
 // sendByz is the Byzantine send path (replay and pollute): it bypasses
 // the honest emit — and the SkipEmit randomness-parity machinery, since
 // Byzantine sends draw no protocol randomness — but flows through the
-// same pool, loss, and staging mechanics as honest traffic.
+// same pool, loss, staging and verdict (post) as honest traffic.
 func (p *Protocol) sendByz(from, to core.NodeID, pollute bool) {
 	pkt := p.getPacket()
 	if pollute {
@@ -168,20 +168,7 @@ func (p *Protocol) sendByz(from, to core.NodeID, pollute bool) {
 		p.recycle(pkt)
 		return // replayer has heard nothing yet: nothing to replay
 	}
-	p.Counts.Sent++
-	if p.cfg.LossRate > 0 && p.rng.Float64() < p.cfg.LossRate {
-		p.Counts.Dropped++
-		p.recycle(pkt)
-		return
-	}
-	if p.Model == core.Synchronous {
-		p.staged = append(p.staged, delivery{to: to, from: from, pkt: pkt})
-		return
-	}
-	if p.apply(&p.Counts, to, pkt) {
-		p.refreshDone(to)
-	}
-	p.recycle(pkt)
+	p.post(from, to, pkt, facSpan{})
 }
 
 // verifyAccount charges one packet's worth of receiver-side verification

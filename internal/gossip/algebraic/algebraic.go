@@ -106,7 +106,7 @@ type deferredFill struct {
 	order, bucket []int32
 	regrouped     []delivery
 
-	crew     crew[*Protocol]
+	crew     sim.Crew[*Protocol]
 	procs    int          // GOMAXPROCS when the protocol was built: the widest a pass runs
 	grain    int          // commitGrain; zero lifts the floor (the width tests)
 	streamed int          // payload bytes the round's fills stream
@@ -135,9 +135,8 @@ type Protocol struct {
 	nodes   []*rlnc.GenNode
 	initial [][]rlnc.Message // per-node initial seeds, replayed on churn reset
 
-	staged     []delivery
-	stagedPeak int               // decaying high-water mark of staged length
-	free       []*rlnc.GenPacket // recycled packets; backing arrays are reused by EmitInto
+	staged []delivery        // the round's deliveries; sized on the first stage (sizeStaged)
+	free   []*rlnc.GenPacket // recycled packets; backing arrays are reused by EmitInto
 
 	// fill is non-nil for a synchronous protocol that carries payloads: it
 	// stages a packet after the draws of its emit and fills the packets in
@@ -192,13 +191,6 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 			procs:  runtime.GOMAXPROCS(0),
 			grain:  commitGrain,
 		}
-		// Like the factor slab (room), the staged list — and the commit's
-		// index and regrouping buffer, which follow its capacity — and
-		// the packet freelist, which mirrors it, start with room for a
-		// round in which every node exchanges, instead of doubling up to
-		// it.
-		p.staged = make([]delivery, 0, 2*n)
-		p.free = make([]*rlnc.GenPacket, 0, 2*n)
 	}
 	for i := range p.nodes {
 		node, err := rlnc.NewGenNode(gen)
@@ -453,8 +445,8 @@ func (p *Protocol) send(from, to core.NodeID) {
 	// randomness the emit would draw (SkipEmit) and skip building the
 	// combination — the delivery still flows through the normal pool /
 	// staging path (flagged skip) so buffer dynamics are identical, and
-	// apply-time accounting records the Useless verdict any real packet
-	// would have received. Rank never decreases within a round, so the
+	// its verdict (deliver) is the Useless one any real packet would have
+	// received. Rank never decreases within a round, so the
 	// verdict holds at delivery time.
 	skip := p.nodes[to].CanDecode()
 	pkt := p.getPacket()
@@ -477,6 +469,15 @@ func (p *Protocol) send(from, to core.NodeID) {
 		p.recycle(pkt)
 		return // rank-0 sender: nothing to say, no randomness drawn
 	}
+	p.post(from, to, pkt, fac)
+}
+
+// post puts a packet on the wire — built, awaiting its fill, or (fac.len
+// skipped) predetermined: it counts the packet sent, loses it in flight
+// with LossRate, and then stages it until the round's end in the
+// synchronous model or delivers it at once in the asynchronous one. Every
+// send path, honest or Byzantine, ends here.
+func (p *Protocol) post(from, to core.NodeID, pkt *rlnc.GenPacket, fac facSpan) {
 	p.Counts.Sent++
 	if p.cfg.LossRate > 0 && p.rng.Float64() < p.cfg.LossRate {
 		p.Counts.Dropped++
@@ -484,16 +485,29 @@ func (p *Protocol) send(from, to core.NodeID) {
 		return // lost in flight (and, when deferred, never filled)
 	}
 	if p.Model == core.Synchronous {
+		if p.staged == nil {
+			p.sizeStaged()
+		}
 		p.staged = append(p.staged, delivery{to: to, from: from, pkt: pkt, fac: fac})
 		return
 	}
-	if skip {
-		p.verifyAccount(&p.Counts)
-		p.Counts.Useless++
-	} else if p.apply(&p.Counts, to, pkt) {
+	if p.deliver(&p.Counts, to, pkt, fac.len == skipped) {
 		p.refreshDone(to)
 	}
 	p.recycle(pkt)
+}
+
+// sizeStaged allocates the staged list and the packet freelist, on the
+// first stage, with room for 2n deliveries: every node exchanging, the
+// most a synchronous round stages, since each node wakes once a round. A
+// boosted class (NodeTraits.Boost) sends more and grows them by append.
+// Neither is ever shrunk, and the payload commit's index and regrouping
+// buffer follow the list's capacity. A protocol that never stages — an
+// asynchronous or a sharded one — never allocates them.
+func (p *Protocol) sizeStaged() {
+	room := 2 * len(p.nodes)
+	p.staged = make([]delivery, 0, room)
+	p.free = append(make([]*rlnc.GenPacket, 0, room), p.free...)
 }
 
 // room returns the free end of the round's factor slab, GenSize long:
@@ -521,20 +535,25 @@ func (p *Protocol) keep(facs []gf.Elem) facSpan {
 	return at
 }
 
-// apply lets node `to` receive the packet, counts the verdict into t and
-// reports whether the node's rank rose; the caller records a completion
-// (refreshDone). The packet is pool-owned: ReceiveOwned reduces directly
-// in its backing arrays (clobbering the contents, never retaining them),
-// and the caller recycles it afterwards.
-func (p *Protocol) apply(t *gossip.Traffic, to core.NodeID, pkt *rlnc.GenPacket) bool {
+// deliver is the one verdict on a packet that reached node to, counted
+// into t. A skipped packet — its receiver was full when it was sent — is
+// useless. Otherwise, after the verifier's charge (verifyAccount, once a
+// packet), a corrupt packet is polluted: verification caught it before
+// the eliminator. Any other is reduced into the receiver and is helpful
+// or useless. The packet is pool-owned: ReceiveOwned reduces directly in
+// its backing arrays (clobbering the contents, never retaining them), and
+// the caller recycles it afterwards. deliver reports whether the
+// receiver's rank rose; the caller records a completion (refreshDone).
+// It writes only t and the receiver's decoder, so different receivers'
+// packets may be delivered at once.
+func (p *Protocol) deliver(t *gossip.Traffic, to core.NodeID, pkt *rlnc.GenPacket, skip bool) bool {
 	p.verifyAccount(t)
-	if p.verify && pkt.Packet.Corrupt {
-		// Verification caught the pollution; the packet never reaches the
-		// eliminator and counts as neither helpful nor useless.
+	switch {
+	case skip:
+	case p.verify && pkt.Packet.Corrupt:
 		t.Polluted++
 		return false
-	}
-	if p.nodes[to].ReceiveOwned(pkt) {
+	case p.nodes[to].ReceiveOwned(pkt):
 		t.Helpful++
 		return true
 	}
@@ -556,19 +575,15 @@ func (p *Protocol) refreshDone(v core.NodeID) {
 func (p *Protocol) EndRound(int) {
 	if p.fill != nil {
 		p.commitByCache()
-		p.resetStaged()
-		return
-	}
-	for _, d := range p.staged {
-		if d.fac.len == skipped {
-			p.verifyAccount(&p.Counts)
-			p.Counts.Useless++
-		} else if p.apply(&p.Counts, d.to, d.pkt) {
-			p.refreshDone(d.to)
+	} else {
+		for _, d := range p.staged {
+			if p.deliver(&p.Counts, d.to, d.pkt, d.fac.len == skipped) {
+				p.refreshDone(d.to)
+			}
+			p.recycle(d.pkt)
 		}
-		p.recycle(d.pkt)
 	}
-	p.resetStaged()
+	p.staged = p.staged[:0]
 }
 
 // commitByCache is the commit of a protocol that carries payloads, where
@@ -618,7 +633,7 @@ func (p *Protocol) commitByCache() {
 		}
 		return 1
 	})
-	f.crew.run(w, p, (*Protocol).deliverPart)
+	f.crew.Run(w, p, (*Protocol).deliverPart)
 	for _, part := range f.parts[:w] {
 		p.Counts.Add(part.traffic)
 	}
@@ -649,7 +664,7 @@ func (p *Protocol) fillStaged() {
 	f.cut(w, len(f.order), func(i int) core.NodeID { return p.staged[f.order[i]].from }, func(i int) int {
 		return max(int(p.staged[f.order[i]].fac.len), 0)
 	})
-	f.crew.run(w, p, (*Protocol).fillPart)
+	f.crew.Run(w, p, (*Protocol).fillPart)
 	f.used = 0
 }
 
@@ -671,12 +686,7 @@ func (p *Protocol) deliverPart(j int) {
 	lo, hi := f.span(j)
 	var t gossip.Traffic
 	for _, d := range p.staged[lo:hi] {
-		if d.fac.len == skipped {
-			p.verifyAccount(&t)
-			t.Useless++
-		} else {
-			p.apply(&t, d.to, d.pkt)
-		}
+		p.deliver(&t, d.to, d.pkt, d.fac.len == skipped)
 	}
 	f.parts[j].traffic = t
 }
@@ -743,30 +753,6 @@ func (f *deferredFill) groupStarts(staged []delivery, key func(*delivery) core.N
 		start[v] += start[v-1]
 	}
 	return start, groups
-}
-
-// resetStaged empties the staged buffer for reuse next round, shrinking
-// it (and the packet freelist, which mirrors its capacity needs) when the
-// capacity has grown far past a decaying high-water mark — so one burst
-// round on a dense graph does not pin peak memory for the rest of a long
-// run, while steady traffic never reallocates.
-func (p *Protocol) resetStaged() {
-	used := len(p.staged)
-	if used > p.stagedPeak {
-		p.stagedPeak = used
-	} else {
-		// Exponential decay keeps the mark tracking recent rounds only.
-		p.stagedPeak -= (p.stagedPeak - used) / 8
-	}
-	const minShrinkCap = 64
-	if cap(p.staged) > minShrinkCap && cap(p.staged) > 4*p.stagedPeak {
-		p.staged = make([]delivery, 0, 2*p.stagedPeak)
-		if len(p.free) > 2*p.stagedPeak {
-			p.free = append([]*rlnc.GenPacket(nil), p.free[:2*p.stagedPeak]...)
-		}
-		return
-	}
-	p.staged = p.staged[:0]
 }
 
 // MessageBits returns the wire size of one of this protocol's messages:

@@ -78,7 +78,7 @@ func unsaturatedPayloadProtocol(t testing.TB, rcfg rlnc.Config, procs int) *Prot
 // hold the deferred-fill path — factor slab, grouping scratch, fused
 // payload kernel — to the same zero, on one worker and, with 4 KiB byte
 // rows on every tier (3.5 commit grains a round), split over three: the
-// crew's goroutines, the parts and their counters are reused too.
+// Crew's goroutines, the parts and their counters are reused too.
 func TestAllocsSteadyStateRound(t *testing.T) {
 	saturated := func(cfg rlnc.Config) func(testing.TB) *Protocol {
 		return func(t testing.TB) *Protocol { return steadyProtocolCfg(t, cfg) }
@@ -201,55 +201,6 @@ func TestAllocsSteadyStateShardedRound(t *testing.T) {
 				t.Fatal("steady-state rounds sent nothing")
 			}
 		})
-	}
-}
-
-// TestStagedBufferShrinks locks the bounded-shrink fix: a burst round
-// that stages far more deliveries than the following rounds must not pin
-// its peak capacity forever — the decaying high-water mark releases it
-// within a bounded number of quiet rounds. Every node holds a seed but
-// none is complete, so every send leg really stages (a full-rank
-// receiver's delivery is skipped outright and would never enter the
-// buffer).
-func TestStagedBufferShrinks(t *testing.T) {
-	g := graph.Complete(16)
-	cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(2), K: 16, RankOnly: true}}
-	p, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(core.SplitSeed(3, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SeedAll(RoundRobinAssign(16, g.N()), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Burst: stage a large artificial round by sending many times.
-	p.BeginRound(1)
-	for i := 0; i < 64; i++ {
-		for v := 0; v < 16; v++ {
-			p.OnWake(core.NodeID(v))
-		}
-	}
-	burst := len(p.staged)
-	if burst < 1024 {
-		t.Fatalf("burst staged only %d deliveries", burst)
-	}
-	p.EndRound(1)
-	if cap(p.staged) < 1024 {
-		t.Fatalf("burst capacity %d unexpectedly small", cap(p.staged))
-	}
-
-	// Quiet rounds: one wake per round. The decaying peak must release
-	// the burst capacity (and trim the packet freelist with it).
-	for r := 2; r < 80; r++ {
-		p.BeginRound(r)
-		p.OnWake(core.NodeID(r % 16))
-		p.EndRound(r)
-	}
-	if cap(p.staged) >= burst/4 {
-		t.Fatalf("staged capacity %d still holds the burst peak %d", cap(p.staged), burst)
-	}
-	if len(p.free) >= burst {
-		t.Fatalf("freelist kept %d packets after shrink", len(p.free))
 	}
 }
 

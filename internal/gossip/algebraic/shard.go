@@ -9,6 +9,7 @@ import (
 	"algossip/internal/core"
 	"algossip/internal/gossip"
 	"algossip/internal/rlnc"
+	"algossip/internal/sim"
 )
 
 // Sharded execution (sim.ShardedProtocol) for the algebraic protocol.
@@ -22,9 +23,9 @@ import (
 //     derived as SplitSeed(shardSeed, v) — the finest-grained "per-shard"
 //     derivation, one stream per node, so the engine's word partition
 //     cannot influence any draw.
-//   - Staging: node v's wakeup writes only slots 2v (v's send, or the
-//     pull it requests) and 2v+1 (the exchange reply), so no append
-//     order exists to race on.
+//   - Staging: node v's wakeup writes only slots 2v (its first leg: v's
+//     send, or the pull it requests) and 2v+1 (the exchange reply), so no
+//     append order exists to race on.
 //   - Commit: after all workers return, every receiver sees its own
 //     packets in ascending slot order — the deterministic merge.
 //
@@ -53,11 +54,10 @@ import (
 // (to>>6) % w, so a spatial frontier on a ring or grid spreads over all
 // workers and adjacent nodes (allocated together) stay with one — which
 // gives every receiver exactly the packets, in exactly the order, of the
-// serial walk. Counter-only slots (slotUseless, slotDropped) have no
-// receiver state to order against and are counted by the owner of the
-// *waker's* block. A worker writes only its own counters and event list:
-// never the protocol's ledger (counters, done stamps, observer) or the
-// bitmap.
+// serial walk. Counter-only slots (slotUseless, slotDropped) touch no
+// receiver state, and the same owner counts them. A worker writes only
+// its own counters and event list: never the protocol's ledger
+// (counters, done stamps, observer) or the bitmap.
 //
 // Step 2, serial and short: sum the counters, merge the event lists by
 // slot, and replay them — first every completion (refreshDone, in slot
@@ -90,10 +90,11 @@ import (
 //     unchanged.
 //
 // w is the number of WakeShard calls the engine made this round: the
-// commit is as wide as the wake phase was, with nothing to configure.
-// Shards=1, and a bitmap of one word (which the engine never splits),
-// give w = 1, and w = 1 runs step 1 on the calling goroutine — it is the
-// same code, not a second path.
+// commit is as wide as the wake phase was, with nothing to configure, and
+// runs on the same kind of fan-out (sim.Crew). Shards=1, and a bitmap of
+// one word (which the engine never splits), give w = 1, and w = 1 runs
+// step 1 on the calling goroutine — it is the same code, not a second
+// path.
 
 // Slot states, written during the wake phase and consumed at commit.
 const (
@@ -105,10 +106,9 @@ const (
 
 // shardSlot is one staged transmission. wake resets both of a node's
 // slots before staging, and commit reads only the slots of nodes that
-// woke, so commit never writes a slot. to is meaningful for slotPacket
-// only: send leaves it stale on slotDropped and commit never reads it for
-// a counter-only state (those are attributed to the waker, slot>>1).
-// Every commit worker scans every woke slot, so a slot is kept to 8 bytes.
+// woke, so commit never writes a slot. to is the receiver in every state
+// but slotEmpty: it picks the commit worker that counts the slot. Every
+// commit worker scans every woke slot, so a slot is kept to 8 bytes.
 type shardSlot struct {
 	state uint8
 	to    int32
@@ -162,7 +162,7 @@ type shardCore struct {
 	width     int             // workers of the commit in flight
 	workers   []*commitWorker // grown to the widest commit seen
 	merged    []commitEvent   // the workers' events in slot order (width > 1)
-	crew      crew[*shardCore]
+	crew      sim.Crew[*shardCore]
 }
 
 func newShardCore(p *Protocol, seed uint64, retire bool) *shardCore {
@@ -242,21 +242,24 @@ func (sc *shardCore) wakeRange(lo, hi int) {
 	}
 }
 
+// wake is node v's wakeup: its legs (core.Action.Legs) take its slots in
+// order — the out leg slot 2v, the back leg 2v+1 after an out leg and 2v
+// without one.
 func (sc *shardCore) wake(v core.NodeID) {
-	sc.slots[2*v].state, sc.slots[2*v+1].state = slotEmpty, slotEmpty
+	slot := 2 * int(v)
+	sc.slots[slot].state, sc.slots[slot+1].state = slotEmpty, slotEmpty
 	rng := sc.rngs[v]
 	u := sc.p.sel.Partner(v, rng)
 	if u == core.NilNode {
 		return
 	}
-	switch sc.p.cfg.Action {
-	case core.Push:
-		sc.send(v, u, rng, 2*int(v))
-	case core.Pull:
-		sc.send(u, v, rng, 2*int(v))
-	default: // Exchange
-		sc.send(v, u, rng, 2*int(v))
-		sc.send(u, v, rng, 2*int(v)+1)
+	out, back := sc.p.cfg.Action.Legs()
+	if out {
+		sc.send(v, u, rng, slot)
+		slot++
+	}
+	if back {
+		sc.send(u, v, rng, slot)
 	}
 }
 
@@ -270,21 +273,22 @@ func (sc *shardCore) send(from, to core.NodeID, rng *rand.Rand, slot int) {
 		return // nothing to say, no randomness drawn
 	}
 	s := &sc.slots[slot]
+	s.to = int32(to)
 	if sc.full(to) {
 		// The verdict is predetermined; unlike the classic path's
 		// SkipEmit there is no randomness parity to maintain (no other
 		// node reads this stream), so no draw happens at all.
-		s.state, s.to = slotUseless, int32(to)
+		s.state = slotUseless
 		return
 	}
 	if !sc.p.nodes[from].EmitInto(rng, &sc.slotPkts[slot]) {
 		return // unreachable: rank checked above
 	}
 	if loss := sc.p.cfg.LossRate; loss > 0 && rng.Float64() < loss {
-		s.state = slotDropped // s.to stays stale; commit counts this slot by its waker
+		s.state = slotDropped
 		return
 	}
-	s.state, s.to = slotPacket, int32(to)
+	s.state = slotPacket
 }
 
 // commit applies the round's staged slots — step 1 on as many workers as
@@ -302,7 +306,7 @@ func (sc *shardCore) commit() {
 		sc.workers = append(sc.workers, &commitWorker{})
 	}
 	sc.width = w
-	sc.crew.run(w, sc, (*shardCore).apply)
+	sc.crew.Run(w, sc, (*shardCore).apply)
 
 	events := sc.workers[0].events
 	if w > 1 {
@@ -337,51 +341,41 @@ func (sc *shardCore) commit() {
 }
 
 // apply is step 1 for worker j of sc.width: one pass over the woke
-// snapshot in ascending slot order, taking the packets whose receiver j
-// owns and the counter-only slots whose waker j owns.
+// snapshot in ascending slot order, taking the slots whose receiver j
+// owns.
 func (sc *shardCore) apply(j int) {
 	cw := sc.workers[j]
 	cw.traffic = gossip.Traffic{}
 	cw.events = cw.events[:0]
 	width := sc.width
 	for w, word := range sc.woke {
-		wakerMine := w%width == j
 		base := w * 64
 		for word != 0 {
 			v := base + bits.TrailingZeros64(word)
 			word &= word - 1
 			for i := 2 * v; i <= 2*v+1; i++ {
-				switch s := &sc.slots[i]; s.state {
-				case slotUseless:
-					if wakerMine {
-						cw.traffic.Sent++
-						cw.traffic.Useless++
-					}
-				case slotDropped:
-					if wakerMine {
-						cw.traffic.Sent++
-						cw.traffic.Dropped++
-					}
-				case slotPacket:
-					if int(s.to>>6)%width == j {
-						sc.deliver(cw, i, core.NodeID(s.to))
-					}
+				if s := &sc.slots[i]; s.state != slotEmpty && int(s.to>>6)%width == j {
+					sc.deliver(cw, i, s)
 				}
 			}
 		}
 	}
 }
 
-// deliver reduces slot i's packet into its receiver and records what the
-// epilogue needs to know about it.
-func (sc *shardCore) deliver(cw *commitWorker, i int, to core.NodeID) {
+// deliver counts slot i and, unless it was lost, hands its packet to the
+// protocol's verdict (Protocol.deliver); it records what the epilogue
+// needs to know about a receiver whose rank rose.
+func (sc *shardCore) deliver(cw *commitWorker, i int, s *shardSlot) {
 	cw.traffic.Sent++
-	rose := sc.retire && sc.rank(to) == 0
-	if !sc.p.nodes[to].ReceiveOwned(&sc.slotPkts[i]) {
-		cw.traffic.Useless++
+	if s.state == slotDropped {
+		cw.traffic.Dropped++
 		return
 	}
-	cw.traffic.Helpful++
+	to, skip := core.NodeID(s.to), s.state == slotUseless
+	rose := sc.retire && !skip && sc.rank(to) == 0
+	if !sc.p.deliver(&cw.traffic, to, &sc.slotPkts[i], skip) {
+		return
+	}
 	if full := sc.full(to); rose || full {
 		cw.events = append(cw.events, commitEvent{slot: int32(i), rose: rose, full: full})
 	}

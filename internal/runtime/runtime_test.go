@@ -128,6 +128,32 @@ func TestClusterUDPTransport(t *testing.T) {
 	verifyDecode(t, c, msgs, g.N())
 }
 
+// TestUDPSendRefusalsCountAsDrops: a frame UDPTransport refuses — one
+// too big for a datagram, or one the wire codec cannot encode — fails its
+// Send and counts as a drop for its destination, as NodeStats.Dropped
+// documents, so /metrics reports every discard.
+func TestUDPSendRefusalsCountAsDrops(t *testing.T) {
+	tr, err := NewUDPTransport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	if _, err := tr.Register(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, env := range []Envelope{
+		{From: 1, Payload: make([]byte, maxDatagram)},
+		{From: -1},
+	} {
+		if err := tr.Send(context.Background(), 0, env); err == nil {
+			t.Fatalf("envelope %d: Send accepted a frame it cannot put in a datagram", i)
+		}
+		if got := tr.Stats().PerNode[0]; got.Dropped != uint64(i+1) || got.Sent != 0 {
+			t.Fatalf("after refusal %d: node 0 stats %+v, want %d dropped and none sent", i, got, i+1)
+		}
+	}
+}
+
 // TestClusterGenerationMode runs a generation-coded cluster end to end:
 // envelopes carry per-generation coefficient vectors plus the Gen tag,
 // exercising GenNode.Adapt on the receive path and full decode.

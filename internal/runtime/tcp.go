@@ -25,6 +25,8 @@ const (
 	tcpDialBackoff = 5 * time.Millisecond
 	// tcpSendTimeout bounds each dial and each frame write.
 	tcpSendTimeout = 2 * time.Second
+	// udpSendTimeout bounds each datagram write of UDPTransport.
+	udpSendTimeout = 2 * time.Second
 )
 
 // TCPTransport carries wire-framed envelopes over TCP. Each registered

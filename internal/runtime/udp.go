@@ -22,8 +22,7 @@ const maxDatagram = 65000
 // an injected drop, which is exactly the deployment regime the coded
 // protocol is built for.
 type UDPTransport struct {
-	router      // the routing table; its mu guards the maps below too
-	sendTimeout time.Duration
+	router // the routing table; its mu guards the maps below too
 
 	resolved map[core.NodeID]udpRoute
 	conns    map[core.NodeID]net.PacketConn
@@ -49,11 +48,10 @@ func NewUDPTransport() (*UDPTransport, error) {
 		return nil, fmt.Errorf("runtime: udp send socket: %w", err)
 	}
 	return &UDPTransport{
-		router:      newRouter(),
-		sendTimeout: 2 * time.Second,
-		resolved:    make(map[core.NodeID]udpRoute),
-		conns:       make(map[core.NodeID]net.PacketConn),
-		send:        send,
+		router:   newRouter(),
+		resolved: make(map[core.NodeID]udpRoute),
+		conns:    make(map[core.NodeID]net.PacketConn),
+		send:     send,
 	}, nil
 }
 
@@ -113,7 +111,9 @@ func (t *UDPTransport) resolve(to core.NodeID) (*net.UDPAddr, error) {
 	return ua, nil
 }
 
-// Send implements Transport: one frame, one datagram, fire-and-forget.
+// Send implements Transport: one frame, one datagram, fire-and-forget. A
+// frame it refuses — too big for one datagram, or unencodable — is
+// counted as dropped, like one the socket fails to write.
 func (t *UDPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -123,13 +123,15 @@ func (t *UDPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 		return err
 	}
 	if n := wire.FrameLen(&env); n > maxDatagram {
+		t.stats.dropped(to)
 		return fmt.Errorf("runtime: frame of %d bytes exceeds one datagram (%d)", n, maxDatagram)
 	}
 	frame, err := wire.AppendFrame(nil, to, &env)
 	if err != nil {
+		t.stats.dropped(to)
 		return err
 	}
-	_ = t.send.SetWriteDeadline(time.Now().Add(t.sendTimeout))
+	_ = t.send.SetWriteDeadline(time.Now().Add(udpSendTimeout))
 	if _, err := t.send.WriteTo(frame, ua); err != nil {
 		t.stats.dropped(to)
 		return fmt.Errorf("runtime: udp send to node %d: %w", to, err)

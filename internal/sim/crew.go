@@ -1,4 +1,4 @@
-package algebraic
+package sim
 
 import (
 	"runtime"
@@ -6,19 +6,21 @@ import (
 	"sync/atomic"
 )
 
-// crew runs one pass of a commit on w workers and returns once every part
-// is done: part 0 on the calling goroutine, parts 1 … w−1 on goroutines
-// of their own. A pass is part(on, j) for each j < w, and its parts must
+// Crew runs one pass of work on w workers and returns once every part is
+// done: part 0 on the calling goroutine, parts 1 … w−1 on goroutines of
+// their own. A pass is part(on, j) for each j < w, and its parts must
 // touch disjoint state. w = 1 runs part 0 inline — the same code, not a
-// second path. Both commits use one: the sharded engine's, split by
-// receiver block, and the classic payload round's, split by sender and
-// then by receiver.
+// second path. It is the one fork/join of a synchronous round: the
+// engine's sharded wake (one part per word range) and both commits that
+// follow it — the sharded one, split by receiver block, and the classic
+// payload round's, split by sender and then by receiver.
 //
 // Nothing is allocated per pass: the goroutine body is built the first
 // time a pass is wider than one and takes its part number from a
 // counter, and callers hand in part as a method expression, which is a
-// static function value.
-type crew[T any] struct {
+// static function value. The zero Crew is ready to use; it must not be
+// copied after first use.
+type Crew[T any] struct {
 	wg   sync.WaitGroup
 	next atomic.Int32 // parts handed to goroutines so far
 	on   T
@@ -26,7 +28,8 @@ type crew[T any] struct {
 	body func()
 }
 
-func (c *crew[T]) run(w int, on T, part func(T, int)) {
+// Run runs part(on, j) for every j < w and returns when all have.
+func (c *Crew[T]) Run(w int, on T, part func(T, int)) {
 	if w > 1 && c.body == nil {
 		c.body = func() {
 			defer c.wg.Done()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"algossip/internal/core"
 	"algossip/internal/graph"
@@ -57,6 +56,14 @@ type Engine struct {
 	rng       *rand.Rand
 	maxRounds int
 	shards    int // 0 = classic per-node wake loop
+
+	// The sharded wake (nil sharded: the per-node wake loop). Each round
+	// cuts the bitmap's words into ranges of per words, one WakeShard call
+	// each, run as the parts of one crew pass.
+	sharded ShardedProtocol
+	words   int
+	per     int
+	crew    Crew[*Engine]
 }
 
 // Option configures an Engine.
@@ -68,11 +75,13 @@ func WithMaxRounds(rounds int) Option {
 }
 
 // WithShards enables sharded round-parallel execution with the given
-// worker count (see ShardedProtocol). The trajectory is identical for
-// every positive shard count — shards=1 runs the same semantics serially
-// — so the count is a pure execution knob, like the harness's -parallel.
-// Requires the synchronous model and a ShardedProtocol. Zero keeps the
-// classic wake loop.
+// worker count (see ShardedProtocol): the active-node bitmap is cut into
+// at most shards contiguous word ranges, whose WakeShard calls run on the
+// round's one fan-out (Crew), the same one the protocol's commit may use.
+// The trajectory is identical for every positive shard count — shards=1
+// runs the same semantics serially — so the count is a pure execution
+// knob, like the harness's -parallel. Requires the synchronous model and a
+// ShardedProtocol. Zero keeps the classic wake loop.
 func WithShards(shards int) Option {
 	return func(e *Engine) { e.shards = shards }
 }
@@ -138,8 +147,6 @@ func (e *Engine) Run() (Result, error) {
 	}
 	switch e.model {
 	case core.Synchronous:
-		var rounds int
-		var done bool
 		if e.shards > 0 {
 			sp, ok := e.proto.(ShardedProtocol)
 			if !ok {
@@ -148,10 +155,9 @@ func (e *Engine) Run() (Result, error) {
 			if sp.ActiveWords() == nil {
 				return res, fmt.Errorf("sim: protocol %s was not configured for sharded execution", res.Protocol)
 			}
-			rounds, done = e.runShardedSync(sp)
-		} else {
-			rounds, done = e.runSync()
+			e.sharded = sp
 		}
+		rounds, done := e.runSync()
 		res.Rounds = rounds
 		res.Timeslots = rounds * e.g.N()
 		res.Completed = done
@@ -174,7 +180,10 @@ func (e *Engine) Run() (Result, error) {
 }
 
 // runSync executes synchronous rounds: every node wakes exactly once per
-// round; the protocol stages deliveries and applies them in EndRound.
+// round, and what it stages is applied at the round's end. The classic
+// loop wakes the nodes in ID order and ends the round with EndRound; a
+// sharded run wakes the bitmap's word ranges on the crew and ends the
+// round with CommitRound, which sees how many WakeShard calls there were.
 func (e *Engine) runSync() (rounds int, done bool) {
 	n := e.g.N()
 	for round := 0; round < e.maxRounds; round++ {
@@ -183,54 +192,34 @@ func (e *Engine) runSync() (rounds int, done bool) {
 		}
 		e.stepTopology(round)
 		e.proto.BeginRound(round)
-		for v := 0; v < n; v++ {
-			e.proto.OnWake(core.NodeID(v))
+		if e.sharded == nil {
+			for v := 0; v < n; v++ {
+				e.proto.OnWake(core.NodeID(v))
+			}
+			e.proto.EndRound(round)
+			continue
 		}
-		e.proto.EndRound(round)
+		e.wakeShards()
+		e.sharded.CommitRound(round)
 	}
 	return e.maxRounds, e.proto.Done()
 }
 
-// runShardedSync executes synchronous rounds through the sharded
-// protocol surface: the active-node bitmap is split into contiguous word
-// ranges, one per shard, whose wakeups run concurrently; the protocol
-// then commits every staged send (CommitRound, which may fan out again
-// by receiver — it sees how many WakeShard calls the round made). The
-// per-round structure (Done poll, topology step, BeginRound) matches
-// runSync; EndRound is replaced by CommitRound.
-func (e *Engine) runShardedSync(sp ShardedProtocol) (rounds int, done bool) {
-	for round := 0; round < e.maxRounds; round++ {
-		if e.proto.Done() {
-			return round, true
-		}
-		e.stepTopology(round)
-		e.proto.BeginRound(round)
-		words := sp.ActiveWords()
-		if e.shards == 1 || len(words) == 1 {
-			sp.WakeShard(0, len(words))
-		} else {
-			shards := e.shards
-			if shards > len(words) {
-				shards = len(words)
-			}
-			per := (len(words) + shards - 1) / shards
-			var wg sync.WaitGroup
-			for lo := 0; lo < len(words); lo += per {
-				hi := lo + per
-				if hi > len(words) {
-					hi = len(words)
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					sp.WakeShard(lo, hi)
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
-		sp.CommitRound(round)
-	}
-	return e.maxRounds, e.proto.Done()
+// wakeShards cuts the round's bitmap into at most shards ranges of
+// ⌈words/min(shards, words)⌉ words and wakes them on the crew. The number
+// of ranges is the width of the commit that follows.
+func (e *Engine) wakeShards() {
+	e.words = len(e.sharded.ActiveWords())
+	shards := min(e.shards, e.words)
+	e.per = (e.words + shards - 1) / shards
+	e.crew.Run((e.words+e.per-1)/e.per, e, (*Engine).wakeRange)
+}
+
+// wakeRange is part j of a sharded wake: the words [j·per, (j+1)·per),
+// the last range cut at the bitmap's end.
+func (e *Engine) wakeRange(j int) {
+	lo := j * e.per
+	e.sharded.WakeShard(lo, min(lo+e.per, e.words))
 }
 
 // runAsync executes asynchronous timeslots: one uniformly random node wakes

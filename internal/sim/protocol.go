@@ -49,8 +49,11 @@ type Protocol interface {
 // ShardedProtocol is an optional Protocol extension for sharded
 // round-parallel execution (Engine WithShards): the engine partitions the
 // node set into contiguous 64-node bitmap-word ranges and drives each
-// range's wakeups on its own worker, then has the protocol commit every
-// staged send deterministically.
+// range's wakeups as one part of a Crew pass — the first range on the
+// engine's own goroutine — then has the protocol commit every staged send
+// deterministically. The round is otherwise the classic one: the same
+// Done poll, topology step and BeginRound open it, and CommitRound takes
+// EndRound's place.
 //
 // The determinism contract mirrors the harness's byte-identity guarantee
 // across -parallel values, pushed down into the engine: a protocol's
@@ -66,10 +69,12 @@ type ShardedProtocol interface {
 	// retire provably inert nodes by clearing bits, as long as the
 	// decision is a deterministic function of round-start state. A nil
 	// return means the protocol was not configured for sharded
-	// execution, and Run fails.
+	// execution, and Run fails. The engine reads it afresh every round,
+	// after BeginRound.
 	ActiveWords() []uint64
 	// WakeShard performs the wakeups of every set bit in the word range
-	// [lo, hi), staging all sends. Calls for disjoint ranges run
+	// [lo, hi), staging all sends. A round makes one call per range of
+	// ⌈words/min(shards, words)⌉ words, and calls for disjoint ranges run
 	// concurrently; implementations must confine mutation to
 	// node-owned state (per-node RNGs, per-node slots) and only read
 	// what several wakeups share, such as a node both ranges contact. The
@@ -83,8 +88,8 @@ type ShardedProtocol interface {
 	// receiver: a node sees the deliveries addressed to it in ascending
 	// slot order (the waker's ID, the send before the exchange reply), and
 	// receivers are independent of one another, so an implementation may
-	// apply different receivers' deliveries concurrently, on goroutines of
-	// its own. What is shared — traffic counters, completion stamps, the
+	// apply different receivers' deliveries concurrently, on a Crew of its
+	// own. What is shared — traffic counters, completion stamps, the
 	// Observer, the ActiveWords bitmap — is updated only by the calling
 	// goroutine, in slot order, before CommitRound returns; Observer
 	// callbacks therefore arrive exactly as from a serial walk of the

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"algossip/internal/core"
@@ -241,5 +244,70 @@ func TestSelectorNames(t *testing.T) {
 	if NewUniform(g).Name() != "uniform" ||
 		NewRoundRobin(g).Name() != "round-robin" {
 		t.Fatal("selector names wrong")
+	}
+}
+
+// shardedFake is a ShardedProtocol that allocates nothing: its wakeups
+// only count the bits they cover, and it never finishes.
+type shardedFake struct {
+	words []uint64
+	wakes atomic.Int64
+	calls atomic.Int64
+}
+
+func (p *shardedFake) Name() string          { return "sharded-fake" }
+func (p *shardedFake) OnWake(core.NodeID)    {}
+func (p *shardedFake) BeginRound(int)        {}
+func (p *shardedFake) EndRound(int)          {}
+func (p *shardedFake) CommitRound(int)       {}
+func (p *shardedFake) Done() bool            { return false }
+func (p *shardedFake) ActiveWords() []uint64 { return p.words }
+func (p *shardedFake) WakeShard(lo, hi int) {
+	p.calls.Add(1)
+	for _, w := range p.words[lo:hi] {
+		p.wakes.Add(int64(bits.OnesCount64(w)))
+	}
+}
+
+// TestShardedRunAllocatesNothingPerRound: the engine's sharded wake fans
+// out on the round's one Crew, whose goroutine body is built once, so a
+// run of 10·R rounds allocates exactly what a run of R does. Five bitmap
+// words at two shards make ranges of three and two words — two WakeShard
+// calls a round, one of them on a goroutine of its own.
+func TestShardedRunAllocatesNothingPerRound(t *testing.T) {
+	const n, runs = 5 * 64, 5
+	g := graph.Ring(n)
+	p := &shardedFake{words: make([]uint64, n/64)}
+	for w := range p.words {
+		p.words[w] = ^uint64(0)
+	}
+	run := func(rounds int) float64 {
+		p.calls.Store(0)
+		p.wakes.Store(0)
+		allocs := testing.AllocsPerRun(runs, func() {
+			_, err := New(g, core.Synchronous, p, 1, WithMaxRounds(rounds), WithShards(2)).Run()
+			if !errors.Is(err, ErrRoundLimit) {
+				t.Fatalf("%v, want the round limit", err)
+			}
+		})
+		// AllocsPerRun makes one warm-up run besides the timed ones.
+		if calls, wakes := p.calls.Load(), p.wakes.Load(); calls != (runs+1)*2*int64(rounds) || wakes != (runs+1)*n*int64(rounds) {
+			t.Fatalf("%d runs of %d rounds made %d WakeShard calls waking %d nodes, want two calls and %d wakes a round",
+				runs+1, rounds, calls, wakes, n)
+		}
+		return allocs
+	}
+	// Both counts box into the round-limit error alike: past 255, neither
+	// is a preallocated small integer.
+	const rounds = 300
+	// The race runtime allocates on its own now and then, a few objects a
+	// run; a fan-out that allocated per round would add thousands.
+	slack := 0.0
+	if core.RaceEnabled {
+		slack = 16
+	}
+	if short, long := run(rounds), run(10*rounds); math.Abs(long-short) > slack {
+		t.Fatalf("a sharded run allocated %.0f times over %d rounds and %.0f over %d: the fan-out allocates per round",
+			short, rounds, long, 10*rounds)
 	}
 }
