@@ -181,8 +181,8 @@ func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 								t.Fatalf("step %d: row %d column %d differs from the oracle", step, i, j)
 							}
 						}
-						if !bytes.Equal(bm.Payload(i), rm.Payload(i)) {
-							t.Fatalf("step %d: payload %d = %v, oracle %v", step, i, bm.Payload(i), rm.Payload(i))
+						if !bytes.Equal(bm.Payload(i), payloadOf(rm, i)) {
+							t.Fatalf("step %d: payload %d = %v, oracle %v", step, i, bm.Payload(i), payloadOf(rm, i))
 						}
 					}
 					probeB, probeE := randomRow(rng.IntN(cols))

@@ -75,7 +75,7 @@ func buildByteSubject(cols, extra int, seed uint64) emitSubject {
 		state: func() [][]byte {
 			out := [][]byte{{byte(m.Rank())}}
 			for i := range m.Rank() {
-				out = append(out, append([]byte(nil), gf.AsBytes(m.Row(i))...), append([]byte(nil), m.Payload(i)...))
+				out = append(out, append([]byte(nil), gf.AsBytes(m.Row(i))...), payloadOf(m, i))
 			}
 			return out
 		},
@@ -144,7 +144,9 @@ func emitSequence(s emitSubject, seed uint64, n int) [][]byte {
 // Every backend — packed bits, byte rows, bit-sliced with its table
 // kernels — runs rank-only and with payloads, at a whole-k width and at a
 // generation's g = 4; rank-only, packed bits also at three words a row
-// (the general loop) and four (its own loop), and byte rows at k = 128.
+// (the general loop) and four (its own loop); byte rows at k = 128, also
+// with payloads, and with payloads at k = 300, past the stack block an
+// emit folds its factors in.
 // Each goroutine draws from its own stream into its own buffers: its
 // packets must be the ones a serial run from the same seed emits, and the
 // matrix must come out unchanged — its rank, every row and payload, and a
@@ -158,10 +160,10 @@ func TestEmitIsReadOnly(t *testing.T) {
 	backends := []struct {
 		name  string
 		build func(cols, extra int, seed uint64) emitSubject
-		wide  []shape // rank-only widths besides the common ones
+		wide  []shape // shapes besides the common ones
 	}{
 		{"bit", buildBitSubject, []shape{{160, 0}, {256, 0}}},
-		{"byte-rows", buildByteSubject, []shape{{128, 0}}},
+		{"byte-rows", buildByteSubject, []shape{{128, 0}, {128, 70}, {300, 70}}},
 		{"sliced", buildSlicedSubject, nil},
 	}
 	for _, b := range backends {

@@ -25,25 +25,29 @@ var ErrNotFullRank = errors.New("linalg: matrix is not full rank")
 // RankMatrix maintains a set of rows over a finite field in row-echelon
 // form. Each row has a cols-length coefficient part ([]gf.Elem, one symbol
 // per unknown) and an extra-length augmented part (a []byte payload row).
-// Elimination is driven by the coefficient part only, and runs on it
-// first: the factor each stored row contributes is recorded, and the
-// payload — kilobytes per row where a coefficient row is k bytes — is
-// combined afterwards in one pass over the stored payload rows (the fused
-// gf.AddMulSlices kernel), and only for a row that turned out to have a
-// pivot. A random combination is built the same way: the draws
-// (RandomFactorsInto, into the caller's buffer), then coefficients and
-// payload from those factors (CombineInto), which a caller may run later
-// as long as no row is inserted in between; a rank-only matrix draws and
-// combines the same way, without the payload. Over GF(2^m) the
-// coefficient rows of a combination go through the fused kernel as well.
+// Elimination is driven by the coefficient part only. A payload is
+// helpful (Definition 3) only through its coefficients and is read only
+// when a combination is emitted or the system solved, so it is stored as
+// it arrived, in arrival order and never combined; each echelon row keeps
+// instead a transform row — which combination of the raw payloads it
+// stands for — built from the factors elimination records (k bytes a row,
+// where a payload is kilobytes). A random combination is built from
+// factors: the draws (RandomFactorsInto, into the caller's buffer), then
+// the coefficients, and the payload by folding the factors through the
+// transform rows into one combination of the raw rows (CombineInto),
+// which a caller may run later as long as no row is inserted in between;
+// a rank-only matrix draws and combines the same way, without the
+// payload. Over GF(2^m) every combination of rows goes through the fused
+// kernel.
 //
 // An emit only reads the matrix: RandomCombinationInto, RandomFactorsInto
 // and CombineInto write nothing but the caller's buffers (and advance the
-// caller's stream), so any number of goroutines may emit from one matrix
-// at once, each into buffers of its own, while nobody inserts.
+// caller's stream; the folded factors live on the emit's own stack), so
+// any number of goroutines may emit from one matrix at once, each into
+// buffers of its own, while nobody inserts.
 //
-// Memory behavior: surviving rows are copied into a matrix-owned arena,
-// and the arena, the row bookkeeping and the elimination scratch are all
+// Memory behavior: surviving rows are copied into matrix-owned arenas,
+// and the arenas, the row bookkeeping and the elimination scratch are all
 // sized once, at the first insert (at most cols rows can ever be
 // retained), so the steady-state Add/AddOwned/WouldHelp/
 // RandomCombinationInto path performs no allocations and never retains
@@ -60,22 +64,35 @@ type RankMatrix struct {
 	cols   int
 	extra  int
 	rows   [][]gf.Elem // coefficient parts, pivot columns strictly increasing
-	pay    [][]byte    // augmented payload parts, parallel to rows (nil when extra == 0)
 	pivot  []int       // pivot[i] is the pivot column of rows[i]
 	pivFac []gf.Elem   // -1/rows[i][pivot[i]], cached at insert time
+	// The payload side (nil when extra == 0): raw[j] is the payload of the
+	// j-th row stored, as it arrived, and xform, parallel to rows, says
+	// what each echelon row's payload is: Σ_j xform[i][j]·raw[j].
+	raw   [][]byte
+	xform [][]gf.Elem
 
-	arenaC   []gf.Elem // coefficient arena; rows are carved off its front
-	arenaP   []byte    // payload arena
+	// The arenas hold the n-th row stored at offset n·width, so a row's
+	// storage follows from the rank alone.
+	arenaC   []gf.Elem // coefficient rows
+	arenaX   []gf.Elem // transform rows
+	arenaP   []byte    // raw payload rows
 	scratchC []gf.Elem // reusable reduce buffer (coefficients)
 	// facs[i] is the factor stored row i contributes to the row being
-	// reduced, for its payload (nil when extra == 0: nothing to defer).
+	// reduced, for its transform row (nil when extra == 0).
 	facs []gf.Elem
 }
 
-// emitBlock is how many factors RandomCombinationInto draws, on its own
-// stack, before it combines the rows they belong to: a multiple of the
-// four rows the fused payload kernel streams a pass.
+// emitBlock is how many factors a rank-only RandomCombinationInto draws,
+// on its own stack, before it combines the rows they belong to: a
+// multiple of the four rows the fused kernel streams a pass.
 const emitBlock = 64
+
+// payBlock is how many factors a payload-carrying combination folds into
+// raw-row factors at once, and how many raw rows one stack block of those
+// covers: up to payBlock stored rows, an emit reads each raw row once;
+// above it, RandomCombinationInto reads them once per block of its draws.
+const payBlock = 256
 
 // NewRankMatrix returns an empty matrix over field f with cols coefficient
 // columns and extra augmented payload bytes per row.
@@ -101,21 +118,24 @@ func (m *RankMatrix) Full() bool { return len(m.rows) == m.cols }
 // returned slice aliases internal storage and must not be modified.
 func (m *RankMatrix) Row(i int) []gf.Elem { return m.rows[i] }
 
-// Payload returns the augmented payload of the i-th stored echelon row (nil
-// when extra == 0). The returned slice aliases internal storage and must
-// not be modified.
-func (m *RankMatrix) Payload(i int) []byte {
-	if m.extra == 0 {
-		return nil
+// PayloadInto overwrites dst (length Extra) with the augmented payload of
+// the i-th stored echelon row, computed from the raw rows it stands for.
+// It only reads the matrix.
+func (m *RankMatrix) PayloadInto(i int, dst []byte) {
+	if len(dst) != m.extra {
+		panic("linalg: payload width mismatch")
 	}
-	return m.pay[i]
+	clear(dst)
+	if m.extra > 0 {
+		m.addMulRaw(dst, m.raw, m.xform[i][:len(m.raw)])
+	}
 }
 
 // reduce eliminates coeffs against the stored echelon rows in place and
 // returns the pivot column, or -1 if it reduced to zero. A non-nil facs
 // (length Rank()) receives the factor each stored row contributed, for
-// the payload to be eliminated from afterwards — only the coefficients
-// decide whether there is anything to eliminate.
+// the new row's transform — only the coefficients decide whether there
+// is a row to store.
 func (m *RankMatrix) reduce(coeffs, facs []gf.Elem) int {
 	// row -= (c / rows[i][p]) * rows[i]; the pivot's negated inverse is
 	// cached at insert time, so each elimination step costs one Mul
@@ -156,15 +176,41 @@ func (m *RankMatrix) reduce(coeffs, facs []gf.Elem) int {
 	return -1
 }
 
-// addMulPayloads performs pay += Σ facs[i]·rows[i] over stored payload
-// rows: each streamed once, four to a pass over pay on a GF(2^m) matrix.
-func (m *RankMatrix) addMulPayloads(pay []byte, rows [][]byte, facs []gf.Elem) {
+// addMulRaw performs pay += Σ cs[j]·rows[j] over raw payload rows: each
+// streamed once, four to a pass over pay on a GF(2^m) matrix.
+func (m *RankMatrix) addMulRaw(pay []byte, rows [][]byte, cs []gf.Elem) {
 	if m.f2m != nil {
-		m.f2m.AddMulSlices(pay, rows, facs)
+		m.f2m.AddMulSlices(pay, rows, cs)
 		return
 	}
+	for j, c := range cs {
+		m.f.AddMulSlice(pay, rows[j], c)
+	}
+}
+
+// foldXforms performs dst += Σ facs[i]·xform[i][lo:lo+len(dst)] over
+// transform rows. dst may be an emit's stack block: it reaches the
+// GF(2^m) kernels, which keep nothing, and no interface method, which
+// would move it to the heap — the other fields go element by element.
+func (m *RankMatrix) foldXforms(dst []gf.Elem, xform [][]gf.Elem, lo int, facs []gf.Elem) {
+	if f := m.f2m; f != nil {
+		if lo == 0 {
+			f.AddMulSlices(gf.AsBytes(dst), gf.AsByteRows(xform), facs)
+			return
+		}
+		for i, c := range facs {
+			f.AddMulSlice(gf.AsBytes(dst), gf.AsBytes(xform[i][lo:lo+len(dst)]), c)
+		}
+		return
+	}
+	f := m.f
 	for i, c := range facs {
-		m.f.AddMulSlice(pay, rows[i], c)
+		if c == 0 {
+			continue
+		}
+		for j, x := range xform[i][lo : lo+len(dst)] {
+			dst[j] = f.Add(dst[j], f.Mul(c, x))
+		}
 	}
 }
 
@@ -184,7 +230,7 @@ func (m *RankMatrix) checkWidths(coeffs []gf.Elem, payload []byte) {
 // keeping echelon form. It reports whether the rank increased, i.e. whether
 // the row was a *helpful message*. The inputs are neither modified nor
 // retained (the coefficients are reduced in reusable scratch, the payload
-// in the arena row it is copied to); the caller keeps ownership.
+// copied into the arena); the caller keeps ownership.
 func (m *RankMatrix) Add(coeffs []gf.Elem, payload []byte) bool {
 	m.checkWidths(coeffs, payload)
 	if m.Full() {
@@ -231,13 +277,14 @@ func (m *RankMatrix) ensureScratch() {
 	}
 }
 
-// insert copies a row whose coefficients are reduced, with pivot column
-// p, into the arena, keeping pivots strictly increasing; its payload is
-// copied as given and then eliminated in place with facs, the factors
-// reduce recorded (nil for a payload that is already reduced). Rank can
-// only reach cols, so the first insert sizes the arena and the
-// bookkeeping for good: rows are carved off the arena's front in
-// insertion order and inserts never regrow anything.
+// insert stores a row whose coefficients are reduced, with pivot column
+// p, keeping pivots strictly increasing: the coefficients as reduced, the
+// payload as given, and a transform row saying what reduce made of that
+// payload — itself plus Σ facs[i]·(payload of stored row i), facs being
+// the factors reduce recorded. Rank can only reach cols, so the first
+// insert sizes the arenas and the bookkeeping for good: the n-th row
+// stored takes the n-th slot of each arena and inserts never regrow
+// anything.
 func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, facs []gf.Elem, p int) {
 	if m.rows == nil {
 		m.rows = make([][]gf.Elem, 0, m.cols)
@@ -245,29 +292,34 @@ func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, facs []gf.Elem, p int)
 		m.pivFac = make([]gf.Elem, 0, m.cols)
 		m.arenaC = make([]gf.Elem, m.cols*m.cols)
 		if m.extra > 0 {
-			m.pay = make([][]byte, 0, m.cols)
+			m.raw = make([][]byte, 0, m.cols)
+			m.xform = make([][]gf.Elem, 0, m.cols)
 			m.arenaP = make([]byte, m.cols*m.extra)
+			m.arenaX = make([]gf.Elem, m.cols*m.cols)
 			m.facs = make([]gf.Elem, m.cols)
 		}
 	}
-	rowC := m.arenaC[:m.cols:m.cols]
-	m.arenaC = m.arenaC[m.cols:]
+	n := len(m.rows)
+	rowC := m.arenaC[n*m.cols:][:m.cols:m.cols]
 	copy(rowC, coeffs)
 	// Pivots fill roughly in increasing order, so the slot is near the end.
-	at := len(m.rows)
+	at := n
 	for at > 0 && m.pivot[at-1] > p {
 		at--
 	}
 	if m.extra > 0 {
-		rowP := m.arenaP[:m.extra:m.extra]
-		m.arenaP = m.arenaP[m.extra:]
-		copy(rowP, pay)
+		m.raw = append(m.raw, m.arenaP[n*m.extra:][:m.extra:m.extra])
+		copy(m.raw[n], pay)
 		// The factors index the rows as they stand before this one is
-		// linked in.
-		m.addMulPayloads(rowP, m.pay[:len(facs)], facs)
-		m.pay = append(m.pay, nil)
-		copy(m.pay[at+1:], m.pay[at:])
-		m.pay[at] = rowP
+		// linked in; past the rank their transform rows are zero, and
+		// folding whole rows is the kernel's shape.
+		rowX := m.arenaX[n*m.cols:][:m.cols:m.cols]
+		clear(rowX)
+		m.foldXforms(rowX, m.xform, 0, facs)
+		rowX[n] = 1
+		m.xform = append(m.xform, nil)
+		copy(m.xform[at+1:], m.xform[at:])
+		m.xform[at] = rowX
 	}
 	m.rows = append(m.rows, nil)
 	m.pivot = append(m.pivot, 0)
@@ -304,19 +356,29 @@ func (m *RankMatrix) WouldHelp(coeffs []gf.Elem) bool {
 // reports false without drawing randomness when the matrix is empty. It
 // only reads the matrix. Its draws and its bytes are RandomFactorsInto's
 // then CombineInto's (the coefficients alone on a rank-only matrix),
-// taken emitBlock rows at a time with the factors on its own stack.
+// taken a block of rows at a time with the factors on its own stack.
 func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay []byte) bool {
 	if len(m.rows) == 0 {
 		return false
 	}
 	m.checkWidths(coeffs, pay)
 	clear(coeffs)
+	if m.extra == 0 {
+		var block [emitBlock]gf.Elem
+		for lo := 0; lo < len(m.rows); lo += emitBlock {
+			facs := block[:min(emitBlock, len(m.rows)-lo)]
+			m.drawFactors(rng, facs)
+			m.addMulRows(lo, facs, coeffs)
+		}
+		return true
+	}
 	clear(pay)
-	var block [emitBlock]gf.Elem
-	for lo := 0; lo < len(m.rows); lo += emitBlock {
-		facs := block[:min(emitBlock, len(m.rows)-lo)]
+	var block, fold [payBlock]gf.Elem
+	for lo := 0; lo < len(m.rows); lo += payBlock {
+		facs := block[:min(payBlock, len(m.rows)-lo)]
 		m.drawFactors(rng, facs)
-		m.addMulRows(lo, facs, coeffs, pay)
+		m.addMulRows(lo, facs, coeffs)
+		m.addMulPayloads(lo, facs, pay, fold[:])
 	}
 	return true
 }
@@ -367,7 +429,7 @@ func (m *RankMatrix) drawFactors(rng *rand.Rand, facs []gf.Elem) {
 // CombineInto is the second half of a random combination over a matrix
 // that carries payloads: it overwrites coeffs (length Cols) with
 // Σ facs[i]·(stored coefficient row i) and pay (length Extra) with
-// Σ facs[i]·(stored payload row i), facs being what RandomFactorsInto
+// Σ facs[i]·(payload of stored row i), facs being what RandomFactorsInto
 // drew. It only reads the matrix and facs. The halves need not be
 // adjacent — a round-based caller draws every packet of a round first and
 // builds them afterwards, sender by sender — but the factors index the
@@ -385,31 +447,49 @@ func (m *RankMatrix) CombineInto(facs, coeffs []gf.Elem, pay []byte) {
 	}
 	clear(coeffs)
 	clear(pay)
-	m.addMulRows(0, facs, coeffs, pay)
+	m.addMulRows(0, facs, coeffs)
+	var fold [payBlock]gf.Elem
+	m.addMulPayloads(0, facs, pay, fold[:])
 }
 
-// addMulRows adds Σ facs[i]·(stored row lo+i) to coeffs and, over a
-// matrix with payloads, the same combination of the stored payload rows
-// to pay. A GF(2^m) coefficient part goes through the fused kernel too.
-func (m *RankMatrix) addMulRows(lo int, facs, coeffs []gf.Elem, pay []byte) {
+// addMulRows adds Σ facs[i]·(stored row lo+i) to coeffs, through the
+// fused kernel over GF(2^m).
+func (m *RankMatrix) addMulRows(lo int, facs, coeffs []gf.Elem) {
 	hi := lo + len(facs)
 	if f := m.f2m; f != nil {
 		f.AddMulSlices(gf.AsBytes(coeffs), gf.AsByteRows(m.rows[lo:hi]), facs)
-	} else {
-		for i, c := range facs {
-			m.f.AXPY(coeffs, m.rows[lo+i], c)
-		}
+		return
 	}
-	if m.extra > 0 {
-		m.addMulPayloads(pay, m.pay[lo:hi], facs)
+	for i, c := range facs {
+		m.f.AXPY(coeffs, m.rows[lo+i], c)
+	}
+}
+
+// addMulPayloads adds Σ facs[i]·(payload of stored row lo+i) to pay
+// without forming those payloads: it folds the factors through the
+// transform rows into factors of the raw rows, len(fold) raw rows at a
+// time into fold (the caller's stack), and combines each raw row once
+// with its factor.
+func (m *RankMatrix) addMulPayloads(lo int, facs []gf.Elem, pay []byte, fold []gf.Elem) {
+	xform := m.xform[lo : lo+len(facs)]
+	for j := 0; j < len(m.raw); j += len(fold) {
+		// The fold runs over whole rows, as far as the block allows, for
+		// the kernel's sake: past the rank a transform row is zero.
+		cs := fold[:min(len(fold), m.cols-j)]
+		clear(cs)
+		m.foldXforms(cs, xform, j, facs)
+		n := min(len(cs), len(m.raw)-j)
+		m.addMulRaw(pay, m.raw[j:j+n], cs[:n])
 	}
 }
 
 // Solve performs full back-substitution (RREF) and returns the decoded
 // payloads: a cols x extra byte matrix whose i-th row is the payload of
-// unknown i. It returns ErrNotFullRank when Rank() < Cols. The stored rows
-// are reduced in place (which preserves the row space, so further Adds
-// remain correct).
+// unknown i. It returns ErrNotFullRank when Rank() < Cols. The stored
+// coefficient and transform rows are reduced in place (which preserves
+// the row space and what each row stands for, so further Adds and emits
+// remain correct); the decoded payloads are then the only payload bytes
+// it writes, each a combination of the raw rows.
 func (m *RankMatrix) Solve() ([][]byte, error) {
 	if m.extra == 0 {
 		return nil, errors.New("linalg: RankMatrix has no payload to solve for")
@@ -421,12 +501,12 @@ func (m *RankMatrix) Solve() ([][]byte, error) {
 	// Normalize pivots to 1 and eliminate above, bottom-up. With full rank,
 	// pivot[i] == i for all i.
 	for i := m.cols - 1; i >= 0; i-- {
-		row := m.rows[i]
+		row, x := m.rows[i], m.xform[i]
 		p := m.pivot[i]
 		if c := row[p]; c != 1 {
 			inv := f.Inv(c)
 			f.Scale(row, inv)
-			f.MulSlice(m.pay[i], inv)
+			f.Scale(x, inv)
 			m.pivFac[i] = f.Neg(1) // pivot normalized; keep the cache honest
 		}
 		for j := 0; j < i; j++ {
@@ -434,13 +514,14 @@ func (m *RankMatrix) Solve() ([][]byte, error) {
 			if c := above[p]; c != 0 {
 				nc := f.Neg(c)
 				f.AXPY(above, row, nc)
-				f.AddMulSlice(m.pay[j], m.pay[i], nc)
+				f.AXPY(m.xform[j], x, nc)
 			}
 		}
 	}
 	out := make([][]byte, m.cols)
 	for i := range out {
-		out[i] = append([]byte(nil), m.pay[i]...)
+		out[i] = make([]byte, m.extra)
+		m.PayloadInto(i, out[i])
 	}
 	return out, nil
 }

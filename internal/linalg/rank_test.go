@@ -244,6 +244,17 @@ func TestSolveIdempotent(t *testing.T) {
 	}
 }
 
+// payloadOf is the payload of m's echelon row i, in a buffer of its own
+// (nil on a rank-only matrix).
+func payloadOf(m *RankMatrix, i int) []byte {
+	if m.extra == 0 {
+		return nil
+	}
+	b := make([]byte, m.extra)
+	m.PayloadInto(i, b)
+	return b
+}
+
 // payloadMatrix returns a cols x extra byte-row matrix over GF(q) holding
 // rank random rows, and the generator it drew them from.
 func payloadMatrix(q, cols, extra, rank int, seed uint64) (*RankMatrix, *rand.Rand) {
@@ -328,7 +339,7 @@ func interleavedReduce(f gf.Field, m *RankMatrix, coeffs []gf.Elem, pay []byte) 
 		for j := range coeffs {
 			coeffs[j] = f.Add(coeffs[j], f.Mul(factor, row[j]))
 		}
-		for j, s := range m.Payload(i) {
+		for j, s := range payloadOf(m, i) {
 			pay[j] = byte(f.Add(gf.Elem(pay[j]), f.Mul(factor, gf.Elem(s))))
 		}
 	}
@@ -355,7 +366,7 @@ func TestAddReducesPayloadOnlyWhenHelpful(t *testing.T) {
 				poison := bytes.Repeat([]byte{byte(q - 1)}, extra)
 				stored := make([][]byte, m.Rank())
 				for i := range stored {
-					stored[i] = bytes.Clone(m.Payload(i))
+					stored[i] = payloadOf(m, i)
 				}
 				if m.AddOwned(c, poison) {
 					t.Fatalf("GF(%d) step %d: a combination of stored rows was helpful", q, step)
@@ -364,7 +375,7 @@ func TestAddReducesPayloadOnlyWhenHelpful(t *testing.T) {
 					t.Fatalf("GF(%d) step %d: a useless AddOwned wrote its payload argument", q, step)
 				}
 				for i := range stored {
-					if !bytes.Equal(stored[i], m.Payload(i)) {
+					if !bytes.Equal(stored[i], payloadOf(m, i)) {
 						t.Fatalf("GF(%d) step %d: a useless AddOwned changed stored row %d", q, step, i)
 					}
 				}
@@ -385,7 +396,7 @@ func TestAddReducesPayloadOnlyWhenHelpful(t *testing.T) {
 				continue
 			}
 			at := slices.IndexFunc(m.rows, func(row []gf.Elem) bool { return slices.Equal(row, wantC) })
-			if at < 0 || !bytes.Equal(m.Payload(at), wantP) {
+			if at < 0 || !bytes.Equal(payloadOf(m, at), wantP) {
 				t.Fatalf("GF(%d) step %d: stored row differs from the interleaved elimination", q, step)
 			}
 		}
@@ -422,13 +433,84 @@ func BenchmarkRankMatrixEmitPayloadGF256(b *testing.B) {
 	}
 }
 
+// truncate drops every stored row of m but the first rank stored — the
+// benchmarks' undo. The rows it drops must be the last in echelon order
+// too, and no Solve may have mixed them into the others (a truncate to
+// zero always qualifies). It touches every per-row slice RankMatrix
+// keeps, and no arena: a row's arena slot follows from the rank.
+func (m *RankMatrix) truncate(rank int) {
+	m.rows, m.pivot, m.pivFac = m.rows[:rank], m.pivot[:rank], m.pivFac[:rank]
+	if m.extra > 0 {
+		m.raw, m.xform = m.raw[:rank], m.xform[:rank]
+	}
+}
+
+// TestTruncateUndoesAnInsert holds the benchmarks' undo to its claim: a
+// helpful insert and a truncate back leave every slice of the matrix at
+// the length it had — found by reflection, so a per-row slice or an
+// arena added later is held too — and the matrix emits, and stores, what
+// an identical one that never took the row does.
+func TestTruncateUndoesAnInsert(t *testing.T) {
+	const k, r = 16, 100
+	f := gf.MustNew(256)
+	build := func() *RankMatrix {
+		rng := core.NewRand(3)
+		m := NewRankMatrix(f, k, r)
+		for m.Rank() < k-1 {
+			c := gf.RandVector(f, k, rng)
+			c[k-1] = 0
+			m.Add(c, gf.RandBytes(f, r, rng))
+		}
+		return m
+	}
+	lens := func(m *RankMatrix) map[string]int {
+		out := map[string]int{}
+		v := reflect.ValueOf(m).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Kind() == reflect.Slice {
+				out[v.Type().Field(i).Name] = v.Field(i).Len()
+			}
+		}
+		return out
+	}
+	m, twin := build(), build()
+	before := lens(m)
+	if !m.AddOwned(gf.RandVector(f, k, core.NewRand(4)), gf.RandBytes(f, r, core.NewRand(5))) {
+		t.Fatal("a row with a new pivot column was not helpful")
+	}
+	m.truncate(k - 1)
+	if after := lens(m); !reflect.DeepEqual(after, before) {
+		t.Fatalf("slice lengths after insert and truncate %v, before %v", after, before)
+	}
+	for i := 0; i < m.Rank(); i++ {
+		if !slices.Equal(m.Row(i), twin.Row(i)) || !bytes.Equal(payloadOf(m, i), payloadOf(twin, i)) {
+			t.Fatalf("row %d differs from the twin's after insert and truncate", i)
+		}
+	}
+	emit := func(m *RankMatrix) []any {
+		c, p := make([]gf.Elem, k), make([]byte, r)
+		m.RandomCombinationInto(core.NewRand(6), c, p)
+		return []any{c, p}
+	}
+	if !reflect.DeepEqual(emit(m), emit(twin)) {
+		t.Fatal("emit after insert and truncate differs from the twin's")
+	}
+	// The freed slots take the next row as a fresh matrix's would.
+	c, p := gf.RandVector(f, k, core.NewRand(7)), gf.RandBytes(f, r, core.NewRand(8))
+	m.Add(c, p)
+	twin.Add(c, p)
+	if !reflect.DeepEqual(emit(m), emit(twin)) {
+		t.Fatal("an insert into truncated slots differs from the twin's")
+	}
+}
+
 // BenchmarkRankMatrixAddPayloadGF256 is a helpful AddOwned against 127
-// stored rows: the coefficient elimination, the row's copy into the arena
-// and its payload's elimination there. Every stored row is zero in the
-// last column, so an offered row always finds its pivot there and lands
-// last; the benchmark then takes it off again — un-carving the arenas and
-// truncating the bookkeeping, which only a test inside the package can —
-// so the matrices are the same for any b.N.
+// stored rows: the coefficient elimination, the row's transform and its
+// payload's copy into the arena. Every stored row is zero in the last
+// column, so an offered row always finds its pivot there and lands last,
+// in arrival and in echelon order; the benchmark then takes it off again
+// (truncate, which only a test inside the package can call), so the
+// matrices are the same for any b.N.
 func BenchmarkRankMatrixAddPayloadGF256(b *testing.B) {
 	const rank = benchPayK - 1
 	f := gf.MustNew(256)
@@ -451,11 +533,52 @@ func BenchmarkRankMatrixAddPayloadGF256(b *testing.B) {
 			c[j] = gf.Elem(rng.Uint64()) | 1
 		}
 		m := ms[i%len(ms)]
-		arenaC, arenaP := m.arenaC, m.arenaP
 		if !m.AddOwned(c, p) {
 			b.Fatal("a row with a new pivot column was not helpful")
 		}
-		m.arenaC, m.arenaP = arenaC, arenaP
-		m.rows, m.pay, m.pivot, m.pivFac = m.rows[:rank], m.pay[:rank], m.pivot[:rank], m.pivFac[:rank]
+		m.truncate(rank)
+	}
+}
+
+// BenchmarkRankMatrixSolvePayloadGF256 is a decode: Solve on a full-rank
+// k = 128, r = 4096 matrix. Solve reduces its matrix in place, so each
+// iteration first refills one of the matrices from its recorded rows,
+// outside the timer.
+func BenchmarkRankMatrixSolvePayloadGF256(b *testing.B) {
+	f := gf.MustNew(256)
+	type stream struct {
+		m      *RankMatrix
+		coeffs [][]gf.Elem
+		pays   [][]byte
+	}
+	ss := make([]stream, benchPayNodes)
+	for i := range ss {
+		rng := core.NewRand(uint64(i))
+		s := &ss[i]
+		s.m = NewRankMatrix(f, benchPayK, benchPayR)
+		for s.m.Rank() < benchPayK {
+			c, p := gf.RandVector(f, benchPayK, rng), gf.RandBytes(f, benchPayR, rng)
+			if s.m.WouldHelp(c) {
+				s.coeffs, s.pays = append(s.coeffs, c), append(s.pays, p)
+				s.m.Add(c, p)
+			}
+		}
+	}
+	b.SetBytes(benchPayK * benchPayR)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &ss[i%len(ss)]
+		if i >= len(ss) {
+			b.StopTimer()
+			s.m.truncate(0)
+			for j, c := range s.coeffs {
+				s.m.Add(c, s.pays[j])
+			}
+			b.StartTimer()
+		}
+		if _, err := s.m.Solve(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -120,7 +120,9 @@ func TestAdaptRoundTrip(t *testing.T) {
 // of every simulation's tail), an EmitInto → ReceiveOwned → WouldHelp
 // cycle through a recycled packet performs zero allocations per packet,
 // on every backend — the "auto" rows are whatever the rule picks on this
-// host, byte rows on a vector tier.
+// host, byte rows on a vector tier — and on byte rows with payloads at
+// k = 128 and k = 300, where an emit folds its factors through the
+// transform rows in more than one stack block.
 func TestAllocsSteadyStateSendReceive(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -137,6 +139,8 @@ func TestAllocsSteadyStateSendReceive(t *testing.T) {
 		{"gf16-rankonly-auto", Config{Field: gf.MustNew(16), K: 96, RankOnly: true}, false},
 		{"gf256-rankonly-auto", Config{Field: gf.MustNew(256), K: 96, RankOnly: true}, false},
 		{"gf256-payload-auto", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256}, false},
+		{"gf256-payload-generic-k128", Config{Field: gf.MustNew(256), K: 128, PayloadLen: 256, ForceGeneric: true}, false},
+		{"gf256-payload-generic-k300", Config{Field: gf.MustNew(256), K: 300, PayloadLen: 256, ForceGeneric: true}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

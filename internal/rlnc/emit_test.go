@@ -32,7 +32,12 @@ func decoderState(n *GenNode) [][]byte {
 			case s.slc != nil:
 				out = append(out, words(s.slc.Row(i)), words(s.slc.Payload(i)))
 			default:
-				out = append(out, append([]byte(nil), gf.AsBytes(s.mat.Row(i))...), append([]byte(nil), s.mat.Payload(i)...))
+				var pay []byte
+				if extra := s.cfg.extra(); extra > 0 {
+					pay = make([]byte, extra)
+					s.mat.PayloadInto(i, pay)
+				}
+				out = append(out, append([]byte(nil), gf.AsBytes(s.mat.Row(i))...), pay)
 			}
 		}
 	}
@@ -63,7 +68,8 @@ func emitSequence(src *GenNode, seed uint64, n int) [][]any {
 // ForceGeneric, so byte rows on every host) and bit-sliced (GF(256) built
 // on the scalar tier, with its table kernels). Rank-only and whole-k,
 // packed bits also run at three words a row (k = 160, the general loop)
-// and four (k = 256, its own loop), and byte rows at k = 128. Under
+// and four (k = 256, its own loop), and byte rows at k = 128; whole-k
+// with payloads, byte rows also run at k = 128 and k = 300. Under
 // -race a write to decoder-owned scratch is a reported race even where
 // the bytes agree.
 func TestEmitIsReadOnly(t *testing.T) {
@@ -77,10 +83,10 @@ func TestEmitIsReadOnly(t *testing.T) {
 		name  string
 		cfg   Config
 		build func(t testing.TB, cfg GenConfig) *GenNode
-		wide  []shape // rank-only whole-k widths besides the common ones
+		wide  []shape // whole-k shapes besides the common ones
 	}{
 		{"bit", Config{Field: gf.MustNew(2)}, mustGenNode, []shape{{160, 160, true}, {256, 256, true}}},
-		{"byte-rows", Config{Field: gf.MustNew(256), ForceGeneric: true}, mustGenNode, []shape{{128, 128, true}}},
+		{"byte-rows", Config{Field: gf.MustNew(256), ForceGeneric: true}, mustGenNode, []shape{{128, 128, true}, {128, 128, false}, {300, 300, false}}},
 		{"sliced", Config{Field: gf.MustNew(256)}, func(t testing.TB, cfg GenConfig) *GenNode {
 			var n *GenNode
 			buildSliced(t, func() { n = mustGenNode(t, cfg) })

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
@@ -507,8 +508,9 @@ func (n *Node) EmitReplayInto(p *Packet) bool {
 	}
 	p.Bits = nil
 	p.Coeffs = append(p.Coeffs[:0], n.mat.Row(0)...)
-	if n.cfg.extra() > 0 {
-		p.Payload = append(p.Payload[:0], n.mat.Payload(0)...)
+	if extra := n.cfg.extra(); extra > 0 {
+		p.Payload = slices.Grow(p.Payload[:0], extra)[:extra]
+		n.mat.PayloadInto(0, p.Payload)
 	} else {
 		p.Payload = nil
 	}

@@ -133,6 +133,54 @@ func TestGossipPairConvergence(t *testing.T) {
 	}
 }
 
+// TestReplayThenHonestDecodes: a byte-row node's replay (EmitReplayInto)
+// carries its first echelon row, the payload formed from the raw rows it
+// stores, into a recycled packet with a stale, longer payload; a receiver
+// that takes the replay, the same replay again (useless), and then honest
+// packets decodes exactly the seeded messages.
+func TestReplayThenHonestDecodes(t *testing.T) {
+	for _, q := range []int{256, 251} {
+		cfg := Config{Field: gf.MustNew(q), K: 8, PayloadLen: 40, ForceGeneric: true}
+		t.Run(cfg.Field.Name(), func(t *testing.T) {
+			rng := core.NewRand(uint64(q))
+			src, relay, dst := MustNewNode(cfg), MustNewNode(cfg), MustNewNode(cfg)
+			msgs := make([]Message, cfg.K)
+			for i := range msgs {
+				msgs[i] = Message{Index: i, Payload: gf.RandBytes(cfg.Field, cfg.PayloadLen, rng)}
+				src.Seed(msgs[i])
+			}
+			for relay.Rank() < 3 {
+				relay.Receive(src.Emit(rng))
+			}
+			pkt := &Packet{Payload: bytes.Repeat([]byte{byte(q - 1)}, 2*cfg.PayloadLen)}
+			if !relay.EmitReplayInto(pkt) || len(pkt.Payload) != cfg.PayloadLen {
+				t.Fatalf("replay into a recycled packet: %d payload bytes, want %d", len(pkt.Payload), cfg.PayloadLen)
+			}
+			if !dst.Receive(pkt) {
+				t.Fatal("the first replay was not helpful to an empty node")
+			}
+			if dst.Receive(pkt) {
+				t.Fatal("a replayed row helped twice")
+			}
+			for sent := 0; !dst.CanDecode(); sent++ {
+				if sent > 100*cfg.K {
+					t.Fatal("no convergence")
+				}
+				dst.Receive(src.Emit(rng))
+			}
+			got, err := dst.Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range msgs {
+				if !bytes.Equal(got[i].Payload, msgs[i].Payload) {
+					t.Fatalf("message %d decoded wrong after a replay", i)
+				}
+			}
+		})
+	}
+}
+
 func TestDecodeBeforeFullRank(t *testing.T) {
 	n := MustNewNode(genericCfg(256, 3, 1))
 	n.Seed(Message{Index: 0, Payload: []byte{7}})
