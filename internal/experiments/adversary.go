@@ -51,7 +51,7 @@ func e18Bound(baseGate, frac float64) float64 {
 	return baseGate / ((1 - frac) * (1 - frac))
 }
 
-// E18Adversarial is the adversarial-regime gate (ROADMAP item 5): uniform
+// E18Adversarial is the adversarial-regime gate (E18): uniform
 // algebraic gossip on a complete graph with a Byzantine node population
 // drawn per trial — non-innovative replay, corrupt-coefficient pollution,
 // or silent free-riding — at fractions up to 0.2. For every (mode, frac)

@@ -8,8 +8,8 @@ import (
 	"algossip/internal/stats"
 )
 
-// TestE18AdversarialGate is the adversarial-regime gate from ROADMAP item
-// 5: uniform AG on a complete graph with a Byzantine fraction of 0.2 —
+// TestE18AdversarialGate is E18's adversarial-regime gate:
+// uniform AG on a complete graph with a Byzantine fraction of 0.2 —
 // the worst declared mode grid — must still bring every node to full
 // rank, with mean+3σ of the stopping time within the modeled dilation
 // bound base·(1-f)^-2 of the honest baseline's mean+3σ. The quick-mode

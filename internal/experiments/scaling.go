@@ -36,8 +36,8 @@ func e16Bound(g *graph.Graph, k int) float64 {
 	return float64(g.MaxDegree()) * float64(k+g.DiameterApprox()+int(log2(g.N()))+1)
 }
 
-// E16WebScale is the web-scale conformance experiment (ROADMAP item 1):
-// uniform algebraic gossip with generation-based coding on a random
+// E16WebScale is the web-scale conformance experiment (E16): uniform
+// algebraic gossip with generation-based coding on a random
 // 4-regular expander, k ∝ n, executed through the sharded engine. For
 // each size it gates mean + 3σ of the stopping time against the Theorem 1
 // bound Δ·(k+D+log n) — which is Θ(n) here since k = Θ(n) and D, log n

@@ -10,8 +10,8 @@ import (
 	"algossip/internal/stats"
 )
 
-// TestE16WebScaleGate is the n >= 10^5 conformance gate from ROADMAP item
-// 1: generation-coded uniform AG on a random 4-regular expander with
+// TestE16WebScaleGate is E16's n >= 10^5 conformance gate:
+// generation-coded uniform AG on a random 4-regular expander with
 // 10^5 nodes must stop within the Theorem 1 bound Δ·(k+D+log n) at three
 // standard deviations. The quick-mode E16 table (exercised by
 // TestAllExperimentsQuick) covers the same gate at small n; this test is

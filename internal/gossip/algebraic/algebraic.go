@@ -164,6 +164,19 @@ var (
 // New constructs an algebraic gossip protocol over g. The caller seeds the
 // k initial messages with Seed before running.
 func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Config, rng *rand.Rand) (*Protocol, error) {
+	return Renew(nil, g, model, sel, cfg, rng)
+}
+
+// Renew is New given a finished protocol, prev, whose state it may take
+// over: when prev has the shape the new protocol needs — as many nodes,
+// and decoders of the same field order, k, GenSize, payload width and
+// backend (rlnc.GenNode.Fits) — its decoders are reset instead of
+// rebuilt (rlnc.GenNode.Reset), and its packet freelist and round
+// buffers are kept. Everything else is built as New builds it,
+// so the new protocol runs exactly as a new one would, whatever prev ran
+// before. A nil prev, or one of another shape, leaves New's path; prev
+// must not be used afterwards either way.
+func Renew(prev *Protocol, g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Config, rng *rand.Rand) (*Protocol, error) {
 	if cfg.Action == 0 {
 		cfg.Action = core.Exchange
 	}
@@ -175,34 +188,52 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 		gen.GenSize = gen.K
 	}
 	n := g.N()
-	p := &Protocol{
-		Progress: gossip.NewProgress(n, model),
-		g:        g,
-		sel:      sel,
-		rng:      rng,
-		cfg:      cfg,
-		gen:      gen,
-		nodes:    make([]*rlnc.GenNode, n),
-		initial:  make([][]rlnc.Message, n),
-	}
-	if model == core.Synchronous && !cfg.RLNC.RankOnly {
-		p.fill = &deferredFill{
-			bucket: make([]int32, n+1),
-			procs:  runtime.GOMAXPROCS(0),
-			grain:  commitGrain,
+	p := &Protocol{Progress: gossip.NewProgress(n, model), g: g, sel: sel, rng: rng, cfg: cfg, gen: gen}
+	deferred := model == core.Synchronous && !cfg.RLNC.RankOnly
+	if prev != nil && n > 0 && len(prev.nodes) == n && prev.nodes[0].Fits(gen) {
+		p.takeOver(prev, deferred)
+	} else {
+		p.nodes = make([]*rlnc.GenNode, n)
+		p.initial = make([][]rlnc.Message, n)
+		for i := range p.nodes {
+			node, err := rlnc.NewGenNode(gen)
+			if err != nil {
+				return nil, fmt.Errorf("algebraic: node %d: %w", i, err)
+			}
+			p.nodes[i] = node
 		}
 	}
-	for i := range p.nodes {
-		node, err := rlnc.NewGenNode(gen)
-		if err != nil {
-			return nil, fmt.Errorf("algebraic: node %d: %w", i, err)
+	if deferred {
+		if p.fill == nil {
+			p.fill = &deferredFill{bucket: make([]int32, n+1)}
 		}
-		p.nodes[i] = node
+		p.fill.procs, p.fill.grain = runtime.GOMAXPROCS(0), commitGrain
 	}
 	if err := p.initTraits(cfg); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// takeOver moves prev's reusable state into p, a protocol of the same
+// shape: the decoders, reset; the initial-seed lists, empty; the packet
+// freelist and the staged list; and, when p defers payload fills, the
+// round's fill buffers. A reused arena is never cleared — a row's slot is
+// written before it is read — so nothing here is O(k·r). prev is left
+// empty.
+func (p *Protocol) takeOver(prev *Protocol, deferred bool) {
+	p.nodes, p.initial = prev.nodes, prev.initial
+	for i, node := range p.nodes {
+		node.Reset()
+		clear(p.initial[i])
+		p.initial[i] = p.initial[i][:0]
+	}
+	p.free, p.staged = prev.free, prev.staged[:0]
+	if deferred && prev.fill != nil {
+		p.fill = prev.fill
+		p.fill.used = 0
+	}
+	*prev = Protocol{}
 }
 
 // NewGen is New for a generation-coded run described by an rlnc.GenConfig
@@ -377,14 +408,10 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	}
 }
 
-// resetNode reinstalls node v as a fresh machine holding only its
-// initial seeds.
+// resetNode restarts node v as a fresh machine holding only its initial
+// seeds: its decoder is reset (rlnc.GenNode.Reset), not rebuilt.
 func (p *Protocol) resetNode(v core.NodeID) {
-	node, err := rlnc.NewGenNode(p.gen)
-	if err != nil {
-		panic(err) // unreachable: New built every node from this config
-	}
-	p.nodes[v] = node
+	p.nodes[v].Reset()
 	p.Unmark(v)
 	for _, msg := range p.initial[v] {
 		p.nodes[v].Seed(msg)

@@ -209,17 +209,30 @@ func TestSeedAllValidation(t *testing.T) {
 }
 
 // TestGenSizeValidation: a generation size outside [0, k] is the typed
-// rlnc.GenSizeError.
+// rlnc.GenSizeError, and a k that is not positive an error, whether or
+// not a finished protocol is offered for reuse.
 func TestGenSizeValidation(t *testing.T) {
 	g := graph.Line(4)
-	for _, bad := range []int{-1, 4} {
-		cfg := rankOnlyCfg(3)
-		cfg.GenSize = bad
-		_, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1))
-		var gse *rlnc.GenSizeError
-		if !errors.As(err, &gse) {
-			t.Errorf("GenSize %d: got %v, want a GenSizeError", bad, err)
+	prev := func() *Protocol {
+		p, err := New(g, core.Synchronous, sim.NewUniform(g), rankOnlyCfg(3), core.NewRand(1))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return p
+	}
+	for _, bad := range []int{-1, 4} {
+		for _, offered := range []*Protocol{nil, prev()} {
+			cfg := rankOnlyCfg(3)
+			cfg.GenSize = bad
+			_, err := Renew(offered, g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1))
+			var gse *rlnc.GenSizeError
+			if !errors.As(err, &gse) {
+				t.Errorf("GenSize %d: got %v, want a GenSizeError", bad, err)
+			}
+		}
+	}
+	if _, err := Renew(prev(), g, core.Synchronous, sim.NewUniform(g), rankOnlyCfg(0), core.NewRand(1)); err == nil {
+		t.Error("k = 0 was accepted over a finished protocol")
 	}
 }
 

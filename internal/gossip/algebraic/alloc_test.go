@@ -298,3 +298,42 @@ func TestSimTrajectorySlicedVsGeneric(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkProtocolSetupPayloadGF256 is a payload trial's setup at the
+// shape algossip.Disseminate runs in the payload benchmark — n = 32,
+// k = 128 messages of r = 4 KiB over GF(256), spread round-robin — up to
+// round 1: the protocol built and every message seeded. "fresh" builds
+// every decoder (New), whose first inserts allocate and zero its arenas;
+// "reused" takes the last iteration's protocol over (Renew), whose reset
+// decoders write their seeds into arenas they already hold.
+func BenchmarkProtocolSetupPayloadGF256(b *testing.B) {
+	const n, k, r = 32, 128, 4096
+	g := graph.RandomRegular(n, 4, core.NewRand(1))
+	cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(256), K: k, PayloadLen: r}}
+	msgs := RandomMessages(cfg.RLNC, core.NewRand(2))
+	assign := RoundRobinAssign(k, n)
+	for _, reuse := range []bool{false, true} {
+		name := "fresh"
+		if reuse {
+			name = "reused"
+		}
+		b.Run(name, func(b *testing.B) {
+			var prev *Protocol
+			b.SetBytes(k * r)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !reuse {
+					prev = nil
+				}
+				p, err := Renew(prev, g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(uint64(i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := p.SeedAll(assign, msgs); err != nil {
+					b.Fatal(err)
+				}
+				prev = p
+			}
+		})
+	}
+}

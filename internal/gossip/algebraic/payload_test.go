@@ -20,15 +20,16 @@ import (
 // fused 64-byte block and a tail), built the way algossip.Disseminate
 // builds its protocol.
 type payloadRun struct {
-	name    string
-	graph   string // "randreg" or "barbell"
-	q       int
-	genSize int
-	action  core.Action
-	loss    float64
-	model   core.TimeModel
-	churn   bool
-	pollute bool // three polluting Byzantine senders; the seeds sit with the honest nodes
+	name     string
+	graph    string // "randreg" or "barbell"
+	q        int
+	genSize  int
+	action   core.Action
+	loss     float64
+	model    core.TimeModel
+	churn    bool
+	pollute  bool // three polluting Byzantine senders; the seeds sit with the honest nodes
+	rankOnly bool // no payloads: nothing to decode, and the digest is empty
 
 	// Recorded from the commit before the payload path was reordered
 	// (coefficient-first elimination, deferred fills, the cache-ordered
@@ -111,6 +112,14 @@ func (h *heardLog) NodeDone(v core.NodeID, round int) {
 // it streams; zero leaves the host's rule.
 func (tc payloadRun) run(t *testing.T, width int) payloadTrial {
 	t.Helper()
+	got, _ := tc.runOn(t, width, nil)
+	return got
+}
+
+// runOn is run on the state of prev, a finished protocol Renew may take
+// over (nil: none), and returns the protocol it ran too.
+func (tc payloadRun) runOn(t *testing.T, width int, prev *Protocol) (payloadTrial, *Protocol) {
+	t.Helper()
 	const n, k, r, seed = 16, 12, 100, 7
 	g := graph.Barbell(n)
 	if tc.graph == "randreg" {
@@ -119,7 +128,7 @@ func (tc payloadRun) run(t *testing.T, width int) payloadTrial {
 	if tc.model == 0 {
 		tc.model = core.Synchronous
 	}
-	cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(tc.q), K: k, PayloadLen: r},
+	cfg := Config{RLNC: rlnc.Config{Field: gf.MustNew(tc.q), K: k, PayloadLen: r, RankOnly: tc.rankOnly},
 		GenSize: tc.genSize, Action: tc.action, LossRate: tc.loss}
 	assign := RoundRobinAssign(k, n)
 	if tc.pollute {
@@ -127,7 +136,7 @@ func (tc payloadRun) run(t *testing.T, width int) payloadTrial {
 		assign = RoundRobinAssignOver(k, HonestNodes(cfg.Traits))
 	}
 	msgs := RandomMessages(cfg.RLNC, core.NewRand(core.SplitSeed(seed, 11)))
-	p, err := New(g, tc.model, sim.NewUniform(g), cfg, core.NewRand(core.SplitSeed(seed, 1)))
+	p, err := Renew(prev, g, tc.model, sim.NewUniform(g), cfg, core.NewRand(core.SplitSeed(seed, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +156,7 @@ func (tc payloadRun) run(t *testing.T, width int) payloadTrial {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	for v := 0; v < n; v++ {
+	for v := 0; v < n && !tc.rankOnly; v++ {
 		got, err := p.Node(core.NodeID(v)).Decode()
 		if err != nil {
 			t.Fatalf("node %d: %v", v, err)
@@ -159,7 +168,7 @@ func (tc payloadRun) run(t *testing.T, width int) payloadTrial {
 			h.Write(m.Payload)
 		}
 	}
-	if heard.outOfOrder != "" && tc.model == core.Synchronous {
+	if heard.outOfOrder != "" && tc.model == core.Synchronous && !tc.rankOnly {
 		t.Errorf("NodeDone out of receiver order: %s", heard.outOfOrder)
 	}
 	return payloadTrial{
@@ -167,7 +176,7 @@ func (tc payloadRun) run(t *testing.T, width int) payloadTrial {
 		traffic:    p.Traffic(),
 		heard:      heard.String(),
 		decoded:    fmt.Sprintf("%x", h.Sum(nil)[:8]),
-	}
+	}, p
 }
 
 // TestPayloadTrajectoryPinned holds the payload path to the trajectory
@@ -209,6 +218,58 @@ func TestCommitWidthChangesNothing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRenewMatchesNew: a protocol built by Renew over a finished one runs
+// exactly as one built by New — completion rounds, traffic, the
+// observer's NodeDone sequence and every node's decoded bytes — whatever
+// the finished one ran. The pinned payload runs, a Byzantine one, and
+// rank-only, GF(2) packed, prime-field and generation-coded runs go
+// twice through one chain of protocols, each taking over the last: same
+// shapes reuse (every node decoded, so every reused decoder was solved in
+// place first), other shapes or a changed model do not, and both must
+// hold. Under -race every Reset poisons what it keeps (0xA5), so a
+// reused arena read before it is written changes a trajectory here.
+func TestRenewMatchesNew(t *testing.T) {
+	runs := append(slices.Clone(payloadRuns),
+		payloadRun{name: "randreg/gf256/exchange/pollute", graph: "randreg", q: 256, pollute: true},
+		payloadRun{name: "barbell/gf2/exchange", graph: "barbell", q: 2},
+		payloadRun{name: "randreg/gf2/rank-only", graph: "randreg", q: 2, rankOnly: true},
+		payloadRun{name: "randreg/gf256/rank-only/gen5", graph: "randreg", q: 256, rankOnly: true, genSize: 5},
+		payloadRun{name: "barbell/gf7/exchange", graph: "barbell", q: 7},
+		payloadRun{name: "barbell/gf7/async", graph: "barbell", q: 7, model: core.Asynchronous},
+		payloadRun{name: "barbell/gf256/push/gen3/loss", graph: "barbell", q: 256, action: core.Push, genSize: 3, loss: 0.3})
+	// n, k and r are the same for every run: the shape is the rest.
+	shape := func(tc payloadRun) [3]int {
+		genSize := tc.genSize
+		if genSize == 0 {
+			genSize = 12
+		}
+		r := 100
+		if tc.rankOnly {
+			r = 0
+		}
+		return [3]int{tc.q, genSize, r}
+	}
+	var prev *Protocol
+	var last payloadRun
+	for pass := range 2 {
+		for i, tc := range runs {
+			want := tc.run(t, 0)
+			var before *rlnc.GenNode
+			if prev != nil {
+				before = prev.Node(0)
+			}
+			got, p := tc.runOn(t, 0, prev)
+			if reused, fits := p.Node(0) == before, (pass > 0 || i > 0) && shape(tc) == shape(last); reused != fits {
+				t.Errorf("pass %d, %s after %s: decoders reused %v, same shape %v", pass, tc.name, last.name, reused, fits)
+			}
+			prev, last = p, tc
+			if got != want {
+				t.Errorf("pass %d, %s: over the last run's protocol\n%+v\nnew\n%+v", pass, tc.name, got, want)
+			}
+		}
 	}
 }
 

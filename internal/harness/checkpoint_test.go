@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -58,9 +59,9 @@ func TestResumeAfterSimulatedKill(t *testing.T) {
 	// Resume: the executed-trial count must shrink and the bytes must not.
 	var executed atomic.Int32
 	r := Runner{Parallel: 4, Checkpoint: ckpt, Resume: true,
-		execute: func(s *Spec, tr Trial) (Outcome, error) {
+		execute: func(s *Spec, tr Trial, st *trialState) (Outcome, error) {
 			executed.Add(1)
-			return Execute(s.gossipSpec(tr), s.Protocol, tr.Seed)
+			return s.executeTrial(tr, st)
 		}}
 	resumed := runToCSV(t, r, lineSpec())
 	if resumed != uninterrupted {
@@ -140,11 +141,15 @@ func TestCheckpointWithoutResumeRestarts(t *testing.T) {
 }
 
 // TestTrialTimeout: a hung trial fails the run with a descriptive error
-// instead of wedging the sweep forever.
+// instead of wedging the sweep forever, and the trial it abandons, which
+// keeps running on the state its worker handed it, takes that state
+// along: the worker builds its next trial afresh, and the abandoned one
+// finishing later leaves nothing for the worker either (under -race, a
+// shared state would be a reported race as well).
 func TestTrialTimeout(t *testing.T) {
 	spec := lineSpec()
 	r := Runner{Parallel: 2, Timeout: 5 * time.Millisecond,
-		execute: func(s *Spec, tr Trial) (Outcome, error) {
+		execute: func(s *Spec, tr Trial, _ *trialState) (Outcome, error) {
 			if tr.Index == 2 {
 				time.Sleep(200 * time.Millisecond)
 			}
@@ -153,6 +158,43 @@ func TestTrialTimeout(t *testing.T) {
 	_, err := r.Run(&spec)
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("hung trial not reported: %v", err)
+	}
+
+	_, trials, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st trialState
+	if _, err := spec.executeTrial(trials[0], &st); err != nil || st.ag == nil {
+		t.Fatalf("a uniform-AG trial left no state for its worker (err %v)", err)
+	}
+	handed := st.ag
+	release, finished := make(chan struct{}), make(chan *trialState)
+	r.execute = func(s *Spec, tr Trial, own *trialState) (Outcome, error) {
+		<-release
+		o, err := s.executeTrial(tr, own)
+		finished <- own
+		return o, err
+	}
+	if _, err := r.runOne(r.execute, &spec, trials[1], &st); err == nil {
+		t.Fatal("the held trial did not time out")
+	}
+	if st.ag != nil {
+		t.Fatal("the worker kept the state it handed to a trial that timed out")
+	}
+	close(release)
+	if own := <-finished; own == &st || own.ag == nil || own.ag == handed {
+		t.Fatal("the abandoned trial did not run on the state it took along")
+	}
+	if st.ag != nil {
+		t.Fatal("the abandoned trial left its state to the worker")
+	}
+	want, err := spec.ExecuteTrial(trials[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := spec.executeTrial(trials[0], &st); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the worker's next trial after a timeout: %+v (err %v), want %+v", got, err, want)
 	}
 }
 

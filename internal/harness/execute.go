@@ -278,6 +278,18 @@ func (s GossipSpec) validate(proto Protocol) error {
 // 13–15 the adversarial and heterogeneous-class draws) is pinned by the
 // conformance suite — do not renumber.
 func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
+	return execute(spec, proto, seed, nil)
+}
+
+// trialState is what a trial leaves for the next one on the same worker:
+// the uniform-AG protocol whose decoders a trial of the same shape resets
+// instead of rebuilding (algebraic.Renew). The zero value holds nothing.
+type trialState struct{ ag *algebraic.Protocol }
+
+// execute is Execute on a worker's state (nil: none). A uniform-AG trial
+// takes the state's protocol over and leaves its own there; the outcome
+// is the one Execute returns, whatever the worker ran before.
+func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outcome, error) {
 	if err := spec.validate(proto); err != nil {
 		return Outcome{}, err
 	}
@@ -322,10 +334,17 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 				}
 			}
 		}
-		p, err := algebraic.New(g, spec.Model, spec.Selector.build(g), cfg,
+		var prev *algebraic.Protocol
+		if st != nil {
+			prev, st.ag = st.ag, nil
+		}
+		p, err := algebraic.Renew(prev, g, spec.Model, spec.Selector.build(g), cfg,
 			core.NewRand(core.SplitSeed(seed, 1)))
 		if err != nil {
 			return out, err
+		}
+		if st != nil {
+			st.ag = p
 		}
 		p.SetObserver(spec.Observer)
 		// Payload contents draw from their own stream (11) so rank-only

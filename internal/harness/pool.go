@@ -15,7 +15,8 @@ type Runner struct {
 	Parallel int
 	// Timeout aborts any single trial that runs longer (0: none). A
 	// timed-out trial fails the run; its goroutine is abandoned and
-	// terminates on its own when the simulation's round budget runs out.
+	// terminates on its own when the simulation's round budget runs out,
+	// and its worker builds its next trial afresh.
 	Timeout time.Duration
 	// Checkpoint, when non-empty, appends every completed trial to this
 	// file so a killed sweep can be resumed.
@@ -26,8 +27,9 @@ type Runner struct {
 	// Progress, when set, is called serially after every completed trial.
 	Progress func(done, total int, t Trial, o Outcome)
 
-	// execute overrides trial execution (tests only; nil = Execute).
-	execute func(s *Spec, t Trial) (Outcome, error)
+	// execute overrides trial execution (tests only; nil = the spec's
+	// executeTrial).
+	execute func(s *Spec, t Trial, st *trialState) (Outcome, error)
 }
 
 // ResultSet is a Spec's work-list with every Outcome filled in, in
@@ -70,8 +72,9 @@ func (rs *ResultSet) CellRounds(ci int) []float64 {
 
 // Run opens the spec's Ledger (expanding it and replaying the checkpoint),
 // fans the pending trials out over the pool, and returns the ordered
-// results. The returned ResultSet is identical for any Parallel value and
-// for any interrupt/resume history.
+// results. Each worker keeps the state its last trial left (trialState)
+// for its next one. The returned ResultSet is identical for any Parallel
+// value and for any interrupt/resume history.
 func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 	start := time.Now()
 	ledger, err := OpenLedger(spec, r.Checkpoint, r.Resume, r.Progress)
@@ -82,12 +85,10 @@ func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 
 	exec := r.execute
 	if exec == nil {
-		exec = func(s *Spec, t Trial) (Outcome, error) {
-			return s.ExecuteTrial(t)
-		}
+		exec = (*Spec).executeTrial
 	}
-	err = forEachIndex(ledger.Pending(), r.Parallel, func(i int) error {
-		o, err := r.runOne(exec, spec, ledger.Trials[i])
+	err = forEachIndex(ledger.Pending(), r.Parallel, func(st *trialState, i int) error {
+		o, err := r.runOne(exec, spec, ledger.Trials[i], st)
 		if err != nil {
 			return err
 		}
@@ -102,24 +103,32 @@ func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 	return rs, nil
 }
 
-// runOne executes one trial, enforcing the per-trial timeout.
-func (r Runner) runOne(exec func(*Spec, Trial) (Outcome, error), spec *Spec, t Trial) (Outcome, error) {
+// runOne executes one trial on the worker state st, enforcing the
+// per-trial timeout. A trial under a timeout runs on a goroutine of its
+// own, which a timeout abandons still running: it takes the worker's
+// state along and hands it back only if it finishes in time, so a worker
+// never shares state with an abandoned trial — it builds afresh instead.
+func (r Runner) runOne(exec func(*Spec, Trial, *trialState) (Outcome, error), spec *Spec, t Trial, st *trialState) (Outcome, error) {
 	if r.Timeout <= 0 {
-		return exec(spec, t)
+		return exec(spec, t, st)
 	}
 	type reply struct {
 		o   Outcome
 		err error
+		st  trialState
 	}
+	own := *st
+	*st = trialState{}
 	ch := make(chan reply, 1)
 	go func() {
-		o, err := exec(spec, t)
-		ch <- reply{o, err}
+		o, err := exec(spec, t, &own)
+		ch <- reply{o, err, own}
 	}()
 	timer := time.NewTimer(r.Timeout)
 	defer timer.Stop()
 	select {
 	case rep := <-ch:
+		*st = rep.st
 		return rep.o, rep.err
 	case <-timer.C:
 		return Outcome{}, fmt.Errorf("harness: trial %d (graph=%s k=%d trial=%d) timed out after %v",
@@ -130,8 +139,9 @@ func (r Runner) runOne(exec func(*Spec, Trial) (Outcome, error), spec *Spec, t T
 // forEachIndex fans fn out over the given indices with a bounded worker
 // pool, failing fast: after the first error no new work is dispatched,
 // and the error for the lowest index wins (deterministic error
-// reporting). fn may be called concurrently.
-func forEachIndex(idxs []int, parallel int, fn func(i int) error) error {
+// reporting). fn may be called concurrently, each worker passing the
+// same S of its own to every call it makes.
+func forEachIndex[S any](idxs []int, parallel int, fn func(st *S, i int) error) error {
 	workers := parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -140,8 +150,9 @@ func forEachIndex(idxs []int, parallel int, fn func(i int) error) error {
 		workers = len(idxs)
 	}
 	if workers <= 1 {
+		var st S
 		for _, i := range idxs {
-			if err := fn(i); err != nil {
+			if err := fn(&st, i); err != nil {
 				return err
 			}
 		}
@@ -155,8 +166,9 @@ func forEachIndex(idxs []int, parallel int, fn func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var st S
 			for ji := range next {
-				if err := fn(idxs[ji]); err != nil {
+				if err := fn(&st, idxs[ji]); err != nil {
 					errs[ji] = err
 					failed.Store(true)
 				}
@@ -189,7 +201,7 @@ func ParallelMap[T any](n, parallel int, fn func(i int) (T, error)) ([]T, error)
 	for i := range idxs {
 		idxs[i] = i
 	}
-	err := forEachIndex(idxs, parallel, func(i int) error {
+	err := forEachIndex(idxs, parallel, func(_ *struct{}, i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

@@ -229,7 +229,12 @@ func (s *Spec) Expand() ([]Cell, []Trial, error) {
 // single entry point remote fabric workers share with the local pool, so
 // a trial's outcome is identical no matter which process runs it.
 func (s *Spec) ExecuteTrial(t Trial) (Outcome, error) {
-	return Execute(s.gossipSpec(t), s.Protocol, t.Seed)
+	return s.executeTrial(t, nil)
+}
+
+// executeTrial is ExecuteTrial on a worker's state (see execute).
+func (s *Spec) executeTrial(t Trial, st *trialState) (Outcome, error) {
+	return execute(s.gossipSpec(t), s.Protocol, t.Seed, st)
 }
 
 // gossipSpec binds a trial to its per-simulation protocol configuration.

@@ -94,10 +94,11 @@ func (v BitVec) LowestSet() int {
 // first insert with room for cols rows (rank never exceeds cols); an
 // insert shifts the rows behind the new pivot up by one (at most
 // cols*words words, cols times in a matrix's life). Payload rows are
-// too wide to shift: they are carved off a matrix-owned arena in
-// insertion order and only their headers move. Elimination scratch is
+// too wide to shift: the n-th stored takes the n-th slot of a
+// matrix-owned arena and only their headers move. Elimination scratch is
 // reused across calls, so the steady-state Add/WouldHelp path performs
-// no allocations and never retains caller memory.
+// no allocations and never retains caller memory, and Reset keeps all of
+// it.
 //
 // The zero value is not usable; construct with NewBitMatrix or
 // NewBitMatrixPayload.
@@ -109,7 +110,7 @@ type BitMatrix struct {
 	pivot []int32  // pivot[i] is the pivot column of row i, strictly increasing
 	pay   [][]byte // payload parts, parallel to the rows (nil when extra == 0)
 
-	arenaP   []byte // payload arena; rows are carved off its front
+	arenaP   []byte // payload arena; the n-th row stored is at n*extra
 	scratchC BitVec // reusable reduce buffer (coefficients)
 }
 
@@ -129,6 +130,14 @@ func NewBitMatrixPayload(cols, extra int) *BitMatrix {
 		panic("linalg: extra must be non-negative")
 	}
 	return &BitMatrix{cols: cols, extra: extra, words: (cols + 63) / 64}
+}
+
+// Reset empties the matrix for reuse, keeping its row block, arena and
+// scratch (see RankMatrix.Reset).
+func (m *BitMatrix) Reset() {
+	m.flat, m.pivot, m.pay = m.flat[:0], m.pivot[:0], m.pay[:0]
+	poison(m.flat[:cap(m.flat)], []uint64(m.scratchC))
+	poison(m.arenaP)
 }
 
 // Words returns the number of 64-bit words per packed row.
@@ -258,8 +267,7 @@ func (m *BitMatrix) insert(row BitVec, pay []byte, p int) {
 	copy(m.pivot[at+1:], m.pivot[at:n])
 	m.pivot[at] = int32(p)
 	if m.extra > 0 {
-		rowP := m.arenaP[:m.extra:m.extra]
-		m.arenaP = m.arenaP[m.extra:]
+		rowP := m.arenaP[n*m.extra:][:m.extra:m.extra]
 		copy(rowP, pay)
 		m.pay = m.pay[:n+1]
 		copy(m.pay[at+1:], m.pay[at:n])

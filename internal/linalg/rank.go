@@ -51,8 +51,9 @@ var ErrNotFullRank = errors.New("linalg: matrix is not full rank")
 // sized once, at the first insert (at most cols rows can ever be
 // retained), so the steady-state Add/AddOwned/WouldHelp/
 // RandomCombinationInto path performs no allocations and never retains
-// caller memory. A rank-only matrix (extra == 0) keeps no payload
-// bookkeeping at all.
+// caller memory. Reset empties the matrix and keeps all of it, so a
+// matrix reused at the same shape allocates nothing at all. A rank-only
+// matrix (extra == 0) keeps no payload bookkeeping at all.
 //
 // The zero value is not usable; construct with NewRankMatrix.
 type RankMatrix struct {
@@ -105,6 +106,18 @@ func NewRankMatrix(f gf.Field, cols, extra int) *RankMatrix {
 	}
 	f2m, _ := f.(*gf.GF2m)
 	return &RankMatrix{f: f, f2m: f2m, cols: cols, extra: extra}
+}
+
+// Reset empties the matrix for reuse: rank goes to 0, and the arenas,
+// the row bookkeeping and the scratch are kept. A row's arena slots
+// follow from the rank and are written before they are read, so nothing
+// is cleared; under the race detector the kept memory is poisoned first,
+// so a read before a write changes what the matrix computes.
+func (m *RankMatrix) Reset() {
+	m.rows, m.pivot, m.pivFac = m.rows[:0], m.pivot[:0], m.pivFac[:0]
+	m.raw, m.xform = m.raw[:0], m.xform[:0]
+	poison(m.arenaC, m.arenaX, m.scratchC, m.facs)
+	poison(m.arenaP)
 }
 
 // Rank returns the number of linearly independent rows stored.
@@ -524,4 +537,19 @@ func (m *RankMatrix) Solve() ([][]byte, error) {
 		m.PayloadInto(i, out[i])
 	}
 	return out, nil
+}
+
+// poison fills memory a Reset keeps with 0xA5 bytes in a race-detector
+// build, whose tests then prove that nothing reused is read before it is
+// written; elsewhere it does nothing.
+func poison[E ~uint8 | ~uint64](spans ...[]E) {
+	if !core.RaceEnabled {
+		return
+	}
+	w := uint64(0xA5A5A5A5A5A5A5A5)
+	for _, s := range spans {
+		for i := range s {
+			s[i] = E(w)
+		}
+	}
 }

@@ -434,10 +434,10 @@ func BenchmarkRankMatrixEmitPayloadGF256(b *testing.B) {
 }
 
 // truncate drops every stored row of m but the first rank stored — the
-// benchmarks' undo. The rows it drops must be the last in echelon order
-// too, and no Solve may have mixed them into the others (a truncate to
-// zero always qualifies). It touches every per-row slice RankMatrix
-// keeps, and no arena: a row's arena slot follows from the rank.
+// insert benchmark's undo, Reset's partial counterpart. The rows it drops
+// must be the last in echelon order too, and no Solve may have mixed them
+// into the others. It touches every per-row slice RankMatrix keeps, and
+// no arena: a row's arena slot follows from the rank.
 func (m *RankMatrix) truncate(rank int) {
 	m.rows, m.pivot, m.pivFac = m.rows[:rank], m.pivot[:rank], m.pivFac[:rank]
 	if m.extra > 0 {
@@ -571,7 +571,7 @@ func BenchmarkRankMatrixSolvePayloadGF256(b *testing.B) {
 		s := &ss[i%len(ss)]
 		if i >= len(ss) {
 			b.StopTimer()
-			s.m.truncate(0)
+			s.m.Reset()
 			for j, c := range s.coeffs {
 				s.m.Add(c, s.pays[j])
 			}

@@ -38,7 +38,7 @@ func (v SlicedVec) IsZero() bool {
 // matrix-owned single-block arena (at most cols rows can ever be
 // retained), and elimination scratch is reused across calls, so the
 // steady-state Add/AddOwned/WouldHelp path performs no allocations and
-// never retains caller memory.
+// never retains caller memory, and Reset keeps all of it.
 //
 // Determinism contract: rows are stored exactly as the generic
 // RankMatrix stores them (reduced against earlier pivots, pivot element
@@ -69,10 +69,12 @@ type SlicedMatrix struct {
 	// Bounded to modest row widths so table memory stays O(cols * k) words.
 	tabStride int
 
-	arenaC   []uint64 // coefficient arena; rows are carved off its front
+	// The arenas hold the n-th row stored (and its subset tables) at
+	// offset n times the row's width: insertion-ordered, and a row's
+	// storage follows from the rank alone.
+	arenaC   []uint64 // coefficient arena
 	arenaP   []uint64 // payload arena
 	arenaT   []uint64 // subset-table arena
-	arenaT0  []uint64 // full table arena block, insertion-ordered
 	pivPos   []int32  // insertion (arena) index -> current pivot position
 	ord      []int32  // pivot position -> arena index (inverse of pivPos)
 	loIns    []int32  // arena indices of rows with pivot < 64 (words == 2)
@@ -237,7 +239,7 @@ func (m *SlicedMatrix) reduceTabbed(row SlicedVec, needFactors bool) {
 						fa[j] = 0
 					}
 				}
-				base := m.arenaT0
+				base := m.arenaT
 				pos := 32 * w
 				for _, c := range fa {
 					if c == 0 {
@@ -280,7 +282,7 @@ func (m *SlicedMatrix) reduceTabbed(row SlicedVec, needFactors bool) {
 				factors[idx] = fac
 				sel := f.MulRowsPacked(fac)
 				tj := int(m.ord[idx]) * step
-				t := m.arenaT0[tj+32*w : tj+32*w+32]
+				t := m.arenaT[tj+32*w : tj+32*w+32]
 				ta := (*[16]uint64)(t[:16])
 				tb := (*[16]uint64)(t[16:32])
 				r0 ^= ta[sel&15] ^ tb[(sel>>4)&15]
@@ -312,7 +314,7 @@ func (m *SlicedMatrix) reduceTabbed(row SlicedVec, needFactors bool) {
 						fa[j] = 0
 					}
 				}
-				base := m.arenaT0
+				base := m.arenaT
 				pos := 16 * w
 				for _, c := range fa {
 					if c == 0 {
@@ -343,7 +345,7 @@ func (m *SlicedMatrix) reduceTabbed(row SlicedVec, needFactors bool) {
 				factors[idx] = fac
 				sel := f.MulRowsPacked(fac)
 				tj := int(m.ord[idx]) * step
-				ta := (*[16]uint64)(m.arenaT0[tj+16*w : tj+16*w+16])
+				ta := (*[16]uint64)(m.arenaT[tj+16*w : tj+16*w+16])
 				r0 ^= ta[sel&15]
 				r1 ^= ta[(sel>>8)&15]
 				r2 ^= ta[(sel>>16)&15]
@@ -358,33 +360,41 @@ func (m *SlicedMatrix) reduceTabbed(row SlicedVec, needFactors bool) {
 	}
 }
 
-// allocRow carves one coefficient row (and payload row when extra > 0)
-// off the arena, growing it in one block on first use: at most cols rows
-// can ever be retained, so retained rows stay contiguous in
-// allocation-order memory for the reduce loop.
+// allocRow returns the slots of the next row stored — coefficient row,
+// payload row when extra > 0, subset tables when tabbed — allocating the
+// arena in one block on first use: at most cols rows can ever be
+// retained, so retained rows stay contiguous in allocation-order memory
+// for the reduce loop.
 func (m *SlicedMatrix) allocRow() (SlicedVec, SlicedVec, SlicedVec) {
-	if len(m.arenaC) < m.stride {
+	if m.arenaC == nil {
 		// One block for everything: coefficient rows, payload rows, and
-		// subset tables, each section carved row-wise off its front.
+		// subset tables, one section each.
 		block := make([]uint64, m.cols*(m.stride+m.payStr+m.tabStride))
 		m.arenaC = block[:m.cols*m.stride]
 		m.arenaP = block[m.cols*m.stride : m.cols*(m.stride+m.payStr)]
 		m.arenaT = block[m.cols*(m.stride+m.payStr):]
-		m.arenaT0 = m.arenaT
 	}
-	row := SlicedVec(m.arenaC[:m.stride:m.stride])
-	m.arenaC = m.arenaC[m.stride:]
+	n := len(m.rows)
+	row := SlicedVec(m.arenaC[n*m.stride:][:m.stride:m.stride])
 	var pay SlicedVec
 	if m.payStr > 0 {
-		pay = SlicedVec(m.arenaP[:m.payStr:m.payStr])
-		m.arenaP = m.arenaP[m.payStr:]
+		pay = SlicedVec(m.arenaP[n*m.payStr:][:m.payStr:m.payStr])
 	}
 	var tab SlicedVec
 	if m.tabStride > 0 {
-		tab = SlicedVec(m.arenaT[:m.tabStride:m.tabStride])
-		m.arenaT = m.arenaT[m.tabStride:]
+		tab = SlicedVec(m.arenaT[n*m.tabStride:][:m.tabStride:m.tabStride])
 	}
 	return row, pay, tab
+}
+
+// Reset empties the matrix for reuse, keeping its arena — the
+// subset-table section included, whose n-th slot the next n-th row's
+// tables overwrite — and its scratch (see RankMatrix.Reset).
+func (m *SlicedMatrix) Reset() {
+	m.rows, m.pay, m.pivot, m.pivLog = m.rows[:0], m.pay[:0], m.pivot[:0], m.pivLog[:0]
+	m.pivPos, m.ord, m.loIns, m.hiIns = m.pivPos[:0], m.ord[:0], m.loIns[:0], m.hiIns[:0]
+	poison(m.arenaC, m.arenaP, m.arenaT, []uint64(m.scratchC), []uint64(m.scratchP))
+	poison(m.scratchF, m.scratchA)
 }
 
 // insert copies an already-reduced row with pivot column p into the
@@ -622,7 +632,7 @@ func (m *SlicedMatrix) addMulRowInto(i int, out, pay SlicedVec, c gf.Elem) {
 // table arena streams strictly sequentially.
 func (m *SlicedMatrix) combineTabbed(out SlicedVec, da []gf.Elem) {
 	f := m.f
-	base := m.arenaT0
+	base := m.arenaT
 	words := m.words
 	if words == 2 && f.M() == 8 {
 		m.combineTabbed2x8(out, da)
@@ -748,7 +758,7 @@ func (m *SlicedMatrix) reduceTabbed2x8(row SlicedVec, factors []gf.Elem, needFac
 			// pass; rank-only reductions skip the extra log-domain lookup.
 			factors[idx] = f.MulLog(c, lg)
 		}
-		t := (*[64]uint64)(m.arenaT0[int(m.ord[idx])*64 : int(m.ord[idx])*64+64 : int(m.ord[idx])*64+64])
+		t := (*[64]uint64)(m.arenaT[int(m.ord[idx])*64 : int(m.ord[idx])*64+64 : int(m.ord[idx])*64+64])
 		if p < 64 {
 			x, y := sel&15, (sel>>4)&15
 			a0 ^= t[x] ^ t[16+y]
@@ -798,7 +808,7 @@ func (m *SlicedMatrix) reduceTabbed2x8(row SlicedVec, factors []gf.Elem, needFac
 // table reads per row.
 func (m *SlicedMatrix) combineTabbed2x8(out SlicedVec, da []gf.Elem) {
 	f := m.f
-	base := m.arenaT0
+	base := m.arenaT
 	var a0, a1, a2, a3, a4, a5, a6, a7 uint64
 	var b0, b1, b2, b3, b4, b5, b6, b7 uint64
 	for _, j := range m.loIns {
@@ -895,7 +905,7 @@ func (m *SlicedMatrix) Solve() ([][]byte, error) {
 	if m.tabStride > 0 {
 		for i, row := range m.rows {
 			tj := int(m.ord[i]) * m.tabStride
-			f.BuildSlicedTables(m.arenaT0[tj:tj+m.tabStride], row, m.words)
+			f.BuildSlicedTables(m.arenaT[tj:tj+m.tabStride], row, m.words)
 		}
 	}
 	out := make([][]byte, m.cols)

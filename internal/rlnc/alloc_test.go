@@ -187,6 +187,55 @@ func TestAllocsSteadyStateSendReceive(t *testing.T) {
 	}
 }
 
+// TestAllocsSeed pins Seed at zero allocations on every backend, rank-only
+// and with payloads: the unit row is built in node scratch and the
+// payload copied straight into the arena, so a node reset (Node.Reset)
+// and seeded again allocates nothing. AllocsPerRun's warm-up run sizes
+// the arenas and the scratch.
+func TestAllocsSeed(t *testing.T) {
+	cases := []struct {
+		name   string
+		cfg    Config
+		sliced bool
+	}{
+		{"gf2-rankonly-bit", Config{Field: gf.MustNew(2), K: 96, RankOnly: true}, false},
+		{"gf2-payload-bit", Config{Field: gf.MustNew(2), K: 96, PayloadLen: 256}, false},
+		{"gf256-rankonly-sliced", Config{Field: gf.MustNew(256), K: 96, RankOnly: true}, true},
+		{"gf256-payload-sliced", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256}, true},
+		{"gf256-rankonly-bytes", Config{Field: gf.MustNew(256), K: 96, RankOnly: true, ForceGeneric: true}, false},
+		{"gf256-payload-bytes", Config{Field: gf.MustNew(256), K: 96, PayloadLen: 256, ForceGeneric: true}, false},
+		{"gf7-payload-bytes", Config{Field: gf.MustNew(7), K: 96, PayloadLen: 256}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := MustNewNode(tc.cfg)
+			if tc.sliced {
+				n = slicedNode(t, tc.cfg)
+			}
+			msgs := make([]Message, tc.cfg.K)
+			rng := core.NewRand(5)
+			for i := range msgs {
+				msgs[i].Index = i
+				if !tc.cfg.RankOnly {
+					msgs[i].Payload = gf.RandBytes(tc.cfg.Field, tc.cfg.PayloadLen, rng)
+				}
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				n.Reset()
+				for _, m := range msgs {
+					n.Seed(m)
+				}
+			})
+			if !n.CanDecode() {
+				t.Fatal("k seeds did not reach full rank")
+			}
+			if allocs != 0 {
+				t.Fatalf("reset and %d seeds allocated %.1f times, want 0", tc.cfg.K, allocs)
+			}
+		})
+	}
+}
+
 // TestAllocsRampUp bounds the ramp-up cost too: filling a fresh node to
 // full rank through the pooled path stays within a small constant number
 // of allocations per helpful packet (arena chunks plus bookkeeping),

@@ -117,6 +117,28 @@ func NewGenNode(cfg GenConfig) (*GenNode, error) {
 	return n, nil
 }
 
+// Reset empties every generation's decoder for reuse (Node.Reset): a
+// reset node is a new one of its configuration that allocates nothing
+// to seed and receive.
+func (n *GenNode) Reset() {
+	for _, s := range n.subs {
+		s.Reset()
+	}
+	n.rank, n.nonEmpty = 0, 0
+}
+
+// Fits reports whether the node has the shape NewGenNode(cfg) would build
+// now: the same generations, of decoders that fit (Node.Fits) — every one
+// is built from cfg.Inner, so the first answers for all.
+func (n *GenNode) Fits(cfg GenConfig) bool {
+	if cfg.K != n.cfg.K || cfg.GenSize != n.cfg.GenSize {
+		return false // n.cfg is valid, so past here cfg's layout is too
+	}
+	inner := cfg.Inner
+	inner.K = cfg.GenK(0)
+	return n.subs[0].Fits(inner)
+}
+
 // Config returns the node's configuration.
 func (n *GenNode) Config() GenConfig { return n.cfg }
 

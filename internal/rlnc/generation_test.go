@@ -427,3 +427,106 @@ func TestFillPayloadAfterReceivePanics(t *testing.T) {
 	}
 	assertPanics(t, func() { n.Fill(p, facs) })
 }
+
+// TestGenNodeResetMatchesFresh: a generation-coded node that decoded one
+// stream, reset, takes another exactly as a new node does — every
+// verdict, rank, emit and the decode — on the packed, bit-sliced and
+// byte-row backends, with one generation and with several.
+func TestGenNodeResetMatchesFresh(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inner  Config
+		sliced bool
+	}{
+		{"bit", Config{Field: gf.MustNew(2), PayloadLen: 40}, false},
+		{"sliced", Config{Field: gf.MustNew(256), PayloadLen: 40}, true},
+		{"bytes", Config{Field: gf.MustNew(256), PayloadLen: 40, ForceGeneric: true}, false},
+		{"bytes-rank-only", Config{Field: gf.MustNew(16), RankOnly: true, ForceGeneric: true}, false},
+	} {
+		for _, genSize := range []int{12, 5} {
+			t.Run(fmt.Sprintf("%s/g=%d", tc.name, genSize), func(t *testing.T) {
+				cfg := GenConfig{Inner: tc.inner, K: 12, GenSize: genSize}
+				build := func() *GenNode {
+					var n *GenNode
+					var err error
+					if tc.sliced {
+						buildSliced(t, func() { n, err = NewGenNode(cfg) })
+					} else {
+						n, err = NewGenNode(cfg)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					return n
+				}
+				// stream feeds dst from a full source drawn from seed,
+				// emitting from dst after every packet, and records it all.
+				stream := func(dst *GenNode, seed uint64) []any {
+					rng := core.NewRand(seed)
+					src := build()
+					for i := 0; i < cfg.K; i++ {
+						msg := Message{Index: i}
+						if !tc.inner.RankOnly {
+							msg.Payload = gf.RandBytes(tc.inner.Field, tc.inner.PayloadLen, rng)
+						}
+						src.Seed(msg)
+						if i%4 == 0 {
+							dst.Seed(msg)
+						}
+					}
+					var out []any
+					echo := &GenPacket{}
+					for i := 0; !dst.CanDecode(); i++ {
+						if i > 100*cfg.K {
+							t.Fatal("no convergence")
+						}
+						out = append(out, dst.ReceiveOwned(src.Emit(rng)), dst.Rank())
+						if dst.EmitInto(rng, echo) {
+							out = append(out, echo.Gen, echo.Packet.ExpandCoeffs(cfg.GenK(echo.Gen)),
+								echo.Packet.ExpandPayload(tc.inner.PayloadLen))
+						}
+					}
+					if !tc.inner.RankOnly {
+						msgs, err := dst.Decode()
+						if err != nil {
+							t.Fatal(err)
+						}
+						out = append(out, msgs)
+					}
+					return out
+				}
+				reused := build()
+				stream(reused, 1)
+				// The backend rule reads the tier: ask under the one built on.
+				fits := func(c GenConfig) (ok bool) {
+					if tc.sliced {
+						buildSliced(t, func() { ok = reused.Fits(c) })
+						return ok
+					}
+					return reused.Fits(c)
+				}
+				if !fits(cfg) {
+					t.Fatal("a node does not fit its own configuration")
+				}
+				reused.Reset()
+				if reused.Rank() != 0 || reused.EmitInto(core.NewRand(1), &GenPacket{}) {
+					t.Fatal("a reset node still holds rows")
+				}
+				if got, want := stream(reused, 2), stream(build(), 2); !reflect.DeepEqual(got, want) {
+					t.Fatal("a reset node took a stream differently from a new one")
+				}
+				for _, other := range []GenConfig{
+					{Inner: tc.inner, K: 13, GenSize: genSize},
+					{Inner: tc.inner, K: 12, GenSize: genSize - 1},
+					{Inner: Config{Field: gf.MustNew(4), PayloadLen: 40}, K: 12, GenSize: genSize},
+					{Inner: Config{Field: tc.inner.Field, PayloadLen: 41, ForceGeneric: tc.inner.ForceGeneric}, K: 12, GenSize: genSize},
+					{Inner: Config{Field: tc.inner.Field, RankOnly: !tc.inner.RankOnly, PayloadLen: 40, ForceGeneric: tc.inner.ForceGeneric}, K: 12, GenSize: genSize},
+				} {
+					if fits(other) {
+						t.Errorf("a node of %+v fits %+v", cfg, other)
+					}
+				}
+			})
+		}
+	}
+}

@@ -242,8 +242,14 @@ type Node struct {
 	bit *linalg.BitMatrix    // bit backend (with payload rows when configured)
 	slc *linalg.SlicedMatrix // bit-sliced GF(2^m) backend
 
-	scratchBits linalg.BitVec // reusable Receive buffer (bit mode)
-	scratchPay  []byte        // reusable Receive buffer (payload)
+	// Buffers sized on first use, which a seed (and in bit mode a Receive
+	// of a packet the node does not own) reduces in: words holds a
+	// bit-mode row, or a sliced row followed by its payload planes; syms a
+	// bit-mode payload or a byte-row node's coefficients. Two slices, not
+	// one per use: a large simulation holds a node per generation per
+	// graph node.
+	scratchWords []uint64
+	scratchSyms  []gf.Elem
 }
 
 // NewNode returns an empty node for the given configuration.
@@ -272,6 +278,50 @@ func MustNewNode(cfg Config) *Node {
 	return n
 }
 
+// Reset empties the node for reuse: rank goes to 0, and its decoder's
+// arenas and the node's buffers are kept (linalg's Reset), so a reset
+// node seeds and receives exactly as a new one of its configuration
+// would, without allocating. Its backend is the one it was built with.
+func (n *Node) Reset() {
+	switch {
+	case n.bit != nil:
+		n.bit.Reset()
+	case n.slc != nil:
+		n.slc.Reset()
+	default:
+		n.mat.Reset()
+	}
+}
+
+// Fits reports whether the node has the shape NewNode(cfg) would build
+// now: the same field order, k, payload width and backend.
+func (n *Node) Fits(cfg Config) bool {
+	c := n.cfg
+	return cfg.Field != nil && c.Field.Order() == cfg.Field.Order() && c.K == cfg.K &&
+		c.extra() == cfg.extra() && c.RankOnly == cfg.RankOnly && n.backend() == cfg.backend(gf.ActiveTier())
+}
+
+// backend returns the backend the node was built with.
+func (n *Node) backend() backend {
+	switch {
+	case n.bit != nil:
+		return backendBit
+	case n.slc != nil:
+		return backendSliced
+	default:
+		return backendGeneric
+	}
+}
+
+// bitScratch returns the bit-mode reduce buffers, sizing them once.
+func (n *Node) bitScratch() (linalg.BitVec, []byte) {
+	if n.scratchWords == nil {
+		n.scratchWords = make([]uint64, n.bit.Words())
+		n.scratchSyms = make([]gf.Elem, n.cfg.extra())
+	}
+	return n.scratchWords, gf.AsBytes(n.scratchSyms)
+}
+
 // BitMode reports whether this node uses the packed GF(2) backend (its
 // packets carry Bits instead of Coeffs).
 func (n *Node) BitMode() bool { return n.bit != nil }
@@ -297,6 +347,8 @@ func (n *Node) CanDecode() bool { return n.Rank() == n.cfg.K }
 
 // Seed installs an initial message at this node: the trivial equation
 // x_{msg.Index} = msg.Payload. In rank-only mode the payload may be nil.
+// The unit row is built in node scratch and the payload copied, never
+// retained, so a seed allocates nothing once the decoder's arenas exist.
 func (n *Node) Seed(msg Message) {
 	if msg.Index < 0 || msg.Index >= n.cfg.K {
 		panic(fmt.Sprintf("rlnc: seed index %d out of range [0,%d)", msg.Index, n.cfg.K))
@@ -309,29 +361,42 @@ func (n *Node) Seed(msg Message) {
 		payload = msg.Payload
 	}
 	if n.bit != nil {
-		v := linalg.NewBitVec(n.cfg.K)
-		v.Set(msg.Index)
 		// AddPayload consumes its inputs but copies survivors into the
-		// matrix arena, so the caller's msg.Payload is cloned first.
-		n.bit.AddPayload(v, append([]byte(nil), payload...))
+		// matrix arena, so the caller's msg.Payload is copied first.
+		v, pay := n.bitScratch()
+		clear(v)
+		v.Set(msg.Index)
+		copy(pay, payload)
+		n.bit.AddPayload(v, pay)
 		return
 	}
 	if n.slc != nil {
+		stride := n.slc.Stride()
+		if n.scratchWords == nil {
+			n.scratchWords = make([]uint64, stride+n.slc.PayStride())
+		}
 		// The unit vector e_Index has the single symbol value 1: only bit
 		// plane 0 carries a bit.
-		v := make(linalg.SlicedVec, n.slc.Stride())
+		v := linalg.SlicedVec(n.scratchWords[:stride])
+		clear(v)
 		v[msg.Index/64] |= 1 << (uint(msg.Index) % 64)
 		var pay linalg.SlicedVec
 		if n.slc.PayStride() > 0 {
-			pay = make(linalg.SlicedVec, n.slc.PayStride())
+			pay = n.scratchWords[stride:]
 			n.slc.Field().PackSliced(pay, payload)
 		}
 		n.slc.AddOwned(v, pay)
 		return
 	}
-	coeffs := make([]gf.Elem, n.cfg.K)
+	if n.scratchSyms == nil {
+		n.scratchSyms = make([]gf.Elem, n.cfg.K)
+	}
+	// AddOwned reduces the coefficients in place and only reads the
+	// payload, copying it into the arena when the row is stored.
+	coeffs := n.scratchSyms
+	clear(coeffs)
 	coeffs[msg.Index] = 1
-	n.mat.Add(coeffs, payload)
+	n.mat.AddOwned(coeffs, payload)
 }
 
 // Emit builds the packet an algebraic-gossip node transmits: a uniformly
@@ -576,11 +641,7 @@ func (n *Node) receive(p *Packet, owned bool) bool {
 		if !owned {
 			// BitMatrix reduces its arguments in place: give it node-owned
 			// copies.
-			if n.scratchBits == nil {
-				n.scratchBits = make(linalg.BitVec, n.bit.Words())
-				n.scratchPay = make([]byte, extra)
-			}
-			bits, pay = n.scratchBits, n.scratchPay
+			bits, pay = n.bitScratch()
 			copy(bits, p.Bits)
 			copy(pay, p.Payload)
 		}
