@@ -12,21 +12,12 @@ func init() {
 		return
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	X86.HasSSSE3 = ecx1&(1<<9) != 0
-	osxsave := ecx1&(1<<27) != 0
-	avx := ecx1&(1<<28) != 0
-
-	// YMM state must be OS-enabled (XCR0 bits 1 and 2) before any VEX-256
-	// kernel is safe to execute.
-	ymmOS := false
-	if osxsave {
-		xcr0, _ := xgetbv()
-		ymmOS = xcr0&0x6 == 0x6
+	var xcr0, ebx7, ecx7 uint32
+	if ecx1&(1<<27) != 0 { // OSXSAVE: XGETBV is available
+		xcr0, _ = xgetbv()
 	}
-	if maxLeaf < 7 {
-		return
+	if maxLeaf >= 7 {
+		_, ebx7, ecx7, _ = cpuid(7, 0)
 	}
-	_, ebx7, ecx7, _ := cpuid(7, 0)
-	X86.HasAVX2 = avx && ymmOS && ebx7&(1<<5) != 0
-	X86.HasGFNI = ecx7&(1<<8) != 0
+	X86 = Decode(ecx1, ebx7, ecx7, xcr0)
 }

@@ -2,6 +2,7 @@ package gf
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -100,6 +101,79 @@ func FuzzAddMulSlices(f *testing.F) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s AddMulSlices(rows=%d, n=%d) tier %v diverges from the element-wise sum",
 					fld.Name(), len(srcs), n, tier)
+			}
+		}
+	})
+}
+
+// FuzzRowKernels cross-checks the coefficient-row kernels against the
+// element-wise Mul/Add arithmetic on every tier: ReduceRows (facs
+// recorded) and AddMulSlices of the same rows with the recorded factors.
+// shape picks the width — a multiple of 32 up to 256 when odd, the kernels'
+// rows, anything up to 128 when even, the Go loops' — and raw supplies,
+// in turn, each row's pivot step, pivot value and tail, then v.
+func FuzzRowKernels(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{3, 7, 0, 0xFE, 31}, 80), byte(7), byte(7))
+	f.Add(bytes.Repeat([]byte{0, 1}, 300), byte(15), byte(3))
+	f.Add([]byte{31, 5, 1, 2, 3}, byte(1), byte(6))
+	f.Add([]byte{}, byte(2), byte(5))
+	f.Fuzz(func(t *testing.T, raw []byte, shape, sel byte) {
+		fld, ok := pickField(sel).(*GF2m)
+		if !ok || len(raw) == 0 {
+			return
+		}
+		n := int(shape>>1)%128 + 1
+		if shape&1 == 1 {
+			n = 32 * (int(shape>>1)%8 + 1)
+		}
+		raw = reduceRow(fld, raw)
+		next := func(i int) byte { return raw[i%len(raw)] }
+		var (
+			rows   [][]byte
+			pivots []int
+			pivFac []Elem
+		)
+		at := 0
+		for p := int(next(0)) % 40; p < n && len(rows) < 40; p += 1 + int(next(at))%40 {
+			row := make([]byte, n)
+			row[p] = next(at + 1)
+			if row[p] == 0 {
+				row[p] = 1
+			}
+			for j := p + 1; j < n; j++ {
+				row[j] = next(at + 2 + j)
+			}
+			rows, pivots = append(rows, row), append(pivots, p)
+			pivFac = append(pivFac, Elem(next(at+3))|1)
+			at += 3
+		}
+		v := make([]byte, n)
+		for i := range v {
+			v[i] = next(at + 7*i)
+		}
+		want := append([]byte(nil), v...)
+		wantF := make([]Elem, len(rows))
+		for i, p := range pivots {
+			c := Elem(want[p])
+			if c == 0 {
+				continue
+			}
+			wantF[i] = fld.Mul(c, pivFac[i])
+			for j := range want {
+				want[j] = byte(fld.Add(Elem(want[j]), fld.Mul(wantF[i], Elem(rows[i][j]))))
+			}
+		}
+		for _, tier := range AvailableTiers() {
+			got := append([]byte(nil), v...)
+			gotF := make([]Elem, len(rows))
+			withFuzzTier(t, tier, func() { fld.ReduceRows(got, rows, pivots, pivFac, gotF) })
+			if !bytes.Equal(got, want) || !slices.Equal(gotF, wantF) {
+				t.Fatalf("%s ReduceRows(n=%d, rows=%d) tier %v diverges from the element-wise reduction", fld.Name(), n, len(rows), tier)
+			}
+			// Adding the factors' combination back undoes the reduction.
+			withFuzzTier(t, tier, func() { fld.AddMulSlices(got, rows, gotF) })
+			if !bytes.Equal(got, v) {
+				t.Fatalf("%s AddMulSlices(n=%d, rows=%d) tier %v does not undo ReduceRows", fld.Name(), n, len(rows), tier)
 			}
 		}
 	})

@@ -229,7 +229,7 @@ func (f *GF2m) AddMulSlice(dst, src []byte, c Elem) {
 		return
 	}
 	switch activeTier {
-	case TierGFNI:
+	case TierGFNI, TierGFNI512:
 		if n := len(src) &^ 31; n > 0 {
 			addMulGFNIAsm(&dst[0], &src[0], n, f.gfniTab[c])
 			if n == len(src) {
@@ -253,30 +253,40 @@ func (f *GF2m) AddMulSlice(dst, src []byte, c Elem) {
 }
 
 // AddMulSlices performs dst ^= Σ cs[j]·srcs[j] over len(dst) bytes: the
-// AddMulSlice loop over the rows, in order, as one call. On the gfni tier
-// four rows at a time go through one fused pass over dst (64-byte blocks;
-// the tail, and any dst shorter than a block, finishes row by row), so
-// dst is loaded and stored once per four rows instead of once per row and
-// the four source streams are fetched side by side — what a combination
-// of rows that arrive from L3 is bound by. The other tiers run the loop.
-// Rows with a zero coefficient are skipped and may be nil.
+// AddMulSlice loop over the rows, in order, as one call. On the gfni
+// tiers a dst of a whole number of 32-byte blocks, at most 256 bytes — a
+// coefficient or transform row — is held in registers for the whole
+// call and stored once (rowKernel). Longer rows go four at a time
+// through one fused pass over dst (64-byte blocks, 128 bytes an
+// iteration on gfni512; the tail, and any dst shorter than a block,
+// finishes row by row), so dst is loaded and stored once per four rows
+// instead of once per row and the four source streams are fetched side
+// by side — what a combination of rows that arrive from L3 is bound by.
+// The other tiers run the loop. Rows with a zero coefficient are skipped
+// and may be nil.
 //
 // dst may be exactly srcs[0] (each block is read before it is written,
 // the AddMulSlice contract) and must overlap no other row. It panics,
-// before any kernel runs, when len(cs) != len(srcs) or a row with a
+// before anything is written, when len(cs) != len(srcs) or a row with a
 // non-zero coefficient is shorter than dst.
 func (f *GF2m) AddMulSlices(dst []byte, srcs [][]byte, cs []Elem) {
 	if len(cs) != len(srcs) {
 		panic("gf: AddMulSlices: coefficient count does not match row count")
 	}
 	n := len(dst)
+	if rowKernel(n) && len(cs) > 0 {
+		if !addMulRowsGFNIAsm(&dst[0], n, &srcs[0], &cs[0], len(cs), &f.gfniTab[0], uint64(f.mask)) {
+			panic("gf: AddMulSlices: source row shorter than dst")
+		}
+		return
+	}
 	for j, c := range cs {
 		if c != 0 && len(srcs[j]) < n {
 			panic("gf: AddMulSlices: source row shorter than dst")
 		}
 	}
 	done := 0
-	if activeTier == TierGFNI && n >= 64 {
+	if activeTier >= TierGFNI && n >= 64 {
 		done = n &^ 63
 		var (
 			rows [4]*byte
@@ -289,7 +299,7 @@ func (f *GF2m) AddMulSlices(dst []byte, srcs [][]byte, cs []Elem) {
 			}
 			rows[g], mats[g] = &srcs[j][0], f.gfniTab[c]
 			if g++; g == 4 {
-				addMulGFNI4Asm(&dst[0], done, &rows, &mats)
+				addMulGFNI4(&dst[0], done, &rows, &mats)
 				g = 0
 			}
 		}
@@ -299,7 +309,7 @@ func (f *GF2m) AddMulSlices(dst []byte, srcs [][]byte, cs []Elem) {
 			for ; g < 4; g++ {
 				rows[g], mats[g] = rows[0], 0
 			}
-			addMulGFNI4Asm(&dst[0], done, &rows, &mats)
+			addMulGFNI4(&dst[0], done, &rows, &mats)
 		}
 	}
 	if done == n {
@@ -308,6 +318,64 @@ func (f *GF2m) AddMulSlices(dst []byte, srcs [][]byte, cs []Elem) {
 	for j, c := range cs {
 		if c != 0 {
 			f.AddMulSlice(dst[done:], srcs[j][done:n], c)
+		}
+	}
+}
+
+// addMulGFNI4 runs the fused four-row pass of the active gfni tier.
+func addMulGFNI4(dst *byte, n int, srcs *[4]*byte, mats *[4]uint64) {
+	if activeTier >= TierGFNI512 {
+		addMulGFNI4ZAsm(dst, n, srcs, mats)
+		return
+	}
+	addMulGFNI4Asm(dst, n, srcs, mats)
+}
+
+// rowKernel reports whether a row of n bytes goes to the register-
+// resident row kernels: on the gfni tiers, for a whole number of 32-byte
+// blocks up to 256 bytes (eight YMM registers).
+func rowKernel(n int) bool {
+	return activeTier >= TierGFNI && n&31 == 0 && uint(n-1) < 256
+}
+
+// ReduceRows eliminates v against rows in echelon form, in order: for
+// each i it reads c = v[pivots[i]], skips row i when c is 0, and
+// otherwise applies v ^= factor·rows[i] with factor = c·pivFac[i],
+// recording factor in facs[i] (0 for a skipped row) when facs is not
+// nil. Row i must be zero before its pivot: the register-resident kernel
+// of the gfni tiers (one call for every row, rowKernel widths) starts
+// each row at the 32-byte block holding its pivot, and the AddMulSlice
+// loop the other widths and tiers run — the kernel's oracle — covers the
+// whole row. It panics, before anything is written, on a pivot outside
+// v, a row shorter than v, or pivFac or a non-nil facs shorter than
+// pivots.
+func (f *GF2m) ReduceRows(v []byte, rows [][]byte, pivots []int, pivFac, facs []Elem) {
+	n, cnt := len(v), len(pivots)
+	if len(rows) < cnt || len(pivFac) < cnt || (facs != nil && len(facs) < cnt) {
+		panic("gf: ReduceRows: fewer rows, pivot factors or factor slots than pivots")
+	}
+	for i, p := range pivots {
+		if uint(p) >= uint(n) || len(rows[i]) < n {
+			panic("gf: ReduceRows: pivot outside the row, or row shorter than it")
+		}
+	}
+	if rowKernel(n) && cnt > 0 {
+		var fp *Elem
+		if facs != nil {
+			fp = &facs[0]
+		}
+		reduceRowsGFNIAsm(&v[0], n, &rows[0], &pivots[0], &pivFac[0], fp, cnt,
+			&f.bulkTab[0], &f.gfniTab[0], uint64(f.mask))
+		return
+	}
+	for i, p := range pivots {
+		var factor Elem
+		if c := Elem(v[p]); c != 0 {
+			factor = f.Mul(c, pivFac[i])
+			f.AddMulSlice(v, rows[i][:n], factor)
+		}
+		if facs != nil {
+			facs[i] = factor
 		}
 	}
 }
@@ -323,7 +391,7 @@ func (f *GF2m) MulSlice(v []byte, c Elem) {
 		return
 	}
 	switch activeTier {
-	case TierGFNI:
+	case TierGFNI, TierGFNI512:
 		if n := len(v) &^ 31; n > 0 {
 			mulGFNIAsm(&v[0], n, f.gfniTab[c])
 			if n == len(v) {

@@ -1,28 +1,40 @@
 package gf
 
 // Kernel tier dispatch: the byte-row kernels (lookup multiply-add,
-// in-place scale) exist in up to three implementations, selected once at
-// package init from the CPU features cpufeat detects:
+// in-place scale, the fused four-row pass) exist in up to four
+// implementations, selected once at package init from the CPU features
+// cpufeat detects:
 //
-//	scalar  the original pure-Go reference loops, kept verbatim (all
-//	        GOARCH) — what a host without a vector tier runs, and the
-//	        fuzz and equivalence oracle the other tiers are checked
-//	        against.
-//	avx2    amd64 assembly: 32-byte PSHUFB split-nibble lookup.
-//	gfni    avx2 plus VGF2P8AFFINEQB — one instruction computes c*x for
-//	        32 bytes via the 8x8 GF(2) matrix of "multiply by c".
+//	scalar   the original pure-Go reference loops, kept verbatim (all
+//	         GOARCH) — what a host without a vector tier runs, and the
+//	         fuzz and equivalence oracle the other tiers are checked
+//	         against.
+//	avx2     amd64 assembly: 32-byte PSHUFB split-nibble lookup.
+//	gfni     avx2 plus VGF2P8AFFINEQB — one instruction computes c*x for
+//	         32 bytes via the 8x8 GF(2) matrix of "multiply by c".
+//	gfni512  gfni plus AVX-512 (F/BW/VL, with the OS saving opmask and
+//	         ZMM state): the fused four-row pass runs on 64-byte ZMM
+//	         registers, 128 bytes an iteration; every other kernel is
+//	         gfni's.
+//
+// On gfni and gfni512 a coefficient row — a multiple of 32 bytes, at
+// most 256 — is also reduced against a whole echelon form (ReduceRows)
+// or combined from a set of rows (AddMulSlices) in one asm call, on YMM
+// registers: a combination holds the row in registers from its one load
+// to its one store. Other widths and tiers run the Go loops those calls
+// replace, which stay as their oracle.
 //
 // The bit-sliced plane kernels (sliced.go) are one pure-Go
 // implementation on every tier: rlnc only builds a sliced decoder below
 // avx2, where nothing else could run them.
 //
-// The environment variable ALGOSSIP_GF_TIER ∈ {auto, gfni, avx2, scalar}
-// overrides auto-selection; a request above what the host supports
-// clamps down to the best supported tier, so forcing
-// "gfni" in a heterogeneous fleet degrades gracefully instead of
-// faulting. All tiers are bit-identical (pinned by TestTierEquivalence
-// and the fuzz targets), so tier selection never moves a fixed-seed
-// trajectory — it only moves throughput.
+// The environment variable ALGOSSIP_GF_TIER ∈ {auto, gfni512, gfni,
+// avx2, scalar} overrides auto-selection; a request above what the host
+// supports clamps down to the best supported tier, so forcing "gfni512"
+// in a heterogeneous fleet degrades gracefully instead of faulting. All
+// tiers are bit-identical (pinned by TestTierEquivalence and the fuzz
+// targets), so tier selection never moves a fixed-seed trajectory — it
+// only moves throughput.
 
 import (
 	"fmt"
@@ -43,6 +55,8 @@ const (
 	TierAVX2
 	// TierGFNI is TierAVX2 with VGF2P8AFFINEQB byte-row kernels.
 	TierGFNI
+	// TierGFNI512 is TierGFNI with the fused four-row pass on ZMM.
+	TierGFNI512
 )
 
 // String returns the tier's ALGOSSIP_GF_TIER token.
@@ -54,6 +68,8 @@ func (t Tier) String() string {
 		return "avx2"
 	case TierGFNI:
 		return "gfni"
+	case TierGFNI512:
+		return "gfni512"
 	}
 	return fmt.Sprintf("tier(%d)", uint8(t))
 }
@@ -82,11 +98,16 @@ func init() {
 }
 
 // bestTier returns the highest tier the host supports.
-func bestTier() Tier {
+func bestTier() Tier { return tierOf(cpufeat.X86) }
+
+// tierOf returns the highest tier a host with features x supports.
+func tierOf(x cpufeat.Features) Tier {
 	switch {
-	case cpufeat.X86.HasGFNI && cpufeat.X86.HasAVX2:
+	case x.HasGFNI && x.HasAVX2 && x.HasAVX512:
+		return TierGFNI512
+	case x.HasGFNI && x.HasAVX2:
 		return TierGFNI
-	case cpufeat.X86.HasAVX2:
+	case x.HasAVX2:
 		return TierAVX2
 	default:
 		return TierScalar
@@ -105,8 +126,10 @@ func ParseTier(s string) (Tier, error) {
 		return TierAVX2, nil
 	case "gfni":
 		return TierGFNI, nil
+	case "gfni512":
+		return TierGFNI512, nil
 	}
-	return TierScalar, fmt.Errorf("gf: unknown ALGOSSIP_GF_TIER %q (want auto|gfni|avx2|scalar)", s)
+	return TierScalar, fmt.Errorf("gf: unknown ALGOSSIP_GF_TIER %q (want auto|gfni512|gfni|avx2|scalar)", s)
 }
 
 // ActiveTier returns the tier the kernels currently dispatch to.
@@ -135,8 +158,8 @@ func SetTier(t Tier) error {
 }
 
 // TierInfo returns the active tier plus the detected CPU features, e.g.
-// "gfni (avx2 gfni ssse3)" — the attribution string surfaced in timing
-// footers, /status, /metrics and perf-trajectory records.
+// "gfni512 (avx2 avx512 gfni ssse3)" — the attribution string surfaced
+// in timing footers, /status, /metrics and perf-trajectory records.
 func TierInfo() string {
 	return fmt.Sprintf("%s (%s)", activeTier, cpufeat.Summary())
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"algossip/internal/gf/cpufeat"
 )
 
 // withTier runs fn under a forced dispatch tier and restores the
@@ -45,6 +47,7 @@ func TestTierParseAndClamp(t *testing.T) {
 		{"portable", TierScalar, false},
 		{"avx2", TierAVX2, true},
 		{"gfni", TierGFNI, true},
+		{"gfni512", TierGFNI512, true},
 		{"auto", bestTier(), true},
 		{"", bestTier(), true},
 		{"sse9", TierScalar, false},
@@ -55,7 +58,7 @@ func TestTierParseAndClamp(t *testing.T) {
 		}
 	}
 	avail := AvailableTiers()
-	want := []Tier{TierScalar, TierAVX2, TierGFNI}[:1+int(bestTier())]
+	want := []Tier{TierScalar, TierAVX2, TierGFNI, TierGFNI512}[:1+int(bestTier())]
 	if !slices.Equal(avail, want) {
 		t.Fatalf("AvailableTiers() = %v; want %v", avail, want)
 	}
@@ -349,4 +352,179 @@ func mustGF2m(t *testing.T, order int) *GF2m {
 		t.Fatalf("NewGF2m(%d): %v", m, err)
 	}
 	return f
+}
+
+// TestTierOfNeedsOSState: gfni512 is chosen only when cpufeat reports
+// AVX-512 usable — which Decode refuses without OS-saved opmask and ZMM
+// state — and every tier needs its own features.
+func TestTierOfNeedsOSState(t *testing.T) {
+	const (
+		ecx1 = 1<<9 | 1<<27 | 1<<28
+		ebx7 = 1<<5 | 1<<16 | 1<<30 | 1<<31
+		gfni = 1 << 8
+	)
+	for _, tc := range []struct {
+		name       string
+		ecx7, xcr0 uint32
+		want       Tier
+	}{
+		{"avx512+gfni, ZMM state saved", gfni, 0xE7, TierGFNI512},
+		{"avx512+gfni, no ZMM state", gfni, 0x07, TierGFNI},
+		{"avx512+gfni, no opmask state", gfni, 0xC7, TierGFNI},
+		{"avx512, no gfni", 0, 0xE7, TierAVX2},
+		{"no YMM state", gfni, 0x03, TierScalar},
+	} {
+		if got := tierOf(cpufeat.Decode(ecx1, ebx7, tc.ecx7, tc.xcr0)); got != tc.want {
+			t.Errorf("%s: tier %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if got := tierOf(cpufeat.Features{HasAVX2: true, HasGFNI: true}); got != TierGFNI {
+		t.Errorf("avx2+gfni without avx512: tier %v, want gfni", got)
+	}
+}
+
+// rowKernelWidths are the coefficient-row widths the register-resident
+// kernels take (every multiple of 32 up to 256) and, around them, widths
+// that must fall back to the Go loops.
+var rowKernelWidths = []int{1, 31, 32, 33, 64, 96, 100, 128, 160, 192, 224, 255, 256, 257, 288, 512}
+
+// echelon returns rank rows of width n in echelon form over f: strictly
+// increasing pivots, every row zero before its pivot and non-zero at it,
+// random after it. The pivots include, where the width allows, columns
+// with p%32 == 0 and p%32 == 31 (the first and last byte of a kernel
+// block); pivFac is a random non-zero factor per row.
+func echelon(rng *rand.Rand, f *GF2m, n, rank int) (rows [][]byte, pivots []int, pivFac []Elem) {
+	order := int(f.mask) + 1
+	var cand []int
+	for p := 0; p < n; p++ {
+		if p%32 == 0 || p%32 == 31 || rng.Intn(n) < 2*rank {
+			cand = append(cand, p)
+		}
+	}
+	rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
+	pivots = slices.Clone(cand[:min(rank, len(cand))])
+	slices.Sort(pivots)
+	for _, p := range pivots {
+		row := make([]byte, n)
+		row[p] = byte(1 + rng.Intn(order-1))
+		for j := p + 1; j < n; j++ {
+			row[j] = byte(rng.Intn(order))
+		}
+		rows = append(rows, row)
+		pivFac = append(pivFac, Elem(1+rng.Intn(order-1)))
+	}
+	return rows, pivots, pivFac
+}
+
+// TestRowKernelsMatchLoops pins the register-resident row kernels to the
+// Go loops they replace, on every tier: ReduceRows against the
+// AddMulSlice loop (facs nil and non-nil, coefficients at a pivot zero
+// or not, pivots at both ends of a 32-byte block) and AddMulSlices on
+// coefficient-row widths against the scalar AddMulSlice loop (zero and
+// one coefficients, nil rows behind a zero, dst aliasing its first row),
+// each with the bytes past the row untouched.
+func TestRowKernelsMatchLoops(t *testing.T) {
+	for _, order := range []int{4, 16, 256} {
+		f := mustGF2m(t, order)
+		rng := rand.New(rand.NewSource(int64(order) + 7))
+		for _, tier := range AvailableTiers() {
+			t.Run(fmt.Sprintf("%s/%v", f.Name(), tier), func(t *testing.T) {
+				for _, n := range rowKernelWidths {
+					for _, rank := range []int{0, 1, 2, 5, n / 2, n - 1, n} {
+						if rank > n {
+							continue
+						}
+						rows, pivots, pivFac := echelon(rng, f, n, rank)
+						v := make([]byte, n+5) // 5 tail bytes must stay untouched
+						for i := range v {
+							v[i] = byte(rng.Intn(order))
+						}
+						for i, p := range pivots {
+							if i%3 == 1 {
+								v[p] = 0 // a skipped row
+							}
+						}
+						for _, withFacs := range []bool{false, true} {
+							var wantF, gotF []Elem
+							if withFacs {
+								wantF = make([]Elem, len(pivots)+2)
+								gotF = make([]Elem, len(pivots)+2)
+								for i := range gotF {
+									wantF[i], gotF[i] = 0x5A, 0x5A
+								}
+							}
+							wantV, gotV := slices.Clone(v), slices.Clone(v)
+							withTier(t, TierScalar, func() { f.ReduceRows(wantV[:n], rows, pivots, pivFac, wantF) })
+							withTier(t, tier, func() { f.ReduceRows(gotV[:n], rows, pivots, pivFac, gotF) })
+							if !bytes.Equal(gotV, wantV) || !slices.Equal(gotF, wantF) {
+								t.Fatalf("ReduceRows n=%d rank=%d facs=%v: tier %v diverges from the loop", n, rank, withFacs, tier)
+							}
+						}
+						// The same rows combined, as an emit would.
+						cs := make([]Elem, len(rows))
+						for j := range cs {
+							cs[j] = Elem(rng.Intn(order))
+						}
+						if len(cs) >= 3 {
+							cs[0], cs[1], cs[2] = 0, 1, 0
+							rows[2] = nil
+						}
+						want := loopAddMulSlices(t, f, v, rows, cs)
+						got := slices.Clone(v)
+						withTier(t, tier, func() { f.AddMulSlices(got[:n], rows, cs) })
+						if !bytes.Equal(got, want) {
+							t.Fatalf("AddMulSlices n=%d rows=%d: tier %v diverges from the loop", n, len(rows), tier)
+						}
+						if len(rows) > 0 && rows[0] != nil {
+							alias := slices.Clone(rows[0])
+							rows[0] = alias
+							wantA := loopAddMulSlices(t, f, alias, rows, cs)
+							withTier(t, tier, func() { f.AddMulSlices(alias, rows, cs) })
+							if !bytes.Equal(alias, wantA) {
+								t.Fatalf("AddMulSlices n=%d: aliased dst diverges from the loop", n)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestReduceRowsPanics: a pivot outside v, a row shorter than v, or too
+// few pivot factors or factor slots panic on every tier before any byte
+// of v is written.
+func TestReduceRowsPanics(t *testing.T) {
+	f := mustGF2m(t, 256)
+	rng := rand.New(rand.NewSource(3))
+	for _, tier := range AvailableTiers() {
+		for _, n := range []int{64, 100, 128} {
+			rows, pivots, pivFac := echelon(rng, f, n, 8)
+			v := bytes.Repeat([]byte{9}, n)
+			for name, call := range map[string]func(){
+				"pivot outside": func() {
+					f.ReduceRows(v, rows, append(slices.Clone(pivots[:7]), n), pivFac, nil)
+				},
+				"short row": func() {
+					short := slices.Clone(rows)
+					short[5] = short[5][:n-1]
+					f.ReduceRows(v, short, pivots, pivFac, nil)
+				},
+				"few factors": func() { f.ReduceRows(v, rows, pivots, pivFac[:7], nil) },
+				"few slots":   func() { f.ReduceRows(v, rows, pivots, pivFac, make([]Elem, 7)) },
+			} {
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					withTier(t, tier, call)
+					return false
+				}()
+				if !panicked {
+					t.Errorf("%v n=%d: %s did not panic", tier, n, name)
+				}
+				if !bytes.Equal(v, bytes.Repeat([]byte{9}, n)) {
+					t.Fatalf("%v n=%d: %s wrote v before panicking", tier, n, name)
+				}
+			}
+		}
+	}
 }

@@ -321,14 +321,62 @@ func benchBitEmit(b *testing.B, cols int) {
 func BenchmarkBitMatrixEmit128(b *testing.B) { benchBitEmit(b, 128) }
 func BenchmarkBitMatrixEmit256(b *testing.B) { benchBitEmit(b, 256) }
 
+// BenchmarkRankMatrixAddGF256 fills a k = 64 rank-only GF(256) byte-row
+// matrix from empty to full rank: 64 helpful Adds of vectors drawn before
+// the timer, the matrix Reset between fills so the op allocates nothing.
 func BenchmarkRankMatrixAddGF256(b *testing.B) {
+	const k = 64
 	f := gf.MustNew(256)
 	rng := core.NewRand(1)
+	m := NewRankMatrix(f, k, 0)
+	var vs [][]gf.Elem
+	for !m.Full() {
+		v := gf.RandVector(f, k, rng)
+		if m.Add(v, nil) {
+			vs = append(vs, v)
+		}
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewRankMatrix(f, 64, 0)
-		for !m.Full() {
-			m.Add(gf.RandVector(f, 64, rng), nil)
+		m.Reset()
+		for _, v := range vs {
+			m.Add(v, nil)
+		}
+	}
+}
+
+// BenchmarkRankMatrixReduceGF256 is the elimination alone: a random
+// k = 128 GF(256) coefficient row reduced against rank 64 or 127 stored
+// rows, with the factors recorded for a transform row (facs, what a
+// payload matrix's insert does) or not (what WouldHelp and a rank-only
+// Add do). The rows are drawn before the timer and reduced in a copy.
+func BenchmarkRankMatrixReduceGF256(b *testing.B) {
+	const k = 128
+	f := gf.MustNew(256)
+	for _, rank := range []int{64, 127} {
+		rng := core.NewRand(uint64(rank))
+		m := NewRankMatrix(f, k, 0)
+		for m.Rank() < rank {
+			m.Add(gf.RandVector(f, k, rng), nil)
+		}
+		vs := make([][]gf.Elem, 64)
+		for i := range vs {
+			vs[i] = gf.RandVector(f, k, rng)
+		}
+		v := make([]gf.Elem, k)
+		for _, name := range []string{"nofacs", "facs"} {
+			var facs []gf.Elem
+			if name == "facs" {
+				facs = make([]gf.Elem, rank)
+			}
+			b.Run(fmt.Sprintf("rank=%d/%s", rank, name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(v, vs[i%len(vs)])
+					m.reduce(v, facs)
+				}
+			})
 		}
 	}
 }

@@ -152,22 +152,12 @@ func (m *RankMatrix) PayloadInto(i int, dst []byte) {
 func (m *RankMatrix) reduce(coeffs, facs []gf.Elem) int {
 	// row -= (c / rows[i][p]) * rows[i]; the pivot's negated inverse is
 	// cached at insert time, so each elimination step costs one Mul
-	// instead of a Div+Neg pair.
-	clear(facs)
+	// instead of a Div+Neg pair. Over GF(2^m) the kernel walks every
+	// row in one call (the same steps, the same factors).
 	if f := m.f2m; f != nil {
-		cb := gf.AsBytes(coeffs)
-		for i, p := range m.pivot {
-			c := coeffs[p]
-			if c == 0 {
-				continue
-			}
-			factor := f.Mul(c, m.pivFac[i])
-			f.AddMulSlice(cb, gf.AsBytes(m.rows[i]), factor)
-			if facs != nil {
-				facs[i] = factor
-			}
-		}
+		f.ReduceRows(gf.AsBytes(coeffs), gf.AsByteRows(m.rows), m.pivot, m.pivFac, facs)
 	} else {
+		clear(facs)
 		f := m.f
 		for i, p := range m.pivot {
 			c := coeffs[p]

@@ -15,7 +15,7 @@
 // field has order 2, and a bit-sliced backend for the other binary
 // extension fields GF(2^m). The field and the kernel tier active at
 // construction pick one (Config.backend): a GF(2^m) decoder is byte rows
-// where the tier has vector byte kernels (avx2, gfni) — the smaller
+// where the tier has vector byte kernels (avx2, gfni, gfni512) — the smaller
 // footprint wins a trial there — and bit-sliced on the pure-Go tier
 // (scalar), where dst += c*src as at most m² plane XORs beats k table
 // gathers.

@@ -44,7 +44,7 @@ func slicedNode(t testing.TB, cfg Config) *Node {
 // on the vector tiers and bit-sliced on the pure-Go one, a prime field
 // is always byte rows, and ForceGeneric overrides all of it.
 func TestBackendRule(t *testing.T) {
-	tiers := []gf.Tier{gf.TierScalar, gf.TierAVX2, gf.TierGFNI}
+	tiers := []gf.Tier{gf.TierScalar, gf.TierAVX2, gf.TierGFNI, gf.TierGFNI512}
 	for _, q := range []int{2, 3, 4, 16, 256} {
 		cfg := Config{Field: gf.MustNew(q), K: 4, RankOnly: true}
 		for _, tier := range tiers {
