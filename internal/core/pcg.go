@@ -88,15 +88,19 @@ func (p *PCG) Skip(n int) {
 	p.hi, p.lo = pcgSkip[n].apply(p.hi, p.lo)
 }
 
-// Generator returns the *PCG that r draws from, or nil when r was built
-// on any other source. The emit loops call it once per call to draw
-// through the inlined Uint64 and to Skip; with nil they draw through r,
-// so what a source's type selects is speed, never the stream.
+// Generator returns the *PCG that r draws from. Every stream in the
+// module is a core.NewRand one, and the coefficient loops call Generator
+// once per call to draw through the inlined Uint64 and to Skip; a
+// *rand.Rand on any other source is a caller-side bug, and Generator
+// panics on it rather than draw a stream no pin records.
 //
 // rand.Rand is struct{ src Source } and exports no accessor; this is the
 // one unsafe read in the package, and TestRandLayout fails on a toolchain
 // that lays rand.Rand out differently.
 func Generator(r *rand.Rand) *PCG {
-	p, _ := (*(*rand.Source)(unsafe.Pointer(r))).(*PCG)
+	p, ok := (*(*rand.Source)(unsafe.Pointer(r))).(*PCG)
+	if !ok {
+		panic("core: coefficient draws need a *rand.Rand built by core.NewRand")
+	}
 	return p
 }

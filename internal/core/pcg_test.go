@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -87,6 +88,9 @@ func TestRandLayout(t *testing.T) {
 
 type wrappedSource struct{ rand.Source }
 
+// TestGeneratorForeignSource: Generator hands back the *PCG of a stream
+// NewRand built and refuses every other source — a caller-side bug — with
+// a panic that names NewRand.
 func TestGeneratorForeignSource(t *testing.T) {
 	own := &PCG{hi: 1, lo: 2}
 	if got := Generator(rand.New(own)); got != own {
@@ -99,8 +103,13 @@ func TestGeneratorForeignSource(t *testing.T) {
 		"rand.Rand": NewRand(3),
 		"nil":       nil,
 	} {
-		if got := Generator(rand.New(src)); got != nil {
-			t.Errorf("Generator over %s = %v, want nil", name, got)
-		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "core.NewRand") {
+					t.Errorf("Generator over %s: panic %q, want one naming core.NewRand", name, msg)
+				}
+			}()
+			Generator(rand.New(src))
+		}()
 	}
 }

@@ -345,7 +345,9 @@ func (m *BitMatrix) Payload(i int) []byte {
 // reports false without drawing randomness when the matrix is empty.
 // The random stream consumption (one Uint64 per stored row, in pivot
 // order) is identical to the generic backend's gf.Rand-per-row draw over
-// GF(2), so swapping backends preserves fixed-seed trajectories.
+// GF(2), so swapping backends preserves fixed-seed trajectories. rng
+// must be a core.NewRand stream: on any other source it panics
+// (core.Generator) before writing either buffer.
 func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte) bool {
 	if len(m.pivot) == 0 {
 		return false
@@ -356,10 +358,8 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 	if len(pay) != m.extra {
 		panic("linalg: combination payload width mismatch")
 	}
-	// Every loop below exists twice, differing only in where the draw
-	// comes from: g, the generator of a core.NewRand stream, whose Uint64
-	// inlines into the loop, or rng itself for any other source. The
-	// source's type selects the loop once, here; the draws are the same.
+	// Every loop below draws through g, the generator of the caller's
+	// core.NewRand stream, whose Uint64 inlines into the loop.
 	g := core.Generator(rng)
 	if m.extra == 0 {
 		// Branchless accumulation for the common packed widths: the coin
@@ -368,53 +368,31 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 		switch m.words {
 		case 1:
 			var a0 uint64
-			if g != nil {
-				for _, r0 := range m.flat {
-					a0 ^= r0 & -(g.Uint64() & 1)
-				}
-			} else {
-				for _, r0 := range m.flat {
-					a0 ^= r0 & -(rng.Uint64() & 1)
-				}
+			for _, r0 := range m.flat {
+				a0 ^= r0 & -(g.Uint64() & 1)
 			}
 			out[0] = a0
 			return true
 		case 2:
 			var a0, a1 uint64
-			if g != nil {
-				for flat := m.flat; len(flat) >= 2; flat = flat[2:] {
-					mask := -(g.Uint64() & 1)
-					a0 ^= flat[0] & mask
-					a1 ^= flat[1] & mask
-				}
-			} else {
-				for flat := m.flat; len(flat) >= 2; flat = flat[2:] {
-					mask := -(rng.Uint64() & 1)
-					a0 ^= flat[0] & mask
-					a1 ^= flat[1] & mask
-				}
+			for flat := m.flat; len(flat) >= 2; flat = flat[2:] {
+				mask := -(g.Uint64() & 1)
+				a0 ^= flat[0] & mask
+				a1 ^= flat[1] & mask
 			}
 			out[0], out[1] = a0, a1
 			return true
 		case 4:
-			m.combine4(g, rng, out)
+			m.combine4(g, out)
 			return true
 		}
 		pay = nil
 	}
 	out.Zero()
 	clear(pay)
-	if g != nil {
-		for i := range m.pivot {
-			if g.Uint64()&1 == 1 {
-				m.xorRowInto(i, out, pay)
-			}
-		}
-	} else {
-		for i := range m.pivot {
-			if rng.Uint64()&1 == 1 {
-				m.xorRowInto(i, out, pay)
-			}
+	for i := range m.pivot {
+		if g.Uint64()&1 == 1 {
+			m.xorRowInto(i, out, pay)
 		}
 	}
 	return true
@@ -422,24 +400,14 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 
 // combine4 is RandomCombinationInto's rank-only four-word case, out of
 // line like reduce4.
-func (m *BitMatrix) combine4(g *core.PCG, rng *rand.Rand, out BitVec) {
+func (m *BitMatrix) combine4(g *core.PCG, out BitVec) {
 	var a0, a1, a2, a3 uint64
-	if g != nil {
-		for flat := m.flat; len(flat) >= 4; flat = flat[4:] {
-			mask := -(g.Uint64() & 1)
-			a0 ^= flat[0] & mask
-			a1 ^= flat[1] & mask
-			a2 ^= flat[2] & mask
-			a3 ^= flat[3] & mask
-		}
-	} else {
-		for flat := m.flat; len(flat) >= 4; flat = flat[4:] {
-			mask := -(rng.Uint64() & 1)
-			a0 ^= flat[0] & mask
-			a1 ^= flat[1] & mask
-			a2 ^= flat[2] & mask
-			a3 ^= flat[3] & mask
-		}
+	for flat := m.flat; len(flat) >= 4; flat = flat[4:] {
+		mask := -(g.Uint64() & 1)
+		a0 ^= flat[0] & mask
+		a1 ^= flat[1] & mask
+		a2 ^= flat[2] & mask
+		a3 ^= flat[3] & mask
 	}
 	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 }

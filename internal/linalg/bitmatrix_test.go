@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"algossip/internal/core"
-	"algossip/internal/core/coretest"
 	"algossip/internal/gf"
 )
 
@@ -109,7 +109,7 @@ func TestBitMatrixAgreesWithRankMatrix(t *testing.T) {
 					ev[j] = 1
 				}
 			}
-			if bm.Add(bv) != rm.Add(ev, nil) {
+			if bm.Add(bv) != rm.AddOwned(ev, nil) {
 				return false
 			}
 			if bm.Rank() != rm.Rank() {
@@ -123,16 +123,19 @@ func TestBitMatrixAgreesWithRankMatrix(t *testing.T) {
 	}
 }
 
-// countingSource counts the Uint64 draws taken from a seeded PCG.
-type countingSource struct {
-	src   *rand.PCG
-	draws int
+// advanced returns the core.NewRand(seed) stream moved on by n draws, one
+// Uint64 at a time: where an emit that draws n coefficients must leave it.
+func advanced(seed uint64, n int) *rand.Rand {
+	r := core.NewRand(seed)
+	for range n {
+		r.Uint64()
+	}
+	return r
 }
 
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
+// sameState reports whether two core.NewRand streams stand at the same
+// place.
+func sameState(a, b *rand.Rand) bool { return *core.Generator(a) == *core.Generator(b) }
 
 // TestBitMatrixFlatMatchesRankMatrix is the property test of the flat
 // pivot-ordered row block against RankMatrix over GF(2) as the oracle.
@@ -143,9 +146,9 @@ func (c *countingSource) Uint64() uint64 {
 // last word, and the general one (three words and past four), with and
 // without payload. After every insert the two matrices must agree on the
 // verdict, the rank, every stored row and payload, WouldHelp on a fresh
-// probe, and the emitted combination — which must draw exactly Rank()
-// values, and on a core.NewRand stream be the same combination from the
-// same draws (coretest.BothSides) — and at full rank on Solve.
+// probe, and the emitted combination from the same stream — which must
+// draw exactly Rank() values, one Uint64 per stored row — and at full
+// rank on Solve.
 func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 	f := gf.MustNew(2)
 	for _, cols := range []int{1, 16, 63, 64, 65, 128, 129, 192, 193, 256, 300} {
@@ -193,13 +196,13 @@ func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 						return
 					}
 					seed := rng.Uint64()
-					counted := &countingSource{src: rand.NewPCG(seed, 1)}
 					outB, payB := NewBitVec(cols), make([]byte, extra)
 					outE, payE := make([]gf.Elem, cols), make([]byte, extra)
-					bm.RandomCombinationInto(rand.New(counted), outB, payB)
-					rm.RandomCombinationInto(rand.New(rand.NewPCG(seed, 1)), outE, payE)
-					if counted.draws != bm.Rank() {
-						t.Fatalf("step %d: emit drew %d values at rank %d", step, counted.draws, bm.Rank())
+					drawn := core.NewRand(seed)
+					bm.RandomCombinationInto(drawn, outB, payB)
+					rm.RandomCombinationInto(core.NewRand(seed), outE, payE)
+					if !sameState(drawn, advanced(seed, bm.Rank())) {
+						t.Fatalf("step %d: emit did not draw exactly one Uint64 per row at rank %d", step, bm.Rank())
 					}
 					for j := 0; j < cols; j++ {
 						if outB.Get(j) != (outE[j] == 1) {
@@ -209,13 +212,6 @@ func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 					if !bytes.Equal(payB, payE) {
 						t.Fatalf("step %d: combined payload %v, oracle %v", step, payB, payE)
 					}
-					// That was the loop any source takes. A core.NewRand stream
-					// takes the other one: same combination, same draws.
-					coretest.BothSides(t, seed, func(r *rand.Rand) any {
-						out, pay := NewBitVec(cols), make([]byte, extra)
-						bm.RandomCombinationInto(r, out, pay)
-						return []any{out, pay}
-					})
 				}
 				leads := rng.Perm(cols)
 				for step := 0; !bm.Full(); step++ {
@@ -225,7 +221,7 @@ func TestBitMatrixFlatMatchesRankMatrix(t *testing.T) {
 					}
 					bv, ev := randomRow(lead)
 					pay := payload()
-					if got, want := bm.AddPayload(bv, append([]byte(nil), pay...)), rm.Add(ev, pay); got != want {
+					if got, want := bm.AddPayload(bv, append([]byte(nil), pay...)), rm.AddOwned(ev, pay); got != want {
 						t.Fatalf("step %d: Add = %v, oracle %v", step, got, want)
 					}
 					compare(step)
@@ -322,8 +318,9 @@ func BenchmarkBitMatrixEmit128(b *testing.B) { benchBitEmit(b, 128) }
 func BenchmarkBitMatrixEmit256(b *testing.B) { benchBitEmit(b, 256) }
 
 // BenchmarkRankMatrixAddGF256 fills a k = 64 rank-only GF(256) byte-row
-// matrix from empty to full rank: 64 helpful Adds of vectors drawn before
-// the timer, the matrix Reset between fills so the op allocates nothing.
+// matrix from empty to full rank: 64 helpful inserts of vectors drawn
+// before the timer, each copied into a buffer AddOwned may clobber, the
+// matrix Reset between fills so the op allocates nothing.
 func BenchmarkRankMatrixAddGF256(b *testing.B) {
 	const k = 64
 	f := gf.MustNew(256)
@@ -332,16 +329,18 @@ func BenchmarkRankMatrixAddGF256(b *testing.B) {
 	var vs [][]gf.Elem
 	for !m.Full() {
 		v := gf.RandVector(f, k, rng)
-		if m.Add(v, nil) {
+		if m.AddOwned(slices.Clone(v), nil) {
 			vs = append(vs, v)
 		}
 	}
+	buf := make([]gf.Elem, k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset()
 		for _, v := range vs {
-			m.Add(v, nil)
+			copy(buf, v)
+			m.AddOwned(buf, nil)
 		}
 	}
 }
@@ -358,7 +357,7 @@ func BenchmarkRankMatrixReduceGF256(b *testing.B) {
 		rng := core.NewRand(uint64(rank))
 		m := NewRankMatrix(f, k, 0)
 		for m.Rank() < rank {
-			m.Add(gf.RandVector(f, k, rng), nil)
+			m.AddOwned(gf.RandVector(f, k, rng), nil)
 		}
 		vs := make([][]gf.Elem, 64)
 		for i := range vs {
@@ -389,7 +388,7 @@ func BenchmarkRankMatrixEmitGF256(b *testing.B) {
 	rng := core.NewRand(1)
 	m := NewRankMatrix(f, 128, 0)
 	for m.Rank() < 64 {
-		m.Add(gf.RandVector(f, 128, rng), nil)
+		m.AddOwned(gf.RandVector(f, 128, rng), nil)
 	}
 	out := make([]gf.Elem, 128)
 	b.ReportAllocs()

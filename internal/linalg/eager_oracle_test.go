@@ -234,12 +234,7 @@ func checkAgainstEager(t *testing.T, f gf.Field, k, r int, seed uint64) {
 			clear(c[:rng.IntN(k)])
 		}
 		want := o.Add(c, p)
-		var got bool
-		if step%2 == 0 {
-			got = m.AddOwned(slices.Clone(c), p)
-		} else {
-			got = m.Add(c, p)
-		}
+		got := m.AddOwned(c, p)
 		if got != want {
 			t.Fatalf("step %d: helpful = %v, oracle %v", step, got, want)
 		}
@@ -270,7 +265,7 @@ func checkAgainstEager(t *testing.T, f gf.Field, k, r int, seed uint64) {
 			t.Fatalf("Solve pass %d differs from the oracle", pass)
 		}
 		c, p := gf.RandVector(f, k, rng), gf.RandBytes(f, r, rng)
-		if m.Add(c, p) || o.Add(c, p) {
+		if o.Add(c, p) || m.AddOwned(c, p) {
 			t.Fatal("a full-rank matrix took a row after Solve")
 		}
 		compare(fmt.Sprintf("after Solve pass %d", pass))

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -217,5 +218,108 @@ func TestEmitIsReadOnly(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEmitRefusesForeignSource: every coefficient draw site takes the
+// generator of a core.NewRand stream, so a *rand.Rand on any other
+// source is a caller-side bug. Each site — the packed-bit emits of one,
+// two and four words a row and the general one with payloads, byte-row
+// combinations and factors, bit-sliced emits with subset tables and
+// without — panics with a message naming core.NewRand before it writes
+// the caller's buffers, which a core.NewRand stream's emit does write.
+func TestEmitRefusesForeignSource(t *testing.T) {
+	const fill = 0xEE
+	rng := core.NewRand(1)
+	gf256 := slicedTestField(t, 8)
+	// Each site is an emit and the caller's buffers it writes.
+	type site struct {
+		emit  func(*rand.Rand)
+		bytes [][]byte
+		words [][]uint64
+	}
+	bit := func(cols, extra int) site {
+		m := NewBitMatrixPayload(cols, extra)
+		for m.Rank() < min(cols, 20) {
+			v := NewBitVec(cols)
+			for j := range cols {
+				if rng.Uint64()&1 == 1 {
+					v.Set(j)
+				}
+			}
+			m.AddPayload(v, gf.RandBytes(gf.MustNew(2), extra, rng))
+		}
+		out, pay := NewBitVec(cols), make([]byte, extra)
+		return site{func(r *rand.Rand) { m.RandomCombinationInto(r, out, pay) }, [][]byte{pay}, [][]uint64{out}}
+	}
+	rows := func(extra int, factors bool) site {
+		m, _ := payloadMatrix(256, 40, extra, 20, 2)
+		c, pay := make([]gf.Elem, 40), make([]byte, extra)
+		if factors {
+			return site{func(r *rand.Rand) { m.RandomFactorsInto(r, c) }, [][]byte{gf.AsBytes(c)}, nil}
+		}
+		return site{func(r *rand.Rand) { m.RandomCombinationInto(r, c, pay) }, [][]byte{gf.AsBytes(c), pay}, nil}
+	}
+	sliced := func(cols, extra int) site {
+		m := NewSlicedMatrix(gf256, cols, extra)
+		for m.Rank() < 20 {
+			m.AddOwned(packBytes(gf256, gf.RandBytes(gf256, cols, rng)), packBytes(gf256, gf.RandBytes(gf256, extra, rng)))
+		}
+		out, pay := make(SlicedVec, m.Stride()), make(SlicedVec, m.PayStride())
+		return site{func(r *rand.Rand) { m.RandomCombinationInto(r, out, pay) }, nil, [][]uint64{out, pay}}
+	}
+	for name, s := range map[string]site{
+		"bit/1word":             bit(16, 0),
+		"bit/2words":            bit(128, 0),
+		"bit/4words":            bit(256, 0),
+		"bit/general+payload":   bit(16, 5),
+		"rows/rank-only":        rows(0, false),
+		"rows/payload":          rows(64, false),
+		"rows/factors":          rows(64, true),
+		"sliced/tabbed+payload": sliced(40, 24),
+		"sliced/untabbed":       sliced(300, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			const fillWord = fill * 0x0101010101010101
+			untouched := func() bool {
+				for _, b := range s.bytes {
+					if slices.ContainsFunc(b, func(x byte) bool { return x != fill }) {
+						return false
+					}
+				}
+				for _, w := range s.words {
+					if slices.ContainsFunc(w, func(x uint64) bool { return x != fillWord }) {
+						return false
+					}
+				}
+				return true
+			}
+			refill := func() {
+				for _, b := range s.bytes {
+					for i := range b {
+						b[i] = fill
+					}
+				}
+				for _, w := range s.words {
+					for i := range w {
+						w[i] = fillWord
+					}
+				}
+			}
+			refill()
+			if s.emit(core.NewRand(3)); untouched() {
+				t.Fatal("the emit on a core.NewRand stream wrote nothing: the check below would prove nothing")
+			}
+			refill()
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "core.NewRand") {
+					t.Fatalf("panic %q, want one naming core.NewRand", msg)
+				}
+				if !untouched() {
+					t.Fatal("the refused emit wrote the caller's buffers")
+				}
+			}()
+			s.emit(rand.New(rand.NewPCG(1, 2)))
+		})
 	}
 }

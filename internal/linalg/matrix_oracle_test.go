@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"algossip/internal/gf"
 )
@@ -149,7 +150,7 @@ func (m *Matrix) Transpose() *Matrix {
 func (m *Matrix) Rank() int {
 	rm := NewRankMatrix(m.f, m.cols, 0)
 	for i := 0; i < m.rows; i++ {
-		rm.Add(m.Row(i), nil)
+		rm.AddOwned(slices.Clone(m.Row(i)), nil)
 	}
 	return rm.Rank()
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -146,7 +147,7 @@ func TestDecodeIsInversion(t *testing.T) {
 		for j, s := range y.Row(i) {
 			pay[j] = byte(s)
 		}
-		rm.Add(c.Row(i), pay)
+		rm.AddOwned(slices.Clone(c.Row(i)), pay)
 	}
 	solved, err := rm.Solve()
 	if err != nil {

@@ -46,10 +46,15 @@ var ErrNotFullRank = errors.New("linalg: matrix is not full rank")
 // any number of goroutines may emit from one matrix at once, each into
 // buffers of its own, while nobody inserts.
 //
+// One insert, one random source: AddOwned reduces in the caller's
+// buffer, which every caller owns (a caller that needs the row again
+// passes a copy), and every draw comes from a core.NewRand stream, whose
+// generator the draw loop inlines (core.Generator refuses any other).
+//
 // Memory behavior: surviving rows are copied into matrix-owned arenas,
 // and the arenas, the row bookkeeping and the elimination scratch are all
 // sized once, at the first insert (at most cols rows can ever be
-// retained), so the steady-state Add/AddOwned/WouldHelp/
+// retained), so the steady-state AddOwned/WouldHelp/
 // RandomCombinationInto path performs no allocations and never retains
 // caller memory. Reset empties the matrix and keeps all of it, so a
 // matrix reused at the same shape allocates nothing at all. A rank-only
@@ -228,39 +233,20 @@ func (m *RankMatrix) checkWidths(coeffs []gf.Elem, payload []byte) {
 	}
 }
 
-// Add inserts the given row — cols coefficients plus an extra-length payload
-// (nil when extra == 0) — if it is linearly independent of the stored rows,
-// keeping echelon form. It reports whether the rank increased, i.e. whether
-// the row was a *helpful message*. The inputs are neither modified nor
-// retained (the coefficients are reduced in reusable scratch, the payload
-// copied into the arena); the caller keeps ownership.
-func (m *RankMatrix) Add(coeffs []gf.Elem, payload []byte) bool {
+// AddOwned inserts the given row — cols coefficients plus an extra-length
+// payload (nil when extra == 0) — if it is linearly independent of the
+// stored rows, keeping echelon form. It reports whether the rank
+// increased, i.e. whether the row was a *helpful message*. It reduces the
+// coefficients directly in the caller's buffer, clobbering them: the
+// caller must treat the contents as consumed but keeps the buffers
+// themselves — the packet-pool recycling contract of the coded hot path.
+// The payload is only ever read, and only when the row is stored (copied
+// into the arena); neither input is retained.
+func (m *RankMatrix) AddOwned(coeffs []gf.Elem, payload []byte) bool {
 	m.checkWidths(coeffs, payload)
 	if m.Full() {
 		return false // the row space is everything; nothing can help
 	}
-	m.ensureScratch()
-	copy(m.scratchC, coeffs)
-	return m.add(m.scratchC, payload)
-}
-
-// AddOwned is the move-semantics insert: it reduces the coefficients
-// directly in the caller's buffer (clobbering it) instead of copying into
-// scratch first. The caller must treat the contents as consumed but keeps
-// the buffers themselves — the packet-pool recycling contract of the
-// coded hot path. The payload is only ever read, and only when the row
-// is stored.
-func (m *RankMatrix) AddOwned(coeffs []gf.Elem, payload []byte) bool {
-	m.checkWidths(coeffs, payload)
-	if m.Full() {
-		return false
-	}
-	return m.add(coeffs, payload)
-}
-
-// add reduces coeffs in place and, if a pivot survives, stores the row:
-// the payload is not looked at before that is known.
-func (m *RankMatrix) add(coeffs []gf.Elem, payload []byte) bool {
 	var facs []gf.Elem
 	if m.extra > 0 {
 		facs = m.facs[:len(m.rows)]
@@ -273,7 +259,7 @@ func (m *RankMatrix) add(coeffs []gf.Elem, payload []byte) bool {
 	return true
 }
 
-// ensureScratch sizes the reusable reduce buffer once.
+// ensureScratch sizes WouldHelp's reduce buffer once.
 func (m *RankMatrix) ensureScratch() {
 	if m.scratchC == nil {
 		m.scratchC = make([]gf.Elem, m.cols)
@@ -359,18 +345,21 @@ func (m *RankMatrix) WouldHelp(coeffs []gf.Elem) bool {
 // reports false without drawing randomness when the matrix is empty. It
 // only reads the matrix. Its draws and its bytes are RandomFactorsInto's
 // then CombineInto's (the coefficients alone on a rank-only matrix),
-// taken a block of rows at a time with the factors on its own stack.
+// taken a block of rows at a time with the factors on its own stack. rng
+// must be a core.NewRand stream: on any other source it panics
+// (core.Generator) before writing either buffer.
 func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay []byte) bool {
 	if len(m.rows) == 0 {
 		return false
 	}
 	m.checkWidths(coeffs, pay)
+	g := core.Generator(rng)
 	clear(coeffs)
 	if m.extra == 0 {
 		var block [emitBlock]gf.Elem
 		for lo := 0; lo < len(m.rows); lo += emitBlock {
 			facs := block[:min(emitBlock, len(m.rows)-lo)]
-			m.drawFactors(rng, facs)
+			m.drawFactors(g, rng, facs)
 			m.addMulRows(lo, facs, coeffs)
 		}
 		return true
@@ -379,7 +368,7 @@ func (m *RankMatrix) RandomCombinationInto(rng *rand.Rand, coeffs []gf.Elem, pay
 	var block, fold [payBlock]gf.Elem
 	for lo := 0; lo < len(m.rows); lo += payBlock {
 		facs := block[:min(payBlock, len(m.rows)-lo)]
-		m.drawFactors(rng, facs)
+		m.drawFactors(g, rng, facs)
 		m.addMulRows(lo, facs, coeffs)
 		m.addMulPayloads(lo, facs, pay, fold[:])
 	}
@@ -401,26 +390,20 @@ func (m *RankMatrix) RandomFactorsInto(rng *rand.Rand, facs []gf.Elem) ([]gf.Ele
 		panic("linalg: factor buffer shorter than the rank")
 	}
 	facs = facs[:len(m.rows)]
-	m.drawFactors(rng, facs)
+	m.drawFactors(core.Generator(rng), rng, facs)
 	return facs, true
 }
 
-// drawFactors fills facs with uniform field elements, gf.Rand's draws.
-func (m *RankMatrix) drawFactors(rng *rand.Rand, facs []gf.Elem) {
+// drawFactors fills facs with uniform field elements, gf.Rand's draws
+// from rng, whose generator is g.
+func (m *RankMatrix) drawFactors(g *core.PCG, rng *rand.Rand, facs []gf.Elem) {
 	if f := m.f2m; f != nil {
 		// One masked Uint64 per factor is exactly gf.Rand's IntN for a
-		// power-of-two order (the identity SlicedMatrix relies on too).
-		// It is taken from g, inlined, on a core.NewRand stream and from
-		// rng on any other source (see BitMatrix.RandomCombinationInto).
+		// power-of-two order (the identity SlicedMatrix relies on too),
+		// drawn through the generator inlined.
 		mask := uint64(f.Order() - 1)
-		if g := core.Generator(rng); g != nil {
-			for i := range facs {
-				facs[i] = gf.Elem(g.Uint64() & mask)
-			}
-		} else {
-			for i := range facs {
-				facs[i] = gf.Elem(rng.Uint64() & mask)
-			}
+		for i := range facs {
+			facs[i] = gf.Elem(g.Uint64() & mask)
 		}
 		return
 	}

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"algossip/internal/core"
-	"algossip/internal/core/coretest"
 	"algossip/internal/gf"
 )
 
@@ -20,28 +19,28 @@ func TestRankMatrixBasic(t *testing.T) {
 	if m.Rank() != 0 || m.Full() {
 		t.Fatal("fresh matrix should be empty")
 	}
-	if !m.Add([]gf.Elem{1, 2, 3}, nil) {
+	if !m.AddOwned([]gf.Elem{1, 2, 3}, nil) {
 		t.Fatal("first row must be helpful")
 	}
-	if m.Add([]gf.Elem{1, 2, 3}, nil) {
+	if m.AddOwned([]gf.Elem{1, 2, 3}, nil) {
 		t.Fatal("duplicate row must not be helpful")
 	}
-	if m.Add([]gf.Elem{2, 4, 6}, nil) {
+	if m.AddOwned([]gf.Elem{2, 4, 6}, nil) {
 		t.Fatal("scaled row must not be helpful")
 	}
-	if !m.Add([]gf.Elem{0, 1, 1}, nil) {
+	if !m.AddOwned([]gf.Elem{0, 1, 1}, nil) {
 		t.Fatal("independent row must be helpful")
 	}
 	if m.Rank() != 2 {
 		t.Fatalf("rank = %d, want 2", m.Rank())
 	}
-	if !m.Add([]gf.Elem{0, 0, 5}, nil) {
+	if !m.AddOwned([]gf.Elem{0, 0, 5}, nil) {
 		t.Fatal("third independent row must be helpful")
 	}
 	if !m.Full() {
 		t.Fatal("matrix should be full rank")
 	}
-	if m.Add([]gf.Elem{7, 7, 7}, nil) {
+	if m.AddOwned([]gf.Elem{7, 7, 7}, nil) {
 		t.Fatal("no row can help a full-rank matrix")
 	}
 }
@@ -49,7 +48,7 @@ func TestRankMatrixBasic(t *testing.T) {
 func TestRankMatrixZeroRow(t *testing.T) {
 	f := gf.MustNew(4)
 	m := NewRankMatrix(f, 4, 0)
-	if m.Add(make([]gf.Elem, 4), nil) {
+	if m.AddOwned(make([]gf.Elem, 4), nil) {
 		t.Fatal("zero row must not increase rank")
 	}
 }
@@ -57,7 +56,7 @@ func TestRankMatrixZeroRow(t *testing.T) {
 func TestRankMatrixWouldHelp(t *testing.T) {
 	f := gf.MustNew(16)
 	m := NewRankMatrix(f, 3, 2)
-	m.Add([]gf.Elem{1, 1, 0}, []byte{9, 9})
+	m.AddOwned([]gf.Elem{1, 1, 0}, []byte{9, 9})
 	if !m.WouldHelp([]gf.Elem{0, 1, 1}) {
 		t.Fatal("independent coeffs should help")
 	}
@@ -93,7 +92,7 @@ func TestSolveRoundTrip(t *testing.T) {
 				for i, c := range coeffs {
 					f.AddMulSlice(pay, msgs[i], c)
 				}
-				m.Add(coeffs, pay)
+				m.AddOwned(coeffs, pay)
 			}
 			got, err := m.Solve()
 			if err != nil {
@@ -114,7 +113,7 @@ func TestSolveRoundTrip(t *testing.T) {
 func TestSolveNotFullRank(t *testing.T) {
 	f := gf.MustNew(2)
 	m := NewRankMatrix(f, 3, 1)
-	m.Add([]gf.Elem{1, 0, 0}, []byte{1})
+	m.AddOwned([]gf.Elem{1, 0, 0}, []byte{1})
 	if _, err := m.Solve(); !errors.Is(err, ErrNotFullRank) {
 		t.Fatalf("Solve on deficient matrix: err = %v, want ErrNotFullRank", err)
 	}
@@ -127,7 +126,7 @@ func TestRandomCombinationStaysInRowSpace(t *testing.T) {
 	rng := core.NewRand(5)
 	m := NewRankMatrix(f, 6, 3)
 	for i := 0; i < 4; i++ {
-		m.Add(gf.RandVector(f, 6, rng), gf.RandBytes(f, 3, rng))
+		m.AddOwned(gf.RandVector(f, 6, rng), gf.RandBytes(f, 3, rng))
 	}
 	coeffs, pay := make([]gf.Elem, 6), make([]byte, 3)
 	for trial := 0; trial < 200; trial++ {
@@ -159,7 +158,7 @@ func TestRankInvariantQuick(t *testing.T) {
 		m := NewRankMatrix(f, cols, 0)
 		added := 0
 		for i := 0; i < 20; i++ {
-			m.Add(gf.RandVector(f, cols, r), nil)
+			m.AddOwned(gf.RandVector(f, cols, r), nil)
 			added++
 			if m.Rank() > added || m.Rank() > cols {
 				return false
@@ -168,7 +167,7 @@ func TestRankInvariantQuick(t *testing.T) {
 		// Adding a combination of existing rows must never change the rank.
 		before := m.Rank()
 		if coeffs := make([]gf.Elem, cols); m.RandomCombinationInto(rng, coeffs, nil) {
-			m.Add(coeffs, nil)
+			m.AddOwned(coeffs, nil)
 		}
 		return m.Rank() == before
 	}
@@ -185,7 +184,7 @@ func TestAddPanicsOnWidthMismatch(t *testing.T) {
 			t.Error("expected panic on width mismatch")
 		}
 	}()
-	m.Add([]gf.Elem{1, 2}, []byte{0})
+	m.AddOwned([]gf.Elem{1, 2}, []byte{0})
 }
 
 func TestAddPanicsOnPayloadMismatch(t *testing.T) {
@@ -196,7 +195,7 @@ func TestAddPanicsOnPayloadMismatch(t *testing.T) {
 			t.Error("expected panic on payload width mismatch")
 		}
 	}()
-	m.Add([]gf.Elem{1, 0, 0}, []byte{0})
+	m.AddOwned([]gf.Elem{1, 0, 0}, []byte{0})
 }
 
 // TestSolveAfterPartialThenMore ensures Solve's in-place reduction preserves
@@ -219,13 +218,13 @@ func TestSolveIdempotent(t *testing.T) {
 	}
 	m := NewRankMatrix(f, k, r)
 	for m.Rank() < k-1 {
-		m.Add(emit())
+		m.AddOwned(emit())
 	}
 	if _, err := m.Solve(); err == nil {
 		t.Fatal("expected ErrNotFullRank")
 	}
 	for !m.Full() {
-		m.Add(emit())
+		m.AddOwned(emit())
 	}
 	got1, err := m.Solve()
 	if err != nil {
@@ -262,15 +261,14 @@ func payloadMatrix(q, cols, extra, rank int, seed uint64) (*RankMatrix, *rand.Ra
 	rng := core.NewRand(seed)
 	m := NewRankMatrix(f, cols, extra)
 	for m.Rank() < rank {
-		m.Add(gf.RandVector(f, cols, rng), gf.RandBytes(f, extra, rng))
+		m.AddOwned(gf.RandVector(f, cols, rng), gf.RandBytes(f, extra, rng))
 	}
 	return m, rng
 }
 
 // TestSplitEmitMatchesRandomCombination: RandomFactorsInto followed by
 // CombineInto is RandomCombinationInto — the same bytes from the same
-// draws, and the generator left in the same state — on both sides of
-// core.Generator's selection. The payload width covers a fused 64-byte
+// draws, and the generator left in the same state. The payload width covers a fused 64-byte
 // block and a tail; 251 is the field with no fused kernel; rank 130 takes
 // RandomCombinationInto through two whole blocks of draws and a part.
 func TestSplitEmitMatchesRandomCombination(t *testing.T) {
@@ -295,8 +293,6 @@ func TestSplitEmitMatchesRandomCombination(t *testing.T) {
 			return []any{c, p, next}
 		}
 		for seed := uint64(0); seed < 8; seed++ {
-			coretest.BothSides(t, seed, whole)
-			coretest.BothSides(t, seed, split)
 			if a, b := whole(core.NewRand(seed)), split(core.NewRand(seed)); !reflect.DeepEqual(a, b) {
 				t.Fatalf("GF(%d) seed %d: whole emit %v\nsplit emit %v", q, seed, a, b)
 			}
@@ -312,7 +308,7 @@ func TestCombinePayloadAfterInsertPanics(t *testing.T) {
 	c, p := make([]gf.Elem, 8), make([]byte, 64)
 	facs, _ := m.RandomFactorsInto(rng, make([]gf.Elem, 8))
 	for rank := m.Rank(); m.Rank() == rank; {
-		m.Add(gf.RandVector(gf.MustNew(256), 8, rng), make([]byte, 64))
+		m.AddOwned(gf.RandVector(gf.MustNew(256), 8, rng), make([]byte, 64))
 	}
 	defer func() {
 		if recover() == nil {
@@ -349,7 +345,7 @@ func interleavedReduce(f gf.Field, m *RankMatrix, coeffs []gf.Elem, pay []byte) 
 // has its payload looked at — the argument (poison that is no combination
 // of anything stored) and every stored row come back untouched — and a
 // helpful row is stored exactly as the interleaved elimination leaves it,
-// for Add and AddOwned alike.
+// for AddOwned.
 func TestAddReducesPayloadOnlyWhenHelpful(t *testing.T) {
 	const cols, extra = 10, 100
 	for _, q := range []int{4, 16, 256, 251} {
@@ -383,12 +379,7 @@ func TestAddReducesPayloadOnlyWhenHelpful(t *testing.T) {
 			c, p := gf.RandVector(f, cols, rng), gf.RandBytes(f, extra, rng)
 			wantC, wantP := slices.Clone(c), bytes.Clone(p)
 			interleavedReduce(f, m, wantC, wantP)
-			var helped bool
-			if step%2 == 0 {
-				helped = m.AddOwned(c, p)
-			} else {
-				helped = m.Add(c, p)
-			}
+			helped := m.AddOwned(c, p)
 			if helped != !gf.IsZeroVector(wantC) {
 				t.Fatalf("GF(%d) step %d: helpful = %v against the oracle", q, step, helped)
 			}
@@ -459,7 +450,7 @@ func TestTruncateUndoesAnInsert(t *testing.T) {
 		for m.Rank() < k-1 {
 			c := gf.RandVector(f, k, rng)
 			c[k-1] = 0
-			m.Add(c, gf.RandBytes(f, r, rng))
+			m.AddOwned(c, gf.RandBytes(f, r, rng))
 		}
 		return m
 	}
@@ -497,8 +488,8 @@ func TestTruncateUndoesAnInsert(t *testing.T) {
 	}
 	// The freed slots take the next row as a fresh matrix's would.
 	c, p := gf.RandVector(f, k, core.NewRand(7)), gf.RandBytes(f, r, core.NewRand(8))
-	m.Add(c, p)
-	twin.Add(c, p)
+	m.AddOwned(slices.Clone(c), p)
+	twin.AddOwned(c, p)
 	if !reflect.DeepEqual(emit(m), emit(twin)) {
 		t.Fatal("an insert into truncated slots differs from the twin's")
 	}
@@ -521,7 +512,7 @@ func BenchmarkRankMatrixAddPayloadGF256(b *testing.B) {
 		for ms[i].Rank() < rank {
 			c := gf.RandVector(f, benchPayK, rng)
 			c[rank] = 0
-			ms[i].Add(c, gf.RandBytes(f, benchPayR, rng))
+			ms[i].AddOwned(c, gf.RandBytes(f, benchPayR, rng))
 		}
 	}
 	c, p := make([]gf.Elem, benchPayK), gf.RandBytes(f, benchPayR, rng)
@@ -560,7 +551,7 @@ func BenchmarkRankMatrixSolvePayloadGF256(b *testing.B) {
 			c, p := gf.RandVector(f, benchPayK, rng), gf.RandBytes(f, benchPayR, rng)
 			if s.m.WouldHelp(c) {
 				s.coeffs, s.pays = append(s.coeffs, c), append(s.pays, p)
-				s.m.Add(c, p)
+				s.m.AddOwned(slices.Clone(c), p)
 			}
 		}
 	}
@@ -573,7 +564,7 @@ func BenchmarkRankMatrixSolvePayloadGF256(b *testing.B) {
 			b.StopTimer()
 			s.m.Reset()
 			for j, c := range s.coeffs {
-				s.m.Add(c, s.pays[j])
+				s.m.AddOwned(slices.Clone(c), s.pays[j])
 			}
 			b.StartTimer()
 		}

@@ -70,11 +70,7 @@ func rankSubject(f gf.Field, cols, extra int) resetSubject {
 				row = nil
 			}
 			out = appendBool(out, m.WouldHelp(coeffs))
-			if i%2 == 0 {
-				out = appendBool(out, m.Add(coeffs, row))
-			} else {
-				out = appendBool(out, m.AddOwned(coeffs, row))
-			}
+			out = appendBool(out, m.AddOwned(coeffs, row))
 			if extra == 0 {
 				m.RandomCombinationInto(emits, c, nil)
 			} else {
@@ -141,11 +137,7 @@ func slicedSubject(f *gf.GF2m, cols, extra int) resetSubject {
 				rowPay = nil
 			}
 			out = appendBool(out, m.WouldHelp(row))
-			if i%2 == 0 {
-				out = appendBool(out, m.Add(row, rowPay))
-			} else {
-				out = appendBool(out, m.AddOwned(row, rowPay))
-			}
+			out = appendBool(out, m.AddOwned(row, rowPay))
 			if extra == 0 {
 				m.RandomCombinationInto(emits, c, nil)
 			} else {
@@ -250,7 +242,11 @@ func TestResetAllocatesNothing(t *testing.T) {
 		bitRows[i] = NewBitVec(cols)
 		bitRows[i].Set(i)
 	}
+	// AddOwned and AddPayload reduce their arguments in place: every fill
+	// copies the row into these first.
 	row, pay := NewBitVec(cols), make([]byte, extra)
+	c := make([]gf.Elem, cols)
+	srow, spay := make(SlicedVec, sliced.Stride()), make(SlicedVec, sliced.PayStride())
 	for _, tc := range []struct {
 		name string
 		m    interface{ Full() bool }
@@ -259,19 +255,21 @@ func TestResetAllocatesNothing(t *testing.T) {
 		{"rank", rank, func() {
 			rank.Reset()
 			for i := range coeffs {
-				rank.Add(coeffs[i], pays[i])
+				copy(c, coeffs[i])
+				rank.AddOwned(c, pays[i])
 			}
 		}},
 		{"sliced", sliced, func() {
 			sliced.Reset()
 			for i := range slicedRows {
-				sliced.Add(slicedRows[i], slicedPays[i])
+				copy(srow, slicedRows[i])
+				copy(spay, slicedPays[i])
+				sliced.AddOwned(srow, spay)
 			}
 		}},
 		{"bit", bit, func() {
 			bit.Reset()
 			for i := range bitRows {
-				// AddPayload reduces its arguments in place.
 				copy(row, bitRows[i])
 				copy(pay, pays[i])
 				bit.AddPayload(row, pay)

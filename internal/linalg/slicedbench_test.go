@@ -3,15 +3,14 @@ package linalg
 import (
 	"testing"
 
-	"math/rand/v2"
-
+	"algossip/internal/core"
 	"algossip/internal/gf"
 )
 
 func BenchmarkSlicedEmitK128(b *testing.B) {
 	f, _ := gf.NewGF2m(8)
 	m := NewSlicedMatrix(f, 128, 0)
-	rng := rand.New(rand.NewPCG(1, 2))
+	rng := core.NewRand(1)
 	for !m.Full() {
 		row := make(SlicedVec, m.Stride())
 		raw := gf.RandBytes(f, 128, rng)
@@ -28,7 +27,7 @@ func BenchmarkSlicedEmitK128(b *testing.B) {
 func BenchmarkSlicedReduceK128(b *testing.B) {
 	f, _ := gf.NewGF2m(8)
 	m := NewSlicedMatrix(f, 128, 0)
-	rng := rand.New(rand.NewPCG(3, 4))
+	rng := core.NewRand(3)
 	for m.Rank() < 127 { // not full: avoid the short-circuit
 		row := make(SlicedVec, m.Stride())
 		f.PackSliced(row, gf.RandBytes(f, 128, rng))

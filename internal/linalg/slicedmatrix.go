@@ -37,8 +37,10 @@ func (v SlicedVec) IsZero() bool {
 // Memory behavior mirrors BitMatrix: surviving rows live in a
 // matrix-owned single-block arena (at most cols rows can ever be
 // retained), and elimination scratch is reused across calls, so the
-// steady-state Add/AddOwned/WouldHelp path performs no allocations and
-// never retains caller memory, and Reset keeps all of it.
+// steady-state AddOwned/WouldHelp path performs no allocations and
+// never retains caller memory, and Reset keeps all of it. As on
+// RankMatrix there is one insert, AddOwned, which reduces in the
+// caller's buffers, and one random source, a core.NewRand stream.
 //
 // Determinism contract: rows are stored exactly as the generic
 // RankMatrix stores them (reduced against earlier pivots, pivot element
@@ -80,7 +82,6 @@ type SlicedMatrix struct {
 	loIns    []int32  // arena indices of rows with pivot < 64 (words == 2)
 	hiIns    []int32  // arena indices of rows with pivot >= 64 (words == 2)
 	scratchC SlicedVec
-	scratchP SlicedVec
 	scratchF []gf.Elem // per-row reduce factors, pivot-ordered
 	scratchA []gf.Elem // arena-ordered scatter of scratchF for streaming
 	order    int       // cached field order for the emit draw loop
@@ -393,7 +394,7 @@ func (m *SlicedMatrix) allocRow() (SlicedVec, SlicedVec, SlicedVec) {
 func (m *SlicedMatrix) Reset() {
 	m.rows, m.pay, m.pivot, m.pivLog = m.rows[:0], m.pay[:0], m.pivot[:0], m.pivLog[:0]
 	m.pivPos, m.ord, m.loIns, m.hiIns = m.pivPos[:0], m.ord[:0], m.loIns[:0], m.hiIns[:0]
-	poison(m.arenaC, m.arenaP, m.arenaT, []uint64(m.scratchC), []uint64(m.scratchP))
+	poison(m.arenaC, m.arenaP, m.arenaT, []uint64(m.scratchC))
 	poison(m.scratchF, m.scratchA)
 }
 
@@ -479,39 +480,17 @@ func (m *SlicedMatrix) checkWidths(row, pay SlicedVec) {
 	}
 }
 
-// Add inserts the given sliced row — plus a payload row when extra > 0
-// (nil otherwise) — if it is linearly independent of the stored rows,
-// reporting whether the rank increased. The inputs are neither modified
-// nor retained (reduction happens in reusable scratch).
-func (m *SlicedMatrix) Add(row, pay SlicedVec) bool {
-	m.checkWidths(row, pay)
-	if m.Full() {
-		return false // the row space is everything; nothing can help
-	}
-	m.ensureScratch()
-	copy(m.scratchC, row)
-	var workP SlicedVec
-	if m.payStr > 0 {
-		copy(m.scratchP, pay)
-		workP = m.scratchP
-	}
-	p := m.reduce(m.scratchC, workP)
-	if p < 0 {
-		return false
-	}
-	m.insert(m.scratchC, workP, p)
-	return true
-}
-
-// AddOwned is the move-semantics insert: it reduces directly in the
-// caller's buffers (clobbering them), then copies the surviving row into
-// the matrix arena. The caller must treat the contents as consumed but
-// keeps the buffers themselves — the packet-pool recycling contract of
-// the coded hot path.
+// AddOwned inserts the given sliced row — plus a payload row when
+// extra > 0 (nil otherwise) — if it is linearly independent of the
+// stored rows, reporting whether the rank increased. It reduces directly
+// in the caller's buffers (clobbering them), then copies the surviving
+// row into the matrix arena. The caller must treat the contents as
+// consumed but keeps the buffers themselves — the packet-pool recycling
+// contract of the coded hot path.
 func (m *SlicedMatrix) AddOwned(row, pay SlicedVec) bool {
 	m.checkWidths(row, pay)
 	if m.Full() {
-		return false
+		return false // the row space is everything; nothing can help
 	}
 	var workP SlicedVec
 	if m.payStr > 0 {
@@ -525,13 +504,10 @@ func (m *SlicedMatrix) AddOwned(row, pay SlicedVec) bool {
 	return true
 }
 
-// ensureScratch sizes the reusable reduce buffers once.
+// ensureScratch sizes WouldHelp's reduce buffer once.
 func (m *SlicedMatrix) ensureScratch() {
 	if m.scratchC == nil {
 		m.scratchC = make(SlicedVec, m.stride)
-	}
-	if m.payStr > 0 && m.scratchP == nil {
-		m.scratchP = make(SlicedVec, m.payStr)
 	}
 }
 
@@ -558,26 +534,26 @@ func (m *SlicedMatrix) WouldHelp(row SlicedVec) bool {
 // is identical to the generic backend's draw, so swapping backends
 // preserves fixed-seed trajectories. It only reads the matrix, so several
 // goroutines may emit from one matrix at once, each into buffers of its
-// own.
+// own. rng must be a core.NewRand stream: on any other source it panics
+// (core.Generator) before writing either buffer.
 func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec) bool {
 	if len(m.rows) == 0 {
 		return false
 	}
 	m.checkWidths(out, pay)
+	// The draw is exactly gf.Rand's rng.IntN(order): for the power-of-two
+	// orders of GF(2^m), rand/v2's IntN is one Uint64 masked to the low
+	// bits — the same identity the bit backend's Uint64()&1 draw relies
+	// on, pinned by the sliced-vs-generic equivalence tests — taken from
+	// g, the stream's generator, inlined.
+	g, mask := core.Generator(rng), uint64(m.order-1)
 	if m.payStr == 0 {
 		pay = nil
 	}
 	if m.tabStride == 0 {
-		clear(out) // the fallback path accumulates; the tabbed one overwrites
+		clear(out) // the untabbed path accumulates; the tabbed one overwrites
 	}
 	clear(pay)
-	// The draw is exactly gf.Rand's rng.IntN(order): for the power-of-two
-	// orders of GF(2^m), rand/v2's IntN is one Uint64 masked to the low
-	// bits — the same identity the bit backend's Uint64()&1 draw relies
-	// on, pinned by the sliced-vs-generic equivalence tests. It is taken
-	// from g, inlined, on a core.NewRand stream and from rng on any other
-	// source (see BitMatrix.RandomCombinationInto).
-	g, mask := core.Generator(rng), uint64(m.order-1)
 	if m.tabStride > 0 {
 		// One gf.Rand-equivalent draw per stored row in pivot order (the
 		// stream contract), stored straight into arena order through the
@@ -586,14 +562,8 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 		// matrix.
 		var draws [64 * tabMaxWords]gf.Elem
 		da := draws[:len(m.rows)]
-		if g != nil {
-			for _, o := range m.ord {
-				da[o] = gf.Elem(g.Uint64() & mask)
-			}
-		} else {
-			for _, o := range m.ord {
-				da[o] = gf.Elem(rng.Uint64() & mask)
-			}
+		for _, o := range m.ord {
+			da[o] = gf.Elem(g.Uint64() & mask)
 		}
 		m.combineTabbed(out, da)
 		if pay != nil {
@@ -605,14 +575,8 @@ func (m *SlicedMatrix) RandomCombinationInto(rng *rand.Rand, out, pay SlicedVec)
 		}
 		return true
 	}
-	if g != nil {
-		for i := range m.rows {
-			m.addMulRowInto(i, out, pay, gf.Elem(g.Uint64()&mask))
-		}
-	} else {
-		for i := range m.rows {
-			m.addMulRowInto(i, out, pay, gf.Elem(rng.Uint64()&mask))
-		}
+	for i := range m.rows {
+		m.addMulRowInto(i, out, pay, gf.Elem(g.Uint64()&mask))
 	}
 	return true
 }

@@ -59,7 +59,7 @@ func tierStream(f gf.Field, k, extra int) []byte {
 			}
 		}
 		p := gf.RandBytes(f, extra, rng)
-		fmt.Fprintf(&log, "add %v ", m.Add(c, p))
+		fmt.Fprintf(&log, "add %v ", m.AddOwned(c, p))
 		if step%16 == 0 || m.Full() {
 			for i := 0; i < m.Rank(); i++ {
 				fmt.Fprintf(&log, "%d:%x/%x ", m.pivot[i], gf.AsBytes(m.rows[i]), gf.AsBytes(m.xform[i]))

@@ -50,8 +50,8 @@ func TestBitGenericEquivalence(t *testing.T) {
 		if bitDst.WouldHelp(bp) != genDst.WouldHelp(gp) {
 			t.Fatalf("step %d: WouldHelp disagrees", step)
 		}
-		if bitDst.Receive(bp) != genDst.Receive(gp) {
-			t.Fatalf("step %d: Receive helpfulness disagrees", step)
+		if bitDst.ReceiveOwned(bp) != genDst.ReceiveOwned(gp) {
+			t.Fatalf("step %d: ReceiveOwned helpfulness disagrees", step)
 		}
 		if bitDst.Rank() != genDst.Rank() {
 			t.Fatalf("step %d: ranks diverged (%d vs %d)", step, bitDst.Rank(), genDst.Rank())
@@ -97,7 +97,7 @@ func TestAdaptRoundTrip(t *testing.T) {
 	if native == nil || native.Bits == nil {
 		t.Fatal("Adapt failed to pack a generic packet for a bit node")
 	}
-	if !bitNode.Receive(native) {
+	if !bitNode.ReceiveOwned(native) {
 		t.Fatal("adapted packet should be helpful")
 	}
 	back := genNode.Adapt(bitNode.Emit(core.NewRand(3)))

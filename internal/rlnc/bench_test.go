@@ -80,6 +80,9 @@ func BenchmarkDecode(b *testing.B) {
 			for len(pkts) < 64 {
 				pkts = append(pkts, src.Emit(rng))
 			}
+			// ReceiveOwned clobbers its packet: each is copied into tmp,
+			// sized here, before the timer.
+			tmp := clonePacket(pkts[0])
 			b.SetBytes(int64(32 * r))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -88,7 +91,7 @@ func BenchmarkDecode(b *testing.B) {
 					if dst.CanDecode() {
 						break
 					}
-					dst.Receive(p)
+					dst.ReceiveOwned(copyPacket(tmp, p))
 				}
 				if _, err := dst.Decode(); err != nil {
 					b.Fatal(err)
@@ -144,7 +147,7 @@ func BenchmarkGenSkipEmit(b *testing.B) {
 }
 
 // BenchmarkScreenFlood measures the cost of *rejecting* hostile packets:
-// the width/zero/corrupt screens in Receive are what a Byzantine flood
+// the width/zero/corrupt screens in ReceiveOwned are what a Byzantine flood
 // makes every honest node pay per packet, so rejection must stay cheap
 // relative to an accepted reduction. Sub-benchmarks cover the three
 // screen layers on the GF(256) backend this host selects: the Corrupt
@@ -182,13 +185,13 @@ func BenchmarkScreenFlood(b *testing.B) {
 	for _, c := range cases {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
-			if sink.Receive(c.pkt) {
+			if sink.ReceiveOwned(c.pkt) {
 				b.Fatalf("%s: screen accepted a hostile packet", c.name)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if sink.Receive(c.pkt) {
+				if sink.ReceiveOwned(c.pkt) {
 					b.Fatal("screen accepted a hostile packet")
 				}
 			}

@@ -3,8 +3,10 @@ package rlnc
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -123,8 +125,8 @@ func TestEmitIsReadOnly(t *testing.T) {
 				}
 				for !n.CanDecode() {
 					p := src.Emit(rng)
-					n.Receive(p)
-					twin.Receive(p)
+					n.ReceiveOwned(&GenPacket{Gen: p.Gen, Packet: clonePacket(p.Packet)})
+					twin.ReceiveOwned(p)
 				}
 				before := decoderState(n)
 				seeds := []uint64{11, 12}
@@ -178,4 +180,140 @@ func mustGenNode(t testing.TB, cfg GenConfig) *GenNode {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// contractStream is the core.NewRand(seed) stream advanced as one emit
+// from n must advance it: the generation pick when n has more than one
+// generation, then one draw per row the picked generation stores — a
+// Uint64 over GF(2^m), a gf.Rand over a prime field. It also returns the
+// generation picked.
+func contractStream(n *GenNode, seed uint64) (*rand.Rand, int) {
+	r, g := core.NewRand(seed), 0
+	if len(n.subs) > 1 {
+		// pick's IntN over the non-empty generations, in index order.
+		pick := r.IntN(n.nonEmpty)
+		for g = 0; n.subs[g].Rank() == 0 || pick > 0; g++ {
+			if n.subs[g].Rank() > 0 {
+				pick--
+			}
+		}
+	}
+	f := n.cfg.Inner.Field
+	for range n.subs[g].Rank() {
+		if q := f.Order(); q&(q-1) == 0 {
+			r.Uint64()
+		} else {
+			gf.Rand(f, r)
+		}
+	}
+	return r, g
+}
+
+// sameState reports whether two core.NewRand streams stand at the same
+// place.
+func sameState(a, b *rand.Rand) bool { return *core.Generator(a) == *core.Generator(b) }
+
+// TestEmitDrawContract pins the draw contract at every coefficient draw
+// site, on the one source there is: after one EmitInto — and after one
+// SkipEmit — the core.NewRand(seed) stream stands exactly where
+// contractStream puts a fresh one. The sites are the packed-bit emits of
+// one, two and four words a row and the general one with payloads, the
+// byte-row factors over GF(2^m) rank-only and with payloads, the
+// bit-sliced emits with subset tables and without (k > 256), and the
+// prime field, which SkipEmit draws through gf.Rand. Two generations,
+// one full and one half full, so the pick is drawn; one case has a
+// single generation, which draws no pick.
+func TestEmitDrawContract(t *testing.T) {
+	type build struct {
+		name   string
+		q, k   int
+		r      int  // payload symbols; 0 is rank-only
+		layout byte // 'b' packed bits, 'r' byte rows, 's' bit-sliced
+		gens   int
+	}
+	for _, c := range []build{
+		{"bit/1word", 2, 16, 0, 'b', 2},
+		{"bit/2words", 2, 128, 0, 'b', 2},
+		{"bit/4words", 2, 200, 0, 'b', 2},
+		{"bit/general+payload", 2, 16, 8, 'b', 2},
+		{"rows/gf256", 256, 40, 0, 'r', 2},
+		{"rows/gf16+payload", 16, 40, 24, 'r', 2},
+		{"rows/one-generation", 256, 40, 0, 'r', 1},
+		{"sliced/tabbed+payload", 256, 40, 24, 's', 2},
+		{"sliced/untabbed", 16, 300, 0, 's', 2},
+		{"prime", 251, 40, 0, 'r', 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := gf.MustNew(c.q)
+			inner := Config{Field: f, PayloadLen: c.r, RankOnly: c.r == 0, ForceGeneric: c.layout == 'r'}
+			cfg := GenConfig{Inner: inner, K: c.gens * c.k, GenSize: c.k}
+			var n *GenNode
+			if c.layout == 's' {
+				buildSliced(t, func() { n = mustGenNode(t, cfg) })
+			} else {
+				n = mustGenNode(t, cfg)
+			}
+			layout := byte('r')
+			switch sub := n.subs[0]; {
+			case sub.BitMode():
+				layout = 'b'
+			case sub.SlicedMode():
+				layout = 's'
+			}
+			if layout != c.layout {
+				t.Fatalf("built layout %c, want %c", layout, c.layout)
+			}
+			seeds := core.NewRand(uint64(c.q*1000 + c.k))
+			for idx := 0; idx < cfg.K-c.k/2; idx++ {
+				msg := Message{Index: idx}
+				if c.r > 0 {
+					msg.Payload = gf.RandBytes(f, c.r, seeds)
+				}
+				n.Seed(msg)
+			}
+			checkDrawContract(t, n)
+		})
+	}
+}
+
+// checkDrawContract emits once, and skips once, from n on the streams of
+// seeds 0–15: each must leave its stream where contractStream puts a
+// fresh one, and the emit must code over the generation it picks.
+func checkDrawContract(t *testing.T, n *GenNode) {
+	t.Helper()
+	for seed := uint64(0); seed < 16; seed++ {
+		want, gen := contractStream(n, seed)
+		emitted, skipped, p := core.NewRand(seed), core.NewRand(seed), &GenPacket{}
+		if !n.EmitInto(emitted, p) || !n.SkipEmit(skipped) {
+			t.Fatal("non-empty node refused to emit")
+		}
+		if p.Gen != gen {
+			t.Fatalf("seed %d: emitted generation %d, the contract's pick %d", seed, p.Gen, gen)
+		}
+		if !sameState(emitted, want) {
+			t.Fatalf("seed %d: EmitInto left the stream off the contract's count", seed)
+		}
+		if !sameState(skipped, want) {
+			t.Fatalf("seed %d: SkipEmit left the stream off the contract's count", seed)
+		}
+	}
+}
+
+// TestSkipEmitRefusesForeignSource: SkipEmit over GF(2^m) jumps the
+// generator of a core.NewRand stream, so a *rand.Rand on any other
+// source panics with a message naming core.NewRand and leaves that
+// source where it stood.
+func TestSkipEmitRefusesForeignSource(t *testing.T) {
+	n := MustNewNode(Config{Field: gf.MustNew(256), K: 8, RankOnly: true})
+	n.Seed(Message{Index: 3})
+	src := rand.NewPCG(1, 2)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "core.NewRand") {
+			t.Fatalf("panic %q, want one naming core.NewRand", msg)
+		}
+		if got, want := src.Uint64(), rand.NewPCG(1, 2).Uint64(); got != want {
+			t.Fatal("the refused source was advanced")
+		}
+	}()
+	n.SkipEmit(rand.New(src))
 }

@@ -54,7 +54,7 @@ func FuzzDecoderNeverPanics(f *testing.F) {
 				Coeffs:  bytesToElems(raw[i : i+k]),
 				Payload: append([]byte(nil), raw[i+k:i+k+r]...),
 			}
-			n.Receive(n.Adapt(pkt))
+			n.ReceiveOwned(n.Adapt(pkt))
 			if n.Rank() < 0 || n.Rank() > k {
 				t.Fatalf("rank %d out of range", n.Rank())
 			}
@@ -66,7 +66,7 @@ func FuzzDecoderNeverPanics(f *testing.F) {
 			src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Field, r, rng)})
 		}
 		for guard := 0; !n.CanDecode() && guard < 1000; guard++ {
-			n.Receive(src.Emit(rng))
+			n.ReceiveOwned(src.Emit(rng))
 		}
 		if !n.CanDecode() {
 			t.Fatal("node never reached full rank")
@@ -110,14 +110,14 @@ func FuzzGenerationPacket(f *testing.F) {
 				payload[i] %= 251
 			}
 			pkt := &GenPacket{Gen: int(gen), Packet: &Packet{Coeffs: coeffs, Payload: payload}}
-			n.Receive(pkt)
+			n.ReceiveOwned(&GenPacket{Gen: pkt.Gen, Packet: clonePacket(pkt.Packet)})
 			if n.Rank() < 0 || n.Rank() > k {
 				t.Fatalf("rank %d out of range after malformed packet", n.Rank())
 			}
-			if n.Receive(nil) {
+			if n.ReceiveOwned(nil) {
 				t.Fatal("nil packet reported helpful")
 			}
-			if n.Receive(&GenPacket{Gen: int(gen)}) {
+			if n.ReceiveOwned(&GenPacket{Gen: int(gen)}) {
 				t.Fatal("packet with nil inner reported helpful")
 			}
 			// Top up from a full source: the garbage must not have corrupted
@@ -131,7 +131,7 @@ func FuzzGenerationPacket(f *testing.F) {
 				src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Inner.Field, r, rng)})
 			}
 			for guard := 0; !n.CanDecode() && guard < 5000; guard++ {
-				n.Receive(src.Emit(rng))
+				n.ReceiveOwned(src.Emit(rng))
 			}
 			if !n.CanDecode() {
 				t.Fatal("node never reached full rank after screening garbage")
@@ -148,21 +148,21 @@ func FuzzGenerationPacket(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sliced.Receive(pkt) {
+			if sliced.ReceiveOwned(pkt) {
 				t.Fatal("generic-backend packet reported helpful on a sliced-backend node")
 			}
 		}
 	})
 }
 
-// FuzzReceive delivers arbitrary packets straight to Receive,
-// ReceiveOwned and WouldHelp, in two forms. Native sliced packets —
-// coefficient and payload rows of any word count and any content — go to
-// a sliced-mode node: a row of the wrong word count is screened. The
-// same bytes as a wire packet (one symbol per byte) go, raw and through
-// Adapt, to a node of every field kind on every backend: a byte that is
-// no field symbol is screened. Nothing panics, the rank stays in range,
-// and a well-formed top-up still decodes.
+// FuzzReceive delivers arbitrary packets straight to ReceiveOwned and
+// WouldHelp, in two forms. Native sliced packets — coefficient and payload
+// rows of any word count and any content — go to a sliced-mode node: a row
+// of the wrong word count is screened. The same bytes as a wire packet
+// (one symbol per byte) go, raw and through Adapt, to a node of every
+// field kind on every backend: a byte that is no field symbol is screened.
+// Nothing panics, the rank stays in range, and a well-formed top-up still
+// decodes.
 func FuzzReceive(f *testing.F) {
 	f.Add(uint8(4), uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(8), uint8(16), bytes.Repeat([]byte{0xFF}, 300))
@@ -197,12 +197,12 @@ func FuzzReceive(f *testing.F) {
 		pkt := func() *Packet { return &Packet{Sliced: words(coeffWords, 0), SlicedPay: words(payWords, 3)} }
 		wellFormed := len(pkt().Sliced) == 8 && len(pkt().SlicedPay) == 16
 		helped := n.WouldHelp(pkt())
-		got := n.Receive(pkt())
+		got := n.ReceiveOwned(pkt())
 		if got && !wellFormed {
 			t.Fatalf("packet with %d coefficient and %d payload words accepted", len(pkt().Sliced), len(pkt().SlicedPay))
 		}
 		if got && !helped {
-			t.Fatal("Receive accepted a packet WouldHelp turned down")
+			t.Fatal("ReceiveOwned accepted a packet WouldHelp turned down")
 		}
 		if n.ReceiveOwned(pkt()) {
 			t.Fatal("the same packet was helpful twice")
@@ -277,7 +277,7 @@ func fuzzWireSymbols(t *testing.T, raw []byte) {
 			var helped, got bool
 			if native := n.Adapt(wire()); native != nil {
 				helped = n.WouldHelp(native)
-				got = n.Receive(native)
+				got = n.ReceiveOwned(native)
 			}
 			if got && (malformed || !helped) {
 				t.Fatalf("GF(%d) %s: adapted row %v accepted (malformed %v, WouldHelp %v)", q, name, row, malformed, helped)
@@ -287,7 +287,7 @@ func fuzzWireSymbols(t *testing.T, raw []byte) {
 				// arrive without Adapt, and must meet the same screen
 				// (WouldHelp reads the coefficient half only).
 				n.WouldHelp(wire())
-				if n.Receive(wire()) || n.ReceiveOwned(wire()) {
+				if n.ReceiveOwned(wire()) {
 					t.Fatalf("GF(%d) %s: raw row %v helpful after the adapted one (malformed %v)", q, name, row, malformed)
 				}
 			}

@@ -87,7 +87,9 @@ type GenPacket struct {
 // generation. It is the type the protocols and the live cluster drive;
 // the paper's whole-k coding is the configuration GenSize == K, one
 // generation, whose random stream and packets are exactly a plain Node's
-// (see pick).
+// (see pick). Like Node it has one receive, ReceiveOwned, which clobbers
+// the packet it is given, and its emits draw from a core.NewRand stream
+// only.
 type GenNode struct {
 	cfg  GenConfig
 	subs []*Node
@@ -279,27 +281,14 @@ func (n *GenNode) EmitReplayInto(p *GenPacket) bool {
 	return false
 }
 
-// Receive ingests a packet, reporting whether it was helpful. Malformed
-// packets — nil, generation tag outside [0, Generations()), or inner
-// coefficient/payload lengths that do not match the tagged generation —
-// are screened and reported unhelpful, never panicked on: generation
-// tags arrive from the wire, so an out-of-range tag is an input error,
-// not a programmer error.
-func (n *GenNode) Receive(p *GenPacket) bool {
-	if !n.screen(p) {
-		return false
-	}
-	if !n.subs[p.Gen].Receive(p.Packet) {
-		return false
-	}
-	n.gained(p.Gen)
-	return true
-}
-
-// ReceiveOwned is Receive for callers that own the packet (pooled hot
-// path): reduction happens directly in the packet's backing arrays,
-// clobbering their contents, but the arrays are never retained. The same
-// malformed-packet screening applies.
+// ReceiveOwned ingests a packet the caller owns (pooled hot path),
+// reporting whether it was helpful: reduction happens directly in the
+// packet's backing arrays, clobbering their contents, but the arrays are
+// never retained (Node.ReceiveOwned). Malformed packets — nil, generation
+// tag outside [0, Generations()), or inner coefficient/payload lengths
+// that do not match the tagged generation — are screened and reported
+// unhelpful, never panicked on: generation tags arrive from the wire, so
+// an out-of-range tag is an input error, not a programmer error.
 func (n *GenNode) ReceiveOwned(p *GenPacket) bool {
 	if !n.screen(p) {
 		return false
@@ -339,7 +328,7 @@ func (n *GenNode) screen(p *GenPacket) bool {
 	if p.Gen < 0 || p.Gen >= len(n.subs) {
 		return false
 	}
-	// The sub-decoders' Receive paths screen lengths, but their
+	// The sub-decoders' ReceiveOwned screens lengths, but its
 	// backend-mismatch checks panic (a mismatch is a programmer error on
 	// a single-field link); a wire packet whose arrays belong to a
 	// different backend than the tagged generation is screened here.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"algossip/internal/core"
-	"algossip/internal/core/coretest"
 	"algossip/internal/gf"
 )
 
@@ -71,7 +70,7 @@ func TestGenRoundTrip(t *testing.T) {
 			if steps > 20000 {
 				t.Fatalf("genSize=%d: no convergence", genSize)
 			}
-			dst.Receive(src.Emit(rng))
+			dst.ReceiveOwned(src.Emit(rng))
 		}
 		got, err := dst.Decode()
 		if err != nil {
@@ -123,7 +122,7 @@ func TestGenerationFullDecodeEquivalence(t *testing.T) {
 					if guard > 100000 {
 						t.Fatalf("genSize=%d: no convergence", genSize)
 					}
-					dst.Receive(src.Emit(rng))
+					dst.ReceiveOwned(src.Emit(rng))
 				}
 				got, err := dst.Decode()
 				if err != nil {
@@ -158,7 +157,7 @@ func TestGenEmitEmpty(t *testing.T) {
 	if n.Emit(core.NewRand(1)) != nil {
 		t.Fatal("empty node must emit nil")
 	}
-	if n.Receive(nil) {
+	if n.ReceiveOwned(nil) {
 		t.Fatal("nil packet must not help")
 	}
 }
@@ -198,7 +197,7 @@ func TestGenCouponCollectorEffect(t *testing.T) {
 			dst, _ := NewGenNode(cfg)
 			for !dst.CanDecode() {
 				total++
-				dst.Receive(src.Emit(rng))
+				dst.ReceiveOwned(src.Emit(rng))
 			}
 		}
 		return total
@@ -277,8 +276,7 @@ func TestOneGenerationStreamParity(t *testing.T) {
 
 // TestGenSkipEmitMatchesEmit: on a multi-generation node SkipEmit advances
 // the random stream exactly as EmitInto does (generation pick included),
-// whatever mix of empty and non-empty generations the node holds, and
-// whichever way the stream is drawn.
+// whatever mix of empty and non-empty generations the node holds.
 func TestGenSkipEmitMatchesEmit(t *testing.T) {
 	cfg := genCfg(10, 4)
 	n, err := NewGenNode(cfg)
@@ -302,16 +300,14 @@ func TestGenSkipEmitMatchesEmit(t *testing.T) {
 		}
 	}
 
-	// Both sides of core.Generator's selection. On a core.NewRand stream a
-	// skip over GF(2^m) is one jump of the generator and the emit draws
-	// through it inlined; on any other source both draw one value at a
-	// time. Either way the skip must leave the stream where the emit does
-	// and where the other side's skip does. Two generations of k columns,
-	// one full and one half full, so the pick and both ranks are drawn; k
-	// covers the one-, two- and four-word GF(2) emits (16, 128, 200) and
-	// the general one (160, 300), and at 300 a skip longer than the
-	// generator's table.
-	// The prime field keeps drawing on both sides (its IntN rejects).
+	// On a core.NewRand stream a skip over GF(2^m) is one jump of the
+	// generator and the emit draws through it inlined: the skip must leave
+	// the stream where the emit does, and both where the draw contract
+	// puts it (contractStream). Two generations of k columns, one full and
+	// one half full, so the pick and both ranks are drawn; k covers the
+	// one-, two- and four-word GF(2) emits (16, 128, 200) and the general
+	// one (160, 300), and at 300 a skip longer than the generator's table.
+	// The prime field keeps drawing (its IntN rejects).
 	for _, q := range []int{2, 256, 251} {
 		for _, k := range []int{16, 128, 160, 200, 300} {
 			t.Run(fmt.Sprintf("gf=%d/k=%d", q, k), func(t *testing.T) {
@@ -322,39 +318,20 @@ func TestGenSkipEmitMatchesEmit(t *testing.T) {
 				for idx := 0; idx < k+k/2; idx++ {
 					n.Seed(Message{Index: idx})
 				}
-				for seed := uint64(0); seed < 16; seed++ {
-					rngE := core.NewRand(seed)
-					if !n.EmitInto(rngE, &GenPacket{}) {
-						t.Fatal("non-empty node refused to emit")
-					}
-					after := rngE.Uint64()
-					coretest.BothSides(t, seed, func(r *rand.Rand) any {
-						if !n.SkipEmit(r) || r.Uint64() != after {
-							t.Fatalf("seed %d: SkipEmit did not leave the stream where EmitInto does", seed)
-						}
-						return nil
-					})
-					coretest.BothSides(t, seed, func(r *rand.Rand) any {
-						p := &GenPacket{}
-						if !n.EmitInto(r, p) || r.Uint64() != after {
-							t.Fatalf("seed %d: EmitInto did not leave the stream where it did before", seed)
-						}
-						return p
-					})
-				}
+				checkDrawContract(t, n)
 			})
 		}
 	}
 }
 
-// TestSplitEmitMatchesEmitInto: DrawInto followed by Fill —
-// with other emits of the same node in between, as a round stages them —
-// produces EmitInto's packet from the same draws and leaves the generator
-// where EmitInto does, on both sides of core.Generator's selection. Two
-// generations of a payload-carrying node, one full and one half full, so
-// the pick, both ranks and an emit that builds its packet whole (the
-// nil-buffer emit in the middle) are all in play; whichever backend the
-// active tier selects for the field is the one compared.
+// TestSplitEmitMatchesEmitInto: DrawInto followed by Fill — with other
+// emits of the same node in between, as a round stages them — produces
+// EmitInto's packet from the same draws and leaves the generator where
+// EmitInto does. Two generations of a payload-carrying node, one full and
+// one half full, so the pick, both ranks and an emit that builds its
+// packet whole (the nil-buffer emit in the middle) are all in play;
+// whichever backend the active tier selects for the field is the one
+// compared.
 func TestSplitEmitMatchesEmitInto(t *testing.T) {
 	const k, r = 8, 100
 	for _, q := range []int{4, 256, 251} {
@@ -394,8 +371,6 @@ func TestSplitEmitMatchesEmitInto(t *testing.T) {
 				return []any{wire(a), wire(b), next}
 			}
 			for seed := uint64(0); seed < 8; seed++ {
-				coretest.BothSides(t, seed, whole)
-				coretest.BothSides(t, seed, split)
 				if a, b := whole(core.NewRand(seed)), split(core.NewRand(seed)); !reflect.DeepEqual(a, b) {
 					t.Fatalf("seed %d: EmitInto %v\nsplit emit %v", seed, a, b)
 				}
@@ -423,7 +398,7 @@ func TestFillPayloadAfterReceivePanics(t *testing.T) {
 	if !ok || len(facs) != 1 {
 		t.Fatalf("DrawInto = %v, %v; want one factor", facs, ok)
 	}
-	for !n.Receive(src.Emit(rng)) {
+	for !n.ReceiveOwned(src.Emit(rng)) {
 	}
 	assertPanics(t, func() { n.Fill(p, facs) })
 }

@@ -24,17 +24,20 @@
 // backend selection never changes fixed-seed trajectories.
 //
 // Memory contract for the hot path: EmitInto fills a caller-owned Packet
-// whose backing arrays are reused, Receive/ReceiveOwned never retain
-// packet memory (surviving rows are copied into matrix-owned arenas), and
-// WouldHelp reduces in matrix scratch. A protocol that recycles packets
-// through a freelist therefore runs the steady-state send/receive cycle
-// with zero allocations.
+// whose backing arrays are reused; ReceiveOwned, the one receive, reduces
+// in the packet's own arrays (clobbering them: a caller that needs the
+// packet again passes a copy) and never retains packet memory (surviving
+// rows are copied into matrix-owned arenas); and WouldHelp reduces in
+// matrix scratch. A protocol that recycles packets through a freelist
+// therefore runs the steady-state send/receive cycle with zero
+// allocations. Every emit draws from a core.NewRand stream, the one
+// source the coefficient loops accept (core.Generator).
 //
 // An emit only reads its decoder: EmitInto, DrawInto and Fill write the
 // caller's packet, factor buffer and stream and nothing the node owns, so
 // concurrent emits from one node into distinct packets are safe as long
-// as nothing is received meanwhile. Receive, ReceiveOwned and WouldHelp
-// write the decoder and are not.
+// as nothing is received meanwhile. ReceiveOwned and WouldHelp write the
+// decoder and are not.
 package rlnc
 
 import (
@@ -242,8 +245,7 @@ type Node struct {
 	bit *linalg.BitMatrix    // bit backend (with payload rows when configured)
 	slc *linalg.SlicedMatrix // bit-sliced GF(2^m) backend
 
-	// Buffers sized on first use, which a seed (and in bit mode a Receive
-	// of a packet the node does not own) reduces in: words holds a
+	// Buffers sized on first use, which a seed reduces in: words holds a
 	// bit-mode row, or a sliced row followed by its payload planes; syms a
 	// bit-mode payload or a byte-row node's coefficients. Two slices, not
 	// one per use: a large simulation holds a node per generation per
@@ -510,7 +512,9 @@ func (n *Node) Fill(p *Packet, facs []gf.Elem) {
 // mirroring EmitInto's return. Simulators call it when the packet's fate
 // is already determined (e.g. the receiver is at full rank, where any
 // combination is unhelpful), so the trajectory-pinned random stream
-// advances identically while the combination work is skipped.
+// advances identically while the combination work is skipped. Over
+// GF(2^m) rng must be a core.NewRand stream, as for every emit
+// (core.Generator panics on any other source, advancing nothing).
 func (n *Node) SkipEmit(rng *rand.Rand) bool {
 	rank := n.Rank()
 	if rank == 0 {
@@ -518,16 +522,9 @@ func (n *Node) SkipEmit(rng *rand.Rand) bool {
 	}
 	if q := n.cfg.Field.Order(); q&(q-1) == 0 {
 		// Every backend draws one Uint64 per stored row over GF(2^m) (IntN
-		// of a power-of-two order is exactly one masked Uint64): on a
-		// core.NewRand stream that is one O(1) jump, on any other source
-		// the draws themselves.
-		if g := core.Generator(rng); g != nil {
-			g.Skip(rank)
-			return true
-		}
-		for i := 0; i < rank; i++ {
-			rng.Uint64()
-		}
+		// of a power-of-two order is exactly one masked Uint64): on the
+		// core.NewRand stream that is one O(1) jump.
+		core.Generator(rng).Skip(rank)
 		return true
 	}
 	for i := 0; i < rank; i++ {
@@ -582,26 +579,19 @@ func (n *Node) EmitReplayInto(p *Packet) bool {
 	return true
 }
 
-// Receive processes an incoming packet and reports whether it was helpful,
-// i.e. increased the node's rank (Definition 3). Unhelpful packets are
-// discarded, exactly as in the paper. The packet is neither modified nor
-// retained (reduction happens in node-owned scratch); callers that own
-// the packet and want to skip that defensive copy use ReceiveOwned.
-func (n *Node) Receive(p *Packet) bool { return n.receive(p, false) }
-
-// ReceiveOwned is Receive for callers that own the packet (pooled hot
-// path): reduction happens directly in the packet's backing arrays,
-// clobbering their contents, but the arrays are never retained — the
-// caller recycles the packet afterwards. Helpfulness, rank evolution and
-// randomness are identical to Receive.
-func (n *Node) ReceiveOwned(p *Packet) bool { return n.receive(p, true) }
-
-// receive screens p — malformed packets (wrong coefficient or payload
-// width, payload symbols at a rank-only node, a byte that is no field
-// symbol) can arrive from the network and are rejected instead of letting
-// the eliminator panic — and hands it to the backend, which may clobber
-// the packet's arrays only when owned.
-func (n *Node) receive(p *Packet, owned bool) bool {
+// ReceiveOwned processes an incoming packet and reports whether it was
+// helpful, i.e. increased the node's rank (Definition 3). Unhelpful
+// packets are discarded, exactly as in the paper. The caller owns the
+// packet (pooled hot path): reduction happens directly in the packet's
+// backing arrays, clobbering their contents, but the arrays are never
+// retained — the caller recycles the packet afterwards, and one that
+// needs the packet again passes a copy.
+//
+// The packet is screened first — malformed packets (wrong coefficient or
+// payload width, payload symbols at a rank-only node, a byte that is no
+// field symbol) can arrive from the network and are rejected instead of
+// letting the eliminator panic.
+func (n *Node) ReceiveOwned(p *Packet) bool {
 	if p == nil || p.Corrupt || p.IsZero() {
 		return false
 	}
@@ -620,11 +610,7 @@ func (n *Node) receive(p *Packet, owned bool) bool {
 		if ps > 0 {
 			pay = p.SlicedPay
 		}
-		if owned {
-			return n.slc.AddOwned(p.Sliced, pay)
-		}
-		// SlicedMatrix.Add reduces in matrix-owned scratch.
-		return n.slc.Add(p.Sliced, pay)
+		return n.slc.AddOwned(p.Sliced, pay)
 	}
 	if n.bit != nil {
 		if p.Bits == nil {
@@ -637,15 +623,7 @@ func (n *Node) receive(p *Packet, owned bool) bool {
 		if len(p.Payload) != extra || extra > 0 && !n.validSymbols(p.Payload) {
 			return false // rank-only: extra is 0 and a packet carrying payload is malformed
 		}
-		bits, pay := p.Bits, p.Payload[:extra]
-		if !owned {
-			// BitMatrix reduces its arguments in place: give it node-owned
-			// copies.
-			bits, pay = n.bitScratch()
-			copy(bits, p.Bits)
-			copy(pay, p.Payload)
-		}
-		return n.bit.AddPayload(bits, pay)
+		return n.bit.AddPayload(p.Bits, p.Payload)
 	}
 	if p.Coeffs == nil {
 		panic("rlnc: bit packet delivered to generic-mode node")
@@ -654,10 +632,7 @@ func (n *Node) receive(p *Packet, owned bool) bool {
 	if !ok {
 		return false
 	}
-	if owned {
-		return n.mat.AddOwned(p.Coeffs, payload)
-	}
-	return n.mat.Add(p.Coeffs, payload)
+	return n.mat.AddOwned(p.Coeffs, payload)
 }
 
 // screenGeneric is the generic backend's malformed-packet screen: exact
@@ -776,7 +751,7 @@ func (n *Node) validSliced(v linalg.SlicedVec) bool {
 // one. A wire packet carrying a byte that is no field symbol is
 // malformed on every backend (validSymbols) and adapts to nil.
 // Transports that pin a one-coefficient-per-symbol wire format call this
-// before Receive.
+// before ReceiveOwned.
 func (n *Node) Adapt(p *Packet) *Packet {
 	if p == nil {
 		return nil

@@ -15,6 +15,31 @@ func genericCfg(q, k, r int) Config {
 	return Config{Field: gf.MustNew(q), K: k, PayloadLen: r}
 }
 
+// copyPacket copies src into dst, reusing dst's arrays, and returns dst:
+// what a test hands ReceiveOwned, which clobbers the packet it is given,
+// when it needs src again.
+func copyPacket(dst, src *Packet) *Packet {
+	dst.Coeffs = copyInto(dst.Coeffs, src.Coeffs)
+	dst.Bits = copyInto(dst.Bits, src.Bits)
+	dst.Sliced = copyInto(dst.Sliced, src.Sliced)
+	dst.Payload = copyInto(dst.Payload, src.Payload)
+	dst.SlicedPay = copyInto(dst.SlicedPay, src.SlicedPay)
+	dst.Corrupt, dst.field = src.Corrupt, src.field
+	return dst
+}
+
+// clonePacket is copyPacket into a packet of its own.
+func clonePacket(p *Packet) *Packet { return copyPacket(&Packet{}, p) }
+
+// copyInto is append(dst[:0], src...) that keeps a nil src nil: the
+// receive path tells a packet's backend by which arrays are nil.
+func copyInto[S ~[]E, E any](dst, src S) S {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
+}
+
 func TestConfigValidation(t *testing.T) {
 	tests := []struct {
 		name string
@@ -103,7 +128,7 @@ func TestGossipPairConvergence(t *testing.T) {
 				if transmissions > 10000 {
 					t.Fatal("no convergence")
 				}
-				dst.Receive(src.Emit(rng))
+				dst.ReceiveOwned(src.Emit(rng))
 			}
 			// With q >= 2, expected transmissions ≈ k/(1-1/q); allow slack.
 			if transmissions > 40*cfg.K {
@@ -150,23 +175,23 @@ func TestReplayThenHonestDecodes(t *testing.T) {
 				src.Seed(msgs[i])
 			}
 			for relay.Rank() < 3 {
-				relay.Receive(src.Emit(rng))
+				relay.ReceiveOwned(src.Emit(rng))
 			}
 			pkt := &Packet{Payload: bytes.Repeat([]byte{byte(q - 1)}, 2*cfg.PayloadLen)}
 			if !relay.EmitReplayInto(pkt) || len(pkt.Payload) != cfg.PayloadLen {
 				t.Fatalf("replay into a recycled packet: %d payload bytes, want %d", len(pkt.Payload), cfg.PayloadLen)
 			}
-			if !dst.Receive(pkt) {
+			if !dst.ReceiveOwned(clonePacket(pkt)) {
 				t.Fatal("the first replay was not helpful to an empty node")
 			}
-			if dst.Receive(pkt) {
+			if dst.ReceiveOwned(pkt) {
 				t.Fatal("a replayed row helped twice")
 			}
 			for sent := 0; !dst.CanDecode(); sent++ {
 				if sent > 100*cfg.K {
 					t.Fatal("no convergence")
 				}
-				dst.Receive(src.Emit(rng))
+				dst.ReceiveOwned(src.Emit(rng))
 			}
 			got, err := dst.Decode()
 			if err != nil {
@@ -191,11 +216,11 @@ func TestDecodeBeforeFullRank(t *testing.T) {
 
 func TestReceiveNilAndZero(t *testing.T) {
 	n := MustNewNode(genericCfg(256, 3, 1))
-	if n.Receive(nil) {
+	if n.ReceiveOwned(nil) {
 		t.Error("nil packet must not help")
 	}
 	zero := &Packet{Coeffs: make([]gf.Elem, 3), Payload: make([]byte, 1)}
-	if n.Receive(zero) {
+	if n.ReceiveOwned(zero) {
 		t.Error("zero packet must not help")
 	}
 }
@@ -217,7 +242,7 @@ func TestReceiveMalformedLengths(t *testing.T) {
 		{Coeffs: []gf.Elem{0, 1, 0}},                           // missing payload
 	}
 	for i, p := range cases {
-		if n.Receive(p) {
+		if n.ReceiveOwned(p) {
 			t.Errorf("malformed packet %d reported helpful", i)
 		}
 		if n.WouldHelp(p) && len(p.Coeffs) != 3 {
@@ -243,7 +268,7 @@ func TestReceiveMalformedBits(t *testing.T) {
 		{Bits: stray},                 // stray high bit
 	}
 	for i, p := range cases {
-		if n.Receive(p) || n.WouldHelp(p) {
+		if n.ReceiveOwned(p) || n.WouldHelp(p) {
 			t.Errorf("malformed bit packet %d accepted", i)
 		}
 	}
@@ -275,7 +300,7 @@ func TestReceiveMalformedSymbols(t *testing.T) {
 				}
 				native := n.Adapt(wire())
 				if q == 256 {
-					if native == nil || !n.Receive(native) {
+					if native == nil || !n.ReceiveOwned(native) {
 						t.Errorf("GF(256) %s: %s row rejected, every byte is a symbol", name, row.name)
 					}
 					continue
@@ -289,8 +314,8 @@ func TestReceiveMalformedSymbols(t *testing.T) {
 				if row.name == "coefficients" && n.WouldHelp(wire()) {
 					t.Errorf("GF(%d) %s: WouldHelp accepted a coefficient >= q", q, name)
 				}
-				if n.Receive(wire()) || n.ReceiveOwned(wire()) {
-					t.Errorf("GF(%d) %s: Receive accepted a %s row with a byte >= q", q, name, row.name)
+				if n.ReceiveOwned(wire()) {
+					t.Errorf("GF(%d) %s: ReceiveOwned accepted a %s row with a byte >= q", q, name, row.name)
 				}
 			}
 			want := 0
@@ -319,7 +344,7 @@ func TestReceiveMalformedSliced(t *testing.T) {
 		{Sliced: stray},                            // stray high column
 	}
 	for i, p := range cases {
-		if n.Receive(p) || n.WouldHelp(p) {
+		if n.ReceiveOwned(p) || n.WouldHelp(p) {
 			t.Errorf("malformed sliced packet %d accepted", i)
 		}
 	}
@@ -343,7 +368,7 @@ func TestReceiveMalformedSliced(t *testing.T) {
 			if words > 0 {
 				p.SlicedPay = make(linalg.SlicedVec, words)
 			}
-			if np.Receive(p) || np.ReceiveOwned(p) {
+			if np.ReceiveOwned(p) {
 				t.Errorf("gf=%d: payload row of %d words accepted, want %d", q, words, want)
 			}
 		}
@@ -436,8 +461,8 @@ func TestBackendMismatchPanics(t *testing.T) {
 	genNode := MustNewNode(genericCfg(256, 3, 1))
 	genNode.Seed(Message{Index: 0, Payload: []byte{1}})
 	bitNode.Seed(Message{Index: 0})
-	assertPanics(t, func() { bitNode.Receive(genNode.Emit(core.NewRand(1))) })
-	assertPanics(t, func() { genNode.Receive(bitNode.Emit(core.NewRand(1))) })
+	assertPanics(t, func() { bitNode.ReceiveOwned(genNode.Emit(core.NewRand(1))) })
+	assertPanics(t, func() { genNode.ReceiveOwned(bitNode.Emit(core.NewRand(1))) })
 }
 
 func assertPanics(t *testing.T, fn func()) {
@@ -523,7 +548,7 @@ func TestFullRLNCRoundTripQuick(t *testing.T) {
 		}
 		dst := MustNewNode(cfg)
 		for i := 0; i < 1000 && !dst.CanDecode(); i++ {
-			dst.Receive(src.Emit(rng))
+			dst.ReceiveOwned(src.Emit(rng))
 		}
 		decoded, err := dst.Decode()
 		if err != nil {

@@ -119,8 +119,8 @@ func TestSlicedGenericEquivalence(t *testing.T) {
 				if slcDst.WouldHelp(sp) != genDst.WouldHelp(gp) {
 					t.Fatalf("step %d: WouldHelp disagrees", step)
 				}
-				if slcDst.Receive(sp) != genDst.Receive(gp) {
-					t.Fatalf("step %d: Receive helpfulness disagrees", step)
+				if slcDst.ReceiveOwned(sp) != genDst.ReceiveOwned(gp) {
+					t.Fatalf("step %d: ReceiveOwned helpfulness disagrees", step)
 				}
 				if slcDst.Rank() != genDst.Rank() {
 					t.Fatalf("step %d: ranks diverged (%d vs %d)", step, slcDst.Rank(), genDst.Rank())
@@ -168,7 +168,7 @@ func TestSlicedAdaptRoundTrip(t *testing.T) {
 	if !bytes.Equal(native.ExpandPayload(3), wire.Payload) {
 		t.Fatal("sliced pack/expand round trip lost payload")
 	}
-	if !slcNode.Receive(native) {
+	if !slcNode.ReceiveOwned(native) {
 		t.Fatal("adapted packet should be helpful")
 	}
 	back := genNode.Adapt(slcNode.Emit(core.NewRand(3)))
@@ -215,7 +215,7 @@ func TestAdaptSlicedToRankOnlyGeneric(t *testing.T) {
 	if adapted == nil || len(adapted.Coeffs) != 4 {
 		t.Fatal("cross-backend adapt failed")
 	}
-	if !rankOnly.Receive(adapted) {
+	if !rankOnly.ReceiveOwned(adapted) {
 		t.Fatal("adapted packet should be helpful to an empty node")
 	}
 }

@@ -225,7 +225,7 @@ grep -v -E "^$mod/(bench|cmd|examples)/" func.txt | awk '$NF == "0.0%" && $1 != 
   done >unreached.txt
 # A package no entry point links is unreached as a whole: "package *".
 linked=$(awk 'NR > 1 { f = $1; sub(/:.*/, "", f); sub(/\/[^\/]*$/, "", f); print f }' profile.txt | sort -u)
-(cd "$root" && go list ./internal/...) | grep -v -E '/(coretest|harnesstest|simtest)$' |
+(cd "$root" && go list ./internal/...) | grep -v -E '/(harnesstest|simtest)$' |
   while read -r pkg; do
     grep -q -x "$pkg" <<<"$linked" || echo "${pkg#"$mod"/} *"
   done >>unreached.txt
