@@ -7,14 +7,14 @@
 // the baselines hold whichever machine last refreshed them, and the
 // timing verdict is bench/'s paired `-compare` of base vs head on one
 // runner. Two baselines are gated in CI: the coding kernels
-// (BENCH_BASELINE.json, ./internal/gf ./internal/linalg ./internal/rlnc
-// ./internal/wire) and the whole-simulation macro suite (BENCH_SIM.json,
-// root BenchmarkSim*).
+// (BENCH_BASELINE.json, ./internal/core ./internal/gf ./internal/linalg
+// ./internal/rlnc ./internal/wire) and the whole-simulation macro suite
+// (BENCH_SIM.json, root BenchmarkSim*).
 //
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem -benchtime 200ms \
-//	    ./internal/gf ./internal/linalg ./internal/rlnc ./internal/wire \
+//	    ./internal/core ./internal/gf ./internal/linalg ./internal/rlnc ./internal/wire \
 //	    | go run ./cmd/benchdelta -baseline BENCH_BASELINE.json -out bench_new.json
 //
 //	go test -run '^$' -bench '^BenchmarkSim' -benchmem -benchtime 1x -count 3 . \

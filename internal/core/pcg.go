@@ -66,15 +66,27 @@ func (j *pcgJump) apply(hi, lo uint64) (uint64, uint64) {
 // takes the last entry repeatedly.
 const pcgSkipMax = 256
 
-// pcgSkip[n] is the jump of n draws: entry 0 the identity, entry n+1 one
-// more step applied to entry n.
-var pcgSkip = func() (t [pcgSkipMax + 1]pcgJump) {
+// pcgTable holds the jumps of 0..pcgSkipMax draws, one column per word,
+// so that the draw-block kernels (pcgblock_amd64.s) load the jumps of eight
+// consecutive draws with one vector load per word; Skip reads one row.
+type pcgTable struct {
+	mulHi, mulLo, addHi, addLo [pcgSkipMax + 1]uint64
+}
+
+// jump returns the jump of n draws, 0 <= n <= pcgSkipMax.
+func (t *pcgTable) jump(n int) pcgJump {
+	return pcgJump{t.mulHi[n], t.mulLo[n], t.addHi[n], t.addLo[n]}
+}
+
+// pcgSkip's row n is the jump of n draws: row 0 the identity, row n+1 one
+// more step applied to row n.
+var pcgSkip = func() (t pcgTable) {
 	mul := pcgJump{pcgMulHi, pcgMulLo, 0, 0}
 	step := pcgJump{pcgMulHi, pcgMulLo, pcgIncHi, pcgIncLo}
-	t[0].mulLo = 1
+	t.mulLo[0] = 1
 	for n := range pcgSkipMax {
-		t[n+1].mulHi, t[n+1].mulLo = mul.apply(t[n].mulHi, t[n].mulLo)
-		t[n+1].addHi, t[n+1].addLo = step.apply(t[n].addHi, t[n].addLo)
+		t.mulHi[n+1], t.mulLo[n+1] = mul.apply(t.mulHi[n], t.mulLo[n])
+		t.addHi[n+1], t.addLo[n+1] = step.apply(t.addHi[n], t.addLo[n])
 	}
 	return t
 }()
@@ -83,9 +95,11 @@ var pcgSkip = func() (t [pcgSkipMax + 1]pcgJump) {
 // of Uint64 would.
 func (p *PCG) Skip(n int) {
 	for ; n > pcgSkipMax; n -= pcgSkipMax {
-		p.hi, p.lo = pcgSkip[pcgSkipMax].apply(p.hi, p.lo)
+		j := pcgSkip.jump(pcgSkipMax)
+		p.hi, p.lo = j.apply(p.hi, p.lo)
 	}
-	p.hi, p.lo = pcgSkip[n].apply(p.hi, p.lo)
+	j := pcgSkip.jump(n)
+	p.hi, p.lo = j.apply(p.hi, p.lo)
 }
 
 // Generator returns the *PCG that r draws from. Every stream in the

@@ -16,8 +16,9 @@ type Features struct {
 	// HasAVX2 reports AVX2 with OS-enabled YMM state: the 32-byte-wide
 	// PSHUFB split-nibble and plane-XOR kernels require it.
 	HasAVX2 bool
-	// HasAVX512 reports AVX-512 F, BW and VL with OS-enabled opmask and
-	// ZMM state: the 64-byte-wide kernels of the gfni512 tier require it.
+	// HasAVX512 reports AVX-512 F, DQ, BW and VL with OS-enabled opmask
+	// and ZMM state: the 64-byte-wide kernels of the gfni512 tier require
+	// it, and core's draw blocks multiply 64-bit lanes (VPMULLQ, DQ).
 	HasAVX512 bool
 	// HasGFNI reports the Galois Field New Instructions bit. The VEX-
 	// encoded VGF2P8AFFINEQB kernels additionally need AVX2 (checked by
@@ -48,11 +49,11 @@ func Decode(ecx1, ebx7, ecx7, xcr0 uint32) Features {
 	avx := ecx1&(1<<28) != 0
 	ymmOS := ecx1&(1<<27) != 0 && xcr0&xcr0YMM == xcr0YMM
 	zmmOS := ymmOS && xcr0&xcr0ZMM == xcr0ZMM
-	const f, bw, vl = 1 << 16, 1 << 30, 1 << 31
+	const f, dq, bw, vl = 1 << 16, 1 << 17, 1 << 30, 1 << 31
 	return Features{
 		HasSSSE3:  ecx1&(1<<9) != 0,
 		HasAVX2:   avx && ymmOS && ebx7&(1<<5) != 0,
-		HasAVX512: avx && zmmOS && ebx7&(f|bw|vl) == f|bw|vl,
+		HasAVX512: avx && zmmOS && ebx7&(f|dq|bw|vl) == f|dq|bw|vl,
 		HasGFNI:   ecx7&(1<<8) != 0,
 	}
 }

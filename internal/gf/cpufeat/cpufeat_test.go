@@ -43,10 +43,10 @@ func TestSummaryConsistent(t *testing.T) {
 // that saves YMM but not the opmask/ZMM state is AVX2 only.
 func TestDecodeRequiresOSState(t *testing.T) {
 	const (
-		ecx1 = 1<<9 | 1<<27 | 1<<28         // SSSE3, OSXSAVE, AVX
-		ebx7 = 1<<5 | 1<<16 | 1<<30 | 1<<31 // AVX2, AVX-512 F/BW/VL
-		ecx7 = 1 << 8                       // GFNI
-		full = 0x7 | 1<<5 | 1<<6 | 1<<7     // x87, SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM
+		ecx1 = 1<<9 | 1<<27 | 1<<28                 // SSSE3, OSXSAVE, AVX
+		ebx7 = 1<<5 | 1<<16 | 1<<17 | 1<<30 | 1<<31 // AVX2, AVX-512 F/DQ/BW/VL
+		ecx7 = 1 << 8                               // GFNI
+		full = 0x7 | 1<<5 | 1<<6 | 1<<7             // x87, SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM
 	)
 	for _, tc := range []struct {
 		name             string
@@ -61,6 +61,7 @@ func TestDecodeRequiresOSState(t *testing.T) {
 		{"no YMM state", ecx1, ebx7, full &^ (1 << 2), false, false},
 		{"no OSXSAVE", ecx1 &^ (1 << 27), ebx7, full, false, false},
 		{"no AVX", ecx1 &^ (1 << 28), ebx7, full, false, false},
+		{"no DQ", ecx1, ebx7 &^ (1 << 17), full, true, false},
 		{"no BW", ecx1, ebx7 &^ (1 << 30), full, true, false},
 		{"no VL", ecx1, ebx7 &^ (1 << 31), full, true, false},
 		{"F only", ecx1, 1<<5 | 1<<16, full, true, false},

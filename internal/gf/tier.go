@@ -12,10 +12,11 @@ package gf
 //	avx2     amd64 assembly: 32-byte PSHUFB split-nibble lookup.
 //	gfni     avx2 plus VGF2P8AFFINEQB — one instruction computes c*x for
 //	         32 bytes via the 8x8 GF(2) matrix of "multiply by c".
-//	gfni512  gfni plus AVX-512 (F/BW/VL, with the OS saving opmask and
-//	         ZMM state): the fused four-row pass runs on 64-byte ZMM
-//	         registers, 128 bytes an iteration; every other kernel is
-//	         gfni's.
+//	gfni512  gfni plus AVX-512 (F/DQ/BW/VL, with the OS saving opmask
+//	         and ZMM state): the fused four-row pass runs on 64-byte ZMM
+//	         registers, 128 bytes an iteration, and linalg's emits draw
+//	         their coefficients eight at a time (core.PCG's draw blocks);
+//	         every other kernel is gfni's.
 //
 // On gfni and gfni512 a coefficient row — a multiple of 32 bytes, at
 // most 256 — is also reduced against a whole echelon form (ReduceRows)

@@ -356,25 +356,30 @@ func mustGF2m(t *testing.T, order int) *GF2m {
 
 // TestTierOfNeedsOSState: gfni512 is chosen only when cpufeat reports
 // AVX-512 usable — which Decode refuses without OS-saved opmask and ZMM
-// state — and every tier needs its own features.
+// state, or without each of F, DQ, BW and VL — and every tier needs its
+// own features.
 func TestTierOfNeedsOSState(t *testing.T) {
 	const (
 		ecx1 = 1<<9 | 1<<27 | 1<<28
-		ebx7 = 1<<5 | 1<<16 | 1<<30 | 1<<31
+		ebx7 = 1<<5 | 1<<16 | 1<<17 | 1<<30 | 1<<31
 		gfni = 1 << 8
 	)
 	for _, tc := range []struct {
-		name       string
-		ecx7, xcr0 uint32
-		want       Tier
+		name             string
+		ebx7, ecx7, xcr0 uint32
+		want             Tier
 	}{
-		{"avx512+gfni, ZMM state saved", gfni, 0xE7, TierGFNI512},
-		{"avx512+gfni, no ZMM state", gfni, 0x07, TierGFNI},
-		{"avx512+gfni, no opmask state", gfni, 0xC7, TierGFNI},
-		{"avx512, no gfni", 0, 0xE7, TierAVX2},
-		{"no YMM state", gfni, 0x03, TierScalar},
+		{"avx512+gfni, ZMM state saved", ebx7, gfni, 0xE7, TierGFNI512},
+		{"avx512+gfni, no ZMM state", ebx7, gfni, 0x07, TierGFNI},
+		{"avx512+gfni, no opmask state", ebx7, gfni, 0xC7, TierGFNI},
+		{"avx512+gfni, no F", ebx7 &^ (1 << 16), gfni, 0xE7, TierGFNI},
+		{"avx512+gfni, no DQ", ebx7 &^ (1 << 17), gfni, 0xE7, TierGFNI},
+		{"avx512+gfni, no BW", ebx7 &^ (1 << 30), gfni, 0xE7, TierGFNI},
+		{"avx512+gfni, no VL", ebx7 &^ (1 << 31), gfni, 0xE7, TierGFNI},
+		{"avx512, no gfni", ebx7, 0, 0xE7, TierAVX2},
+		{"no YMM state", ebx7, gfni, 0x03, TierScalar},
 	} {
-		if got := tierOf(cpufeat.Decode(ecx1, ebx7, tc.ecx7, tc.xcr0)); got != tc.want {
+		if got := tierOf(cpufeat.Decode(ecx1, tc.ebx7, tc.ecx7, tc.xcr0)); got != tc.want {
 			t.Errorf("%s: tier %v, want %v", tc.name, got, tc.want)
 		}
 	}

@@ -362,9 +362,15 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 	// core.NewRand stream, whose Uint64 inlines into the loop.
 	g := core.Generator(rng)
 	if m.extra == 0 {
+		if (m.words == 1 || m.words == 2 || m.words == 4) && drawsInBlocks(len(m.pivot)) {
+			// The same coins, eight a ZMM step, fused with the XORs.
+			g.XorCoinRows(m.flat, out)
+			return true
+		}
 		// Branchless accumulation for the common packed widths: the coin
 		// flip becomes a mask, so the emit loop has no data-dependent
 		// branches (one draw per row, exactly as the generic contract).
+		// These loops are also the block kernel's oracle.
 		switch m.words {
 		case 1:
 			var a0 uint64
@@ -397,6 +403,20 @@ func (m *BitMatrix) RandomCombinationInto(rng *rand.Rand, out BitVec, pay []byte
 	}
 	return true
 }
+
+// drawBlockMin is the fewest draws an emit takes in blocks. One block is
+// a latency chain — the eight states, DXSM's multiply, the fold — worth
+// about five inlined draws: on one-word rows at rank 1–4 the Uint64 loop
+// took 11–28 ns against the kernel's 27–37, they met at rank 6, and from
+// rank 8 the kernel led (36 against 53 ns).
+const drawBlockMin = 8
+
+// drawsInBlocks reports whether an emit of n draws takes them eight at a
+// time (core.PCG.XorCoinRows and DrawBytes, DESIGN.md "Draw blocks"): on
+// the gfni512 tier, whose AVX-512 the block kernels need, from one whole
+// block up. The draws are the same either way; otherwise the Uint64
+// loops run.
+func drawsInBlocks(n int) bool { return n >= drawBlockMin && gf.ActiveTier() >= gf.TierGFNI512 }
 
 // combine4 is RandomCombinationInto's rank-only four-word case, out of
 // line like reduce4.

@@ -295,7 +295,9 @@ func BenchmarkBitMatrixAdd256(b *testing.B) { benchBitAdd(b, 256) }
 
 // benchBitEmit is RandomCombinationInto at rank cols/2 of a rank-only
 // cols-column matrix, drawing from a core.NewRand stream: the emit half
-// of a sweep_rank GF(2) node.
+// of a sweep_rank GF(2) node. 16 and 64 columns are one-word rows
+// (fabric_sweep's k and the barbell cell's), 128 two and 256 four; on
+// gfni512 each draws in blocks (core.PCG.XorCoinRows).
 func benchBitEmit(b *testing.B, cols int) {
 	rng := core.NewRand(1)
 	m := NewBitMatrix(cols)
@@ -314,6 +316,8 @@ func benchBitEmit(b *testing.B, cols int) {
 	}
 }
 
+func BenchmarkBitMatrixEmit16(b *testing.B)  { benchBitEmit(b, 16) }
+func BenchmarkBitMatrixEmit64(b *testing.B)  { benchBitEmit(b, 64) }
 func BenchmarkBitMatrixEmit128(b *testing.B) { benchBitEmit(b, 128) }
 func BenchmarkBitMatrixEmit256(b *testing.B) { benchBitEmit(b, 256) }
 

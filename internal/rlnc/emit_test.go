@@ -222,7 +222,11 @@ func sameState(a, b *rand.Rand) bool { return *core.Generator(a) == *core.Genera
 // bit-sliced emits with subset tables and without (k > 256), and the
 // prime field, which SkipEmit draws through gf.Rand. Two generations,
 // one full and one half full, so the pick is drawn; one case has a
-// single generation, which draws no pick.
+// single generation, which draws no pick. Packed bits run at k = 16, 64,
+// 128 and 256 too, one-, two- and four-word rows at the widths the
+// workloads run. Every case runs under each kernel tier the host has:
+// on gfni512 the rank-only packed emits and the byte-row factors draw in
+// blocks (core.PCG.XorCoinRows, DrawBytes), below it through Uint64.
 func TestEmitDrawContract(t *testing.T) {
 	type build struct {
 		name   string
@@ -235,6 +239,9 @@ func TestEmitDrawContract(t *testing.T) {
 		{"bit/1word", 2, 16, 0, 'b', 2},
 		{"bit/2words", 2, 128, 0, 'b', 2},
 		{"bit/4words", 2, 200, 0, 'b', 2},
+		{"bit/k=64", 2, 64, 0, 'b', 2},
+		{"bit/k=256", 2, 256, 0, 'b', 2},
+		{"bit/k=256/one-generation", 2, 256, 0, 'b', 1},
 		{"bit/general+payload", 2, 16, 8, 'b', 2},
 		{"rows/gf256", 256, 40, 0, 'r', 2},
 		{"rows/gf16+payload", 16, 40, 24, 'r', 2},
@@ -244,34 +251,43 @@ func TestEmitDrawContract(t *testing.T) {
 		{"prime", 251, 40, 0, 'r', 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			f := gf.MustNew(c.q)
-			inner := Config{Field: f, PayloadLen: c.r, RankOnly: c.r == 0, ForceGeneric: c.layout == 'r'}
-			cfg := GenConfig{Inner: inner, K: c.gens * c.k, GenSize: c.k}
-			var n *GenNode
-			if c.layout == 's' {
-				buildSliced(t, func() { n = mustGenNode(t, cfg) })
-			} else {
-				n = mustGenNode(t, cfg)
+			for _, tier := range gf.AvailableTiers() {
+				t.Run(tier.String(), func(t *testing.T) {
+					host := gf.ActiveTier()
+					defer func() { _ = gf.SetTier(host) }()
+					if err := gf.SetTier(tier); err != nil {
+						t.Fatal(err)
+					}
+					f := gf.MustNew(c.q)
+					inner := Config{Field: f, PayloadLen: c.r, RankOnly: c.r == 0, ForceGeneric: c.layout == 'r'}
+					cfg := GenConfig{Inner: inner, K: c.gens * c.k, GenSize: c.k}
+					var n *GenNode
+					if c.layout == 's' {
+						buildSliced(t, func() { n = mustGenNode(t, cfg) })
+					} else {
+						n = mustGenNode(t, cfg)
+					}
+					layout := byte('r')
+					switch sub := n.subs[0]; {
+					case sub.BitMode():
+						layout = 'b'
+					case sub.SlicedMode():
+						layout = 's'
+					}
+					if layout != c.layout {
+						t.Fatalf("built layout %c, want %c", layout, c.layout)
+					}
+					seeds := core.NewRand(uint64(c.q*1000 + c.k))
+					for idx := 0; idx < cfg.K-c.k/2; idx++ {
+						msg := Message{Index: idx}
+						if c.r > 0 {
+							msg.Payload = gf.RandBytes(f, c.r, seeds)
+						}
+						n.Seed(msg)
+					}
+					checkDrawContract(t, n)
+				})
 			}
-			layout := byte('r')
-			switch sub := n.subs[0]; {
-			case sub.BitMode():
-				layout = 'b'
-			case sub.SlicedMode():
-				layout = 's'
-			}
-			if layout != c.layout {
-				t.Fatalf("built layout %c, want %c", layout, c.layout)
-			}
-			seeds := core.NewRand(uint64(c.q*1000 + c.k))
-			for idx := 0; idx < cfg.K-c.k/2; idx++ {
-				msg := Message{Index: idx}
-				if c.r > 0 {
-					msg.Payload = gf.RandBytes(f, c.r, seeds)
-				}
-				n.Seed(msg)
-			}
-			checkDrawContract(t, n)
 		})
 	}
 }
