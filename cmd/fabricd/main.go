@@ -51,7 +51,7 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "coordinator":
-		err = runCoordinator(os.Args[2:], os.Stdout)
+		err = runCoordinator(os.Args[2:], os.Stdout, os.Stderr)
 	case "worker":
 		err = runWorker(os.Args[2:], os.Stdout)
 	case "status":
@@ -68,8 +68,9 @@ func main() {
 }
 
 // runCoordinator serves a sweep spec to workers and writes the merged
-// CSV when the last trial lands.
-func runCoordinator(args []string, stdout io.Writer) (err error) {
+// CSV when the last trial lands. Its first stderr line names the address
+// it listens on (-listen 127.0.0.1:0 picks a free port).
+func runCoordinator(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("coordinator", flag.ContinueOnError)
 	// The Spec is sweep's, word for word, so the merged CSV can be checked
 	// against `sweep -parallel 1` on the same command line.
@@ -121,9 +122,9 @@ func runCoordinator(args []string, stdout io.Writer) (err error) {
 		start := time.Now()
 		opts.Progress = func(done, total int) {
 			rate := float64(done) / time.Since(start).Seconds()
-			fmt.Fprintf(os.Stderr, "\rfabricd: %d/%d trials (%.1f trials/sec)   ", done, total, rate)
+			fmt.Fprintf(stderr, "\rfabricd: %d/%d trials (%.1f trials/sec)   ", done, total, rate)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
@@ -131,7 +132,7 @@ func runCoordinator(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "fabricd: coordinating %q on %s\n", spec.Name, c.Addr())
+	fmt.Fprintf(stderr, "fabricd: coordinating %q on %s\n", spec.Name, c.Addr())
 
 	// Open the output before serving a single lease, so an unwritable
 	// path fails before any compute is spent.
@@ -164,7 +165,7 @@ func runCoordinator(args []string, stdout io.Writer) (err error) {
 		return err
 	}
 	resumed := len(rs.Trials) - rs.Executed
-	fmt.Fprintf(os.Stderr, "fabricd: %d trials (%d executed by workers, %d resumed) in %v\n",
+	fmt.Fprintf(stderr, "fabricd: %d trials (%d executed by workers, %d resumed) in %v\n",
 		len(rs.Trials), rs.Executed, resumed, rs.Elapsed.Round(time.Millisecond))
 	return nil
 }

@@ -1,17 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"algossip/internal/harness"
 	"algossip/internal/harness/harnesstest"
@@ -28,31 +27,23 @@ const goldenCSV = "graph,protocol,model,n,k,trial,rounds\n" +
 	"line-12,uniform-ag,synchronous,12,6,0,28\n" +
 	"line-12,uniform-ag,synchronous,12,6,1,24\n"
 
-// freeAddr reserves an ephemeral port and releases it for the
-// coordinator to rebind.
-func freeAddr(t *testing.T) string {
+// listening starts a coordinator on a free port and returns its base URL,
+// read off its first stderr line, and the channel its result arrives on.
+func listening(t *testing.T, args []string) (string, <-chan error) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- runCoordinator(append([]string{"-listen", "127.0.0.1:0"}, args...), io.Discard, pw)
+		_ = pw.Close()
+	}()
+	lines := bufio.NewScanner(pr)
+	if !lines.Scan() {
+		t.Fatalf("coordinator exited without announcing its address: %v", <-done)
 	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-	return addr
-}
-
-func waitServing(t *testing.T, base string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/status")
-		if err == nil {
-			_ = resp.Body.Close()
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("coordinator at %s never started serving", base)
+	_, addr, _ := strings.Cut(lines.Text(), " on ")
+	go func() { _, _ = io.Copy(io.Discard, pr) }()
+	return "http://" + addr, done
 }
 
 // localPoolCSV is what `sweep -parallel 1` writes for the same experiment
@@ -107,22 +98,16 @@ func TestFabricdEndToEnd(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			addr := freeAddr(t)
 			out := filepath.Join(dir, "fab.csv")
 			storePath := filepath.Join(dir, "results.jsonl")
-
-			coordDone := make(chan error, 1)
-			go func() {
-				coordDone <- runCoordinator(append([]string{
-					"-session", "ci", "-listen", addr, "-checkpoint", filepath.Join(dir, "fab.ckpt"),
-					"-store", storePath, "-out", out, "-lease-chunk", "2",
-				}, c.words...), io.Discard)
-			}()
-			waitServing(t, "http://"+addr)
+			base, coordDone := listening(t, append([]string{
+				"-session", "ci", "-checkpoint", filepath.Join(dir, "fab.ckpt"),
+				"-store", storePath, "-out", out, "-lease-chunk", "2",
+			}, c.words...))
 
 			var wbuf bytes.Buffer
 			if err := runWorker([]string{
-				"-coordinator", "http://" + addr, "-parallel", "2", "-name", "w0",
+				"-coordinator", base, "-parallel", "2", "-name", "w0",
 			}, &wbuf); err != nil {
 				t.Fatalf("worker: %v", err)
 			}
@@ -133,7 +118,7 @@ func TestFabricdEndToEnd(t *testing.T) {
 			// The coordinator lingers after completion; status must report
 			// the finished counters while it does.
 			var sbuf bytes.Buffer
-			if err := runStatus([]string{"-coordinator", "http://" + addr}, &sbuf); err != nil {
+			if err := runStatus([]string{"-coordinator", base}, &sbuf); err != nil {
 				t.Fatalf("status: %v", err)
 			}
 			if !strings.Contains(sbuf.String(), `"done":4`) {
@@ -242,8 +227,10 @@ func TestQueryFlagConvention(t *testing.T) {
 }
 
 func TestFabricdRejectsBadFlags(t *testing.T) {
-	harnesstest.RejectsBadSpecWords(t, runCoordinator)
-	if err := runCoordinator([]string{"-resume"}, io.Discard); err == nil {
+	harnesstest.RejectsBadSpecWords(t, func(args []string, stdout io.Writer) error {
+		return runCoordinator(args, stdout, io.Discard)
+	})
+	if err := runCoordinator([]string{"-resume"}, io.Discard, io.Discard); err == nil {
 		t.Error("-resume without -checkpoint accepted")
 	}
 	// An unbuildable field used to start the coordinator and kill its first
@@ -254,7 +241,7 @@ func TestFabricdRejectsBadFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	err = runCoordinator([]string{"-q", "6", "-sizes", "16", "-listen", ln.Addr().String()}, io.Discard)
+	err = runCoordinator([]string{"-q", "6", "-sizes", "16", "-listen", ln.Addr().String()}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "supported: 2, 4, 8") {
 		t.Errorf("coordinator -q 6: %v, want a refusal naming the supported orders", err)
 	}

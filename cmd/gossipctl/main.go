@@ -15,12 +15,12 @@
 //
 //	gossipctl run -procs 48 -graph ring -n 48 -k 8 -loss 0.1 -timeout 120s
 //
-// which with -byzantine, -chaos-latency and -partition-after also covers
-// the chaos recipe: Byzantine processes corrupting every frame, injected
-// link latency, and a mid-run partition that heals before convergence.
-//
-// which builds gossipd, spawns the processes, seeds round-robin, starts,
-// waits for convergence, drains, and reports the stopping tick.
+// which builds gossipd, spawns the processes, tells each where every
+// node's gossip socket is, seeds round-robin, starts, waits for
+// convergence, drains, and reports the stopping tick. With -byzantine,
+// -chaos-latency and -partition-after it also covers the chaos recipe:
+// Byzantine processes corrupting every frame, injected link latency, and
+// a mid-run partition that heals before convergence.
 package main
 
 import (
@@ -37,6 +37,7 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/daemon"
+	"algossip/internal/gf"
 	"algossip/internal/livectl"
 )
 
@@ -89,25 +90,19 @@ func runDeployment(args []string) error {
 		return err
 	}
 	defer c.Stop()
-	if err := c.WaitHealthy(ctx); err != nil {
-		return err
-	}
 	fmt.Printf("gossipctl: %d processes hosting %d nodes healthy in %v\n",
 		c.Procs(), c.N(), time.Since(start).Round(time.Millisecond))
 
 	var payloads [][]byte
 	if opts.PayloadLen > 0 {
-		rng := core.NewRand(core.SplitSeed(opts.Seed, 50))
+		q := opts.Q
+		if q == 0 {
+			q = 256 // the runtime's default field
+		}
+		field, rng := gf.MustNew(q), core.NewRand(core.SplitSeed(opts.Seed, 50))
 		payloads = make([][]byte, opts.K)
 		for i := range payloads {
-			payloads[i] = make([]byte, opts.PayloadLen)
-			for j := range payloads[i] {
-				sym := rng.Uint64()
-				if opts.Q > 0 { // every byte is a symbol of the default field
-					sym %= uint64(opts.Q)
-				}
-				payloads[i][j] = byte(sym)
-			}
+			payloads[i] = gf.RandBytes(field, opts.PayloadLen, rng)
 		}
 	}
 	if err := c.SeedRoundRobin(ctx, payloads); err != nil {

@@ -2,11 +2,13 @@
 // algebraic-gossip cluster over real TCP or UDP sockets and exposes an
 // HTTP control plane (health, Prometheus metrics, seed/start/topology/
 // kill/drain). A multi-process deployment runs N gossipd processes with
-// disjoint -nodes sets and a shared -peers map; drive them with
-// cmd/gossipctl. SIGTERM (or SIGINT, or POST /drain) drains gracefully:
-// node goroutines stop, sockets close, exit status 0.
+// disjoint -nodes sets: gossipctl run reads each node's ephemeral gossip
+// address from GET /status and declares the whole map to every process
+// (POST /peers); by hand, give each the same -peers map. SIGTERM (or
+// SIGINT, or POST /drain) drains gracefully: node goroutines stop,
+// sockets close, exit status 0.
 //
-// Example — a two-process 4-node ring under 10% loss:
+// Example — a two-process 4-node ring under 10% loss on declared addresses:
 //
 //	gossipd -nodes 0,1 -peers 0=127.0.0.1:9000,1=127.0.0.1:9001,2=127.0.0.1:9002,3=127.0.0.1:9003 \
 //	        -graph ring -n 4 -k 2 -loss 0.1 -http 127.0.0.1:8080 &
@@ -44,7 +46,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs.StringVar(&opts.HTTPAddr, "http", "", "control/metrics listen address (default: an ephemeral loopback port)")
 	fs.DurationVar(&opts.ShutdownTimeout, "shutdown-timeout", 0, "drain bound for in-flight control requests (0 = 5s default)")
 	nodes := fs.String("nodes", "", "comma-separated local node ids (required)")
-	peers := fs.String("peers", "", "node address map: id=host:port,... (all nodes of the deployment)")
+	peers := fs.String("peers", "", "node address map: id=host:port,... (default: ephemeral ports, declared later with POST /peers)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

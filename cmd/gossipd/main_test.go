@@ -50,6 +50,9 @@ func TestRunRefusesBadCommandLines(t *testing.T) {
 		{},                             // -nodes is required
 		{"-nodes", "0,x"},              // not a node list
 		{"-nodes", "0", "-peers", "0"}, // not id=addr
+		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "4=127.0.0.1:9004"}, // no node 4
+		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "-1=127.0.0.1:9000"},
+		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "1=127.0.0.1"}, // no port
 		{"-nodes", "0", "-n", "4", "-graph", "nosuch"},
 		{"-nodes", "0", "-n", "4", "-transport", "carrier-pigeon"},
 		{"-nosuchflag"},

@@ -1,10 +1,12 @@
 // Package daemon is the long-running network-runtime process behind
 // cmd/gossipd: it hosts a subset of a gossip cluster's nodes over a real
 // (TCP or UDP) transport and exposes an HTTP control plane — health,
-// Prometheus-text metrics, seeding, start gating, topology swaps, kill
-// injection, and graceful drain. A multi-process deployment is N daemons
-// with disjoint Local sets and a shared peer address map; a controller
-// (internal/livectl, cmd/gossipctl) drives them over HTTP.
+// Prometheus-text metrics, peer declaration, seeding, start gating,
+// topology swaps, kill injection, and graceful drain. A multi-process
+// deployment is N daemons with disjoint Local sets; a controller
+// (internal/livectl, cmd/gossipctl) reads each one's gossip addresses
+// from GET /status, declares them all to every daemon with POST /peers,
+// then drives them over HTTP.
 package daemon
 
 import (
@@ -14,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -42,8 +45,9 @@ type Options struct {
 	Transport string
 	// Local are the graph nodes hosted by this process.
 	Local []core.NodeID
-	// Peers maps every node of the deployment (local and remote) to its
-	// gossip listen address.
+	// Peers, optional, maps nodes to gossip addresses: a local node binds
+	// its entry (else an ephemeral loopback port), a remote one is sent
+	// to it. POST /peers declares more later.
 	Peers map[core.NodeID]string
 	// GraphName, GraphN and GraphSeed rebuild the shared topology via
 	// graph.FromName (GraphSeed feeds the rng of random families).
@@ -114,6 +118,7 @@ const defaultShutdownTimeout = 5 * time.Second
 type socketTransport interface {
 	runtime.Transport
 	SetPeers(peers map[core.NodeID]string)
+	Addr(id core.NodeID) (string, bool)
 }
 
 // newTransport builds the named wire transport.
@@ -149,6 +154,9 @@ func New(opts Options) (*Daemon, error) {
 	g, err := graph.FromName(opts.GraphName, opts.GraphN, core.NewRand(opts.GraphSeed))
 	if err != nil {
 		return nil, fmt.Errorf("daemon: graph: %w", err)
+	}
+	if err := checkPeers(opts.Peers, g.N()); err != nil {
+		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	base, err := newTransport(opts.Transport)
 	if err != nil {
@@ -294,14 +302,35 @@ type StatusResponse struct {
 	// features ("gfni (avx2 gfni ssse3)"), so a fleet operator can audit
 	// which kernel level each box actually runs.
 	GFTier string `json:"gf_tier"`
+	// Gossip is the address each local node's gossip socket bound: what a
+	// controller declares to the other processes with POST /peers.
+	Gossip Peers `json:"gossip"`
 }
 
 func (d *Daemon) statusSnapshot() StatusResponse {
-	out := StatusResponse{Nodes: d.cluster.Status(), Done: true, GFTier: gf.TierInfo()}
+	out := StatusResponse{Nodes: d.cluster.Status(), Done: true, GFTier: gf.TierInfo(), Gossip: Peers{}}
 	for _, s := range out.Nodes {
 		out.Done = out.Done && s.Done
+		out.Gossip[s.ID], _ = d.base.Addr(s.ID)
 	}
 	return out
+}
+
+// Peers maps nodes to gossip addresses, {"node": "host:port"} on the wire.
+type Peers = map[core.NodeID]string
+
+// checkPeers refuses a peer map naming a node outside [0, n) or an
+// address that is not host:port: a map is declared whole or not at all.
+func checkPeers(peers Peers, n int) error {
+	for v, addr := range peers {
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("peer node %d outside [0,%d)", v, n)
+		}
+		if _, port, err := net.SplitHostPort(addr); err != nil || port == "" {
+			return fmt.Errorf("peer node %d: address %q is not host:port", v, addr)
+		}
+	}
+	return nil
 }
 
 // SeedRequest is the POST /seed body. Payload is the message's symbols
@@ -425,6 +454,13 @@ func (d *Daemon) mux() *http.ServeMux {
 		}
 		return nil, d.cluster.ApplyTopology(g)
 	})
+	ctlhttp.Handle(mux, "POST /peers", "declared", func(req Peers) (any, error) {
+		if err := checkPeers(req, d.graph.N()); err != nil {
+			return nil, err
+		}
+		d.base.SetPeers(req)
+		return nil, nil
+	})
 	ctlhttp.Handle(mux, "POST /kill", "killed", func(req KillRequest) (any, error) {
 		return nil, d.cluster.Kill(core.NodeID(req.Node))
 	})
@@ -538,7 +574,7 @@ func ParseNodeList(s string) ([]core.NodeID, error) {
 }
 
 // ParsePeerMap parses "0=127.0.0.1:9000,1=127.0.0.1:9001" into the peer
-// address map.
+// address map; New checks the ids and addresses.
 func ParsePeerMap(s string) (map[core.NodeID]string, error) {
 	out := make(map[core.NodeID]string)
 	if strings.TrimSpace(s) == "" {
@@ -546,12 +582,9 @@ func ParsePeerMap(s string) (map[core.NodeID]string, error) {
 	}
 	for _, part := range strings.Split(s, ",") {
 		id, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
+		v, err := strconv.Atoi(id)
+		if !ok || err != nil {
 			return nil, fmt.Errorf("daemon: bad peer entry %q (want id=addr)", part)
-		}
-		var v int
-		if _, err := fmt.Sscanf(id, "%d", &v); err != nil || v < 0 {
-			return nil, fmt.Errorf("daemon: bad peer id %q", id)
 		}
 		out[core.NodeID(v)] = addr
 	}

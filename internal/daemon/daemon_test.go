@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
@@ -13,27 +16,8 @@ import (
 	"time"
 
 	"algossip/internal/core"
+	rt "algossip/internal/runtime"
 )
-
-// reserveAddrs grabs n loopback addresses, holding the listeners open
-// until all are assigned.
-func reserveAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		_ = ln.Close()
-	}
-	return addrs
-}
 
 func post(t *testing.T, ctl, path string, body any) {
 	t.Helper()
@@ -71,20 +55,17 @@ func getJSON(t *testing.T, ctl, path string, out any) {
 }
 
 // TestDaemonConvergeAndDrain runs a two-daemon six-node deployment fully
-// in-process (so -race sees every goroutine), drives it over the HTTP
-// control plane, and checks that cancellation drains cleanly with no
-// leaked goroutines — the in-process twin of gossipd's SIGTERM path.
+// in-process (so -race sees every goroutine), brings it up the way a
+// controller does — every gossip address read from GET /status and the
+// whole map declared to both daemons with POST /peers — drives it over
+// the HTTP control plane, and checks that cancellation drains cleanly
+// with no leaked goroutines: the in-process twin of gossipd's SIGTERM
+// path.
 func TestDaemonConvergeAndDrain(t *testing.T) {
 	const n, k = 6, 3
-	gossip := reserveAddrs(t, n)
-	peers := make(map[core.NodeID]string, n)
-	for v, a := range gossip {
-		peers[core.NodeID(v)] = a
-	}
-
 	mk := func(local []core.NodeID) *Daemon {
 		d, err := New(Options{
-			Local: local, Peers: peers,
+			Local:     local,
 			GraphName: "ring", GraphN: n, GraphSeed: 1,
 			K: k, Interval: 2 * time.Millisecond, Seed: 7,
 			LossRate: 0.05, ChaosSeed: 3,
@@ -101,6 +82,20 @@ func TestDaemonConvergeAndDrain(t *testing.T) {
 	errs := make(chan error, 2)
 	go func() { errs <- d1.Run(ctx) }()
 	go func() { errs <- d2.Run(ctx) }()
+
+	peers := Peers{}
+	for _, d := range []*Daemon{d1, d2} {
+		var st StatusResponse
+		getJSON(t, d.ControlAddr(), "/status", &st)
+		for v, addr := range st.Gossip {
+			peers[v] = addr
+		}
+	}
+	if len(peers) != n {
+		t.Fatalf("the daemons report %d gossip addresses for %d nodes: %v", len(peers), n, peers)
+	}
+	post(t, d1.ControlAddr(), "/peers", peers)
+	post(t, d2.ControlAddr(), "/peers", peers)
 
 	// Seed round-robin (message i at node i), release both start gates.
 	for i := 0; i < k; i++ {
@@ -171,10 +166,8 @@ func TestDaemonConvergeAndDrain(t *testing.T) {
 // TestDaemonDrainEndpoint covers POST /drain: the daemon shuts itself
 // down without external cancellation.
 func TestDaemonDrainEndpoint(t *testing.T) {
-	gossip := reserveAddrs(t, 2)
 	d, err := New(Options{
 		Local:     []core.NodeID{0, 1},
-		Peers:     map[core.NodeID]string{0: gossip[0], 1: gossip[1]},
 		GraphName: "ring", GraphN: 2, GraphSeed: 1,
 		K: 1, Interval: 2 * time.Millisecond, Seed: 7,
 	})
@@ -205,10 +198,8 @@ func TestDaemonDrainEndpoint(t *testing.T) {
 // cutting it instantly nor sitting out the old hardcoded 5s.
 func TestDaemonShutdownTimeoutPlumbed(t *testing.T) {
 	for _, timeout := range []time.Duration{300 * time.Millisecond, 1200 * time.Millisecond} {
-		gossip := reserveAddrs(t, 2)
 		d, err := New(Options{
 			Local:     []core.NodeID{0, 1},
-			Peers:     map[core.NodeID]string{0: gossip[0], 1: gossip[1]},
 			GraphName: "ring", GraphN: 2, GraphSeed: 1,
 			K: 1, Interval: 2 * time.Millisecond, Seed: 7,
 			ShutdownTimeout: timeout,
@@ -259,13 +250,8 @@ func TestDaemonShutdownTimeoutPlumbed(t *testing.T) {
 // and check that every state change round-trips through GET /chaos and
 // that injection counters reach the metrics exposition.
 func TestDaemonChaosEndpoint(t *testing.T) {
-	gossip := reserveAddrs(t, 4)
-	peers := make(map[core.NodeID]string, 4)
-	for v, a := range gossip {
-		peers[core.NodeID(v)] = a
-	}
 	d, err := New(Options{
-		Local: []core.NodeID{0, 1, 2, 3}, Peers: peers,
+		Local:     []core.NodeID{0, 1, 2, 3},
 		GraphName: "ring", GraphN: 4, GraphSeed: 1,
 		K: 2, Interval: 2 * time.Millisecond, Seed: 7,
 		ChaosSeed: 5,
@@ -597,5 +583,78 @@ func TestDaemonMetricsRoundClosure(t *testing.T) {
 	lost := counter(t, text, "algossip_frames_presumed_lost_total")
 	if byCount == 0 || byDeadline != 0 || lost != 0 {
 		t.Errorf("rounds by count %d, by deadline %d, frames presumed lost %d: want only count", byCount, byDeadline, lost)
+	}
+}
+
+// TestPeersRefusedWhole: POST /peers declares a map whole or not at all.
+// A body with one bad entry — an id outside the graph, a negative or
+// non-numeric id, an address that is not host:port — or one that is not
+// an object is a 400, and the route its good entry names is neither
+// added nor moved: frames still go where the last accepted map sent
+// them.
+func TestPeersRefusedWhole(t *testing.T) {
+	d, err := New(Options{
+		Transport: "udp", Local: []core.NodeID{0, 1},
+		GraphName: "ring", GraphN: 4, K: 2, Interval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := d.Run(ctx); err != nil {
+			t.Errorf("drain was not clean: %v", err)
+		}
+		checkNoRuntimeGoroutines(t)
+	})
+	declare := func(body string) int {
+		rec := httptest.NewRecorder()
+		d.server.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/peers", strings.NewReader(body)))
+		return rec.Code
+	}
+	listen := func() net.PacketConn {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = pc.Close() })
+		return pc
+	}
+	// arrives reports whether a frame sent to node 2 lands on pc.
+	buf := make([]byte, 1<<16)
+	arrives := func(pc net.PacketConn, wait time.Duration) bool {
+		_ = pc.SetReadDeadline(time.Now().Add(wait))
+		_, _, err := pc.ReadFrom(buf)
+		return err == nil
+	}
+	send := func() error { return d.base.Send(context.Background(), 2, rt.Envelope{From: 1}) }
+	refused := func(addr string) {
+		t.Helper()
+		for _, tmpl := range []string{
+			`{"2":"%s","4":"127.0.0.1:9004"}`, `{"2":"%s","-1":"127.0.0.1:9000"}`,
+			`{"2":"%s","zero":"127.0.0.1:9000"}`, `{"2":"%s","3":""}`,
+			`{"2":"%s","3":"127.0.0.1"}`, `{"2":"%s","3":"127.0.0.1:"}`, `[{"2":"%s"}]`,
+		} {
+			if body := fmt.Sprintf(tmpl, addr); declare(body) != http.StatusBadRequest {
+				t.Errorf("POST /peers %s was not refused", body)
+			}
+		}
+	}
+
+	first, second := listen(), listen()
+	refused(first.LocalAddr().String())
+	if err := send(); !errors.Is(err, rt.ErrUnknownNode) {
+		t.Fatalf("a refused body declared node 2: send says %v", err)
+	}
+	if code := declare(fmt.Sprintf(`{"2":%q,"3":"127.0.0.1:9"}`, first.LocalAddr())); code != http.StatusOK {
+		t.Fatalf("a valid peer map answered %d", code)
+	}
+	if err := send(); err != nil || !arrives(first, 5*time.Second) {
+		t.Fatalf("a frame to node 2 missed its declared address (send: %v)", err)
+	}
+	refused(second.LocalAddr().String())
+	if err := send(); err != nil || !arrives(first, 5*time.Second) || arrives(second, 100*time.Millisecond) {
+		t.Fatalf("a refused body moved node 2's route (send: %v)", err)
 	}
 }

@@ -11,11 +11,11 @@ import (
 	"algossip/internal/core"
 )
 
-// FuzzDaemonBodies throws arbitrary bodies at the four JSON routes of a
+// FuzzDaemonBodies throws arbitrary bodies at the five JSON routes of a
 // daemon's control plane: each is answered 2xx or 4xx — never a
 // panic, never a 5xx — and GET /status still answers afterwards.
 func FuzzDaemonBodies(f *testing.F) {
-	routes := []string{"/seed", "/topology", "/kill", "/chaos"}
+	routes := []string{"/seed", "/topology", "/kill", "/chaos", "/peers"}
 	for r, bodies := range [][]string{
 		{`{"node":0,"index":0,"payload":"AQI="}`, `{"node":0,`, `{"node":"zero","index":0}`, `[1,2]`, ``,
 			`{"node":9,"index":0,"payload":"AQI="}`, `{"node":0,"index":-1,"payload":"AQI="}`,
@@ -26,6 +26,8 @@ func FuzzDaemonBodies(f *testing.F) {
 		{`{"node":3}`, `{"node":`, `{"node":"0"}`, `{"node":9}`, `{"node":-1}`},
 		{`{"latency_ms":0.5}`, `{"heal":true}`, `{"heal":`, `{"heal":"yes"}`, `{"partition":[9]}`, `{"partition":[-1]}`,
 			`{"partition":"0"}`, `{"corrupt_rate":2}`, `{"latency_ms":-1}`, `{"jitter_ms":"1"}`},
+		{`{"0":"127.0.0.1:9000","3":"[::1]:9003"}`, `{"4":"127.0.0.1:9004"}`, `{"-1":"127.0.0.1:9000"}`,
+			`{"zero":"127.0.0.1:9000"}`, `{"1":""}`, `{"1":"127.0.0.1"}`, `["127.0.0.1:9000"]`},
 	} {
 		for _, body := range bodies {
 			f.Add(uint8(r), []byte(body))

@@ -94,9 +94,6 @@ func e17Live(ctx context.Context, bin string, p e17Params, seed uint64) (int, er
 	fail := func(stage string, err error) (int, error) {
 		return 0, fmt.Errorf("%s: %w\n%s", stage, err, errBuf.String())
 	}
-	if err := c.WaitHealthy(ctx); err != nil {
-		return fail("health", err)
-	}
 	if err := c.SeedRoundRobin(ctx, nil); err != nil {
 		return fail("seed", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"algossip/internal/ctlhttp"
@@ -129,8 +130,10 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 	}
 }
 
-// runLease executes one lease's trials across the local pool, renewing
-// the lease while it works, then streams the batch back (uploadRetry).
+// runLease executes one lease's trials on the local pool — the executor
+// a local sweep runs, so each pool worker resets the decoders its last
+// trial left instead of rebuilding them — renewing the lease while it
+// works, then streams the batch back (uploadRetry).
 // The returned done flag mirrors the coordinator's: true when this batch
 // completed the run, so the worker can exit without another poll.
 func (w *Worker) runLease(ctx context.Context, l harness.Lease, renewMillis int64) (int, bool, error) {
@@ -147,8 +150,13 @@ func (w *Worker) runLease(ctx context.Context, l harness.Lease, renewMillis int6
 		}()
 	}
 
-	outcomes, err := harness.ParallelMap(len(l.Indices), w.opts.Parallel, func(i int) (harness.Outcome, error) {
-		return w.spec.ExecuteTrial(w.trials[l.Indices[i]])
+	var mu sync.Mutex
+	outcomes := make(map[int]harness.Outcome, len(l.Indices))
+	err := harness.Runner{Parallel: w.opts.Parallel}.RunTrials(w.spec, w.trials, l.Indices, func(i int, o harness.Outcome) error {
+		mu.Lock()
+		outcomes[i] = o
+		mu.Unlock()
+		return nil
 	})
 	if err != nil {
 		return 0, false, fmt.Errorf("fabric: trial execution: %w", err)
@@ -160,8 +168,8 @@ func (w *Worker) runLease(ctx context.Context, l harness.Lease, renewMillis int6
 	if err := enc.Encode(resultsHeader{Fingerprint: w.fingerprint, Lease: l.ID, Worker: w.opts.Name}); err != nil {
 		return 0, false, err
 	}
-	for i, o := range outcomes {
-		if err := enc.Encode(resultEntry{I: l.Indices[i], O: o}); err != nil {
+	for _, i := range l.Indices {
+		if err := enc.Encode(resultEntry{I: i, O: outcomes[i]}); err != nil {
 			return 0, false, err
 		}
 	}

@@ -71,9 +71,8 @@ func (rs *ResultSet) CellRounds(ci int) []float64 {
 }
 
 // Run opens the spec's Ledger (expanding it and replaying the checkpoint),
-// fans the pending trials out over the pool, and returns the ordered
-// results. Each worker keeps the state its last trial left (trialState)
-// for its next one. The returned ResultSet is identical for any Parallel
+// fans the pending trials out over the pool (RunTrials), and returns the
+// ordered results. The returned ResultSet is identical for any Parallel
 // value and for any interrupt/resume history.
 func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 	start := time.Now()
@@ -83,16 +82,8 @@ func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 	}
 	defer ledger.Close()
 
-	exec := r.execute
-	if exec == nil {
-		exec = (*Spec).executeTrial
-	}
-	err = forEachIndex(ledger.Pending(), r.Parallel, func(st *trialState, i int) error {
-		o, err := r.runOne(exec, spec, ledger.Trials[i], st)
-		if err != nil {
-			return err
-		}
-		_, err = ledger.Commit(i, o)
+	err = r.RunTrials(spec, ledger.Trials, ledger.Pending(), func(i int, o Outcome) error {
+		_, err := ledger.Commit(i, o)
 		return err
 	})
 	if err != nil {
@@ -101,6 +92,25 @@ func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 	rs := ledger.ResultSet()
 	rs.Elapsed = time.Since(start)
 	return rs, nil
+}
+
+// RunTrials executes trials[i] for every i in idxs over the pool, each
+// worker keeping the state its last trial left (trialState) for its
+// next, and hands every outcome to done from the worker that ran it. It
+// runs Run's trials and a fabric worker's leases. The first error, the
+// lowest index's, ends the run.
+func (r Runner) RunTrials(spec *Spec, trials []Trial, idxs []int, done func(i int, o Outcome) error) error {
+	exec := r.execute
+	if exec == nil {
+		exec = (*Spec).executeTrial
+	}
+	return forEachIndex(idxs, r.Parallel, func(st *trialState, i int) error {
+		o, err := r.runOne(exec, spec, trials[i], st)
+		if err != nil {
+			return err
+		}
+		return done(i, o)
+	})
 }
 
 // runOne executes one trial on the worker state st, enforcing the

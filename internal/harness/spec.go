@@ -225,9 +225,9 @@ func (s *Spec) Expand() ([]Cell, []Trial, error) {
 	return cells, trials, nil
 }
 
-// ExecuteTrial runs one expanded trial of the spec through Execute — the
-// single entry point remote fabric workers share with the local pool, so
-// a trial's outcome is identical no matter which process runs it.
+// ExecuteTrial runs one expanded trial of the spec through Execute, on no
+// worker state: the serial baseline the benchmark's traced pass times
+// trial by trial. Runner.RunTrials gives the same outcome.
 func (s *Spec) ExecuteTrial(t Trial) (Outcome, error) {
 	return s.executeTrial(t, nil)
 }

@@ -1,9 +1,10 @@
 // Package livectl orchestrates multi-process gossipd deployments over
 // their HTTP control planes: it builds the daemon binary, spawns N
-// processes hosting disjoint slices of one topology, seeds messages,
-// releases the start gate, polls for convergence, and drains everything
-// cleanly. It is the engine behind cmd/gossipctl and experiment E17 (live
-// cluster vs simulator prediction).
+// processes hosting disjoint slices of one topology, tells each where
+// every other node's gossip socket is, seeds messages, releases the start
+// gate, polls for convergence, and drains everything cleanly. It is the
+// engine behind cmd/gossipctl and experiment E17 (live cluster vs
+// simulator prediction).
 package livectl
 
 import (
@@ -13,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -30,9 +30,10 @@ import (
 
 // Options configures a deployment: the daemon options every process
 // shares, plus how to spawn them. Launch fills the per-process fields
-// itself — Local and Peers from the node split, ChaosSeed split per
-// process, HTTPAddr and ShutdownTimeout left at gossipd's defaults. The
-// zero value is not runnable: Procs, GraphName, GraphN and K are required.
+// itself — Local from the node split, ChaosSeed split per process — and
+// leaves HTTPAddr, ShutdownTimeout and Peers at gossipd's defaults: every
+// gossip address is learned (see Launch). The zero value is not
+// runnable: Procs, GraphName, GraphN and K are required.
 type Options struct {
 	daemon.Options
 	// Bin is the gossipd binary; empty builds it into a temp dir first.
@@ -84,51 +85,12 @@ func BuildGossipd(ctx context.Context, dir string) (string, error) {
 	return bin, nil
 }
 
-// reservePorts grabs n ephemeral loopback ports, holding all the
-// listeners open at once so the kernel cannot hand any of them out again
-// (to our own HTTP dials, for instance) while the rest are assigned. The
-// returned release func closes them all immediately before the daemons
-// re-bind; that narrow window is the remaining race, which Launch covers
-// by retrying.
-func reservePorts(n int) (addrs []string, release func(), err error) {
-	lns := make([]net.Listener, 0, n)
-	release = func() {
-		for _, ln := range lns {
-			_ = ln.Close()
-		}
-	}
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
-		lns = append(lns, ln)
-		addrs = append(addrs, ln.Addr().String())
-	}
-	return addrs, release, nil
-}
-
-// Launch builds (if needed) and spawns the deployment, retrying a few
-// times if a daemon loses the port-reservation race at startup. On
-// success the processes are running and their control planes are
-// reachable; call Stop (usually deferred) to tear everything down.
+// Launch builds (if needed) and spawns the deployment, then declares
+// every node's gossip address to every process. On success the processes
+// are running, their control planes answer and they can reach each
+// other: the cluster is ready to seed. Call Stop (usually deferred) to
+// tear everything down.
 func Launch(ctx context.Context, opts Options) (*Cluster, error) {
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		c, err := launchOnce(ctx, opts)
-		if err == nil {
-			return c, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, lastErr
-}
-
-func launchOnce(ctx context.Context, opts Options) (*Cluster, error) {
 	if opts.Procs < 1 {
 		return nil, fmt.Errorf("livectl: need at least 1 process, got %d", opts.Procs)
 	}
@@ -165,19 +127,7 @@ func launchOnce(ctx context.Context, opts Options) (*Cluster, error) {
 		}
 	}
 
-	// Pre-reserve one gossip port per node; the peer map must be complete
-	// before the first process starts.
-	addrs, release, err := reservePorts(n)
-	if err != nil {
-		c.Stop()
-		return nil, fmt.Errorf("livectl: reserve ports: %w", err)
-	}
-	release()
 	child := opts.Options
-	child.Peers = make(map[core.NodeID]string, n)
-	for v, addr := range addrs {
-		child.Peers[core.NodeID(v)] = addr
-	}
 	for p := 0; p < opts.Procs; p++ {
 		lo, hi := p*n/opts.Procs, (p+1)*n/opts.Procs
 		child.Local = make([]core.NodeID, hi-lo)
@@ -197,11 +147,22 @@ func launchOnce(ctx context.Context, opts Options) (*Cluster, error) {
 		}
 		c.procs = append(c.procs, pr)
 	}
-	if err := c.attach(ctx); err != nil {
+	if err := c.join(ctx); err != nil {
 		c.Stop()
 		return nil, err
 	}
 	return c, nil
+}
+
+// join attaches to freshly spawned processes and declares to each the
+// gossip address every node of the deployment bound (a daemon refuses a
+// map with a node left unbound in it).
+func (c *Cluster) join(ctx context.Context) error {
+	peers, err := c.attach(ctx)
+	if err != nil {
+		return err
+	}
+	return c.each(ctx, "/peers", peers)
 }
 
 // sharedWriter serialises every child's stderr copier onto the one writer
@@ -218,8 +179,8 @@ func (s *sharedWriter) Write(p []byte) (int, error) {
 }
 
 // childArgs renders one gossipd command line from its Options: every
-// shared word as BindFlags declares it, then the process-local ones
-// (-http stays at gossipd's default, an ephemeral port).
+// shared word as BindFlags declares it, then -nodes (-http stays at
+// gossipd's default, an ephemeral port, and so does every gossip socket).
 func childArgs(o daemon.Options) []string {
 	fs := flag.NewFlagSet("gossipd", flag.ContinueOnError)
 	o.BindFlags(fs)
@@ -229,11 +190,7 @@ func childArgs(o daemon.Options) []string {
 	for i, v := range o.Local {
 		nodes[i] = fmt.Sprint(v)
 	}
-	peers := make([]string, 0, len(o.Peers))
-	for v, addr := range o.Peers {
-		peers = append(peers, fmt.Sprintf("%d=%s", v, addr))
-	}
-	return append(args, "-nodes="+strings.Join(nodes, ","), "-peers="+strings.Join(peers, ","))
+	return append(args, "-nodes="+strings.Join(nodes, ","))
 }
 
 // spawn starts one gossipd and waits for the stdout line announcing its
@@ -301,30 +258,36 @@ func Attach(ctx context.Context, ctl ...string) (*Cluster, error) {
 	for _, a := range ctl {
 		c.procs = append(c.procs, &proc{ctl: a})
 	}
-	return c, c.attach(ctx)
+	_, err := c.attach(ctx)
+	return c, err
 }
 
 // attach fills the cluster's picture of the deployment from its
-// processes' status and chaos state (an empty chaos request only reads).
-func (c *Cluster) attach(ctx context.Context) error {
+// processes' status and chaos state (an empty chaos request only reads),
+// and returns the gossip address each process reports for its nodes.
+func (c *Cluster) attach(ctx context.Context) (daemon.Peers, error) {
 	c.client.Timeout = 10 * time.Second
 	status, err := c.Status(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	chaos, err := c.Chaos(ctx, daemon.ChaosRequest{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c.home = make(map[core.NodeID]int)
+	peers := make(daemon.Peers)
 	for i, p := range c.procs {
 		p.byz = chaos[i].CorruptRate >= 1
 		for _, node := range status[i].Nodes {
 			c.home[node.ID], c.k = i, node.K
 		}
+		for v, addr := range status[i].Gossip {
+			peers[v] = addr
+		}
 	}
 	c.n = len(c.home)
-	return nil
+	return peers, nil
 }
 
 // N is the realized node count; Procs the process count.
@@ -371,18 +334,6 @@ func (c *Cluster) at(ctx context.Context, v core.NodeID, path string, in any) er
 		return fmt.Errorf("livectl: node %d not in deployment", v)
 	}
 	return c.do(ctx, http.MethodPost, c.procs[p].ctl, path, in, nil)
-}
-
-// WaitHealthy blocks until every process answers /healthz.
-func (c *Cluster) WaitHealthy(ctx context.Context) error {
-	poll := ctlhttp.Retry{First: 50 * time.Millisecond}
-	for _, p := range c.procs {
-		err := poll.Do(ctx, func() error { return c.do(ctx, http.MethodGet, p.ctl, "/healthz", nil, nil) })
-		if err != nil {
-			return fmt.Errorf("livectl: %s never became healthy: %w", p.ctl, err)
-		}
-	}
-	return nil
 }
 
 // Seed places message index at node v (payload nil in rank-only mode).

@@ -16,26 +16,18 @@ import (
 )
 
 // deploy runs two in-process daemons hosting the two halves of an n-ring
-// over loopback TCP and attaches a controller to them; tweak adjusts one
-// process's options. Every daemon must have drained cleanly by the end of
-// the test, through Drain or the cleanup's cancel.
+// over loopback TCP and joins a controller to them the way Launch does
+// (every gossip address read from /status, declared with /peers); tweak
+// adjusts one process's options. Every daemon must have drained cleanly
+// by the end of the test, through Drain or the cleanup's cancel.
 func deploy(t *testing.T, n, k int, tweak func(p int, o *daemon.Options)) (context.Context, *Cluster) {
 	t.Helper()
-	addrs, release, err := reservePorts(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release()
-	peers := make(map[core.NodeID]string, n)
-	for v, a := range addrs {
-		peers[core.NodeID(v)] = a
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	errs := make(chan error, 2)
-	var ctl []string
+	c := &Cluster{}
 	for p := 0; p < 2; p++ {
 		o := daemon.Options{
-			Peers: peers, GraphName: "ring", GraphN: n,
+			GraphName: "ring", GraphN: n,
 			K: k, Interval: 2 * time.Millisecond, Seed: 7, ChaosSeed: uint64(p),
 		}
 		for v := p * n / 2; v < (p+1)*n/2; v++ {
@@ -49,18 +41,17 @@ func deploy(t *testing.T, n, k int, tweak func(p int, o *daemon.Options)) (conte
 			t.Fatal(err)
 		}
 		go func() { errs <- d.Run(ctx) }()
-		ctl = append(ctl, d.ControlAddr())
+		c.procs = append(c.procs, &proc{ctl: d.ControlAddr()})
 	}
 	t.Cleanup(func() {
 		cancel()
-		for range ctl {
+		for range c.procs {
 			if err := <-errs; err != nil {
 				t.Errorf("daemon run: %v", err)
 			}
 		}
 	})
-	c, err := Attach(ctx, ctl...)
-	if err != nil {
+	if err := c.join(ctx); err != nil {
 		t.Fatal(err)
 	}
 	return ctx, c
@@ -73,9 +64,6 @@ func TestAttachDrivesDeployment(t *testing.T) {
 	ctx, c := deploy(t, n, k, nil)
 	if c.N() != n || c.Procs() != 2 || c.k != k {
 		t.Fatalf("attached to n=%d procs=%d k=%d, want %d, 2, %d", c.N(), c.Procs(), c.k, n, k)
-	}
-	if err := c.WaitHealthy(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if err := c.SeedRoundRobin(ctx, nil); err != nil {
 		t.Fatal(err)
@@ -261,6 +249,10 @@ func TestMalformedBodies(t *testing.T) {
 			`{"family":"ring","n":5}`, `{"family":"ring","n":-4}`, `{"family":"ring","n":4,"seed":-1}`,
 		},
 		"/kill": {`{"node":`, `{"node":"0"}`, `{"node":9}`, `{"node":-1}`, `{"node":2}`},
+		"/peers": {
+			`{"4":"127.0.0.1:9004"}`, `{"-1":"127.0.0.1:9000"}`, `{"zero":"127.0.0.1:9000"}`,
+			`{"1":""}`, `{"1":"127.0.0.1"}`, `["127.0.0.1:9000"]`, `{"2":7}`, ``,
+		},
 		"/chaos": {
 			`{"heal":`, `{"heal":"yes"}`, `{"partition":[9]}`, `{"partition":[-1]}`,
 			`{"partition":"0"}`, `{"corrupt_rate":2}`, `{"latency_ms":-1}`, `{"jitter_ms":"1"}`,
@@ -302,13 +294,10 @@ func TestMalformedBodies(t *testing.T) {
 
 // TestChildArgsRoundTrip: the command line livectl renders for a child
 // parses back, through the binding gossipd uses, to the Options it came
-// from — for every field, so a word added to Options and forgotten in
-// BindFlags fails here.
+// from — for every field but the process-local ones, so a word added to
+// Options and forgotten in BindFlags fails here.
 func TestChildArgsRoundTrip(t *testing.T) {
-	want := daemon.Options{
-		Local: []core.NodeID{3, 4, 5},
-		Peers: map[core.NodeID]string{3: "127.0.0.1:9003", 4: "127.0.0.1:9004", 9: "10.0.0.9:9000"},
-	}
+	want := daemon.Options{Local: []core.NodeID{3, 4, 5}}
 	processLocal := map[string]bool{"HTTPAddr": true, "ShutdownTimeout": true, "Local": true, "Peers": true}
 	v := reflect.ValueOf(&want).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -333,15 +322,12 @@ func TestChildArgsRoundTrip(t *testing.T) {
 	var got daemon.Options
 	fs := flag.NewFlagSet("gossipd", flag.ContinueOnError)
 	got.BindFlags(fs)
-	nodes, peers := fs.String("nodes", "", ""), fs.String("peers", "", "")
+	nodes := fs.String("nodes", "", "")
 	if err := fs.Parse(childArgs(want)); err != nil {
 		t.Fatal(err)
 	}
 	var err error
 	if got.Local, err = daemon.ParseNodeList(*nodes); err != nil {
-		t.Fatal(err)
-	}
-	if got.Peers, err = daemon.ParsePeerMap(*peers); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -9,8 +9,8 @@
 #
 # -check exits 1 when an unreached function has no line in
 # scripts/traffic.keep. A line there naming a function that was reached, or
-# is gone, is listed but does not fail: a redial or a port-race retry is
-# reached on some runs only. Only the Go toolchain's own -cover, GOCOVERDIR
+# is gone, is listed but does not fail: a redial is reached on some runs
+# only. Only the Go toolchain's own -cover, GOCOVERDIR
 # and `go tool covdata` are used; everything is written to a temp dir, every
 # socket is loopback, and no process outlives the script.
 set -euo pipefail
@@ -205,6 +205,9 @@ run $C metrics -ctl "$ctl"
 run $C drain -ctl "$ctl"
 wait $d
 refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -transport carrier-pigeon
+# A declared peer map is checked whole at start, as POST /peers checks one.
+refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -peers 1=127.0.0.1:9001,4=127.0.0.1:9004
+refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -peers 1=127.0.0.1
 
 # ---- the report ----
 cd "$work"
