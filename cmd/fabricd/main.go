@@ -1,32 +1,28 @@
-// Command fabricd is the distributed experiment fabric CLI: one binary
-// that runs either side of a sweep spread across machines, plus a query
-// tool over the result store it fills.
+// Command fabricd is the worker side of a sweep spread across machines,
+// plus a status probe and a query tool over the result store a sweep
+// fills.
 //
-// The coordinator expands a sweep spec into its deterministic trial
-// work-list and serves leases over HTTP; workers pull leases, run the
-// trials, and stream fingerprinted results back. The merged CSV is
-// byte-identical to `sweep -parallel 1` on the same flags, for any
-// worker count and any worker failure history — a killed worker's lease
-// expires and is re-run, and a restarted coordinator resumes from its
-// checkpoint.
+// `sweep -listen ADDR` serves a sweep's deterministic trial work-list
+// over HTTP; workers pull leases, run the trials, and stream
+// fingerprinted results back. The merged CSV is byte-identical to
+// `sweep -parallel 1` on the same flags, for any worker count and any
+// worker failure history — a killed worker's lease expires and is re-run,
+// and a restarted sweep resumes from its checkpoint.
 //
 // Usage:
 //
-//	fabricd coordinator -graph ring -sizes 64,128 -trials 20 \
-//	        -listen 127.0.0.1:9100 -checkpoint fab.ckpt \
-//	        -store results.jsonl -out fab.csv
+//	sweep -graph ring -sizes 64,128 -trials 20 -listen 127.0.0.1:9100 \
+//	      -checkpoint fab.ckpt -store results.jsonl -out fab.csv &
 //	fabricd worker -coordinator http://127.0.0.1:9100 -parallel 8
 //	fabricd status -coordinator http://127.0.0.1:9100
 //	fabricd query -store results.jsonl -graph ring -n 128
 //	fabricd query -store results.jsonl -cells
 //	fabricd query -store results.jsonl -graph ring -regime model=asynchronous
-//
-// The coordinator takes sweep's experiment words (harness.Spec.BindFlags),
-// so any regime sweep runs locally launches here unchanged.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,142 +35,38 @@ import (
 
 	"algossip/internal/ctlhttp"
 	"algossip/internal/fabric"
-	"algossip/internal/harness"
 	"algossip/internal/resultstore"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "fabricd: usage: fabricd {coordinator|worker|status|query} [flags]")
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "coordinator":
-		err = runCoordinator(os.Args[2:], os.Stdout, os.Stderr)
-	case "worker":
-		err = runWorker(os.Args[2:], os.Stdout)
-	case "status":
-		err = runStatus(os.Args[2:], os.Stdout)
-	case "query":
-		err = runQuery(os.Args[2:], os.Stdout)
-	default:
-		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fabricd:", err)
 		os.Exit(1)
 	}
 }
 
-// runCoordinator serves a sweep spec to workers and writes the merged
-// CSV when the last trial lands. Its first stderr line names the address
-// it listens on (-listen 127.0.0.1:0 picks a free port).
-func runCoordinator(args []string, stdout, stderr io.Writer) (err error) {
-	fs := flag.NewFlagSet("coordinator", flag.ContinueOnError)
-	// The Spec is sweep's, word for word, so the merged CSV can be checked
-	// against `sweep -parallel 1` on the same command line.
-	spec := &harness.Spec{
-		Name: "sweep", Graph: "barbell", Sizes: []int{16, 32, 64}, KMode: "half",
-		Q: 2, Trials: 3, Seed: 1, Lean: true,
+// run dispatches one subcommand.
+func run(args []string, stdout io.Writer) error {
+	const usage = "usage: fabricd {worker|status|query} [flags]; sweep -listen serves a sweep"
+	if len(args) == 0 {
+		return errors.New(usage)
 	}
-	spec.BindFlags(fs)
-	spec.BindGridFlags(fs)
-	var (
-		session    = fs.String("session", "", "fabric session label, recorded in the checkpoint fingerprint")
-		listen     = fs.String("listen", "127.0.0.1:9100", "coordinator listen address")
-		checkpoint = fs.String("checkpoint", "", "record accepted trials to this file")
-		resume     = fs.Bool("resume", false, "resume from -checkpoint instead of restarting it")
-		storePath  = fs.String("store", "", "ingest merged results into this result store")
-		leaseChunk = fs.Int("lease-chunk", 0, "trials per lease (0 = default)")
-		leaseTTL   = fs.Duration("lease-ttl", 0, "lease expiry without renewal (0 = default 30s)")
-		progress   = fs.Bool("progress", false, "report per-trial progress on stderr")
-		jsonOut    = fs.Bool("json", false, "write JSON instead of CSV")
-		out        = fs.String("out", "", "output path (default stdout)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
+	switch args[0] {
+	case "worker":
+		return runWorker(args[1:], stdout)
+	case "status":
+		return runStatus(args[1:], stdout)
+	case "query":
+		return runQuery(args[1:], stdout)
 	}
-	spec.Fabric = *session
-	if *resume && *checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-
-	var store *resultstore.Store
-	if *storePath != "" {
-		store, err = resultstore.Open(*storePath)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := store.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-	}
-	opts := fabric.CoordinatorOptions{
-		Spec: spec, Listen: *listen,
-		Checkpoint: *checkpoint, Resume: *resume,
-		LeaseChunk: *leaseChunk, LeaseTTL: *leaseTTL,
-		Store: store,
-	}
-	if *progress {
-		start := time.Now()
-		opts.Progress = func(done, total int) {
-			rate := float64(done) / time.Since(start).Seconds()
-			fmt.Fprintf(stderr, "\rfabricd: %d/%d trials (%.1f trials/sec)   ", done, total, rate)
-			if done == total {
-				fmt.Fprintln(stderr)
-			}
-		}
-	}
-	c, err := fabric.NewCoordinator(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "fabricd: coordinating %q on %s\n", spec.Name, c.Addr())
-
-	// Open the output before serving a single lease, so an unwritable
-	// path fails before any compute is spent.
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		w = f
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rs, err := c.Run(ctx)
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		err = harness.WriteJSON(w, rs)
-	} else {
-		err = harness.WriteCSV(w, rs)
-	}
-	if err != nil {
-		return err
-	}
-	resumed := len(rs.Trials) - rs.Executed
-	fmt.Fprintf(stderr, "fabricd: %d trials (%d executed by workers, %d resumed) in %v\n",
-		len(rs.Trials), rs.Executed, resumed, rs.Elapsed.Round(time.Millisecond))
-	return nil
+	return fmt.Errorf("unknown subcommand %q; %s", args[0], usage)
 }
 
-// runWorker pulls leases from a coordinator until the run completes.
+// runWorker pulls leases from a served sweep until the run completes.
 func runWorker(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
 	var (
-		coord    = fs.String("coordinator", "", "coordinator base URL, e.g. http://host:9100 (required)")
+		coord    = fs.String("coordinator", "", "base URL of a served sweep (sweep -listen), e.g. http://host:9100 (required)")
 		name     = fs.String("name", "", "worker label (default host:pid)")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent trials")
 	)
@@ -200,10 +92,10 @@ func runWorker(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runStatus prints a coordinator's progress counters.
+// runStatus prints a served sweep's progress counters.
 func runStatus(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("status", flag.ContinueOnError)
-	coord := fs.String("coordinator", "", "coordinator base URL (required)")
+	coord := fs.String("coordinator", "", "base URL of a served sweep (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

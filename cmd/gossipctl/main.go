@@ -208,6 +208,15 @@ func runSingle(sub string, args []string, stdout io.Writer) error {
 	if *ctl == "" {
 		return fmt.Errorf("%s: -ctl is required", sub)
 	}
+	if *partition != "" {
+		nodes, err := daemon.ParseNodeList(*partition)
+		if err != nil {
+			return fmt.Errorf("chaos: -partition: %w", err)
+		}
+		for _, v := range nodes {
+			req.Partition = append(req.Partition, int(v))
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	c, err := livectl.Attach(ctx, *ctl)
@@ -234,15 +243,6 @@ func runSingle(sub string, args []string, stdout io.Writer) error {
 		err = c.ApplyTopology(ctx, *graphName, *graphN, *graphSeed)
 	case "chaos":
 		// With no knob set the request changes nothing and reads the state.
-		if *partition != "" {
-			nodes, perr := daemon.ParseNodeList(*partition)
-			if perr != nil {
-				return fmt.Errorf("chaos: -partition: %w", perr)
-			}
-			for _, v := range nodes {
-				req.Partition = append(req.Partition, int(v))
-			}
-		}
 		var st []daemon.ChaosState
 		if st, err = c.Chaos(ctx, req); err == nil {
 			out = st[0]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,16 @@ import (
 	"algossip/internal/core"
 	"algossip/internal/daemon"
 )
+
+// TestChaosRefusesPartitionBeforeDialing: a -partition that is no node
+// list is refused on the command line, before any daemon is contacted
+// (nothing listens at the -ctl address given).
+func TestChaosRefusesPartitionBeforeDialing(t *testing.T) {
+	err := runSingle("chaos", []string{"-ctl", "127.0.0.1:1", "-partition", "2.5"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-partition") {
+		t.Fatalf("chaos -partition 2.5: %v, want a refusal naming -partition", err)
+	}
+}
 
 // TestSingleDaemonSubcommands walks the one-daemon subcommands through a
 // daemon's whole life over its control plane: what each prints, what the

@@ -49,6 +49,7 @@ func TestRunRefusesBadCommandLines(t *testing.T) {
 	for _, args := range [][]string{
 		{},                             // -nodes is required
 		{"-nodes", "0,x"},              // not a node list
+		{"-nodes", "0,1x"},             // trailing garbage, once read as 0,1
 		{"-nodes", "0", "-peers", "0"}, // not id=addr
 		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "4=127.0.0.1:9004"}, // no node 4
 		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "-1=127.0.0.1:9000"},

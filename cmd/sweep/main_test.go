@@ -1,15 +1,24 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"algossip/internal/core"
+	"algossip/internal/ctlhttp"
+	"algossip/internal/fabric"
 	"algossip/internal/harness"
 	"algossip/internal/harness/harnesstest"
 	"algossip/internal/resultstore"
@@ -78,16 +87,21 @@ var goldenSweeps = []struct {
 	},
 }
 
+// sweep runs one command line locally, stderr discarded.
+func sweep(args []string, stdout io.Writer) error {
+	return run(context.Background(), args, stdout, io.Discard)
+}
+
 func TestSweepGoldenOutput(t *testing.T) {
 	for _, g := range goldenSweeps {
 		for _, workers := range []int{1, 4, 16} {
 			args := append([]string{"-parallel", strconv.Itoa(workers)}, g.args...)
 			var buf bytes.Buffer
-			if err := run(args, &buf); err != nil {
-				t.Fatalf("run(%v): %v", args, err)
+			if err := sweep(args, &buf); err != nil {
+				t.Fatalf("sweep(%v): %v", args, err)
 			}
 			if buf.String() != g.want {
-				t.Errorf("run(%v) output changed:\ngot:\n%swant:\n%s", args, buf.String(), g.want)
+				t.Errorf("sweep(%v) output changed:\ngot:\n%swant:\n%s", args, buf.String(), g.want)
 			}
 		}
 	}
@@ -100,10 +114,10 @@ func TestSweepGoldenOutput(t *testing.T) {
 func TestSweepOneGenerationIsClassic(t *testing.T) {
 	base := []string{"-graph", "ring", "-sizes", "12,16", "-kmode", "const:8", "-trials", "3", "-seed", "5"}
 	var classic, oneGen bytes.Buffer
-	if err := run(base, &classic); err != nil {
+	if err := sweep(base, &classic); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append([]string{"-generations", "8"}, base...), &oneGen); err != nil {
+	if err := sweep(append([]string{"-generations", "8"}, base...), &oneGen); err != nil {
 		t.Fatal(err)
 	}
 	if classic.String() != oneGen.String() {
@@ -114,7 +128,7 @@ func TestSweepOneGenerationIsClassic(t *testing.T) {
 func TestSweepEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "sweep.csv")
-	err := run([]string{
+	err := sweep([]string{
 		"-graph", "line", "-protocol", "ag", "-sizes", "8,12",
 		"-trials", "2", "-out", out, "-seed", "5",
 	}, os.Stdout)
@@ -140,7 +154,7 @@ func TestSweepEndToEnd(t *testing.T) {
 
 func TestSweepJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{
+	if err := sweep([]string{
 		"-graph", "line", "-sizes", "8", "-trials", "1", "-json",
 	}, &buf); err != nil {
 		t.Fatal(err)
@@ -160,7 +174,7 @@ func TestSweepResumeFromCheckpoint(t *testing.T) {
 		"-seed", "5", "-checkpoint", ckpt}
 
 	var full bytes.Buffer
-	if err := run(args, &full); err != nil {
+	if err := sweep(args, &full); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a kill: drop the checkpoint's tail, then resume.
@@ -176,7 +190,7 @@ func TestSweepResumeFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resumed bytes.Buffer
-	if err := run(append(args, "-resume"), &resumed); err != nil {
+	if err := sweep(append(args, "-resume"), &resumed); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.String() != full.String() {
@@ -200,7 +214,7 @@ func TestSweepResumesParentCheckpoint(t *testing.T) {
 	}
 	g := goldenSweeps[len(goldenSweeps)-1]
 	var resumed bytes.Buffer
-	if err := run(append([]string{"-checkpoint", ckpt, "-resume"}, g.args...), &resumed); err != nil {
+	if err := sweep(append([]string{"-checkpoint", ckpt, "-resume"}, g.args...), &resumed); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.String() != g.want {
@@ -212,7 +226,7 @@ func TestSweepResumesParentCheckpoint(t *testing.T) {
 // gossipsim only), so the CSV equals the library run of the same Spec.
 func TestSweepActionFlag(t *testing.T) {
 	var got bytes.Buffer
-	if err := run([]string{"-graph", "ring", "-sizes", "12", "-trials", "3", "-seed", "3", "-action", "push"}, &got); err != nil {
+	if err := sweep([]string{"-graph", "ring", "-sizes", "12", "-trials", "3", "-seed", "3", "-action", "push"}, &got); err != nil {
 		t.Fatal(err)
 	}
 	spec := harness.Spec{Name: "sweep", Graph: "ring", Sizes: []int{12}, Q: 2, Action: core.Push, Trials: 3, Seed: 3}
@@ -227,7 +241,7 @@ func TestSweepActionFlag(t *testing.T) {
 	if got.String() != want.String() {
 		t.Errorf("-action push:\ngot:\n%swant:\n%s", got.String(), want.String())
 	}
-	if err := run([]string{"-graph", "ring", "-sizes", "12", "-trials", "3", "-seed", "3"}, &exchange); err != nil {
+	if err := sweep([]string{"-graph", "ring", "-sizes", "12", "-trials", "3", "-seed", "3"}, &exchange); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() == exchange.String() {
@@ -244,7 +258,7 @@ func TestSweepDynamicsResume(t *testing.T) {
 		"-trials", "2", "-seed", "5", "-dynamics", "edge:rate=0.2", "-checkpoint", ckpt}
 
 	var full bytes.Buffer
-	if err := run(args, &full); err != nil {
+	if err := sweep(args, &full); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(ckpt)
@@ -259,7 +273,7 @@ func TestSweepDynamicsResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resumed bytes.Buffer
-	if err := run(append(args, "-resume"), &resumed); err != nil {
+	if err := sweep(append(args, "-resume"), &resumed); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.String() != full.String() {
@@ -270,7 +284,7 @@ func TestSweepDynamicsResume(t *testing.T) {
 	other := []string{"-graph", "torus", "-protocol", "ag", "-sizes", "9,16",
 		"-trials", "2", "-seed", "5", "-dynamics", "edge:rate=0.4",
 		"-checkpoint", ckpt, "-resume"}
-	if err := run(other, os.Stdout); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if err := sweep(other, os.Stdout); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("foreign dynamics checkpoint accepted: %v", err)
 	}
 }
@@ -287,28 +301,70 @@ func TestSweepRejectsBadFlags(t *testing.T) {
 		{"-dynamics", "edge:rate=1.5"},   // rate out of range
 		{"-dynamics", "churn:period=-1"}, // bad cadence
 	} {
-		if err := run(args, os.Stdout); err == nil {
-			t.Errorf("run(%v) accepted", args)
+		if err := sweep(args, os.Stdout); err == nil {
+			t.Errorf("sweep(%v) accepted", args)
 		}
 	}
-	harnesstest.RejectsBadSpecWords(t, run)
+	harnesstest.RejectsBadSpecWords(t, sweep)
 	// A refused combination fails before the pool starts.
-	if err := run([]string{"-protocol", "tag", "-generations", "4"}, os.Stdout); err == nil ||
+	if err := sweep([]string{"-protocol", "tag", "-generations", "4"}, os.Stdout); err == nil ||
 		!strings.Contains(err.Error(), "cell n=") {
 		t.Errorf("tag x generations: %v, want Expand's per-cell refusal", err)
 	}
 	// -action on a tree protocol used to be accepted, run EXCHANGE, and
 	// file the rows under regime=action=PUSH; now nothing reaches the store.
 	storePath := filepath.Join(t.TempDir(), "results.jsonl")
-	err := run([]string{"-protocol", "tag", "-action", "push", "-sizes", "16", "-store", storePath}, os.Stdout)
+	err := sweep([]string{"-protocol", "tag", "-action", "push", "-sizes", "16", "-store", storePath}, os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "EXCHANGE with the tree parent") {
 		t.Errorf("tag x push: %v, want the model's reason", err)
 	}
 	if _, serr := os.Stat(storePath); !os.IsNotExist(serr) {
 		t.Errorf("refused sweep left a store behind: %v", serr)
 	}
-	if err := run([]string{"-q", "300", "-sizes", "16"}, os.Stdout); err == nil || !strings.Contains(err.Error(), "supported: 2, 4, 8") {
+	if err := sweep([]string{"-q", "300", "-sizes", "16"}, os.Stdout); err == nil || !strings.Contains(err.Error(), "supported: 2, 4, 8") {
 		t.Errorf("-q 300: %v, want the supported orders", err)
+	}
+
+	// A served sweep refuses the same words before it binds. Its context is
+	// already cancelled, so a spec let through would serve nothing and
+	// return context.Canceled, which counts as accepted here.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	harnesstest.RejectsBadSpecWords(t, func(args []string, stdout io.Writer) error {
+		err := run(cancelled, append([]string{"-listen", "127.0.0.1:0"}, args...), stdout, io.Discard)
+		if errors.Is(err, context.Canceled) {
+			return nil
+		}
+		return err
+	})
+	// An unbuildable field used to start the coordinator and kill its first
+	// worker; now the spec is refused before the listener: on a port that is
+	// taken, the answer is still the field order, not "address in use".
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	taken := ln.Addr().String()
+	if err := sweep([]string{"-q", "6", "-sizes", "16", "-listen", taken}, io.Discard); err == nil || !strings.Contains(err.Error(), "supported: 2, 4, 8") {
+		t.Errorf("-listen -q 6: %v, want a refusal naming the supported orders", err)
+	}
+
+	// A flag the chosen mode would ignore is refused by name.
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-session", "ci"}, "-session"},
+		{[]string{"-lease-chunk", "8"}, "-lease-chunk"},
+		{[]string{"-lease-ttl", "2s"}, "-lease-ttl"},
+		{[]string{"-listen", taken, "-parallel", "2"}, "-parallel"},
+		{[]string{"-listen", taken, "-timeout", "1s"}, "-timeout"},
+		{[]string{"-listen", taken, "-resume"}, "-checkpoint"},
+	} {
+		if err := sweep(c.args, io.Discard); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("sweep %v: %v, want a refusal naming %s", c.args, err, c.flag)
+		}
 	}
 }
 
@@ -317,7 +373,7 @@ func TestSweepRejectsBadFlags(t *testing.T) {
 func TestSweepStoreIngest(t *testing.T) {
 	storePath := filepath.Join(t.TempDir(), "results.jsonl")
 	var buf bytes.Buffer
-	if err := run([]string{"-graph", "line", "-protocol", "ag", "-sizes", "8,12",
+	if err := sweep([]string{"-graph", "line", "-protocol", "ag", "-sizes", "8,12",
 		"-trials", "2", "-seed", "5", "-store", storePath}, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +410,8 @@ func TestSweepStoreKeepsRegimesApart(t *testing.T) {
 		{"-classes", "straggler:frac=0.2"},
 	}
 	for _, r := range regimes {
-		if err := run(append(append([]string{}, base...), r...), new(bytes.Buffer)); err != nil {
-			t.Fatalf("run(%v): %v", r, err)
+		if err := sweep(append(append([]string{}, base...), r...), new(bytes.Buffer)); err != nil {
+			t.Fatalf("sweep(%v): %v", r, err)
 		}
 	}
 	store, err := resultstore.Open(storePath)
@@ -396,7 +452,7 @@ type failWriter struct{}
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("disk full") }
 
 func TestSweepPropagatesWriteErrors(t *testing.T) {
-	err := run([]string{"-graph", "line", "-sizes", "8", "-trials", "1"}, failWriter{})
+	err := sweep([]string{"-graph", "line", "-sizes", "8", "-trials", "1"}, failWriter{})
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("write error not propagated: %v", err)
 	}
@@ -412,7 +468,7 @@ func TestProfileFlagsSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	args := []string{"-graph", "line", "-protocol", "ag", "-sizes", "8", "-trials", "1", "-seed", "5",
 		"-cpuprofile", cpu, "-memprofile", mem, "-trace", trc}
-	if err := run(args, &buf); err != nil {
+	if err := sweep(args, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "graph,protocol,model,n,k,trial,rounds\n") {
@@ -432,9 +488,201 @@ func TestProfileFlagsSmoke(t *testing.T) {
 // TestProfileFlagBadPath: an unwritable profile path fails up front.
 func TestProfileFlagBadPath(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-graph", "line", "-sizes", "8", "-trials", "1",
+	err := sweep([]string{"-graph", "line", "-sizes", "8", "-trials", "1",
 		"-cpuprofile", filepath.Join(t.TempDir(), "missing-dir", "cpu.pprof")}, &buf)
 	if err == nil {
 		t.Fatal("expected error for unwritable cpuprofile path")
+	}
+}
+
+// serving starts `sweep -listen 127.0.0.1:0` on args and returns the URL
+// its first stderr line names, the rest of stderr (complete once the run
+// has returned) and the run's result. afterFirst, when set, reads stderr
+// right after the address line and returns before the rest is drained.
+func serving(t *testing.T, ctx context.Context, args []string, afterFirst func(*bufio.Reader)) (string, *bytes.Buffer, <-chan error) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	result := make(chan error, 1)
+	go func() {
+		err := run(ctx, append([]string{"-listen", "127.0.0.1:0"}, args...), io.Discard, pw)
+		_ = pw.Close()
+		result <- err
+	}()
+	stderr := bufio.NewReader(pr)
+	line, err := stderr.ReadString('\n')
+	if err != nil {
+		t.Fatalf("served sweep exited without announcing its address: %v", <-result)
+	}
+	url, ok := strings.CutPrefix(line, "sweep: serving ")
+	url, _, _ = strings.Cut(url, " ")
+	if !ok || !strings.HasPrefix(url, "http://127.0.0.1:") {
+		t.Fatalf("first stderr line %q names no address", line)
+	}
+	rest, drained := new(bytes.Buffer), make(chan error, 1)
+	go func() {
+		if afterFirst != nil {
+			afterFirst(stderr)
+		}
+		_, _ = io.Copy(rest, stderr)
+		drained <- <-result
+	}()
+	return url, rest, drained
+}
+
+// TestSweepServesFabric: the same words run on the local pool and served
+// to a fabric worker give the same CSV — the pinned golden, and an
+// adversarial PUSH regime with node classes — while the session,
+// checkpoint, store and the lingering /status answer along the way.
+func TestSweepServesFabric(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		words  []string
+		want   string // also pinned, when set
+		tail   resultstore.Filter
+		p99    float64 // of tail, when set
+		regime string  // the regime both cells store
+	}{
+		{
+			name:  "golden",
+			words: goldenSweeps[0].args,
+			want:  goldenSweeps[0].want,
+			tail:  resultstore.Filter{Spec: "sweep", Graph: "line", N: 8},
+			p99:   20,
+		},
+		{
+			name: "adversarial-push",
+			words: []string{"-graph", "complete", "-sizes", "24,32", "-trials", "2", "-seed", "9",
+				"-adversary", "byzantine:frac=0.1,mode=pollute", "-classes", "straggler:frac=0.2,slow=4", "-action", "push"},
+			tail: resultstore.Filter{Graph: "complete", N: 24, HasRegime: true,
+				Regime: "action=PUSH/adv=byzantine:frac=0.1,mode=pollute/classes=straggler:frac=0.2,slow=4"},
+			regime: "action=PUSH/adv=byzantine:frac=0.1,mode=pollute/classes=straggler:frac=0.2,slow=4",
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var local bytes.Buffer
+			if err := sweep(append([]string{"-parallel", "1"}, c.words...), &local); err != nil {
+				t.Fatal(err)
+			}
+			if c.want != "" && local.String() != c.want {
+				t.Fatalf("local pool CSV moved off the pin:\n%s", local.String())
+			}
+
+			dir := t.TempDir()
+			out := filepath.Join(dir, "fab.csv")
+			storePath := filepath.Join(dir, "results.jsonl")
+			url, _, result := serving(t, context.Background(), append([]string{
+				"-session", "ci", "-checkpoint", filepath.Join(dir, "fab.ckpt"),
+				"-store", storePath, "-out", out, "-lease-chunk", "2",
+			}, c.words...), nil)
+
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			n, err := fabric.RunWorker(ctx, fabric.WorkerOptions{Coordinator: url, Name: "w0", Parallel: 2})
+			if err != nil || n != 4 {
+				t.Fatalf("worker executed %d trials: %v", n, err)
+			}
+			// The sweep lingers after completion; /status reports the
+			// finished counters while it does.
+			var status bytes.Buffer
+			if err := (ctlhttp.Client{Base: url}).Do(ctx, http.MethodGet, "/status", nil, &status); err != nil ||
+				!strings.Contains(status.String(), `"done":4`) {
+				t.Fatalf("status = %q, %v", status.String(), err)
+			}
+			if err := <-result; err != nil {
+				t.Fatalf("served sweep: %v", err)
+			}
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data) != local.String() {
+				t.Fatalf("served CSV differs from the local pool's:\ngot:\n%swant:\n%s", data, local.String())
+			}
+
+			// The store answers the tail query without touching the CSV,
+			// each cell under the regime its rows declared.
+			store, err := resultstore.Open(storePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			if ts, err := store.Tail(c.tail); err != nil || ts.Trials != 2 || (c.p99 != 0 && ts.P99 != c.p99) {
+				t.Fatalf("tail %+v = %+v, %v", c.tail, ts, err)
+			}
+			cells := store.Cells()
+			if len(cells) != 2 {
+				t.Fatalf("store has %d cells, want 2: %+v", len(cells), cells)
+			}
+			for _, cc := range cells {
+				if cc.Cell.Regime != c.regime || cc.Trials != 2 {
+					t.Errorf("cell %+v holds %d trials, want regime %q and 2", cc.Cell, cc.Trials, c.regime)
+				}
+			}
+			// The default regime holds exactly the rows that declared none.
+			ts, err := store.Tail(resultstore.Filter{HasRegime: true})
+			if err != nil || (ts.Trials == 4) != (c.regime == "") {
+				t.Fatalf("default-regime tail = %+v, %v, with cells under %q", ts, err, c.regime)
+			}
+		})
+	}
+}
+
+// TestSweepServedResumesAfterCancel: a served sweep stopped mid-run (as a
+// signal stops it) keeps what its workers delivered in the checkpoint,
+// and -resume serves only the rest, to the local pool's bytes.
+func TestSweepServedResumesAfterCancel(t *testing.T) {
+	words := []string{"-graph", "ring", "-sizes", "16,24", "-trials", "30", "-seed", "3"}
+	var want bytes.Buffer
+	if err := sweep(append([]string{"-parallel", "1"}, words...), &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	out := filepath.Join(dir, "fab.csv")
+	args := append([]string{"-checkpoint", filepath.Join(dir, "fab.ckpt"), "-lease-chunk", "1", "-progress", "-out", out}, words...)
+	work := func(ctx context.Context, url string) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := fabric.RunWorker(ctx, fabric.WorkerOptions{Coordinator: url, Name: "w", Parallel: 1})
+			done <- err
+		}()
+		return done
+	}
+
+	// Cancel once the first accepted trial is reported. The progress line
+	// waits on the pipe until it is read, so the sweep is still short of
+	// its 60 trials when it hears the cancel.
+	ctx, cancel := context.WithCancel(context.Background())
+	url, _, result := serving(t, ctx, args, func(stderr *bufio.Reader) {
+		if _, err := stderr.ReadString(')'); err == nil {
+			cancel()
+		}
+	})
+	workerCtx, stopWorker := context.WithCancel(context.Background())
+	worker := work(workerCtx, url)
+	if err := <-result; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled served sweep: %v, want context.Canceled", err)
+	}
+	stopWorker()
+	<-worker
+
+	url, stderr, result := serving(t, context.Background(), append([]string{"-resume"}, args...), nil)
+	if err := <-work(context.Background(), url); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if err := <-result; err != nil {
+		t.Fatalf("resumed served sweep: %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != want.String() {
+		t.Fatalf("resumed served CSV differs from the local pool's:\ngot:\n%swant:\n%s", data, want.String())
+	}
+	var total, executed, resumed int
+	footer := stderr.String()[strings.LastIndex(stderr.String(), "sweep: "):]
+	if _, err := fmt.Sscanf(footer, "sweep: %d trials (%d executed, %d resumed)", &total, &executed, &resumed); err != nil ||
+		total != 60 || resumed < 1 || executed < 1 {
+		t.Fatalf("footer %q: want some of the 60 trials resumed and the rest executed (%v)", footer, err)
 	}
 }

@@ -564,8 +564,8 @@ func ParseNodeList(s string) ([]core.NodeID, error) {
 	}
 	var out []core.NodeID
 	for _, part := range strings.Split(s, ",") {
-		var id int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &id); err != nil || id < 0 {
+		id, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || id < 0 {
 			return nil, fmt.Errorf("daemon: bad node id %q", part)
 		}
 		out = append(out, core.NodeID(id))
@@ -574,7 +574,8 @@ func ParseNodeList(s string) ([]core.NodeID, error) {
 }
 
 // ParsePeerMap parses "0=127.0.0.1:9000,1=127.0.0.1:9001" into the peer
-// address map; New checks the ids and addresses.
+// address map, refusing an id given twice; New checks the ids and
+// addresses.
 func ParsePeerMap(s string) (map[core.NodeID]string, error) {
 	out := make(map[core.NodeID]string)
 	if strings.TrimSpace(s) == "" {
@@ -585,6 +586,9 @@ func ParsePeerMap(s string) (map[core.NodeID]string, error) {
 		v, err := strconv.Atoi(id)
 		if !ok || err != nil {
 			return nil, fmt.Errorf("daemon: bad peer entry %q (want id=addr)", part)
+		}
+		if _, dup := out[core.NodeID(v)]; dup {
+			return nil, fmt.Errorf("daemon: peer %d given twice", v)
 		}
 		out[core.NodeID(v)] = addr
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -656,5 +657,27 @@ func TestPeersRefusedWhole(t *testing.T) {
 	refused(second.LocalAddr().String())
 	if err := send(); err != nil || !arrives(first, 5*time.Second) || arrives(second, 100*time.Millisecond) {
 		t.Fatalf("a refused body moved node 2's route (send: %v)", err)
+	}
+}
+
+// TestParseListsRefuseMalformed: an id with anything after its digits
+// used to parse as its leading digits, and a repeated peer id kept its
+// last address; both are refused now.
+func TestParseListsRefuseMalformed(t *testing.T) {
+	if got, err := ParseNodeList(" 0, 3 ,17"); err != nil || !reflect.DeepEqual(got, []core.NodeID{0, 3, 17}) {
+		t.Errorf("ParseNodeList(\" 0, 3 ,17\") = %v, %v", got, err)
+	}
+	for _, s := range []string{"0,1x,2.5", "1x", "2.5", "0,,1", "-1", ""} {
+		if got, err := ParseNodeList(s); err == nil {
+			t.Errorf("ParseNodeList(%q) = %v, accepted", s, got)
+		}
+	}
+	if got, err := ParsePeerMap("0=127.0.0.1:1, 1=127.0.0.1:2"); err != nil || len(got) != 2 || got[1] != "127.0.0.1:2" {
+		t.Errorf("ParsePeerMap of two peers = %v, %v", got, err)
+	}
+	for _, s := range []string{"0=127.0.0.1:1,0=127.0.0.1:2", "0", "x=127.0.0.1:1"} {
+		if got, err := ParsePeerMap(s); err == nil {
+			t.Errorf("ParsePeerMap(%q) = %v, accepted", s, got)
+		}
 	}
 }

@@ -22,8 +22,8 @@ func bind[T any](fs *flag.FlagSet, dst *T, name, usage string, parse func(string
 // per command-line-settable Spec field, parsed straight into the field,
 // with the field's current value as the default. A binary fills a Spec
 // literal with its own defaults, binds it, and declares only its run
-// flags (-parallel, -checkpoint, -listen, ...) itself, so sweep, gossipsim
-// and fabricd accept the same words with the same help text.
+// flags (-parallel, -checkpoint, -listen, ...) itself, so sweep and
+// gossipsim accept the same words with the same help text.
 func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&s.Graph, "graph", s.Graph, "topology family: line|ring|grid|torus|complete|star|bintree|barbell|lollipop|cliquechain|hypercube|er|randreg|geometric|pa|file:<path>")
 	bind(fs, &s.Protocol, "protocol", "protocol: ag|tag|tag-uniform|tag-is|uncoded (default ag)", ParseProtocol)

@@ -1,6 +1,6 @@
 // Package harnesstest holds the checks shared by the tests of every
-// binary that binds a harness.Spec to its command line, so sweep,
-// gossipsim and fabricd are held to one table rather than three.
+// binary that binds a harness.Spec to its command line, so sweep (served
+// with -listen or not) and gossipsim are held to one table.
 package harnesstest
 
 import (

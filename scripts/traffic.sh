@@ -147,19 +147,19 @@ for w in sweep_rank payload_gf256 scale_sharded live_tcp fabric_sweep; do
   run $bin/bench -workload $w -seconds 1 -trace 1
 done
 
-say "fabric: coordinator + two workers, one SIGKILLed mid-lease, status and query"
+say "fabric: sweep -listen + two workers, one SIGKILLed mid-lease, status and query"
 F="-graph ring -protocol ag -sizes 128,192,256 -trials 30 -seed 9"
 run $bin/sweep $F -parallel 1 -out want.csv
-$bin/fabricd coordinator $F -listen 127.0.0.1:0 -checkpoint fab.ckpt -store fab.jsonl \
+$bin/sweep $F -listen 127.0.0.1:0 -checkpoint fab.ckpt -store fab.jsonl \
   -lease-chunk 8 -lease-ttl 2s -out got.csv 2>coord.err &
 coord=$!; pids+=($coord)
 url=""
 for _ in $(seq 1 100); do
-  url=$(sed -n 's/.*coordinating .* on \(127\.0\.0\.1:[0-9]*\).*/http:\/\/\1/p' coord.err | head -n 1)
+  url=$(sed -n 's/^sweep: serving \(http:\/\/127\.0\.0\.1:[0-9]*\) .*/\1/p' coord.err | head -n 1)
   [ -n "$url" ] && break
   sleep 0.1
 done
-[ -n "$url" ] || { say "coordinator never announced its address"; exit 1; }
+[ -n "$url" ] || { say "served sweep never announced its address"; exit 1; }
 $bin/fabricd worker -coordinator "$url" -name w1 -parallel 1 >>"$log" 2>&1 &
 w1=$!; pids+=($w1)
 sleep 0.5
@@ -171,7 +171,9 @@ run cmp want.csv got.csv
 run $bin/fabricd query -store fab.jsonl -cells
 run $bin/fabricd query -store fab.jsonl -graph ring -n 256 -dynamics '' -generations 0
 run $bin/fabricd query -store store.jsonl -graph barbell -regime ''
-refuse $bin/fabricd coordinator -q 9
+refuse $bin/sweep -q 9 -listen 127.0.0.1:0
+refuse $bin/sweep -session x
+refuse $bin/fabricd nosuch
 
 say "gossipctl run: TCP and UDP deployments under chaos"
 # A 4 x 4 split of the ring: the Byzantine process's two inner nodes hear
