@@ -44,7 +44,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	opts := daemon.Options{GraphName: "ring", GraphSeed: 1, Seed: 1, ChaosSeed: 13}
 	opts.BindFlags(fs)
 	fs.StringVar(&opts.HTTPAddr, "http", "", "control/metrics listen address (default: an ephemeral loopback port)")
-	fs.DurationVar(&opts.ShutdownTimeout, "shutdown-timeout", 0, "drain bound for in-flight control requests (0 = 5s default)")
 	nodes := fs.String("nodes", "", "comma-separated local node ids (required)")
 	peers := fs.String("peers", "", "node address map: id=host:port,... (default: ephemeral ports, declared later with POST /peers)")
 	if err := fs.Parse(args); err != nil {

@@ -46,6 +46,10 @@ func TestRunAnnouncesServesAndDrains(t *testing.T) {
 }
 
 func TestRunRefusesBadCommandLines(t *testing.T) {
+	// A command line let through on an ended context serves nothing and
+	// returns nil, which counts as accepted here.
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, args := range [][]string{
 		{},                             // -nodes is required
 		{"-nodes", "0,x"},              // not a node list
@@ -56,9 +60,13 @@ func TestRunRefusesBadCommandLines(t *testing.T) {
 		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "1=127.0.0.1"}, // no port
 		{"-nodes", "0", "-n", "4", "-graph", "nosuch"},
 		{"-nodes", "0", "-n", "4", "-transport", "carrier-pigeon"},
+		{"-nodes", "0", "-n", "4", "-k", "2", "-loss", "1.5"},
+		{"-nodes", "0", "-n", "4", "-k", "2", "-loss", "NaN"}, // NaN passes a range written as x < 0 || x >= 1
+		{"-nodes", "0", "-n", "4", "-k", "2", "-chaos-corrupt", "1.5"},
+		{"-nodes", "0", "-n", "4", "-k", "2", "-chaos-corrupt", "NaN"},
 		{"-nosuchflag"},
 	} {
-		if err := run(context.Background(), args, io.Discard); err == nil {
+		if err := run(ended, args, io.Discard); err == nil {
 			t.Errorf("gossipd %v: accepted", args)
 		}
 	}

@@ -125,10 +125,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	// Open the output before spending any compute, so an unwritable path
-	// fails immediately instead of after the whole grid has run.
+	// fails immediately instead of after the whole grid has run. It is
+	// truncated only once there are results to put in it: a refused
+	// sweep leaves an existing file as it was.
 	w := stdout
+	var outFile *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
+		f, err := os.OpenFile(*out, os.O_WRONLY|os.O_CREATE, 0o666)
 		if err != nil {
 			return err
 		}
@@ -137,7 +140,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 				err = cerr
 			}
 		}()
-		w = f
+		w, outFile = f, f
 	}
 
 	var rs *harness.ResultSet
@@ -168,6 +171,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	if err != nil {
 		return err
+	}
+	if outFile != nil {
+		// Only a regular file has old bytes to drop: a device or a pipe
+		// (-out /dev/null) cannot be truncated.
+		fi, err := outFile.Stat()
+		if err == nil && fi.Mode().IsRegular() {
+			err = outFile.Truncate(0)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if *jsonOut {
 		err = harness.WriteJSON(w, rs)

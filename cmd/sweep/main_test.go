@@ -458,6 +458,55 @@ func TestSweepPropagatesWriteErrors(t *testing.T) {
 	}
 }
 
+// TestSweepRefusalKeepsOutFile: a sweep refused before it runs, served or
+// not, leaves an existing -out file byte-identical; one that runs replaces
+// the file whole, however long it was; and an unwritable -out fails before
+// the first trial (nothing reaches the checkpoint).
+func TestSweepRefusalKeepsOutFile(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "keep.csv")
+	precious := []byte(strings.Repeat("precious\n", 200))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-q", "6", "-sizes", "16"},
+		{"-protocol", "tag", "-action", "push", "-sizes", "16"},
+		{"-listen", "127.0.0.1:0", "-q", "6", "-sizes", "16"},
+		{"-listen", "127.0.0.1:0", "-protocol", "tag", "-action", "push", "-sizes", "16"},
+	} {
+		if err := os.WriteFile(out, precious, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// A served spec let through would return context.Canceled.
+		if err := run(cancelled, append([]string{"-out", out}, args...), io.Discard, io.Discard); err == nil || errors.Is(err, context.Canceled) {
+			t.Errorf("sweep %v accepted", args)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, precious) {
+			t.Errorf("refused sweep %v left -out at %d bytes (%v), want the %d it had", args, len(got), err, len(precious))
+		}
+	}
+
+	g := goldenSweeps[0]
+	if err := sweep(append([]string{"-out", out}, g.args...), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(out); string(got) != g.want {
+		t.Errorf("a sweep over a longer file wrote:\n%s\nwant:\n%s", got, g.want)
+	}
+	if err := sweep(append([]string{"-out", os.DevNull}, g.args...), io.Discard); err != nil {
+		t.Errorf("-out %s: %v", os.DevNull, err)
+	}
+
+	ckpt := filepath.Join(dir, "sweep.ckpt")
+	args := append([]string{"-out", filepath.Join(dir, "no", "such", "dir.csv"), "-checkpoint", ckpt}, g.args...)
+	if err := sweep(args, io.Discard); err == nil {
+		t.Error("an unwritable -out was accepted")
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("an unwritable -out failed after the pool started: checkpoint %v", err)
+	}
+}
+
 // TestProfileFlagsSmoke checks -cpuprofile/-memprofile/-trace write
 // non-empty diagnostics files on clean exit without disturbing the CSV.
 func TestProfileFlagsSmoke(t *testing.T) {

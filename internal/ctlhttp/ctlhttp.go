@@ -4,9 +4,10 @@
 // worker, the CLIs): a request body, when there is one, is JSON and
 // bounded; the answer is 200 with JSON or a plain word; any other status
 // carries the reason as text. Servers mount routes with Handle, HandleBare
-// and HandleBody, clients call Client.Do and wait with Retry, and nobody
-// else builds a request, maps a status, caps a body or sleeps between
-// tries.
+// and HandleBody and live as a Server (Listen, Serve, Stop: one listen →
+// serve → drain with one grace bound); clients call Client.Do and wait
+// with Retry. Nobody else builds a request or a server, maps a status,
+// caps a body or sleeps between tries.
 package ctlhttp
 
 import (
@@ -16,7 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -83,6 +86,71 @@ func Handle[Req any](mux *http.ServeMux, pattern, word string, apply func(Req) (
 // HandleBare mounts a route that reads no body.
 func HandleBare(mux *http.ServeMux, pattern, word string, apply func() (reply any, err error)) {
 	HandleBody(mux, pattern, word, func(io.Reader) (any, error) { return apply() })
+}
+
+// grace bounds how long a stopping Server waits for requests in flight
+// before it cuts their connections.
+const grace = 5 * time.Second
+
+// Server is one control plane's listener and HTTP server, with the stop
+// latch its routes (POST /drain, the fabric's last accepted trial) close.
+type Server struct {
+	ln    net.Listener
+	srv   *http.Server
+	stop  chan struct{}
+	once  sync.Once
+	grace time.Duration // grace, shortened by tests
+}
+
+// Listen binds addr ("" means 127.0.0.1:0) for handler. Clients may
+// connect as soon as it returns; they are answered once Serve runs.
+func Listen(addr string, handler http.Handler) (*Server, error) {
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	return &Server{ln: ln, srv: srv, stop: make(chan struct{}), grace: grace}, nil
+}
+
+// Addr is the bound address (host:port).
+func (s *Server) Addr() string { return s.ln.Addr().String() }
+
+// URL is the base URL clients call.
+func (s *Server) URL() string { return "http://" + s.Addr() }
+
+// Stop releases Serve; it may be called any number of times, from
+// anywhere, a handler included.
+func (s *Server) Stop() { s.once.Do(func() { close(s.stop) }) }
+
+// Serve answers requests until ctx ends, Stop is called or serving fails.
+// After a Stop it answers for linger more (cut short by ctx). It then
+// shuts down, giving requests in flight the grace bound before their
+// connections are cut, and returns once serving has: nil after ctx or
+// Stop, serving's error otherwise.
+func (s *Server) Serve(ctx context.Context, linger time.Duration) error {
+	served := make(chan error, 1)
+	go func() { served <- s.srv.Serve(s.ln) }()
+	var err error
+	select {
+	case <-ctx.Done():
+	case <-s.stop:
+		_ = Wait(ctx, linger)
+	case err = <-served:
+		served = nil
+	}
+	drain, cancel := context.WithTimeout(context.Background(), s.grace)
+	defer cancel()
+	if s.srv.Shutdown(drain) != nil {
+		_ = s.srv.Close()
+	}
+	if served != nil {
+		<-served // http.ErrServerClosed
+	}
+	return err
 }
 
 // Client calls one control plane.

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"algossip/internal/core"
@@ -78,18 +77,13 @@ type Options struct {
 	ChaosJitter  time.Duration
 	ChaosCorrupt float64
 	ChaosSeed    uint64
-	// ShutdownTimeout bounds how long a drain waits for in-flight control
-	// requests before cutting their connections (0 = the 5s default).
-	// Raise it for deployments whose drains run slower than 5s under
-	// load — a too-small value truncates active scrapes mid-response.
-	ShutdownTimeout time.Duration
 }
 
 // BindFlags registers the words every process of a deployment shares, one
 // flag per field, parsed straight into the field with its current value as
 // the default. A binary fills an Options with its own defaults, binds it,
 // and declares only its process-local flags itself (gossipd: -http,
-// -nodes, -peers, -shutdown-timeout; gossipctl run: -procs, -timeout, ...).
+// -nodes, -peers; gossipctl run: -procs, -timeout, ...).
 // livectl renders a child's command line by visiting the same binding, so
 // a word added here reaches every gossipd a controller spawns.
 func (o *Options) BindFlags(fs *flag.FlagSet) {
@@ -109,9 +103,6 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&o.ChaosCorrupt, "chaos-corrupt", o.ChaosCorrupt, "probability of structurally corrupting each outbound frame (1 = Byzantine process)")
 	fs.Uint64Var(&o.ChaosSeed, "chaos-seed", o.ChaosSeed, "fault injection seed (loss, jitter, corruption)")
 }
-
-// defaultShutdownTimeout is the historical hardcoded drain bound.
-const defaultShutdownTimeout = 5 * time.Second
 
 // socketTransport is what the daemon needs of its wire transport beyond
 // runtime.Transport: the routing table every transport embeds.
@@ -134,16 +125,11 @@ func newTransport(name string) (socketTransport, error) {
 
 // Daemon hosts a cluster slice plus its HTTP control plane.
 type Daemon struct {
-	opts    Options
 	graph   *graph.Graph
 	base    socketTransport         // the raw socket transport (gossip addresses)
 	chaos   *runtime.ChaosTransport // base behind the fault layer: what the cluster sends through
 	cluster *runtime.Cluster
-	httpLn  net.Listener
-	server  *http.Server
-
-	drainOnce sync.Once
-	drainCh   chan struct{}
+	ctl     *ctlhttp.Server // the control plane; POST /drain stops it
 }
 
 // New validates the options and builds the transport, cluster and control
@@ -201,90 +187,44 @@ func New(opts Options) (*Daemon, error) {
 		return nil, fmt.Errorf("daemon: cluster: %w", err)
 	}
 
-	httpAddr := opts.HTTPAddr
-	if httpAddr == "" {
-		httpAddr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", httpAddr)
-	if err != nil {
+	d := &Daemon{graph: g, base: base, chaos: chaos, cluster: cluster}
+	if d.ctl, err = ctlhttp.Listen(opts.HTTPAddr, d.mux()); err != nil {
 		_ = chaos.Close()
 		return nil, fmt.Errorf("daemon: control listen: %w", err)
 	}
-
-	d := &Daemon{
-		opts:    opts,
-		graph:   g,
-		base:    base,
-		chaos:   chaos,
-		cluster: cluster,
-		httpLn:  ln,
-		drainCh: make(chan struct{}),
-	}
-	d.server = &http.Server{Handler: d.mux(), ReadHeaderTimeout: 5 * time.Second}
 	return d, nil
 }
 
 // ControlAddr is the bound HTTP control address.
-func (d *Daemon) ControlAddr() string { return d.httpLn.Addr().String() }
+func (d *Daemon) ControlAddr() string { return d.ctl.Addr() }
 
 // Run serves gossip and the control plane until ctx is cancelled or a
 // drain is requested, then shuts both down. Interruption by ctx or drain
 // is the intended shutdown path and returns nil — convergence state at
 // that moment is observable via Status, not the error.
 func (d *Daemon) Run(ctx context.Context) error {
+	// A cluster built WithServeAfterDone runs until runCtx ends.
 	runCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- d.server.Serve(d.httpLn) }()
-
-	clusterErr := make(chan error, 1)
+	clusterDone := make(chan struct{})
 	go func() {
-		_, err := d.cluster.Run(runCtx)
-		clusterErr <- err
+		defer close(clusterDone)
+		_, _ = d.cluster.Run(runCtx)
 	}()
 
-	var err error
-	select {
-	case <-ctx.Done():
-	case <-d.drainCh:
-	case err = <-clusterErr:
-		clusterErr = nil
-	case err = <-httpErr:
-		httpErr = nil
-		if err != nil {
-			err = fmt.Errorf("daemon: control plane: %w", err)
-		}
+	// Drain: the control plane first, so requests in flight are answered
+	// by live nodes, then the node goroutines, then the sockets. The
+	// cluster's "interrupted" error is the normal drain path, not a
+	// failure.
+	err := d.ctl.Serve(ctx, 0)
+	if err != nil {
+		err = fmt.Errorf("daemon: control plane: %w", err)
 	}
-
-	// Drain: stop the node goroutines, then the control plane, then the
-	// sockets. A post-cancel "cluster interrupted" is the normal drain
-	// path, not a failure.
 	cancel()
-	if clusterErr != nil {
-		<-clusterErr
-	}
-	shutdownCtx, stop := context.WithTimeout(context.Background(), d.shutdownTimeout())
-	_ = d.server.Shutdown(shutdownCtx)
-	stop()
-	if httpErr != nil {
-		<-httpErr // http.ErrServerClosed after Shutdown
-	}
+	<-clusterDone
 	if cerr := d.chaos.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("daemon: transport close: %w", cerr)
 	}
 	return err
-}
-
-// drain requests shutdown (idempotent).
-func (d *Daemon) drain() { d.drainOnce.Do(func() { close(d.drainCh) }) }
-
-// shutdownTimeout resolves the configured drain bound.
-func (d *Daemon) shutdownTimeout() time.Duration {
-	if d.opts.ShutdownTimeout > 0 {
-		return d.opts.ShutdownTimeout
-	}
-	return defaultShutdownTimeout
 }
 
 // The control-plane schema: one struct per route body, shared by this
@@ -475,7 +415,7 @@ func (d *Daemon) mux() *http.ServeMux {
 		return nil, nil
 	})
 	ctlhttp.HandleBare(mux, "POST /drain", "draining", func() (any, error) {
-		d.drain()
+		d.ctl.Stop()
 		return nil, nil
 	})
 	return mux

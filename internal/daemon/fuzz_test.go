@@ -50,7 +50,7 @@ func FuzzDaemonBodies(f *testing.F) {
 			f.Errorf("drain was not clean: %v", err)
 		}
 	})
-	plane := d.server.Handler
+	plane := d.mux()
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		path := routes[int(route)%len(routes)]
 		rec := httptest.NewRecorder()

@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"algossip/internal/ctlhttp"
@@ -56,11 +54,7 @@ type Coordinator struct {
 	fingerprint string
 	ledger      *harness.Ledger
 	table       *harness.LeaseTable
-
-	ln     net.Listener
-	server *http.Server
-	doneCh chan struct{}
-	done   sync.Once
+	ctl         *ctlhttp.Server // stopped when the last trial is accepted
 }
 
 // NewCoordinator validates the options, opens the ledger (expanding the
@@ -76,9 +70,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	if opts.Spec.TrialSeed != nil {
 		return nil, fmt.Errorf("fabric: custom TrialSeed functions do not serialize; use the default derivation")
-	}
-	if opts.Listen == "" {
-		opts.Listen = "127.0.0.1:0"
 	}
 	if opts.LeaseChunk <= 0 {
 		opts.LeaseChunk = defaultLeaseChunk
@@ -97,12 +88,9 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{
-		opts: opts, fingerprint: opts.Spec.Fingerprint(),
-		ledger: ledger, doneCh: make(chan struct{}),
-	}
+	c := &Coordinator{opts: opts, fingerprint: opts.Spec.Fingerprint(), ledger: ledger}
 	if c.table, err = harness.NewLeaseTable(len(ledger.Trials), opts.LeaseChunk, opts.LeaseTTL, opts.now); err == nil {
-		if c.ln, err = net.Listen("tcp", opts.Listen); err != nil {
+		if c.ctl, err = ctlhttp.Listen(opts.Listen, c.mux()); err != nil {
 			err = fmt.Errorf("fabric: listen: %w", err)
 		}
 	}
@@ -112,15 +100,11 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	c.table.MarkDone(ledger.Resumed()...)
 	c.finishIfDone()
-	c.server = &http.Server{Handler: c.mux(), ReadHeaderTimeout: 5 * time.Second}
 	return c, nil
 }
 
-// Addr is the bound coordinator address (host:port).
-func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
 // URL is the base URL workers dial.
-func (c *Coordinator) URL() string { return "http://" + c.Addr() }
+func (c *Coordinator) URL() string { return c.ctl.URL() }
 
 // Run serves workers until every trial has completed or ctx is
 // cancelled. On completion it returns the merged ResultSet — identical
@@ -130,27 +114,13 @@ func (c *Coordinator) URL() string { return "http://" + c.Addr() }
 // where this coordinator stopped.
 func (c *Coordinator) Run(ctx context.Context) (*harness.ResultSet, error) {
 	start := time.Now()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- c.server.Serve(c.ln) }()
-
-	var runErr error
-	select {
-	case <-ctx.Done():
+	// Past the last trial, keep answering Done for the linger so polling
+	// workers learn the run finished instead of hitting a closed port.
+	runErr := c.ctl.Serve(ctx, c.opts.Linger)
+	if runErr != nil {
+		runErr = fmt.Errorf("fabric: serve: %w", runErr)
+	} else if !c.table.Done() {
 		runErr = ctx.Err()
-	case <-c.doneCh:
-		// Keep answering Done for a beat so polling workers learn the
-		// run finished instead of hitting a closed port.
-		_ = ctlhttp.Wait(ctx, c.opts.Linger)
-	case err := <-serveErr:
-		serveErr = nil
-		runErr = fmt.Errorf("fabric: serve: %w", err)
-	}
-
-	shutdownCtx, stop := context.WithTimeout(context.Background(), 5*time.Second)
-	_ = c.server.Shutdown(shutdownCtx)
-	stop()
-	if serveErr != nil {
-		<-serveErr // http.ErrServerClosed after Shutdown
 	}
 	if err := c.ledger.Close(); err != nil && runErr == nil {
 		runErr = err
@@ -176,7 +146,7 @@ func (c *Coordinator) Run(ctx context.Context) (*harness.ResultSet, error) {
 func (c *Coordinator) finishIfDone() bool {
 	done := c.table.Done()
 	if done {
-		c.done.Do(func() { close(c.doneCh) })
+		c.ctl.Stop()
 	}
 	return done
 }

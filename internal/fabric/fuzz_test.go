@@ -44,7 +44,7 @@ func FuzzFabricBodies(f *testing.F) {
 		cancel()
 		_, _ = c.Run(ctx)
 	})
-	plane := c.server.Handler
+	plane := c.mux()
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		path := routes[int(route)%len(routes)]
 		rec := httptest.NewRecorder()

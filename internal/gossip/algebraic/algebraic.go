@@ -180,7 +180,7 @@ func Renew(prev *Protocol, g *graph.Graph, model core.TimeModel, sel sim.Partner
 	if cfg.Action == 0 {
 		cfg.Action = core.Exchange
 	}
-	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
+	if !(cfg.LossRate >= 0 && cfg.LossRate < 1) { // NaN fails it too
 		return nil, fmt.Errorf("algebraic: loss rate %v outside [0, 1)", cfg.LossRate)
 	}
 	gen := rlnc.GenConfig{Inner: cfg.RLNC, K: cfg.RLNC.K, GenSize: cfg.GenSize}

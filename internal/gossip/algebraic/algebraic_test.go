@@ -334,7 +334,7 @@ func TestLossRateCompletesAndSlows(t *testing.T) {
 
 func TestLossRateValidation(t *testing.T) {
 	g := graph.Line(4)
-	for _, bad := range []float64{-0.1, 1.0, 1.5} {
+	for _, bad := range []float64{-0.1, 1.0, 1.5, math.NaN()} {
 		cfg := rankOnlyCfg(2)
 		cfg.LossRate = bad
 		if _, err := New(g, core.Synchronous, sim.NewUniform(g), cfg, core.NewRand(1)); err == nil {

@@ -94,7 +94,7 @@ var _ Dynamic = (*EdgeFailureSchedule)(nil)
 // with probability rate in each round, independently across edges and
 // rounds. rate must be in [0, 1).
 func NewEdgeFailures(base *Graph, rate float64, seed uint64) *EdgeFailureSchedule {
-	if rate < 0 || rate >= 1 {
+	if !(rate >= 0 && rate < 1) { // NaN fails it too
 		panic(fmt.Sprintf("graph: edge failure rate %v outside [0, 1)", rate))
 	}
 	return &EdgeFailureSchedule{base: base, rate: rate, seed: seed, lastRound: -1}
@@ -143,7 +143,7 @@ var _ Dynamic = (*BurstFailureSchedule)(nil)
 // and burstLen must be smaller than period so the graph heals between
 // bursts.
 func NewBurstFailures(base *Graph, rate float64, period, burstLen int, seed uint64) *BurstFailureSchedule {
-	if rate < 0 || rate >= 1 {
+	if !(rate >= 0 && rate < 1) { // NaN fails it too
 		panic(fmt.Sprintf("graph: burst failure rate %v outside [0, 1)", rate))
 	}
 	if period < 1 || burstLen < 1 || burstLen >= period {
@@ -195,7 +195,7 @@ var _ Dynamic = (*RewireSchedule)(nil)
 // NewRewire returns a schedule that rewires each edge with probability
 // fraction at every period-round boundary.
 func NewRewire(base *Graph, fraction float64, period int, seed uint64) *RewireSchedule {
-	if fraction < 0 || fraction > 1 {
+	if !(fraction >= 0 && fraction <= 1) { // NaN fails it too
 		panic(fmt.Sprintf("graph: rewire fraction %v outside [0, 1]", fraction))
 	}
 	if period < 1 {
@@ -256,7 +256,7 @@ var (
 // NewChurn returns a churn schedule over base. rate must be in [0, 1)
 // and blockLen (the session granularity in rounds) positive.
 func NewChurn(base *Graph, rate float64, blockLen int, seed uint64) *ChurnSchedule {
-	if rate < 0 || rate >= 1 {
+	if !(rate >= 0 && rate < 1) { // NaN fails it too
 		panic(fmt.Sprintf("graph: churn rate %v outside [0, 1)", rate))
 	}
 	if blockLen < 1 {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 
 	"algossip/internal/core"
@@ -28,6 +29,29 @@ func TestStaticSchedule(t *testing.T) {
 	for _, round := range []int{0, 1, 7, 1 << 20} {
 		if s.At(round) != g {
 			t.Fatalf("round %d: static schedule returned a different pointer", round)
+		}
+	}
+}
+
+// TestSchedulesRefuseRatesOutOfRange: every schedule constructor panics
+// on a rate outside its range, NaN included.
+func TestSchedulesRefuseRatesOutOfRange(t *testing.T) {
+	base := Ring(8)
+	for _, rate := range []float64{-0.1, 1.5, math.NaN()} {
+		for name, build := range map[string]func(){
+			"edge":   func() { NewEdgeFailures(base, rate, 1) },
+			"burst":  func() { NewBurstFailures(base, rate, 8, 2, 1) },
+			"rewire": func() { NewRewire(base, rate, 4, 1) },
+			"churn":  func() { NewChurn(base, rate, 4, 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s schedule accepted rate %v", name, rate)
+					}
+				}()
+				build()
+			}()
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (a *Adversary) validate() error {
 	if a.Kind != "byzantine" {
 		return fmt.Errorf("harness: unknown adversary kind %q (known: byzantine)", a.Kind)
 	}
-	if a.Frac < 0 || a.Frac >= 1 {
+	if !(a.Frac >= 0 && a.Frac < 1) { // NaN fails it too
 		return fmt.Errorf("harness: adversary frac %v outside [0, 1)", a.Frac)
 	}
 	switch a.withDefaults().Mode {
@@ -189,7 +189,7 @@ func (c *Classes) validate() error {
 	default:
 		return fmt.Errorf("harness: unknown classes kind %q (known: straggler, tiered)", c.Kind)
 	}
-	if n.Frac < 0 || n.Frac > 1 {
+	if !(n.Frac >= 0 && n.Frac <= 1) { // NaN fails it too
 		return fmt.Errorf("harness: classes frac %v outside [0, 1]", n.Frac)
 	}
 	return nil

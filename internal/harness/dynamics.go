@@ -103,7 +103,7 @@ func (d *Dynamics) Build(g *graph.Graph, seed uint64) (graph.Dynamic, error) {
 		return nil, fmt.Errorf("harness: burst length only applies to kind \"burst\"")
 	}
 	n := d.withDefaults()
-	if n.Rate < 0 || n.Rate >= 1 {
+	if !(n.Rate >= 0 && n.Rate < 1) { // NaN fails it too
 		return nil, fmt.Errorf("harness: dynamics rate %v outside [0, 1)", n.Rate)
 	}
 	if n.Period < 1 {

@@ -247,6 +247,9 @@ func (s GossipSpec) validate(proto Protocol) error {
 	if s.GenSize < 0 || s.GenSize > s.K {
 		return fmt.Errorf("harness: %w", &rlnc.GenSizeError{GenSize: s.GenSize, K: s.K})
 	}
+	if !(s.LossRate >= 0 && s.LossRate < 1) { // NaN fails it too
+		return fmt.Errorf("harness: loss rate %v outside [0, 1)", s.LossRate)
+	}
 	if err := s.Adversary.validate(); err != nil {
 		return err
 	}

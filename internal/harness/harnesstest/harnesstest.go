@@ -18,8 +18,12 @@ func RejectsBadSpecWords(t *testing.T, run func(args []string, stdout io.Writer)
 		{"-model", "bogus"},
 		{"-action", "sideways"},
 		{"-dynamics", "edge:rate=1.5"},
+		{"-dynamics", "edge:rate=NaN"}, // NaN passes a range written as x < 0 || x >= 1
+		{"-dynamics", "churn:rate=NaN"},
 		{"-adversary", "byzantine:frac=2"},
+		{"-adversary", "byzantine:frac=NaN"},
 		{"-classes", "nope"},
+		{"-classes", "straggler:frac=NaN"},
 		{"-q", "6"},                             // no such field: refused, not a gf.MustNew panic in the pool
 		{"-q", "300"},                           // over the byte representation
 		{"-protocol", "tag", "-action", "push"}, // TAG's Phase 2 is an EXCHANGE

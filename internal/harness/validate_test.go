@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -158,6 +159,13 @@ func TestExpandRefusesBeforeAnyTrial(t *testing.T) {
 		"adversary x shards": {Graph: "ring", Sizes: []int{16}, Shards: 2, Trials: 1,
 			Adversary: &Adversary{Kind: "byzantine", Frac: 0.1}},
 		"bad classes": {Graph: "ring", Sizes: []int{16}, Trials: 1, Classes: &Classes{Kind: "nope", Frac: 0.5}},
+		"loss 1.5":    {Graph: "ring", Sizes: []int{16}, LossRate: 1.5, Trials: 1},
+		"loss NaN":    {Graph: "ring", Sizes: []int{16}, LossRate: math.NaN(), Trials: 1},
+		"loss -0.1":   {Graph: "ring", Sizes: []int{16}, LossRate: -0.1, Trials: 1},
+		"adversary frac NaN": {Graph: "ring", Sizes: []int{16}, Trials: 1,
+			Adversary: &Adversary{Kind: "byzantine", Frac: math.NaN()}},
+		"classes frac NaN": {Graph: "ring", Sizes: []int{16}, Trials: 1,
+			Classes: &Classes{Kind: "straggler", Frac: math.NaN()}},
 	} {
 		if _, _, err := s.Expand(); err == nil {
 			t.Errorf("%s: Expand accepted it", name)

@@ -31,9 +31,9 @@ import (
 // Options configures a deployment: the daemon options every process
 // shares, plus how to spawn them. Launch fills the per-process fields
 // itself — Local from the node split, ChaosSeed split per process — and
-// leaves HTTPAddr, ShutdownTimeout and Peers at gossipd's defaults: every
-// gossip address is learned (see Launch). The zero value is not
-// runnable: Procs, GraphName, GraphN and K are required.
+// leaves HTTPAddr and Peers at gossipd's defaults: every gossip address
+// is learned (see Launch). The zero value is not runnable: Procs,
+// GraphName, GraphN and K are required.
 type Options struct {
 	daemon.Options
 	// Bin is the gossipd binary; empty builds it into a temp dir first.

@@ -298,7 +298,7 @@ func TestMalformedBodies(t *testing.T) {
 // Options and forgotten in BindFlags fails here.
 func TestChildArgsRoundTrip(t *testing.T) {
 	want := daemon.Options{Local: []core.NodeID{3, 4, 5}}
-	processLocal := map[string]bool{"HTTPAddr": true, "ShutdownTimeout": true, "Local": true, "Peers": true}
+	processLocal := map[string]bool{"HTTPAddr": true, "Local": true, "Peers": true}
 	v := reflect.ValueOf(&want).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)

@@ -75,10 +75,10 @@ var _ Transport = (*ChaosTransport)(nil)
 
 // NewChaosTransport wraps inner with the given degradation profile.
 func NewChaosTransport(inner Transport, cfg ChaosConfig) (*ChaosTransport, error) {
-	if cfg.DropRate < 0 || cfg.DropRate >= 1 {
+	if !(cfg.DropRate >= 0 && cfg.DropRate < 1) { // NaN fails it too
 		return nil, fmt.Errorf("runtime: loss rate %v outside [0, 1)", cfg.DropRate)
 	}
-	if cfg.CorruptRate < 0 || cfg.CorruptRate > 1 {
+	if !(cfg.CorruptRate >= 0 && cfg.CorruptRate <= 1) { // NaN fails it too
 		return nil, fmt.Errorf("runtime: corrupt rate %v outside [0, 1]", cfg.CorruptRate)
 	}
 	if cfg.Latency < 0 || cfg.Jitter < 0 {
@@ -191,7 +191,7 @@ func (t *ChaosTransport) SetLatency(base, jitter time.Duration) error {
 
 // SetCorruptRate replaces the per-envelope corruption probability.
 func (t *ChaosTransport) SetCorruptRate(rate float64) error {
-	if rate < 0 || rate > 1 {
+	if !(rate >= 0 && rate <= 1) { // NaN fails it too
 		return fmt.Errorf("runtime: corrupt rate %v outside [0, 1]", rate)
 	}
 	t.mu.Lock()

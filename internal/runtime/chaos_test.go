@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -255,6 +256,9 @@ func TestChaosSetLatencyMidRun(t *testing.T) {
 	if err := tr.SetCorruptRate(1.5); err == nil {
 		t.Fatal("corrupt rate > 1 accepted")
 	}
+	if err := tr.SetCorruptRate(math.NaN()); err == nil {
+		t.Fatal("corrupt rate NaN accepted")
+	}
 }
 
 // TestChaosConfigValidation: constructor rejects out-of-range knobs.
@@ -262,6 +266,9 @@ func TestChaosConfigValidation(t *testing.T) {
 	for _, cfg := range []ChaosConfig{
 		{CorruptRate: -0.1},
 		{CorruptRate: 1.1},
+		{CorruptRate: math.NaN()},
+		{DropRate: 1},
+		{DropRate: math.NaN()},
 		{Latency: -time.Second},
 		{Jitter: -time.Second},
 	} {

@@ -109,6 +109,11 @@ refuse $bin/sweep -q 300
 refuse $bin/sweep -graph nosuch
 refuse $bin/sweep -protocol tag -action push -store refused.jsonl
 refuse $bin/sweep -protocol tag -dynamics edge:rate=0.2
+refuse $bin/sweep -adversary byzantine:frac=NaN
+# A refused sweep leaves an existing -out file as it was.
+cp a.csv keep.csv
+refuse $bin/sweep -q 6 -out keep.csv
+run cmp a.csv keep.csv
 
 say "gossipsim"
 G="$bin/gossipsim -trials 2"
@@ -210,6 +215,7 @@ refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -transport carrier-pigeon
 # A declared peer map is checked whole at start, as POST /peers checks one.
 refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -peers 1=127.0.0.1:9001,4=127.0.0.1:9004
 refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -peers 1=127.0.0.1
+refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -loss NaN
 
 # ---- the report ----
 cd "$work"
