@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -385,5 +386,41 @@ func TestFabricRejectsNonSerializableSpecs(t *testing.T) {
 	if _, err := NewCoordinator(CoordinatorOptions{Spec: &spec2}); err == nil ||
 		!strings.Contains(err.Error(), "TrialSeed") {
 		t.Fatalf("custom TrialSeed accepted: %v", err)
+	}
+}
+
+// TestWorkerRefusesUnrunnableSpec: a /spec body that decodes but cannot
+// run (here an action no protocol knows) is refused by NewWorker, naming
+// the word, before the worker asks for a lease.
+func TestWorkerRefusesUnrunnableSpec(t *testing.T) {
+	spec := testSpec()
+	spec.Action = 9
+	body, err := json.Marshal(map[string]any{"spec": &spec, "fingerprint": spec.Fingerprint(), "total": 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var paths []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
+		if r.URL.Path != "/spec" {
+			http.Error(w, "unexpected", http.StatusNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	}))
+	defer srv.Close()
+
+	_, err = NewWorker(context.Background(), WorkerOptions{Coordinator: srv.URL, Name: "w"})
+	if err == nil || !strings.Contains(err.Error(), "unknown action Action(9)") {
+		t.Errorf("NewWorker: err = %v, want a refusal naming the action", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if strings.Join(paths, ",") != "/spec" {
+		t.Errorf("worker requested %v, want /spec alone", paths)
 	}
 }

@@ -193,32 +193,6 @@ func TestExecuteAdversarialConverges(t *testing.T) {
 	}
 }
 
-// TestExecuteAdversarialValidation: unsupported mode combinations are
-// typed errors, not silent misbehavior.
-func TestExecuteAdversarialValidation(t *testing.T) {
-	g := graph.Complete(16)
-	adv, err := ParseAdversary("byzantine:frac=0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := []GossipSpec{
-		{Graph: g, K: 8, Adversary: adv, Shards: 2},
-		{Graph: g, K: 8, Adversary: adv, Dynamics: &Dynamics{Kind: "edge", Rate: 0.1}},
-		{Graph: g, K: 8, Adversary: &Adversary{Kind: "romulan", Frac: 0.1}},
-		{Graph: g, K: 8, Classes: &Classes{Kind: "straggler", Frac: 2}},
-	}
-	for i, spec := range bad {
-		if _, err := Execute(spec, ProtocolUniformAG, 1); err == nil {
-			t.Errorf("case %d: invalid adversarial spec accepted", i)
-		}
-	}
-	for _, proto := range []Protocol{ProtocolTAGRR, ProtocolUncoded} {
-		if _, err := Execute(GossipSpec{Graph: g, K: 8, Adversary: adv}, proto, 1); err == nil {
-			t.Errorf("protocol %v accepted an adversary", proto)
-		}
-	}
-}
-
 // TestAdversarialParallelIdentity is the acceptance gate for scheduler
 // independence: an adversarial+heterogeneous sweep produces byte-identical
 // CSV for -parallel 1, 4 and 16, because all adversarial randomness

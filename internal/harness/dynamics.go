@@ -15,10 +15,10 @@ import (
 // so identical (Spec, Seed) pairs replay identical topology trajectories
 // on any worker count.
 type Dynamics struct {
-	// Kind selects the schedule: "static" (or empty — no dynamics),
-	// "edge" (i.i.d. per-round edge failures), "burst" (periodic
-	// correlated failure bursts), "rewire" (periodic partial rewiring),
-	// "churn" (node leave/rejoin with state reset), or "grow"
+	// Kind selects the schedule: "static" (or empty — no dynamics, and
+	// no options), "edge" (i.i.d. per-round edge failures), "burst"
+	// (periodic correlated failure bursts), "rewire" (periodic partial
+	// rewiring), "churn" (node leave/rejoin with state reset), or "grow"
 	// (grow-then-stabilize preferential attachment; replaces the base
 	// graph's structure, keeping only its node count).
 	Kind string `json:"kind"`
@@ -34,7 +34,7 @@ type Dynamics struct {
 	Burst int `json:"burst,omitempty"`
 }
 
-// dynamicsDefaults fills zero cadence fields with per-kind defaults.
+// withDefaults fills zero cadence fields with per-kind defaults.
 func (d Dynamics) withDefaults() Dynamics {
 	if d.Period == 0 {
 		switch d.Kind {
@@ -78,55 +78,71 @@ func (d *Dynamics) String() string {
 	return sb.String()
 }
 
-// Build materializes the schedule over a trial's base graph. The seed
-// must derive from the trial seed so each trial sees an independent,
-// reproducible topology trajectory.
-func (d *Dynamics) Build(g *graph.Graph, seed uint64) (graph.Dynamic, error) {
+// growAttach is the attachment degree of a "grow" schedule; its initial
+// clique is growAttach+1 nodes and one more must join.
+const growAttach = 2
+
+// validate refuses a declaration that cannot run over a graph of n nodes
+// (0: not known yet, as on a command line) without building a schedule.
+// Options a kind ignores are refused too: they would change the
+// fingerprint (breaking -resume against an equivalent run) and nothing
+// about the trajectory.
+func (d *Dynamics) validate(n int) error {
+	if d == nil {
+		return nil
+	}
 	if d.IsStatic() {
-		return graph.Static(g), nil
+		if d.Rate != 0 || d.Period != 0 || d.Burst != 0 {
+			return fmt.Errorf("harness: static dynamics take no options (rate=%v, period=%d, burst=%d)", d.Rate, d.Period, d.Burst)
+		}
+		return nil
 	}
 	switch d.Kind {
 	case "edge", "burst", "rewire", "churn", "grow":
 	default:
-		return nil, fmt.Errorf("harness: unknown dynamics kind %q (known: static, edge, burst, rewire, churn, grow)", d.Kind)
+		return fmt.Errorf("harness: unknown dynamics kind %q (known: static, edge, burst, rewire, churn, grow)", d.Kind)
 	}
-	// Reject options the kind ignores: they would silently change the
-	// fingerprint (breaking -resume against an equivalent run) while
-	// changing nothing about the trajectory.
 	if d.Kind == "edge" && d.Period > 1 {
-		return nil, fmt.Errorf("harness: edge failures resample every round; period=%d has no effect", d.Period)
+		return fmt.Errorf("harness: edge failures resample every round; period=%d has no effect", d.Period)
 	}
 	if d.Kind == "grow" && d.Rate != 0 {
-		return nil, fmt.Errorf("harness: grow dynamics take no rate (got %v)", d.Rate)
+		return fmt.Errorf("harness: grow dynamics take no rate (got %v)", d.Rate)
 	}
 	if d.Kind != "burst" && d.Burst != 0 {
-		return nil, fmt.Errorf("harness: burst length only applies to kind \"burst\"")
+		return fmt.Errorf("harness: burst length only applies to kind \"burst\"")
 	}
+	w := d.withDefaults()
+	if !(w.Rate >= 0 && w.Rate < 1) { // NaN fails it too
+		return fmt.Errorf("harness: dynamics rate %v outside [0, 1)", w.Rate)
+	}
+	if w.Period < 1 {
+		return fmt.Errorf("harness: dynamics period %d must be positive", w.Period)
+	}
+	if w.Kind == "burst" && (w.Burst < 1 || w.Burst >= w.Period) {
+		return fmt.Errorf("harness: burst length %d must be in [1, period=%d)", w.Burst, w.Period)
+	}
+	if w.Kind == "grow" && n > 0 && n < growAttach+2 {
+		return fmt.Errorf("harness: grow dynamics need at least %d nodes, got %d", growAttach+2, n)
+	}
+	return nil
+}
+
+// build materializes a validated, non-static schedule over a trial's
+// base graph. The seed must derive from the trial seed so each trial
+// sees an independent, reproducible topology trajectory.
+func (d *Dynamics) build(g *graph.Graph, seed uint64) graph.Dynamic {
 	n := d.withDefaults()
-	if !(n.Rate >= 0 && n.Rate < 1) { // NaN fails it too
-		return nil, fmt.Errorf("harness: dynamics rate %v outside [0, 1)", n.Rate)
-	}
-	if n.Period < 1 {
-		return nil, fmt.Errorf("harness: dynamics period %d must be positive", n.Period)
-	}
 	switch n.Kind {
 	case "edge":
-		return graph.NewEdgeFailures(g, n.Rate, seed), nil
+		return graph.NewEdgeFailures(g, n.Rate, seed)
 	case "burst":
-		if n.Burst < 1 || n.Burst >= n.Period {
-			return nil, fmt.Errorf("harness: burst length %d must be in [1, period=%d)", n.Burst, n.Period)
-		}
-		return graph.NewBurstFailures(g, n.Rate, n.Period, n.Burst, seed), nil
+		return graph.NewBurstFailures(g, n.Rate, n.Period, n.Burst, seed)
 	case "rewire":
-		return graph.NewRewire(g, n.Rate, n.Period, seed), nil
+		return graph.NewRewire(g, n.Rate, n.Period, seed)
 	case "churn":
-		return graph.NewChurn(g, n.Rate, n.Period, seed), nil
+		return graph.NewChurn(g, n.Rate, n.Period, seed)
 	default: // "grow"
-		const attach = 2
-		if g.N() < attach+2 {
-			return nil, fmt.Errorf("harness: grow dynamics need at least %d nodes, got %d", attach+2, g.N())
-		}
-		return graph.NewGrow(g.N(), attach, n.Period, seed), nil
+		return graph.NewGrow(g.N(), growAttach, n.Period, seed)
 	}
 }
 
@@ -159,9 +175,7 @@ func ParseDynamics(s string) (*Dynamics, error) {
 	if err != nil || d.Kind == "" {
 		return nil, err
 	}
-	// Validate the kind (and cross-field constraints) eagerly so flag
-	// errors surface before any compute is spent.
-	if _, err := d.Build(graph.Complete(4), 0); err != nil {
+	if err := d.validate(0); err != nil {
 		return nil, err
 	}
 	return d, nil

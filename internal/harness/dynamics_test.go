@@ -40,6 +40,7 @@ func TestParseDynamics(t *testing.T) {
 		"churn:period=0", "burst:rate=0.5,period=4,burst=9", "edge:rate=-0.1",
 		// Options the kind ignores would silently skew the fingerprint.
 		"edge:rate=0.2,period=5", "grow:rate=0.2", "churn:rate=0.1,burst=3",
+		"static:rate=0.5", "static:period=7", "static:burst=3",
 	}
 	for _, in := range bad {
 		if _, err := ParseDynamics(in); err == nil {
@@ -74,18 +75,20 @@ func TestDynamicsBuildKinds(t *testing.T) {
 		{Kind: "rewire", Rate: 0.3},
 		{Kind: "churn", Rate: 0.1},
 		{Kind: "grow"},
-		{Kind: "static"},
 	} {
-		dyn, err := d.Build(g, 7)
-		if err != nil {
-			t.Fatalf("Build(%s): %v", d, err)
+		if err := d.validate(g.N()); err != nil {
+			t.Fatalf("validate(%s): %v", d, err)
 		}
-		if g0 := dyn.At(0); g0 == nil || g0.N() != g.N() {
+		if g0 := d.build(g, 7).At(0); g0 == nil || g0.N() != g.N() {
 			t.Errorf("%s: round-0 graph %v, want %d nodes", d, g0, g.N())
 		}
 	}
-	if _, err := (&Dynamics{Kind: "grow"}).Build(graph.Line(3), 1); err == nil {
+	grow := &Dynamics{Kind: "grow"}
+	if err := grow.validate(3); err == nil {
 		t.Error("grow over 3 nodes accepted")
+	}
+	if err := grow.validate(0); err != nil {
+		t.Errorf("grow with the node count unknown: %v", err)
 	}
 }
 

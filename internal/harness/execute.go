@@ -151,7 +151,7 @@ func (s GossipSpec) Normalize() GossipSpec {
 // so it wants a spec validate has passed (an unsupported Q panics here).
 func (s GossipSpec) RLNCConfig() rlnc.Config {
 	return rlnc.Config{Field: gf.MustNew(s.Q), K: s.K,
-		PayloadLen: max(s.PayloadLen, 0), RankOnly: s.PayloadLen <= 0}
+		PayloadLen: s.PayloadLen, RankOnly: s.PayloadLen == 0}
 }
 
 // Assign returns the initial message placement.
@@ -182,9 +182,10 @@ type Outcome struct {
 }
 
 // feature is one optional capability of a trial: when it is in force,
-// which protocols take it, and what the others answer. DESIGN.md "What
-// combines with what" is features and refusedPairs in prose, with the
-// reasons; TestDesignCombinationTable holds the two together cell by cell.
+// which protocols take it, and what the others answer. The two tables of
+// DESIGN.md "What combines with what" are features and refusedPairs
+// rendered through validate (TestDesignCombinationTable), and
+// FuzzGossipSpec runs each cell they accept.
 type feature struct {
 	name    string
 	inForce func(GossipSpec) bool
@@ -229,15 +230,39 @@ var (
 // body or a library caller can set that cannot run is refused here and
 // nowhere else. Execute calls it per trial and Spec.Expand per cell, so a
 // spec that cannot run is reported before the pool or a listener starts.
-// A zero proto means uniform AG. The spec goes by value through the
-// predicates so that Execute's copy stays off the heap, and the field
-// order is checked without building a field.
+// Every word is screened: each enum must be a known value, each count
+// non-negative, each rate in range (NaN fails every range) and each
+// declaration well formed. A zero proto means uniform AG. The spec goes
+// by value through the predicates so that Execute's copy stays off the
+// heap, nothing is built (not the field, not a dynamic schedule), and the
+// accept path allocates nothing.
 func (s GossipSpec) validate(proto Protocol) error {
 	if s.Graph == nil {
 		return fmt.Errorf("harness: nil graph")
 	}
 	if s.K <= 0 {
 		return fmt.Errorf("harness: k must be positive, got %d", s.K)
+	}
+	if proto == 0 {
+		proto = ProtocolUniformAG
+	}
+	if proto < ProtocolUniformAG || proto > ProtocolUncoded {
+		return fmt.Errorf("harness: unknown protocol %v", proto)
+	}
+	switch s.Model {
+	case 0, core.Synchronous, core.Asynchronous:
+	default:
+		return fmt.Errorf("harness: unknown time model %v (known: synchronous, asynchronous)", s.Model)
+	}
+	switch s.Action {
+	case 0, core.Push, core.Pull, core.Exchange:
+	default:
+		return fmt.Errorf("harness: unknown action %v (known: PUSH, PULL, EXCHANGE)", s.Action)
+	}
+	switch s.Selector {
+	case 0, SelUniform, SelRoundRobin:
+	default:
+		return fmt.Errorf("harness: unknown selector %d (known: %d uniform, %d round-robin)", s.Selector, SelUniform, SelRoundRobin)
 	}
 	if s.Q != 0 {
 		if err := gf.CheckOrder(s.Q); err != nil {
@@ -247,17 +272,26 @@ func (s GossipSpec) validate(proto Protocol) error {
 	if s.GenSize < 0 || s.GenSize > s.K {
 		return fmt.Errorf("harness: %w", &rlnc.GenSizeError{GenSize: s.GenSize, K: s.K})
 	}
+	if s.PayloadLen < 0 {
+		return fmt.Errorf("harness: payload length %d is negative", s.PayloadLen)
+	}
+	if s.Shards < 0 {
+		return fmt.Errorf("harness: shard count %d is negative", s.Shards)
+	}
+	if s.MaxRounds < 0 {
+		return fmt.Errorf("harness: round budget %d is negative", s.MaxRounds)
+	}
 	if !(s.LossRate >= 0 && s.LossRate < 1) { // NaN fails it too
 		return fmt.Errorf("harness: loss rate %v outside [0, 1)", s.LossRate)
+	}
+	if err := s.Dynamics.validate(s.Graph.N()); err != nil {
+		return err
 	}
 	if err := s.Adversary.validate(); err != nil {
 		return err
 	}
 	if err := s.Classes.validate(); err != nil {
 		return err
-	}
-	if proto == 0 {
-		proto = ProtocolUniformAG
 	}
 	for _, f := range features {
 		if f.takes != nil && !slices.Contains(f.takes, proto) && f.inForce(s) {
@@ -395,7 +429,7 @@ func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outc
 			return out, err
 		}
 		run, ledger, tagRun, engineStream = p, &ag.Progress, p, 5
-	case proto == ProtocolUncoded:
+	default: // ProtocolUncoded, the one protocol validate leaves
 		p := uncoded.New(g, spec.Model, spec.Selector.build(g),
 			uncoded.Config{K: spec.K, Action: spec.Action},
 			core.NewRand(core.SplitSeed(seed, 1)))
@@ -403,8 +437,6 @@ func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outc
 		p.SeedAll(spec.Assign())
 		out.MessageBits = gossip.UncodedMessageBits(spec.K, 1, spec.Q)
 		run, ledger, engineStream = p, &p.Progress, 2
-	default:
-		return out, fmt.Errorf("harness: unknown protocol %v", proto)
 	}
 
 	opts := []sim.Option{sim.WithMaxRounds(spec.MaxRounds)}
@@ -416,10 +448,7 @@ func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outc
 		eng = sim.New(g, spec.Model, run,
 			core.SplitSeed(seed, engineStream), opts...)
 	} else {
-		dyn, err := spec.Dynamics.Build(g, core.SplitSeed(seed, 10))
-		if err != nil {
-			return out, err
-		}
+		dyn := spec.Dynamics.build(g, core.SplitSeed(seed, 10))
 		eng = sim.NewDynamic(dyn, spec.Model, run,
 			core.SplitSeed(seed, engineStream), opts...)
 	}

@@ -20,6 +20,9 @@ func RejectsBadSpecWords(t *testing.T, run func(args []string, stdout io.Writer)
 		{"-dynamics", "edge:rate=1.5"},
 		{"-dynamics", "edge:rate=NaN"}, // NaN passes a range written as x < 0 || x >= 1
 		{"-dynamics", "churn:rate=NaN"},
+		{"-dynamics", "static:rate=0.5"}, // static takes no options
+		{"-dynamics", "static:period=7"},
+		{"-dynamics", "static:burst=3"},
 		{"-adversary", "byzantine:frac=2"},
 		{"-adversary", "byzantine:frac=NaN"},
 		{"-classes", "nope"},

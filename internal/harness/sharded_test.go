@@ -222,17 +222,3 @@ func TestShardedObserverSequence(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedValidation pins the rejection paths: sharded execution is
-// uniform-AG + synchronous only.
-func TestShardedValidation(t *testing.T) {
-	g := graph.Complete(12)
-	async := GossipSpec{Graph: g, K: 4, Shards: 2, Model: core.Asynchronous}
-	if _, err := Execute(async, ProtocolUniformAG, 1); err == nil {
-		t.Error("asynchronous sharded run accepted")
-	}
-	tagSpec := GossipSpec{Graph: g, K: 4, Shards: 2}
-	if _, err := Execute(tagSpec, ProtocolTAGRR, 1); err == nil {
-		t.Error("sharded TAG run accepted")
-	}
-}

@@ -150,7 +150,7 @@ func (s *Spec) normalize() {
 	}
 }
 
-// Cells builds the (graph, k) grid. Graph construction draws from its own
+// cells builds the (graph, k) grid. Graph construction draws from its own
 // seed stream (999, the historical sweep layout), so trial workers stay
 // pure.
 func (s *Spec) cells() ([]Cell, error) {

@@ -110,6 +110,7 @@ refuse $bin/sweep -graph nosuch
 refuse $bin/sweep -protocol tag -action push -store refused.jsonl
 refuse $bin/sweep -protocol tag -dynamics edge:rate=0.2
 refuse $bin/sweep -adversary byzantine:frac=NaN
+refuse $bin/sweep -dynamics static:rate=0.5
 # A refused sweep leaves an existing -out file as it was.
 cp a.csv keep.csv
 refuse $bin/sweep -q 6 -out keep.csv
