@@ -104,6 +104,10 @@ var (
 	JoinBytes = rlnc.JoinBytes
 )
 
+// Theorem1Bound is Theorem 1's reference (k + log n + D)·Δ for uniform
+// algebraic gossip, given n, k, the diameter D and the maximum degree Δ.
+var Theorem1Bound = algebraic.Theorem1Bound
+
 // Concurrent-runtime constructors and options. NewCluster takes the
 // transport, the topology, and k, plus functional options:
 //

@@ -8,11 +8,13 @@
 // SIGINT, or POST /drain) drains gracefully: node goroutines stop,
 // sockets close, exit status 0.
 //
-// Example — a two-process 4-node ring under 10% loss on declared addresses:
+// Example — a two-process 4-node ring under 10% loss on declared
+// addresses, one per process (a process's local nodes share its one
+// gossip socket; two local nodes at two addresses are refused):
 //
-//	gossipd -nodes 0,1 -peers 0=127.0.0.1:9000,1=127.0.0.1:9001,2=127.0.0.1:9002,3=127.0.0.1:9003 \
+//	gossipd -nodes 0,1 -peers 0=127.0.0.1:9000,1=127.0.0.1:9000,2=127.0.0.1:9001,3=127.0.0.1:9001 \
 //	        -graph ring -n 4 -k 2 -loss 0.1 -http 127.0.0.1:8080 &
-//	gossipd -nodes 2,3 -peers 0=127.0.0.1:9000,1=127.0.0.1:9001,2=127.0.0.1:9002,3=127.0.0.1:9003 \
+//	gossipd -nodes 2,3 -peers 0=127.0.0.1:9000,1=127.0.0.1:9000,2=127.0.0.1:9001,3=127.0.0.1:9001 \
 //	        -graph ring -n 4 -k 2 -loss 0.1 -http 127.0.0.1:8081 &
 package main
 
@@ -45,7 +47,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	opts.BindFlags(fs)
 	fs.StringVar(&opts.HTTPAddr, "http", "", "control/metrics listen address (default: an ephemeral loopback port)")
 	nodes := fs.String("nodes", "", "comma-separated local node ids (required)")
-	peers := fs.String("peers", "", "node address map: id=host:port,... (default: ephemeral ports, declared later with POST /peers)")
+	peers := fs.String("peers", "", "node address map: id=host:port,... (default: one ephemeral port, declared later with POST /peers)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -57,7 +57,8 @@ func TestRunRefusesBadCommandLines(t *testing.T) {
 		{"-nodes", "0", "-peers", "0"}, // not id=addr
 		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "4=127.0.0.1:9004"}, // no node 4
 		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "-1=127.0.0.1:9000"},
-		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "1=127.0.0.1"}, // no port
+		{"-nodes", "0", "-n", "4", "-k", "2", "-peers", "1=127.0.0.1"},                         // no port
+		{"-nodes", "0,1", "-n", "4", "-k", "2", "-peers", "0=127.0.0.1:9000,1=127.0.0.1:9001"}, // one process, two addresses
 		{"-nodes", "0", "-n", "4", "-graph", "nosuch"},
 		{"-nodes", "0", "-n", "4", "-transport", "carrier-pigeon"},
 		{"-nodes", "0", "-n", "4", "-k", "2", "-loss", "1.5"},

@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		resume     = fs.Bool("resume", false, "resume from -checkpoint instead of restarting it")
 		storePath  = fs.String("store", "", "also ingest results into this result store (query with fabricd query)")
 		progress   = fs.Bool("progress", false, "report per-trial progress on stderr")
-		jsonOut    = fs.Bool("json", false, "write JSON instead of CSV")
 		out        = fs.String("out", "", "output path (default stdout)")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -183,12 +182,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			return err
 		}
 	}
-	if *jsonOut {
-		err = harness.WriteJSON(w, rs)
-	} else {
-		err = harness.WriteCSV(w, rs)
-	}
-	if err != nil {
+	if err := harness.WriteCSV(w, rs); err != nil {
 		return err
 	}
 	if *storePath != "" {

@@ -152,21 +152,6 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSweepJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sweep([]string{
-		"-graph", "line", "-sizes", "8", "-trials", "1", "-json",
-	}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`"graph": "line-8"`, `"rounds":`, `"trial": 0`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("JSON output missing %s:\n%s", want, out)
-		}
-	}
-}
-
 func TestSweepResumeFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "sweep.ckpt")

@@ -5,7 +5,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"os"
 
 	"algossip"
@@ -34,7 +33,7 @@ func run() error {
 	fmt.Printf("disseminated k=%d messages of %d bytes each to all %d nodes\n",
 		k, payloadSymbols, g.N())
 	fmt.Printf("stopping time: %d synchronous rounds\n", res.Rounds)
-	bound := float64(k+g.Diameter()+int(math.Log2(float64(g.N())))) * float64(g.MaxDegree())
+	bound := algossip.Theorem1Bound(g.N(), k, g.Diameter(), g.MaxDegree())
 	fmt.Printf("Theorem 1 reference (k+log n+D)Δ = %.0f — measured/bound = %.2f\n",
 		bound, float64(res.Rounds)/bound)
 

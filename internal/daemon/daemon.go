@@ -44,9 +44,10 @@ type Options struct {
 	Transport string
 	// Local are the graph nodes hosted by this process.
 	Local []core.NodeID
-	// Peers, optional, maps nodes to gossip addresses: a local node binds
-	// its entry (else an ephemeral loopback port), a remote one is sent
-	// to it. POST /peers declares more later.
+	// Peers, optional, maps nodes to gossip addresses: a remote node is
+	// sent to its entry, and the process's one gossip socket binds the
+	// entry of its local nodes, which must all name one address (or none:
+	// an ephemeral loopback port). POST /peers declares more later.
 	Peers map[core.NodeID]string
 	// GraphName, GraphN and GraphSeed rebuild the shared topology via
 	// graph.FromName (GraphSeed feeds the rng of random families).
@@ -167,8 +168,7 @@ func New(opts Options) (*Daemon, error) {
 	clusterOpts := []runtime.Option{
 		runtime.WithSeed(opts.Seed),
 		runtime.WithLocalNodes(opts.Local...),
-		runtime.WithStartGate(),
-		runtime.WithServeAfterDone(),
+		runtime.WithControlPlane(),
 		runtime.WithPayload(opts.PayloadLen),
 		runtime.WithGenerations(opts.GenSize),
 		runtime.WithInterval(opts.Interval),
@@ -203,7 +203,7 @@ func (d *Daemon) ControlAddr() string { return d.ctl.Addr() }
 // is the intended shutdown path and returns nil — convergence state at
 // that moment is observable via Status, not the error.
 func (d *Daemon) Run(ctx context.Context) error {
-	// A cluster built WithServeAfterDone runs until runCtx ends.
+	// A cluster built WithControlPlane runs until runCtx ends.
 	runCtx, cancel := context.WithCancel(context.Background())
 	clusterDone := make(chan struct{})
 	go func() {
@@ -242,8 +242,9 @@ type StatusResponse struct {
 	// features ("gfni (avx2 gfni ssse3)"), so a fleet operator can audit
 	// which kernel level each box actually runs.
 	GFTier string `json:"gf_tier"`
-	// Gossip is the address each local node's gossip socket bound: what a
-	// controller declares to the other processes with POST /peers.
+	// Gossip is the address each local node is reached at — the process's
+	// one gossip socket, the same for every local node: what a controller
+	// declares to the other processes with POST /peers.
 	Gossip Peers `json:"gossip"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"algossip/internal/core"
+	"algossip/internal/gossip/algebraic"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
 	"algossip/internal/stats"
@@ -52,7 +53,7 @@ func TestE16WebScaleGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := stats.Summarize(rs.CellRounds(0))
-	bound := e16Bound(g, k)
+	bound := algebraic.Theorem1Bound(g.N(), k, g.DiameterApprox(), g.MaxDegree())
 	t.Logf("n=%d k=%d g=%d: rounds %v, gate %.1f vs bound %.1f (ratio %.2f)",
 		n, k, genSize, s, s.Mean+3*s.StdDev, bound, s.Mean/bound)
 	if gated := s.Mean + 3*s.StdDev; gated > bound {

@@ -6,7 +6,9 @@ import (
 	"math"
 	"runtime"
 
+	"algossip/internal/conductance"
 	"algossip/internal/core"
+	"algossip/internal/gossip/algebraic"
 	"algossip/internal/gossip/ispread"
 	"algossip/internal/graph"
 	"algossip/internal/harness"
@@ -52,11 +54,6 @@ func (o Options) pick(quick, full int) int {
 
 func log2(n int) float64 { return math.Log2(float64(n)) }
 
-// theorem1Bound evaluates the Theorem 1 expression (k + log n + D)·Δ.
-func theorem1Bound(g *graph.Graph, k int) float64 {
-	return float64(k+g.Diameter()+int(log2(g.N()))+1) * float64(g.MaxDegree())
-}
-
 // E1UniformAGAnyGraph regenerates Table 1 row 1: uniform algebraic gossip
 // on arbitrary graphs, measured stopping time against the O((k+log n+D)Δ)
 // bound, for both time models.
@@ -81,7 +78,7 @@ func E1UniformAGAnyGraph(w io.Writer, opt Options) error {
 			if err != nil {
 				return fmt.Errorf("E1 %s/%s: %w", g.Name(), model, err)
 			}
-			bound := theorem1Bound(g, k)
+			bound := algebraic.Theorem1Bound(g.N(), k, g.Diameter(), g.MaxDegree())
 			tbl.AddRow(g.Name(), model.String(), k, mean, bound, mean/bound)
 		}
 	}
@@ -275,7 +272,18 @@ func E5TAGIS(w io.Writer, opt Options) error {
 		async.AddRow(g.Name(), k, mean, mean/float64(k))
 	}
 	fmt.Fprintln(w, "    Theorem 8 (asynchronous): O(k + lmax) — rounds/k stays a small constant:")
-	return async.Write(w)
+	if err := async.Write(w); err != nil {
+		return err
+	}
+	// The premise, measured: Φ_c over the barbell's two cliques and the
+	// chain's four.
+	weak := NewTable("graph", "c", "weak conductance lower bound")
+	for i, c := range []int{2, 4} {
+		phi, _ := conductance.WeakLowerBound(graphs[i], c)
+		weak.AddRow(graphs[i].Name(), c, phi)
+	}
+	fmt.Fprintln(w, "    weak conductance (greedy lower bound over c communities) stays Θ(1):")
+	return weak.Write(w)
 }
 
 func isqrt(n int) int {

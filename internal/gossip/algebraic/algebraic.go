@@ -20,6 +20,7 @@ package algebraic
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 
@@ -31,6 +32,14 @@ import (
 	"algossip/internal/rlnc"
 	"algossip/internal/sim"
 )
+
+// Theorem1Bound is Theorem 1's reference for uniform algebraic gossip
+// spreading k messages on a graph of n nodes, diameter d and maximum
+// degree maxDeg: (k + log n + d)·maxDeg rounds, with log n taken as
+// ⌊log₂ n⌋ + 1 and the constant as 1.
+func Theorem1Bound(n, k, d, maxDeg int) float64 {
+	return float64(k+d+int(math.Log2(float64(n)))+1) * float64(maxDeg)
+}
 
 // Config parameterizes an algebraic gossip run.
 type Config struct {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"strconv"
 )
@@ -31,37 +30,6 @@ func WriteCSV(w io.Writer, rs *ResultSet) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// jsonRow is one trial in the JSON rendering.
-type jsonRow struct {
-	Graph    string `json:"graph"`
-	Protocol string `json:"protocol"`
-	Model    string `json:"model"`
-	N        int    `json:"n"`
-	K        int    `json:"k"`
-	Trial    int    `json:"trial"`
-	Rounds   int    `json:"rounds"`
-}
-
-// WriteJSON renders the result set as a JSON array, one object per trial
-// in work-list order, with the same determinism contract as WriteCSV.
-func WriteJSON(w io.Writer, rs *ResultSet) error {
-	rows := make([]jsonRow, len(rs.Trials))
-	for i, t := range rs.Trials {
-		rows[i] = jsonRow{
-			Graph:    t.Graph.Name(),
-			Protocol: rs.Spec.Protocol.String(),
-			Model:    rs.Spec.Model.String(),
-			N:        t.Graph.N(),
-			K:        t.K,
-			Trial:    t.Num,
-			Rounds:   rs.Outcomes[i].Result.Rounds,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // FailFastWriter wraps a writer and latches the first error, so command

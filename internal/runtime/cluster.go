@@ -49,7 +49,7 @@ type Config struct {
 	// deadline, the longest a round may go without any frame landing
 	// before the frames still in flight are presumed lost. A process
 	// hosting part of the graph cannot count frames it was never told
-	// about, and ticks once an Interval; so does a ServeAfterDone cluster
+	// about, and ticks once an Interval; so does a ControlPlane cluster
 	// once every local node is done.
 	Interval time.Duration
 	// Seed roots per-node randomness.
@@ -61,15 +61,14 @@ type Config struct {
 	// Observer, when set, receives NodeDone(v, tick) as local nodes reach
 	// full rank.
 	Observer Observer
-	// ServeAfterDone keeps the cluster gossiping after Run's local
-	// completion target is met, until the Run context is cancelled —
-	// required in multi-process deployments where remote nodes still need
-	// this process's packets.
-	ServeAfterDone bool
-	// StartGated holds the cluster's clock until Start is called (inbound
-	// traffic is still served), so a controller can seed all processes
-	// before any of them begins counting ticks.
-	StartGated bool
+	// ControlPlane hands the cluster's lifetime to a controller: the
+	// clock holds until Start is called (inbound traffic is still
+	// served), so a controller can seed all processes before any of them
+	// begins counting ticks, and the cluster keeps gossiping after Run's
+	// local completion target is met, until the Run context is cancelled
+	// — required in multi-process deployments where remote nodes still
+	// need this process's packets.
+	ControlPlane bool
 }
 
 // Option mutates a Config under construction.
@@ -101,12 +100,10 @@ func WithLocalNodes(ids ...core.NodeID) Option {
 	return func(c *Config) { c.Local = append([]core.NodeID(nil), ids...) }
 }
 
-// WithServeAfterDone keeps nodes serving peers after local completion.
-func WithServeAfterDone() Option { return func(c *Config) { c.ServeAfterDone = true } }
-
-// WithStartGate holds the cluster's clock until Start is called; the
-// nodes answer inbound traffic meanwhile.
-func WithStartGate() Option { return func(c *Config) { c.StartGated = true } }
+// WithControlPlane holds the cluster's clock until Start is called and
+// keeps its nodes serving peers after local completion, until Run's
+// context ends (see Config.ControlPlane).
+func WithControlPlane() Option { return func(c *Config) { c.ControlPlane = true } }
 
 // build applies defaults and options and validates the result.
 func (c Config) build(opts ...Option) (Config, error) {
@@ -249,7 +246,7 @@ type RoundStats struct {
 	// ByDeadline counts the rounds the clock ended: every round of a
 	// process hosting part of the graph, and a round of an all-local one
 	// that went an Interval without a frame landing, or was paced after
-	// completion under ServeAfterDone.
+	// completion under ControlPlane.
 	ByDeadline uint64
 	// PresumedLost counts the frames an all-local cluster still had in
 	// flight when the clock ended their round.
@@ -605,7 +602,7 @@ func (c *Cluster) Kill(v core.NodeID) error {
 }
 
 // Start releases the start gate, which starts the cluster's rounds
-// (idempotent). Without WithStartGate, Run calls it automatically.
+// (idempotent). Without WithControlPlane, Run calls it automatically.
 func (c *Cluster) Start() {
 	c.startOnce.Do(func() { close(c.startCh) })
 }
@@ -624,7 +621,7 @@ func (c *Cluster) Rounds() RoundStats {
 // round before has landed, or after an Interval in which none landed; a
 // process hosting part of the graph ticks once an Interval, the first an
 // Interval after Start. Early finishers keep taking part in rounds until
-// every local node has finished; with ServeAfterDone the rounds go on,
+// every local node has finished; with ControlPlane the rounds go on,
 // once an Interval, until ctx is cancelled, and a post-completion
 // cancellation is a clean drain, not an error. It returns the number of
 // local nodes that completed.
@@ -641,7 +638,7 @@ func (c *Cluster) Run(ctx context.Context) (int, error) {
 			c.serve(runCtx, n)
 		}()
 	}
-	if !c.cfg.StartGated {
+	if !c.cfg.ControlPlane {
 		c.Start()
 	}
 	ticker := time.NewTicker(c.cfg.Interval)
@@ -650,7 +647,7 @@ func (c *Cluster) Run(ctx context.Context) (int, error) {
 	start := c.startCh
 	for {
 		finished, target := c.progress()
-		if finished == target && !c.cfg.ServeAfterDone {
+		if finished == target && !c.cfg.ControlPlane {
 			return finished, nil
 		}
 		// Rounds end by count while there is a node to finish; serving on

@@ -121,11 +121,13 @@ func TestClusterFeatureMatrix(t *testing.T) {
 				}
 			})
 
+			// WithControlPlane's two halves, one subtest each: the start
+			// gate, then serving peers past local completion.
 			t.Run("WithStartGate", func(t *testing.T) {
 				g := graph.Grid(3, 3)
 				tr := NewChanTransport()
 				defer func() { _ = tr.Close() }()
-				c, err := model.new(tr, g, g.N(), WithStartGate(), interval)
+				c, err := model.new(tr, g, g.N(), WithControlPlane(), interval)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,8 +137,10 @@ func TestClusterFeatureMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				runCtx, stop := context.WithCancel(ctx)
+				defer stop()
 				res := make(chan error, 1)
-				go func() { _, err := c.Run(ctx); res <- err }()
+				go func() { _, err := c.Run(runCtx); res <- err }()
 				// A gated node serves inbound traffic, so a reply from every
 				// node proves every loop is up; none of them may have ticked.
 				for v := 0; v < g.N(); v++ {
@@ -152,6 +156,8 @@ func TestClusterFeatureMatrix(t *testing.T) {
 					}
 				}
 				c.Start()
+				waitFor(t, "every node to complete", func() bool { return allDone(c) })
+				stop()
 				if err := <-res; err != nil {
 					t.Fatal(err)
 				}
@@ -159,7 +165,8 @@ func TestClusterFeatureMatrix(t *testing.T) {
 
 			t.Run("WithServeAfterDone", func(t *testing.T) {
 				g := graph.Grid(3, 3)
-				c := build(t, g, WithServeAfterDone())
+				c := build(t, g, WithControlPlane())
+				c.Start()
 				seedMessages(t, c, k, r, g.N())
 				runCtx, stop := context.WithCancel(ctx)
 				defer stop()
@@ -194,7 +201,7 @@ func TestClusterFeatureMatrix(t *testing.T) {
 					}
 					trs[p] = NewTCPTransport()
 					defer func() { _ = trs[p].Close() }()
-					c, err := model.new(trs[p], g, k, WithLocalNodes(local...), WithServeAfterDone(),
+					c, err := model.new(trs[p], g, k, WithLocalNodes(local...), WithControlPlane(),
 						WithPayload(r), WithInterval(time.Millisecond), WithSeed(5))
 					if err != nil {
 						t.Fatal(err)
@@ -213,6 +220,7 @@ func TestClusterFeatureMatrix(t *testing.T) {
 				defer stop()
 				res := make(chan error, 2)
 				for _, c := range cs {
+					c.Start()
 					go func() { _, err := c.Run(runCtx); res <- err }()
 				}
 				waitFor(t, "both halves to converge", func() bool { return allDone(cs[0], cs[1]) })

@@ -3,7 +3,9 @@ package runtime
 import (
 	"context"
 	"errors"
+	"net"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -352,22 +354,171 @@ func TestTCPTransportPeersRoute(t *testing.T) {
 	}
 }
 
+// socketEndpoint is what the one-socket tests need of a socket transport.
+type socketEndpoint interface {
+	Transport
+	AddPeer(id core.NodeID, addr string)
+	Addr(id core.NodeID) (string, bool)
+}
+
+// exchangeAcross gives transport a nodes 0–3 and transport b nodes 4–7,
+// declares each side's nodes to the other, and sends one frame along each
+// of the 16 cross pairs in both directions: every frame must land in its
+// own inbox, and each side's four nodes must share one address.
+func exchangeAcross(t *testing.T, a, b socketEndpoint) {
+	t.Helper()
+	sides := [2]socketEndpoint{a, b}
+	boxes := make(map[core.NodeID]<-chan Envelope)
+	var addrs [2]string
+	for p, tr := range sides {
+		for i := 0; i < 4; i++ {
+			v := core.NodeID(4*p + i)
+			inbox, err := tr.Register(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boxes[v] = inbox
+			addr, ok := tr.Addr(v)
+			if !ok || (i > 0 && addr != addrs[p]) {
+				t.Fatalf("node %d at %q (%v), its transport's first node at %q", v, addr, ok, addrs[p])
+			}
+			addrs[p] = addr
+		}
+	}
+	if addrs[0] == addrs[1] {
+		t.Fatalf("two transports share the address %s", addrs[0])
+	}
+	for p := range sides {
+		for i := 0; i < 4; i++ {
+			sides[1-p].AddPeer(core.NodeID(4*p+i), addrs[p])
+		}
+	}
+	ctx := context.Background()
+	for u := core.NodeID(0); u < 4; u++ {
+		for v := core.NodeID(4); v < 8; v++ {
+			if err := a.Send(ctx, v, Envelope{From: u}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Send(ctx, u, Envelope{From: v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for v, inbox := range boxes {
+		from := map[core.NodeID]bool{}
+		for len(from) < 4 {
+			select {
+			case env := <-inbox:
+				if env.From/4 == v/4 || from[env.From] {
+					t.Fatalf("node %d got a frame from %d (already heard %v)", v, env.From, from)
+				}
+				from[env.From] = true
+			case <-time.After(10 * time.Second):
+				t.Fatalf("node %d heard only %v", v, from)
+			}
+		}
+	}
+}
+
+// TestTCPOneConnectionPerPeerProcess: a TCP transport is its process's one
+// endpoint — one listener for every local node, and one sender and one
+// connection per peer process, not per peer node.
+func TestTCPOneConnectionPerPeerProcess(t *testing.T) {
+	a, b := NewTCPTransport(), NewTCPTransport()
+	defer func() { _ = a.Close() }()
+	defer func() { _ = b.Close() }()
+	exchangeAcross(t, a, b)
+	for _, tr := range []*TCPTransport{a, b} {
+		tr.mu.Lock()
+		senders, inbound := len(tr.senders), len(tr.inbound)
+		tr.mu.Unlock()
+		if senders != 1 || inbound != 1 {
+			t.Errorf("%d senders and %d inbound connections for one peer process, want 1 and 1", senders, inbound)
+		}
+	}
+}
+
+// TestUDPOneSocket: a UDP transport reads and sends on one socket, so a
+// datagram it sends comes from the address its nodes are reached at.
+func TestUDPOneSocket(t *testing.T) {
+	a, _ := NewUDPTransport()
+	b, _ := NewUDPTransport()
+	defer func() { _ = a.Close() }()
+	defer func() { _ = b.Close() }()
+	exchangeAcross(t, a, b)
+
+	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	a.AddPeer(9, raw.LocalAddr().String())
+	if err := a.Send(context.Background(), 9, Envelope{From: 0}); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	buf := make([]byte, maxDatagram)
+	_, src, err := raw.ReadFrom(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := a.Addr(0); src.String() != want {
+		t.Errorf("datagram sent from %s, want the transport's one address %s", src, want)
+	}
+}
+
+// TestRegisterRefusesASecondAddress: the local nodes of a transport are
+// declared at one address or at none; a node declared elsewhere is
+// refused, naming both addresses, and the same declaration is shared.
+func TestRegisterRefusesASecondAddress(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		new  func() socketEndpoint
+	}{
+		{"tcp", func() socketEndpoint { return NewTCPTransport() }},
+		{"udp", func() socketEndpoint { tr, _ := NewUDPTransport(); return tr }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.new()
+			defer func() { _ = tr.Close() }()
+			tr.AddPeer(0, "127.0.0.1:0")
+			tr.AddPeer(1, "127.0.0.1:0") // the same declaration: shared
+			tr.AddPeer(3, "127.0.0.1:9")
+			for _, v := range []core.NodeID{0, 1, 2} { // 2 is undeclared: shared
+				if _, err := tr.Register(v); err != nil {
+					t.Fatalf("node %d: %v", v, err)
+				}
+			}
+			bound, _ := tr.Addr(0)
+			_, err := tr.Register(3)
+			if err == nil || !strings.Contains(err.Error(), "127.0.0.1:9") || !strings.Contains(err.Error(), bound) {
+				t.Fatalf("node 3 declared at a second address: %v, want a refusal naming 127.0.0.1:9 and %s", err, bound)
+			}
+			if _, ok := tr.Addr(3); ok {
+				t.Error("a refused node has an address")
+			}
+		})
+	}
+}
+
 // TestTCPRedialJitterIsSeeded: the backoff jitter of a sender is a stream
-// of its own, a function of the transport's first registered node and the
-// destination — the same on every run, different for every (dialer, peer)
-// pair — and not the process-global generator.
+// of its own, a function of the lowest node at each end — the same on
+// every run and in every registration or send order, different for every
+// (dialer, peer) pair — and not the process-global generator.
 func TestTCPRedialJitterIsSeeded(t *testing.T) {
 	draws := func(home, to core.NodeID) [4]float64 {
 		tr := NewTCPTransport()
 		defer func() { _ = tr.Close() }()
-		if _, err := tr.Register(home); err != nil {
-			t.Fatal(err)
+		for _, v := range []core.NodeID{home + 1, home} { // registered first, not the lowest
+			if _, err := tr.Register(v); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := tr.Register(home + 1); err != nil { // a later node does not re-seed
-			t.Fatal(err)
-		}
+		const peer = "127.0.0.1:1"
+		tr.AddPeer(to+1, peer) // a higher node at the same address does not re-seed
+		tr.AddPeer(to, peer)
 		tr.mu.Lock()
-		s := tr.newSender(to)
+		s := tr.newSender(peer)
 		tr.mu.Unlock()
 		var d [4]float64
 		for i := range d {
@@ -647,7 +798,7 @@ func TestRoundsEndByCount(t *testing.T) {
 // i.i.d. loss), frames delayed past it land in a later round (jitter of
 // three intervals), a node killed mid-round still settles what reaches it
 // (under an hour-long interval, so a stalled count would time out), and a
-// ServeAfterDone cluster paces its rounds by the clock once done.
+// ControlPlane cluster paces its rounds by the clock once done.
 func TestRoundCountSurvivesLossKillAndServe(t *testing.T) {
 	g := graph.Grid(3, 3)
 	const k, r = 4, 4
@@ -709,11 +860,12 @@ func TestRoundCountSurvivesLossKillAndServe(t *testing.T) {
 		const interval = 5 * time.Millisecond
 		tr := NewChanTransport()
 		defer func() { _ = tr.Close() }()
-		c, err := NewCluster(tr, g, k, WithPayload(r), WithInterval(interval), WithServeAfterDone(), WithSeed(20))
+		c, err := NewCluster(tr, g, k, WithPayload(r), WithInterval(interval), WithControlPlane(), WithSeed(20))
 		if err != nil {
 			t.Fatal(err)
 		}
 		seedMessages(t, c, k, r, g.N())
+		c.Start()
 		ctx, stop := context.WithCancel(context.Background())
 		res := make(chan error, 1)
 		go func() { _, err := c.Run(ctx); res <- err }()

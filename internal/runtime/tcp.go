@@ -12,7 +12,7 @@ import (
 	"algossip/internal/wire"
 )
 
-// TCPTransport's connection management. Each destination's send queue
+// TCPTransport's connection management. Each peer address's send queue
 // holds inboxSize frames; a full queue drops the frame with
 // ErrBackpressure, so senders are never stalled by one slow peer.
 const (
@@ -29,64 +29,61 @@ const (
 	udpSendTimeout = 2 * time.Second
 )
 
-// TCPTransport carries wire-framed envelopes over TCP. Each registered
-// node gets its own listener (inbound frames are demuxed by the frame's
-// destination field, so one listener can also serve a whole co-located
-// node set); each destination gets one persistent connection owned by a
-// dedicated sender goroutine — dialing happens there, never under the
-// transport mutex, so one unreachable peer cannot stall other senders
-// (and concurrent Sends to the same peer coalesce onto the one dial, the
-// singleflight this layer needs).
+// TCPTransport carries wire-framed envelopes over TCP: one listener, bound
+// by the first Register, whose inbound frames are demuxed by destination
+// field, and one persistent connection per peer address, however many
+// nodes live there, owned by a sender goroutine — dialing happens there,
+// never under the transport mutex, so one unreachable peer cannot stall
+// other senders (and concurrent Sends to one peer coalesce onto the one
+// dial, the singleflight this layer needs).
 type TCPTransport struct {
-	router // the routing table; its mu guards every map below too
+	router // the routing table; its mu guards every field below too
 
-	listeners map[core.NodeID]net.Listener
-	inbound   map[net.Conn]struct{}
-	senders   map[core.NodeID]*tcpSender
-	home      core.NodeID // first node registered here (NilNode: none yet); seeds the redial jitter
+	ln      net.Listener // bound by the first Register
+	inbound map[net.Conn]struct{}
+	senders map[string]*tcpSender // by peer address
 
-	stop   chan struct{}
-	wg     sync.WaitGroup // accept + read loops
-	sendWg sync.WaitGroup // sender loops
+	stop chan struct{}
+	wg   sync.WaitGroup // accept, read and sender loops
 }
 
 type tcpSender struct {
-	to    core.NodeID
-	queue chan Envelope
-	// jitter is the sender goroutine's own stream for redial backoff,
-	// seeded from (the transport's home node, to): redial timing is a
-	// function of who dials whom, not of a process-global generator, and
-	// two processes re-finding one restarted peer still draw apart.
+	addr  string
+	queue chan tcpFrame
+	// jitter is the sender's own stream for redial backoff, seeded from
+	// the lowest node at each end: a function of who dials whom, not of
+	// send order, so two processes re-finding one peer draw apart.
 	jitter *rand.Rand
+}
+
+// tcpFrame is one queued frame and the node it is for.
+type tcpFrame struct {
+	to  core.NodeID
+	env Envelope
 }
 
 var _ Transport = (*TCPTransport)(nil)
 
-// NewTCPTransport returns a TCP transport; nodes listen on loopback ports
-// assigned by the kernel unless SetPeers declared an address for them.
+// NewTCPTransport returns a TCP transport; it listens on a kernel-assigned
+// loopback port unless SetPeers declared its first registered node.
 func NewTCPTransport() *TCPTransport {
 	return &TCPTransport{
-		router:    newRouter(),
-		listeners: make(map[core.NodeID]net.Listener),
-		inbound:   make(map[net.Conn]struct{}),
-		senders:   make(map[core.NodeID]*tcpSender),
-		home:      core.NilNode,
-		stop:      make(chan struct{}),
+		router:  newRouter(),
+		inbound: make(map[net.Conn]struct{}),
+		senders: make(map[string]*tcpSender),
+		stop:    make(chan struct{}),
 	}
 }
 
-// Register implements Transport: it starts a listener for the node and an
-// accept loop funneling decoded frames into local inboxes.
+// Register implements Transport: the first call starts the listener and
+// the accept loop funneling decoded frames into local inboxes.
 func (t *TCPTransport) Register(id core.NodeID) (<-chan Envelope, error) {
 	return t.register(id, func(bind string) (string, error) {
 		ln, err := net.Listen("tcp", bind)
 		if err != nil {
 			return "", err
 		}
-		t.listeners[id] = ln
-		if t.home == core.NilNode {
-			t.home = id
-		}
+		t.ln = ln
 		t.wg.Add(1)
 		go t.acceptLoop(ln)
 		return ln.Addr().String(), nil
@@ -134,10 +131,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	}
 }
 
-// Send implements Transport: it enqueues the frame on the destination's
-// sender goroutine, creating it on first use. A full queue drops the
-// frame with ErrBackpressure — the caller is never blocked on a slow or
-// unreachable peer.
+// Send implements Transport: it enqueues the frame on the sender of the
+// destination's current address (created on first use). A full queue
+// drops the frame with ErrBackpressure — the caller is never blocked on a
+// slow or unreachable peer.
 func (t *TCPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -147,44 +144,45 @@ func (t *TCPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 		t.mu.Unlock()
 		return ErrTransportClosed
 	}
-	s, ok := t.senders[to]
+	addr, ok := t.route(to)
 	if !ok {
-		if _, ok := t.route(to); !ok {
-			t.mu.Unlock()
-			return fmt.Errorf("%w: %d", ErrUnknownNode, to)
-		}
-		s = t.newSender(to)
-		t.senders[to] = s
-		t.sendWg.Add(1)
+		t.mu.Unlock()
+		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
+	}
+	s, ok := t.senders[addr]
+	if !ok {
+		s = t.newSender(addr)
+		t.senders[addr] = s
+		t.wg.Add(1)
 		go t.runSender(s)
 	}
 	t.mu.Unlock()
 
 	select {
-	case s.queue <- env:
+	case s.queue <- tcpFrame{to, env}:
 		return nil
 	default:
 		t.stats.dropped(to)
-		return fmt.Errorf("%w: send queue for node %d full", ErrBackpressure, to)
+		return fmt.Errorf("%w: send queue for %s full", ErrBackpressure, addr)
 	}
 }
 
-// newSender builds the sender for one destination; t.mu is held.
-func (t *TCPTransport) newSender(to core.NodeID) *tcpSender {
+// newSender builds the sender for one peer address; t.mu is held.
+func (t *TCPTransport) newSender(addr string) *tcpSender {
 	return &tcpSender{
-		to:     to,
-		queue:  make(chan Envelope, inboxSize),
-		jitter: core.NewRand(core.SplitSeed(uint64(t.home), uint64(to))),
+		addr:   addr,
+		queue:  make(chan tcpFrame, inboxSize),
+		jitter: core.NewRand(core.SplitSeed(uint64(t.lowest(t.addr)), uint64(t.lowest(addr)))),
 	}
 }
 
-// runSender owns one destination's connection: it drains the send queue,
+// runSender owns one peer address's connection: it drains the send queue,
 // (re)dialing with exponential backoff + jitter as needed and writing
-// each frame under a deadline. Frames that outlive the dial burst or hit
-// a write error are dropped and counted — coded gossip recovers through
-// redundancy, so a sender never retries a stale frame.
+// each frame to its node under a deadline. Frames that outlive the dial
+// burst or hit a write error are dropped and counted — coded gossip
+// recovers through redundancy, so a sender never retries a stale frame.
 func (t *TCPTransport) runSender(s *tcpSender) {
-	defer t.sendWg.Done()
+	defer t.wg.Done()
 	var conn net.Conn
 	var w *wire.Writer
 	dialedOnce := false
@@ -194,48 +192,42 @@ func (t *TCPTransport) runSender(s *tcpSender) {
 		}
 	}()
 	for {
-		var env Envelope
+		var f tcpFrame
 		select {
 		case <-t.stop:
 			return
-		case env = <-s.queue:
+		case f = <-s.queue:
 		}
 		if conn == nil {
-			conn = t.dialBurst(s, &dialedOnce)
+			conn = t.dialBurst(s, f.to, &dialedOnce)
 			if conn == nil {
-				t.stats.dropped(s.to)
+				t.stats.dropped(f.to)
 				continue
 			}
 			w = wire.NewWriter(conn)
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(tcpSendTimeout))
-		if err := w.WriteFrame(s.to, &env); err != nil {
+		if err := w.WriteFrame(f.to, &f.env); err != nil {
 			_ = conn.Close()
 			conn, w = nil, nil
-			t.stats.dropped(s.to)
+			t.stats.dropped(f.to)
 			continue
 		}
-		t.stats.sent(s.to)
+		t.stats.sent(f.to)
 	}
 }
 
 // dialBurst tries tcpDialAttempts dials with exponential backoff + jitter,
 // returning nil if the peer stayed unreachable. Every attempt after the
-// destination's first-ever dial counts as a redial.
-func (t *TCPTransport) dialBurst(s *tcpSender, dialedOnce *bool) net.Conn {
-	to, backoff := s.to, tcpDialBackoff
+// sender's first-ever dial counts as a redial of to, whose frame waits.
+func (t *TCPTransport) dialBurst(s *tcpSender, to core.NodeID, dialedOnce *bool) net.Conn {
+	backoff := tcpDialBackoff
 	for attempt := 0; attempt < tcpDialAttempts; attempt++ {
-		t.mu.Lock()
-		addr, ok := t.route(to)
-		t.mu.Unlock()
-		if !ok {
-			return nil
-		}
 		if *dialedOnce {
 			t.stats.redial(to)
 		}
 		*dialedOnce = true
-		conn, err := net.DialTimeout("tcp", addr, tcpSendTimeout)
+		conn, err := net.DialTimeout("tcp", s.addr, tcpSendTimeout)
 		if err == nil {
 			return conn
 		}
@@ -261,15 +253,14 @@ func (t *TCPTransport) Close() error {
 		return nil
 	}
 	close(t.stop)
-	for _, ln := range t.listeners {
-		_ = ln.Close()
+	if t.ln != nil {
+		_ = t.ln.Close()
 	}
 	for conn := range t.inbound {
 		_ = conn.Close()
 	}
 	t.mu.Unlock()
 
-	t.sendWg.Wait()
 	t.wg.Wait()
 	t.closeBoxes()
 	return nil

@@ -153,15 +153,17 @@ func (c *counters) snapshot() TransportStats {
 const inboxSize = 256
 
 // router is the routing table under every transport: where each node
-// lives (a declared peer address, or the address a local listener bound)
-// and which inbox serves each local node. ChanTransport, TCPTransport and
+// lives (a declared peer address, or the transport's one bound address:
+// every frame names its node, so one socket serves all local nodes) and
+// which inbox serves each local node. ChanTransport, TCPTransport and
 // UDPTransport embed it, so the three share one SetPeers/AddPeer/Addr, one
 // bind-address rule and one delivery path, and mu is the transport's own
-// mutex: a socket transport keeps its listeners and senders under it too.
+// mutex: a socket transport keeps its socket and senders under it too.
 type router struct {
 	mu     sync.Mutex
 	peers  map[core.NodeID]string // declared node → address routes
-	addrs  map[core.NodeID]string // bound addresses of local listeners
+	bind   string                 // what the first socket Register asked to bind
+	addr   string                 // what it bound ("" before it, and in-process)
 	boxes  map[core.NodeID]chan Envelope
 	closed bool
 	stats  *counters
@@ -170,16 +172,15 @@ type router struct {
 func newRouter() router {
 	return router{
 		peers: make(map[core.NodeID]string),
-		addrs: make(map[core.NodeID]string),
 		boxes: make(map[core.NodeID]chan Envelope),
 		stats: newCounters(),
 	}
 }
 
 // SetPeers declares node → address routes: Sends to an unregistered node
-// go to the declared address (multi-process clusters), and a subsequent
-// local Register of a declared node binds that address instead of an
-// ephemeral loopback port.
+// go to the declared address (multi-process clusters), and the first local
+// Register of a declared node binds that address instead of an ephemeral
+// loopback port.
 func (r *router) SetPeers(peers map[core.NodeID]string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -193,30 +194,32 @@ func (r *router) AddPeer(id core.NodeID, addr string) {
 	r.SetPeers(map[core.NodeID]string{id: addr})
 }
 
-// Addr returns the bound address of a registered node (for diagnostics
-// and peer-map construction); an in-process node has none.
+// Addr returns the address a registered node is reached at, the
+// transport's one bound address (for diagnostics and peer-map
+// construction); an in-process node has none.
 func (r *router) Addr(id core.NodeID) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	a, ok := r.addrs[id]
-	return a, ok
+	_, ok := r.boxes[id]
+	return r.addr, ok && r.addr != ""
 }
 
-// route resolves a destination — local listener first, then declared
-// peers — so a peer declared after a sender spun up still takes effect on
-// the next lookup. Callers hold r.mu.
+// route resolves a destination — a local node first, then declared peers
+// — so a peer declared after a sender spun up still takes effect on the
+// next lookup. Callers hold r.mu.
 func (r *router) route(to core.NodeID) (string, bool) {
-	if a, ok := r.addrs[to]; ok {
-		return a, true
+	if _, ok := r.boxes[to]; ok && r.addr != "" {
+		return r.addr, true
 	}
 	a, ok := r.peers[to]
 	return a, ok
 }
 
 // register allocates node id's inbox. A socket transport passes listen,
-// which binds the node's declared address (or an ephemeral loopback port)
-// and reports the address it got; it runs under r.mu, so it may record the
-// listener in the transport's own tables.
+// which the first Register calls to bind the node's declared address (or
+// an ephemeral loopback port) and which reports the address it got; it
+// runs under r.mu, so it may record the socket in the transport's own
+// fields. Later nodes share that socket: one declared elsewhere is refused.
 func (r *router) register(id core.NodeID, listen func(bind string) (string, error)) (<-chan Envelope, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -227,19 +230,42 @@ func (r *router) register(id core.NodeID, listen func(bind string) (string, erro
 		return nil, fmt.Errorf("runtime: node %d already registered", id)
 	}
 	if listen != nil {
-		bind, ok := r.peers[id]
-		if !ok {
-			bind = "127.0.0.1:0"
+		bind, declared := r.peers[id]
+		switch {
+		case r.addr == "":
+			if !declared {
+				bind = "127.0.0.1:0"
+			}
+			addr, err := listen(bind)
+			if err != nil {
+				return nil, fmt.Errorf("runtime: listen for node %d: %w", id, err)
+			}
+			r.bind, r.addr = bind, addr
+		case declared && bind != r.bind && bind != r.addr:
+			return nil, fmt.Errorf("runtime: node %d is declared at %s, but this process's nodes are at %s", id, bind, r.addr)
 		}
-		addr, err := listen(bind)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: listen for node %d: %w", id, err)
-		}
-		r.addrs[id] = addr
 	}
 	ch := make(chan Envelope, inboxSize)
 	r.boxes[id] = ch
 	return ch, nil
+}
+
+// lowest is the smallest node routed to addr (NilNode: none), a name for
+// it no registration or send order changes. Callers hold r.mu.
+func (r *router) lowest(addr string) core.NodeID {
+	low := core.NilNode
+	see := func(v core.NodeID) {
+		if a, _ := r.route(v); a == addr && (low == core.NilNode || v < low) {
+			low = v
+		}
+	}
+	for v := range r.peers {
+		see(v)
+	}
+	for v := range r.boxes {
+		see(v)
+	}
+	return low
 }
 
 // inbox looks up local node to's inbox. The errors come back bare (this is

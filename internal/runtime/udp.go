@@ -15,56 +15,39 @@ import (
 // (IPv4 UDP payload ceiling, minus slack for headers).
 const maxDatagram = 65000
 
-// UDPTransport carries one wire frame per UDP datagram. Each registered
-// node gets its own packet socket; all Sends share one unbound send
-// socket. UDP's own loss model stacks naturally under injected loss
+// UDPTransport carries one wire frame per UDP datagram. One packet socket,
+// bound by the first Register, reads every local node's frames and sends
+// all of them. UDP's own loss model stacks naturally under injected loss
 // (ChaosConfig.DropRate) — a dropped datagram is indistinguishable from
 // an injected drop, which is exactly the deployment regime the coded
 // protocol is built for.
 type UDPTransport struct {
-	router // the routing table; its mu guards the maps below too
+	router // the routing table; its mu guards the fields below too
 
-	resolved map[core.NodeID]udpRoute
-	conns    map[core.NodeID]net.PacketConn
-
-	send net.PacketConn
-	wg   sync.WaitGroup
-}
-
-// udpRoute caches one destination's resolved address beside the route it
-// was resolved from, so a SetPeers that moves the node is noticed.
-type udpRoute struct {
-	addr string
-	ua   *net.UDPAddr
+	pc       net.PacketConn          // the one socket (nil before the first Register)
+	resolved map[string]*net.UDPAddr // route → its resolution
+	wg       sync.WaitGroup
 }
 
 var _ Transport = (*UDPTransport)(nil)
 
-// NewUDPTransport returns a UDP transport; nodes listen on loopback ports
-// assigned by the kernel unless SetPeers declared an address for them.
+// NewUDPTransport returns a UDP transport; its first Register binds a
+// loopback port the kernel assigns, unless SetPeers declared an address
+// for that node. The error is always nil.
 func NewUDPTransport() (*UDPTransport, error) {
-	send, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("runtime: udp send socket: %w", err)
-	}
-	return &UDPTransport{
-		router:   newRouter(),
-		resolved: make(map[core.NodeID]udpRoute),
-		conns:    make(map[core.NodeID]net.PacketConn),
-		send:     send,
-	}, nil
+	return &UDPTransport{router: newRouter(), resolved: make(map[string]*net.UDPAddr)}, nil
 }
 
-// Register implements Transport: it binds the node's packet socket and
-// starts a read loop decoding one frame per datagram. Malformed datagrams
-// are screened and counted, never fatal.
+// Register implements Transport: the first call binds the packet socket
+// and starts the read loop decoding one frame per datagram. Malformed
+// datagrams are screened and counted, never fatal.
 func (t *UDPTransport) Register(id core.NodeID) (<-chan Envelope, error) {
 	return t.register(id, func(bind string) (string, error) {
 		pc, err := net.ListenPacket("udp", bind)
 		if err != nil {
 			return "", err
 		}
-		t.conns[id] = pc
+		t.pc = pc
 		t.wg.Add(1)
 		go t.readLoop(pc)
 		return pc.LocalAddr().String(), nil
@@ -89,26 +72,29 @@ func (t *UDPTransport) readLoop(pc net.PacketConn) {
 	}
 }
 
-// resolve maps a destination to a UDP address, caching the resolution.
-func (t *UDPTransport) resolve(to core.NodeID) (*net.UDPAddr, error) {
+// resolve maps a destination to the socket and its cached UDP address.
+func (t *UDPTransport) resolve(to core.NodeID) (net.PacketConn, *net.UDPAddr, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return nil, ErrTransportClosed
+		return nil, nil, ErrTransportClosed
 	}
 	addr, ok := t.route(to)
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, to)
+		return nil, nil, fmt.Errorf("%w: %d", ErrUnknownNode, to)
 	}
-	if c, ok := t.resolved[to]; ok && c.addr == addr {
-		return c.ua, nil
+	if t.pc == nil {
+		return nil, nil, fmt.Errorf("runtime: udp send to node %d: no socket before the first Register", to)
+	}
+	if ua, ok := t.resolved[addr]; ok {
+		return t.pc, ua, nil
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: resolve node %d (%s): %w", to, addr, err)
+		return nil, nil, fmt.Errorf("runtime: resolve node %d (%s): %w", to, addr, err)
 	}
-	t.resolved[to] = udpRoute{addr, ua}
-	return ua, nil
+	t.resolved[addr] = ua
+	return t.pc, ua, nil
 }
 
 // Send implements Transport: one frame, one datagram, fire-and-forget. A
@@ -118,7 +104,7 @@ func (t *UDPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ua, err := t.resolve(to)
+	pc, ua, err := t.resolve(to)
 	if err != nil {
 		return err
 	}
@@ -131,8 +117,8 @@ func (t *UDPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 		t.stats.dropped(to)
 		return err
 	}
-	_ = t.send.SetWriteDeadline(time.Now().Add(udpSendTimeout))
-	if _, err := t.send.WriteTo(frame, ua); err != nil {
+	_ = pc.SetWriteDeadline(time.Now().Add(udpSendTimeout))
+	if _, err := pc.WriteTo(frame, ua); err != nil {
 		t.stats.dropped(to)
 		return fmt.Errorf("runtime: udp send to node %d: %w", to, err)
 	}
@@ -147,10 +133,9 @@ func (t *UDPTransport) Close() error {
 		t.mu.Unlock()
 		return nil
 	}
-	for _, pc := range t.conns {
-		_ = pc.Close()
+	if t.pc != nil {
+		_ = t.pc.Close()
 	}
-	_ = t.send.Close()
 	t.mu.Unlock()
 
 	t.wg.Wait()

@@ -103,7 +103,7 @@ for fam in line ring grid torus complete star bintree barbell lollipop cliquecha
 done
 run $bin/sweep -graph barbell -sizes 16,32 -trials 4 -parallel 1 -checkpoint ck.jsonl -store store.jsonl -out a.csv
 head -n 5 ck.jsonl >ck.cut && mv ck.cut ck.jsonl # a run cut short: the rest is re-run on resume
-run $bin/sweep -graph barbell -sizes 16,32 -trials 4 -parallel 2 -checkpoint ck.jsonl -resume -store store.jsonl -json -progress -out b.json
+run $bin/sweep -graph barbell -sizes 16,32 -trials 4 -parallel 2 -checkpoint ck.jsonl -resume -store store.jsonl -progress -out b.csv
 run $bin/sweep -graph ring -sizes 16 -trials 2 -kmode n -timeout 30s -cpuprofile cpu.prof -memprofile mem.prof -trace run.trace -out c.csv
 refuse $bin/sweep -q 300
 refuse $bin/sweep -graph nosuch
@@ -133,6 +133,9 @@ say "tables -quick (every artifact)"
 # E17 builds gossipd itself, so tables runs from inside the module.
 (cd "$root" && run $bin/tables -quick -outdir "$out/tables")
 run $bin/tables -quick -only E1 -trials 2 -seed 7
+# Full size: E5's communities outgrow exact conductance and take the
+# Cheeger bound.
+run $bin/tables -only E5 -trials 2
 refuse $bin/tables -only E99
 
 say "examples"
@@ -216,6 +219,8 @@ refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -transport carrier-pigeon
 # A declared peer map is checked whole at start, as POST /peers checks one.
 refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -peers 1=127.0.0.1:9001,4=127.0.0.1:9004
 refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -peers 1=127.0.0.1
+# One process has one gossip address: two local nodes at two are refused.
+refuse $bin/gossipd -nodes 0,1 -graph ring -n 4 -k 2 -peers 0=127.0.0.1:9000,1=127.0.0.1:9001
 refuse $bin/gossipd -nodes 0 -graph ring -n 4 -k 2 -loss NaN
 
 # ---- the report ----
