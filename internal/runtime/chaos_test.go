@@ -203,7 +203,7 @@ func TestCorruptedFramesNeverHelp(t *testing.T) {
 								frame.Coeffs = append([]gf.Elem(nil), env.Coeffs...)
 								frame.Payload = append([]byte(nil), env.Payload...)
 							}
-							ingest(recv, &frame)
+							ingest(recv, &rlnc.GenPacket{Packet: &rlnc.Packet{}}, &frame)
 							switch rank := recv.Rank(); {
 							case arm < 4 && rank != 0:
 								t.Fatalf("%s: corruption arm %d was accepted (rank %d): coeffs %d, payload %d symbols",

@@ -166,9 +166,11 @@ func (c Config) newDecoder() (*rlnc.GenNode, error) {
 // emit fills env with a fresh random combination from dec in the
 // one-coefficient-per-symbol wire format, whatever the decoder's internal
 // representation (bit and sliced packets expand here); false when the
-// node stores nothing yet. The combination is built in gp, the node's
-// reusable native packet; only the wire arrays, which the envelope
-// carries away, are allocated per frame.
+// node stores nothing yet. The combination is built in gp, a reusable
+// native packet; what of it is already in wire form (a generic packet, a
+// bit packet's payload) env carries as gp's own arrays, which the next
+// emit into gp overwrites. That is safe because Transport.Send keeps
+// nothing of env.
 func emit(dec *rlnc.GenNode, rng *rand.Rand, gp *rlnc.GenPacket, env *Envelope) bool {
 	if !dec.EmitInto(rng, gp) {
 		return false
@@ -177,26 +179,23 @@ func emit(dec *rlnc.GenNode, rng *rand.Rand, gp *rlnc.GenPacket, env *Envelope) 
 	env.Gen = gp.Gen
 	env.Coeffs = gp.Packet.ExpandCoeffs(cfg.GenK(gp.Gen))
 	env.Payload = gp.Packet.ExpandPayload(cfg.Inner.PayloadLen)
-	// A generic or bit packet is already in wire form and expands to its
-	// own arrays: the envelope keeps them, the next emit grows new ones.
-	gp.Packet.Coeffs, gp.Packet.Payload = nil, nil
 	return true
 }
 
-// ingest adapts a wire envelope to dec's native backend and receives it.
-// The generation tag and the array shapes come from the wire, so Adapt
-// and ReceiveOwned screen them — a whole-k node has the single valid tag
-// 0. The receive reduces in place: the adapted packet is either freshly
-// built by Adapt or wraps the delivered envelope's arrays, which nobody
-// reads again once it is ingested.
-func ingest(dec *rlnc.GenNode, env *Envelope) {
+// ingest adapts a wire envelope to dec's native backend and receives it,
+// wrapping it in gp, whose Packet the caller provides and reuses. The
+// generation tag and the array shapes come from the wire, so Adapt and
+// ReceiveOwned screen them — a whole-k node has the single valid tag 0.
+// The receive reduces in place: the adapted packet is either freshly
+// built by Adapt or wraps the delivered envelope's arrays, which no
+// decoder keeps, so the caller may release them afterwards.
+func ingest(dec *rlnc.GenNode, gp *rlnc.GenPacket, env *Envelope) {
 	if len(env.Coeffs) == 0 {
 		return
 	}
-	dec.ReceiveOwned(dec.Adapt(&rlnc.GenPacket{
-		Gen:    env.Gen,
-		Packet: &rlnc.Packet{Coeffs: env.Coeffs, Payload: env.Payload},
-	}))
+	gp.Gen = env.Gen
+	*gp.Packet = rlnc.Packet{Coeffs: env.Coeffs, Payload: env.Payload}
+	dec.ReceiveOwned(dec.Adapt(gp))
 }
 
 // NodeStatus is one local node's progress snapshot, and its wire form on
@@ -365,7 +364,9 @@ type clusterNode struct {
 	dec       *rlnc.GenNode
 	pick      *rand.Rand     // drives partner choice
 	rng       *rand.Rand     // drives packet emission
-	pkt       rlnc.GenPacket // emit's reusable native packet
+	pkt       rlnc.GenPacket // the tick's contact emits here
+	reply     rlnc.GenPacket // the serving goroutine's answers emit here
+	in        rlnc.GenPacket // commit wraps each staged envelope in it
 	pending   []Envelope     // staged envelopes, ingested at the next tick
 	ticks     int
 	doneTick  int
@@ -429,6 +430,7 @@ func newCluster(transport Transport, g *graph.Graph, origin core.NodeID, k int, 
 			dec:       dec,
 			pick:      core.NewRand(seed),
 			rng:       core.NewRand(core.SplitSeed(seed, 1)),
+			in:        rlnc.GenPacket{Packet: &rlnc.Packet{}},
 			informed:  v == origin,
 			parent:    core.NilNode,
 		}
@@ -736,8 +738,8 @@ func (c *Cluster) tick(ctx context.Context) {
 	c.count.release()
 }
 
-// commit ingests the staged batch, reporting whether that completed the
-// node.
+// commit ingests the staged batch and releases its arrays, reporting
+// whether that completed the node.
 func (n *clusterNode) commit() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -746,7 +748,8 @@ func (n *clusterNode) commit() bool {
 	}
 	n.ticks++
 	for i := range n.pending {
-		ingest(n.dec, &n.pending[i])
+		ingest(n.dec, &n.in, &n.pending[i])
+		release(&n.pending[i])
 	}
 	n.pending = n.pending[:0]
 	return n.checkDoneLocked()
@@ -809,7 +812,8 @@ func (c *Cluster) partnerLocked(n *clusterNode) (core.NodeID, EnvelopeKind) {
 // handle serves one inbound envelope at node n: it stages a packet for the
 // next tick's commit, adopts a first announcer as tree parent, and answers
 // an EXCHANGE request from the state the last tick committed — the
-// simulator's simultaneous exchange. A dead node does none of it. The
+// simulator's simultaneous exchange. A dead node does none of it, and an
+// envelope it does not stage has its arrays released at once. The
 // handled frame settles last, after its reply is counted, so the round
 // cannot drain between the two.
 func (c *Cluster) handle(ctx context.Context, n *clusterNode, env Envelope) {
@@ -818,13 +822,15 @@ func (c *Cluster) handle(ctx context.Context, n *clusterNode, env Envelope) {
 	n.mu.Lock()
 	switch {
 	case n.dead:
+		release(&env)
 	case env.Kind == EnvelopeAnnounce:
 		if c.origin != core.NilNode && !n.informed {
 			n.informed, n.parent = true, env.From
 		}
+		release(&env)
 	default: // an empty request is staged too; ingest skips it
 		n.pending = append(n.pending, env)
-		answer = env.WantReply && emit(n.dec, n.rng, &n.pkt, &reply)
+		answer = env.WantReply && emit(n.dec, n.rng, &n.reply, &reply)
 	}
 	n.mu.Unlock()
 	if answer {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -12,9 +13,10 @@ import (
 	"algossip/internal/wire"
 )
 
-// TCPTransport's connection management. Each peer address's send queue
-// holds inboxSize frames; a full queue drops the frame with
-// ErrBackpressure, so senders are never stalled by one slow peer.
+// TCPTransport's connection management. Each peer address holds at most
+// inboxSize frames, pending or being written; a Send past that drops the
+// frame with ErrBackpressure, so senders are never stalled by one slow
+// peer.
 const (
 	// tcpDialAttempts is how many times one frame's dial burst retries an
 	// unreachable peer before dropping the frame. Later frames start fresh
@@ -23,19 +25,22 @@ const (
 	// tcpDialBackoff is the first retry delay; it doubles per attempt with
 	// ±50% jitter.
 	tcpDialBackoff = 5 * time.Millisecond
-	// tcpSendTimeout bounds each dial and each frame write.
+	// tcpSendTimeout bounds each dial and each write.
 	tcpSendTimeout = 2 * time.Second
 	// udpSendTimeout bounds each datagram write of UDPTransport.
 	udpSendTimeout = 2 * time.Second
 )
 
 // TCPTransport carries wire-framed envelopes over TCP: one listener, bound
-// by the first Register, whose inbound frames are demuxed by destination
-// field, and one persistent connection per peer address, however many
-// nodes live there, owned by a sender goroutine — dialing happens there,
-// never under the transport mutex, so one unreachable peer cannot stall
-// other senders (and concurrent Sends to one peer coalesce onto the one
-// dial, the singleflight this layer needs).
+// by the first Register, whose inbound frames are read through one buffer
+// per connection and demuxed by destination field, and one persistent
+// connection per peer address, however many nodes live there, owned by a
+// sender goroutine. Send encodes its frame into the peer's pending buffer;
+// the sender writes everything pending with one Write, so the frames sent
+// while a write is under way go out together in the next (group commit).
+// Dialing happens in the sender, never under the transport mutex, so one
+// unreachable peer cannot stall other senders (and concurrent Sends to one
+// peer coalesce onto the one dial, the singleflight this layer needs).
 type TCPTransport struct {
 	router // the routing table; its mu guards every field below too
 
@@ -48,18 +53,17 @@ type TCPTransport struct {
 }
 
 type tcpSender struct {
-	addr  string
-	queue chan tcpFrame
+	addr string
 	// jitter is the sender's own stream for redial backoff, seeded from
 	// the lowest node at each end: a function of who dials whom, not of
 	// send order, so two processes re-finding one peer draw apart.
 	jitter *rand.Rand
-}
+	wake   chan struct{} // one slot: frames are pending
 
-// tcpFrame is one queued frame and the node it is for.
-type tcpFrame struct {
-	to  core.NodeID
-	env Envelope
+	mu      sync.Mutex
+	pending []byte        // frames encoded since the last write, back to back
+	tos     []core.NodeID // each pending frame's node, in order
+	writing int           // frames the sender took and has not yet written or dropped
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -110,10 +114,11 @@ func (t *TCPTransport) acceptLoop(ln net.Listener) {
 	}
 }
 
-// readLoop decodes inbound frames and demuxes them onto local inboxes by
-// the frame's destination field. A malformed frame (bad magic, version,
-// lengths — anything the wire screens catch) closes the connection: a
-// corrupted or hostile stream costs its sender a redial, never a crash.
+// readLoop decodes inbound frames into spare arrays and demuxes them onto
+// local inboxes by the frame's destination field. A malformed frame (bad
+// magic, version, lengths — anything the wire screens catch) closes the
+// connection: a corrupted or hostile stream costs its sender a redial,
+// never a crash.
 func (t *TCPTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -124,17 +129,23 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	}()
 	r := wire.NewReader(conn)
 	for {
-		to, env, err := r.ReadFrame()
-		if err != nil || !t.receive(to, env) {
+		env := spareEnvelope()
+		to, err := r.ReadFrameInto(&env)
+		if err != nil {
+			release(&env)
+			return
+		}
+		if !t.receive(to, env) {
 			return
 		}
 	}
 }
 
-// Send implements Transport: it enqueues the frame on the sender of the
-// destination's current address (created on first use). A full queue
-// drops the frame with ErrBackpressure — the caller is never blocked on a
-// slow or unreachable peer.
+// Send implements Transport: it encodes the frame into the pending buffer
+// of the destination's current address (its sender created on first use)
+// and keeps nothing of env. A peer already holding inboxSize frames drops
+// the frame with ErrBackpressure — the caller is never blocked on a slow
+// or unreachable peer — and an unencodable frame is a counted drop.
 func (t *TCPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -158,33 +169,56 @@ func (t *TCPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 	}
 	t.mu.Unlock()
 
-	select {
-	case s.queue <- tcpFrame{to, env}:
-		return nil
-	default:
-		t.stats.dropped(to)
-		return fmt.Errorf("%w: send queue for %s full", ErrBackpressure, addr)
+	s.mu.Lock()
+	full := len(s.tos)+s.writing >= inboxSize
+	var err error
+	if !full {
+		if size := wire.FrameLen(&env); len(s.pending)+size > cap(s.pending) && size <= wire.MaxFrame {
+			// Doubling: append's 1.25× step for a large slice would copy
+			// a burst of frames over and over as it grows. (AppendFrame
+			// refuses a frame above MaxFrame; nothing is grown for it.)
+			s.pending = append(make([]byte, 0, 2*(len(s.pending)+size)), s.pending...)
+		}
+		if s.pending, err = wire.AppendFrame(s.pending, to, &env); err == nil {
+			s.tos = append(s.tos, to)
+		}
 	}
+	s.mu.Unlock()
+	if full {
+		err = fmt.Errorf("%w: send queue for %s full", ErrBackpressure, addr)
+	}
+	if err != nil {
+		t.stats.dropped(to)
+		return err
+	}
+	select {
+	case s.wake <- struct{}{}:
+	default: // already awake
+	}
+	return nil
 }
 
 // newSender builds the sender for one peer address; t.mu is held.
 func (t *TCPTransport) newSender(addr string) *tcpSender {
 	return &tcpSender{
 		addr:   addr,
-		queue:  make(chan tcpFrame, inboxSize),
+		wake:   make(chan struct{}, 1),
 		jitter: core.NewRand(core.SplitSeed(uint64(t.lowest(t.addr)), uint64(t.lowest(addr)))),
 	}
 }
 
-// runSender owns one peer address's connection: it drains the send queue,
-// (re)dialing with exponential backoff + jitter as needed and writing
-// each frame to its node under a deadline. Frames that outlive the dial
-// burst or hit a write error are dropped and counted — coded gossip
-// recovers through redundancy, so a sender never retries a stale frame.
+// runSender owns one peer address's connection: each time it wakes it
+// takes every pending frame, handing the Sends its spare buffer to fill
+// meanwhile, and writes them with one Write under a deadline, (re)dialing
+// with exponential backoff + jitter as needed. Frames that outlive the
+// dial burst, or that a failed write did not get out whole, are dropped
+// and counted — coded gossip recovers through redundancy, so a sender
+// never retries a stale frame.
 func (t *TCPTransport) runSender(s *tcpSender) {
 	defer t.wg.Done()
 	var conn net.Conn
-	var w *wire.Writer
+	var spare []byte
+	var spareTos []core.NodeID
 	dialedOnce := false
 	defer func() {
 		if conn != nil {
@@ -192,34 +226,60 @@ func (t *TCPTransport) runSender(s *tcpSender) {
 		}
 	}()
 	for {
-		var f tcpFrame
 		select {
 		case <-t.stop:
 			return
-		case f = <-s.queue:
+		case <-s.wake:
 		}
-		if conn == nil {
-			conn = t.dialBurst(s, f.to, &dialedOnce)
-			if conn == nil {
-				t.stats.dropped(f.to)
-				continue
-			}
-			w = wire.NewWriter(conn)
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(tcpSendTimeout))
-		if err := w.WriteFrame(f.to, &f.env); err != nil {
-			_ = conn.Close()
-			conn, w = nil, nil
-			t.stats.dropped(f.to)
+		s.mu.Lock()
+		batch, tos := s.pending, s.tos
+		s.pending, s.tos, s.writing = spare[:0], spareTos[:0], len(tos)
+		s.mu.Unlock()
+		spare, spareTos = batch, tos
+		if len(tos) == 0 {
 			continue
 		}
-		t.stats.sent(f.to)
+		written := 0 // frames wholly written
+		if conn == nil {
+			conn = t.dialBurst(s, tos[0], &dialedOnce)
+		}
+		if conn != nil {
+			_ = conn.SetWriteDeadline(time.Now().Add(tcpSendTimeout))
+			n, err := conn.Write(batch)
+			if err != nil {
+				_ = conn.Close()
+				conn = nil
+			}
+			written = framesIn(batch, n)
+		}
+		for i, to := range tos {
+			if i < written {
+				t.stats.sent(to)
+			} else {
+				t.stats.dropped(to)
+			}
+		}
+		s.mu.Lock()
+		s.writing = 0
+		s.mu.Unlock()
 	}
+}
+
+// framesIn returns how many of batch's frames end within its first n
+// bytes: the frames a Write that stopped after n bytes delivered whole.
+func framesIn(batch []byte, n int) (frames int) {
+	for off := 0; off+4 <= len(batch); frames++ {
+		off += 4 + int(binary.BigEndian.Uint32(batch[off:]))
+		if off > n {
+			break
+		}
+	}
+	return frames
 }
 
 // dialBurst tries tcpDialAttempts dials with exponential backoff + jitter,
 // returning nil if the peer stayed unreachable. Every attempt after the
-// sender's first-ever dial counts as a redial of to, whose frame waits.
+// sender's first-ever dial counts as a redial of to, whose frames wait.
 func (t *TCPTransport) dialBurst(s *tcpSender, to core.NodeID, dialedOnce *bool) net.Conn {
 	backoff := tcpDialBackoff
 	for attempt := 0; attempt < tcpDialAttempts; attempt++ {

@@ -26,8 +26,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"algossip/internal/core"
+	"algossip/internal/gf"
 	"algossip/internal/wire"
 )
 
@@ -70,7 +72,11 @@ type Transport interface {
 	Register(id core.NodeID) (<-chan Envelope, error)
 	// Send delivers env to node to. Delivery may be asynchronous and may
 	// be dropped under backpressure (reported as ErrBackpressure after
-	// counting the drop); Send must not block past ctx.
+	// counting the drop); Send must not block past ctx. Send keeps
+	// nothing of env once it returns: it encodes or copies what it
+	// delivers, so the caller may overwrite env's arrays at once. An
+	// envelope read from an inbox owns its arrays; the Cluster hands them
+	// back to the package's free list once it has ingested them.
 	Send(ctx context.Context, to core.NodeID, env Envelope) error
 	// Stats snapshots the transport's send/drop/redial counters.
 	Stats() TransportStats
@@ -151,6 +157,64 @@ func (c *counters) snapshot() TransportStats {
 // inboxSize buffers bursts without unbounded growth; gossip tolerates drops
 // but we prefer backpressure-free small buffers.
 const inboxSize = 256
+
+// A received envelope's arrays come from a bounded free list: a socket
+// read loop decodes into them, ChanTransport.Send copies into them, and
+// the Cluster hands them back once it has ingested the envelope (every
+// decoder copies a row it stores). Channels, not sync.Pool, so what the
+// list holds does not depend on when the collector runs. It keeps an
+// inbox's worth of arrays of each kind, none above spareMax bytes, so it
+// never holds more than 32 MiB.
+var spares = struct {
+	coeffs   chan []gf.Elem
+	payloads chan []byte
+}{make(chan []gf.Elem, inboxSize), make(chan []byte, inboxSize)}
+
+const spareMax = 64 << 10
+
+// poisonSpares makes release fill every array it hands back with 0xA5, so
+// that a reader of an array after its release reads junk (a test hook).
+var poisonSpares atomic.Bool
+
+// spareEnvelope returns an envelope holding spare arrays, nil ones when
+// the list is empty, for a decode or a copy to fill.
+func spareEnvelope() Envelope {
+	var env Envelope
+	select {
+	case env.Coeffs = <-spares.coeffs:
+	default:
+	}
+	select {
+	case env.Payload = <-spares.payloads:
+	default:
+	}
+	return env
+}
+
+// release hands env's arrays back to the free list; env keeps neither.
+func release(env *Envelope) {
+	giveBack(spares.coeffs, env.Coeffs)
+	giveBack(spares.payloads, env.Payload)
+	env.Coeffs, env.Payload = nil, nil
+}
+
+// giveBack puts one array on list, unless it is empty, too large to keep
+// or the list is full.
+func giveBack[T ~byte](list chan []T, s []T) {
+	if cap(s) == 0 || cap(s) > spareMax {
+		return
+	}
+	s = s[:cap(s)]
+	if poisonSpares.Load() {
+		for i := range s {
+			s[i] = 0xA5
+		}
+	}
+	select {
+	case list <- s[:0]:
+	default: // full: the collector takes it
+	}
+}
 
 // router is the routing table under every transport: where each node
 // lives (a declared peer address, or the transport's one bound address:
@@ -282,14 +346,16 @@ func (r *router) inbox(to core.NodeID) (chan<- Envelope, error) {
 	return ch, nil
 }
 
-// offer hands env to an inbox without blocking: a full inbox drops the
-// envelope, counts the drop and reports ErrBackpressure — gossip is
-// loss-tolerant by design, and unhelpful packets are redundant anyway.
+// offer hands env, which owns spare arrays, to an inbox without blocking:
+// a full inbox drops the envelope, releases its arrays, counts the drop
+// and reports ErrBackpressure — gossip is loss-tolerant by design, and
+// unhelpful packets are redundant anyway.
 func (r *router) offer(ch chan<- Envelope, to core.NodeID, env Envelope) error {
 	select {
 	case ch <- env:
 		return nil
 	default:
+		release(&env)
 		r.stats.dropped(to)
 		return ErrBackpressure
 	}
@@ -307,6 +373,7 @@ func (r *router) receive(to core.NodeID, env Envelope) bool {
 	case nil:
 		_ = r.offer(ch, to, env) // a full inbox is a counted drop
 	case ErrUnknownNode:
+		release(&env)
 		r.stats.dropped(to) // misrouted
 	}
 	return err != ErrTransportClosed
@@ -348,10 +415,11 @@ func (t *ChanTransport) Register(id core.NodeID) (<-chan Envelope, error) {
 	return t.register(id, nil)
 }
 
-// Send implements Transport. When the receiver's inbox is full the
-// envelope is dropped, the drop is counted, and ErrBackpressure is
-// returned. The offer happens under the lock, which is what lets Close
-// close the inboxes with senders still about.
+// Send implements Transport: it delivers a copy of env in spare arrays.
+// When the receiver's inbox is full the envelope is dropped, the drop is
+// counted, and ErrBackpressure is returned. The offer happens under the
+// lock, which is what lets Close close the inboxes with senders still
+// about.
 func (t *ChanTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -360,6 +428,9 @@ func (t *ChanTransport) Send(ctx context.Context, to core.NodeID, env Envelope) 
 	defer t.mu.Unlock()
 	ch, err := t.inbox(to)
 	if err == nil {
+		cp := spareEnvelope()
+		env.Coeffs = append(cp.Coeffs, env.Coeffs...)
+		env.Payload = append(cp.Payload, env.Payload...)
 		err = t.offer(ch, to, env)
 	}
 	if err != nil {

@@ -27,6 +27,11 @@ type UDPTransport struct {
 	pc       net.PacketConn          // the one socket (nil before the first Register)
 	resolved map[string]*net.UDPAddr // route → its resolution
 	wg       sync.WaitGroup
+
+	// sendMu serializes Sends over frame. It costs them no concurrency:
+	// the socket serializes its writes anyway (BenchmarkUDPSendParallel).
+	sendMu sync.Mutex
+	frame  []byte // the datagram being sent, reused by every Send
 }
 
 var _ Transport = (*UDPTransport)(nil)
@@ -62,8 +67,10 @@ func (t *UDPTransport) readLoop(pc net.PacketConn) {
 		if err != nil {
 			return // socket closed
 		}
-		to, env, _, err := wire.DecodeFrame(buf[:n])
+		env := spareEnvelope()
+		to, _, err := wire.DecodeFrameInto(buf[:n], &env)
 		if err != nil {
+			release(&env)
 			continue // screened: torn or hostile datagram
 		}
 		if !t.receive(to, env) {
@@ -97,9 +104,10 @@ func (t *UDPTransport) resolve(to core.NodeID) (net.PacketConn, *net.UDPAddr, er
 	return t.pc, ua, nil
 }
 
-// Send implements Transport: one frame, one datagram, fire-and-forget. A
-// frame it refuses — too big for one datagram, or unencodable — is
-// counted as dropped, like one the socket fails to write.
+// Send implements Transport: one frame, one datagram, fire-and-forget,
+// encoded into the transport's one reused datagram buffer. A frame it
+// refuses — too big for one datagram, or unencodable — is counted as
+// dropped, like one the socket fails to write.
 func (t *UDPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -112,11 +120,14 @@ func (t *UDPTransport) Send(ctx context.Context, to core.NodeID, env Envelope) e
 		t.stats.dropped(to)
 		return fmt.Errorf("runtime: frame of %d bytes exceeds one datagram (%d)", n, maxDatagram)
 	}
-	frame, err := wire.AppendFrame(nil, to, &env)
+	t.sendMu.Lock()
+	defer t.sendMu.Unlock()
+	frame, err := wire.AppendFrame(t.frame[:0], to, &env)
 	if err != nil {
 		t.stats.dropped(to)
 		return err
 	}
+	t.frame = frame
 	_ = pc.SetWriteDeadline(time.Now().Add(udpSendTimeout))
 	if _, err := pc.WriteTo(frame, ua); err != nil {
 		t.stats.dropped(to)

@@ -29,6 +29,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -147,9 +148,7 @@ func AppendFrame(dst []byte, to core.NodeID, env *Envelope) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(env.Gen))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(env.Coeffs)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(env.Payload)))
-	for _, c := range env.Coeffs {
-		dst = append(dst, byte(c))
-	}
+	dst = append(dst, gf.AsBytes(env.Coeffs)...)
 	return append(dst, env.Payload...), nil
 }
 
@@ -158,33 +157,43 @@ func AppendFrame(dst []byte, to core.NodeID, env *Envelope) ([]byte, error) {
 // envelope owns freshly allocated slices (safe to retain). All malformed
 // shapes return a typed error; none panic.
 func DecodeFrame(b []byte) (to core.NodeID, env Envelope, n int, err error) {
+	to, n, err = DecodeFrameInto(b, &env)
+	return to, env, n, err
+}
+
+// DecodeFrameInto is DecodeFrame into env, reusing the capacity of env's
+// arrays: only an array too short for the frame is replaced by a fresh
+// one, so a caller that keeps its envelopes' arrays decodes without
+// allocating. The screens are DecodeFrame's, and a frame they refuse
+// leaves env untouched.
+func DecodeFrameInto(b []byte, env *Envelope) (to core.NodeID, n int, err error) {
 	if len(b) < 4 {
-		return 0, env, 0, fmt.Errorf("%w: %d prefix bytes", ErrTruncated, len(b))
+		return 0, 0, fmt.Errorf("%w: %d prefix bytes", ErrTruncated, len(b))
 	}
 	body := binary.BigEndian.Uint32(b)
 	if body > MaxFrame {
-		return 0, env, 0, fmt.Errorf("%w: prefix says %d bytes", ErrFrameTooBig, body)
+		return 0, 0, fmt.Errorf("%w: prefix says %d bytes", ErrFrameTooBig, body)
 	}
 	if body < headerLen {
-		return 0, env, 0, fmt.Errorf("%w: prefix says %d bytes, header needs %d", ErrLengthMismatch, body, headerLen)
+		return 0, 0, fmt.Errorf("%w: prefix says %d bytes, header needs %d", ErrLengthMismatch, body, headerLen)
 	}
 	if uint32(len(b)-4) < body {
-		return 0, env, 0, fmt.Errorf("%w: have %d of %d body bytes", ErrTruncated, len(b)-4, body)
+		return 0, 0, fmt.Errorf("%w: have %d of %d body bytes", ErrTruncated, len(b)-4, body)
 	}
 	f := b[4 : 4+body]
 	if got := binary.BigEndian.Uint16(f); got != Magic {
-		return 0, env, 0, fmt.Errorf("%w: 0x%04x", ErrBadMagic, got)
+		return 0, 0, fmt.Errorf("%w: 0x%04x", ErrBadMagic, got)
 	}
 	if f[2] != Version {
-		return 0, env, 0, fmt.Errorf("%w: %d", ErrBadVersion, f[2])
+		return 0, 0, fmt.Errorf("%w: %d", ErrBadVersion, f[2])
 	}
 	kind := Kind(f[3])
 	if kind >= kindCount {
-		return 0, env, 0, fmt.Errorf("%w: %d", ErrBadKind, kind)
+		return 0, 0, fmt.Errorf("%w: %d", ErrBadKind, kind)
 	}
 	flags := f[4]
 	if flags&^flagWantReply != 0 {
-		return 0, env, 0, fmt.Errorf("%w: 0x%02x", ErrBadFlags, flags)
+		return 0, 0, fmt.Errorf("%w: 0x%02x", ErrBadFlags, flags)
 	}
 	from := binary.BigEndian.Uint32(f[5:])
 	toU := binary.BigEndian.Uint32(f[9:])
@@ -192,84 +201,68 @@ func DecodeFrame(b []byte) (to core.NodeID, env Envelope, n int, err error) {
 	k := binary.BigEndian.Uint32(f[17:])
 	rlen := binary.BigEndian.Uint32(f[21:])
 	if uint64(headerLen)+uint64(k)+uint64(rlen) != uint64(body) {
-		return 0, env, 0, fmt.Errorf("%w: k=%d rlen=%d body=%d", ErrLengthMismatch, k, rlen, body)
+		return 0, 0, fmt.Errorf("%w: k=%d rlen=%d body=%d", ErrLengthMismatch, k, rlen, body)
 	}
-	env = Envelope{
-		Kind:      kind,
-		From:      core.NodeID(from),
-		WantReply: flags&flagWantReply != 0,
-		Gen:       int(gen),
-	}
-	if k > 0 {
-		env.Coeffs = make([]gf.Elem, k)
-		for i, c := range f[headerLen : headerLen+k] {
-			env.Coeffs[i] = gf.Elem(c)
-		}
-	}
-	if rlen > 0 {
-		env.Payload = append([]byte(nil), f[headerLen+k:]...)
-	}
-	return core.NodeID(toU), env, int(4 + body), nil
+	env.Kind = kind
+	env.From = core.NodeID(from)
+	env.WantReply = flags&flagWantReply != 0
+	env.Gen = int(gen)
+	env.Coeffs = resize(env.Coeffs, int(k))
+	copy(gf.AsBytes(env.Coeffs), f[headerLen:headerLen+k])
+	env.Payload = resize(env.Payload, int(rlen))
+	copy(env.Payload, f[headerLen+k:])
+	return core.NodeID(toU), int(4 + body), nil
 }
 
-// Writer encodes frames onto a stream, reusing one internal buffer so the
-// steady-state send path does not allocate per frame. Each frame lands in
-// a single w.Write call; callers serialize WriteFrame themselves.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewWriter returns a frame writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// WriteFrame encodes and writes one frame.
-func (fw *Writer) WriteFrame(to core.NodeID, env *Envelope) error {
-	b, err := AppendFrame(fw.buf[:0], to, env)
-	if err != nil {
-		return err
+// resize returns s at length n, in s's own array when it has room.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	fw.buf = b
-	_, err = fw.w.Write(b)
-	return err
+	return s[:n]
 }
 
-// Reader decodes frames from a stream, reusing one internal buffer for
-// the raw bytes; the envelopes it returns own fresh slices and are safe
-// to retain (they cross goroutine boundaries through transport inboxes).
+// readBuffer is a Reader's buffer: one read from the stream yields every
+// frame that fits in it.
+const readBuffer = 64 << 10
+
+// Reader decodes frames from a stream through one buffer, so a stream
+// whose sender coalesced many frames into one write is read with one
+// read, not two per frame. Each frame's bytes are copied into a second,
+// reused buffer and decoded from there, so the envelopes it returns never
+// alias the stream's bytes.
 type Reader struct {
-	r   io.Reader
-	buf []byte
+	r   *bufio.Reader
+	buf []byte // the frame being decoded
 }
 
 // NewReader returns a frame reader over r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReaderSize(r, readBuffer)}
+}
 
-// ReadFrame reads exactly one frame. A clean EOF on the frame boundary
-// returns io.EOF; a stream ending mid-frame returns ErrTruncated (wrapped
-// with io.ErrUnexpectedEOF semantics); malformed frames return the
+// ReadFrameInto reads exactly one frame into env, reusing the capacity of
+// env's arrays as DecodeFrameInto does; a zero env gets fresh slices, safe
+// to retain. A clean EOF on the frame boundary returns io.EOF; a stream
+// ending mid-frame returns ErrTruncated; malformed frames return the
 // DecodeFrame typed errors.
-func (fr *Reader) ReadFrame() (to core.NodeID, env Envelope, err error) {
+func (fr *Reader) ReadFrameInto(env *Envelope) (to core.NodeID, err error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(fr.r, prefix[:]); err != nil {
 		if err == io.EOF {
-			return 0, env, io.EOF
+			return 0, io.EOF
 		}
-		return 0, env, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	body := binary.BigEndian.Uint32(prefix[:])
 	if body > MaxFrame {
-		return 0, env, fmt.Errorf("%w: prefix says %d bytes", ErrFrameTooBig, body)
+		return 0, fmt.Errorf("%w: prefix says %d bytes", ErrFrameTooBig, body)
 	}
-	need := int(4 + body)
-	if cap(fr.buf) < need {
-		fr.buf = make([]byte, need)
-	}
-	fr.buf = fr.buf[:need]
+	fr.buf = resize(fr.buf, int(4+body))
 	copy(fr.buf, prefix[:])
 	if _, err := io.ReadFull(fr.r, fr.buf[4:]); err != nil {
-		return 0, env, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
-	to, env, _, err = DecodeFrame(fr.buf)
-	return to, env, err
+	to, _, err = DecodeFrameInto(fr.buf, env)
+	return to, err
 }

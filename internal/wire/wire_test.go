@@ -151,25 +151,26 @@ func TestEncodeErrors(t *testing.T) {
 
 func TestStreamReaderWriter(t *testing.T) {
 	envs := sampleEnvelopes()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var stream []byte
 	for i, env := range envs {
-		if err := w.WriteFrame(core.NodeID(100+i), &env); err != nil {
-			t.Fatalf("WriteFrame %d: %v", i, err)
+		var err error
+		if stream, err = AppendFrame(stream, core.NodeID(100+i), &env); err != nil {
+			t.Fatalf("AppendFrame %d: %v", i, err)
 		}
 	}
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(stream))
 	for i := range envs {
-		to, got, err := r.ReadFrame()
+		var got Envelope
+		to, err := r.ReadFrameInto(&got)
 		if err != nil {
-			t.Fatalf("ReadFrame %d: %v", i, err)
+			t.Fatalf("ReadFrameInto %d: %v", i, err)
 		}
 		if to != core.NodeID(100+i) {
 			t.Fatalf("frame %d: to=%d", i, to)
 		}
 		checkEnvelope(t, i, got, envs[i])
 	}
-	if _, _, err := r.ReadFrame(); err != io.EOF {
+	if _, err := r.ReadFrameInto(&Envelope{}); err != io.EOF {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
 	}
 }
@@ -184,33 +185,95 @@ func TestReaderTornStream(t *testing.T) {
 	}
 	for cut := 1; cut < len(full); cut++ {
 		r := NewReader(bytes.NewReader(full[:cut]))
-		if _, _, err := r.ReadFrame(); !errors.Is(err, ErrTruncated) {
+		if _, err := r.ReadFrameInto(&Envelope{}); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: got %v, want ErrTruncated", cut, err)
 		}
 	}
 }
 
-// TestReaderEnvelopeOwnership checks that envelopes from a shared Reader
-// survive the next ReadFrame (the internal buffer is reused, slices must
-// not alias it).
+// TestReaderEnvelopeOwnership checks that an envelope read into a zero
+// Envelope survives the reads after it, across refills of the Reader's
+// buffer (the buffer is reused, so the slices must not alias it).
 func TestReaderEnvelopeOwnership(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	a := Envelope{Kind: KindPacket, From: 1, Coeffs: []gf.Elem{1, 2}, Payload: []byte("AA")}
-	b := Envelope{Kind: KindPacket, From: 2, Coeffs: []gf.Elem{3, 4}, Payload: []byte("BB")}
-	if err := w.WriteFrame(0, &a); err != nil {
+	b := Envelope{Kind: KindPacket, From: 2, Coeffs: []gf.Elem{3, 4}, Payload: bytes.Repeat([]byte("B"), 4096)}
+	stream, _ := AppendFrame(nil, 0, &a)
+	for len(stream) < 3*readBuffer {
+		stream, _ = AppendFrame(stream, 0, &b)
+	}
+	r := NewReader(bytes.NewReader(stream))
+	var gotA Envelope
+	if _, err := r.ReadFrameInto(&gotA); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteFrame(0, &b); err != nil {
-		t.Fatal(err)
+	var rest Envelope
+	for {
+		if _, err := r.ReadFrameInto(&rest); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
 	}
-	r := NewReader(&buf)
-	_, gotA, err := r.ReadFrame()
+	checkEnvelope(t, 0, gotA, a)
+}
+
+// TestDecodeFrameIntoReuses: an envelope whose arrays have room is decoded
+// into them, with no allocation; one whose arrays are too short gets fresh
+// ones of the frame's lengths.
+func TestDecodeFrameIntoReuses(t *testing.T) {
+	want := sampleEnvelopes()[0]
+	frame, err := AppendFrame(nil, 9, &want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.ReadFrame(); err != nil {
+	env := Envelope{Coeffs: make([]gf.Elem, 2*len(want.Coeffs)), Payload: make([]byte, 2*len(want.Payload))}
+	coeffs, payload := &env.Coeffs[0], &env.Payload[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeFrameInto(frame, &env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decode into arrays with room: %v allocations, want 0", allocs)
+	}
+	if &env.Coeffs[0] != coeffs || &env.Payload[0] != payload {
+		t.Errorf("decode into arrays with room replaced them")
+	}
+	checkEnvelope(t, 0, env, want)
+
+	short := Envelope{Coeffs: make([]gf.Elem, 1), Payload: make([]byte, 1)}
+	if _, _, err := DecodeFrameInto(frame, &short); err != nil {
 		t.Fatal(err)
 	}
-	checkEnvelope(t, 0, gotA, a)
+	checkEnvelope(t, 0, short, want)
+}
+
+// TestReaderFramesAroundItsBuffer: a frame larger than the Reader's buffer
+// is read whole between buffered ones, into a reused envelope.
+func TestReaderFramesAroundItsBuffer(t *testing.T) {
+	small := sampleEnvelopes()[0]
+	big := Envelope{Kind: KindPacket, From: 5, Coeffs: make([]gf.Elem, 64), Payload: make([]byte, 3*readBuffer)}
+	for i := range big.Payload {
+		big.Payload[i] = byte(i)
+	}
+	envs := []Envelope{small, big, small, big}
+	var stream []byte
+	for i := range envs {
+		stream, _ = AppendFrame(stream, core.NodeID(i), &envs[i])
+	}
+	r := NewReader(bytes.NewReader(stream))
+	var env Envelope
+	for i, want := range envs {
+		to, err := r.ReadFrameInto(&env)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if to != core.NodeID(i) {
+			t.Fatalf("frame %d: to=%d", i, to)
+		}
+		checkEnvelope(t, i, env, want)
+	}
+	if _, err := r.ReadFrameInto(&env); err != io.EOF {
+		t.Fatalf("after last frame: %v, want io.EOF", err)
+	}
 }
