@@ -20,6 +20,14 @@
 // and -lease-ttl apply to a served sweep only, -parallel and -timeout to a
 // local one; the other mode refuses them.
 //
+// With -detail each trial keeps its per-node completion rounds (in the
+// checkpoint too), and after the CSV the stderr report shows every cell
+// in depth: the graph with its exact diameter D and maximum degree Δ,
+// each trial's rounds, traffic, message size, node completion quantiles
+// and, for TAG, the round its spanning tree completed, and the measured
+// mean against Theorem 1's (k + log n + D)·Δ. Exact D costs O(n·m), so
+// only -detail computes it.
+//
 // Usage:
 //
 //	sweep -graph barbell -protocol ag -sizes 16,32,64,128 -trials 5 -out barbell_ag.csv
@@ -32,6 +40,7 @@
 //	      -adversary byzantine:frac=0.1,mode=pollute -classes straggler:frac=0.2,slow=4
 //	sweep -graph ring -sizes 64,128 -trials 20 -listen 127.0.0.1:9100 \
 //	      -checkpoint fab.ckpt -store results.jsonl -out fab.csv
+//	sweep -graph barbell -sizes 64 -kmode const:64 -protocol tag -trials 5 -detail -out /dev/null
 package main
 
 import (
@@ -45,8 +54,10 @@ import (
 	"syscall"
 	"time"
 
+	"algossip/internal/core"
 	"algossip/internal/fabric"
 	"algossip/internal/gf"
+	"algossip/internal/gossip/algebraic"
 	"algossip/internal/harness"
 	"algossip/internal/resultstore"
 	"algossip/internal/stats"
@@ -66,13 +77,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	spec := harness.Spec{
 		Name: "sweep", Graph: "barbell", Sizes: []int{16, 32, 64}, KMode: "half",
 		Q: 2, Trials: 3, Seed: 1,
-		// The CSV only reads Rounds; skip per-node detail so huge sweeps
-		// stay lean in memory and in the checkpoint file.
-		Lean: true,
 	}
 	spec.BindFlags(fs)
-	spec.BindGridFlags(fs)
 	var (
+		detail     = fs.Bool("detail", false, "keep per-node completion rounds and report each cell in depth on stderr (computes the exact diameter)")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent trials (0 = all cores, 1 = sequential)")
 		timeout    = fs.Duration("timeout", 0, "per-trial timeout (0 = none)")
 		listen     = fs.String("listen", "", "serve the trials to fabricd workers on this address instead of running them (127.0.0.1:0 = a free port)")
@@ -94,6 +102,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err := refuseMisapplied(fs, *listen != ""); err != nil {
 		return err
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: want a positive worker count, or 0 for all cores", *parallel)
+	}
+	// The CSV only reads Rounds: without -detail, skip per-node detail so
+	// huge sweeps stay lean in memory and in the checkpoint file.
+	spec.Lean = !*detail
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
@@ -198,6 +212,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			return serr
 		}
 	}
+	if *detail {
+		printDetail(stderr, rs)
+	}
 	for ci, c := range rs.Cells {
 		fmt.Fprintf(stderr, "n=%-5d k=%-5d %s\n",
 			c.Graph.N(), c.K, stats.Summarize(rs.CellRounds(ci)))
@@ -208,6 +225,58 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fmt.Fprintf(stderr, "sweep: %d trials (%d executed, %d resumed) in %v, %.1f trials/sec [gf tier %s]\n",
 		len(rs.Trials), rs.Executed, resumed, rs.Elapsed.Round(time.Millisecond), rs.TrialsPerSec(), gf.TierInfo())
 	return nil
+}
+
+// printDetail reports every cell of rs in depth: the graph line, each
+// trial, and the measured mean against Theorem 1's bound. A trial whose
+// outcome holds no completion rounds (one resumed from a checkpoint
+// written without -detail) prints no completion line.
+func printDetail(w io.Writer, rs *harness.ResultSet) {
+	s := rs.Spec
+	action := s.Action
+	if action == 0 {
+		action = core.Exchange
+	}
+	for ci, c := range rs.Cells {
+		g := c.Graph
+		diam, delta := g.Diameter(), g.MaxDegree()
+		fmt.Fprintf(w, "graph=%s n=%d m=%d D=%d Δ=%d | protocol=%v model=%v k=%d q=%d action=%v",
+			g.Name(), g.N(), g.M(), diam, delta, s.Protocol, s.Model, c.K, s.Q, action)
+		if !s.Dynamics.IsStatic() {
+			fmt.Fprintf(w, " dynamics=%s", s.Dynamics)
+		}
+		if s.Adversary != nil {
+			fmt.Fprintf(w, " adversary=%s", s.Adversary)
+		}
+		if s.Classes != nil {
+			fmt.Fprintf(w, " classes=%s", s.Classes)
+		}
+		if s.GenSize > 0 {
+			fmt.Fprintf(w, " generations=%d", s.GenSize)
+		}
+		fmt.Fprintln(w)
+		for i, t := range rs.Trials {
+			if t.Cell != ci {
+				continue
+			}
+			o := rs.Outcomes[i]
+			fmt.Fprintf(w, "  trial %d: %d rounds\n", t.Num, o.Result.Rounds)
+			fmt.Fprintf(w, "    traffic: %s | message size %d bits\n", o.Traffic, o.MessageBits)
+			if len(o.NodeDoneRounds) > 0 {
+				done := make([]float64, len(o.NodeDoneRounds))
+				for v, r := range o.NodeDoneRounds {
+					done[v] = float64(r)
+				}
+				fmt.Fprintf(w, "    node completion: %s\n", stats.Summarize(done))
+			}
+			if o.TreeRounds >= 0 {
+				fmt.Fprintf(w, "    spanning tree complete at round %d\n", o.TreeRounds)
+			}
+		}
+		bound := algebraic.Theorem1Bound(g.N(), c.K, diam, delta)
+		fmt.Fprintf(w, "Theorem 1 reference (k+log n+D)·Δ = %.0f  (measured mean / bound = %.2f)\n",
+			bound, stats.Summarize(rs.CellRounds(ci)).Mean/bound)
+	}
 }
 
 // refuseMisapplied names the first flag passed that the chosen mode would

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,7 +21,6 @@ import (
 	"algossip/internal/ctlhttp"
 	"algossip/internal/fabric"
 	"algossip/internal/harness"
-	"algossip/internal/harness/harnesstest"
 	"algossip/internal/resultstore"
 )
 
@@ -290,7 +290,7 @@ func TestSweepRejectsBadFlags(t *testing.T) {
 			t.Errorf("sweep(%v) accepted", args)
 		}
 	}
-	harnesstest.RejectsBadSpecWords(t, sweep)
+	rejectsBadSpecWords(t, sweep)
 	// A refused combination fails before the pool starts.
 	if err := sweep([]string{"-protocol", "tag", "-generations", "4"}, os.Stdout); err == nil ||
 		!strings.Contains(err.Error(), "cell n=") {
@@ -315,7 +315,7 @@ func TestSweepRejectsBadFlags(t *testing.T) {
 	// return context.Canceled, which counts as accepted here.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	harnesstest.RejectsBadSpecWords(t, func(args []string, stdout io.Writer) error {
+	rejectsBadSpecWords(t, func(args []string, stdout io.Writer) error {
 		err := run(cancelled, append([]string{"-listen", "127.0.0.1:0"}, args...), stdout, io.Discard)
 		if errors.Is(err, context.Canceled) {
 			return nil
@@ -346,9 +346,42 @@ func TestSweepRejectsBadFlags(t *testing.T) {
 		{[]string{"-listen", taken, "-parallel", "2"}, "-parallel"},
 		{[]string{"-listen", taken, "-timeout", "1s"}, "-timeout"},
 		{[]string{"-listen", taken, "-resume"}, "-checkpoint"},
+		{[]string{"-parallel", "-2"}, "-parallel -2"}, // used to mean all cores
 	} {
 		if err := sweep(c.args, io.Discard); err == nil || !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("sweep %v: %v, want a refusal naming %s", c.args, err, c.flag)
+		}
+	}
+}
+
+// rejectsBadSpecWords runs the malformed experiment words against one way
+// of running a sweep (local or served); each must be refused before any
+// work is done. The words reach the flag parsers, which the harness's
+// fuzz target does not.
+func rejectsBadSpecWords(t *testing.T, run func(args []string, stdout io.Writer) error) {
+	t.Helper()
+	for _, args := range [][]string{
+		{"-protocol", "bogus"},
+		{"-model", "bogus"},
+		{"-action", "sideways"},
+		{"-dynamics", "edge:rate=1.5"},
+		{"-dynamics", "edge:rate=NaN"}, // NaN passes a range written as x < 0 || x >= 1
+		{"-dynamics", "churn:rate=NaN"},
+		{"-dynamics", "static:rate=0.5"}, // static takes no options
+		{"-dynamics", "static:period=7"},
+		{"-dynamics", "static:burst=3"},
+		{"-adversary", "byzantine:frac=2"},
+		{"-adversary", "byzantine:frac=NaN"},
+		{"-classes", "nope"},
+		{"-classes", "straggler:frac=NaN"},
+		{"-q", "6"},                             // no such field: refused, not a gf.MustNew panic in the pool
+		{"-q", "300"},                           // over the byte representation
+		{"-protocol", "tag", "-action", "push"}, // TAG's Phase 2 is an EXCHANGE
+		{"-protocol", "tag-is", "-action", "pull"},
+		{"-protocol", "tag", "-dynamics", "edge:rate=0.2"}, // a tree protocol runs on a static graph
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("run(%v) accepted", args)
 		}
 	}
 }
@@ -718,5 +751,283 @@ func TestSweepServedResumesAfterCancel(t *testing.T) {
 	if _, err := fmt.Sscanf(footer, "sweep: %d trials (%d executed, %d resumed)", &total, &executed, &resumed); err != nil ||
 		total != 60 || resumed < 1 || executed < 1 {
 		t.Fatalf("footer %q: want some of the 60 trials resumed and the rest executed (%v)", footer, err)
+	}
+}
+
+// sweepStderr runs one command line locally and returns its stderr
+// without the last line, the timing footer.
+func sweepStderr(t *testing.T, args []string) string {
+	t.Helper()
+	var stderr bytes.Buffer
+	if err := run(context.Background(), args, io.Discard, &stderr); err != nil {
+		t.Fatalf("sweep(%v): %v", args, err)
+	}
+	return untimed(stderr.String())
+}
+
+// untimed drops a sweep's stderr footer, the one line that reads the clock.
+func untimed(stderr string) string {
+	body := strings.TrimSuffix(stderr, "\n")
+	return body[:strings.LastIndex(body, "\n")+1]
+}
+
+// TestSweepDetailGraphLine: -detail opens each cell with the graph line,
+// exact diameter and maximum degree included, and the regime; without
+// it stderr holds the summary lines only.
+func TestSweepDetailGraphLine(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-graph", "grid", "-sizes", "64", "-kmode", "const:32", "-trials", "1"},
+			"graph=grid-8x8 n=64 m=112 D=14 Δ=4 | protocol=uniform-ag model=synchronous k=32 q=2 action=EXCHANGE\n"},
+		{[]string{"-graph", "complete", "-sizes", "16", "-kmode", "const:8", "-trials", "2", "-seed", "4", "-action", "push",
+			"-adversary", "byzantine:frac=0.1,mode=replay", "-classes", "tiered:frac=0.5", "-generations", "4"},
+			"graph=complete-16 n=16 m=120 D=1 Δ=15 | protocol=uniform-ag model=synchronous k=8 q=2 action=PUSH" +
+				" adversary=byzantine:frac=0.1,mode=replay classes=tiered:frac=0.5,boost=2 generations=4\n"},
+		{[]string{"-graph", "torus", "-sizes", "16", "-trials", "1", "-seed", "4", "-model", "async", "-q", "16",
+			"-dynamics", "churn:rate=0.1", "-protocol", "uncoded"},
+			"graph=torus-4x4 n=16 m=32 D=4 Δ=4 | protocol=uncoded model=asynchronous k=8 q=16 action=EXCHANGE" +
+				" dynamics=churn:rate=0.1,period=16\n"},
+	} {
+		lean := sweepStderr(t, append([]string{"-out", os.DevNull}, c.args...))
+		if !strings.HasPrefix(lean, "n=") || strings.Count(lean, "\n") != 1 {
+			t.Errorf("sweep %v without -detail printed more than its summary line:\n%s", c.args, lean)
+		}
+		got := sweepStderr(t, append([]string{"-out", os.DevNull, "-detail"}, c.args...))
+		if !strings.HasPrefix(got, c.want) {
+			t.Errorf("sweep %v -detail:\n%swant prefix:\n%s", c.args, got, c.want)
+		}
+		if !strings.HasSuffix(got, lean) || !strings.Contains(got, "Theorem 1 reference (k+log n+D)·Δ = ") {
+			t.Errorf("sweep %v -detail: no bound line, or the summary moved:\n%s", c.args, got)
+		}
+	}
+}
+
+// TestSweepDetailParallelIdentical: the -detail report, like the CSV, is
+// byte-identical for any worker count, on static and dynamic topologies.
+func TestSweepDetailParallelIdentical(t *testing.T) {
+	for _, base := range [][]string{
+		{"-graph", "barbell", "-sizes", "12", "-protocol", "tag", "-trials", "4", "-seed", "9"},
+		{"-graph", "torus", "-sizes", "16", "-protocol", "ag", "-trials", "4", "-seed", "9", "-dynamics", "churn:rate=0.2,period=8"},
+	} {
+		args := append([]string{"-detail", "-out", os.DevNull}, base...)
+		want := sweepStderr(t, append([]string{"-parallel", "1"}, args...))
+		if got := sweepStderr(t, append([]string{"-parallel", "4"}, args...)); got != want {
+			t.Errorf("%v -parallel 4 detail differs:\ngot:\n%swant:\n%s", base, got, want)
+		}
+		if strings.Count(want, "    node completion: ") != 4 {
+			t.Errorf("%v: want four completion lines:\n%s", base, want)
+		}
+	}
+}
+
+// TestSweepDetailAsyncTAGReportsTreeRound: t(S) is there in the
+// asynchronous model too (Theorem 4 is stated for both).
+func TestSweepDetailAsyncTAGReportsTreeRound(t *testing.T) {
+	args := []string{"-graph", "barbell", "-sizes", "12", "-protocol", "tag", "-model", "async", "-trials", "1", "-detail", "-out", os.DevNull}
+	if got := sweepStderr(t, args); !strings.Contains(got, "    spanning tree complete at round ") {
+		t.Errorf("sweep %v printed no tree round:\n%s", args, got)
+	}
+}
+
+// ckptNodeRounds returns the node_done_rounds of every trial line of a
+// checkpoint file, by work-list index (lines land in completion order).
+func ckptNodeRounds(t *testing.T, path string) map[int][]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	out := map[int][]int{}
+	for _, line := range lines[1:] { // the first line is the header
+		var e struct {
+			I int `json:"i"`
+			O struct {
+				NodeDoneRounds []int `json:"node_done_rounds"`
+			} `json:"o"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("checkpoint line %q: %v", line, err)
+		}
+		out[e.I] = e.O.NodeDoneRounds
+	}
+	return out
+}
+
+// TestSweepDetailCheckpointHoldsNodeRounds: under -detail every trial
+// line of the checkpoint carries one completion round per node; without
+// it, none.
+func TestSweepDetailCheckpointHoldsNodeRounds(t *testing.T) {
+	dir := t.TempDir()
+	for _, detail := range []bool{true, false} {
+		ckpt := filepath.Join(dir, fmt.Sprintf("detail-%t.ckpt", detail))
+		args := []string{"-graph", "ring", "-sizes", "8,12", "-trials", "2", "-checkpoint", ckpt, "-out", os.DevNull}
+		if detail {
+			args = append(args, "-detail")
+		}
+		if err := sweep(args, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		rounds := ckptNodeRounds(t, ckpt)
+		if len(rounds) != 4 {
+			t.Fatalf("checkpoint holds %d trials, want 4", len(rounds))
+		}
+		for i := range 4 {
+			r, want := rounds[i], 0
+			if detail {
+				want = []int{8, 8, 12, 12}[i]
+			}
+			if len(r) != want {
+				t.Errorf("-detail=%t: trial line %d holds %d node rounds, want %d", detail, i, len(r), want)
+			}
+		}
+	}
+}
+
+// TestSweepDetailResumedLeanTrial: a trial resumed from a checkpoint
+// written without -detail has no completion rounds and prints no
+// completion line; the trials run afresh print theirs. Lean stays out
+// of the fingerprint, so the resume is accepted.
+func TestSweepDetailResumedLeanTrial(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "lean.ckpt")
+	// One worker, so the checkpoint's lines are in trial order.
+	args := []string{"-graph", "ring", "-sizes", "8", "-trials", "2", "-seed", "5", "-parallel", "1", "-checkpoint", ckpt, "-out", os.DevNull}
+	if err := sweep(args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if err := os.WriteFile(ckpt, []byte(lines[0]+lines[1]), 0o644); err != nil { // header + trial 0
+		t.Fatal(err)
+	}
+	got := sweepStderr(t, append(args, "-resume", "-detail"))
+	trial0, trial1, ok := strings.Cut(got, "  trial 1: ")
+	if !ok || strings.Contains(trial0, "node completion") || !strings.Contains(trial1, "    node completion: n=8 ") {
+		t.Errorf("want a completion line for trial 1 only:\n%s", got)
+	}
+}
+
+// TestSweepDetailServed: a served sweep with -detail hands workers a spec
+// that keeps the completion rounds, and the serving process prints the
+// same detail as the local pool.
+func TestSweepDetailServed(t *testing.T) {
+	words := []string{"-graph", "barbell", "-sizes", "12,16", "-protocol", "tag", "-trials", "2", "-seed", "3", "-detail", "-out", os.DevNull}
+	want := sweepStderr(t, append([]string{"-parallel", "1"}, words...))
+	url, stderr, result := serving(t, context.Background(), words, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := fabric.RunWorker(ctx, fabric.WorkerOptions{Coordinator: url, Name: "w", Parallel: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-result; err != nil {
+		t.Fatalf("served sweep: %v", err)
+	}
+	if got := untimed(stderr.String()); got != want {
+		t.Errorf("served detail differs from the local pool's:\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestSweepDetailEndToEnd runs one -detail cell for each protocol, time
+// model, field and dynamics a single-configuration report is asked for,
+// and checks each prints its graph line, its trial and the bound.
+func TestSweepDetailEndToEnd(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		graph string
+	}{
+		{[]string{"-graph", "line", "-sizes", "10", "-kmode", "const:5", "-protocol", "ag"}, "line-10"},
+		{[]string{"-graph", "barbell", "-sizes", "12", "-protocol", "tag"}, "barbell-12"},
+		{[]string{"-graph", "complete", "-sizes", "8", "-protocol", "uncoded", "-model", "async"}, "complete-8"},
+		{[]string{"-graph", "grid", "-sizes", "9", "-protocol", "tag-is", "-q", "256"}, "grid-3x3"},
+		{[]string{"-graph", "torus", "-sizes", "16", "-protocol", "ag", "-dynamics", "edge:rate=0.2"}, "torus-4x4"},
+		{[]string{"-graph", "ring", "-sizes", "12", "-protocol", "uncoded", "-dynamics", "churn:rate=0.1,period=8", "-model", "async"}, "ring-12"},
+	} {
+		args := append([]string{"-trials", "1", "-detail", "-out", os.DevNull}, c.args...)
+		got := sweepStderr(t, args)
+		if !strings.HasPrefix(got, "graph="+c.graph+" ") || strings.Count(got, "  trial 0: ") != 1 ||
+			!strings.Contains(got, "    node completion: ") || !strings.Contains(got, "Theorem 1 reference (k+log n+D)·Δ = ") {
+			t.Errorf("sweep %v -detail report incomplete:\n%s", c.args, got)
+		}
+	}
+}
+
+// TestSweepDetailDynamicsRejected: bad dynamics words, and a tree
+// protocol on a changing graph, fail fast under -detail too, before any
+// CSV or report line is written.
+func TestSweepDetailDynamicsRejected(t *testing.T) {
+	for _, a := range [][]string{
+		{"-dynamics", "bogus"},
+		{"-dynamics", "edge:rate=2"},
+		{"-graph", "ring", "-sizes", "12", "-protocol", "tag", "-trials", "1", "-dynamics", "edge:rate=0.2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(context.Background(), append([]string{"-detail"}, a...), &stdout, &stderr); err == nil {
+			t.Errorf("sweep -detail %v accepted", a)
+		}
+		if stdout.Len() != 0 || strings.Contains(stderr.String(), "graph=") {
+			t.Errorf("sweep -detail %v wrote before refusing:\nstdout: %q\nstderr: %q", a, stdout.String(), stderr.String())
+		}
+	}
+}
+
+// TestSweepDetailRejectsBadFlags: -detail changes what is reported, not
+// what is accepted: every malformed word is refused with it too.
+func TestSweepDetailRejectsBadFlags(t *testing.T) {
+	detailed := func(args []string, stdout io.Writer) error {
+		return sweep(append([]string{"-detail"}, args...), stdout)
+	}
+	for _, a := range [][]string{
+		{"-graph", "bogus"},
+		{"-protocol", "bogus"},
+		{"-model", "bogus"},
+		{"-action", "sideways"},
+	} {
+		if err := detailed(a, io.Discard); err == nil {
+			t.Errorf("sweep -detail %v accepted", a)
+		}
+	}
+	rejectsBadSpecWords(t, detailed)
+}
+
+// TestSweepDetailPropagatesWriteErrors: with -detail, a failing stdout
+// still makes run return the error, and the report that follows the CSV
+// is not printed.
+func TestSweepDetailPropagatesWriteErrors(t *testing.T) {
+	var stderr bytes.Buffer
+	err := run(context.Background(), []string{"-graph", "line", "-sizes", "8", "-trials", "1", "-detail"}, failWriter{}, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("write error not propagated: %v", err)
+	}
+	if strings.Contains(stderr.String(), "graph=") {
+		t.Errorf("detail printed after a failed CSV write:\n%s", stderr.String())
+	}
+}
+
+// TestSweepDetailProfileFlagsSmoke: -cpuprofile/-memprofile/-trace write
+// non-empty files under -detail without disturbing its report.
+func TestSweepDetailProfileFlagsSmoke(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	trc := filepath.Join(dir, "trace.out")
+	want := sweepStderr(t, []string{"-graph", "grid", "-sizes", "9", "-trials", "1", "-seed", "1", "-detail", "-out", os.DevNull})
+	got := sweepStderr(t, []string{"-graph", "grid", "-sizes", "9", "-trials", "1", "-seed", "1", "-detail", "-out", os.DevNull,
+		"-cpuprofile", cpu, "-memprofile", mem, "-trace", trc})
+	if got != want || !strings.Contains(got, "  trial 0: ") {
+		t.Fatalf("profiling disturbed the report:\ngot:\n%swant:\n%s", got, want)
+	}
+	for _, path := range []string{cpu, mem, trc} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("profile %s missing: %v", path, err)
+		}
+		if fi.Size() == 0 {
+			t.Fatalf("profile %s is empty", path)
+		}
 	}
 }

@@ -45,6 +45,12 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *trials < 0 {
+		return fmt.Errorf("-trials %d: want a positive count, or 0 for each experiment's default", *trials)
+	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: want a positive worker count, or 0 for all cores", *parallel)
+	}
 	opt := experiments.Options{Quick: *quick, Seed: *seed, Trials: *trials, Parallel: *parallel}
 
 	exps := experiments.All()

@@ -55,6 +55,27 @@ func TestTablesRejectsUnknownID(t *testing.T) {
 	}
 }
 
+// TestTablesRejectsNegativeRunFlags: a negative -trials used to run each
+// experiment's default count, and a negative -parallel all cores; both
+// are refused before the first experiment prints a line.
+func TestTablesRejectsNegativeRunFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-quick", "-only", "A4", "-trials", "-3"}, "-trials -3"},
+		{[]string{"-quick", "-only", "A4", "-parallel", "-2"}, "-parallel -2"},
+	} {
+		var buf bytes.Buffer
+		if err := run(c.args, &buf); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("tables %v: %v, want a refusal naming %s", c.args, err, c.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("tables %v printed before refusing:\n%s", c.args, buf.String())
+		}
+	}
+}
+
 // failWriter rejects every write.
 type failWriter struct{}
 

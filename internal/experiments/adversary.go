@@ -36,7 +36,7 @@ func e18Run(n, k int, adv *harness.Adversary, opt Options) (*harness.ResultSet, 
 		Seed:      opt.Seed,
 		Lean:      true,
 	}
-	return harness.Runner{Parallel: opt.parallel()}.Run(&spec)
+	return harness.Runner{Parallel: opt.Parallel}.Run(&spec)
 }
 
 // e18Bound is the modeled dilation bound: with a fraction f of nodes

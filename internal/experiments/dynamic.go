@@ -30,7 +30,7 @@ func E15DynamicTopology(w io.Writer, opt Options) error {
 			Trials: opt.trials(), Seed: opt.Seed,
 			Dynamics: dyn, MaxRounds: 1 << 16, Lean: true,
 		}
-		rs, err := harness.Runner{Parallel: opt.parallel()}.Run(&spec)
+		rs, err := harness.Runner{Parallel: opt.Parallel}.Run(&spec)
 		if err != nil {
 			return 0, err
 		}

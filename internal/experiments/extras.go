@@ -187,7 +187,7 @@ func A4RankOnly(w io.Writer, opt Options) error {
 	k := g.N() / 2
 	tbl := NewTable("seed", "rank-only rounds", "payload rounds", "equal")
 	type pair struct{ ro, pl int }
-	pairs, err := harness.ParallelMap(opt.trials(), opt.parallel(), func(i int) (pair, error) {
+	pairs, err := harness.ParallelMap(opt.trials(), opt.Parallel, func(i int) (pair, error) {
 		seed := core.SplitSeed(opt.Seed, uint64(900+i))
 		spec := harness.GossipSpec{Graph: g, K: k, Q: 256, Lean: true}
 		ro, err := harness.Execute(spec, harness.ProtocolUniformAG, seed)

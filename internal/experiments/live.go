@@ -124,7 +124,7 @@ func E17LiveCluster(w io.Writer, opt Options) error {
 	if opt.Trials > 0 {
 		p.simRuns = opt.Trials
 	}
-	sum, g, err := e17Predict(p, opt.Seed, opt.parallel())
+	sum, g, err := e17Predict(p, opt.Seed, opt.Parallel)
 	if err != nil {
 		return fmt.Errorf("E17 predict: %w", err)
 	}

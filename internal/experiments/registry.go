@@ -85,7 +85,7 @@ func runCell(opt Options, g *graph.Graph, k int, proto harness.Protocol, set fun
 	if set != nil {
 		set(&spec)
 	}
-	return harness.Runner{Parallel: opt.parallel()}.Run(&spec)
+	return harness.Runner{Parallel: opt.Parallel}.Run(&spec)
 }
 
 // meanRounds is runCell read back as the cell's mean stopping time.

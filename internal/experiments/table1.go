@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 
 	"algossip/internal/conductance"
 	"algossip/internal/core"
@@ -26,13 +25,6 @@ type Options struct {
 	// Parallel bounds concurrent trials in the harness pool (0 = all
 	// cores). Results are byte-identical for any value.
 	Parallel int
-}
-
-func (o Options) parallel() int {
-	if o.Parallel > 0 {
-		return o.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (o Options) trials() int {

@@ -18,14 +18,16 @@ func bind[T any](fs *flag.FlagSet, dst *T, name, usage string, parse func(string
 	})
 }
 
-// BindFlags registers the experiment words every binary shares: one flag
-// per command-line-settable Spec field, parsed straight into the field,
-// with the field's current value as the default. A binary fills a Spec
-// literal with its own defaults, binds it, and declares only its run
-// flags (-parallel, -checkpoint, -listen, ...) itself, so sweep and
-// gossipsim accept the same words with the same help text.
+// BindFlags registers the experiment words: one flag per
+// command-line-settable Spec field, parsed straight into the field, with
+// the field's current value as the default. A binary fills a Spec literal
+// with its own defaults, binds it, and declares only its run flags
+// (-parallel, -checkpoint, -listen, ...) itself.
 func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&s.Graph, "graph", s.Graph, "topology family: line|ring|grid|torus|complete|star|bintree|barbell|lollipop|cliquechain|hypercube|er|randreg|geometric|pa|file:<path>")
+	def := strings.Trim(strings.ReplaceAll(fmt.Sprint(s.Sizes), " ", ","), "[]")
+	bind(fs, &s.Sizes, "sizes", "comma-separated node counts (default "+def+")", ParseSizes)
+	fs.StringVar(&s.KMode, "kmode", s.KMode, "k per size: half|n|sqrt|const:<v>")
 	bind(fs, &s.Protocol, "protocol", "protocol: ag|tag|tag-uniform|tag-is|uncoded (default ag)", ParseProtocol)
 	bind(fs, &s.Model, "model", "time model: sync|async (default sync)", core.ParseTimeModel)
 	fs.IntVar(&s.Q, "q", s.Q, "field order")
@@ -38,15 +40,6 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Trials, "trials", s.Trials, "trials per cell")
 	fs.BoolVar(&s.SingleSource, "single-source", s.SingleSource, "seed all messages at node 0")
 	fs.Uint64Var(&s.Seed, "seed", s.Seed, "root seed")
-}
-
-// BindGridFlags registers the two words that shape a name-based grid
-// (Graph over Sizes, k per size); a binary that builds its one cell
-// itself, like gossipsim with -n/-k, leaves them out.
-func (s *Spec) BindGridFlags(fs *flag.FlagSet) {
-	def := strings.Trim(strings.ReplaceAll(fmt.Sprint(s.Sizes), " ", ","), "[]")
-	bind(fs, &s.Sizes, "sizes", "comma-separated node counts (default "+def+")", ParseSizes)
-	fs.StringVar(&s.KMode, "kmode", s.KMode, "k per size: half|n|sqrt|const:<v>")
 }
 
 // errUnknownKey is what a parseDecl setter returns for a key it does not

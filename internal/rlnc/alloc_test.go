@@ -7,6 +7,7 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
+	"algossip/internal/linalg"
 )
 
 // TestBitGenericEquivalence locks the backend-selection determinism
@@ -286,5 +287,87 @@ func BenchmarkSteadyStateSendReceive(b *testing.B) {
 				dst.ReceiveOwned(pkt)
 			}
 		})
+	}
+}
+
+// TestIntoFormsReuseTheirArrays: on the backends whose wire form differs
+// from the native one (packed bits, bit-sliced planes), ExpandCoeffsInto,
+// ExpandPayloadInto and AdaptInto give what ExpandCoeffs, ExpandPayload
+// and Adapt give whatever junk their destination held, write into it,
+// and allocate nothing once it is sized; GenNode.AdaptInto tags what it
+// fills.
+func TestIntoFormsReuseTheirArrays(t *testing.T) {
+	const k = 70
+	for _, c := range []struct {
+		name string
+		q, r int
+		node func(Config) *Node
+	}{
+		{"gf2-bit", 2, 5, MustNewNode},
+		{"gf16-sliced", 16, 3, func(cfg Config) *Node { return slicedNode(t, cfg) }},
+		{"gf256-sliced", 256, 100, func(cfg Config) *Node { return slicedNode(t, cfg) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := gf.MustNew(c.q)
+			cfg := Config{Field: f, K: k, PayloadLen: c.r}
+			src, dst := c.node(cfg), c.node(cfg)
+			rng := core.NewRand(1)
+			for i := 0; i < k; i++ {
+				src.Seed(Message{Index: i, Payload: gf.RandBytes(f, c.r, rng)})
+			}
+			pkt := src.Emit(rng)
+			coeffs, pay := pkt.ExpandCoeffs(k), pkt.ExpandPayload(c.r)
+			junkC, junkP := make([]gf.Elem, k), bytes.Repeat([]byte{0xA5}, c.r)
+			for i := range junkC {
+				junkC[i] = 0xA5
+			}
+			if got := pkt.ExpandCoeffsInto(junkC, k); &got[0] != &junkC[0] || !bytes.Equal(elemsToBytes(got), elemsToBytes(coeffs)) {
+				t.Fatal("ExpandCoeffsInto did not fill its destination with ExpandCoeffs' vector")
+			}
+			// A bit packet's payload is in wire form already: it lends its own.
+			wantP := &junkP[0]
+			if pkt.SlicedPay == nil {
+				wantP = &pkt.Payload[0]
+			}
+			if got := pkt.ExpandPayloadInto(junkP, c.r); &got[0] != wantP || !bytes.Equal(got, pay) {
+				t.Fatal("ExpandPayloadInto did not fill its destination with ExpandPayload's row")
+			}
+
+			wire := &Packet{Coeffs: coeffs, Payload: pay}
+			want := dst.Adapt(wire)
+			into := &Packet{Bits: linalg.BitVec{0xA5A5}, Coeffs: junkC, Payload: junkP}
+			for range 2 { // fresh arrays, then the reused ones
+				got := dst.AdaptInto(wire, into)
+				if got != into {
+					t.Fatal("AdaptInto did not build into its destination")
+				}
+				if !bytes.Equal(elemsToBytes(got.ExpandCoeffs(k)), elemsToBytes(want.ExpandCoeffs(k))) ||
+					!bytes.Equal(got.ExpandPayload(c.r), want.ExpandPayload(c.r)) || got.Coeffs != nil {
+					t.Fatal("AdaptInto built another packet than Adapt")
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				pkt.ExpandCoeffsInto(junkC, k)
+				pkt.ExpandPayloadInto(junkP, c.r)
+				dst.AdaptInto(wire, into)
+			}); allocs != 0 {
+				t.Errorf("the Into forms allocated %.1f times a frame", allocs)
+			}
+			if !dst.ReceiveOwned(dst.AdaptInto(wire, into)) {
+				t.Error("the packet AdaptInto built was not helpful to an empty node")
+			}
+		})
+	}
+
+	gn, err := NewGenNode(GenConfig{Inner: Config{Field: gf.MustNew(2), K: 8, RankOnly: true}, K: 8, GenSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gdst := &GenPacket{Packet: &Packet{}}
+	if got := gn.AdaptInto(&GenPacket{Gen: 1, Packet: &Packet{Coeffs: []gf.Elem{0, 1, 1, 0}}}, gdst); got != gdst || got.Gen != 1 || got.Packet.Bits == nil {
+		t.Fatalf("GenNode.AdaptInto = %+v, want its destination tagged 1 holding packed bits", got)
+	}
+	if gn.AdaptInto(&GenPacket{Gen: 2, Packet: &Packet{Coeffs: []gf.Elem{0, 1, 1, 0}}}, gdst) != nil {
+		t.Fatal("an out-of-range generation tag adapted")
 	}
 }

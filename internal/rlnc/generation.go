@@ -300,21 +300,31 @@ func (n *GenNode) ReceiveOwned(p *GenPacket) bool {
 	return true
 }
 
-// Adapt converts a wire-format packet (one coefficient per symbol,
+// AdaptInto converts a wire-format packet (one coefficient per symbol,
 // lengths matching the tagged generation) into the generation's native
-// backend, mirroring Node.Adapt. Malformed packets — nil, out-of-range
-// generation tag, wrong lengths — return nil instead of panicking:
-// generation tags arrive from the wire.
-func (n *GenNode) Adapt(p *GenPacket) *GenPacket {
+// backend, mirroring Node.AdaptInto: a packet the generation's node
+// converts is written into dst.Packet's arrays, and dst, a tagged packet
+// the caller owns and reuses, is returned with the tag (a nil dst, or one
+// with no Packet, gets a fresh packet). Malformed packets — nil,
+// out-of-range generation tag, wrong lengths — return nil instead of
+// panicking: generation tags arrive from the wire.
+func (n *GenNode) AdaptInto(p, dst *GenPacket) *GenPacket {
 	if p == nil || p.Packet == nil || p.Gen < 0 || p.Gen >= len(n.subs) {
 		return nil
 	}
-	inner := n.subs[p.Gen].Adapt(p.Packet)
-	if inner == nil {
-		return nil
+	var into *Packet
+	if dst != nil {
+		into = dst.Packet
 	}
-	if inner == p.Packet {
+	inner := n.subs[p.Gen].AdaptInto(p.Packet, into)
+	switch {
+	case inner == nil:
+		return nil
+	case inner == p.Packet:
 		return p
+	case into != nil && inner == into:
+		dst.Gen = p.Gen
+		return dst
 	}
 	return &GenPacket{Gen: p.Gen, Packet: inner}
 }

@@ -183,17 +183,26 @@ func (p *Packet) IsZero() bool {
 // symbol. It allocates for bit and sliced packets (which must come from a
 // node's emit or Adapt); boundary code only.
 func (p *Packet) ExpandCoeffs(k int) []gf.Elem {
-	if p.Bits != nil {
-		out := make([]gf.Elem, k)
+	return p.ExpandCoeffsInto(nil, k)
+}
+
+// ExpandCoeffsInto is ExpandCoeffs into dst, an array the caller owns and
+// reuses: a bit or sliced packet's k coefficients are written to dst
+// (reallocated only when shorter than k) and returned; a generic
+// packet's own Coeffs are returned and dst is left alone.
+func (p *Packet) ExpandCoeffsInto(dst []gf.Elem, k int) []gf.Elem {
+	switch {
+	case p.Bits != nil:
+		out := sized(dst, k)
 		for i := range out {
+			out[i] = 0
 			if p.Bits.Get(i) {
 				out[i] = 1
 			}
 		}
 		return out
-	}
-	if p.Sliced != nil {
-		out := make([]gf.Elem, k)
+	case p.Sliced != nil:
+		out := sized(dst, k)
 		p.field.UnpackSliced(gf.AsBytes(out), p.Sliced)
 		return out
 	}
@@ -207,22 +216,41 @@ func (p *Packet) ExpandCoeffs(k int) []gf.Elem {
 // cross-backend Adapt path). It allocates for sliced packets; boundary
 // code only.
 func (p *Packet) ExpandPayload(r int) []byte {
+	return p.ExpandPayloadInto(nil, r)
+}
+
+// ExpandPayloadInto is ExpandPayload into dst, an array the caller owns
+// and reuses: a sliced packet's r payload symbols are written to dst
+// (reallocated only when shorter than r) and returned; any other
+// packet's own Payload is returned and dst is left alone.
+func (p *Packet) ExpandPayloadInto(dst []byte, r int) []byte {
 	if p.SlicedPay == nil {
 		return p.Payload
 	}
 	if r <= 0 {
 		return nil
 	}
-	out := make([]byte, r)
+	out := sized(dst, r)
 	p.field.UnpackSliced(out, p.SlicedPay)
 	return out
 }
 
-// packCoeffs packs a generic GF(2) coefficient vector into a BitVec. It
-// reports false when any coefficient is not 0 or 1 (the vector is not a
-// valid GF(2) row). Boundary code only; the hot path stays packed.
-func packCoeffs(coeffs []gf.Elem) (linalg.BitVec, bool) {
-	v := linalg.NewBitVec(len(coeffs))
+// sized returns s resliced to n elements, or a fresh array when s is too
+// short; the contents are the caller's to overwrite.
+func sized[S ~[]E, E any](s S, n int) S {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make(S, n)
+}
+
+// packCoeffs packs a generic GF(2) coefficient vector into dst, resized
+// to the packed width (a fresh BitVec when dst is too short). It reports
+// false when any coefficient is not 0 or 1 (the vector is not a valid
+// GF(2) row). Boundary code only; the hot path stays packed.
+func packCoeffs(dst linalg.BitVec, coeffs []gf.Elem) (linalg.BitVec, bool) {
+	v := sized(dst, (len(coeffs)+63)/64)
+	clear(v)
 	for i, c := range coeffs {
 		switch c {
 		case 0:
@@ -753,6 +781,16 @@ func (n *Node) validSliced(v linalg.SlicedVec) bool {
 // Transports that pin a one-coefficient-per-symbol wire format call this
 // before ReceiveOwned.
 func (n *Node) Adapt(p *Packet) *Packet {
+	return n.AdaptInto(p, nil)
+}
+
+// AdaptInto is Adapt building into dst, a packet the caller owns and
+// reuses: a wire packet that a bit-mode or sliced-mode node packs is
+// written into dst's arrays (reallocated only when short) and dst is
+// returned. A nil dst builds a fresh packet, as Adapt does. A packet
+// already native and one a generic node expands leave dst alone; a
+// malformed one adapts to nil.
+func (n *Node) AdaptInto(p, dst *Packet) *Packet {
 	if p == nil {
 		return nil
 	}
@@ -770,24 +808,33 @@ func (n *Node) Adapt(p *Packet) *Packet {
 		if len(p.Payload) != extra {
 			return nil // screened before any row is allocated or packed
 		}
-		f := n.slc.Field()
-		out := &Packet{Sliced: make(linalg.SlicedVec, n.slc.Stride()), Corrupt: p.Corrupt, field: f}
-		f.PackSliced(out.Sliced, gf.AsBytes(p.Coeffs))
-		if extra > 0 {
-			out.SlicedPay = make(linalg.SlicedVec, n.slc.PayStride())
-			f.PackSliced(out.SlicedPay, p.Payload)
+		if dst == nil {
+			dst = new(Packet)
 		}
-		return out
+		f := n.slc.Field()
+		*dst = Packet{Sliced: sized(dst.Sliced, n.slc.Stride()), SlicedPay: dst.SlicedPay, Corrupt: p.Corrupt, field: f}
+		f.PackSliced(dst.Sliced, gf.AsBytes(p.Coeffs))
+		if extra > 0 {
+			dst.SlicedPay = sized(dst.SlicedPay, n.slc.PayStride())
+			f.PackSliced(dst.SlicedPay, p.Payload)
+		} else {
+			dst.SlicedPay = nil
+		}
+		return dst
 	}
 	if n.bit != nil && p.Bits == nil {
 		if p.Sliced != nil || len(p.Coeffs) != n.cfg.K {
 			return nil
 		}
-		bits, ok := packCoeffs(p.Coeffs)
+		if dst == nil {
+			dst = new(Packet)
+		}
+		bits, ok := packCoeffs(dst.Bits, p.Coeffs)
 		if !ok {
 			return nil
 		}
-		return &Packet{Bits: bits, Payload: p.Payload, Corrupt: p.Corrupt}
+		*dst = Packet{Bits: bits, Payload: p.Payload, Corrupt: p.Corrupt}
+		return dst
 	}
 	if n.bit == nil && (p.Bits != nil || p.Sliced != nil) {
 		return &Packet{Coeffs: p.ExpandCoeffs(n.cfg.K), Payload: p.ExpandPayload(n.cfg.extra()), Corrupt: p.Corrupt}

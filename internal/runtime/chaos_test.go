@@ -186,9 +186,10 @@ func TestCorruptedFramesNeverHelp(t *testing.T) {
 						sender.Seed(msg)
 					}
 					helped := 0
+					native := rlnc.GenPacket{Packet: &rlnc.Packet{}} // reused across arms, as a node reuses it
 					for trial := 0; trial < 40; trial++ {
 						var env Envelope
-						if !emit(sender, rng, &rlnc.GenPacket{}, &env) {
+						if !emit(sender, rng, &outbox{}, &env) {
 							t.Fatalf("%s: full-rank sender emitted nothing", name)
 						}
 						for arm := uint64(0); arm < 5; arm++ {
@@ -203,7 +204,7 @@ func TestCorruptedFramesNeverHelp(t *testing.T) {
 								frame.Coeffs = append([]gf.Elem(nil), env.Coeffs...)
 								frame.Payload = append([]byte(nil), env.Payload...)
 							}
-							ingest(recv, &rlnc.GenPacket{Packet: &rlnc.Packet{}}, &frame)
+							ingest(recv, &rlnc.GenPacket{Packet: &rlnc.Packet{}}, &native, &frame)
 							switch rank := recv.Rank(); {
 							case arm < 4 && rank != 0:
 								t.Fatalf("%s: corruption arm %d was accepted (rank %d): coeffs %d, payload %d symbols",

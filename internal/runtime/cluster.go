@@ -163,39 +163,46 @@ func (c Config) newDecoder() (*rlnc.GenNode, error) {
 	})
 }
 
+// outbox is one emitting side, reused from frame to frame: the native
+// packet an emit builds in, and the wire arrays a bit or bit-sliced
+// packet expands into (a packet already in wire form lends its own).
+type outbox struct {
+	gp      rlnc.GenPacket
+	coeffs  []gf.Elem
+	payload []byte
+}
+
 // emit fills env with a fresh random combination from dec in the
 // one-coefficient-per-symbol wire format, whatever the decoder's internal
-// representation (bit and sliced packets expand here); false when the
-// node stores nothing yet. The combination is built in gp, a reusable
-// native packet; what of it is already in wire form (a generic packet, a
-// bit packet's payload) env carries as gp's own arrays, which the next
-// emit into gp overwrites. That is safe because Transport.Send keeps
-// nothing of env.
-func emit(dec *rlnc.GenNode, rng *rand.Rand, gp *rlnc.GenPacket, env *Envelope) bool {
-	if !dec.EmitInto(rng, gp) {
+// representation; false when the node stores nothing yet. env carries
+// o's arrays, which the next emit into o overwrites. That is safe because
+// Transport.Send keeps nothing of env.
+func emit(dec *rlnc.GenNode, rng *rand.Rand, o *outbox, env *Envelope) bool {
+	if !dec.EmitInto(rng, &o.gp) {
 		return false
 	}
 	cfg := dec.Config()
-	env.Gen = gp.Gen
-	env.Coeffs = gp.Packet.ExpandCoeffs(cfg.GenK(gp.Gen))
-	env.Payload = gp.Packet.ExpandPayload(cfg.Inner.PayloadLen)
+	p := o.gp.Packet
+	o.coeffs = p.ExpandCoeffsInto(o.coeffs, cfg.GenK(o.gp.Gen))
+	o.payload = p.ExpandPayloadInto(o.payload, cfg.Inner.PayloadLen)
+	env.Gen, env.Coeffs, env.Payload = o.gp.Gen, o.coeffs, o.payload
 	return true
 }
 
 // ingest adapts a wire envelope to dec's native backend and receives it,
-// wrapping it in gp, whose Packet the caller provides and reuses. The
-// generation tag and the array shapes come from the wire, so Adapt and
-// ReceiveOwned screen them — a whole-k node has the single valid tag 0.
-// The receive reduces in place: the adapted packet is either freshly
-// built by Adapt or wraps the delivered envelope's arrays, which no
-// decoder keeps, so the caller may release them afterwards.
-func ingest(dec *rlnc.GenNode, gp *rlnc.GenPacket, env *Envelope) {
+// wrapping it in in and, for a bit or bit-sliced decoder, packing it into
+// native: both are the caller's, reused. The generation tag and the array
+// shapes come from the wire, so AdaptInto and ReceiveOwned screen them —
+// a whole-k node has the single valid tag 0. The receive reduces in
+// place, in arrays no decoder keeps, so the caller may release the
+// envelope's arrays afterwards.
+func ingest(dec *rlnc.GenNode, in, native *rlnc.GenPacket, env *Envelope) {
 	if len(env.Coeffs) == 0 {
 		return
 	}
-	gp.Gen = env.Gen
-	*gp.Packet = rlnc.Packet{Coeffs: env.Coeffs, Payload: env.Payload}
-	dec.ReceiveOwned(dec.Adapt(gp))
+	in.Gen = env.Gen
+	*in.Packet = rlnc.Packet{Coeffs: env.Coeffs, Payload: env.Payload}
+	dec.ReceiveOwned(dec.AdaptInto(in, native))
 }
 
 // NodeStatus is one local node's progress snapshot, and its wire form on
@@ -234,6 +241,12 @@ type Cluster struct {
 	startCh   chan struct{}
 	startOnce sync.Once
 	count     frameCount
+	// The tick loop commits and contacts one node at a time, so one set
+	// of packets serves them all: contacts emit into out, and commit
+	// ingests through wire and native. Answers, emitted concurrently, go
+	// through each node's own outbox.
+	out          outbox
+	wire, native rlnc.GenPacket
 }
 
 // RoundStats counts how a cluster's rounds ended. Every tick but an
@@ -362,12 +375,10 @@ type clusterNode struct {
 	mu        sync.Mutex
 	neighbors []core.NodeID
 	dec       *rlnc.GenNode
-	pick      *rand.Rand     // drives partner choice
-	rng       *rand.Rand     // drives packet emission
-	pkt       rlnc.GenPacket // the tick's contact emits here
-	reply     rlnc.GenPacket // the serving goroutine's answers emit here
-	in        rlnc.GenPacket // commit wraps each staged envelope in it
-	pending   []Envelope     // staged envelopes, ingested at the next tick
+	pick      *rand.Rand // drives partner choice
+	rng       *rand.Rand // drives packet emission
+	reply     outbox     // the serving goroutine's answers emit here
+	pending   []Envelope // staged envelopes, ingested at the next tick
 	ticks     int
 	doneTick  int
 	finished  bool
@@ -412,6 +423,8 @@ func newCluster(transport Transport, g *graph.Graph, origin core.NodeID, k int, 
 		nodes:     make(map[core.NodeID]*clusterNode, len(cfg.Local)),
 		startCh:   make(chan struct{}),
 		count:     frameCount{exact: len(cfg.Local) == g.N(), drained: make(chan struct{}, 1)},
+		wire:      rlnc.GenPacket{Packet: &rlnc.Packet{}},
+		native:    rlnc.GenPacket{Packet: &rlnc.Packet{}},
 	}
 	for _, v := range cfg.Local {
 		dec, err := cfg.newDecoder()
@@ -430,7 +443,6 @@ func newCluster(transport Transport, g *graph.Graph, origin core.NodeID, k int, 
 			dec:       dec,
 			pick:      core.NewRand(seed),
 			rng:       core.NewRand(core.SplitSeed(seed, 1)),
-			in:        rlnc.GenPacket{Packet: &rlnc.Packet{}},
 			informed:  v == origin,
 			parent:    core.NilNode,
 		}
@@ -728,7 +740,7 @@ func (c *Cluster) serve(ctx context.Context, n *clusterNode) {
 func (c *Cluster) tick(ctx context.Context) {
 	c.count.begin()
 	for _, v := range c.cfg.Local {
-		if n := c.nodes[v]; n.commit() {
+		if n := c.nodes[v]; n.commit(&c.wire, &c.native) {
 			c.notifyDone(n)
 		}
 	}
@@ -738,9 +750,10 @@ func (c *Cluster) tick(ctx context.Context) {
 	c.count.release()
 }
 
-// commit ingests the staged batch and releases its arrays, reporting
-// whether that completed the node.
-func (n *clusterNode) commit() bool {
+// commit ingests the staged batch through the tick's reused packets (see
+// ingest) and releases its arrays, reporting whether that completed the
+// node.
+func (n *clusterNode) commit(in, native *rlnc.GenPacket) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.dead {
@@ -748,7 +761,7 @@ func (n *clusterNode) commit() bool {
 	}
 	n.ticks++
 	for i := range n.pending {
-		ingest(n.dec, &n.in, &n.pending[i])
+		ingest(n.dec, in, native, &n.pending[i])
 		release(&n.pending[i])
 	}
 	n.pending = n.pending[:0]
@@ -765,7 +778,7 @@ func (c *Cluster) contact(ctx context.Context, n *clusterNode) {
 	peer, kind := c.partnerLocked(n)
 	env := Envelope{Kind: kind, From: n.id, WantReply: kind == EnvelopePacket}
 	if peer != core.NilNode && env.WantReply {
-		emit(n.dec, n.rng, &n.pkt, &env)
+		emit(n.dec, n.rng, &c.out, &env)
 	}
 	n.mu.Unlock()
 	if peer != core.NilNode {

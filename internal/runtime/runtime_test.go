@@ -158,7 +158,7 @@ func TestUDPSendRefusalsCountAsDrops(t *testing.T) {
 
 // TestClusterGenerationMode runs a generation-coded cluster end to end:
 // envelopes carry per-generation coefficient vectors plus the Gen tag,
-// exercising GenNode.Adapt on the receive path and full decode.
+// exercising GenNode.AdaptInto on the receive path and full decode.
 func TestClusterGenerationMode(t *testing.T) {
 	g := graph.Grid(3, 3)
 	tr := NewChanTransport()

@@ -92,9 +92,6 @@ func TestLiveTrialAllocatesLittle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 16-node live cluster, twice")
 	}
-	if gf.ActiveTier() == gf.TierScalar {
-		t.Skip("scalar tier: GF(256) nodes are bit-sliced, and rlnc's Adapt and ExpandPayload build a packet per frame")
-	}
 	const n, k, r = 16, 64, 4096
 	g, err := graph.FromName("randreg", n, core.NewRand(3))
 	if err != nil {

@@ -116,18 +116,18 @@ cp a.csv keep.csv
 refuse $bin/sweep -q 6 -out keep.csv
 run cmp a.csv keep.csv
 
-say "gossipsim"
-G="$bin/gossipsim -trials 2"
+say "sweep -detail: single cells in depth"
+D="$bin/sweep -detail -trials 2 -out /dev/null"
 for proto in ag tag tag-uniform tag-is uncoded; do
   for model in sync async; do
-    run $G -graph barbell -n 16 -k 8 -protocol $proto -model $model -detail
+    run $D -graph barbell -sizes 16 -kmode const:8 -protocol $proto -model $model
   done
 done
-run $G -graph grid -n 36 -q 256 -detail -tracecsv trace.csv
-run $G -graph grid -n 36 -dynamics churn:rate=0.1,period=8 -detail
-run $G -graph complete -n 24 -adversary byzantine:frac=0.1,mode=mix -detail
-run $G -graph randreg -n 256 -k 16 -generations 4 -single-source -shards 2 -detail
-refuse $bin/gossipsim -q 6
+run $D -graph grid -sizes 36 -dynamics churn:rate=0.1,period=8
+run $D -graph complete -sizes 24 -adversary byzantine:frac=0.1,mode=mix
+run $D -graph randreg -sizes 256 -kmode const:16 -generations 4 -single-source -shards 2
+run $D -graph grid -sizes 36 -q 256 -checkpoint detail.ckpt
+refuse $bin/sweep -parallel -1
 
 say "tables -quick (every artifact)"
 # E17 builds gossipd itself, so tables runs from inside the module.
@@ -242,7 +242,7 @@ grep -v -E "^$mod/(bench|cmd|examples)/" func.txt | awk '$NF == "0.0%" && $1 != 
   done >unreached.txt
 # A package no entry point links is unreached as a whole: "package *".
 linked=$(awk 'NR > 1 { f = $1; sub(/:.*/, "", f); sub(/\/[^\/]*$/, "", f); print f }' profile.txt | sort -u)
-(cd "$root" && go list ./internal/...) | grep -v -E '/(harnesstest|simtest)$' |
+(cd "$root" && go list ./internal/...) | grep -v -E '/simtest$' |
   while read -r pkg; do
     grep -q -x "$pkg" <<<"$linked" || echo "${pkg#"$mod"/} *"
   done >>unreached.txt
