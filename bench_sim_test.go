@@ -2,14 +2,17 @@ package algossip_test
 
 // Whole-simulation macro-benchmarks: while internal/gf and internal/rlnc
 // pin the coding kernels, nothing below measures what an experiment
-// actually pays per trial — protocol construction, emit/receive over every
-// transmission, staged delivery, and completion tracking. Each benchmark
-// op is one complete uniform-AG trial through harness.Execute (the single
-// dispatch point all binaries share), so ns/op is trial latency and
-// 1e9/ns-op is trials/sec. allocs/op is part of the CI gate
-// (BENCH_SIM.json via cmd/benchdelta): the coded hot path is pooled and
-// bit-packed, and an alloc crept back into send/receive is a regression
-// even when ns/op noise hides it.
+// actually pays per trial — emit/receive over every transmission, staged
+// delivery, and completion tracking. Each benchmark op is one complete
+// uniform-AG trial through harness.Execute (the single dispatch point all
+// binaries share), so ns/op is trial latency and 1e9/ns-op is
+// trials/sec. An op does not include protocol construction: Execute
+// resets the state the trial before it left when the shape matches, and
+// an untimed warm-up trial of the op's shape makes that so for every op,
+// whatever sub-benchmark ran before. allocs/op is part of the CI gate
+// (BENCH_SIM.json via cmd/benchdelta): a same-shape trial allocates a
+// small constant, and an alloc crept back into send/receive or into the
+// reset is a regression even when ns/op noise hides it.
 //
 // The grid follows the experiment sweeps: complete/ring/random-regular at
 // n ∈ {64, 256, 1024} over GF(2) (bit-packed backend), GF(16) and
@@ -50,9 +53,14 @@ func simGraph(b *testing.B, family string, n int) *graph.Graph {
 
 // runSimTrials executes one full trial per iteration with per-iteration
 // derived seeds, reporting the mean stopping time alongside the timing.
+// One untimed trial of the same shape runs first, so every timed one
+// reuses what the trial before it left (harness.Execute).
 func runSimTrials(b *testing.B, spec harness.GossipSpec) {
 	b.Helper()
 	b.ReportAllocs()
+	if _, err := harness.Execute(spec, harness.ProtocolUniformAG, core.SplitSeed(31, 0)); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {

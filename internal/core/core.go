@@ -118,7 +118,35 @@ func ParseTimeModel(s string) (TimeModel, error) {
 // rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), drawn from a *PCG
 // that Generator hands back to the hot loops.
 func NewRand(seed uint64) *rand.Rand {
-	return rand.New(&PCG{hi: seed, lo: seed ^ 0x9e3779b97f4a7c15})
+	p := pcgAt(seed)
+	return rand.New(&p)
+}
+
+// Reseed restarts r, a NewRand stream, at seed: it then draws what
+// NewRand(seed) would, and nothing is allocated. It reaches the stream
+// through Generator, so it panics on a *rand.Rand NewRand did not build.
+func Reseed(r *rand.Rand, seed uint64) {
+	*Generator(r) = pcgAt(seed)
+}
+
+// pcgAt is the state NewRand(seed) starts from.
+func pcgAt(seed uint64) PCG {
+	return PCG{hi: seed, lo: seed ^ 0x9e3779b97f4a7c15}
+}
+
+// Poison fills memory a reset keeps with 0xA5 bytes in a race-detector
+// build, whose tests then prove that nothing reused is read before it is
+// written; elsewhere it does nothing.
+func Poison[E ~uint8 | ~uint64](spans ...[]E) {
+	if !RaceEnabled {
+		return
+	}
+	w := uint64(0xA5A5A5A5A5A5A5A5)
+	for _, s := range spans {
+		for i := range s {
+			s[i] = E(w)
+		}
+	}
 }
 
 // SplitSeed derives an independent child seed from a parent seed and a

@@ -18,11 +18,13 @@
 package algebraic
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"strconv"
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
@@ -154,6 +156,7 @@ type Protocol struct {
 	fill *deferredFill
 
 	shard *shardCore // sharded-execution state (nil = classic wake loop)
+	spare *shardCore // the shard core Renew kept from prev, for EnableSharded to renew
 
 	// Adversarial/heterogeneous state (nil/zero for classic runs).
 	traits     []NodeTraits       // per-node profiles (nil = all honest)
@@ -181,10 +184,13 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 // and decoders of the same field order, k, GenSize, payload width and
 // backend (rlnc.GenNode.Fits) — its decoders are reset instead of
 // rebuilt (rlnc.GenNode.Reset), and its packet freelist and round
-// buffers are kept. Everything else is built as New builds it,
-// so the new protocol runs exactly as a new one would, whatever prev ran
-// before. A nil prev, or one of another shape, leaves New's path; prev
-// must not be used afterwards either way.
+// buffers are kept. Whatever prev's shape, its shard core (sharded
+// execution's streams, slots and slot packets) is kept for EnableSharded
+// to renew at the same node count. Everything else is built as New
+// builds it, so the new protocol runs exactly as a new one would,
+// whatever prev ran before. A nil prev, or one of another shape, leaves
+// New's path for the decoders; prev must not be used afterwards either
+// way.
 func Renew(prev *Protocol, g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Config, rng *rand.Rand) (*Protocol, error) {
 	if cfg.Action == 0 {
 		cfg.Action = core.Exchange
@@ -199,6 +205,9 @@ func Renew(prev *Protocol, g *graph.Graph, model core.TimeModel, sel sim.Partner
 	n := g.N()
 	p := &Protocol{Progress: gossip.NewProgress(n, model), g: g, sel: sel, rng: rng, cfg: cfg, gen: gen}
 	deferred := model == core.Synchronous && !cfg.RLNC.RankOnly
+	if prev != nil {
+		p.spare = cmp.Or(prev.shard, prev.spare)
+	}
 	if prev != nil && n > 0 && len(prev.nodes) == n && prev.nodes[0].Fits(gen) {
 		p.takeOver(prev, deferred)
 	} else {
@@ -301,7 +310,8 @@ func (p *Protocol) initTraits(cfg Config) error {
 // trajectory is identical for every shard count but differs from the
 // classic serial semantics for the same seed. Generation coding caps the
 // commit-time reduce cost at O(g²) per packet, which is what lets sharded
-// runs scale to n ≥ 10^5.
+// runs scale to n ≥ 10^5. The shard core of the protocol Renew took over
+// is renewed in place when it has as many nodes.
 func (p *Protocol) EnableSharded(seed uint64, retire bool) error {
 	if p.Model != core.Synchronous {
 		return errors.New("algebraic: sharded execution requires the synchronous model")
@@ -309,7 +319,7 @@ func (p *Protocol) EnableSharded(seed uint64, retire bool) error {
 	if p.traits != nil {
 		return errors.New("algebraic: sharded execution does not support adversarial/heterogeneous traits")
 	}
-	p.shard = newShardCore(p, seed, retire)
+	p.shard, p.spare = newShardCore(p, p.spare, seed, retire), nil
 	return nil
 }
 
@@ -374,10 +384,13 @@ func (p *Protocol) SeedAll(assign []core.NodeID, msgs []rlnc.Message) error {
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string {
+	// Concatenated, not formatted: every run names its protocol, and fmt's
+	// printers come from a sync.Pool, which would make what a trial
+	// allocates depend on when the collector last ran.
 	if p.cfg.GenSize > 0 {
-		return fmt.Sprintf("gen-algebraic-gossip(g=%d)", p.cfg.GenSize)
+		return "gen-algebraic-gossip(g=" + strconv.Itoa(p.cfg.GenSize) + ")"
 	}
-	return fmt.Sprintf("algebraic-gossip(%s,%s)", p.sel.Name(), p.cfg.Action)
+	return "algebraic-gossip(" + p.sel.Name() + "," + p.cfg.Action.String() + ")"
 }
 
 // OnWake implements sim.Protocol: node v contacts sel.Partner(v) and
@@ -448,9 +461,12 @@ func (p *Protocol) getPacket() *rlnc.GenPacket {
 }
 
 // recycle returns a packet (whose contents ReceiveOwned may have
-// clobbered) to the freelist for the next EmitInto.
+// clobbered) to the freelist for the next EmitInto; a skipped delivery's
+// nil packet is nothing to return.
 func (p *Protocol) recycle(pkt *rlnc.GenPacket) {
-	p.free = append(p.free, pkt)
+	if pkt != nil {
+		p.free = append(p.free, pkt)
+	}
 }
 
 // send emits a random combination from node `from` toward node `to`. In the
@@ -479,19 +495,21 @@ func (p *Protocol) send(from, to core.NodeID) {
 	// A receiver already at full rank discards any combination: the
 	// outcome (and every counter) is predetermined, so consume exactly the
 	// randomness the emit would draw (SkipEmit) and skip building the
-	// combination — the delivery still flows through the normal pool /
-	// staging path (flagged skip) so buffer dynamics are identical, and
+	// combination — the delivery still flows through the staging path
+	// (flagged skip) so loss draws and delivery order are identical, and
 	// its verdict (deliver) is the Useless one any real packet would have
 	// received. Rank never decreases within a round, so the
-	// verdict holds at delivery time.
+	// verdict holds at delivery time. It carries no packet: one taken
+	// from the freelist would come back without arrays, and which later
+	// emit has to allocate them would depend on what ran before.
 	skip := p.nodes[to].CanDecode()
-	pkt := p.getPacket()
+	var pkt *rlnc.GenPacket
 	var fac facSpan
 	var ok bool
 	if skip {
 		fac.len = skipped
 		ok = p.nodes[from].SkipEmit(p.rng)
-	} else if p.fill == nil {
+	} else if pkt = p.getPacket(); p.fill == nil {
 		ok = p.nodes[from].EmitInto(p.rng, pkt)
 	} else {
 		// The first half of EmitInto, into the round's slab: the round's

@@ -165,29 +165,76 @@ type shardCore struct {
 	crew      sim.Crew[*shardCore]
 }
 
-func newShardCore(p *Protocol, seed uint64, retire bool) *shardCore {
+// newShardCore returns p's shard core: prev, renewed in place, when it
+// has p's node count, else a new one (prev nil or of another n). A
+// renewed core keeps its streams (reseeded), slots, slot packets with
+// their arrays, commit workers and merge buffer; nothing of them is read
+// before a wake writes it, and under the race detector the memory is
+// poisoned first to prove that. The wake bitmap is rebuilt on first use.
+func newShardCore(p *Protocol, prev *shardCore, seed uint64, retire bool) *shardCore {
 	n := len(p.nodes)
-	sc := &shardCore{
-		p: p, n: n, retire: retire,
-		rngs:     make([]*rand.Rand, n),
-		slots:    make([]shardSlot, 2*n),
-		slotPkts: make([]rlnc.GenPacket, 2*n),
+	sc := prev
+	if sc == nil || sc.n != n {
+		sc = &shardCore{
+			n:        n,
+			rngs:     make([]*rand.Rand, n),
+			slots:    make([]shardSlot, 2*n),
+			slotPkts: make([]rlnc.GenPacket, 2*n),
+		}
+	} else {
+		sc.poison()
+		sc.active = sc.active[:0]
+		sc.wakeCalls.Store(0)
 	}
-	for v := range sc.rngs {
-		sc.rngs[v] = core.NewRand(core.SplitSeed(seed, uint64(v)))
+	sc.p, sc.retire = p, retire
+	for v, r := range sc.rngs {
+		if s := core.SplitSeed(seed, uint64(v)); r != nil {
+			core.Reseed(r, s)
+		} else {
+			sc.rngs[v] = core.NewRand(s)
+		}
 	}
 	return sc
 }
 
+// poison fills what a renewed core keeps — slot states, slot packet
+// arrays and wake bitmaps — with 0xA5 bytes in a race-detector build
+// (core.Poison); a slot so filled is no state and names no receiver.
+func (sc *shardCore) poison() {
+	if !core.RaceEnabled {
+		return
+	}
+	junk := uint32(0xA5A5A5A5)
+	for i := range sc.slots {
+		sc.slots[i] = shardSlot{state: uint8(junk), to: int32(junk)}
+	}
+	for i := range sc.slotPkts {
+		if pkt := sc.slotPkts[i].Packet; pkt != nil {
+			core.Poison(pkt.Coeffs)
+			core.Poison(pkt.Payload)
+			core.Poison(pkt.Bits, pkt.Sliced, pkt.SlicedPay)
+		}
+	}
+	core.Poison(sc.active, sc.woke)
+}
+
 // activeWords returns the wake bitmap, building it on first use (after
-// seeding, before the first round).
+// seeding, before the first round): every node set, then the inert ones
+// cleared. Each word is written whole, so a renewed core's bitmap keeps
+// nothing of its last run.
 func (sc *shardCore) activeWords() []uint64 {
-	if sc.active == nil {
+	if len(sc.active) == 0 {
 		words := (sc.n + 63) / 64
-		sc.active = make([]uint64, words)
-		sc.woke = make([]uint64, words)
-		for v := 0; v < sc.n; v++ {
-			sc.active[v/64] |= 1 << (v % 64)
+		if cap(sc.active) < words {
+			sc.active = make([]uint64, words)
+			sc.woke = make([]uint64, words)
+		}
+		sc.active = sc.active[:words]
+		for w := range sc.active {
+			sc.active[w] = ^uint64(0)
+		}
+		if tail := sc.n % 64; tail != 0 {
+			sc.active[words-1] = 1<<tail - 1
 		}
 		if sc.retire {
 			for v := 0; v < sc.n; v++ {

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
@@ -314,18 +316,73 @@ func (s GossipSpec) validate(proto Protocol) error {
 // engine RNG; stream 10 feeds the dynamic-topology schedule, streams
 // 13–15 the adversarial and heterogeneous-class draws) is pinned by the
 // conformance suite — do not renumber.
+//
+// A trial runs on a state from the process's idle list (takeState) and
+// returns its own there, so a call after one of the same shape resets
+// that trial's decoders and shard core instead of building them: it
+// allocates a small constant, whatever n, k and r, and its cost is the
+// run, not the protocol's construction. The outcome is the same either
+// way. Execute is safe for concurrent use.
 func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
-	return execute(spec, proto, seed, nil)
+	st := takeState()
+	out, err := execute(spec, proto, seed, &st)
+	putState(st)
+	return out, err
 }
 
-// trialState is what a trial leaves for the next one on the same worker:
-// the uniform-AG protocol whose decoders a trial of the same shape resets
-// instead of rebuilding (algebraic.Renew). The zero value holds nothing.
+// trialState is what a trial leaves for the next one: the uniform-AG
+// protocol whose decoders a trial of the same shape resets instead of
+// rebuilding (algebraic.Renew), and whose shard core a sharded trial of
+// the same n renews. The zero value holds nothing.
 type trialState struct{ ag *algebraic.Protocol }
 
-// execute is Execute on a worker's state (nil: none). A uniform-AG trial
+// idle is the process's one list of trial states no trial is running on:
+// Execute takes one for its trial and each Runner worker one for its
+// life, and both give theirs back. It is a stack, so a state comes back
+// to the next caller while its shape is the likeliest to recur, and it
+// keeps the GOMAXPROCS most recent states — as many as the default pool
+// runs at once — dropping the oldest. What it holds stays until the
+// process exits. Not a sync.Pool, whose contents every collection empties: then
+// whether a trial reused state, and what it allocated, would follow the
+// collector's timing.
+var idle struct {
+	sync.Mutex
+	states []trialState
+}
+
+// takeState pops the most recently returned state (none: an empty one).
+func takeState() trialState {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.states)
+	if n == 0 {
+		return trialState{}
+	}
+	st := idle.states[n-1]
+	idle.states[n-1] = trialState{}
+	idle.states = idle.states[:n-1]
+	return st
+}
+
+// putState pushes st onto the idle list, dropping the oldest state past
+// GOMAXPROCS; an empty state is not kept.
+func putState(st trialState) {
+	if st.ag == nil {
+		return
+	}
+	idle.Lock()
+	defer idle.Unlock()
+	if over := len(idle.states) - runtime.GOMAXPROCS(0) + 1; over > 0 {
+		n := copy(idle.states, idle.states[over:])
+		clear(idle.states[n:])
+		idle.states = idle.states[:n]
+	}
+	idle.states = append(idle.states, st)
+}
+
+// execute is Execute on a given state (nil: none). A uniform-AG trial
 // takes the state's protocol over and leaves its own there; the outcome
-// is the one Execute returns, whatever the worker ran before.
+// is the same on any state, whatever ran on it before.
 func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outcome, error) {
 	if err := spec.validate(proto); err != nil {
 		return Outcome{}, err

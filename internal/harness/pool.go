@@ -94,17 +94,20 @@ func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 	return rs, nil
 }
 
-// RunTrials executes trials[i] for every i in idxs over the pool, each
-// worker keeping the state its last trial left (trialState) for its
-// next, and hands every outcome to done from the worker that ran it. It
-// runs Run's trials and a fabric worker's leases. The first error, the
-// lowest index's, ends the run.
+// RunTrials executes trials[i] for every i in idxs over the pool and
+// hands every outcome to done from the worker that ran it. Each worker
+// takes a state from the process's idle list (see Execute) when it
+// starts, runs every trial on the state the one before left, and gives
+// it back when it exits, so a fabric worker's next lease, or the next
+// sweep cell of the same shape, resets what this one built. It runs
+// Run's trials and a fabric worker's leases. The first error, the lowest
+// index's, ends the run.
 func (r Runner) RunTrials(spec *Spec, trials []Trial, idxs []int, done func(i int, o Outcome) error) error {
 	exec := r.execute
 	if exec == nil {
 		exec = (*Spec).executeTrial
 	}
-	return forEachIndex(idxs, r.Parallel, func(st *trialState, i int) error {
+	return forEachIndex(idxs, r.Parallel, takeState, putState, func(st *trialState, i int) error {
 		o, err := r.runOne(exec, spec, trials[i], st)
 		if err != nil {
 			return err
@@ -150,8 +153,10 @@ func (r Runner) runOne(exec func(*Spec, Trial, *trialState) (Outcome, error), sp
 // pool, failing fast: after the first error no new work is dispatched,
 // and the error for the lowest index wins (deterministic error
 // reporting). fn may be called concurrently, each worker passing the
-// same S of its own to every call it makes.
-func forEachIndex[S any](idxs []int, parallel int, fn func(st *S, i int) error) error {
+// same S of its own to every call it makes: the one lend returns when the
+// worker starts, which reclaim gets back when it exits (nil lend: a zero
+// S; nil reclaim: dropped).
+func forEachIndex[S any](idxs []int, parallel int, lend func() S, reclaim func(S), fn func(st *S, i int) error) error {
 	workers := parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -159,14 +164,27 @@ func forEachIndex[S any](idxs []int, parallel int, fn func(st *S, i int) error) 
 	if workers > len(idxs) {
 		workers = len(idxs)
 	}
+	borrow := func() (st S) {
+		if lend != nil {
+			st = lend()
+		}
+		return st
+	}
+	giveBack := func(st S) {
+		if reclaim != nil {
+			reclaim(st)
+		}
+	}
 	if workers <= 1 {
-		var st S
+		st := borrow()
+		var err error
 		for _, i := range idxs {
-			if err := fn(&st, i); err != nil {
-				return err
+			if err = fn(&st, i); err != nil {
+				break
 			}
 		}
-		return nil
+		giveBack(st)
+		return err
 	}
 	errs := make([]error, len(idxs))
 	var failed atomic.Bool
@@ -176,13 +194,14 @@ func forEachIndex[S any](idxs []int, parallel int, fn func(st *S, i int) error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var st S
+			st := borrow()
 			for ji := range next {
 				if err := fn(&st, idxs[ji]); err != nil {
 					errs[ji] = err
 					failed.Store(true)
 				}
 			}
+			giveBack(st)
 		}()
 	}
 	for ji := range idxs {
@@ -211,7 +230,7 @@ func ParallelMap[T any](n, parallel int, fn func(i int) (T, error)) ([]T, error)
 	for i := range idxs {
 		idxs[i] = i
 	}
-	err := forEachIndex(idxs, parallel, func(_ *struct{}, i int) error {
+	err := forEachIndex(idxs, parallel, nil, nil, func(_ *struct{}, i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

@@ -6,20 +6,48 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"algossip/internal/core"
 	"algossip/internal/graph"
 )
 
-// TestAllocsSteadyStateTrial pins a Runner worker's second trial of a
-// shape at a constant number of allocations, whatever n and k: the
-// protocol, its decoders and its buffers are the first trial's, reset.
-// What a trial builds anew — the field, the selector, the RNG streams,
-// the engine, the placement — is the same handful at every size. Each
-// field order is held on its own (building GF(q) allocates a q-dependent
-// number of tables). One P, so no commit pass starts a goroutine, and the
-// collector off, since fmt keeps its printers in a sync.Pool; the race
+// steadyCells are the cells whose same-shape trial allocates a constant:
+// each layout at three shapes, held on its own (building GF(q) allocates
+// a q-dependent number of tables, and a sharded trial builds the sharded
+// engine). The sharded cells are generation-coded, as at scale. Two
+// shards split the wake phase and the commit from n = 128, two bitmap
+// words, on: there the engine, built per trial, allocates its fork's
+// goroutine body once, so that cell starts at n = 128.
+var steadyCells = []struct {
+	name          string
+	q, gen, shard int
+	shapes        []struct{ n, k int }
+}{
+	{"gf2", 2, 0, 0, []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}}},
+	{"gf16", 16, 0, 0, []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}}},
+	{"gf256", 256, 0, 0, []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}}},
+	{"gf2/gen4/shards1", 2, 4, 1, []struct{ n, k int }{{8, 4}, {64, 16}, {256, 100}}},
+	{"gf2/gen4/shards2", 2, 4, 2, []struct{ n, k int }{{128, 4}, {256, 16}, {1024, 100}}},
+}
+
+// steadySpec is one shape of a steady cell.
+func steadySpec(q, gen, shards, n, k int) GossipSpec {
+	g := graph.RandomRegular(n, 4, core.NewRand(uint64(n)))
+	return GossipSpec{Graph: g, K: k, Q: q, GenSize: gen, Shards: shards, Lean: true}
+}
+
+// TestAllocsSteadyStateTrial pins a worker's second trial of a shape at
+// a constant number of allocations, whatever n and k: the protocol, its
+// decoders and buffers, and on the sharded path its shard core — streams,
+// slots, slot packets, commit workers — are the first trial's, reset.
+// What a trial builds anew — the field, the selector, the RNG streams it
+// draws from, the engine, the placement — is the same handful at every
+// size. One P, so a fork (sim.Crew: a payload commit pass, a sharded
+// round) schedules the same way every time — on several, whether its wait
+// allocates a sudog depends on which P ran what — and the collector off,
+// since a collection empties the runtime's and fmt's pools; the race
 // detector's build drops pool items at random, so it skips.
 func TestAllocsSteadyStateTrial(t *testing.T) {
 	if core.RaceEnabled {
@@ -27,11 +55,10 @@ func TestAllocsSteadyStateTrial(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, q := range []int{2, 16, 256} {
+	for _, c := range steadyCells {
 		var base float64
-		for i, shape := range []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}} {
-			g := graph.RandomRegular(shape.n, 4, core.NewRand(uint64(shape.n)))
-			spec := GossipSpec{Graph: g, K: shape.k, Q: q, Lean: true}
+		for i, shape := range c.shapes {
+			spec := steadySpec(c.q, c.gen, c.shard, shape.n, shape.k)
 			var st trialState
 			trial := func() {
 				if _, err := execute(spec, ProtocolUniformAG, 3, &st); err != nil {
@@ -44,14 +71,103 @@ func TestAllocsSteadyStateTrial(t *testing.T) {
 				base = allocs
 			}
 			if allocs != base {
-				t.Errorf("q=%d n=%d k=%d: a worker's same-shape trial allocated %.0f times, at the first shape %.0f",
-					q, shape.n, shape.k, allocs, base)
+				t.Errorf("%s n=%d k=%d: a worker's same-shape trial allocated %.0f times, at the first shape %.0f",
+					c.name, shape.n, shape.k, allocs, base)
 			}
 		}
 		if base > 64 {
-			t.Errorf("q=%d: a worker's same-shape trial allocated %.0f times: its protocol is not being reused", q, base)
+			t.Errorf("%s: a worker's same-shape trial allocated %.0f times: its protocol is not being reused", c.name, base)
 		}
 	}
+}
+
+// TestExecuteReusesState: Execute keeps what a trial leaves on the
+// process's idle list, so a call after one of the same shape allocates
+// what a worker's second trial does (TestAllocsSteadyStateTrial), at
+// every shape of every steady cell.
+func TestExecuteReusesState(t *testing.T) {
+	if core.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range steadyCells {
+		for _, shape := range c.shapes {
+			spec := steadySpec(c.q, c.gen, c.shard, shape.n, shape.k)
+			var st trialState
+			count := func(run func() (Outcome, error)) float64 {
+				if _, err := run(); err != nil {
+					t.Fatal(err)
+				}
+				return testing.AllocsPerRun(3, func() {
+					if _, err := run(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			worker := count(func() (Outcome, error) { return execute(spec, ProtocolUniformAG, 3, &st) })
+			call := count(func() (Outcome, error) { return Execute(spec, ProtocolUniformAG, 3) })
+			if call != worker {
+				t.Errorf("%s n=%d k=%d: a same-shape Execute allocated %.0f times, a worker's trial %.0f",
+					c.name, shape.n, shape.k, call, worker)
+			}
+		}
+	}
+}
+
+// TestConcurrentExecuteMatchesFresh: goroutines calling Execute at once
+// on mixed shapes — whole-k and generation-coded, GF(2) and GF(256),
+// classic and sharded, payload, loss, and TAG, which keeps no state —
+// take each other's states off the idle list in no fixed order, and each
+// outcome must be the one a trial on no state returns.
+func TestConcurrentExecuteMatchesFresh(t *testing.T) {
+	g16 := graph.RandomRegular(16, 4, core.NewRand(16))
+	g24 := graph.RandomRegular(24, 4, core.NewRand(24))
+	type job struct {
+		spec  GossipSpec
+		proto Protocol
+	}
+	jobs := []job{
+		{GossipSpec{Graph: g16, K: 8, Q: 2}, ProtocolUniformAG},
+		{GossipSpec{Graph: g16, K: 8, Q: 256}, ProtocolUniformAG},
+		{GossipSpec{Graph: g16, K: 8, Q: 2, GenSize: 4, Shards: 2}, ProtocolUniformAG},
+		{GossipSpec{Graph: g16, K: 8, Q: 2, Shards: 1}, ProtocolUniformAG},
+		{GossipSpec{Graph: g24, K: 12, Q: 16, PayloadLen: 8}, ProtocolUniformAG},
+		{GossipSpec{Graph: g24, K: 12, Q: 2, LossRate: 0.2, GenSize: 3, Shards: 2}, ProtocolUniformAG},
+		{GossipSpec{Graph: g24, K: 12, Q: 2}, ProtocolTAGRR},
+	}
+	const rounds = 6
+	want := make([][rounds]Outcome, len(jobs))
+	for j, jb := range jobs {
+		for r := range rounds {
+			o, err := execute(jb.spec, jb.proto, uint64(r), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[j][r] = o
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				for i := range jobs {
+					j := (w + i*(r+1)) % len(jobs)
+					got, err := Execute(jobs[j].spec, jobs[j].proto, uint64(r))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[j][r]) {
+						t.Errorf("goroutine %d, job %d, seed %d: Execute returned\n%+v\nwant\n%+v", w, j, r, got, want[j][r])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestShuffledTrialsMatchFresh extends the determinism contract across a
@@ -60,7 +176,10 @@ func TestAllocsSteadyStateTrial(t *testing.T) {
 // adversary with stragglers, shards, another protocol in between — run
 // in a random order on one worker state, each taking over whatever the
 // trial before it left, and each must return exactly the Outcome of a
-// trial run on nothing.
+// trial run on nothing. The two sharded specs share n, so one shard core
+// passes between shard counts and coding layouts; under -race its kept
+// memory is poisoned (0xA5) each time, so a slot, packet or bitmap word
+// read before it is written changes an outcome here.
 func TestShuffledTrialsMatchFresh(t *testing.T) {
 	churn, err := ParseDynamics("churn:rate=0.1")
 	if err != nil {
@@ -83,6 +202,7 @@ func TestShuffledTrialsMatchFresh(t *testing.T) {
 		{Graph: "randreg", Sizes: []int{16}, KMode: "half", Q: 2, Dynamics: churn, Trials: 2, Seed: 6},
 		{Graph: "complete", Sizes: []int{16}, KMode: "half", Q: 16, Adversary: adv, Classes: cls, Trials: 2, Seed: 7},
 		{Graph: "randreg", Sizes: []int{16}, KMode: "half", Q: 2, Shards: 2, Trials: 2, Seed: 8},
+		{Graph: "randreg", Sizes: []int{16}, KMode: "half", Q: 2, GenSize: 4, Shards: 1, Trials: 2, Seed: 10},
 		{Graph: "randreg", Sizes: []int{16}, KMode: "half", Q: 2, Protocol: ProtocolTAGRR, Trials: 2, Seed: 9},
 	}
 	type job struct {

@@ -225,9 +225,10 @@ func (s *Spec) Expand() ([]Cell, []Trial, error) {
 	return cells, trials, nil
 }
 
-// ExecuteTrial runs one expanded trial of the spec through Execute, on no
-// worker state: the serial baseline the benchmark's traced pass times
-// trial by trial. Runner.RunTrials gives the same outcome.
+// ExecuteTrial runs one expanded trial of the spec as Execute does, but on
+// no state, so it builds its protocol afresh: the serial baseline the
+// benchmark's traced pass, whose traced trial builds afresh too, times
+// trial by trial. Execute and Runner.RunTrials give the same outcome.
 func (s *Spec) ExecuteTrial(t Trial) (Outcome, error) {
 	return s.executeTrial(t, nil)
 }

@@ -136,8 +136,8 @@ func NewBitMatrixPayload(cols, extra int) *BitMatrix {
 // scratch (see RankMatrix.Reset).
 func (m *BitMatrix) Reset() {
 	m.flat, m.pivot, m.pay = m.flat[:0], m.pivot[:0], m.pay[:0]
-	poison(m.flat[:cap(m.flat)], []uint64(m.scratchC))
-	poison(m.arenaP)
+	core.Poison(m.flat[:cap(m.flat)], []uint64(m.scratchC))
+	core.Poison(m.arenaP)
 }
 
 // Words returns the number of 64-bit words per packed row.

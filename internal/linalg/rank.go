@@ -121,8 +121,8 @@ func NewRankMatrix(f gf.Field, cols, extra int) *RankMatrix {
 func (m *RankMatrix) Reset() {
 	m.rows, m.pivot, m.pivFac = m.rows[:0], m.pivot[:0], m.pivFac[:0]
 	m.raw, m.xform = m.raw[:0], m.xform[:0]
-	poison(m.arenaC, m.arenaX, m.scratchC, m.facs)
-	poison(m.arenaP)
+	core.Poison(m.arenaC, m.arenaX, m.scratchC, m.facs)
+	core.Poison(m.arenaP)
 }
 
 // Rank returns the number of linearly independent rows stored.
@@ -515,19 +515,4 @@ func (m *RankMatrix) Solve() ([][]byte, error) {
 		m.PayloadInto(i, out[i])
 	}
 	return out, nil
-}
-
-// poison fills memory a Reset keeps with 0xA5 bytes in a race-detector
-// build, whose tests then prove that nothing reused is read before it is
-// written; elsewhere it does nothing.
-func poison[E ~uint8 | ~uint64](spans ...[]E) {
-	if !core.RaceEnabled {
-		return
-	}
-	w := uint64(0xA5A5A5A5A5A5A5A5)
-	for _, s := range spans {
-		for i := range s {
-			s[i] = E(w)
-		}
-	}
 }

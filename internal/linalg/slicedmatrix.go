@@ -394,8 +394,8 @@ func (m *SlicedMatrix) allocRow() (SlicedVec, SlicedVec, SlicedVec) {
 func (m *SlicedMatrix) Reset() {
 	m.rows, m.pay, m.pivot, m.pivLog = m.rows[:0], m.pay[:0], m.pivot[:0], m.pivLog[:0]
 	m.pivPos, m.ord, m.loIns, m.hiIns = m.pivPos[:0], m.ord[:0], m.loIns[:0], m.hiIns[:0]
-	poison(m.arenaC, m.arenaP, m.arenaT, []uint64(m.scratchC))
-	poison(m.scratchF, m.scratchA)
+	core.Poison(m.arenaC, m.arenaP, m.arenaT, []uint64(m.scratchC))
+	core.Poison(m.scratchF, m.scratchA)
 }
 
 // insert copies an already-reduced row with pivot column p into the
