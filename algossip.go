@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 
 	"algossip/internal/core"
 	"algossip/internal/gf"
@@ -212,22 +211,15 @@ func Run(spec Spec, seed uint64) (Result, error) {
 // built, so every call shares one.
 var gf256 = sync.OnceValue(func() gf.Field { return gf.MustNew(256) })
 
-// lastTrial holds the protocol of the last Disseminate call to finish,
-// for the next call of the same shape to reset rather than rebuild
-// (algebraic.Renew): n, k, r and the decoder backend. A call swaps it out
-// before it starts and stores its own back when it is done, so two calls
-// never share it — one that finds it empty builds afresh. The protocol
-// it keeps, which holds that call's payloads, is the only state that
-// outlives a call.
-var lastTrial atomic.Pointer[algebraic.Protocol]
-
 // Disseminate runs payload-mode uniform algebraic gossip over the graph
 // until every node can decode, then returns node 0's decoded messages.
 // msgs[i].Index must equal i; message i starts at node assign[i] (nil
 // assign spreads round-robin). It is the simplest end-to-end entry point
 // for applications that actually want the data moved, not just timed.
 // The result depends on the arguments alone, not on earlier calls, and
-// Disseminate is safe for concurrent use.
+// Disseminate is safe for concurrent use. A call renews a protocol of its
+// shape (n, k, r, decoder backend) from the process's idle list
+// (harness.TakeIdle), and leaves its own there, payload copies included.
 func Disseminate(g *Graph, msgs []Message, assign []NodeID, seed uint64) ([]Message, Result, error) {
 	k := len(msgs)
 	if k == 0 {
@@ -235,12 +227,13 @@ func Disseminate(g *Graph, msgs []Message, assign []NodeID, seed uint64) ([]Mess
 	}
 	r := len(msgs[0].Payload)
 	cfg := rlnc.Config{Field: gf256(), K: k, PayloadLen: r}
-	p, err := algebraic.Renew(lastTrial.Swap(nil), g, core.Synchronous, sim.NewUniform(g),
-		algebraic.Config{RLNC: cfg}, core.NewRand(core.SplitSeed(seed, 1)))
+	acfg := algebraic.Config{RLNC: cfg}
+	p, err := algebraic.Renew(harness.TakeIdle(g.N(), acfg, false), g, core.Synchronous, sim.NewUniform(g),
+		acfg, core.NewRand(core.SplitSeed(seed, 1)))
 	if err != nil {
 		return nil, Result{}, err
 	}
-	defer lastTrial.Store(p)
+	defer harness.GiveIdle(p)
 	if assign == nil {
 		assign = algebraic.RoundRobinAssign(k, g.N())
 	}

@@ -53,8 +53,10 @@ func simGraph(b *testing.B, family string, n int) *graph.Graph {
 
 // runSimTrials executes one full trial per iteration with per-iteration
 // derived seeds, reporting the mean stopping time alongside the timing.
-// One untimed trial of the same shape runs first, so every timed one
-// reuses what the trial before it left (harness.Execute).
+// One untimed trial of the same shape runs first and leaves its protocol
+// on the process's idle list, so every timed one takes a protocol of its
+// shape off it and resets it (harness.Execute), whatever sub-benchmark
+// ran before.
 func runSimTrials(b *testing.B, spec harness.GossipSpec) {
 	b.Helper()
 	b.ReportAllocs()
@@ -163,5 +165,45 @@ func BenchmarkSimDynamicAG(b *testing.B) {
 		runSimTrials(b, harness.GossipSpec{
 			Graph: g, K: benchK(256), Q: 2, Dynamics: dyn, Lean: true,
 		})
+	})
+}
+
+// BenchmarkSimCrossShape runs a paper table's traffic, where every cell
+// is a new shape: one op is a fixed sequence of four trials — GF(2) and
+// GF(256) on a random-regular graph, the asynchronous model on a ring,
+// and TAG with B_RR — each of which takes its own shape's protocol back
+// off the idle list past the other three. An untimed warm-up runs the
+// sequence once. Its allocs/op is the gate on cross-shape reuse: one
+// trial that rebuilt its decoders would add hundreds.
+func BenchmarkSimCrossShape(b *testing.B) {
+	b.Run("randreg+ring/n=256/gf=2,256,async,tag", func(b *testing.B) {
+		rr, ring := simGraph(b, "randreg", 256), simGraph(b, "ring", 256)
+		seq := []struct {
+			spec  harness.GossipSpec
+			proto harness.Protocol
+		}{
+			{harness.GossipSpec{Graph: rr, K: benchK(256), Q: 2, Lean: true}, harness.ProtocolUniformAG},
+			{harness.GossipSpec{Graph: rr, K: benchK(256), Q: 256, Lean: true}, harness.ProtocolUniformAG},
+			{harness.GossipSpec{Graph: ring, K: benchK(256), Q: 2, Model: core.Asynchronous, Lean: true}, harness.ProtocolUniformAG},
+			{harness.GossipSpec{Graph: rr, K: 64, Q: 2, Lean: true}, harness.ProtocolTAGRR},
+		}
+		total := 0
+		run := func(i int) {
+			for _, t := range seq {
+				o, err := harness.Execute(t.spec, t.proto, core.SplitSeed(31, uint64(i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				total += o.Result.Rounds
+			}
+		}
+		b.ReportAllocs()
+		run(0)
+		b.ResetTimer()
+		total = 0
+		for i := 0; i < b.N; i++ {
+			run(i)
+		}
+		b.ReportMetric(float64(total)/float64(b.N*len(seq)), "rounds")
 	})
 }

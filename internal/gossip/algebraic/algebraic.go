@@ -180,17 +180,15 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 }
 
 // Renew is New given a finished protocol, prev, whose state it may take
-// over: when prev has the shape the new protocol needs — as many nodes,
-// and decoders of the same field order, k, GenSize, payload width and
-// backend (rlnc.GenNode.Fits) — its decoders are reset instead of
-// rebuilt (rlnc.GenNode.Reset), and its packet freelist and round
-// buffers are kept. Whatever prev's shape, its shard core (sharded
-// execution's streams, slots and slot packets) is kept for EnableSharded
-// to renew at the same node count. Everything else is built as New
-// builds it, so the new protocol runs exactly as a new one would,
-// whatever prev ran before. A nil prev, or one of another shape, leaves
-// New's path for the decoders; prev must not be used afterwards either
-// way.
+// over: when prev has the shape the new protocol needs (Fits), its
+// decoders are reset instead of rebuilt (rlnc.GenNode.Reset), and its
+// packet freelist and round buffers are kept. Whatever prev's shape, its
+// shard core (sharded execution's streams, slots and slot packets) is
+// kept for EnableSharded to renew at the same node count. Everything else
+// is built as New builds it, so the new protocol runs exactly as a new
+// one would, whatever prev ran before. A nil prev, or one of another
+// shape, leaves New's path for the decoders; prev must not be used
+// afterwards either way. harness.TakeIdle picks prev.
 func Renew(prev *Protocol, g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Config, rng *rand.Rand) (*Protocol, error) {
 	if cfg.Action == 0 {
 		cfg.Action = core.Exchange
@@ -198,17 +196,14 @@ func Renew(prev *Protocol, g *graph.Graph, model core.TimeModel, sel sim.Partner
 	if !(cfg.LossRate >= 0 && cfg.LossRate < 1) { // NaN fails it too
 		return nil, fmt.Errorf("algebraic: loss rate %v outside [0, 1)", cfg.LossRate)
 	}
-	gen := rlnc.GenConfig{Inner: cfg.RLNC, K: cfg.RLNC.K, GenSize: cfg.GenSize}
-	if cfg.GenSize == 0 {
-		gen.GenSize = gen.K
-	}
+	gen := cfg.genConfig()
 	n := g.N()
 	p := &Protocol{Progress: gossip.NewProgress(n, model), g: g, sel: sel, rng: rng, cfg: cfg, gen: gen}
 	deferred := model == core.Synchronous && !cfg.RLNC.RankOnly
 	if prev != nil {
 		p.spare = cmp.Or(prev.shard, prev.spare)
 	}
-	if prev != nil && n > 0 && len(prev.nodes) == n && prev.nodes[0].Fits(gen) {
+	if prev != nil && prev.Fits(n, cfg) {
 		p.takeOver(prev, deferred)
 	} else {
 		p.nodes = make([]*rlnc.GenNode, n)
@@ -231,6 +226,32 @@ func Renew(prev *Protocol, g *graph.Graph, model core.TimeModel, sel sim.Partner
 		return nil, err
 	}
 	return p, nil
+}
+
+// genConfig is the coding layout cfg asks for: one generation of size k
+// when GenSize is zero.
+func (cfg Config) genConfig() rlnc.GenConfig {
+	return rlnc.GenConfig{Inner: cfg.RLNC, K: cfg.RLNC.K, GenSize: cmp.Or(cfg.GenSize, cfg.RLNC.K)}
+}
+
+// Fits reports whether Renew, given p, resets p's decoders for n nodes
+// and cfg instead of building them: p has n > 0 nodes, and decoders of
+// the field order, k, GenSize, payload width and backend cfg asks for
+// (rlnc.GenNode.Fits). Action, loss and traits are no part of the shape.
+func (p *Protocol) Fits(n int, cfg Config) bool {
+	return n > 0 && len(p.nodes) == n && p.nodes[0].Fits(cfg.genConfig())
+}
+
+// SplitShardCore moves p's shard core of n nodes (the one it ran on or
+// the spare Renew kept) into an otherwise empty protocol for Renew to
+// take, and keeps the rest; nil when p keeps no shard core of n nodes.
+func (p *Protocol) SplitShardCore(n int) *Protocol {
+	sc := cmp.Or(p.shard, p.spare)
+	if sc == nil || sc.n != n {
+		return nil
+	}
+	p.shard, p.spare = nil, nil
+	return &Protocol{spare: sc}
 }
 
 // takeOver moves prev's reusable state into p, a protocol of the same

@@ -95,7 +95,7 @@ func TestStagedBuffersSizedOnce(t *testing.T) {
 		{"tag", func(t *testing.T) (sim.Protocol, *algebraic.Protocol) {
 			stp := broadcast.New(g, core.Synchronous, sim.NewRoundRobin(g), broadcast.Config{Origin: 0},
 				core.NewRand(core.SplitSeed(5, 3)))
-			p, err := tag.New(g, core.Synchronous, stp, rankOnly, core.NewRand(core.SplitSeed(5, 4)))
+			p, err := tag.Renew(nil, g, core.Synchronous, stp, rankOnly, core.NewRand(core.SplitSeed(5, 4)))
 			if err != nil {
 				t.Fatal(err)
 			}

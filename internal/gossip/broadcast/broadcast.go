@@ -12,7 +12,6 @@
 package broadcast
 
 import (
-	"fmt"
 	"math/rand/v2"
 
 	"algossip/internal/core"
@@ -68,13 +67,22 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 	for i := range p.parent {
 		p.parent[i] = core.NilNode
 	}
+	if model == core.Synchronous {
+		// Room for a round in which every node informs another (PUSH and
+		// PULL never stage more), so a trial's allocations do not grow
+		// with n.
+		p.staged = make([]inform, 0, g.N())
+	}
 	p.MarkDone(cfg.Origin)
 	return p
 }
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string {
-	return fmt.Sprintf("broadcast(%s,%s)", p.sel.Name(), p.cfg.Action)
+	// Concatenated, not formatted, as algebraic.Protocol.Name: a TAG run
+	// names its tree protocol, and fmt's pooled printers would make what
+	// a trial allocates depend on when the collector last ran.
+	return "broadcast(" + p.sel.Name() + "," + p.cfg.Action.String() + ")"
 }
 
 // OnWake implements sim.Protocol.

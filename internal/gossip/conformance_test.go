@@ -186,7 +186,7 @@ func TestConformanceTAGBRR(t *testing.T) {
 		k := g.N() / 2
 		stp := broadcast.New(g, model, sim.NewRoundRobin(g),
 			broadcast.Config{Origin: 0}, core.NewRand(core.SplitSeed(seed, 4)))
-		p, err := tag.New(g, model, stp, rankOnly(k), core.NewRand(core.SplitSeed(seed, 5)))
+		p, err := tag.Renew(nil, g, model, stp, rankOnly(k), core.NewRand(core.SplitSeed(seed, 5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestConformanceTAGIS(t *testing.T) {
 		k := g.N() / 2
 		stp := ispread.New(g, model, ispread.Config{Root: 0},
 			core.NewRand(core.SplitSeed(seed, 4)))
-		p, err := tag.New(g, model, stp, rankOnly(k), core.NewRand(core.SplitSeed(seed, 5)))
+		p, err := tag.Renew(nil, g, model, stp, rankOnly(k), core.NewRand(core.SplitSeed(seed, 5)))
 		if err != nil {
 			t.Fatal(err)
 		}

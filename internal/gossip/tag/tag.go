@@ -61,12 +61,13 @@ var (
 	_ sim.PartnerSelector = (*Protocol)(nil)
 )
 
-// New constructs TAG over g with spanning-tree protocol stp and RLNC
+// Renew constructs TAG over g with spanning-tree protocol stp and RLNC
 // configuration rcfg. rng drives the algebraic phase's coding randomness;
-// the spanning-tree protocol owns its own randomness.
-func New(g *graph.Graph, model core.TimeModel, stp SpanningTree, rcfg rlnc.Config, rng *rand.Rand) (*Protocol, error) {
+// the spanning-tree protocol owns its own randomness. The Phase 2
+// protocol is algebraic.Renew's on prev (nil: a fresh build).
+func Renew(prev *algebraic.Protocol, g *graph.Graph, model core.TimeModel, stp SpanningTree, rcfg rlnc.Config, rng *rand.Rand) (*Protocol, error) {
 	p := &Protocol{stp: stp, wakeups: make([]int, g.N()), treeRound: -1}
-	ag, err := algebraic.New(g, model, p, algebraic.Config{
+	ag, err := algebraic.Renew(prev, g, model, p, algebraic.Config{
 		RLNC:   rcfg,
 		Action: core.Exchange,
 	}, rng)
@@ -83,7 +84,7 @@ func (p *Protocol) Algebraic() *algebraic.Protocol { return p.ag }
 
 // Name implements sim.Protocol and sim.PartnerSelector.
 func (p *Protocol) Name() string {
-	return fmt.Sprintf("TAG(%s)", p.stp.Name())
+	return "TAG(" + p.stp.Name() + ")" // not fmt: see broadcast.Protocol.Name
 }
 
 // OnWake implements sim.Protocol: it numbers v's wakeup and hands it to the

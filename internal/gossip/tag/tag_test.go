@@ -29,7 +29,7 @@ func newIS(g *graph.Graph, model core.TimeModel, seed uint64) SpanningTree {
 
 func runTAG(t *testing.T, g *graph.Graph, model core.TimeModel, stp SpanningTree, k int, seed uint64) (*Protocol, sim.Result) {
 	t.Helper()
-	p, err := New(g, model, stp, rankOnly(k), core.NewRand(core.SplitSeed(seed, 12)))
+	p, err := Renew(nil, g, model, stp, rankOnly(k), core.NewRand(core.SplitSeed(seed, 12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTAGDecodeCorrectness(t *testing.T) {
 	rcfg := rlnc.Config{Field: gf.MustNew(256), K: 8, PayloadLen: 8}
 	rng := core.NewRand(21)
 	msgs := algebraic.RandomMessages(rcfg, rng)
-	p, err := New(g, core.Synchronous, newBRR(g, core.Synchronous, 21), rcfg, rng)
+	p, err := Renew(nil, g, core.Synchronous, newBRR(g, core.Synchronous, 21), rcfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestTAGDecodeCorrectness(t *testing.T) {
 func TestPhaseInterleaving(t *testing.T) {
 	g := graph.Line(6)
 	probe := &stpProbe{SpanningTree: newBRR(g, core.Synchronous, 9)}
-	p, err := New(g, core.Synchronous, probe, rankOnly(3), core.NewRand(10))
+	p, err := Renew(nil, g, core.Synchronous, probe, rankOnly(3), core.NewRand(10))
 	if err != nil {
 		t.Fatal(err)
 	}

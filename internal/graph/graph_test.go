@@ -196,6 +196,31 @@ func TestTreeDepthsChildrenDiameter(t *testing.T) {
 	}
 }
 
+// TestTreeDiameterMatchesGraph: a tree's diameter is its edge graph's,
+// the exact all-pairs one, on the BFS trees of random graphs from every
+// root kind (a leaf, a hub) and on paths, stars and binary trees.
+func TestTreeDiameterMatchesGraph(t *testing.T) {
+	rng := core.NewRand(11)
+	graphs := []*Graph{Line(1), Line(2), Line(9), Star(7), BinaryTree(31), Grid(4, 6)}
+	for _, n := range []int{5, 17, 40, 90} {
+		graphs = append(graphs, ErdosRenyi(n, 0.1, rng), RandomRegular(n, 3, rng))
+	}
+	for _, g := range graphs {
+		for _, root := range []core.NodeID{0, core.NodeID(g.N() - 1), core.NodeID(g.N() / 2)} {
+			tr := g.BFSTree(root)
+			b := NewBuilder("tree", tr.N())
+			for v, p := range tr.Parent {
+				if p != core.NilNode {
+					b.AddEdge(core.NodeID(v), p)
+				}
+			}
+			if got, want := tr.Diameter(), b.Build().Diameter(); got != want {
+				t.Errorf("%s, BFS tree from %d: Diameter %d, its edge graph's %d", g.Name(), root, got, want)
+			}
+		}
+	}
+}
+
 // TestSumDegreesAlongShortestPath validates Lemma 2 of the paper: on any
 // connected graph, the sum of degrees along any shortest path is at most 3n.
 func TestSumDegreesAlongShortestPath(t *testing.T) {

@@ -89,18 +89,39 @@ func (t *Tree) Depth() int {
 }
 
 // Diameter returns the diameter d(S) of the tree viewed as an undirected
-// graph (longest path between any two nodes, in edges).
+// graph (longest path between any two nodes, in edges). It walks the
+// parent array deepest node first, carrying each node's height up to its
+// parent, in a fixed number of allocations whatever n: a TAG trial
+// reports d(S) for every run.
 func (t *Tree) Diameter() int {
-	return t.AsGraph().DiameterApprox() // double sweep is exact on trees
-}
-
-// AsGraph returns the undirected graph consisting of the tree edges.
-func (t *Tree) AsGraph() *Graph {
-	b := NewBuilder("tree", t.N())
-	for v, p := range t.Parent {
-		if p != core.NilNode {
-			b.AddEdge(core.NodeID(v), p)
+	depth := t.Depths()
+	deepest := 0
+	for _, d := range depth {
+		deepest = max(deepest, d)
+	}
+	// Counting sort by depth, deepest first.
+	start := make([]int, deepest+2)
+	for _, d := range depth {
+		start[deepest-d+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	order := make([]core.NodeID, len(depth))
+	for v, d := range depth {
+		order[start[deepest-d]] = core.NodeID(v)
+		start[deepest-d]++
+	}
+	// height[p] is the longest downward path from p through the children
+	// seen so far; a child's path joined to it is a path through p.
+	height := make([]int, len(depth))
+	diam := 0
+	for _, v := range order {
+		if p := t.Parent[v]; p != core.NilNode {
+			h := height[v] + 1
+			diam = max(diam, height[p]+h)
+			height[p] = max(height[p], h)
 		}
 	}
-	return b.Build()
+	return diam
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"algossip/internal/core"
+	"algossip/internal/rlnc"
 )
 
 func runToCSV(t *testing.T, r Runner, spec Spec) string {
@@ -59,9 +61,9 @@ func TestResumeAfterSimulatedKill(t *testing.T) {
 	// Resume: the executed-trial count must shrink and the bytes must not.
 	var executed atomic.Int32
 	r := Runner{Parallel: 4, Checkpoint: ckpt, Resume: true,
-		execute: func(s *Spec, tr Trial, st *trialState) (Outcome, error) {
+		execute: func(s *Spec, tr Trial) (Outcome, error) {
 			executed.Add(1)
-			return s.executeTrial(tr, st)
+			return s.executeTrial(tr)
 		}}
 	resumed := runToCSV(t, r, lineSpec())
 	if resumed != uninterrupted {
@@ -141,15 +143,16 @@ func TestCheckpointWithoutResumeRestarts(t *testing.T) {
 }
 
 // TestTrialTimeout: a hung trial fails the run with a descriptive error
-// instead of wedging the sweep forever, and the trial it abandons, which
-// keeps running on the state its worker handed it, takes that state
-// along: the worker builds its next trial afresh, and the abandoned one
-// finishing later leaves nothing for the worker either (under -race, a
-// shared state would be a reported race as well).
+// instead of wedging the sweep forever, and the trial it abandons keeps
+// running on the protocol it took off the idle list: the worker's next
+// trial of that shape runs on another and returns the outcome of a fresh
+// build (under -race, a shared protocol would be a reported race as
+// well), and the abandoned trial gives its protocol back only when it
+// finishes.
 func TestTrialTimeout(t *testing.T) {
 	spec := lineSpec()
 	r := Runner{Parallel: 2, Timeout: 5 * time.Millisecond,
-		execute: func(s *Spec, tr Trial, _ *trialState) (Outcome, error) {
+		execute: func(s *Spec, tr Trial) (Outcome, error) {
 			if tr.Index == 2 {
 				time.Sleep(200 * time.Millisecond)
 			}
@@ -164,39 +167,55 @@ func TestTrialTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st trialState
-	if _, err := spec.executeTrial(trials[0], &st); err != nil || st.ag == nil {
-		t.Fatalf("a uniform-AG trial left no state for its worker (err %v)", err)
+	if _, err := spec.executeTrial(trials[0]); err != nil {
+		t.Fatal(err)
 	}
-	handed := st.ag
-	release, finished := make(chan struct{}), make(chan *trialState)
-	r.execute = func(s *Spec, tr Trial, own *trialState) (Outcome, error) {
-		<-release
-		o, err := s.executeTrial(tr, own)
-		finished <- own
+	newestIdle := func() *rlnc.GenNode {
+		if idle := IdleDecoders(); len(idle) > 0 {
+			return idle[len(idle)-1]
+		}
+		return nil
+	}
+	handed := newestIdle() // node 0's decoder: Renew moves it into each new protocol
+	if handed == nil {
+		t.Fatal("a uniform-AG trial left no protocol on the idle list")
+	}
+	release, finished := make(chan struct{}), make(chan struct{})
+	r.execute = func(s *Spec, tr Trial) (Outcome, error) {
+		gs := s.gossipSpec(tr)
+		gs.Observer = heldObserver(release)
+		o, err := execute(gs, s.Protocol, tr.Seed, true)
+		close(finished)
 		return o, err
 	}
-	if _, err := r.runOne(r.execute, &spec, trials[1], &st); err == nil {
+	if _, err := r.runOne(r.execute, &spec, trials[1]); err == nil {
 		t.Fatal("the held trial did not time out")
 	}
-	if st.ag != nil {
-		t.Fatal("the worker kept the state it handed to a trial that timed out")
-	}
-	close(release)
-	if own := <-finished; own == &st || own.ag == nil || own.ag == handed {
-		t.Fatal("the abandoned trial did not run on the state it took along")
-	}
-	if st.ag != nil {
-		t.Fatal("the abandoned trial left its state to the worker")
+	if slices.Contains(IdleDecoders(), handed) {
+		t.Fatal("the protocol a held trial runs on is on the idle list")
 	}
 	want, err := spec.ExecuteTrial(trials[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := spec.executeTrial(trials[0], &st); err != nil || !reflect.DeepEqual(got, want) {
+	if got, err := spec.executeTrial(trials[0]); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("the worker's next trial after a timeout: %+v (err %v), want %+v", got, err, want)
 	}
+	if newestIdle() == handed {
+		t.Fatal("the worker's next trial ran on the protocol of the trial that timed out")
+	}
+	close(release)
+	<-finished
+	if newestIdle() != handed {
+		t.Fatal("the abandoned trial did not give its protocol back when it finished")
+	}
 }
+
+// heldObserver blocks the run it observes at its first node completion
+// until release is closed.
+type heldObserver chan struct{}
+
+func (h heldObserver) NodeDone(core.NodeID, int) { <-h }
 
 // TestProgressReporting: the progress callback sees every completion
 // exactly once with a monotonically increasing done count.

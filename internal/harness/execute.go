@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -317,73 +316,68 @@ func (s GossipSpec) validate(proto Protocol) error {
 // 13–15 the adversarial and heterogeneous-class draws) is pinned by the
 // conformance suite — do not renumber.
 //
-// A trial runs on a state from the process's idle list (takeState) and
-// returns its own there, so a call after one of the same shape resets
-// that trial's decoders and shard core instead of building them: it
-// allocates a small constant, whatever n, k and r, and its cost is the
+// A uniform-AG or TAG trial takes a finished protocol of its shape off
+// the process's idle list (TakeIdle) and gives its own back when it is
+// done, so a call after one of the same shape, whatever ran in between,
+// resets that trial's decoders and shard core instead of building them:
+// it allocates a small constant, whatever n, k and r, and its cost is the
 // run, not the protocol's construction. The outcome is the same either
 // way. Execute is safe for concurrent use.
 func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
-	st := takeState()
-	out, err := execute(spec, proto, seed, &st)
-	putState(st)
-	return out, err
+	return execute(spec, proto, seed, true)
 }
 
-// trialState is what a trial leaves for the next one: the uniform-AG
-// protocol whose decoders a trial of the same shape resets instead of
-// rebuilding (algebraic.Renew), and whose shard core a sharded trial of
-// the same n renews. The zero value holds nothing.
-type trialState struct{ ag *algebraic.Protocol }
+// idleStates bounds the idle list: enough for every cell of a paper
+// table's sweep on a pool of a few workers. A pool of more workers than
+// this on one shape builds afresh past it.
+const idleStates = 16
 
-// idle is the process's one list of trial states no trial is running on:
-// Execute takes one for its trial and each Runner worker one for its
-// life, and both give theirs back. It is a stack, so a state comes back
-// to the next caller while its shape is the likeliest to recur, and it
-// keeps the GOMAXPROCS most recent states — as many as the default pool
-// runs at once — dropping the oldest. What it holds stays until the
-// process exits. Not a sync.Pool, whose contents every collection empties: then
-// whether a trial reused state, and what it allocated, would follow the
-// collector's timing.
-var idle struct {
+// idle is the process's one list of finished algebraic protocols (a
+// uniform-AG trial's, TAG's Phase 2, a Disseminate call's) that no trial
+// runs on, least recently returned first. Not a sync.Pool, whose contents
+// every collection empties: then whether a trial reused state, and what
+// it allocated, would follow the collector's timing.
+var idle = struct {
 	sync.Mutex
-	states []trialState
-}
+	ps []*algebraic.Protocol // never longer than idleStates, so appends never grow it
+}{ps: make([]*algebraic.Protocol, 0, idleStates)}
 
-// takeState pops the most recently returned state (none: an empty one).
-func takeState() trialState {
+// TakeIdle removes from the idle list the most recently returned protocol
+// that fits n nodes and cfg (algebraic.Protocol.Fits), for
+// algebraic.Renew to take over. With none, a sharded trial takes the most
+// recent shard core of n nodes (algebraic.Protocol.SplitShardCore) and
+// its protocol stays listed; else it returns nil, a fresh build.
+func TakeIdle(n int, cfg algebraic.Config, sharded bool) *algebraic.Protocol {
 	idle.Lock()
 	defer idle.Unlock()
-	n := len(idle.states)
-	if n == 0 {
-		return trialState{}
+	for i := len(idle.ps) - 1; i >= 0; i-- {
+		if p := idle.ps[i]; p.Fits(n, cfg) {
+			idle.ps = slices.Delete(idle.ps, i, i+1)
+			return p
+		}
 	}
-	st := idle.states[n-1]
-	idle.states[n-1] = trialState{}
-	idle.states = idle.states[:n-1]
-	return st
+	for i := len(idle.ps) - 1; sharded && i >= 0; i-- {
+		if sc := idle.ps[i].SplitShardCore(n); sc != nil {
+			return sc
+		}
+	}
+	return nil
 }
 
-// putState pushes st onto the idle list, dropping the oldest state past
-// GOMAXPROCS; an empty state is not kept.
-func putState(st trialState) {
-	if st.ag == nil {
-		return
-	}
+// GiveIdle puts p, whose run is over, on the idle list, evicting the
+// least recently returned protocol past idleStates.
+func GiveIdle(p *algebraic.Protocol) {
 	idle.Lock()
 	defer idle.Unlock()
-	if over := len(idle.states) - runtime.GOMAXPROCS(0) + 1; over > 0 {
-		n := copy(idle.states, idle.states[over:])
-		clear(idle.states[n:])
-		idle.states = idle.states[:n]
+	if len(idle.ps) == idleStates {
+		idle.ps = slices.Delete(idle.ps, 0, 1)
 	}
-	idle.states = append(idle.states, st)
+	idle.ps = append(idle.ps, p)
 }
 
-// execute is Execute on a given state (nil: none). A uniform-AG trial
-// takes the state's protocol over and leaves its own there; the outcome
-// is the same on any state, whatever ran on it before.
-func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outcome, error) {
+// execute is Execute, on a protocol from the idle list when reuse is set
+// and built afresh when not; the outcome is the same either way.
+func execute(spec GossipSpec, proto Protocol, seed uint64, reuse bool) (Outcome, error) {
 	if err := spec.validate(proto); err != nil {
 		return Outcome{}, err
 	}
@@ -404,6 +398,7 @@ func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outc
 	var ledger *gossip.Progress
 	var tagRun *tag.Protocol
 	var engineStream uint64
+	var kept *algebraic.Protocol // given back to the idle list after the run
 	switch {
 	case proto == 0 || proto == ProtocolUniformAG:
 		cfg := algebraic.Config{RLNC: codec, GenSize: spec.GenSize,
@@ -429,16 +424,16 @@ func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outc
 			}
 		}
 		var prev *algebraic.Protocol
-		if st != nil {
-			prev, st.ag = st.ag, nil
+		if reuse {
+			prev = TakeIdle(g.N(), cfg, spec.Shards > 0)
 		}
 		p, err := algebraic.Renew(prev, g, spec.Model, spec.Selector.build(g), cfg,
 			core.NewRand(core.SplitSeed(seed, 1)))
 		if err != nil {
 			return out, err
 		}
-		if st != nil {
-			st.ag = p
+		if reuse {
+			kept = p
 		}
 		p.SetObserver(spec.Observer)
 		// Payload contents draw from their own stream (11) so rank-only
@@ -475,12 +470,19 @@ func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outc
 			stp = ispread.New(g, spec.Model, ispread.Config{Root: 0},
 				core.NewRand(core.SplitSeed(seed, 3)))
 		}
-		p, err := tag.New(g, spec.Model, stp, codec,
+		var prev *algebraic.Protocol
+		if reuse {
+			prev = TakeIdle(g.N(), algebraic.Config{RLNC: codec}, false)
+		}
+		p, err := tag.Renew(prev, g, spec.Model, stp, codec,
 			core.NewRand(core.SplitSeed(seed, 4)))
 		if err != nil {
 			return out, err
 		}
 		ag := p.Algebraic()
+		if reuse {
+			kept = ag
+		}
 		ag.SetObserver(spec.Observer)
 		if err := ag.SeedAll(spec.Assign(), nil); err != nil {
 			return out, err
@@ -511,22 +513,26 @@ func execute(spec GossipSpec, proto Protocol, seed uint64, st *trialState) (Outc
 	}
 	res, err := eng.Run()
 	out.Result = res
-	if err != nil {
-		return out, err
-	}
-	if !spec.Lean {
-		out.NodeDoneRounds = ledger.DoneRounds()
-	}
-	out.Traffic = ledger.Traffic()
-	if tagRun != nil {
-		out.Traffic = tagRun.Traffic()
-		out.TreeRounds = tagRun.TreeRound()
-		if tree, ok := tagRun.TreeProtocol().Tree(); ok {
-			out.TreeDepth = tree.Depth()
-			out.TreeDiameter = tree.Diameter()
+	if err == nil {
+		if !spec.Lean {
+			out.NodeDoneRounds = ledger.DoneRounds()
+		}
+		out.Traffic = ledger.Traffic()
+		if tagRun != nil {
+			out.Traffic = tagRun.Traffic()
+			out.TreeRounds = tagRun.TreeRound()
+			if tree, ok := tagRun.TreeProtocol().Tree(); ok {
+				out.TreeDepth = tree.Depth()
+				out.TreeDiameter = tree.Diameter()
+			}
 		}
 	}
-	return out, nil
+	// Not deferred: a trial that panics leaves its protocol to no one.
+	// One that returns an error before its run drops it too.
+	if kept != nil {
+		GiveIdle(kept)
+	}
+	return out, err
 }
 
 // Broadcast runs one broadcast trial and returns the stopping time and the

@@ -16,7 +16,7 @@ type Runner struct {
 	// Timeout aborts any single trial that runs longer (0: none). A
 	// timed-out trial fails the run; its goroutine is abandoned and
 	// terminates on its own when the simulation's round budget runs out,
-	// and its worker builds its next trial afresh.
+	// keeping the protocol it took off the idle list until then.
 	Timeout time.Duration
 	// Checkpoint, when non-empty, appends every completed trial to this
 	// file so a killed sweep can be resumed.
@@ -29,7 +29,7 @@ type Runner struct {
 
 	// execute overrides trial execution (tests only; nil = the spec's
 	// executeTrial).
-	execute func(s *Spec, t Trial, st *trialState) (Outcome, error)
+	execute func(s *Spec, t Trial) (Outcome, error)
 }
 
 // ResultSet is a Spec's work-list with every Outcome filled in, in
@@ -95,20 +95,19 @@ func (r Runner) Run(spec *Spec) (*ResultSet, error) {
 }
 
 // RunTrials executes trials[i] for every i in idxs over the pool and
-// hands every outcome to done from the worker that ran it. Each worker
-// takes a state from the process's idle list (see Execute) when it
-// starts, runs every trial on the state the one before left, and gives
-// it back when it exits, so a fabric worker's next lease, or the next
-// sweep cell of the same shape, resets what this one built. It runs
-// Run's trials and a fabric worker's leases. The first error, the lowest
-// index's, ends the run.
+// hands every outcome to done from the worker that ran it. Each trial
+// takes a protocol of its shape off the process's idle list and gives its
+// own back (see Execute), so the next trial of that shape — the worker's
+// next, a fabric worker's next lease, or a later sweep cell's — resets
+// what this one built. It runs Run's trials and a fabric worker's leases.
+// The first error, the lowest index's, ends the run.
 func (r Runner) RunTrials(spec *Spec, trials []Trial, idxs []int, done func(i int, o Outcome) error) error {
 	exec := r.execute
 	if exec == nil {
 		exec = (*Spec).executeTrial
 	}
-	return forEachIndex(idxs, r.Parallel, takeState, putState, func(st *trialState, i int) error {
-		o, err := r.runOne(exec, spec, trials[i], st)
+	return forEachIndex(idxs, r.Parallel, func(i int) error {
+		o, err := r.runOne(exec, spec, trials[i])
 		if err != nil {
 			return err
 		}
@@ -116,32 +115,26 @@ func (r Runner) RunTrials(spec *Spec, trials []Trial, idxs []int, done func(i in
 	})
 }
 
-// runOne executes one trial on the worker state st, enforcing the
-// per-trial timeout. A trial under a timeout runs on a goroutine of its
-// own, which a timeout abandons still running: it takes the worker's
-// state along and hands it back only if it finishes in time, so a worker
-// never shares state with an abandoned trial — it builds afresh instead.
-func (r Runner) runOne(exec func(*Spec, Trial, *trialState) (Outcome, error), spec *Spec, t Trial, st *trialState) (Outcome, error) {
+// runOne executes one trial, enforcing the per-trial timeout. A trial
+// under a timeout runs on a goroutine of its own, which a timeout
+// abandons still running, on the protocol it took off the idle list.
+func (r Runner) runOne(exec func(*Spec, Trial) (Outcome, error), spec *Spec, t Trial) (Outcome, error) {
 	if r.Timeout <= 0 {
-		return exec(spec, t, st)
+		return exec(spec, t)
 	}
 	type reply struct {
 		o   Outcome
 		err error
-		st  trialState
 	}
-	own := *st
-	*st = trialState{}
 	ch := make(chan reply, 1)
 	go func() {
-		o, err := exec(spec, t, &own)
-		ch <- reply{o, err, own}
+		o, err := exec(spec, t)
+		ch <- reply{o, err}
 	}()
 	timer := time.NewTimer(r.Timeout)
 	defer timer.Stop()
 	select {
 	case rep := <-ch:
-		*st = rep.st
 		return rep.o, rep.err
 	case <-timer.C:
 		return Outcome{}, fmt.Errorf("harness: trial %d (graph=%s k=%d trial=%d) timed out after %v",
@@ -152,11 +145,8 @@ func (r Runner) runOne(exec func(*Spec, Trial, *trialState) (Outcome, error), sp
 // forEachIndex fans fn out over the given indices with a bounded worker
 // pool, failing fast: after the first error no new work is dispatched,
 // and the error for the lowest index wins (deterministic error
-// reporting). fn may be called concurrently, each worker passing the
-// same S of its own to every call it makes: the one lend returns when the
-// worker starts, which reclaim gets back when it exits (nil lend: a zero
-// S; nil reclaim: dropped).
-func forEachIndex[S any](idxs []int, parallel int, lend func() S, reclaim func(S), fn func(st *S, i int) error) error {
+// reporting). fn may be called concurrently.
+func forEachIndex(idxs []int, parallel int, fn func(i int) error) error {
 	workers := parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -164,27 +154,13 @@ func forEachIndex[S any](idxs []int, parallel int, lend func() S, reclaim func(S
 	if workers > len(idxs) {
 		workers = len(idxs)
 	}
-	borrow := func() (st S) {
-		if lend != nil {
-			st = lend()
-		}
-		return st
-	}
-	giveBack := func(st S) {
-		if reclaim != nil {
-			reclaim(st)
-		}
-	}
 	if workers <= 1 {
-		st := borrow()
-		var err error
 		for _, i := range idxs {
-			if err = fn(&st, i); err != nil {
-				break
+			if err := fn(i); err != nil {
+				return err
 			}
 		}
-		giveBack(st)
-		return err
+		return nil
 	}
 	errs := make([]error, len(idxs))
 	var failed atomic.Bool
@@ -194,14 +170,12 @@ func forEachIndex[S any](idxs []int, parallel int, lend func() S, reclaim func(S
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := borrow()
 			for ji := range next {
-				if err := fn(&st, idxs[ji]); err != nil {
+				if err := fn(idxs[ji]); err != nil {
 					errs[ji] = err
 					failed.Store(true)
 				}
 			}
-			giveBack(st)
 		}()
 	}
 	for ji := range idxs {
@@ -230,7 +204,7 @@ func ParallelMap[T any](n, parallel int, fn func(i int) (T, error)) ([]T, error)
 	for i := range idxs {
 		idxs[i] = i
 	}
-	err := forEachIndex(idxs, parallel, nil, nil, func(_ *struct{}, i int) error {
+	err := forEachIndex(idxs, parallel, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

@@ -16,20 +16,25 @@ import (
 // steadyCells are the cells whose same-shape trial allocates a constant:
 // each layout at three shapes, held on its own (building GF(q) allocates
 // a q-dependent number of tables, and a sharded trial builds the sharded
-// engine). The sharded cells are generation-coded, as at scale. Two
-// shards split the wake phase and the commit from n = 128, two bitmap
-// words, on: there the engine, built per trial, allocates its fork's
-// goroutine body once, so that cell starts at n = 128.
+// engine), and TAG, whose Phase 2 protocol is renewed the same way. The
+// sharded cells are generation-coded, as at scale. Two shards split the
+// wake phase and the commit from n = 128, two bitmap words, on: there the
+// engine, built per trial, allocates its fork's goroutine body once, so
+// that cell starts at n = 128. TAG's cell starts at n = 32: below 16
+// bytes, the round-robin selector's n flags share a block with another
+// small allocation, and one allocation fewer is counted.
 var steadyCells = []struct {
 	name          string
+	proto         Protocol
 	q, gen, shard int
 	shapes        []struct{ n, k int }
 }{
-	{"gf2", 2, 0, 0, []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}}},
-	{"gf16", 16, 0, 0, []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}}},
-	{"gf256", 256, 0, 0, []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}}},
-	{"gf2/gen4/shards1", 2, 4, 1, []struct{ n, k int }{{8, 4}, {64, 16}, {256, 100}}},
-	{"gf2/gen4/shards2", 2, 4, 2, []struct{ n, k int }{{128, 4}, {256, 16}, {1024, 100}}},
+	{"gf2", ProtocolUniformAG, 2, 0, 0, []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}}},
+	{"gf16", ProtocolUniformAG, 16, 0, 0, []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}}},
+	{"gf256", ProtocolUniformAG, 256, 0, 0, []struct{ n, k int }{{8, 4}, {32, 16}, {64, 100}}},
+	{"gf2/gen4/shards1", ProtocolUniformAG, 2, 4, 1, []struct{ n, k int }{{8, 4}, {64, 16}, {256, 100}}},
+	{"gf2/gen4/shards2", ProtocolUniformAG, 2, 4, 2, []struct{ n, k int }{{128, 4}, {256, 16}, {1024, 100}}},
+	{"tag-brr/gf2", ProtocolTAGRR, 2, 0, 0, []struct{ n, k int }{{32, 16}, {64, 100}, {256, 64}}},
 }
 
 // steadySpec is one shape of a steady cell.
@@ -38,53 +43,95 @@ func steadySpec(q, gen, shards, n, k int) GossipSpec {
 	return GossipSpec{Graph: g, K: k, Q: q, GenSize: gen, Shards: shards, Lean: true}
 }
 
-// TestAllocsSteadyStateTrial pins a worker's second trial of a shape at
-// a constant number of allocations, whatever n and k: the protocol, its
-// decoders and buffers, and on the sharded path its shard core — streams,
-// slots, slot packets, commit workers — are the first trial's, reset.
-// What a trial builds anew — the field, the selector, the RNG streams it
-// draws from, the engine, the placement — is the same handful at every
-// size. One P, so a fork (sim.Crew: a payload commit pass, a sharded
-// round) schedules the same way every time — on several, whether its wait
-// allocates a sudog depends on which P ran what — and the collector off,
-// since a collection empties the runtime's and fmt's pools; the race
-// detector's build drops pool items at random, so it skips.
+// mallocs counts the heap allocations of one call of f.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestAllocsSteadyStateTrial pins a trial that follows one of its shape
+// at a constant number of allocations, whatever n and k: the protocol,
+// its decoders and buffers, and on the sharded path its shard core —
+// streams, slots, slot packets, commit workers — are the earlier trial's,
+// taken off the idle list and reset. What a trial builds anew — the
+// field, the selector, the RNG streams it draws from, the engine, the
+// placement, TAG's spanning-tree protocol — is the same handful at every
+// size. Then shapes take turns, A B C D E A B C D E …: each revisit takes
+// its own shape's protocol back off the list past the others and
+// allocates that same-shape constant. One P, so a fork (sim.Crew: a
+// payload commit pass, a sharded round) schedules the same way every
+// time — on several, whether its wait allocates a sudog depends on which
+// P ran what — and the collector off, since a collection empties the
+// runtime's and fmt's pools; the race detector's build drops pool items
+// at random, so it skips.
 func TestAllocsSteadyStateTrial(t *testing.T) {
 	if core.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	steady := func(spec GossipSpec, proto Protocol) (trial func(), allocs float64) {
+		trial = func() {
+			if _, err := Execute(spec, proto, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return trial, testing.AllocsPerRun(3, trial)
+	}
 	for _, c := range steadyCells {
 		var base float64
 		for i, shape := range c.shapes {
-			spec := steadySpec(c.q, c.gen, c.shard, shape.n, shape.k)
-			var st trialState
-			trial := func() {
-				if _, err := execute(spec, ProtocolUniformAG, 3, &st); err != nil {
-					t.Fatal(err)
-				}
-			}
-			trial()
-			allocs := testing.AllocsPerRun(3, trial)
+			_, allocs := steady(steadySpec(c.q, c.gen, c.shard, shape.n, shape.k), c.proto)
 			if i == 0 {
 				base = allocs
 			}
 			if allocs != base {
-				t.Errorf("%s n=%d k=%d: a worker's same-shape trial allocated %.0f times, at the first shape %.0f",
+				t.Errorf("%s n=%d k=%d: a same-shape trial allocated %.0f times, at the first shape %.0f",
 					c.name, shape.n, shape.k, allocs, base)
 			}
 		}
 		if base > 64 {
-			t.Errorf("%s: a worker's same-shape trial allocated %.0f times: its protocol is not being reused", c.name, base)
+			t.Errorf("%s: a same-shape trial allocated %.0f times: its protocol is not being reused", c.name, base)
+		}
+	}
+
+	async := steadySpec(2, 0, 0, 32, 16)
+	async.Model = core.Asynchronous
+	turns := []struct {
+		name  string
+		spec  GossipSpec
+		proto Protocol
+	}{
+		{"gf2", steadySpec(2, 0, 0, 32, 16), ProtocolUniformAG},
+		{"gf256", steadySpec(256, 0, 0, 32, 16), ProtocolUniformAG},
+		{"async/gf2", async, ProtocolUniformAG},
+		{"gf2/gen4/shards2", steadySpec(2, 4, 2, 128, 16), ProtocolUniformAG},
+		{"tag-brr/gf2", steadySpec(2, 0, 0, 64, 32), ProtocolTAGRR},
+	}
+	trials := make([]func(), len(turns))
+	want := make([]uint64, len(turns))
+	for i, tn := range turns {
+		var allocs float64
+		trials[i], allocs = steady(tn.spec, tn.proto)
+		want[i] = uint64(allocs)
+	}
+	for round := range 3 {
+		for i, tn := range turns {
+			if got := mallocs(trials[i]); got != want[i] {
+				t.Errorf("round %d, %s: a trial after the other shapes allocated %d times, after its own shape %d",
+					round, tn.name, got, want[i])
+			}
 		}
 	}
 }
 
-// TestExecuteReusesState: Execute keeps what a trial leaves on the
-// process's idle list, so a call after one of the same shape allocates
-// what a worker's second trial does (TestAllocsSteadyStateTrial), at
-// every shape of every steady cell.
+// TestExecuteReusesState: every entry point shares the one idle list. A
+// Runner's trials give their protocols back to it, so an Execute after a
+// Runner cell of its shape allocates the same-shape constant
+// (TestAllocsSteadyStateTrial), at every shape of every steady cell.
 func TestExecuteReusesState(t *testing.T) {
 	if core.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -94,22 +141,20 @@ func TestExecuteReusesState(t *testing.T) {
 	for _, c := range steadyCells {
 		for _, shape := range c.shapes {
 			spec := steadySpec(c.q, c.gen, c.shard, shape.n, shape.k)
-			var st trialState
-			count := func(run func() (Outcome, error)) float64 {
-				if _, err := run(); err != nil {
+			call := func() {
+				if _, err := Execute(spec, c.proto, 3); err != nil {
 					t.Fatal(err)
 				}
-				return testing.AllocsPerRun(3, func() {
-					if _, err := run(); err != nil {
-						t.Fatal(err)
-					}
-				})
 			}
-			worker := count(func() (Outcome, error) { return execute(spec, ProtocolUniformAG, 3, &st) })
-			call := count(func() (Outcome, error) { return Execute(spec, ProtocolUniformAG, 3) })
-			if call != worker {
-				t.Errorf("%s n=%d k=%d: a same-shape Execute allocated %.0f times, a worker's trial %.0f",
-					c.name, shape.n, shape.k, call, worker)
+			steady := testing.AllocsPerRun(3, call)
+			grid := &Spec{Name: c.name, Graphs: []*graph.Graph{spec.Graph}, Ks: []int{shape.k},
+				Protocol: c.proto, Q: c.q, GenSize: c.gen, Shards: c.shard, Lean: true, Trials: 1, Seed: 9}
+			if _, err := (Runner{Parallel: 1}).Run(grid); err != nil {
+				t.Fatal(err)
+			}
+			if got := mallocs(call); float64(got) != steady {
+				t.Errorf("%s n=%d k=%d: an Execute after a Runner cell of its shape allocated %d times, after an Execute %.0f",
+					c.name, shape.n, shape.k, got, steady)
 			}
 		}
 	}
@@ -117,9 +162,10 @@ func TestExecuteReusesState(t *testing.T) {
 
 // TestConcurrentExecuteMatchesFresh: goroutines calling Execute at once
 // on mixed shapes — whole-k and generation-coded, GF(2) and GF(256),
-// classic and sharded, payload, loss, and TAG, which keeps no state —
-// take each other's states off the idle list in no fixed order, and each
-// outcome must be the one a trial on no state returns.
+// classic and sharded, payload, loss, and TAG, whose Phase 2 protocol
+// takes and returns one too — take each other's protocols off the idle
+// list in no fixed order, and each outcome must be the one a fresh build
+// returns.
 func TestConcurrentExecuteMatchesFresh(t *testing.T) {
 	g16 := graph.RandomRegular(16, 4, core.NewRand(16))
 	g24 := graph.RandomRegular(24, 4, core.NewRand(24))
@@ -140,7 +186,7 @@ func TestConcurrentExecuteMatchesFresh(t *testing.T) {
 	want := make([][rounds]Outcome, len(jobs))
 	for j, jb := range jobs {
 		for r := range rounds {
-			o, err := execute(jb.spec, jb.proto, uint64(r), nil)
+			o, err := execute(jb.spec, jb.proto, uint64(r), false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,16 +216,16 @@ func TestConcurrentExecuteMatchesFresh(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShuffledTrialsMatchFresh extends the determinism contract across a
-// worker's history: the trials of several specs — rank-only GF(2) and
-// GF(256), generations, the asynchronous model, loss, churn, an
-// adversary with stragglers, shards, another protocol in between — run
-// in a random order on one worker state, each taking over whatever the
-// trial before it left, and each must return exactly the Outcome of a
-// trial run on nothing. The two sharded specs share n, so one shard core
-// passes between shard counts and coding layouts; under -race its kept
-// memory is poisoned (0xA5) each time, so a slot, packet or bitmap word
-// read before it is written changes an outcome here.
+// TestShuffledTrialsMatchFresh extends the determinism contract across
+// the process's history: the trials of several specs — rank-only GF(2)
+// and GF(256), generations, the asynchronous model, loss, churn, an
+// adversary with stragglers, shards, TAG in between — run in a random order, each taking over whatever protocol of
+// its shape an earlier trial left on the idle list, and each must return
+// exactly the Outcome of a fresh build. The two sharded specs share n
+// but not their shape, so one shard core passes between shard counts and
+// coding layouts (algebraic.Protocol.SplitShardCore); under -race its
+// kept memory is poisoned (0xA5) each time, so a slot, packet or bitmap
+// word read before it is written changes an outcome here.
 func TestShuffledTrialsMatchFresh(t *testing.T) {
 	churn, err := ParseDynamics("churn:rate=0.1")
 	if err != nil {
@@ -222,18 +268,17 @@ func TestShuffledTrialsMatchFresh(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 2} {
 		rand.New(rand.NewPCG(seed, 0)).Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
-		var st trialState
 		for _, j := range jobs {
 			want, err := j.spec.ExecuteTrial(j.trial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := j.spec.executeTrial(j.trial, &st)
+			got, err := j.spec.executeTrial(j.trial)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("order %d, %s trial %d on a worker's state:\n%+v\non none:\n%+v", seed, j.spec.Name, j.trial.Index, got, want)
+				t.Fatalf("order %d, %s trial %d off the idle list:\n%+v\nfresh:\n%+v", seed, j.spec.Name, j.trial.Index, got, want)
 			}
 		}
 	}

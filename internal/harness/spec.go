@@ -225,17 +225,19 @@ func (s *Spec) Expand() ([]Cell, []Trial, error) {
 	return cells, trials, nil
 }
 
-// ExecuteTrial runs one expanded trial of the spec as Execute does, but on
-// no state, so it builds its protocol afresh: the serial baseline the
-// benchmark's traced pass, whose traced trial builds afresh too, times
-// trial by trial. Execute and Runner.RunTrials give the same outcome.
+// ExecuteTrial runs one expanded trial of the spec as Execute does, but
+// off the idle list, so it builds its protocol afresh: the serial
+// baseline the benchmark's traced pass, whose traced trial builds afresh
+// too, times trial by trial. Execute and Runner.RunTrials give the same
+// outcome.
 func (s *Spec) ExecuteTrial(t Trial) (Outcome, error) {
-	return s.executeTrial(t, nil)
+	return execute(s.gossipSpec(t), s.Protocol, t.Seed, false)
 }
 
-// executeTrial is ExecuteTrial on a worker's state (see execute).
-func (s *Spec) executeTrial(t Trial, st *trialState) (Outcome, error) {
-	return execute(s.gossipSpec(t), s.Protocol, t.Seed, st)
+// executeTrial is ExecuteTrial on a protocol from the idle list, a Runner
+// trial.
+func (s *Spec) executeTrial(t Trial) (Outcome, error) {
+	return execute(s.gossipSpec(t), s.Protocol, t.Seed, true)
 }
 
 // gossipSpec binds a trial to its per-simulation protocol configuration.
