@@ -91,7 +91,11 @@ var (
 	Hypercube = graph.Hypercube
 	// ErdosRenyi returns a connected G(n,p) sample.
 	ErdosRenyi = graph.ErdosRenyi
-	// RandomRegular returns a near-d-regular connected graph.
+	// RandomRegular returns a uniformly random simple connected
+	// d-regular graph by the pairing model; if n·d is odd one node has
+	// degree d-1. It panics if no such graph exists (d < 2 with
+	// n > d+1) or none is drawn within its attempt bound;
+	// graph.FromName returns either case as an error.
 	RandomRegular = graph.RandomRegular
 )
 

@@ -25,7 +25,7 @@ func (g *Graph) BFS(root core.NodeID) (dist []int, parent []core.NodeID) {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				parent[v] = u

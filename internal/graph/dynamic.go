@@ -63,14 +63,16 @@ func (s *StaticSchedule) Name() string { return s.g.Name() }
 func (s *StaticSchedule) At(int) *Graph { return s.g }
 
 // filterEdges returns base restricted to the edges keep accepts — the
-// shared rebuild step of every subtractive schedule. keep is invoked
-// once per edge in base.Edges() order, which is what pins the RNG draw
-// order of the sampling schedules.
+// shared step of every subtractive schedule. keep is invoked once per
+// edge in base.Edges() order, which is what pins the RNG draw order of
+// the sampling schedules.
 func filterEdges(base *Graph, keep func(e [2]core.NodeID) bool) *Graph {
-	b := NewBuilder(base.Name(), base.N())
-	for _, e := range base.Edges() {
-		if keep(e) {
-			b.AddEdge(e[0], e[1])
+	b := newSizedBuilder(base.name, base.N(), base.M())
+	for u := range core.NodeID(base.N()) {
+		for _, v := range base.Neighbors(u) {
+			if e := [2]core.NodeID{u, v}; u < v && keep(e) {
+				b.edges = append(b.edges, e)
+			}
 		}
 	}
 	return b.Build()

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"algossip/internal/core"
 )
@@ -222,55 +223,80 @@ func stitchConnected(g *Graph, rng *rand.Rand) *Graph {
 	}
 }
 
-// RandomRegular returns a (near-)d-regular connected graph on n nodes via
-// the pairing model with retries; if pairing repeatedly fails, leftover
-// stubs are dropped, so a few vertices may have degree d-1. n*d should be
-// even for an exact construction.
+// maxPairings bounds RandomRegular's attempts. A uniform pairing of the
+// n·d stubs is simple with probability about e^{-(d²-1)/4} (1 in 43 at
+// d = 4), so the bound is never reached in practice.
+const maxPairings = 1 << 14
+
+// RandomRegular returns a uniformly random simple connected d-regular
+// graph on n nodes by the pairing model: the n·d stubs are shuffled and
+// paired off, and a pairing with a self-loop or a repeated edge, or whose
+// graph is disconnected, is drawn again. n·d should be even; if it is odd
+// the last stub stays unpaired and one node has degree d-1. It panics if
+// no pairing in maxPairings attempts is simple and connected (FromName
+// returns that as an error).
 func RandomRegular(n, d int, rng *rand.Rand) *Graph {
+	g, err := randomRegular(n, d, rng)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+func randomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 	if d >= n {
 		panic("graph: degree must be < n")
 	}
-	const maxAttempts = 200
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		g, ok := tryPairing(n, d, rng)
-		if ok && g.IsConnected() {
-			return g
+	name := fmt.Sprintf("randreg-%d-d%d", n, d)
+	if d < 2 && n > d+1 {
+		return nil, fmt.Errorf("graph: %s: no %d-regular graph on %d nodes is connected", name, d, n)
+	}
+	stubs := make([]core.NodeID, n*d)
+	partner := make([]core.NodeID, n*d) // row v: v's partners so far
+	deg := make([]int32, n)
+	for range maxPairings {
+		for v := range n {
+			for k := range d {
+				stubs[v*d+k] = core.NodeID(v)
+			}
+		}
+		// rng.Shuffle's Fisher–Yates without the swap callback: the same
+		// IntN(i+1) draw per step, so the same permutation.
+		for i := len(stubs) - 1; i > 0; i-- {
+			j := rng.IntN(i + 1)
+			stubs[i], stubs[j] = stubs[j], stubs[i]
+		}
+		if !pairStubs(stubs, partner, deg, d) {
+			continue
+		}
+		b := newSizedBuilder(name, n, len(stubs)/2)
+		for i := 0; i+1 < len(stubs); i += 2 {
+			b.edges = append(b.edges, [2]core.NodeID{stubs[i], stubs[i+1]})
+		}
+		if g := b.Build(); g.IsConnected() {
+			return g, nil
 		}
 	}
-	// Fallback: a ring plus random chords keeps it connected and near-regular.
-	b := NewBuilder(fmt.Sprintf("randreg-%d-d%d", n, d), n)
-	for i := 0; i < n; i++ {
-		b.AddEdge(core.NodeID(i), core.NodeID((i+1)%n))
-	}
-	for extra := 0; extra < (d-2)*n/2; extra++ {
-		b.AddEdge(core.NodeID(rng.IntN(n)), core.NodeID(rng.IntN(n)))
-	}
-	return b.Build()
+	return nil, fmt.Errorf("graph: %s: no simple connected pairing in %d attempts", name, maxPairings)
 }
 
-func tryPairing(n, d int, rng *rand.Rand) (*Graph, bool) {
-	stubs := make([]core.NodeID, 0, n*d)
-	for v := 0; v < n; v++ {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, core.NodeID(v))
-		}
-	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	b := NewBuilder(fmt.Sprintf("randreg-%d-d%d", n, d), n)
-	seen := make(map[[2]core.NodeID]bool)
+// pairStubs pairs consecutive shuffled stubs into partner (row v is
+// partner[v·d:v·d+deg[v]]) and reports whether the pairing is simple: no
+// self-loop and no edge twice.
+func pairStubs(stubs, partner []core.NodeID, deg []int32, d int) bool {
+	clear(deg)
 	for i := 0; i+1 < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
-		if u == v {
-			return nil, false
+		ru, rv := int(u)*d, int(v)*d
+		if u == v || slices.Contains(partner[ru:ru+int(deg[u])], v) {
+			return false
 		}
-		key := [2]core.NodeID{min(u, v), max(u, v)}
-		if seen[key] {
-			return nil, false
-		}
-		seen[key] = true
-		b.AddEdge(u, v)
+		partner[ru+int(deg[u])] = v
+		deg[u]++
+		partner[rv+int(deg[v])] = u
+		deg[v]++
 	}
-	return b.Build(), true
+	return true
 }
 
 // RandomGeometric returns a connected random geometric graph: n points
@@ -373,8 +399,6 @@ func paTargets(n, m int, rng *rand.Rand) [][]core.NodeID {
 // renaming generators share.
 func newBuilderFrom(name string, g *Graph) *Builder {
 	b := NewBuilder(name, g.N())
-	for _, e := range g.Edges() {
-		b.AddEdge(e[0], e[1])
-	}
+	b.edges = g.Edges()
 	return b
 }

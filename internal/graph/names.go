@@ -65,7 +65,7 @@ func FromName(name string, n int, rng *rand.Rand) (*Graph, error) {
 		if d >= n {
 			d = n - 1 // tiny graphs: the densest regular graph is K_n
 		}
-		return RandomRegular(n, d, rng), nil
+		return randomRegular(n, d, rng)
 	case "geometric":
 		// Radius a constant factor above the sqrt(ln n / n) connectivity
 		// threshold; the stitcher covers the tail.
