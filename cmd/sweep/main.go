@@ -11,14 +11,21 @@
 // output bytes as an uninterrupted run.
 //
 // With -listen the same sweep is served instead of run: the work-list is
-// leased over HTTP to `fabricd worker`s (internal/fabric), which may sit
-// on other machines, and the merged CSV is byte-identical to the local
-// pool's for any worker count and any worker failure history. The first
-// stderr line names the address workers dial (-listen 127.0.0.1:0 picks
-// a free port); SIGINT or SIGTERM stops serving, and -resume on the same
-// -checkpoint picks up every trial already accepted. -session, -lease-chunk
-// and -lease-ttl apply to a served sweep only, -parallel and -timeout to a
-// local one; the other mode refuses them.
+// leased over HTTP (internal/fabric) to workers, each a `sweep -join URL`
+// that may sit on another machine, and the merged CSV is byte-identical to
+// the local pool's for any worker count and any worker failure history.
+// The first stderr line names the address workers dial (-listen
+// 127.0.0.1:0 picks a free port); SIGINT or SIGTERM stops serving, and
+// -resume on the same -checkpoint picks up every trial already accepted.
+// A worker takes its spec from the coordinator and runs -parallel trials
+// at once until the sweep completes; a signal stops it, and the trials it
+// held are leased again. `curl URL/status` shows a served sweep's
+// progress, and `tables -query` reads the -store it fills.
+//
+// Each mode refuses, by name, every flag it would ignore: -session,
+// -lease-chunk and -lease-ttl apply to a served sweep only, -parallel and
+// -timeout to one that runs trials, and -join takes only -parallel and the
+// profile flags.
 //
 // With -detail each trial keeps its per-node completion rounds (in the
 // checkpoint too), and after the CSV the stderr report shows every cell
@@ -40,6 +47,7 @@
 //	      -adversary byzantine:frac=0.1,mode=pollute -classes straggler:frac=0.2,slow=4
 //	sweep -graph ring -sizes 64,128 -trials 20 -listen 127.0.0.1:9100 \
 //	      -checkpoint fab.ckpt -store results.jsonl -out fab.csv
+//	sweep -join http://127.0.0.1:9100 -parallel 8
 //	sweep -graph barbell -sizes 64 -kmode const:64 -protocol tag -trials 5 -detail -out /dev/null
 package main
 
@@ -70,10 +78,21 @@ func main() {
 	}
 }
 
-// run executes one command line; ctx bounds a served sweep only (the
-// local pool runs to the end or dies with the process).
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+// run executes one command line; ctx bounds a served sweep or a worker
+// only (the local pool runs to the end or dies with the process).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs, cmd := command(stdout, stderr)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return cmd(ctx)
+}
+
+// command registers sweep's flags on a new set and returns it with the
+// sweep they configure, to run once the set is parsed.
+func command(stdout, stderr io.Writer) (*flag.FlagSet, func(context.Context) error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	spec := harness.Spec{
 		Name: "sweep", Graph: "barbell", Sizes: []int{16, 32, 64}, KMode: "half",
 		Q: 2, Trials: 3, Seed: 1,
@@ -83,148 +102,167 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		detail     = fs.Bool("detail", false, "keep per-node completion rounds and report each cell in depth on stderr (computes the exact diameter)")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent trials (0 = all cores, 1 = sequential)")
 		timeout    = fs.Duration("timeout", 0, "per-trial timeout (0 = none)")
-		listen     = fs.String("listen", "", "serve the trials to fabricd workers on this address instead of running them (127.0.0.1:0 = a free port)")
+		listen     = fs.String("listen", "", "serve the trials to workers (sweep -join) on this address instead of running them (127.0.0.1:0 = a free port)")
+		join       = fs.String("join", "", "run trials for the sweep served at this URL (sweep -listen), e.g. http://host:9100, instead of a sweep of its own")
 		session    = fs.String("session", "", "with -listen: fabric session label, recorded in the checkpoint fingerprint")
 		leaseChunk = fs.Int("lease-chunk", 0, "with -listen: trials per lease (0 = default)")
 		leaseTTL   = fs.Duration("lease-ttl", 0, "with -listen: lease expiry without renewal (0 = default 30s)")
 		checkpoint = fs.String("checkpoint", "", "record finished trials to this file")
 		resume     = fs.Bool("resume", false, "resume from -checkpoint instead of restarting it")
-		storePath  = fs.String("store", "", "also ingest results into this result store (query with fabricd query)")
+		storePath  = fs.String("store", "", "also ingest results into this result store (read it with tables -query)")
 		progress   = fs.Bool("progress", false, "report per-trial progress on stderr")
 		out        = fs.String("out", "", "output path (default stdout)")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		traceFile  = fs.String("trace", "", "write a runtime/trace execution trace to this file")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := refuseMisapplied(fs, *listen != ""); err != nil {
-		return err
-	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel %d: want a positive worker count, or 0 for all cores", *parallel)
-	}
-	// The CSV only reads Rounds: without -detail, skip per-node detail so
-	// huge sweeps stay lean in memory and in the checkpoint file.
-	spec.Lean = !*detail
-	if *resume && *checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	stopProfiles, err := harness.Profiles{
-		CPUProfile: *cpuprofile, MemProfile: *memprofile, Trace: *traceFile,
-	}.Start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
+	return fs, func(ctx context.Context) (err error) {
+		if fs.NArg() > 0 {
+			return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 		}
-	}()
-
-	// One progress line for both modes. Only the local pool knows which
-	// trial just finished; a served sweep hears a count.
-	var report func(done, total int, trial string)
-	if *progress {
-		progressStart := time.Now()
-		report = func(done, total int, trial string) {
-			rate := float64(done) / time.Since(progressStart).Seconds()
-			fmt.Fprintf(stderr, "\rsweep: %d/%d trials (%s%.1f trials/sec)   ", done, total, trial, rate)
-			if done == total {
-				fmt.Fprintln(stderr)
-			}
+		if err := refuseMisapplied(fs); err != nil {
+			return err
 		}
-	}
-
-	// Open the output before spending any compute, so an unwritable path
-	// fails immediately instead of after the whole grid has run. It is
-	// truncated only once there are results to put in it: a refused
-	// sweep leaves an existing file as it was.
-	w := stdout
-	var outFile *os.File
-	if *out != "" {
-		f, err := os.OpenFile(*out, os.O_WRONLY|os.O_CREATE, 0o666)
+		if *parallel < 0 {
+			return fmt.Errorf("-parallel %d: want a positive worker count, or 0 for all cores", *parallel)
+		}
+		if *listen != "" || *join != "" {
+			// A signal stops serving or working through ctx; the local pool
+			// keeps the default, which ends the process.
+			var stop context.CancelFunc
+			ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+			defer stop()
+		}
+		// The CSV only reads Rounds: without -detail, skip per-node detail so
+		// huge sweeps stay lean in memory and in the checkpoint file.
+		spec.Lean = !*detail
+		if *resume && *checkpoint == "" {
+			return fmt.Errorf("-resume requires -checkpoint")
+		}
+		stopProfiles, err := harness.Profiles{
+			CPUProfile: *cpuprofile, MemProfile: *memprofile, Trace: *traceFile,
+		}.Start()
 		if err != nil {
 			return err
 		}
 		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
+			if perr := stopProfiles(); perr != nil && err == nil {
+				err = perr
 			}
 		}()
-		w, outFile = f, f
-	}
+		if *join != "" {
+			host, _ := os.Hostname()
+			name := fmt.Sprintf("%s:%d", host, os.Getpid())
+			n, err := fabric.RunWorker(ctx, fabric.WorkerOptions{Coordinator: *join, Name: name, Parallel: *parallel})
+			if err == nil {
+				fmt.Fprintf(stderr, "sweep: worker %s executed %d trials\n", name, n)
+			}
+			return err
+		}
 
-	var rs *harness.ResultSet
-	if *listen != "" {
-		spec.Fabric = *session
-		opts := fabric.CoordinatorOptions{
-			Spec: &spec, Listen: *listen,
-			Checkpoint: *checkpoint, Resume: *resume,
-			LeaseChunk: *leaseChunk, LeaseTTL: *leaseTTL,
-		}
-		if report != nil {
-			opts.Progress = func(done, total int) { report(done, total, "") }
-		}
-		rs, err = serve(ctx, opts, stderr)
-	} else {
-		runner := harness.Runner{
-			Parallel:   *parallel,
-			Timeout:    *timeout,
-			Checkpoint: *checkpoint,
-			Resume:     *resume,
-		}
-		if report != nil {
-			runner.Progress = func(done, total int, t harness.Trial, o harness.Outcome) {
-				report(done, total, fmt.Sprintf("n=%d trial=%d: %d rounds, ", t.Graph.N(), t.Num, o.Result.Rounds))
+		// One progress line for both modes. Only the local pool knows which
+		// trial just finished; a served sweep hears a count.
+		var report func(done, total int, trial string)
+		if *progress {
+			progressStart := time.Now()
+			report = func(done, total int, trial string) {
+				rate := float64(done) / time.Since(progressStart).Seconds()
+				fmt.Fprintf(stderr, "\rsweep: %d/%d trials (%s%.1f trials/sec)   ", done, total, trial, rate)
+				if done == total {
+					fmt.Fprintln(stderr)
+				}
 			}
 		}
-		rs, err = runner.Run(&spec)
-	}
-	if err != nil {
-		return err
-	}
-	if outFile != nil {
-		// Only a regular file has old bytes to drop: a device or a pipe
-		// (-out /dev/null) cannot be truncated.
-		fi, err := outFile.Stat()
-		if err == nil && fi.Mode().IsRegular() {
-			err = outFile.Truncate(0)
+
+		// Open the output before spending any compute, so an unwritable path
+		// fails immediately instead of after the whole grid has run. It is
+		// truncated only once there are results to put in it: a refused
+		// sweep leaves an existing file as it was.
+		w := stdout
+		var outFile *os.File
+		if *out != "" {
+			f, err := os.OpenFile(*out, os.O_WRONLY|os.O_CREATE, 0o666)
+			if err != nil {
+				return err
+			}
+			defer func() {
+				if cerr := f.Close(); cerr != nil && err == nil {
+					err = cerr
+				}
+			}()
+			w, outFile = f, f
+		}
+
+		var rs *harness.ResultSet
+		if *listen != "" {
+			spec.Fabric = *session
+			opts := fabric.CoordinatorOptions{
+				Spec: &spec, Listen: *listen,
+				Checkpoint: *checkpoint, Resume: *resume,
+				LeaseChunk: *leaseChunk, LeaseTTL: *leaseTTL,
+			}
+			if report != nil {
+				opts.Progress = func(done, total int) { report(done, total, "") }
+			}
+			rs, err = serve(ctx, opts, stderr)
+		} else {
+			runner := harness.Runner{
+				Parallel:   *parallel,
+				Timeout:    *timeout,
+				Checkpoint: *checkpoint,
+				Resume:     *resume,
+			}
+			if report != nil {
+				runner.Progress = func(done, total int, t harness.Trial, o harness.Outcome) {
+					report(done, total, fmt.Sprintf("n=%d trial=%d: %d rounds, ", t.Graph.N(), t.Num, o.Result.Rounds))
+				}
+			}
+			rs, err = runner.Run(&spec)
 		}
 		if err != nil {
 			return err
 		}
-	}
-	if err := harness.WriteCSV(w, rs); err != nil {
-		return err
-	}
-	if *storePath != "" {
-		store, serr := resultstore.Open(*storePath)
-		if serr != nil {
-			return serr
+		if outFile != nil {
+			// Only a regular file has old bytes to drop: a device or a pipe
+			// (-out /dev/null) cannot be truncated.
+			fi, err := outFile.Stat()
+			if err == nil && fi.Mode().IsRegular() {
+				err = outFile.Truncate(0)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		if serr := store.Append(resultstore.FromResultSet(rs)...); serr != nil {
-			_ = store.Close()
-			return serr
+		if err := harness.WriteCSV(w, rs); err != nil {
+			return err
 		}
-		if serr := store.Close(); serr != nil {
-			return serr
+		if *storePath != "" {
+			store, serr := resultstore.Open(*storePath)
+			if serr != nil {
+				return serr
+			}
+			if serr := store.Append(resultstore.FromResultSet(rs)...); serr != nil {
+				_ = store.Close()
+				return serr
+			}
+			if serr := store.Close(); serr != nil {
+				return serr
+			}
 		}
+		if *detail {
+			printDetail(stderr, rs)
+		}
+		for ci, c := range rs.Cells {
+			fmt.Fprintf(stderr, "n=%-5d k=%-5d %s\n",
+				c.Graph.N(), c.K, stats.Summarize(rs.CellRounds(ci)))
+		}
+		// Timing footer goes to stderr, never into the CSV/JSON data: the
+		// output bytes stay a pure function of (Spec, seed).
+		resumed := len(rs.Trials) - rs.Executed
+		fmt.Fprintf(stderr, "sweep: %d trials (%d executed, %d resumed) in %v, %.1f trials/sec [gf tier %s]\n",
+			len(rs.Trials), rs.Executed, resumed, rs.Elapsed.Round(time.Millisecond), rs.TrialsPerSec(), gf.TierInfo())
+		return nil
 	}
-	if *detail {
-		printDetail(stderr, rs)
-	}
-	for ci, c := range rs.Cells {
-		fmt.Fprintf(stderr, "n=%-5d k=%-5d %s\n",
-			c.Graph.N(), c.K, stats.Summarize(rs.CellRounds(ci)))
-	}
-	// Timing footer goes to stderr, never into the CSV/JSON data: the
-	// output bytes stay a pure function of (Spec, seed).
-	resumed := len(rs.Trials) - rs.Executed
-	fmt.Fprintf(stderr, "sweep: %d trials (%d executed, %d resumed) in %v, %.1f trials/sec [gf tier %s]\n",
-		len(rs.Trials), rs.Executed, resumed, rs.Elapsed.Round(time.Millisecond), rs.TrialsPerSec(), gf.TierInfo())
-	return nil
 }
 
 // printDetail reports every cell of rs in depth: the graph line, each
@@ -279,39 +317,47 @@ func printDetail(w io.Writer, rs *harness.ResultSet) {
 	}
 }
 
-// refuseMisapplied names the first flag passed that the chosen mode would
-// ignore: the lease knobs without -listen, the local pool's with it.
-func refuseMisapplied(fs *flag.FlagSet, serving bool) error {
+// refuseMisapplied names every flag passed that the chosen mode would
+// ignore. A worker runs the coordinator's spec, so it takes only its pool
+// size and the profiles; a served sweep leaves the pool to its workers;
+// the lease knobs need -listen.
+func refuseMisapplied(fs *flag.FlagSet) error {
 	passed := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { passed[f.Name] = true })
-	if serving {
-		for _, name := range []string{"parallel", "timeout"} {
-			if passed[name] {
-				return fmt.Errorf("-%s does not apply with -listen: fabricd workers run the trials", name)
+	for _, name := range []string{"join", "listen"} {
+		if passed[name] && fs.Lookup(name).Value.String() == "" {
+			return fmt.Errorf("-%s: want an address", name)
+		}
+	}
+	switch {
+	case passed["join"]:
+		return harness.RefuseFlags(fs, func(name string) bool {
+			switch name {
+			case "join", "parallel", "cpuprofile", "memprofile", "trace":
+				return true
 			}
-		}
-		return nil
+			return false
+		}, "not with -join: a worker runs the spec it is served")
+	case passed["listen"]:
+		return harness.RefuseFlags(fs, func(name string) bool {
+			return name != "parallel" && name != "timeout"
+		}, "not with -listen: the workers (sweep -join) run the trials")
 	}
-	for _, name := range []string{"session", "lease-chunk", "lease-ttl"} {
-		if passed[name] {
-			return fmt.Errorf("-%s applies to a served sweep only: add -listen", name)
-		}
-	}
-	return nil
+	return harness.RefuseFlags(fs, func(name string) bool {
+		return name != "session" && name != "lease-chunk" && name != "lease-ttl"
+	}, "applies to a served sweep only: add -listen")
 }
 
-// serve hands the work-list to fabricd workers and returns their merged
-// results. The spec is refused before anything binds; the first stderr
-// line then names the address. A signal or ctx stops serving, with every
-// accepted trial already in the checkpoint for -resume.
+// serve hands the work-list to workers and returns their merged results.
+// The spec is refused before anything binds; the first stderr line then
+// names the address. ctx stops serving, with every accepted trial already
+// in the checkpoint for -resume.
 func serve(ctx context.Context, opts fabric.CoordinatorOptions, stderr io.Writer) (*harness.ResultSet, error) {
 	c, err := fabric.NewCoordinator(opts)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(stderr, "sweep: serving %s to fabricd workers\n", c.URL())
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	fmt.Fprintf(stderr, "sweep: serving %s to workers (sweep -join)\n", c.URL())
 	rs, err := c.Run(ctx)
 	if err != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("stopped serving: %w", err)

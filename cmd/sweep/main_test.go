@@ -6,12 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +21,6 @@ import (
 
 	"algossip/internal/core"
 	"algossip/internal/ctlhttp"
-	"algossip/internal/fabric"
 	"algossip/internal/harness"
 	"algossip/internal/resultstore"
 )
@@ -354,6 +355,107 @@ func TestSweepRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestSweepFlagsByMode: in each of sweep's three modes — local, served
+// (-listen) and worker (-join) — every flag sweep registers is either used
+// or refused with its name in the error, so a flag added later cannot be
+// silently ignored in one of them. The context is cancelled: a served
+// sweep or a worker that accepts its command line returns
+// context.Canceled, and a local one runs its single small trial.
+func TestSweepFlagsByMode(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name string) string { return filepath.Join(dir, name) }
+	// One command line per flag, and the modes that use it. -listen and
+	// -join switch modes, so they are only passed in their own.
+	flags := map[string]struct {
+		args  []string
+		modes string
+	}{
+		"graph":         {[]string{"-graph", "ring"}, "local listen"},
+		"sizes":         {[]string{"-sizes", "12"}, "local listen"},
+		"kmode":         {[]string{"-kmode", "n"}, "local listen"},
+		"protocol":      {[]string{"-protocol", "tag"}, "local listen"},
+		"model":         {[]string{"-model", "async"}, "local listen"},
+		"q":             {[]string{"-q", "4"}, "local listen"},
+		"action":        {[]string{"-action", "push"}, "local listen"},
+		"dynamics":      {[]string{"-dynamics", "edge:rate=0.1"}, "local listen"},
+		"adversary":     {[]string{"-adversary", "byzantine:frac=0.2"}, "local listen"},
+		"classes":       {[]string{"-classes", "straggler:frac=0.2"}, "local listen"},
+		"generations":   {[]string{"-generations", "2"}, "local listen"},
+		"shards":        {[]string{"-shards", "2"}, "local listen"},
+		"trials":        {[]string{"-trials", "1"}, "local listen"},
+		"single-source": {[]string{"-single-source"}, "local listen"},
+		"seed":          {[]string{"-seed", "3"}, "local listen"},
+		"detail":        {[]string{"-detail"}, "local listen"},
+		"parallel":      {[]string{"-parallel", "1"}, "local join"},
+		"timeout":       {[]string{"-timeout", "1m"}, "local"},
+		"listen":        {[]string{"-listen", "127.0.0.1:0"}, "listen"},
+		"join":          {[]string{"-join", "http://127.0.0.1:1"}, "join"},
+		"session":       {[]string{"-session", "ci"}, "listen"},
+		"lease-chunk":   {[]string{"-lease-chunk", "2"}, "listen"},
+		"lease-ttl":     {[]string{"-lease-ttl", "2s"}, "listen"},
+		"checkpoint":    {[]string{"-checkpoint", file("ckpt")}, "local listen"},
+		"resume":        {[]string{"-checkpoint", file("resumed.ckpt"), "-resume"}, "local listen"},
+		"store":         {[]string{"-store", file("store.jsonl")}, "local listen"},
+		"progress":      {[]string{"-progress"}, "local listen"},
+		"out":           {[]string{"-out", file("out.csv")}, "local listen"},
+		"cpuprofile":    {[]string{"-cpuprofile", file("cpu.prof")}, "local listen join"},
+		"memprofile":    {[]string{"-memprofile", file("mem.prof")}, "local listen join"},
+		"trace":         {[]string{"-trace", file("trace.out")}, "local listen join"},
+	}
+	modes := map[string][]string{
+		"local":  {"-sizes", "8", "-trials", "1"},
+		"listen": {"-listen", "127.0.0.1:0", "-sizes", "8", "-trials", "1"},
+		"join":   {"-join", "http://127.0.0.1:1"},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	fs, _ := command(io.Discard, io.Discard)
+	fs.VisitAll(func(f *flag.Flag) {
+		row, ok := flags[f.Name]
+		if !ok {
+			t.Errorf("-%s has no row here: say which modes use it, and refuse it in the others", f.Name)
+			return
+		}
+		for mode, base := range modes {
+			uses := strings.Contains(" "+row.modes+" ", " "+mode+" ")
+			if !uses && (f.Name == "listen" || f.Name == "join") {
+				continue
+			}
+			args := append(slices.Clone(base), row.args...)
+			err := run(cancelled, args, io.Discard, io.Discard)
+			if uses {
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Errorf("%s mode: sweep %v: %v", mode, args, err)
+				}
+			} else if !refuses(err, f.Name) {
+				t.Errorf("%s mode: sweep %v: %v, want a refusal naming -%s", mode, args, err, f.Name)
+			}
+		}
+	})
+	// A worker needs a coordinator URL and a pool size it can use, and a
+	// stray word is no mode of its own.
+	for _, args := range [][]string{
+		{"-join"},
+		{"-join", ""},
+		{"worker"},
+		{"-join", "http://127.0.0.1:1", "-parallel", "-3"}, // not all cores
+	} {
+		if err := run(cancelled, args, io.Discard, io.Discard); err == nil || errors.Is(err, context.Canceled) {
+			t.Errorf("sweep %v accepted", args)
+		}
+	}
+}
+
+// refuses reports whether err is a refusal that names -name among the
+// flags a mode ignores.
+func refuses(err error, name string) bool {
+	if err == nil {
+		return false
+	}
+	names, _, ok := strings.Cut(err.Error(), ": ")
+	return ok && slices.Contains(strings.Fields(names), "-"+name)
+}
+
 // rejectsBadSpecWords runs the malformed experiment words against one way
 // of running a sweep (local or served); each must be refused before any
 // work is done. The words reach the flag parsers, which the harness's
@@ -596,6 +698,21 @@ func serving(t *testing.T, ctx context.Context, args []string, afterFirst func(*
 	return url, rest, drained
 }
 
+// join runs `sweep -join url -parallel parallel` until the served sweep
+// completes, and returns the count of trials its last stderr line reports.
+func join(ctx context.Context, url string, parallel int) (int, error) {
+	var stderr bytes.Buffer
+	if err := run(ctx, []string{"-join", url, "-parallel", strconv.Itoa(parallel)}, io.Discard, &stderr); err != nil {
+		return 0, err
+	}
+	var name string
+	var n int
+	if _, err := fmt.Sscanf(stderr.String(), "sweep: worker %s executed %d trials\n", &name, &n); err != nil {
+		return 0, fmt.Errorf("worker stderr %q: %w", stderr.String(), err)
+	}
+	return n, nil
+}
+
 // TestSweepServesFabric: the same words run on the local pool and served
 // to a fabric worker give the same CSV — the pinned golden, and an
 // adversarial PUSH regime with node classes — while the session,
@@ -644,7 +761,7 @@ func TestSweepServesFabric(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			n, err := fabric.RunWorker(ctx, fabric.WorkerOptions{Coordinator: url, Name: "w0", Parallel: 2})
+			n, err := join(ctx, url, 2)
 			if err != nil || n != 4 {
 				t.Fatalf("worker executed %d trials: %v", n, err)
 			}
@@ -709,7 +826,7 @@ func TestSweepServedResumesAfterCancel(t *testing.T) {
 	work := func(ctx context.Context, url string) <-chan error {
 		done := make(chan error, 1)
 		go func() {
-			_, err := fabric.RunWorker(ctx, fabric.WorkerOptions{Coordinator: url, Name: "w", Parallel: 1})
+			_, err := join(ctx, url, 1)
 			done <- err
 		}()
 		return done
@@ -921,7 +1038,7 @@ func TestSweepDetailServed(t *testing.T) {
 	url, stderr, result := serving(t, context.Background(), words, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if _, err := fabric.RunWorker(ctx, fabric.WorkerOptions{Coordinator: url, Name: "w", Parallel: 2}); err != nil {
+	if _, err := join(ctx, url, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-result; err != nil {

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,6 +77,89 @@ func TestTablesRejectsNegativeRunFlags(t *testing.T) {
 			t.Errorf("tables %v printed before refusing:\n%s", c.args, buf.String())
 		}
 	}
+}
+
+// TestTablesFlagsByMode: in both of tables' modes — running the
+// experiments, and reading a store with -query (whose -cells lists it and
+// takes no filter) — every flag tables registers is either used or refused
+// with its name in the error, so a flag added later cannot be silently
+// ignored in one of them.
+func TestTablesFlagsByMode(t *testing.T) {
+	dir := t.TempDir()
+	storePath := filepath.Join(dir, "results.jsonl")
+	// One command line per flag, and the modes that use it. -query
+	// switches modes, so it is only passed in its own.
+	flags := map[string]struct {
+		args  []string
+		modes string
+	}{
+		"quick":       {[]string{"-quick"}, "run"},
+		"seed":        {[]string{"-seed", "3"}, "run"},
+		"only":        {[]string{"-only", "A4"}, "run"},
+		"trials":      {[]string{"-trials", "1"}, "run"},
+		"parallel":    {[]string{"-parallel", "1"}, "run"},
+		"outdir":      {[]string{"-outdir", dir}, "run"},
+		"query":       {[]string{"-query", storePath}, "query cells"},
+		"cells":       {[]string{"-cells"}, "query cells"},
+		"spec":        {[]string{"-spec", "sweep"}, "query"},
+		"graph":       {[]string{"-graph", "ring"}, "query"},
+		"n":           {[]string{"-n", "16"}, "query"},
+		"k":           {[]string{"-k", "8"}, "query"},
+		"q":           {[]string{"-q", "2"}, "query"},
+		"protocol":    {[]string{"-protocol", "uniform-ag"}, "query"},
+		"dynamics":    {[]string{"-dynamics", "edge"}, "query"},
+		"generations": {[]string{"-generations", "0"}, "query"},
+		"rate":        {[]string{"-rate", "0"}, "query"},
+		"regime":      {[]string{"-regime", ""}, "query"},
+	}
+	modes := map[string][]string{
+		"run":   {"-quick", "-only", "A4"},
+		"query": {"-query", storePath},
+		"cells": {"-query", storePath, "-cells"},
+	}
+	fs, _ := command(io.Discard)
+	fs.VisitAll(func(f *flag.Flag) {
+		row, ok := flags[f.Name]
+		if !ok {
+			t.Errorf("-%s has no row here: say which modes use it, and refuse it in the others", f.Name)
+			return
+		}
+		for mode, base := range modes {
+			uses := strings.Contains(" "+row.modes+" ", " "+mode+" ")
+			if !uses && f.Name == "query" {
+				continue
+			}
+			args := append(slices.Clone(base), row.args...)
+			err := run(args, io.Discard)
+			if uses {
+				if err != nil {
+					t.Errorf("%s mode: tables %v: %v", mode, args, err)
+				}
+			} else if !refuses(err, f.Name) {
+				t.Errorf("%s mode: tables %v: %v, want a refusal naming -%s", mode, args, err, f.Name)
+			}
+		}
+	})
+	// A query needs a store, and a stray word is no mode of its own.
+	for _, args := range [][]string{
+		{"-query", ""},
+		{"query"},
+		{"-quick", "E10"},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("tables %v accepted", args)
+		}
+	}
+}
+
+// refuses reports whether err is a refusal that names -name among the
+// flags a mode ignores.
+func refuses(err error, name string) bool {
+	if err == nil {
+		return false
+	}
+	names, _, ok := strings.Cut(err.Error(), ": ")
+	return ok && slices.Contains(strings.Fields(names), "-"+name)
 }
 
 // failWriter rejects every write.

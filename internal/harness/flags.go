@@ -42,6 +42,23 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.Uint64Var(&s.Seed, "seed", s.Seed, "root seed")
 }
 
+// RefuseFlags names every flag passed on fs that the chosen mode would
+// ignore — each one applies reports false for — so a binary with more
+// than one mode refuses a command line instead of dropping part of it.
+// why finishes the message; nil means every flag passed applies.
+func RefuseFlags(fs *flag.FlagSet, applies func(name string) bool, why string) error {
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !applies(f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if ignored == nil {
+		return nil
+	}
+	return fmt.Errorf("%s: %s", strings.Join(ignored, " "), why)
+}
+
 // errUnknownKey is what a parseDecl setter returns for a key it does not
 // take.
 var errUnknownKey = errors.New("unknown option")

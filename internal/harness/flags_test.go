@@ -74,3 +74,22 @@ func TestBindFlagsParseIntoSpec(t *testing.T) {
 		t.Errorf("parsed spec\n got %+v\nwant %+v", s, want)
 	}
 }
+
+// TestRefuseFlags: every flag passed that the mode ignores is named, in
+// the set's order; a flag it uses, or one not passed, is not.
+func TestRefuseFlags(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	for _, name := range []string{"a", "b", "c", "d"} {
+		fs.Bool(name, false, "")
+	}
+	if err := fs.Parse([]string{"-d", "-b", "-a"}); err != nil {
+		t.Fatal(err)
+	}
+	err := RefuseFlags(fs, func(name string) bool { return name == "a" }, "not in this mode")
+	if err == nil || err.Error() != "-b -d: not in this mode" {
+		t.Errorf("RefuseFlags = %v, want -b -d refused", err)
+	}
+	if err := RefuseFlags(fs, func(name string) bool { return name != "c" }, "unused"); err != nil {
+		t.Errorf("RefuseFlags refused a flag not passed: %v", err)
+	}
+}

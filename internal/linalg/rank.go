@@ -279,13 +279,18 @@ func (m *RankMatrix) insert(coeffs []gf.Elem, pay []byte, facs []gf.Elem, p int)
 		m.rows = make([][]gf.Elem, 0, m.cols)
 		m.pivot = make([]int, 0, m.cols)
 		m.pivFac = make([]gf.Elem, 0, m.cols)
-		m.arenaC = make([]gf.Elem, m.cols*m.cols)
+		sq := m.cols * m.cols
 		if m.extra > 0 {
+			// One block holds the coefficient and transform arenas, the
+			// first capped so no row of it reaches into the second.
+			block := make([]gf.Elem, 2*sq)
+			m.arenaC, m.arenaX = block[:sq:sq], block[sq:]
 			m.raw = make([][]byte, 0, m.cols)
 			m.xform = make([][]gf.Elem, 0, m.cols)
 			m.arenaP = make([]byte, m.cols*m.extra)
-			m.arenaX = make([]gf.Elem, m.cols*m.cols)
 			m.facs = make([]gf.Elem, m.cols)
+		} else {
+			m.arenaC = make([]gf.Elem, sq)
 		}
 	}
 	n := len(m.rows)

@@ -195,8 +195,8 @@ func TestStoreFromResultSet(t *testing.T) {
 // TestStoreOpensParentFile: a store written before Record had a regime
 // (testdata/parent_store.jsonl, with the sidecar that commit flushed)
 // opens through the sidecar and through a full rescan alike, with the
-// cell keys that commit indexed and the numbers its `fabricd query`
-// printed; new rows of the default regime extend those same cells.
+// cell keys that commit indexed and the numbers its store query printed;
+// new rows of the default regime extend those same cells.
 func TestStoreOpensParentFile(t *testing.T) {
 	want := []CellCount{
 		{Cell{Graph: "ring", N: 12, K: 6, Q: 2, Protocol: "uniform-ag"}, 3},

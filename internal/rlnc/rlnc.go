@@ -435,10 +435,10 @@ func (n *Node) Seed(msg Message) {
 // hot paths use EmitInto with a pooled packet instead.
 func (n *Node) Emit(rng *rand.Rand) *Packet {
 	p := &Packet{}
-	if !n.EmitInto(rng, p) {
-		return nil
+	if _, ok := n.DrawInto(rng, p, nil); ok {
+		return p
 	}
-	return p
+	return nil
 }
 
 // EmitInto fills p with a uniformly random linear combination of all

@@ -169,20 +169,20 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$url" ] || { say "served sweep never announced its address"; exit 1; }
-$bin/fabricd worker -coordinator "$url" -name w1 -parallel 1 >>"$log" 2>&1 &
+$bin/sweep -join "$url" -parallel 1 >>"$log" 2>&1 &
 w1=$!; pids+=($w1)
 sleep 0.5
 { kill -9 $w1 && wait $w1; } 2>/dev/null || true
-run $bin/fabricd status -coordinator "$url"
-run $bin/fabricd worker -coordinator "$url" -name w2 -parallel 2
+run curl -fs "$url/status"
+run $bin/sweep -join "$url" -parallel 2
 wait $coord
 run cmp want.csv got.csv
-run $bin/fabricd query -store fab.jsonl -cells
-run $bin/fabricd query -store fab.jsonl -graph ring -n 256 -dynamics '' -generations 0
-run $bin/fabricd query -store store.jsonl -graph barbell -regime ''
+run $bin/tables -query fab.jsonl -cells
+run $bin/tables -query fab.jsonl -graph ring -n 256 -dynamics '' -generations 0
+run $bin/tables -query store.jsonl -graph barbell -regime ''
 refuse $bin/sweep -q 9 -listen 127.0.0.1:0
 refuse $bin/sweep -session x
-refuse $bin/fabricd nosuch
+refuse $bin/sweep -join "$url" -trials 3
 
 say "gossipctl run: TCP and UDP deployments under chaos"
 # A 4 x 4 split of the ring: the Byzantine process's two inner nodes hear
